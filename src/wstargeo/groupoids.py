@@ -38,6 +38,7 @@ from .errors import InvalidArrow, InvalidTrials, NotComposable
 from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
+    _worst,
     frobenius,
     is_partial_isometry,
     left_support,
@@ -410,7 +411,7 @@ class AxiomReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.law_residuals.values())
+        return _worst(*self.law_residuals.values())
 
 
 def axiom_check(
@@ -432,7 +433,7 @@ def axiom_check(
         rng = sampling.rng_for(seed, k)
         chain = composable_chain(tag, algebra, rng, 3, tol)
         for law, value in chain_law_residuals(tag, chain, tol, repair).items():
-            worst[law] = max(worst.get(law, 0.0), value)
+            worst[law] = _worst(worst.get(law, 0.0), value)
     return AxiomReport(tag=tag, trials=trials, seed=seed, law_residuals=worst)
 
 

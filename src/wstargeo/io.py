@@ -72,6 +72,8 @@ def _as_matrix(path: str, name: str, entry) -> np.ndarray:
         im_arr = np.array(im_part, dtype=float).reshape(rows, cols)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: matrix {name!r} has non-numeric entries") from exc
+    if not (np.isfinite(re_arr).all() and np.isfinite(im_arr).all()):
+        raise ParseError(f"{path}: matrix {name!r} has non-finite entries")
     return re_arr + 1j * im_arr
 
 
@@ -123,6 +125,8 @@ def load_vectors(path: str) -> list[np.ndarray]:
             vec = np.array(re_part, dtype=float) + 1j * np.array(im_part, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}: vector {i} has non-numeric entries") from exc
+        if not np.isfinite(vec).all():
+            raise ParseError(f"{path}: vector {i} has non-finite entries")
         out.append(vec)
     return out
 

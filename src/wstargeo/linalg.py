@@ -61,6 +61,20 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def _worst(*values: float) -> float:
+    """Largest of the residuals, or NaN as soon as one of them is NaN.
+
+    The built-in ``max`` drops a NaN that is not its first argument, so a
+    running maximum over trials would let a non-finite trial pass."""
+    out = values[0]
+    for v in values:
+        if v != v:
+            return v
+        if v > out:
+            out = v
+    return out
+
+
 def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product Tr(x* y), antilinear in the first slot."""
     return complex(np.vdot(x, y))
@@ -81,6 +95,18 @@ def expect_real(z: complex, tol: ToleranceProfile = DEFAULT_TOL, what: str = "va
     if abs(z.imag) > tol.residual_tol * max(1.0, abs(z)):
         raise NotHermitian(f"{what} has a non-negligible imaginary part: {z!r}")
     return float(z.real)
+
+
+def expect_real_array(
+    z: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, what: str = "value"
+) -> np.ndarray:
+    """:func:`expect_real` applied to every entry of an array."""
+    bad = np.abs(z.imag) > tol.residual_tol * np.maximum(1.0, np.abs(z))
+    if bad.any():
+        raise NotHermitian(
+            f"{what} has a non-negligible imaginary part: {z[bad].flat[0]!r}"
+        )
+    return z.real
 
 
 def check_hermitian(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:

@@ -45,8 +45,10 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
+    _worst,
     check_hermitian,
     expect_real,
+    expect_real_array,
     frobenius,
     herm,
     hermitian_eig,
@@ -716,7 +718,7 @@ class FubiniStudyReport:
 def _unit_vector(v: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol.residual_tol * 10:
+    if not abs(norm - 1.0) <= tol.residual_tol * 10:  # also refuses NaN
         raise NotUnitVector(f"vector norm {norm:.6f} differs from 1")
     return v
 
@@ -917,29 +919,29 @@ def degeneracy_kernel_check(
         if frobenius(w.conj().T @ w - p0) > tol.residual_tol * (1.0 + frobenius(p0)):
             raise InvalidTangent(f"{name}* {name} is not the support of the base")
 
-    basis_u = _bundle_tangent_basis(algebra, u, p0, tol)
-    basis_v = _bundle_tangent_basis(algebra, v, p0, tol)
-    m, k = len(basis_u), len(basis_v)
-    total = m + k
-    pairing = np.zeros((total, total))
-    for i in range(m):
-        for j in range(i + 1, m):
-            val = dGamma0(rho0, u, basis_u[i], basis_u[j], tol)
-            pairing[i, j] = val
-            pairing[j, i] = -val
-    for i in range(k):
-        for j in range(i + 1, k):
-            val = dGamma0(rho0, v, basis_v[i], basis_v[j], tol)
-            pairing[m + i, m + j] = -val
-            pairing[m + j, m + i] = val
-
     stab = stabilizer_lie_algebra(rho0, tol)
-    radical_worst = 0.0
-    for s in stab.basis:
-        for e in basis_u:
-            radical_worst = max(radical_worst, abs(dGamma0(rho0, u, u @ s, e, tol)))
-        for e in basis_v:
-            radical_worst = max(radical_worst, abs(dGamma0(rho0, v, v @ s, e, tol)))
+    d0 = rho0.density
+
+    def leg_pairings(w: np.ndarray) -> tuple[np.ndarray, float]:
+        """dGamma0 on all pairs of the leg's tangent basis, and the worst
+        pairing of a stabilizer direction w s against that basis."""
+        basis = _bundle_tangent_basis(algebra, w, p0, tol)
+        m = len(basis)
+        stacked = np.array(basis + [w @ s for s in stab.basis])
+        # T[i, j] = Tr(d0 e_i* e_j), so dGamma0(e_i, e_j) = i (T - T^T)[i, j].
+        flat = stacked.reshape(len(stacked), -1)
+        t = flat.conj() @ (stacked @ d0).reshape(len(stacked), -1).T
+        form = expect_real_array(
+            1j * (t - t.T), tol, "exterior derivative of the orbit one-form"
+        )
+        radical = float(np.max(np.abs(form[m:, :m]), initial=0.0))
+        return form[:m, :m], radical
+
+    form_u, radical_u = leg_pairings(u)
+    form_v, radical_v = leg_pairings(v)
+    pairing = scipy.linalg.block_diag(form_u, -form_v)
+    total = len(pairing)
+    radical_worst = _worst(radical_u, radical_v)
 
     sing = np.linalg.svd(pairing, compute_uv=False)
     scale = max(float(sing[0]), 1.0) if sing.size else 1.0

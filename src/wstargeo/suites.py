@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.linalg
@@ -73,6 +73,7 @@ from .groupoids import (
 from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
+    _worst,
     expect_real,
     frobenius,
     matrix_imaginary_power,
@@ -143,6 +144,9 @@ class RowCtx:
     subindex: int
     profile: ToleranceProfile
     repair: bool
+    #: Reports shared by a group of rows, keyed by the function that draws
+    #: them; one dict per :func:`run_suite` call.
+    shared: dict = field(default_factory=dict, compare=False, repr=False)
 
     def rng(self, trial: int) -> np.random.Generator:
         return sampling.rng_for(self.seed, self.subindex, trial)
@@ -163,6 +167,22 @@ class SuiteResult:
     @property
     def status(self) -> str:
         return "pass" if self.passed else "FAIL"
+
+
+def _group_row(
+    reports: Callable[[RowCtx], Iterable], read: Callable[..., float]
+) -> Callable[[RowCtx], float]:
+    """A row that reads one residual from each of its group's per-trial
+    reports and returns the worst.  The group's first row draws the reports
+    (so with its own subindex) once per :func:`run_suite` call and keeps them
+    in ``ctx.shared`` for the rows after it."""
+
+    def fn(ctx: RowCtx) -> float:
+        if reports not in ctx.shared:
+            ctx.shared[reports] = list(reports(ctx))
+        return _worst(0.0, *(read(r) for r in ctx.shared[reports]))
+
+    return fn
 
 
 def _retry(draw: Callable, max_tries: int = _MAX_DRAWS):
@@ -237,7 +257,7 @@ def _row_axioms_standard(ctx: RowCtx) -> float:
         # left and right moduli through the isometry leg.
         u, h = polar_decompose(a, prof)
         res.append(frobenius(a - (u @ h @ u.conj().T) @ u))
-        worst = max(worst, max(res))
+        worst = _worst(worst, *res)
     return worst
 
 
@@ -251,8 +271,8 @@ def _row_isomorphisms(ctx: RowCtx) -> float:
         a, b = _retry(
             lambda: composable_chain("coadjoint", alg, rng, 2, prof)
         )
-        worst = max(worst, xi_intertwining_residual((a, b), prof))
-        worst = max(worst, phi_intertwining_residual(alg, a, b, prof))
+        worst = _worst(worst, xi_intertwining_residual((a, b), prof))
+        worst = _worst(worst, phi_intertwining_residual(alg, a, b, prof))
 
         def draw_pair(rng=rng):
             p0 = sampling.random_projection(alg, rng, allow_zero=False)
@@ -267,14 +287,14 @@ def _row_isomorphisms(ctx: RowCtx) -> float:
             return rho0, iso
 
         rho0, (u, v, w) = _retry(draw_pair)
-        worst = max(worst, psi_intertwining_residual(u, v, w, rho0, prof))
+        worst = _worst(worst, psi_intertwining_residual(u, v, w, rho0, prof))
         # Gauge invariance: right translation by a stabilizer element of the
         # base density leaves the quotient map unchanged.
         stab = stabilizer_lie_algebra(rho0, prof)
         g = scipy.linalg.expm(sampling.stabilizer_direction(rng, stab.basis))
         arrow = gauge_iso_Psi(u, v, rho0, prof)
         arrow_g = gauge_iso_Psi(u @ g, v @ g, rho0, prof)
-        worst = max(
+        worst = _worst(
             worst,
             frobenius(arrow.u - arrow_g.u)
             + arrow.rho.distance(arrow_g.rho),
@@ -343,15 +363,15 @@ def _row_witnesses(ctx: RowCtx) -> float:
         p = sampling.random_projection(alg, rng)
         q = sampling.equivalent_projection(alg, rng, p)
         w = mvn_witness(alg, p, q, prof)
-        worst = max(worst, frobenius(w.conj().T @ w - p))
-        worst = max(worst, frobenius(w @ w.conj().T - q))
+        worst = _worst(worst, frobenius(w.conj().T @ w - p))
+        worst = _worst(worst, frobenius(w @ w.conj().T - q))
 
         phi1 = sampling.random_density(alg, rng, tol=prof)
         uu = sampling.random_unitary(alg, rng)
         phi2 = NormalFunctional(alg, uu @ phi1.density @ uu.conj().T)
         v = unitary_witness(phi1, phi2, prof)
-        worst = max(worst, frobenius(v @ v.conj().T - alg.identity()))
-        worst = max(worst, frobenius(v @ phi1.density @ v.conj().T - phi2.density))
+        worst = _worst(worst, frobenius(v @ v.conj().T - alg.identity()))
+        worst = _worst(worst, frobenius(v @ phi1.density @ v.conj().T - phi2.density))
 
         def draw_transport(rng=rng):
             qs = sampling.projection_chain(alg, rng, 2, allow_zero=False)
@@ -363,7 +383,7 @@ def _row_witnesses(ctx: RowCtx) -> float:
         g1, w0 = _retry(draw_transport)
         g2 = w0 @ g1
         wt = transport_witness(g1, g2, prof)
-        worst = max(worst, frobenius(wt @ g1 - g2))
+        worst = _worst(worst, frobenius(wt @ g1 - g2))
     return worst
 
 
@@ -394,10 +414,10 @@ def _row_charts_round_trip(ctx: RowCtx) -> float:
         rng = ctx.rng(k)
         p, q = _draw_equivalent_in_domain(alg, rng, prof, 2)
         x = sigma_p(p, q, prof)
-        worst = max(worst, frobenius((p @ q) @ x - p))
-        worst = max(worst, frobenius(x @ (p @ q) - q))
-        worst = max(worst, frobenius(x @ p - x))
-        worst = max(worst, frobenius(phi_p_inv(p, phi_p(p, q, prof), prof) - q))
+        worst = _worst(worst, frobenius((p @ q) @ x - p))
+        worst = _worst(worst, frobenius(x @ (p @ q) - q))
+        worst = _worst(worst, frobenius(x @ p - x))
+        worst = _worst(worst, frobenius(phi_p_inv(p, phi_p(p, q, prof), prof) - q))
 
         def draw_g(rng=rng):
             ps = sampling.projection_chain(alg, rng, 3, allow_zero=False)
@@ -412,20 +432,20 @@ def _row_charts_round_trip(ctx: RowCtx) -> float:
         p_, pt, l, r, wiso, h = _retry(draw_g)
         x = wiso @ h
         coords = chart_G(p_, pt, x, prof)
-        worst = max(worst, frobenius(chart_G_inv(p_, pt, coords, prof) - x))
+        worst = _worst(worst, frobenius(chart_G_inv(p_, pt, coords, prof) - x))
         z = coords[1]
-        worst = max(worst, frobenius(p_ @ z - z) + frobenius(z @ pt - z))
+        worst = _worst(worst, frobenius(p_ @ z - z) + frobenius(z @ pt - z))
 
         coords_t = chart_Theta(p_, pt, x, prof)
-        worst = max(worst, frobenius(chart_Theta_inv(p_, pt, coords_t, prof) - x))
+        worst = _worst(worst, frobenius(chart_Theta_inv(p_, pt, coords_t, prof) - x))
         # On a partial isometry the polar chart's middle is a partial
         # isometry between the legs, and the node reflection acts cornerwise.
         coords_w = chart_Theta(p_, pt, wiso, prof)
         m = coords_w[1]
-        worst = max(worst, frobenius(m.conj().T @ m - pt))
+        worst = _worst(worst, frobenius(m.conj().T @ m - pt))
         xj = jay(x, prof)
         coords_j = chart_Theta(p_, pt, xj, prof)
-        worst = max(worst, frobenius(coords_j[1] - jay_corner(coords_t[1], prof)))
+        worst = _worst(worst, frobenius(coords_j[1] - jay_corner(coords_t[1], prof)))
     return worst
 
 
@@ -437,12 +457,12 @@ def _row_charts_cocycle(ctx: RowCtx) -> float:
         p, p1, p2, q = _draw_equivalent_in_domain(alg, rng, prof, 4)
         y = phi_p(p, q, prof)
         y1 = _retry(lambda: transition_L(p, p1, y, prof))
-        worst = max(worst, frobenius(phi_p_inv(p1, y1, prof) - q))
+        worst = _worst(worst, frobenius(phi_p_inv(p1, y1, prof) - q))
         y2_direct = _retry(lambda: transition_L(p, p2, y, prof))
         y2_via = _retry(lambda: transition_L(p1, p2, y1, prof))
-        worst = max(worst, frobenius(y2_direct - y2_via))
+        worst = _worst(worst, frobenius(y2_direct - y2_via))
         zero = np.zeros_like(y)
-        worst = max(
+        worst = _worst(
             worst,
             frobenius(transition_L(p, p1, zero, prof) - phi_p(p1, p, prof)),
         )
@@ -466,7 +486,7 @@ def _row_charts_transition_oracle(ctx: RowCtx) -> float:
             - np.array([[0.5, 0.5], [-0.5, -0.5]], dtype=complex)
         ),
     ]
-    return max(res)
+    return _worst(*res)
 
 
 def _row_charts_theta(ctx: RowCtx) -> float:
@@ -485,14 +505,14 @@ def _row_charts_theta(ctx: RowCtx) -> float:
 
         p0, q, p, u = _retry(draw)
         y, w = theta_P0(p, u, p0, prof)
-        worst = max(worst, frobenius(theta_P0_inv(p, (y, w), p0, prof) - u))
-        worst = max(worst, frobenius(w.conj().T @ w - p0))
-        worst = max(worst, frobenius(w @ w.conj().T - p))
+        worst = _worst(worst, frobenius(theta_P0_inv(p, (y, w), p0, prof) - u))
+        worst = _worst(worst, frobenius(w.conj().T @ w - p0))
+        worst = _worst(worst, frobenius(w @ w.conj().T - p))
         closed = matrix_sqrt(
             partial_inverse(p @ (u @ u.conj().T) @ p, prof), prof
         ) @ u
-        worst = max(worst, frobenius(w - closed))
-        worst = max(worst, frobenius(y - phi_p(p, q, prof)))
+        worst = _worst(worst, frobenius(w - closed))
+        worst = _worst(worst, frobenius(y - phi_p(p, q, prof)))
     return worst
 
 
@@ -517,14 +537,14 @@ def _row_charts_connection(ctx: RowCtx) -> float:
 
         h1, v1 = hv_split(u, du1)
         h2, _ = hv_split(u, du2)
-        worst = max(worst, frobenius(h1 + v1 - du1))
-        worst = max(worst, frobenius(u.conj().T @ h1))
-        worst = max(worst, frobenius(connection_alpha(u, u @ x1) - x1))
+        worst = _worst(worst, frobenius(h1 + v1 - du1))
+        worst = _worst(worst, frobenius(u.conj().T @ h1))
+        worst = _worst(worst, frobenius(connection_alpha(u, u @ x1) - x1))
         om = curvature_Omega(u, du1, du2)
-        worst = max(worst, frobenius(om + curvature_Omega(u, du2, du1)))
-        worst = max(worst, frobenius(om + om.conj().T))
-        worst = max(worst, frobenius(curvature_Omega(u, u @ x1, du2)))
-        worst = max(worst, frobenius(om - curvature_Omega(u, h1, h2)))
+        worst = _worst(worst, frobenius(om + curvature_Omega(u, du2, du1)))
+        worst = _worst(worst, frobenius(om + om.conj().T))
+        worst = _worst(worst, frobenius(curvature_Omega(u, u @ x1, du2)))
+        worst = _worst(worst, frobenius(om - curvature_Omega(u, h1, h2)))
         # The two-form evaluates identically through the split formula.
         d0 = rho0.density
         a1c = connection_alpha(u, du1)
@@ -532,7 +552,7 @@ def _row_charts_connection(ctx: RowCtx) -> float:
         split = expect_real(
             1j * np.trace(d0 @ (h1.conj().T @ h2 - h2.conj().T @ h1)), prof
         ) - expect_real(1j * np.trace(d0 @ (a1c @ a2c - a2c @ a1c)), prof)
-        worst = max(worst, abs(dGamma0(rho0, u, du1, du2, prof) - split))
+        worst = _worst(worst, abs(dGamma0(rho0, u, du1, du2, prof) - split))
     return worst
 
 
@@ -547,7 +567,7 @@ def _row_multiplicativity(ctx: RowCtx) -> float:
     for k in range(ctx.trials):
         rng = ctx.rng(k)
         fam, fam2 = _retry(lambda: sample_family_pair(alg, rng, prof))
-        worst = max(worst, multiplicativity_residual(fam, fam2, prof))
+        worst = _worst(worst, multiplicativity_residual(fam, fam2, prof))
     return worst
 
 
@@ -567,7 +587,7 @@ def _row_vertical(ctx: RowCtx) -> float:
         q, u, xi = _retry(draw)
         b = sampling.corner_antihermitian(alg, rng, q)
         b2 = sampling.corner_antihermitian(alg, rng, q)
-        worst = max(worst, vertical_form_residual(u, xi, b, b2, prof))
+        worst = _worst(worst, vertical_form_residual(u, xi, b, b2, prof))
     return worst
 
 
@@ -577,7 +597,7 @@ def _row_exactness(ctx: RowCtx) -> float:
     for k in range(ctx.trials):
         rng = ctx.rng(k)
         fam = _retry(lambda: sample_family(alg, rng, prof))
-        worst = max(worst, exactness_residual(fam, prof.fd_step, prof))
+        worst = _worst(worst, exactness_residual(fam, prof.fd_step, prof))
     return worst
 
 
@@ -591,6 +611,8 @@ def _row_exactness_order(ctx: RowCtx) -> float:
         fam = _retry(lambda: sample_family(alg, rng, prof))
         r1 = exactness_residual(fam, 1e-3, prof)
         r2 = exactness_residual(fam, 5e-4, prof)
+        if not np.isfinite(r1 + r2):
+            return float("nan")
         if r2 > 1e-13:
             ratios.append(r1 / r2)
     if not ratios:
@@ -618,22 +640,10 @@ def _draw_dual_pair_point(ctx: RowCtx, k: int) -> np.ndarray:
     return _retry(draw)
 
 
-def _row_dual_pair_orthogonality(ctx: RowCtx) -> float:
-    worst = 0.0
+def _dual_pair_reports(ctx: RowCtx):
     for k in range(ctx.trials):
         g = _draw_dual_pair_point(ctx, k)
-        report = dual_pair_orthogonality_check(ctx.algebra, g, ctx.profile)
-        worst = max(worst, report.orthogonality)
-    return worst
-
-
-def _row_dual_pair_dimension(ctx: RowCtx) -> float:
-    worst = 0.0
-    for k in range(ctx.trials):
-        g = _draw_dual_pair_point(ctx, k)
-        report = dual_pair_orthogonality_check(ctx.algebra, g, ctx.profile)
-        worst = max(worst, float(report.dimension_residual))
-    return worst
+        yield dual_pair_orthogonality_check(ctx.algebra, g, ctx.profile)
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +668,9 @@ def _row_poisson_quadratic(ctx: RowCtx) -> float:
         rng = ctx.rng(k)
         _, (f, g_fd, h) = _observable_triple(alg, rng, prof)
         gamma = sampling.random_element(alg, rng)
-        worst = max(worst, poisson_map_residual(f, g_fd, alg, gamma, prof))
-        worst = max(worst, poisson_map_residual(f, h, alg, gamma, prof))
-        worst = max(worst, poisson_map_residual(g_fd, h, alg, gamma, prof))
+        worst = _worst(worst, poisson_map_residual(f, g_fd, alg, gamma, prof))
+        worst = _worst(worst, poisson_map_residual(f, h, alg, gamma, prof))
+        worst = _worst(worst, poisson_map_residual(g_fd, h, alg, gamma, prof))
     return worst
 
 
@@ -671,8 +681,8 @@ def _row_poisson_jacobi(ctx: RowCtx) -> float:
         rng = ctx.rng(k)
         (x, y, z), _ = _observable_triple(alg, rng, prof)
         phi = sampling.random_density(alg, rng, tol=prof)
-        worst = max(worst, jacobi_residual(x, y, z, phi, prof))
-        worst = max(worst, linear_closure_residual(x, y, phi, prof))
+        worst = _worst(worst, jacobi_residual(x, y, z, phi, prof))
+        worst = _worst(worst, linear_closure_residual(x, y, phi, prof))
     return worst
 
 
@@ -683,7 +693,7 @@ def _row_poisson_leibniz(ctx: RowCtx) -> float:
         rng = ctx.rng(k)
         _, (f, g_fd, h) = _observable_triple(alg, rng, prof)
         phi = sampling.random_density(alg, rng, tol=prof)
-        worst = max(worst, leibniz_residual(f, g_fd, h, phi, prof))
+        worst = _worst(worst, leibniz_residual(f, g_fd, h, phi, prof))
     return worst
 
 
@@ -694,8 +704,8 @@ def _row_poisson_field_morphism(ctx: RowCtx) -> float:
         rng = ctx.rng(k)
         (x, y, z), (f, _, h) = _observable_triple(alg, rng, prof)
         phi = sampling.random_density(alg, rng, tol=prof)
-        worst = max(worst, field_morphism_residual(x, y, phi, prof))
-        worst = max(worst, field_duality_residual(f, h, phi, prof))
+        worst = _worst(worst, field_morphism_residual(x, y, phi, prof))
+        worst = _worst(worst, field_duality_residual(f, h, phi, prof))
     return worst
 
 
@@ -706,8 +716,8 @@ def _row_poisson_commutant(ctx: RowCtx) -> float:
         rng = ctx.rng(k)
         _, (f, _, h) = _observable_triple(alg, rng, prof)
         gamma = sampling.random_element(alg, rng)
-        worst = max(worst, commutant_bracket_check(f, h, alg, gamma, prof))
-        worst = max(worst, commutant_bracket_check(h, f, alg, gamma, prof))
+        worst = _worst(worst, commutant_bracket_check(f, h, alg, gamma, prof))
+        worst = _worst(worst, commutant_bracket_check(h, f, alg, gamma, prof))
     return worst
 
 
@@ -737,7 +747,7 @@ def _row_degeneracy_invariance(ctx: RowCtx) -> float:
     for k in range(ctx.trials):
         rng = ctx.rng(k)
         _, rho0, u = _draw_bundle_point(alg, rng, prof, repeat_chance=0.5)
-        worst = max(worst, orbit_form_invariance_residual(rho0, u, rng, prof))
+        worst = _worst(worst, orbit_form_invariance_residual(rho0, u, rng, prof))
     return worst
 
 
@@ -751,7 +761,7 @@ def _row_degeneracy_fd(ctx: RowCtx) -> float:
         b = sampling.unit_norm(sampling.corner_antihermitian(alg, rng, p0))
         val_fd = fd_surface_dGamma0(rho0, u, a, b, 1e-4, prof)
         val = dGamma0(rho0, u, a @ u, u @ b, prof)
-        worst = max(worst, abs(val_fd - val))
+        worst = _worst(worst, abs(val_fd - val))
     return worst
 
 
@@ -767,21 +777,9 @@ def _degeneracy_reports(ctx: RowCtx):
         yield degeneracy_kernel_check(rho0, u, v, prof)
 
 
-def _row_degeneracy_radical(ctx: RowCtx) -> float:
-    return max(r.radical_pairing for r in _degeneracy_reports(ctx))
-
-
-def _row_degeneracy_gap(ctx: RowCtx) -> float:
-    worst = 0.0
-    for r in _degeneracy_reports(ctx):
-        if r.complement_min_singular <= 0.0:
-            return float("inf")
-        worst = max(worst, 1.0 / r.complement_min_singular)
-    return worst
-
-
-def _row_degeneracy_dimensions(ctx: RowCtx) -> float:
-    return max(float(r.dimension_residual) for r in _degeneracy_reports(ctx))
+def _inverse_gap(report) -> float:
+    s = report.complement_min_singular
+    return float("inf") if s <= 0.0 else 1.0 / s
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +796,7 @@ def _row_kks_identity(ctx: RowCtx) -> float:
         rho0 = sampling.random_density(alg, rng, support=support, tol=prof)
         a1 = sampling.random_antihermitian(alg, rng)
         a2 = sampling.random_antihermitian(alg, rng)
-        worst = max(worst, kks_check(rho0, a1, a2, prof).residual)
+        worst = _worst(worst, kks_check(rho0, a1, a2, prof).residual)
     return worst
 
 
@@ -820,7 +818,7 @@ def _row_fs_orbit(ctx: RowCtx) -> float:
         x_t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y_t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         r = float(rng.uniform(0.5, 2.0))
-        worst = max(worst, fubini_study_compare(r, delta, x_t, y_t, prof).residual)
+        worst = _worst(worst, fubini_study_compare(r, delta, x_t, y_t, prof).residual)
     return worst
 
 
@@ -836,7 +834,7 @@ def _row_fs_scaling(ctx: RowCtx) -> float:
         r = float(rng.uniform(0.5, 2.0))
         one = fubini_study_compare(r, delta, x_t, y_t, prof).omega
         two = fubini_study_compare(2.0 * r, delta, x_t, y_t, prof).omega
-        worst = max(worst, abs(two - 2.0 * one))
+        worst = _worst(worst, abs(two - 2.0 * one))
     return worst
 
 
@@ -854,7 +852,7 @@ def _row_fs_pair_groupoid(ctx: RowCtx) -> float:
             for _ in range(4)
         ]
         r = float(rng.uniform(0.5, 2.0))
-        worst = max(
+        worst = _worst(
             worst,
             pair_groupoid_fs_residual(
                 r, delta, psi, phi_vec, vecs[0], vecs[1], vecs[2], vecs[3], prof
@@ -882,30 +880,6 @@ def _flow_reports(ctx: RowCtx):
         )
 
 
-def _row_flow_automorphism(ctx: RowCtx) -> float:
-    worst = 0.0
-    for rep in _flow_reports(ctx):
-        worst = max(
-            worst,
-            rep.residuals["multiplicativity"],
-            rep.residuals["conjugation"],
-            rep.residuals["group_law"],
-        )
-    return worst
-
-
-def _row_flow_symplectic(ctx: RowCtx) -> float:
-    return max(rep.residuals["symplectic"] for rep in _flow_reports(ctx))
-
-
-def _row_flow_cone(ctx: RowCtx) -> float:
-    return max(rep.residuals["cone"] for rep in _flow_reports(ctx))
-
-
-def _row_flow_orbit_invariants(ctx: RowCtx) -> float:
-    return max(rep.residuals["orbit_invariants"] for rep in _flow_reports(ctx))
-
-
 def _row_flow_orbit_form(ctx: RowCtx) -> float:
     """The orbit two-form is invariant under the flow of any faithful
     extension of the base density (the flow restricts to the bundle)."""
@@ -923,7 +897,7 @@ def _row_flow_orbit_form(ctx: RowCtx) -> float:
             w = matrix_imaginary_power(d_ext, t, prof)
             wh = w.conj().T
             moved = dGamma0(rho0, w @ u @ wh, w @ du1 @ wh, w @ du2 @ wh, prof)
-            worst = max(worst, abs(moved - base))
+            worst = _worst(worst, abs(moved - base))
     return worst
 
 
@@ -941,13 +915,13 @@ def _row_flow_tomita(ctx: RowCtx) -> float:
         )
         x = sampling.random_element(alg, rng)
         omega_vec = mod.vector
-        worst = max(
+        worst = _worst(
             worst,
             frobenius(tomita_S(mod, x @ omega_vec) - x.conj().T @ omega_vec),
         )
         g = sampling.random_element(alg, rng)
-        worst = max(worst, frobenius(tomita_S(mod, tomita_S(mod, g)) - g))
-        worst = max(
+        worst = _worst(worst, frobenius(tomita_S(mod, tomita_S(mod, g)) - g))
+        worst = _worst(
             worst,
             frobenius(
                 tomita_S(mod, g) - conjugation_J(modular_Delta(mod, g, 0.5))
@@ -965,7 +939,7 @@ def _row_flow_group_law(ctx: RowCtx) -> float:
         x = sampling.random_element(alg, rng)
         y = sampling.random_element(alg, rng)
         s, t = 0.7, -1.3
-        worst = max(
+        worst = _worst(
             worst,
             frobenius(
                 modular_automorphism(phi, s, modular_automorphism(phi, t, x, prof), prof)
@@ -974,12 +948,12 @@ def _row_flow_group_law(ctx: RowCtx) -> float:
         )
         sx = modular_automorphism(phi, t, x, prof)
         sy = modular_automorphism(phi, t, y, prof)
-        worst = max(worst, frobenius(modular_automorphism(phi, t, x @ y, prof) - sx @ sy))
-        worst = max(
+        worst = _worst(worst, frobenius(modular_automorphism(phi, t, x @ y, prof) - sx @ sy))
+        worst = _worst(
             worst,
             frobenius(modular_automorphism(phi, t, x.conj().T, prof) - sx.conj().T),
         )
-        worst = max(worst, abs(phi(sx) - phi(x)))
+        worst = _worst(worst, abs(phi(sx) - phi(x)))
     return worst
 
 
@@ -992,16 +966,16 @@ def _row_flow_conditional_expectation(ctx: RowCtx) -> float:
         d = phi.density
         x = sampling.random_element(alg, rng)
         ex = conditional_expectation(phi, x, prof)
-        worst = max(worst, frobenius(conditional_expectation(phi, ex, prof) - ex))
-        worst = max(worst, abs(phi(ex) - phi(x)))
-        worst = max(worst, frobenius(ex @ d - d @ ex))
-        worst = max(
+        worst = _worst(worst, frobenius(conditional_expectation(phi, ex, prof) - ex))
+        worst = _worst(worst, abs(phi(ex) - phi(x)))
+        worst = _worst(worst, frobenius(ex @ d - d @ ex))
+        worst = _worst(
             worst, frobenius(modular_automorphism(phi, 0.7, ex, prof) - ex)
         )
         basis = centralizer_basis(phi, prof)
         coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         a = sum(c * b for c, b in zip(coeff, basis))
-        worst = max(
+        worst = _worst(
             worst,
             frobenius(
                 conditional_expectation(phi, a @ x, prof)
@@ -1026,8 +1000,8 @@ def _row_flow_dimensions(ctx: RowCtx) -> float:
     ]
     for alg_f, d, cdim, sdim in fixed:
         phi = NormalFunctional(alg_f, d.astype(complex))
-        worst = max(worst, float(abs(len(centralizer_basis(phi, prof)) - cdim)))
-        worst = max(
+        worst = _worst(worst, float(abs(len(centralizer_basis(phi, prof)) - cdim)))
+        worst = _worst(
             worst,
             float(abs(stabilizer_lie_algebra(phi, prof).dimension - sdim)),
         )
@@ -1046,10 +1020,10 @@ def _row_flow_dimensions(ctx: RowCtx) -> float:
             q = q * (np.diagonal(rr) / np.abs(np.diagonal(rr)))
             mats.append((q * vals) @ q.conj().T)
         phi = NormalFunctional(alg, alg.embed_blocks(mats))
-        worst = max(
+        worst = _worst(
             worst, float(abs(len(centralizer_basis(phi, prof)) - predicted))
         )
-        worst = max(
+        worst = _worst(
             worst,
             float(abs(stabilizer_lie_algebra(phi, prof).dimension - predicted)),
         )
@@ -1087,8 +1061,10 @@ _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
         ("order", 0.5, _row_exactness_order),
     ],
     "dual-pair": [
-        ("orthogonality", 1e-10, _row_dual_pair_orthogonality),
-        ("dimension", 0.5, _row_dual_pair_dimension),
+        ("orthogonality", 1e-10,
+         _group_row(_dual_pair_reports, lambda r: r.orthogonality)),
+        ("dimension", 0.5,
+         _group_row(_dual_pair_reports, lambda r: float(r.dimension_residual))),
     ],
     "poisson-map": [
         ("quadratic", 1e-10, _row_poisson_quadratic),
@@ -1100,9 +1076,12 @@ _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
     "degeneracy": [
         ("orbit-form-invariance", 1e-10, _row_degeneracy_invariance),
         ("fd-exterior", 1e-6, _row_degeneracy_fd),
-        ("radical-pairing", 1e-10, _row_degeneracy_radical),
-        ("complement-inverse-gap", 1e7, _row_degeneracy_gap),
-        ("dimensions", 0.5, _row_degeneracy_dimensions),
+        ("radical-pairing", 1e-10,
+         _group_row(_degeneracy_reports, lambda r: r.radical_pairing)),
+        ("complement-inverse-gap", 1e7,
+         _group_row(_degeneracy_reports, _inverse_gap)),
+        ("dimensions", 0.5,
+         _group_row(_degeneracy_reports, lambda r: float(r.dimension_residual))),
     ],
     "kks": [
         ("identity", 1e-10, _row_kks_identity),
@@ -1114,10 +1093,17 @@ _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
         ("pair-groupoid", 1e-10, _row_fs_pair_groupoid),
     ],
     "modular-flow": [
-        ("automorphism", 1e-9, _row_flow_automorphism),
-        ("symplectic", 1e-9, _row_flow_symplectic),
-        ("cone", 1e-9, _row_flow_cone),
-        ("orbit-invariants", 1e-9, _row_flow_orbit_invariants),
+        ("automorphism", 1e-9,
+         _group_row(_flow_reports, lambda r: _worst(
+             r.residuals["multiplicativity"],
+             r.residuals["conjugation"],
+             r.residuals["group_law"],
+         ))),
+        ("symplectic", 1e-9,
+         _group_row(_flow_reports, lambda r: r.residuals["symplectic"])),
+        ("cone", 1e-9, _group_row(_flow_reports, lambda r: r.residuals["cone"])),
+        ("orbit-invariants", 1e-9,
+         _group_row(_flow_reports, lambda r: r.residuals["orbit_invariants"])),
         ("orbit-form", 1e-9, _row_flow_orbit_form),
         ("tomita", 1e-10, _row_flow_tomita),
         ("group-law", 1e-10, _row_flow_group_law),
@@ -1159,8 +1145,9 @@ def run_suite(
     if trials < 1:
         raise InvalidTrials(f"trials must be positive, got {trials}")
     results = []
+    shared: dict = {}
     for subindex, (row, row_tol, fn) in enumerate(_SUITES[name]):
-        ctx = RowCtx(algebra, trials, seed, subindex, profile, repair)
+        ctx = RowCtx(algebra, trials, seed, subindex, profile, repair, shared)
         start = time.perf_counter()
         residual = float(fn(ctx))
         wall = time.perf_counter() - start

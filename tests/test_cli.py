@@ -62,6 +62,14 @@ class TestPolar:
         err = capsys.readouterr().err
         assert "usage error" in err
 
+    def test_non_finite_matrix(self, tmp_path, capsys):
+        f = write_algebra(
+            tmp_path / "a.json", [2], {"a": np.array([[np.inf, 0.0], [0.0, 1.0]])}
+        )
+        assert "Infinity" in open(f).read()
+        assert main(["polar", f]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["polar", str(tmp_path / "nope.json")]) == 1
         assert "file not found" in capsys.readouterr().err
@@ -167,6 +175,13 @@ class TestAmplitude:
         f = write_vectors(tmp_path / "v.json", [np.array([1.0, 0.0])])
         assert main(["amplitude", f]) == 2
         capsys.readouterr()
+
+    def test_non_finite_vector(self, tmp_path, capsys):
+        f = write_vectors(
+            tmp_path / "v.json", [np.array([1.0, 0.0]), np.array([np.nan, 0.0])]
+        )
+        assert main(["amplitude", f]) == 1
+        assert "non-finite" in capsys.readouterr().err
 
     def test_malformed_vectors(self, tmp_path, capsys):
         p = tmp_path / "v.json"

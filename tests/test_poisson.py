@@ -27,6 +27,7 @@ from wstargeo import (
     field_morphism_residual,
     frobenius,
     fubini_study_compare,
+    functional_support,
     hamiltonian_field,
     jacobi_residual,
     kks_check,
@@ -40,8 +41,11 @@ from wstargeo import (
     poisson_map_residual,
     sample_family,
     sample_family_pair,
+    stabilizer_lie_algebra,
     vertical_form_residual,
 )
+from wstargeo.charts import dGamma0
+from wstargeo.poisson import _bundle_tangent_basis
 from wstargeo.sampling import (
     corner_positive,
     equivalent_projection,
@@ -344,6 +348,35 @@ class TestAmplitude:
             feynman_amplitude(
                 [np.array([1.0, 0.0]), np.array([0.0, 2.0])], DEFAULT_TOL
             )
+        with pytest.raises(NotUnitVector):
+            feynman_amplitude(
+                [np.array([1.0, 0.0]), np.array([np.nan, 0.0])], DEFAULT_TOL
+            )
+
+
+def _pairwise_degeneracy(rho0, u, v):
+    """Kernel dimension, radical pairing and smallest complement singular
+    value of the arrow two-form, filled in one dGamma0 call per basis pair."""
+    p0 = functional_support(rho0, DEFAULT_TOL)
+    basis_u = _bundle_tangent_basis(rho0.algebra, u, p0, DEFAULT_TOL)
+    basis_v = _bundle_tangent_basis(rho0.algebra, v, p0, DEFAULT_TOL)
+    m, k = len(basis_u), len(basis_v)
+    pairing = np.zeros((m + k, m + k))
+    for i in range(m):
+        for j in range(m):
+            pairing[i, j] = dGamma0(rho0, u, basis_u[i], basis_u[j], DEFAULT_TOL)
+    for i in range(k):
+        for j in range(k):
+            pairing[m + i, m + j] = -dGamma0(rho0, v, basis_v[i], basis_v[j], DEFAULT_TOL)
+    stab = stabilizer_lie_algebra(rho0, DEFAULT_TOL)
+    radical = max(
+        [abs(dGamma0(rho0, u, u @ s, e, DEFAULT_TOL)) for s in stab.basis for e in basis_u]
+        + [abs(dGamma0(rho0, v, v @ s, e, DEFAULT_TOL)) for s in stab.basis for e in basis_v]
+    )
+    sing = np.linalg.svd(pairing, compute_uv=False)
+    kernel_dim = int(np.sum(sing < 1e-8 * max(float(sing[0]), 1.0)))
+    nonzero = sing[: m + k - 2 * stab.dimension]
+    return kernel_dim, radical, float(nonzero[-1]) if nonzero.size else float("inf")
 
 
 class TestDegeneracy:
@@ -372,6 +405,38 @@ class TestDegeneracy:
         assert report.dimension_residual == 0
         assert report.radical_pairing <= 1e-10
         assert report.complement_min_singular > 1e-7
+
+    @pytest.mark.parametrize(
+        "blocks, ranks, repeated",
+        [
+            ((2,), (1,), False),
+            ((2,), (2,), False),
+            ((2, 3), (1, 2), False),
+            ((2, 3), (2, 2), True),
+            ((4,), (2,), False),
+            ((4,), (3,), True),
+        ],
+    )
+    def test_contraction_matches_pairwise_loop(self, blocks, ranks, repeated):
+        algebra = BlockAlgebra(blocks)
+        rng = rng_for(60, *ranks, int(repeated))
+        p0 = random_projection(algebra, rng, ranks=ranks)
+        if repeated:
+            d = corner_positive(algebra, rng, p0, 1.0, 1.0)
+        else:
+            d = corner_positive(algebra, rng, p0)
+        rho0 = NormalFunctional(algebra, d / np.trace(d).real)
+        u, v = (
+            partial_isometry_onto(
+                algebra, rng, p0, equivalent_projection(algebra, rng, p0), DEFAULT_TOL
+            )
+            for _ in range(2)
+        )
+        report = degeneracy_kernel_check(rho0, u, v, DEFAULT_TOL)
+        kernel_dim, radical, min_sing = _pairwise_degeneracy(rho0, u, v)
+        assert report.kernel_dimension == kernel_dim
+        assert abs(report.radical_pairing - radical) <= 1e-14
+        assert report.complement_min_singular == pytest.approx(min_sing, rel=1e-12)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DegenerateBase):

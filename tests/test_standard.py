@@ -256,6 +256,25 @@ class TestDualPair:
             assert frobenius(delta @ g.conj().T + g @ delta.conj().T) <= 1e-9
             assert frobenius(mu @ delta - delta) <= 1e-9
 
+    @pytest.mark.parametrize("blocks", [(2,), (2, 3), (4,)])
+    def test_orthogonality_matches_pairwise_loop(self, blocks):
+        algebra = BlockAlgebra(blocks)
+        for trial in range(3):
+            rng = rng_for(37, sum(blocks), trial)
+            if trial == 0:
+                g = random_element(algebra, rng)
+            else:
+                q = random_projection(algebra, rng, allow_zero=False)
+                g = partial_isometry_onto(
+                    algebra, rng, q, equivalent_projection(algebra, rng, q), DEFAULT_TOL
+                ) @ corner_positive(algebra, rng, q)
+            report = dual_pair_orthogonality_check(algebra, g, DEFAULT_TOL)
+            ker_e = fiber_kernel_E(algebra, g, DEFAULT_TOL)
+            ker_ep = fiber_kernel_Eprime(algebra, g, DEFAULT_TOL)
+            pairwise = max(abs(symplectic_omega(x, y)) for x in ker_e for y in ker_ep)
+            assert (report.dim_E, report.dim_Eprime) == (len(ker_e), len(ker_ep))
+            assert abs(report.orthogonality - pairwise) <= 1e-14
+
     def test_degenerate_base(self):
         with pytest.raises(DegenerateBase):
             fiber_kernel_E(M2, np.zeros((2, 2)), DEFAULT_TOL)

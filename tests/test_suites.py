@@ -2,9 +2,12 @@
 error handling, tolerance override, and a full small-trial smoke pass."""
 
 import dataclasses
+import math
+import types
 
 import pytest
 
+from wstargeo import groupoids, suites
 from wstargeo import (
     SUITE_NAMES,
     BlockAlgebra,
@@ -112,3 +115,68 @@ class TestSmoke:
             rows = run_suite(name, algebra, 12, 0)
             bad = [(r.suite, r.max_residual, r.tolerance) for r in rows if not r.passed]
             assert not bad, bad
+
+
+def _poison_one_call(monkeypatch, module, name, poison, at=3):
+    """Replace ``module.name`` so that its ``at``-th call returns
+    ``poison(result)`` instead of the result."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(None)
+        return poison(out) if len(calls) == at else out
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestNonFiniteTrial:
+    def test_nan_trial_fails_row(self, monkeypatch):
+        nan_report = types.SimpleNamespace(residual=float("nan"))
+        _poison_one_call(monkeypatch, suites, "kks_check", lambda _: nan_report)
+        row = run_suite("kks", M2, 10, 0)[0]
+        assert row.suite == "kks/identity"
+        assert math.isnan(row.max_residual)
+        assert row.status == "FAIL"
+
+    def test_nan_law_fails_axiom_check(self, monkeypatch):
+        def poison(laws):
+            law = next(iter(laws))
+            return {**laws, law: float("nan")}
+
+        _poison_one_call(monkeypatch, groupoids, "chain_law_residuals", poison)
+        report = groupoids.axiom_check("pi", M2, 10, 0)
+        assert math.isnan(report.max_residual)
+        assert sum(math.isnan(v) for v in report.law_residuals.values()) == 1
+
+        _poison_one_call(monkeypatch, groupoids, "chain_law_residuals", poison)
+        row = run_suite("groupoid-axioms", M2, 10, 0)[0]
+        assert row.suite == "groupoid-axioms/pi"
+        assert math.isnan(row.max_residual)
+        assert row.status == "FAIL"
+
+
+class TestSharedReports:
+    @pytest.mark.parametrize(
+        "suite, check, calls",
+        [
+            ("degeneracy", "degeneracy_kernel_check", 4),
+            ("dual-pair", "dual_pair_orthogonality_check", 4),
+            ("modular-flow", "flow_automorphism_check", len(suites.FLOW_TIMES)),
+        ],
+    )
+    def test_one_report_per_trial(self, monkeypatch, suite, check, calls):
+        original = getattr(suites, check)
+        seen = []
+
+        def counted(*args, **kwargs):
+            seen.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(suites, check, counted)
+        rows = run_suite(suite, M23, 4, 1)
+        assert len(seen) == calls
+        assert all(r.passed for r in rows), [
+            (r.suite, r.max_residual) for r in rows if not r.passed
+        ]
