@@ -26,13 +26,13 @@ from .linalg import (
     check_hermitian,
     eigen_clusters,
     frobenius,
+    herm,
     hermitian_eig,
     is_projection,
     left_support,
     matrix_imaginary_power,
     polar_decompose,
     projection_rank,
-    retained_rank,
     right_support,
     support_projection,
 )
@@ -180,16 +180,12 @@ class NormalFunctional:
     def is_positive(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
         if not self.is_hermitian(tol):
             return False
-        w = np.linalg.eigvalsh(herm_part(self.density))
+        w = np.linalg.eigvalsh(herm(self.density))
         scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
         return bool(w.min() >= -tol.residual_tol * scale)
 
     def distance(self, other: "NormalFunctional") -> float:
         return frobenius(self.density - other.density)
-
-
-def herm_part(x: np.ndarray) -> np.ndarray:
-    return (x + x.conj().T) / 2.0
 
 
 def require_positive(
@@ -221,7 +217,7 @@ def functional_support(
 ) -> np.ndarray:
     """Support projection of a positive functional."""
     require_positive(phi, tol)
-    return support_projection(herm_part(phi.density), tol)
+    return support_projection(herm(phi.density), tol)
 
 
 def require_projection(
@@ -296,7 +292,7 @@ def orbit_invariant(
     """Unitary-orbit invariant of a positive functional: the strictly positive
     part of the density's spectrum, blockwise, in descending order."""
     require_positive(phi, tol)
-    d = herm_part(phi.density)
+    d = herm(phi.density)
     wall = np.linalg.eigvalsh(d)
     cutoff = tol.rank_rel_tol * max(float(np.max(wall)), 0.0) if wall.size else 0.0
     out = []
@@ -317,8 +313,8 @@ def orbit_equivalent(
     require_positive(phi1, tol)
     require_positive(phi2, tol)
     for b1, b2 in zip(
-        phi1.algebra.block_views(herm_part(phi1.density)),
-        phi2.algebra.block_views(herm_part(phi2.density)),
+        phi1.algebra.block_views(herm(phi1.density)),
+        phi2.algebra.block_views(herm(phi2.density)),
     ):
         w1 = np.sort(np.linalg.eigvalsh(b1))
         w2 = np.sort(np.linalg.eigvalsh(b2))
@@ -339,8 +335,8 @@ def unitary_witness(
     algebra = phi1.algebra
     out = []
     for b1, b2 in zip(
-        algebra.block_views(herm_part(phi1.density)),
-        algebra.block_views(herm_part(phi2.density)),
+        algebra.block_views(herm(phi1.density)),
+        algebra.block_views(herm(phi2.density)),
     ):
         _, v1 = hermitian_eig(b1, tol)
         _, v2 = hermitian_eig(b2, tol)
@@ -390,7 +386,7 @@ def centralizer_basis(
     algebra = phi.algebra
     basis: list[np.ndarray] = []
     for s, w, v, clusters, cutoff in _spectral_clusters(
-        algebra, herm_part(phi.density), tol
+        algebra, herm(phi.density), tol
     ):
         n = s.stop - s.start
         for cluster in clusters:
@@ -413,7 +409,7 @@ def stabilizer_lie_algebra(
     algebra = phi.algebra
     basis: list[np.ndarray] = []
     for s, w, v, clusters, cutoff in _spectral_clusters(
-        algebra, herm_part(phi.density), tol
+        algebra, herm(phi.density), tol
     ):
         for cluster in clusters:
             if w[cluster[0]] <= cutoff:
@@ -442,7 +438,7 @@ def pinching_projections(
     algebra = phi.algebra
     projections = []
     for s, _, v, clusters, _ in _spectral_clusters(
-        algebra, herm_part(phi.density), tol
+        algebra, herm(phi.density), tol
     ):
         for cluster in clusters:
             cols = v[:, cluster]
@@ -473,7 +469,7 @@ def modular_automorphism(
     """Modular flow ``x -> d^{it} x d^{-it}`` of a faithful positive
     functional."""
     require_positive(phi, tol)
-    d = herm_part(phi.density)
+    d = herm(phi.density)
     p0 = support_projection(d, tol)
     if projection_rank(p0) != phi.algebra.dim:
         raise NotFaithful("density is not faithful; modular flow undefined")
@@ -493,9 +489,3 @@ def coadjoint_apply(
     if frobenius(u.conj().T @ u - p) > tol.residual_tol * (1.0 + frobenius(p)):
         raise InvalidArrow("source projection of u is not the support of rho")
     return NormalFunctional(phi.algebra, u @ phi.density @ u.conj().T)
-
-
-def numerical_rank(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> int:
-    """Numerical rank of a general matrix under the global cutoff policy."""
-    s = np.linalg.svd(as_square(a), compute_uv=False)
-    return retained_rank(s, tol)

@@ -29,7 +29,6 @@ from . import sampling
 from .algebra import (
     BlockAlgebra,
     NormalFunctional,
-    coadjoint_apply,
     functional_polar,
     functional_support,
     require_positive,
@@ -115,10 +114,6 @@ def g_compose(
 def g_inverse(x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Groupoid inverse: the partial inverse, equal to h^{-1} u* for x = u h."""
     return partial_inverse(x, tol)
-
-
-def g_unit(p: np.ndarray) -> np.ndarray:
-    return np.asarray(p, dtype=complex)
 
 
 def jay(x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -256,7 +251,7 @@ def _dist_functional(a: NormalFunctional, b: NormalFunctional) -> float:
 
 
 def _dist_coadjoint(a: CoadjointArrow, b: CoadjointArrow) -> float:
-    return max(frobenius(a.u - b.u), a.rho.distance(b.rho))
+    return _worst(frobenius(a.u - b.u), a.rho.distance(b.rho))
 
 
 @dataclass(frozen=True)
@@ -295,7 +290,7 @@ GROUPOIDS: dict[str, GroupoidOps] = {
         target=g_target,
         compose=g_compose,
         inverse=g_inverse,
-        unit=lambda p, tol: g_unit(p),
+        unit=lambda p, tol: pi_unit(p),
         arrow_distance=_dist_matrix,
         object_distance=_dist_matrix,
     ),
@@ -469,7 +464,7 @@ def xi_intertwining_residual(
         predual_compose(fa, fb, tol).distance(iso_Xi(coadjoint_compose(a, b, tol))),
         _dist_coadjoint(iso_Xi_inv(fa, tol), a),
     ]
-    return max(res)
+    return _worst(*res)
 
 
 def gauge_iso_Psi(
@@ -523,4 +518,4 @@ def psi_intertwining_residual(
             coadjoint_unit(pi0(u, rho0, tol), tol), gauge_iso_Psi(u, u, rho0, tol)
         ),
     ]
-    return max(res)
+    return _worst(*res)

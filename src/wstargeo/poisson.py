@@ -55,6 +55,7 @@ from .linalg import (
     hs_inner,
     is_partial_isometry,
     projection_rank,
+    support_projection,
 )
 from .standard import (
     expectation_E,
@@ -247,7 +248,7 @@ def orbit_drift(
         w0 = np.sort(np.linalg.eigvalsh(b0))
         w1 = np.sort(np.linalg.eigvalsh(b1))
         if w0.size:
-            worst = max(worst, float(np.max(np.abs(w1 - w0))))
+            worst = _worst(worst, float(np.max(np.abs(w1 - w0))))
     return worst
 
 
@@ -413,7 +414,7 @@ class ComposableFamily:
         wmin = float(np.linalg.eigvalsh(herm(self.xi2)).min())
         if wmin < -tol.residual_tol:
             raise InvalidFamily("xi2 is not positive")
-        q2 = sampling.support_projection_of(self.xi2, tol)
+        q2 = support_projection(self.xi2, tol)
         checks = {
             "u1 is not a partial isometry": not is_partial_isometry(self.u1, tol),
             "u2 is not a partial isometry": not is_partial_isometry(self.u2, tol),
@@ -531,7 +532,7 @@ def family_with_generators(
 ) -> ComposableFamily:
     """Fresh unit-operator-norm generators on a fixed composable base."""
     u1, u2, xi2 = base
-    q2 = sampling.support_projection_of(xi2, tol)
+    q2 = support_projection(xi2, tol)
     a1 = sampling.unit_norm(sampling.random_antihermitian(algebra, rng))
     a2 = sampling.unit_norm(sampling.random_antihermitian(algebra, rng))
     b2 = sampling.unit_norm(sampling.corner_antihermitian(algebra, rng, q2))
@@ -631,18 +632,6 @@ def exactness_residual(
 
 # ---------------------------------------------------------------------------
 # orbit two-form, calibration, Fubini–Study geometry
-
-
-def orbit_form(
-    rho0: NormalFunctional,
-    u: np.ndarray,
-    du1: np.ndarray,
-    du2: np.ndarray,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
-    """Two-form of the isometry bundle over the unitary orbit of rho0 (the
-    exterior derivative of the orbit one-form)."""
-    return dGamma0(rho0, u, du1, du2, tol)
 
 
 @lru_cache(maxsize=1)
@@ -1011,4 +1000,4 @@ def orbit_form_invariance_residual(
                 - dGamma0(rho0, u, du, du2, tol)
             )
         )
-    return max(res)
+    return _worst(*res)

@@ -3,25 +3,23 @@
 Every verification trial draws from a generator seeded by ``(seed, trial
 index, ...)``, so suites are reproducible and trial-parallelizable.  All
 samplers return elements of the given block algebra (block-diagonal ambient
-matrices); partial isometries with prescribed source projections are obtained
-by polarizing a Gaussian matrix against the projection, and prescribed
-source/target pairs by matching spectral bases.
+matrices); unitaries are Haar-distributed (:func:`haar_unitary`), and partial
+isometries with prescribed source/target pairs match spectral bases through a
+random corner unitary.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .algebra import BlockAlgebra, NormalFunctional
-from .errors import NotPartiallyInvertible
+from .errors import NotInDomain, NotInOverlap, NotPartiallyInvertible
 from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
     antiherm,
     herm,
     hermitian_eig,
-    polar_decompose,
     projection_rank,
-    support_projection,
 )
 
 
@@ -47,16 +45,18 @@ def random_antihermitian(algebra: BlockAlgebra, rng: np.random.Generator, scale:
     return antiherm(random_element(algebra, rng, scale))
 
 
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-distributed n-by-n unitary: QR of a complex Gaussian with the
+    phases of the triangular factor's diagonal moved into the unitary."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def random_unitary(algebra: BlockAlgebra, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish unitary: QR of a Gaussian with phase-fixed diagonal."""
-    mats = []
-    for b in algebra.blocks:
-        g = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
-        q, r = np.linalg.qr(g)
-        d = np.diagonal(r)
-        q = q * (d / np.abs(d))
-        mats.append(q)
-    return algebra.embed_blocks(mats)
+    """Haar unitary of the algebra, blockwise."""
+    return algebra.embed_blocks([haar_unitary(rng, b) for b in algebra.blocks])
 
 
 def random_positive(
@@ -140,26 +140,9 @@ def partial_isometry_onto(
         if r == 0:
             mats.append(np.zeros_like(bs))
             continue
-        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        q, rr = np.linalg.qr(g)
-        q = q * (np.diagonal(rr) / np.abs(np.diagonal(rr)))
+        q = haar_unitary(rng, r)
         mats.append(vt[:, :r] @ q @ vs[:, :r].conj().T)
     return algebra.embed_blocks(mats)
-
-
-def random_partial_isometry(
-    algebra: BlockAlgebra,
-    rng: np.random.Generator,
-    source: np.ndarray | None = None,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> np.ndarray:
-    """Partial isometry with prescribed source projection and random range,
-    obtained as the polar part of (Gaussian) - (source)."""
-    if source is None:
-        source = random_projection(algebra, rng)
-    g = random_element(algebra, rng)
-    u, _ = polar_decompose(g @ source, tol)
-    return u
 
 
 def corner_positive(
@@ -180,9 +163,7 @@ def corner_positive(
             mats.append(np.zeros((n, n), dtype=complex))
             continue
         _, v = hermitian_eig(bp, tol)
-        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        q, rr = np.linalg.qr(g)
-        q = q * (np.diagonal(rr) / np.abs(np.diagonal(rr)))
+        q = haar_unitary(rng, r)
         vals = rng.uniform(eig_low, eig_high, r)
         core = (q * vals) @ q.conj().T
         mats.append(v[:, :r] @ core @ v[:, :r].conj().T)
@@ -285,38 +266,25 @@ def projection_chain(
     return chain
 
 
+#: Refusals that mean "this random draw hit a measure-zero degenerate
+#: configuration; redraw" rather than "the identity failed".
+_REDRAW = (NotPartiallyInvertible, NotInDomain, NotInOverlap)
+
+
 def sample_with_retry(draw, max_tries: int = 64):
-    """Redraw on guard-band refusals so samplers stay deterministic while
-    avoiding ambiguous-rank inputs."""
+    """Call ``draw`` until it returns, redrawing on degenerate-configuration
+    refusals (guard band, chart-domain misses); the draw closure consumes
+    fresh randomness each attempt."""
     for _ in range(max_tries):
         try:
             return draw()
-        except NotPartiallyInvertible:
+        except _REDRAW:
             continue
     raise NotPartiallyInvertible(
-        f"sampler failed to clear the guard band in {max_tries} draws"
+        f"sampler failed to produce an admissible configuration in {max_tries} draws"
     )
 
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
-
-
-def orthogonal_unit_vector(
-    delta: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Unit vector orthogonal to ``delta`` (dimension at least 2)."""
-    n = delta.shape[0]
-    for _ in range(64):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = v - delta * np.vdot(delta, v)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-6:
-            return v / norm
-    raise ValueError("could not draw a vector orthogonal to delta")
-
-
-def support_projection_of(x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Convenience wrapper: support of a positive matrix."""
-    return support_projection(x, tol)

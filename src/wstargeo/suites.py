@@ -11,10 +11,11 @@ The registry is consumed by :func:`run_suite` and by the command line's
 """
 from __future__ import annotations
 
+import functools
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import scipy.linalg
@@ -55,13 +56,7 @@ from .charts import (
     theta_P0_inv,
     transition_L,
 )
-from .errors import (
-    InvalidTrials,
-    NotInDomain,
-    NotInOverlap,
-    NotPartiallyInvertible,
-    UnknownSuite,
-)
+from .errors import InvalidTrials, NotInDomain, UnknownSuite
 from .groupoids import (
     axiom_check,
     composable_chain,
@@ -102,16 +97,22 @@ from .poisson import (
     sample_family_pair,
     vertical_form_residual,
 )
+# Bound as a module global and looked up at each call, so it can be wrapped
+# (for instance to count draws) by rebinding ``suites._retry``.
+from .sampling import sample_with_retry as _retry
 from .standard import (
     ModularData,
+    conjugation_J,
     dual_pair_orthogonality_check,
     flow_automorphism_check,
+    modular_Delta,
     phi_intertwining_residual,
     std_inverse,
     std_mul,
     std_source,
     std_target,
     std_unit,
+    tomita_S,
     transport_witness,
 )
 
@@ -125,13 +126,6 @@ __all__ = [
 #: Flow times exercised by the modular-flow suite (includes the fixed point
 #: t = 0 and both signs at two scales).
 FLOW_TIMES = (0.0, 0.3, -0.3, 1.7, -1.7)
-
-#: Draw bound for rejection sampling of chart-domain configurations.
-_MAX_DRAWS = 64
-
-#: Exceptions that mean "this random draw hit a measure-zero degenerate
-#: configuration; redraw" rather than "the identity failed".
-_REDRAW = (NotPartiallyInvertible, NotInDomain, NotInOverlap)
 
 
 @dataclass(frozen=True)
@@ -169,6 +163,22 @@ class SuiteResult:
         return "pass" if self.passed else "FAIL"
 
 
+def _per_trial(
+    trial: Callable[[RowCtx, np.random.Generator], Iterator[float]],
+) -> Callable[[RowCtx], float]:
+    """A row that runs ``trial(ctx, rng)`` once per trial ``k`` on the
+    generator ``ctx.rng(k)`` and returns the worst residual yielded by any
+    trial (NaN if any of them is NaN)."""
+
+    @functools.wraps(trial)
+    def fn(ctx: RowCtx) -> float:
+        return _worst(
+            0.0, *(r for k in range(ctx.trials) for r in trial(ctx, ctx.rng(k)))
+        )
+
+    return fn
+
+
 def _group_row(
     reports: Callable[[RowCtx], Iterable], read: Callable[..., float]
 ) -> Callable[[RowCtx], float]:
@@ -183,19 +193,6 @@ def _group_row(
         return _worst(0.0, *(read(r) for r in ctx.shared[reports]))
 
     return fn
-
-
-def _retry(draw: Callable, max_tries: int = _MAX_DRAWS):
-    """Redraw on degenerate-configuration refusals (guard band, chart-domain
-    misses); the draw closure consumes fresh randomness each attempt."""
-    for _ in range(max_tries):
-        try:
-            return draw()
-        except _REDRAW:
-            continue
-    raise NotPartiallyInvertible(
-        f"sampler failed to produce an admissible configuration in {max_tries} draws"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -214,92 +211,75 @@ def _row_axioms(tag: str) -> Callable[[RowCtx], float]:
     return fn
 
 
-def _row_axioms_standard(ctx: RowCtx) -> float:
+@_per_trial
+def _row_axioms_standard(ctx: RowCtx, rng):
     """Groupoid laws for the standard-form groupoid, built on composable
     chains gamma_i = u_i m_i with m_i = u_{i+1} m_{i+1} u_{i+1}^*."""
-    if ctx.trials < 1:
-        raise InvalidTrials(f"trials must be positive, got {ctx.trials}")
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
 
-        def draw(rng=rng):
-            qs = sampling.projection_chain(alg, rng, 3, allow_zero=False)
-            us = [
-                sampling.partial_isometry_onto(alg, rng, qs[i + 1], qs[i], prof)
-                for i in range(3)
-            ]
-            m3 = sampling.corner_positive(alg, rng, qs[3], tol=prof)
-            m2 = us[2] @ m3 @ us[2].conj().T
-            m1 = us[1] @ m2 @ us[1].conj().T
-            return [us[0] @ m1, us[1] @ m2, us[2] @ m3]
-
-        a, b, c = _retry(draw)
-        mul = lambda x, y: std_mul(x, y, prof, ctx.repair)  # noqa: E731
-        ab, bc = mul(a, b), mul(b, c)
-        res = [
-            frobenius(mul(ab, c) - mul(a, bc)),
-            frobenius(std_source(alg, ab, prof).density
-                      - std_source(alg, b, prof).density),
-            frobenius(std_target(alg, ab, prof).density
-                      - std_target(alg, a, prof).density),
-            frobenius(mul(a, std_unit(std_source(alg, a, prof), prof)) - a),
-            frobenius(mul(std_unit(std_target(alg, a, prof), prof), a) - a),
-            frobenius(mul(a, std_inverse(a))
-                      - std_unit(std_target(alg, a, prof), prof)),
-            frobenius(mul(std_inverse(a), a)
-                      - std_unit(std_source(alg, a, prof), prof)),
-            frobenius(std_inverse(std_inverse(a)) - a),
-            frobenius(std_inverse(ab) - mul(std_inverse(b), std_inverse(a))),
+    def draw():
+        qs = sampling.projection_chain(alg, rng, 3, allow_zero=False)
+        us = [
+            sampling.partial_isometry_onto(alg, rng, qs[i + 1], qs[i], prof)
+            for i in range(3)
         ]
-        # Polar data of an arrow gamma = u m: gamma = (u m u*) u relates the
-        # left and right moduli through the isometry leg.
-        u, h = polar_decompose(a, prof)
-        res.append(frobenius(a - (u @ h @ u.conj().T) @ u))
-        worst = _worst(worst, *res)
-    return worst
+        m3 = sampling.corner_positive(alg, rng, qs[3], tol=prof)
+        m2 = us[2] @ m3 @ us[2].conj().T
+        m1 = us[1] @ m2 @ us[1].conj().T
+        return [us[0] @ m1, us[1] @ m2, us[2] @ m3]
+
+    a, b, c = _retry(draw)
+    mul = lambda x, y: std_mul(x, y, prof, ctx.repair)  # noqa: E731
+    ab, bc = mul(a, b), mul(b, c)
+    yield frobenius(mul(ab, c) - mul(a, bc))
+    yield frobenius(std_source(alg, ab, prof).density
+                    - std_source(alg, b, prof).density)
+    yield frobenius(std_target(alg, ab, prof).density
+                    - std_target(alg, a, prof).density)
+    yield frobenius(mul(a, std_unit(std_source(alg, a, prof), prof)) - a)
+    yield frobenius(mul(std_unit(std_target(alg, a, prof), prof), a) - a)
+    yield frobenius(mul(a, std_inverse(a))
+                    - std_unit(std_target(alg, a, prof), prof))
+    yield frobenius(mul(std_inverse(a), a)
+                    - std_unit(std_source(alg, a, prof), prof))
+    yield frobenius(std_inverse(std_inverse(a)) - a)
+    yield frobenius(std_inverse(ab) - mul(std_inverse(b), std_inverse(a)))
+    # Polar data of an arrow gamma = u m: gamma = (u m u*) u relates the
+    # left and right moduli through the isometry leg.
+    u, h = polar_decompose(a, prof)
+    yield frobenius(a - (u @ h @ u.conj().T) @ u)
 
 
-def _row_isomorphisms(ctx: RowCtx) -> float:
+@_per_trial
+def _row_isomorphisms(ctx: RowCtx, rng):
     """The three structure-preserving maps between the arrow pictures, on
     composable random pairs."""
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        a, b = _retry(
-            lambda: composable_chain("coadjoint", alg, rng, 2, prof)
-        )
-        worst = _worst(worst, xi_intertwining_residual((a, b), prof))
-        worst = _worst(worst, phi_intertwining_residual(alg, a, b, prof))
+    a, b = _retry(lambda: composable_chain("coadjoint", alg, rng, 2, prof))
+    yield xi_intertwining_residual((a, b), prof)
+    yield phi_intertwining_residual(alg, a, b, prof)
 
-        def draw_pair(rng=rng):
-            p0 = sampling.random_projection(alg, rng, allow_zero=False)
-            rho0 = sampling.random_density(alg, rng, support=p0, tol=prof)
-            iso = [
-                sampling.partial_isometry_onto(
-                    alg, rng, p0, sampling.equivalent_projection(alg, rng, p0),
-                    prof,
-                )
-                for _ in range(3)
-            ]
-            return rho0, iso
+    def draw_pair():
+        p0 = sampling.random_projection(alg, rng, allow_zero=False)
+        rho0 = sampling.random_density(alg, rng, support=p0, tol=prof)
+        iso = [
+            sampling.partial_isometry_onto(
+                alg, rng, p0, sampling.equivalent_projection(alg, rng, p0),
+                prof,
+            )
+            for _ in range(3)
+        ]
+        return rho0, iso
 
-        rho0, (u, v, w) = _retry(draw_pair)
-        worst = _worst(worst, psi_intertwining_residual(u, v, w, rho0, prof))
-        # Gauge invariance: right translation by a stabilizer element of the
-        # base density leaves the quotient map unchanged.
-        stab = stabilizer_lie_algebra(rho0, prof)
-        g = scipy.linalg.expm(sampling.stabilizer_direction(rng, stab.basis))
-        arrow = gauge_iso_Psi(u, v, rho0, prof)
-        arrow_g = gauge_iso_Psi(u @ g, v @ g, rho0, prof)
-        worst = _worst(
-            worst,
-            frobenius(arrow.u - arrow_g.u)
-            + arrow.rho.distance(arrow_g.rho),
-        )
-    return worst
+    rho0, (u, v, w) = _retry(draw_pair)
+    yield psi_intertwining_residual(u, v, w, rho0, prof)
+    # Gauge invariance: right translation by a stabilizer element of the
+    # base density leaves the quotient map unchanged.
+    stab = stabilizer_lie_algebra(rho0, prof)
+    g = scipy.linalg.expm(sampling.stabilizer_direction(rng, stab.basis))
+    arrow = gauge_iso_Psi(u, v, rho0, prof)
+    arrow_g = gauge_iso_Psi(u @ g, v @ g, rho0, prof)
+    yield frobenius(arrow.u - arrow_g.u) + arrow.rho.distance(arrow_g.rho)
 
 
 def _row_equivalence_agreement(ctx: RowCtx) -> float:
@@ -353,38 +333,35 @@ def _row_equivalence_agreement(ctx: RowCtx) -> float:
     return float(violations)
 
 
-def _row_witnesses(ctx: RowCtx) -> float:
+@_per_trial
+def _row_witnesses(ctx: RowCtx, rng):
     """Constructive witnesses for the three equivalences actually implement
     them."""
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        p = sampling.random_projection(alg, rng)
-        q = sampling.equivalent_projection(alg, rng, p)
-        w = mvn_witness(alg, p, q, prof)
-        worst = _worst(worst, frobenius(w.conj().T @ w - p))
-        worst = _worst(worst, frobenius(w @ w.conj().T - q))
+    p = sampling.random_projection(alg, rng)
+    q = sampling.equivalent_projection(alg, rng, p)
+    w = mvn_witness(alg, p, q, prof)
+    yield frobenius(w.conj().T @ w - p)
+    yield frobenius(w @ w.conj().T - q)
 
-        phi1 = sampling.random_density(alg, rng, tol=prof)
-        uu = sampling.random_unitary(alg, rng)
-        phi2 = NormalFunctional(alg, uu @ phi1.density @ uu.conj().T)
-        v = unitary_witness(phi1, phi2, prof)
-        worst = _worst(worst, frobenius(v @ v.conj().T - alg.identity()))
-        worst = _worst(worst, frobenius(v @ phi1.density @ v.conj().T - phi2.density))
+    phi1 = sampling.random_density(alg, rng, tol=prof)
+    uu = sampling.random_unitary(alg, rng)
+    phi2 = NormalFunctional(alg, uu @ phi1.density @ uu.conj().T)
+    v = unitary_witness(phi1, phi2, prof)
+    yield frobenius(v @ v.conj().T - alg.identity())
+    yield frobenius(v @ phi1.density @ v.conj().T - phi2.density)
 
-        def draw_transport(rng=rng):
-            qs = sampling.projection_chain(alg, rng, 2, allow_zero=False)
-            h = sampling.corner_positive(alg, rng, qs[2], tol=prof)
-            u1 = sampling.partial_isometry_onto(alg, rng, qs[2], qs[1], prof)
-            w0 = sampling.partial_isometry_onto(alg, rng, qs[1], qs[0], prof)
-            return u1 @ h, w0
+    def draw_transport():
+        qs = sampling.projection_chain(alg, rng, 2, allow_zero=False)
+        h = sampling.corner_positive(alg, rng, qs[2], tol=prof)
+        u1 = sampling.partial_isometry_onto(alg, rng, qs[2], qs[1], prof)
+        w0 = sampling.partial_isometry_onto(alg, rng, qs[1], qs[0], prof)
+        return u1 @ h, w0
 
-        g1, w0 = _retry(draw_transport)
-        g2 = w0 @ g1
-        wt = transport_witness(g1, g2, prof)
-        worst = _worst(worst, frobenius(wt @ g1 - g2))
-    return worst
+    g1, w0 = _retry(draw_transport)
+    g2 = w0 @ g1
+    wt = transport_witness(g1, g2, prof)
+    yield frobenius(wt @ g1 - g2)
 
 
 # ---------------------------------------------------------------------------
@@ -407,66 +384,57 @@ def _draw_equivalent_in_domain(alg, rng, prof, count: int):
     return _retry(draw)
 
 
-def _row_charts_round_trip(ctx: RowCtx) -> float:
+@_per_trial
+def _row_charts_round_trip(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        p, q = _draw_equivalent_in_domain(alg, rng, prof, 2)
-        x = sigma_p(p, q, prof)
-        worst = _worst(worst, frobenius((p @ q) @ x - p))
-        worst = _worst(worst, frobenius(x @ (p @ q) - q))
-        worst = _worst(worst, frobenius(x @ p - x))
-        worst = _worst(worst, frobenius(phi_p_inv(p, phi_p(p, q, prof), prof) - q))
+    p, q = _draw_equivalent_in_domain(alg, rng, prof, 2)
+    x = sigma_p(p, q, prof)
+    yield frobenius((p @ q) @ x - p)
+    yield frobenius(x @ (p @ q) - q)
+    yield frobenius(x @ p - x)
+    yield frobenius(phi_p_inv(p, phi_p(p, q, prof), prof) - q)
 
-        def draw_g(rng=rng):
-            ps = sampling.projection_chain(alg, rng, 3, allow_zero=False)
-            p_, pt, l, r = ps
-            if not (chart_domain_member(p_, l, prof)
-                    and chart_domain_member(pt, r, prof)):
-                raise NotInDomain("redraw")
-            wiso = sampling.partial_isometry_onto(alg, rng, r, l, prof)
-            h = sampling.corner_positive(alg, rng, r, tol=prof)
-            return p_, pt, l, r, wiso, h
+    def draw_g():
+        ps = sampling.projection_chain(alg, rng, 3, allow_zero=False)
+        p_, pt, l, r = ps
+        if not (chart_domain_member(p_, l, prof)
+                and chart_domain_member(pt, r, prof)):
+            raise NotInDomain("redraw")
+        wiso = sampling.partial_isometry_onto(alg, rng, r, l, prof)
+        h = sampling.corner_positive(alg, rng, r, tol=prof)
+        return p_, pt, l, r, wiso, h
 
-        p_, pt, l, r, wiso, h = _retry(draw_g)
-        x = wiso @ h
-        coords = chart_G(p_, pt, x, prof)
-        worst = _worst(worst, frobenius(chart_G_inv(p_, pt, coords, prof) - x))
-        z = coords[1]
-        worst = _worst(worst, frobenius(p_ @ z - z) + frobenius(z @ pt - z))
+    p_, pt, l, r, wiso, h = _retry(draw_g)
+    x = wiso @ h
+    coords = chart_G(p_, pt, x, prof)
+    yield frobenius(chart_G_inv(p_, pt, coords, prof) - x)
+    z = coords[1]
+    yield frobenius(p_ @ z - z) + frobenius(z @ pt - z)
 
-        coords_t = chart_Theta(p_, pt, x, prof)
-        worst = _worst(worst, frobenius(chart_Theta_inv(p_, pt, coords_t, prof) - x))
-        # On a partial isometry the polar chart's middle is a partial
-        # isometry between the legs, and the node reflection acts cornerwise.
-        coords_w = chart_Theta(p_, pt, wiso, prof)
-        m = coords_w[1]
-        worst = _worst(worst, frobenius(m.conj().T @ m - pt))
-        xj = jay(x, prof)
-        coords_j = chart_Theta(p_, pt, xj, prof)
-        worst = _worst(worst, frobenius(coords_j[1] - jay_corner(coords_t[1], prof)))
-    return worst
+    coords_t = chart_Theta(p_, pt, x, prof)
+    yield frobenius(chart_Theta_inv(p_, pt, coords_t, prof) - x)
+    # On a partial isometry the polar chart's middle is a partial
+    # isometry between the legs, and the node reflection acts cornerwise.
+    coords_w = chart_Theta(p_, pt, wiso, prof)
+    m = coords_w[1]
+    yield frobenius(m.conj().T @ m - pt)
+    xj = jay(x, prof)
+    coords_j = chart_Theta(p_, pt, xj, prof)
+    yield frobenius(coords_j[1] - jay_corner(coords_t[1], prof))
 
 
-def _row_charts_cocycle(ctx: RowCtx) -> float:
+@_per_trial
+def _row_charts_cocycle(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        p, p1, p2, q = _draw_equivalent_in_domain(alg, rng, prof, 4)
-        y = phi_p(p, q, prof)
-        y1 = _retry(lambda: transition_L(p, p1, y, prof))
-        worst = _worst(worst, frobenius(phi_p_inv(p1, y1, prof) - q))
-        y2_direct = _retry(lambda: transition_L(p, p2, y, prof))
-        y2_via = _retry(lambda: transition_L(p1, p2, y1, prof))
-        worst = _worst(worst, frobenius(y2_direct - y2_via))
-        zero = np.zeros_like(y)
-        worst = _worst(
-            worst,
-            frobenius(transition_L(p, p1, zero, prof) - phi_p(p1, p, prof)),
-        )
-    return worst
+    p, p1, p2, q = _draw_equivalent_in_domain(alg, rng, prof, 4)
+    y = phi_p(p, q, prof)
+    y1 = _retry(lambda: transition_L(p, p1, y, prof))
+    yield frobenius(phi_p_inv(p1, y1, prof) - q)
+    y2_direct = _retry(lambda: transition_L(p, p2, y, prof))
+    y2_via = _retry(lambda: transition_L(p1, p2, y1, prof))
+    yield frobenius(y2_direct - y2_via)
+    zero = np.zeros_like(y)
+    yield frobenius(transition_L(p, p1, zero, prof) - phi_p(p1, p, prof))
 
 
 def _row_charts_transition_oracle(ctx: RowCtx) -> float:
@@ -489,71 +457,65 @@ def _row_charts_transition_oracle(ctx: RowCtx) -> float:
     return _worst(*res)
 
 
-def _row_charts_theta(ctx: RowCtx) -> float:
+@_per_trial
+def _row_charts_theta(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
 
-        def draw(rng=rng):
-            ps = sampling.projection_chain(alg, rng, 2, allow_zero=False)
-            p0, q, p = ps
-            if not chart_domain_member(p, q, prof):
-                raise NotInDomain("redraw")
-            u = sampling.partial_isometry_onto(alg, rng, p0, q, prof)
-            return p0, q, p, u
+    def draw():
+        ps = sampling.projection_chain(alg, rng, 2, allow_zero=False)
+        p0, q, p = ps
+        if not chart_domain_member(p, q, prof):
+            raise NotInDomain("redraw")
+        u = sampling.partial_isometry_onto(alg, rng, p0, q, prof)
+        return p0, q, p, u
 
-        p0, q, p, u = _retry(draw)
-        y, w = theta_P0(p, u, p0, prof)
-        worst = _worst(worst, frobenius(theta_P0_inv(p, (y, w), p0, prof) - u))
-        worst = _worst(worst, frobenius(w.conj().T @ w - p0))
-        worst = _worst(worst, frobenius(w @ w.conj().T - p))
-        closed = matrix_sqrt(
-            partial_inverse(p @ (u @ u.conj().T) @ p, prof), prof
-        ) @ u
-        worst = _worst(worst, frobenius(w - closed))
-        worst = _worst(worst, frobenius(y - phi_p(p, q, prof)))
-    return worst
+    p0, q, p, u = _retry(draw)
+    y, w = theta_P0(p, u, p0, prof)
+    yield frobenius(theta_P0_inv(p, (y, w), p0, prof) - u)
+    yield frobenius(w.conj().T @ w - p0)
+    yield frobenius(w @ w.conj().T - p)
+    closed = matrix_sqrt(
+        partial_inverse(p @ (u @ u.conj().T) @ p, prof), prof
+    ) @ u
+    yield frobenius(w - closed)
+    yield frobenius(y - phi_p(p, q, prof))
 
 
-def _row_charts_connection(ctx: RowCtx) -> float:
+@_per_trial
+def _row_charts_connection(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
 
-        def draw(rng=rng):
-            p0 = sampling.random_projection(alg, rng, allow_zero=False)
-            rho0 = sampling.random_density(alg, rng, support=p0, tol=prof)
-            q = sampling.equivalent_projection(alg, rng, p0)
-            u = sampling.partial_isometry_onto(alg, rng, p0, q, prof)
-            return p0, rho0, u
+    def draw():
+        p0 = sampling.random_projection(alg, rng, allow_zero=False)
+        rho0 = sampling.random_density(alg, rng, support=p0, tol=prof)
+        q = sampling.equivalent_projection(alg, rng, p0)
+        u = sampling.partial_isometry_onto(alg, rng, p0, q, prof)
+        return p0, rho0, u
 
-        p0, rho0, u = _retry(draw)
-        du1 = sampling.p0_tangent(alg, rng, u, p0)
-        du2 = sampling.p0_tangent(alg, rng, u, p0)
-        x1 = sampling.corner_antihermitian(alg, rng, p0)
-        x2 = sampling.corner_antihermitian(alg, rng, p0)
+    p0, rho0, u = _retry(draw)
+    du1 = sampling.p0_tangent(alg, rng, u, p0)
+    du2 = sampling.p0_tangent(alg, rng, u, p0)
+    x1 = sampling.corner_antihermitian(alg, rng, p0)
+    x2 = sampling.corner_antihermitian(alg, rng, p0)
 
-        h1, v1 = hv_split(u, du1)
-        h2, _ = hv_split(u, du2)
-        worst = _worst(worst, frobenius(h1 + v1 - du1))
-        worst = _worst(worst, frobenius(u.conj().T @ h1))
-        worst = _worst(worst, frobenius(connection_alpha(u, u @ x1) - x1))
-        om = curvature_Omega(u, du1, du2)
-        worst = _worst(worst, frobenius(om + curvature_Omega(u, du2, du1)))
-        worst = _worst(worst, frobenius(om + om.conj().T))
-        worst = _worst(worst, frobenius(curvature_Omega(u, u @ x1, du2)))
-        worst = _worst(worst, frobenius(om - curvature_Omega(u, h1, h2)))
-        # The two-form evaluates identically through the split formula.
-        d0 = rho0.density
-        a1c = connection_alpha(u, du1)
-        a2c = connection_alpha(u, du2)
-        split = expect_real(
-            1j * np.trace(d0 @ (h1.conj().T @ h2 - h2.conj().T @ h1)), prof
-        ) - expect_real(1j * np.trace(d0 @ (a1c @ a2c - a2c @ a1c)), prof)
-        worst = _worst(worst, abs(dGamma0(rho0, u, du1, du2, prof) - split))
-    return worst
+    h1, v1 = hv_split(u, du1)
+    h2, _ = hv_split(u, du2)
+    yield frobenius(h1 + v1 - du1)
+    yield frobenius(u.conj().T @ h1)
+    yield frobenius(connection_alpha(u, u @ x1) - x1)
+    om = curvature_Omega(u, du1, du2)
+    yield frobenius(om + curvature_Omega(u, du2, du1))
+    yield frobenius(om + om.conj().T)
+    yield frobenius(curvature_Omega(u, u @ x1, du2))
+    yield frobenius(om - curvature_Omega(u, h1, h2))
+    # The two-form evaluates identically through the split formula.
+    d0 = rho0.density
+    a1c = connection_alpha(u, du1)
+    a2c = connection_alpha(u, du2)
+    split = expect_real(
+        1j * np.trace(d0 @ (h1.conj().T @ h2 - h2.conj().T @ h1)), prof
+    ) - expect_real(1j * np.trace(d0 @ (a1c @ a2c - a2c @ a1c)), prof)
+    yield abs(dGamma0(rho0, u, du1, du2, prof) - split)
 
 
 # ---------------------------------------------------------------------------
@@ -561,44 +523,34 @@ def _row_charts_connection(ctx: RowCtx) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _row_multiplicativity(ctx: RowCtx) -> float:
+@_per_trial
+def _row_multiplicativity(ctx: RowCtx, rng):
+    fam, fam2 = _retry(lambda: sample_family_pair(ctx.algebra, rng, ctx.profile))
+    yield multiplicativity_residual(fam, fam2, ctx.profile)
+
+
+@_per_trial
+def _row_vertical(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        fam, fam2 = _retry(lambda: sample_family_pair(alg, rng, prof))
-        worst = _worst(worst, multiplicativity_residual(fam, fam2, prof))
-    return worst
+
+    def draw():
+        q = sampling.random_projection(alg, rng, allow_zero=False)
+        target = sampling.equivalent_projection(alg, rng, q)
+        u = sampling.partial_isometry_onto(alg, rng, q, target, prof)
+        xi = sampling.corner_positive(alg, rng, q, tol=prof)
+        return q, u, xi
+
+    q, u, xi = _retry(draw)
+    b = sampling.corner_antihermitian(alg, rng, q)
+    b2 = sampling.corner_antihermitian(alg, rng, q)
+    yield vertical_form_residual(u, xi, b, b2, prof)
 
 
-def _row_vertical(ctx: RowCtx) -> float:
-    alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-
-        def draw(rng=rng):
-            q = sampling.random_projection(alg, rng, allow_zero=False)
-            target = sampling.equivalent_projection(alg, rng, q)
-            u = sampling.partial_isometry_onto(alg, rng, q, target, prof)
-            xi = sampling.corner_positive(alg, rng, q, tol=prof)
-            return q, u, xi
-
-        q, u, xi = _retry(draw)
-        b = sampling.corner_antihermitian(alg, rng, q)
-        b2 = sampling.corner_antihermitian(alg, rng, q)
-        worst = _worst(worst, vertical_form_residual(u, xi, b, b2, prof))
-    return worst
-
-
-def _row_exactness(ctx: RowCtx) -> float:
-    alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        fam = _retry(lambda: sample_family(alg, rng, prof))
-        worst = _worst(worst, exactness_residual(fam, prof.fd_step, prof))
-    return worst
+@_per_trial
+def _row_exactness(ctx: RowCtx, rng):
+    prof = ctx.profile
+    fam = _retry(lambda: sample_family(ctx.algebra, rng, prof))
+    yield exactness_residual(fam, prof.fd_step, prof)
 
 
 def _row_exactness_order(ctx: RowCtx) -> float:
@@ -661,64 +613,49 @@ def _observable_triple(alg, rng, prof):
     return (x, y, z), (f, g_fd, h)
 
 
-def _row_poisson_quadratic(ctx: RowCtx) -> float:
+@_per_trial
+def _row_poisson_quadratic(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        _, (f, g_fd, h) = _observable_triple(alg, rng, prof)
-        gamma = sampling.random_element(alg, rng)
-        worst = _worst(worst, poisson_map_residual(f, g_fd, alg, gamma, prof))
-        worst = _worst(worst, poisson_map_residual(f, h, alg, gamma, prof))
-        worst = _worst(worst, poisson_map_residual(g_fd, h, alg, gamma, prof))
-    return worst
+    _, (f, g_fd, h) = _observable_triple(alg, rng, prof)
+    gamma = sampling.random_element(alg, rng)
+    yield poisson_map_residual(f, g_fd, alg, gamma, prof)
+    yield poisson_map_residual(f, h, alg, gamma, prof)
+    yield poisson_map_residual(g_fd, h, alg, gamma, prof)
 
 
-def _row_poisson_jacobi(ctx: RowCtx) -> float:
+@_per_trial
+def _row_poisson_jacobi(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        (x, y, z), _ = _observable_triple(alg, rng, prof)
-        phi = sampling.random_density(alg, rng, tol=prof)
-        worst = _worst(worst, jacobi_residual(x, y, z, phi, prof))
-        worst = _worst(worst, linear_closure_residual(x, y, phi, prof))
-    return worst
+    (x, y, z), _ = _observable_triple(alg, rng, prof)
+    phi = sampling.random_density(alg, rng, tol=prof)
+    yield jacobi_residual(x, y, z, phi, prof)
+    yield linear_closure_residual(x, y, phi, prof)
 
 
-def _row_poisson_leibniz(ctx: RowCtx) -> float:
+@_per_trial
+def _row_poisson_leibniz(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        _, (f, g_fd, h) = _observable_triple(alg, rng, prof)
-        phi = sampling.random_density(alg, rng, tol=prof)
-        worst = _worst(worst, leibniz_residual(f, g_fd, h, phi, prof))
-    return worst
+    _, (f, g_fd, h) = _observable_triple(alg, rng, prof)
+    phi = sampling.random_density(alg, rng, tol=prof)
+    yield leibniz_residual(f, g_fd, h, phi, prof)
 
 
-def _row_poisson_field_morphism(ctx: RowCtx) -> float:
+@_per_trial
+def _row_poisson_field_morphism(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        (x, y, z), (f, _, h) = _observable_triple(alg, rng, prof)
-        phi = sampling.random_density(alg, rng, tol=prof)
-        worst = _worst(worst, field_morphism_residual(x, y, phi, prof))
-        worst = _worst(worst, field_duality_residual(f, h, phi, prof))
-    return worst
+    (x, y, z), (f, _, h) = _observable_triple(alg, rng, prof)
+    phi = sampling.random_density(alg, rng, tol=prof)
+    yield field_morphism_residual(x, y, phi, prof)
+    yield field_duality_residual(f, h, phi, prof)
 
 
-def _row_poisson_commutant(ctx: RowCtx) -> float:
+@_per_trial
+def _row_poisson_commutant(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        _, (f, _, h) = _observable_triple(alg, rng, prof)
-        gamma = sampling.random_element(alg, rng)
-        worst = _worst(worst, commutant_bracket_check(f, h, alg, gamma, prof))
-        worst = _worst(worst, commutant_bracket_check(h, f, alg, gamma, prof))
-    return worst
+    _, (f, _, h) = _observable_triple(alg, rng, prof)
+    gamma = sampling.random_element(alg, rng)
+    yield commutant_bracket_check(f, h, alg, gamma, prof)
+    yield commutant_bracket_check(h, f, alg, gamma, prof)
 
 
 # ---------------------------------------------------------------------------
@@ -741,28 +678,22 @@ def _draw_bundle_point(alg, rng, prof, repeat_chance: float = 0.0):
     return _retry(draw)
 
 
-def _row_degeneracy_invariance(ctx: RowCtx) -> float:
-    alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        _, rho0, u = _draw_bundle_point(alg, rng, prof, repeat_chance=0.5)
-        worst = _worst(worst, orbit_form_invariance_residual(rho0, u, rng, prof))
-    return worst
+@_per_trial
+def _row_degeneracy_invariance(ctx: RowCtx, rng):
+    prof = ctx.profile
+    _, rho0, u = _draw_bundle_point(ctx.algebra, rng, prof, repeat_chance=0.5)
+    yield orbit_form_invariance_residual(rho0, u, rng, prof)
 
 
-def _row_degeneracy_fd(ctx: RowCtx) -> float:
+@_per_trial
+def _row_degeneracy_fd(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        p0, rho0, u = _draw_bundle_point(alg, rng, prof)
-        a = sampling.unit_norm(sampling.random_antihermitian(alg, rng))
-        b = sampling.unit_norm(sampling.corner_antihermitian(alg, rng, p0))
-        val_fd = fd_surface_dGamma0(rho0, u, a, b, 1e-4, prof)
-        val = dGamma0(rho0, u, a @ u, u @ b, prof)
-        worst = _worst(worst, abs(val_fd - val))
-    return worst
+    p0, rho0, u = _draw_bundle_point(alg, rng, prof)
+    a = sampling.unit_norm(sampling.random_antihermitian(alg, rng))
+    b = sampling.unit_norm(sampling.corner_antihermitian(alg, rng, p0))
+    val_fd = fd_surface_dGamma0(rho0, u, a, b, 1e-4, prof)
+    val = dGamma0(rho0, u, a @ u, u @ b, prof)
+    yield abs(val_fd - val)
 
 
 def _degeneracy_reports(ctx: RowCtx):
@@ -787,17 +718,14 @@ def _inverse_gap(report) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _row_kks_identity(ctx: RowCtx) -> float:
+@_per_trial
+def _row_kks_identity(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        support = sampling.random_projection(alg, rng, allow_zero=False)
-        rho0 = sampling.random_density(alg, rng, support=support, tol=prof)
-        a1 = sampling.random_antihermitian(alg, rng)
-        a2 = sampling.random_antihermitian(alg, rng)
-        worst = _worst(worst, kks_check(rho0, a1, a2, prof).residual)
-    return worst
+    support = sampling.random_projection(alg, rng, allow_zero=False)
+    rho0 = sampling.random_density(alg, rng, support=support, tol=prof)
+    a1 = sampling.random_antihermitian(alg, rng)
+    a2 = sampling.random_antihermitian(alg, rng)
+    yield kks_check(rho0, a1, a2, prof).residual
 
 
 def _row_kks_calibration(ctx: RowCtx) -> float:
@@ -808,57 +736,38 @@ def _fs_dimension(alg: BlockAlgebra) -> int:
     return max(2, max(alg.blocks))
 
 
-def _row_fs_orbit(ctx: RowCtx) -> float:
+def _fs_point(ctx: RowCtx, rng):
+    """Radius, base direction and two tangent vectors of a Fubini–Study
+    trial."""
     n = _fs_dimension(ctx.algebra)
-    prof = ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        delta = sampling.random_unit_vector(n, rng)
-        x_t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y_t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        r = float(rng.uniform(0.5, 2.0))
-        worst = _worst(worst, fubini_study_compare(r, delta, x_t, y_t, prof).residual)
-    return worst
+    delta = sampling.random_unit_vector(n, rng)
+    x_t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    y_t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return float(rng.uniform(0.5, 2.0)), delta, x_t, y_t
 
 
-def _row_fs_scaling(ctx: RowCtx) -> float:
+@_per_trial
+def _row_fs_orbit(ctx: RowCtx, rng):
+    yield fubini_study_compare(*_fs_point(ctx, rng), ctx.profile).residual
+
+
+@_per_trial
+def _row_fs_scaling(ctx: RowCtx, rng):
+    r, delta, x_t, y_t = _fs_point(ctx, rng)
+    one = fubini_study_compare(r, delta, x_t, y_t, ctx.profile).omega
+    two = fubini_study_compare(2.0 * r, delta, x_t, y_t, ctx.profile).omega
+    yield abs(two - 2.0 * one)
+
+
+@_per_trial
+def _row_fs_pair_groupoid(ctx: RowCtx, rng):
     n = _fs_dimension(ctx.algebra)
-    prof = ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        delta = sampling.random_unit_vector(n, rng)
-        x_t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y_t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        r = float(rng.uniform(0.5, 2.0))
-        one = fubini_study_compare(r, delta, x_t, y_t, prof).omega
-        two = fubini_study_compare(2.0 * r, delta, x_t, y_t, prof).omega
-        worst = _worst(worst, abs(two - 2.0 * one))
-    return worst
-
-
-def _row_fs_pair_groupoid(ctx: RowCtx) -> float:
-    n = _fs_dimension(ctx.algebra)
-    prof = ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        psi = sampling.random_unit_vector(n, rng)
-        phi_vec = sampling.random_unit_vector(n, rng)
-        delta = sampling.random_unit_vector(n, rng)
-        vecs = [
-            rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            for _ in range(4)
-        ]
-        r = float(rng.uniform(0.5, 2.0))
-        worst = _worst(
-            worst,
-            pair_groupoid_fs_residual(
-                r, delta, psi, phi_vec, vecs[0], vecs[1], vecs[2], vecs[3], prof
-            ),
-        )
-    return worst
+    psi = sampling.random_unit_vector(n, rng)
+    phi_vec = sampling.random_unit_vector(n, rng)
+    delta = sampling.random_unit_vector(n, rng)
+    vecs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(4)]
+    r = float(rng.uniform(0.5, 2.0))
+    yield pair_groupoid_fs_residual(r, delta, psi, phi_vec, *vecs, ctx.profile)
 
 
 # ---------------------------------------------------------------------------
@@ -880,154 +789,117 @@ def _flow_reports(ctx: RowCtx):
         )
 
 
-def _row_flow_orbit_form(ctx: RowCtx) -> float:
+@_per_trial
+def _row_flow_orbit_form(ctx: RowCtx, rng):
     """The orbit two-form is invariant under the flow of any faithful
     extension of the base density (the flow restricts to the bundle)."""
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        p0, rho0, u = _draw_bundle_point(alg, rng, prof)
-        du1 = sampling.p0_tangent(alg, rng, u, p0)
-        du2 = sampling.p0_tangent(alg, rng, u, p0)
-        c = float(rng.uniform(0.5, 2.0))
-        d_ext = rho0.density + c * (alg.identity() - p0)
-        base = dGamma0(rho0, u, du1, du2, prof)
-        for t in FLOW_TIMES:
-            w = matrix_imaginary_power(d_ext, t, prof)
-            wh = w.conj().T
-            moved = dGamma0(rho0, w @ u @ wh, w @ du1 @ wh, w @ du2 @ wh, prof)
-            worst = _worst(worst, abs(moved - base))
-    return worst
+    p0, rho0, u = _draw_bundle_point(alg, rng, prof)
+    du1 = sampling.p0_tangent(alg, rng, u, p0)
+    du2 = sampling.p0_tangent(alg, rng, u, p0)
+    c = float(rng.uniform(0.5, 2.0))
+    d_ext = rho0.density + c * (alg.identity() - p0)
+    base = dGamma0(rho0, u, du1, du2, prof)
+    for t in FLOW_TIMES:
+        w = matrix_imaginary_power(d_ext, t, prof)
+        wh = w.conj().T
+        moved = dGamma0(rho0, w @ u @ wh, w @ du1 @ wh, w @ du2 @ wh, prof)
+        yield abs(moved - base)
 
 
-def _row_flow_tomita(ctx: RowCtx) -> float:
+@_per_trial
+def _row_flow_tomita(ctx: RowCtx, rng):
     """S(x Omega) = x* Omega, S is an involution, and S factors as the
     conjugation after the square root of the modular operator."""
     alg, prof = ctx.algebra, ctx.profile
-    from .standard import conjugation_J, modular_Delta, tomita_S
-
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        mod = ModularData.from_functional(
-            sampling.faithful_density(alg, rng), prof
-        )
-        x = sampling.random_element(alg, rng)
-        omega_vec = mod.vector
-        worst = _worst(
-            worst,
-            frobenius(tomita_S(mod, x @ omega_vec) - x.conj().T @ omega_vec),
-        )
-        g = sampling.random_element(alg, rng)
-        worst = _worst(worst, frobenius(tomita_S(mod, tomita_S(mod, g)) - g))
-        worst = _worst(
-            worst,
-            frobenius(
-                tomita_S(mod, g) - conjugation_J(modular_Delta(mod, g, 0.5))
-            ),
-        )
-    return worst
+    mod = ModularData.from_functional(sampling.faithful_density(alg, rng), prof)
+    x = sampling.random_element(alg, rng)
+    omega_vec = mod.vector
+    yield frobenius(tomita_S(mod, x @ omega_vec) - x.conj().T @ omega_vec)
+    g = sampling.random_element(alg, rng)
+    yield frobenius(tomita_S(mod, tomita_S(mod, g)) - g)
+    yield frobenius(tomita_S(mod, g) - conjugation_J(modular_Delta(mod, g, 0.5)))
 
 
-def _row_flow_group_law(ctx: RowCtx) -> float:
+@_per_trial
+def _row_flow_group_law(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        phi = sampling.faithful_density(alg, rng)
-        x = sampling.random_element(alg, rng)
-        y = sampling.random_element(alg, rng)
-        s, t = 0.7, -1.3
-        worst = _worst(
-            worst,
-            frobenius(
-                modular_automorphism(phi, s, modular_automorphism(phi, t, x, prof), prof)
-                - modular_automorphism(phi, s + t, x, prof)
-            ),
-        )
-        sx = modular_automorphism(phi, t, x, prof)
-        sy = modular_automorphism(phi, t, y, prof)
-        worst = _worst(worst, frobenius(modular_automorphism(phi, t, x @ y, prof) - sx @ sy))
-        worst = _worst(
-            worst,
-            frobenius(modular_automorphism(phi, t, x.conj().T, prof) - sx.conj().T),
-        )
-        worst = _worst(worst, abs(phi(sx) - phi(x)))
-    return worst
+    phi = sampling.faithful_density(alg, rng)
+    x = sampling.random_element(alg, rng)
+    y = sampling.random_element(alg, rng)
+    s, t = 0.7, -1.3
+    yield frobenius(
+        modular_automorphism(phi, s, modular_automorphism(phi, t, x, prof), prof)
+        - modular_automorphism(phi, s + t, x, prof)
+    )
+    sx = modular_automorphism(phi, t, x, prof)
+    sy = modular_automorphism(phi, t, y, prof)
+    yield frobenius(modular_automorphism(phi, t, x @ y, prof) - sx @ sy)
+    yield frobenius(modular_automorphism(phi, t, x.conj().T, prof) - sx.conj().T)
+    yield abs(phi(sx) - phi(x))
 
 
-def _row_flow_conditional_expectation(ctx: RowCtx) -> float:
+@_per_trial
+def _row_flow_conditional_expectation(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    worst = 0.0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        phi = sampling.faithful_density(alg, rng, repeat_chance=0.5)
-        d = phi.density
-        x = sampling.random_element(alg, rng)
-        ex = conditional_expectation(phi, x, prof)
-        worst = _worst(worst, frobenius(conditional_expectation(phi, ex, prof) - ex))
-        worst = _worst(worst, abs(phi(ex) - phi(x)))
-        worst = _worst(worst, frobenius(ex @ d - d @ ex))
-        worst = _worst(
-            worst, frobenius(modular_automorphism(phi, 0.7, ex, prof) - ex)
-        )
-        basis = centralizer_basis(phi, prof)
-        coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        a = sum(c * b for c, b in zip(coeff, basis))
-        worst = _worst(
-            worst,
-            frobenius(
-                conditional_expectation(phi, a @ x, prof)
-                - a @ conditional_expectation(phi, x, prof)
-            ),
-        )
-    return worst
+    phi = sampling.faithful_density(alg, rng, repeat_chance=0.5)
+    d = phi.density
+    x = sampling.random_element(alg, rng)
+    ex = conditional_expectation(phi, x, prof)
+    yield frobenius(conditional_expectation(phi, ex, prof) - ex)
+    yield abs(phi(ex) - phi(x))
+    yield frobenius(ex @ d - d @ ex)
+    yield frobenius(modular_automorphism(phi, 0.7, ex, prof) - ex)
+    basis = centralizer_basis(phi, prof)
+    coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    a = sum(c * b for c, b in zip(coeff, basis))
+    yield frobenius(
+        conditional_expectation(phi, a @ x, prof)
+        - a @ conditional_expectation(phi, x, prof)
+    )
+
+
+def _dimension_defects(phi: NormalFunctional, expected: int, prof) -> tuple:
+    """Centralizer and stabilizer dimensions of ``phi`` minus ``expected``."""
+    return (
+        float(abs(len(centralizer_basis(phi, prof)) - expected)),
+        float(abs(stabilizer_lie_algebra(phi, prof).dimension - expected)),
+    )
+
+
+@_per_trial
+def _flow_planted_dimensions(ctx: RowCtx, rng):
+    """Random densities with a planted multiplicity pattern: the predicted
+    dimension is the sum of the squared multiplicities."""
+    grid = (0.5, 1.0, 1.5, 2.0)
+    mats, predicted = [], 0
+    for n in ctx.algebra.blocks:
+        labels = rng.integers(0, len(grid), size=n)
+        vals = np.array([grid[int(i)] for i in labels], dtype=float)
+        for lab in set(labels.tolist()):
+            predicted += int(np.sum(labels == lab)) ** 2
+        q = sampling.haar_unitary(rng, n)
+        mats.append((q * vals) @ q.conj().T)
+    phi = NormalFunctional(ctx.algebra, ctx.algebra.embed_blocks(mats))
+    yield from _dimension_defects(phi, predicted, ctx.profile)
 
 
 def _row_flow_dimensions(ctx: RowCtx) -> float:
     """Centralizer and stabilizer dimensions: fixed hand-counted instances
     plus random densities with a planted multiplicity pattern."""
-    prof = ctx.profile
-    worst = 0.0
     alg2 = BlockAlgebra((2,))
     alg3 = BlockAlgebra((3,))
     fixed = [
-        (alg3, np.diag([1.0, 1.0, 2.0]) / 4.0, 5, 5),
-        (alg3, np.diag([1.0, 2.0, 3.0]), 3, 3),
-        (alg2, np.diag([1.0, 2.0]), 2, 2),
-        (alg2, 0.7 * np.eye(2), 4, 4),
+        (alg3, np.diag([1.0, 1.0, 2.0]) / 4.0, 5),
+        (alg3, np.diag([1.0, 2.0, 3.0]), 3),
+        (alg2, np.diag([1.0, 2.0]), 2),
+        (alg2, 0.7 * np.eye(2), 4),
     ]
-    for alg_f, d, cdim, sdim in fixed:
+    res = []
+    for alg_f, d, dim in fixed:
         phi = NormalFunctional(alg_f, d.astype(complex))
-        worst = _worst(worst, float(abs(len(centralizer_basis(phi, prof)) - cdim)))
-        worst = _worst(
-            worst,
-            float(abs(stabilizer_lie_algebra(phi, prof).dimension - sdim)),
-        )
-    alg = ctx.algebra
-    grid = (0.5, 1.0, 1.5, 2.0)
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        mats, predicted = [], 0
-        for n in alg.blocks:
-            labels = rng.integers(0, len(grid), size=n)
-            vals = np.array([grid[int(i)] for i in labels], dtype=float)
-            for lab in set(labels.tolist()):
-                predicted += int(np.sum(labels == lab)) ** 2
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            q, rr = np.linalg.qr(g)
-            q = q * (np.diagonal(rr) / np.abs(np.diagonal(rr)))
-            mats.append((q * vals) @ q.conj().T)
-        phi = NormalFunctional(alg, alg.embed_blocks(mats))
-        worst = _worst(
-            worst, float(abs(len(centralizer_basis(phi, prof)) - predicted))
-        )
-        worst = _worst(
-            worst,
-            float(abs(stabilizer_lie_algebra(phi, prof).dimension - predicted)),
-        )
-    return worst
+        res.extend(_dimension_defects(phi, dim, ctx.profile))
+    return _worst(*res, _flow_planted_dimensions(ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,17 @@ import dataclasses
 import math
 import types
 
+import numpy as np
 import pytest
 
-from wstargeo import groupoids, suites
+from wstargeo import groupoids, poisson, sampling, suites
 from wstargeo import (
     SUITE_NAMES,
     BlockAlgebra,
     InvalidTrials,
+    NotInDomain,
+    NotInOverlap,
+    NotPartiallyInvertible,
     SuiteResult,
     UnknownSuite,
     run_suite,
@@ -155,6 +159,69 @@ class TestNonFiniteTrial:
         assert row.suite == "groupoid-axioms/pi"
         assert math.isnan(row.max_residual)
         assert row.status == "FAIL"
+
+    def test_nan_arrow_fails_isomorphisms(self, monkeypatch):
+        def poison(arrow):
+            return dataclasses.replace(arrow, u=arrow.u * float("nan"))
+
+        _poison_one_call(monkeypatch, groupoids, "coadjoint_compose", poison)
+        rows = {r.suite: r for r in run_suite("groupoid-axioms", M2, 10, 0)}
+        row = rows["groupoid-axioms/isomorphisms"]
+        assert math.isnan(row.max_residual)
+        assert row.status == "FAIL"
+
+    def test_nan_two_form_fails_orbit_form_invariance(self, monkeypatch):
+        _poison_one_call(
+            monkeypatch, poisson, "dGamma0", lambda _: float("nan"), at=2
+        )
+        row = run_suite("degeneracy", M2, 10, 0)[0]
+        assert row.suite == "degeneracy/orbit-form-invariance"
+        assert math.isnan(row.max_residual)
+        assert row.status == "FAIL"
+
+
+class TestSampleWithRetry:
+    def test_redraws_until_admissible(self):
+        tries = []
+
+        def draw():
+            tries.append(None)
+            if len(tries) < 3:
+                raise NotInDomain("outside the chart domain")
+            return "drawn"
+
+        assert sampling.sample_with_retry(draw) == "drawn"
+        assert len(tries) == 3
+
+    def test_gives_up_after_max_tries(self):
+        tries = []
+
+        def draw():
+            tries.append(None)
+            raise NotInOverlap("outside the overlap")
+
+        with pytest.raises(NotPartiallyInvertible):
+            sampling.sample_with_retry(draw, max_tries=5)
+        assert len(tries) == 5
+
+    def test_other_errors_propagate(self):
+        def draw():
+            raise ValueError("not a degenerate draw")
+
+        with pytest.raises(ValueError):
+            sampling.sample_with_retry(draw)
+
+    def test_suites_use_the_same_helper(self):
+        assert suites._retry is sampling.sample_with_retry
+
+
+class TestHaarUnitary:
+    def test_unitary_and_blockwise(self):
+        u = sampling.random_unitary(M23, sampling.rng_for(5))
+        assert np.allclose(u @ u.conj().T, np.eye(M23.dim), atol=1e-12)
+        rng = sampling.rng_for(5)
+        blocks = [sampling.haar_unitary(rng, n) for n in M23.blocks]
+        assert np.array_equal(u, M23.embed_blocks(blocks))
 
 
 class TestSharedReports:
