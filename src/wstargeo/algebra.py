@@ -8,6 +8,7 @@ conditional expectations, modular flow, coadjoint action) works on densities.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +29,7 @@ from .linalg import (
     frobenius,
     herm,
     hermitian_eig,
+    hermitian_eigvals,
     is_projection,
     left_support,
     matrix_imaginary_power,
@@ -73,6 +75,15 @@ class BlockAlgebra:
             start += b
         return tuple(out)
 
+    @cached_property
+    def _off_blocks(self) -> np.ndarray:
+        """Read-only mask of the ambient entries outside every block."""
+        mask = np.ones((self.dim, self.dim), dtype=bool)
+        for s in self.slices:
+            mask[s, s] = False
+        mask.flags.writeable = False
+        return mask
+
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
 
@@ -105,11 +116,16 @@ class BlockAlgebra:
         return self.embed_blocks(self.block_views(x))
 
     def contains(self, x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-        """Whether ``x`` is block-diagonal within residual tolerance."""
-        x = np.asarray(x, dtype=complex)
+        """Whether ``x`` is block-diagonal within residual tolerance.
+
+        A NaN entry anywhere makes one side of the comparison NaN, so ``x`` is
+        not a member; an infinite entry makes the bound infinite, and neither.
+        """
+        x = np.asarray(x)
         if x.shape != (self.dim, self.dim):
             return False
-        return frobenius(x - self.project(x)) <= tol.residual_tol * (1.0 + frobenius(x))
+        bound = tol.residual_tol * (1.0 + frobenius(x))
+        return frobenius(x[self._off_blocks]) <= bound < math.inf
 
     def require_member(
         self, x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, what: str = "matrix"
@@ -180,7 +196,7 @@ class NormalFunctional:
     def is_positive(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
         if not self.is_hermitian(tol):
             return False
-        w = np.linalg.eigvalsh(herm(self.density))
+        w = hermitian_eigvals(herm(self.density))
         scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
         return bool(w.min() >= -tol.residual_tol * scale)
 
@@ -279,8 +295,8 @@ def unitary_equivalent(
     require_projection(p, tol)
     require_projection(q, tol)
     for bp, bq in zip(algebra.block_views(p), algebra.block_views(q)):
-        wp = np.sort(np.linalg.eigvalsh(bp))
-        wq = np.sort(np.linalg.eigvalsh(bq))
+        wp = hermitian_eigvals(bp)
+        wq = hermitian_eigvals(bq)
         if float(np.max(np.abs(wp - wq))) > spectral_atol:
             return False
     return True
@@ -293,11 +309,11 @@ def orbit_invariant(
     part of the density's spectrum, blockwise, in descending order."""
     require_positive(phi, tol)
     d = herm(phi.density)
-    wall = np.linalg.eigvalsh(d)
+    wall = hermitian_eigvals(d)
     cutoff = tol.rank_rel_tol * max(float(np.max(wall)), 0.0) if wall.size else 0.0
     out = []
     for b in phi.algebra.block_views(d):
-        w = np.sort(np.linalg.eigvalsh(b))[::-1]
+        w = hermitian_eigvals(b)
         out.append(tuple(float(x) for x in w if x > cutoff))
     return tuple(out)
 
@@ -316,8 +332,8 @@ def orbit_equivalent(
         phi1.algebra.block_views(herm(phi1.density)),
         phi2.algebra.block_views(herm(phi2.density)),
     ):
-        w1 = np.sort(np.linalg.eigvalsh(b1))
-        w2 = np.sort(np.linalg.eigvalsh(b2))
+        w1 = hermitian_eigvals(b1)
+        w2 = hermitian_eigvals(b2)
         if float(np.max(np.abs(w1 - w2))) > spectral_atol:
             return False
     return True
@@ -362,7 +378,7 @@ def _spectral_clusters(
     """Per block: slice, eigenvalues (descending), eigenvectors, gap clusters,
     and the global rank cutoff."""
     d = check_hermitian(d, tol)
-    wall = np.linalg.eigvalsh(d)
+    wall = hermitian_eigvals(d)
     cutoff = tol.rank_rel_tol * max(float(np.max(np.abs(wall))), 0.0) if wall.size else 0.0
     out = []
     for s, b in zip(algebra.slices, algebra.block_views(d)):

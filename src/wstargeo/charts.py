@@ -37,6 +37,7 @@ from .linalg import (
     polar_decompose,
     projection_rank,
     retained_rank,
+    singular_values,
 )
 
 # ---------------------------------------------------------------------------
@@ -54,7 +55,7 @@ def chart_domain_member(
         return False
     if rp == 0:
         return True
-    s = np.linalg.svd(p @ q, compute_uv=False)
+    s = singular_values(p @ q)
     return retained_rank(s, tol) == rp
 
 

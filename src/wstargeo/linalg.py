@@ -7,12 +7,27 @@ quantities.  Operations whose output is discontinuous across a rank change
 (the partial inverse and negative restricted powers) refuse inputs whose
 smallest retained singular value sits within a factor ``GUARD_FACTOR`` of
 the cutoff, so downstream geometry never sees an ambiguous support.
+
+This is the only module that factorizes a matrix.  It calls the LAPACK
+drivers that ``numpy.linalg`` calls, through ``scipy.linalg.lapack``, without
+NumPy's per-call wrapper: ``zgesdd``/``dgesdd`` for singular values and
+vectors (:func:`svd`, :func:`singular_values`, :func:`null_space_rows`),
+``zheevd``/``dsyevd`` on the lower triangle for Hermitian spectra
+(:func:`hermitian_eig`, :func:`hermitian_eigvals`), and ``zgeqrf`` followed
+by ``zungqr`` for the QR factor of a Haar sample (:func:`phase_fixed_q`).
+Each call requests LAPACK's optimal workspace, as NumPy does, so the results
+equal ``numpy.linalg.svd``, ``eigh``, ``eigvalsh`` and ``qr`` bit for bit
+where NumPy and SciPy link the same LAPACK kernels.  A driver that reports
+failure (``info != 0``, including NaN input) raises :class:`NoConvergence`.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import (
     NoConvergence,
@@ -57,8 +72,13 @@ def as_square(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm, computed as ``numpy.linalg.norm(a)`` computes it."""
+    v = np.asarray(a).ravel(order="K")
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    v = v.astype(float, copy=False)
+    return math.sqrt(v.dot(v))
 
 
 def _worst(*values: float) -> float:
@@ -118,6 +138,77 @@ def check_hermitian(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.nd
     return h
 
 
+#: LAPACK drivers and their workspace queries by dtype: the routines
+#: ``numpy.linalg`` calls for the same input.
+_GESDD = {
+    np.dtype(float): (lapack.dgesdd, lapack.dgesdd_lwork),
+    np.dtype(complex): (lapack.zgesdd, lapack.zgesdd_lwork),
+}
+_HEEVD = {
+    np.dtype(float): (lapack.dsyevd, lapack.dsyevd_lwork),
+    np.dtype(complex): (lapack.zheevd, lapack.zheevd_lwork),
+}
+
+
+def _zungqr_lwork(m: int, n: int) -> tuple[complex, int]:
+    """Workspace query of ``zungqr``, returned like SciPy's ``*_lwork`` helpers."""
+    _, work, info = lapack.zungqr(np.zeros((m, n), complex), np.zeros(n, complex), -1)
+    return work[0], info
+
+
+@functools.lru_cache(maxsize=256)
+def _workspace(query, *args: int) -> tuple[int, ...]:
+    """Optimal workspace sizes from a LAPACK query, in the driver's argument
+    order.  The workspace can select a blocked code path, so it is what NumPy
+    requests that keeps the results equal to NumPy's."""
+    *sizes, info = query(*args)
+    if info:
+        raise _lapack_error(query, info)
+    return tuple(int(np.real(x)) for x in sizes)
+
+
+def _lapack_error(routine, info: int) -> NoConvergence:
+    # info < 0 is an argument LAPACK rejected; gesdd reports NaN input so.
+    name = routine.__name__.removeprefix("function ")
+    return NoConvergence(f"LAPACK {name} failed (info = {info})")
+
+
+def _real_or_complex(a: np.ndarray) -> np.ndarray:
+    """``a`` as a float64 or complex128 array; real input stays real."""
+    a = np.asarray(a)
+    if a.dtype != np.float64 and a.dtype != np.complex128:
+        a = a.astype(complex if a.dtype.kind == "c" else float)
+    return a
+
+
+def _gesdd(a: np.ndarray, compute_uv: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full SVD (or, with ``compute_uv=0``, singular values) of a float64 or
+    complex128 matrix through ``dgesdd``/``zgesdd``."""
+    m, n = a.shape
+    if a.size == 0:  # LAPACK rejects a zero leading dimension
+        return np.eye(m, dtype=a.dtype), np.zeros(0), np.eye(n, dtype=a.dtype)
+    driver, query = _GESDD[a.dtype]
+    # Positional order: a, compute_uv, full_matrices, lwork.
+    u, s, vh, info = driver(a, compute_uv, 1, *_workspace(query, m, n, compute_uv, 1))
+    if info:
+        raise _lapack_error(driver, info)
+    return u, s, vh
+
+
+def _heevd(h: np.ndarray, compute_v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (and eigenvectors) of a float64 or complex128
+    matrix from its lower triangle, through ``dsyevd``/``zheevd``."""
+    n = h.shape[0]
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0), dtype=h.dtype)
+    driver, query = _HEEVD[h.dtype]
+    # Positional order: a, compute_v, lower, lwork, liwork[, lrwork].
+    w, v, info = driver(h, compute_v, 1, *_workspace(query, n, compute_v, 1))
+    if info:
+        raise _lapack_error(driver, info)
+    return w, v
+
+
 def hermitian_eig(
     h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -126,21 +217,55 @@ def hermitian_eig(
     Returns ``(w, v)`` with ``h = v @ diag(w) @ v*`` and ``w`` sorted in
     descending order; column ``v[:, i]`` belongs to ``w[i]``.
     """
-    h = check_hermitian(h, tol)
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on finite input
-        raise NoConvergence(str(exc)) from exc
+    w, v = _heevd(check_hermitian(h, tol), 1)
     return w[::-1].copy(), v[:, ::-1].copy()
+
+
+def hermitian_eigvals(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues, descending, of a Hermitian matrix read from its lower
+    triangle; real input uses the real driver.  No Hermitian check."""
+    return _heevd(_real_or_complex(h), 0)[0][::-1]
 
 
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD ``a = u @ diag(s) @ vh`` with singular values descending."""
-    a = as_square(a)
-    try:
-        return np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - svd on finite input
-        raise NoConvergence(str(exc)) from exc
+    return _gesdd(as_square(a), 1)
+
+
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of a matrix of any shape; real input
+    uses the real driver.  ``singular_values(a)[0]`` is the operator norm."""
+    return _gesdd(_real_or_complex(a), 0)[1]
+
+
+def null_space_rows(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal rows ``r`` spanning the numerical kernel of ``a``, in the
+    sense ``a @ r.conj() = 0``; real input gives real rows.
+
+    Singular values at or below ``rank_rel_tol * max(sigma_max, 1)`` count as
+    zero: an absolute floor for matrices of small norm.
+    """
+    _, s, vh = _gesdd(_real_or_complex(a), 1)
+    scale = max(s[0], 1.0) if s.size else 1.0
+    return vh[int(np.sum(s > tol.rank_rel_tol * scale)):]
+
+
+def phase_fixed_q(g: np.ndarray) -> np.ndarray:
+    """Unitary QR factor ``q`` of a square complex ``g = q r`` with the phases
+    of ``r``'s diagonal moved into it; a complex Gaussian ``g`` gives a Haar
+    unitary.  ``zgeqrf`` packs ``r`` above ``q``'s reflectors, so the phases
+    are read off the packed factor before ``zungqr`` expands ``q``."""
+    g = np.asarray(g, dtype=complex)
+    m, n = g.shape
+    packed, tau, _, info = lapack.zgeqrf(g, *_workspace(lapack.zgeqrf_lwork, m, n))
+    if info:
+        raise _lapack_error(lapack.zgeqrf, info)
+    d = packed.diagonal().copy()
+    # Positional order: a, tau, lwork, overwrite_a.
+    q, _, info = lapack.zungqr(packed, tau, *_workspace(_zungqr_lwork, m, n), 1)
+    if info:
+        raise _lapack_error(lapack.zungqr, info)
+    return q * (d / np.abs(d))
 
 
 def retained_rank(

@@ -52,9 +52,11 @@ from .linalg import (
     frobenius,
     herm,
     hermitian_eig,
+    hermitian_eigvals,
     hs_inner,
     is_partial_isometry,
     projection_rank,
+    singular_values,
     support_projection,
 )
 from .standard import (
@@ -245,8 +247,8 @@ def orbit_drift(
         phi.algebra.block_views(herm(phi.density)),
         phi.algebra.block_views(herm(phi.density + eps * field)),
     ):
-        w0 = np.sort(np.linalg.eigvalsh(b0))
-        w1 = np.sort(np.linalg.eigvalsh(b1))
+        w0 = hermitian_eigvals(b0)
+        w1 = hermitian_eigvals(b1)
         if w0.size:
             worst = _worst(worst, float(np.max(np.abs(w1 - w0))))
     return worst
@@ -411,7 +413,7 @@ class ComposableFamily:
         tol = self.tol
         if frobenius(self.xi2 - self.xi2.conj().T) > tol.residual_tol:
             raise InvalidFamily("xi2 is not Hermitian")
-        wmin = float(np.linalg.eigvalsh(herm(self.xi2)).min())
+        wmin = float(hermitian_eigvals(herm(self.xi2)).min())
         if wmin < -tol.residual_tol:
             raise InvalidFamily("xi2 is not positive")
         q2 = support_projection(self.xi2, tol)
@@ -932,7 +934,7 @@ def degeneracy_kernel_check(
     total = len(pairing)
     radical_worst = _worst(radical_u, radical_v)
 
-    sing = np.linalg.svd(pairing, compute_uv=False)
+    sing = singular_values(pairing)
     scale = max(float(sing[0]), 1.0) if sing.size else 1.0
     cutoff = 1e-8 * scale
     kernel_dim = int(np.sum(sing < cutoff))

@@ -19,7 +19,9 @@ from .linalg import (
     antiherm,
     herm,
     hermitian_eig,
+    phase_fixed_q,
     projection_rank,
+    singular_values,
 )
 
 
@@ -48,10 +50,7 @@ def random_antihermitian(algebra: BlockAlgebra, rng: np.random.Generator, scale:
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed n-by-n unitary: QR of a complex Gaussian with the
     phases of the triangular factor's diagonal moved into the unitary."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return phase_fixed_q(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
 def random_unitary(algebra: BlockAlgebra, rng: np.random.Generator) -> np.ndarray:
@@ -192,7 +191,7 @@ def corner_antihermitian(
 
 def unit_norm(x: np.ndarray) -> np.ndarray:
     """Scale to unit operator norm (no-op on zero input)."""
-    s = float(np.linalg.norm(x, 2))
+    s = float(singular_values(x)[0])
     return x if s == 0.0 else x / s
 
 

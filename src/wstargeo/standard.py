@@ -44,16 +44,19 @@ from .linalg import (
     _worst,
     frobenius,
     herm,
+    hermitian_eigvals,
     hs_inner,
     is_partial_isometry,
     left_support,
     matrix_imaginary_power,
     matrix_sqrt,
+    null_space_rows,
     partial_inverse,
     polar_decompose,
     restricted_power,
     retained_rank,
     right_support,
+    singular_values,
     support_projection,
 )
 
@@ -77,7 +80,7 @@ def cone_member(g: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     g = np.asarray(g, dtype=complex)
     if frobenius(g - g.conj().T) > tol.residual_tol * (1.0 + frobenius(g)):
         return False
-    w = np.linalg.eigvalsh(herm(g))
+    w = hermitian_eigvals(herm(g))
     return bool(w.min(initial=0.0) >= -tol.residual_tol * max(1.0, w.max(initial=0.0)))
 
 
@@ -279,10 +282,7 @@ def _realified_kernel(
     mat = np.array(rows).T  # columns indexed by real directions
     if mat.shape[0] == 0:
         return list(directions)
-    _, s, vt = np.linalg.svd(mat)
-    scale = max(s[0], 1.0) if s.size else 1.0
-    rank = int(np.sum(s > tol.rank_rel_tol * scale))
-    return list(np.tensordot(vt[rank:], np.array(directions), axes=1))
+    return list(np.tensordot(null_space_rows(mat, tol), np.array(directions), axes=1))
 
 
 def fiber_kernel_E(
@@ -419,7 +419,7 @@ class ModularData:
     @property
     def faithful(self) -> bool:
         n = self.algebra.dim
-        s = np.linalg.svd(np.asarray(self.density, dtype=complex), compute_uv=False)
+        s = singular_values(np.asarray(self.density, dtype=complex))
         return retained_rank(s, self.tol) == n if s.size else n == 0
 
 
@@ -525,7 +525,7 @@ def flow_automorphism_check(
         )
         pos = sampling.random_positive(algebra, rng)
         fp = flow(pos)
-        wmin = float(np.linalg.eigvalsh(herm(fp)).min())
+        wmin = float(hermitian_eigvals(herm(fp)).min())
         worst["cone"] = _worst(
             worst["cone"],
             _worst(0.0, -wmin) + frobenius(fp - fp.conj().T),

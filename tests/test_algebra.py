@@ -62,6 +62,22 @@ class TestBlockAlgebra:
         with pytest.raises(AlgebraMismatch):
             NormalFunctional(M23, x)
 
+    def test_contains_decision(self):
+        x = M23.identity()
+        bound = DEFAULT_TOL.residual_tol * (1.0 + frobenius(x))
+        assert M23.contains(x)
+        for scale, member in ((0.9, True), (1.1, False)):
+            y = x.copy()
+            y[1, 4] = scale * bound
+            assert M23.contains(y) is member
+        for i, j in ((0, 1), (0, 3)):  # inside a block, then off the blocks
+            for bad in (np.nan, np.inf):
+                y = x.copy()
+                y[i, j] = bad
+                assert not M23.contains(y)
+        assert not M23.contains(np.eye(4))
+        assert M23.contains(np.eye(5, dtype=int))
+
     def test_coordinate_units_count(self):
         assert len(M23.coordinate_units()) == 2 * 2 + 3 * 3
         assert len(M23.hermitian_units()) == 2 * 2 + 3 * 3

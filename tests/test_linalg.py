@@ -1,24 +1,32 @@
 """Matrix kernels: polar factors, supports, partial inverses, matrix
-functions, and the rank guard band."""
+functions, the rank guard band, and the LAPACK calls underneath them."""
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
-from wstargeo.errors import NotPartiallyInvertible, NotPositive
+from wstargeo import sampling
+from wstargeo.errors import NoConvergence, NotPartiallyInvertible, NotPositive
 from wstargeo.linalg import (
     DEFAULT_TOL,
     GUARD_FACTOR,
     ToleranceProfile,
     frobenius,
     hermitian_eig,
+    hermitian_eigvals,
     left_support,
     matrix_imaginary_power,
     matrix_log_restricted,
     matrix_sqrt,
+    null_space_rows,
     partial_inverse,
     polar_decompose,
     restricted_power,
     right_support,
+    singular_values,
     support_projection,
+    svd,
 )
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -177,3 +185,151 @@ class TestEig:
         assert prof.rank_rel_tol == 1e-6
         assert prof.residual_tol == 1e-5
         assert prof.fd_step == 1e-3
+
+
+class TestLapackKernels:
+    """The direct LAPACK calls against their ``numpy.linalg`` references.  The
+    two libraries may link different BLAS builds, so agreement is to 1e-12
+    rather than bitwise."""
+
+    SIZES = range(1, 13)
+
+    def test_svd_and_singular_values(self):
+        rng = _rng(10)
+        for n in self.SIZES:
+            a = _random_matrix(rng, n)
+            for got, want in zip(svd(a), np.linalg.svd(a)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            want = np.linalg.svd(a, compute_uv=False)
+            np.testing.assert_allclose(singular_values(a), want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                singular_values(a.real), np.linalg.svd(a.real, compute_uv=False),
+                rtol=0, atol=1e-12,
+            )
+
+    def test_hermitian_spectra(self):
+        rng = _rng(11)
+        for n in self.SIZES:
+            a = _random_matrix(rng, n)
+            h = a + a.conj().T
+            w, v = hermitian_eig(h)
+            w_ref, v_ref = np.linalg.eigh(h)
+            np.testing.assert_allclose(w, w_ref[::-1], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(v, v_ref[:, ::-1], rtol=0, atol=1e-12)
+            # Only the lower triangle is read, as numpy.linalg does by default.
+            lower = np.tril(h)
+            np.testing.assert_allclose(
+                hermitian_eigvals(lower), np.linalg.eigvalsh(h)[::-1], rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                hermitian_eigvals(h.real), np.linalg.eigvalsh(h.real)[::-1],
+                rtol=0, atol=1e-12,
+            )
+
+    def test_haar_unitary(self):
+        for n in self.SIZES:
+            u = sampling.haar_unitary(_rng(n), n)
+            rng = _rng(n)
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            q, r = np.linalg.qr(g)
+            d = np.diagonal(r)
+            np.testing.assert_allclose(u, q * (d / np.abs(d)), rtol=0, atol=1e-12)
+
+    def test_null_space_rows(self):
+        rng = _rng(12)
+        for m, n, r in ((8, 5, 3), (20, 12, 12), (4, 9, 4), (6, 6, 0)):
+            a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+            rows = null_space_rows(a)
+            assert rows.dtype == np.float64
+            assert rows.shape == (n - r, n)
+            assert frobenius(a @ rows.T) <= 1e-12 * max(1.0, frobenius(a))
+            np.testing.assert_allclose(
+                rows, np.linalg.svd(a)[2][r:], rtol=0, atol=1e-12
+            )
+
+    def test_real_input_stays_real(self):
+        a = _random_matrix(_rng(13), 4).real
+        assert singular_values(a).dtype == np.float64
+        assert hermitian_eigvals(a + a.T).dtype == np.float64
+        assert null_space_rows(a).dtype == np.float64
+
+    def test_nan_input_raises(self):
+        a = np.full((3, 3), np.nan, dtype=complex)
+        with pytest.raises(NoConvergence):
+            svd(a)
+        with pytest.raises(NoConvergence):
+            singular_values(a.real)
+
+    def test_empty_input(self):
+        assert singular_values(np.zeros((0, 0))).shape == (0,)
+        assert singular_values(np.zeros((3, 0))).shape == (0,)
+        assert hermitian_eigvals(np.zeros((0, 0), dtype=complex)).shape == (0,)
+
+    def test_frobenius_is_numpy_norm(self):
+        rng = _rng(14)
+        c = _random_matrix(rng, 5)
+        for x in (c, c.real, c.T, c[::2, 1:], c.real.T, (10 * c.real).astype(int),
+                  np.zeros((0, 3)), np.arange(7), np.zeros((2, 2), dtype=complex)):
+            got = frobenius(x)
+            assert type(got) is float
+            assert got == float(np.linalg.norm(x))
+
+
+#: ``numpy.linalg``/``scipy.linalg`` factorizations that only ``linalg.py`` calls.
+FACTORIZATIONS = {"svd", "eigh", "eigvalsh", "qr"}
+
+
+def _factorization_calls(source: str) -> list[str]:
+    """Calls of a matrix factorization in ``source``: ``<x>.linalg.<name>(...)``
+    for a name in FACTORIZATIONS, ``<x>.linalg.norm(..., 2)``, and names
+    imported from a ``linalg`` or ``lapack`` module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(
+            ("numpy.linalg", "scipy.linalg", "lapack")
+        ):
+            found += [
+                a.name for a in node.names
+                if a.name in FACTORIZATIONS or node.module.endswith("lapack")
+            ]
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr in ("linalg", "lapack")
+        ):
+            continue
+        name = node.func.attr
+        order = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+        spectral = any(isinstance(o, ast.Constant) and o.value == 2 for o in order)
+        if name in FACTORIZATIONS or node.func.value.attr == "lapack" or (
+            name == "norm" and spectral
+        ):
+            found.append(ast.unparse(node))
+    return found
+
+
+class TestOneFactorizationLayer:
+    def test_scanner_finds_factorizations(self):
+        source = (
+            "s = np.linalg.svd(a, compute_uv=False)\n"
+            "w = numpy.linalg.eigvalsh(herm(b))\n"
+            "q, r = np.linalg.qr(g)\n"
+            "n2 = np.linalg.norm(x @ y, ord=2)\n"
+            "n3 = np.linalg.norm(x, 2)\n"
+            "from scipy.linalg import eigh\n"
+            "u = scipy.linalg.lapack.zgesdd(a)\n"
+        )
+        assert len(_factorization_calls(source)) == 7
+        assert _factorization_calls("f = np.linalg.norm(v)\ne = scipy.linalg.expm(a)") == []
+
+    def test_only_linalg_factorizes(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "wstargeo"
+        modules = sorted(p for p in src.glob("*.py") if p.name != "linalg.py")
+        assert modules
+        found = {
+            p.name: calls
+            for p in modules
+            if (calls := _factorization_calls(p.read_text(encoding="utf-8")))
+        }
+        assert found == {}
