@@ -1,15 +1,15 @@
 """
-Four pictures of one groupoid
+Five pictures of one groupoid
 =============================
 
 Partial isometries compose like arrows: u is an arrow from its source
 projection u*u to its target uu*, and two arrows compose exactly when the
 source of the first matches the target of the second.  The same arrows can
-be dressed up three more ways -- as partially invertible matrices, as
-functionals with a polar angle, and as pairs (isometry, positive functional)
-acting on the coadjoint side.  This script composes chains in all four
-pictures, checks the groupoid laws, and crosses between pictures with the
-structure-preserving maps.
+be dressed up four more ways -- as partially invertible matrices, as
+functionals with a polar angle, as pairs (isometry, positive functional)
+acting on the coadjoint side, and as vectors of the standard form.  This
+script composes chains in all five pictures, checks the groupoid laws, and
+crosses between pictures with the structure-preserving maps.
 """
 
 import numpy as np

@@ -1,6 +1,6 @@
 """Groupoids over a block algebra and the isomorphisms between them.
 
-Four structures share one interface:
+Five structures share one interface:
 
 * ``pi``        — partial isometries over projections: compose ``u v`` when
                   ``u* u = v v*``, inverse ``u*``;
@@ -11,12 +11,16 @@ Four structures share one interface:
                   and the adjoint inverse;
 * ``coadjoint`` — pairs (u, rho) of a partial isometry and a positive
                   functional with ``u* u = support(rho)``, acting by
-                  conjugation.
+                  conjugation;
+* ``standard``  — vectors g of the standard form over density matrices:
+                  source ``g* g``, target ``g g*``, product through the
+                  shared modulus (``std_mul``), inverse ``g*``, unit ``d^{1/2}``.
 
 ``axiom_check`` samples composable chains and reports the worst residual of
-each groupoid law.  ``iso_Xi`` (to the predual groupoid) and ``gauge_iso_Psi``
-(from the pair structure on the isometry bundle) realize two of the structure-
-preserving identifications; the third lives with the standard form.
+each groupoid law.  ``iso_Xi`` (to the predual groupoid), ``iso_Phi`` (to the
+standard form) and ``gauge_iso_Psi`` (from the pair structure on the isometry
+bundle) realize the structure-preserving identifications;
+``intertwining_residual`` checks the functor laws of the first two.
 """
 from __future__ import annotations
 
@@ -41,9 +45,11 @@ from .linalg import (
     frobenius,
     is_partial_isometry,
     left_support,
+    matrix_sqrt,
     partial_inverse,
     right_support,
 )
+from .standard import iso_Phi, iso_Phi_inv, std_inverse, std_mul
 
 # ---------------------------------------------------------------------------
 # partial-isometry groupoid ("pi")
@@ -263,7 +269,6 @@ class GroupoidOps:
     also compares objects embedded as units).
     """
 
-    tag: str
     source: Callable
     target: Callable
     compose: Callable
@@ -275,7 +280,6 @@ class GroupoidOps:
 
 GROUPOIDS: dict[str, GroupoidOps] = {
     "pi": GroupoidOps(
-        tag="pi",
         source=lambda u, tol: pi_source(u),
         target=lambda u, tol: pi_target(u),
         compose=lambda a, b, tol, repair=False: pi_compose(a, b, tol, repair),
@@ -285,7 +289,6 @@ GROUPOIDS: dict[str, GroupoidOps] = {
         object_distance=_dist_matrix,
     ),
     "g": GroupoidOps(
-        tag="g",
         source=g_source,
         target=g_target,
         compose=g_compose,
@@ -295,7 +298,6 @@ GROUPOIDS: dict[str, GroupoidOps] = {
         object_distance=_dist_matrix,
     ),
     "predual": GroupoidOps(
-        tag="predual",
         source=predual_source,
         target=predual_target,
         compose=predual_compose,
@@ -305,7 +307,6 @@ GROUPOIDS: dict[str, GroupoidOps] = {
         object_distance=_dist_functional,
     ),
     "coadjoint": GroupoidOps(
-        tag="coadjoint",
         source=lambda a, tol: coadjoint_source(a),
         target=lambda a, tol: coadjoint_target(a),
         compose=coadjoint_compose,
@@ -313,6 +314,16 @@ GROUPOIDS: dict[str, GroupoidOps] = {
         unit=coadjoint_unit,
         arrow_distance=_dist_coadjoint,
         object_distance=_dist_functional,
+    ),
+    # Objects are densities: a vector does not carry its BlockAlgebra.
+    "standard": GroupoidOps(
+        source=lambda g, tol: pi_source(g),
+        target=lambda g, tol: pi_target(g),
+        compose=lambda g1, g2, tol, repair=False: std_mul(g1, g2, tol, repair),
+        inverse=lambda g, tol: std_inverse(g),
+        unit=matrix_sqrt,
+        arrow_distance=_dist_matrix,
+        object_distance=_dist_matrix,
     ),
 }
 
@@ -327,7 +338,11 @@ def composable_chain(
     """Chain (a_1, ..., a_length) with s(a_i) = t(a_{i+1}), built backwards
     from mutually equivalent projections so every consecutive pair composes
     exactly."""
-    qs = sampling.projection_chain(algebra, rng, length)
+    if tag not in GROUPOIDS:
+        raise InvalidTrials(f"unknown groupoid tag {tag!r}")
+    qs = sampling.projection_chain(
+        algebra, rng, length, allow_zero=tag != "standard"
+    )
     isometries = [
         sampling.partial_isometry_onto(algebra, rng, qs[i + 1], qs[i], tol)
         for i in range(length)
@@ -339,26 +354,19 @@ def composable_chain(
             u @ sampling.corner_positive(algebra, rng, q, tol=tol)
             for u, q in zip(isometries, qs[1:])
         ]
+    # Moduli m_i = u_{i+1} m_{i+1} u_{i+1}*, so arrow i's source is arrow
+    # (i+1)'s target.
+    mods = [sampling.corner_positive(algebra, rng, qs[-1], tol=tol)]
+    for u in reversed(isometries[1:]):
+        mods.insert(0, u @ mods[0] @ u.conj().T)
     if tag == "predual":
-        mods = [None] * length
-        mods[-1] = sampling.corner_positive(algebra, rng, qs[-1], tol=tol)
-        for i in range(length - 2, -1, -1):
-            u_next = isometries[i + 1]
-            mods[i] = u_next @ mods[i + 1] @ u_next.conj().T
-        return [
-            NormalFunctional(algebra, u @ m) for u, m in zip(isometries, mods)
-        ]
+        return [NormalFunctional(algebra, u @ m) for u, m in zip(isometries, mods)]
     if tag == "coadjoint":
-        rhos = [None] * length
-        rhos[-1] = sampling.corner_positive(algebra, rng, qs[-1], tol=tol)
-        for i in range(length - 2, -1, -1):
-            u_next = isometries[i + 1]
-            rhos[i] = u_next @ rhos[i + 1] @ u_next.conj().T
         return [
-            CoadjointArrow(u, NormalFunctional(algebra, r))
-            for u, r in zip(isometries, rhos)
+            CoadjointArrow(u, NormalFunctional(algebra, m))
+            for u, m in zip(isometries, mods)
         ]
-    raise InvalidTrials(f"unknown groupoid tag {tag!r}")
+    return [u @ m for u, m in zip(isometries, mods)]
 
 
 def chain_law_residuals(
@@ -449,22 +457,62 @@ def iso_Xi_inv(
     return CoadjointArrow(u, mod)
 
 
+def intertwining_residual(
+    src: str,
+    dst: str,
+    functor: Callable,
+    functor_inv: Callable,
+    on_objects: Callable,
+    pair: tuple,
+    tol: ToleranceProfile = DEFAULT_TOL,
+) -> float:
+    """Worst deviation of ``functor`` (arrows of ``src`` to arrows of
+    ``dst``, with ``on_objects`` on objects) from commuting with source,
+    target, inverse, unit and product on a composable pair, and of
+    ``functor_inv`` from undoing it."""
+    S, T = GROUPOIDS[src], GROUPOIDS[dst]
+    a, b = pair
+    fa = functor(a, tol)
+    s_a = S.source(a, tol)
+    return _worst(
+        T.object_distance(T.source(fa, tol), on_objects(s_a)),
+        T.object_distance(T.target(fa, tol), on_objects(S.target(a, tol))),
+        T.arrow_distance(T.inverse(fa, tol), functor(S.inverse(a, tol), tol)),
+        T.arrow_distance(
+            T.unit(on_objects(s_a), tol), functor(S.unit(s_a, tol), tol)
+        ),
+        T.arrow_distance(
+            T.compose(fa, functor(b, tol), tol), functor(S.compose(a, b, tol), tol)
+        ),
+        S.arrow_distance(functor_inv(fa, tol), a),
+    )
+
+
 def xi_intertwining_residual(
     pair: tuple[CoadjointArrow, CoadjointArrow], tol: ToleranceProfile = DEFAULT_TOL
 ) -> float:
     """Worst deviation of Xi from commuting with source, target, unit,
     inverse, and the product, on a composable pair of coadjoint arrows."""
-    a, b = pair
-    fa, fb = iso_Xi(a), iso_Xi(b)
-    res = [
-        predual_source(fa, tol).distance(coadjoint_source(a)),
-        predual_target(fa, tol).distance(coadjoint_target(a)),
-        predual_inverse(fa).distance(iso_Xi(coadjoint_inverse(a))),
-        predual_unit(a.rho, tol).distance(iso_Xi(coadjoint_unit(a.rho, tol))),
-        predual_compose(fa, fb, tol).distance(iso_Xi(coadjoint_compose(a, b, tol))),
-        _dist_coadjoint(iso_Xi_inv(fa, tol), a),
-    ]
-    return _worst(*res)
+    return intertwining_residual(
+        "coadjoint", "predual", lambda a, tol: iso_Xi(a), iso_Xi_inv,
+        lambda rho: rho, pair, tol,
+    )
+
+
+def phi_intertwining_residual(
+    algebra: BlockAlgebra,
+    a: CoadjointArrow,
+    b: CoadjointArrow,
+    tol: ToleranceProfile = DEFAULT_TOL,
+) -> float:
+    """Worst deviation of Phi from commuting with source, target, unit,
+    inverse, and product on a composable pair of coadjoint arrows."""
+    return intertwining_residual(
+        "coadjoint", "standard",
+        lambda arrow, tol: iso_Phi(arrow.u, arrow.rho, tol),
+        lambda g, tol: CoadjointArrow(*iso_Phi_inv(algebra, g, tol)),
+        lambda rho: rho.density, (a, b), tol,
+    )
 
 
 def gauge_iso_Psi(

@@ -27,7 +27,6 @@ from . import sampling
 from .algebra import (
     BlockAlgebra,
     NormalFunctional,
-    functional_support,
     orbit_invariant,
     require_positive,
 )
@@ -178,43 +177,6 @@ def iso_Phi_inv(
     functional of density g* g."""
     u, _ = polar_decompose(g, tol)
     return u, expectation_Eprime(algebra, g)
-
-
-def phi_intertwining_residual(
-    algebra: BlockAlgebra,
-    a,
-    b,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
-    """Worst deviation of Phi from commuting with source, target, unit,
-    inverse, and product on a composable pair of coadjoint arrows."""
-    from .groupoids import (
-        CoadjointArrow,
-        coadjoint_compose,
-        coadjoint_inverse,
-        coadjoint_source,
-        coadjoint_target,
-        coadjoint_unit,
-    )
-
-    ga = iso_Phi(a.u, a.rho, tol)
-    gb = iso_Phi(b.u, b.rho, tol)
-    prod = coadjoint_compose(a, b, tol)
-    unit = coadjoint_unit(a.rho, tol)
-    ua, rho_a = iso_Phi_inv(algebra, ga, tol)
-    res = [
-        std_source(algebra, ga, tol).distance(coadjoint_source(a)),
-        std_target(algebra, ga, tol).distance(coadjoint_target(a)),
-        frobenius(std_inverse(ga) - iso_Phi(*_arrow_parts(coadjoint_inverse(a)), tol)),
-        frobenius(std_unit(a.rho, tol) - iso_Phi(*_arrow_parts(unit), tol)),
-        frobenius(std_mul(ga, gb, tol) - iso_Phi(*_arrow_parts(prod), tol)),
-        _worst(frobenius(ua - a.u), rho_a.distance(a.rho)),
-    ]
-    return _worst(*res)
-
-
-def _arrow_parts(arrow) -> tuple[np.ndarray, NormalFunctional]:
-    return arrow.u, arrow.rho
 
 
 # ---------------------------------------------------------------------------

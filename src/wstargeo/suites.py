@@ -59,9 +59,11 @@ from .charts import (
 from .errors import InvalidTrials, NotInDomain, UnknownSuite
 from .groupoids import (
     axiom_check,
+    chain_law_residuals,
     composable_chain,
     gauge_iso_Psi,
     jay,
+    phi_intertwining_residual,
     psi_intertwining_residual,
     xi_intertwining_residual,
 )
@@ -106,12 +108,6 @@ from .standard import (
     dual_pair_orthogonality_check,
     flow_automorphism_check,
     modular_Delta,
-    phi_intertwining_residual,
-    std_inverse,
-    std_mul,
-    std_source,
-    std_target,
-    std_unit,
     tomita_S,
     transport_witness,
 )
@@ -213,39 +209,14 @@ def _row_axioms(tag: str) -> Callable[[RowCtx], float]:
 
 @_per_trial
 def _row_axioms_standard(ctx: RowCtx, rng):
-    """Groupoid laws for the standard-form groupoid, built on composable
-    chains gamma_i = u_i m_i with m_i = u_{i+1} m_{i+1} u_{i+1}^*."""
-    alg, prof = ctx.algebra, ctx.profile
-
-    def draw():
-        qs = sampling.projection_chain(alg, rng, 3, allow_zero=False)
-        us = [
-            sampling.partial_isometry_onto(alg, rng, qs[i + 1], qs[i], prof)
-            for i in range(3)
-        ]
-        m3 = sampling.corner_positive(alg, rng, qs[3], tol=prof)
-        m2 = us[2] @ m3 @ us[2].conj().T
-        m1 = us[1] @ m2 @ us[1].conj().T
-        return [us[0] @ m1, us[1] @ m2, us[2] @ m3]
-
-    a, b, c = _retry(draw)
-    mul = lambda x, y: std_mul(x, y, prof, ctx.repair)  # noqa: E731
-    ab, bc = mul(a, b), mul(b, c)
-    yield frobenius(mul(ab, c) - mul(a, bc))
-    yield frobenius(std_source(alg, ab, prof).density
-                    - std_source(alg, b, prof).density)
-    yield frobenius(std_target(alg, ab, prof).density
-                    - std_target(alg, a, prof).density)
-    yield frobenius(mul(a, std_unit(std_source(alg, a, prof), prof)) - a)
-    yield frobenius(mul(std_unit(std_target(alg, a, prof), prof), a) - a)
-    yield frobenius(mul(a, std_inverse(a))
-                    - std_unit(std_target(alg, a, prof), prof))
-    yield frobenius(mul(std_inverse(a), a)
-                    - std_unit(std_source(alg, a, prof), prof))
-    yield frobenius(std_inverse(std_inverse(a)) - a)
-    yield frobenius(std_inverse(ab) - mul(std_inverse(b), std_inverse(a)))
+    """Groupoid laws for the standard-form groupoid, plus the polar data of
+    its arrows."""
+    prof = ctx.profile
+    chain = _retry(lambda: composable_chain("standard", ctx.algebra, rng, 3, prof))
+    yield from chain_law_residuals("standard", chain, prof, ctx.repair).values()
     # Polar data of an arrow gamma = u m: gamma = (u m u*) u relates the
     # left and right moduli through the isometry leg.
+    a = chain[0]
     u, h = polar_decompose(a, prof)
     yield frobenius(a - (u @ h @ u.conj().T) @ u)
 

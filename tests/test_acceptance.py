@@ -30,6 +30,7 @@ from wstargeo import (
     unitary_equivalent,
 )
 from wstargeo import sampling
+from wstargeo.linalg import _worst
 
 M2 = BlockAlgebra((2,))
 M3 = BlockAlgebra((3,))
@@ -57,7 +58,7 @@ def _verdict(number: int, description: str, ok: bool, detail: str) -> None:
 
 
 def _worst_rows(rows: dict, names: tuple[str, ...]) -> float:
-    return max(rows[name].max_residual for name in names)
+    return _worst(*(rows[name].max_residual for name in names))
 
 
 def _all_pass(rows: dict, names: tuple[str, ...]) -> bool:
@@ -69,7 +70,7 @@ def test_criterion_01_groupoid_axioms():
     worst, ok = 0.0, True
     for algebra in ALGEBRAS:
         rows = _rows("groupoid-axioms", algebra, 500)
-        worst = max(worst, _worst_rows(rows, names))
+        worst = _worst(worst, _worst_rows(rows, names))
         ok = ok and _all_pass(rows, names)
     _verdict(
         1,
@@ -81,14 +82,15 @@ def test_criterion_01_groupoid_axioms():
 
 
 def test_criterion_02_isomorphism_intertwining():
-    worst = max(
-        _rows("groupoid-axioms", algebra, 500)["isomorphisms"].max_residual
-        for algebra in ALGEBRAS
-    )
+    worst, ok = 0.0, True
+    for algebra in ALGEBRAS:
+        rows = _rows("groupoid-axioms", algebra, 500)
+        worst = _worst(worst, rows["isomorphisms"].max_residual)
+        ok = ok and rows["isomorphisms"].passed
     _verdict(
         2,
         "intertwining of the three groupoid isomorphisms on 500 arrows each",
-        worst <= 1e-10,
+        ok and worst <= 1e-10,
         f"max residual {worst:.3e} <= 1e-10",
     )
 
@@ -101,7 +103,7 @@ def test_criterion_03_multiplicativity():
         3,
         "multiplicativity of the product form over 1000 analytic-tangent "
         "families",
-        res <= 1e-9 and rows["vertical"].passed,
+        res <= 1e-9 and _all_pass(rows, ("residual", "vertical")),
         f"max residual {res:.3e} <= 1e-9, vertical {vert:.3e}",
     )
 
@@ -114,7 +116,7 @@ def test_criterion_04_exactness():
         4,
         "finite-difference exactness of the product form at step 1e-5 with "
         "second-order convergence",
-        res <= 1e-7 and order <= 0.5,
+        res <= 1e-7 and order <= 0.5 and _all_pass(rows, ("residual", "order")),
         f"max residual {res:.3e} <= 1e-7, median step ratio "
         f"{4.0 - order:.2f}..{4.0 + order:.2f} within 3.5..4.5",
     )
@@ -128,21 +130,23 @@ def test_criterion_05_dual_pair():
         5,
         "symplectic orthogonality of the two expectation fibers on 200 "
         "points including rank-deficient ones",
-        res <= 1e-10 and dim == 0.0,
+        res <= 1e-10 and dim == 0.0
+        and _all_pass(rows, ("orthogonality", "dimension")),
         f"max |omega| {res:.3e} <= 1e-10, dimension mismatches {dim:.0f}",
     )
 
 
 def test_criterion_06_poisson_map():
     rows = _rows("poisson-map", M23, 500)
-    quad = max(rows[name].max_residual for name in ("quadratic", "field-morphism", "commutant"))
+    quad = _worst_rows(rows, ("quadratic", "field-morphism", "commutant"))
     jac = rows["jacobi"].max_residual
     leib = rows["leibniz"].max_residual
     _verdict(
         6,
         "expectation pullbacks intertwine canonical and Lie-Poisson brackets "
         "on 500 Hermitian pairs",
-        quad <= 1e-10 and jac <= 1e-8 and leib <= 1e-8,
+        quad <= 1e-10 and jac <= 1e-8 and leib <= 1e-8
+        and _all_pass(rows, tuple(rows)),
         f"bracket residual {quad:.3e} <= 1e-10, jacobi {jac:.3e} and "
         f"leibniz {leib:.3e} <= 1e-8",
     )
@@ -153,11 +157,11 @@ def test_criterion_07_orbit_form():
     ok = True
     for algebra in (M2, M23):
         rows = _rows("degeneracy", algebra, 150)
-        worst_inv = max(worst_inv, rows["orbit-form-invariance"].max_residual)
-        worst_fd = max(worst_fd, rows["fd-exterior"].max_residual)
-        worst_rad = max(worst_rad, rows["radical-pairing"].max_residual)
-        worst_gap = max(worst_gap, rows["complement-inverse-gap"].max_residual)
-        dim_bad = max(dim_bad, rows["dimensions"].max_residual)
+        worst_inv = _worst(worst_inv, rows["orbit-form-invariance"].max_residual)
+        worst_fd = _worst(worst_fd, rows["fd-exterior"].max_residual)
+        worst_rad = _worst(worst_rad, rows["radical-pairing"].max_residual)
+        worst_gap = _worst(worst_gap, rows["complement-inverse-gap"].max_residual)
+        dim_bad = _worst(dim_bad, rows["dimensions"].max_residual)
         ok = ok and _all_pass(rows, tuple(rows))
     _verdict(
         7,
@@ -173,9 +177,8 @@ def test_criterion_07_orbit_form():
 def test_criterion_08_kks_and_fubini_study():
     kks = _rows("kks", M23, 500)
     fs = _rows("fubini-study", M23, 500)
-    worst = max(
-        _worst_rows(kks, tuple(kks)), _worst_rows(fs, tuple(fs))
-    )
+    worst = _worst(_worst_rows(kks, tuple(kks)), _worst_rows(fs, tuple(fs)))
+    ok = _all_pass(kks, tuple(kks)) and _all_pass(fs, tuple(fs))
     # Rank-one orbit form scales linearly in the radius.
     rng = sampling.rng_for(8, 0)
     scaling = 0.0
@@ -186,12 +189,12 @@ def test_criterion_08_kks_and_fubini_study():
         base = fubini_study_compare(1.0, delta, x, y, DEFAULT_TOL).omega
         for r in (0.5, 1.0, 2.0):
             got = fubini_study_compare(r, delta, x, y, DEFAULT_TOL).omega
-            scaling = max(scaling, abs(got - r * base))
+            scaling = _worst(scaling, abs(got - r * base))
     _verdict(
         8,
         "orbit form matches the scaled Fubini-Study form, with radius "
         "scaling over r in {0.5, 1, 2} and the pair-groupoid identity",
-        worst <= 1e-10 and scaling <= 1e-10,
+        ok and worst <= 1e-10 and scaling <= 1e-10,
         f"max residual {worst:.3e} <= 1e-10, scaling defect {scaling:.3e}",
     )
 
@@ -199,36 +202,39 @@ def test_criterion_08_kks_and_fubini_study():
 def test_criterion_09_modular_flow():
     auto_names = ("automorphism", "symplectic", "cone", "orbit-invariants", "orbit-form")
     worst_auto, worst_tomita, worst_law = 0.0, 0.0, 0.0
+    ok = True
     for algebra in (M2, M23):
         rows = _rows("modular-flow", algebra, 200)
-        worst_auto = max(worst_auto, _worst_rows(rows, auto_names))
-        worst_tomita = max(worst_tomita, rows["tomita"].max_residual)
-        worst_law = max(worst_law, rows["group-law"].max_residual)
+        worst_auto = _worst(worst_auto, _worst_rows(rows, auto_names))
+        worst_tomita = _worst(worst_tomita, rows["tomita"].max_residual)
+        worst_law = _worst(worst_law, rows["group-law"].max_residual)
+        ok = ok and _all_pass(rows, auto_names + ("tomita", "group-law"))
     _verdict(
         9,
         "modular flow acts by automorphisms preserving the symplectic form, "
         "the cone, and orbit invariants at t in {0, +-0.3, +-1.7}",
-        worst_auto <= 1e-9 and worst_tomita <= 1e-10 and worst_law <= 1e-10,
+        ok and worst_auto <= 1e-9 and worst_tomita <= 1e-10
+        and worst_law <= 1e-10,
         f"automorphism {worst_auto:.3e} <= 1e-9, conjugation identity "
         f"{worst_tomita:.3e} and flow composition {worst_law:.3e} <= 1e-10",
     )
 
 
 def test_criterion_10_charts():
+    soft = ("round-trip", "cocycle", "theta")
+    hard = ("transition-oracle", "connection")
     worst_soft, worst_hard = 0.0, 0.0
+    ok = True
     for algebra in (M2, M23):
         rows = _rows("charts", algebra, 500)
-        worst_soft = max(
-            worst_soft, _worst_rows(rows, ("round-trip", "cocycle", "theta"))
-        )
-        worst_hard = max(
-            worst_hard, _worst_rows(rows, ("transition-oracle", "connection"))
-        )
+        worst_soft = _worst(worst_soft, _worst_rows(rows, soft))
+        worst_hard = _worst(worst_hard, _worst_rows(rows, hard))
+        ok = ok and _all_pass(rows, soft + hard)
     _verdict(
         10,
         "chart round trips, transition cocycle, and corner fixed points over "
         "500 instances per chart family",
-        worst_soft <= 1e-9 and worst_hard <= 1e-10,
+        ok and worst_soft <= 1e-9 and worst_hard <= 1e-10,
         f"round-trip/cocycle/corner {worst_soft:.3e} <= 1e-9, "
         f"transition oracle {worst_hard:.3e} <= 1e-10",
     )
@@ -250,7 +256,7 @@ def test_criterion_11_orbit_structure():
         agreement = agreement and (mvn == uni)
         if mvn:
             w = mvn_witness(algebra, p, q, DEFAULT_TOL)
-            witness_worst = max(
+            witness_worst = _worst(
                 witness_worst,
                 frobenius(w.conj().T @ w - p),
                 frobenius(w @ w.conj().T - q),
@@ -300,11 +306,11 @@ def test_criterion_11_orbit_structure():
 
 def test_criterion_12_conditional_expectation():
     worst = 0.0
-    dims_exact = True
+    dims_exact, ok = True, True
     for algebra in ALGEBRAS:
         rows = _rows("modular-flow", algebra, 200)
-        worst = max(worst, rows["conditional-expectation"].max_residual)
-        dims_exact = dims_exact and rows["dimensions"].passed
+        worst = _worst(worst, rows["conditional-expectation"].max_residual)
+        ok = ok and _all_pass(rows, ("conditional-expectation", "dimensions"))
 
         units = algebra.coordinate_units()
         total = len(units)
@@ -317,7 +323,7 @@ def test_criterion_12_conditional_expectation():
             for j, unit in enumerate(units):
                 image = conditional_expectation(phi, unit, DEFAULT_TOL)
                 mat[:, j] = [np.trace(e.conj().T @ image) for e in units]
-            worst = max(worst, float(np.linalg.norm(mat @ mat - mat, 2)))
+            worst = _worst(worst, float(np.linalg.norm(mat @ mat - mat, 2)))
             rank = int(np.linalg.matrix_rank(mat, tol=0.5))
             corank = int(np.linalg.matrix_rank(np.eye(total) - mat, tol=0.5))
             dims_exact = dims_exact and rank + corank == total
@@ -325,14 +331,16 @@ def test_criterion_12_conditional_expectation():
                 centralizer_basis(phi, DEFAULT_TOL)
             )
             x = sampling.random_element(algebra, rng)
-            worst = max(worst, abs(phi(conditional_expectation(phi, x, DEFAULT_TOL)) - phi(x)))
+            worst = _worst(
+                worst, abs(phi(conditional_expectation(phi, x, DEFAULT_TOL)) - phi(x))
+            )
             pos = conditional_expectation(phi, x.conj().T @ x, DEFAULT_TOL)
             low = float(np.linalg.eigvalsh((pos + pos.conj().T) / 2.0).min())
-            worst = max(worst, max(0.0, -low))
+            worst = _worst(worst, 0.0, -low)
     _verdict(
         12,
         "density pinching is an idempotent, state-preserving, positive "
         "expectation whose range and kernel dimensions add exactly",
-        worst <= 1e-10 and dims_exact,
+        ok and worst <= 1e-10 and dims_exact,
         f"max residual {worst:.3e} <= 1e-10, rank additivity exact",
     )

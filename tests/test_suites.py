@@ -10,6 +10,7 @@ import pytest
 
 from wstargeo import groupoids, poisson, sampling, suites
 from wstargeo import (
+    DEFAULT_TOL,
     SUITE_NAMES,
     BlockAlgebra,
     InvalidTrials,
@@ -18,6 +19,7 @@ from wstargeo import (
     NotPartiallyInvertible,
     SuiteResult,
     UnknownSuite,
+    polar_decompose,
     run_suite,
     suite_rows,
 )
@@ -178,6 +180,32 @@ class TestNonFiniteTrial:
         assert row.suite == "degeneracy/orbit-form-invariance"
         assert math.isnan(row.max_residual)
         assert row.status == "FAIL"
+
+
+class TestPlantedFaults:
+    """A wrong structure map, planted where the suites look it up, fails
+    the row that checks it."""
+
+    @staticmethod
+    def _axiom_row(row):
+        rows = {r.suite: r for r in run_suite("groupoid-axioms", M23, 10, 0)}
+        return rows[f"groupoid-axioms/{row}"]
+
+    def test_standard_product_with_left_modulus(self, monkeypatch):
+        def std_mul(g1, g2, tol=DEFAULT_TOL, repair=False):
+            u1, h1 = polar_decompose(g1, tol)
+            u2, _ = polar_decompose(g2, tol)
+            return u1 @ u2 @ h1
+
+        monkeypatch.setattr(groupoids, "std_mul", std_mul)
+        assert self._axiom_row("standard").status == "FAIL"
+
+    def test_phi_without_square_root(self, monkeypatch):
+        def iso_Phi(u, rho, tol=DEFAULT_TOL):
+            return np.asarray(u, dtype=complex) @ rho.density
+
+        monkeypatch.setattr(groupoids, "iso_Phi", iso_Phi)
+        assert self._axiom_row("isomorphisms").status == "FAIL"
 
 
 class TestSampleWithRetry:
