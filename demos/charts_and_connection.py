@@ -72,7 +72,7 @@ rng = sampling.rng_for(2026, 3)
 algebra5 = BlockAlgebra((2, 3))
 p0 = sampling.random_projection(algebra5, rng, allow_zero=False)
 target = sampling.equivalent_projection(algebra5, rng, p0)
-u = sampling.partial_isometry_onto(algebra5, rng, p0, target, DEFAULT_TOL)
+u = sampling.partial_isometry_onto(algebra5, rng, p0, target)
 
 # Bundle chart around the fibre over the target: u is encoded by the base
 # coordinate of its target together with a fibre isometry; the round trip
@@ -103,7 +103,7 @@ print("curvature is antisymmetric:",
 # Gamma0 pairs a fibre density with the connection; its exterior derivative
 # has a closed form, and a centered finite difference of Gamma0 over a
 # two-parameter surface reproduces it to second order.
-d0 = sampling.corner_positive(algebra5, rng, p0, tol=DEFAULT_TOL)
+d0 = sampling.corner_positive(algebra5, rng, p0)
 rho0 = NormalFunctional(algebra5, d0 / float(np.trace(d0).real))
 a = sampling.unit_norm(sampling.random_antihermitian(algebra5, rng))
 b = sampling.unit_norm(sampling.corner_antihermitian(algebra5, rng, p0))

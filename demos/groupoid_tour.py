@@ -44,7 +44,7 @@ rng = sampling.rng_for(2026, 1)
 
 # --- the isometry picture ---------------------------------------------------
 # Draw a composable chain u1, u2, u3 with source(u_i) = target(u_{i+1}).
-u1, u2, u3 = composable_chain("pi", algebra, rng, 3, DEFAULT_TOL)
+u1, u2, u3 = composable_chain("pi", algebra, rng, 3)
 print("source of u1 = target of u2 residual:",
       frobenius(pi_source(u1) - pi_target(u2)))
 prod = pi_compose(u1, u2, DEFAULT_TOL)
@@ -60,7 +60,7 @@ except NotComposable as exc:
 # --- the partially invertible picture ----------------------------------------
 # An arrow is now x = u h with h positive on the source; jay inverts the
 # isometry part while keeping the modulus on the new source.
-x1, x2, x3 = composable_chain("g", algebra, rng, 3, DEFAULT_TOL)
+x1, x2, x3 = composable_chain("g", algebra, rng, 3)
 y = g_compose(x1, x2, DEFAULT_TOL)
 print("\nsource of product = source of second:",
       frobenius(g_source(y, DEFAULT_TOL) - g_source(x2, DEFAULT_TOL)))
@@ -73,7 +73,7 @@ print("jay is an involution:", frobenius(jay(jay(x1)) - x1))
 # chain_law_residuals evaluates associativity, units, inverses, and the
 # antihomomorphism property on a single composable chain of three arrows.
 for tag in GROUPOIDS:
-    chain = composable_chain(tag, algebra, rng, 3, DEFAULT_TOL)
+    chain = composable_chain(tag, algebra, rng, 3)
     worst = max(chain_law_residuals(tag, chain, DEFAULT_TOL).values())
     print(f"worst law residual on one {tag!r} chain: {worst:.3e}")
 
@@ -86,7 +86,7 @@ for law, value in sorted(report.law_residuals.items()):
 # --- crossing between pictures ------------------------------------------------
 # Xi forgets the isometry of a coadjoint arrow into a functional with polar
 # angle; pushing the source along the arrow gives the target.
-arrow = composable_chain("coadjoint", algebra, rng, 3, DEFAULT_TOL)[0]
+arrow = composable_chain("coadjoint", algebra, rng, 3)[0]
 phi = iso_Xi(arrow)
 pushed = coadjoint_apply(arrow.u, arrow.rho, DEFAULT_TOL)
 print("\ncoadjoint target = source pushed along the arrow:",

@@ -24,7 +24,6 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
     as_square,
-    check_hermitian,
     eigen_clusters,
     frobenius,
     herm,
@@ -105,15 +104,6 @@ class BlockAlgebra:
                 raise ValueError("block has the wrong shape")
             out[s, s] = m
         return out
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Block-diagonal compression of an ambient matrix."""
-        x = as_square(x)
-        if x.shape != (self.dim, self.dim):
-            raise AlgebraMismatch(
-                f"expected an {self.dim}x{self.dim} matrix, got {x.shape}"
-            )
-        return self.embed_blocks(self.block_views(x))
 
     def contains(self, x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
         """Whether ``x`` is block-diagonal within residual tolerance.
@@ -278,8 +268,8 @@ def mvn_witness(
     out = []
     for bp, bq in zip(algebra.block_views(p), algebra.block_views(q)):
         r = projection_rank(bp)
-        _, vp = hermitian_eig(bp, tol)
-        _, vq = hermitian_eig(bq, tol)
+        _, vp = hermitian_eig(bp)
+        _, vq = hermitian_eig(bq)
         out.append(vq[:, :r] @ vp[:, :r].conj().T)
     return algebra.embed_blocks(out)
 
@@ -354,8 +344,8 @@ def unitary_witness(
         algebra.block_views(herm(phi1.density)),
         algebra.block_views(herm(phi2.density)),
     ):
-        _, v1 = hermitian_eig(b1, tol)
-        _, v2 = hermitian_eig(b2, tol)
+        _, v1 = hermitian_eig(b1)
+        _, v2 = hermitian_eig(b2)
         out.append(v2 @ v1.conj().T)
     return algebra.embed_blocks(out)
 
@@ -375,14 +365,13 @@ class StabilizerData:
 def _spectral_clusters(
     algebra: BlockAlgebra, d: np.ndarray, tol: ToleranceProfile
 ) -> list[tuple[slice, np.ndarray, np.ndarray, list[list[int]], float]]:
-    """Per block: slice, eigenvalues (descending), eigenvectors, gap clusters,
-    and the global rank cutoff."""
-    d = check_hermitian(d, tol)
+    """Per block of the Hermitian ``d``: slice, eigenvalues (descending),
+    eigenvectors, gap clusters, and the global rank cutoff."""
     wall = hermitian_eigvals(d)
     cutoff = tol.rank_rel_tol * max(float(np.max(np.abs(wall))), 0.0) if wall.size else 0.0
     out = []
     for s, b in zip(algebra.slices, algebra.block_views(d)):
-        w, v = hermitian_eig(b, tol)
+        w, v = hermitian_eig(b)
         clusters = eigen_clusters(w, tol.rank_rel_tol)
         out.append((s, w, v, clusters, cutoff))
     return out
@@ -499,9 +488,8 @@ def coadjoint_apply(
 ) -> NormalFunctional:
     """Coadjoint action ``rho -> u rho u*`` of a partial isometry whose source
     projection is the support of ``rho``."""
-    require_positive(phi, tol)
-    u = phi.algebra.require_member(u, tol)
     p = functional_support(phi, tol)
+    u = phi.algebra.require_member(u, tol)
     if frobenius(u.conj().T @ u - p) > tol.residual_tol * (1.0 + frobenius(p)):
         raise InvalidArrow("source projection of u is not the support of rho")
     return NormalFunctional(phi.algebra, u @ phi.density @ u.conj().T)

@@ -198,10 +198,9 @@ class CoadjointArrow:
 def coadjoint_validate(
     arrow: CoadjointArrow, tol: ToleranceProfile = DEFAULT_TOL
 ) -> None:
-    require_positive(arrow.rho, tol)
+    p = functional_support(arrow.rho, tol)
     if not is_partial_isometry(arrow.u, tol):
         raise InvalidArrow("u is not a partial isometry")
-    p = functional_support(arrow.rho, tol)
     if frobenius(arrow.u.conj().T @ arrow.u - p) > tol.residual_tol * (1.0 + frobenius(p)):
         raise InvalidArrow("u* u is not the support of rho")
 
@@ -241,7 +240,6 @@ def coadjoint_inverse(arrow: CoadjointArrow) -> CoadjointArrow:
 def coadjoint_unit(
     rho: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> CoadjointArrow:
-    require_positive(rho, tol)
     return CoadjointArrow(functional_support(rho, tol), rho)
 
 
@@ -278,6 +276,9 @@ class GroupoidOps:
     object_distance: Callable
 
 
+# Each map is a lambda that looks its function up as a module global at call
+# time, so a rebound ``groupoids.<name>`` (a tracer span, a planted fault)
+# reaches every law check.
 GROUPOIDS: dict[str, GroupoidOps] = {
     "pi": GroupoidOps(
         source=lambda u, tol: pi_source(u),
@@ -289,29 +290,29 @@ GROUPOIDS: dict[str, GroupoidOps] = {
         object_distance=_dist_matrix,
     ),
     "g": GroupoidOps(
-        source=g_source,
-        target=g_target,
-        compose=g_compose,
-        inverse=g_inverse,
+        source=lambda x, tol: g_source(x, tol),
+        target=lambda x, tol: g_target(x, tol),
+        compose=lambda x, y, tol, repair=False: g_compose(x, y, tol, repair),
+        inverse=lambda x, tol: g_inverse(x, tol),
         unit=lambda p, tol: pi_unit(p),
         arrow_distance=_dist_matrix,
         object_distance=_dist_matrix,
     ),
     "predual": GroupoidOps(
-        source=predual_source,
-        target=predual_target,
-        compose=predual_compose,
+        source=lambda phi, tol: predual_source(phi, tol),
+        target=lambda phi, tol: predual_target(phi, tol),
+        compose=lambda a, b, tol, repair=False: predual_compose(a, b, tol, repair),
         inverse=lambda phi, tol: predual_inverse(phi),
-        unit=predual_unit,
+        unit=lambda rho, tol: predual_unit(rho, tol),
         arrow_distance=_dist_functional,
         object_distance=_dist_functional,
     ),
     "coadjoint": GroupoidOps(
         source=lambda a, tol: coadjoint_source(a),
         target=lambda a, tol: coadjoint_target(a),
-        compose=coadjoint_compose,
+        compose=lambda a, b, tol, repair=False: coadjoint_compose(a, b, tol, repair),
         inverse=lambda a, tol: coadjoint_inverse(a),
-        unit=coadjoint_unit,
+        unit=lambda rho, tol: coadjoint_unit(rho, tol),
         arrow_distance=_dist_coadjoint,
         object_distance=_dist_functional,
     ),
@@ -321,7 +322,7 @@ GROUPOIDS: dict[str, GroupoidOps] = {
         target=lambda g, tol: pi_target(g),
         compose=lambda g1, g2, tol, repair=False: std_mul(g1, g2, tol, repair),
         inverse=lambda g, tol: std_inverse(g),
-        unit=matrix_sqrt,
+        unit=lambda rho, tol: matrix_sqrt(rho, tol),
         arrow_distance=_dist_matrix,
         object_distance=_dist_matrix,
     ),
@@ -333,7 +334,6 @@ def composable_chain(
     algebra: BlockAlgebra,
     rng: np.random.Generator,
     length: int = 3,
-    tol: ToleranceProfile = DEFAULT_TOL,
 ) -> list:
     """Chain (a_1, ..., a_length) with s(a_i) = t(a_{i+1}), built backwards
     from mutually equivalent projections so every consecutive pair composes
@@ -344,19 +344,19 @@ def composable_chain(
         algebra, rng, length, allow_zero=tag != "standard"
     )
     isometries = [
-        sampling.partial_isometry_onto(algebra, rng, qs[i + 1], qs[i], tol)
+        sampling.partial_isometry_onto(algebra, rng, qs[i + 1], qs[i])
         for i in range(length)
     ]
     if tag == "pi":
         return isometries
     if tag == "g":
         return [
-            u @ sampling.corner_positive(algebra, rng, q, tol=tol)
+            u @ sampling.corner_positive(algebra, rng, q)
             for u, q in zip(isometries, qs[1:])
         ]
     # Moduli m_i = u_{i+1} m_{i+1} u_{i+1}*, so arrow i's source is arrow
     # (i+1)'s target.
-    mods = [sampling.corner_positive(algebra, rng, qs[-1], tol=tol)]
+    mods = [sampling.corner_positive(algebra, rng, qs[-1])]
     for u in reversed(isometries[1:]):
         mods.insert(0, u @ mods[0] @ u.conj().T)
     if tag == "predual":
@@ -434,7 +434,7 @@ def axiom_check(
     worst: dict[str, float] = {}
     for k in range(trials):
         rng = sampling.rng_for(seed, k)
-        chain = composable_chain(tag, algebra, rng, 3, tol)
+        chain = composable_chain(tag, algebra, rng, 3)
         for law, value in chain_law_residuals(tag, chain, tol, repair).items():
             worst[law] = _worst(worst.get(law, 0.0), value)
     return AxiomReport(tag=tag, trials=trials, seed=seed, law_residuals=worst)

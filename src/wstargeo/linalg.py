@@ -19,6 +19,14 @@ Each call requests LAPACK's optimal workspace, as NumPy does, so the results
 equal ``numpy.linalg.svd``, ``eigh``, ``eigvalsh`` and ``qr`` bit for bit
 where NumPy and SciPy link the same LAPACK kernels.  A driver that reports
 failure (``info != 0``, including NaN input) raises :class:`NoConvergence`.
+
+The kernels check shape and LAPACK status only.  A function whose domain
+needs Hermitian, positive or member input checks its own arguments, once,
+where they enter: the functional calculus on positive matrices
+(:func:`support_projection`, :func:`matrix_sqrt`, :func:`restricted_power`,
+:func:`matrix_log_restricted`, :func:`matrix_imaginary_power`) checks
+through :func:`check_hermitian`, and matrices the code builds Hermitian go
+straight to :func:`hermitian_eig`.
 """
 from __future__ import annotations
 
@@ -209,15 +217,15 @@ def _heevd(h: np.ndarray, compute_v: int) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def hermitian_eig(
-    h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and a unitary of eigenvectors of a Hermitian matrix.
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and a unitary of eigenvectors of a Hermitian
+    matrix read from its lower triangle; always the complex driver.
 
     Returns ``(w, v)`` with ``h = v @ diag(w) @ v*`` and ``w`` sorted in
-    descending order; column ``v[:, i]`` belongs to ``w[i]``.
+    descending order; column ``v[:, i]`` belongs to ``w[i]``.  No Hermitian
+    check: a caller whose input may not be Hermitian checks it first.
     """
-    w, v = _heevd(check_hermitian(h, tol), 1)
+    w, v = _heevd(as_square(h), 1)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
@@ -355,8 +363,9 @@ def _positive_eig(
     h: np.ndarray, tol: ToleranceProfile
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigen-data of a positive semidefinite matrix: descending eigenvalues
-    (clipped at zero), eigenvectors, and the pre-clip minimum."""
-    w, v = hermitian_eig(h, tol)
+    (clipped at zero), eigenvectors, and the pre-clip minimum.  Raises
+    :class:`NotHermitian` or :class:`NotPositive` on input outside the domain."""
+    w, v = hermitian_eig(check_hermitian(h, tol))
     wmin = float(w[-1]) if w.size else 0.0
     scale = float(w[0]) if w.size else 0.0
     if wmin < -tol.residual_tol * max(1.0, scale):

@@ -14,8 +14,6 @@ import numpy as np
 from .algebra import BlockAlgebra, NormalFunctional
 from .errors import NotInDomain, NotInOverlap, NotPartiallyInvertible
 from .linalg import (
-    DEFAULT_TOL,
-    ToleranceProfile,
     antiherm,
     herm,
     hermitian_eig,
@@ -95,8 +93,6 @@ def random_projection(
             int(rng.integers(0 if allow_zero else 1, b + (1 if allow_full else 0)))
             for b in algebra.blocks
         )
-        if not allow_zero and sum(ranks) == 0:  # pragma: no cover - guarded above
-            ranks = tuple(max(r, 1) for r in ranks)
         if sum(ranks) == 0:
             # keep at least one nonzero block so the projection is not trivial
             ranks = list(ranks)
@@ -127,15 +123,14 @@ def partial_isometry_onto(
     rng: np.random.Generator,
     source: np.ndarray,
     target: np.ndarray,
-    tol: ToleranceProfile = DEFAULT_TOL,
 ) -> np.ndarray:
     """Partial isometry ``u`` with ``u* u = source`` and ``u u* = target``
     (blockwise equal ranks assumed), randomized by a corner unitary."""
     mats = []
     for bs, bt in zip(algebra.block_views(source), algebra.block_views(target)):
         r = projection_rank(bs)
-        _, vs = hermitian_eig(bs, tol)
-        _, vt = hermitian_eig(bt, tol)
+        _, vs = hermitian_eig(bs)
+        _, vt = hermitian_eig(bt)
         if r == 0:
             mats.append(np.zeros_like(bs))
             continue
@@ -150,7 +145,6 @@ def corner_positive(
     p: np.ndarray,
     eig_low: float = 0.5,
     eig_high: float = 2.0,
-    tol: ToleranceProfile = DEFAULT_TOL,
 ) -> np.ndarray:
     """Positive element supported exactly on the projection ``p``, with
     eigenvalues in ``[eig_low, eig_high]`` on the support."""
@@ -161,7 +155,7 @@ def corner_positive(
         if r == 0:
             mats.append(np.zeros((n, n), dtype=complex))
             continue
-        _, v = hermitian_eig(bp, tol)
+        _, v = hermitian_eig(bp)
         q = haar_unitary(rng, r)
         vals = rng.uniform(eig_low, eig_high, r)
         core = (q * vals) @ q.conj().T
@@ -201,14 +195,13 @@ def random_density(
     support: np.ndarray | None = None,
     normalize: bool = True,
     repeat_chance: float = 0.0,
-    tol: ToleranceProfile = DEFAULT_TOL,
 ) -> NormalFunctional:
     """Positive functional with prescribed support (faithful by default) and
     eigenvalues well separated from the rank cutoff."""
     if support is None:
         d = random_positive(algebra, rng, repeat_chance=repeat_chance)
     else:
-        d = corner_positive(algebra, rng, support, tol=tol)
+        d = corner_positive(algebra, rng, support)
     if normalize:
         d = d / float(np.trace(d).real)
     return NormalFunctional(algebra, d)

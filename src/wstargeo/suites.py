@@ -212,7 +212,7 @@ def _row_axioms_standard(ctx: RowCtx, rng):
     """Groupoid laws for the standard-form groupoid, plus the polar data of
     its arrows."""
     prof = ctx.profile
-    chain = _retry(lambda: composable_chain("standard", ctx.algebra, rng, 3, prof))
+    chain = _retry(lambda: composable_chain("standard", ctx.algebra, rng, 3))
     yield from chain_law_residuals("standard", chain, prof, ctx.repair).values()
     # Polar data of an arrow gamma = u m: gamma = (u m u*) u relates the
     # left and right moduli through the isometry leg.
@@ -226,17 +226,16 @@ def _row_isomorphisms(ctx: RowCtx, rng):
     """The three structure-preserving maps between the arrow pictures, on
     composable random pairs."""
     alg, prof = ctx.algebra, ctx.profile
-    a, b = _retry(lambda: composable_chain("coadjoint", alg, rng, 2, prof))
+    a, b = _retry(lambda: composable_chain("coadjoint", alg, rng, 2))
     yield xi_intertwining_residual((a, b), prof)
     yield phi_intertwining_residual(alg, a, b, prof)
 
     def draw_pair():
         p0 = sampling.random_projection(alg, rng, allow_zero=False)
-        rho0 = sampling.random_density(alg, rng, support=p0, tol=prof)
+        rho0 = sampling.random_density(alg, rng, support=p0)
         iso = [
             sampling.partial_isometry_onto(
-                alg, rng, p0, sampling.equivalent_projection(alg, rng, p0),
-                prof,
+                alg, rng, p0, sampling.equivalent_projection(alg, rng, p0)
             )
             for _ in range(3)
         ]
@@ -276,10 +275,10 @@ def _row_equivalence_agreement(ctx: RowCtx) -> float:
         # Pushing a positive functional along an arrow preserves its orbit
         # invariants and maps supports to equivalent supports.
         rho_supp = sampling.random_projection(alg, rng, allow_zero=False)
-        rho = sampling.random_density(alg, rng, support=rho_supp, tol=prof)
+        rho = sampling.random_density(alg, rng, support=rho_supp)
         target = sampling.equivalent_projection(alg, rng, rho_supp)
         u = _retry(
-            lambda: sampling.partial_isometry_onto(alg, rng, rho_supp, target, prof)
+            lambda: sampling.partial_isometry_onto(alg, rng, rho_supp, target)
         )
         pushed = coadjoint_apply(u, rho, prof)
         if not orbit_equivalent(rho, pushed, prof):
@@ -315,7 +314,7 @@ def _row_witnesses(ctx: RowCtx, rng):
     yield frobenius(w.conj().T @ w - p)
     yield frobenius(w @ w.conj().T - q)
 
-    phi1 = sampling.random_density(alg, rng, tol=prof)
+    phi1 = sampling.random_density(alg, rng)
     uu = sampling.random_unitary(alg, rng)
     phi2 = NormalFunctional(alg, uu @ phi1.density @ uu.conj().T)
     v = unitary_witness(phi1, phi2, prof)
@@ -324,9 +323,9 @@ def _row_witnesses(ctx: RowCtx, rng):
 
     def draw_transport():
         qs = sampling.projection_chain(alg, rng, 2, allow_zero=False)
-        h = sampling.corner_positive(alg, rng, qs[2], tol=prof)
-        u1 = sampling.partial_isometry_onto(alg, rng, qs[2], qs[1], prof)
-        w0 = sampling.partial_isometry_onto(alg, rng, qs[1], qs[0], prof)
+        h = sampling.corner_positive(alg, rng, qs[2])
+        u1 = sampling.partial_isometry_onto(alg, rng, qs[2], qs[1])
+        w0 = sampling.partial_isometry_onto(alg, rng, qs[1], qs[0])
         return u1 @ h, w0
 
     g1, w0 = _retry(draw_transport)
@@ -371,8 +370,8 @@ def _row_charts_round_trip(ctx: RowCtx, rng):
         if not (chart_domain_member(p_, l, prof)
                 and chart_domain_member(pt, r, prof)):
             raise NotInDomain("redraw")
-        wiso = sampling.partial_isometry_onto(alg, rng, r, l, prof)
-        h = sampling.corner_positive(alg, rng, r, tol=prof)
+        wiso = sampling.partial_isometry_onto(alg, rng, r, l)
+        h = sampling.corner_positive(alg, rng, r)
         return p_, pt, l, r, wiso, h
 
     p_, pt, l, r, wiso, h = _retry(draw_g)
@@ -437,7 +436,7 @@ def _row_charts_theta(ctx: RowCtx, rng):
         p0, q, p = ps
         if not chart_domain_member(p, q, prof):
             raise NotInDomain("redraw")
-        u = sampling.partial_isometry_onto(alg, rng, p0, q, prof)
+        u = sampling.partial_isometry_onto(alg, rng, p0, q)
         return p0, q, p, u
 
     p0, q, p, u = _retry(draw)
@@ -458,9 +457,9 @@ def _row_charts_connection(ctx: RowCtx, rng):
 
     def draw():
         p0 = sampling.random_projection(alg, rng, allow_zero=False)
-        rho0 = sampling.random_density(alg, rng, support=p0, tol=prof)
+        rho0 = sampling.random_density(alg, rng, support=p0)
         q = sampling.equivalent_projection(alg, rng, p0)
-        u = sampling.partial_isometry_onto(alg, rng, p0, q, prof)
+        u = sampling.partial_isometry_onto(alg, rng, p0, q)
         return p0, rho0, u
 
     p0, rho0, u = _retry(draw)
@@ -507,8 +506,8 @@ def _row_vertical(ctx: RowCtx, rng):
     def draw():
         q = sampling.random_projection(alg, rng, allow_zero=False)
         target = sampling.equivalent_projection(alg, rng, q)
-        u = sampling.partial_isometry_onto(alg, rng, q, target, prof)
-        xi = sampling.corner_positive(alg, rng, q, tol=prof)
+        u = sampling.partial_isometry_onto(alg, rng, q, target)
+        xi = sampling.corner_positive(alg, rng, q)
         return q, u, xi
 
     q, u, xi = _retry(draw)
@@ -549,7 +548,7 @@ def _row_exactness_order(ctx: RowCtx) -> float:
 
 
 def _draw_dual_pair_point(ctx: RowCtx, k: int) -> np.ndarray:
-    alg, prof = ctx.algebra, ctx.profile
+    alg = ctx.algebra
     rng = ctx.rng(k)
     if k % 2 == 0:
         return sampling.random_element(alg, rng)
@@ -557,8 +556,8 @@ def _draw_dual_pair_point(ctx: RowCtx, k: int) -> np.ndarray:
     def draw():
         q = sampling.random_projection(alg, rng, allow_zero=False)
         target = sampling.equivalent_projection(alg, rng, q)
-        u = sampling.partial_isometry_onto(alg, rng, q, target, prof)
-        return u @ sampling.corner_positive(alg, rng, q, tol=prof)
+        u = sampling.partial_isometry_onto(alg, rng, q, target)
+        return u @ sampling.corner_positive(alg, rng, q)
 
     return _retry(draw)
 
@@ -598,7 +597,7 @@ def _row_poisson_quadratic(ctx: RowCtx, rng):
 def _row_poisson_jacobi(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
     (x, y, z), _ = _observable_triple(alg, rng, prof)
-    phi = sampling.random_density(alg, rng, tol=prof)
+    phi = sampling.random_density(alg, rng)
     yield jacobi_residual(x, y, z, phi, prof)
     yield linear_closure_residual(x, y, phi, prof)
 
@@ -607,7 +606,7 @@ def _row_poisson_jacobi(ctx: RowCtx, rng):
 def _row_poisson_leibniz(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
     _, (f, g_fd, h) = _observable_triple(alg, rng, prof)
-    phi = sampling.random_density(alg, rng, tol=prof)
+    phi = sampling.random_density(alg, rng)
     yield leibniz_residual(f, g_fd, h, phi, prof)
 
 
@@ -615,7 +614,7 @@ def _row_poisson_leibniz(ctx: RowCtx, rng):
 def _row_poisson_field_morphism(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
     (x, y, z), (f, _, h) = _observable_triple(alg, rng, prof)
-    phi = sampling.random_density(alg, rng, tol=prof)
+    phi = sampling.random_density(alg, rng)
     yield field_morphism_residual(x, y, phi, prof)
     yield field_duality_residual(f, h, phi, prof)
 
@@ -634,16 +633,16 @@ def _row_poisson_commutant(ctx: RowCtx, rng):
 # ---------------------------------------------------------------------------
 
 
-def _draw_bundle_point(alg, rng, prof, repeat_chance: float = 0.0):
+def _draw_bundle_point(alg, rng, repeat_chance: float = 0.0):
     def draw():
         p0 = sampling.random_projection(alg, rng, allow_zero=False)
-        d = sampling.corner_positive(alg, rng, p0, tol=prof)
+        d = sampling.corner_positive(alg, rng, p0)
         if repeat_chance > 0.0 and rng.uniform() < repeat_chance:
             # Collapse the corner spectrum to create a nontrivial stabilizer.
-            d = sampling.corner_positive(alg, rng, p0, 1.0, 1.0, tol=prof)
+            d = sampling.corner_positive(alg, rng, p0, 1.0, 1.0)
         rho0 = NormalFunctional(alg, d / float(np.trace(d).real))
         q = sampling.equivalent_projection(alg, rng, p0)
-        u = sampling.partial_isometry_onto(alg, rng, p0, q, prof)
+        u = sampling.partial_isometry_onto(alg, rng, p0, q)
         return p0, rho0, u
 
     return _retry(draw)
@@ -652,14 +651,14 @@ def _draw_bundle_point(alg, rng, prof, repeat_chance: float = 0.0):
 @_per_trial
 def _row_degeneracy_invariance(ctx: RowCtx, rng):
     prof = ctx.profile
-    _, rho0, u = _draw_bundle_point(ctx.algebra, rng, prof, repeat_chance=0.5)
+    _, rho0, u = _draw_bundle_point(ctx.algebra, rng, repeat_chance=0.5)
     yield orbit_form_invariance_residual(rho0, u, rng, prof)
 
 
 @_per_trial
 def _row_degeneracy_fd(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    p0, rho0, u = _draw_bundle_point(alg, rng, prof)
+    p0, rho0, u = _draw_bundle_point(alg, rng)
     a = sampling.unit_norm(sampling.random_antihermitian(alg, rng))
     b = sampling.unit_norm(sampling.corner_antihermitian(alg, rng, p0))
     val_fd = fd_surface_dGamma0(rho0, u, a, b, 1e-4, prof)
@@ -671,10 +670,10 @@ def _degeneracy_reports(ctx: RowCtx):
     alg, prof = ctx.algebra, ctx.profile
     for k in range(ctx.trials):
         rng = ctx.rng(k)
-        p0, rho0, u = _draw_bundle_point(alg, rng, prof, repeat_chance=0.5)
+        p0, rho0, u = _draw_bundle_point(alg, rng, repeat_chance=0.5)
         target = sampling.equivalent_projection(alg, rng, p0)
         v = _retry(
-            lambda: sampling.partial_isometry_onto(alg, rng, p0, target, prof)
+            lambda: sampling.partial_isometry_onto(alg, rng, p0, target)
         )
         yield degeneracy_kernel_check(rho0, u, v, prof)
 
@@ -693,7 +692,7 @@ def _inverse_gap(report) -> float:
 def _row_kks_identity(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
     support = sampling.random_projection(alg, rng, allow_zero=False)
-    rho0 = sampling.random_density(alg, rng, support=support, tol=prof)
+    rho0 = sampling.random_density(alg, rng, support=support)
     a1 = sampling.random_antihermitian(alg, rng)
     a2 = sampling.random_antihermitian(alg, rng)
     yield kks_check(rho0, a1, a2, prof).residual
@@ -765,7 +764,7 @@ def _row_flow_orbit_form(ctx: RowCtx, rng):
     """The orbit two-form is invariant under the flow of any faithful
     extension of the base density (the flow restricts to the bundle)."""
     alg, prof = ctx.algebra, ctx.profile
-    p0, rho0, u = _draw_bundle_point(alg, rng, prof)
+    p0, rho0, u = _draw_bundle_point(alg, rng)
     du1 = sampling.p0_tangent(alg, rng, u, p0)
     du2 = sampling.p0_tangent(alg, rng, u, p0)
     c = float(rng.uniform(0.5, 2.0))

@@ -285,7 +285,7 @@ def test_criterion_11_orbit_structure():
             target = sampling.equivalent_projection(algebra, rng, support)
             u = sampling.sample_with_retry(
                 lambda: sampling.partial_isometry_onto(
-                    algebra, rng, support, target, DEFAULT_TOL
+                    algebra, rng, support, target
                 )
             )
             phi2 = coadjoint_apply(u, phi1, DEFAULT_TOL)

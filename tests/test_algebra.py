@@ -17,11 +17,12 @@ from wstargeo.algebra import (
     mvn_witness,
     orbit_equivalent,
     orbit_invariant,
+    require_positive,
     stabilizer_lie_algebra,
     unitary_equivalent,
     unitary_witness,
 )
-from wstargeo.errors import AlgebraMismatch, InvalidArrow, NotFaithful
+from wstargeo.errors import AlgebraMismatch, InvalidArrow, NotFaithful, NotPositive
 from wstargeo.linalg import DEFAULT_TOL, frobenius
 from wstargeo import sampling
 
@@ -84,6 +85,13 @@ class TestBlockAlgebra:
 
     def test_from_string(self):
         assert BlockAlgebra.from_string("2,3").blocks == (2, 3)
+
+
+class TestRequirePositive:
+    def test_rejects_non_hermitian_member(self):
+        d = M23.embed_blocks([np.eye(2) + E12, np.eye(3)])
+        with pytest.raises(NotPositive):
+            require_positive(NormalFunctional(M23, d))
 
 
 class TestFunctionalPolar:
@@ -185,7 +193,7 @@ class TestEquivalence:
     def test_orbit_equivalence_and_witness(self):
         rng = _rng(5)
         for _ in range(100):
-            phi = sampling.random_density(M23, rng, tol=DEFAULT_TOL)
+            phi = sampling.random_density(M23, rng)
             u = sampling.random_unitary(M23, rng)
             psi = NormalFunctional(M23, u @ phi.density @ u.conj().T)
             assert orbit_equivalent(phi, psi, DEFAULT_TOL)
@@ -211,13 +219,18 @@ class TestCoadjoint:
         with pytest.raises(InvalidArrow):
             coadjoint_apply(E12, phi, DEFAULT_TOL)  # u*u = diag(0,1) != supp
 
+    def test_functional_checked_before_arrow(self):
+        bad = NormalFunctional(M2, np.diag([-1.0, 1.0]).astype(complex))
+        with pytest.raises(NotPositive):
+            coadjoint_apply(np.ones((3, 3)), bad, DEFAULT_TOL)
+
     def test_preserves_orbit(self):
         rng = _rng(6)
         for _ in range(50):
             p = sampling.random_projection(M23, rng, allow_zero=False)
-            phi = sampling.random_density(M23, rng, support=p, tol=DEFAULT_TOL)
+            phi = sampling.random_density(M23, rng, support=p)
             q = sampling.equivalent_projection(M23, rng, p)
-            u = sampling.partial_isometry_onto(M23, rng, p, q, DEFAULT_TOL)
+            u = sampling.partial_isometry_onto(M23, rng, p, q)
             pushed = coadjoint_apply(u, phi, DEFAULT_TOL)
             assert orbit_equivalent(phi, pushed, DEFAULT_TOL)
 

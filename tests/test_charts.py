@@ -171,7 +171,7 @@ class TestGroupoidCharts:
         l = draw_in_chart(algebra, rng, p)
         r = draw_in_chart(algebra, rng, pt)
         # ranks of l and r must agree blockwise for a partial isometry l <- r
-        w = partial_isometry_onto(algebra, rng, r, l, DEFAULT_TOL)
+        w = partial_isometry_onto(algebra, rng, r, l)
         x = w @ corner_positive(algebra, rng, r)
         return p, pt, x
 
@@ -186,7 +186,7 @@ class TestGroupoidCharts:
             if not chart_domain_member(pt, l, DEFAULT_TOL):
                 continue
             r = draw_in_chart(algebra, rng, pt)
-            w = partial_isometry_onto(algebra, rng, r, l, DEFAULT_TOL)
+            w = partial_isometry_onto(algebra, rng, r, l)
             x = w @ corner_positive(algebra, rng, r)
             try:
                 coords = chart_G(p, pt, x, DEFAULT_TOL)
@@ -210,7 +210,7 @@ class TestGroupoidCharts:
             pt = draw_in_chart(M2, rng, p)
             l = draw_in_chart(M2, rng, p)
             r = draw_in_chart(M2, rng, pt)
-            w = partial_isometry_onto(M2, rng, r, l, DEFAULT_TOL)
+            w = partial_isometry_onto(M2, rng, r, l)
             try:
                 _, m, _ = chart_Theta(p, pt, w, DEFAULT_TOL)
             except NotPartiallyInvertible:
@@ -255,7 +255,7 @@ class TestBundleChart:
             algebra = M2 if trial % 2 == 0 else M23
             p0 = random_projection(algebra, rng, allow_zero=False)
             q = draw_in_chart(algebra, rng, p0)
-            u = partial_isometry_onto(algebra, rng, p0, q, DEFAULT_TOL)
+            u = partial_isometry_onto(algebra, rng, p0, q)
             p = draw_in_chart(algebra, rng, q)
             if not chart_domain_member(p, q, DEFAULT_TOL):
                 continue
@@ -293,7 +293,7 @@ class TestConnection:
             algebra = M2 if trial % 2 == 0 else M23
             p0 = random_projection(algebra, rng, allow_zero=False)
             u = partial_isometry_onto(
-                algebra, rng, p0, equivalent_projection(algebra, rng, p0), DEFAULT_TOL
+                algebra, rng, p0, equivalent_projection(algebra, rng, p0)
             )
             du = p0_tangent(algebra, rng, u, p0)
             require_tangent(u, du, p0, DEFAULT_TOL)
@@ -319,7 +319,7 @@ class TestConnection:
             rng = rng_for(19, trial)
             p0 = random_projection(M23, rng, allow_zero=False)
             u = partial_isometry_onto(
-                M23, rng, p0, equivalent_projection(M23, rng, p0), DEFAULT_TOL
+                M23, rng, p0, equivalent_projection(M23, rng, p0)
             )
             du1 = p0_tangent(M23, rng, u, p0)
             du2 = p0_tangent(M23, rng, u, p0)
@@ -351,7 +351,7 @@ class TestOrbitOneForm:
             d0 = corner_positive(algebra, rng, p0)
             rho0 = NormalFunctional(algebra, d0)
             u = partial_isometry_onto(
-                algebra, rng, p0, equivalent_projection(algebra, rng, p0), DEFAULT_TOL
+                algebra, rng, p0, equivalent_projection(algebra, rng, p0)
             )
             a = random_antihermitian(algebra, rng)
             b_raw = random_antihermitian(algebra, rng)
@@ -364,7 +364,7 @@ class TestOrbitOneForm:
         rng = rng_for(21)
         p0 = random_projection(M2, rng, ranks=(1,))
         rho0 = NormalFunctional(M2, corner_positive(M2, rng, p0))
-        u = partial_isometry_onto(M2, rng, p0, equivalent_projection(M2, rng, p0), DEFAULT_TOL)
+        u = partial_isometry_onto(M2, rng, p0, equivalent_projection(M2, rng, p0))
         a = random_antihermitian(M2, rng)
         b = p0 @ random_antihermitian(M2, rng) @ p0
         exact = dGamma0(rho0, u, a @ u, u @ b, DEFAULT_TOL)

@@ -222,6 +222,13 @@ class TestOrbit:
         assert main(["orbit", f]) == 2
         assert "domain error" in capsys.readouterr().err
 
+    def test_non_hermitian_density(self, tmp_path, capsys):
+        d = np.eye(5, dtype=complex)
+        d[0, 1] = 1.0  # inside the first block, without its adjoint entry
+        f = write_algebra(tmp_path / "d.json", [2, 3], {"d": d})
+        assert main(["orbit", f]) == 2
+        assert "domain error" in capsys.readouterr().err
+
     def test_off_block_density(self, tmp_path, capsys):
         d = np.zeros((5, 5), dtype=complex)
         d[0, 3] = d[3, 0] = 1.0  # couples the two blocks

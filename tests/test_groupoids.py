@@ -79,8 +79,8 @@ class TestPartiallyInvertibleGroupoid:
         for _ in range(100):
             q = sampling.random_projection(M23, rng, allow_zero=False)
             t = sampling.equivalent_projection(M23, rng, q)
-            u = sampling.partial_isometry_onto(M23, rng, q, t, DEFAULT_TOL)
-            h = sampling.corner_positive(M23, rng, q, tol=DEFAULT_TOL)
+            u = sampling.partial_isometry_onto(M23, rng, q, t)
+            h = sampling.corner_positive(M23, rng, q)
             x = u @ h
             inv = g_inverse(x, DEFAULT_TOL)
             # iota(x) = h^{-1} u* for x = u h.
@@ -94,8 +94,8 @@ class TestPartiallyInvertibleGroupoid:
         for _ in range(50):
             q = sampling.random_projection(M23, rng, allow_zero=False)
             t = sampling.equivalent_projection(M23, rng, q)
-            u = sampling.partial_isometry_onto(M23, rng, q, t, DEFAULT_TOL)
-            x = u @ sampling.corner_positive(M23, rng, q, tol=DEFAULT_TOL)
+            u = sampling.partial_isometry_onto(M23, rng, q, t)
+            x = u @ sampling.corner_positive(M23, rng, q)
             assert frobenius(jay(x, DEFAULT_TOL)
                              - g_inverse(x, DEFAULT_TOL).conj().T) <= 1e-9
 
@@ -193,7 +193,7 @@ class TestAxiomChecker:
         rng = _rng(3)
         for tag in sorted(GROUPOIDS):
             ops = GROUPOIDS[tag]
-            chain = composable_chain(tag, M23, rng, 3, DEFAULT_TOL)
+            chain = composable_chain(tag, M23, rng, 3)
             for a, b in zip(chain, chain[1:]):
                 ops.compose(a, b, DEFAULT_TOL, False)  # must not raise
 
@@ -211,7 +211,7 @@ class TestXi:
     def test_intertwining_random(self):
         rng = _rng(4)
         for _ in range(50):
-            pair = composable_chain("coadjoint", M23, rng, 2, DEFAULT_TOL)
+            pair = composable_chain("coadjoint", M23, rng, 2)
             assert xi_intertwining_residual(tuple(pair), DEFAULT_TOL) <= 1e-10
 
 
@@ -232,11 +232,11 @@ class TestPsi:
         rng = _rng(5)
         for _ in range(50):
             p0 = sampling.random_projection(M23, rng, allow_zero=False)
-            rho0 = sampling.random_density(M23, rng, support=p0, tol=DEFAULT_TOL)
+            rho0 = sampling.random_density(M23, rng, support=p0)
             u, v, w = (
                 sampling.partial_isometry_onto(
                     M23, rng, p0,
-                    sampling.equivalent_projection(M23, rng, p0), DEFAULT_TOL
+                    sampling.equivalent_projection(M23, rng, p0)
                 )
                 for _ in range(3)
             )
@@ -249,8 +249,8 @@ class TestPolarComponentsRelation:
         for _ in range(100):
             q = sampling.random_projection(M23, rng, allow_zero=False)
             t = sampling.equivalent_projection(M23, rng, q)
-            u = sampling.partial_isometry_onto(M23, rng, q, t, DEFAULT_TOL)
-            h = sampling.corner_positive(M23, rng, q, tol=DEFAULT_TOL)
+            u = sampling.partial_isometry_onto(M23, rng, q, t)
+            h = sampling.corner_positive(M23, rng, q)
             gamma = u @ h
             uu, hh = polar_decompose(gamma, DEFAULT_TOL)
             assert frobenius(gamma - (uu @ hh @ uu.conj().T) @ uu) <= 1e-10

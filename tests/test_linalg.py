@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from wstargeo import sampling
-from wstargeo.errors import NoConvergence, NotPartiallyInvertible, NotPositive
+from wstargeo.errors import (
+    NoConvergence,
+    NotHermitian,
+    NotPartiallyInvertible,
+    NotPositive,
+)
+from wstargeo.poisson import Observable
 from wstargeo.linalg import (
     DEFAULT_TOL,
     GUARD_FACTOR,
@@ -333,3 +339,78 @@ class TestOneFactorizationLayer:
             if (calls := _factorization_calls(p.read_text(encoding="utf-8")))
         }
         assert found == {}
+
+
+#: The functions that call ``check_hermitian``: the functional calculus on
+#: positive matrices, and the observables that take a caller's matrix.  Every
+#: other matrix reaching a Hermitian kernel is Hermitian by construction.
+HERMITIAN_CHECK_SITES = {
+    "linalg._positive_eig",
+    "poisson.Observable.linear",
+    "poisson.Observable.quadratic",
+    "poisson.Observable.differential_at",
+    "poisson.HilbertObservable.quadratic",
+}
+
+
+def _hermitian_check_sites(source: str, module: str) -> set[str]:
+    """Qualified names of the functions in ``source`` that call
+    ``check_hermitian`` (by name or as an attribute); a call outside any
+    function counts as the module's."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and "check_hermitian" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                found.add(".".join([module] + scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+class TestHermitianCheckedOnce:
+    """Hermitian input is checked once, where it enters: the kernels check
+    shape and LAPACK status only."""
+
+    def test_scanner_finds_check_sites(self):
+        source = (
+            "x = check_hermitian(a)\n"
+            "def f(h):\n"
+            "    return g(linalg.check_hermitian(h, tol))\n"
+            "def g(h):\n"
+            "    return hermitian_eig(h)\n"
+            "class C:\n"
+            "    @classmethod\n"
+            "    def make(cls, x):\n"
+            "        return cls(lambda: check_hermitian(x))\n"
+        )
+        assert _hermitian_check_sites(source, "m") == {"m", "m.f", "m.C.make"}
+
+    def test_check_sites(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "wstargeo"
+        found = set()
+        for p in sorted(src.glob("*.py")):
+            found |= _hermitian_check_sites(p.read_text(encoding="utf-8"), p.stem)
+        assert found == HERMITIAN_CHECK_SITES
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            matrix_sqrt,
+            support_projection,
+            lambda h: restricted_power(h, 0.5),
+            lambda h: matrix_imaginary_power(h, 0.7),
+            Observable.linear,
+        ],
+        ids=["matrix_sqrt", "support_projection", "restricted_power",
+             "matrix_imaginary_power", "Observable.linear"],
+    )
+    def test_entry_points_reject_non_hermitian(self, fn):
+        with pytest.raises(NotHermitian):
+            fn(np.eye(2, dtype=complex) + E12)

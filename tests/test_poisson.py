@@ -217,7 +217,7 @@ class TestComposableFamily:
             rng = rng_for(50, trial)
             q = random_projection(M23, rng, allow_zero=False)
             u = partial_isometry_onto(
-                M23, rng, q, equivalent_projection(M23, rng, q), DEFAULT_TOL
+                M23, rng, q, equivalent_projection(M23, rng, q)
             )
             xi = corner_positive(M23, rng, q)
             from wstargeo.sampling import corner_antihermitian
@@ -358,8 +358,8 @@ def _pairwise_degeneracy(rho0, u, v):
     """Kernel dimension, radical pairing and smallest complement singular
     value of the arrow two-form, filled in one dGamma0 call per basis pair."""
     p0 = functional_support(rho0, DEFAULT_TOL)
-    basis_u = _bundle_tangent_basis(rho0.algebra, u, p0, DEFAULT_TOL)
-    basis_v = _bundle_tangent_basis(rho0.algebra, v, p0, DEFAULT_TOL)
+    basis_u = _bundle_tangent_basis(rho0.algebra, u, p0)
+    basis_v = _bundle_tangent_basis(rho0.algebra, v, p0)
     m, k = len(basis_u), len(basis_v)
     pairing = np.zeros((m + k, m + k))
     for i in range(m):
@@ -384,8 +384,8 @@ class TestDegeneracy:
         rng = rng_for(57)
         rho0 = PHI10
         p0 = np.diag([1.0, 0.0]).astype(complex)
-        u = partial_isometry_onto(M2, rng, p0, equivalent_projection(M2, rng, p0), DEFAULT_TOL)
-        v = partial_isometry_onto(M2, rng, p0, equivalent_projection(M2, rng, p0), DEFAULT_TOL)
+        u = partial_isometry_onto(M2, rng, p0, equivalent_projection(M2, rng, p0))
+        v = partial_isometry_onto(M2, rng, p0, equivalent_projection(M2, rng, p0))
         report = degeneracy_kernel_check(rho0, u, v, DEFAULT_TOL)
         # stabilizer of a rank-one corner is one-dimensional; two legs
         assert report.expected_kernel_dimension == 2
@@ -428,7 +428,7 @@ class TestDegeneracy:
         rho0 = NormalFunctional(algebra, d / np.trace(d).real)
         u, v = (
             partial_isometry_onto(
-                algebra, rng, p0, equivalent_projection(algebra, rng, p0), DEFAULT_TOL
+                algebra, rng, p0, equivalent_projection(algebra, rng, p0)
             )
             for _ in range(2)
         )
@@ -455,6 +455,6 @@ class TestDegeneracy:
 
             p0 = functional_support(rho0, DEFAULT_TOL)
             u = partial_isometry_onto(
-                algebra, rng, p0, equivalent_projection(algebra, rng, p0), DEFAULT_TOL
+                algebra, rng, p0, equivalent_projection(algebra, rng, p0)
             )
             assert orbit_form_invariance_residual(rho0, u, rng, DEFAULT_TOL) <= 1e-10

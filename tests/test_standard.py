@@ -68,11 +68,11 @@ def composable_coadjoint_pair(algebra, rng):
     q2 = random_projection(algebra, rng, allow_zero=False)
     d2 = corner_positive(algebra, rng, q2)
     q1 = equivalent_projection(algebra, rng, q2)
-    u2 = partial_isometry_onto(algebra, rng, q2, q1, DEFAULT_TOL)
+    u2 = partial_isometry_onto(algebra, rng, q2, q1)
     rho2 = NormalFunctional(algebra, d2)
     rho1 = NormalFunctional(algebra, u2 @ d2 @ u2.conj().T)
     q0 = equivalent_projection(algebra, rng, q1)
-    u1 = partial_isometry_onto(algebra, rng, q1, q0, DEFAULT_TOL)
+    u1 = partial_isometry_onto(algebra, rng, q1, q0)
     return CoadjointArrow(u1, rho1), CoadjointArrow(u2, rho2)
 
 
@@ -151,7 +151,7 @@ class TestStandardGroupoid:
             rng = rng_for(32, trial)
             q1 = random_projection(M23, rng, allow_zero=False)
             q0 = equivalent_projection(M23, rng, q1)
-            u = partial_isometry_onto(M23, rng, q1, q0, DEFAULT_TOL)
+            u = partial_isometry_onto(M23, rng, q1, q0)
             h = corner_positive(M23, rng, q1)
             g = u @ h
             left_unit = std_unit(std_target(M23, g, DEFAULT_TOL), DEFAULT_TOL)
@@ -209,10 +209,10 @@ class TestActions:
             rng = rng_for(34, trial)
             q1 = random_projection(M23, rng, allow_zero=False)
             q0 = equivalent_projection(M23, rng, q1)
-            u = partial_isometry_onto(M23, rng, q1, q0, DEFAULT_TOL)
+            u = partial_isometry_onto(M23, rng, q1, q0)
             g1 = u @ corner_positive(M23, rng, q1)
             v = partial_isometry_onto(
-                M23, rng, q0, equivalent_projection(M23, rng, q0), DEFAULT_TOL
+                M23, rng, q0, equivalent_projection(M23, rng, q0)
             )
             g2 = v @ g1
             w = transport_witness(g1, g2, DEFAULT_TOL)
@@ -249,7 +249,7 @@ class TestDualPair:
         rng = rng_for(35)
         q = random_projection(M23, rng, allow_zero=False)
         g = partial_isometry_onto(
-            M23, rng, q, equivalent_projection(M23, rng, q), DEFAULT_TOL
+            M23, rng, q, equivalent_projection(M23, rng, q)
         ) @ corner_positive(M23, rng, q)
         mu = momentum_mu(g, DEFAULT_TOL)
         for delta in fiber_kernel_E(M23, g, DEFAULT_TOL):
@@ -266,7 +266,7 @@ class TestDualPair:
             else:
                 q = random_projection(algebra, rng, allow_zero=False)
                 g = partial_isometry_onto(
-                    algebra, rng, q, equivalent_projection(algebra, rng, q), DEFAULT_TOL
+                    algebra, rng, q, equivalent_projection(algebra, rng, q)
                 ) @ corner_positive(algebra, rng, q)
             report = dual_pair_orthogonality_check(algebra, g, DEFAULT_TOL)
             ker_e = fiber_kernel_E(algebra, g, DEFAULT_TOL)

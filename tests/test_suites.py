@@ -166,7 +166,20 @@ class TestNonFiniteTrial:
         def poison(arrow):
             return dataclasses.replace(arrow, u=arrow.u * float("nan"))
 
-        _poison_one_call(monkeypatch, groupoids, "coadjoint_compose", poison)
+        # The coadjoint row composes through the same name first; count its
+        # calls so that the poisoned one is the isomorphisms row's third.
+        original, calls = groupoids.coadjoint_compose, []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(groupoids, "coadjoint_compose", counting)
+        groupoids.axiom_check("coadjoint", M2, 10, 0)
+        monkeypatch.setattr(groupoids, "coadjoint_compose", original)
+        _poison_one_call(
+            monkeypatch, groupoids, "coadjoint_compose", poison, at=len(calls) + 3
+        )
         rows = {r.suite: r for r in run_suite("groupoid-axioms", M2, 10, 0)}
         row = rows["groupoid-axioms/isomorphisms"]
         assert math.isnan(row.max_residual)
@@ -199,6 +212,16 @@ class TestPlantedFaults:
 
         monkeypatch.setattr(groupoids, "std_mul", std_mul)
         assert self._axiom_row("standard").status == "FAIL"
+
+    @pytest.mark.parametrize("tag", ["pi", "g", "predual", "coadjoint"])
+    def test_product_in_the_wrong_order(self, monkeypatch, tag):
+        compose = getattr(groupoids, f"{tag}_compose")
+
+        def swapped(a, b, tol=DEFAULT_TOL, repair=False):
+            return compose(b, a, tol, True)
+
+        monkeypatch.setattr(groupoids, f"{tag}_compose", swapped)
+        assert self._axiom_row(tag).status == "FAIL"
 
     def test_phi_without_square_root(self, monkeypatch):
         def iso_Phi(u, rho, tol=DEFAULT_TOL):
