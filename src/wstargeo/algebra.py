@@ -474,12 +474,11 @@ def modular_automorphism(
     """Modular flow ``x -> d^{it} x d^{-it}`` of a faithful positive
     functional."""
     require_positive(phi, tol)
-    d = herm(phi.density)
-    p0 = support_projection(d, tol)
-    if projection_rank(p0) != phi.algebra.dim:
+    u = matrix_imaginary_power(herm(phi.density), t, tol)
+    # u u* is the support projection of the density.
+    if projection_rank(u @ u.conj().T) != phi.algebra.dim:
         raise NotFaithful("density is not faithful; modular flow undefined")
     x = phi.algebra.require_member(x, tol)
-    u = matrix_imaginary_power(d, t, tol)
     return u @ x @ u.conj().T
 
 

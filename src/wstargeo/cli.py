@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .algebra import (
+    BlockAlgebra,
     NormalFunctional,
     block_ranks,
     functional_support,
@@ -120,14 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_blocks(text: str) -> tuple[int, ...]:
+def _algebra_option(text: str) -> BlockAlgebra:
     try:
-        blocks = tuple(int(part) for part in text.split(","))
+        return BlockAlgebra.from_string(text)
     except ValueError as exc:
-        raise UsageError(f"--algebra must be comma-separated integers, got {text!r}") from exc
-    if not blocks or any(b < 1 for b in blocks):
-        raise UsageError(f"--algebra block sizes must be positive, got {text!r}")
-    return blocks
+        raise UsageError(f"--algebra: {exc}") from exc
 
 
 def _pick_matrix(matrices: dict[str, np.ndarray], name: str | None, path: str) -> np.ndarray:
@@ -178,10 +176,7 @@ def cmd_polar(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    algebra_blocks = _parse_blocks(args.algebra)
-    from .algebra import BlockAlgebra
-
-    algebra = BlockAlgebra(algebra_blocks)
+    algebra = _algebra_option(args.algebra)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     rows = []
     for name in names:
@@ -226,7 +221,7 @@ def cmd_amplitude(args: argparse.Namespace) -> int:
 def cmd_orbit(args: argparse.Namespace) -> int:
     algebra, matrices = load_algebra_spec(args.file)
     if args.algebra is not None:
-        expected = _parse_blocks(args.algebra)
+        expected = _algebra_option(args.algebra).blocks
         if expected != algebra.blocks:
             raise UsageError(
                 f"--algebra {expected} does not match the file's blocks "

@@ -27,6 +27,7 @@ from . import sampling
 from .algebra import (
     BlockAlgebra,
     NormalFunctional,
+    block_ranks,
     orbit_invariant,
     require_positive,
 )
@@ -221,65 +222,44 @@ def transport_witness(
 # fibre kernels of the two expectations
 
 
-def _realified_kernel(
-    algebra: BlockAlgebra,
-    constraint: "callable",
-    support_side: "callable",
-    tol: ToleranceProfile,
-) -> list[np.ndarray]:
-    """Real basis of {delta : constraint(delta) = 0, support_side(delta) =
-    delta} inside the algebra, via the SVD nullspace of the realified
-    constraint over the coordinate units."""
-    units = algebra.coordinate_units()
-    directions = [c * e for e in units for c in (1.0, 1.0j)]
-    rows = []
-    for d in directions:
-        c1 = constraint(d)
-        c2 = support_side(d) - d
-        rows.append(
-            np.concatenate(
-                [c1.real.ravel(), c1.imag.ravel(), c2.real.ravel(), c2.imag.ravel()]
-            )
-        )
-    mat = np.array(rows).T  # columns indexed by real directions
-    if mat.shape[0] == 0:
-        return list(directions)
-    return list(np.tensordot(null_space_rows(mat, tol), np.array(directions), axes=1))
-
-
 def fiber_kernel_E(
     algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> list[np.ndarray]:
     """Real basis of the kernel of the differential of E at g: directions
     delta in the algebra with delta g* + g delta* = 0 and
-    supp(g g*) delta = delta.  Raises DegenerateBase at g = 0."""
+    supp(g g*) delta = delta.  Raises DegenerateBase at g = 0.
+
+    Both conditions act within each block, so each block's null space is
+    taken over its 2 n^2 realified matrix units, all evaluated at once."""
     g = np.asarray(g, dtype=complex)
     if frobenius(g) <= 1e-12:
         raise DegenerateBase("the expectation differential has no fibre at zero")
     mu = momentum_mu(g, tol)
-    return _realified_kernel(
-        algebra,
-        lambda d: d @ g.conj().T + g @ d.conj().T,
-        lambda d: mu @ d,
-        tol,
-    )
+    kernel: list[np.ndarray] = []
+    for s in algebra.slices:
+        n, gb = s.stop - s.start, g[s, s]
+        units = np.eye(n * n).reshape(-1, n, n)
+        d = np.concatenate([units, 1j * units])
+        c = np.concatenate(
+            [d @ gb.conj().T + gb @ d.conj().transpose(0, 2, 1), mu[s, s] @ d - d],
+            axis=1,
+        )
+        mat = np.concatenate([c.real, c.imag], axis=1).reshape(len(d), -1).T
+        null = null_space_rows(mat, tol)
+        block = np.zeros((len(null), algebra.dim, algebra.dim), dtype=complex)
+        block[:, s, s] = np.tensordot(null, d, axes=1)
+        kernel.extend(block)
+    return kernel
 
 
 def fiber_kernel_Eprime(
     algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> list[np.ndarray]:
     """Real basis of the kernel of the differential of E' at g: directions
-    delta with g* delta + delta* g = 0 and delta supp(g* g) = delta."""
-    g = np.asarray(g, dtype=complex)
-    if frobenius(g) <= 1e-12:
-        raise DegenerateBase("the expectation differential has no fibre at zero")
-    mu_p = momentum_mu_prime(g, tol)
-    return _realified_kernel(
-        algebra,
-        lambda d: g.conj().T @ d + d.conj().T @ g,
-        lambda d: d @ mu_p,
-        tol,
-    )
+    delta with g* delta + delta* g = 0 and delta supp(g* g) = delta.
+
+    E' = E o J, so this is J applied to the kernel of E at J g."""
+    return [conjugation_J(d) for d in fiber_kernel_E(algebra, conjugation_J(g), tol)]
 
 
 def fiber_kernel_dimension(algebra: BlockAlgebra, rank_per_block: list[int]) -> int:
@@ -324,8 +304,8 @@ def dual_pair_orthogonality_check(
     right = np.array(ker_ep).reshape(len(ker_ep), -1)
     omega = 2.0 * (left.conj() @ right.T).imag
     worst = float(np.max(np.abs(omega), initial=0.0))
-    ranks_left = _block_ranks_of_support(algebra, momentum_mu(g, tol))
-    ranks_right = _block_ranks_of_support(algebra, momentum_mu_prime(g, tol))
+    ranks_left = block_ranks(algebra, momentum_mu(g, tol), tol)
+    ranks_right = block_ranks(algebra, momentum_mu_prime(g, tol), tol)
     return DualPairReport(
         orthogonality=worst,
         dim_E=len(ker_e),
@@ -333,12 +313,6 @@ def dual_pair_orthogonality_check(
         expected_dim_E=fiber_kernel_dimension(algebra, ranks_left),
         expected_dim_Eprime=fiber_kernel_dimension(algebra, ranks_right),
     )
-
-
-def _block_ranks_of_support(algebra: BlockAlgebra, p: np.ndarray) -> list[int]:
-    return [
-        int(round(float(np.trace(p[sl, sl]).real))) for sl in algebra.slices
-    ]
 
 
 def j_split(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -212,7 +212,7 @@ def _row_axioms_standard(ctx: RowCtx, rng):
     """Groupoid laws for the standard-form groupoid, plus the polar data of
     its arrows."""
     prof = ctx.profile
-    chain = _retry(lambda: composable_chain("standard", ctx.algebra, rng, 3))
+    chain = composable_chain("standard", ctx.algebra, rng, 3)
     yield from chain_law_residuals("standard", chain, prof, ctx.repair).values()
     # Polar data of an arrow gamma = u m: gamma = (u m u*) u relates the
     # left and right moduli through the isometry leg.
@@ -226,22 +226,18 @@ def _row_isomorphisms(ctx: RowCtx, rng):
     """The three structure-preserving maps between the arrow pictures, on
     composable random pairs."""
     alg, prof = ctx.algebra, ctx.profile
-    a, b = _retry(lambda: composable_chain("coadjoint", alg, rng, 2))
+    a, b = composable_chain("coadjoint", alg, rng, 2)
     yield xi_intertwining_residual((a, b), prof)
     yield phi_intertwining_residual(alg, a, b, prof)
 
-    def draw_pair():
-        p0 = sampling.random_projection(alg, rng, allow_zero=False)
-        rho0 = sampling.random_density(alg, rng, support=p0)
-        iso = [
-            sampling.partial_isometry_onto(
-                alg, rng, p0, sampling.equivalent_projection(alg, rng, p0)
-            )
-            for _ in range(3)
-        ]
-        return rho0, iso
-
-    rho0, (u, v, w) = _retry(draw_pair)
+    p0 = sampling.random_projection(alg, rng, allow_zero=False)
+    rho0 = sampling.random_density(alg, rng, support=p0)
+    u, v, w = [
+        sampling.partial_isometry_onto(
+            alg, rng, p0, sampling.equivalent_projection(alg, rng, p0)
+        )
+        for _ in range(3)
+    ]
     yield psi_intertwining_residual(u, v, w, rho0, prof)
     # Gauge invariance: right translation by a stabilizer element of the
     # base density leaves the quotient map unchanged.
@@ -277,9 +273,7 @@ def _row_equivalence_agreement(ctx: RowCtx) -> float:
         rho_supp = sampling.random_projection(alg, rng, allow_zero=False)
         rho = sampling.random_density(alg, rng, support=rho_supp)
         target = sampling.equivalent_projection(alg, rng, rho_supp)
-        u = _retry(
-            lambda: sampling.partial_isometry_onto(alg, rng, rho_supp, target)
-        )
+        u = sampling.partial_isometry_onto(alg, rng, rho_supp, target)
         pushed = coadjoint_apply(u, rho, prof)
         if not orbit_equivalent(rho, pushed, prof):
             violations += 1
@@ -321,14 +315,11 @@ def _row_witnesses(ctx: RowCtx, rng):
     yield frobenius(v @ v.conj().T - alg.identity())
     yield frobenius(v @ phi1.density @ v.conj().T - phi2.density)
 
-    def draw_transport():
-        qs = sampling.projection_chain(alg, rng, 2, allow_zero=False)
-        h = sampling.corner_positive(alg, rng, qs[2])
-        u1 = sampling.partial_isometry_onto(alg, rng, qs[2], qs[1])
-        w0 = sampling.partial_isometry_onto(alg, rng, qs[1], qs[0])
-        return u1 @ h, w0
-
-    g1, w0 = _retry(draw_transport)
+    qs = sampling.projection_chain(alg, rng, 2, allow_zero=False)
+    h = sampling.corner_positive(alg, rng, qs[2])
+    u1 = sampling.partial_isometry_onto(alg, rng, qs[2], qs[1])
+    w0 = sampling.partial_isometry_onto(alg, rng, qs[1], qs[0])
+    g1 = u1 @ h
     g2 = w0 @ g1
     wt = transport_witness(g1, g2, prof)
     yield frobenius(wt @ g1 - g2)
@@ -455,14 +446,10 @@ def _row_charts_theta(ctx: RowCtx, rng):
 def _row_charts_connection(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
 
-    def draw():
-        p0 = sampling.random_projection(alg, rng, allow_zero=False)
-        rho0 = sampling.random_density(alg, rng, support=p0)
-        q = sampling.equivalent_projection(alg, rng, p0)
-        u = sampling.partial_isometry_onto(alg, rng, p0, q)
-        return p0, rho0, u
-
-    p0, rho0, u = _retry(draw)
+    p0 = sampling.random_projection(alg, rng, allow_zero=False)
+    rho0 = sampling.random_density(alg, rng, support=p0)
+    q = sampling.equivalent_projection(alg, rng, p0)
+    u = sampling.partial_isometry_onto(alg, rng, p0, q)
     du1 = sampling.p0_tangent(alg, rng, u, p0)
     du2 = sampling.p0_tangent(alg, rng, u, p0)
     x1 = sampling.corner_antihermitian(alg, rng, p0)
@@ -495,7 +482,7 @@ def _row_charts_connection(ctx: RowCtx, rng):
 
 @_per_trial
 def _row_multiplicativity(ctx: RowCtx, rng):
-    fam, fam2 = _retry(lambda: sample_family_pair(ctx.algebra, rng, ctx.profile))
+    fam, fam2 = sample_family_pair(ctx.algebra, rng, ctx.profile)
     yield multiplicativity_residual(fam, fam2, ctx.profile)
 
 
@@ -503,14 +490,10 @@ def _row_multiplicativity(ctx: RowCtx, rng):
 def _row_vertical(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
 
-    def draw():
-        q = sampling.random_projection(alg, rng, allow_zero=False)
-        target = sampling.equivalent_projection(alg, rng, q)
-        u = sampling.partial_isometry_onto(alg, rng, q, target)
-        xi = sampling.corner_positive(alg, rng, q)
-        return q, u, xi
-
-    q, u, xi = _retry(draw)
+    q = sampling.random_projection(alg, rng, allow_zero=False)
+    target = sampling.equivalent_projection(alg, rng, q)
+    u = sampling.partial_isometry_onto(alg, rng, q, target)
+    xi = sampling.corner_positive(alg, rng, q)
     b = sampling.corner_antihermitian(alg, rng, q)
     b2 = sampling.corner_antihermitian(alg, rng, q)
     yield vertical_form_residual(u, xi, b, b2, prof)
@@ -519,7 +502,7 @@ def _row_vertical(ctx: RowCtx, rng):
 @_per_trial
 def _row_exactness(ctx: RowCtx, rng):
     prof = ctx.profile
-    fam = _retry(lambda: sample_family(ctx.algebra, rng, prof))
+    fam = sample_family(ctx.algebra, rng, prof)
     yield exactness_residual(fam, prof.fd_step, prof)
 
 
@@ -530,7 +513,7 @@ def _row_exactness_order(ctx: RowCtx) -> float:
     ratios = []
     for k in range(ctx.trials):
         rng = ctx.rng(k)
-        fam = _retry(lambda: sample_family(alg, rng, prof))
+        fam = sample_family(alg, rng, prof)
         r1 = exactness_residual(fam, 1e-3, prof)
         r2 = exactness_residual(fam, 5e-4, prof)
         if not np.isfinite(r1 + r2):
@@ -552,14 +535,10 @@ def _draw_dual_pair_point(ctx: RowCtx, k: int) -> np.ndarray:
     rng = ctx.rng(k)
     if k % 2 == 0:
         return sampling.random_element(alg, rng)
-
-    def draw():
-        q = sampling.random_projection(alg, rng, allow_zero=False)
-        target = sampling.equivalent_projection(alg, rng, q)
-        u = sampling.partial_isometry_onto(alg, rng, q, target)
-        return u @ sampling.corner_positive(alg, rng, q)
-
-    return _retry(draw)
+    q = sampling.random_projection(alg, rng, allow_zero=False)
+    target = sampling.equivalent_projection(alg, rng, q)
+    u = sampling.partial_isometry_onto(alg, rng, q, target)
+    return u @ sampling.corner_positive(alg, rng, q)
 
 
 def _dual_pair_reports(ctx: RowCtx):
@@ -634,18 +613,15 @@ def _row_poisson_commutant(ctx: RowCtx, rng):
 
 
 def _draw_bundle_point(alg, rng, repeat_chance: float = 0.0):
-    def draw():
-        p0 = sampling.random_projection(alg, rng, allow_zero=False)
-        d = sampling.corner_positive(alg, rng, p0)
-        if repeat_chance > 0.0 and rng.uniform() < repeat_chance:
-            # Collapse the corner spectrum to create a nontrivial stabilizer.
-            d = sampling.corner_positive(alg, rng, p0, 1.0, 1.0)
-        rho0 = NormalFunctional(alg, d / float(np.trace(d).real))
-        q = sampling.equivalent_projection(alg, rng, p0)
-        u = sampling.partial_isometry_onto(alg, rng, p0, q)
-        return p0, rho0, u
-
-    return _retry(draw)
+    p0 = sampling.random_projection(alg, rng, allow_zero=False)
+    d = sampling.corner_positive(alg, rng, p0)
+    if repeat_chance > 0.0 and rng.uniform() < repeat_chance:
+        # Collapse the corner spectrum to create a nontrivial stabilizer.
+        d = sampling.corner_positive(alg, rng, p0, 1.0, 1.0)
+    rho0 = NormalFunctional(alg, d / float(np.trace(d).real))
+    q = sampling.equivalent_projection(alg, rng, p0)
+    u = sampling.partial_isometry_onto(alg, rng, p0, q)
+    return p0, rho0, u
 
 
 @_per_trial
@@ -672,9 +648,7 @@ def _degeneracy_reports(ctx: RowCtx):
         rng = ctx.rng(k)
         p0, rho0, u = _draw_bundle_point(alg, rng, repeat_chance=0.5)
         target = sampling.equivalent_projection(alg, rng, p0)
-        v = _retry(
-            lambda: sampling.partial_isometry_onto(alg, rng, p0, target)
-        )
+        v = sampling.partial_isometry_onto(alg, rng, p0, target)
         yield degeneracy_kernel_check(rho0, u, v, prof)
 
 

@@ -10,7 +10,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["groupoid_tour.py", "standard_form_flow.py"])
+@pytest.mark.parametrize(
+    "script", sorted(path.name for path in (ROOT / "demos").glob("*.py"))
+)
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -45,6 +45,7 @@ from wstargeo import (
     tomita_S,
     transport_witness,
 )
+from wstargeo.linalg import null_space_rows
 from wstargeo.sampling import (
     corner_positive,
     equivalent_projection,
@@ -255,6 +256,77 @@ class TestDualPair:
         for delta in fiber_kernel_E(M23, g, DEFAULT_TOL):
             assert frobenius(delta @ g.conj().T + g @ delta.conj().T) <= 1e-9
             assert frobenius(mu @ delta - delta) <= 1e-9
+        mu_p = momentum_mu_prime(g, DEFAULT_TOL)
+        for delta in fiber_kernel_Eprime(M23, g, DEFAULT_TOL):
+            assert frobenius(g.conj().T @ delta + delta.conj().T @ g) <= 1e-9
+            assert frobenius(delta @ mu_p - delta) <= 1e-9
+
+    @staticmethod
+    def _ambient_kernel(algebra, constraint, support_side):
+        """Reference kernel: the constraint realified over every coordinate
+        direction of the ambient algebra, one direction at a time."""
+        directions = [c * e for e in algebra.coordinate_units() for c in (1.0, 1.0j)]
+        rows = []
+        for d in directions:
+            c1, c2 = constraint(d), support_side(d) - d
+            rows.append(
+                np.concatenate(
+                    [c1.real.ravel(), c1.imag.ravel(), c2.real.ravel(), c2.imag.ravel()]
+                )
+            )
+        null = null_space_rows(np.array(rows).T, DEFAULT_TOL)
+        return list(np.tensordot(null, np.array(directions), axes=1))
+
+    @staticmethod
+    def _dual_pair_points(algebra, rng):
+        """A Gaussian point, a rank-deficient point and, with more than one
+        block, a Gaussian point with its first block set to zero."""
+        points = [random_element(algebra, rng)]
+        q = random_projection(
+            algebra, rng, ranks=tuple(n - 1 for n in algebra.blocks[:-1]) + (1,)
+        )
+        points.append(
+            partial_isometry_onto(algebra, rng, q, equivalent_projection(algebra, rng, q))
+            @ corner_positive(algebra, rng, q)
+        )
+        if len(algebra.blocks) > 1:
+            g = random_element(algebra, rng)
+            g[algebra.slices[0], algebra.slices[0]] = 0.0
+            points.append(g)
+        return points
+
+    @pytest.mark.parametrize("blocks", [(2, 3), (4,), (2, 2, 1)])
+    def test_blockwise_kernels_match_ambient_reference(self, blocks):
+        algebra = BlockAlgebra(blocks)
+        for g in self._dual_pair_points(algebra, rng_for(39, len(blocks))):
+            mu = momentum_mu(g, DEFAULT_TOL)
+            mu_p = momentum_mu_prime(g, DEFAULT_TOL)
+            pairs = [
+                (
+                    fiber_kernel_E(algebra, g, DEFAULT_TOL),
+                    self._ambient_kernel(
+                        algebra,
+                        lambda d: d @ g.conj().T + g @ d.conj().T,
+                        lambda d: mu @ d,
+                    ),
+                ),
+                (
+                    fiber_kernel_Eprime(algebra, g, DEFAULT_TOL),
+                    self._ambient_kernel(
+                        algebra,
+                        lambda d: g.conj().T @ d + d.conj().T @ g,
+                        lambda d: d @ mu_p,
+                    ),
+                ),
+            ]
+            for blockwise, reference in pairs:
+                assert len(blockwise) == len(reference)
+                # Equal spans: the stacked realified bases keep the rank.
+                stacked = np.array(
+                    [np.concatenate([d.real.ravel(), d.imag.ravel()])
+                     for d in blockwise + reference]
+                )
+                assert np.linalg.matrix_rank(stacked, tol=1e-8) == len(reference)
 
     @pytest.mark.parametrize("blocks", [(2,), (2, 3), (4,)])
     def test_orthogonality_matches_pairwise_loop(self, blocks):

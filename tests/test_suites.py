@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from wstargeo import groupoids, poisson, sampling, suites
+from wstargeo import groupoids, poisson, sampling, standard, suites
 from wstargeo import (
     DEFAULT_TOL,
     SUITE_NAMES,
@@ -200,9 +200,9 @@ class TestPlantedFaults:
     the row that checks it."""
 
     @staticmethod
-    def _axiom_row(row):
-        rows = {r.suite: r for r in run_suite("groupoid-axioms", M23, 10, 0)}
-        return rows[f"groupoid-axioms/{row}"]
+    def _row(suite, row):
+        rows = {r.suite: r for r in run_suite(suite, M23, 10, 0)}
+        return rows[f"{suite}/{row}"]
 
     def test_standard_product_with_left_modulus(self, monkeypatch):
         def std_mul(g1, g2, tol=DEFAULT_TOL, repair=False):
@@ -211,7 +211,7 @@ class TestPlantedFaults:
             return u1 @ u2 @ h1
 
         monkeypatch.setattr(groupoids, "std_mul", std_mul)
-        assert self._axiom_row("standard").status == "FAIL"
+        assert self._row("groupoid-axioms", "standard").status == "FAIL"
 
     @pytest.mark.parametrize("tag", ["pi", "g", "predual", "coadjoint"])
     def test_product_in_the_wrong_order(self, monkeypatch, tag):
@@ -221,14 +221,25 @@ class TestPlantedFaults:
             return compose(b, a, tol, True)
 
         monkeypatch.setattr(groupoids, f"{tag}_compose", swapped)
-        assert self._axiom_row(tag).status == "FAIL"
+        assert self._row("groupoid-axioms", tag).status == "FAIL"
 
     def test_phi_without_square_root(self, monkeypatch):
         def iso_Phi(u, rho, tol=DEFAULT_TOL):
             return np.asarray(u, dtype=complex) @ rho.density
 
         monkeypatch.setattr(groupoids, "iso_Phi", iso_Phi)
-        assert self._axiom_row("isomorphisms").status == "FAIL"
+        assert self._row("groupoid-axioms", "isomorphisms").status == "FAIL"
+
+    def test_eprime_kernel_replaced_by_e_kernel(self, monkeypatch):
+        monkeypatch.setattr(standard, "fiber_kernel_Eprime", standard.fiber_kernel_E)
+        assert self._row("dual-pair", "orthogonality").status == "FAIL"
+
+    def test_left_momentum_replaced_by_identity(self, monkeypatch):
+        def momentum_mu(g, tol=DEFAULT_TOL):
+            return np.eye(len(g), dtype=complex)
+
+        monkeypatch.setattr(standard, "momentum_mu", momentum_mu)
+        assert self._row("dual-pair", "dimension").status == "FAIL"
 
 
 class TestSampleWithRetry:
