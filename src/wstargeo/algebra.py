@@ -184,11 +184,16 @@ class NormalFunctional:
         return frobenius(d - d.conj().T) <= tol.residual_tol * (1.0 + frobenius(d))
 
     def is_positive(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
+        return self._spectrum_if_positive(tol) is not None
+
+    def _spectrum_if_positive(self, tol: ToleranceProfile) -> np.ndarray | None:
+        """Descending spectrum of the Hermitian part of the density, or
+        ``None`` when the functional is not positive."""
         if not self.is_hermitian(tol):
-            return False
+            return None
         w = hermitian_eigvals(herm(self.density))
         scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-        return bool(w.min() >= -tol.residual_tol * scale)
+        return w if w.min() >= -tol.residual_tol * scale else None
 
     def distance(self, other: "NormalFunctional") -> float:
         return frobenius(self.density - other.density)
@@ -197,9 +202,18 @@ class NormalFunctional:
 def require_positive(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> NormalFunctional:
-    if not phi.is_positive(tol):
-        raise NotPositive("functional is not positive")
+    _positive_spectrum(phi, tol)
     return phi
+
+
+def _positive_spectrum(phi: NormalFunctional, tol: ToleranceProfile) -> np.ndarray:
+    """Descending spectrum of the density of a positive functional; raises
+    :class:`NotPositive` otherwise.  A caller that needs the spectrum anyway
+    checks positivity from it, with no decomposition of its own."""
+    w = phi._spectrum_if_positive(tol)
+    if w is None:
+        raise NotPositive("functional is not positive")
+    return w
 
 
 def functional_polar(
@@ -297,9 +311,8 @@ def orbit_invariant(
 ) -> tuple[tuple[float, ...], ...]:
     """Unitary-orbit invariant of a positive functional: the strictly positive
     part of the density's spectrum, blockwise, in descending order."""
-    require_positive(phi, tol)
+    wall = _positive_spectrum(phi, tol)
     d = herm(phi.density)
-    wall = hermitian_eigvals(d)
     cutoff = tol.rank_rel_tol * max(float(np.max(wall)), 0.0) if wall.size else 0.0
     out = []
     for b in phi.algebra.block_views(d):
@@ -363,14 +376,16 @@ class StabilizerData:
 
 
 def _spectral_clusters(
-    algebra: BlockAlgebra, d: np.ndarray, tol: ToleranceProfile
+    phi: NormalFunctional, tol: ToleranceProfile
 ) -> list[tuple[slice, np.ndarray, np.ndarray, list[list[int]], float]]:
-    """Per block of the Hermitian ``d``: slice, eigenvalues (descending),
-    eigenvectors, gap clusters, and the global rank cutoff."""
-    wall = hermitian_eigvals(d)
+    """Per block of the density of a positive functional: slice, eigenvalues
+    (descending), eigenvectors, gap clusters, and the global rank cutoff.
+    Raises :class:`NotPositive` when the functional is not positive."""
+    wall = _positive_spectrum(phi, tol)
     cutoff = tol.rank_rel_tol * max(float(np.max(np.abs(wall))), 0.0) if wall.size else 0.0
+    algebra = phi.algebra
     out = []
-    for s, b in zip(algebra.slices, algebra.block_views(d)):
+    for s, b in zip(algebra.slices, algebra.block_views(herm(phi.density))):
         w, v = hermitian_eig(b)
         clusters = eigen_clusters(w, tol.rank_rel_tol)
         out.append((s, w, v, clusters, cutoff))
@@ -387,12 +402,9 @@ def centralizer_basis(
     full m x m corner, so the complex dimension is the sum of the squared
     multiplicities of the strictly positive clusters.
     """
-    require_positive(phi, tol)
     algebra = phi.algebra
     basis: list[np.ndarray] = []
-    for s, w, v, clusters, cutoff in _spectral_clusters(
-        algebra, herm(phi.density), tol
-    ):
+    for s, w, v, clusters, cutoff in _spectral_clusters(phi, tol):
         n = s.stop - s.start
         for cluster in clusters:
             if w[cluster[0]] <= cutoff:
@@ -410,12 +422,9 @@ def stabilizer_lie_algebra(
 ) -> StabilizerData:
     """Real basis of the anti-Hermitian corner elements commuting with the
     density: i-Hermitian combinations within each positive eigenvalue cluster."""
-    require_positive(phi, tol)
     algebra = phi.algebra
     basis: list[np.ndarray] = []
-    for s, w, v, clusters, cutoff in _spectral_clusters(
-        algebra, herm(phi.density), tol
-    ):
+    for s, w, v, clusters, cutoff in _spectral_clusters(phi, tol):
         for cluster in clusters:
             if w[cluster[0]] <= cutoff:
                 continue
@@ -439,12 +448,9 @@ def pinching_projections(
 ) -> list[np.ndarray]:
     """Spectral projections of the density, one per eigenvalue cluster per
     block (kernel clusters included); they sum to the identity."""
-    require_positive(phi, tol)
     algebra = phi.algebra
     projections = []
-    for s, _, v, clusters, _ in _spectral_clusters(
-        algebra, herm(phi.density), tol
-    ):
+    for s, _, v, clusters, _ in _spectral_clusters(phi, tol):
         for cluster in clusters:
             cols = v[:, cluster]
             e = algebra.zero()

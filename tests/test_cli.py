@@ -2,12 +2,18 @@
 CSV report, and the exit-code contract (0 pass, 1 parse, 2 domain, 3 usage)."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wstargeo
 from wstargeo.cli import main
 from wstargeo.io import REPORT_HEADER
+from wstargeo.linalg import polar_decompose
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -43,7 +49,62 @@ def write_vectors(path, vectors):
     return str(path)
 
 
+def printed_matrix(out, label, dim):
+    """The matrix printed under ``label:``, parsed token by token."""
+    lines = out.splitlines()
+    start = lines.index(f"{label}:") + 1
+    body = " ".join(lines[start : start + dim])
+    tokens = re.sub(r"[\[\]]", "", body).split(",")
+    return np.array([complex(re.sub(r"\s+", "", t)) for t in tokens]).reshape(dim, dim)
+
+
+def block_diagonal(rng, blocks):
+    a = np.zeros((sum(blocks), sum(blocks)), dtype=complex)
+    start = 0
+    for n in blocks:
+        a[start : start + n, start : start + n] = rng.standard_normal(
+            (n, n)
+        ) + 1j * rng.standard_normal((n, n))
+        start += n
+    return a
+
+
 class TestPolar:
+    @pytest.mark.parametrize("blocks", [(2,), (2, 3), (12,)])
+    def test_printed_factors_parse_back(self, tmp_path, capsys, blocks):
+        if blocks == (2,):
+            # h = (a* a)^{1/2} gets off-diagonal entries near -7e-14.
+            a = np.array([[2.0, -1e-13], [0.0, 1.0]], dtype=complex)
+        else:
+            a = block_diagonal(np.random.default_rng(7), blocks)
+        f = write_algebra(tmp_path / "a.json", blocks, {"a": a})
+        assert main(["polar", f]) == 0
+        out = capsys.readouterr().out
+        u, h = polar_decompose(a)
+        for label, factor in (("u", u), ("h", h)):
+            err = printed_matrix(out, label, a.shape[0]) - factor
+            # 6 decimals: each real and imaginary part is off by at most 5e-7.
+            assert np.max(np.abs([err.real, err.imag])) <= 5e-7 + 1e-12
+        assert "-0.000000" not in out
+        if blocks == (2,):
+            assert -1e-12 < h[0, 1].real < 0.0 and u[0, 1].real < 0.0
+            assert out.splitlines()[:6] == [
+                "u:",
+                "  [[ 1.000000+0.000000j,  0.000000+0.000000j],",
+                "   [ 0.000000+0.000000j,  1.000000+0.000000j]]",
+                "h:",
+                "  [[ 2.000000+0.000000j,  0.000000+0.000000j],",
+                "   [ 0.000000+0.000000j,  1.000000+0.000000j]]",
+            ]
+
+    def test_bad_tolerance(self, tmp_path, capsys):
+        f = write_algebra(tmp_path / "a.json", [2], {"a": E12})
+        for tol in ("2", "0", "nan", "-0.5", "abc"):
+            assert main(["polar", f, "--tol", tol]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: argument --tol")
+            assert len(err.strip().splitlines()) == 1
+
     def test_oracle(self, tmp_path, capsys):
         f = write_algebra(tmp_path / "a.json", [2], {"a": E12})
         assert main(["polar", f]) == 0
@@ -118,6 +179,17 @@ class TestVerify:
     def test_invalid_trials(self, capsys):
         assert main(["verify", "kks", "--trials", "0"]) == 2
         assert "domain error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--seed", "-1"], ["--seed", "1.5"], ["--tol", "-1"], ["--tol", "0"],
+         ["--tol", "nan"], ["--tol", "inf"]],
+    )
+    def test_invalid_seed_or_tol(self, capsys, flags):
+        assert main(["verify", "kks", "--algebra", "2", "--trials", "2", *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: argument {flags[0]}")
+        assert len(err.strip().splitlines()) == 1
 
     def test_bad_algebra_flag(self, capsys):
         assert main(["verify", "kks", "--algebra", "2,x", "--trials", "2"]) == 3
@@ -229,6 +301,20 @@ class TestOrbit:
         assert main(["orbit", f]) == 2
         assert "domain error" in capsys.readouterr().err
 
+    def test_zero_block_and_repeated_eigenvalue(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        v, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        d = np.zeros((5, 5), dtype=complex)
+        d[2:, 2:] = (v * [2.0, 2.0, 0.5]) @ v.conj().T
+        f = write_algebra(tmp_path / "d.json", [2, 3], {"d": d})
+        assert main(["orbit", f]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "block 0 (2x2): spectrum [] support rank 0",
+            "block 1 (3x3): spectrum [2.000000e+00, 2.000000e+00, 5.000000e-01] "
+            "support rank 3",
+            "stabilizer dimension: 5",  # 2^2 + 1^2
+        ]
+
     def test_off_block_density(self, tmp_path, capsys):
         d = np.zeros((5, 5), dtype=complex)
         d[0, 3] = d[3, 0] = 1.0  # couples the two blocks
@@ -255,3 +341,47 @@ class TestTopLevel:
         }))
         assert main(["polar", str(p)]) == 1
         assert "dimension" in capsys.readouterr().err
+
+    def test_calls_are_independent(self, tmp_path, capsys):
+        f = write_algebra(
+            tmp_path / "a.json", [2], {"a": np.diag([1.0, 1e-3]).astype(complex)}
+        )
+        assert main(["polar", f, "--bogus"]) == 3
+        assert main(["polar", f]) == 0
+        full = capsys.readouterr().out
+        assert main(["polar", f, "--tol", "0.01"]) == 0  # drops the 1e-3 direction
+        truncated = capsys.readouterr().out
+        assert main(["polar", f]) == 0
+        assert capsys.readouterr().out == full != truncated
+        code = main(["verify", "kks", "--algebra", "2", "--trials", "2",
+                     "--tol", "1e-300"])
+        assert code == 2
+        assert main(["verify", "kks", "--algebra", "2", "--trials", "2"]) == 0
+        assert main([]) == 3  # no subcommand left over from the last call
+        capsys.readouterr()
+
+
+def test_module_entry_point(tmp_path, capsys):
+    """``python -m wstargeo`` in a fresh process prints what ``main`` prints."""
+    rng = np.random.default_rng(5)
+    d = block_diagonal(rng, (2, 3))
+    files = {
+        "polar": write_algebra(tmp_path / "a.json", [2, 3], {"a": d}),
+        "orbit": write_algebra(tmp_path / "d.json", [2, 3], {"d": d @ d.conj().T}),
+    }
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wstargeo.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    for command, f in files.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "wstargeo", command, f],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main([command, f]) == 0
+        assert proc.stdout == capsys.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, "-m", "wstargeo", "polar", files["polar"], "--tol", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stderr.startswith("usage error")
