@@ -8,9 +8,11 @@ conditional expectations, modular flow, coadjoint action) works on densities.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -126,34 +128,44 @@ class BlockAlgebra:
             raise AlgebraMismatch(f"{what} is not an element of the block algebra")
         return x
 
-    def coordinate_units(self) -> list[np.ndarray]:
-        """Complex basis of the algebra: one matrix unit per in-block entry."""
-        units = []
-        for s in self.slices:
-            for i in range(s.start, s.stop):
-                for j in range(s.start, s.stop):
-                    e = self.zero()
-                    e[i, j] = 1.0
-                    units.append(e)
-        return units
-
-    def hermitian_units(self) -> list[np.ndarray]:
-        """Orthonormal real basis of the Hermitian part under Tr(x y)."""
-        out = []
-        for s in self.slices:
-            for i in range(s.start, s.stop):
-                e = self.zero()
-                e[i, i] = 1.0
-                out.append(e)
-                for j in range(i + 1, s.stop):
-                    e = self.zero()
-                    e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-                    out.append(e)
-                    e = self.zero()
-                    e[i, j] = -1j / np.sqrt(2.0)
-                    e[j, i] = 1j / np.sqrt(2.0)
-                    out.append(e)
+    def embed_stacks(self, parts: Iterable[tuple[slice, Sequence[np.ndarray]]]) -> np.ndarray:
+        """Algebra elements from block matrices, in order, as one ``(k, dim,
+        dim)`` array: each ``(slice, matrices)`` part puts its matrices into
+        that block of zero elements.  Consecutive parts of one block are
+        placed together, with one assignment."""
+        blocks = [
+            (s, [m for _, mats in run for m in mats])
+            for s, run in itertools.groupby(parts, key=lambda part: part[0])
+        ]
+        out = np.zeros((sum(len(m) for _, m in blocks), self.dim, self.dim), dtype=complex)
+        k = 0
+        for s, mats in blocks:
+            if mats:
+                out[k : k + len(mats), s, s] = mats
+            k += len(mats)
         return out
+
+    def coordinate_units(self) -> np.ndarray:
+        """Complex basis of the algebra: one matrix unit per in-block entry."""
+        return self.embed_stacks(
+            (s, matrix_units(np.eye(n), np.eye(n))) for s, n in zip(self.slices, self.blocks)
+        )
+
+    def hermitian_units(self) -> np.ndarray:
+        """Orthonormal real basis of the Hermitian part under Tr(x y): per
+        block e_aa, then (e_ab + e_ba)/sqrt 2 and i (e_ba - e_ab)/sqrt 2 for
+        b > a."""
+        parts = []
+        for s, n in zip(self.slices, self.blocks):
+            e = matrix_units(np.eye(n), np.eye(n)).reshape(n, n, n, n)
+            units = []
+            for a in range(n):
+                units.append(e[a, a])
+                for b in range(a + 1, n):
+                    units.append((e[a, b] + e[b, a]) / np.sqrt(2.0))
+                    units.append((e[b, a] - e[a, b]) * (1j / np.sqrt(2.0)))
+            parts.append((s, units))
+        return self.embed_stacks(parts)
 
 
 @dataclass(frozen=True)
@@ -375,26 +387,56 @@ class StabilizerData:
         return len(self.basis)
 
 
+def matrix_units(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The rank-one matrices ``a b*`` for the columns ``a`` of ``left`` and
+    ``b`` of ``right``, ``a`` in the outer loop, as one stack."""
+    units = left.T[:, None, :, None] * right.conj().T[None, :, None, :]
+    return units.reshape(-1, len(left), len(right))
+
+
+def antihermitian_units(cols: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal real basis (under ``Re Tr(x* y)``) of the anti-Hermitian
+    matrices on the span of the orthonormal columns ``c_a`` of ``cols``:
+    ``i c_a c_a*``, then ``(m - m*)/sqrt 2`` and ``i (m + m*)/sqrt 2`` for
+    ``m = c_a c_b*``, ``b > a``."""
+    units = []
+    for a in range(cols.shape[1]):
+        ca = cols[:, a, None]
+        units.append(1j * (ca * ca.conj().T))
+        for b in range(a + 1, cols.shape[1]):
+            m = ca * cols[:, b].conj()
+            units.append((m - m.conj().T) / np.sqrt(2.0))
+            units.append(1j * (m + m.conj().T) / np.sqrt(2.0))
+    return units
+
+
 def _spectral_clusters(
     phi: NormalFunctional, tol: ToleranceProfile
-) -> list[tuple[slice, np.ndarray, np.ndarray, list[list[int]], float]]:
-    """Per block of the density of a positive functional: slice, eigenvalues
-    (descending), eigenvectors, gap clusters, and the global rank cutoff.
-    Raises :class:`NotPositive` when the functional is not positive."""
+) -> Iterator[tuple[slice, np.ndarray, bool]]:
+    """Per eigenvalue cluster of the density of a positive functional, block
+    by block: the block's slice, the cluster's eigenvectors as columns, and
+    whether its eigenvalue lies above the global rank cutoff.  Raises
+    :class:`NotPositive` when the functional is not positive."""
     wall = _positive_spectrum(phi, tol)
     cutoff = tol.rank_rel_tol * max(float(np.max(np.abs(wall))), 0.0) if wall.size else 0.0
     algebra = phi.algebra
-    out = []
     for s, b in zip(algebra.slices, algebra.block_views(herm(phi.density))):
         w, v = hermitian_eig(b)
-        clusters = eigen_clusters(w, tol.rank_rel_tol)
-        out.append((s, w, v, clusters, cutoff))
-    return out
+        for cluster in eigen_clusters(w, tol.rank_rel_tol):
+            yield s, v[:, cluster[0] : cluster[-1] + 1], w[cluster[0]] > cutoff
+
+
+def _positive_clusters(
+    phi: NormalFunctional, tol: ToleranceProfile
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(slice, eigenvector columns)`` of each strictly positive eigenvalue
+    cluster of the density: the corners of its support."""
+    return ((s, cols) for s, cols, positive in _spectral_clusters(phi, tol) if positive)
 
 
 def centralizer_basis(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Complex basis of {x in p0 M p0 : x d = d x} for a positive functional
     with density ``d`` and support ``p0``.
 
@@ -402,19 +444,8 @@ def centralizer_basis(
     full m x m corner, so the complex dimension is the sum of the squared
     multiplicities of the strictly positive clusters.
     """
-    algebra = phi.algebra
-    basis: list[np.ndarray] = []
-    for s, w, v, clusters, cutoff in _spectral_clusters(phi, tol):
-        n = s.stop - s.start
-        for cluster in clusters:
-            if w[cluster[0]] <= cutoff:
-                continue
-            for i in cluster:
-                for j in cluster:
-                    e = algebra.zero()
-                    e[s, s] = np.outer(v[:, i], v[:, j].conj())
-                    basis.append(e)
-    return basis
+    parts = ((s, matrix_units(cols, cols)) for s, cols in _positive_clusters(phi, tol))
+    return phi.algebra.embed_stacks(parts)
 
 
 def stabilizer_lie_algebra(
@@ -422,41 +453,17 @@ def stabilizer_lie_algebra(
 ) -> StabilizerData:
     """Real basis of the anti-Hermitian corner elements commuting with the
     density: i-Hermitian combinations within each positive eigenvalue cluster."""
-    algebra = phi.algebra
-    basis: list[np.ndarray] = []
-    for s, w, v, clusters, cutoff in _spectral_clusters(phi, tol):
-        for cluster in clusters:
-            if w[cluster[0]] <= cutoff:
-                continue
-            for a_pos, i in enumerate(cluster):
-                e = algebra.zero()
-                e[s, s] = 1j * np.outer(v[:, i], v[:, i].conj())
-                basis.append(e)
-                for j in cluster[a_pos + 1 :]:
-                    m = np.outer(v[:, i], v[:, j].conj())
-                    e = algebra.zero()
-                    e[s, s] = (m - m.conj().T) / np.sqrt(2.0)
-                    basis.append(e)
-                    e = algebra.zero()
-                    e[s, s] = 1j * (m + m.conj().T) / np.sqrt(2.0)
-                    basis.append(e)
-    return StabilizerData(tuple(basis))
+    parts = ((s, antihermitian_units(cols)) for s, cols in _positive_clusters(phi, tol))
+    return StabilizerData(tuple(phi.algebra.embed_stacks(parts)))
 
 
 def pinching_projections(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Spectral projections of the density, one per eigenvalue cluster per
     block (kernel clusters included); they sum to the identity."""
-    algebra = phi.algebra
-    projections = []
-    for s, _, v, clusters, _ in _spectral_clusters(phi, tol):
-        for cluster in clusters:
-            cols = v[:, cluster]
-            e = algebra.zero()
-            e[s, s] = cols @ cols.conj().T
-            projections.append(e)
-    return projections
+    parts = ((s, [cols @ cols.conj().T]) for s, cols, _ in _spectral_clusters(phi, tol))
+    return phi.algebra.embed_stacks(parts)
 
 
 def conditional_expectation(
@@ -465,10 +472,8 @@ def conditional_expectation(
     """State-preserving conditional expectation onto the centralizer of the
     density: the pinching sum q x q over its spectral projections."""
     x = phi.algebra.require_member(x, tol)
-    out = phi.algebra.zero()
-    for q in pinching_projections(phi, tol):
-        out += q @ x @ q
-    return out
+    q = pinching_projections(phi, tol)
+    return (q @ x @ q).sum(axis=0)
 
 
 def modular_automorphism(

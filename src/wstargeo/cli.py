@@ -115,11 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--report", default=None, help="write CSV report rows to this path"
     )
-    p_verify.add_argument(
-        "--repair",
-        action="store_true",
-        help="skip composability checks and force the product formulas",
-    )
 
     p_amp = sub.add_parser(
         "amplitude", help="transition amplitude of a chain of unit vectors"
@@ -205,14 +200,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = []
     for name in names:
         rows.extend(
-            run_suite(
-                name,
-                algebra,
-                trials=args.trials,
-                seed=args.seed,
-                tol=args.tol,
-                repair=args.repair,
-            )
+            run_suite(name, algebra, trials=args.trials, seed=args.seed, tol=args.tol)
         )
     width = max(len(r.suite) for r in rows)
     for r in rows:

@@ -69,18 +69,11 @@ def pi_compose(
     u: np.ndarray,
     v: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
-    repair: bool = False,
 ) -> np.ndarray:
-    """Product u v, defined when r(u) = l(v).
-
-    With ``repair=True`` the left factor's source data is replaced by the
-    right factor's target, i.e. the mismatch check is waived and the plain
-    product returned.
-    """
-    if not repair:
-        gap = frobenius(pi_source(u) - pi_target(v))
-        if gap > tol.residual_tol * (1.0 + frobenius(u)):
-            raise NotComposable(f"r(u) != l(v) (gap {gap:.3e})")
+    """Product u v, defined when r(u) = l(v)."""
+    gap = frobenius(pi_source(u) - pi_target(v))
+    if gap > tol.residual_tol * (1.0 + frobenius(u)):
+        raise NotComposable(f"r(u) != l(v) (gap {gap:.3e})")
     return u @ v
 
 
@@ -108,12 +101,10 @@ def g_compose(
     x: np.ndarray,
     y: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
-    repair: bool = False,
 ) -> np.ndarray:
-    if not repair:
-        gap = frobenius(g_source(x, tol) - g_target(y, tol))
-        if gap > tol.residual_tol * (1.0 + frobenius(x)):
-            raise NotComposable(f"right support of x != left support of y (gap {gap:.3e})")
+    gap = frobenius(g_source(x, tol) - g_target(y, tol))
+    if gap > tol.residual_tol * (1.0 + frobenius(x)):
+        raise NotComposable(f"right support of x != left support of y (gap {gap:.3e})")
     return x @ y
 
 
@@ -152,20 +143,13 @@ def predual_compose(
     phi1: NormalFunctional,
     phi2: NormalFunctional,
     tol: ToleranceProfile = DEFAULT_TOL,
-    repair: bool = False,
 ) -> NormalFunctional:
-    """Product with density u1 u2 |phi2|, defined when s(phi1) = t(phi2).
-
-    With ``repair=True`` the left factor's modulus is replaced by the right
-    factor's target, which is exactly what the product formula consumes, so
-    the check is waived.
-    """
+    """Product with density u1 u2 |phi2|, defined when s(phi1) = t(phi2)."""
     u1, mod1 = functional_polar(phi1, tol)
     u2, mod2 = functional_polar(phi2, tol)
-    if not repair:
-        gap = frobenius(mod1.density - u2 @ mod2.density @ u2.conj().T)
-        if gap > tol.residual_tol * (1.0 + frobenius(mod1.density)):
-            raise NotComposable(f"s(phi1) != t(phi2) (gap {gap:.3e})")
+    gap = frobenius(mod1.density - u2 @ mod2.density @ u2.conj().T)
+    if gap > tol.residual_tol * (1.0 + frobenius(mod1.density)):
+        raise NotComposable(f"s(phi1) != t(phi2) (gap {gap:.3e})")
     return NormalFunctional(phi1.algebra, u1 @ u2 @ mod2.density)
 
 
@@ -219,17 +203,11 @@ def coadjoint_compose(
     a: CoadjointArrow,
     b: CoadjointArrow,
     tol: ToleranceProfile = DEFAULT_TOL,
-    repair: bool = False,
 ) -> CoadjointArrow:
-    """(u, rho) . (w, delta) = (u w, delta), defined when rho = w delta w*.
-
-    With ``repair=True`` the left factor's source functional is replaced by
-    the right factor's target, i.e. the matching check is waived.
-    """
-    if not repair:
-        gap = coadjoint_target(b).distance(a.rho)
-        if gap > tol.residual_tol * (1.0 + frobenius(a.rho.density)):
-            raise NotComposable(f"source of left arrow != target of right arrow (gap {gap:.3e})")
+    """(u, rho) . (w, delta) = (u w, delta), defined when rho = w delta w*."""
+    gap = coadjoint_target(b).distance(a.rho)
+    if gap > tol.residual_tol * (1.0 + frobenius(a.rho.density)):
+        raise NotComposable(f"source of left arrow != target of right arrow (gap {gap:.3e})")
     return CoadjointArrow(a.u @ b.u, b.rho)
 
 
@@ -283,7 +261,7 @@ GROUPOIDS: dict[str, GroupoidOps] = {
     "pi": GroupoidOps(
         source=lambda u, tol: pi_source(u),
         target=lambda u, tol: pi_target(u),
-        compose=lambda a, b, tol, repair=False: pi_compose(a, b, tol, repair),
+        compose=lambda a, b, tol: pi_compose(a, b, tol),
         inverse=lambda u, tol: pi_inverse(u),
         unit=lambda p, tol: pi_unit(p),
         arrow_distance=_dist_matrix,
@@ -292,7 +270,7 @@ GROUPOIDS: dict[str, GroupoidOps] = {
     "g": GroupoidOps(
         source=lambda x, tol: g_source(x, tol),
         target=lambda x, tol: g_target(x, tol),
-        compose=lambda x, y, tol, repair=False: g_compose(x, y, tol, repair),
+        compose=lambda x, y, tol: g_compose(x, y, tol),
         inverse=lambda x, tol: g_inverse(x, tol),
         unit=lambda p, tol: pi_unit(p),
         arrow_distance=_dist_matrix,
@@ -301,7 +279,7 @@ GROUPOIDS: dict[str, GroupoidOps] = {
     "predual": GroupoidOps(
         source=lambda phi, tol: predual_source(phi, tol),
         target=lambda phi, tol: predual_target(phi, tol),
-        compose=lambda a, b, tol, repair=False: predual_compose(a, b, tol, repair),
+        compose=lambda a, b, tol: predual_compose(a, b, tol),
         inverse=lambda phi, tol: predual_inverse(phi),
         unit=lambda rho, tol: predual_unit(rho, tol),
         arrow_distance=_dist_functional,
@@ -310,7 +288,7 @@ GROUPOIDS: dict[str, GroupoidOps] = {
     "coadjoint": GroupoidOps(
         source=lambda a, tol: coadjoint_source(a),
         target=lambda a, tol: coadjoint_target(a),
-        compose=lambda a, b, tol, repair=False: coadjoint_compose(a, b, tol, repair),
+        compose=lambda a, b, tol: coadjoint_compose(a, b, tol),
         inverse=lambda a, tol: coadjoint_inverse(a),
         unit=lambda rho, tol: coadjoint_unit(rho, tol),
         arrow_distance=_dist_coadjoint,
@@ -320,7 +298,7 @@ GROUPOIDS: dict[str, GroupoidOps] = {
     "standard": GroupoidOps(
         source=lambda g, tol: pi_source(g),
         target=lambda g, tol: pi_target(g),
-        compose=lambda g1, g2, tol, repair=False: std_mul(g1, g2, tol, repair),
+        compose=lambda g1, g2, tol: std_mul(g1, g2, tol),
         inverse=lambda g, tol: std_inverse(g),
         unit=lambda rho, tol: matrix_sqrt(rho, tol),
         arrow_distance=_dist_matrix,
@@ -370,12 +348,12 @@ def composable_chain(
 
 
 def chain_law_residuals(
-    tag: str, chain: list, tol: ToleranceProfile = DEFAULT_TOL, repair: bool = False
+    tag: str, chain: list, tol: ToleranceProfile = DEFAULT_TOL
 ) -> dict[str, float]:
     """Residuals of the groupoid laws on one composable chain of three arrows."""
     ops = GROUPOIDS[tag]
     a, b, c = chain
-    comp = lambda x, y: ops.compose(x, y, tol, repair)  # noqa: E731
+    comp = lambda x, y: ops.compose(x, y, tol)  # noqa: E731
 
     ab = comp(a, b)
     bc = comp(b, c)
@@ -423,7 +401,6 @@ def axiom_check(
     trials: int,
     seed: int,
     tol: ToleranceProfile = DEFAULT_TOL,
-    repair: bool = False,
 ) -> AxiomReport:
     """Sample ``trials`` composable chains and accumulate the worst residual
     of every groupoid law."""
@@ -435,7 +412,7 @@ def axiom_check(
     for k in range(trials):
         rng = sampling.rng_for(seed, k)
         chain = composable_chain(tag, algebra, rng, 3)
-        for law, value in chain_law_residuals(tag, chain, tol, repair).items():
+        for law, value in chain_law_residuals(tag, chain, tol).items():
             worst[law] = _worst(worst.get(law, 0.0), value)
     return AxiomReport(tag=tag, trials=trials, seed=seed, law_residuals=worst)
 

@@ -30,7 +30,9 @@ from . import sampling
 from .algebra import (
     BlockAlgebra,
     NormalFunctional,
+    antihermitian_units,
     functional_support,
+    matrix_units,
     stabilizer_lie_algebra,
 )
 from .charts import Gamma0, dGamma0
@@ -838,47 +840,27 @@ def _bundle_tangent_basis(
     algebra: BlockAlgebra,
     u: np.ndarray,
     p0: np.ndarray,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Real basis of the tangent space at u to the isometries with source
-    p0: vertical directions u x (x anti-Hermitian in the p0 corner) and
-    horizontal directions (1 - u u*) z p0 with z running through a complex
-    block basis."""
+    p0, block by block: vertical directions u x (x anti-Hermitian in the p0
+    corner) and horizontal directions (1 - u u*) z p0 with z running through
+    a complex block basis, each complex unit followed by i times it."""
     q = u @ u.conj().T
-    basis: list[np.ndarray] = []
-    n_amb = algebra.dim
-    for sl, n in zip(algebra.slices, algebra.blocks):
-        p_blk = p0[sl, sl]
-        q_blk = q[sl, sl]
-        r = projection_rank(p_blk)
+    parts, vertical = [], []
+    for s in algebra.slices:
+        r = projection_rank(p0[s, s])
         if r == 0:
             continue
-        _, vp = hermitian_eig(p_blk)
-        _, vq = hermitian_eig(q_blk)
-        cols_p = vp[:, :r]  # range of p0 in this block
-        cols_qc = vq[:, r:]  # complement of the range of q
-
-        def embed(mat: np.ndarray, sl=sl, n=n) -> np.ndarray:
-            full = np.zeros((n_amb, n_amb), dtype=complex)
-            full[sl, sl] = mat
-            return full
-
-        # vertical: u times an anti-Hermitian corner basis (r^2 real dims)
-        for a in range(r):
-            va = cols_p[:, a]
-            basis.append(u @ embed(1j * np.outer(va, va.conj())))
-            for b in range(a + 1, r):
-                vb = cols_p[:, b]
-                m = np.outer(va, vb.conj())
-                basis.append(u @ embed((m - m.conj().T) / np.sqrt(2.0)))
-                basis.append(u @ embed(1j * (m + m.conj().T) / np.sqrt(2.0)))
-        # horizontal: (1 - q) . p0 corner, complex basis times {1, i}
-        for a in range(cols_qc.shape[1]):
-            wa = cols_qc[:, a]
-            for b in range(r):
-                vb = cols_p[:, b]
-                m = np.outer(wa, vb.conj())
-                basis.append(embed(m))
-                basis.append(embed(1j * m))
+        _, vp = hermitian_eig(p0[s, s])
+        _, vq = hermitian_eig(q[s, s])
+        corner = antihermitian_units(vp[:, :r])
+        # (1 - q) . p0: the complement of the range of q times the range of p0
+        m = matrix_units(vq[:, r:], vp[:, :r])
+        transverse = np.stack([m, 1j * m], axis=1).reshape(-1, *m.shape[1:])
+        parts += [(s, corner), (s, transverse)]
+        vertical += [True] * len(corner) + [False] * len(transverse)
+    basis = algebra.embed_stacks(parts)
+    basis[vertical] = u @ basis[vertical]
     return basis
 
 
@@ -902,6 +884,7 @@ def degeneracy_kernel_check(
             raise InvalidTangent(f"{name}* {name} is not the support of the base")
 
     stab = stabilizer_lie_algebra(rho0, tol)
+    radical_dirs = np.reshape(stab.basis, (-1, algebra.dim, algebra.dim))
     d0 = rho0.density
 
     def leg_pairings(w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -909,7 +892,7 @@ def degeneracy_kernel_check(
         pairing of a stabilizer direction w s against that basis."""
         basis = _bundle_tangent_basis(algebra, w, p0)
         m = len(basis)
-        stacked = np.array(basis + [w @ s for s in stab.basis])
+        stacked = np.concatenate([basis, w @ radical_dirs])
         # T[i, j] = Tr(d0 e_i* e_j), so dGamma0(e_i, e_j) = i (T - T^T)[i, j].
         flat = stacked.reshape(len(stacked), -1)
         t = flat.conj() @ (stacked @ d0).reshape(len(stacked), -1).T

@@ -143,22 +143,15 @@ def std_mul(
     g1: np.ndarray,
     g2: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
-    repair: bool = False,
 ) -> np.ndarray:
     """Vector product u1 u2 |g2| through the polar decompositions
     g_j = u_j |g_j|, defined when |g1| = u2 |g2| u2* (source of g1 equals
-    target of g2).
-
-    With ``repair=True`` the left factor's modulus is replaced by the right
-    factor's target modulus — exactly what the product consumes — so the
-    matching check is waived.
-    """
+    target of g2)."""
     u1, h1 = polar_decompose(g1, tol)
     u2, h2 = polar_decompose(g2, tol)
-    if not repair:
-        gap = frobenius(h1 - u2 @ h2 @ u2.conj().T)
-        if gap > tol.residual_tol * (1.0 + frobenius(h1)):
-            raise NotComposable(f"source of g1 != target of g2 (gap {gap:.3e})")
+    gap = frobenius(h1 - u2 @ h2 @ u2.conj().T)
+    if gap > tol.residual_tol * (1.0 + frobenius(h1)):
+        raise NotComposable(f"source of g1 != target of g2 (gap {gap:.3e})")
     return u1 @ u2 @ h2
 
 
@@ -227,15 +220,21 @@ def fiber_kernel_E(
 ) -> list[np.ndarray]:
     """Real basis of the kernel of the differential of E at g: directions
     delta in the algebra with delta g* + g delta* = 0 and
-    supp(g g*) delta = delta.  Raises DegenerateBase at g = 0.
+    supp(g g*) delta = delta.  Raises DegenerateBase at g = 0."""
+    g = np.asarray(g, dtype=complex)
+    return list(_fiber_kernel(algebra, g, momentum_mu(g, tol), tol))
+
+
+def _fiber_kernel(
+    algebra: BlockAlgebra, g: np.ndarray, mu: np.ndarray, tol: ToleranceProfile
+) -> np.ndarray:
+    """:func:`fiber_kernel_E` at g with its left momentum ``mu`` given.
 
     Both conditions act within each block, so each block's null space is
     taken over its 2 n^2 realified matrix units, all evaluated at once."""
-    g = np.asarray(g, dtype=complex)
     if frobenius(g) <= 1e-12:
         raise DegenerateBase("the expectation differential has no fibre at zero")
-    mu = momentum_mu(g, tol)
-    kernel: list[np.ndarray] = []
+    parts = []
     for s in algebra.slices:
         n, gb = s.stop - s.start, g[s, s]
         units = np.eye(n * n).reshape(-1, n, n)
@@ -245,11 +244,8 @@ def fiber_kernel_E(
             axis=1,
         )
         mat = np.concatenate([c.real, c.imag], axis=1).reshape(len(d), -1).T
-        null = null_space_rows(mat, tol)
-        block = np.zeros((len(null), algebra.dim, algebra.dim), dtype=complex)
-        block[:, s, s] = np.tensordot(null, d, axes=1)
-        kernel.extend(block)
-    return kernel
+        parts.append((s, np.tensordot(null_space_rows(mat, tol), d, axes=1)))
+    return algebra.embed_stacks(parts)
 
 
 def fiber_kernel_Eprime(
@@ -296,22 +292,24 @@ def dual_pair_orthogonality_check(
 ) -> DualPairReport:
     """Evaluate omega on all pairs from fibre_kernel_E(g) x
     fiber_kernel_Eprime(g) and compare both kernel dimensions to the rank
-    formula."""
-    ker_e = fiber_kernel_E(algebra, g, tol)
-    ker_ep = fiber_kernel_Eprime(algebra, g, tol)
+    formula.  Each side's kernel and expected dimension read the same
+    momentum projection: mu(g) for E and mu(J g) = mu'(g) for E'."""
+    g = np.asarray(g, dtype=complex)
+    jg = conjugation_J(g)
+    mu, mu_j = momentum_mu(g, tol), momentum_mu(jg, tol)
+    ker_e = _fiber_kernel(algebra, g, mu, tol)
+    ker_ep = [conjugation_J(d) for d in _fiber_kernel(algebra, jg, mu_j, tol)]
     # omega(x, y) = 2 Im <x|y> on all pairs at once.
-    left = np.array(ker_e).reshape(len(ker_e), -1)
+    left = ker_e.reshape(len(ker_e), -1)
     right = np.array(ker_ep).reshape(len(ker_ep), -1)
     omega = 2.0 * (left.conj() @ right.T).imag
     worst = float(np.max(np.abs(omega), initial=0.0))
-    ranks_left = block_ranks(algebra, momentum_mu(g, tol), tol)
-    ranks_right = block_ranks(algebra, momentum_mu_prime(g, tol), tol)
     return DualPairReport(
         orthogonality=worst,
         dim_E=len(ker_e),
         dim_Eprime=len(ker_ep),
-        expected_dim_E=fiber_kernel_dimension(algebra, ranks_left),
-        expected_dim_Eprime=fiber_kernel_dimension(algebra, ranks_right),
+        expected_dim_E=fiber_kernel_dimension(algebra, block_ranks(algebra, mu, tol)),
+        expected_dim_Eprime=fiber_kernel_dimension(algebra, block_ranks(algebra, mu_j, tol)),
     )
 
 

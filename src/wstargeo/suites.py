@@ -133,7 +133,6 @@ class RowCtx:
     seed: int
     subindex: int
     profile: ToleranceProfile
-    repair: bool
     #: Reports shared by a group of rows, keyed by the function that draws
     #: them; one dict per :func:`run_suite` call.
     shared: dict = field(default_factory=dict, compare=False, repr=False)
@@ -199,8 +198,7 @@ def _group_row(
 def _row_axioms(tag: str) -> Callable[[RowCtx], float]:
     def fn(ctx: RowCtx) -> float:
         report = axiom_check(
-            tag, ctx.algebra, ctx.trials, ctx.seed * 1000 + ctx.subindex,
-            ctx.profile, ctx.repair,
+            tag, ctx.algebra, ctx.trials, ctx.seed * 1000 + ctx.subindex, ctx.profile
         )
         return report.max_residual
 
@@ -213,7 +211,7 @@ def _row_axioms_standard(ctx: RowCtx, rng):
     its arrows."""
     prof = ctx.profile
     chain = composable_chain("standard", ctx.algebra, rng, 3)
-    yield from chain_law_residuals("standard", chain, prof, ctx.repair).values()
+    yield from chain_law_residuals("standard", chain, prof).values()
     # Polar data of an arrow gamma = u m: gamma = (u m u*) u relates the
     # left and right moduli through the isometry leg.
     a = chain[0]
@@ -947,7 +945,6 @@ def run_suite(
     seed: int,
     tol: float | None = None,
     profile: ToleranceProfile = DEFAULT_TOL,
-    repair: bool = False,
 ) -> list[SuiteResult]:
     """Run every row of the named suite and return its report rows.
 
@@ -963,7 +960,7 @@ def run_suite(
     results = []
     shared: dict = {}
     for subindex, (row, row_tol, fn) in enumerate(_SUITES[name]):
-        ctx = RowCtx(algebra, trials, seed, subindex, profile, repair, shared)
+        ctx = RowCtx(algebra, trials, seed, subindex, profile, shared)
         start = time.perf_counter()
         residual = float(fn(ctx))
         wall = time.perf_counter() - start

@@ -194,6 +194,7 @@ class TestVerify:
     def test_bad_algebra_flag(self, capsys):
         assert main(["verify", "kks", "--algebra", "2,x", "--trials", "2"]) == 3
         assert main(["verify", "kks", "--algebra", "0", "--trials", "2"]) == 3
+        assert main(["verify", "kks", "--trials", "2", "--repair"]) == 3
         capsys.readouterr()
 
     def test_all_suites(self, capsys):
@@ -215,12 +216,6 @@ class TestVerify:
             ",".join(line.split(",")[:-1]) for line in text.strip().splitlines()
         ]
         assert strip(r1.read_text()) == strip(r2.read_text())
-
-    def test_repair_flag(self, capsys):
-        code = main(["verify", "groupoid-axioms", "--algebra", "2",
-                     "--trials", "5", "--repair"])
-        assert code == 0
-        capsys.readouterr()
 
 
 class TestAmplitude:

@@ -8,7 +8,8 @@ import types
 import numpy as np
 import pytest
 
-from wstargeo import groupoids, poisson, sampling, standard, suites
+from wstargeo import algebra, groupoids, poisson, sampling, standard, suites
+from wstargeo.linalg import matrix_imaginary_power
 from wstargeo import (
     DEFAULT_TOL,
     SUITE_NAMES,
@@ -107,12 +108,6 @@ class TestResults:
         loose = run_suite("kks", M2, 10, 0, tol=10.0)
         assert all(r.passed for r in loose)
 
-    def test_repair_mode_runs(self):
-        rows = run_suite("groupoid-axioms", M2, 6, 2, repair=True)
-        assert all(r.passed for r in rows), [
-            (r.suite, r.max_residual) for r in rows if not r.passed
-        ]
-
 
 class TestSmoke:
     @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -205,7 +200,7 @@ class TestPlantedFaults:
         return rows[f"{suite}/{row}"]
 
     def test_standard_product_with_left_modulus(self, monkeypatch):
-        def std_mul(g1, g2, tol=DEFAULT_TOL, repair=False):
+        def std_mul(g1, g2, tol=DEFAULT_TOL):
             u1, h1 = polar_decompose(g1, tol)
             u2, _ = polar_decompose(g2, tol)
             return u1 @ u2 @ h1
@@ -217,8 +212,9 @@ class TestPlantedFaults:
     def test_product_in_the_wrong_order(self, monkeypatch, tag):
         compose = getattr(groupoids, f"{tag}_compose")
 
-        def swapped(a, b, tol=DEFAULT_TOL, repair=False):
-            return compose(b, a, tol, True)
+        def swapped(a, b, tol=DEFAULT_TOL):
+            # An infinite residual tolerance skips the composability gap check.
+            return compose(b, a, dataclasses.replace(tol, residual_tol=math.inf))
 
         monkeypatch.setattr(groupoids, f"{tag}_compose", swapped)
         assert self._row("groupoid-axioms", tag).status == "FAIL"
@@ -231,7 +227,9 @@ class TestPlantedFaults:
         assert self._row("groupoid-axioms", "isomorphisms").status == "FAIL"
 
     def test_eprime_kernel_replaced_by_e_kernel(self, monkeypatch):
-        monkeypatch.setattr(standard, "fiber_kernel_Eprime", standard.fiber_kernel_E)
+        # The check builds the E' kernel as J (kernel of E at J g); with J the
+        # identity that is the kernel of E at g.
+        monkeypatch.setattr(standard, "conjugation_J", lambda g: np.asarray(g, dtype=complex))
         assert self._row("dual-pair", "orthogonality").status == "FAIL"
 
     def test_left_momentum_replaced_by_identity(self, monkeypatch):
@@ -240,6 +238,53 @@ class TestPlantedFaults:
 
         monkeypatch.setattr(standard, "momentum_mu", momentum_mu)
         assert self._row("dual-pair", "dimension").status == "FAIL"
+
+    # The basis faults run at three trials: each fails its rows on every
+    # trial, so a few suffice.
+
+    @staticmethod
+    def _failed(suite, algebra=M23, trials=3):
+        return {r.suite for r in run_suite(suite, algebra, trials, 0) if not r.passed}
+
+    def test_non_stabilizer_direction_in_the_radical(self, monkeypatch):
+        real = algebra.stabilizer_lie_algebra
+
+        def stabilizer_lie_algebra(phi, tol=DEFAULT_TOL):
+            # An anti-Hermitian support-corner direction that does not
+            # commute with the density.
+            p0 = algebra.functional_support(phi, tol)
+            x = sampling.corner_antihermitian(phi.algebra, np.random.default_rng(0), p0)
+            return algebra.StabilizerData(real(phi, tol).basis + (x,))
+
+        for module in (poisson, suites):
+            monkeypatch.setattr(module, "stabilizer_lie_algebra", stabilizer_lie_algebra)
+        failed = self._failed("degeneracy")
+        assert {"degeneracy/radical-pairing", "degeneracy/dimensions"} <= failed
+        assert "modular-flow/dimensions" in self._failed("modular-flow", M2, 1)
+
+    def test_antihermitian_units_missing_the_last(self, monkeypatch):
+        real = algebra.antihermitian_units
+        for module in (algebra, poisson):
+            monkeypatch.setattr(module, "antihermitian_units", lambda cols: real(cols)[:-1])
+        assert "degeneracy/dimensions" in self._failed("degeneracy")
+        assert "modular-flow/dimensions" in self._failed("modular-flow", M2, 1)
+
+    def test_symplectic_form_at_half_scale(self, monkeypatch):
+        real = standard.symplectic_omega
+        for module in (poisson, standard):
+            monkeypatch.setattr(module, "symplectic_omega", lambda x, y: 0.5 * real(x, y))
+        assert "multiplicativity/vertical" in self._failed("multiplicativity")
+        assert "fubini-study/pair-groupoid" in self._failed("fubini-study")
+
+    def test_modular_flow_with_one_sign_flipped(self, monkeypatch):
+        def modular_automorphism(phi, t, x, tol=DEFAULT_TOL):
+            # d^{it} x d^{it} instead of d^{it} x d^{-it}
+            u = matrix_imaginary_power(phi.density, t, tol)
+            return u @ x @ matrix_imaginary_power(phi.density, -t, tol).conj().T
+
+        monkeypatch.setattr(suites, "modular_automorphism", modular_automorphism)
+        failed = self._failed("modular-flow", M2, 1)
+        assert {"modular-flow/group-law", "modular-flow/conditional-expectation"} <= failed
 
 
 class TestSampleWithRetry:
