@@ -146,15 +146,26 @@ class BlockAlgebra:
         return out
 
     def coordinate_units(self) -> np.ndarray:
-        """Complex basis of the algebra: one matrix unit per in-block entry."""
-        return self.embed_stacks(
-            (s, matrix_units(np.eye(n), np.eye(n))) for s, n in zip(self.slices, self.blocks)
-        )
+        """Complex basis of the algebra: one matrix unit per in-block entry.
+        A read-only stack, built once per algebra."""
+        return self._coordinate_units
 
     def hermitian_units(self) -> np.ndarray:
         """Orthonormal real basis of the Hermitian part under Tr(x y): per
         block e_aa, then (e_ab + e_ba)/sqrt 2 and i (e_ba - e_ab)/sqrt 2 for
-        b > a."""
+        b > a.  A read-only stack, built once per algebra."""
+        return self._hermitian_units
+
+    @cached_property
+    def _coordinate_units(self) -> np.ndarray:
+        units = self.embed_stacks(
+            (s, matrix_units(np.eye(n), np.eye(n))) for s, n in zip(self.slices, self.blocks)
+        )
+        units.flags.writeable = False
+        return units
+
+    @cached_property
+    def _hermitian_units(self) -> np.ndarray:
         parts = []
         for s, n in zip(self.slices, self.blocks):
             e = matrix_units(np.eye(n), np.eye(n)).reshape(n, n, n, n)
@@ -165,7 +176,9 @@ class BlockAlgebra:
                     units.append((e[a, b] + e[b, a]) / np.sqrt(2.0))
                     units.append((e[b, a] - e[a, b]) * (1j / np.sqrt(2.0)))
             parts.append((s, units))
-        return self.embed_stacks(parts)
+        units = self.embed_stacks(parts)
+        units.flags.writeable = False
+        return units
 
 
 @dataclass(frozen=True)
@@ -194,9 +207,6 @@ class NormalFunctional:
     def is_hermitian(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
         d = self.density
         return frobenius(d - d.conj().T) <= tol.residual_tol * (1.0 + frobenius(d))
-
-    def is_positive(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-        return self._spectrum_if_positive(tol) is not None
 
     def _spectrum_if_positive(self, tol: ToleranceProfile) -> np.ndarray | None:
         """Descending spectrum of the Hermitian part of the density, or

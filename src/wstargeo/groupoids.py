@@ -318,23 +318,17 @@ def composable_chain(
     exactly."""
     if tag not in GROUPOIDS:
         raise InvalidTrials(f"unknown groupoid tag {tag!r}")
-    qs = sampling.projection_chain(
-        algebra, rng, length, allow_zero=tag != "standard"
-    )
+    qs = sampling.frame_chain(algebra, rng, length, allow_zero=tag != "standard")
     isometries = [
-        sampling.partial_isometry_onto(algebra, rng, qs[i + 1], qs[i])
-        for i in range(length)
+        sampling.isometry_between(rng, qs[i + 1], qs[i]) for i in range(length)
     ]
     if tag == "pi":
         return isometries
     if tag == "g":
-        return [
-            u @ sampling.corner_positive(algebra, rng, q)
-            for u, q in zip(isometries, qs[1:])
-        ]
+        return [u @ sampling.positive_on(rng, q) for u, q in zip(isometries, qs[1:])]
     # Moduli m_i = u_{i+1} m_{i+1} u_{i+1}*, so arrow i's source is arrow
     # (i+1)'s target.
-    mods = [sampling.corner_positive(algebra, rng, qs[-1])]
+    mods = [sampling.positive_on(rng, qs[-1])]
     for u in reversed(isometries[1:]):
         mods.insert(0, u @ mods[0] @ u.conj().T)
     if tag == "predual":

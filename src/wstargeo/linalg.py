@@ -259,10 +259,11 @@ def null_space_rows(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.nd
 
 
 def phase_fixed_q(g: np.ndarray) -> np.ndarray:
-    """Unitary QR factor ``q`` of a square complex ``g = q r`` with the phases
-    of ``r``'s diagonal moved into it; a complex Gaussian ``g`` gives a Haar
-    unitary.  ``zgeqrf`` packs ``r`` above ``q``'s reflectors, so the phases
-    are read off the packed factor before ``zungqr`` expands ``q``."""
+    """Thin QR factor ``q`` of a complex ``m x n`` matrix ``g = q r``
+    (``m >= n``) with the phases of ``r``'s diagonal moved into it; a complex
+    Gaussian ``g`` gives a Haar unitary (square) or a Haar isometry (thin).
+    ``zgeqrf`` packs ``r`` above ``q``'s reflectors, so the phases are read
+    off the packed factor before ``zungqr`` expands ``q``."""
     g = np.asarray(g, dtype=complex)
     m, n = g.shape
     packed, tau, _, info = lapack.zgeqrf(g, *_workspace(lapack.zgeqrf_lwork, m, n))

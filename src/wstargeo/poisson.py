@@ -20,13 +20,13 @@ with multiplication up to the source-modulus term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from . import sampling
+from . import sampling, standard
 from .algebra import (
     BlockAlgebra,
     NormalFunctional,
@@ -60,12 +60,14 @@ from .linalg import (
     singular_values,
     support_projection,
 )
+# The symplectic form is looked up as ``standard.symplectic_omega`` at call
+# time, so a rebound one (a tracer span, a planted fault) reaches every check
+# here as well as the modular-flow checks in ``standard``.
 from .standard import (
     expectation_E,
     expectation_Eprime,
     std_mul,
     std_unit,
-    symplectic_omega,
 )
 
 # ---------------------------------------------------------------------------
@@ -394,6 +396,10 @@ class ComposableFamily:
     xi2(t) = exp(t h2) xi2 exp(t h2).  The right generator of u1 is locked to
     -a2 and b2 commutes with supp(xi2), which keeps the pair composable for
     every t, not only to first order.
+
+    Each generator is diagonalised once: ``x = v diag(lam) v*`` gives
+    ``exp(t x) = v diag(e^{t lam}) v*``, with an anti-Hermitian ``a``
+    written ``-i (i a)`` so that ``lam`` is imaginary.
     """
 
     algebra: BlockAlgebra
@@ -448,14 +454,30 @@ class ComposableFamily:
 
     # -- curves ------------------------------------------------------------
 
+    @cached_property
+    def _spectra(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """``(lam, v)`` with ``x = v diag(lam) v*`` for each generator x."""
+        spectra = {}
+        for name in ("a1", "a2", "b2"):
+            w, v = hermitian_eig(1j * getattr(self, name))
+            spectra[name] = (-1j * w, v)
+        spectra["b1"] = (-spectra["a2"][0], spectra["a2"][1])
+        spectra["h2"] = hermitian_eig(self.h2)
+        return spectra
+
+    def _exp(self, name: str, t: float) -> np.ndarray:
+        """exp(t x) for the generator called ``name``."""
+        lam, v = self._spectra[name]
+        return (v * np.exp(t * lam)) @ v.conj().T
+
     def u1_at(self, t: float) -> np.ndarray:
-        return scipy.linalg.expm(t * self.a1) @ self.u1 @ scipy.linalg.expm(t * self.b1)
+        return self._exp("a1", t) @ self.u1 @ self._exp("b1", t)
 
     def u2_at(self, t: float) -> np.ndarray:
-        return scipy.linalg.expm(t * self.a2) @ self.u2 @ scipy.linalg.expm(t * self.b2)
+        return self._exp("a2", t) @ self.u2 @ self._exp("b2", t)
 
     def xi2_at(self, t: float) -> np.ndarray:
-        e = scipy.linalg.expm(t * self.h2)
+        e = self._exp("h2", t)
         return e @ self.xi2 @ e
 
     def gamma2_at(self, t: float) -> np.ndarray:
@@ -512,12 +534,12 @@ def sample_family_base(
     algebra: BlockAlgebra, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Base data (u1, u2, xi2) of a composable pair."""
-    q2 = sampling.random_projection(algebra, rng)
-    q1 = sampling.equivalent_projection(algebra, rng, q2)
-    q0 = sampling.equivalent_projection(algebra, rng, q2)
-    u2 = sampling.partial_isometry_onto(algebra, rng, q2, q1)
-    u1 = sampling.partial_isometry_onto(algebra, rng, q1, q0)
-    xi2 = sampling.corner_positive(algebra, rng, q2)
+    q2 = sampling.random_frames(algebra, rng)
+    q1 = sampling.equivalent_frames(rng, q2)
+    q0 = sampling.equivalent_frames(rng, q2)
+    u2 = sampling.isometry_between(rng, q2, q1)
+    u1 = sampling.isometry_between(rng, q1, q0)
+    xi2 = sampling.positive_on(rng, q2)
     return u1, u2, xi2
 
 
@@ -529,7 +551,8 @@ def family_with_generators(
 ) -> ComposableFamily:
     """Fresh unit-operator-norm generators on a fixed composable base."""
     u1, u2, xi2 = base
-    q2 = support_projection(xi2, tol)
+    # supp(xi2) = u2* u2 on a valid base, as ComposableFamily checks.
+    q2 = u2.conj().T @ u2
     a1 = sampling.unit_norm(sampling.random_antihermitian(algebra, rng))
     a2 = sampling.unit_norm(sampling.random_antihermitian(algebra, rng))
     b2 = sampling.unit_norm(sampling.corner_antihermitian(algebra, rng, q2))
@@ -580,10 +603,9 @@ def multiplicativity_residual(
     )
     if gap > tol.residual_tol:
         raise InvalidFamily("the two families have different base points")
-    lhs = symplectic_omega(fam.dproduct(), fam2.dproduct())
-    rhs = symplectic_omega(fam.dgamma1(), fam2.dgamma1()) + symplectic_omega(
-        fam.dgamma2(), fam2.dgamma2()
-    )
+    omega = standard.symplectic_omega
+    lhs = omega(fam.dproduct(), fam2.dproduct())
+    rhs = omega(fam.dgamma1(), fam2.dgamma1()) + omega(fam.dgamma2(), fam2.dgamma2())
     return abs(lhs - rhs)
 
 
@@ -597,7 +619,7 @@ def vertical_form_residual(
     """Closed form of omega on vertical directions u b xi:
     omega(u b xi, u b' xi) = -2 Im Tr(xi^2 b b') for anti-Hermitian corner
     generators b, b' at the support of xi."""
-    lhs = symplectic_omega(u @ b @ xi, u @ b_prime @ xi)
+    lhs = standard.symplectic_omega(u @ b @ xi, u @ b_prime @ xi)
     rhs = -2.0 * float(np.trace(xi @ xi @ b @ b_prime).imag)
     return abs(lhs - rhs)
 
@@ -645,7 +667,7 @@ def calibrate_kappa() -> float:
     gamma0 = np.diag([1.0, 0.0]).astype(complex)
     a1 = 1j * sx
     a2 = 1j * sy
-    omega = symplectic_omega(a1 @ gamma0, a2 @ gamma0)
+    omega = standard.symplectic_omega(a1 @ gamma0, a2 @ gamma0)
     moment = 2.0 * float(np.trace(gamma0 @ gamma0.conj().T @ a1 @ a2).imag)
     return float(omega / moment)
 
@@ -679,7 +701,7 @@ def kks_check(
             raise InvalidTangent(f"{name} is not anti-Hermitian")
     gamma0 = std_unit(rho0, tol)
     kappa = calibrate_kappa()
-    omega = symplectic_omega(a1 @ gamma0, a2 @ gamma0)
+    omega = standard.symplectic_omega(a1 @ gamma0, a2 @ gamma0)
     d0 = gamma0 @ gamma0.conj().T
     moment = kappa * 2.0 * float(np.trace(d0 @ a1 @ a2).imag)
     commutator = a1 @ a2 - a2 @ a1
@@ -734,7 +756,7 @@ def fubini_study_compare(
 
     lift_x = gamma0 @ generator(X)
     lift_y = gamma0 @ generator(Y)
-    omega = symplectic_omega(lift_x, lift_y)
+    omega = standard.symplectic_omega(lift_x, lift_y)
     kappa = calibrate_kappa()
     fs_value = kappa * float(r) * 2.0 * float(np.vdot(X, Y).imag)
     return FubiniStudyReport(omega=omega, fs_value=fs_value, radius=float(r))
@@ -778,7 +800,7 @@ def pair_groupoid_fs_residual(
     def dLambda(duu: np.ndarray, dvv: np.ndarray) -> np.ndarray:
         return duu @ gamma0 @ v.conj().T + u @ gamma0 @ dvv.conj().T
 
-    lhs = symplectic_omega(dLambda(du, dv), dLambda(du_p, dv_p))
+    lhs = standard.symplectic_omega(dLambda(du, dv), dLambda(du_p, dv_p))
     rhs = 2.0 * float(r) * float(np.vdot(X, X_prime).imag) - 2.0 * float(r) * float(
         np.vdot(Y, Y_prime).imag
     )
@@ -938,7 +960,6 @@ def orbit_form_invariance_residual(
     (stabilizer) direction to one argument."""
     algebra = rho0.algebra
     p0 = functional_support(rho0, tol)
-    q = u @ u.conj().T
     du = sampling.p0_tangent(algebra, rng, u, p0)
     du2 = sampling.p0_tangent(algebra, rng, u, p0)
     x1 = sampling.corner_antihermitian(algebra, rng, p0)
@@ -949,8 +970,8 @@ def orbit_form_invariance_residual(
     w = sampling.random_unitary(algebra, rng)
     res.append(abs(Gamma0(rho0, w @ u, w @ du, tol) - Gamma0(rho0, u, du, tol)))
     # left translation by a groupoid arrow on a vertical pair
-    q_target = sampling.equivalent_projection(algebra, rng, q)
-    wg = sampling.partial_isometry_onto(algebra, rng, q, q_target)
+    q = sampling.frames_of(algebra, u @ u.conj().T)
+    wg = sampling.isometry_between(rng, q, sampling.equivalent_frames(rng, q))
     res.append(
         abs(
             dGamma0(rho0, wg @ u, wg @ u @ x1, wg @ u @ x2, tol)

@@ -3,11 +3,21 @@
 Every verification trial draws from a generator seeded by ``(seed, trial
 index, ...)``, so suites are reproducible and trial-parallelizable.  All
 samplers return elements of the given block algebra (block-diagonal ambient
-matrices); unitaries are Haar-distributed (:func:`haar_unitary`), and partial
-isometries with prescribed source/target pairs match spectral bases through a
-random corner unitary.
+matrices); unitaries are Haar-distributed (:func:`haar_unitary`).
+
+A drawn projection keeps its :class:`Frames`: per block an ``n_b x r_b``
+Haar isometry ``F`` with ``p = F F*``.  An arrow from ``p`` to ``q`` is
+``F_q w F_p*`` with ``w`` a Haar unitary of the corner, and a positive
+element supported on ``p`` is ``(F w) diag(vals) (F w)*``, so nothing
+recovers a frame or a rank from a projection it drew.  The functions that
+take a projection instead (:func:`partial_isometry_onto`,
+:func:`corner_positive`) read its frames off one Hermitian eigendecomposition
+per block (:func:`frames_of`).
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,13 +38,19 @@ def rng_for(*key: int) -> np.random.Generator:
     return np.random.default_rng(list(key))
 
 
+def complex_normal(
+    rng: np.random.Generator, shape: tuple[int, ...], scale: float = 1.0
+) -> np.ndarray:
+    """Complex Gaussian array whose real and imaginary parts are independent
+    ``N(0, scale^2)``, from one draw of interleaved parts."""
+    return rng.normal(0.0, scale, (*shape, 2)).view(complex)[..., 0]
+
+
 def random_element(algebra: BlockAlgebra, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Complex Gaussian algebra element."""
-    mats = []
-    for b in algebra.blocks:
-        g = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
-        mats.append(scale * g / np.sqrt(2.0))
-    return algebra.embed_blocks(mats)
+    return algebra.embed_blocks(
+        [complex_normal(rng, (b, b), scale / np.sqrt(2.0)) for b in algebra.blocks]
+    )
 
 
 def random_hermitian(algebra: BlockAlgebra, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -48,7 +64,9 @@ def random_antihermitian(algebra: BlockAlgebra, rng: np.random.Generator, scale:
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed n-by-n unitary: QR of a complex Gaussian with the
     phases of the triangular factor's diagonal moved into the unitary."""
-    return phase_fixed_q(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    if n == 0:
+        return np.zeros((0, 0), dtype=complex)
+    return phase_fixed_q(complex_normal(rng, (n, n)))
 
 
 def random_unitary(algebra: BlockAlgebra, rng: np.random.Generator) -> np.ndarray:
@@ -80,14 +98,44 @@ def random_positive(
     return (v * vals) @ v.conj().T
 
 
-def random_projection(
+@dataclass(frozen=True, eq=False)
+class Frames:
+    """Orthonormal frames of a projection: per block an ``n_b x r_b``
+    isometry ``F`` whose range is that block of the projection."""
+
+    algebra: BlockAlgebra
+    blocks: tuple[np.ndarray, ...]
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(f.shape[1] for f in self.blocks)
+
+    @cached_property
+    def projection(self) -> np.ndarray:
+        """The projection ``F F*``, blockwise."""
+        return self.algebra.embed_blocks([f @ f.conj().T for f in self.blocks])
+
+
+def frames_of(algebra: BlockAlgebra, p: np.ndarray) -> Frames:
+    """Frames of a projection ``p``: per block, the eigenvectors of the
+    eigenvalues above 1/2."""
+    frames = []
+    for bp in algebra.block_views(p):
+        w, v = hermitian_eig(bp)
+        frames.append(v[:, : int(np.count_nonzero(w > 0.5))])
+    return Frames(algebra, tuple(frames))
+
+
+def random_frames(
     algebra: BlockAlgebra,
     rng: np.random.Generator,
     ranks: tuple[int, ...] | None = None,
     allow_zero: bool = True,
     allow_full: bool = True,
-) -> np.ndarray:
-    """Random orthogonal projection with prescribed or random blockwise ranks."""
+) -> Frames:
+    """Frames of a random projection with prescribed or random blockwise
+    ranks: a Haar isometry per block (QR of an ``n_b x r_b`` complex
+    Gaussian), empty at rank 0 and the identity at full rank."""
     if ranks is None:
         ranks = tuple(
             int(rng.integers(0 if allow_zero else 1, b + (1 if allow_full else 0)))
@@ -99,15 +147,75 @@ def random_projection(
             k = int(rng.integers(0, len(algebra.blocks)))
             ranks[k] = 1
             ranks = tuple(ranks)
-    v = random_unitary(algebra, rng)
-    vals = np.zeros(algebra.dim)
-    offset = 0
+    frames = []
     for b, r in zip(algebra.blocks, ranks):
         if r < 0 or r > b:
             raise ValueError("rank exceeds block size")
-        vals[offset : offset + r] = 1.0
-        offset += b
-    return (v * vals) @ v.conj().T
+        if r == 0:
+            frames.append(np.zeros((b, 0), dtype=complex))
+        elif r == b:
+            frames.append(np.eye(b, dtype=complex))
+        else:
+            frames.append(phase_fixed_q(complex_normal(rng, (b, r))))
+    return Frames(algebra, tuple(frames))
+
+
+def equivalent_frames(rng: np.random.Generator, frames: Frames) -> Frames:
+    """Frames of a random projection with the same blockwise ranks."""
+    return random_frames(frames.algebra, rng, ranks=frames.ranks)
+
+
+def isometry_between(rng: np.random.Generator, source: Frames, target: Frames) -> np.ndarray:
+    """Partial isometry ``F_t w F_s*`` from the source projection onto the
+    target one, with ``w`` a Haar unitary of each block's corner."""
+    if source.ranks != target.ranks:
+        raise ValueError("source and target have different blockwise ranks")
+    return source.algebra.embed_blocks(
+        [
+            ft @ haar_unitary(rng, fs.shape[1]) @ fs.conj().T
+            for fs, ft in zip(source.blocks, target.blocks)
+        ]
+    )
+
+
+def positive_on(
+    rng: np.random.Generator,
+    frames: Frames,
+    eig_low: float = 0.5,
+    eig_high: float = 2.0,
+) -> np.ndarray:
+    """Positive element supported exactly on the frames' projection, with
+    eigenvalues in ``[eig_low, eig_high]`` on the support: ``(F w)
+    diag(vals) (F w)*`` per block, ``w`` a Haar unitary of the corner."""
+    mats = []
+    for f in frames.blocks:
+        fw = f @ haar_unitary(rng, f.shape[1])
+        vals = rng.uniform(eig_low, eig_high, f.shape[1])
+        mats.append((fw * vals) @ fw.conj().T)
+    return frames.algebra.embed_blocks(mats)
+
+
+def frame_chain(
+    algebra: BlockAlgebra,
+    rng: np.random.Generator,
+    length: int,
+    allow_zero: bool = True,
+) -> list[Frames]:
+    """Frames of mutually equivalent projections q_0, ..., q_length (equal
+    blockwise ranks), for building composable chains."""
+    q0 = random_frames(algebra, rng, allow_zero=allow_zero)
+    return [q0] + [equivalent_frames(rng, q0) for _ in range(length)]
+
+
+def random_projection(
+    algebra: BlockAlgebra,
+    rng: np.random.Generator,
+    ranks: tuple[int, ...] | None = None,
+    allow_zero: bool = True,
+    allow_full: bool = True,
+) -> np.ndarray:
+    """Random orthogonal projection with prescribed or random blockwise ranks."""
+    return random_frames(algebra, rng, ranks, allow_zero, allow_full).projection
 
 
 def equivalent_projection(
@@ -115,7 +223,7 @@ def equivalent_projection(
 ) -> np.ndarray:
     """Random projection with the same blockwise ranks as ``p``."""
     ranks = tuple(projection_rank(b) for b in algebra.block_views(p))
-    return random_projection(algebra, rng, ranks=ranks)
+    return random_frames(algebra, rng, ranks=ranks).projection
 
 
 def partial_isometry_onto(
@@ -125,18 +233,8 @@ def partial_isometry_onto(
     target: np.ndarray,
 ) -> np.ndarray:
     """Partial isometry ``u`` with ``u* u = source`` and ``u u* = target``
-    (blockwise equal ranks assumed), randomized by a corner unitary."""
-    mats = []
-    for bs, bt in zip(algebra.block_views(source), algebra.block_views(target)):
-        r = projection_rank(bs)
-        _, vs = hermitian_eig(bs)
-        _, vt = hermitian_eig(bt)
-        if r == 0:
-            mats.append(np.zeros_like(bs))
-            continue
-        q = haar_unitary(rng, r)
-        mats.append(vt[:, :r] @ q @ vs[:, :r].conj().T)
-    return algebra.embed_blocks(mats)
+    (blockwise equal ranks), randomized by a corner unitary."""
+    return isometry_between(rng, frames_of(algebra, source), frames_of(algebra, target))
 
 
 def corner_positive(
@@ -148,19 +246,7 @@ def corner_positive(
 ) -> np.ndarray:
     """Positive element supported exactly on the projection ``p``, with
     eigenvalues in ``[eig_low, eig_high]`` on the support."""
-    mats = []
-    for bp in algebra.block_views(p):
-        r = projection_rank(bp)
-        n = bp.shape[0]
-        if r == 0:
-            mats.append(np.zeros((n, n), dtype=complex))
-            continue
-        _, v = hermitian_eig(bp)
-        q = haar_unitary(rng, r)
-        vals = rng.uniform(eig_low, eig_high, r)
-        core = (q * vals) @ q.conj().T
-        mats.append(v[:, :r] @ core @ v[:, :r].conj().T)
-    return algebra.embed_blocks(mats)
+    return positive_on(rng, frames_of(algebra, p), eig_low, eig_high)
 
 
 def corner_hermitian(
@@ -198,13 +284,21 @@ def random_density(
 ) -> NormalFunctional:
     """Positive functional with prescribed support (faithful by default) and
     eigenvalues well separated from the rank cutoff."""
-    if support is None:
-        d = random_positive(algebra, rng, repeat_chance=repeat_chance)
-    else:
-        d = corner_positive(algebra, rng, support)
-    if normalize:
-        d = d / float(np.trace(d).real)
-    return NormalFunctional(algebra, d)
+    if support is not None:
+        return density_on(rng, frames_of(algebra, support), normalize)
+    d = random_positive(algebra, rng, repeat_chance=repeat_chance)
+    return _functional(algebra, d, normalize)
+
+
+def density_on(
+    rng: np.random.Generator, frames: Frames, normalize: bool = True
+) -> NormalFunctional:
+    """Positive functional supported exactly on the frames' projection."""
+    return _functional(frames.algebra, positive_on(rng, frames), normalize)
+
+
+def _functional(algebra: BlockAlgebra, d: np.ndarray, normalize: bool) -> NormalFunctional:
+    return NormalFunctional(algebra, d / float(np.trace(d).real) if normalize else d)
 
 
 def faithful_density(
@@ -251,11 +345,7 @@ def projection_chain(
 ) -> list[np.ndarray]:
     """Mutually equivalent projections q_0, ..., q_length (equal blockwise
     ranks), for building composable chains."""
-    q0 = random_projection(algebra, rng, allow_zero=allow_zero)
-    chain = [q0]
-    for _ in range(length):
-        chain.append(equivalent_projection(algebra, rng, q0))
-    return chain
+    return [f.projection for f in frame_chain(algebra, rng, length, allow_zero)]
 
 
 #: Refusals that mean "this random draw hit a measure-zero degenerate
@@ -278,5 +368,5 @@ def sample_with_retry(draw, max_tries: int = 64):
 
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = complex_normal(rng, (n,))
     return v / np.linalg.norm(v)

@@ -438,12 +438,12 @@ def flow_automorphism_check(
     }
     for k in range(samples):
         rng = sampling.rng_for(seed, 17, k)
-        q1 = sampling.random_projection(algebra, rng)
-        q0 = sampling.equivalent_projection(algebra, rng, q1)
-        q2 = sampling.equivalent_projection(algebra, rng, q1)
-        u1 = sampling.partial_isometry_onto(algebra, rng, q1, q0)
-        u2 = sampling.partial_isometry_onto(algebra, rng, q2, q1)
-        h2 = sampling.corner_positive(algebra, rng, q2)
+        q1 = sampling.random_frames(algebra, rng)
+        q0 = sampling.equivalent_frames(rng, q1)
+        q2 = sampling.equivalent_frames(rng, q1)
+        u1 = sampling.isometry_between(rng, q1, q0)
+        u2 = sampling.isometry_between(rng, q2, q1)
+        h2 = sampling.positive_on(rng, q2)
         g2 = u2 @ h2
         g1 = u1 @ (u2 @ h2 @ u2.conj().T)
         prod = std_mul(g1, g2, tol)

@@ -24,7 +24,6 @@ from . import sampling
 from .algebra import (
     BlockAlgebra,
     NormalFunctional,
-    block_ranks,
     centralizer_basis,
     coadjoint_apply,
     conditional_expectation,
@@ -74,8 +73,6 @@ from .linalg import (
     expect_real,
     frobenius,
     matrix_imaginary_power,
-    matrix_sqrt,
-    partial_inverse,
     polar_decompose,
 )
 from .poisson import (
@@ -228,12 +225,10 @@ def _row_isomorphisms(ctx: RowCtx, rng):
     yield xi_intertwining_residual((a, b), prof)
     yield phi_intertwining_residual(alg, a, b, prof)
 
-    p0 = sampling.random_projection(alg, rng, allow_zero=False)
-    rho0 = sampling.random_density(alg, rng, support=p0)
+    f0 = sampling.random_frames(alg, rng, allow_zero=False)
+    rho0 = sampling.density_on(rng, f0)
     u, v, w = [
-        sampling.partial_isometry_onto(
-            alg, rng, p0, sampling.equivalent_projection(alg, rng, p0)
-        )
+        sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
         for _ in range(3)
     ]
     yield psi_intertwining_residual(u, v, w, rho0, prof)
@@ -254,8 +249,8 @@ def _row_equivalence_agreement(ctx: RowCtx) -> float:
     violations = 0
     for k in range(ctx.trials):
         rng = ctx.rng(k)
-        p = sampling.random_projection(alg, rng)
-        q = sampling.equivalent_projection(alg, rng, p)
+        pf = sampling.random_frames(alg, rng)
+        p, q = pf.projection, sampling.equivalent_frames(rng, pf).projection
         if not mvn_equivalent(alg, p, q, prof):
             violations += 1
         if not unitary_equivalent(alg, p, q, prof):
@@ -268,10 +263,10 @@ def _row_equivalence_agreement(ctx: RowCtx) -> float:
             violations += 1
         # Pushing a positive functional along an arrow preserves its orbit
         # invariants and maps supports to equivalent supports.
-        rho_supp = sampling.random_projection(alg, rng, allow_zero=False)
-        rho = sampling.random_density(alg, rng, support=rho_supp)
-        target = sampling.equivalent_projection(alg, rng, rho_supp)
-        u = sampling.partial_isometry_onto(alg, rng, rho_supp, target)
+        rho_f = sampling.random_frames(alg, rng, allow_zero=False)
+        rho_supp = rho_f.projection
+        rho = sampling.density_on(rng, rho_f)
+        u = sampling.isometry_between(rng, rho_f, sampling.equivalent_frames(rng, rho_f))
         pushed = coadjoint_apply(u, rho, prof)
         if not orbit_equivalent(rho, pushed, prof):
             violations += 1
@@ -282,7 +277,7 @@ def _row_equivalence_agreement(ctx: RowCtx) -> float:
         # Negative controls: a rank change breaks equivalence, a spectral
         # shift breaks orbit equivalence.
         n0 = alg.blocks[0]
-        ranks = list(block_ranks(alg, p, prof))
+        ranks = list(pf.ranks)
         ranks[0] = (ranks[0] + 1) % (n0 + 1)
         p_bad = sampling.random_projection(alg, rng, ranks=tuple(ranks))
         if mvn_equivalent(alg, p, p_bad, prof):
@@ -300,8 +295,8 @@ def _row_witnesses(ctx: RowCtx, rng):
     """Constructive witnesses for the three equivalences actually implement
     them."""
     alg, prof = ctx.algebra, ctx.profile
-    p = sampling.random_projection(alg, rng)
-    q = sampling.equivalent_projection(alg, rng, p)
+    pf = sampling.random_frames(alg, rng)
+    p, q = pf.projection, sampling.equivalent_frames(rng, pf).projection
     w = mvn_witness(alg, p, q, prof)
     yield frobenius(w.conj().T @ w - p)
     yield frobenius(w @ w.conj().T - q)
@@ -313,10 +308,10 @@ def _row_witnesses(ctx: RowCtx, rng):
     yield frobenius(v @ v.conj().T - alg.identity())
     yield frobenius(v @ phi1.density @ v.conj().T - phi2.density)
 
-    qs = sampling.projection_chain(alg, rng, 2, allow_zero=False)
-    h = sampling.corner_positive(alg, rng, qs[2])
-    u1 = sampling.partial_isometry_onto(alg, rng, qs[2], qs[1])
-    w0 = sampling.partial_isometry_onto(alg, rng, qs[1], qs[0])
+    qs = sampling.frame_chain(alg, rng, 2, allow_zero=False)
+    h = sampling.positive_on(rng, qs[2])
+    u1 = sampling.isometry_between(rng, qs[2], qs[1])
+    w0 = sampling.isometry_between(rng, qs[1], qs[0])
     g1 = u1 @ h
     g2 = w0 @ g1
     wt = transport_witness(g1, g2, prof)
@@ -354,13 +349,13 @@ def _row_charts_round_trip(ctx: RowCtx, rng):
     yield frobenius(phi_p_inv(p, phi_p(p, q, prof), prof) - q)
 
     def draw_g():
-        ps = sampling.projection_chain(alg, rng, 3, allow_zero=False)
-        p_, pt, l, r = ps
+        fs = sampling.frame_chain(alg, rng, 3, allow_zero=False)
+        p_, pt, l, r = (f.projection for f in fs)
         if not (chart_domain_member(p_, l, prof)
                 and chart_domain_member(pt, r, prof)):
             raise NotInDomain("redraw")
-        wiso = sampling.partial_isometry_onto(alg, rng, r, l)
-        h = sampling.corner_positive(alg, rng, r)
+        wiso = sampling.isometry_between(rng, fs[3], fs[2])
+        h = sampling.positive_on(rng, fs[3])
         return p_, pt, l, r, wiso, h
 
     p_, pt, l, r, wiso, h = _retry(draw_g)
@@ -421,11 +416,11 @@ def _row_charts_theta(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
 
     def draw():
-        ps = sampling.projection_chain(alg, rng, 2, allow_zero=False)
-        p0, q, p = ps
+        fs = sampling.frame_chain(alg, rng, 2, allow_zero=False)
+        p0, q, p = (f.projection for f in fs)
         if not chart_domain_member(p, q, prof):
             raise NotInDomain("redraw")
-        u = sampling.partial_isometry_onto(alg, rng, p0, q)
+        u = sampling.isometry_between(rng, fs[0], fs[1])
         return p0, q, p, u
 
     p0, q, p, u = _retry(draw)
@@ -433,9 +428,10 @@ def _row_charts_theta(ctx: RowCtx, rng):
     yield frobenius(theta_P0_inv(p, (y, w), p0, prof) - u)
     yield frobenius(w.conj().T @ w - p0)
     yield frobenius(w @ w.conj().T - p)
-    closed = matrix_sqrt(
-        partial_inverse(p @ (u @ u.conj().T) @ p, prof), prof
-    ) @ u
+    # The closed form ((p u u* p)^+)^{1/2} u is the polar isometry of p u,
+    # taken from one SVD of p u: inverting p u u* p would square its
+    # condition number and lose the digits this residual measures.
+    closed, _ = polar_decompose(p @ u, prof)
     yield frobenius(w - closed)
     yield frobenius(y - phi_p(p, q, prof))
 
@@ -444,10 +440,10 @@ def _row_charts_theta(ctx: RowCtx, rng):
 def _row_charts_connection(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
 
-    p0 = sampling.random_projection(alg, rng, allow_zero=False)
-    rho0 = sampling.random_density(alg, rng, support=p0)
-    q = sampling.equivalent_projection(alg, rng, p0)
-    u = sampling.partial_isometry_onto(alg, rng, p0, q)
+    f0 = sampling.random_frames(alg, rng, allow_zero=False)
+    p0 = f0.projection
+    rho0 = sampling.density_on(rng, f0)
+    u = sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
     du1 = sampling.p0_tangent(alg, rng, u, p0)
     du2 = sampling.p0_tangent(alg, rng, u, p0)
     x1 = sampling.corner_antihermitian(alg, rng, p0)
@@ -488,10 +484,10 @@ def _row_multiplicativity(ctx: RowCtx, rng):
 def _row_vertical(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
 
-    q = sampling.random_projection(alg, rng, allow_zero=False)
-    target = sampling.equivalent_projection(alg, rng, q)
-    u = sampling.partial_isometry_onto(alg, rng, q, target)
-    xi = sampling.corner_positive(alg, rng, q)
+    qf = sampling.random_frames(alg, rng, allow_zero=False)
+    q = qf.projection
+    u = sampling.isometry_between(rng, qf, sampling.equivalent_frames(rng, qf))
+    xi = sampling.positive_on(rng, qf)
     b = sampling.corner_antihermitian(alg, rng, q)
     b2 = sampling.corner_antihermitian(alg, rng, q)
     yield vertical_form_residual(u, xi, b, b2, prof)
@@ -533,10 +529,9 @@ def _draw_dual_pair_point(ctx: RowCtx, k: int) -> np.ndarray:
     rng = ctx.rng(k)
     if k % 2 == 0:
         return sampling.random_element(alg, rng)
-    q = sampling.random_projection(alg, rng, allow_zero=False)
-    target = sampling.equivalent_projection(alg, rng, q)
-    u = sampling.partial_isometry_onto(alg, rng, q, target)
-    return u @ sampling.corner_positive(alg, rng, q)
+    qf = sampling.random_frames(alg, rng, allow_zero=False)
+    u = sampling.isometry_between(rng, qf, sampling.equivalent_frames(rng, qf))
+    return u @ sampling.positive_on(rng, qf)
 
 
 def _dual_pair_reports(ctx: RowCtx):
@@ -611,15 +606,15 @@ def _row_poisson_commutant(ctx: RowCtx, rng):
 
 
 def _draw_bundle_point(alg, rng, repeat_chance: float = 0.0):
-    p0 = sampling.random_projection(alg, rng, allow_zero=False)
-    d = sampling.corner_positive(alg, rng, p0)
+    """Frames of a support p0, a density on it and an isometry from it."""
+    f0 = sampling.random_frames(alg, rng, allow_zero=False)
+    d = sampling.positive_on(rng, f0)
     if repeat_chance > 0.0 and rng.uniform() < repeat_chance:
         # Collapse the corner spectrum to create a nontrivial stabilizer.
-        d = sampling.corner_positive(alg, rng, p0, 1.0, 1.0)
+        d = sampling.positive_on(rng, f0, 1.0, 1.0)
     rho0 = NormalFunctional(alg, d / float(np.trace(d).real))
-    q = sampling.equivalent_projection(alg, rng, p0)
-    u = sampling.partial_isometry_onto(alg, rng, p0, q)
-    return p0, rho0, u
+    u = sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
+    return f0, rho0, u
 
 
 @_per_trial
@@ -632,9 +627,9 @@ def _row_degeneracy_invariance(ctx: RowCtx, rng):
 @_per_trial
 def _row_degeneracy_fd(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    p0, rho0, u = _draw_bundle_point(alg, rng)
+    f0, rho0, u = _draw_bundle_point(alg, rng)
     a = sampling.unit_norm(sampling.random_antihermitian(alg, rng))
-    b = sampling.unit_norm(sampling.corner_antihermitian(alg, rng, p0))
+    b = sampling.unit_norm(sampling.corner_antihermitian(alg, rng, f0.projection))
     val_fd = fd_surface_dGamma0(rho0, u, a, b, 1e-4, prof)
     val = dGamma0(rho0, u, a @ u, u @ b, prof)
     yield abs(val_fd - val)
@@ -644,9 +639,8 @@ def _degeneracy_reports(ctx: RowCtx):
     alg, prof = ctx.algebra, ctx.profile
     for k in range(ctx.trials):
         rng = ctx.rng(k)
-        p0, rho0, u = _draw_bundle_point(alg, rng, repeat_chance=0.5)
-        target = sampling.equivalent_projection(alg, rng, p0)
-        v = sampling.partial_isometry_onto(alg, rng, p0, target)
+        f0, rho0, u = _draw_bundle_point(alg, rng, repeat_chance=0.5)
+        v = sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
         yield degeneracy_kernel_check(rho0, u, v, prof)
 
 
@@ -663,8 +657,7 @@ def _inverse_gap(report) -> float:
 @_per_trial
 def _row_kks_identity(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    support = sampling.random_projection(alg, rng, allow_zero=False)
-    rho0 = sampling.random_density(alg, rng, support=support)
+    rho0 = sampling.density_on(rng, sampling.random_frames(alg, rng, allow_zero=False))
     a1 = sampling.random_antihermitian(alg, rng)
     a2 = sampling.random_antihermitian(alg, rng)
     yield kks_check(rho0, a1, a2, prof).residual
@@ -683,8 +676,8 @@ def _fs_point(ctx: RowCtx, rng):
     trial."""
     n = _fs_dimension(ctx.algebra)
     delta = sampling.random_unit_vector(n, rng)
-    x_t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    y_t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x_t = sampling.complex_normal(rng, (n,))
+    y_t = sampling.complex_normal(rng, (n,))
     return float(rng.uniform(0.5, 2.0)), delta, x_t, y_t
 
 
@@ -707,7 +700,7 @@ def _row_fs_pair_groupoid(ctx: RowCtx, rng):
     psi = sampling.random_unit_vector(n, rng)
     phi_vec = sampling.random_unit_vector(n, rng)
     delta = sampling.random_unit_vector(n, rng)
-    vecs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(4)]
+    vecs = [sampling.complex_normal(rng, (n,)) for _ in range(4)]
     r = float(rng.uniform(0.5, 2.0))
     yield pair_groupoid_fs_residual(r, delta, psi, phi_vec, *vecs, ctx.profile)
 
@@ -736,7 +729,8 @@ def _row_flow_orbit_form(ctx: RowCtx, rng):
     """The orbit two-form is invariant under the flow of any faithful
     extension of the base density (the flow restricts to the bundle)."""
     alg, prof = ctx.algebra, ctx.profile
-    p0, rho0, u = _draw_bundle_point(alg, rng)
+    f0, rho0, u = _draw_bundle_point(alg, rng)
+    p0 = f0.projection
     du1 = sampling.p0_tangent(alg, rng, u, p0)
     du2 = sampling.p0_tangent(alg, rng, u, p0)
     c = float(rng.uniform(0.5, 2.0))
@@ -793,7 +787,7 @@ def _row_flow_conditional_expectation(ctx: RowCtx, rng):
     yield frobenius(ex @ d - d @ ex)
     yield frobenius(modular_automorphism(phi, 0.7, ex, prof) - ex)
     basis = centralizer_basis(phi, prof)
-    coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    coeff = sampling.complex_normal(rng, (len(basis),))
     a = sum(c * b for c, b in zip(coeff, basis))
     yield frobenius(
         conditional_expectation(phi, a @ x, prof)

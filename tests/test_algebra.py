@@ -83,6 +83,13 @@ class TestBlockAlgebra:
         assert len(M23.coordinate_units()) == 2 * 2 + 3 * 3
         assert len(M23.hermitian_units()) == 2 * 2 + 3 * 3
 
+    def test_unit_bases_are_built_once_and_read_only(self):
+        for units in (M23.coordinate_units, M23.hermitian_units):
+            assert units() is units()
+            assert not units().flags.writeable
+            with pytest.raises(ValueError):
+                units()[0, 0, 0] = 1.0
+
     def test_from_string(self):
         assert BlockAlgebra.from_string("2,3").blocks == (2, 3)
 

@@ -46,6 +46,7 @@ from wstargeo.sampling import (
 )
 
 M2 = BlockAlgebra((2,))
+M3 = BlockAlgebra((3,))
 M23 = BlockAlgebra((2, 3))
 
 P = np.diag([1.0, 0.0]).astype(complex)
@@ -361,19 +362,20 @@ class TestOrbitOneForm:
             assert abs(exact - approx) <= 1e-6 * (1.0 + abs(exact))
 
     def test_finite_difference_second_order(self):
+        # A rank-2 corner: on a rank-1 corner exp(t b) commutes with the
+        # density, the O(h^2) term vanishes and the errors are roundoff.
         rng = rng_for(21)
-        p0 = random_projection(M2, rng, ranks=(1,))
-        rho0 = NormalFunctional(M2, corner_positive(M2, rng, p0))
-        u = partial_isometry_onto(M2, rng, p0, equivalent_projection(M2, rng, p0))
-        a = random_antihermitian(M2, rng)
-        b = p0 @ random_antihermitian(M2, rng) @ p0
+        p0 = random_projection(M3, rng, ranks=(2,))
+        rho0 = NormalFunctional(M3, corner_positive(M3, rng, p0))
+        u = partial_isometry_onto(M3, rng, p0, equivalent_projection(M3, rng, p0))
+        a = random_antihermitian(M3, rng)
+        b = p0 @ random_antihermitian(M3, rng) @ p0
         exact = dGamma0(rho0, u, a @ u, u @ b, DEFAULT_TOL)
         err = [
             abs(fd_surface_dGamma0(rho0, u, a, b, h, DEFAULT_TOL) - exact)
             for h in (1e-3, 5e-4)
         ]
-        if err[1] > 1e-13:
-            assert 2.5 <= err[0] / err[1] <= 5.5
+        assert 3.5 <= err[0] / err[1] <= 4.5
 
     def test_rejects_bad_generators(self):
         rho0 = NormalFunctional(M2, np.diag([0.0, 2.0]).astype(complex))
