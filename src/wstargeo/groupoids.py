@@ -16,8 +16,10 @@ Five structures share one interface:
                   source ``g* g``, target ``g g*``, product through the
                   shared modulus (``std_mul``), inverse ``g*``, unit ``d^{1/2}``.
 
-``axiom_check`` samples composable chains and reports the worst residual of
-each groupoid law.  ``iso_Xi`` (to the predual groupoid), ``iso_Phi`` (to the
+``chain_law_residuals`` evaluates every groupoid law on one
+``composable_chain``; ``axiom_check`` folds the two over sampled chains and
+reports the worst residual of each law, and the ``groupoid-axioms`` suite runs
+them once per trial.  ``iso_Xi`` (to the predual groupoid), ``iso_Phi`` (to the
 standard form) and ``gauge_iso_Psi`` (from the pair structure on the isometry
 bundle) realize the structure-preserving identifications;
 ``intertwining_residual`` checks the functor laws of the first two.
@@ -396,8 +398,8 @@ def axiom_check(
     seed: int,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> AxiomReport:
-    """Sample ``trials`` composable chains and accumulate the worst residual
-    of every groupoid law."""
+    """The worst residual of every groupoid law over ``trials`` composable
+    chains, chain ``k`` drawn from the generator keyed ``(seed, k)``."""
     if tag not in GROUPOIDS:
         raise InvalidTrials(f"unknown groupoid tag {tag!r}")
     if trials < 1:

@@ -57,8 +57,8 @@ from .linalg import (
     hs_inner,
     is_partial_isometry,
     projection_rank,
+    retained_rank,
     singular_values,
-    support_projection,
 )
 # The symplectic form is looked up as ``standard.symplectic_omega`` at call
 # time, so a rebound one (a tracer span, a planted fault) reaches every check
@@ -416,10 +416,11 @@ class ComposableFamily:
         tol = self.tol
         if frobenius(self.xi2 - self.xi2.conj().T) > tol.residual_tol:
             raise InvalidFamily("xi2 is not Hermitian")
-        wmin = float(hermitian_eigvals(herm(self.xi2)).min())
-        if wmin < -tol.residual_tol:
+        w, v = hermitian_eig(herm(self.xi2))
+        if w[-1] < -tol.residual_tol:
             raise InvalidFamily("xi2 is not positive")
-        q2 = support_projection(self.xi2, tol)
+        f2 = v[:, : retained_rank(w, tol)]
+        q2 = f2 @ f2.conj().T
         checks = {
             "u1 is not a partial isometry": not is_partial_isometry(self.u1, tol),
             "u2 is not a partial isometry": not is_partial_isometry(self.u2, tol),

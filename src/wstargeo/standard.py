@@ -405,18 +405,16 @@ class FlowReport:
         return _worst(*self.residuals.values())
 
 
-def flow_automorphism_check(
+def flow_residuals(
     mod: ModularData,
     t: float,
-    samples: int,
-    seed: int,
+    rng: np.random.Generator,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> FlowReport:
-    """Verify on random data that the modular flow at time t is an
-    automorphism of the standard groupoid preserving omega, the positive
-    cone, J, and the spectral data of the expectations."""
-    if samples < 1:
-        raise InvalidTrials("samples must be a positive integer")
+) -> dict[str, float]:
+    """Residuals of the modular-flow invariances at time t on one sample
+    drawn from ``rng``: groupoid multiplicativity, symplectic invariance,
+    positive-cone preservation, J-covariance, orbit-invariant preservation,
+    and the one-parameter group law."""
     if not mod.faithful:
         raise NotFaithful("the modular flow requires a faithful density")
     algebra = mod.algebra
@@ -428,55 +426,51 @@ def flow_automorphism_check(
 
     s = 0.5 * t + 0.1
     flow, flow_s, flow_st = flow_at(t), flow_at(s), flow_at(s + t)
-    worst: dict[str, float] = {
-        "multiplicativity": 0.0,
-        "symplectic": 0.0,
-        "cone": 0.0,
-        "conjugation": 0.0,
-        "orbit_invariants": 0.0,
-        "group_law": 0.0,
+    q1 = sampling.random_frames(algebra, rng)
+    q0 = sampling.equivalent_frames(rng, q1)
+    q2 = sampling.equivalent_frames(rng, q1)
+    u1 = sampling.isometry_between(rng, q1, q0)
+    u2 = sampling.isometry_between(rng, q2, q1)
+    h2 = sampling.positive_on(rng, q2)
+    x = sampling.random_element(algebra, rng)
+    y = sampling.random_element(algebra, rng)
+    pos = sampling.random_positive(algebra, rng)
+    g2 = u2 @ h2
+    g1 = u1 @ (u2 @ h2 @ u2.conj().T)
+    fp = flow(pos)
+    wmin = float(hermitian_eigvals(herm(fp)).min())
+    return {
+        "multiplicativity": frobenius(
+            flow(std_mul(g1, g2, tol)) - std_mul(flow(g1), flow(g2), tol)
+        ),
+        "symplectic": abs(symplectic_omega(flow(x), flow(y)) - symplectic_omega(x, y)),
+        "cone": _worst(0.0, -wmin) + frobenius(fp - fp.conj().T),
+        "conjugation": frobenius(flow(conjugation_J(x)) - conjugation_J(flow(x))),
+        "orbit_invariants": _invariant_distance(
+            orbit_invariant(expectation_E(algebra, g1), tol),
+            orbit_invariant(expectation_E(algebra, flow(g1)), tol),
+        ),
+        "group_law": frobenius(flow_s(flow(x)) - flow_st(x)),
     }
+
+
+def flow_automorphism_check(
+    mod: ModularData,
+    t: float,
+    samples: int,
+    seed: int,
+    tol: ToleranceProfile = DEFAULT_TOL,
+) -> FlowReport:
+    """Verify on random data that the modular flow at time t is an
+    automorphism of the standard groupoid preserving omega, the positive
+    cone, J, and the spectral data of the expectations: the worst of
+    :func:`flow_residuals` over ``samples`` draws keyed ``(seed, 17, k)``."""
+    if samples < 1:
+        raise InvalidTrials("samples must be a positive integer")
+    worst: dict[str, float] = {}
     for k in range(samples):
-        rng = sampling.rng_for(seed, 17, k)
-        q1 = sampling.random_frames(algebra, rng)
-        q0 = sampling.equivalent_frames(rng, q1)
-        q2 = sampling.equivalent_frames(rng, q1)
-        u1 = sampling.isometry_between(rng, q1, q0)
-        u2 = sampling.isometry_between(rng, q2, q1)
-        h2 = sampling.positive_on(rng, q2)
-        g2 = u2 @ h2
-        g1 = u1 @ (u2 @ h2 @ u2.conj().T)
-        prod = std_mul(g1, g2, tol)
-        worst["multiplicativity"] = _worst(
-            worst["multiplicativity"],
-            frobenius(flow(prod) - std_mul(flow(g1), flow(g2), tol)),
-        )
-        x = sampling.random_element(algebra, rng)
-        y = sampling.random_element(algebra, rng)
-        worst["symplectic"] = _worst(
-            worst["symplectic"],
-            abs(symplectic_omega(flow(x), flow(y)) - symplectic_omega(x, y)),
-        )
-        pos = sampling.random_positive(algebra, rng)
-        fp = flow(pos)
-        wmin = float(hermitian_eigvals(herm(fp)).min())
-        worst["cone"] = _worst(
-            worst["cone"],
-            _worst(0.0, -wmin) + frobenius(fp - fp.conj().T),
-        )
-        worst["conjugation"] = _worst(
-            worst["conjugation"],
-            frobenius(flow(conjugation_J(x)) - conjugation_J(flow(x))),
-        )
-        inv_before = orbit_invariant(expectation_E(algebra, g1), tol)
-        inv_after = orbit_invariant(expectation_E(algebra, flow(g1)), tol)
-        worst["orbit_invariants"] = _worst(
-            worst["orbit_invariants"],
-            _invariant_distance(inv_before, inv_after),
-        )
-        worst["group_law"] = _worst(
-            worst["group_law"], frobenius(flow_s(flow(x)) - flow_st(x))
-        )
+        for name, value in flow_residuals(mod, t, sampling.rng_for(seed, 17, k), tol).items():
+            worst[name] = _worst(worst.get(name, 0.0), value)
     return FlowReport(t=t, samples=samples, seed=seed, residuals=worst)
 
 

@@ -15,7 +15,7 @@ import functools
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.linalg
@@ -57,7 +57,6 @@ from .charts import (
 )
 from .errors import InvalidTrials, NotInDomain, UnknownSuite
 from .groupoids import (
-    axiom_check,
     chain_law_residuals,
     composable_chain,
     gauge_iso_Psi,
@@ -103,7 +102,7 @@ from .standard import (
     ModularData,
     conjugation_J,
     dual_pair_orthogonality_check,
-    flow_automorphism_check,
+    flow_residuals,
     modular_Delta,
     tomita_S,
     transport_witness,
@@ -117,7 +116,8 @@ __all__ = [
 ]
 
 #: Flow times exercised by the modular-flow suite (includes the fixed point
-#: t = 0 and both signs at two scales).
+#: t = 0 and both signs at two scales): each flow report draws one, and the
+#: orbit-form row takes all of them.
 FLOW_TIMES = (0.0, 0.3, -0.3, 1.7, -1.7)
 
 
@@ -155,24 +155,30 @@ class SuiteResult:
         return "pass" if self.passed else "FAIL"
 
 
+def _trials(
+    ctx: RowCtx, trial: Callable[[RowCtx, np.random.Generator], object]
+) -> Iterator:
+    """``trial(ctx, ctx.rng(k))`` for each trial ``k`` in turn: every row
+    draws trial ``k`` from the generator keyed ``(seed, subindex, k)``."""
+    return (trial(ctx, ctx.rng(k)) for k in range(ctx.trials))
+
+
 def _per_trial(
     trial: Callable[[RowCtx, np.random.Generator], Iterator[float]],
 ) -> Callable[[RowCtx], float]:
-    """A row that runs ``trial(ctx, rng)`` once per trial ``k`` on the
-    generator ``ctx.rng(k)`` and returns the worst residual yielded by any
-    trial (NaN if any of them is NaN)."""
+    """A row that returns the worst residual yielded by any of its trials
+    (NaN if any of them is NaN)."""
 
     @functools.wraps(trial)
     def fn(ctx: RowCtx) -> float:
-        return _worst(
-            0.0, *(r for k in range(ctx.trials) for r in trial(ctx, ctx.rng(k)))
-        )
+        return _worst(0.0, *(r for rs in _trials(ctx, trial) for r in rs))
 
     return fn
 
 
 def _group_row(
-    reports: Callable[[RowCtx], Iterable], read: Callable[..., float]
+    report: Callable[[RowCtx, np.random.Generator], object],
+    read: Callable[..., float],
 ) -> Callable[[RowCtx], float]:
     """A row that reads one residual from each of its group's per-trial
     reports and returns the worst.  The group's first row draws the reports
@@ -180,9 +186,9 @@ def _group_row(
     in ``ctx.shared`` for the rows after it."""
 
     def fn(ctx: RowCtx) -> float:
-        if reports not in ctx.shared:
-            ctx.shared[reports] = list(reports(ctx))
-        return _worst(0.0, *(read(r) for r in ctx.shared[reports]))
+        if report not in ctx.shared:
+            ctx.shared[report] = list(_trials(ctx, report))
+        return _worst(0.0, *(read(r) for r in ctx.shared[report]))
 
     return fn
 
@@ -192,28 +198,24 @@ def _group_row(
 # ---------------------------------------------------------------------------
 
 
-def _row_axioms(tag: str) -> Callable[[RowCtx], float]:
-    def fn(ctx: RowCtx) -> float:
-        report = axiom_check(
-            tag, ctx.algebra, ctx.trials, ctx.seed * 1000 + ctx.subindex, ctx.profile
-        )
-        return report.max_residual
+def _row_laws(tag: str) -> Callable[[RowCtx], float]:
+    """Groupoid laws of the picture ``tag`` on one composable chain of three
+    arrows per trial; for the standard form also the polar data of its
+    arrows."""
 
-    return fn
+    @_per_trial
+    def trial(ctx: RowCtx, rng):
+        prof = ctx.profile
+        chain = composable_chain(tag, ctx.algebra, rng, 3)
+        yield from chain_law_residuals(tag, chain, prof).values()
+        if tag == "standard":
+            # Polar data of an arrow gamma = u m: gamma = (u m u*) u relates
+            # the left and right moduli through the isometry leg.
+            a = chain[0]
+            u, h = polar_decompose(a, prof)
+            yield frobenius(a - (u @ h @ u.conj().T) @ u)
 
-
-@_per_trial
-def _row_axioms_standard(ctx: RowCtx, rng):
-    """Groupoid laws for the standard-form groupoid, plus the polar data of
-    its arrows."""
-    prof = ctx.profile
-    chain = composable_chain("standard", ctx.algebra, rng, 3)
-    yield from chain_law_residuals("standard", chain, prof).values()
-    # Polar data of an arrow gamma = u m: gamma = (u m u*) u relates the
-    # left and right moduli through the isometry leg.
-    a = chain[0]
-    u, h = polar_decompose(a, prof)
-    yield frobenius(a - (u @ h @ u.conj().T) @ u)
+    return trial
 
 
 @_per_trial
@@ -245,49 +247,41 @@ def _row_equivalence_agreement(ctx: RowCtx) -> float:
     """Count of disagreements between the equivalence notions (Murray-von
     Neumann, unitary orbit, support equivalence) on data where they must
     coincide, plus negative controls where they must not."""
+    return float(sum(_trials(ctx, _equivalence_disagreements)))
+
+
+def _equivalence_disagreements(ctx: RowCtx, rng) -> int:
     alg, prof = ctx.algebra, ctx.profile
-    violations = 0
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        pf = sampling.random_frames(alg, rng)
-        p, q = pf.projection, sampling.equivalent_frames(rng, pf).projection
-        if not mvn_equivalent(alg, p, q, prof):
-            violations += 1
-        if not unitary_equivalent(alg, p, q, prof):
-            violations += 1
-        # The two supports of any functional are equivalent.
-        x = sampling.random_element(alg, rng)
-        phi = NormalFunctional(alg, x)
-        l_supp, r_supp = functional_supports(phi, prof)
-        if not mvn_equivalent(alg, l_supp, r_supp, prof):
-            violations += 1
-        # Pushing a positive functional along an arrow preserves its orbit
-        # invariants and maps supports to equivalent supports.
-        rho_f = sampling.random_frames(alg, rng, allow_zero=False)
-        rho_supp = rho_f.projection
-        rho = sampling.density_on(rng, rho_f)
-        u = sampling.isometry_between(rng, rho_f, sampling.equivalent_frames(rng, rho_f))
-        pushed = coadjoint_apply(u, rho, prof)
-        if not orbit_equivalent(rho, pushed, prof):
-            violations += 1
-        if not mvn_equivalent(
-            alg, functional_supports(pushed, prof)[0], rho_supp, prof
-        ):
-            violations += 1
-        # Negative controls: a rank change breaks equivalence, a spectral
-        # shift breaks orbit equivalence.
-        n0 = alg.blocks[0]
-        ranks = list(pf.ranks)
-        ranks[0] = (ranks[0] + 1) % (n0 + 1)
-        p_bad = sampling.random_projection(alg, rng, ranks=tuple(ranks))
-        if mvn_equivalent(alg, p, p_bad, prof):
-            violations += 1
-        shifted = NormalFunctional(
-            alg, rho.density + 0.25 * rho_supp
-        )
-        if orbit_equivalent(rho, shifted, prof):
-            violations += 1
-    return float(violations)
+    pf = sampling.random_frames(alg, rng)
+    p, q = pf.projection, sampling.equivalent_frames(rng, pf).projection
+    # The two supports of any functional are equivalent.
+    x = sampling.random_element(alg, rng)
+    l_supp, r_supp = functional_supports(NormalFunctional(alg, x), prof)
+    # Pushing a positive functional along an arrow preserves its orbit
+    # invariants and maps supports to equivalent supports.
+    rho_f = sampling.random_frames(alg, rng, allow_zero=False)
+    rho_supp = rho_f.projection
+    rho = sampling.density_on(rng, rho_f)
+    u = sampling.isometry_between(rng, rho_f, sampling.equivalent_frames(rng, rho_f))
+    pushed = coadjoint_apply(u, rho, prof)
+    # Negative controls: a rank change breaks equivalence, a spectral
+    # shift breaks orbit equivalence.
+    ranks = list(pf.ranks)
+    ranks[0] = (ranks[0] + 1) % (alg.blocks[0] + 1)
+    p_bad = sampling.random_projection(alg, rng, ranks=tuple(ranks))
+    shifted = NormalFunctional(alg, rho.density + 0.25 * rho_supp)
+    must_hold = (
+        mvn_equivalent(alg, p, q, prof),
+        unitary_equivalent(alg, p, q, prof),
+        mvn_equivalent(alg, l_supp, r_supp, prof),
+        orbit_equivalent(rho, pushed, prof),
+        mvn_equivalent(alg, functional_supports(pushed, prof)[0], rho_supp, prof),
+    )
+    must_fail = (
+        mvn_equivalent(alg, p, p_bad, prof),
+        orbit_equivalent(rho, shifted, prof),
+    )
+    return must_hold.count(False) + must_fail.count(True)
 
 
 @_per_trial
@@ -329,8 +323,10 @@ def _draw_equivalent_in_domain(alg, rng, prof, count: int):
 
     def draw():
         ps = sampling.projection_chain(alg, rng, count - 1, allow_zero=False)
-        for a in ps:
-            for b in ps:
+        # Membership is symmetric (q p = (p q)* has the same singular
+        # values) and holds on the diagonal, so one test per unordered pair.
+        for i, a in enumerate(ps):
+            for b in ps[i + 1:]:
                 if not chart_domain_member(a, b, prof):
                     raise NotInDomain("redraw: pair outside chart domain")
         return ps
@@ -500,16 +496,17 @@ def _row_exactness(ctx: RowCtx, rng):
     yield exactness_residual(fam, prof.fd_step, prof)
 
 
+def _exactness_defects(ctx: RowCtx, rng) -> tuple[float, float]:
+    """Finite-difference defects of one family at steps 1e-3 and 5e-4."""
+    fam = sample_family(ctx.algebra, rng, ctx.profile)
+    return tuple(exactness_residual(fam, h, ctx.profile) for h in (1e-3, 5e-4))
+
+
 def _row_exactness_order(ctx: RowCtx) -> float:
     """Median convergence ratio of the finite-difference defect when the step
     halves; a second-order scheme gives 4."""
-    alg, prof = ctx.algebra, ctx.profile
     ratios = []
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        fam = sample_family(alg, rng, prof)
-        r1 = exactness_residual(fam, 1e-3, prof)
-        r2 = exactness_residual(fam, 5e-4, prof)
+    for r1, r2 in _trials(ctx, _exactness_defects):
         if not np.isfinite(r1 + r2):
             return float("nan")
         if r2 > 1e-13:
@@ -524,20 +521,17 @@ def _row_exactness_order(ctx: RowCtx) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _draw_dual_pair_point(ctx: RowCtx, k: int) -> np.ndarray:
+def _dual_pair_report(ctx: RowCtx, rng):
+    """Fibre-kernel report at a generic element or, with even odds, at a
+    polar product ``u h``."""
     alg = ctx.algebra
-    rng = ctx.rng(k)
-    if k % 2 == 0:
-        return sampling.random_element(alg, rng)
-    qf = sampling.random_frames(alg, rng, allow_zero=False)
-    u = sampling.isometry_between(rng, qf, sampling.equivalent_frames(rng, qf))
-    return u @ sampling.positive_on(rng, qf)
-
-
-def _dual_pair_reports(ctx: RowCtx):
-    for k in range(ctx.trials):
-        g = _draw_dual_pair_point(ctx, k)
-        yield dual_pair_orthogonality_check(ctx.algebra, g, ctx.profile)
+    if rng.uniform() < 0.5:
+        g = sampling.random_element(alg, rng)
+    else:
+        qf = sampling.random_frames(alg, rng, allow_zero=False)
+        u = sampling.isometry_between(rng, qf, sampling.equivalent_frames(rng, qf))
+        g = u @ sampling.positive_on(rng, qf)
+    return dual_pair_orthogonality_check(alg, g, ctx.profile)
 
 
 # ---------------------------------------------------------------------------
@@ -635,13 +629,10 @@ def _row_degeneracy_fd(ctx: RowCtx, rng):
     yield abs(val_fd - val)
 
 
-def _degeneracy_reports(ctx: RowCtx):
-    alg, prof = ctx.algebra, ctx.profile
-    for k in range(ctx.trials):
-        rng = ctx.rng(k)
-        f0, rho0, u = _draw_bundle_point(alg, rng, repeat_chance=0.5)
-        v = sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
-        yield degeneracy_kernel_check(rho0, u, v, prof)
+def _degeneracy_report(ctx: RowCtx, rng):
+    f0, rho0, u = _draw_bundle_point(ctx.algebra, rng, repeat_chance=0.5)
+    v = sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
+    return degeneracy_kernel_check(rho0, u, v, ctx.profile)
 
 
 def _inverse_gap(report) -> float:
@@ -710,18 +701,14 @@ def _row_fs_pair_groupoid(ctx: RowCtx, rng):
 # ---------------------------------------------------------------------------
 
 
-def _flow_reports(ctx: RowCtx):
-    alg, prof = ctx.algebra, ctx.profile
-    # Spread the per-row trial budget over the five flow times.
-    samples = max(1, ctx.trials // len(FLOW_TIMES))
-    for i, t in enumerate(FLOW_TIMES):
-        rng = ctx.rng(10_000 + i)
-        mod = ModularData.from_functional(
-            sampling.faithful_density(alg, rng), prof
-        )
-        yield flow_automorphism_check(
-            mod, t, samples, ctx.seed * 100 + ctx.subindex * 10 + i, prof
-        )
+def _flow_report(ctx: RowCtx, rng) -> dict[str, float]:
+    """The modular-flow invariances of one faithful density and one sample,
+    at a flow time drawn from :data:`FLOW_TIMES`."""
+    t = FLOW_TIMES[rng.integers(len(FLOW_TIMES))]
+    mod = ModularData.from_functional(
+        sampling.faithful_density(ctx.algebra, rng), ctx.profile
+    )
+    return flow_residuals(mod, t, rng, ctx.profile)
 
 
 @_per_trial
@@ -844,11 +831,11 @@ def _row_flow_dimensions(ctx: RowCtx) -> float:
 
 _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
     "groupoid-axioms": [
-        ("pi", 1e-10, _row_axioms("pi")),
-        ("g", 1e-10, _row_axioms("g")),
-        ("predual", 1e-10, _row_axioms("predual")),
-        ("coadjoint", 1e-10, _row_axioms("coadjoint")),
-        ("standard", 1e-10, _row_axioms_standard),
+        ("pi", 1e-10, _row_laws("pi")),
+        ("g", 1e-10, _row_laws("g")),
+        ("predual", 1e-10, _row_laws("predual")),
+        ("coadjoint", 1e-10, _row_laws("coadjoint")),
+        ("standard", 1e-10, _row_laws("standard")),
         ("isomorphisms", 1e-10, _row_isomorphisms),
         ("equivalence-agreement", 0.5, _row_equivalence_agreement),
         ("witnesses", 1e-10, _row_witnesses),
@@ -870,9 +857,9 @@ _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
     ],
     "dual-pair": [
         ("orthogonality", 1e-10,
-         _group_row(_dual_pair_reports, lambda r: r.orthogonality)),
+         _group_row(_dual_pair_report, lambda r: r.orthogonality)),
         ("dimension", 0.5,
-         _group_row(_dual_pair_reports, lambda r: float(r.dimension_residual))),
+         _group_row(_dual_pair_report, lambda r: float(r.dimension_residual))),
     ],
     "poisson-map": [
         ("quadratic", 1e-10, _row_poisson_quadratic),
@@ -885,11 +872,11 @@ _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
         ("orbit-form-invariance", 1e-10, _row_degeneracy_invariance),
         ("fd-exterior", 1e-6, _row_degeneracy_fd),
         ("radical-pairing", 1e-10,
-         _group_row(_degeneracy_reports, lambda r: r.radical_pairing)),
+         _group_row(_degeneracy_report, lambda r: r.radical_pairing)),
         ("complement-inverse-gap", 1e7,
-         _group_row(_degeneracy_reports, _inverse_gap)),
+         _group_row(_degeneracy_report, _inverse_gap)),
         ("dimensions", 0.5,
-         _group_row(_degeneracy_reports, lambda r: float(r.dimension_residual))),
+         _group_row(_degeneracy_report, lambda r: float(r.dimension_residual))),
     ],
     "kks": [
         ("identity", 1e-10, _row_kks_identity),
@@ -902,16 +889,13 @@ _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
     ],
     "modular-flow": [
         ("automorphism", 1e-9,
-         _group_row(_flow_reports, lambda r: _worst(
-             r.residuals["multiplicativity"],
-             r.residuals["conjugation"],
-             r.residuals["group_law"],
+         _group_row(_flow_report, lambda r: _worst(
+             r["multiplicativity"], r["conjugation"], r["group_law"]
          ))),
-        ("symplectic", 1e-9,
-         _group_row(_flow_reports, lambda r: r.residuals["symplectic"])),
-        ("cone", 1e-9, _group_row(_flow_reports, lambda r: r.residuals["cone"])),
+        ("symplectic", 1e-9, _group_row(_flow_report, lambda r: r["symplectic"])),
+        ("cone", 1e-9, _group_row(_flow_report, lambda r: r["cone"])),
         ("orbit-invariants", 1e-9,
-         _group_row(_flow_reports, lambda r: r.residuals["orbit_invariants"])),
+         _group_row(_flow_report, lambda r: r["orbit_invariants"])),
         ("orbit-form", 1e-9, _row_flow_orbit_form),
         ("tomita", 1e-10, _row_flow_tomita),
         ("group-law", 1e-10, _row_flow_group_law),
@@ -923,13 +907,17 @@ _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
 SUITE_NAMES: tuple[str, ...] = tuple(_SUITES)
 
 
-def suite_rows(name: str) -> tuple[str, ...]:
-    """Row names of one suite (raises :class:`UnknownSuite`)."""
+def _suite(name: str) -> list[tuple[str, float, Callable[[RowCtx], float]]]:
     if name not in _SUITES:
         raise UnknownSuite(
             f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}"
         )
-    return tuple(row for row, _, _ in _SUITES[name])
+    return _SUITES[name]
+
+
+def suite_rows(name: str) -> tuple[str, ...]:
+    """Row names of one suite (raises :class:`UnknownSuite`)."""
+    return tuple(row for row, _, _ in _suite(name))
 
 
 def run_suite(
@@ -945,15 +933,12 @@ def run_suite(
     ``tol`` overrides every row's tolerance uniformly; ``profile`` carries the
     numerical rank/residual policy used inside the computations.
     """
-    if name not in _SUITES:
-        raise UnknownSuite(
-            f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}"
-        )
+    rows = _suite(name)
     if trials < 1:
         raise InvalidTrials(f"trials must be positive, got {trials}")
     results = []
     shared: dict = {}
-    for subindex, (row, row_tol, fn) in enumerate(_SUITES[name]):
+    for subindex, (row, row_tol, fn) in enumerate(rows):
         ctx = RowCtx(algebra, trials, seed, subindex, profile, shared)
         start = time.perf_counter()
         residual = float(fn(ctx))

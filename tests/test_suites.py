@@ -1,8 +1,10 @@
 """Tests for the verification-suite registry: determinism, row structure,
 error handling, tolerance override, and a full small-trial smoke pass."""
 
+import ast
 import dataclasses
 import math
+import pathlib
 import types
 
 import numpy as np
@@ -151,7 +153,8 @@ class TestNonFiniteTrial:
         assert math.isnan(report.max_residual)
         assert sum(math.isnan(v) for v in report.law_residuals.values()) == 1
 
-        _poison_one_call(monkeypatch, groupoids, "chain_law_residuals", poison)
+        # The suite runs the law check itself, through its own binding.
+        _poison_one_call(monkeypatch, suites, "chain_law_residuals", poison)
         row = run_suite("groupoid-axioms", M2, 10, 0)[0]
         assert row.suite == "groupoid-axioms/pi"
         assert math.isnan(row.max_residual)
@@ -344,7 +347,7 @@ class TestSharedReports:
         [
             ("degeneracy", "degeneracy_kernel_check", 4),
             ("dual-pair", "dual_pair_orthogonality_check", 4),
-            ("modular-flow", "flow_automorphism_check", len(suites.FLOW_TIMES)),
+            ("modular-flow", "flow_residuals", 4),
         ],
     )
     def test_one_report_per_trial(self, monkeypatch, suite, check, calls):
@@ -361,3 +364,41 @@ class TestSharedReports:
         assert all(r.passed for r in rows), [
             (r.suite, r.max_residual) for r in rows if not r.passed
         ]
+
+
+class TestTrialKeys:
+    """Every row draws trial ``k`` from the generator keyed
+    ``(seed, subindex, k)``, through one trial loop."""
+
+    def test_every_key_is_seed_subindex_trial(self, monkeypatch):
+        original, keys = sampling.rng_for, []
+
+        def recording(*key):
+            keys.append(key)
+            return original(*key)
+
+        monkeypatch.setattr(sampling, "rng_for", recording)
+        for name in SUITE_NAMES:
+            keys.clear()
+            run_suite(name, M23, 3, 5)
+            rows = len(suite_rows(name))
+            bad = [
+                key for key in keys
+                if len(key) != 3 or key[0] != 5
+                or not 0 <= key[1] < rows or not 0 <= key[2] < 3
+            ]
+            assert keys and not bad, (name, bad)
+
+    def test_one_trial_loop(self):
+        tree = ast.parse(pathlib.Path(suites.__file__).read_text(encoding="utf-8"))
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        text = [ast.unparse(n) for n in calls]
+        assert text.count("range(ctx.trials)") == 1
+        assert sum(t.startswith("ctx.rng(") for t in text) == 1
+        # The generators come from ``rng_for`` in ``RowCtx.rng`` alone.
+        keyed = [n for n in calls if ast.unparse(n.func).endswith("rng_for")]
+        row_ctx = next(
+            n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RowCtx"
+        )
+        rng = next(n for n in row_ctx.body if getattr(n, "name", None) == "rng")
+        assert len(keyed) == 1 and keyed[0] in list(ast.walk(rng))
