@@ -24,6 +24,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    PositiveSpectrum,
     ToleranceProfile,
     as_square,
     eigen_clusters,
@@ -33,12 +34,15 @@ from .linalg import (
     hermitian_eigvals,
     is_projection,
     left_support,
-    matrix_imaginary_power,
     polar_decompose,
+    positive_spectrum,
     projection_rank,
     right_support,
-    support_projection,
 )
+
+#: Absolute tolerance on eigenvalue differences when two blockwise spectra
+#: are compared (unitary equivalence of projections, unitary orbits).
+SPECTRAL_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -258,8 +262,15 @@ def functional_support(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> np.ndarray:
     """Support projection of a positive functional."""
-    require_positive(phi, tol)
-    return support_projection(herm(phi.density), tol)
+    return _density_spectrum(phi, tol).support
+
+
+def _density_spectrum(phi: NormalFunctional, tol: ToleranceProfile) -> PositiveSpectrum:
+    """One eigendecomposition of the Hermitian part of the density of a
+    positive functional; raises :class:`NotPositive` otherwise."""
+    if not phi.is_hermitian(tol):
+        raise NotPositive("functional is not positive")
+    return positive_spectrum(herm(phi.density), tol)
 
 
 def require_projection(
@@ -315,7 +326,6 @@ def unitary_equivalent(
     p: np.ndarray,
     q: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
-    spectral_atol: float = 1e-10,
 ) -> bool:
     """Unitary equivalence of projections: equal blockwise spectra."""
     require_projection(p, tol)
@@ -323,7 +333,7 @@ def unitary_equivalent(
     for bp, bq in zip(algebra.block_views(p), algebra.block_views(q)):
         wp = hermitian_eigvals(bp)
         wq = hermitian_eigvals(bq)
-        if float(np.max(np.abs(wp - wq))) > spectral_atol:
+        if float(np.max(np.abs(wp - wq))) > SPECTRAL_ATOL:
             return False
     return True
 
@@ -347,10 +357,9 @@ def orbit_equivalent(
     phi1: NormalFunctional,
     phi2: NormalFunctional,
     tol: ToleranceProfile = DEFAULT_TOL,
-    spectral_atol: float = 1e-10,
 ) -> bool:
     """Whether two positive functionals lie on the same unitary orbit:
-    blockwise spectra agree within ``spectral_atol``."""
+    blockwise spectra agree within :data:`SPECTRAL_ATOL`."""
     require_positive(phi1, tol)
     require_positive(phi2, tol)
     for b1, b2 in zip(
@@ -359,7 +368,7 @@ def orbit_equivalent(
     ):
         w1 = hermitian_eigvals(b1)
         w2 = hermitian_eigvals(b2)
-        if float(np.max(np.abs(w1 - w2))) > spectral_atol:
+        if float(np.max(np.abs(w1 - w2))) > SPECTRAL_ATOL:
             return False
     return True
 
@@ -494,11 +503,10 @@ def modular_automorphism(
 ) -> np.ndarray:
     """Modular flow ``x -> d^{it} x d^{-it}`` of a faithful positive
     functional."""
-    require_positive(phi, tol)
-    u = matrix_imaginary_power(herm(phi.density), t, tol)
-    # u u* is the support projection of the density.
-    if projection_rank(u @ u.conj().T) != phi.algebra.dim:
+    spectrum = _density_spectrum(phi, tol)
+    if spectrum.rank != phi.algebra.dim:
         raise NotFaithful("density is not faithful; modular flow undefined")
+    u = spectrum.imaginary_power(t)
     x = phi.algebra.require_member(x, tol)
     return u @ x @ u.conj().T
 

@@ -23,10 +23,12 @@ failure (``info != 0``, including NaN input) raises :class:`NoConvergence`.
 The kernels check shape and LAPACK status only.  A function whose domain
 needs Hermitian, positive or member input checks its own arguments, once,
 where they enter: the functional calculus on positive matrices
-(:func:`support_projection`, :func:`matrix_sqrt`, :func:`restricted_power`,
-:func:`matrix_log_restricted`, :func:`matrix_imaginary_power`) checks
-through :func:`check_hermitian`, and matrices the code builds Hermitian go
-straight to :func:`hermitian_eig`.
+(:func:`positive_spectrum`, read by :func:`support_projection`,
+:func:`matrix_sqrt` and :func:`restricted_power`) checks through
+:func:`check_hermitian`, and matrices the code builds Hermitian go straight
+to :func:`hermitian_eig`.  A caller that needs several functions of one
+positive matrix builds its :class:`PositiveSpectrum` once and reads them all
+from it.
 """
 from __future__ import annotations
 
@@ -333,17 +335,6 @@ def right_support(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndar
     return vh[:r, :].conj().T @ vh[:r, :]
 
 
-def support_projection(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Support projection of a positive semidefinite matrix.
-
-    Orthogonal projection onto the span of eigenvectors with eigenvalue above
-    ``rank_rel_tol * lambda_max``.
-    """
-    w, v, _ = _positive_eig(h, tol)
-    r = retained_rank(w, tol)
-    return v[:, :r] @ v[:, :r].conj().T
-
-
 def partial_inverse(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse under the rank cutoff.
 
@@ -360,72 +351,75 @@ def partial_inverse(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.nd
     return (vh[:r, :].conj().T / s[:r]) @ w[:, :r].conj().T
 
 
-def _positive_eig(
-    h: np.ndarray, tol: ToleranceProfile
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigen-data of a positive semidefinite matrix: descending eigenvalues
-    (clipped at zero), eigenvectors, and the pre-clip minimum.  Raises
-    :class:`NotHermitian` or :class:`NotPositive` on input outside the domain."""
+@dataclass(frozen=True, eq=False)
+class PositiveSpectrum:
+    """Eigen-data of a positive semidefinite matrix with its rank decided once.
+
+    ``values`` are the eigenvalues, descending and clipped at zero; column
+    ``vectors[:, i]`` belongs to ``values[i]``; the first ``rank`` values lie
+    above the rank cutoff.  Every function of the matrix read from here is
+    restricted to that support and maps the kernel to zero, so numerical fuzz
+    below the cutoff never reaches a root, an inverse or a logarithm.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+    rank: int
+
+    @property
+    def support(self) -> np.ndarray:
+        """Projection onto the eigenvectors above the rank cutoff."""
+        v = self.vectors[:, : self.rank]
+        return v @ v.conj().T
+
+    def power(self, p: float) -> np.ndarray:
+        """``h ** p`` on the support, zero on the kernel."""
+        vals = np.zeros_like(self.values)
+        vals[: self.rank] = self.values[: self.rank] ** p
+        return (self.vectors * vals) @ self.vectors.conj().T
+
+    def imaginary_power(self, t: float) -> np.ndarray:
+        """``h ** (i t)`` on the support, zero on the kernel: unitary on the
+        support, with the empty-support convention ``0 ** (i t) = 0``."""
+        vals = np.zeros(self.values.shape, dtype=complex)
+        vals[: self.rank] = np.exp(1j * t * np.log(self.values[: self.rank]))
+        return (self.vectors * vals) @ self.vectors.conj().T
+
+
+def positive_spectrum(
+    h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: bool = False
+) -> PositiveSpectrum:
+    """One eigendecomposition of a positive semidefinite matrix.
+
+    Raises :class:`NotHermitian` or :class:`NotPositive` on input outside the
+    domain.  The rank is decided by :func:`retained_rank`; ``guard=True``
+    refuses an ambiguous rank, as negative powers need.
+    """
     w, v = hermitian_eig(check_hermitian(h, tol))
-    wmin = float(w[-1]) if w.size else 0.0
-    scale = float(w[0]) if w.size else 0.0
-    if wmin < -tol.residual_tol * max(1.0, scale):
-        raise NotPositive(f"matrix has a negative eigenvalue ({wmin:.3e})")
-    return np.clip(w, 0.0, None), v, wmin
+    if w.size and w[-1] < -tol.residual_tol * max(1.0, float(w[0])):
+        raise NotPositive(f"matrix has a negative eigenvalue ({float(w[-1]):.3e})")
+    w = np.clip(w, 0.0, None)
+    return PositiveSpectrum(w, v, retained_rank(w, tol, guard=guard))
+
+
+def support_projection(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+    """Support projection of a positive semidefinite matrix: the span of the
+    eigenvectors with eigenvalue above ``rank_rel_tol * lambda_max``."""
+    return positive_spectrum(h, tol).support
 
 
 def matrix_sqrt(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a positive semidefinite matrix.
-
-    Eigenvalues below the rank cutoff are treated as kernel and mapped to
-    exactly zero; a bare ``sqrt`` would amplify that numerical fuzz to its
-    square root.
-    """
-    return restricted_power(h, 0.5, tol, guard=False)
+    """Principal square root of a positive semidefinite matrix, exactly zero
+    on the kernel; a bare ``sqrt`` would amplify the kernel's fuzz."""
+    return restricted_power(h, 0.5, tol)
 
 
 def restricted_power(
-    h: np.ndarray,
-    power: float,
-    tol: ToleranceProfile = DEFAULT_TOL,
-    guard: bool | None = None,
+    h: np.ndarray, power: float, tol: ToleranceProfile = DEFAULT_TOL
 ) -> np.ndarray:
-    """``h ** power`` through functional calculus on the support of ``h``.
-
-    Eigenvalues above the rank cutoff are raised to ``power``; the kernel is
-    mapped to zero.  Negative powers are guarded like the partial inverse
-    (``guard`` defaults to ``power < 0``).
-    """
-    if guard is None:
-        guard = power < 0.0
-    w, v, _ = _positive_eig(h, tol)
-    r = retained_rank(w, tol, guard=guard)
-    vals = np.zeros_like(w)
-    vals[:r] = w[:r] ** power
-    return (v * vals) @ v.conj().T
-
-
-def matrix_log_restricted(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Logarithm of a positive semidefinite matrix, restricted to its support."""
-    w, v, _ = _positive_eig(h, tol)
-    r = retained_rank(w, tol)
-    vals = np.zeros_like(w)
-    vals[:r] = np.log(w[:r])
-    return (v * vals) @ v.conj().T
-
-
-def matrix_imaginary_power(
-    h: np.ndarray, t: float, tol: ToleranceProfile = DEFAULT_TOL
-) -> np.ndarray:
-    """``h ** (i t)`` on the support of ``h``, zero off the support.
-
-    Unitary on the support; the empty-support convention is ``0 ** (i t) = 0``.
-    """
-    w, v, _ = _positive_eig(h, tol)
-    r = retained_rank(w, tol)
-    vals = np.zeros(w.shape, dtype=complex)
-    vals[:r] = np.exp(1j * t * np.log(w[:r]))
-    return (v * vals) @ v.conj().T
+    """``h ** power`` on the support of ``h``, zero on the kernel.  Negative
+    powers are guarded like the partial inverse."""
+    return positive_spectrum(h, tol, guard=power < 0.0).power(power)
 
 
 def is_partial_isometry(u: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> bool:

@@ -77,18 +77,16 @@ def random_unitary(algebra: BlockAlgebra, rng: np.random.Generator) -> np.ndarra
 def random_positive(
     algebra: BlockAlgebra,
     rng: np.random.Generator,
-    eig_low: float = 0.5,
-    eig_high: float = 2.0,
     repeat_chance: float = 0.0,
 ) -> np.ndarray:
-    """Strictly positive element with eigenvalues drawn from
-    ``[eig_low, eig_high]`` (well separated from any rank cutoff).
+    """Strictly positive element with eigenvalues drawn from ``[0.5, 2]``
+    (well separated from any rank cutoff).
 
     With probability ``repeat_chance`` per block, a repeated eigenvalue is
     forced, to exercise degenerate spectra.
     """
     v = random_unitary(algebra, rng)
-    vals = rng.uniform(eig_low, eig_high, algebra.dim)
+    vals = rng.uniform(0.5, 2.0, algebra.dim)
     offset = 0
     for b in algebra.blocks:
         if b >= 2 and rng.uniform() < repeat_chance:
@@ -279,36 +277,31 @@ def random_density(
     algebra: BlockAlgebra,
     rng: np.random.Generator,
     support: np.ndarray | None = None,
-    normalize: bool = True,
     repeat_chance: float = 0.0,
 ) -> NormalFunctional:
-    """Positive functional with prescribed support (faithful by default) and
-    eigenvalues well separated from the rank cutoff."""
+    """State with prescribed support (faithful by default) and eigenvalues
+    well separated from the rank cutoff."""
     if support is not None:
-        return density_on(rng, frames_of(algebra, support), normalize)
-    d = random_positive(algebra, rng, repeat_chance=repeat_chance)
-    return _functional(algebra, d, normalize)
+        return density_on(rng, frames_of(algebra, support))
+    return _functional(algebra, random_positive(algebra, rng, repeat_chance=repeat_chance))
 
 
-def density_on(
-    rng: np.random.Generator, frames: Frames, normalize: bool = True
-) -> NormalFunctional:
-    """Positive functional supported exactly on the frames' projection."""
-    return _functional(frames.algebra, positive_on(rng, frames), normalize)
+def density_on(rng: np.random.Generator, frames: Frames) -> NormalFunctional:
+    """State supported exactly on the frames' projection."""
+    return _functional(frames.algebra, positive_on(rng, frames))
 
 
-def _functional(algebra: BlockAlgebra, d: np.ndarray, normalize: bool) -> NormalFunctional:
-    return NormalFunctional(algebra, d / float(np.trace(d).real) if normalize else d)
+def _functional(algebra: BlockAlgebra, d: np.ndarray) -> NormalFunctional:
+    """The functional of the density ``d`` scaled to unit trace."""
+    return NormalFunctional(algebra, d / float(np.trace(d).real))
 
 
 def faithful_density(
     algebra: BlockAlgebra,
     rng: np.random.Generator,
-    normalize: bool = True,
     repeat_chance: float = 0.0,
 ) -> NormalFunctional:
-    return random_density(algebra, rng, support=None, normalize=normalize,
-                          repeat_chance=repeat_chance)
+    return random_density(algebra, rng, support=None, repeat_chance=repeat_chance)
 
 
 def p0_tangent(

@@ -11,15 +11,19 @@ space itself (source/target the two expectations, product through the shared
 modulus, inverse ``J``), isomorphic to the coadjoint-action groupoid via
 ``Phi(u, rho) = u d_rho^{1/2}``.
 
-Modular data of a positive functional: the relative operator
+Modular data of a positive functional are functions of one density ``d``,
+read from a single eigendecomposition (:class:`ModularData`): the canonical
+vector ``d^{1/2}``, the support of ``d``, the relative operator
 ``Delta(g) = d g d^+``, the closure ``S = J Delta^{1/2}`` acting as
 ``S(x d^{1/2}) = x* d^{1/2}``, and for faithful functionals the modular flow
 ``g -> d^{it} g d^{-it}`` implementing the modular automorphism group on
-vectors.
+vectors.  :func:`flow_residuals` checks the flow's invariances on one sample.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -34,12 +38,12 @@ from .algebra import (
 from .errors import (
     DegenerateBase,
     InvalidArrow,
-    InvalidTrials,
     NotComposable,
     NotFaithful,
 )
 from .linalg import (
     DEFAULT_TOL,
+    PositiveSpectrum,
     ToleranceProfile,
     _worst,
     frobenius,
@@ -48,16 +52,12 @@ from .linalg import (
     hs_inner,
     is_partial_isometry,
     left_support,
-    matrix_imaginary_power,
     matrix_sqrt,
     null_space_rows,
     partial_inverse,
     polar_decompose,
-    restricted_power,
-    retained_rank,
+    positive_spectrum,
     right_support,
-    singular_values,
-    support_projection,
 )
 
 # ---------------------------------------------------------------------------
@@ -327,8 +327,9 @@ def j_split(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ModularData:
-    """Modular data of a positive functional in the standard form: the
-    density d, its square root (the canonical vector), and its support."""
+    """Modular data of a positive functional in the standard form, all read
+    from one eigendecomposition of its density d: the canonical vector
+    d^{1/2}, the support of d, and the modular flow."""
 
     algebra: BlockAlgebra
     density: np.ndarray
@@ -341,20 +342,32 @@ class ModularData:
         require_positive(phi, tol)
         return cls(algebra=phi.algebra, density=phi.density, tol=tol)
 
+    @cached_property
+    def spectrum(self) -> PositiveSpectrum:
+        """The one eigendecomposition of the density."""
+        return positive_spectrum(self.density, self.tol)
+
     @property
     def vector(self) -> np.ndarray:
         """Canonical cone representative d^{1/2}."""
-        return matrix_sqrt(self.density, self.tol)
+        return self.spectrum.power(0.5)
 
     @property
     def support(self) -> np.ndarray:
-        return support_projection(self.density, self.tol)
+        return self.spectrum.support
 
     @property
     def faithful(self) -> bool:
-        n = self.algebra.dim
-        s = singular_values(np.asarray(self.density, dtype=complex))
-        return retained_rank(s, self.tol) == n if s.size else n == 0
+        return self.spectrum.rank == self.algebra.dim
+
+    def flow(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The modular flow at time t on vectors, g -> d^{it} g d^{-it};
+        defined for faithful densities only."""
+        if not self.faithful:
+            raise NotFaithful("the modular flow requires a faithful density")
+        u = self.spectrum.imaginary_power(t)
+        uh = u.conj().T
+        return lambda g: u @ g @ uh
 
 
 def modular_Delta(
@@ -362,19 +375,13 @@ def modular_Delta(
 ) -> np.ndarray:
     """Relative modular operator Delta^power(g) = d^power g (d^+)^power,
     with both powers restricted to the support of d."""
-    d = mod.density
-    left = restricted_power(d, power, mod.tol)
-    right = restricted_power(d, -power, mod.tol, guard=False)
-    return left @ g @ right
+    return mod.spectrum.power(power) @ g @ mod.spectrum.power(-power)
 
 
 def tomita_S(mod: ModularData, g: np.ndarray) -> np.ndarray:
     """Closure of the map x d^{1/2} -> x* d^{1/2}: S(g) = J Delta^{1/2} g =
     (d^+)^{1/2} g* d^{1/2}."""
-    d = mod.density
-    half = restricted_power(d, 0.5, mod.tol)
-    half_inv = restricted_power(d, -0.5, mod.tol, guard=False)
-    return half_inv @ conjugation_J(g) @ half
+    return mod.spectrum.power(-0.5) @ conjugation_J(g) @ mod.spectrum.power(0.5)
 
 
 def canonical_implementation(
@@ -382,27 +389,7 @@ def canonical_implementation(
 ) -> np.ndarray:
     """Modular flow on vectors, g -> d^{it} g d^{-it}; defined for faithful
     densities only."""
-    if not mod.faithful:
-        raise NotFaithful("the modular flow requires a faithful density")
-    u = matrix_imaginary_power(mod.density, t, mod.tol)
-    return u @ g @ u.conj().T
-
-
-@dataclass(frozen=True)
-class FlowReport:
-    """Worst residuals of the modular-flow invariances over the sampled
-    vectors: groupoid multiplicativity, symplectic invariance, positive-cone
-    preservation, J-covariance, orbit-invariant preservation, and the
-    one-parameter group law."""
-
-    t: float
-    samples: int
-    seed: int
-    residuals: dict[str, float]
-
-    @property
-    def max_residual(self) -> float:
-        return _worst(*self.residuals.values())
+    return mod.flow(t)(g)
 
 
 def flow_residuals(
@@ -414,18 +401,11 @@ def flow_residuals(
     """Residuals of the modular-flow invariances at time t on one sample
     drawn from ``rng``: groupoid multiplicativity, symplectic invariance,
     positive-cone preservation, J-covariance, orbit-invariant preservation,
-    and the one-parameter group law."""
-    if not mod.faithful:
-        raise NotFaithful("the modular flow requires a faithful density")
+    and the one-parameter group law.  Raises :class:`NotFaithful` unless the
+    density is faithful."""
     algebra = mod.algebra
-
-    def flow_at(at: float):
-        u = matrix_imaginary_power(mod.density, at, mod.tol)
-        uh = u.conj().T
-        return lambda g: u @ g @ uh
-
     s = 0.5 * t + 0.1
-    flow, flow_s, flow_st = flow_at(t), flow_at(s), flow_at(s + t)
+    flow, flow_s, flow_st = mod.flow(t), mod.flow(s), mod.flow(s + t)
     q1 = sampling.random_frames(algebra, rng)
     q0 = sampling.equivalent_frames(rng, q1)
     q2 = sampling.equivalent_frames(rng, q1)
@@ -452,26 +432,6 @@ def flow_residuals(
         ),
         "group_law": frobenius(flow_s(flow(x)) - flow_st(x)),
     }
-
-
-def flow_automorphism_check(
-    mod: ModularData,
-    t: float,
-    samples: int,
-    seed: int,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> FlowReport:
-    """Verify on random data that the modular flow at time t is an
-    automorphism of the standard groupoid preserving omega, the positive
-    cone, J, and the spectral data of the expectations: the worst of
-    :func:`flow_residuals` over ``samples`` draws keyed ``(seed, 17, k)``."""
-    if samples < 1:
-        raise InvalidTrials("samples must be a positive integer")
-    worst: dict[str, float] = {}
-    for k in range(samples):
-        for name, value in flow_residuals(mod, t, sampling.rng_for(seed, 17, k), tol).items():
-            worst[name] = _worst(worst.get(name, 0.0), value)
-    return FlowReport(t=t, samples=samples, seed=seed, residuals=worst)
 
 
 def _invariant_distance(

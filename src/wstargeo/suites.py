@@ -71,7 +71,6 @@ from .linalg import (
     _worst,
     expect_real,
     frobenius,
-    matrix_imaginary_power,
     polar_decompose,
 )
 from .poisson import (
@@ -721,13 +720,11 @@ def _row_flow_orbit_form(ctx: RowCtx, rng):
     du1 = sampling.p0_tangent(alg, rng, u, p0)
     du2 = sampling.p0_tangent(alg, rng, u, p0)
     c = float(rng.uniform(0.5, 2.0))
-    d_ext = rho0.density + c * (alg.identity() - p0)
+    mod = ModularData(alg, rho0.density + c * (alg.identity() - p0), prof)
     base = dGamma0(rho0, u, du1, du2, prof)
     for t in FLOW_TIMES:
-        w = matrix_imaginary_power(d_ext, t, prof)
-        wh = w.conj().T
-        moved = dGamma0(rho0, w @ u @ wh, w @ du1 @ wh, w @ du2 @ wh, prof)
-        yield abs(moved - base)
+        flow = mod.flow(t)
+        yield abs(dGamma0(rho0, flow(u), flow(du1), flow(du2), prof) - base)
 
 
 @_per_trial

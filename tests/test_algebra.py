@@ -11,6 +11,7 @@ from wstargeo.algebra import (
     coadjoint_apply,
     conditional_expectation,
     functional_polar,
+    functional_support,
     functional_supports,
     modular_automorphism,
     mvn_equivalent,
@@ -24,7 +25,7 @@ from wstargeo.algebra import (
 )
 from wstargeo.errors import AlgebraMismatch, InvalidArrow, NotFaithful, NotPositive
 from wstargeo.linalg import DEFAULT_TOL, frobenius
-from wstargeo import sampling
+from wstargeo import linalg, sampling
 
 M2 = BlockAlgebra((2,))
 M3 = BlockAlgebra((3,))
@@ -134,6 +135,23 @@ class TestFunctionalPolar:
             assert frobenius(l_supp - r_supp) <= 1e-10
             assert frobenius(l_supp @ h - h) <= 1e-10
             assert frobenius(h @ l_supp - h) <= 1e-10
+
+    def test_support_takes_one_decomposition(self, monkeypatch):
+        # The positivity check and the support read the same spectrum.
+        rng = _rng(3)
+        q = sampling.random_projection(M23, rng, allow_zero=False)
+        phi = sampling.random_density(M23, rng, support=q)
+        calls = []
+        real = linalg._heevd
+
+        def spy(h, compute_v):
+            calls.append(compute_v)
+            return real(h, compute_v)
+
+        monkeypatch.setattr(linalg, "_heevd", spy)
+        p = functional_support(phi, DEFAULT_TOL)
+        assert calls == [1]
+        assert frobenius(p - q) <= 1e-10
 
 
 class TestDimensionOracles:

@@ -22,12 +22,11 @@ from wstargeo.linalg import (
     hermitian_eig,
     hermitian_eigvals,
     left_support,
-    matrix_imaginary_power,
-    matrix_log_restricted,
     matrix_sqrt,
     null_space_rows,
     partial_inverse,
     polar_decompose,
+    positive_spectrum,
     restricted_power,
     right_support,
     singular_values,
@@ -164,15 +163,11 @@ class TestMatrixFunctions:
 
     def test_imaginary_power_unitary_on_support(self):
         d = np.diag([1.0, 4.0, 0.0]).astype(complex)
-        w = matrix_imaginary_power(d, 0.7)
-        p = support_projection(d)
-        assert frobenius(w @ w.conj().T - p) <= 1e-12
+        spectrum = positive_spectrum(d)
+        w = spectrum.imaginary_power(0.7)
+        assert spectrum.rank == 2
+        assert frobenius(w @ w.conj().T - spectrum.support) <= 1e-12
         assert frobenius(w - np.diag([1.0, np.exp(0.7j * np.log(4.0)), 0.0])) <= 1e-12
-
-    def test_log_restricted(self):
-        d = np.diag([np.e, 1.0, 0.0]).astype(complex)
-        lg = matrix_log_restricted(d)
-        assert frobenius(lg - np.diag([1.0, 0.0, 0.0])) <= 1e-12
 
 
 class TestEig:
@@ -345,7 +340,7 @@ class TestOneFactorizationLayer:
 #: positive matrices, and the observables that take a caller's matrix.  Every
 #: other matrix reaching a Hermitian kernel is Hermitian by construction.
 HERMITIAN_CHECK_SITES = {
-    "linalg._positive_eig",
+    "linalg.positive_spectrum",
     "poisson.Observable.linear",
     "poisson.Observable.quadratic",
     "poisson.Observable.differential_at",
@@ -405,11 +400,11 @@ class TestHermitianCheckedOnce:
             matrix_sqrt,
             support_projection,
             lambda h: restricted_power(h, 0.5),
-            lambda h: matrix_imaginary_power(h, 0.7),
+            positive_spectrum,
             Observable.linear,
         ],
         ids=["matrix_sqrt", "support_projection", "restricted_power",
-             "matrix_imaginary_power", "Observable.linear"],
+             "spectrum", "Observable.linear"],
     )
     def test_entry_points_reject_non_hermitian(self, fn):
         with pytest.raises(NotHermitian):

@@ -11,7 +11,6 @@ from wstargeo import (
     CoadjointArrow,
     DegenerateBase,
     InvalidArrow,
-    InvalidTrials,
     ModularData,
     NormalFunctional,
     NotComposable,
@@ -26,7 +25,6 @@ from wstargeo import (
     fiber_kernel_E,
     fiber_kernel_Eprime,
     fiber_kernel_dimension,
-    flow_automorphism_check,
     frobenius,
     iso_Phi,
     iso_Phi_inv,
@@ -45,7 +43,9 @@ from wstargeo import (
     tomita_S,
     transport_witness,
 )
+from wstargeo import linalg
 from wstargeo.linalg import null_space_rows
+from wstargeo.standard import flow_residuals
 from wstargeo.sampling import (
     corner_positive,
     equivalent_projection,
@@ -383,18 +383,23 @@ class TestTomita:
             ) <= 1e-9 * (1.0 + frobenius(g))
 
 
+FLOW_RESIDUALS = {
+    "multiplicativity",
+    "symplectic",
+    "cone",
+    "conjugation",
+    "orbit_invariants",
+    "group_law",
+}
+
+
 class TestModularFlow:
     def test_not_faithful(self):
         mod = ModularData(M2, np.diag([0.0, 1.0]).astype(complex), DEFAULT_TOL)
         with pytest.raises(NotFaithful):
             canonical_implementation(mod, 0.3, E12)
         with pytest.raises(NotFaithful):
-            flow_automorphism_check(mod, 0.3, 5, 0, DEFAULT_TOL)
-
-    def test_invalid_samples(self):
-        mod = ModularData(M2, np.diag([1.0, 4.0]).astype(complex), DEFAULT_TOL)
-        with pytest.raises(InvalidTrials):
-            flow_automorphism_check(mod, 0.3, 0, 0, DEFAULT_TOL)
+            flow_residuals(mod, 0.3, rng_for(39), DEFAULT_TOL)
 
     def test_fixes_canonical_vector(self):
         rng = rng_for(37)
@@ -417,14 +422,39 @@ class TestModularFlow:
         for algebra in (M2, M23):
             mod = ModularData.from_functional(faithful_density(algebra, rng), DEFAULT_TOL)
             for t in (0.0, 0.3, -1.7):
-                report = flow_automorphism_check(mod, t, 10, 7, DEFAULT_TOL)
-                assert report.max_residual <= 1e-9, (t, report.residuals)
-                assert report.t == t
-                assert set(report.residuals) == {
-                    "multiplicativity",
-                    "symplectic",
-                    "cone",
-                    "conjugation",
-                    "orbit_invariants",
-                    "group_law",
-                }
+                for k in range(10):
+                    residuals = flow_residuals(mod, t, rng_for(39, k), DEFAULT_TOL)
+                    assert set(residuals) == FLOW_RESIDUALS
+                    assert max(residuals.values()) <= 1e-9, (t, k, residuals)
+
+
+class TestOneSpectrum:
+    """Every modular quantity of a density reads one eigendecomposition."""
+
+    @staticmethod
+    def _count_eig(monkeypatch, of):
+        calls = []
+        real = linalg.hermitian_eig
+
+        def spy(h):
+            calls.append(np.array_equal(h, of))
+            return real(h)
+
+        monkeypatch.setattr(linalg, "hermitian_eig", spy)
+        return calls
+
+    def test_modular_operations_share_one_decomposition(self, monkeypatch):
+        mod = ModularData.from_functional(faithful_density(M23, rng_for(40)), DEFAULT_TOL)
+        g = random_element(M23, rng_for(40, 1))
+        calls = self._count_eig(monkeypatch, mod.density)
+        tomita_S(mod, g)
+        modular_Delta(mod, g, 0.5)
+        for t in (0.0, 0.3, -1.7):
+            canonical_implementation(mod, t, g)
+        assert calls == [True]
+
+    def test_flow_residuals_decompose_the_density_once(self, monkeypatch):
+        mod = ModularData.from_functional(faithful_density(M23, rng_for(41)), DEFAULT_TOL)
+        calls = self._count_eig(monkeypatch, mod.density)
+        flow_residuals(mod, 0.3, rng_for(41, 1), DEFAULT_TOL)
+        assert calls.count(True) == 1

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wstargeo import algebra, charts, groupoids, poisson, sampling, standard, suites
-from wstargeo.linalg import matrix_imaginary_power
+from wstargeo.linalg import positive_spectrum
 from wstargeo import (
     DEFAULT_TOL,
     SUITE_NAMES,
@@ -289,8 +289,8 @@ class TestPlantedFaults:
     def test_modular_flow_with_one_sign_flipped(self, monkeypatch):
         def modular_automorphism(phi, t, x, tol=DEFAULT_TOL):
             # d^{it} x d^{it} instead of d^{it} x d^{-it}
-            u = matrix_imaginary_power(phi.density, t, tol)
-            return u @ x @ matrix_imaginary_power(phi.density, -t, tol).conj().T
+            spectrum = positive_spectrum(phi.density, tol)
+            return spectrum.imaginary_power(t) @ x @ spectrum.imaginary_power(-t).conj().T
 
         monkeypatch.setattr(suites, "modular_automorphism", modular_automorphism)
         failed = self._failed("modular-flow", M2, 1)
