@@ -5,14 +5,24 @@ matrix space of its total dimension.  Normal functionals are represented by
 their density matrices through the trace pairing ``phi(x) = Tr(d x)``; every
 structural operation (polar parts, supports, equivalences, centralizers,
 conditional expectations, modular flow, coadjoint action) works on densities.
+
+A functional owns a read-only copy of its density and keeps, per
+:class:`~wstargeo.linalg.ToleranceProfile`, what it has once computed from
+it: the polar decomposition (:func:`functional_polar`), the positivity
+spectrum, the spectral decomposition behind the support and the modular flow,
+and the blockwise eigenvalue clusters behind the centralizer, the stabilizer
+and the pinching.  Every kept array is read-only, and each is exactly what
+the first call computed, so a second call returns the same bits with no
+decomposition.  Membership in the block algebra is one pass over the
+realified entries.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,13 +91,16 @@ class BlockAlgebra:
         return tuple(out)
 
     @cached_property
-    def _off_blocks(self) -> np.ndarray:
-        """Read-only mask of the ambient entries outside every block."""
+    def _off_block_index(self) -> np.ndarray:
+        """Read-only positions, in a realified ``(dim, dim)`` complex matrix
+        (real and imaginary parts interleaved), of the parts of the entries
+        outside every block."""
         mask = np.ones((self.dim, self.dim), dtype=bool)
         for s in self.slices:
             mask[s, s] = False
-        mask.flags.writeable = False
-        return mask
+        index = np.flatnonzero(np.repeat(mask.ravel(), 2))
+        index.flags.writeable = False
+        return index
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
@@ -112,16 +125,22 @@ class BlockAlgebra:
         return out
 
     def contains(self, x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-        """Whether ``x`` is block-diagonal within residual tolerance.
+        """Whether ``x`` is block-diagonal within residual tolerance: the
+        Frobenius norm of its off-block entries is at most ``residual_tol
+        (1 + |x|)``.
 
-        A NaN entry anywhere makes one side of the comparison NaN, so ``x`` is
-        not a member; an infinite entry makes the bound infinite, and neither.
+        One pass over the realified entries: a dot product over all of them
+        and one over the off-block ones.  A NaN entry anywhere makes one side
+        of the comparison NaN, so ``x`` is not a member; an infinite entry
+        makes the bound infinite, and neither.
         """
         x = np.asarray(x)
         if x.shape != (self.dim, self.dim):
             return False
-        bound = tol.residual_tol * (1.0 + frobenius(x))
-        return frobenius(x[self._off_blocks]) <= bound < math.inf
+        v = np.ascontiguousarray(x, dtype=complex).view(float).ravel()
+        off = v[self._off_block_index]
+        bound = tol.residual_tol * (1.0 + math.sqrt(v.dot(v)))
+        return math.sqrt(off.dot(off)) <= bound < math.inf
 
     def require_member(
         self, x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, what: str = "matrix"
@@ -188,18 +207,34 @@ class BlockAlgebra:
 @dataclass(frozen=True)
 class NormalFunctional:
     """Normal functional phi(x) = Tr(d x) on a block algebra, stored by its
-    density matrix ``d``."""
+    density matrix ``d``.
+
+    The functional keeps its own read-only copy of the density, so what is
+    read off it cannot go stale: its polar decomposition, its spectra and
+    its eigenvalue clusters are each computed once per
+    :class:`ToleranceProfile`, on first use, and kept on the instance as
+    read-only arrays."""
 
     algebra: BlockAlgebra
     density: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        d = as_square(self.density)
+        d = as_square(np.array(self.density, dtype=complex))
         if d.shape != (self.algebra.dim, self.algebra.dim):
             raise AlgebraMismatch("density has the wrong ambient dimension")
-        object.__setattr__(
-            self, "density", self.algebra.require_member(d, what="density")
-        )
+        self.algebra.require_member(d, what="density")
+        d.flags.writeable = False
+        object.__setattr__(self, "density", d)
+
+    def _memoized(self, key: str, tol: ToleranceProfile, compute: Callable[[], object]):
+        """``compute()`` on the first call with ``(key, tol)``, then the kept
+        value; a call that raises keeps nothing."""
+        try:
+            return self._memo[key, tol]
+        except KeyError:
+            value = self._memo[key, tol] = compute()
+            return value
 
     def __call__(self, x: np.ndarray) -> complex:
         return complex(np.trace(self.density @ x))
@@ -210,16 +245,22 @@ class NormalFunctional:
 
     def is_hermitian(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
         d = self.density
-        return frobenius(d - d.conj().T) <= tol.residual_tol * (1.0 + frobenius(d))
+        return self._memoized(
+            "hermitian", tol,
+            lambda: frobenius(d - d.conj().T) <= tol.residual_tol * (1.0 + frobenius(d)),
+        )
 
     def _spectrum_if_positive(self, tol: ToleranceProfile) -> np.ndarray | None:
         """Descending spectrum of the Hermitian part of the density, or
-        ``None`` when the functional is not positive."""
-        if not self.is_hermitian(tol):
-            return None
-        w = hermitian_eigvals(herm(self.density))
-        scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-        return w if w.min() >= -tol.residual_tol * scale else None
+        ``None`` when the functional is not positive; kept per profile."""
+
+        def compute():
+            if not self.is_hermitian(tol):
+                return None
+            w = _readonly(hermitian_eigvals(herm(self.density)))
+            return w if _nonnegative(w, tol) else None
+
+        return self._memoized("eigvals", tol, compute)
 
     def distance(self, other: "NormalFunctional") -> float:
         return frobenius(self.density - other.density)
@@ -246,9 +287,14 @@ def functional_polar(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> tuple[np.ndarray, NormalFunctional]:
     """Polar decomposition of a functional: ``d = u |d|`` with ``|phi|``
-    positive; returns ``(u, |phi|)``."""
-    u, h = polar_decompose(phi.density, tol)
-    return u, NormalFunctional(phi.algebra, h)
+    positive; returns ``(u, |phi|)``, computed once per profile and kept on
+    ``phi`` (``u`` read-only)."""
+
+    def compute():
+        u, h = polar_decompose(phi.density, tol)
+        return _readonly(u), NormalFunctional(phi.algebra, h)
+
+    return phi._memoized("polar", tol, compute)
 
 
 def functional_supports(
@@ -261,16 +307,40 @@ def functional_supports(
 def functional_support(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> np.ndarray:
-    """Support projection of a positive functional."""
-    return _density_spectrum(phi, tol).support
+    """Support projection of a positive functional, read-only and kept on
+    ``phi``."""
+    return phi._memoized(
+        "support", tol, lambda: _readonly(_density_spectrum(phi, tol).support)
+    )
 
 
 def _density_spectrum(phi: NormalFunctional, tol: ToleranceProfile) -> PositiveSpectrum:
     """One eigendecomposition of the Hermitian part of the density of a
-    positive functional; raises :class:`NotPositive` otherwise."""
-    if not phi.is_hermitian(tol):
-        raise NotPositive("functional is not positive")
-    return positive_spectrum(herm(phi.density), tol)
+    positive functional, kept on ``phi`` per profile with read-only arrays;
+    raises :class:`NotPositive` otherwise."""
+
+    def compute():
+        if not phi.is_hermitian(tol):
+            raise NotPositive("functional is not positive")
+        spectrum = positive_spectrum(herm(phi.density), tol)
+        _readonly(spectrum.values)
+        _readonly(spectrum.vectors)
+        return spectrum
+
+    return phi._memoized("spectrum", tol, compute)
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only before it is kept."""
+    a.flags.writeable = False
+    return a
+
+
+def _nonnegative(w: np.ndarray, tol: ToleranceProfile) -> bool:
+    """Whether no eigenvalue of ``w`` lies below ``-residual_tol`` times
+    ``max(1, max |w|)``."""
+    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
+    return w.min() >= -tol.residual_tol * scale
 
 
 def require_projection(
@@ -342,15 +412,17 @@ def orbit_invariant(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> tuple[tuple[float, ...], ...]:
     """Unitary-orbit invariant of a positive functional: the strictly positive
-    part of the density's spectrum, blockwise, in descending order."""
-    wall = _positive_spectrum(phi, tol)
-    d = herm(phi.density)
-    cutoff = tol.rank_rel_tol * max(float(np.max(wall)), 0.0) if wall.size else 0.0
-    out = []
-    for b in phi.algebra.block_views(d):
-        w = hermitian_eigvals(b)
-        out.append(tuple(float(x) for x in w if x > cutoff))
-    return tuple(out)
+    part of the density's spectrum, blockwise, in descending order.  The
+    block spectra of the block-diagonal density decide positivity and the
+    rank cutoff too."""
+    if not phi.is_hermitian(tol):
+        raise NotPositive("functional is not positive")
+    blocks = [hermitian_eigvals(b) for b in phi.algebra.block_views(herm(phi.density))]
+    wall = np.concatenate(blocks)
+    if not _nonnegative(wall, tol):
+        raise NotPositive("functional is not positive")
+    cutoff = tol.rank_rel_tol * max(float(np.max(wall)), 0.0)
+    return tuple(tuple(float(x) for x in w if x > cutoff) for w in blocks)
 
 
 def orbit_equivalent(
@@ -431,18 +503,26 @@ def antihermitian_units(cols: np.ndarray) -> list[np.ndarray]:
 
 def _spectral_clusters(
     phi: NormalFunctional, tol: ToleranceProfile
-) -> Iterator[tuple[slice, np.ndarray, bool]]:
+) -> tuple[tuple[slice, np.ndarray, bool], ...]:
     """Per eigenvalue cluster of the density of a positive functional, block
-    by block: the block's slice, the cluster's eigenvectors as columns, and
-    whether its eigenvalue lies above the global rank cutoff.  Raises
-    :class:`NotPositive` when the functional is not positive."""
-    wall = _positive_spectrum(phi, tol)
-    cutoff = tol.rank_rel_tol * max(float(np.max(np.abs(wall))), 0.0) if wall.size else 0.0
-    algebra = phi.algebra
-    for s, b in zip(algebra.slices, algebra.block_views(herm(phi.density))):
-        w, v = hermitian_eig(b)
-        for cluster in eigen_clusters(w, tol.rank_rel_tol):
-            yield s, v[:, cluster[0] : cluster[-1] + 1], w[cluster[0]] > cutoff
+    by block: the block's slice, the cluster's eigenvectors as read-only
+    columns, and whether its eigenvalue lies above the global rank cutoff.
+    Kept on ``phi`` per profile.  Raises :class:`NotPositive` when the
+    functional is not positive."""
+
+    def compute():
+        wall = _positive_spectrum(phi, tol)
+        cutoff = tol.rank_rel_tol * max(float(np.max(np.abs(wall))), 0.0) if wall.size else 0.0
+        algebra = phi.algebra
+        out = []
+        for s, b in zip(algebra.slices, algebra.block_views(herm(phi.density))):
+            w, v = hermitian_eig(b)
+            _readonly(v)
+            for cluster in eigen_clusters(w, tol.rank_rel_tol):
+                out.append((s, v[:, cluster[0] : cluster[-1] + 1], w[cluster[0]] > cutoff))
+        return tuple(out)
+
+    return phi._memoized("clusters", tol, compute)
 
 
 def _positive_clusters(

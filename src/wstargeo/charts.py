@@ -10,6 +10,12 @@ charts: source coordinate, middle corner, target coordinate) and, in a
 polar-corrected form, the groupoid of partial isometries, where the inversion
 acts on the middle component alone.
 
+Each chart leg factors its overlap once: :func:`sigma_p` decides the domain
+from the singular values of the SVD of ``p q`` that it then inverts (first the
+unguarded rank, raising :class:`NotInDomain`, then the guard of the partial
+inverse), and the polar-corrected charts read the coordinate ``sigma - p``
+and the isometry ``u_p``, the polar part of ``sigma``, off that one ``sigma``.
+
 The bundle of partial isometries with fixed source carries the canonical
 connection ``u -> u* du``; its curvature and the orbit one-form
 ``Gamma0(u)(du) = Re(i Tr(d u* du))`` with exterior derivative
@@ -27,6 +33,7 @@ from .errors import InvalidArrow, InvalidTangent, NotInDomain, NotInOverlap
 from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
+    _pinv_from_svd,
     antiherm,
     expect_real,
     frobenius,
@@ -38,6 +45,7 @@ from .linalg import (
     projection_rank,
     retained_rank,
     singular_values,
+    svd,
 )
 
 # ---------------------------------------------------------------------------
@@ -49,24 +57,31 @@ def chart_domain_member(
 ) -> bool:
     """True when q lies in the chart domain of p: the overlap p q has full
     rank relative to both projections (rank(p q) = rank p = rank q)."""
+    return _in_chart_domain(p, q, singular_values(p @ q), tol)
+
+
+def _in_chart_domain(
+    p: np.ndarray, q: np.ndarray, s: np.ndarray, tol: ToleranceProfile
+) -> bool:
+    """The chart-domain rank rule, rank(p q) = rank p = rank q, with the
+    rank of p q read off its descending singular values ``s`` (unguarded)
+    and the ranks of p and q off their traces."""
     rp = projection_rank(p)
-    rq = projection_rank(q)
-    if rp != rq:
-        return False
-    if rp == 0:
-        return True
-    s = singular_values(p @ q)
-    return retained_rank(s, tol) == rp
+    return rp == projection_rank(q) and retained_rank(s, tol) == rp
 
 
 def sigma_p(
     p: np.ndarray, q: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> np.ndarray:
     """Overlap inverse x = (p q)^+, the element with (p q) x = p and
-    x (p q) = q; raises NotInDomain when q is outside the chart of p."""
-    if not chart_domain_member(p, q, tol):
+    x (p q) = q; raises NotInDomain when q is outside the chart of p.
+
+    One SVD of p q decides the domain (unguarded rank) and then, guarded
+    like :func:`partial_inverse`, gives the inverse."""
+    w, s, vh = svd(p @ q)
+    if not _in_chart_domain(p, q, s, tol):
         raise NotInDomain("q is outside the chart domain of p")
-    return partial_inverse(p @ q, tol)
+    return _pinv_from_svd(w, s, vh, tol)
 
 
 def phi_p(
@@ -122,9 +137,9 @@ def chart_G(
     l = left_support(x, tol)
     r = left_support(x.conj().T, tol)
     y_l = phi_p(p, l, tol)
-    y_r = phi_p(p_tilde, r, tol)
-    middle = (p @ l) @ x @ sigma_p(p_tilde, r, tol)
-    return y_l, middle, y_r
+    sigma_r = sigma_p(p_tilde, r, tol)
+    middle = (p @ l) @ x @ sigma_r
+    return y_l, middle, sigma_r - p_tilde
 
 
 def chart_G_inv(
@@ -150,6 +165,15 @@ def u_p(
     return u
 
 
+def _chart_leg(
+    p: np.ndarray, q: np.ndarray, tol: ToleranceProfile
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(phi_p(q), u_p(q))`` read off one overlap inverse sigma_p(q)."""
+    sigma = sigma_p(p, q, tol)
+    u, _ = polar_decompose(sigma, tol)
+    return sigma - p, u
+
+
 def chart_Theta(
     p: np.ndarray,
     p_tilde: np.ndarray,
@@ -161,10 +185,9 @@ def chart_Theta(
     itself a partial isometry with m* m = p_tilde."""
     l = left_support(x, tol)
     r = left_support(x.conj().T, tol)
-    y_l = phi_p(p, l, tol)
-    y_r = phi_p(p_tilde, r, tol)
-    middle = u_p(p, l, tol).conj().T @ x @ u_p(p_tilde, r, tol)
-    return y_l, middle, y_r
+    y_l, u_l = _chart_leg(p, l, tol)
+    y_r, u_r = _chart_leg(p_tilde, r, tol)
+    return y_l, u_l.conj().T @ x @ u_r, y_r
 
 
 def chart_Theta_inv(
@@ -204,10 +227,8 @@ def theta_P0(
         raise InvalidArrow("u is not a partial isometry")
     if frobenius(u.conj().T @ u - p0) > tol.residual_tol * (1.0 + frobenius(p0)):
         raise InvalidArrow("u* u is not the base projection")
-    q = u @ u.conj().T
-    y = phi_p(p, q, tol)
-    fibre = u_p(p, q, tol).conj().T @ u
-    return y, fibre
+    y, w = _chart_leg(p, u @ u.conj().T, tol)
+    return y, w.conj().T @ u
 
 
 def theta_P0_inv(

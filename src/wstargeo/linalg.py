@@ -344,10 +344,18 @@ def partial_inverse(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.nd
     ill-separated from the cutoff (guard band), because the inverse is
     discontinuous across a rank change.
     """
-    w, s, vh = svd(a)
+    return _pinv_from_svd(*svd(a), tol)
+
+
+def _pinv_from_svd(
+    w: np.ndarray, s: np.ndarray, vh: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
+) -> np.ndarray:
+    """:func:`partial_inverse` of the matrix ``w @ diag(s) @ vh``, read off
+    that full SVD, guard included: a caller that has decided a rank from the
+    same SVD inverts without a second one."""
     r = retained_rank(s, tol, guard=True)
     if r == 0:
-        return np.zeros_like(np.asarray(a, dtype=complex)).T.conj()
+        return np.zeros((vh.shape[0], w.shape[0]), dtype=complex)
     return (vh[:r, :].conj().T / s[:r]) @ w[:, :r].conj().T
 
 

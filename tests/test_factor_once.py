@@ -1,0 +1,238 @@
+"""Each functional and each chart overlap is factored once.
+
+A ``NormalFunctional`` keeps its polar decomposition, its spectra and its
+eigenvalue clusters, and ``sigma_p`` decides the chart domain from the SVD
+it inverts.  The count tests spy on the two LAPACK entry points of
+``linalg`` on ``2,3``; each bound sits well below the count of code that
+decomposes again on every read (noted in each test).
+``BlockAlgebra.contains`` is checked against the rule of two Frobenius
+norms.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from wstargeo import linalg, sampling
+from wstargeo.algebra import (
+    BlockAlgebra,
+    NormalFunctional,
+    _density_spectrum,
+    _spectral_clusters,
+    centralizer_basis,
+    functional_polar,
+    functional_support,
+    orbit_invariant,
+    stabilizer_lie_algebra,
+)
+from wstargeo.charts import chart_domain_member, chart_Theta, sigma_p
+from wstargeo.groupoids import (
+    chain_law_residuals,
+    composable_chain,
+    psi_intertwining_residual,
+)
+from wstargeo.linalg import DEFAULT_TOL, frobenius, polar_decompose
+
+M23 = BlockAlgebra((2, 3))
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Counts of ``_gesdd`` and ``_heevd`` calls, keyed by kernel name."""
+    calls = {"gesdd": 0, "heevd": 0}
+    real_gesdd, real_heevd = linalg._gesdd, linalg._heevd
+
+    def gesdd(a, compute_uv):
+        calls["gesdd"] += 1
+        return real_gesdd(a, compute_uv)
+
+    def heevd(h, compute_v):
+        calls["heevd"] += 1
+        return real_heevd(h, compute_v)
+
+    monkeypatch.setattr(linalg, "_gesdd", gesdd)
+    monkeypatch.setattr(linalg, "_heevd", heevd)
+    return calls
+
+
+def _draw(make, tries: int = 64):
+    """``make(rng)`` for the first of a fixed sequence of generators whose
+    draw it accepts (returns not ``None``)."""
+    for k in range(tries):
+        out = make(sampling.rng_for(2024, k))
+        if out is not None:
+            return out
+    raise AssertionError("no accepted draw")
+
+
+def _chart_pair(rng):
+    fs = sampling.frame_chain(M23, rng, 1, allow_zero=False)
+    p, q = (f.projection for f in fs)
+    return (p, q) if chart_domain_member(p, q, DEFAULT_TOL) else None
+
+
+def _theta_input(rng):
+    fs = sampling.frame_chain(M23, rng, 3, allow_zero=False)
+    p, pt, l, r = (f.projection for f in fs)
+    if not (chart_domain_member(p, l, DEFAULT_TOL) and chart_domain_member(pt, r, DEFAULT_TOL)):
+        return None
+    x = sampling.isometry_between(rng, fs[3], fs[2]) @ sampling.positive_on(rng, fs[3])
+    return p, pt, x
+
+
+def _functional(seed: int = 0) -> NormalFunctional:
+    rng = sampling.rng_for(2025, seed)
+    return sampling.density_on(rng, sampling.random_frames(M23, rng, allow_zero=False))
+
+
+class TestCounts:
+    def test_predual_chain_laws(self, lapack_calls):
+        # 24 if every structure map takes its own polar decomposition.
+        chain = composable_chain("predual", M23, sampling.rng_for(2026, 0), 3)
+        lapack_calls.update(gesdd=0, heevd=0)
+        chain_law_residuals("predual", chain, DEFAULT_TOL)
+        assert lapack_calls["gesdd"] <= 10
+
+    def test_psi_intertwining(self, lapack_calls):
+        # 9 with one support of rho0 per gauge_iso_Psi and pi0.
+        rng = sampling.rng_for(2026, 1)
+        fs = sampling.frame_chain(M23, rng, 3, allow_zero=False)
+        rho0 = sampling.density_on(rng, fs[0])
+        u, v, w = (sampling.isometry_between(rng, fs[0], f) for f in fs[1:])
+        lapack_calls.update(gesdd=0, heevd=0)
+        assert psi_intertwining_residual(u, v, w, rho0, DEFAULT_TOL) <= 1e-10
+        assert lapack_calls["heevd"] <= 2
+
+    def test_stabilizer_and_centralizer(self, lapack_calls):
+        # 6 if each takes the positivity spectrum and the block spectra.
+        phi = _functional()
+        lapack_calls.update(gesdd=0, heevd=0)
+        stabilizer_lie_algebra(phi, DEFAULT_TOL)
+        centralizer_basis(phi, DEFAULT_TOL)
+        assert lapack_calls["heevd"] <= 3
+
+    def test_chart_theta(self, lapack_calls):
+        # 12 with a domain test, an inverse and a polar per leg, twice.
+        p, pt, x = _draw(_theta_input)
+        lapack_calls.update(gesdd=0, heevd=0)
+        chart_Theta(p, pt, x, DEFAULT_TOL)
+        assert lapack_calls["gesdd"] <= 6
+
+    def test_sigma_p(self, lapack_calls):
+        # 2 with one SVD for the domain test and one for the inverse.
+        p, q = _draw(_chart_pair)
+        lapack_calls.update(gesdd=0, heevd=0)
+        x = sigma_p(p, q, DEFAULT_TOL)
+        assert lapack_calls["gesdd"] == 1
+        assert frobenius((p @ q) @ x - p) <= 1e-10
+
+    def test_orbit_invariant_reads_block_spectra(self, lapack_calls):
+        # 3 if the whole density is decomposed before each block.
+        phi = _functional(1)
+        lapack_calls.update(gesdd=0, heevd=0)
+        orbit_invariant(phi, DEFAULT_TOL)
+        assert lapack_calls["heevd"] == len(M23.blocks)
+
+
+class TestKeptValues:
+    def test_caller_mutation_does_not_reach_the_functional(self):
+        d = _functional(2).density.copy()
+        phi = NormalFunctional(M23, d)
+        u, mod = functional_polar(phi, DEFAULT_TOL)
+        u_copy, h_copy = u.copy(), mod.density.copy()
+        spectrum = _density_spectrum(phi, DEFAULT_TOL)
+        values, vectors = spectrum.values.copy(), spectrum.vectors.copy()
+        want = d.copy()
+        d[0, 0] += 1.0
+        d[3, 4] = 7.0
+        assert np.array_equal(phi.density, want)
+        u2, mod2 = functional_polar(phi, DEFAULT_TOL)
+        assert u2 is u and mod2 is mod
+        assert np.array_equal(u2, u_copy) and np.array_equal(mod2.density, h_copy)
+        again = _density_spectrum(phi, DEFAULT_TOL)
+        assert again is spectrum
+        assert np.array_equal(again.values, values)
+        assert np.array_equal(again.vectors, vectors)
+
+    def test_kept_arrays_are_read_only(self):
+        phi = _functional(3)
+        u, mod = functional_polar(phi, DEFAULT_TOL)
+        spectrum = _density_spectrum(phi, DEFAULT_TOL)
+        kept = [
+            phi.density, u, mod.density, spectrum.values, spectrum.vectors,
+            functional_support(phi, DEFAULT_TOL), phi._spectrum_if_positive(DEFAULT_TOL),
+        ]
+        for a in kept:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        for _, cols, _ in _spectral_clusters(phi, DEFAULT_TOL):
+            with pytest.raises(ValueError):
+                cols[0, 0] = 0.0
+
+    def test_kept_polar_equals_a_fresh_one(self):
+        phi = NormalFunctional(M23, _functional(4).density @ np.diag([1, 1j, 1, -1, 1j]))
+        u, mod = functional_polar(phi, DEFAULT_TOL)
+        u_fresh, h_fresh = polar_decompose(phi.density, DEFAULT_TOL)
+        assert np.array_equal(u, u_fresh)
+        assert np.array_equal(mod.density, h_fresh)
+
+    def test_each_profile_keeps_its_own(self):
+        phi = _functional(5)
+        loose = linalg.ToleranceProfile(rank_rel_tol=1e-6)
+        assert functional_polar(phi, DEFAULT_TOL) is functional_polar(phi, DEFAULT_TOL)
+        assert functional_polar(phi, loose) is not functional_polar(phi, DEFAULT_TOL)
+
+
+def _reference_contains(algebra: BlockAlgebra, x, tol=DEFAULT_TOL) -> bool:
+    """Membership as two Frobenius norms: off-block part against the bound."""
+    x = np.asarray(x)
+    if x.shape != (algebra.dim, algebra.dim):
+        return False
+    off = np.ones((algebra.dim, algebra.dim), dtype=bool)
+    for s in algebra.slices:
+        off[s, s] = False
+    bound = tol.residual_tol * (1.0 + frobenius(x))
+    return frobenius(x[off]) <= bound < math.inf
+
+
+def _contains_cases() -> dict[str, tuple[np.ndarray, bool]]:
+    """``name -> (x, whether x is a member of 2,3)``."""
+    rng = np.random.default_rng(31)
+    member = M23.embed_blocks([sampling.complex_normal(rng, (n, n)) for n in M23.blocks])
+    cases = {
+        "member": (member, True),
+        "identity": (M23.identity(), True),
+        "zero": (M23.zero(), True),
+        "real member": (member.real.copy(), True),
+        "int member": (np.eye(5, dtype=int), True),
+        "transposed member": (member.T, True),
+        "wrong shape": (np.eye(4, dtype=complex), False),
+    }
+    for scale, is_member in ((0.5, True), (2.0, False)):
+        for phase in (1.0, 1j):
+            y = member.copy()
+            y[1, 4] = scale * phase * DEFAULT_TOL.residual_tol * (1.0 + frobenius(member))
+            cases[f"off-block {scale} x {phase}"] = (y, is_member)
+            cases[f"off-block {scale} x {phase}, transposed"] = (y.T, is_member)
+        y = member.real.copy()
+        y[4, 1] = scale * DEFAULT_TOL.residual_tol * (1.0 + frobenius(member.real))
+        cases[f"off-block {scale}, real"] = (y, is_member)
+    for where, (i, j) in (("on-block", (0, 1)), ("off-block", (0, 3))):
+        for name, bad in (
+            ("nan", np.nan), ("+inf", np.inf), ("-inf", -np.inf),
+            ("imaginary nan", complex(0.0, np.nan)), ("imaginary inf", complex(0.0, np.inf)),
+        ):
+            y = member.copy()
+            y[i, j] = bad
+            cases[f"{name} {where}"] = (y, False)
+    return cases
+
+
+_CASES = _contains_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_contains_matches_the_two_norm_rule(name):
+    x, is_member = _CASES[name]
+    assert M23.contains(x) is is_member
+    assert _reference_contains(M23, x) is is_member

@@ -280,8 +280,8 @@ class TestPlantedFaults:
         assert "fubini-study/pair-groupoid" in self._failed("fubini-study")
 
     def test_fibre_coordinate_off_by_a_small_phase(self, monkeypatch):
-        # theta_P0 and its inverse both use u_p, so the round trip still
-        # closes; only the closed form of the fibre coordinate sees it.
+        # theta_P0 reads u_p off its own overlap inverse and theta_P0_inv
+        # calls u_p, so the phase opens the round trip.
         real = charts.u_p
         monkeypatch.setattr(charts, "u_p", lambda p, q, tol: real(p, q, tol) * np.exp(1e-8j))
         assert "charts/theta" in self._failed("charts")
