@@ -11,10 +11,11 @@ A functional owns a read-only copy of its density and keeps, per
 it: the polar decomposition (:func:`functional_polar`), the positivity
 spectrum, the spectral decomposition behind the support and the modular flow,
 and the blockwise eigenvalue clusters behind the centralizer, the stabilizer
-and the pinching.  Every kept array is read-only, and each is exactly what
-the first call computed, so a second call returns the same bits with no
-decomposition.  Membership in the block algebra is one pass over the
-realified entries.
+and the pinching; and, per observable, the differential that
+:meth:`~wstargeo.poisson.Observable.differential_at` takes at it.  Every
+kept array is read-only, and each is exactly what the first call computed,
+so a second call returns the same bits with no decomposition.  Membership
+in the block algebra is one pass over the realified entries.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -213,7 +214,9 @@ class NormalFunctional:
     read off it cannot go stale: its polar decomposition, its spectra and
     its eigenvalue clusters are each computed once per
     :class:`ToleranceProfile`, on first use, and kept on the instance as
-    read-only arrays."""
+    read-only arrays.  So is the differential of each
+    :class:`~wstargeo.poisson.Observable` taken at it, once per observable
+    and profile, as a read-only view."""
 
     algebra: BlockAlgebra
     density: np.ndarray
@@ -227,9 +230,11 @@ class NormalFunctional:
         d.flags.writeable = False
         object.__setattr__(self, "density", d)
 
-    def _memoized(self, key: str, tol: ToleranceProfile, compute: Callable[[], object]):
+    def _memoized(self, key: Hashable, tol: ToleranceProfile, compute: Callable[[], object]):
         """``compute()`` on the first call with ``(key, tol)``, then the kept
-        value; a call that raises keeps nothing."""
+        value; a call that raises keeps nothing.  ``key`` names what is kept:
+        a string for what is read off the density, or the observable whose
+        differential is kept."""
         try:
             return self._memo[key, tol]
         except KeyError:

@@ -77,11 +77,16 @@ from .standard import (
 @dataclass(frozen=True, eq=False)
 class Observable:
     """Real function of a Hermitian functional, with an optional analytic
-    differential (a Hermitian algebra element); when absent the differential
-    is taken by central differences along an orthonormal Hermitian basis."""
+    differential ``differential(phi, tol)`` (a Hermitian algebra element);
+    when absent the differential is taken by central differences along an
+    orthonormal Hermitian basis.
+
+    An observable is a fixed function of the functional, so its differential
+    at ``phi`` is kept on ``phi``, one per observable and profile
+    (:meth:`differential_at`)."""
 
     value: Callable[[NormalFunctional], float]
-    differential: Callable[[NormalFunctional], np.ndarray] | None = None
+    differential: Callable[[NormalFunctional, ToleranceProfile], np.ndarray] | None = None
 
     def value_at(self, phi: NormalFunctional) -> float:
         return float(self.value(phi))
@@ -89,14 +94,30 @@ class Observable:
     def differential_at(
         self, phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
     ) -> np.ndarray:
-        if self.differential is not None:
-            return check_hermitian(self.differential(phi), tol)
+        """The differential at ``phi``: the analytic one, checked Hermitian,
+        or central differences of step ``tol.fd_step``.  It is computed on
+        the first call with ``(self, tol)`` and kept on ``phi`` as a
+        read-only view, so a later call returns the same array; a
+        computation that raises keeps nothing."""
+        return phi._memoized(
+            self,
+            tol,
+            lambda: _readonly_view(
+                check_hermitian(self.differential(phi, tol), tol)
+                if self.differential is not None
+                else self._central_differences(phi, tol)
+            ),
+        )
+
+    def _central_differences(self, phi: NormalFunctional, tol: ToleranceProfile) -> np.ndarray:
         h = tol.fd_step
-        grad = phi.algebra.zero()
-        for e in phi.algebra.hermitian_units():
-            plus = NormalFunctional(phi.algebra, phi.density + h * e)
-            minus = NormalFunctional(phi.algebra, phi.density - h * e)
-            grad = grad + ((self.value_at(plus) - self.value_at(minus)) / (2 * h)) * e
+        algebra, d = phi.algebra, phi.density
+        grad = algebra.zero()
+        for e in algebra.hermitian_units():
+            step = h * e
+            plus = self.value_at(NormalFunctional(algebra, d + step))
+            minus = self.value_at(NormalFunctional(algebra, d - step))
+            grad += ((plus - minus) / (2 * h)) * e
         return grad
 
     @classmethod
@@ -105,7 +126,7 @@ class Observable:
         x = check_hermitian(np.asarray(x, dtype=complex), tol)
         return cls(
             value=lambda phi: float(phi(x).real),
-            differential=lambda phi: x,
+            differential=lambda phi, tol: x,
         )
 
     @classmethod
@@ -114,18 +135,26 @@ class Observable:
         x = check_hermitian(np.asarray(x, dtype=complex), tol)
         return cls(
             value=lambda phi: float(np.trace(phi.density @ phi.density @ x).real),
-            differential=lambda phi: herm(phi.density @ x + x @ phi.density),
+            differential=lambda phi, tol: herm(phi.density @ x + x @ phi.density),
         )
 
     def times(self, other: "Observable") -> "Observable":
         """Pointwise product, with the Leibniz differential
-        f dg + g df."""
+        f dg + g df, both factors' differentials taken under the profile
+        the product's is."""
         return Observable(
             value=lambda phi: self.value_at(phi) * other.value_at(phi),
-            differential=lambda phi, _f=self, _g=other: _f.value_at(phi)
-            * _g.differential_at(phi)
-            + _g.value_at(phi) * _f.differential_at(phi),
+            differential=lambda phi, tol: self.value_at(phi) * other.differential_at(phi, tol)
+            + other.value_at(phi) * self.differential_at(phi, tol),
         )
+
+
+def _readonly_view(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; ``a`` itself, which may be a caller's
+    array, keeps its flags."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def lp_bracket(
@@ -354,11 +383,16 @@ def poisson_map_residual(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> float:
     """|{f o E, g o E}_canonical(gamma) - {f, g}_Lie-Poisson(E(gamma))|:
-    the left expectation is a Poisson map."""
-    F = HilbertObservable.pullback_E(f, algebra, tol)
-    G = HilbertObservable.pullback_E(g, algebra, tol)
-    lhs = canonical_bracket(F, G, algebra, gamma, tol)
-    rhs = lp_bracket(f, g, expectation_E(algebra, gamma), tol)
+    the left expectation is a Poisson map.
+
+    Both sides read the differentials of f and g at the one functional
+    E(gamma): the canonical side is 2 Im <df gamma | dg gamma>, with the
+    pullback gradients df(E(gamma)) gamma and dg(E(gamma)) gamma."""
+    phi = expectation_E(algebra, gamma)
+    grad_f = f.differential_at(phi, tol) @ gamma
+    grad_g = g.differential_at(phi, tol) @ gamma
+    lhs = 2.0 * float(hs_inner(grad_f, grad_g).imag)
+    rhs = lp_bracket(f, g, phi, tol)
     return abs(lhs - rhs)
 
 

@@ -40,6 +40,7 @@ from .errors import (
     InvalidArrow,
     NotComposable,
     NotFaithful,
+    NotPositive,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -339,8 +340,14 @@ class ModularData:
     def from_functional(
         cls, phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
     ) -> "ModularData":
-        require_positive(phi, tol)
-        return cls(algebra=phi.algebra, density=phi.density, tol=tol)
+        """Modular data of a positive ``phi``; the one eigendecomposition of
+        the density, taken here, also refuses a non-positive one
+        (:class:`NotPositive`, as for a non-Hermitian one)."""
+        if not phi.is_hermitian(tol):
+            raise NotPositive("functional is not positive")
+        mod = cls(algebra=phi.algebra, density=phi.density, tol=tol)
+        mod.spectrum  # decomposed now, so a non-positive density is refused here
+        return mod
 
     @cached_property
     def spectrum(self) -> PositiveSpectrum:

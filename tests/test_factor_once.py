@@ -1,13 +1,14 @@
 """Each functional and each chart overlap is factored once.
 
-A ``NormalFunctional`` keeps its polar decomposition, its spectra and its
-eigenvalue clusters, and ``sigma_p`` decides the chart domain from the SVD
-it inverts.  The count tests spy on the two LAPACK entry points of
-``linalg`` on ``2,3``; each bound sits well below the count of code that
-decomposes again on every read (noted in each test).
-``BlockAlgebra.contains`` is checked against the rule of two Frobenius
-norms.
+A ``NormalFunctional`` keeps its polar decomposition, its spectra, its
+eigenvalue clusters and each observable's differential, and ``sigma_p``
+decides the chart domain from the SVD it inverts.  The count tests spy on
+the two LAPACK entry points of ``linalg`` on ``2,3``; each bound sits well
+below the count of code that decomposes again on every read (noted in each
+test).  ``BlockAlgebra.contains`` is checked against the rule of two
+Frobenius norms.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from wstargeo.algebra import (
     functional_polar,
     functional_support,
     orbit_invariant,
+    require_positive,
     stabilizer_lie_algebra,
 )
 from wstargeo.charts import chart_domain_member, chart_Theta, sigma_p
@@ -31,7 +33,10 @@ from wstargeo.groupoids import (
     composable_chain,
     psi_intertwining_residual,
 )
-from wstargeo.linalg import DEFAULT_TOL, frobenius, polar_decompose
+from wstargeo.errors import NotPositive
+from wstargeo.linalg import DEFAULT_TOL, frobenius, polar_decompose, positive_spectrum
+from wstargeo.poisson import Observable, leibniz_residual, poisson_map_residual
+from wstargeo.standard import ModularData
 
 M23 = BlockAlgebra((2, 3))
 
@@ -236,3 +241,145 @@ def test_contains_matches_the_two_norm_rule(name):
     x, is_member = _CASES[name]
     assert M23.contains(x) is is_member
     assert _reference_contains(M23, x) is is_member
+
+
+class TestModularDataFromFunctional:
+    def test_one_decomposition(self, lapack_calls):
+        # 2 with a positivity spectrum before the spectrum with vectors.
+        phi = _functional(6)
+        lapack_calls.update(gesdd=0, heevd=0)
+        ModularData.from_functional(phi, DEFAULT_TOL).vector
+        assert lapack_calls["heevd"] == 1
+
+    @pytest.mark.parametrize(
+        "name",
+        ["positive", "rank one", "non-Hermitian", "negative", "large negative",
+         "negative within tolerance", "negative past tolerance"],
+    )
+    def test_refuses_what_require_positive_refuses(self, name):
+        rt = DEFAULT_TOL.residual_tol
+        d = {
+            "positive": _functional(7).density,
+            "rank one": np.diag([1.0, 0, 0, 0, 0]),
+            "non-Hermitian": np.diag([1.0, 1, 0, 0, 0]) + np.diag([1e-3, 0, 0, 0], k=1),
+            "negative": np.diag([1.0, -0.5, 0.2, 0.3, 0]),
+            "large negative": np.diag([0.5, 0, -3.0, 0, 0]),
+            "negative within tolerance": np.diag([1.0, 0, -0.5 * rt, 0, 0]),
+            "negative past tolerance": np.diag([1.0, 0, -2.0 * rt, 0, 0]),
+        }[name]
+        phi = NormalFunctional(M23, d)
+        try:
+            require_positive(phi, DEFAULT_TOL)
+        except NotPositive:
+            with pytest.raises(NotPositive):
+                ModularData.from_functional(phi, DEFAULT_TOL)
+        else:
+            mod = ModularData.from_functional(phi, DEFAULT_TOL)
+            assert np.array_equal(mod.spectrum.values, positive_spectrum(d, DEFAULT_TOL).values)
+
+
+def _fd_reference(obs: Observable, phi: NormalFunctional, tol) -> np.ndarray:
+    """The central-difference differential as one loop over the Hermitian
+    units, a fresh sum per unit."""
+    h = tol.fd_step
+    grad = phi.algebra.zero()
+    for e in phi.algebra.hermitian_units():
+        plus = NormalFunctional(phi.algebra, phi.density + h * e)
+        minus = NormalFunctional(phi.algebra, phi.density - h * e)
+        grad = grad + ((obs.value_at(plus) - obs.value_at(minus)) / (2 * h)) * e
+    return grad
+
+
+class _Counted:
+    """A value-only observable of ``phi -> Tr(d^3 x)`` that records the
+    functionals it is evaluated at."""
+
+    def __init__(self, x: np.ndarray):
+        self.at: list[NormalFunctional] = []
+        self.x = x
+        self.observable = Observable(value=self._value)
+
+    def _value(self, phi: NormalFunctional) -> float:
+        self.at.append(phi)
+        d = phi.density
+        return float(np.trace(d @ d @ d @ self.x).real)
+
+
+def _hermitian(seed: int) -> np.ndarray:
+    return sampling.unit_norm(sampling.random_hermitian(M23, sampling.rng_for(2027, seed)))
+
+
+COARSE = dataclasses.replace(DEFAULT_TOL, fd_step=1e-2)
+
+
+class TestDifferentialKept:
+    def test_poisson_map_takes_each_gradient_once(self):
+        # 52 (two passes over the 13 Hermitian units) if the canonical and
+        # Lie-Poisson sides each take the gradient at their own E(gamma).
+        g = _Counted(_hermitian(0))
+        f = Observable.linear(_hermitian(1), DEFAULT_TOL)
+        gamma = sampling.random_element(M23, sampling.rng_for(2027, 2))
+        assert poisson_map_residual(f, g.observable, M23, gamma, DEFAULT_TOL) <= 1e-6
+        assert len(g.at) == 2 * len(M23.hermitian_units()) == 26
+
+    def test_leibniz_takes_one_central_difference_pass(self):
+        g = _Counted(_hermitian(3))
+        f = Observable.linear(_hermitian(4), DEFAULT_TOL)
+        h = Observable.quadratic(_hermitian(5), DEFAULT_TOL)
+        phi = _functional(8)
+        assert leibniz_residual(f, g.observable, h, phi, DEFAULT_TOL) <= 1e-8
+        # the rest are the two values at phi itself
+        assert sum(at is not phi for at in g.at) == 26
+        assert sum(at is phi for at in g.at) == 2
+
+    def test_each_profile_keeps_its_own(self):
+        obs = _Counted(_hermitian(6)).observable
+        phi = _functional(9)
+        fine = obs.differential_at(phi, DEFAULT_TOL)
+        coarse = obs.differential_at(phi, COARSE)
+        assert obs.differential_at(phi, DEFAULT_TOL) is fine
+        assert obs.differential_at(phi, COARSE) is coarse
+        assert frobenius(fine - coarse) > 1e-6
+
+    def test_kept_differential_is_read_only(self):
+        x = _hermitian(7).copy()
+        phi = _functional(10)
+        f = Observable.linear(x, DEFAULT_TOL)
+        kept = [
+            f.differential_at(phi, DEFAULT_TOL),
+            Observable.quadratic(x, DEFAULT_TOL).differential_at(phi, DEFAULT_TOL),
+            _Counted(x).observable.differential_at(phi, DEFAULT_TOL),
+        ]
+        for a in kept:
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+        assert np.shares_memory(kept[0], x)
+        assert x.flags.writeable
+
+    def test_a_value_that_raises_keeps_nothing(self):
+        fail = [True]
+
+        def value(phi):
+            if fail[0]:
+                raise RuntimeError("first evaluation fails")
+            return float(phi(M23.identity()).real)
+
+        obs = Observable(value=value)
+        phi = _functional(11)
+        with pytest.raises(RuntimeError):
+            obs.differential_at(phi, DEFAULT_TOL)
+        assert not any(key[0] is obs for key in phi._memo)
+        fail[0] = False
+        assert frobenius(obs.differential_at(phi, DEFAULT_TOL) - M23.identity()) <= 1e-8
+
+    @pytest.mark.parametrize("blocks", [(2, 3), (1, 2, 2)])
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, COARSE], ids=["default", "coarse"])
+    def test_central_differences_match_the_unit_loop(self, blocks, tol):
+        algebra = BlockAlgebra(blocks)
+        rng = sampling.rng_for(2028, len(blocks))
+        x = sampling.random_hermitian(algebra, rng)
+        phi = sampling.random_density(algebra, rng)
+        obs = Observable(
+            value=lambda p: float(np.trace(p.density @ p.density @ p.density @ x).real)
+        )
+        assert obs.differential_at(phi, tol).tobytes() == _fd_reference(obs, phi, tol).tobytes()

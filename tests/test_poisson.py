@@ -2,6 +2,8 @@
 families, the orbit two-form and its degeneracy, the moment/Fubini-Study
 identities, and path amplitudes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,23 @@ class TestLiePoisson:
         assert frobenius(
             h_an.differential_at(phi, DEFAULT_TOL) - h_fd.differential_at(phi, DEFAULT_TOL)
         ) <= 1e-8
+
+    def test_product_differential_keeps_the_profile(self):
+        # f times the constant 1 has differential df under the profile asked
+        # for, not the default one.
+        x = unit_norm(random_hermitian(M23, rng_for(46)))
+        f = Observable(
+            value=lambda phi: float(np.trace(phi.density @ phi.density @ phi.density @ x).real)
+        )
+        one = Observable(value=lambda phi: 1.0, differential=lambda phi, tol: M23.zero())
+        phi = random_density(M23, rng_for(47))
+        coarse = dataclasses.replace(DEFAULT_TOL, fd_step=1e-2)
+        product = f.times(one).differential_at(phi, coarse)
+        assert np.array_equal(product, f.differential_at(phi, coarse))
+        assert frobenius(product - f.differential_at(phi, DEFAULT_TOL)) > 1e-6
+        assert np.array_equal(
+            f.times(one).differential_at(phi, DEFAULT_TOL), f.differential_at(phi, DEFAULT_TOL)
+        )
 
     def test_structure_identities_random(self):
         for trial in range(60):

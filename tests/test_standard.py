@@ -429,7 +429,8 @@ class TestModularFlow:
 
 
 class TestOneSpectrum:
-    """Every modular quantity of a density reads one eigendecomposition."""
+    """Every modular quantity of a density, and the positivity check of
+    ``ModularData.from_functional``, read one eigendecomposition."""
 
     @staticmethod
     def _count_eig(monkeypatch, of):
@@ -444,9 +445,10 @@ class TestOneSpectrum:
         return calls
 
     def test_modular_operations_share_one_decomposition(self, monkeypatch):
-        mod = ModularData.from_functional(faithful_density(M23, rng_for(40)), DEFAULT_TOL)
+        phi = faithful_density(M23, rng_for(40))
         g = random_element(M23, rng_for(40, 1))
-        calls = self._count_eig(monkeypatch, mod.density)
+        calls = self._count_eig(monkeypatch, phi.density)
+        mod = ModularData.from_functional(phi, DEFAULT_TOL)
         tomita_S(mod, g)
         modular_Delta(mod, g, 0.5)
         for t in (0.0, 0.3, -1.7):
@@ -454,7 +456,8 @@ class TestOneSpectrum:
         assert calls == [True]
 
     def test_flow_residuals_decompose_the_density_once(self, monkeypatch):
-        mod = ModularData.from_functional(faithful_density(M23, rng_for(41)), DEFAULT_TOL)
-        calls = self._count_eig(monkeypatch, mod.density)
+        phi = faithful_density(M23, rng_for(41))
+        calls = self._count_eig(monkeypatch, phi.density)
+        mod = ModularData.from_functional(phi, DEFAULT_TOL)
         flow_residuals(mod, 0.3, rng_for(41, 1), DEFAULT_TOL)
         assert calls.count(True) == 1
