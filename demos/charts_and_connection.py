@@ -71,7 +71,7 @@ print(sigma_p(p, q, DEFAULT_TOL))
 rng = sampling.rng_for(2026, 3)
 algebra5 = BlockAlgebra((2, 3))
 p0 = sampling.random_projection(algebra5, rng, allow_zero=False)
-target = sampling.equivalent_projection(algebra5, rng, p0)
+target = sampling.equivalent_frames(rng, sampling.frames_of(algebra5, p0)).projection
 u = sampling.partial_isometry_onto(algebra5, rng, p0, target)
 
 # Bundle chart around the fibre over the target: u is encoded by the base

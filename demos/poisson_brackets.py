@@ -15,12 +15,12 @@ import numpy as np
 from wstargeo import (
     DEFAULT_TOL,
     BlockAlgebra,
-    HilbertObservable,
     NormalFunctional,
     Observable,
     calibrate_kappa,
-    canonical_bracket,
+    commutant_bracket_check,
     dual_pair_orthogonality_check,
+    expectation_E,
     feynman_amplitude,
     fubini_study_compare,
     hamiltonian_field,
@@ -29,6 +29,7 @@ from wstargeo import (
     leibniz_residual,
     lp_bracket,
     poisson_map_residual,
+    symplectic_omega,
 )
 from wstargeo import sampling
 
@@ -60,17 +61,17 @@ print("Jacobi residual: ", jacobi_residual(sx, sy, sz, psi, DEFAULT_TOL))
 print("Leibniz residual:", leibniz_residual(fx, fy, fz, psi, DEFAULT_TOL))
 
 # --- the canonical bracket upstairs -----------------------------------------------
-# Quadratic observables F_x(g) = Re <g|x g> pull linear observables back
-# along the left expectation E(g) = g g*.  Their canonical bracket descends
-# to the Lie-Poisson bracket: E is a Poisson map.
+# Pulled back along the left expectation E(g) = g g*, the linear observable
+# f_x becomes F_x(g) = Re <g|x g>, with gradient x g.  The canonical bracket
+# of two pullbacks is omega of their gradients, and it descends to the
+# Lie-Poisson bracket: E is a Poisson map.  Observables pulled back along E
+# and along the right expectation E'(g) = g* g Poisson-commute.
 g = sampling.random_element(algebra, rng)
-Fx = HilbertObservable.quadratic(sx, DEFAULT_TOL)
-Fy = HilbertObservable.quadratic(sy, DEFAULT_TOL)
-print("\ncanonical bracket {F_x, F_y}(g):",
-      canonical_bracket(Fx, Fy, algebra, g, DEFAULT_TOL))
+print("\ncanonical bracket {F_x, F_y}(g):", symplectic_omega(sx @ g, sy @ g))
 print("Lie-Poisson bracket after E:    ",
-      lp_bracket(fx, fy, NormalFunctional(algebra, g @ g.conj().T), DEFAULT_TOL))
+      lp_bracket(fx, fy, expectation_E(algebra, g), DEFAULT_TOL))
 print("Poisson-map residual:", poisson_map_residual(fx, fy, algebra, g, DEFAULT_TOL))
+print("{f_x o E, f_y o E'}(g):", commutant_bracket_check(fx, fy, algebra, g, DEFAULT_TOL))
 
 # The two expectations form a dual pair: their fibre directions are
 # symplectically orthogonal, with complementary dimensions.

@@ -169,24 +169,11 @@ class BlockAlgebra:
             k += len(mats)
         return out
 
-    def coordinate_units(self) -> np.ndarray:
-        """Complex basis of the algebra: one matrix unit per in-block entry.
-        A read-only stack, built once per algebra."""
-        return self._coordinate_units
-
     def hermitian_units(self) -> np.ndarray:
         """Orthonormal real basis of the Hermitian part under Tr(x y): per
         block e_aa, then (e_ab + e_ba)/sqrt 2 and i (e_ba - e_ab)/sqrt 2 for
         b > a.  A read-only stack, built once per algebra."""
         return self._hermitian_units
-
-    @cached_property
-    def _coordinate_units(self) -> np.ndarray:
-        units = self.embed_stacks(
-            (s, matrix_units(np.eye(n), np.eye(n))) for s, n in zip(self.slices, self.blocks)
-        )
-        units.flags.writeable = False
-        return units
 
     @cached_property
     def _hermitian_units(self) -> np.ndarray:

@@ -28,17 +28,15 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .algebra import BlockAlgebra, NormalFunctional, functional_support
+from .algebra import NormalFunctional, functional_support
 from .errors import InvalidArrow, InvalidTangent, NotInDomain, NotInOverlap
 from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
     _pinv_from_svd,
-    antiherm,
     expect_real,
     frobenius,
     is_partial_isometry,
-    is_projection,
     left_support,
     partial_inverse,
     polar_decompose,
@@ -246,23 +244,6 @@ def theta_P0_inv(
 
 # ---------------------------------------------------------------------------
 # connection, curvature, orbit one-form
-
-
-def require_tangent(
-    u: np.ndarray,
-    du: np.ndarray,
-    p0: np.ndarray,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> None:
-    """A tangent at u to the isometries with source p0 satisfies du = du p0
-    and u* du + du* u = 0 (the pulled-back connection form is
-    anti-Hermitian)."""
-    resid = max(
-        frobenius(du @ p0 - du),
-        frobenius(u.conj().T @ du + du.conj().T @ u),
-    )
-    if resid > tol.residual_tol * (1.0 + frobenius(du)):
-        raise InvalidTangent(f"not a bundle tangent at u (residual {resid:.3e})")
 
 
 def connection_alpha(u: np.ndarray, du: np.ndarray) -> np.ndarray:

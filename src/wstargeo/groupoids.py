@@ -45,7 +45,6 @@ from .linalg import (
     ToleranceProfile,
     _worst,
     frobenius,
-    is_partial_isometry,
     left_support,
     matrix_sqrt,
     partial_inverse,
@@ -179,16 +178,6 @@ class CoadjointArrow:
 
     u: np.ndarray
     rho: NormalFunctional
-
-
-def coadjoint_validate(
-    arrow: CoadjointArrow, tol: ToleranceProfile = DEFAULT_TOL
-) -> None:
-    p = functional_support(arrow.rho, tol)
-    if not is_partial_isometry(arrow.u, tol):
-        raise InvalidArrow("u is not a partial isometry")
-    if frobenius(arrow.u.conj().T @ arrow.u - p) > tol.residual_tol * (1.0 + frobenius(p)):
-        raise InvalidArrow("u* u is not the support of rho")
 
 
 def coadjoint_source(arrow: CoadjointArrow) -> NormalFunctional:

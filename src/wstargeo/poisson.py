@@ -53,7 +53,6 @@ from .linalg import (
     frobenius,
     herm,
     hermitian_eig,
-    hermitian_eigvals,
     hs_inner,
     is_partial_isometry,
     projection_rank,
@@ -264,117 +263,6 @@ def field_morphism_residual(
     return frobenius(lhs - rhs)
 
 
-def orbit_drift(
-    f: Observable,
-    phi: NormalFunctional,
-    eps: float,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
-    """Largest blockwise spectral drift of the density after one Euler step
-    of size eps along the Hamiltonian field; the field is orbit-tangent, so
-    the drift is second order in eps."""
-    field = hamiltonian_field(f, phi, tol)
-    worst = 0.0
-    for b0, b1 in zip(
-        phi.algebra.block_views(herm(phi.density)),
-        phi.algebra.block_views(herm(phi.density + eps * field)),
-    ):
-        w0 = hermitian_eigvals(b0)
-        w1 = hermitian_eigvals(b1)
-        if w0.size:
-            worst = _worst(worst, float(np.max(np.abs(w1 - w0))))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# observables on the Hilbert-space side
-
-
-@dataclass(frozen=True, eq=False)
-class HilbertObservable:
-    """Real function of a standard-form vector, with an optional analytic
-    gradient (the algebra element G with dF(delta) = 2 Re <G|delta>); when
-    absent the gradient is assembled from central differences through the
-    coordinate units."""
-
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def value_at(self, g: np.ndarray) -> float:
-        return float(self.value(g))
-
-    def gradient_at(
-        self,
-        algebra: BlockAlgebra,
-        g: np.ndarray,
-        tol: ToleranceProfile = DEFAULT_TOL,
-    ) -> np.ndarray:
-        if self.gradient is not None:
-            return self.gradient(g)
-        h = tol.fd_step
-        grad = algebra.zero()
-
-        def deriv(direction: np.ndarray) -> float:
-            return (self.value_at(g + h * direction) - self.value_at(g - h * direction)) / (
-                2 * h
-            )
-
-        for e in algebra.coordinate_units():
-            grad = grad + 0.5 * (deriv(e) + 1j * deriv(1j * e)) * e
-        return grad
-
-    @classmethod
-    def quadratic(cls, x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> "HilbertObservable":
-        """g -> Tr(g g* x) = <g|x g> for Hermitian x, with gradient x g."""
-        x = check_hermitian(np.asarray(x, dtype=complex), tol)
-        return cls(
-            value=lambda g: float(np.trace(g @ g.conj().T @ x).real),
-            gradient=lambda g: x @ g,
-        )
-
-    @classmethod
-    def pullback_E(
-        cls,
-        f: Observable,
-        algebra: BlockAlgebra,
-        tol: ToleranceProfile = DEFAULT_TOL,
-    ) -> "HilbertObservable":
-        """Pullback of a functional observable through the left expectation:
-        F(g) = f(E(g)), gradient df(E(g)) g."""
-        return cls(
-            value=lambda g: f.value_at(expectation_E(algebra, g)),
-            gradient=lambda g: f.differential_at(expectation_E(algebra, g), tol) @ g,
-        )
-
-    @classmethod
-    def pullback_Eprime(
-        cls,
-        f: Observable,
-        algebra: BlockAlgebra,
-        tol: ToleranceProfile = DEFAULT_TOL,
-    ) -> "HilbertObservable":
-        """Pullback through the right expectation: F(g) = f(E'(g)), gradient
-        g df(E'(g))."""
-        return cls(
-            value=lambda g: f.value_at(expectation_Eprime(algebra, g)),
-            gradient=lambda g: g @ f.differential_at(expectation_Eprime(algebra, g), tol),
-        )
-
-
-def canonical_bracket(
-    F: HilbertObservable,
-    G: HilbertObservable,
-    algebra: BlockAlgebra,
-    g: np.ndarray,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
-    """Canonical bracket {F, G}(g) = 2 Im <grad F | grad G> of the symplectic
-    form omega = 2 Im <.|.>; the Hamiltonian field of F is -i grad F."""
-    gf = F.gradient_at(algebra, g, tol)
-    gg = G.gradient_at(algebra, g, tol)
-    return 2.0 * float(hs_inner(gf, gg).imag)
-
-
 def poisson_map_residual(
     f: Observable,
     g: Observable,
@@ -386,14 +274,13 @@ def poisson_map_residual(
     the left expectation is a Poisson map.
 
     Both sides read the differentials of f and g at the one functional
-    E(gamma): the canonical side is 2 Im <df gamma | dg gamma>, with the
-    pullback gradients df(E(gamma)) gamma and dg(E(gamma)) gamma."""
+    E(gamma): the canonical side is omega of the pullback gradients
+    df(E(gamma)) gamma and dg(E(gamma)) gamma."""
     phi = expectation_E(algebra, gamma)
-    grad_f = f.differential_at(phi, tol) @ gamma
-    grad_g = g.differential_at(phi, tol) @ gamma
-    lhs = 2.0 * float(hs_inner(grad_f, grad_g).imag)
-    rhs = lp_bracket(f, g, phi, tol)
-    return abs(lhs - rhs)
+    lhs = standard.symplectic_omega(
+        f.differential_at(phi, tol) @ gamma, g.differential_at(phi, tol) @ gamma
+    )
+    return abs(lhs - lp_bracket(f, g, phi, tol))
 
 
 def commutant_bracket_check(
@@ -404,10 +291,14 @@ def commutant_bracket_check(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> float:
     """|{f o E, g o E'}(gamma)|: observables pulled back through the two
-    expectations Poisson-commute."""
-    F = HilbertObservable.pullback_E(f, algebra, tol)
-    G = HilbertObservable.pullback_Eprime(g, algebra, tol)
-    return abs(canonical_bracket(F, G, algebra, gamma, tol))
+    expectations Poisson-commute.  The canonical bracket is omega of the
+    pullback gradients df(E(gamma)) gamma and gamma dg(E'(gamma))."""
+    return abs(
+        standard.symplectic_omega(
+            f.differential_at(expectation_E(algebra, gamma), tol) @ gamma,
+            gamma @ g.differential_at(expectation_Eprime(algebra, gamma), tol),
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -554,15 +445,6 @@ class ComposableFamily:
             + self.u1 @ self.du2() @ self.xi2
             + self.u1 @ self.u2 @ self.dxi2()
         )
-
-    def composability_gap(self, t: float) -> float:
-        """Distance between the modulus of gamma1(t) and the conjugated
-        modulus of gamma2(t); zero exactly when the pair composes strictly."""
-        u2t = self.u2_at(t)
-        eta = u2t @ self.xi2_at(t) @ u2t.conj().T
-        g1 = self.gamma1_at(t)
-        gram = g1.conj().T @ g1
-        return frobenius(gram - eta @ eta)
 
 
 def sample_family_base(

@@ -28,7 +28,6 @@ from .linalg import (
     herm,
     hermitian_eig,
     phase_fixed_q,
-    projection_rank,
     singular_values,
 )
 
@@ -214,14 +213,6 @@ def random_projection(
 ) -> np.ndarray:
     """Random orthogonal projection with prescribed or random blockwise ranks."""
     return random_frames(algebra, rng, ranks, allow_zero, allow_full).projection
-
-
-def equivalent_projection(
-    algebra: BlockAlgebra, rng: np.random.Generator, p: np.ndarray
-) -> np.ndarray:
-    """Random projection with the same blockwise ranks as ``p``."""
-    ranks = tuple(projection_rank(b) for b in algebra.block_views(p))
-    return random_frames(algebra, rng, ranks=ranks).projection
 
 
 def partial_isometry_onto(

@@ -51,14 +51,12 @@ from .linalg import (
     herm,
     hermitian_eigvals,
     hs_inner,
-    is_partial_isometry,
     left_support,
     matrix_sqrt,
     null_space_rows,
     partial_inverse,
     polar_decompose,
     positive_spectrum,
-    right_support,
 )
 
 # ---------------------------------------------------------------------------
@@ -74,15 +72,6 @@ def symplectic_omega(x: np.ndarray, y: np.ndarray) -> float:
 def conjugation_J(g: np.ndarray) -> np.ndarray:
     """Modular conjugation J(g) = g*."""
     return np.asarray(g, dtype=complex).conj().T
-
-
-def cone_member(g: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    """True when g lies in the positive cone (g is a positive matrix)."""
-    g = np.asarray(g, dtype=complex)
-    if frobenius(g - g.conj().T) > tol.residual_tol * (1.0 + frobenius(g)):
-        return False
-    w = hermitian_eigvals(herm(g))
-    return bool(w.min(initial=0.0) >= -tol.residual_tol * max(1.0, w.max(initial=0.0)))
 
 
 def expectation_E(algebra: BlockAlgebra, g: np.ndarray) -> NormalFunctional:
@@ -102,29 +91,8 @@ def momentum_mu(g: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarra
     return left_support(g, tol)
 
 
-def momentum_mu_prime(
-    g: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
-) -> np.ndarray:
-    """Right momentum projection: the support of g* g."""
-    return right_support(g, tol)
-
-
 # ---------------------------------------------------------------------------
 # standard groupoid on the Hilbert space
-
-
-def std_source(
-    algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
-) -> NormalFunctional:
-    """Source of a vector arrow: the right expectation E'(g)."""
-    return expectation_Eprime(algebra, g)
-
-
-def std_target(
-    algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
-) -> NormalFunctional:
-    """Target of a vector arrow: the left expectation E(g)."""
-    return expectation_E(algebra, g)
 
 
 def std_unit(
@@ -175,25 +143,7 @@ def iso_Phi_inv(
 
 
 # ---------------------------------------------------------------------------
-# algebra actions on vectors
-
-
-def beta_action(u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Adjoint action beta(u) g = u g u* of a partial isometry on vectors."""
-    return u @ g @ u.conj().T
-
-
-def theta_action(
-    u: np.ndarray, g: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
-) -> np.ndarray:
-    """Left translation theta(u) g = u g, defined for partial isometries with
-    u* u = mu(g) (source equal to the left momentum of g)."""
-    if not is_partial_isometry(u, tol):
-        raise InvalidArrow("u is not a partial isometry")
-    mu = momentum_mu(g, tol)
-    if frobenius(u.conj().T @ u - mu) > tol.residual_tol * (1.0 + frobenius(mu)):
-        raise InvalidArrow("u* u is not the left momentum of g")
-    return u @ g
+# left-translation orbits
 
 
 def transport_witness(
@@ -314,14 +264,6 @@ def dual_pair_orthogonality_check(
     )
 
 
-def j_split(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a vector into its J-fixed and J-anti-fixed parts
-    (g ± J g) / 2 = (Hermitian, anti-Hermitian) components."""
-    g = np.asarray(g, dtype=complex)
-    plus = 0.5 * (g + conjugation_J(g))
-    return plus, g - plus
-
-
 # ---------------------------------------------------------------------------
 # modular structure
 
@@ -389,14 +331,6 @@ def tomita_S(mod: ModularData, g: np.ndarray) -> np.ndarray:
     """Closure of the map x d^{1/2} -> x* d^{1/2}: S(g) = J Delta^{1/2} g =
     (d^+)^{1/2} g* d^{1/2}."""
     return mod.spectrum.power(-0.5) @ conjugation_J(g) @ mod.spectrum.power(0.5)
-
-
-def canonical_implementation(
-    mod: ModularData, t: float, g: np.ndarray
-) -> np.ndarray:
-    """Modular flow on vectors, g -> d^{it} g d^{-it}; defined for faithful
-    densities only."""
-    return mod.flow(t)(g)
 
 
 def flow_residuals(

@@ -570,9 +570,13 @@ def _row_poisson_jacobi(ctx: RowCtx, rng):
 @_per_trial
 def _row_poisson_leibniz(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    _, (f, g_fd, h) = _observable_triple(alg, rng, prof)
+    (_, y, _), (f, g_fd, h) = _observable_triple(alg, rng, prof)
     phi = sampling.random_density(alg, rng)
     yield leibniz_residual(f, g_fd, h, phi, prof)
+    # g_fd = Re phi(y) has exact differential y: an oracle for the central
+    # differences, which the bracket identities above cannot see (both of
+    # their sides are linear in the one differential).
+    yield frobenius(g_fd.differential_at(phi, prof) - y)
 
 
 @_per_trial

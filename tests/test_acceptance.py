@@ -30,6 +30,7 @@ from wstargeo import (
     unitary_equivalent,
 )
 from wstargeo import sampling
+from wstargeo.algebra import matrix_units
 from wstargeo.linalg import _worst
 
 M2 = BlockAlgebra((2,))
@@ -248,7 +249,7 @@ def test_criterion_11_orbit_structure():
         algebra = ALGEBRAS[k % len(ALGEBRAS)]
         p = sampling.random_projection(algebra, rng)
         if k % 2 == 0:
-            q = sampling.equivalent_projection(algebra, rng, p)
+            q = sampling.equivalent_frames(rng, sampling.frames_of(algebra, p)).projection
         else:
             q = sampling.random_projection(algebra, rng)
         mvn = mvn_equivalent(algebra, p, q, DEFAULT_TOL)
@@ -282,7 +283,9 @@ def test_criterion_11_orbit_structure():
         support = sampling.random_projection(algebra, rng, allow_zero=False)
         phi1 = sampling.random_density(algebra, rng, support=support)
         if k % 2 == 0:
-            target = sampling.equivalent_projection(algebra, rng, support)
+            target = sampling.equivalent_frames(
+                rng, sampling.frames_of(algebra, support)
+            ).projection
             u = sampling.sample_with_retry(
                 lambda: sampling.partial_isometry_onto(
                     algebra, rng, support, target
@@ -312,7 +315,9 @@ def test_criterion_12_conditional_expectation():
         worst = _worst(worst, rows["conditional-expectation"].max_residual)
         ok = ok and _all_pass(rows, ("conditional-expectation", "dimensions"))
 
-        units = algebra.coordinate_units()
+        units = algebra.embed_stacks(
+            (s, matrix_units(np.eye(n), np.eye(n))) for s, n in zip(algebra.slices, algebra.blocks)
+        )
         total = len(units)
         rng = sampling.rng_for(12, *algebra.blocks)
         for _ in range(25):

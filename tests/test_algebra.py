@@ -80,16 +80,12 @@ class TestBlockAlgebra:
         assert not M23.contains(np.eye(4))
         assert M23.contains(np.eye(5, dtype=int))
 
-    def test_coordinate_units_count(self):
-        assert len(M23.coordinate_units()) == 2 * 2 + 3 * 3
-        assert len(M23.hermitian_units()) == 2 * 2 + 3 * 3
-
     def test_unit_bases_are_built_once_and_read_only(self):
-        for units in (M23.coordinate_units, M23.hermitian_units):
-            assert units() is units()
-            assert not units().flags.writeable
-            with pytest.raises(ValueError):
-                units()[0, 0, 0] = 1.0
+        units = M23.hermitian_units
+        assert units() is units()
+        assert not units().flags.writeable
+        with pytest.raises(ValueError):
+            units()[0, 0, 0] = 1.0
 
     def test_from_string(self):
         assert BlockAlgebra.from_string("2,3").blocks == (2, 3)
@@ -200,7 +196,7 @@ class TestEquivalence:
         rng = _rng(4)
         for _ in range(100):
             p = sampling.random_projection(M23, rng)
-            q = sampling.equivalent_projection(M23, rng, p)
+            q = sampling.equivalent_frames(rng, sampling.frames_of(M23, p)).projection
             w = mvn_witness(M23, p, q, DEFAULT_TOL)
             assert frobenius(w.conj().T @ w - p) <= 1e-10
             assert frobenius(w @ w.conj().T - q) <= 1e-10
@@ -254,7 +250,7 @@ class TestCoadjoint:
         for _ in range(50):
             p = sampling.random_projection(M23, rng, allow_zero=False)
             phi = sampling.random_density(M23, rng, support=p)
-            q = sampling.equivalent_projection(M23, rng, p)
+            q = sampling.equivalent_frames(rng, sampling.frames_of(M23, p)).projection
             u = sampling.partial_isometry_onto(M23, rng, p, q)
             pushed = coadjoint_apply(u, phi, DEFAULT_TOL)
             assert orbit_equivalent(phi, pushed, DEFAULT_TOL)

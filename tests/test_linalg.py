@@ -344,7 +344,6 @@ HERMITIAN_CHECK_SITES = {
     "poisson.Observable.linear",
     "poisson.Observable.quadratic",
     "poisson.Observable.differential_at",
-    "poisson.HilbertObservable.quadratic",
 }
 
 

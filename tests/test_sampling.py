@@ -30,7 +30,7 @@ def _draws(algebra, seed):
         sampling.positive_on(rng, f, 0.25, 3.0),
     )
     p = sampling.random_projection(algebra, rng)
-    q = sampling.equivalent_projection(algebra, rng, p)
+    q = sampling.equivalent_frames(rng, sampling.frames_of(algebra, p)).projection
     yield (
         p,
         q,
@@ -72,7 +72,7 @@ class TestFrameSamplers:
                 assert all(0 < r < n for r, n in zip(inner.ranks, algebra.blocks))
             p = sampling.random_projection(algebra, rng, ranks=f.ranks)
             assert _blockwise_ranks(algebra, p) == f.ranks
-            q = sampling.equivalent_projection(algebra, rng, p)
+            q = sampling.equivalent_frames(rng, sampling.frames_of(algebra, p)).projection
             assert _blockwise_ranks(algebra, q) == f.ranks
 
     def test_rank_checks(self):
@@ -98,10 +98,9 @@ class TestFrameSamplers:
 
     def test_samplers_read_no_projection_they_drew(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a sampler diagonalised or traced a projection")
+            raise AssertionError("a sampler diagonalised a projection")
 
         monkeypatch.setattr(sampling, "hermitian_eig", refuse)
-        monkeypatch.setattr(sampling, "projection_rank", refuse)
         rng = sampling.rng_for(3)
         for tag in groupoids.GROUPOIDS:
             groupoids.composable_chain(tag, M23, rng, 3)

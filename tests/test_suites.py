@@ -278,6 +278,21 @@ class TestPlantedFaults:
         monkeypatch.setattr(standard, "symplectic_omega", lambda x, y: 0.5 * real(x, y))
         assert "multiplicativity/vertical" in self._failed("multiplicativity")
         assert "fubini-study/pair-groupoid" in self._failed("fubini-study")
+        # The canonical side of the Poisson-map check is omega of the
+        # pullback gradients.
+        assert "poisson-map/quadratic" in self._failed("poisson-map")
+
+    def test_central_differences_at_twice_their_value(self, monkeypatch):
+        # Both sides of each bracket identity are linear in the one kept
+        # differential, so only the leibniz row's exact-differential oracle
+        # sees the error.
+        real = poisson.Observable._central_differences
+        monkeypatch.setattr(
+            poisson.Observable,
+            "_central_differences",
+            lambda self, phi, tol: 2.0 * real(self, phi, tol),
+        )
+        assert "poisson-map/leibniz" in self._failed("poisson-map")
 
     def test_fibre_coordinate_off_by_a_small_phase(self, monkeypatch):
         # theta_P0 reads u_p off its own overlap inverse and theta_P0_inv
