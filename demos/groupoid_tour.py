@@ -17,7 +17,6 @@ import numpy as np
 from wstargeo import (
     DEFAULT_TOL,
     BlockAlgebra,
-    CoadjointArrow,
     GROUPOIDS,
     NotComposable,
     axiom_check,

@@ -70,7 +70,7 @@ g = sampling.random_element(algebra, rng)
 print("\ncanonical bracket {F_x, F_y}(g):", symplectic_omega(sx @ g, sy @ g))
 print("Lie-Poisson bracket after E:    ",
       lp_bracket(fx, fy, expectation_E(algebra, g), DEFAULT_TOL))
-print("Poisson-map residual:", poisson_map_residual(fx, fy, algebra, g, DEFAULT_TOL))
+print("Poisson-map residual:", *poisson_map_residual([(fx, fy)], algebra, g, DEFAULT_TOL))
 print("{f_x o E, f_y o E'}(g):", commutant_bracket_check(fx, fy, algebra, g, DEFAULT_TOL))
 
 # The two expectations form a dual pair: their fibre directions are

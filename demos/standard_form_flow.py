@@ -15,7 +15,6 @@ import numpy as np
 from wstargeo import (
     DEFAULT_TOL,
     BlockAlgebra,
-    ModularData,
     NormalFunctional,
     NotComposable,
     conjugation_J,
@@ -25,6 +24,7 @@ from wstargeo import (
     iso_Phi,
     iso_Phi_inv,
     modular_Delta,
+    modular_flow,
     std_mul,
     std_unit,
     symplectic_omega,
@@ -76,23 +76,24 @@ print("round trip recovers the isometry:", frobenius(u_back - u))
 print("and the source functional:", source_back.distance(phi))
 
 # --- modular data of a faithful state --------------------------------------------
-d = np.diag([1.0, 4.0]).astype(complex)
-mod = ModularData(algebra, d, DEFAULT_TOL)
+# Every piece is read from the one eigendecomposition the functional keeps.
+state = NormalFunctional(algebra, np.diag([1.0, 4.0]).astype(complex))
+omega = std_unit(state, DEFAULT_TOL)
 
 # S is the closure of x d^{1/2} -> x* d^{1/2}; it factors as J Delta^{1/2}.
 x = sampling.random_element(algebra, sampling.rng_for(2026, 5))
-vec = x @ mod.vector
+vec = x @ omega
 print("\nS(x Omega) = x* Omega residual:",
-      frobenius(tomita_S(mod, vec) - x.conj().T @ mod.vector))
+      frobenius(tomita_S(state, vec, DEFAULT_TOL) - x.conj().T @ omega))
 print("S = J Delta^{1/2} residual:",
-      frobenius(tomita_S(mod, vec)
-                - conjugation_J(modular_Delta(mod, vec, 0.5))))
+      frobenius(tomita_S(state, vec, DEFAULT_TOL)
+                - conjugation_J(modular_Delta(state, vec, 0.5, DEFAULT_TOL))))
 
 # The flow g -> d^{it} g d^{-it} fixes the cone vector and acts
 # symplectically.
 t = 0.7
-flow = mod.flow(t)
-print("flow fixes the canonical vector:", frobenius(flow(mod.vector) - mod.vector))
+flow = modular_flow(state, t, DEFAULT_TOL)
+print("flow fixes the canonical vector:", frobenius(flow(omega) - omega))
 h = sampling.random_element(algebra, sampling.rng_for(2026, 6))
 print("flow preserves the symplectic form:",
       abs(symplectic_omega(flow(x), flow(h)) - symplectic_omega(x, h)))
@@ -102,7 +103,7 @@ print("flow preserves the symplectic form:",
 # positive element is from positive and Hermitian.
 t, samples, worst = 1.7, 25, {}
 for k in range(samples):
-    for name, value in flow_residuals(mod, t, sampling.rng_for(11, k)).items():
+    for name, value in flow_residuals(state, t, sampling.rng_for(11, k)).items():
         worst[name] = max(worst.get(name, 0.0), value)
 print(f"\nflow invariances at t = {t} over {samples} samples:")
 for name, value in sorted(worst.items()):

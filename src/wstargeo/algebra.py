@@ -8,14 +8,19 @@ conditional expectations, modular flow, coadjoint action) works on densities.
 
 A functional owns a read-only copy of its density and keeps, per
 :class:`~wstargeo.linalg.ToleranceProfile`, what it has once computed from
-it: the polar decomposition (:func:`functional_polar`), the positivity
-spectrum, the spectral decomposition behind the support and the modular flow,
-and the blockwise eigenvalue clusters behind the centralizer, the stabilizer
-and the pinching; and, per observable, the differential that
+it: the polar decomposition (:func:`functional_polar`), the one
+eigendecomposition of its density (:func:`density_spectrum`), and the
+blockwise eigenvalue clusters behind the centralizer, the stabilizer and the
+pinching; and, per observable, the differential that
 :meth:`~wstargeo.poisson.Observable.differential_at` takes at it.  Every
 kept array is read-only, and each is exactly what the first call computed,
-so a second call returns the same bits with no decomposition.  Membership
-in the block algebra is one pass over the realified entries.
+so a second call returns the same bits with no decomposition.
+
+:func:`density_spectrum` is the one place positivity is decided, and the
+modular data of a functional are read from it: the support, the modular flow
+(:func:`modular_flow`), and in :mod:`wstargeo.standard` the canonical vector
+``d^{1/2}``, the modular operator and Tomita's ``S``.  Membership in the
+block algebra is one pass over the realified entries.
 """
 from __future__ import annotations
 
@@ -198,7 +203,7 @@ class NormalFunctional:
     density matrix ``d``.
 
     The functional keeps its own read-only copy of the density, so what is
-    read off it cannot go stale: its polar decomposition, its spectra and
+    read off it cannot go stale: its polar decomposition, its spectrum and
     its eigenvalue clusters are each computed once per
     :class:`ToleranceProfile`, on first use, and kept on the instance as
     read-only arrays.  So is the differential of each
@@ -235,25 +240,6 @@ class NormalFunctional:
         """The functional x -> conj(phi(x*)); its density is d*."""
         return NormalFunctional(self.algebra, self.density.conj().T)
 
-    def is_hermitian(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-        d = self.density
-        return self._memoized(
-            "hermitian", tol,
-            lambda: frobenius(d - d.conj().T) <= tol.residual_tol * (1.0 + frobenius(d)),
-        )
-
-    def _spectrum_if_positive(self, tol: ToleranceProfile) -> np.ndarray | None:
-        """Descending spectrum of the Hermitian part of the density, or
-        ``None`` when the functional is not positive; kept per profile."""
-
-        def compute():
-            if not self.is_hermitian(tol):
-                return None
-            w = _readonly(hermitian_eigvals(herm(self.density)))
-            return w if _nonnegative(w, tol) else None
-
-        return self._memoized("eigvals", tol, compute)
-
     def distance(self, other: "NormalFunctional") -> float:
         return frobenius(self.density - other.density)
 
@@ -261,18 +247,10 @@ class NormalFunctional:
 def require_positive(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> NormalFunctional:
-    _positive_spectrum(phi, tol)
+    """``phi`` itself when it is positive; raises :class:`NotPositive`
+    otherwise, as :func:`density_spectrum` decides."""
+    density_spectrum(phi, tol)
     return phi
-
-
-def _positive_spectrum(phi: NormalFunctional, tol: ToleranceProfile) -> np.ndarray:
-    """Descending spectrum of the density of a positive functional; raises
-    :class:`NotPositive` otherwise.  A caller that needs the spectrum anyway
-    checks positivity from it, with no decomposition of its own."""
-    w = phi._spectrum_if_positive(tol)
-    if w is None:
-        raise NotPositive("functional is not positive")
-    return w
 
 
 def functional_polar(
@@ -302,19 +280,23 @@ def functional_support(
     """Support projection of a positive functional, read-only and kept on
     ``phi``."""
     return phi._memoized(
-        "support", tol, lambda: _readonly(_density_spectrum(phi, tol).support)
+        "support", tol, lambda: _readonly(density_spectrum(phi, tol).support)
     )
 
 
-def _density_spectrum(phi: NormalFunctional, tol: ToleranceProfile) -> PositiveSpectrum:
-    """One eigendecomposition of the Hermitian part of the density of a
-    positive functional, kept on ``phi`` per profile with read-only arrays;
-    raises :class:`NotPositive` otherwise."""
+def density_spectrum(
+    phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
+) -> PositiveSpectrum:
+    """The one eigendecomposition of a positive functional: that of the
+    Hermitian part of its density, kept on ``phi`` per profile with
+    read-only arrays.  Its positivity rule is :func:`positive_spectrum`'s;
+    a non-Hermitian or non-positive density raises :class:`NotPositive`."""
 
     def compute():
-        if not phi.is_hermitian(tol):
+        d = phi.density
+        if frobenius(d - d.conj().T) > tol.residual_tol * (1.0 + frobenius(d)):
             raise NotPositive("functional is not positive")
-        spectrum = positive_spectrum(herm(phi.density), tol)
+        spectrum = positive_spectrum(herm(d), tol)
         _readonly(spectrum.values)
         _readonly(spectrum.vectors)
         return spectrum
@@ -326,13 +308,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     """``a`` itself, made read-only before it is kept."""
     a.flags.writeable = False
     return a
-
-
-def _nonnegative(w: np.ndarray, tol: ToleranceProfile) -> bool:
-    """Whether no eigenvalue of ``w`` lies below ``-residual_tol`` times
-    ``max(1, max |w|)``."""
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return w.min() >= -tol.residual_tol * scale
 
 
 def require_projection(
@@ -404,16 +379,10 @@ def orbit_invariant(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> tuple[tuple[float, ...], ...]:
     """Unitary-orbit invariant of a positive functional: the strictly positive
-    part of the density's spectrum, blockwise, in descending order.  The
-    block spectra of the block-diagonal density decide positivity and the
-    rank cutoff too."""
-    if not phi.is_hermitian(tol):
-        raise NotPositive("functional is not positive")
+    part of the density's spectrum, blockwise, in descending order.
+    Positivity and the rank cutoff are read from :func:`density_spectrum`."""
+    cutoff = tol.rank_rel_tol * float(density_spectrum(phi, tol).values[0])
     blocks = [hermitian_eigvals(b) for b in phi.algebra.block_views(herm(phi.density))]
-    wall = np.concatenate(blocks)
-    if not _nonnegative(wall, tol):
-        raise NotPositive("functional is not positive")
-    cutoff = tol.rank_rel_tol * max(float(np.max(wall)), 0.0)
     return tuple(tuple(float(x) for x in w if x > cutoff) for w in blocks)
 
 
@@ -503,8 +472,7 @@ def _spectral_clusters(
     functional is not positive."""
 
     def compute():
-        wall = _positive_spectrum(phi, tol)
-        cutoff = tol.rank_rel_tol * max(float(np.max(np.abs(wall))), 0.0) if wall.size else 0.0
+        cutoff = tol.rank_rel_tol * float(density_spectrum(phi, tol).values[0])
         algebra = phi.algebra
         out = []
         for s, b in zip(algebra.slices, algebra.block_views(herm(phi.density))):
@@ -567,20 +535,23 @@ def conditional_expectation(
     return (q @ x @ q).sum(axis=0)
 
 
-def modular_automorphism(
-    phi: NormalFunctional,
-    t: float,
-    x: np.ndarray,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> np.ndarray:
-    """Modular flow ``x -> d^{it} x d^{-it}`` of a faithful positive
-    functional."""
-    spectrum = _density_spectrum(phi, tol)
+def modular_flow(
+    phi: NormalFunctional, t: float, tol: ToleranceProfile = DEFAULT_TOL
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The modular flow of a faithful positive functional at time ``t``:
+    ``x -> u x u*`` on algebra elements, with ``u = d^{it}`` read once from
+    :func:`density_spectrum`.  Raises :class:`NotFaithful` for a density
+    that is not faithful."""
+    spectrum = density_spectrum(phi, tol)
     if spectrum.rank != phi.algebra.dim:
         raise NotFaithful("density is not faithful; modular flow undefined")
     u = spectrum.imaginary_power(t)
-    x = phi.algebra.require_member(x, tol)
-    return u @ x @ u.conj().T
+    uh = u.conj().T
+
+    def flow(x: np.ndarray) -> np.ndarray:
+        return u @ phi.algebra.require_member(x, tol) @ uh
+
+    return flow
 
 
 def coadjoint_apply(

@@ -264,23 +264,25 @@ def field_morphism_residual(
 
 
 def poisson_map_residual(
-    f: Observable,
-    g: Observable,
+    pairs: Sequence[tuple[Observable, Observable]],
     algebra: BlockAlgebra,
     gamma: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
-    """|{f o E, g o E}_canonical(gamma) - {f, g}_Lie-Poisson(E(gamma))|:
-    the left expectation is a Poisson map.
+) -> list[float]:
+    """|{f o E, g o E}_canonical(gamma) - {f, g}_Lie-Poisson(E(gamma))| for
+    each pair ``(f, g)``: the left expectation is a Poisson map.
 
-    Both sides read the differentials of f and g at the one functional
-    E(gamma): the canonical side is omega of the pullback gradients
-    df(E(gamma)) gamma and dg(E(gamma)) gamma."""
+    Every side reads the differentials at the one functional E(gamma), so
+    an observable in several pairs is differentiated once: the canonical
+    side is omega of the pullback gradients df(E(gamma)) gamma and
+    dg(E(gamma)) gamma."""
     phi = expectation_E(algebra, gamma)
-    lhs = standard.symplectic_omega(
-        f.differential_at(phi, tol) @ gamma, g.differential_at(phi, tol) @ gamma
-    )
-    return abs(lhs - lp_bracket(f, g, phi, tol))
+    omega = standard.symplectic_omega
+    return [
+        abs(omega(f.differential_at(phi, tol) @ gamma, g.differential_at(phi, tol) @ gamma)
+            - lp_bracket(f, g, phi, tol))
+        for f, g in pairs
+    ]
 
 
 def commutant_bracket_check(

@@ -11,19 +11,19 @@ space itself (source/target the two expectations, product through the shared
 modulus, inverse ``J``), isomorphic to the coadjoint-action groupoid via
 ``Phi(u, rho) = u d_rho^{1/2}``.
 
-Modular data of a positive functional are functions of one density ``d``,
-read from a single eigendecomposition (:class:`ModularData`): the canonical
-vector ``d^{1/2}``, the support of ``d``, the relative operator
-``Delta(g) = d g d^+``, the closure ``S = J Delta^{1/2}`` acting as
-``S(x d^{1/2}) = x* d^{1/2}``, and for faithful functionals the modular flow
-``g -> d^{it} g d^{-it}`` implementing the modular automorphism group on
-vectors.  :func:`flow_residuals` checks the flow's invariances on one sample.
+Modular data of a positive functional are functions of its density ``d``,
+read from the one eigendecomposition the functional keeps
+(:func:`~wstargeo.algebra.density_spectrum`): the canonical vector
+``d^{1/2}`` (:func:`std_unit`), the relative operator ``Delta(g) = d g d^+``,
+the closure ``S = J Delta^{1/2}`` acting as ``S(x d^{1/2}) = x* d^{1/2}``,
+and for faithful functionals the modular flow ``g -> d^{it} g d^{-it}``
+(:func:`~wstargeo.algebra.modular_flow`), which implements the modular
+automorphism group on vectors.  :func:`flow_residuals` checks the flow's
+invariances on one sample.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -32,19 +32,17 @@ from .algebra import (
     BlockAlgebra,
     NormalFunctional,
     block_ranks,
+    density_spectrum,
+    modular_flow,
     orbit_invariant,
-    require_positive,
 )
 from .errors import (
     DegenerateBase,
     InvalidArrow,
     NotComposable,
-    NotFaithful,
-    NotPositive,
 )
 from .linalg import (
     DEFAULT_TOL,
-    PositiveSpectrum,
     ToleranceProfile,
     _worst,
     frobenius,
@@ -52,11 +50,9 @@ from .linalg import (
     hermitian_eigvals,
     hs_inner,
     left_support,
-    matrix_sqrt,
     null_space_rows,
     partial_inverse,
     polar_decompose,
-    positive_spectrum,
 )
 
 # ---------------------------------------------------------------------------
@@ -99,8 +95,7 @@ def std_unit(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> np.ndarray:
     """Unit arrow at a positive functional: its canonical vector d^{1/2}."""
-    require_positive(phi, tol)
-    return matrix_sqrt(phi.density, tol)
+    return density_spectrum(phi, tol).power(0.5)
 
 
 def std_inverse(g: np.ndarray) -> np.ndarray:
@@ -130,7 +125,7 @@ def std_mul(
 
 def iso_Phi(u: np.ndarray, rho: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Phi(u, rho) = u d_rho^{1/2}: coadjoint arrows to vector arrows."""
-    return np.asarray(u, dtype=complex) @ matrix_sqrt(rho.density, tol)
+    return np.asarray(u, dtype=complex) @ std_unit(rho, tol)
 
 
 def iso_Phi_inv(
@@ -268,85 +263,41 @@ def dual_pair_orthogonality_check(
 # modular structure
 
 
-@dataclass(frozen=True)
-class ModularData:
-    """Modular data of a positive functional in the standard form, all read
-    from one eigendecomposition of its density d: the canonical vector
-    d^{1/2}, the support of d, and the modular flow."""
-
-    algebra: BlockAlgebra
-    density: np.ndarray
-    tol: ToleranceProfile = DEFAULT_TOL
-
-    @classmethod
-    def from_functional(
-        cls, phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
-    ) -> "ModularData":
-        """Modular data of a positive ``phi``; the one eigendecomposition of
-        the density, taken here, also refuses a non-positive one
-        (:class:`NotPositive`, as for a non-Hermitian one)."""
-        if not phi.is_hermitian(tol):
-            raise NotPositive("functional is not positive")
-        mod = cls(algebra=phi.algebra, density=phi.density, tol=tol)
-        mod.spectrum  # decomposed now, so a non-positive density is refused here
-        return mod
-
-    @cached_property
-    def spectrum(self) -> PositiveSpectrum:
-        """The one eigendecomposition of the density."""
-        return positive_spectrum(self.density, self.tol)
-
-    @property
-    def vector(self) -> np.ndarray:
-        """Canonical cone representative d^{1/2}."""
-        return self.spectrum.power(0.5)
-
-    @property
-    def support(self) -> np.ndarray:
-        return self.spectrum.support
-
-    @property
-    def faithful(self) -> bool:
-        return self.spectrum.rank == self.algebra.dim
-
-    def flow(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
-        """The modular flow at time t on vectors, g -> d^{it} g d^{-it};
-        defined for faithful densities only."""
-        if not self.faithful:
-            raise NotFaithful("the modular flow requires a faithful density")
-        u = self.spectrum.imaginary_power(t)
-        uh = u.conj().T
-        return lambda g: u @ g @ uh
-
-
 def modular_Delta(
-    mod: ModularData, g: np.ndarray, power: float = 1.0
+    phi: NormalFunctional,
+    g: np.ndarray,
+    power: float = 1.0,
+    tol: ToleranceProfile = DEFAULT_TOL,
 ) -> np.ndarray:
     """Relative modular operator Delta^power(g) = d^power g (d^+)^power,
     with both powers restricted to the support of d."""
-    return mod.spectrum.power(power) @ g @ mod.spectrum.power(-power)
+    spectrum = density_spectrum(phi, tol)
+    return spectrum.power(power) @ g @ spectrum.power(-power)
 
 
-def tomita_S(mod: ModularData, g: np.ndarray) -> np.ndarray:
+def tomita_S(
+    phi: NormalFunctional, g: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
+) -> np.ndarray:
     """Closure of the map x d^{1/2} -> x* d^{1/2}: S(g) = J Delta^{1/2} g =
     (d^+)^{1/2} g* d^{1/2}."""
-    return mod.spectrum.power(-0.5) @ conjugation_J(g) @ mod.spectrum.power(0.5)
+    spectrum = density_spectrum(phi, tol)
+    return spectrum.power(-0.5) @ conjugation_J(g) @ spectrum.power(0.5)
 
 
 def flow_residuals(
-    mod: ModularData,
+    phi: NormalFunctional,
     t: float,
     rng: np.random.Generator,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> dict[str, float]:
-    """Residuals of the modular-flow invariances at time t on one sample
-    drawn from ``rng``: groupoid multiplicativity, symplectic invariance,
-    positive-cone preservation, J-covariance, orbit-invariant preservation,
-    and the one-parameter group law.  Raises :class:`NotFaithful` unless the
-    density is faithful."""
-    algebra = mod.algebra
+    """Residuals of the modular-flow invariances of ``phi`` at time t on one
+    sample drawn from ``rng``: groupoid multiplicativity, symplectic
+    invariance, positive-cone preservation, J-covariance, orbit-invariant
+    preservation, and the one-parameter group law.  Raises
+    :class:`NotFaithful` unless the density is faithful."""
+    algebra = phi.algebra
     s = 0.5 * t + 0.1
-    flow, flow_s, flow_st = mod.flow(t), mod.flow(s), mod.flow(s + t)
+    flow, flow_s, flow_st = (modular_flow(phi, time, tol) for time in (t, s, s + t))
     q1 = sampling.random_frames(algebra, rng)
     q0 = sampling.equivalent_frames(rng, q1)
     q2 = sampling.equivalent_frames(rng, q1)

@@ -28,7 +28,7 @@ from .algebra import (
     coadjoint_apply,
     conditional_expectation,
     functional_supports,
-    modular_automorphism,
+    modular_flow,
     mvn_equivalent,
     mvn_witness,
     orbit_equivalent,
@@ -98,11 +98,11 @@ from .poisson import (
 # (for instance to count draws) by rebinding ``suites._retry``.
 from .sampling import sample_with_retry as _retry
 from .standard import (
-    ModularData,
     conjugation_J,
     dual_pair_orthogonality_check,
     flow_residuals,
     modular_Delta,
+    std_unit,
     tomita_S,
     transport_witness,
 )
@@ -553,9 +553,7 @@ def _row_poisson_quadratic(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
     _, (f, g_fd, h) = _observable_triple(alg, rng, prof)
     gamma = sampling.random_element(alg, rng)
-    yield poisson_map_residual(f, g_fd, alg, gamma, prof)
-    yield poisson_map_residual(f, h, alg, gamma, prof)
-    yield poisson_map_residual(g_fd, h, alg, gamma, prof)
+    yield from poisson_map_residual([(f, g_fd), (f, h), (g_fd, h)], alg, gamma, prof)
 
 
 @_per_trial
@@ -708,10 +706,8 @@ def _flow_report(ctx: RowCtx, rng) -> dict[str, float]:
     """The modular-flow invariances of one faithful density and one sample,
     at a flow time drawn from :data:`FLOW_TIMES`."""
     t = FLOW_TIMES[rng.integers(len(FLOW_TIMES))]
-    mod = ModularData.from_functional(
-        sampling.faithful_density(ctx.algebra, rng), ctx.profile
-    )
-    return flow_residuals(mod, t, rng, ctx.profile)
+    phi = sampling.faithful_density(ctx.algebra, rng)
+    return flow_residuals(phi, t, rng, ctx.profile)
 
 
 @_per_trial
@@ -724,10 +720,10 @@ def _row_flow_orbit_form(ctx: RowCtx, rng):
     du1 = sampling.p0_tangent(alg, rng, u, p0)
     du2 = sampling.p0_tangent(alg, rng, u, p0)
     c = float(rng.uniform(0.5, 2.0))
-    mod = ModularData(alg, rho0.density + c * (alg.identity() - p0), prof)
+    extension = NormalFunctional(alg, rho0.density + c * (alg.identity() - p0))
     base = dGamma0(rho0, u, du1, du2, prof)
     for t in FLOW_TIMES:
-        flow = mod.flow(t)
+        flow = modular_flow(extension, t, prof)
         yield abs(dGamma0(rho0, flow(u), flow(du1), flow(du2), prof) - base)
 
 
@@ -736,13 +732,15 @@ def _row_flow_tomita(ctx: RowCtx, rng):
     """S(x Omega) = x* Omega, S is an involution, and S factors as the
     conjugation after the square root of the modular operator."""
     alg, prof = ctx.algebra, ctx.profile
-    mod = ModularData.from_functional(sampling.faithful_density(alg, rng), prof)
+    phi = sampling.faithful_density(alg, rng)
     x = sampling.random_element(alg, rng)
-    omega_vec = mod.vector
-    yield frobenius(tomita_S(mod, x @ omega_vec) - x.conj().T @ omega_vec)
+    omega_vec = std_unit(phi, prof)
+    yield frobenius(tomita_S(phi, x @ omega_vec, prof) - x.conj().T @ omega_vec)
     g = sampling.random_element(alg, rng)
-    yield frobenius(tomita_S(mod, tomita_S(mod, g)) - g)
-    yield frobenius(tomita_S(mod, g) - conjugation_J(modular_Delta(mod, g, 0.5)))
+    yield frobenius(tomita_S(phi, tomita_S(phi, g, prof), prof) - g)
+    yield frobenius(
+        tomita_S(phi, g, prof) - conjugation_J(modular_Delta(phi, g, 0.5, prof))
+    )
 
 
 @_per_trial
@@ -752,14 +750,11 @@ def _row_flow_group_law(ctx: RowCtx, rng):
     x = sampling.random_element(alg, rng)
     y = sampling.random_element(alg, rng)
     s, t = 0.7, -1.3
-    yield frobenius(
-        modular_automorphism(phi, s, modular_automorphism(phi, t, x, prof), prof)
-        - modular_automorphism(phi, s + t, x, prof)
-    )
-    sx = modular_automorphism(phi, t, x, prof)
-    sy = modular_automorphism(phi, t, y, prof)
-    yield frobenius(modular_automorphism(phi, t, x @ y, prof) - sx @ sy)
-    yield frobenius(modular_automorphism(phi, t, x.conj().T, prof) - sx.conj().T)
+    flow = modular_flow(phi, t, prof)
+    yield frobenius(modular_flow(phi, s, prof)(flow(x)) - modular_flow(phi, s + t, prof)(x))
+    sx, sy = flow(x), flow(y)
+    yield frobenius(flow(x @ y) - sx @ sy)
+    yield frobenius(flow(x.conj().T) - sx.conj().T)
     yield abs(phi(sx) - phi(x))
 
 
@@ -773,7 +768,7 @@ def _row_flow_conditional_expectation(ctx: RowCtx, rng):
     yield frobenius(conditional_expectation(phi, ex, prof) - ex)
     yield abs(phi(ex) - phi(x))
     yield frobenius(ex @ d - d @ ex)
-    yield frobenius(modular_automorphism(phi, 0.7, ex, prof) - ex)
+    yield frobenius(modular_flow(phi, 0.7, prof)(ex) - ex)
     basis = centralizer_basis(phi, prof)
     coeff = sampling.complex_normal(rng, (len(basis),))
     a = sum(c * b for c, b in zip(coeff, basis))

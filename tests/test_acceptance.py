@@ -16,7 +16,6 @@ from wstargeo import (
     DEFAULT_TOL,
     BlockAlgebra,
     InvalidArrow,
-    NormalFunctional,
     centralizer_basis,
     coadjoint_apply,
     conditional_expectation,

@@ -13,7 +13,7 @@ from wstargeo.algebra import (
     functional_polar,
     functional_support,
     functional_supports,
-    modular_automorphism,
+    modular_flow,
     mvn_equivalent,
     mvn_witness,
     orbit_equivalent,
@@ -291,14 +291,20 @@ class TestModularAutomorphism:
         # For d = diag(a, b) the flow rotates the corner by (a/b)^{it}.
         a, b, t = 1.0, 4.0, 1.0
         phi = NormalFunctional(M2, np.diag([a, b]).astype(complex))
-        got = modular_automorphism(phi, t, E12, DEFAULT_TOL)
+        got = modular_flow(phi, t, DEFAULT_TOL)(E12)
         want = (a / b) ** (1j * t) * E12
         assert frobenius(got - want) <= 1e-12
 
     def test_requires_faithful(self):
         phi = NormalFunctional(M2, np.diag([0.0, 3.0]).astype(complex))
         with pytest.raises(NotFaithful):
-            modular_automorphism(phi, 0.5, E12, DEFAULT_TOL)
+            modular_flow(phi, 0.5, DEFAULT_TOL)
+
+    def test_refuses_a_non_member(self):
+        phi = NormalFunctional(M23, np.eye(5, dtype=complex))
+        flow = modular_flow(phi, 0.5, DEFAULT_TOL)
+        with pytest.raises(AlgebraMismatch):
+            flow(np.ones((5, 5), dtype=complex))
 
     def test_invariance_and_composition(self):
         rng = _rng(9)
@@ -306,12 +312,11 @@ class TestModularAutomorphism:
             phi = sampling.faithful_density(M23, rng)
             x = sampling.random_element(M23, rng)
             s, t = 0.4, -1.1
-            one = modular_automorphism(
-                phi, s, modular_automorphism(phi, t, x, DEFAULT_TOL), DEFAULT_TOL
-            )
-            two = modular_automorphism(phi, s + t, x, DEFAULT_TOL)
+            flow_t = modular_flow(phi, t, DEFAULT_TOL)
+            one = modular_flow(phi, s, DEFAULT_TOL)(flow_t(x))
+            two = modular_flow(phi, s + t, DEFAULT_TOL)(x)
             assert frobenius(one - two) <= 1e-10
-            assert abs(phi(modular_automorphism(phi, t, x, DEFAULT_TOL)) - phi(x)) <= 1e-10
+            assert abs(phi(flow_t(x)) - phi(x)) <= 1e-10
 
 
 class TestBlockRanks:

@@ -13,9 +13,9 @@ from wstargeo import sampling
 from wstargeo.algebra import (
     BlockAlgebra,
     NormalFunctional,
-    _positive_spectrum,
     antihermitian_units,
     centralizer_basis,
+    density_spectrum,
     functional_support,
     matrix_units,
     pinching_projections,
@@ -35,8 +35,7 @@ from wstargeo.poisson import _bundle_tangent_basis
 
 
 def _ref_clusters(phi, tol):
-    wall = _positive_spectrum(phi, tol)
-    cutoff = tol.rank_rel_tol * max(float(np.max(np.abs(wall))), 0.0) if wall.size else 0.0
+    cutoff = tol.rank_rel_tol * float(density_spectrum(phi, tol).values[0])
     algebra = phi.algebra
     out = []
     for s, b in zip(algebra.slices, algebra.block_views(herm(phi.density))):

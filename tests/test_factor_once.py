@@ -18,12 +18,14 @@ from wstargeo import linalg, sampling
 from wstargeo.algebra import (
     BlockAlgebra,
     NormalFunctional,
-    _density_spectrum,
     _spectral_clusters,
     centralizer_basis,
+    density_spectrum,
     functional_polar,
     functional_support,
+    modular_flow,
     orbit_invariant,
+    pinching_projections,
     require_positive,
     stabilizer_lie_algebra,
 )
@@ -33,10 +35,10 @@ from wstargeo.groupoids import (
     composable_chain,
     psi_intertwining_residual,
 )
-from wstargeo.errors import NotPositive
-from wstargeo.linalg import DEFAULT_TOL, frobenius, polar_decompose, positive_spectrum
+from wstargeo.errors import NotFaithful, NotPositive
+from wstargeo.linalg import DEFAULT_TOL, frobenius, herm, polar_decompose, positive_spectrum
 from wstargeo.poisson import Observable, leibniz_residual, poisson_map_residual
-from wstargeo.standard import ModularData
+from wstargeo.standard import iso_Phi, modular_Delta, std_unit, tomita_S
 
 M23 = BlockAlgebra((2, 3))
 
@@ -132,8 +134,10 @@ class TestCounts:
         assert frobenius((p @ q) @ x - p) <= 1e-10
 
     def test_orbit_invariant_reads_block_spectra(self, lapack_calls):
-        # 3 if the whole density is decomposed before each block.
+        # 4 if the whole density is decomposed again for the positivity
+        # check; that check reads the kept decomposition.
         phi = _functional(1)
+        require_positive(phi, DEFAULT_TOL)
         lapack_calls.update(gesdd=0, heevd=0)
         orbit_invariant(phi, DEFAULT_TOL)
         assert lapack_calls["heevd"] == len(M23.blocks)
@@ -145,7 +149,7 @@ class TestKeptValues:
         phi = NormalFunctional(M23, d)
         u, mod = functional_polar(phi, DEFAULT_TOL)
         u_copy, h_copy = u.copy(), mod.density.copy()
-        spectrum = _density_spectrum(phi, DEFAULT_TOL)
+        spectrum = density_spectrum(phi, DEFAULT_TOL)
         values, vectors = spectrum.values.copy(), spectrum.vectors.copy()
         want = d.copy()
         d[0, 0] += 1.0
@@ -154,7 +158,7 @@ class TestKeptValues:
         u2, mod2 = functional_polar(phi, DEFAULT_TOL)
         assert u2 is u and mod2 is mod
         assert np.array_equal(u2, u_copy) and np.array_equal(mod2.density, h_copy)
-        again = _density_spectrum(phi, DEFAULT_TOL)
+        again = density_spectrum(phi, DEFAULT_TOL)
         assert again is spectrum
         assert np.array_equal(again.values, values)
         assert np.array_equal(again.vectors, vectors)
@@ -162,10 +166,10 @@ class TestKeptValues:
     def test_kept_arrays_are_read_only(self):
         phi = _functional(3)
         u, mod = functional_polar(phi, DEFAULT_TOL)
-        spectrum = _density_spectrum(phi, DEFAULT_TOL)
+        spectrum = density_spectrum(phi, DEFAULT_TOL)
         kept = [
             phi.density, u, mod.density, spectrum.values, spectrum.vectors,
-            functional_support(phi, DEFAULT_TOL), phi._spectrum_if_positive(DEFAULT_TOL),
+            functional_support(phi, DEFAULT_TOL),
         ]
         for a in kept:
             with pytest.raises(ValueError):
@@ -243,13 +247,55 @@ def test_contains_matches_the_two_norm_rule(name):
     assert _reference_contains(M23, x) is is_member
 
 
+def _flow(phi, tol):
+    """The modular flow at one time; a positive density that is not faithful
+    passes, since the flow decides positivity before faithfulness."""
+    try:
+        modular_flow(phi, 0.3, tol)
+    except NotFaithful:
+        pass
+
+
+#: Every entry point that decides whether a functional is positive.
+POSITIVITY_ENTRY_POINTS = {
+    "density_spectrum": density_spectrum,
+    "functional_support": functional_support,
+    "orbit_invariant": orbit_invariant,
+    "pinching_projections": pinching_projections,
+    "std_unit": std_unit,
+    "iso_Phi": lambda phi, tol: iso_Phi(M23.identity(), phi, tol),
+    "tomita_S": lambda phi, tol: tomita_S(phi, M23.identity(), tol),
+    "modular_Delta": lambda phi, tol: modular_Delta(phi, M23.identity(), 0.5, tol),
+    "modular_flow": _flow,
+}
+
+
 class TestModularDataFromFunctional:
-    def test_one_decomposition(self, lapack_calls):
-        # 2 with a positivity spectrum before the spectrum with vectors.
-        phi = _functional(6)
-        lapack_calls.update(gesdd=0, heevd=0)
-        ModularData.from_functional(phi, DEFAULT_TOL).vector
-        assert lapack_calls["heevd"] == 1
+    """The modular data of a functional -- its support, d^{1/2}, S, Delta and
+    the flow -- and every positivity check read one kept decomposition."""
+
+    def test_one_decomposition(self, monkeypatch):
+        # No value-only spectrum for the positivity checks, and no second
+        # decomposition for d^{1/2}, S, Delta or the flow.
+        phi = sampling.faithful_density(M23, sampling.rng_for(2028))
+        calls, real = [], linalg._heevd
+
+        def heevd(h, compute_v):
+            if h.shape == (M23.dim, M23.dim):
+                calls.append((np.array_equal(h, herm(phi.density)), compute_v))
+            return real(h, compute_v)
+
+        monkeypatch.setattr(linalg, "_heevd", heevd)
+        g = sampling.random_element(M23, sampling.rng_for(2028, 1))
+        require_positive(phi, DEFAULT_TOL)
+        functional_support(phi, DEFAULT_TOL)
+        std_unit(phi, DEFAULT_TOL)
+        tomita_S(phi, g, DEFAULT_TOL)
+        modular_Delta(phi, g, 0.5, DEFAULT_TOL)
+        for t in (0.3, -1.7):
+            modular_flow(phi, t, DEFAULT_TOL)(g)
+        orbit_invariant(phi, DEFAULT_TOL)
+        assert calls == [(True, 1)]
 
     @pytest.mark.parametrize(
         "name",
@@ -267,15 +313,22 @@ class TestModularDataFromFunctional:
             "negative within tolerance": np.diag([1.0, 0, -0.5 * rt, 0, 0]),
             "negative past tolerance": np.diag([1.0, 0, -2.0 * rt, 0, 0]),
         }[name]
-        phi = NormalFunctional(M23, d)
-        try:
-            require_positive(phi, DEFAULT_TOL)
-        except NotPositive:
-            with pytest.raises(NotPositive):
-                ModularData.from_functional(phi, DEFAULT_TOL)
-        else:
-            mod = ModularData.from_functional(phi, DEFAULT_TOL)
-            assert np.array_equal(mod.spectrum.values, positive_spectrum(d, DEFAULT_TOL).values)
+
+        def refusal(check):
+            # A fresh functional for each, so none reads what another kept.
+            try:
+                check(NormalFunctional(M23, d), DEFAULT_TOL)
+            except NotPositive as exc:
+                return type(exc)
+            return None
+
+        want = refusal(require_positive)
+        assert (want is None) == (name in ("positive", "rank one", "negative within tolerance"))
+        got = {entry: refusal(check) for entry, check in POSITIVITY_ENTRY_POINTS.items()}
+        assert got == dict.fromkeys(POSITIVITY_ENTRY_POINTS, want)
+        if want is None:
+            spectrum = density_spectrum(NormalFunctional(M23, d), DEFAULT_TOL)
+            assert np.array_equal(spectrum.values, positive_spectrum(herm(d), DEFAULT_TOL).values)
 
 
 def _fd_reference(obs: Observable, phi: NormalFunctional, tol) -> np.ndarray:
@@ -314,12 +367,15 @@ COARSE = dataclasses.replace(DEFAULT_TOL, fd_step=1e-2)
 
 class TestDifferentialKept:
     def test_poisson_map_takes_each_gradient_once(self):
-        # 52 (two passes over the 13 Hermitian units) if the canonical and
-        # Lie-Poisson sides each take the gradient at their own E(gamma).
+        # 52 (two passes over the 13 Hermitian units) if the two pairs, or
+        # the canonical and Lie-Poisson sides, each take the gradient at
+        # their own E(gamma).
         g = _Counted(_hermitian(0))
         f = Observable.linear(_hermitian(1), DEFAULT_TOL)
+        h = Observable.quadratic(_hermitian(2), DEFAULT_TOL)
         gamma = sampling.random_element(M23, sampling.rng_for(2027, 2))
-        assert poisson_map_residual(f, g.observable, M23, gamma, DEFAULT_TOL) <= 1e-6
+        pairs = [(f, g.observable), (g.observable, h)]
+        assert max(poisson_map_residual(pairs, M23, gamma, DEFAULT_TOL)) <= 1e-6
         assert len(g.at) == 2 * len(M23.hermitian_units()) == 26
 
     def test_leibniz_takes_one_central_difference_pass(self):

@@ -10,7 +10,6 @@ from wstargeo.groupoids import (
     axiom_check,
     coadjoint_compose,
     coadjoint_inverse,
-    coadjoint_source,
     coadjoint_target,
     coadjoint_unit,
     composable_chain,

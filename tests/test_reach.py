@@ -160,3 +160,29 @@ def test_roots_resolve():
 
 def test_every_definition_is_reached():
     assert unreached(_load(SRC)) == []
+
+
+def unused_imports(path: pathlib.Path) -> list[str]:
+    """Names bound by a top-level ``from ... import`` in ``path`` that the
+    file never reads."""
+    tree = ast.parse(path.read_text())
+    bound = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_unused_imports():
+    # ``__init__`` imports only to re-export.
+    files = [
+        p
+        for directory in (SRC, ROOT / "tests", ROOT / "demos")
+        for p in sorted(directory.glob("*.py"))
+        if p.name != "__init__.py"
+    ]
+    found = {str(p.relative_to(ROOT)): names for p in files if (names := unused_imports(p))}
+    assert found == {}

@@ -11,7 +11,6 @@ from wstargeo import (
     CoadjointArrow,
     DegenerateBase,
     InvalidArrow,
-    ModularData,
     NormalFunctional,
     NotComposable,
     NotFaithful,
@@ -26,6 +25,7 @@ from wstargeo import (
     iso_Phi,
     iso_Phi_inv,
     modular_Delta,
+    modular_flow,
     momentum_mu,
     phi_intertwining_residual,
     std_inverse,
@@ -332,34 +332,29 @@ class TestDualPair:
 
 class TestTomita:
     def test_oracle(self):
-        mod = ModularData.from_functional(
-            NormalFunctional(M2, np.diag([1.0, 4.0]).astype(complex)), DEFAULT_TOL
-        )
-        s = tomita_S(mod, G_CORNER)
+        phi = NormalFunctional(M2, np.diag([1.0, 4.0]).astype(complex))
+        s = tomita_S(phi, G_CORNER, DEFAULT_TOL)
         assert frobenius(s - np.array([[0.0, 0.0], [1.0, 0.0]])) <= 1e-12
         # Delta(E12) = d E12 d^{-1} = E12 / 4
-        assert frobenius(modular_Delta(mod, E12, 1.0) - 0.25 * E12) <= 1e-12
+        assert frobenius(modular_Delta(phi, E12, 1.0, DEFAULT_TOL) - 0.25 * E12) <= 1e-12
 
     def test_closure_relation(self):
         # S(x Omega) = x* Omega for the canonical vector Omega = d^{1/2}
         for trial in range(50):
             rng = rng_for(36, trial)
             algebra = M2 if trial % 2 == 0 else M23
-            mod = ModularData.from_functional(
-                faithful_density(algebra, rng), DEFAULT_TOL
-            )
-            omega = mod.vector
+            phi = faithful_density(algebra, rng)
+            omega = std_unit(phi, DEFAULT_TOL)
             x = random_element(algebra, rng)
-            lhs = tomita_S(mod, x @ omega)
+            lhs = tomita_S(phi, x @ omega, DEFAULT_TOL)
             rhs = x.conj().T @ omega
             assert frobenius(lhs - rhs) <= 1e-9 * (1.0 + frobenius(rhs))
             # S is an involution and factors as J Delta^{1/2}
             g = random_element(algebra, rng)
-            assert frobenius(tomita_S(mod, tomita_S(mod, g)) - g) <= 1e-8 * (
-                1.0 + frobenius(g)
-            )
+            s = tomita_S(phi, g, DEFAULT_TOL)
+            assert frobenius(tomita_S(phi, s, DEFAULT_TOL) - g) <= 1e-8 * (1.0 + frobenius(g))
             assert frobenius(
-                tomita_S(mod, g) - conjugation_J(modular_Delta(mod, g, 0.5))
+                s - conjugation_J(modular_Delta(phi, g, 0.5, DEFAULT_TOL))
             ) <= 1e-9 * (1.0 + frobenius(g))
 
 
@@ -375,69 +370,52 @@ FLOW_RESIDUALS = {
 
 class TestModularFlow:
     def test_not_faithful(self):
-        mod = ModularData(M2, np.diag([0.0, 1.0]).astype(complex), DEFAULT_TOL)
+        phi = NormalFunctional(M2, np.diag([0.0, 1.0]).astype(complex))
         with pytest.raises(NotFaithful):
-            mod.flow(0.3)(E12)
+            modular_flow(phi, 0.3, DEFAULT_TOL)
         with pytest.raises(NotFaithful):
-            flow_residuals(mod, 0.3, rng_for(39), DEFAULT_TOL)
+            flow_residuals(phi, 0.3, rng_for(39), DEFAULT_TOL)
 
     def test_fixes_canonical_vector(self):
-        rng = rng_for(37)
-        mod = ModularData.from_functional(faithful_density(M23, rng), DEFAULT_TOL)
-        omega = mod.vector
+        phi = faithful_density(M23, rng_for(37))
+        omega = std_unit(phi, DEFAULT_TOL)
         for t in (0.3, -1.7):
-            assert frobenius(mod.flow(t)(omega) - omega) <= 1e-9
+            assert frobenius(modular_flow(phi, t, DEFAULT_TOL)(omega) - omega) <= 1e-9
 
     def test_group_law_and_zero_time(self):
         rng = rng_for(38)
-        mod = ModularData.from_functional(faithful_density(M2, rng), DEFAULT_TOL)
+        phi = faithful_density(M2, rng)
         g = random_element(M2, rng)
-        assert frobenius(mod.flow(0.0)(g) - g) <= 1e-12
-        one_step = mod.flow(0.7)(mod.flow(0.5)(g))
-        direct = mod.flow(1.2)(g)
+        assert frobenius(modular_flow(phi, 0.0, DEFAULT_TOL)(g) - g) <= 1e-12
+        one_step = modular_flow(phi, 0.7, DEFAULT_TOL)(modular_flow(phi, 0.5, DEFAULT_TOL)(g))
+        direct = modular_flow(phi, 1.2, DEFAULT_TOL)(g)
         assert frobenius(one_step - direct) <= 1e-9
 
     def test_automorphism_report(self):
         rng = rng_for(39)
         for algebra in (M2, M23):
-            mod = ModularData.from_functional(faithful_density(algebra, rng), DEFAULT_TOL)
+            phi = faithful_density(algebra, rng)
             for t in (0.0, 0.3, -1.7):
                 for k in range(10):
-                    residuals = flow_residuals(mod, t, rng_for(39, k), DEFAULT_TOL)
+                    residuals = flow_residuals(phi, t, rng_for(39, k), DEFAULT_TOL)
                     assert set(residuals) == FLOW_RESIDUALS
                     assert max(residuals.values()) <= 1e-9, (t, k, residuals)
 
 
 class TestOneSpectrum:
-    """Every modular quantity of a density, and the positivity check of
-    ``ModularData.from_functional``, read one eigendecomposition."""
+    """The modular flow reads the density's kept decomposition; the single
+    decomposition behind every modular quantity is checked in
+    ``test_factor_once.py``."""
 
-    @staticmethod
-    def _count_eig(monkeypatch, of):
+    def test_flow_residuals_decompose_the_density_once(self, monkeypatch):
+        phi = faithful_density(M23, rng_for(41))
         calls = []
         real = linalg.hermitian_eig
 
         def spy(h):
-            calls.append(np.array_equal(h, of))
+            calls.append(np.array_equal(h, linalg.herm(phi.density)))
             return real(h)
 
         monkeypatch.setattr(linalg, "hermitian_eig", spy)
-        return calls
-
-    def test_modular_operations_share_one_decomposition(self, monkeypatch):
-        phi = faithful_density(M23, rng_for(40))
-        g = random_element(M23, rng_for(40, 1))
-        calls = self._count_eig(monkeypatch, phi.density)
-        mod = ModularData.from_functional(phi, DEFAULT_TOL)
-        tomita_S(mod, g)
-        modular_Delta(mod, g, 0.5)
-        for t in (0.0, 0.3, -1.7):
-            mod.flow(t)(g)
-        assert calls == [True]
-
-    def test_flow_residuals_decompose_the_density_once(self, monkeypatch):
-        phi = faithful_density(M23, rng_for(41))
-        calls = self._count_eig(monkeypatch, phi.density)
-        mod = ModularData.from_functional(phi, DEFAULT_TOL)
-        flow_residuals(mod, 0.3, rng_for(41, 1), DEFAULT_TOL)
+        flow_residuals(phi, 0.3, rng_for(41, 1), DEFAULT_TOL)
         assert calls.count(True) == 1

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from wstargeo import algebra, charts, groupoids, poisson, sampling, standard, suites
-from wstargeo.linalg import positive_spectrum
 from wstargeo import (
     DEFAULT_TOL,
     SUITE_NAMES,
@@ -302,14 +301,32 @@ class TestPlantedFaults:
         assert "charts/theta" in self._failed("charts")
 
     def test_modular_flow_with_one_sign_flipped(self, monkeypatch):
-        def modular_automorphism(phi, t, x, tol=DEFAULT_TOL):
+        def modular_flow(phi, t, tol=DEFAULT_TOL):
             # d^{it} x d^{it} instead of d^{it} x d^{-it}
-            spectrum = positive_spectrum(phi.density, tol)
-            return spectrum.imaginary_power(t) @ x @ spectrum.imaginary_power(-t).conj().T
+            u = algebra.density_spectrum(phi, tol).imaginary_power(t)
+            return lambda x: u @ x @ u
 
-        monkeypatch.setattr(suites, "modular_automorphism", modular_automorphism)
+        # Planted in ``suites`` alone: in ``flow_residuals`` the flipped flow
+        # breaks composability, so ``std_mul`` raises there.
+        monkeypatch.setattr(suites, "modular_flow", modular_flow)
         failed = self._failed("modular-flow", M2, 1)
         assert {"modular-flow/group-law", "modular-flow/conditional-expectation"} <= failed
+
+    def test_modular_flow_off_by_a_factor(self, monkeypatch):
+        real = algebra.modular_flow
+
+        def modular_flow(phi, t, tol=DEFAULT_TOL):
+            flow = real(phi, t, tol)
+            return lambda x: (1.0 + 1e-6) * flow(x)
+
+        for module in (standard, suites):
+            monkeypatch.setattr(module, "modular_flow", modular_flow)
+        failed = self._failed("modular-flow", M2, 1)
+        assert {
+            f"modular-flow/{row}"
+            for row in ("automorphism", "symplectic", "orbit-invariants", "orbit-form",
+                        "group-law", "conditional-expectation")
+        } <= failed
 
 
 class TestSampleWithRetry:
