@@ -403,12 +403,12 @@ class TestModularFlow:
 
 
 class TestOneSpectrum:
-    """The modular flow reads the density's kept decomposition; the single
-    decomposition behind every modular quantity is checked in
-    ``test_factor_once.py``."""
+    """Tomita's S, Delta and the modular flow read the density's one kept
+    decomposition; the positivity checks and d^{1/2} are checked against the
+    same decomposition in ``test_factor_once.py``."""
 
-    def test_flow_residuals_decompose_the_density_once(self, monkeypatch):
-        phi = faithful_density(M23, rng_for(41))
+    @staticmethod
+    def _count_eig(monkeypatch, phi):
         calls = []
         real = linalg.hermitian_eig
 
@@ -417,5 +417,20 @@ class TestOneSpectrum:
             return real(h)
 
         monkeypatch.setattr(linalg, "hermitian_eig", spy)
+        return calls
+
+    def test_modular_operations_share_one_decomposition(self, monkeypatch):
+        phi = faithful_density(M23, rng_for(40))
+        g = random_element(M23, rng_for(40, 1))
+        calls = self._count_eig(monkeypatch, phi)
+        tomita_S(phi, g, DEFAULT_TOL)
+        modular_Delta(phi, g, 0.5, DEFAULT_TOL)
+        for t in (0.0, 0.3, -1.7):
+            modular_flow(phi, t, DEFAULT_TOL)(g)
+        assert calls == [True]
+
+    def test_flow_residuals_decompose_the_density_once(self, monkeypatch):
+        phi = faithful_density(M23, rng_for(41))
+        calls = self._count_eig(monkeypatch, phi)
         flow_residuals(phi, 0.3, rng_for(41, 1), DEFAULT_TOL)
         assert calls.count(True) == 1
