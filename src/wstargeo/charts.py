@@ -26,7 +26,6 @@ from ``Gamma0`` alone.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import NormalFunctional, functional_support
 from .errors import InvalidArrow, InvalidTangent, NotInDomain, NotInOverlap
@@ -34,6 +33,7 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
     _pinv_from_svd,
+    exp_antihermitian,
     expect_real,
     frobenius,
     is_partial_isometry,
@@ -329,11 +329,11 @@ def fd_surface_dGamma0(
         )
 
     def g_t(s: float) -> float:
-        us = scipy.linalg.expm(s * a) @ u
+        us = exp_antihermitian(s * a) @ u
         return Gamma0(rho0, us, us @ b, tol)
 
     def g_s(t: float) -> float:
-        ut = u @ scipy.linalg.expm(t * b)
+        ut = u @ exp_antihermitian(t * b)
         return Gamma0(rho0, ut, a @ ut, tol)
 
     return (g_t(step) - g_t(-step) - g_s(step) + g_s(-step)) / (2.0 * step)

@@ -9,16 +9,19 @@ smallest retained singular value sits within a factor ``GUARD_FACTOR`` of
 the cutoff, so downstream geometry never sees an ambiguous support.
 
 This is the only module that factorizes a matrix.  It calls the LAPACK
-drivers that ``numpy.linalg`` calls, through ``scipy.linalg.lapack``, without
-NumPy's per-call wrapper: ``zgesdd``/``dgesdd`` for singular values and
-vectors (:func:`svd`, :func:`singular_values`, :func:`null_space_rows`),
-``zheevd``/``dsyevd`` on the lower triangle for Hermitian spectra
-(:func:`hermitian_eig`, :func:`hermitian_eigvals`), and ``zgeqrf`` followed
-by ``zungqr`` for the QR factor of a Haar sample (:func:`phase_fixed_q`).
-Each call requests LAPACK's optimal workspace, as NumPy does, so the results
-equal ``numpy.linalg.svd``, ``eigh``, ``eigvalsh`` and ``qr`` bit for bit
-where NumPy and SciPy link the same LAPACK kernels.  A driver that reports
-failure (``info != 0``, including NaN input) raises :class:`NoConvergence`.
+drivers through the gufuncs that ``numpy.linalg`` itself dispatches to
+(``numpy.linalg._umath_linalg``), without NumPy's per-call wrapper:
+``svd_f``/``svd`` (``?gesdd``) for singular values and vectors (:func:`svd`,
+:func:`singular_values`, :func:`null_space_rows`), ``eigh_lo``/
+``eigvalsh_lo`` (``?heevd`` on the lower triangle) for Hermitian spectra
+(:func:`hermitian_eig`, :func:`hermitian_eigvals`, and the unitary
+:func:`exp_antihermitian` of an anti-Hermitian matrix), and ``qr_r_raw``
+followed by ``qr_reduced`` (``zgeqrf``, ``zungqr``) for the QR factor of a
+Haar sample (:func:`phase_fixed_q`).  The results therefore equal
+``numpy.linalg.svd``, ``eigh``, ``eigvalsh`` and ``qr`` bit for bit.  A
+driver that fails, NaN input included, fills the gufunc's outputs with NaN
+and NumPy warns (``RuntimeWarning``, under the default ``numpy.errstate``);
+the kernel reads the NaN and raises :class:`NoConvergence`.
 
 The kernels check shape and LAPACK status only.  A function whose domain
 needs Hermitian, positive or member input checks its own arguments, once,
@@ -32,12 +35,11 @@ from it.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     NoConvergence,
@@ -148,39 +150,14 @@ def check_hermitian(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.nd
     return h
 
 
-#: LAPACK drivers and their workspace queries by dtype: the routines
-#: ``numpy.linalg`` calls for the same input.
-_GESDD = {
-    np.dtype(float): (lapack.dgesdd, lapack.dgesdd_lwork),
-    np.dtype(complex): (lapack.zgesdd, lapack.zgesdd_lwork),
-}
-_HEEVD = {
-    np.dtype(float): (lapack.dsyevd, lapack.dsyevd_lwork),
-    np.dtype(complex): (lapack.zheevd, lapack.zheevd_lwork),
-}
-
-
-def _zungqr_lwork(m: int, n: int) -> tuple[complex, int]:
-    """Workspace query of ``zungqr``, returned like SciPy's ``*_lwork`` helpers."""
-    _, work, info = lapack.zungqr(np.zeros((m, n), complex), np.zeros(n, complex), -1)
-    return work[0], info
-
-
-@functools.lru_cache(maxsize=256)
-def _workspace(query, *args: int) -> tuple[int, ...]:
-    """Optimal workspace sizes from a LAPACK query, in the driver's argument
-    order.  The workspace can select a blocked code path, so it is what NumPy
-    requests that keeps the results equal to NumPy's."""
-    *sizes, info = query(*args)
-    if info:
-        raise _lapack_error(query, info)
-    return tuple(int(np.real(x)) for x in sizes)
-
-
-def _lapack_error(routine, info: int) -> NoConvergence:
-    # info < 0 is an argument LAPACK rejected; gesdd reports NaN input so.
-    name = routine.__name__.removeprefix("function ")
-    return NoConvergence(f"LAPACK {name} failed (info = {info})")
+def _checked(values: np.ndarray, routine: str) -> np.ndarray:
+    """The singular values or eigenvalues from a LAPACK gufunc, unless one is
+    NaN: the driver failed (the gufunc then fills every output with NaN, and
+    warns) or passed NaN input through."""
+    square = values.dot(values)
+    if square != square:
+        raise NoConvergence(f"LAPACK {routine} failed or met NaN input")
+    return values
 
 
 def _real_or_complex(a: np.ndarray) -> np.ndarray:
@@ -192,31 +169,23 @@ def _real_or_complex(a: np.ndarray) -> np.ndarray:
 
 
 def _gesdd(a: np.ndarray, compute_uv: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD (or, with ``compute_uv=0``, singular values) of a float64 or
-    complex128 matrix through ``dgesdd``/``zgesdd``."""
-    m, n = a.shape
-    if a.size == 0:  # LAPACK rejects a zero leading dimension
-        return np.eye(m, dtype=a.dtype), np.zeros(0), np.eye(n, dtype=a.dtype)
-    driver, query = _GESDD[a.dtype]
-    # Positional order: a, compute_uv, full_matrices, lwork.
-    u, s, vh, info = driver(a, compute_uv, 1, *_workspace(query, m, n, compute_uv, 1))
-    if info:
-        raise _lapack_error(driver, info)
-    return u, s, vh
+    """Full SVD (or, with ``compute_uv=0``, singular values only, ``u`` and
+    ``vh`` ``None``) of a float64 or complex128 matrix through ``?gesdd``."""
+    if compute_uv:
+        u, s, vh = _umath_linalg.svd_f(a)
+    else:
+        u, s, vh = None, _umath_linalg.svd(a), None
+    return u, _checked(s, "gesdd"), vh
 
 
 def _heevd(h: np.ndarray, compute_v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues (and eigenvectors) of a float64 or complex128
-    matrix from its lower triangle, through ``dsyevd``/``zheevd``."""
-    n = h.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=h.dtype)
-    driver, query = _HEEVD[h.dtype]
-    # Positional order: a, compute_v, lower, lwork, liwork[, lrwork].
-    w, v, info = driver(h, compute_v, 1, *_workspace(query, n, compute_v, 1))
-    if info:
-        raise _lapack_error(driver, info)
-    return w, v
+    """Ascending eigenvalues (and eigenvectors, else ``None``) of a float64
+    or complex128 matrix from its lower triangle, through ``?heevd``."""
+    if compute_v:
+        w, v = _umath_linalg.eigh_lo(h)
+    else:
+        w, v = _umath_linalg.eigvalsh_lo(h), None
+    return _checked(w, "heevd"), v
 
 
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,6 +204,15 @@ def hermitian_eigvals(h: np.ndarray) -> np.ndarray:
     """Eigenvalues, descending, of a Hermitian matrix read from its lower
     triangle; real input uses the real driver.  No Hermitian check."""
     return _heevd(_real_or_complex(h), 0)[0][::-1]
+
+
+def exp_antihermitian(x: np.ndarray) -> np.ndarray:
+    """The unitary ``exp(x)`` of an anti-Hermitian ``x``: with ``i x = v
+    diag(w) v*`` from :func:`hermitian_eig`, ``exp(x) = v diag(e^{-i w}) v*``.
+    No anti-Hermitian check: a caller whose input may not be anti-Hermitian
+    checks it first."""
+    w, v = hermitian_eig(1j * as_square(x))
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,18 +242,11 @@ def phase_fixed_q(g: np.ndarray) -> np.ndarray:
     """Thin QR factor ``q`` of a complex ``m x n`` matrix ``g = q r``
     (``m >= n``) with the phases of ``r``'s diagonal moved into it; a complex
     Gaussian ``g`` gives a Haar unitary (square) or a Haar isometry (thin).
-    ``zgeqrf`` packs ``r`` above ``q``'s reflectors, so the phases are read
-    off the packed factor before ``zungqr`` expands ``q``."""
-    g = np.asarray(g, dtype=complex)
-    m, n = g.shape
-    packed, tau, _, info = lapack.zgeqrf(g, *_workspace(lapack.zgeqrf_lwork, m, n))
-    if info:
-        raise _lapack_error(lapack.zgeqrf, info)
-    d = packed.diagonal().copy()
-    # Positional order: a, tau, lwork, overwrite_a.
-    q, _, info = lapack.zungqr(packed, tau, *_workspace(_zungqr_lwork, m, n), 1)
-    if info:
-        raise _lapack_error(lapack.zungqr, info)
+    ``zgeqrf`` overwrites a copy of ``g`` with ``r`` above ``q``'s
+    reflectors, and the phases are read off that packed factor."""
+    packed = np.asarray(g).astype(complex)
+    q = _umath_linalg.qr_reduced(packed, _umath_linalg.qr_r_raw(packed))
+    d = packed.diagonal()
     return q * (d / np.abs(d))
 
 

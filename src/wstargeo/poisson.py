@@ -24,7 +24,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import sampling, standard
 from .algebra import (
@@ -48,6 +47,7 @@ from .linalg import (
     ToleranceProfile,
     _worst,
     check_hermitian,
+    exp_antihermitian,
     expect_real,
     expect_real_array,
     frobenius,
@@ -845,8 +845,11 @@ def degeneracy_kernel_check(
 
     form_u, radical_u = leg_pairings(u)
     form_v, radical_v = leg_pairings(v)
-    pairing = scipy.linalg.block_diag(form_u, -form_v)
-    total = len(pairing)
+    m = len(form_u)
+    total = m + len(form_v)
+    pairing = np.zeros((total, total))
+    pairing[:m, :m] = form_u
+    pairing[m:, m:] = -form_v
     radical_worst = _worst(radical_u, radical_v)
 
     sing = singular_values(pairing)
@@ -902,7 +905,7 @@ def orbit_form_invariance_residual(
     stab = stabilizer_lie_algebra(rho0, tol)
     if stab.basis:
         s = sampling.stabilizer_direction(rng, list(stab.basis))
-        g = scipy.linalg.expm(s)
+        g = exp_antihermitian(s)
         res.append(
             abs(
                 dGamma0(rho0, u @ g, du @ g, du2 @ g, tol)

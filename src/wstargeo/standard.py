@@ -103,6 +103,20 @@ def std_inverse(g: np.ndarray) -> np.ndarray:
     return conjugation_J(g)
 
 
+def _std_product(
+    g1: np.ndarray, g2: np.ndarray, tol: ToleranceProfile
+) -> tuple[np.ndarray, float]:
+    """``u1 u2 |g2|`` through the polar decompositions ``g_j = u_j |g_j|``,
+    and the composability gap ``‖|g1| − u2 |g2| u2*‖`` where it exceeds the
+    residual tolerance, else 0."""
+    u1, h1 = polar_decompose(g1, tol)
+    u2, h2 = polar_decompose(g2, tol)
+    gap = frobenius(h1 - u2 @ h2 @ u2.conj().T)
+    if gap <= tol.residual_tol * (1.0 + frobenius(h1)):
+        gap = 0.0
+    return u1 @ u2 @ h2, gap
+
+
 def std_mul(
     g1: np.ndarray,
     g2: np.ndarray,
@@ -111,12 +125,10 @@ def std_mul(
     """Vector product u1 u2 |g2| through the polar decompositions
     g_j = u_j |g_j|, defined when |g1| = u2 |g2| u2* (source of g1 equals
     target of g2)."""
-    u1, h1 = polar_decompose(g1, tol)
-    u2, h2 = polar_decompose(g2, tol)
-    gap = frobenius(h1 - u2 @ h2 @ u2.conj().T)
-    if gap > tol.residual_tol * (1.0 + frobenius(h1)):
+    product, gap = _std_product(g1, g2, tol)
+    if gap:
         raise NotComposable(f"source of g1 != target of g2 (gap {gap:.3e})")
-    return u1 @ u2 @ h2
+    return product
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +323,11 @@ def flow_residuals(
     g1 = u1 @ (u2 @ h2 @ u2.conj().T)
     fp = flow(pos)
     wmin = float(hermitian_eigvals(herm(fp)).min())
+    # A flow that is not multiplicative may leave the flowed pair
+    # non-composable; its gap is then the residual.
+    flowed_product, gap = _std_product(flow(g1), flow(g2), tol)
     return {
-        "multiplicativity": frobenius(
-            flow(std_mul(g1, g2, tol)) - std_mul(flow(g1), flow(g2), tol)
-        ),
+        "multiplicativity": gap or frobenius(flow(std_mul(g1, g2, tol)) - flowed_product),
         "symplectic": abs(symplectic_omega(flow(x), flow(y)) - symplectic_omega(x, y)),
         "cone": _worst(0.0, -wmin) + frobenius(fp - fp.conj().T),
         "conjugation": frobenius(flow(conjugation_J(x)) - conjugation_J(flow(x))),

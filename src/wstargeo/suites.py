@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
-import scipy.linalg
 
 from . import sampling
 from .algebra import (
@@ -69,6 +68,7 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
     _worst,
+    exp_antihermitian,
     expect_real,
     frobenius,
     polar_decompose,
@@ -236,7 +236,7 @@ def _row_isomorphisms(ctx: RowCtx, rng):
     # Gauge invariance: right translation by a stabilizer element of the
     # base density leaves the quotient map unchanged.
     stab = stabilizer_lie_algebra(rho0, prof)
-    g = scipy.linalg.expm(sampling.stabilizer_direction(rng, stab.basis))
+    g = exp_antihermitian(sampling.stabilizer_direction(rng, stab.basis))
     arrow = gauge_iso_Psi(u, v, rho0, prof)
     arrow_g = gauge_iso_Psi(u @ g, v @ g, rho0, prof)
     yield frobenius(arrow.u - arrow_g.u) + arrow.rho.distance(arrow_g.rho)

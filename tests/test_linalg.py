@@ -1,12 +1,17 @@
 """Matrix kernels: polar factors, supports, partial inverses, matrix
 functions, the rank guard band, and the LAPACK calls underneath them."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wstargeo import sampling
+from wstargeo.algebra import BlockAlgebra, NormalFunctional, stabilizer_lie_algebra
 from wstargeo.errors import (
     NoConvergence,
     NotHermitian,
@@ -18,6 +23,7 @@ from wstargeo.linalg import (
     DEFAULT_TOL,
     GUARD_FACTOR,
     ToleranceProfile,
+    exp_antihermitian,
     frobenius,
     hermitian_eig,
     hermitian_eigvals,
@@ -25,6 +31,7 @@ from wstargeo.linalg import (
     matrix_sqrt,
     null_space_rows,
     partial_inverse,
+    phase_fixed_q,
     polar_decompose,
     positive_spectrum,
     restricted_power,
@@ -189,52 +196,55 @@ class TestEig:
 
 
 class TestLapackKernels:
-    """The direct LAPACK calls against their ``numpy.linalg`` references.  The
-    two libraries may link different BLAS builds, so agreement is to 1e-12
-    rather than bitwise."""
+    """The kernels against their ``numpy.linalg`` references, bit for bit:
+    both reach LAPACK through the same ``numpy.linalg._umath_linalg``
+    gufuncs."""
 
-    SIZES = range(1, 13)
+    SIZES = range(1, 17)
 
     def test_svd_and_singular_values(self):
         rng = _rng(10)
         for n in self.SIZES:
             a = _random_matrix(rng, n)
-            for got, want in zip(svd(a), np.linalg.svd(a)):
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-            want = np.linalg.svd(a, compute_uv=False)
-            np.testing.assert_allclose(singular_values(a), want, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(
-                singular_values(a.real), np.linalg.svd(a.real, compute_uv=False),
-                rtol=0, atol=1e-12,
-            )
+            for x in (a, a.real):
+                # svd always takes the complex driver; singular_values keeps
+                # real input real.
+                for got, ref in zip(svd(x), np.linalg.svd(x.astype(complex))):
+                    np.testing.assert_array_equal(got, ref)
+                want = np.linalg.svd(x, compute_uv=False)
+                np.testing.assert_array_equal(singular_values(x), want)
 
     def test_hermitian_spectra(self):
         rng = _rng(11)
         for n in self.SIZES:
             a = _random_matrix(rng, n)
-            h = a + a.conj().T
-            w, v = hermitian_eig(h)
-            w_ref, v_ref = np.linalg.eigh(h)
-            np.testing.assert_allclose(w, w_ref[::-1], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(v, v_ref[:, ::-1], rtol=0, atol=1e-12)
-            # Only the lower triangle is read, as numpy.linalg does by default.
-            lower = np.tril(h)
-            np.testing.assert_allclose(
-                hermitian_eigvals(lower), np.linalg.eigvalsh(h)[::-1], rtol=0, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                hermitian_eigvals(h.real), np.linalg.eigvalsh(h.real)[::-1],
-                rtol=0, atol=1e-12,
-            )
+            for h in (a + a.conj().T, (a + a.conj().T).real):
+                w, v = hermitian_eig(h)
+                w_ref, v_ref = np.linalg.eigh(h.astype(complex))
+                np.testing.assert_array_equal(w, w_ref[::-1])
+                np.testing.assert_array_equal(v, v_ref[:, ::-1])
+                # Only the lower triangle is read, as numpy.linalg does by
+                # default; real input keeps the real driver.
+                np.testing.assert_array_equal(
+                    hermitian_eigvals(np.tril(h)), np.linalg.eigvalsh(h)[::-1]
+                )
 
     def test_haar_unitary(self):
         for n in self.SIZES:
-            u = sampling.haar_unitary(_rng(n), n)
             rng = _rng(n)
             g = rng.normal(0.0, 1.0, (n, n, 2)).view(complex)[..., 0]
             q, r = np.linalg.qr(g)
             d = np.diagonal(r)
-            np.testing.assert_allclose(u, q * (d / np.abs(d)), rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(
+                sampling.haar_unitary(_rng(n), n), q * (d / np.abs(d))
+            )
+            # Thin: a Haar isometry, with the caller's matrix left as it was.
+            g = g[:, : (n + 1) // 2]
+            kept = g.copy()
+            q, r = np.linalg.qr(g)
+            d = np.diagonal(r)
+            np.testing.assert_array_equal(phase_fixed_q(g), q * (d / np.abs(d)))
+            np.testing.assert_array_equal(g, kept)
 
     def test_null_space_rows(self):
         rng = _rng(12)
@@ -244,9 +254,7 @@ class TestLapackKernels:
             assert rows.dtype == np.float64
             assert rows.shape == (n - r, n)
             assert frobenius(a @ rows.T) <= 1e-12 * max(1.0, frobenius(a))
-            np.testing.assert_allclose(
-                rows, np.linalg.svd(a)[2][r:], rtol=0, atol=1e-12
-            )
+            np.testing.assert_array_equal(rows, np.linalg.svd(a)[2][r:])
 
     def test_real_input_stays_real(self):
         a = _random_matrix(_rng(13), 4).real
@@ -255,11 +263,23 @@ class TestLapackKernels:
         assert null_space_rows(a).dtype == np.float64
 
     def test_nan_input_raises(self):
-        a = np.full((3, 3), np.nan, dtype=complex)
-        with pytest.raises(NoConvergence):
-            svd(a)
-        with pytest.raises(NoConvergence):
-            singular_values(a.real)
+        kernels = (svd, singular_values, hermitian_eig, hermitian_eigvals, null_space_rows)
+        for dtype in (complex, float):
+            a = np.ones((3, 3), dtype=dtype)
+            a[2, 0] = np.nan
+            for kernel in kernels:
+                # The driver fails: the gufunc warns as it fills its outputs
+                # with NaN, and the kernel raises.
+                with pytest.warns(RuntimeWarning, match="invalid value"):
+                    with pytest.raises(NoConvergence):
+                        kernel(a)
+        # ?heevd splits off the NaN-free row and succeeds with eigenvalues
+        # (1, nan, nan): no warning, but the kernel still raises.
+        a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        a[2, 1] = np.nan
+        for kernel in (hermitian_eig, hermitian_eigvals):
+            with pytest.raises(NoConvergence):
+                kernel(a)
 
     def test_empty_input(self):
         assert singular_values(np.zeros((0, 0))).shape == (0,)
@@ -276,16 +296,64 @@ class TestLapackKernels:
             assert got == float(np.linalg.norm(x))
 
 
+class TestExpAntihermitian:
+    """The unitary exponential against ``scipy.linalg.expm`` as an
+    independent oracle."""
+
+    @staticmethod
+    def _generators():
+        m23 = BlockAlgebra((2, 3))
+        rng = _rng(15)
+        # A stabilizer direction of a density that vanishes on the 3-block.
+        rho0 = NormalFunctional(m23, np.diag([0.5, 0.5, 0.0, 0.0, 0.0]))
+        stab = stabilizer_lie_algebra(rho0)
+        return {
+            "generic": sampling.random_antihermitian(m23, rng),
+            "zero-block": sampling.stabilizer_direction(rng, stab.basis),
+            "zero": np.zeros((5, 5), dtype=complex),
+        }
+
+    @pytest.mark.parametrize("name", ["generic", "zero-block", "zero"])
+    def test_matches_expm(self, name):
+        x = self._generators()[name]
+        g = exp_antihermitian(x)
+        assert frobenius(g.conj().T @ g - np.eye(len(x))) <= 1e-13
+        assert frobenius(g - scipy.linalg.expm(x)) <= 1e-13
+
+
+def test_import_leaves_scipy_out():
+    """The package and its command line import without SciPy."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, wstargeo, wstargeo.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 #: ``numpy.linalg``/``scipy.linalg`` factorizations that only ``linalg.py`` calls.
 FACTORIZATIONS = {"svd", "eigh", "eigvalsh", "qr"}
+#: NumPy's LAPACK gufunc module, which only ``linalg.py`` reads.
+GUFUNCS = "_umath_linalg"
 
 
 def _factorization_calls(source: str) -> list[str]:
     """Calls of a matrix factorization in ``source``: ``<x>.linalg.<name>(...)``
-    for a name in FACTORIZATIONS, ``<x>.linalg.norm(..., 2)``, and names
-    imported from a ``linalg`` or ``lapack`` module."""
+    for a name in FACTORIZATIONS, ``<x>.linalg.norm(..., 2)``, names
+    imported from a ``linalg`` or ``lapack`` module, and any use of
+    ``_umath_linalg``."""
     found = []
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [
+                a.name for a in node.names
+                if GUFUNCS in a.name or GUFUNCS in (getattr(node, "module", None) or "")
+            ]
+        if (isinstance(node, ast.Name) and node.id == GUFUNCS) or (
+            isinstance(node, ast.Attribute) and node.attr == GUFUNCS
+        ):
+            found.append(ast.unparse(node))
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(
             ("numpy.linalg", "scipy.linalg", "lapack")
         ):
@@ -323,6 +391,16 @@ class TestOneFactorizationLayer:
         )
         assert len(_factorization_calls(source)) == 7
         assert _factorization_calls("f = np.linalg.norm(v)\ne = scipy.linalg.expm(a)") == []
+
+    def test_scanner_finds_gufuncs(self):
+        for source in (
+            "from numpy.linalg import _umath_linalg\n",
+            "from numpy.linalg._umath_linalg import svd_f\n",
+            "import numpy.linalg._umath_linalg as g\n",
+            "s = np.linalg._umath_linalg.svd(a)\n",
+            "f = getattr(_umath_linalg, 'eigh_lo')\n",
+        ):
+            assert _factorization_calls(source), source
 
     def test_only_linalg_factorizes(self):
         src = pathlib.Path(__file__).resolve().parents[1] / "src" / "wstargeo"
