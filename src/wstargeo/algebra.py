@@ -9,15 +9,20 @@ conditional expectations, modular flow, coadjoint action) works on densities.
 A functional owns a read-only copy of its density and keeps, per
 :class:`~wstargeo.linalg.ToleranceProfile`, what it has once computed from
 it: the polar decomposition (:func:`functional_polar`), the one
-eigendecomposition of its density (:func:`density_spectrum`), and the
-blockwise eigenvalue clusters behind the centralizer, the stabilizer and the
-pinching; and, per observable, the differential that
+eigendecomposition of its density, and what is read off that; and, per
+observable, the differential that
 :meth:`~wstargeo.poisson.Observable.differential_at` takes at it.  Every
 kept array is read-only, and each is exactly what the first call computed,
 so a second call returns the same bits with no decomposition.
 
-:func:`density_spectrum` is the one place positivity is decided, and the
-modular data of a functional are read from it: the support, the modular flow
+The one eigendecomposition is blockwise: one
+:func:`~wstargeo.linalg.hermitian_eig` per block of the Hermitian part of the
+density (:func:`_block_spectra`), where positivity is decided.  Everything
+spectral about a functional reads it: the orbit invariant
+(:func:`orbit_invariant`), orbit equivalence and its unitary witness, the
+eigenvalue clusters behind the centralizer, the stabilizer and the pinching,
+and the ambient spectrum (:func:`density_spectrum`), assembled from the
+blocks.  The modular data are read from that: the support, the modular flow
 (:func:`modular_flow`), and in :mod:`wstargeo.standard` the canonical vector
 ``d^{1/2}``, the modular operator and Tomita's ``S``.  Membership in the
 block algebra is one pass over the realified entries.
@@ -47,13 +52,14 @@ from .linalg import (
     frobenius,
     herm,
     hermitian_eig,
-    hermitian_eigvals,
     is_projection,
     left_support,
     polar_decompose,
-    positive_spectrum,
     projection_rank,
+    require_nonnegative,
+    retained_rank,
     right_support,
+    singular_values,
 )
 
 #: Absolute tolerance on eigenvalue differences when two blockwise spectra
@@ -203,12 +209,12 @@ class NormalFunctional:
     density matrix ``d``.
 
     The functional keeps its own read-only copy of the density, so what is
-    read off it cannot go stale: its polar decomposition, its spectrum and
-    its eigenvalue clusters are each computed once per
-    :class:`ToleranceProfile`, on first use, and kept on the instance as
-    read-only arrays.  So is the differential of each
-    :class:`~wstargeo.poisson.Observable` taken at it, once per observable
-    and profile, as a read-only view."""
+    read off it cannot go stale: its polar decomposition, its block spectra
+    and what is read off them (the ambient spectrum, the eigenvalue
+    clusters) are each computed once per :class:`ToleranceProfile`, on
+    first use, and kept on the instance as read-only arrays.  So is the
+    differential of each :class:`~wstargeo.poisson.Observable` taken at it,
+    once per observable and profile, as a read-only view."""
 
     algebra: BlockAlgebra
     density: np.ndarray
@@ -248,8 +254,8 @@ def require_positive(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> NormalFunctional:
     """``phi`` itself when it is positive; raises :class:`NotPositive`
-    otherwise, as :func:`density_spectrum` decides."""
-    density_spectrum(phi, tol)
+    otherwise, as :func:`_block_spectra` decides."""
+    _block_spectra(phi, tol)
     return phi
 
 
@@ -284,22 +290,52 @@ def functional_support(
     )
 
 
-def density_spectrum(
-    phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
-) -> PositiveSpectrum:
-    """The one eigendecomposition of a positive functional: that of the
-    Hermitian part of its density, kept on ``phi`` per profile with
-    read-only arrays.  Its positivity rule is :func:`positive_spectrum`'s;
-    a non-Hermitian or non-positive density raises :class:`NotPositive`."""
+def _block_spectra(
+    phi: NormalFunctional, tol: ToleranceProfile
+) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], float]:
+    """The one eigendecomposition of a positive functional, and the one place
+    its positivity is decided: ``(w, v)`` from :func:`hermitian_eig` for each
+    block of the Hermitian part of its density, and the rank cutoff
+    ``rank_rel_tol * max(w, 0)``.  Kept on ``phi`` per profile, read-only.
+    A non-Hermitian density, or one that fails
+    :func:`~wstargeo.linalg.require_nonnegative`, raises
+    :class:`NotPositive`."""
 
     def compute():
         d = phi.density
         if frobenius(d - d.conj().T) > tol.residual_tol * (1.0 + frobenius(d)):
             raise NotPositive("functional is not positive")
-        spectrum = positive_spectrum(herm(d), tol)
-        _readonly(spectrum.values)
-        _readonly(spectrum.vectors)
-        return spectrum
+        blocks = tuple(
+            (_readonly(w), _readonly(v))
+            for w, v in map(hermitian_eig, phi.algebra.block_views(herm(d)))
+        )
+        w_max = max(float(w[0]) for w, _ in blocks)
+        require_nonnegative(w_max, min(float(w[-1]) for w, _ in blocks), tol)
+        return blocks, tol.rank_rel_tol * max(w_max, 0.0)
+
+    return phi._memoized("blocks", tol, compute)
+
+
+def density_spectrum(
+    phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
+) -> PositiveSpectrum:
+    """The ambient spectrum of a positive functional, assembled from its kept
+    block spectra (:func:`_block_spectra`) with no decomposition of its own:
+    the values merged in descending order and clipped at zero, each block's
+    eigenvectors embedded in that order, the rank by
+    :func:`~wstargeo.linalg.retained_rank`.  Kept on ``phi`` per profile
+    with read-only arrays; raises :class:`NotPositive` as the block spectra
+    do."""
+
+    def compute():
+        blocks, _ = _block_spectra(phi, tol)
+        w = np.concatenate([w for w, _ in blocks])
+        order = np.argsort(-w, kind="stable")
+        values = np.clip(w[order], 0.0, None)
+        vectors = phi.algebra.embed_blocks([v for _, v in blocks])[:, order]
+        return PositiveSpectrum(
+            _readonly(values), _readonly(vectors), retained_rank(values, tol)
+        )
 
     return phi._memoized("spectrum", tol, compute)
 
@@ -364,12 +400,13 @@ def unitary_equivalent(
     q: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> bool:
-    """Unitary equivalence of projections: equal blockwise spectra."""
+    """Unitary equivalence of projections: equal blockwise spectra.  A
+    projection is positive, so its spectrum is its singular values."""
     require_projection(p, tol)
     require_projection(q, tol)
     for bp, bq in zip(algebra.block_views(p), algebra.block_views(q)):
-        wp = hermitian_eigvals(bp)
-        wq = hermitian_eigvals(bq)
+        wp = singular_values(bp)
+        wq = singular_values(bq)
         if float(np.max(np.abs(wp - wq))) > SPECTRAL_ATOL:
             return False
     return True
@@ -379,11 +416,10 @@ def orbit_invariant(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> tuple[tuple[float, ...], ...]:
     """Unitary-orbit invariant of a positive functional: the strictly positive
-    part of the density's spectrum, blockwise, in descending order.
-    Positivity and the rank cutoff are read from :func:`density_spectrum`."""
-    cutoff = tol.rank_rel_tol * float(density_spectrum(phi, tol).values[0])
-    blocks = [hermitian_eigvals(b) for b in phi.algebra.block_views(herm(phi.density))]
-    return tuple(tuple(float(x) for x in w if x > cutoff) for w in blocks)
+    part of the density's spectrum, blockwise, in descending order, read
+    with the rank cutoff off the kept block spectra (:func:`_block_spectra`)."""
+    blocks, cutoff = _block_spectra(phi, tol)
+    return tuple(tuple(float(x) for x in w if x > cutoff) for w, _ in blocks)
 
 
 def orbit_equivalent(
@@ -391,19 +427,14 @@ def orbit_equivalent(
     phi2: NormalFunctional,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> bool:
-    """Whether two positive functionals lie on the same unitary orbit:
-    blockwise spectra agree within :data:`SPECTRAL_ATOL`."""
-    require_positive(phi1, tol)
-    require_positive(phi2, tol)
-    for b1, b2 in zip(
-        phi1.algebra.block_views(herm(phi1.density)),
-        phi2.algebra.block_views(herm(phi2.density)),
-    ):
-        w1 = hermitian_eigvals(b1)
-        w2 = hermitian_eigvals(b2)
-        if float(np.max(np.abs(w1 - w2))) > SPECTRAL_ATOL:
-            return False
-    return True
+    """Whether two positive functionals lie on the same unitary orbit: their
+    kept block spectra agree within :data:`SPECTRAL_ATOL`."""
+    blocks1, _ = _block_spectra(phi1, tol)
+    blocks2, _ = _block_spectra(phi2, tol)
+    return all(
+        float(np.max(np.abs(w1 - w2))) <= SPECTRAL_ATOL
+        for (w1, _), (w2, _) in zip(blocks1, blocks2)
+    )
 
 
 def unitary_witness(
@@ -411,32 +442,37 @@ def unitary_witness(
     phi2: NormalFunctional,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> np.ndarray:
-    """A unitary ``v`` with ``v d1 v* = d2``, built blockwise from eigenbases
-    (requires orbit equivalence)."""
+    """A unitary ``v`` with ``v d1 v* = d2``, built blockwise from the kept
+    eigenbases (requires orbit equivalence)."""
     if not orbit_equivalent(phi1, phi2, tol):
         raise InvalidArrow("functionals lie on different unitary orbits")
-    algebra = phi1.algebra
-    out = []
-    for b1, b2 in zip(
-        algebra.block_views(herm(phi1.density)),
-        algebra.block_views(herm(phi2.density)),
-    ):
-        _, v1 = hermitian_eig(b1)
-        _, v2 = hermitian_eig(b2)
-        out.append(v2 @ v1.conj().T)
-    return algebra.embed_blocks(out)
+    blocks1, _ = _block_spectra(phi1, tol)
+    blocks2, _ = _block_spectra(phi2, tol)
+    return phi1.algebra.embed_blocks(
+        [v2 @ v1.conj().T for (_, v1), (_, v2) in zip(blocks1, blocks2)]
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilizerData:
-    """Real basis of the stabilizer Lie algebra of a positive functional:
-    anti-Hermitian corner elements commuting with the density."""
+    """The stabilizer Lie algebra of a positive functional: the anti-Hermitian
+    corner elements commuting with its density, one full anti-Hermitian
+    corner per strictly positive eigenvalue cluster.  ``corners`` holds each
+    cluster's block slice and eigenvector columns, read off the kept block
+    spectra; the dimension is the sum of the squared multiplicities, with no
+    basis built, and the real basis is built on its first read."""
 
-    basis: tuple[np.ndarray, ...]
+    algebra: BlockAlgebra
+    corners: tuple[tuple[slice, np.ndarray], ...]
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return sum(cols.shape[1] ** 2 for _, cols in self.corners)
+
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, ...]:
+        parts = ((s, antihermitian_units(cols)) for s, cols in self.corners)
+        return tuple(self.algebra.embed_stacks(parts))
 
 
 def matrix_units(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -466,18 +502,17 @@ def _spectral_clusters(
     phi: NormalFunctional, tol: ToleranceProfile
 ) -> tuple[tuple[slice, np.ndarray, bool], ...]:
     """Per eigenvalue cluster of the density of a positive functional, block
-    by block: the block's slice, the cluster's eigenvectors as read-only
-    columns, and whether its eigenvalue lies above the global rank cutoff.
-    Kept on ``phi`` per profile.  Raises :class:`NotPositive` when the
-    functional is not positive."""
+    by block, read off the kept block spectra: the block's slice, the
+    cluster's eigenvectors as read-only columns, and whether its eigenvalue
+    lies above the global rank cutoff.  Kept on ``phi`` per profile.  Raises
+    :class:`NotPositive` when the functional is not positive and
+    :class:`~wstargeo.errors.AmbiguousCluster` when a gap sits in the
+    clustering guard band."""
 
     def compute():
-        cutoff = tol.rank_rel_tol * float(density_spectrum(phi, tol).values[0])
-        algebra = phi.algebra
+        blocks, cutoff = _block_spectra(phi, tol)
         out = []
-        for s, b in zip(algebra.slices, algebra.block_views(herm(phi.density))):
-            w, v = hermitian_eig(b)
-            _readonly(v)
+        for s, (w, v) in zip(phi.algebra.slices, blocks):
             for cluster in eigen_clusters(w, tol.rank_rel_tol):
                 out.append((s, v[:, cluster[0] : cluster[-1] + 1], w[cluster[0]] > cutoff))
         return tuple(out)
@@ -510,10 +545,9 @@ def centralizer_basis(
 def stabilizer_lie_algebra(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> StabilizerData:
-    """Real basis of the anti-Hermitian corner elements commuting with the
-    density: i-Hermitian combinations within each positive eigenvalue cluster."""
-    parts = ((s, antihermitian_units(cols)) for s, cols in _positive_clusters(phi, tol))
-    return StabilizerData(tuple(phi.algebra.embed_stacks(parts)))
+    """The anti-Hermitian corner elements commuting with the density:
+    i-Hermitian combinations within each positive eigenvalue cluster."""
+    return StabilizerData(phi.algebra, tuple(_positive_clusters(phi, tol)))
 
 
 def pinching_projections(

@@ -241,13 +241,15 @@ def cmd_orbit(args: argparse.Namespace) -> int:
             )
     d = _pick_matrix(matrices, args.name, args.file)
     phi = NormalFunctional(algebra, d)
-    # The support rank of a block is the number of its positive eigenvalues.
+    # Both read the functional's one blockwise decomposition, and both are
+    # decided before anything is printed.  The support rank of a block is
+    # the number of its positive eigenvalues.
     spectra = orbit_invariant(phi, DEFAULT_TOL)
+    dimension = stabilizer_lie_algebra(phi, DEFAULT_TOL).dimension
     for i, (n, spec_i) in enumerate(zip(algebra.blocks, spectra)):
         vals = ", ".join(f"{v:.6e}" for v in spec_i)
         print(f"block {i} ({n}x{n}): spectrum [{vals}] support rank {len(spec_i)}")
-    stab = stabilizer_lie_algebra(phi, DEFAULT_TOL)
-    print(f"stabilizer dimension: {stab.dimension}")
+    print(f"stabilizer dimension: {dimension}")
     return 0
 
 

@@ -29,6 +29,12 @@ class NotPartiallyInvertible(DomainError):
     ambiguous."""
 
 
+class AmbiguousCluster(DomainError):
+    """A gap between consecutive eigenvalues sits inside the guard band around
+    the clustering threshold, so the eigenvalue clusters (and hence the
+    stabilizer dimension) are ambiguous."""
+
+
 class NotComposable(DomainError):
     """The two arrows do not satisfy the source/target matching condition of
     the groupoid product."""

@@ -7,6 +7,8 @@ quantities.  Operations whose output is discontinuous across a rank change
 (the partial inverse and negative restricted powers) refuse inputs whose
 smallest retained singular value sits within a factor ``GUARD_FACTOR`` of
 the cutoff, so downstream geometry never sees an ambiguous support.
+Eigenvalue clustering (:func:`eigen_clusters`) refuses a gap within the same
+factor of its threshold, so no stabilizer dimension depends on noise.
 
 This is the only module that factorizes a matrix.  It calls the LAPACK
 drivers through the gufuncs that ``numpy.linalg`` itself dispatches to
@@ -42,6 +44,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import (
+    AmbiguousCluster,
     NoConvergence,
     NotHermitian,
     NotPartiallyInvertible,
@@ -365,6 +368,14 @@ class PositiveSpectrum:
         return (self.vectors * vals) @ self.vectors.conj().T
 
 
+def require_nonnegative(w_max: float, w_min: float, tol: ToleranceProfile) -> None:
+    """The positivity rule for a Hermitian spectrum with largest eigenvalue
+    ``w_max`` and smallest ``w_min``: raises :class:`NotPositive` when
+    ``w_min < -residual_tol * max(1, w_max)``."""
+    if w_min < -tol.residual_tol * max(1.0, w_max):
+        raise NotPositive(f"matrix has a negative eigenvalue ({w_min:.3e})")
+
+
 def positive_spectrum(
     h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: bool = False
 ) -> PositiveSpectrum:
@@ -375,8 +386,8 @@ def positive_spectrum(
     refuses an ambiguous rank, as negative powers need.
     """
     w, v = hermitian_eig(check_hermitian(h, tol))
-    if w.size and w[-1] < -tol.residual_tol * max(1.0, float(w[0])):
-        raise NotPositive(f"matrix has a negative eigenvalue ({float(w[-1]):.3e})")
+    if w.size:
+        require_nonnegative(float(w[0]), float(w[-1]), tol)
     w = np.clip(w, 0.0, None)
     return PositiveSpectrum(w, v, retained_rank(w, tol, guard=guard))
 
@@ -427,7 +438,10 @@ def eigen_clusters(w: np.ndarray, rel_gap: float) -> list[list[int]]:
     """Group indices of a descending eigenvalue sequence into clusters.
 
     A new cluster starts wherever the gap between consecutive eigenvalues
-    exceeds ``rel_gap * max(|w|)``.  A zero sequence forms one cluster.
+    exceeds ``threshold = rel_gap * max(|w|)``.  A zero sequence forms one
+    cluster.  A gap within a factor ``GUARD_FACTOR`` of the threshold, on
+    either side, is refused (:class:`AmbiguousCluster`): whether it splits
+    a cluster would depend on noise.
     """
     w = np.asarray(w, dtype=float)
     if w.size == 0:
@@ -435,9 +449,16 @@ def eigen_clusters(w: np.ndarray, rel_gap: float) -> list[list[int]]:
     scale = float(np.max(np.abs(w)))
     if scale == 0.0:
         return [list(range(w.size))]
+    threshold = rel_gap * scale
     clusters: list[list[int]] = [[0]]
     for i in range(1, w.size):
-        if w[i - 1] - w[i] > rel_gap * scale:
+        gap = w[i - 1] - w[i]
+        if threshold / GUARD_FACTOR <= gap <= GUARD_FACTOR * threshold:
+            raise AmbiguousCluster(
+                f"eigenvalue gap {gap:.3e} is within a factor {GUARD_FACTOR:g} "
+                f"of the clustering threshold {threshold:.3e}"
+            )
+        if gap > threshold:
             clusters.append([i])
         else:
             clusters[-1].append(i)

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import BlockAlgebra, NormalFunctional
-from .errors import NotInDomain, NotInOverlap, NotPartiallyInvertible
+from .errors import AmbiguousCluster, NotInDomain, NotInOverlap, NotPartiallyInvertible
 from .linalg import (
     antiherm,
     herm,
@@ -334,13 +334,13 @@ def projection_chain(
 
 #: Refusals that mean "this random draw hit a measure-zero degenerate
 #: configuration; redraw" rather than "the identity failed".
-_REDRAW = (NotPartiallyInvertible, NotInDomain, NotInOverlap)
+_REDRAW = (NotPartiallyInvertible, AmbiguousCluster, NotInDomain, NotInOverlap)
 
 
 def sample_with_retry(draw, max_tries: int = 64):
     """Call ``draw`` until it returns, redrawing on degenerate-configuration
-    refusals (guard band, chart-domain misses); the draw closure consumes
-    fresh randomness each attempt."""
+    refusals (rank and cluster guard bands, chart-domain misses); the draw
+    closure consumes fresh randomness each attempt."""
     for _ in range(max_tries):
         try:
             return draw()

@@ -779,10 +779,11 @@ def _row_flow_conditional_expectation(ctx: RowCtx, rng):
 
 
 def _dimension_defects(phi: NormalFunctional, expected: int, prof) -> tuple:
-    """Centralizer and stabilizer dimensions of ``phi`` minus ``expected``."""
+    """Centralizer and stabilizer dimensions of ``phi`` minus ``expected``,
+    each counted as the length of its basis."""
     return (
         float(abs(len(centralizer_basis(phi, prof)) - expected)),
-        float(abs(stabilizer_lie_algebra(phi, prof).dimension - expected)),
+        float(abs(len(stabilizer_lie_algebra(phi, prof).basis) - expected)),
     )
 
 

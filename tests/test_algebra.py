@@ -23,7 +23,13 @@ from wstargeo.algebra import (
     unitary_equivalent,
     unitary_witness,
 )
-from wstargeo.errors import AlgebraMismatch, InvalidArrow, NotFaithful, NotPositive
+from wstargeo.errors import (
+    AlgebraMismatch,
+    AmbiguousCluster,
+    InvalidArrow,
+    NotFaithful,
+    NotPositive,
+)
 from wstargeo.linalg import DEFAULT_TOL, frobenius
 from wstargeo import linalg, sampling
 
@@ -133,7 +139,8 @@ class TestFunctionalPolar:
             assert frobenius(h @ l_supp - h) <= 1e-10
 
     def test_support_takes_one_decomposition(self, monkeypatch):
-        # The positivity check and the support read the same spectrum.
+        # The positivity check and the support read the same block spectra:
+        # one decomposition with vectors per block, none of the whole density.
         rng = _rng(3)
         q = sampling.random_projection(M23, rng, allow_zero=False)
         phi = sampling.random_density(M23, rng, support=q)
@@ -141,12 +148,12 @@ class TestFunctionalPolar:
         real = linalg._heevd
 
         def spy(h, compute_v):
-            calls.append(compute_v)
+            calls.append((h.shape, compute_v))
             return real(h, compute_v)
 
         monkeypatch.setattr(linalg, "_heevd", spy)
         p = functional_support(phi, DEFAULT_TOL)
-        assert calls == [1]
+        assert calls == [((n, n), 1) for n in M23.blocks]
         assert frobenius(p - q) <= 1e-10
 
 
@@ -172,6 +179,18 @@ class TestDimensionOracles:
         for alg, d, dim in cases:
             phi = NormalFunctional(alg, d.astype(complex))
             assert stabilizer_lie_algebra(phi, DEFAULT_TOL).dimension == dim
+
+    @pytest.mark.parametrize("gap, dim", [(1e-7, 2), (1e-12, 4), (1e-9, None)])
+    def test_stabilizer_guard_band(self, gap, dim):
+        # diag(1 + gap, 1): two clusters well above the clustering threshold
+        # (1e-9 relative), one well below it, and refused near it.
+        phi = NormalFunctional(M2, np.diag([1.0 + gap, 1.0]).astype(complex))
+        if dim is None:
+            with pytest.raises(AmbiguousCluster):
+                stabilizer_lie_algebra(phi, DEFAULT_TOL)
+        else:
+            stab = stabilizer_lie_algebra(phi, DEFAULT_TOL)
+            assert stab.dimension == len(stab.basis) == dim
 
     def test_stabilizer_basis_properties(self):
         phi = NormalFunctional(M3, np.diag([1.0, 1.0, 2.0]).astype(complex) / 4.0)

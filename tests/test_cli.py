@@ -310,6 +310,25 @@ class TestOrbit:
             "stabilizer dimension: 5",  # 2^2 + 1^2
         ]
 
+    def test_zero_density(self, tmp_path, capsys):
+        f = write_algebra(tmp_path / "d.json", [2, 3], {"d": np.zeros((5, 5), dtype=complex)})
+        assert main(["orbit", f]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "block 0 (2x2): spectrum [] support rank 0",
+            "block 1 (3x3): spectrum [] support rank 0",
+            "stabilizer dimension: 0",
+        ]
+
+    def test_ambiguous_cluster(self, tmp_path, capsys):
+        # A gap of 1e-9 sits at the clustering threshold: refused, with
+        # nothing printed.
+        d = np.diag([1.0 + 1e-9, 1.0]).astype(complex)
+        f = write_algebra(tmp_path / "d.json", [2], {"d": d})
+        assert main(["orbit", f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "domain error" in captured.err
+
     def test_off_block_density(self, tmp_path, capsys):
         d = np.zeros((5, 5), dtype=complex)
         d[0, 3] = d[3, 0] = 1.0  # couples the two blocks

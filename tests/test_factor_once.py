@@ -9,12 +9,13 @@ test).  ``BlockAlgebra.contains`` is checked against the rule of two
 Frobenius norms.
 """
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from wstargeo import linalg, sampling
+from wstargeo import cli, linalg, sampling
 from wstargeo.algebra import (
     BlockAlgebra,
     NormalFunctional,
@@ -101,14 +102,15 @@ class TestCounts:
         assert lapack_calls["gesdd"] <= 10
 
     def test_psi_intertwining(self, lapack_calls):
-        # 9 with one support of rho0 per gauge_iso_Psi and pi0.
+        # 18 with one support of rho0 per gauge_iso_Psi and pi0, each
+        # decomposing both blocks; two functionals, one call per block each.
         rng = sampling.rng_for(2026, 1)
         fs = sampling.frame_chain(M23, rng, 3, allow_zero=False)
         rho0 = sampling.density_on(rng, fs[0])
         u, v, w = (sampling.isometry_between(rng, fs[0], f) for f in fs[1:])
         lapack_calls.update(gesdd=0, heevd=0)
         assert psi_intertwining_residual(u, v, w, rho0, DEFAULT_TOL) <= 1e-10
-        assert lapack_calls["heevd"] <= 2
+        assert lapack_calls["heevd"] <= 2 * len(M23.blocks)
 
     def test_stabilizer_and_centralizer(self, lapack_calls):
         # 6 if each takes the positivity spectrum and the block spectra.
@@ -134,13 +136,38 @@ class TestCounts:
         assert frobenius((p @ q) @ x - p) <= 1e-10
 
     def test_orbit_invariant_reads_block_spectra(self, lapack_calls):
-        # 4 if the whole density is decomposed again for the positivity
-        # check; that check reads the kept decomposition.
+        # 3 if the whole density is decomposed for the positivity check and
+        # each block again for the invariant; 4 if the invariant decomposes
+        # its blocks afresh.  Both read the one kept call per block.
         phi = _functional(1)
-        require_positive(phi, DEFAULT_TOL)
         lapack_calls.update(gesdd=0, heevd=0)
+        require_positive(phi, DEFAULT_TOL)
         orbit_invariant(phi, DEFAULT_TOL)
         assert lapack_calls["heevd"] == len(M23.blocks)
+
+
+class TestOrbitCommand:
+    @pytest.mark.parametrize("blocks", [(4, 4, 4, 4), (12,), (2, 3)])
+    def test_one_decomposition_per_block(self, blocks, tmp_path, monkeypatch, capsys):
+        # 9, 3 and 5 with one decomposition of the whole density, a
+        # value-only pass per block for the invariant and one more pass per
+        # block for the stabilizer's clusters.
+        algebra = BlockAlgebra(blocks)
+        d = sampling.random_density(algebra, sampling.rng_for(2029, len(blocks))).density
+        entry = {"rows": algebra.dim, "cols": algebra.dim,
+                 "re": d.real.ravel().tolist(), "im": d.imag.ravel().tolist()}
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"blocks": list(blocks), "matrices": {"d": entry}}))
+        calls, real = [], linalg._heevd
+
+        def heevd(h, compute_v):
+            calls.append((h.shape, compute_v))
+            return real(h, compute_v)
+
+        monkeypatch.setattr(linalg, "_heevd", heevd)
+        assert cli.main(["orbit", str(path)]) == 0
+        assert capsys.readouterr().out.count("\n") == len(blocks) + 1
+        assert calls == [((n, n), 1) for n in blocks]
 
 
 class TestKeptValues:
@@ -275,14 +302,16 @@ class TestModularDataFromFunctional:
     the flow -- and every positivity check read one kept decomposition."""
 
     def test_one_decomposition(self, monkeypatch):
-        # No value-only spectrum for the positivity checks, and no second
-        # decomposition for d^{1/2}, S, Delta or the flow.
+        # One decomposition with vectors per block of the density, none of
+        # the whole density: no value-only spectrum for the positivity
+        # checks, and no second decomposition for d^{1/2}, S, Delta, the
+        # flow or the orbit invariant.
         phi = sampling.faithful_density(M23, sampling.rng_for(2028))
+        blocks = M23.block_views(herm(phi.density))
         calls, real = [], linalg._heevd
 
         def heevd(h, compute_v):
-            if h.shape == (M23.dim, M23.dim):
-                calls.append((np.array_equal(h, herm(phi.density)), compute_v))
+            calls.append(([np.array_equal(h, b) for b in blocks].index(True), compute_v))
             return real(h, compute_v)
 
         monkeypatch.setattr(linalg, "_heevd", heevd)
@@ -295,7 +324,7 @@ class TestModularDataFromFunctional:
         for t in (0.3, -1.7):
             modular_flow(phi, t, DEFAULT_TOL)(g)
         orbit_invariant(phi, DEFAULT_TOL)
-        assert calls == [(True, 1)]
+        assert calls == [(0, 1), (1, 1)]
 
     @pytest.mark.parametrize(
         "name",

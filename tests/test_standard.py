@@ -404,19 +404,23 @@ class TestModularFlow:
 
 class TestOneSpectrum:
     """Tomita's S, Delta and the modular flow read the density's one kept
-    decomposition; the positivity checks and d^{1/2} are checked against the
-    same decomposition in ``test_factor_once.py``."""
+    decomposition, one per block; the positivity checks and d^{1/2} are
+    checked against the same decomposition in ``test_factor_once.py``."""
 
     @staticmethod
     def _count_eig(monkeypatch, phi):
+        """Per LAPACK eigendecomposition, the index of the block of the
+        density it decomposes, or None."""
         calls = []
-        real = linalg.hermitian_eig
+        blocks = M23.block_views(linalg.herm(phi.density))
+        real = linalg._heevd
 
-        def spy(h):
-            calls.append(np.array_equal(h, linalg.herm(phi.density)))
-            return real(h)
+        def spy(h, compute_v):
+            same = [h.shape == b.shape and np.array_equal(h, b) for b in blocks]
+            calls.append(same.index(True) if any(same) else None)
+            return real(h, compute_v)
 
-        monkeypatch.setattr(linalg, "hermitian_eig", spy)
+        monkeypatch.setattr(linalg, "_heevd", spy)
         return calls
 
     def test_modular_operations_share_one_decomposition(self, monkeypatch):
@@ -427,10 +431,10 @@ class TestOneSpectrum:
         modular_Delta(phi, g, 0.5, DEFAULT_TOL)
         for t in (0.0, 0.3, -1.7):
             modular_flow(phi, t, DEFAULT_TOL)(g)
-        assert calls == [True]
+        assert calls == [0, 1]
 
     def test_flow_residuals_decompose_the_density_once(self, monkeypatch):
         phi = faithful_density(M23, rng_for(41))
         calls = self._count_eig(monkeypatch, phi)
         flow_residuals(phi, 0.3, rng_for(41, 1), DEFAULT_TOL)
-        assert calls.count(True) == 1
+        assert [c for c in calls if c is not None] == [0, 1]

@@ -253,10 +253,11 @@ class TestPlantedFaults:
 
         def stabilizer_lie_algebra(phi, tol=DEFAULT_TOL):
             # An anti-Hermitian support-corner direction that does not
-            # commute with the density.
+            # commute with the density, counted in the dimension too.
             p0 = algebra.functional_support(phi, tol)
             x = sampling.corner_antihermitian(phi.algebra, np.random.default_rng(0), p0)
-            return algebra.StabilizerData(real(phi, tol).basis + (x,))
+            stab = real(phi, tol)
+            return types.SimpleNamespace(basis=stab.basis + (x,), dimension=stab.dimension + 1)
 
         for module in (poisson, suites):
             monkeypatch.setattr(module, "stabilizer_lie_algebra", stabilizer_lie_algebra)
