@@ -17,15 +17,18 @@ so a second call returns the same bits with no decomposition.
 
 The one eigendecomposition is blockwise: one
 :func:`~wstargeo.linalg.hermitian_eig` per block of the Hermitian part of the
-density (:func:`_block_spectra`), where positivity is decided.  Everything
-spectral about a functional reads it: the orbit invariant
+density, kept as a :class:`~wstargeo.linalg.PositiveSpectrum`
+(:func:`density_spectrum`), the same blockwise type that serves single
+matrices, with one rank cutoff for all blocks.  Positivity is decided there.
+Everything spectral about a functional reads its blocks, and nothing
+assembles an ambient eigenbasis: the orbit invariant
 (:func:`orbit_invariant`), orbit equivalence and its unitary witness, the
 eigenvalue clusters behind the centralizer, the stabilizer and the pinching,
-and the ambient spectrum (:func:`density_spectrum`), assembled from the
-blocks.  The modular data are read from that: the support, the modular flow
-(:func:`modular_flow`), and in :mod:`wstargeo.standard` the canonical vector
-``d^{1/2}``, the modular operator and Tomita's ``S``.  Membership in the
-block algebra is one pass over the realified entries.
+the support, the modular flow (:func:`modular_flow`), and in
+:mod:`wstargeo.standard` the canonical vector ``d^{1/2}``, the modular
+operator and Tomita's ``S``.  Every negative power is guarded near the
+cutoff, as for a matrix.  Membership in the block algebra is one pass over
+the realified entries.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -56,8 +59,6 @@ from .linalg import (
     left_support,
     polar_decompose,
     projection_rank,
-    require_nonnegative,
-    retained_rank,
     right_support,
     singular_values,
 )
@@ -209,8 +210,8 @@ class NormalFunctional:
     density matrix ``d``.
 
     The functional keeps its own read-only copy of the density, so what is
-    read off it cannot go stale: its polar decomposition, its block spectra
-    and what is read off them (the ambient spectrum, the eigenvalue
+    read off it cannot go stale: its polar decomposition, its blockwise
+    spectrum and what is read off it (the support, the eigenvalue
     clusters) are each computed once per :class:`ToleranceProfile`, on
     first use, and kept on the instance as read-only arrays.  So is the
     differential of each :class:`~wstargeo.poisson.Observable` taken at it,
@@ -254,8 +255,8 @@ def require_positive(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> NormalFunctional:
     """``phi`` itself when it is positive; raises :class:`NotPositive`
-    otherwise, as :func:`_block_spectra` decides."""
-    _block_spectra(phi, tol)
+    otherwise, as :func:`density_spectrum` decides."""
+    density_spectrum(phi, tol)
     return phi
 
 
@@ -290,52 +291,23 @@ def functional_support(
     )
 
 
-def _block_spectra(
-    phi: NormalFunctional, tol: ToleranceProfile
-) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], float]:
+def density_spectrum(
+    phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
+) -> PositiveSpectrum:
     """The one eigendecomposition of a positive functional, and the one place
-    its positivity is decided: ``(w, v)`` from :func:`hermitian_eig` for each
-    block of the Hermitian part of its density, and the rank cutoff
-    ``rank_rel_tol * max(w, 0)``.  Kept on ``phi`` per profile, read-only.
-    A non-Hermitian density, or one that fails
-    :func:`~wstargeo.linalg.require_nonnegative`, raises
-    :class:`NotPositive`."""
+    its positivity is decided: a :class:`~wstargeo.linalg.PositiveSpectrum`
+    with ``(slice, w, v)`` from :func:`hermitian_eig` for each block of the
+    Hermitian part of its density, and the one rank cutoff over all blocks.
+    Kept on ``phi`` per profile, read-only.  A non-Hermitian density, or one
+    with a negative eigenvalue beyond tolerance, raises :class:`NotPositive`."""
 
     def compute():
         d = phi.density
         if frobenius(d - d.conj().T) > tol.residual_tol * (1.0 + frobenius(d)):
             raise NotPositive("functional is not positive")
-        blocks = tuple(
-            (_readonly(w), _readonly(v))
-            for w, v in map(hermitian_eig, phi.algebra.block_views(herm(d)))
-        )
-        w_max = max(float(w[0]) for w, _ in blocks)
-        require_nonnegative(w_max, min(float(w[-1]) for w, _ in blocks), tol)
-        return blocks, tol.rank_rel_tol * max(w_max, 0.0)
-
-    return phi._memoized("blocks", tol, compute)
-
-
-def density_spectrum(
-    phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
-) -> PositiveSpectrum:
-    """The ambient spectrum of a positive functional, assembled from its kept
-    block spectra (:func:`_block_spectra`) with no decomposition of its own:
-    the values merged in descending order and clipped at zero, each block's
-    eigenvectors embedded in that order, the rank by
-    :func:`~wstargeo.linalg.retained_rank`.  Kept on ``phi`` per profile
-    with read-only arrays; raises :class:`NotPositive` as the block spectra
-    do."""
-
-    def compute():
-        blocks, _ = _block_spectra(phi, tol)
-        w = np.concatenate([w for w, _ in blocks])
-        order = np.argsort(-w, kind="stable")
-        values = np.clip(w[order], 0.0, None)
-        vectors = phi.algebra.embed_blocks([v for _, v in blocks])[:, order]
-        return PositiveSpectrum(
-            _readonly(values), _readonly(vectors), retained_rank(values, tol)
-        )
+        eigs = map(hermitian_eig, phi.algebra.block_views(herm(d)))
+        blocks = [(s, _readonly(w), _readonly(v)) for s, (w, v) in zip(phi.algebra.slices, eigs)]
+        return PositiveSpectrum.from_blocks(blocks, tol)
 
     return phi._memoized("spectrum", tol, compute)
 
@@ -416,10 +388,12 @@ def orbit_invariant(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> tuple[tuple[float, ...], ...]:
     """Unitary-orbit invariant of a positive functional: the strictly positive
-    part of the density's spectrum, blockwise, in descending order, read
-    with the rank cutoff off the kept block spectra (:func:`_block_spectra`)."""
-    blocks, cutoff = _block_spectra(phi, tol)
-    return tuple(tuple(float(x) for x in w if x > cutoff) for w, _ in blocks)
+    part of the density's spectrum, blockwise, in descending order: each
+    block's retained values in :func:`density_spectrum`."""
+    spectrum = density_spectrum(phi, tol)
+    return tuple(
+        tuple(float(x) for x in w[:r]) for (_, w, _), r in zip(spectrum.blocks, spectrum.ranks)
+    )
 
 
 def orbit_equivalent(
@@ -428,13 +402,10 @@ def orbit_equivalent(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> bool:
     """Whether two positive functionals lie on the same unitary orbit: their
-    kept block spectra agree within :data:`SPECTRAL_ATOL`."""
-    blocks1, _ = _block_spectra(phi1, tol)
-    blocks2, _ = _block_spectra(phi2, tol)
-    return all(
-        float(np.max(np.abs(w1 - w2))) <= SPECTRAL_ATOL
-        for (w1, _), (w2, _) in zip(blocks1, blocks2)
-    )
+    block spectra in :func:`density_spectrum` agree within
+    :data:`SPECTRAL_ATOL`."""
+    pairs = zip(density_spectrum(phi1, tol).blocks, density_spectrum(phi2, tol).blocks)
+    return all(float(np.max(np.abs(w1 - w2))) <= SPECTRAL_ATOL for (_, w1, _), (_, w2, _) in pairs)
 
 
 def unitary_witness(
@@ -446,11 +417,8 @@ def unitary_witness(
     eigenbases (requires orbit equivalence)."""
     if not orbit_equivalent(phi1, phi2, tol):
         raise InvalidArrow("functionals lie on different unitary orbits")
-    blocks1, _ = _block_spectra(phi1, tol)
-    blocks2, _ = _block_spectra(phi2, tol)
-    return phi1.algebra.embed_blocks(
-        [v2 @ v1.conj().T for (_, v1), (_, v2) in zip(blocks1, blocks2)]
-    )
+    pairs = zip(density_spectrum(phi1, tol).blocks, density_spectrum(phi2, tol).blocks)
+    return phi1.algebra.embed_blocks([v2 @ v1.conj().T for (_, _, v1), (_, _, v2) in pairs])
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,30 +470,28 @@ def _spectral_clusters(
     phi: NormalFunctional, tol: ToleranceProfile
 ) -> tuple[tuple[slice, np.ndarray, bool], ...]:
     """Per eigenvalue cluster of the density of a positive functional, block
-    by block, read off the kept block spectra: the block's slice, the
+    by block, read off :func:`density_spectrum`: the block's slice, the
     cluster's eigenvectors as read-only columns, and whether its eigenvalue
-    lies above the global rank cutoff.  Kept on ``phi`` per profile.  Raises
-    :class:`NotPositive` when the functional is not positive and
-    :class:`~wstargeo.errors.AmbiguousCluster` when a gap sits in the
+    lies above the rank cutoff.  Each block's retained values are clustered
+    at that block's scale; its kernel is one cluster, as the centralizer of
+    the density holds the whole kernel corner.  Kept on ``phi`` per profile.
+    Raises :class:`NotPositive` for a functional that is not positive,
+    ``NotPartiallyInvertible`` for a retained value near the cutoff (as a
+    negative power does) and ``AmbiguousCluster`` for a gap in the
     clustering guard band."""
 
     def compute():
-        blocks, cutoff = _block_spectra(phi, tol)
+        spectrum = density_spectrum(phi, tol)
+        spectrum.require_separated()
         out = []
-        for s, (w, v) in zip(phi.algebra.slices, blocks):
-            for cluster in eigen_clusters(w, tol.rank_rel_tol):
-                out.append((s, v[:, cluster[0] : cluster[-1] + 1], w[cluster[0]] > cutoff))
+        for (s, w, v), r in zip(spectrum.blocks, spectrum.ranks):
+            for cluster in eigen_clusters(w[:r], tol.rank_rel_tol):
+                out.append((s, v[:, cluster[0] : cluster[-1] + 1], True))
+            if r < len(w):
+                out.append((s, v[:, r:], False))
         return tuple(out)
 
     return phi._memoized("clusters", tol, compute)
-
-
-def _positive_clusters(
-    phi: NormalFunctional, tol: ToleranceProfile
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """``(slice, eigenvector columns)`` of each strictly positive eigenvalue
-    cluster of the density: the corners of its support."""
-    return ((s, cols) for s, cols, positive in _spectral_clusters(phi, tol) if positive)
 
 
 def centralizer_basis(
@@ -538,7 +504,7 @@ def centralizer_basis(
     full m x m corner, so the complex dimension is the sum of the squared
     multiplicities of the strictly positive clusters.
     """
-    parts = ((s, matrix_units(cols, cols)) for s, cols in _positive_clusters(phi, tol))
+    parts = ((s, matrix_units(c, c)) for s, c, positive in _spectral_clusters(phi, tol) if positive)
     return phi.algebra.embed_stacks(parts)
 
 
@@ -547,7 +513,8 @@ def stabilizer_lie_algebra(
 ) -> StabilizerData:
     """The anti-Hermitian corner elements commuting with the density:
     i-Hermitian combinations within each positive eigenvalue cluster."""
-    return StabilizerData(phi.algebra, tuple(_positive_clusters(phi, tol)))
+    corners = ((s, c) for s, c, positive in _spectral_clusters(phi, tol) if positive)
+    return StabilizerData(phi.algebra, tuple(corners))
 
 
 def pinching_projections(
@@ -577,7 +544,7 @@ def modular_flow(
     :func:`density_spectrum`.  Raises :class:`NotFaithful` for a density
     that is not faithful."""
     spectrum = density_spectrum(phi, tol)
-    if spectrum.rank != phi.algebra.dim:
+    if sum(spectrum.ranks) != phi.algebra.dim:
         raise NotFaithful("density is not faithful; modular flow undefined")
     u = spectrum.imaginary_power(t)
     uh = u.conj().T

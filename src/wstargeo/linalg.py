@@ -4,7 +4,7 @@ Every rank-sensitive operation (supports, polar factors, partial inverses,
 restricted functional calculus) makes its rank decision once per input,
 relative to the largest singular value, and reuses it for all derived
 quantities.  Operations whose output is discontinuous across a rank change
-(the partial inverse and negative restricted powers) refuse inputs whose
+(the partial inverse and every negative power) refuse inputs whose
 smallest retained singular value sits within a factor ``GUARD_FACTOR`` of
 the cutoff, so downstream geometry never sees an ambiguous support.
 Eigenvalue clustering (:func:`eigen_clusters`) refuses a gap within the same
@@ -33,12 +33,14 @@ where they enter: the functional calculus on positive matrices
 :func:`check_hermitian`, and matrices the code builds Hermitian go straight
 to :func:`hermitian_eig`.  A caller that needs several functions of one
 positive matrix builds its :class:`PositiveSpectrum` once and reads them all
-from it.
+from it; the same blockwise type holds a functional's density
+(:func:`~wstargeo.algebra.density_spectrum`), so both refuse the same ranks.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -269,11 +271,8 @@ def retained_rank(
         return 0
     cutoff = tol.rank_rel_tol * s[0]
     rank = int(np.count_nonzero(s > cutoff))
-    if guard and rank > 0 and s[rank - 1] < GUARD_FACTOR * cutoff:
-        raise NotPartiallyInvertible(
-            f"smallest retained singular value {s[rank - 1]:.3e} is within a "
-            f"factor {GUARD_FACTOR:g} of the rank cutoff {cutoff:.3e}"
-        )
+    if guard and rank > 0:
+        _refuse_near_cutoff(float(s[rank - 1]), cutoff)
     return rank
 
 
@@ -333,63 +332,94 @@ def _pinv_from_svd(
     return (vh[:r, :].conj().T / s[:r]) @ w[:, :r].conj().T
 
 
+def _refuse_near_cutoff(smallest: float, cutoff: float) -> None:
+    """Refuses a smallest retained value within the guard band."""
+    if smallest < GUARD_FACTOR * cutoff:
+        raise NotPartiallyInvertible(
+            f"smallest retained singular value {smallest:.3e} is within a "
+            f"factor {GUARD_FACTOR:g} of the rank cutoff {cutoff:.3e}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class PositiveSpectrum:
-    """Eigen-data of a positive semidefinite matrix with its rank decided once.
+    """Eigen-data of a positive semidefinite block-diagonal matrix, block by
+    block, with its rank decided once; a matrix is the one-block case.
 
-    ``values`` are the eigenvalues, descending and clipped at zero; column
-    ``vectors[:, i]`` belongs to ``values[i]``; the first ``rank`` values lie
-    above the rank cutoff.  Every function of the matrix read from here is
-    restricted to that support and maps the kernel to zero, so numerical fuzz
+    ``blocks`` holds ``(slice, w, v)`` per diagonal block, from
+    :func:`hermitian_eig`.  Values at or below the one ``cutoff``,
+    ``rank_rel_tol * max(w_max, 0)`` over all blocks, count as zero; the
+    first ``ranks[k]`` values of block ``k`` are retained.  Every function
+    read from here is written block by block from the block's own
+    eigenpairs, restricted to the support and zero on the kernel, so fuzz
     below the cutoff never reaches a root, an inverse or a logarithm.
     """
 
-    values: np.ndarray
-    vectors: np.ndarray
-    rank: int
+    blocks: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
+    cutoff: float
+    ranks: tuple[int, ...]
+
+    @classmethod
+    def from_blocks(cls, blocks, tol: ToleranceProfile) -> "PositiveSpectrum":
+        """The spectrum of the Hermitian matrix with these block eigenpairs;
+        raises :class:`NotPositive` when its smallest eigenvalue lies below
+        ``-residual_tol * max(1, w_max)``."""
+        w_max = max((float(w[0]) for _, w, _ in blocks if w.size), default=0.0)
+        w_min = min((float(w[-1]) for _, w, _ in blocks if w.size), default=0.0)
+        if w_min < -tol.residual_tol * max(1.0, w_max):
+            raise NotPositive(f"matrix has a negative eigenvalue ({w_min:.3e})")
+        cutoff = tol.rank_rel_tol * max(w_max, 0.0)
+        ranks = tuple(int(np.count_nonzero(w > cutoff)) for _, w, _ in blocks)
+        return cls(tuple(blocks), cutoff, ranks)
+
+    def require_separated(self) -> None:
+        """Refuses (:class:`NotPartiallyInvertible`) a retained value within
+        ``GUARD_FACTOR`` times the cutoff, as :func:`retained_rank` does."""
+        for (_, w, _), r in zip(self.blocks, self.ranks):
+            if r:
+                _refuse_near_cutoff(float(w[r - 1]), self.cutoff)
+
+    def _blockwise(self, block: Callable) -> np.ndarray:
+        """The matrix with ``block(w, v, rank)`` in each diagonal block."""
+        out = np.zeros((self.blocks[-1][0].stop,) * 2, dtype=complex)
+        for (s, w, v), r in zip(self.blocks, self.ranks):
+            out[s, s] = block(w, v, r)
+        return out
+
+    def _function(self, f: Callable, dtype) -> np.ndarray:
+        """``v diag(f(w)) v*`` per block, with the values past the rank zeroed."""
+
+        def block(w, v, r):
+            vals = np.zeros(w.shape, dtype=dtype)
+            vals[:r] = f(w[:r])
+            return (v * vals) @ v.conj().T
+
+        return self._blockwise(block)
 
     @property
     def support(self) -> np.ndarray:
         """Projection onto the eigenvectors above the rank cutoff."""
-        v = self.vectors[:, : self.rank]
-        return v @ v.conj().T
+        return self._blockwise(lambda w, v, r: v[:, :r] @ v[:, :r].conj().T)
 
     def power(self, p: float) -> np.ndarray:
-        """``h ** p`` on the support, zero on the kernel."""
-        vals = np.zeros_like(self.values)
-        vals[: self.rank] = self.values[: self.rank] ** p
-        return (self.vectors * vals) @ self.vectors.conj().T
+        """``h ** p`` on the support, zero on the kernel; a negative power
+        is guarded (:meth:`require_separated`) like the partial inverse."""
+        if p < 0.0:
+            self.require_separated()
+        return self._function(lambda w: w**p, float)
 
     def imaginary_power(self, t: float) -> np.ndarray:
         """``h ** (i t)`` on the support, zero on the kernel: unitary on the
         support, with the empty-support convention ``0 ** (i t) = 0``."""
-        vals = np.zeros(self.values.shape, dtype=complex)
-        vals[: self.rank] = np.exp(1j * t * np.log(self.values[: self.rank]))
-        return (self.vectors * vals) @ self.vectors.conj().T
+        return self._function(lambda w: np.exp(1j * t * np.log(w)), complex)
 
 
-def require_nonnegative(w_max: float, w_min: float, tol: ToleranceProfile) -> None:
-    """The positivity rule for a Hermitian spectrum with largest eigenvalue
-    ``w_max`` and smallest ``w_min``: raises :class:`NotPositive` when
-    ``w_min < -residual_tol * max(1, w_max)``."""
-    if w_min < -tol.residual_tol * max(1.0, w_max):
-        raise NotPositive(f"matrix has a negative eigenvalue ({w_min:.3e})")
-
-
-def positive_spectrum(
-    h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: bool = False
-) -> PositiveSpectrum:
-    """One eigendecomposition of a positive semidefinite matrix.
-
-    Raises :class:`NotHermitian` or :class:`NotPositive` on input outside the
-    domain.  The rank is decided by :func:`retained_rank`; ``guard=True``
-    refuses an ambiguous rank, as negative powers need.
-    """
+def positive_spectrum(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> PositiveSpectrum:
+    """One eigendecomposition of a positive semidefinite matrix, the
+    one-block :class:`PositiveSpectrum`.  Raises :class:`NotHermitian` or
+    :class:`NotPositive` on input outside the domain."""
     w, v = hermitian_eig(check_hermitian(h, tol))
-    if w.size:
-        require_nonnegative(float(w[0]), float(w[-1]), tol)
-    w = np.clip(w, 0.0, None)
-    return PositiveSpectrum(w, v, retained_rank(w, tol, guard=guard))
+    return PositiveSpectrum.from_blocks([(slice(0, len(w)), w, v)], tol)
 
 
 def support_projection(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -409,7 +439,7 @@ def restricted_power(
 ) -> np.ndarray:
     """``h ** power`` on the support of ``h``, zero on the kernel.  Negative
     powers are guarded like the partial inverse."""
-    return positive_spectrum(h, tol, guard=power < 0.0).power(power)
+    return positive_spectrum(h, tol).power(power)
 
 
 def is_partial_isometry(u: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> bool:

@@ -282,7 +282,8 @@ def modular_Delta(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> np.ndarray:
     """Relative modular operator Delta^power(g) = d^power g (d^+)^power,
-    with both powers restricted to the support of d."""
+    with both powers restricted to the support of d; the negative one is
+    guarded near the rank cutoff, as is the one in :func:`tomita_S`."""
     spectrum = density_spectrum(phi, tol)
     return spectrum.power(power) @ g @ spectrum.power(-power)
 

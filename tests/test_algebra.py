@@ -18,6 +18,7 @@ from wstargeo.algebra import (
     mvn_witness,
     orbit_equivalent,
     orbit_invariant,
+    pinching_projections,
     require_positive,
     stabilizer_lie_algebra,
     unitary_equivalent,
@@ -28,6 +29,7 @@ from wstargeo.errors import (
     AmbiguousCluster,
     InvalidArrow,
     NotFaithful,
+    NotPartiallyInvertible,
     NotPositive,
 )
 from wstargeo.linalg import DEFAULT_TOL, frobenius
@@ -191,6 +193,32 @@ class TestDimensionOracles:
         else:
             stab = stabilizer_lie_algebra(phi, DEFAULT_TOL)
             assert stab.dimension == len(stab.basis) == dim
+
+    def test_block_below_the_cutoff_is_one_kernel_cluster(self):
+        # The 2x2 block lies wholly below the rank cutoff (1e-9): it is kernel,
+        # one cluster, and its split at noise scale is never examined.
+        alg = BlockAlgebra((1, 2))
+        d = np.diag([1.0, 1e-12 * (1.0 + 1e-9), 1e-12]).astype(complex)
+        phi = NormalFunctional(alg, d)
+        assert orbit_invariant(phi, DEFAULT_TOL) == ((1.0,), ())
+        stab = stabilizer_lie_algebra(phi, DEFAULT_TOL)
+        assert stab.dimension == len(stab.basis) == 1
+        assert len(pinching_projections(phi, DEFAULT_TOL)) == 2
+        # The whole kernel corner commutes with d, so the expectation fixes it.
+        for i in (1, 2):
+            for j in (1, 2):
+                e = alg.zero()
+                e[i, j] = 1.0
+                assert frobenius(conditional_expectation(phi, e, DEFAULT_TOL) - e) <= 1e-15
+
+    def test_retained_value_near_the_cutoff_is_refused(self):
+        # 2e-9 is retained (cutoff 1e-9) but within GUARD_FACTOR of the cutoff:
+        # the stabilizer would depend on noise, so every cluster reader refuses.
+        phi = NormalFunctional(M3, np.diag([1.0, 2e-9, 0.0]).astype(complex))
+        assert orbit_invariant(phi, DEFAULT_TOL) == ((1.0, 2e-9),)
+        for reader in (stabilizer_lie_algebra, pinching_projections, centralizer_basis):
+            with pytest.raises(NotPartiallyInvertible):
+                reader(phi, DEFAULT_TOL)
 
     def test_stabilizer_basis_properties(self):
         phi = NormalFunctional(M3, np.diag([1.0, 1.0, 2.0]).astype(complex) / 4.0)

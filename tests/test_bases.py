@@ -35,12 +35,18 @@ from wstargeo.poisson import _bundle_tangent_basis
 
 
 def _ref_clusters(phi, tol):
-    cutoff = tol.rank_rel_tol * float(density_spectrum(phi, tol).values[0])
+    """Per block: the retained values clustered at the block's scale, then
+    the kernel as one cluster."""
+    cutoff = density_spectrum(phi, tol).cutoff
     algebra = phi.algebra
     out = []
     for s, b in zip(algebra.slices, algebra.block_views(herm(phi.density))):
         w, v = hermitian_eig(b)
-        out.append((s, w, v, eigen_clusters(w, tol.rank_rel_tol), cutoff))
+        r = int(np.count_nonzero(w > cutoff))
+        clusters = eigen_clusters(w[:r], tol.rank_rel_tol)
+        if r < len(w):
+            clusters.append(list(range(r, len(w))))
+        out.append((s, w, v, clusters, cutoff))
     return out
 
 

@@ -329,6 +329,16 @@ class TestOrbit:
         assert captured.out == ""
         assert "domain error" in captured.err
 
+    def test_retained_value_near_the_cutoff(self, tmp_path, capsys):
+        # 2e-9 is retained but within the guard band of the rank cutoff
+        # (1e-9): the stabilizer refuses, with nothing printed.
+        d = np.diag([1.0, 2e-9, 0.0]).astype(complex)
+        f = write_algebra(tmp_path / "d.json", [3], {"d": d})
+        assert main(["orbit", f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "domain error" in captured.err
+
     def test_off_block_density(self, tmp_path, capsys):
         d = np.zeros((5, 5), dtype=complex)
         d[0, 3] = d[3, 0] = 1.0  # couples the two blocks

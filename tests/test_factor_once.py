@@ -177,7 +177,7 @@ class TestKeptValues:
         u, mod = functional_polar(phi, DEFAULT_TOL)
         u_copy, h_copy = u.copy(), mod.density.copy()
         spectrum = density_spectrum(phi, DEFAULT_TOL)
-        values, vectors = spectrum.values.copy(), spectrum.vectors.copy()
+        blocks = [(w.copy(), v.copy()) for _, w, v in spectrum.blocks]
         want = d.copy()
         d[0, 0] += 1.0
         d[3, 4] = 7.0
@@ -187,16 +187,16 @@ class TestKeptValues:
         assert np.array_equal(u2, u_copy) and np.array_equal(mod2.density, h_copy)
         again = density_spectrum(phi, DEFAULT_TOL)
         assert again is spectrum
-        assert np.array_equal(again.values, values)
-        assert np.array_equal(again.vectors, vectors)
+        for (_, w, v), (w_copy, v_copy) in zip(again.blocks, blocks):
+            assert np.array_equal(w, w_copy) and np.array_equal(v, v_copy)
 
     def test_kept_arrays_are_read_only(self):
         phi = _functional(3)
         u, mod = functional_polar(phi, DEFAULT_TOL)
         spectrum = density_spectrum(phi, DEFAULT_TOL)
         kept = [
-            phi.density, u, mod.density, spectrum.values, spectrum.vectors,
-            functional_support(phi, DEFAULT_TOL),
+            phi.density, u, mod.density, functional_support(phi, DEFAULT_TOL),
+            *(a for _, w, v in spectrum.blocks for a in (w, v)),
         ]
         for a in kept:
             with pytest.raises(ValueError):
@@ -357,7 +357,10 @@ class TestModularDataFromFunctional:
         assert got == dict.fromkeys(POSITIVITY_ENTRY_POINTS, want)
         if want is None:
             spectrum = density_spectrum(NormalFunctional(M23, d), DEFAULT_TOL)
-            assert np.array_equal(spectrum.values, positive_spectrum(herm(d), DEFAULT_TOL).values)
+            ((_, whole, _),) = (one := positive_spectrum(herm(d), DEFAULT_TOL)).blocks
+            merged = np.sort(np.concatenate([w for _, w, _ in spectrum.blocks]))[::-1]
+            assert np.array_equal(merged, whole)
+            assert (spectrum.cutoff, sum(spectrum.ranks)) == (one.cutoff, sum(one.ranks))
 
 
 def _fd_reference(obs: Observable, phi: NormalFunctional, tol) -> np.ndarray:

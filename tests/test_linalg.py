@@ -172,7 +172,7 @@ class TestMatrixFunctions:
         d = np.diag([1.0, 4.0, 0.0]).astype(complex)
         spectrum = positive_spectrum(d)
         w = spectrum.imaginary_power(0.7)
-        assert spectrum.rank == 2
+        assert spectrum.ranks == (2,)
         assert frobenius(w @ w.conj().T - spectrum.support) <= 1e-12
         assert frobenius(w - np.diag([1.0, np.exp(0.7j * np.log(4.0)), 0.0])) <= 1e-12
 

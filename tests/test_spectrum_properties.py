@@ -1,13 +1,13 @@
-"""Property tests of a functional's kept block spectra against a
+"""Property tests of a functional's kept blockwise spectrum against a
 decomposition of the whole density.
 
 Hypothesis draws block shapes (1x1 blocks included) and, per block, a
 spectrum from a grid with repeats and zeros, so densities have repeated
 eigenvalues, zero blocks, or vanish altogether.  What the program reads
-off its one blockwise decomposition -- the ambient spectrum, rank and
-support, ``d^{1/2}``, the orbit invariant and the stabilizer -- is compared
-with ``numpy.linalg.eigh`` of the whole density and with the planted
-multiplicities.
+off its one blockwise decomposition -- the block values and the one
+cutoff, rank and support, ``d^{1/2}``, the orbit invariant and the
+stabilizer -- is compared with ``numpy.linalg.eigh`` of the whole density
+and with the planted multiplicities.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -68,11 +68,13 @@ def test_kept_spectrum_matches_the_whole_density(case):
     scale = max(float(w[0]), 0.0)
     atol = 1e-12 * max(scale, 1e-300)
 
-    # sorted values, rank and support
-    assert np.allclose(spectrum.values, np.clip(w, 0.0, None), rtol=0.0, atol=atol)
+    # block values, cutoff, rank and support
+    merged = np.sort(np.concatenate([b for _, b, _ in spectrum.blocks]))[::-1]
+    assert np.allclose(merged, w, rtol=0.0, atol=atol)
+    assert spectrum.cutoff == DEFAULT_TOL.rank_rel_tol * max(float(merged[0]), 0.0)
     keep = w > DEFAULT_TOL.rank_rel_tol * scale
     planted_rank = sum(int(np.count_nonzero(b > 0)) for b in values)
-    assert spectrum.rank == int(np.count_nonzero(keep)) == planted_rank
+    assert sum(spectrum.ranks) == int(np.count_nonzero(keep)) == planted_rank
     support = v[:, keep] @ v[:, keep].conj().T
     assert frobenius(spectrum.support - support) <= 1e-10
 

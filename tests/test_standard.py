@@ -37,7 +37,8 @@ from wstargeo import (
 )
 from wstargeo import linalg
 from wstargeo.algebra import matrix_units
-from wstargeo.linalg import null_space_rows
+from wstargeo.errors import NotPartiallyInvertible
+from wstargeo.linalg import null_space_rows, restricted_power
 from wstargeo.standard import flow_residuals
 from wstargeo.sampling import (
     corner_positive,
@@ -356,6 +357,71 @@ class TestTomita:
             assert frobenius(
                 s - conjugation_J(modular_Delta(phi, g, 0.5, DEFAULT_TOL))
             ) <= 1e-9 * (1.0 + frobenius(g))
+
+
+class TestNegativePowerGuard:
+    """On M2 with d = diag(1, 2e-9) the small value is retained (the cutoff
+    is 1e-9) but lies within GUARD_FACTOR of the cutoff.  Every negative
+    power of d refuses it, as ``restricted_power`` does for the matrix;
+    ``Delta^p(g) = d^p g (d^+)^p`` takes a negative power at either sign of
+    ``p``.  The readers with no negative power return."""
+
+    D = np.diag([1.0, 2e-9]).astype(complex)
+
+    def test_matrix_power_refuses(self):
+        with pytest.raises(NotPartiallyInvertible):
+            restricted_power(self.D, -0.5, DEFAULT_TOL)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda phi: tomita_S(phi, E12, DEFAULT_TOL),
+            lambda phi: modular_Delta(phi, E12, -0.5, DEFAULT_TOL),
+            lambda phi: modular_Delta(phi, E12, 0.5, DEFAULT_TOL),
+            lambda phi: modular_Delta(phi, E12, 1.0, DEFAULT_TOL),
+        ],
+        ids=["tomita_S", "Delta^-0.5", "Delta^0.5", "Delta"],
+    )
+    def test_functional_negative_powers_refuse(self, read):
+        with pytest.raises(NotPartiallyInvertible):
+            read(NormalFunctional(M2, self.D))
+
+    def test_readers_without_negative_powers_return(self):
+        phi = NormalFunctional(M2, self.D)
+        assert frobenius(std_unit(phi, DEFAULT_TOL) - np.diag([1.0, np.sqrt(2e-9)])) <= 1e-15
+        assert frobenius(modular_Delta(phi, E12, 0.0, DEFAULT_TOL) - E12) <= 1e-15
+        flowed = modular_flow(phi, 0.3, DEFAULT_TOL)(E12)
+        assert frobenius(flowed - (1.0 / 2e-9) ** 0.3j * E12) <= 1e-14
+
+
+class TestClosedFormM2:
+    """Modular data of rho = diag(a, b) on M2, against closed forms that
+    share no code with the readers, at the vector Omega = e12 rho^{1/2}."""
+
+    A, B = 0.7, 0.3
+    OMEGA = np.sqrt(B) * E12
+
+    @pytest.fixture
+    def phi(self):
+        return NormalFunctional(M2, np.diag([self.A, self.B]).astype(complex))
+
+    @pytest.mark.parametrize("t", [0.3, -1.7, 2.5])
+    def test_flow(self, phi, t):
+        want = (self.A / self.B) ** (1j * t) * E12
+        assert frobenius(modular_flow(phi, t, DEFAULT_TOL)(E12) - want) <= 1e-14
+
+    def test_unit(self, phi):
+        want = np.diag([np.sqrt(self.A), np.sqrt(self.B)])
+        assert frobenius(std_unit(phi, DEFAULT_TOL) - want) <= 1e-14
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, 0.25, -0.5])
+    def test_delta(self, phi, p):
+        want = self.A**p * self.B ** (0.5 - p) * E12
+        assert frobenius(modular_Delta(phi, self.OMEGA, p, DEFAULT_TOL) - want) <= 1e-14
+
+    def test_tomita(self, phi):
+        want = np.sqrt(self.A) * E21
+        assert frobenius(tomita_S(phi, self.OMEGA, DEFAULT_TOL) - want) <= 1e-14
 
 
 FLOW_RESIDUALS = {
