@@ -15,12 +15,11 @@ from wstargeo import (
     DEFAULT_TOL,
     NotPartiallyInvertible,
     frobenius,
-    left_support,
-    matrix_sqrt,
     partial_inverse,
     polar_decompose,
-    right_support,
-    support_projection,
+    positive_spectrum,
+    restricted_power,
+    supports,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -40,28 +39,30 @@ print(h)
 print("reconstruction residual:", frobenius(u @ h - a))
 print("u restricted-isometry residual:", frobenius(u @ u.conj().T @ u - u))
 
-# The two supports of a are exactly the final and initial projections of u.
+# The two supports of a are exactly the final and initial projections of u;
+# one SVD of a gives both.
+left, right = supports(a)
 print("\nleft support (range projection) =")
-print(left_support(a))
+print(left)
 print("right support (co-range projection) =")
-print(right_support(a))
+print(right)
 
 # The square root of a singular positive matrix keeps its kernel exact: the
 # restricted power clips eigenvalues below the rank cutoff to zero instead of
 # letting round-off leak into a tiny positive part.
 d = np.array([[0.0, 0.0], [0.0, 9.0]], dtype=complex)
-r = matrix_sqrt(d, DEFAULT_TOL)
+r = restricted_power(d, 0.5, DEFAULT_TOL)
 print("\nsqrt(diag(0, 9)) =")
 print(r)
 print("support of d =")
-print(support_projection(d, DEFAULT_TOL))
+print(positive_spectrum(d, DEFAULT_TOL).support)
 
 # The pseudoinverse satisfies the two Moore-Penrose support identities.
 pinv = partial_inverse(a, DEFAULT_TOL)
 print("\npseudoinverse of a =")
 print(pinv)
-print("a @ pinv - left support:", frobenius(a @ pinv - left_support(a)))
-print("pinv @ a - right support:", frobenius(pinv @ a - right_support(a)))
+print("a @ pinv - left support:", frobenius(a @ pinv - left))
+print("pinv @ a - right support:", frobenius(pinv @ a - right))
 
 # Near a rank decision the pseudoinverse is discontinuous, so the library
 # refuses instead of guessing: singular values inside the guard band around

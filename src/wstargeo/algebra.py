@@ -29,6 +29,11 @@ the support, the modular flow (:func:`modular_flow`), and in
 operator and Tomita's ``S``.  Every negative power is guarded near the
 cutoff, as for a matrix.  Membership in the block algebra is one pass over
 the realified entries.
+
+The frames of a projection (:func:`frames_of`), per block the eigenvectors
+of its eigenvalues above 1/2, are read in one place: the Murray-von Neumann
+witness, the isometry-bundle tangents in :mod:`wstargeo.poisson` and the
+samplers that take a projection all use them.
 """
 from __future__ import annotations
 
@@ -56,10 +61,8 @@ from .linalg import (
     herm,
     hermitian_eig,
     is_projection,
-    left_support,
     polar_decompose,
     projection_rank,
-    right_support,
     singular_values,
 )
 
@@ -274,13 +277,6 @@ def functional_polar(
     return phi._memoized("polar", tol, compute)
 
 
-def functional_supports(
-    phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right support projections of the density."""
-    return left_support(phi.density, tol), right_support(phi.density, tol)
-
-
 def functional_support(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> np.ndarray:
@@ -335,6 +331,34 @@ def block_ranks(
     return tuple(projection_rank(b) for b in algebra.block_views(p))
 
 
+@dataclass(frozen=True, eq=False)
+class Frames:
+    """Orthonormal frames of a projection: per block an ``n_b x r_b``
+    isometry ``F`` whose range is that block of the projection."""
+
+    algebra: BlockAlgebra
+    blocks: tuple[np.ndarray, ...]
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(f.shape[1] for f in self.blocks)
+
+    @cached_property
+    def projection(self) -> np.ndarray:
+        """The projection ``F F*``, blockwise."""
+        return self.algebra.embed_blocks([f @ f.conj().T for f in self.blocks])
+
+
+def frames_of(algebra: BlockAlgebra, p: np.ndarray) -> Frames:
+    """Frames of a projection ``p``: per block, the eigenvectors of the
+    eigenvalues above 1/2."""
+    frames = []
+    for bp in algebra.block_views(p):
+        w, v = hermitian_eig(bp)
+        frames.append(v[:, : int(np.count_nonzero(w > 0.5))])
+    return Frames(algebra, tuple(frames))
+
+
 def mvn_equivalent(
     algebra: BlockAlgebra,
     p: np.ndarray,
@@ -353,17 +377,12 @@ def mvn_witness(
     q: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> np.ndarray:
-    """A partial isometry ``w`` with ``w* w = p`` and ``w w* = q``, built from
-    spectral data blockwise."""
+    """A partial isometry ``w`` with ``w* w = p`` and ``w w* = q``: ``F_q F_p*``
+    per block, from the frames of both projections."""
     if not mvn_equivalent(algebra, p, q, tol):
         raise InvalidArrow("projections are not equivalent, no witness exists")
-    out = []
-    for bp, bq in zip(algebra.block_views(p), algebra.block_views(q)):
-        r = projection_rank(bp)
-        _, vp = hermitian_eig(bp)
-        _, vq = hermitian_eig(bq)
-        out.append(vq[:, :r] @ vp[:, :r].conj().T)
-    return algebra.embed_blocks(out)
+    fp, fq = frames_of(algebra, p), frames_of(algebra, q)
+    return algebra.embed_blocks([g @ f.conj().T for f, g in zip(fp.blocks, fq.blocks)])
 
 
 def unitary_equivalent(

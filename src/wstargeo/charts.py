@@ -37,12 +37,12 @@ from .linalg import (
     expect_real,
     frobenius,
     is_partial_isometry,
-    left_support,
     partial_inverse,
     polar_decompose,
     projection_rank,
     retained_rank,
     singular_values,
+    supports,
     svd,
 )
 
@@ -93,7 +93,7 @@ def phi_p_inv(
     p: np.ndarray, y: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> np.ndarray:
     """Inverse chart: the projection q = left support of p + y."""
-    return left_support(p + y, tol)
+    return supports(p + y, tol)[0]
 
 
 def transition_L(
@@ -132,8 +132,7 @@ def chart_G(
     (phi_p(l), (p l) x ((p_tilde r)^+)*-free middle, phi_{p_tilde}(r)) where
     l, r are the left and right supports of x.  The middle component
     (p l) x sigma_{p_tilde}(r) lands in the p . p_tilde corner."""
-    l = left_support(x, tol)
-    r = left_support(x.conj().T, tol)
+    l, r = supports(x, tol)
     y_l = phi_p(p, l, tol)
     sigma_r = sigma_p(p_tilde, r, tol)
     middle = (p @ l) @ x @ sigma_r
@@ -181,8 +180,7 @@ def chart_Theta(
     """Polar-corrected groupoid chart (y_l, m, y_r) with middle
     m = u_p(l)* x u_{p_tilde}(r); when x is a partial isometry the middle is
     itself a partial isometry with m* m = p_tilde."""
-    l = left_support(x, tol)
-    r = left_support(x.conj().T, tol)
+    l, r = supports(x, tol)
     y_l, u_l = _chart_leg(p, l, tol)
     y_r, u_r = _chart_leg(p_tilde, r, tol)
     return y_l, u_l.conj().T @ x @ u_r, y_r

@@ -32,7 +32,7 @@ from .linalg import (
     ToleranceProfile,
     frobenius,
     polar_decompose,
-    support_projection,
+    positive_spectrum,
 )
 from .poisson import feynman_amplitude
 from .suites import SUITE_NAMES, run_suite
@@ -189,7 +189,7 @@ def cmd_polar(args: argparse.Namespace) -> int:
         "residuals: "
         f"reconstruction={frobenius(u @ h - a):.6e} "
         f"isometry={frobenius(uh @ uh - uh):.6e} "
-        f"support={frobenius(uh - support_projection(h, prof)):.6e}"
+        f"support={frobenius(uh - positive_spectrum(h, prof).support):.6e}"
     )
     return 0
 

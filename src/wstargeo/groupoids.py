@@ -35,6 +35,7 @@ from . import sampling
 from .algebra import (
     BlockAlgebra,
     NormalFunctional,
+    coadjoint_apply,
     functional_polar,
     functional_support,
     require_positive,
@@ -45,10 +46,9 @@ from .linalg import (
     ToleranceProfile,
     _worst,
     frobenius,
-    left_support,
-    matrix_sqrt,
     partial_inverse,
-    right_support,
+    restricted_power,
+    supports,
 )
 from .standard import iso_Phi, iso_Phi_inv, std_inverse, std_mul
 
@@ -91,11 +91,11 @@ def pi_unit(p: np.ndarray) -> np.ndarray:
 
 
 def g_source(x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    return right_support(x, tol)
+    return supports(x, tol)[1]
 
 
 def g_target(x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    return left_support(x, tol)
+    return supports(x, tol)[0]
 
 
 def g_compose(
@@ -291,7 +291,7 @@ GROUPOIDS: dict[str, GroupoidOps] = {
         target=lambda g, tol: pi_target(g),
         compose=lambda g1, g2, tol: std_mul(g1, g2, tol),
         inverse=lambda g, tol: std_inverse(g),
-        unit=lambda rho, tol: matrix_sqrt(rho, tol),
+        unit=lambda rho, tol: restricted_power(rho, 0.5, tol),
         arrow_distance=_dist_matrix,
         object_distance=_dist_matrix,
     ),
@@ -495,17 +495,6 @@ def gauge_iso_Psi(
     )
 
 
-def pi0(
-    u: np.ndarray, rho0: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
-) -> NormalFunctional:
-    """Bundle projection u -> u rho0 u* of the isometry bundle over the
-    unitary orbit of rho0."""
-    p0 = functional_support(rho0, tol)
-    if frobenius(u.conj().T @ u - p0) > tol.residual_tol * (1.0 + frobenius(p0)):
-        raise InvalidArrow("u* u is not the support of rho0")
-    return NormalFunctional(rho0.algebra, u @ rho0.density @ u.conj().T)
-
-
 def psi_intertwining_residual(
     u: np.ndarray,
     v: np.ndarray,
@@ -517,15 +506,11 @@ def psi_intertwining_residual(
     on a composable pair (u, v), (v, w)."""
     A = gauge_iso_Psi(u, v, rho0, tol)
     B = gauge_iso_Psi(v, w, rho0, tol)
-    res = [
-        coadjoint_source(A).distance(pi0(v, rho0, tol)),
-        coadjoint_target(A).distance(pi0(u, rho0, tol)),
+    rho_u = coadjoint_apply(u, rho0, tol)
+    return _worst(
+        coadjoint_source(A).distance(coadjoint_apply(v, rho0, tol)),
+        coadjoint_target(A).distance(rho_u),
         _dist_coadjoint(coadjoint_inverse(A), gauge_iso_Psi(v, u, rho0, tol)),
-        _dist_coadjoint(
-            coadjoint_compose(A, B, tol), gauge_iso_Psi(u, w, rho0, tol)
-        ),
-        _dist_coadjoint(
-            coadjoint_unit(pi0(u, rho0, tol), tol), gauge_iso_Psi(u, u, rho0, tol)
-        ),
-    ]
-    return _worst(*res)
+        _dist_coadjoint(coadjoint_compose(A, B, tol), gauge_iso_Psi(u, w, rho0, tol)),
+        _dist_coadjoint(coadjoint_unit(rho_u, tol), gauge_iso_Psi(u, u, rho0, tol)),
+    )

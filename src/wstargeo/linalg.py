@@ -10,6 +10,11 @@ the cutoff, so downstream geometry never sees an ambiguous support.
 Eigenvalue clustering (:func:`eigen_clusters`) refuses a gap within the same
 factor of its threshold, so no stabilizer dimension depends on noise.
 
+Each kind of support has one reader: :func:`supports` gives both supports
+of a general matrix from one SVD, :func:`positive_spectrum` the support of
+a positive matrix, and :func:`~wstargeo.algebra.frames_of` the blockwise
+frames of a projection.
+
 This is the only module that factorizes a matrix.  It calls the LAPACK
 drivers through the gufuncs that ``numpy.linalg`` itself dispatches to
 (``numpy.linalg._umath_linalg``), without NumPy's per-call wrapper:
@@ -28,8 +33,7 @@ the kernel reads the NaN and raises :class:`NoConvergence`.
 The kernels check shape and LAPACK status only.  A function whose domain
 needs Hermitian, positive or member input checks its own arguments, once,
 where they enter: the functional calculus on positive matrices
-(:func:`positive_spectrum`, read by :func:`support_projection`,
-:func:`matrix_sqrt` and :func:`restricted_power`) checks through
+(:func:`positive_spectrum`, read by :func:`restricted_power`) checks through
 :func:`check_hermitian`, and matrices the code builds Hermitian go straight
 to :func:`hermitian_eig`.  A caller that needs several functions of one
 positive matrix builds its :class:`PositiveSpectrum` once and reads them all
@@ -294,25 +298,22 @@ def polar_decompose(
     return u, h
 
 
-def left_support(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Projection onto the range of ``a`` (numerical rank decision)."""
-    w, s, _ = svd(a)
+def supports(
+    a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right supports of ``a``, the projections onto the ranges of
+    ``a`` and ``a*``, from one SVD and one rank decision: with ``a = w diag(s)
+    vh`` and rank ``r``, left ``w_r w_r*`` and right ``vh_r* vh_r``."""
+    w, s, vh = svd(a)
     r = retained_rank(s, tol)
-    return w[:, :r] @ w[:, :r].conj().T
-
-
-def right_support(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Projection onto the range of ``a*`` (numerical rank decision)."""
-    _, s, vh = svd(a)
-    r = retained_rank(s, tol)
-    return vh[:r, :].conj().T @ vh[:r, :]
+    return w[:, :r] @ w[:, :r].conj().T, vh[:r, :].conj().T @ vh[:r, :]
 
 
 def partial_inverse(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse under the rank cutoff.
 
-    Satisfies ``a @ partial_inverse(a) = left_support(a)`` and
-    ``partial_inverse(a) @ a = right_support(a)``.  Raises
+    Satisfies ``a @ partial_inverse(a) = l`` and ``partial_inverse(a) @ a
+    = r`` with ``l, r = supports(a)``.  Raises
     :class:`NotPartiallyInvertible` when the retained singular values are
     ill-separated from the cutoff (guard band), because the inverse is
     discontinuous across a rank change.
@@ -420,18 +421,6 @@ def positive_spectrum(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> Pos
     :class:`NotPositive` on input outside the domain."""
     w, v = hermitian_eig(check_hermitian(h, tol))
     return PositiveSpectrum.from_blocks([(slice(0, len(w)), w, v)], tol)
-
-
-def support_projection(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Support projection of a positive semidefinite matrix: the span of the
-    eigenvectors with eigenvalue above ``rank_rel_tol * lambda_max``."""
-    return positive_spectrum(h, tol).support
-
-
-def matrix_sqrt(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a positive semidefinite matrix, exactly zero
-    on the kernel; a bare ``sqrt`` would amplify the kernel's fuzz."""
-    return restricted_power(h, 0.5, tol)
 
 
 def restricted_power(

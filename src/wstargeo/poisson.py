@@ -30,6 +30,7 @@ from .algebra import (
     BlockAlgebra,
     NormalFunctional,
     antihermitian_units,
+    frames_of,
     functional_support,
     matrix_units,
     stabilizer_lie_algebra,
@@ -40,6 +41,8 @@ from .errors import (
     DomainError,
     InvalidFamily,
     InvalidTangent,
+    NotHermitian,
+    NotPositive,
     NotUnitVector,
 )
 from .linalg import (
@@ -55,8 +58,8 @@ from .linalg import (
     hermitian_eig,
     hs_inner,
     is_partial_isometry,
+    positive_spectrum,
     projection_rank,
-    retained_rank,
     singular_values,
 )
 # The symplectic form is looked up as ``standard.symplectic_omega`` at call
@@ -341,13 +344,10 @@ class ComposableFamily:
 
     def __post_init__(self) -> None:
         tol = self.tol
-        if frobenius(self.xi2 - self.xi2.conj().T) > tol.residual_tol:
-            raise InvalidFamily("xi2 is not Hermitian")
-        w, v = hermitian_eig(herm(self.xi2))
-        if w[-1] < -tol.residual_tol:
-            raise InvalidFamily("xi2 is not positive")
-        f2 = v[:, : retained_rank(w, tol)]
-        q2 = f2 @ f2.conj().T
+        try:
+            q2 = positive_spectrum(self.xi2, tol).support
+        except (NotHermitian, NotPositive) as exc:
+            raise InvalidFamily(f"xi2: {exc}") from exc
         checks = {
             "u1 is not a partial isometry": not is_partial_isometry(self.u1, tol),
             "u2 is not a partial isometry": not is_partial_isometry(self.u2, tol),
@@ -788,15 +788,14 @@ def _bundle_tangent_basis(
     a complex block basis, each complex unit followed by i times it."""
     q = u @ u.conj().T
     parts, vertical = [], []
-    for s in algebra.slices:
-        r = projection_rank(p0[s, s])
+    for s, fp in zip(algebra.slices, frames_of(algebra, p0).blocks):
+        r = fp.shape[1]
         if r == 0:
             continue
-        _, vp = hermitian_eig(p0[s, s])
         _, vq = hermitian_eig(q[s, s])
-        corner = antihermitian_units(vp[:, :r])
+        corner = antihermitian_units(fp)
         # (1 - q) . p0: the complement of the range of q times the range of p0
-        m = matrix_units(vq[:, r:], vp[:, :r])
+        m = matrix_units(vq[:, r:], fp)
         transverse = np.stack([m, 1j * m], axis=1).reshape(-1, *m.shape[1:])
         parts += [(s, corner), (s, transverse)]
         vertical += [True] * len(corner) + [False] * len(transverse)
@@ -892,7 +891,7 @@ def orbit_form_invariance_residual(
     w = sampling.random_unitary(algebra, rng)
     res.append(abs(Gamma0(rho0, w @ u, w @ du, tol) - Gamma0(rho0, u, du, tol)))
     # left translation by a groupoid arrow on a vertical pair
-    q = sampling.frames_of(algebra, u @ u.conj().T)
+    q = frames_of(algebra, u @ u.conj().T)
     wg = sampling.isometry_between(rng, q, sampling.equivalent_frames(rng, q))
     res.append(
         abs(

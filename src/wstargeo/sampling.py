@@ -5,28 +5,25 @@ index, ...)``, so suites are reproducible and trial-parallelizable.  All
 samplers return elements of the given block algebra (block-diagonal ambient
 matrices); unitaries are Haar-distributed (:func:`haar_unitary`).
 
-A drawn projection keeps its :class:`Frames`: per block an ``n_b x r_b``
-Haar isometry ``F`` with ``p = F F*``.  An arrow from ``p`` to ``q`` is
-``F_q w F_p*`` with ``w`` a Haar unitary of the corner, and a positive
-element supported on ``p`` is ``(F w) diag(vals) (F w)*``, so nothing
-recovers a frame or a rank from a projection it drew.  The functions that
+A drawn projection keeps its :class:`~wstargeo.algebra.Frames`: per block
+an ``n_b x r_b`` Haar isometry ``F`` with ``p = F F*``.  An arrow from ``p``
+to ``q`` is ``F_q w F_p*`` with ``w`` a Haar unitary of the corner, and a
+positive element supported on ``p`` is ``(F w) diag(vals) (F w)*``, so
+nothing recovers a frame or a rank from a projection it drew.  The functions that
 take a projection instead (:func:`partial_isometry_onto`,
-:func:`corner_positive`) read its frames off one Hermitian eigendecomposition
-per block (:func:`frames_of`).
+:func:`corner_positive`) read its frames with
+:func:`~wstargeo.algebra.frames_of`, one Hermitian eigendecomposition per
+block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
-from .algebra import BlockAlgebra, NormalFunctional
+from .algebra import BlockAlgebra, Frames, NormalFunctional, frames_of
 from .errors import AmbiguousCluster, NotInDomain, NotInOverlap, NotPartiallyInvertible
 from .linalg import (
     antiherm,
     herm,
-    hermitian_eig,
     phase_fixed_q,
     singular_values,
 )
@@ -93,34 +90,6 @@ def random_positive(
             vals[offset + j] = vals[offset + i]
         offset += b
     return (v * vals) @ v.conj().T
-
-
-@dataclass(frozen=True, eq=False)
-class Frames:
-    """Orthonormal frames of a projection: per block an ``n_b x r_b``
-    isometry ``F`` whose range is that block of the projection."""
-
-    algebra: BlockAlgebra
-    blocks: tuple[np.ndarray, ...]
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(f.shape[1] for f in self.blocks)
-
-    @cached_property
-    def projection(self) -> np.ndarray:
-        """The projection ``F F*``, blockwise."""
-        return self.algebra.embed_blocks([f @ f.conj().T for f in self.blocks])
-
-
-def frames_of(algebra: BlockAlgebra, p: np.ndarray) -> Frames:
-    """Frames of a projection ``p``: per block, the eigenvectors of the
-    eigenvalues above 1/2."""
-    frames = []
-    for bp in algebra.block_views(p):
-        w, v = hermitian_eig(bp)
-        frames.append(v[:, : int(np.count_nonzero(w > 0.5))])
-    return Frames(algebra, tuple(frames))
 
 
 def random_frames(

@@ -49,10 +49,10 @@ from .linalg import (
     herm,
     hermitian_eigvals,
     hs_inner,
-    left_support,
     null_space_rows,
     partial_inverse,
     polar_decompose,
+    supports,
 )
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def expectation_Eprime(algebra: BlockAlgebra, g: np.ndarray) -> NormalFunctional
 
 def momentum_mu(g: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Left momentum projection: the support of g g*."""
-    return left_support(g, tol)
+    return supports(g, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +251,11 @@ def dual_pair_orthogonality_check(
     """Evaluate omega on all pairs from fibre_kernel_E(g) x
     fiber_kernel_Eprime(g) and compare both kernel dimensions to the rank
     formula.  Each side's kernel and expected dimension read the same
-    momentum projection: mu(g) for E and mu(J g) = mu'(g) for E'."""
+    momentum projection, both from one SVD of g: the left support mu(g) for
+    E and the right support mu(J g) = mu'(g) for E'."""
     g = np.asarray(g, dtype=complex)
     jg = conjugation_J(g)
-    mu, mu_j = momentum_mu(g, tol), momentum_mu(jg, tol)
+    mu, mu_j = supports(g, tol)
     ker_e = _fiber_kernel(algebra, g, mu, tol)
     ker_ep = [conjugation_J(d) for d in _fiber_kernel(algebra, jg, mu_j, tol)]
     # omega(x, y) = 2 Im <x|y> on all pairs at once.

@@ -26,7 +26,6 @@ from .algebra import (
     centralizer_basis,
     coadjoint_apply,
     conditional_expectation,
-    functional_supports,
     modular_flow,
     mvn_equivalent,
     mvn_witness,
@@ -72,6 +71,7 @@ from .linalg import (
     expect_real,
     frobenius,
     polar_decompose,
+    supports,
 )
 from .poisson import (
     Observable,
@@ -255,7 +255,7 @@ def _equivalence_disagreements(ctx: RowCtx, rng) -> int:
     p, q = pf.projection, sampling.equivalent_frames(rng, pf).projection
     # The two supports of any functional are equivalent.
     x = sampling.random_element(alg, rng)
-    l_supp, r_supp = functional_supports(NormalFunctional(alg, x), prof)
+    l_supp, r_supp = supports(x, prof)
     # Pushing a positive functional along an arrow preserves its orbit
     # invariants and maps supports to equivalent supports.
     rho_f = sampling.random_frames(alg, rng, allow_zero=False)
@@ -274,7 +274,7 @@ def _equivalence_disagreements(ctx: RowCtx, rng) -> int:
         unitary_equivalent(alg, p, q, prof),
         mvn_equivalent(alg, l_supp, r_supp, prof),
         orbit_equivalent(rho, pushed, prof),
-        mvn_equivalent(alg, functional_supports(pushed, prof)[0], rho_supp, prof),
+        mvn_equivalent(alg, supports(pushed.density, prof)[0], rho_supp, prof),
     )
     must_fail = (
         mvn_equivalent(alg, p, p_bad, prof),

@@ -12,7 +12,6 @@ from wstargeo.algebra import (
     conditional_expectation,
     functional_polar,
     functional_support,
-    functional_supports,
     modular_flow,
     mvn_equivalent,
     mvn_witness,
@@ -32,7 +31,7 @@ from wstargeo.errors import (
     NotPartiallyInvertible,
     NotPositive,
 )
-from wstargeo.linalg import DEFAULT_TOL, frobenius
+from wstargeo.linalg import DEFAULT_TOL, frobenius, supports
 from wstargeo import linalg, sampling
 
 M2 = BlockAlgebra((2,))
@@ -115,7 +114,7 @@ class TestFunctionalPolar:
 
     def test_support_oracle(self):
         phi = NormalFunctional(M2, np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex))
-        l_supp, r_supp = functional_supports(phi, DEFAULT_TOL)
+        l_supp, r_supp = supports(phi.density, DEFAULT_TOL)
         assert frobenius(l_supp - np.diag([1.0, 0.0])) <= 1e-12
         assert frobenius(r_supp - np.diag([0.0, 1.0])) <= 1e-12
 
@@ -126,7 +125,7 @@ class TestFunctionalPolar:
             phi = NormalFunctional(M23, x)
             u, mod = functional_polar(phi, DEFAULT_TOL)
             assert frobenius(u @ mod.density - x) <= 1e-9 * max(1.0, frobenius(x))
-            l_supp, r_supp = functional_supports(phi, DEFAULT_TOL)
+            l_supp, r_supp = supports(phi.density, DEFAULT_TOL)
             assert frobenius(u.conj().T @ u - r_supp) <= 1e-10
             assert frobenius(u @ u.conj().T - l_supp) <= 1e-10
 
@@ -135,7 +134,7 @@ class TestFunctionalPolar:
         for _ in range(100):
             h = sampling.random_hermitian(M23, rng)
             phi = NormalFunctional(M23, h)
-            l_supp, r_supp = functional_supports(phi, DEFAULT_TOL)
+            l_supp, r_supp = supports(phi.density, DEFAULT_TOL)
             assert frobenius(l_supp - r_supp) <= 1e-10
             assert frobenius(l_supp @ h - h) <= 1e-10
             assert frobenius(h @ l_supp - h) <= 1e-10

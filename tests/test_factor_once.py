@@ -102,8 +102,9 @@ class TestCounts:
         assert lapack_calls["gesdd"] <= 10
 
     def test_psi_intertwining(self, lapack_calls):
-        # 18 with one support of rho0 per gauge_iso_Psi and pi0, each
-        # decomposing both blocks; two functionals, one call per block each.
+        # 18 with one support of rho0 per gauge_iso_Psi and coadjoint_apply,
+        # each decomposing both blocks; two functionals, one call per block
+        # each.
         rng = sampling.rng_for(2026, 1)
         fs = sampling.frame_chain(M23, rng, 3, allow_zero=False)
         rho0 = sampling.density_on(rng, fs[0])

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from wstargeo.algebra import BlockAlgebra, NormalFunctional
+from wstargeo.algebra import BlockAlgebra, NormalFunctional, coadjoint_apply
 from wstargeo.errors import InvalidArrow, InvalidTrials, NotComposable
 from wstargeo.groupoids import (
     GROUPOIDS,
@@ -21,7 +21,6 @@ from wstargeo.groupoids import (
     iso_Xi,
     iso_Xi_inv,
     jay,
-    pi0,
     pi_compose,
     pi_inverse,
     pi_source,
@@ -211,7 +210,7 @@ class TestPsi:
         arrow = gauge_iso_Psi(E12, E22, rho0, DEFAULT_TOL)
         assert frobenius(arrow.u - E12) <= 1e-12
         assert frobenius(arrow.rho.density - np.diag([0.0, 3.0])) <= 1e-12
-        assert frobenius(pi0(E12, rho0, DEFAULT_TOL).density - np.diag([3.0, 0.0])) <= 1e-12
+        assert frobenius(coadjoint_apply(E12, rho0, DEFAULT_TOL).density - np.diag([3.0, 0.0])) <= 1e-12
 
     def test_rejects_wrong_source(self):
         rho0 = NormalFunctional(M2, np.diag([3.0, 0.0]).astype(complex))

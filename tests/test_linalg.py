@@ -27,17 +27,15 @@ from wstargeo.linalg import (
     frobenius,
     hermitian_eig,
     hermitian_eigvals,
-    left_support,
-    matrix_sqrt,
     null_space_rows,
     partial_inverse,
     phase_fixed_q,
     polar_decompose,
     positive_spectrum,
     restricted_power,
-    right_support,
+    retained_rank,
     singular_values,
-    support_projection,
+    supports,
     svd,
 )
 
@@ -85,13 +83,34 @@ class TestPolar:
             uu = u.conj().T @ u
             assert frobenius(u @ h - a) <= 1e-10 * max(1.0, frobenius(a))
             assert frobenius(u @ uu - u) <= 1e-10
-            assert frobenius(uu - support_projection(h)) <= 1e-10
+            assert frobenius(uu - positive_spectrum(h).support) <= 1e-10
             assert frobenius(h - h.conj().T) <= 1e-12
             assert np.linalg.eigvalsh(h).min() >= -1e-12
 
-    def test_left_right_supports(self):
-        assert frobenius(left_support(E12) - np.diag([1.0, 0.0])) <= 1e-12
-        assert frobenius(right_support(E12) - np.diag([0.0, 1.0])) <= 1e-12
+
+def _one_sided_support(a: np.ndarray) -> np.ndarray:
+    """The range projection of ``a`` from its own SVD: a reference that reads
+    the right support of ``a`` as the range projection of ``a*``."""
+    w, s, _ = svd(a)
+    r = retained_rank(s)
+    return w[:, :r] @ w[:, :r].conj().T
+
+
+class TestSupports:
+    def test_matches_one_sided_readers(self):
+        left, right = supports(E12)
+        assert frobenius(left - np.diag([1.0, 0.0])) <= 1e-12
+        assert frobenius(right - np.diag([0.0, 1.0])) <= 1e-12
+        rng = _rng(7)
+        for algebra in (BlockAlgebra((2, 3)), BlockAlgebra((4,))):
+            for _ in range(50):
+                p = sampling.random_frames(algebra, rng).projection
+                a = sampling.random_element(algebra, rng) @ p @ sampling.random_element(
+                    algebra, rng
+                )
+                left, right = supports(a)
+                assert frobenius(left - _one_sided_support(a)) <= 1e-12
+                assert frobenius(right - _one_sided_support(a.conj().T)) <= 1e-12
 
 
 class TestPartialInverse:
@@ -112,8 +131,9 @@ class TestPartialInverse:
                 continue
             assert frobenius(a @ x @ a - a) <= 1e-8 * max(1.0, frobenius(a) ** 3)
             assert frobenius(x @ a @ x - x) <= 1e-8 * max(1.0, frobenius(x) ** 3)
-            assert frobenius(a @ x - left_support(a)) <= 1e-8
-            assert frobenius(x @ a - right_support(a)) <= 1e-8
+            left, right = supports(a)
+            assert frobenius(a @ x - left) <= 1e-8
+            assert frobenius(x @ a - right) <= 1e-8
 
     def test_guard_band_refusal(self):
         # Largest singular value 1, smallest sits inside the guard band
@@ -142,7 +162,7 @@ class TestPartialInverse:
 
 class TestMatrixFunctions:
     def test_sqrt_oracle(self):
-        assert frobenius(matrix_sqrt(np.diag([0.0, 4.0]).astype(complex))
+        assert frobenius(restricted_power(np.diag([0.0, 4.0]).astype(complex), 0.5)
                          - np.diag([0.0, 2.0])) <= 1e-12
 
     def test_sqrt_kernel_is_exact(self):
@@ -150,14 +170,14 @@ class TestMatrixFunctions:
         rng = _rng(2)
         v = np.linalg.qr(_random_matrix(rng, 4))[0]
         d = (v * np.array([2.0, 1.0, 0.0, 0.0])) @ v.conj().T
-        s = matrix_sqrt(d)
-        p = support_projection(d)
+        s = restricted_power(d, 0.5)
+        p = positive_spectrum(d).support
         off = (np.eye(4) - p) @ s
         assert frobenius(off) <= 1e-12
 
     def test_sqrt_rejects_negative(self):
         with pytest.raises(NotPositive):
-            matrix_sqrt(np.diag([1.0, -1.0]).astype(complex))
+            restricted_power(np.diag([1.0, -1.0]).astype(complex), 0.5)
 
     def test_restricted_power_inverse_guard(self):
         prof = DEFAULT_TOL
@@ -425,25 +445,73 @@ HERMITIAN_CHECK_SITES = {
 }
 
 
-def _hermitian_check_sites(source: str, module: str) -> set[str]:
-    """Qualified names of the functions in ``source`` that call
-    ``check_hermitian`` (by name or as an attribute); a call outside any
-    function counts as the module's."""
+#: The functions outside ``linalg`` that call ``hermitian_eig``: a
+#: functional's blockwise spectrum, the frames of a projection, a curve
+#: family's generators, and the complement columns of the isometry-bundle
+#: tangents.  Positivity and support are read from ``positive_spectrum``.
+HERMITIAN_EIG_SITES = {
+    "algebra.density_spectrum",
+    "algebra.frames_of",
+    "poisson.ComposableFamily._spectra",
+    "poisson._bundle_tangent_basis",
+}
+
+#: The functions outside ``linalg`` that call ``retained_rank``: only the
+#: chart-domain rank rule, which reads the rank of an overlap it inverts.
+RETAINED_RANK_SITES = {"charts._in_chart_domain"}
+
+
+def _call_sites(source: str, module: str, callee: str) -> set[str]:
+    """Qualified names of the functions in ``source`` that call ``callee``
+    (by name or as an attribute) or pass it on, as to ``map``; a nested
+    function counts as the function it is defined in, and a use outside
+    any function as the module's."""
     found = set()
 
-    def visit(node, scope):
+    def visit(node, scope, in_function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name])
-                continue
-            if isinstance(child, ast.Call) and "check_hermitian" in (
-                getattr(child.func, "id", None), getattr(child.func, "attr", None)
-            ):
+                if not in_function:
+                    visit(child, scope + [child.name], not isinstance(child, ast.ClassDef))
+                    continue
+            elif callee in (getattr(child, "id", None), getattr(child, "attr", None)):
                 found.add(".".join([module] + scope))
-            visit(child, scope)
+            visit(child, scope, in_function)
 
-    visit(ast.parse(source), [])
+    visit(ast.parse(source), [], False)
     return found
+
+
+def _package_sites(callee: str, skip: str | None = None) -> set[str]:
+    """:func:`_call_sites` of ``callee`` over the package's modules, but
+    the one named ``skip``."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "wstargeo"
+    found = set()
+    for p in sorted(src.glob("*.py")):
+        if p.stem != skip:
+            found |= _call_sites(p.read_text(encoding="utf-8"), p.stem, callee)
+    return found
+
+
+class TestSpectralReadersPinned:
+    """Outside ``linalg`` no function decides a rank or diagonalises a
+    matrix but these: a new private rank or positivity rule shows up here."""
+
+    def test_scanner_counts_nested_functions_and_references(self):
+        source = (
+            "def f(phi):\n"
+            "    def compute():\n"
+            "        return list(map(hermitian_eig, phi))\n"
+            "    return compute()\n"
+            "from .linalg import hermitian_eig\n"
+        )
+        assert _call_sites(source, "m", "hermitian_eig") == {"m.f"}
+
+    def test_hermitian_eig_sites(self):
+        assert _package_sites("hermitian_eig", skip="linalg") == HERMITIAN_EIG_SITES
+
+    def test_retained_rank_sites(self):
+        assert _package_sites("retained_rank", skip="linalg") == RETAINED_RANK_SITES
 
 
 class TestHermitianCheckedOnce:
@@ -462,25 +530,19 @@ class TestHermitianCheckedOnce:
             "    def make(cls, x):\n"
             "        return cls(lambda: check_hermitian(x))\n"
         )
-        assert _hermitian_check_sites(source, "m") == {"m", "m.f", "m.C.make"}
+        assert _call_sites(source, "m", "check_hermitian") == {"m", "m.f", "m.C.make"}
 
     def test_check_sites(self):
-        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "wstargeo"
-        found = set()
-        for p in sorted(src.glob("*.py")):
-            found |= _hermitian_check_sites(p.read_text(encoding="utf-8"), p.stem)
-        assert found == HERMITIAN_CHECK_SITES
+        assert _package_sites("check_hermitian") == HERMITIAN_CHECK_SITES
 
     @pytest.mark.parametrize(
         "fn",
         [
-            matrix_sqrt,
-            support_projection,
             lambda h: restricted_power(h, 0.5),
             positive_spectrum,
             Observable.linear,
         ],
-        ids=["matrix_sqrt", "support_projection", "restricted_power",
+        ids=["restricted_power",
              "spectrum", "Observable.linear"],
     )
     def test_entry_points_reject_non_hermitian(self, fn):

@@ -39,6 +39,7 @@ from wstargeo import (
     orbit_form_invariance_residual,
     pair_groupoid_fs_residual,
     poisson_map_residual,
+    positive_spectrum,
     sample_family,
     sample_family_pair,
     stabilizer_lie_algebra,
@@ -218,6 +219,15 @@ class TestComposableFamily:
         with pytest.raises(InvalidFamily):
             ComposableFamily(**{**good, "a1": np.diag([1.0, 1.0]).astype(complex)})
 
+    def test_positivity_and_support_read_positive_spectrum(self):
+        # -2e-8 is negative beyond residual_tol in absolute terms, but within
+        # residual_tol * max(1, w_max): positive, with support e11.
+        xi2 = np.diag([100.0, -2e-8]).astype(complex)
+        assert positive_spectrum(xi2, DEFAULT_TOL).ranks == (1,)
+        e11 = np.diag([1.0, 0.0]).astype(complex)
+        zero = np.zeros((2, 2), dtype=complex)
+        ComposableFamily(M2, e11, e11, xi2, zero, zero, zero, zero, DEFAULT_TOL)
+
     def test_multiplicativity(self):
         for trial in range(60):
             rng = rng_for(48, trial)
@@ -299,6 +309,14 @@ class TestFubiniStudy:
         assert abs(report.fs_value + 2.0) <= 1e-12
         assert abs(report.omega + 2.0) <= 1e-12
         assert report.residual <= 1e-12
+
+    def test_closed_form_omega(self):
+        # The lifts are -sqrt(r) |e1><e2| and -sqrt(r) |e1><i e2|, so
+        # omega = -2 r Im <e2 | i e2> = -4 at r = 2, with no calibration.
+        e1 = np.array([1.0, 0.0], dtype=complex)
+        e2 = np.array([0.0, 1.0], dtype=complex)
+        report = fubini_study_compare(2.0, e1, e2, 1j * e2, DEFAULT_TOL)
+        assert abs(report.omega + 4.0) <= 1e-14
 
     def test_radius_scaling(self):
         rng = rng_for(54)

@@ -100,7 +100,7 @@ class TestFrameSamplers:
         def refuse(*args):
             raise AssertionError("a sampler diagonalised a projection")
 
-        monkeypatch.setattr(sampling, "hermitian_eig", refuse)
+        monkeypatch.setattr(sampling, "frames_of", refuse)
         rng = sampling.rng_for(3)
         for tag in groupoids.GROUPOIDS:
             groupoids.composable_chain(tag, M23, rng, 3)

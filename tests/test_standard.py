@@ -56,6 +56,8 @@ M23 = BlockAlgebra((2, 3))
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 E21 = E12.conj().T
+E11 = np.diag([1.0, 0.0]).astype(complex)
+E22 = np.diag([0.0, 1.0]).astype(complex)
 G_CORNER = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
 
 
@@ -422,6 +424,41 @@ class TestClosedFormM2:
     def test_tomita(self, phi):
         want = np.sqrt(self.A) * E21
         assert frobenius(tomita_S(phi, self.OMEGA, DEFAULT_TOL) - want) <= 1e-14
+
+    # At the non-normal g = e12 the left support e11 and the right support
+    # e22 differ.  By hand, E(g + d) - E(g) = d e21 + e12 d* to first order
+    # with d = e11 d on the left support gives {e11, i e11, i e12}, and
+    # E'(g + d) - E'(g) = e21 d + d* e12 with d = d e22 gives
+    # {i e12, e22, i e22}.  With the supports swapped the E' kernel has
+    # dimension 2.
+
+    @staticmethod
+    def _span_projection(mats):
+        """Orthogonal projection onto the real span of the realified mats."""
+        rows = np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats])
+        q, _ = np.linalg.qr(rows.T)
+        return q @ q.T
+
+    @pytest.mark.parametrize(
+        "kernel, want",
+        [
+            (fiber_kernel_E, [E11, 1j * E11, 1j * E12]),
+            (fiber_kernel_Eprime, [1j * E12, E22, 1j * E22]),
+        ],
+        ids=["E", "Eprime"],
+    )
+    def test_fiber_kernel(self, kernel, want):
+        got = kernel(M2, E12, DEFAULT_TOL)
+        assert len(got) == 3
+        assert (
+            frobenius(self._span_projection(got) - self._span_projection(want)) <= 1e-14
+        )
+
+    def test_dual_pair(self):
+        report = dual_pair_orthogonality_check(M2, E12, DEFAULT_TOL)
+        assert (report.dim_E, report.dim_Eprime) == (3, 3)
+        assert (report.expected_dim_E, report.expected_dim_Eprime) == (3, 3)
+        assert report.orthogonality <= 1e-14
 
 
 FLOW_RESIDUALS = {

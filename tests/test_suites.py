@@ -235,10 +235,12 @@ class TestPlantedFaults:
         assert self._row("dual-pair", "orthogonality").status == "FAIL"
 
     def test_left_momentum_replaced_by_identity(self, monkeypatch):
-        def momentum_mu(g, tol=DEFAULT_TOL):
-            return np.eye(len(g), dtype=complex)
+        real = standard.supports
 
-        monkeypatch.setattr(standard, "momentum_mu", momentum_mu)
+        def supports(g, tol=DEFAULT_TOL):
+            return np.eye(len(g), dtype=complex), real(g, tol)[1]
+
+        monkeypatch.setattr(standard, "supports", supports)
         assert self._row("dual-pair", "dimension").status == "FAIL"
 
     # The basis faults run at three trials: each fails its rows on every
