@@ -30,10 +30,12 @@ operator and Tomita's ``S``.  Every negative power is guarded near the
 cutoff, as for a matrix.  Membership in the block algebra is one pass over
 the realified entries.
 
-The frames of a projection (:func:`frames_of`), per block the eigenvectors
-of its eigenvalues above 1/2, are read in one place: the Murray-von Neumann
-witness, the isometry-bundle tangents in :mod:`wstargeo.poisson` and the
-samplers that take a projection all use them.
+The frames of a projection (:class:`Frames`) are one block-structured
+isometry ``F`` with ``p = F F*``.  Those of a given projection
+(:func:`frames_of`), per block the eigenvectors of its eigenvalues above
+1/2, are read in one place: the Murray-von Neumann witness ``F_q F_p*``,
+the isometry-bundle tangents in :mod:`wstargeo.poisson` and the samplers
+that take a projection all use them.
 """
 from __future__ import annotations
 
@@ -71,6 +73,16 @@ from .linalg import (
 SPECTRAL_ATOL = 1e-10
 
 
+def consecutive_slices(sizes: Iterable[int]) -> tuple[slice, ...]:
+    """Slices of consecutive runs of the given sizes, starting at 0."""
+    out = []
+    start = 0
+    for n in sizes:
+        out.append(slice(start, start + n))
+        start += n
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class BlockAlgebra:
     """Direct sum of full matrix blocks M_{n_1} + ... + M_{n_m}."""
@@ -99,12 +111,7 @@ class BlockAlgebra:
 
     @cached_property
     def slices(self) -> tuple[slice, ...]:
-        out = []
-        start = 0
-        for b in self.blocks:
-            out.append(slice(start, start + b))
-            start += b
-        return tuple(out)
+        return consecutive_slices(self.blocks)
 
     @cached_property
     def _off_block_index(self) -> np.ndarray:
@@ -333,30 +340,45 @@ def block_ranks(
 
 @dataclass(frozen=True, eq=False)
 class Frames:
-    """Orthonormal frames of a projection: per block an ``n_b x r_b``
-    isometry ``F`` whose range is that block of the projection."""
+    """Orthonormal frames of a projection as one block-structured ``dim x R``
+    isometry ``matrix``, ``R = sum(ranks)``: block ``b``'s ``n_b x r_b``
+    frame ``F_b`` fills that block's rows and the columns ``sum_{c<b} r_c``
+    to ``sum_{c<=b} r_c``, and every other entry is exactly zero.  The
+    projection is ``F F*``, and an arrow between two projections of equal
+    ranks is one product ``F_q w F_p*`` with ``w`` block-diagonal."""
 
     algebra: BlockAlgebra
-    blocks: tuple[np.ndarray, ...]
+    matrix: np.ndarray
+    ranks: tuple[int, ...]
 
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(f.shape[1] for f in self.blocks)
+    @cached_property
+    def columns(self) -> tuple[slice, ...]:
+        """Each block's slice of the columns."""
+        return consecutive_slices(self.ranks)
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Each block's ``n_b x r_b`` frame, a view of ``matrix``."""
+        return tuple(self.matrix[s, c] for s, c in zip(self.algebra.slices, self.columns))
 
     @cached_property
     def projection(self) -> np.ndarray:
-        """The projection ``F F*``, blockwise."""
-        return self.algebra.embed_blocks([f @ f.conj().T for f in self.blocks])
+        """The projection ``F F*``."""
+        return self.matrix @ self.matrix.conj().T
 
 
 def frames_of(algebra: BlockAlgebra, p: np.ndarray) -> Frames:
     """Frames of a projection ``p``: per block, the eigenvectors of the
-    eigenvalues above 1/2."""
-    frames = []
+    eigenvalues above 1/2, placed in one zero matrix."""
+    cols = []
     for bp in algebra.block_views(p):
         w, v = hermitian_eig(bp)
-        frames.append(v[:, : int(np.count_nonzero(w > 0.5))])
-    return Frames(algebra, tuple(frames))
+        cols.append(v[:, : int(np.count_nonzero(w > 0.5))])
+    ranks = tuple(c.shape[1] for c in cols)
+    matrix = np.zeros((algebra.dim, sum(ranks)), dtype=complex)
+    for s, c, f in zip(algebra.slices, consecutive_slices(ranks), cols):
+        matrix[s, c] = f
+    return Frames(algebra, matrix, ranks)
 
 
 def mvn_equivalent(
@@ -377,12 +399,11 @@ def mvn_witness(
     q: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> np.ndarray:
-    """A partial isometry ``w`` with ``w* w = p`` and ``w w* = q``: ``F_q F_p*``
-    per block, from the frames of both projections."""
+    """A partial isometry ``w`` with ``w* w = p`` and ``w w* = q``: ``F_q F_p*``,
+    one product of the frames of both projections."""
     if not mvn_equivalent(algebra, p, q, tol):
         raise InvalidArrow("projections are not equivalent, no witness exists")
-    fp, fq = frames_of(algebra, p), frames_of(algebra, q)
-    return algebra.embed_blocks([g @ f.conj().T for f, g in zip(fp.blocks, fq.blocks)])
+    return frames_of(algebra, q).matrix @ frames_of(algebra, p).matrix.conj().T
 
 
 def unitary_equivalent(

@@ -329,7 +329,9 @@ class ComposableFamily:
 
     Each generator is diagonalised once: ``x = v diag(lam) v*`` gives
     ``exp(t x) = v diag(e^{t lam}) v*``, with an anti-Hermitian ``a``
-    written ``-i (i a)`` so that ``lam`` is imaginary.
+    written ``-i (i a)`` so that ``lam`` is imaginary.  Each curve point
+    ``(u1(t), u2(t), xi2(t))`` is evaluated once per ``t`` and shared by
+    every curve read at that ``t``; at ``t = 0`` it is the base itself.
     """
 
     algebra: BlockAlgebra
@@ -398,15 +400,38 @@ class ComposableFamily:
         lam, v = self._spectra[name]
         return (v * np.exp(t * lam)) @ v.conj().T
 
+    @cached_property
+    def _points(self) -> dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The curve points evaluated so far, by ``t``."""
+        return {}
+
+    def _at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(u1(t), u2(t), xi2(t))``: the base itself at ``t = 0``, otherwise
+        evaluated once per ``t`` and kept read-only."""
+        if t == 0.0:
+            return self.u1, self.u2, self.xi2
+        try:
+            return self._points[t]
+        except KeyError:
+            e = self._exp("h2", t)
+            point = (
+                self._exp("a1", t) @ self.u1 @ self._exp("b1", t),
+                self._exp("a2", t) @ self.u2 @ self._exp("b2", t),
+                e @ self.xi2 @ e,
+            )
+            for x in point:
+                x.flags.writeable = False
+            self._points[t] = point
+            return point
+
     def u1_at(self, t: float) -> np.ndarray:
-        return self._exp("a1", t) @ self.u1 @ self._exp("b1", t)
+        return self._at(t)[0]
 
     def u2_at(self, t: float) -> np.ndarray:
-        return self._exp("a2", t) @ self.u2 @ self._exp("b2", t)
+        return self._at(t)[1]
 
     def xi2_at(self, t: float) -> np.ndarray:
-        e = self._exp("h2", t)
-        return e @ self.xi2 @ e
+        return self._at(t)[2]
 
     def gamma2_at(self, t: float) -> np.ndarray:
         return self.u2_at(t) @ self.xi2_at(t)

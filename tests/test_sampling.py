@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wstargeo import BlockAlgebra, DEFAULT_TOL, frobenius, groupoids, poisson, sampling
+from wstargeo import BlockAlgebra, DEFAULT_TOL, frobenius, groupoids, linalg, poisson, sampling
 from wstargeo.poisson import sample_family
 
 M2 = BlockAlgebra((2,))
@@ -115,6 +115,119 @@ class TestFrameSamplers:
         assert np.array_equal(z.imag, parts[..., 1])
 
 
+class TestRngFor:
+    @pytest.mark.parametrize(
+        "key", [(0,), (2**32,), (2**40 + 5,), (2**64 + 1,), (7, 0, 2**32, 2**64 + 1)], ids=str
+    )
+    def test_stream_of_the_integer_list(self, key):
+        want = np.random.default_rng(list(key)).bit_generator.state
+        assert sampling.rng_for(*key).bit_generator.state == want
+
+    def test_negative_key_raises(self):
+        with pytest.raises(ValueError):
+            sampling.rng_for(1, -1)
+
+
+# The per-block samplers, as the reference for the stream and the values:
+# one Haar QR per block, drawn block by block.
+
+
+def _haar(rng, n):
+    return linalg.phase_fixed_q(sampling.complex_normal(rng, (n, n)))
+
+
+def _per_block_frames(algebra, rng, ranks=None):
+    if ranks is None:
+        ranks = [int(rng.integers(0, b + 1)) for b in algebra.blocks]
+        if sum(ranks) == 0:
+            ranks[int(rng.integers(0, len(algebra.blocks)))] = 1
+    return [
+        np.zeros((n, 0)) if r == 0
+        else np.eye(n) if r == n
+        else linalg.phase_fixed_q(sampling.complex_normal(rng, (n, r)))
+        for n, r in zip(algebra.blocks, ranks)
+    ]
+
+
+def _per_block_positive(rng, frames):
+    mats = []
+    for f in frames:
+        fw = f @ _haar(rng, f.shape[1])
+        vals = rng.uniform(0.5, 2.0, f.shape[1])
+        mats.append((fw * vals) @ fw.conj().T)
+    return mats
+
+
+def _assembled(algebra, mats):
+    out = algebra.zero()
+    for s, m in zip(algebra.slices, mats):
+        out[s, s] = m
+    return out
+
+
+class TestOneQRPerDraw:
+    """Each sampler makes at most one Haar QR and assembles no blocks, and
+    draws what the per-block samplers drew, in the same order, to the same
+    values up to rounding."""
+
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        calls = []
+        real = sampling.phase_fixed_q
+
+        def spy(g):
+            calls.append(g.shape)
+            return real(g)
+
+        def refuse(self, mats):
+            raise AssertionError("a sampler assembled blocks")
+
+        monkeypatch.setattr(sampling, "phase_fixed_q", spy)
+        monkeypatch.setattr(BlockAlgebra, "embed_blocks", refuse)
+        return calls
+
+    @pytest.mark.parametrize(
+        "algebra", [M23, BlockAlgebra((1, 2, 2)), BlockAlgebra((4, 4, 4, 4))], ids=lambda a: str(a.blocks)
+    )
+    def test_against_per_block_draws(self, qr_calls, algebra):
+        for key in range(12):
+            rng, ref = sampling.rng_for(70, key), sampling.rng_for(70, key)
+
+            def drawn(value, want):
+                # at most one QR, the replayed stream, the per-block values
+                assert len(qr_calls) <= 1
+                qr_calls.clear()
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert frobenius(value - want) <= 1e-13
+
+            def check_frames(f, blocks):
+                off = f.matrix.copy()
+                for s, c in zip(algebra.slices, f.columns):
+                    off[s, c] = 0.0
+                assert not off.any()
+                assert f.ranks == tuple(b.shape[1] for b in blocks)
+                for got, want in zip(f.blocks, blocks):
+                    drawn(got, want)
+
+            f = sampling.random_frames(algebra, rng)
+            fb = _per_block_frames(algebra, ref)
+            check_frames(f, fb)
+            g = sampling.equivalent_frames(rng, f)
+            gb = _per_block_frames(algebra, ref, f.ranks)
+            check_frames(g, gb)
+            u = sampling.isometry_between(rng, f, g)
+            drawn(u, _assembled(algebra, [t @ _haar(ref, s.shape[1]) @ s.conj().T for s, t in zip(fb, gb)]))
+            h = sampling.positive_on(rng, f)
+            drawn(h, _assembled(algebra, _per_block_positive(ref, fb)))
+            w = sampling.random_unitary(algebra, rng)
+            drawn(w, _assembled(algebra, [_haar(ref, n) for n in algebra.blocks]))
+            x = sampling.random_element(algebra, rng)
+            drawn(x, _assembled(algebra, [sampling.complex_normal(ref, (n, n), 0.5**0.5) for n in algebra.blocks]))
+            for y in (u, h, w, x):
+                # exactly zero off the blocks
+                assert np.array_equal(y, _assembled(algebra, algebra.block_views(y)))
+
+
 class TestFamilyExponentials:
     @pytest.mark.parametrize("algebra", [M2, M23], ids=lambda a: str(a.blocks))
     def test_curves_match_expm(self, algebra):
@@ -130,3 +243,25 @@ class TestFamilyExponentials:
                 )
                 for got, ref in refs:
                     assert frobenius(got - ref) <= 1e-13
+
+    def test_each_point_evaluated_once(self, monkeypatch):
+        fam = sample_family(M23, sampling.rng_for(61), DEFAULT_TOL)
+        times = []
+        real = poisson.ComposableFamily._exp
+        monkeypatch.setattr(
+            poisson.ComposableFamily, "_exp", lambda self, name, t: times.append(t) or real(self, name, t)
+        )
+        # the base itself at t = 0
+        base = (fam.u1, fam.u2, fam.xi2)
+        assert all(a is b for a, b in zip((fam.u1_at(0.0), fam.u2_at(0.0), fam.xi2_at(0.0)), base))
+        fam.gamma1_at(0.0), fam.gamma2_at(0.0), fam.product_at(0.0)
+        assert times == []
+        for t in (1e-3, -1e-3):
+            point = (fam.u1_at(t), fam.u2_at(t), fam.xi2_at(t))
+            fam.gamma1_at(t), fam.gamma2_at(t), fam.product_at(t)
+            assert all(a is b for a, b in zip(point, (fam.u1_at(t), fam.u2_at(t), fam.xi2_at(t))))
+            assert not any(x.flags.writeable for x in point)
+        # one exponential per generator and time
+        assert sorted(times) == sorted([1e-3] * 5 + [-1e-3] * 5)
+        poisson.exactness_residual(fam, 1e-4, DEFAULT_TOL)
+        assert len(times) == 20

@@ -396,6 +396,13 @@ class TestNegativePowerGuard:
         assert frobenius(flowed - (1.0 / 2e-9) ** 0.3j * E12) <= 1e-14
 
 
+def _span_projection(mats):
+    """Orthogonal projection onto the real span of the realified mats."""
+    rows = np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats])
+    q, _ = np.linalg.qr(rows.T)
+    return q @ q.T
+
+
 class TestClosedFormM2:
     """Modular data of rho = diag(a, b) on M2, against closed forms that
     share no code with the readers, at the vector Omega = e12 rho^{1/2}."""
@@ -432,13 +439,6 @@ class TestClosedFormM2:
     # {i e12, e22, i e22}.  With the supports swapped the E' kernel has
     # dimension 2.
 
-    @staticmethod
-    def _span_projection(mats):
-        """Orthogonal projection onto the real span of the realified mats."""
-        rows = np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats])
-        q, _ = np.linalg.qr(rows.T)
-        return q @ q.T
-
     @pytest.mark.parametrize(
         "kernel, want",
         [
@@ -451,13 +451,56 @@ class TestClosedFormM2:
         got = kernel(M2, E12, DEFAULT_TOL)
         assert len(got) == 3
         assert (
-            frobenius(self._span_projection(got) - self._span_projection(want)) <= 1e-14
+            frobenius(_span_projection(got) - _span_projection(want)) <= 1e-14
         )
 
     def test_dual_pair(self):
         report = dual_pair_orthogonality_check(M2, E12, DEFAULT_TOL)
         assert (report.dim_E, report.dim_Eprime) == (3, 3)
         assert (report.expected_dim_E, report.expected_dim_Eprime) == (3, 3)
+        assert report.orthogonality <= 1e-14
+
+
+class TestClosedFormFibreKernels:
+    """The fibre kernels at the rank-2 diagonal g = diag(2, 1, 0) in M3, by
+    hand.  With Sigma = diag(2, 1) and d = [[A, b], [0, 0]] on the left
+    support, d g* + g d* = 0 reads A Sigma + Sigma A* = 0, so
+    E(g) = {[[X Sigma^-1, b], [0, 0]] : X in u(2), b in C^2}, of real
+    dimension 4 + 4 = 8; g is Hermitian, so E'(g) is its image under
+    x -> x*."""
+
+    M3 = BlockAlgebra((3,))
+    G = np.diag([2.0, 1.0, 0.0]).astype(complex)
+
+    @staticmethod
+    def _kernel_E():
+        units = np.eye(9).reshape(9, 3, 3).astype(complex)
+        e = {(i, j): units[3 * i + j] for i in range(3) for j in range(3)}
+        sigma_inv = np.diag([0.5, 1.0, 0.0])
+        u2 = [1j * e[0, 0], 1j * e[1, 1], e[0, 1] - e[1, 0], 1j * (e[0, 1] + e[1, 0])]
+        return [x @ sigma_inv for x in u2] + [e[0, 2], 1j * e[0, 2], e[1, 2], 1j * e[1, 2]]
+
+    @pytest.mark.parametrize(
+        "kernel, adjoint", [(fiber_kernel_E, False), (fiber_kernel_Eprime, True)], ids=["E", "Eprime"]
+    )
+    def test_fiber_kernel(self, kernel, adjoint):
+        want = [d.conj().T if adjoint else d for d in self._kernel_E()]
+        got = kernel(self.M3, self.G, DEFAULT_TOL)
+        assert len(got) == 8
+        assert frobenius(_span_projection(got) - _span_projection(want)) <= 1e-14
+
+    def test_dual_pair(self):
+        report = dual_pair_orthogonality_check(self.M3, self.G, DEFAULT_TOL)
+        assert (report.dim_E, report.dim_Eprime) == (8, 8)
+        assert (report.expected_dim_E, report.expected_dim_Eprime) == (8, 8)
+        assert report.orthogonality <= 1e-14
+
+    def test_dual_pair_on_a_block_algebra(self):
+        # e12 in M2 (3 + 3) beside diag(2, 1, 0) in M3 (8 + 8).
+        g = M23.embed_blocks([E12, self.G])
+        report = dual_pair_orthogonality_check(M23, g, DEFAULT_TOL)
+        assert (report.dim_E, report.dim_Eprime) == (11, 11)
+        assert (report.expected_dim_E, report.expected_dim_Eprime) == (11, 11)
         assert report.orthogonality <= 1e-14
 
 

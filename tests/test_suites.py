@@ -336,6 +336,20 @@ class TestPlantedFaults:
                         "group-law", "conditional-expectation")
         } <= failed
 
+    def test_every_pair_of_projections_equivalent(self, monkeypatch):
+        # The negative control, a rank change, then counts as equivalent.
+        monkeypatch.setattr(suites, "mvn_equivalent", lambda *args, **kwargs: True)
+        failed = self._failed("groupoid-axioms", trials=5)
+        assert "groupoid-axioms/equivalence-agreement" in failed
+
+    def test_witness_in_the_wrong_direction(self, monkeypatch):
+        def mvn_witness(alg, p, q, tol=DEFAULT_TOL):
+            # F_p F_q* carries q onto p, not p onto q.
+            return algebra.frames_of(alg, p).matrix @ algebra.frames_of(alg, q).matrix.conj().T
+
+        monkeypatch.setattr(suites, "mvn_witness", mvn_witness)
+        assert "groupoid-axioms/witnesses" in self._failed("groupoid-axioms", trials=5)
+
 
 class TestSampleWithRetry:
     def test_redraws_until_admissible(self):
