@@ -59,6 +59,7 @@ from .linalg import (
     ToleranceProfile,
     as_square,
     eigen_clusters,
+    excess,
     frobenius,
     herm,
     hermitian_eig,
@@ -306,7 +307,7 @@ def density_spectrum(
 
     def compute():
         d = phi.density
-        if frobenius(d - d.conj().T) > tol.residual_tol * (1.0 + frobenius(d)):
+        if excess(d, d.conj().T, tol, frobenius(d)):
             raise NotPositive("functional is not positive")
         eigs = map(hermitian_eig, phi.algebra.block_views(herm(d)))
         blocks = [(s, _readonly(w), _readonly(v)) for s, (w, v) in zip(phi.algebra.slices, eigs)]
@@ -602,6 +603,6 @@ def coadjoint_apply(
     projection is the support of ``rho``."""
     p = functional_support(phi, tol)
     u = phi.algebra.require_member(u, tol)
-    if frobenius(u.conj().T @ u - p) > tol.residual_tol * (1.0 + frobenius(p)):
+    if excess(u.conj().T @ u, p, tol, frobenius(p)):
         raise InvalidArrow("source projection of u is not the support of rho")
     return NormalFunctional(phi.algebra, u @ phi.density @ u.conj().T)

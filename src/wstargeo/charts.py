@@ -33,6 +33,7 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
     _pinv_from_svd,
+    excess,
     exp_antihermitian,
     expect_real,
     frobenius,
@@ -221,7 +222,7 @@ def theta_P0(
     is the fibre coordinate u_{p}(u u*)* u, a partial isometry from p0 to p."""
     if not is_partial_isometry(u, tol):
         raise InvalidArrow("u is not a partial isometry")
-    if frobenius(u.conj().T @ u - p0) > tol.residual_tol * (1.0 + frobenius(p0)):
+    if excess(u.conj().T @ u, p0, tol, frobenius(p0)):
         raise InvalidArrow("u* u is not the base projection")
     y, w = _chart_leg(p, u @ u.conj().T, tol)
     return y, w.conj().T @ u
@@ -315,13 +316,10 @@ def fd_surface_dGamma0(
     in ``step``.  ``a`` must be anti-Hermitian and ``b`` an anti-Hermitian
     corner element of the source projection."""
     p0 = functional_support(rho0, tol)
-    if frobenius(a + a.conj().T) > tol.residual_tol * (1.0 + frobenius(a)):
+    if excess(a, -a.conj().T, tol, frobenius(a)):
         raise InvalidTangent("the left generator is not anti-Hermitian")
-    corner_gap = max(
-        frobenius(p0 @ b @ p0 - b),
-        frobenius(b + b.conj().T),
-    )
-    if corner_gap > tol.residual_tol * (1.0 + frobenius(b)):
+    scale = frobenius(b)
+    if excess(p0 @ b @ p0, b, tol, scale) or excess(b, -b.conj().T, tol, scale):
         raise InvalidTangent(
             "the right generator is not an anti-Hermitian corner element"
         )

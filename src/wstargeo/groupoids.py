@@ -45,6 +45,7 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
     _worst,
+    excess,
     frobenius,
     partial_inverse,
     restricted_power,
@@ -72,8 +73,7 @@ def pi_compose(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> np.ndarray:
     """Product u v, defined when r(u) = l(v)."""
-    gap = frobenius(pi_source(u) - pi_target(v))
-    if gap > tol.residual_tol * (1.0 + frobenius(u)):
+    if gap := excess(pi_source(u), pi_target(v), tol, frobenius(u)):
         raise NotComposable(f"r(u) != l(v) (gap {gap:.3e})")
     return u @ v
 
@@ -103,8 +103,7 @@ def g_compose(
     y: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> np.ndarray:
-    gap = frobenius(g_source(x, tol) - g_target(y, tol))
-    if gap > tol.residual_tol * (1.0 + frobenius(x)):
+    if gap := excess(g_source(x, tol), g_target(y, tol), tol, frobenius(x)):
         raise NotComposable(f"right support of x != left support of y (gap {gap:.3e})")
     return x @ y
 
@@ -148,8 +147,8 @@ def predual_compose(
     """Product with density u1 u2 |phi2|, defined when s(phi1) = t(phi2)."""
     u1, mod1 = functional_polar(phi1, tol)
     u2, mod2 = functional_polar(phi2, tol)
-    gap = frobenius(mod1.density - u2 @ mod2.density @ u2.conj().T)
-    if gap > tol.residual_tol * (1.0 + frobenius(mod1.density)):
+    d1 = mod1.density
+    if gap := excess(d1, u2 @ mod2.density @ u2.conj().T, tol, frobenius(d1)):
         raise NotComposable(f"s(phi1) != t(phi2) (gap {gap:.3e})")
     return NormalFunctional(phi1.algebra, u1 @ u2 @ mod2.density)
 
@@ -196,8 +195,8 @@ def coadjoint_compose(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> CoadjointArrow:
     """(u, rho) . (w, delta) = (u w, delta), defined when rho = w delta w*."""
-    gap = coadjoint_target(b).distance(a.rho)
-    if gap > tol.residual_tol * (1.0 + frobenius(a.rho.density)):
+    d = a.rho.density
+    if gap := excess(coadjoint_target(b).density, d, tol, frobenius(d)):
         raise NotComposable(f"source of left arrow != target of right arrow (gap {gap:.3e})")
     return CoadjointArrow(a.u @ b.u, b.rho)
 
@@ -487,7 +486,7 @@ def gauge_iso_Psi(
     support(rho0) to the coadjoint arrow (u v*, v rho0 v*)."""
     p0 = functional_support(rho0, tol)
     for w, name in ((u, "u"), (v, "v")):
-        if frobenius(w.conj().T @ w - p0) > tol.residual_tol * (1.0 + frobenius(p0)):
+        if excess(w.conj().T @ w, p0, tol, frobenius(p0)):
             raise InvalidArrow(f"{name}* {name} is not the support of rho0")
     return CoadjointArrow(
         u @ v.conj().T,

@@ -30,6 +30,12 @@ driver that fails, NaN input included, fills the gufunc's outputs with NaN
 and NumPy warns (``RuntimeWarning``, under the default ``numpy.errstate``);
 the kernel reads the NaN and raises :class:`NoConvergence`.
 
+Every domain check decides an identity ``a = b`` by one rule,
+:func:`excess`: the gap ``frobenius(a - b)`` is accepted when it is at most
+``residual_tol * (1 + scale)``, with the ``scale`` the check names (a norm
+of its input, or ``0`` for an absolute bound).  A NaN gap or bound is never
+accepted: a non-finite input fails the check instead of passing it.
+
 The kernels check shape and LAPACK status only.  A function whose domain
 needs Hermitian, positive or member input checks its own arguments, once,
 where they enter: the functional calculus on positive matrices
@@ -150,11 +156,22 @@ def expect_real_array(
     return z.real
 
 
+def excess(a, b, tol: ToleranceProfile, scale: float = 0.0) -> float:
+    """The gap ``frobenius(a - b)`` of the identity ``a = b`` where it is not
+    within ``residual_tol * (1 + scale)``, else ``0.0``.
+
+    The one acceptance rule of the domain checks, used as ``if gap :=
+    excess(...): raise ...``.  A NaN gap or bound is never within: the
+    result is then NaN, which is true, even for a zero gap."""
+    gap = frobenius(a - b)
+    bound = tol.residual_tol * (1.0 + scale)
+    return 0.0 if gap <= bound else gap or bound
+
+
 def check_hermitian(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Validate Hermitianity of ``h`` within residual tolerance."""
     h = as_square(h)
-    defect = frobenius(h - h.conj().T)
-    if defect > tol.residual_tol * (1.0 + frobenius(h)):
+    if defect := excess(h, h.conj().T, tol, frobenius(h)):
         raise NotHermitian(f"matrix is not Hermitian (defect {defect:.3e})")
     return h
 
@@ -240,11 +257,18 @@ def null_space_rows(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.nd
     sense ``a @ r.conj() = 0``; real input gives real rows.
 
     Singular values at or below ``rank_rel_tol * max(sigma_max, 1)`` count as
-    zero: an absolute floor for matrices of small norm.
+    zero (:func:`floored_rank`).
     """
     _, s, vh = _gesdd(_real_or_complex(a), 1)
+    return vh[floored_rank(s, tol):]
+
+
+def floored_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> int:
+    """Number of the descending singular values ``s`` above ``rank_rel_tol *
+    max(s[0], 1)``: the relative rank rule with an absolute floor for
+    matrices of small norm."""
     scale = max(s[0], 1.0) if s.size else 1.0
-    return vh[int(np.sum(s > tol.rank_rel_tol * scale)):]
+    return int(np.sum(s > tol.rank_rel_tol * scale))
 
 
 def phase_fixed_q(g: np.ndarray) -> np.ndarray:
@@ -435,17 +459,14 @@ def is_partial_isometry(u: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> b
     """Whether ``u* u`` is a projection within residual tolerance."""
     u = np.asarray(u, dtype=complex)
     p = u.conj().T @ u
-    return frobenius(p @ p - p) <= tol.residual_tol * (1.0 + frobenius(p))
+    return not excess(p @ p, p, tol, frobenius(p))
 
 
 def is_projection(p: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """Whether ``p`` is a Hermitian idempotent within residual tolerance."""
     p = np.asarray(p, dtype=complex)
-    scale = 1.0 + frobenius(p)
-    return (
-        frobenius(p - p.conj().T) <= tol.residual_tol * scale
-        and frobenius(p @ p - p) <= tol.residual_tol * scale
-    )
+    scale = frobenius(p)
+    return not (excess(p, p.conj().T, tol, scale) or excess(p @ p, p, tol, scale))
 
 
 def projection_rank(p: np.ndarray) -> int:

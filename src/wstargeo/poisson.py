@@ -28,6 +28,7 @@ import numpy as np
 from . import sampling, standard
 from .algebra import (
     BlockAlgebra,
+    Frames,
     NormalFunctional,
     antihermitian_units,
     frames_of,
@@ -50,9 +51,11 @@ from .linalg import (
     ToleranceProfile,
     _worst,
     check_hermitian,
+    excess,
     exp_antihermitian,
     expect_real,
     expect_real_array,
+    floored_rank,
     frobenius,
     herm,
     hermitian_eig,
@@ -350,28 +353,18 @@ class ComposableFamily:
             q2 = positive_spectrum(self.xi2, tol).support
         except (NotHermitian, NotPositive) as exc:
             raise InvalidFamily(f"xi2: {exc}") from exc
+        u1, u2, a1, a2, b2, h2 = self.u1, self.u2, self.a1, self.a2, self.b2, self.h2
         checks = {
-            "u1 is not a partial isometry": not is_partial_isometry(self.u1, tol),
-            "u2 is not a partial isometry": not is_partial_isometry(self.u2, tol),
-            "u1* u1 != u2 u2*": frobenius(
-                self.u1.conj().T @ self.u1 - self.u2 @ self.u2.conj().T
-            )
-            > tol.residual_tol,
-            "u2* u2 != supp(xi2)": frobenius(self.u2.conj().T @ self.u2 - q2)
-            > tol.residual_tol,
-            "a1 is not anti-Hermitian": frobenius(self.a1 + self.a1.conj().T)
-            > tol.residual_tol,
-            "a2 is not anti-Hermitian": frobenius(self.a2 + self.a2.conj().T)
-            > tol.residual_tol,
-            "b2 is not anti-Hermitian": frobenius(self.b2 + self.b2.conj().T)
-            > tol.residual_tol,
-            "b2 does not commute with supp(xi2)": frobenius(self.b2 @ q2 - q2 @ self.b2)
-            > tol.residual_tol,
-            "h2 is not a Hermitian corner element": frobenius(
-                self.h2 - q2 @ self.h2 @ q2
-            )
-            + frobenius(self.h2 - self.h2.conj().T)
-            > tol.residual_tol,
+            "u1 is not a partial isometry": not is_partial_isometry(u1, tol),
+            "u2 is not a partial isometry": not is_partial_isometry(u2, tol),
+            "u1* u1 != u2 u2*": excess(u1.conj().T @ u1, u2 @ u2.conj().T, tol),
+            "u2* u2 != supp(xi2)": excess(u2.conj().T @ u2, q2, tol),
+            "a1 is not anti-Hermitian": excess(a1, -a1.conj().T, tol),
+            "a2 is not anti-Hermitian": excess(a2, -a2.conj().T, tol),
+            "b2 is not anti-Hermitian": excess(b2, -b2.conj().T, tol),
+            "b2 does not commute with supp(xi2)": excess(b2 @ q2, q2 @ b2, tol),
+            "h2 is not a Hermitian corner element": excess(h2, q2 @ h2 @ q2, tol)
+            or excess(h2, h2.conj().T, tol),
         }
         for message, failed in checks.items():
             if failed:
@@ -540,12 +533,11 @@ def multiplicativity_residual(
         omega(d(g1 g2), d(g1 g2)') = omega(dg1, dg1') + omega(dg2, dg2').
 
     Both families must share the base (u1, u2, xi2)."""
-    gap = max(
-        frobenius(fam.u1 - fam2.u1),
-        frobenius(fam.u2 - fam2.u2),
-        frobenius(fam.xi2 - fam2.xi2),
-    )
-    if gap > tol.residual_tol:
+    if (
+        excess(fam.u1, fam2.u1, tol)
+        or excess(fam.u2, fam2.u2, tol)
+        or excess(fam.xi2, fam2.xi2, tol)
+    ):
         raise InvalidFamily("the two families have different base points")
     omega = standard.symplectic_omega
     lhs = omega(fam.dproduct(), fam2.dproduct())
@@ -641,7 +633,7 @@ def kks_check(
     """Evaluate the orbit symplectic identity at the canonical vector of
     rho0 with anti-Hermitian directions a1, a2."""
     for a, name in ((a1, "a1"), (a2, "a2")):
-        if frobenius(a + a.conj().T) > tol.residual_tol * (1.0 + frobenius(a)):
+        if excess(a, -a.conj().T, tol, frobenius(a)):
             raise InvalidTangent(f"{name} is not anti-Hermitian")
     gamma0 = std_unit(rho0, tol)
     kappa = calibrate_kappa()
@@ -845,7 +837,7 @@ def degeneracy_kernel_check(
     if projection_rank(p0) == 0:
         raise DegenerateBase("the base functional vanishes")
     for w, name in ((u, "u"), (v, "v")):
-        if frobenius(w.conj().T @ w - p0) > tol.residual_tol * (1.0 + frobenius(p0)):
+        if excess(w.conj().T @ w, p0, tol, frobenius(p0)):
             raise InvalidTangent(f"{name}* {name} is not the support of the base")
 
     stab = stabilizer_lie_algebra(rho0, tol)
@@ -877,9 +869,7 @@ def degeneracy_kernel_check(
     radical_worst = _worst(radical_u, radical_v)
 
     sing = singular_values(pairing)
-    scale = max(float(sing[0]), 1.0) if sing.size else 1.0
-    cutoff = 1e-8 * scale
-    kernel_dim = int(np.sum(sing < cutoff))
+    kernel_dim = total - floored_rank(sing, tol)
     expected = 2 * stab.dimension
     nonzero = sing[: total - expected] if expected <= total else sing[:0]
     min_sing = float(nonzero[-1]) if nonzero.size else float("inf")
@@ -895,13 +885,15 @@ def degeneracy_kernel_check(
 def orbit_form_invariance_residual(
     rho0: NormalFunctional,
     u: np.ndarray,
+    q: Frames,
     rng: np.random.Generator,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> float:
     """Worst residual of the structural invariances of the orbit one- and
-    two-forms at u: invariance of Gamma0 under global unitary left
-    translation, invariance of the two-form on vertical pairs under left
-    translation by a groupoid element, invariance under right translation by
+    two-forms at u, whose target projection ``u u*`` has the frames ``q``:
+    invariance of Gamma0 under global unitary left translation, invariance
+    of the two-form on vertical pairs under left translation by a groupoid
+    element (an arrow out of ``q``), invariance under right translation by
     a stabilizer element of the base, and invariance under adding a radical
     (stabilizer) direction to one argument."""
     algebra = rho0.algebra
@@ -916,7 +908,6 @@ def orbit_form_invariance_residual(
     w = sampling.random_unitary(algebra, rng)
     res.append(abs(Gamma0(rho0, w @ u, w @ du, tol) - Gamma0(rho0, u, du, tol)))
     # left translation by a groupoid arrow on a vertical pair
-    q = frames_of(algebra, u @ u.conj().T)
     wg = sampling.isometry_between(rng, q, sampling.equivalent_frames(rng, q))
     res.append(
         abs(

@@ -318,13 +318,10 @@ def unit_norm(x: np.ndarray) -> np.ndarray:
 def random_density(
     algebra: BlockAlgebra,
     rng: np.random.Generator,
-    support: np.ndarray | None = None,
     repeat_chance: float = 0.0,
 ) -> NormalFunctional:
-    """State with prescribed support (faithful by default) and eigenvalues
-    well separated from the rank cutoff."""
-    if support is not None:
-        return density_on(rng, frames_of(algebra, support))
+    """Faithful state with eigenvalues well separated from the rank cutoff;
+    a state on a given support is :func:`density_on` its frames."""
     return _functional(algebra, random_positive(algebra, rng, repeat_chance=repeat_chance))
 
 
@@ -336,14 +333,6 @@ def density_on(rng: np.random.Generator, frames: Frames) -> NormalFunctional:
 def _functional(algebra: BlockAlgebra, d: np.ndarray) -> NormalFunctional:
     """The functional of the density ``d`` scaled to unit trace."""
     return NormalFunctional(algebra, d / float(np.trace(d).real))
-
-
-def faithful_density(
-    algebra: BlockAlgebra,
-    rng: np.random.Generator,
-    repeat_chance: float = 0.0,
-) -> NormalFunctional:
-    return random_density(algebra, rng, support=None, repeat_chance=repeat_chance)
 
 
 def p0_tangent(

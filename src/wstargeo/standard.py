@@ -45,6 +45,7 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
     _worst,
+    excess,
     frobenius,
     herm,
     hermitian_eigvals,
@@ -111,10 +112,7 @@ def _std_product(
     residual tolerance, else 0."""
     u1, h1 = polar_decompose(g1, tol)
     u2, h2 = polar_decompose(g2, tol)
-    gap = frobenius(h1 - u2 @ h2 @ u2.conj().T)
-    if gap <= tol.residual_tol * (1.0 + frobenius(h1)):
-        gap = 0.0
-    return u1 @ u2 @ h2, gap
+    return u1 @ u2 @ h2, excess(h1, u2 @ h2 @ u2.conj().T, tol, frobenius(h1))
 
 
 def std_mul(
@@ -159,12 +157,10 @@ def transport_witness(
     """Partial isometry w with w g1 = g2 and w* w = mu(g1), when g2 lies on
     the left-translation orbit of g1 (same right expectation).  Raises
     InvalidArrow otherwise."""
-    if frobenius(g1.conj().T @ g1 - g2.conj().T @ g2) > tol.residual_tol * (
-        1.0 + frobenius(g1) ** 2
-    ):
+    if excess(g1.conj().T @ g1, g2.conj().T @ g2, tol, frobenius(g1) ** 2):
         raise InvalidArrow("g1 and g2 have different right expectations")
     w = g2 @ partial_inverse(g1, tol)
-    if frobenius(w @ g1 - g2) > tol.residual_tol * (1.0 + frobenius(g2)):
+    if excess(w @ g1, g2, tol, frobenius(g2)):
         raise InvalidArrow("no partial isometry transports g1 to g2")
     return w
 

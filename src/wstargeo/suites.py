@@ -601,28 +601,29 @@ def _row_poisson_commutant(ctx: RowCtx, rng):
 
 
 def _draw_bundle_point(alg, rng, repeat_chance: float = 0.0):
-    """Frames of a support p0, a density on it and an isometry from it."""
+    """Frames of a support p0, a density on it, an isometry from it and the
+    frames of that isometry's target."""
     f0 = sampling.random_frames(alg, rng, allow_zero=False)
     d = sampling.positive_on(rng, f0)
     if repeat_chance > 0.0 and rng.uniform() < repeat_chance:
         # Collapse the corner spectrum to create a nontrivial stabilizer.
         d = sampling.positive_on(rng, f0, 1.0, 1.0)
     rho0 = NormalFunctional(alg, d / float(np.trace(d).real))
-    u = sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
-    return f0, rho0, u
+    q = sampling.equivalent_frames(rng, f0)
+    return f0, rho0, sampling.isometry_between(rng, f0, q), q
 
 
 @_per_trial
 def _row_degeneracy_invariance(ctx: RowCtx, rng):
     prof = ctx.profile
-    _, rho0, u = _draw_bundle_point(ctx.algebra, rng, repeat_chance=0.5)
-    yield orbit_form_invariance_residual(rho0, u, rng, prof)
+    _, rho0, u, q = _draw_bundle_point(ctx.algebra, rng, repeat_chance=0.5)
+    yield orbit_form_invariance_residual(rho0, u, q, rng, prof)
 
 
 @_per_trial
 def _row_degeneracy_fd(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    f0, rho0, u = _draw_bundle_point(alg, rng)
+    f0, rho0, u, _ = _draw_bundle_point(alg, rng)
     a = sampling.unit_norm(sampling.random_antihermitian(alg, rng))
     b = sampling.unit_norm(sampling.corner_antihermitian(alg, rng, f0.projection))
     val_fd = fd_surface_dGamma0(rho0, u, a, b, 1e-4, prof)
@@ -631,7 +632,7 @@ def _row_degeneracy_fd(ctx: RowCtx, rng):
 
 
 def _degeneracy_report(ctx: RowCtx, rng):
-    f0, rho0, u = _draw_bundle_point(ctx.algebra, rng, repeat_chance=0.5)
+    f0, rho0, u, _ = _draw_bundle_point(ctx.algebra, rng, repeat_chance=0.5)
     v = sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
     return degeneracy_kernel_check(rho0, u, v, ctx.profile)
 
@@ -706,7 +707,7 @@ def _flow_report(ctx: RowCtx, rng) -> dict[str, float]:
     """The modular-flow invariances of one faithful density and one sample,
     at a flow time drawn from :data:`FLOW_TIMES`."""
     t = FLOW_TIMES[rng.integers(len(FLOW_TIMES))]
-    phi = sampling.faithful_density(ctx.algebra, rng)
+    phi = sampling.random_density(ctx.algebra, rng)
     return flow_residuals(phi, t, rng, ctx.profile)
 
 
@@ -715,7 +716,7 @@ def _row_flow_orbit_form(ctx: RowCtx, rng):
     """The orbit two-form is invariant under the flow of any faithful
     extension of the base density (the flow restricts to the bundle)."""
     alg, prof = ctx.algebra, ctx.profile
-    f0, rho0, u = _draw_bundle_point(alg, rng)
+    f0, rho0, u, _ = _draw_bundle_point(alg, rng)
     p0 = f0.projection
     du1 = sampling.p0_tangent(alg, rng, u, p0)
     du2 = sampling.p0_tangent(alg, rng, u, p0)
@@ -732,7 +733,7 @@ def _row_flow_tomita(ctx: RowCtx, rng):
     """S(x Omega) = x* Omega, S is an involution, and S factors as the
     conjugation after the square root of the modular operator."""
     alg, prof = ctx.algebra, ctx.profile
-    phi = sampling.faithful_density(alg, rng)
+    phi = sampling.random_density(alg, rng)
     x = sampling.random_element(alg, rng)
     omega_vec = std_unit(phi, prof)
     yield frobenius(tomita_S(phi, x @ omega_vec, prof) - x.conj().T @ omega_vec)
@@ -746,7 +747,7 @@ def _row_flow_tomita(ctx: RowCtx, rng):
 @_per_trial
 def _row_flow_group_law(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    phi = sampling.faithful_density(alg, rng)
+    phi = sampling.random_density(alg, rng)
     x = sampling.random_element(alg, rng)
     y = sampling.random_element(alg, rng)
     s, t = 0.7, -1.3
@@ -761,7 +762,7 @@ def _row_flow_group_law(ctx: RowCtx, rng):
 @_per_trial
 def _row_flow_conditional_expectation(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    phi = sampling.faithful_density(alg, rng, repeat_chance=0.5)
+    phi = sampling.random_density(alg, rng, repeat_chance=0.5)
     d = phi.density
     x = sampling.random_element(alg, rng)
     ex = conditional_expectation(phi, x, prof)

@@ -279,12 +279,11 @@ def test_criterion_11_orbit_structure():
     orbit_agreement = True
     for k in range(300):
         algebra = ALGEBRAS[k % len(ALGEBRAS)]
-        support = sampling.random_projection(algebra, rng, allow_zero=False)
-        phi1 = sampling.random_density(algebra, rng, support=support)
+        frames = sampling.random_frames(algebra, rng, allow_zero=False)
+        support = frames.projection
+        phi1 = sampling.density_on(rng, frames)
         if k % 2 == 0:
-            target = sampling.equivalent_frames(
-                rng, sampling.frames_of(algebra, support)
-            ).projection
+            target = sampling.equivalent_frames(rng, frames).projection
             u = sampling.sample_with_retry(
                 lambda: sampling.partial_isometry_onto(
                     algebra, rng, support, target
@@ -320,7 +319,7 @@ def test_criterion_12_conditional_expectation():
         total = len(units)
         rng = sampling.rng_for(12, *algebra.blocks)
         for _ in range(25):
-            phi = sampling.faithful_density(algebra, rng, repeat_chance=0.5)
+            phi = sampling.random_density(algebra, rng, repeat_chance=0.5)
             # The pinching map as a complex-linear operator in the matrix-unit
             # basis, which is orthonormal for the trace pairing.
             mat = np.empty((total, total), dtype=complex)

@@ -143,8 +143,8 @@ class TestFunctionalPolar:
         # The positivity check and the support read the same block spectra:
         # one decomposition with vectors per block, none of the whole density.
         rng = _rng(3)
-        q = sampling.random_projection(M23, rng, allow_zero=False)
-        phi = sampling.random_density(M23, rng, support=q)
+        frames = sampling.random_frames(M23, rng, allow_zero=False)
+        phi = sampling.density_on(rng, frames)
         calls = []
         real = linalg._heevd
 
@@ -155,7 +155,7 @@ class TestFunctionalPolar:
         monkeypatch.setattr(linalg, "_heevd", spy)
         p = functional_support(phi, DEFAULT_TOL)
         assert calls == [((n, n), 1) for n in M23.blocks]
-        assert frobenius(p - q) <= 1e-10
+        assert frobenius(p - frames.projection) <= 1e-10
 
 
 class TestDimensionOracles:
@@ -294,9 +294,10 @@ class TestCoadjoint:
     def test_preserves_orbit(self):
         rng = _rng(6)
         for _ in range(50):
-            p = sampling.random_projection(M23, rng, allow_zero=False)
-            phi = sampling.random_density(M23, rng, support=p)
-            q = sampling.equivalent_frames(rng, sampling.frames_of(M23, p)).projection
+            f = sampling.random_frames(M23, rng, allow_zero=False)
+            p = f.projection
+            phi = sampling.density_on(rng, f)
+            q = sampling.equivalent_frames(rng, f).projection
             u = sampling.partial_isometry_onto(M23, rng, p, q)
             pushed = coadjoint_apply(u, phi, DEFAULT_TOL)
             assert orbit_equivalent(phi, pushed, DEFAULT_TOL)
@@ -315,7 +316,7 @@ class TestConditionalExpectation:
     def test_projection_properties(self):
         rng = _rng(7)
         for _ in range(100):
-            phi = sampling.faithful_density(M23, rng, repeat_chance=0.5)
+            phi = sampling.random_density(M23, rng, repeat_chance=0.5)
             x = sampling.random_element(M23, rng)
             ex = conditional_expectation(phi, x, DEFAULT_TOL)
             assert frobenius(conditional_expectation(phi, ex, DEFAULT_TOL) - ex) <= 1e-10
@@ -325,7 +326,7 @@ class TestConditionalExpectation:
     def test_positivity(self):
         rng = _rng(8)
         for _ in range(100):
-            phi = sampling.faithful_density(M23, rng, repeat_chance=0.5)
+            phi = sampling.random_density(M23, rng, repeat_chance=0.5)
             x = sampling.random_element(M23, rng)
             pos = x.conj().T @ x
             ex = conditional_expectation(phi, pos, DEFAULT_TOL)
@@ -355,7 +356,7 @@ class TestModularAutomorphism:
     def test_invariance_and_composition(self):
         rng = _rng(9)
         for _ in range(50):
-            phi = sampling.faithful_density(M23, rng)
+            phi = sampling.random_density(M23, rng)
             x = sampling.random_element(M23, rng)
             s, t = 0.4, -1.1
             flow_t = modular_flow(phi, t, DEFAULT_TOL)

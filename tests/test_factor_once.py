@@ -307,7 +307,7 @@ class TestModularDataFromFunctional:
         # the whole density: no value-only spectrum for the positivity
         # checks, and no second decomposition for d^{1/2}, S, Delta, the
         # flow or the orbit invariant.
-        phi = sampling.faithful_density(M23, sampling.rng_for(2028))
+        phi = sampling.random_density(M23, sampling.rng_for(2028))
         blocks = M23.block_views(herm(phi.density))
         calls, real = [], linalg._heevd
 

@@ -220,12 +220,12 @@ class TestPsi:
     def test_intertwining_random(self):
         rng = _rng(5)
         for _ in range(50):
-            p0 = sampling.random_projection(M23, rng, allow_zero=False)
-            rho0 = sampling.random_density(M23, rng, support=p0)
+            f0 = sampling.random_frames(M23, rng, allow_zero=False)
+            p0 = f0.projection
+            rho0 = sampling.density_on(rng, f0)
             u, v, w = (
                 sampling.partial_isometry_onto(
-                    M23, rng, p0,
-                    sampling.equivalent_frames(rng, sampling.frames_of(M23, p0)).projection
+                    M23, rng, p0, sampling.equivalent_frames(rng, f0).projection
                 )
                 for _ in range(3)
             )

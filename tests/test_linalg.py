@@ -1,6 +1,7 @@
 """Matrix kernels: polar factors, supports, partial inverses, matrix
 functions, the rank guard band, and the LAPACK calls underneath them."""
 import ast
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -10,10 +11,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wstargeo import sampling
+from wstargeo import groupoids, poisson, sampling, standard
 from wstargeo.algebra import BlockAlgebra, NormalFunctional, stabilizer_lie_algebra
 from wstargeo.errors import (
+    InvalidArrow,
+    InvalidFamily,
+    InvalidTangent,
     NoConvergence,
+    NotComposable,
     NotHermitian,
     NotPartiallyInvertible,
     NotPositive,
@@ -23,6 +28,8 @@ from wstargeo.linalg import (
     DEFAULT_TOL,
     GUARD_FACTOR,
     ToleranceProfile,
+    check_hermitian,
+    excess,
     exp_antihermitian,
     frobenius,
     hermitian_eig,
@@ -548,3 +555,69 @@ class TestHermitianCheckedOnce:
     def test_entry_points_reject_non_hermitian(self, fn):
         with pytest.raises(NotHermitian):
             fn(np.eye(2, dtype=complex) + E12)
+
+
+#: The functions outside ``linalg`` that read ``residual_tol`` themselves:
+#: block membership (a hot path that refuses NaN and inf on its own), the
+#: unit-norm test of a Fubini-Study vector, and the command line's copy of
+#: the profile.  Every other domain check decides through ``excess``.
+RESIDUAL_TOL_SITES = {
+    "algebra.BlockAlgebra.contains",
+    "poisson._unit_vector",
+    "cli.cmd_polar",
+}
+
+M2 = BlockAlgebra((2,))
+NAN = np.full((2, 2), np.nan, dtype=complex)
+I2 = np.eye(2, dtype=complex)
+RHO2 = NormalFunctional(M2, np.diag([0.75, 0.25]).astype(complex))
+A2 = np.array([[1j, 1.0], [-1.0, 0.0]])
+
+
+def _family_pair():
+    return poisson.sample_family_pair(M2, sampling.rng_for(4, 1))
+
+
+def _nan_base_residual():
+    fam, fam2 = _family_pair()
+    object.__setattr__(fam2, "u1", NAN)
+    return poisson.multiplicativity_residual(fam, fam2)
+
+
+class TestOneToleranceRule:
+    """Every domain check accepts an identity by one rule, ``excess``, and
+    a NaN gap never passes it."""
+
+    def test_excess(self):
+        tol = ToleranceProfile(residual_tol=1e-8)
+        assert excess(I2, I2 + 1e-9, tol) == 0.0
+        assert excess(I2, I2 + 1e-8, tol) == pytest.approx(2e-8)
+        assert excess(I2, I2 + 1e-8, tol, scale=1.0) == 0.0
+        assert np.isnan(excess(I2, NAN, tol))
+        assert excess(I2, 2 * I2, tol, scale=np.nan) == pytest.approx(np.sqrt(2))
+        assert np.isnan(excess(I2, I2, tol, scale=np.nan))
+
+    def test_residual_tol_sites(self):
+        assert _package_sites("residual_tol", skip="linalg") == RESIDUAL_TOL_SITES
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: groupoids.pi_compose(NAN, I2), NotComposable),
+            (lambda: standard.transport_witness(I2, NAN), InvalidArrow),
+            (lambda: groupoids.gauge_iso_Psi(NAN, I2, RHO2), InvalidArrow),
+            (lambda: check_hermitian(NAN), NotHermitian),
+            (lambda: poisson.kks_check(RHO2, NAN, A2), InvalidTangent),
+            (lambda: dataclasses.replace(_family_pair()[0], a1=NAN), InvalidFamily),
+            (_nan_base_residual, InvalidFamily),
+            (lambda: poisson.degeneracy_kernel_check(RHO2, I2, NAN), InvalidTangent),
+        ],
+        ids=[
+            "pi_compose", "transport_witness", "gauge_iso_Psi", "check_hermitian",
+            "kks_check", "ComposableFamily", "multiplicativity_residual",
+            "degeneracy_kernel_check",
+        ],
+    )
+    def test_nan_fails_the_check(self, call, error):
+        with pytest.raises(error):
+            call()

@@ -43,9 +43,9 @@ from wstargeo.standard import flow_residuals
 from wstargeo.sampling import (
     corner_positive,
     equivalent_frames,
-    faithful_density,
     frames_of,
     partial_isometry_onto,
+    random_density,
     random_element,
     random_projection,
     rng_for,
@@ -346,7 +346,7 @@ class TestTomita:
         for trial in range(50):
             rng = rng_for(36, trial)
             algebra = M2 if trial % 2 == 0 else M23
-            phi = faithful_density(algebra, rng)
+            phi = random_density(algebra, rng)
             omega = std_unit(phi, DEFAULT_TOL)
             x = random_element(algebra, rng)
             lhs = tomita_S(phi, x @ omega, DEFAULT_TOL)
@@ -523,14 +523,14 @@ class TestModularFlow:
             flow_residuals(phi, 0.3, rng_for(39), DEFAULT_TOL)
 
     def test_fixes_canonical_vector(self):
-        phi = faithful_density(M23, rng_for(37))
+        phi = random_density(M23, rng_for(37))
         omega = std_unit(phi, DEFAULT_TOL)
         for t in (0.3, -1.7):
             assert frobenius(modular_flow(phi, t, DEFAULT_TOL)(omega) - omega) <= 1e-9
 
     def test_group_law_and_zero_time(self):
         rng = rng_for(38)
-        phi = faithful_density(M2, rng)
+        phi = random_density(M2, rng)
         g = random_element(M2, rng)
         assert frobenius(modular_flow(phi, 0.0, DEFAULT_TOL)(g) - g) <= 1e-12
         one_step = modular_flow(phi, 0.7, DEFAULT_TOL)(modular_flow(phi, 0.5, DEFAULT_TOL)(g))
@@ -540,7 +540,7 @@ class TestModularFlow:
     def test_automorphism_report(self):
         rng = rng_for(39)
         for algebra in (M2, M23):
-            phi = faithful_density(algebra, rng)
+            phi = random_density(algebra, rng)
             for t in (0.0, 0.3, -1.7):
                 for k in range(10):
                     residuals = flow_residuals(phi, t, rng_for(39, k), DEFAULT_TOL)
@@ -570,7 +570,7 @@ class TestOneSpectrum:
         return calls
 
     def test_modular_operations_share_one_decomposition(self, monkeypatch):
-        phi = faithful_density(M23, rng_for(40))
+        phi = random_density(M23, rng_for(40))
         g = random_element(M23, rng_for(40, 1))
         calls = self._count_eig(monkeypatch, phi)
         tomita_S(phi, g, DEFAULT_TOL)
@@ -580,7 +580,7 @@ class TestOneSpectrum:
         assert calls == [0, 1]
 
     def test_flow_residuals_decompose_the_density_once(self, monkeypatch):
-        phi = faithful_density(M23, rng_for(41))
+        phi = random_density(M23, rng_for(41))
         calls = self._count_eig(monkeypatch, phi)
         flow_residuals(phi, 0.3, rng_for(41, 1), DEFAULT_TOL)
         assert [c for c in calls if c is not None] == [0, 1]
