@@ -66,6 +66,7 @@ from .linalg import (
     is_projection,
     polar_decompose,
     projection_rank,
+    refuse,
     singular_values,
 )
 
@@ -133,8 +134,9 @@ class BlockAlgebra:
         return np.zeros((self.dim, self.dim), dtype=complex)
 
     def block_views(self, x: np.ndarray) -> list[np.ndarray]:
-        """Diagonal block of ``x`` for each summand."""
-        return [x[s, s] for s in self.slices]
+        """Diagonal block of ``x`` (of each matrix of a stack) for each
+        summand."""
+        return [x[..., s, s] for s in self.slices]
 
     def embed_blocks(self, mats: list[np.ndarray]) -> np.ndarray:
         """Assemble an algebra element from per-block matrices."""
@@ -148,10 +150,11 @@ class BlockAlgebra:
             out[s, s] = m
         return out
 
-    def contains(self, x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
+    def contains(self, x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
         """Whether ``x`` is block-diagonal within residual tolerance: the
         Frobenius norm of its off-block entries is at most ``residual_tol
-        (1 + |x|)``.
+        (1 + |x|)``.  A ``(T, dim, dim)`` stack gives one answer per matrix,
+        as an array.
 
         One pass over the realified entries: a dot product over all of them
         and one over the off-block ones.  A NaN entry anywhere makes one side
@@ -159,6 +162,12 @@ class BlockAlgebra:
         makes the bound infinite, and neither.
         """
         x = np.asarray(x)
+        if x.ndim == 3 and x.shape[1:] == (self.dim, self.dim):
+            # The rule below, matrix by matrix.
+            v = np.ascontiguousarray(x, dtype=complex).view(float).reshape(len(x), -1)
+            off = v[:, self._off_block_index]
+            bound = tol.residual_tol * (1.0 + np.sqrt(np.vecdot(v, v)))
+            return (np.sqrt(np.vecdot(off, off)) <= bound) & (bound < math.inf)
         if x.shape != (self.dim, self.dim):
             return False
         v = np.ascontiguousarray(x, dtype=complex).view(float).ravel()
@@ -169,10 +178,13 @@ class BlockAlgebra:
     def require_member(
         self, x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, what: str = "matrix"
     ) -> np.ndarray:
-        """Validate membership and return ``x`` as a complex ndarray."""
+        """Validate membership (of each matrix of a stack) and return ``x`` as
+        a complex ndarray."""
         x = as_square(x)
-        if not self.contains(x, tol):
-            raise AlgebraMismatch(f"{what} is not an element of the block algebra")
+        inside = self.contains(x, tol)
+        if inside is not True:  # a matrix outside, or a stack to search
+            refuse(AlgebraMismatch, np.logical_not(inside),
+                   f"{what} is not an element of the block algebra")
         return x
 
     def embed_stacks(self, parts: Iterable[tuple[slice, Sequence[np.ndarray]]]) -> np.ndarray:
@@ -218,7 +230,10 @@ class BlockAlgebra:
 @dataclass(frozen=True)
 class NormalFunctional:
     """Normal functional phi(x) = Tr(d x) on a block algebra, stored by its
-    density matrix ``d``.
+    density matrix ``d``.  A ``(T, dim, dim)`` stack of densities holds ``T``
+    functionals: membership, :meth:`adjoint`, :meth:`distance`,
+    :func:`functional_polar`, :func:`density_spectrum` and what is read off
+    it then act on each of them.
 
     The functional keeps its own read-only copy of the density, so what is
     read off it cannot go stale: its polar decomposition, its blockwise
@@ -234,7 +249,7 @@ class NormalFunctional:
 
     def __post_init__(self) -> None:
         d = as_square(np.array(self.density, dtype=complex))
-        if d.shape != (self.algebra.dim, self.algebra.dim):
+        if d.shape[-2:] != (self.algebra.dim, self.algebra.dim):
             raise AlgebraMismatch("density has the wrong ambient dimension")
         self.algebra.require_member(d, what="density")
         d.flags.writeable = False
@@ -256,7 +271,7 @@ class NormalFunctional:
 
     def adjoint(self) -> "NormalFunctional":
         """The functional x -> conj(phi(x*)); its density is d*."""
-        return NormalFunctional(self.algebra, self.density.conj().T)
+        return NormalFunctional(self.algebra, self.density.conj().mT)
 
     def distance(self, other: "NormalFunctional") -> float:
         return frobenius(self.density - other.density)
@@ -307,8 +322,8 @@ def density_spectrum(
 
     def compute():
         d = phi.density
-        if excess(d, d.conj().T, tol, frobenius(d)):
-            raise NotPositive("functional is not positive")
+        gap = excess(d, d.conj().mT, tol, frobenius(d))
+        refuse(NotPositive, gap, "functional is not positive")
         eigs = map(hermitian_eig, phi.algebra.block_views(herm(d)))
         blocks = [(s, _readonly(w), _readonly(v)) for s, (w, v) in zip(phi.algebra.slices, eigs)]
         return PositiveSpectrum.from_blocks(blocks, tol)

@@ -17,12 +17,19 @@ Five structures share one interface:
                   shared modulus (``std_mul``), inverse ``g*``, unit ``d^{1/2}``.
 
 ``chain_law_residuals`` evaluates every groupoid law on one
-``composable_chain``; ``axiom_check`` folds the two over sampled chains and
-reports the worst residual of each law, and the ``groupoid-axioms`` suite runs
-them once per trial.  ``iso_Xi`` (to the predual groupoid), ``iso_Phi`` (to the
-standard form) and ``gauge_iso_Psi`` (from the pair structure on the isometry
-bundle) realize the structure-preserving identifications;
-``intertwining_residual`` checks the functor laws of the first two.
+``composable_chain``, or on all of a row's trials at once: every map above
+broadcasts over a leading trial axis (a ``(T, dim, dim)`` stack of matrices,
+a functional of stacked densities, a coadjoint arrow of both), and gives
+each trial the bits it gives alone.  Each trial draws its chain from its own
+generator; ``stack_chains`` stacks them, and one ``chain_law_residuals``
+call returns one residual per trial and law.  ``axiom_check`` and each law
+row of the ``groupoid-axioms`` suite make that one call.  A domain check
+that fails on a stack names its first failing trial.
+
+``iso_Xi`` (to the predual groupoid), ``iso_Phi`` (to the standard form) and
+``gauge_iso_Psi`` (from the pair structure on the isometry bundle) realize
+the structure-preserving identifications; ``intertwining_residual`` checks
+the functor laws of the first two, one pair of arrows at a time.
 """
 from __future__ import annotations
 
@@ -48,6 +55,7 @@ from .linalg import (
     excess,
     frobenius,
     partial_inverse,
+    refuse,
     restricted_power,
     supports,
 )
@@ -59,12 +67,12 @@ from .standard import iso_Phi, iso_Phi_inv, std_inverse, std_mul
 
 def pi_source(u: np.ndarray) -> np.ndarray:
     """Source projection r(u) = u* u."""
-    return u.conj().T @ u
+    return u.conj().mT @ u
 
 
 def pi_target(u: np.ndarray) -> np.ndarray:
     """Target projection l(u) = u u*."""
-    return u @ u.conj().T
+    return u @ u.conj().mT
 
 
 def pi_compose(
@@ -73,13 +81,13 @@ def pi_compose(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> np.ndarray:
     """Product u v, defined when r(u) = l(v)."""
-    if gap := excess(pi_source(u), pi_target(v), tol, frobenius(u)):
-        raise NotComposable(f"r(u) != l(v) (gap {gap:.3e})")
+    refuse(NotComposable, excess(pi_source(u), pi_target(v), tol, frobenius(u)),
+           "r(u) != l(v) (gap {:.3e})")
     return u @ v
 
 
 def pi_inverse(u: np.ndarray) -> np.ndarray:
-    return u.conj().T
+    return u.conj().mT
 
 
 def pi_unit(p: np.ndarray) -> np.ndarray:
@@ -103,8 +111,8 @@ def g_compose(
     y: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> np.ndarray:
-    if gap := excess(g_source(x, tol), g_target(y, tol), tol, frobenius(x)):
-        raise NotComposable(f"right support of x != left support of y (gap {gap:.3e})")
+    refuse(NotComposable, excess(g_source(x, tol), g_target(y, tol), tol, frobenius(x)),
+           "right support of x != left support of y (gap {:.3e})")
     return x @ y
 
 
@@ -116,7 +124,7 @@ def g_inverse(x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 def jay(x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """The involution x -> (partial inverse of x)*; partial isometries are
     exactly its fixed points."""
-    return partial_inverse(x, tol).conj().T
+    return partial_inverse(x, tol).conj().mT
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +144,7 @@ def predual_target(
 ) -> NormalFunctional:
     """t(phi) = u |phi| u* for the polar part u of the density."""
     u, mod = functional_polar(phi, tol)
-    return NormalFunctional(phi.algebra, u @ mod.density @ u.conj().T)
+    return NormalFunctional(phi.algebra, u @ mod.density @ u.conj().mT)
 
 
 def predual_compose(
@@ -148,8 +156,8 @@ def predual_compose(
     u1, mod1 = functional_polar(phi1, tol)
     u2, mod2 = functional_polar(phi2, tol)
     d1 = mod1.density
-    if gap := excess(d1, u2 @ mod2.density @ u2.conj().T, tol, frobenius(d1)):
-        raise NotComposable(f"s(phi1) != t(phi2) (gap {gap:.3e})")
+    refuse(NotComposable, excess(d1, u2 @ mod2.density @ u2.conj().mT, tol, frobenius(d1)),
+           "s(phi1) != t(phi2) (gap {:.3e})")
     return NormalFunctional(phi1.algebra, u1 @ u2 @ mod2.density)
 
 
@@ -173,7 +181,8 @@ def predual_unit(
 @dataclass(frozen=True)
 class CoadjointArrow:
     """Arrow (u, rho): a partial isometry with u* u = support(rho) acting on
-    the positive functional rho."""
+    the positive functional rho; a stack of ``u`` with a stack of functionals
+    holds one arrow per matrix."""
 
     u: np.ndarray
     rho: NormalFunctional
@@ -184,9 +193,7 @@ def coadjoint_source(arrow: CoadjointArrow) -> NormalFunctional:
 
 
 def coadjoint_target(arrow: CoadjointArrow) -> NormalFunctional:
-    return NormalFunctional(
-        arrow.rho.algebra, arrow.u @ arrow.rho.density @ arrow.u.conj().T
-    )
+    return NormalFunctional(arrow.rho.algebra, arrow.u @ arrow.rho.density @ arrow.u.conj().mT)
 
 
 def coadjoint_compose(
@@ -196,13 +203,13 @@ def coadjoint_compose(
 ) -> CoadjointArrow:
     """(u, rho) . (w, delta) = (u w, delta), defined when rho = w delta w*."""
     d = a.rho.density
-    if gap := excess(coadjoint_target(b).density, d, tol, frobenius(d)):
-        raise NotComposable(f"source of left arrow != target of right arrow (gap {gap:.3e})")
+    refuse(NotComposable, excess(coadjoint_target(b).density, d, tol, frobenius(d)),
+           "source of left arrow != target of right arrow (gap {:.3e})")
     return CoadjointArrow(a.u @ b.u, b.rho)
 
 
 def coadjoint_inverse(arrow: CoadjointArrow) -> CoadjointArrow:
-    return CoadjointArrow(arrow.u.conj().T, coadjoint_target(arrow))
+    return CoadjointArrow(arrow.u.conj().mT, coadjoint_target(arrow))
 
 
 def coadjoint_unit(
@@ -223,7 +230,8 @@ def _dist_functional(a: NormalFunctional, b: NormalFunctional) -> float:
 
 
 def _dist_coadjoint(a: CoadjointArrow, b: CoadjointArrow) -> float:
-    return _worst(frobenius(a.u - b.u), a.rho.distance(b.rho))
+    du, drho = frobenius(a.u - b.u), a.rho.distance(b.rho)
+    return np.maximum(du, drho) if isinstance(du, np.ndarray) else _worst(du, drho)
 
 
 @dataclass(frozen=True)
@@ -331,10 +339,26 @@ def composable_chain(
     return [u @ m for u, m in zip(isometries, mods)]
 
 
-def chain_law_residuals(
-    tag: str, chain: list, tol: ToleranceProfile = DEFAULT_TOL
-) -> dict[str, float]:
-    """Residuals of the groupoid laws on one composable chain of three arrows."""
+def stack_chains(chains: list[list]) -> list:
+    """The chains, of equal length, as one chain of stacks: arrow ``i`` of the
+    result holds arrow ``i`` of every chain, in order, as one matrix stack,
+    functional stack or coadjoint arrow of stacks."""
+
+    def stack(arrows):
+        first = arrows[0]
+        if isinstance(first, NormalFunctional):
+            return NormalFunctional(first.algebra, np.stack([a.density for a in arrows]))
+        if isinstance(first, CoadjointArrow):
+            return CoadjointArrow(stack([a.u for a in arrows]), stack([a.rho for a in arrows]))
+        return np.stack(arrows)
+
+    return [stack(arrows) for arrows in zip(*chains)]
+
+
+def chain_law_residuals(tag: str, chain: list, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
+    """Residuals of the groupoid laws on one composable chain of three arrows;
+    on a chain of stacks (:func:`stack_chains`), an array per law with one
+    residual per chain, each with the bits that chain gives alone."""
     ops = GROUPOIDS[tag]
     a, b, c = chain
     comp = lambda x, y: ops.compose(x, y, tol)  # noqa: E731
@@ -387,17 +411,15 @@ def axiom_check(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> AxiomReport:
     """The worst residual of every groupoid law over ``trials`` composable
-    chains, chain ``k`` drawn from the generator keyed ``(seed, k)``."""
+    chains, chain ``k`` drawn from the generator keyed ``(seed, k)``, all
+    checked by one call on their stack."""
     if tag not in GROUPOIDS:
         raise InvalidTrials(f"unknown groupoid tag {tag!r}")
     if trials < 1:
         raise InvalidTrials("trials must be a positive integer")
-    worst: dict[str, float] = {}
-    for k in range(trials):
-        rng = sampling.rng_for(seed, k)
-        chain = composable_chain(tag, algebra, rng, 3)
-        for law, value in chain_law_residuals(tag, chain, tol).items():
-            worst[law] = _worst(worst.get(law, 0.0), value)
+    chains = [composable_chain(tag, algebra, sampling.rng_for(seed, k), 3) for k in range(trials)]
+    laws = chain_law_residuals(tag, stack_chains(chains), tol)
+    worst = {law: _worst(0.0, *values.tolist()) for law, values in laws.items()}
     return AxiomReport(tag=tag, trials=trials, seed=seed, law_residuals=worst)
 
 

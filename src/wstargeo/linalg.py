@@ -10,6 +10,21 @@ the cutoff, so downstream geometry never sees an ambiguous support.
 Eigenvalue clustering (:func:`eigen_clusters`) refuses a gap within the same
 factor of its threshold, so no stabilizer dimension depends on noise.
 
+The kernels take a leading trial axis: a ``(T, n, n)`` stack of matrices
+is factored by one LAPACK call, and the rank decision (cutoff, guard band,
+positivity) is then made once per matrix of the stack, against that
+matrix's own largest value, so matrices of different ranks share one stack
+and each gets the bits it gets alone.  A 2-D input is the unstacked case of
+the same code; only the decision rules (:func:`retained_rank`,
+:class:`PositiveSpectrum`, and block membership in
+:mod:`~wstargeo.algebra`) keep their scalar form for one matrix, the hot
+path of every unstacked call, beside a vectorized form for a stack.  A
+product truncated to the rank is taken once per rank that occurs in the
+stack (:func:`_truncated`), since BLAS does not promise a product padded
+with zeros the bits of the truncated one.  A domain check that fails on a
+stack raises the error it raises for one matrix, naming the first failing
+matrix as its trial (:func:`refuse`).
+
 Each kind of support has one reader: :func:`supports` gives both supports
 of a general matrix from one SVD, :func:`positive_spectrum` the support of
 a positive matrix, and :func:`~wstargeo.algebra.frames_of` the blockwise
@@ -91,16 +106,28 @@ DEFAULT_TOL = ToleranceProfile()
 
 
 def as_square(a: np.ndarray) -> np.ndarray:
-    """Return ``a`` as a square complex ndarray."""
+    """Return ``a`` as a square complex ndarray, or a ``(T, n, n)`` stack of
+    square matrices."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     return m
 
 
-def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm, computed as ``numpy.linalg.norm(a)`` computes it."""
-    v = np.asarray(a).ravel(order="K")
+def frobenius(a: np.ndarray):
+    """Frobenius norm, computed as ``numpy.linalg.norm(a)`` computes it.  A
+    ``(T, n, n)`` stack gives the norm of each matrix, as an array, with the
+    bits each matrix gives alone."""
+    a = np.asarray(a)
+    if a.ndim == 3:
+        # Each matrix as one row in memory order, as ravel(order="K") reads
+        # it, and the dot products of its parts as in the 2-D case.
+        if a.strides[-1] > a.strides[-2]:
+            a = a.swapaxes(-1, -2)
+        v = a.reshape(len(a), -1)
+        parts = (v.real, v.imag) if v.dtype.kind == "c" else (v.astype(float, copy=False),)
+        return np.sqrt(sum(np.vecdot(part, part) for part in parts))
+    v = a.ravel(order="K")
     if v.dtype.kind == "c":
         re, im = v.real, v.imag
         return math.sqrt(re.dot(re) + im.dot(im))
@@ -128,8 +155,8 @@ def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
 
 
 def herm(x: np.ndarray) -> np.ndarray:
-    """Hermitian part (x + x*) / 2."""
-    return (x + x.conj().T) / 2.0
+    """Hermitian part (x + x*) / 2, of each matrix of a stack."""
+    return (x + x.conj().mT) / 2.0
 
 
 def antiherm(x: np.ndarray) -> np.ndarray:
@@ -138,8 +165,9 @@ def antiherm(x: np.ndarray) -> np.ndarray:
 
 
 def expect_real(z: complex, tol: ToleranceProfile = DEFAULT_TOL, what: str = "value") -> float:
-    """Assert that ``z`` is real up to residual tolerance and return its real part."""
-    if abs(z.imag) > tol.residual_tol * max(1.0, abs(z)):
+    """Assert that ``z`` is real up to residual tolerance and return its real
+    part.  A NaN part is never real."""
+    if z != z or not abs(z.imag) <= tol.residual_tol * max(1.0, abs(z)):
         raise NotHermitian(f"{what} has a non-negligible imaginary part: {z!r}")
     return float(z.real)
 
@@ -148,7 +176,7 @@ def expect_real_array(
     z: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, what: str = "value"
 ) -> np.ndarray:
     """:func:`expect_real` applied to every entry of an array."""
-    bad = np.abs(z.imag) > tol.residual_tol * np.maximum(1.0, np.abs(z))
+    bad = ~(np.abs(z.imag) <= tol.residual_tol * np.maximum(1.0, np.abs(z)))
     if bad.any():
         raise NotHermitian(
             f"{what} has a non-negligible imaginary part: {z[bad].flat[0]!r}"
@@ -156,23 +184,44 @@ def expect_real_array(
     return z.real
 
 
-def excess(a, b, tol: ToleranceProfile, scale: float = 0.0) -> float:
+def excess(a, b, tol: ToleranceProfile, scale=0.0):
     """The gap ``frobenius(a - b)`` of the identity ``a = b`` where it is not
-    within ``residual_tol * (1 + scale)``, else ``0.0``.
+    within ``residual_tol * (1 + scale)``, else ``0.0``; on a stack, that of
+    each matrix, as an array, with a ``scale`` per matrix or one for all.
 
     The one acceptance rule of the domain checks, used as ``if gap :=
-    excess(...): raise ...``.  A NaN gap or bound is never within: the
-    result is then NaN, which is true, even for a zero gap."""
+    excess(...): raise ...``, or through :func:`refuse`.  A NaN gap or bound
+    is never within: the result is then NaN, which is true, even for a zero
+    gap."""
     gap = frobenius(a - b)
     bound = tol.residual_tol * (1.0 + scale)
+    if isinstance(gap, np.ndarray):
+        return np.where(gap <= bound, 0.0, np.where(gap == 0.0, bound, gap))
     return 0.0 if gap <= bound else gap or bound
 
 
+def refuse(error: type[Exception], failed, message: str, *values) -> None:
+    """Raises ``error`` when ``failed`` is true or nonzero (NaN included): for
+    one matrix, a scalar; for a stack, an array with one entry per matrix,
+    and the first failing one is named as trial ``k``.  The message is
+    ``message.format(*values)``, with ``values`` read at that trial; they
+    default to ``failed`` itself, a gap from :func:`excess`."""
+    if isinstance(failed, np.ndarray) and failed.ndim:
+        bad = np.flatnonzero(failed)
+        if bad.size:
+            k = int(bad[0])
+            at = (np.asarray(v)[k] for v in values or (failed,))
+            raise error(message.format(*at) + f" at trial {k}")
+    elif failed:
+        raise error(message.format(*values or (failed,)))
+
+
 def check_hermitian(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Validate Hermitianity of ``h`` within residual tolerance."""
+    """Validate Hermitianity of ``h``, or of each matrix of a stack, within
+    residual tolerance."""
     h = as_square(h)
-    if defect := excess(h, h.conj().T, tol, frobenius(h)):
-        raise NotHermitian(f"matrix is not Hermitian (defect {defect:.3e})")
+    refuse(NotHermitian, excess(h, h.conj().mT, tol, frobenius(h)),
+           "matrix is not Hermitian (defect {:.3e})")
     return h
 
 
@@ -180,9 +229,11 @@ def _checked(values: np.ndarray, routine: str) -> np.ndarray:
     """The singular values or eigenvalues from a LAPACK gufunc, unless one is
     NaN: the driver failed (the gufunc then fills every output with NaN, and
     warns) or passed NaN input through."""
-    square = values.dot(values)
+    flat = values.ravel()
+    square = flat.dot(flat)
     if square != square:
-        raise NoConvergence(f"LAPACK {routine} failed or met NaN input")
+        refuse(NoConvergence, np.isnan(values).any(axis=-1),
+               f"LAPACK {routine} failed or met NaN input")
     return values
 
 
@@ -216,14 +267,15 @@ def _heevd(h: np.ndarray, compute_v: int) -> tuple[np.ndarray, np.ndarray]:
 
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and a unitary of eigenvectors of a Hermitian
-    matrix read from its lower triangle; always the complex driver.
+    matrix read from its lower triangle, or of each matrix of a stack;
+    always the complex driver.
 
     Returns ``(w, v)`` with ``h = v @ diag(w) @ v*`` and ``w`` sorted in
     descending order; column ``v[:, i]`` belongs to ``w[i]``.  No Hermitian
     check: a caller whose input may not be Hermitian checks it first.
     """
     w, v = _heevd(as_square(h), 1)
-    return w[::-1].copy(), v[:, ::-1].copy()
+    return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 def hermitian_eigvals(h: np.ndarray) -> np.ndarray:
@@ -242,7 +294,8 @@ def exp_antihermitian(x: np.ndarray) -> np.ndarray:
 
 
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD ``a = u @ diag(s) @ vh`` with singular values descending."""
+    """Full SVD ``a = u @ diag(s) @ vh`` with singular values descending, of
+    a matrix or of each matrix of a stack."""
     return _gesdd(as_square(a), 1)
 
 
@@ -283,10 +336,9 @@ def phase_fixed_q(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def retained_rank(
-    s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: bool = False
-) -> int:
-    """Numerical rank of a descending singular-value sequence.
+def retained_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: bool = False):
+    """Numerical rank of a descending singular-value sequence; for a stack of
+    them (one row per matrix), an array with the rank of each row.
 
     Values at or below ``rank_rel_tol * s[0]`` are treated as zero.  With
     ``guard=True`` the decision is refused (:class:`NotPartiallyInvertible`)
@@ -295,6 +347,15 @@ def retained_rank(
     depend on noise.
     """
     s = np.asarray(s, dtype=float)
+    if s.ndim == 2:
+        # The rule below, row by row, each against its own largest value: a
+        # leading value at or below 0 retains nothing, as the sequence
+        # descends.
+        cutoff = tol.rank_rel_tol * s[:, 0]
+        kept = s > cutoff[:, None]
+        if guard:
+            _refuse_near_cutoff(np.where(kept, s, np.inf).min(axis=1), cutoff)
+        return np.count_nonzero(kept, axis=1)
     if s.size == 0 or s[0] <= 0.0:
         return 0
     cutoff = tol.rank_rel_tol * s[0]
@@ -304,21 +365,39 @@ def retained_rank(
     return rank
 
 
+def _truncated(rank, product: Callable, *factors: np.ndarray) -> np.ndarray:
+    """``product(*factors, r)``, a product of factors the caller truncates to
+    the rank ``r``: for one matrix at its rank; for a stack once per rank
+    that occurs, over the matrices of that rank, so each matrix gets the bits
+    it gets alone (BLAS does not promise those bits for a product padded
+    with zeros to full rank)."""
+    if not isinstance(rank, np.ndarray):
+        return product(*factors, rank)
+    out = None
+    for r in np.unique(rank):
+        take = rank == r
+        part = product(*(f[take] for f in factors), int(r))
+        if out is None:
+            out = np.empty(rank.shape + part.shape[1:], dtype=part.dtype)
+        out[take] = part
+    return out
+
+
 def polar_decompose(
     a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Polar decomposition ``a = u @ h``.
+    """Polar decomposition ``a = u @ h``, of a matrix or of each matrix of a
+    stack.
 
     ``h = (a* a)^{1/2}`` is positive semidefinite and ``u`` is the partial
     isometry carrying the support of ``h`` onto the range of ``a``; singular
     directions below the rank cutoff are annihilated by ``u``.
     """
-    a = as_square(a)
     w, s, vh = svd(a)
-    r = retained_rank(s, tol)
-    u = w[:, :r] @ vh[:r, :]
-    v = vh.conj().T
-    h = (v * s) @ v.conj().T
+    rank = retained_rank(s, tol)
+    u = _truncated(rank, lambda w, vh, r: w[..., :r] @ vh[..., :r, :], w, vh)
+    v = vh.conj().mT
+    h = (v * s[..., None, :]) @ v.conj().mT
     return u, h
 
 
@@ -327,14 +406,18 @@ def supports(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Left and right supports of ``a``, the projections onto the ranges of
     ``a`` and ``a*``, from one SVD and one rank decision: with ``a = w diag(s)
-    vh`` and rank ``r``, left ``w_r w_r*`` and right ``vh_r* vh_r``."""
+    vh`` and rank ``r``, left ``w_r w_r*`` and right ``vh_r* vh_r``.  On a
+    stack, per matrix."""
     w, s, vh = svd(a)
-    r = retained_rank(s, tol)
-    return w[:, :r] @ w[:, :r].conj().T, vh[:r, :].conj().T @ vh[:r, :]
+    rank = retained_rank(s, tol)
+    left = _truncated(rank, lambda w, r: w[..., :r] @ w[..., :r].conj().mT, w)
+    right = _truncated(rank, lambda vh, r: vh[..., :r, :].conj().mT @ vh[..., :r, :], vh)
+    return left, right
 
 
 def partial_inverse(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse under the rank cutoff.
+    """Moore-Penrose pseudoinverse under the rank cutoff, of a matrix or of
+    each matrix of a stack.
 
     Satisfies ``a @ partial_inverse(a) = l`` and ``partial_inverse(a) @ a
     = r`` with ``l, r = supports(a)``.  Raises
@@ -351,31 +434,39 @@ def _pinv_from_svd(
     """:func:`partial_inverse` of the matrix ``w @ diag(s) @ vh``, read off
     that full SVD, guard included: a caller that has decided a rank from the
     same SVD inverts without a second one."""
-    r = retained_rank(s, tol, guard=True)
-    if r == 0:
-        return np.zeros((vh.shape[0], w.shape[0]), dtype=complex)
-    return (vh[:r, :].conj().T / s[:r]) @ w[:, :r].conj().T
+    rank = retained_rank(s, tol, guard=True)
+    return _truncated(
+        rank,
+        lambda w, s, vh, r: (vh[..., :r, :].conj().mT / s[..., None, :r]) @ w[..., :r].conj().mT,
+        w, s, vh,
+    )
 
 
-def _refuse_near_cutoff(smallest: float, cutoff: float) -> None:
-    """Refuses a smallest retained value within the guard band."""
-    if smallest < GUARD_FACTOR * cutoff:
-        raise NotPartiallyInvertible(
-            f"smallest retained singular value {smallest:.3e} is within a "
-            f"factor {GUARD_FACTOR:g} of the rank cutoff {cutoff:.3e}"
-        )
+_NEAR_CUTOFF = (
+    f"smallest retained singular value {{:.3e}} is within a factor {GUARD_FACTOR:g} "
+    "of the rank cutoff {:.3e}"
+)
+
+
+def _refuse_near_cutoff(smallest, cutoff) -> None:
+    """Refuses a smallest retained value within the guard band; on arrays, per
+    matrix of a stack (:func:`refuse`)."""
+    near = smallest < GUARD_FACTOR * cutoff
+    refuse(NotPartiallyInvertible, near, _NEAR_CUTOFF, smallest, cutoff)
 
 
 @dataclass(frozen=True, eq=False)
 class PositiveSpectrum:
     """Eigen-data of a positive semidefinite block-diagonal matrix, block by
-    block, with its rank decided once; a matrix is the one-block case.
+    block, with its rank decided once; a matrix is the one-block case, and a
+    stack holds the eigen-data of each of its matrices.
 
     ``blocks`` holds ``(slice, w, v)`` per diagonal block, from
     :func:`hermitian_eig`.  Values at or below the one ``cutoff``,
     ``rank_rel_tol * max(w_max, 0)`` over all blocks, count as zero; the
-    first ``ranks[k]`` values of block ``k`` are retained.  Every function
-    read from here is written block by block from the block's own
+    first ``ranks[k]`` values of block ``k`` are retained.  On a stack each
+    matrix has its own cutoff and ranks (arrays over the stack).  Every
+    function read from here is written block by block from the block's own
     eigenpairs, restricted to the support and zero on the kernel, so fuzz
     below the cutoff never reaches a root, an inverse or a logarithm.
     """
@@ -388,43 +479,61 @@ class PositiveSpectrum:
     def from_blocks(cls, blocks, tol: ToleranceProfile) -> "PositiveSpectrum":
         """The spectrum of the Hermitian matrix with these block eigenpairs;
         raises :class:`NotPositive` when its smallest eigenvalue lies below
-        ``-residual_tol * max(1, w_max)``."""
-        w_max = max((float(w[0]) for _, w, _ in blocks if w.size), default=0.0)
-        w_min = min((float(w[-1]) for _, w, _ in blocks if w.size), default=0.0)
-        if w_min < -tol.residual_tol * max(1.0, w_max):
-            raise NotPositive(f"matrix has a negative eigenvalue ({w_min:.3e})")
-        cutoff = tol.rank_rel_tol * max(w_max, 0.0)
-        ranks = tuple(int(np.count_nonzero(w > cutoff)) for _, w, _ in blocks)
+        ``-residual_tol * max(1, w_max)``.  Eigenpairs of a stack (block
+        values ``(T, n_b)``) give the spectrum of each matrix."""
+        ws = [w for _, w, _ in blocks]
+        if ws[0].ndim == 2:  # a stack: the same rule, matrix by matrix
+            w_max = np.max([w[:, 0] for w in ws], axis=0)
+            w_min = np.min([w[:, -1] for w in ws], axis=0)
+            scale, cutoff = np.maximum(1.0, w_max), tol.rank_rel_tol * np.maximum(w_max, 0.0)
+            ranks = tuple(np.count_nonzero(w > cutoff[:, None], axis=1) for w in ws)
+        else:
+            w_max = max((float(w[0]) for w in ws if w.size), default=0.0)
+            w_min = min((float(w[-1]) for w in ws if w.size), default=0.0)
+            scale, cutoff = max(1.0, w_max), tol.rank_rel_tol * max(w_max, 0.0)
+            ranks = tuple(int(np.count_nonzero(w > cutoff)) for w in ws)
+        refuse(NotPositive, w_min < -tol.residual_tol * scale,
+               "matrix has a negative eigenvalue ({:.3e})", w_min)
         return cls(tuple(blocks), cutoff, ranks)
 
     def require_separated(self) -> None:
         """Refuses (:class:`NotPartiallyInvertible`) a retained value within
-        ``GUARD_FACTOR`` times the cutoff, as :func:`retained_rank` does."""
+        ``GUARD_FACTOR`` times the cutoff, as :func:`retained_rank` does; on
+        a stack, per matrix."""
         for (_, w, _), r in zip(self.blocks, self.ranks):
-            if r:
+            if isinstance(r, np.ndarray):
+                retained = np.where(w > self.cutoff[:, None], w, np.inf)
+                _refuse_near_cutoff(retained.min(axis=1), self.cutoff)
+            elif r:
                 _refuse_near_cutoff(float(w[r - 1]), self.cutoff)
 
     def _blockwise(self, block: Callable) -> np.ndarray:
-        """The matrix with ``block(w, v, rank)`` in each diagonal block."""
-        out = np.zeros((self.blocks[-1][0].stop,) * 2, dtype=complex)
+        """The matrix (or stack) with ``block(w, v, rank)`` in each diagonal
+        block."""
+        _, w, _ = self.blocks[0]
+        out = np.zeros(w.shape[:-1] + (self.blocks[-1][0].stop,) * 2, dtype=complex)
         for (s, w, v), r in zip(self.blocks, self.ranks):
-            out[s, s] = block(w, v, r)
+            out[..., s, s] = block(w, v, r)
         return out
 
     def _function(self, f: Callable, dtype) -> np.ndarray:
         """``v diag(f(w)) v*`` per block, with the values past the rank zeroed."""
 
         def block(w, v, r):
+            # Per matrix of a stack, its own first r values.
+            kept = np.arange(w.shape[-1]) < r[:, None] if isinstance(r, np.ndarray) else slice(r)
             vals = np.zeros(w.shape, dtype=dtype)
-            vals[:r] = f(w[:r])
-            return (v * vals) @ v.conj().T
+            vals[kept] = f(w[kept])
+            return (v * vals[..., None, :]) @ v.conj().mT
 
         return self._blockwise(block)
 
     @property
     def support(self) -> np.ndarray:
         """Projection onto the eigenvectors above the rank cutoff."""
-        return self._blockwise(lambda w, v, r: v[:, :r] @ v[:, :r].conj().T)
+        return self._blockwise(
+            lambda w, v, r: _truncated(r, lambda v, r: v[..., :r] @ v[..., :r].conj().mT, v)
+        )
 
     def power(self, p: float) -> np.ndarray:
         """``h ** p`` on the support, zero on the kernel; a negative power
@@ -441,10 +550,11 @@ class PositiveSpectrum:
 
 def positive_spectrum(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> PositiveSpectrum:
     """One eigendecomposition of a positive semidefinite matrix, the
-    one-block :class:`PositiveSpectrum`.  Raises :class:`NotHermitian` or
-    :class:`NotPositive` on input outside the domain."""
+    one-block :class:`PositiveSpectrum`, or of each matrix of a stack.
+    Raises :class:`NotHermitian` or :class:`NotPositive` on input outside
+    the domain."""
     w, v = hermitian_eig(check_hermitian(h, tol))
-    return PositiveSpectrum.from_blocks([(slice(0, len(w)), w, v)], tol)
+    return PositiveSpectrum.from_blocks([(slice(0, w.shape[-1]), w, v)], tol)
 
 
 def restricted_power(

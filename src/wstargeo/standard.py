@@ -53,6 +53,7 @@ from .linalg import (
     null_space_rows,
     partial_inverse,
     polar_decompose,
+    refuse,
     supports,
 )
 
@@ -67,8 +68,8 @@ def symplectic_omega(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def conjugation_J(g: np.ndarray) -> np.ndarray:
-    """Modular conjugation J(g) = g*."""
-    return np.asarray(g, dtype=complex).conj().T
+    """Modular conjugation J(g) = g*, of each vector of a stack."""
+    return np.asarray(g, dtype=complex).conj().mT
 
 
 def expectation_E(algebra: BlockAlgebra, g: np.ndarray) -> NormalFunctional:
@@ -109,10 +110,10 @@ def _std_product(
 ) -> tuple[np.ndarray, float]:
     """``u1 u2 |g2|`` through the polar decompositions ``g_j = u_j |g_j|``,
     and the composability gap ``‖|g1| − u2 |g2| u2*‖`` where it exceeds the
-    residual tolerance, else 0."""
+    residual tolerance, else 0 (per vector of a stack)."""
     u1, h1 = polar_decompose(g1, tol)
     u2, h2 = polar_decompose(g2, tol)
-    return u1 @ u2 @ h2, excess(h1, u2 @ h2 @ u2.conj().T, tol, frobenius(h1))
+    return u1 @ u2 @ h2, excess(h1, u2 @ h2 @ u2.conj().mT, tol, frobenius(h1))
 
 
 def std_mul(
@@ -122,10 +123,9 @@ def std_mul(
 ) -> np.ndarray:
     """Vector product u1 u2 |g2| through the polar decompositions
     g_j = u_j |g_j|, defined when |g1| = u2 |g2| u2* (source of g1 equals
-    target of g2)."""
+    target of g2); on stacks, per pair."""
     product, gap = _std_product(g1, g2, tol)
-    if gap:
-        raise NotComposable(f"source of g1 != target of g2 (gap {gap:.3e})")
+    refuse(NotComposable, gap, "source of g1 != target of g2 (gap {:.3e})")
     return product
 
 

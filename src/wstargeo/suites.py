@@ -61,6 +61,7 @@ from .groupoids import (
     jay,
     phi_intertwining_residual,
     psi_intertwining_residual,
+    stack_chains,
     xi_intertwining_residual,
 )
 from .linalg import (
@@ -200,21 +201,25 @@ def _group_row(
 def _row_laws(tag: str) -> Callable[[RowCtx], float]:
     """Groupoid laws of the picture ``tag`` on one composable chain of three
     arrows per trial; for the standard form also the polar data of its
-    arrows."""
+    arrows.  Each trial draws its chain in turn, and the laws are checked
+    once, on the stack of all of them."""
 
-    @_per_trial
-    def trial(ctx: RowCtx, rng):
+    def draw(ctx: RowCtx, rng):
+        return composable_chain(tag, ctx.algebra, rng, 3)
+
+    def row(ctx: RowCtx) -> float:
         prof = ctx.profile
-        chain = composable_chain(tag, ctx.algebra, rng, 3)
-        yield from chain_law_residuals(tag, chain, prof).values()
+        chain = stack_chains(list(_trials(ctx, draw)))
+        residuals = list(chain_law_residuals(tag, chain, prof).values())
         if tag == "standard":
             # Polar data of an arrow gamma = u m: gamma = (u m u*) u relates
             # the left and right moduli through the isometry leg.
             a = chain[0]
             u, h = polar_decompose(a, prof)
-            yield frobenius(a - (u @ h @ u.conj().T) @ u)
+            residuals.append(frobenius(a - (u @ h @ u.conj().mT) @ u))
+        return _worst(0.0, *(r for rs in residuals for r in rs.tolist()))
 
-    return trial
+    return row
 
 
 @_per_trial

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from wstargeo import cli, linalg, sampling
+from wstargeo import cli, linalg, sampling, suites
 from wstargeo.algebra import (
     BlockAlgebra,
     NormalFunctional,
@@ -100,6 +100,24 @@ class TestCounts:
         lapack_calls.update(gesdd=0, heevd=0)
         chain_law_residuals("predual", chain, DEFAULT_TOL)
         assert lapack_calls["gesdd"] <= 10
+
+    def test_law_rows_factor_per_row_not_per_trial(self, lapack_calls):
+        # Each law row checks all its trials' chains with one call on their
+        # stack, so its factorizations do not grow with the trials.
+        rows = [
+            (subindex, fn)
+            for subindex, (name, _, fn) in enumerate(suites._suite("groupoid-axioms"))
+            if name in ("pi", "g", "predual", "coadjoint", "standard")
+        ]
+        assert len(rows) == 5
+        counts = []
+        for trials in (10, 40):
+            lapack_calls.update(gesdd=0, heevd=0)
+            for subindex, fn in rows:
+                assert fn(suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL)) <= 1e-10
+            counts.append(dict(lapack_calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["gesdd"] > 0 and counts[0]["heevd"] > 0
 
     def test_psi_intertwining(self, lapack_calls):
         # 18 with one support of rho0 per gauge_iso_Psi and coadjoint_apply,

@@ -8,6 +8,7 @@ from wstargeo.groupoids import (
     GROUPOIDS,
     CoadjointArrow,
     axiom_check,
+    chain_law_residuals,
     coadjoint_compose,
     coadjoint_inverse,
     coadjoint_target,
@@ -31,9 +32,11 @@ from wstargeo.groupoids import (
     predual_source,
     predual_target,
     psi_intertwining_residual,
+    stack_chains,
     xi_intertwining_residual,
 )
-from wstargeo.linalg import DEFAULT_TOL, frobenius, polar_decompose
+from wstargeo.linalg import DEFAULT_TOL, frobenius, polar_decompose, singular_values
+from wstargeo.standard import std_mul
 from wstargeo import sampling
 
 M2 = BlockAlgebra((2,))
@@ -243,3 +246,57 @@ class TestPolarComponentsRelation:
             gamma = u @ h
             uu, hh = polar_decompose(gamma, DEFAULT_TOL)
             assert frobenius(gamma - (uu @ hh @ uu.conj().T) @ uu) <= 1e-10
+
+
+def _matrix(arrow) -> np.ndarray:
+    """The matrix an arrow of any picture is built on."""
+    if isinstance(arrow, CoadjointArrow):
+        return arrow.u
+    if isinstance(arrow, NormalFunctional):
+        return arrow.density
+    return arrow
+
+
+def _block_ranks(algebra: BlockAlgebra, a: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(np.sum(singular_values(b) > 1e-9)) for b in algebra.block_views(a))
+
+
+class TestStackedLaws:
+    """The laws of many chains are checked by one call on their stack, and
+    each chain's residuals are the bits it gets alone."""
+
+    @pytest.mark.parametrize("shape", ["2,3", "1,2,2", "4,4,4,4", "12"])
+    @pytest.mark.parametrize("tag", sorted(GROUPOIDS))
+    def test_trials_are_independent(self, tag, shape):
+        algebra = BlockAlgebra.from_string(shape)
+        chains = [composable_chain(tag, algebra, sampling.rng_for(31, k), 3) for k in range(12)]
+        ranks = {_block_ranks(algebra, _matrix(chain[0])) for chain in chains}
+        assert len(ranks) > 1
+        stacked = chain_law_residuals(tag, stack_chains(chains), DEFAULT_TOL)
+        for k, chain in enumerate(chains):
+            alone = chain_law_residuals(tag, stack_chains([chain]), DEFAULT_TOL)
+            unstacked = chain_law_residuals(tag, chain, DEFAULT_TOL)
+            for law, values in stacked.items():
+                assert values[k] == alone[law][0] == unstacked[law], (law, k)
+
+    @pytest.mark.parametrize(
+        "tag, compose",
+        [
+            ("pi", pi_compose),
+            ("g", g_compose),
+            ("predual", predual_compose),
+            ("coadjoint", coadjoint_compose),
+            ("standard", std_mul),
+        ],
+    )
+    def test_failing_trial_is_named(self, tag, compose):
+        pairs = [composable_chain(tag, M23, sampling.rng_for(32, k), 2) for k in range(10)]
+        a = pairs[7][0]
+        with pytest.raises(NotComposable):
+            compose(a, a, DEFAULT_TOL)
+        pairs[7] = [a, a]
+        left, right = stack_chains(pairs)
+        with pytest.raises(NotComposable, match="at trial 7$"):
+            compose(left, right, DEFAULT_TOL)
+        del pairs[7]
+        compose(*stack_chains(pairs), DEFAULT_TOL)  # the others compose

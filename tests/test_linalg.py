@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wstargeo import groupoids, poisson, sampling, standard
+from wstargeo import charts, groupoids, poisson, sampling, standard
 from wstargeo.algebra import BlockAlgebra, NormalFunctional, stabilizer_lie_algebra
 from wstargeo.errors import (
     InvalidArrow,
@@ -31,6 +31,8 @@ from wstargeo.linalg import (
     check_hermitian,
     excess,
     exp_antihermitian,
+    expect_real,
+    expect_real_array,
     frobenius,
     hermitian_eig,
     hermitian_eigvals,
@@ -611,13 +613,109 @@ class TestOneToleranceRule:
             (lambda: dataclasses.replace(_family_pair()[0], a1=NAN), InvalidFamily),
             (_nan_base_residual, InvalidFamily),
             (lambda: poisson.degeneracy_kernel_check(RHO2, I2, NAN), InvalidTangent),
+            (lambda: expect_real(complex(np.nan, np.nan)), NotHermitian),
+            (lambda: expect_real_array(np.array([1.0, complex(np.nan, 0.0)])), NotHermitian),
+            (lambda: charts.dGamma0(RHO2, I2, NAN, I2), NotHermitian),
         ],
         ids=[
             "pi_compose", "transport_witness", "gauge_iso_Psi", "check_hermitian",
             "kks_check", "ComposableFamily", "multiplicativity_residual",
-            "degeneracy_kernel_check",
+            "degeneracy_kernel_check", "expect_real", "expect_real_array", "dGamma0",
         ],
     )
     def test_nan_fails_the_check(self, call, error):
         with pytest.raises(error):
             call()
+
+
+class TestStacks:
+    """A ``(T, n, n)`` stack is decided matrix by matrix: each gets its own
+    rank cutoff and guard band, and the bits it gets alone."""
+
+    @staticmethod
+    def _mixed_stack():
+        # Ranks 0 to 5 and scales 1e-6 to 1e3 in one stack: a cutoff shared
+        # across the stack would zero the small matrices.
+        rng = _rng(40)
+        mats = []
+        for k in range(12):
+            r = k % 6
+            left = _random_matrix(rng, 5)[:, :r]
+            mats.append(10.0 ** (k % 4 * 3 - 6) * (left @ _random_matrix(rng, 5)[:r, :]))
+        return np.stack(mats)
+
+    def test_each_matrix_as_alone(self):
+        stack = self._mixed_stack()
+        assert len({int(r) for r in retained_rank(svd(stack)[1])}) == 6
+        u, h = polar_decompose(stack)
+        left, right = supports(stack)
+        inv = partial_inverse(stack)
+        norms = frobenius(stack)
+        spectrum = positive_spectrum(h)
+        root, support = spectrum.power(0.5), spectrum.support
+        for k, a in enumerate(stack):
+            for got, want in [
+                (u[k], polar_decompose(a)[0]),
+                (h[k], polar_decompose(a)[1]),
+                (left[k], supports(a)[0]),
+                (right[k], supports(a)[1]),
+                (inv[k], partial_inverse(a)),
+                (root[k], restricted_power(h[k], 0.5)),
+                (support[k], positive_spectrum(h[k]).support),
+            ]:
+                assert np.array_equal(got, want)
+            assert norms[k] == frobenius(a) == np.linalg.norm(a)
+            alone = positive_spectrum(h[k])
+            assert spectrum.cutoff[k] == alone.cutoff
+            assert spectrum.ranks[0][k] == alone.ranks[0]
+
+    def test_membership_per_matrix(self):
+        algebra = BlockAlgebra((2, 3))
+        rng = _rng(41)
+        stack = np.zeros((6, 5, 5), dtype=complex)
+        for s in algebra.slices:
+            n = s.stop - s.start
+            stack[:, s, s] = rng.standard_normal((6, n, n))
+        stack[2, 0, 4] = 1e-3
+        stack[3, 0, 4] = 1e-12
+        stack[4, 1, 1] = np.nan
+        stack[5, 0, 0] = np.inf
+        assert algebra.contains(stack).tolist() == [algebra.contains(m) for m in stack]
+        assert algebra.contains(stack).tolist() == [True, True, False, True, False, False]
+
+    def test_frobenius_reads_each_matrix_in_memory_order(self):
+        stack = self._mixed_stack()
+        transposed = stack.swapaxes(-1, -2)
+        for k, a in enumerate(transposed):
+            assert frobenius(transposed)[k] == frobenius(a)
+
+    def test_excess_per_matrix(self):
+        tol = ToleranceProfile(residual_tol=1e-8)
+        a = np.stack([I2, I2, I2])
+        b = np.stack([I2 + 1e-9, I2 + 1e-7, NAN])
+        gaps = excess(a, b, tol, np.array([0.0, 0.0, 1.0]))
+        assert gaps[0] == 0.0
+        assert gaps[1] == frobenius(a[1] - b[1])
+        assert np.isnan(gaps[2])
+
+    def test_guard_names_the_trial(self):
+        cutoff = DEFAULT_TOL.rank_rel_tol
+        stack = np.stack([np.diag([1.0, 0.5]), np.diag([1.0, 2 * cutoff]), np.diag([1.0, 0.0])])
+        with pytest.raises(NotPartiallyInvertible, match="at trial 1$"):
+            partial_inverse(stack)
+        assert np.array_equal(retained_rank(svd(stack)[1]), [2, 2, 1])
+
+    def test_domain_checks_name_the_trial(self):
+        herm = np.stack([I2, I2, I2 + E12])
+        with pytest.raises(NotHermitian, match="at trial 2$"):
+            check_hermitian(herm)
+        with pytest.raises(NotPositive, match="at trial 1$"):
+            positive_spectrum(np.stack([I2, -I2]))
+        cutoff = DEFAULT_TOL.rank_rel_tol
+        near = np.diag([1.0, 2 * cutoff])
+        spectrum = positive_spectrum(np.stack([np.diag([1.0, 0.5]), near]))
+        assert np.array_equal(spectrum.power(0.5)[1], restricted_power(near, 0.5))
+        with pytest.raises(NotPartiallyInvertible, match="at trial 1$"):
+            spectrum.power(-0.5)
+        with pytest.raises(NoConvergence, match="at trial 1$"), np.errstate(invalid="ignore"):
+            svd(np.stack([I2, NAN]))

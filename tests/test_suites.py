@@ -143,17 +143,21 @@ class TestNonFiniteTrial:
         assert row.status == "FAIL"
 
     def test_nan_law_fails_axiom_check(self, monkeypatch):
+        # One call checks the laws on every trial's chain at once: poison
+        # one trial's entry of one law in its result.
         def poison(laws):
             law = next(iter(laws))
-            return {**laws, law: float("nan")}
+            values = laws[law].copy()
+            values[3] = float("nan")
+            return {**laws, law: values}
 
-        _poison_one_call(monkeypatch, groupoids, "chain_law_residuals", poison)
+        _poison_one_call(monkeypatch, groupoids, "chain_law_residuals", poison, at=1)
         report = groupoids.axiom_check("pi", M2, 10, 0)
         assert math.isnan(report.max_residual)
         assert sum(math.isnan(v) for v in report.law_residuals.values()) == 1
 
         # The suite runs the law check itself, through its own binding.
-        _poison_one_call(monkeypatch, suites, "chain_law_residuals", poison)
+        _poison_one_call(monkeypatch, suites, "chain_law_residuals", poison, at=1)
         row = run_suite("groupoid-axioms", M2, 10, 0)[0]
         assert row.suite == "groupoid-axioms/pi"
         assert math.isnan(row.max_residual)
