@@ -162,15 +162,16 @@ class BlockAlgebra:
         makes the bound infinite, and neither.
         """
         x = np.asarray(x)
-        if x.ndim == 3 and x.shape[1:] == (self.dim, self.dim):
-            # The rule below, matrix by matrix.
-            v = np.ascontiguousarray(x, dtype=complex).view(float).reshape(len(x), -1)
+        if x.shape[-2:] != (self.dim, self.dim) or x.ndim > 3:
+            return False
+        v = np.ascontiguousarray(x, dtype=complex).view(float)
+        if x.ndim == 3:
+            v = v.reshape(len(x), -1)
             off = v[:, self._off_block_index]
             bound = tol.residual_tol * (1.0 + np.sqrt(np.vecdot(v, v)))
             return (np.sqrt(np.vecdot(off, off)) <= bound) & (bound < math.inf)
-        if x.shape != (self.dim, self.dim):
-            return False
-        v = np.ascontiguousarray(x, dtype=complex).view(float).ravel()
+        # One matrix: the rule above through ndarray.dot and math.sqrt.
+        v = v.ravel()
         off = v[self._off_block_index]
         bound = tol.residual_tol * (1.0 + math.sqrt(v.dot(v)))
         return math.sqrt(off.dot(off)) <= bound < math.inf
@@ -181,10 +182,8 @@ class BlockAlgebra:
         """Validate membership (of each matrix of a stack) and return ``x`` as
         a complex ndarray."""
         x = as_square(x)
-        inside = self.contains(x, tol)
-        if inside is not True:  # a matrix outside, or a stack to search
-            refuse(AlgebraMismatch, np.logical_not(inside),
-                   f"{what} is not an element of the block algebra")
+        refuse(AlgebraMismatch, np.logical_not(self.contains(x, tol)),
+               f"{what} is not an element of the block algebra")
         return x
 
     def embed_stacks(self, parts: Iterable[tuple[slice, Sequence[np.ndarray]]]) -> np.ndarray:
@@ -341,8 +340,8 @@ def require_projection(
     p: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, what: str = "matrix"
 ) -> np.ndarray:
     p = as_square(p)
-    if not is_projection(p, tol):
-        raise NotPositive(f"{what} is not an orthogonal projection")
+    refuse(NotPositive, np.logical_not(is_projection(p, tol)),
+           f"{what} is not an orthogonal projection")
     return p
 
 

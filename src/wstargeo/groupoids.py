@@ -230,8 +230,7 @@ def _dist_functional(a: NormalFunctional, b: NormalFunctional) -> float:
 
 
 def _dist_coadjoint(a: CoadjointArrow, b: CoadjointArrow) -> float:
-    du, drho = frobenius(a.u - b.u), a.rho.distance(b.rho)
-    return np.maximum(du, drho) if isinstance(du, np.ndarray) else _worst(du, drho)
+    return np.maximum(frobenius(a.u - b.u), a.rho.distance(b.rho))
 
 
 @dataclass(frozen=True)

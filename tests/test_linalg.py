@@ -12,7 +12,12 @@ import pytest
 import scipy.linalg
 
 from wstargeo import charts, groupoids, poisson, sampling, standard
-from wstargeo.algebra import BlockAlgebra, NormalFunctional, stabilizer_lie_algebra
+from wstargeo.algebra import (
+    BlockAlgebra,
+    NormalFunctional,
+    require_projection,
+    stabilizer_lie_algebra,
+)
 from wstargeo.errors import (
     InvalidArrow,
     InvalidFamily,
@@ -36,6 +41,8 @@ from wstargeo.linalg import (
     frobenius,
     hermitian_eig,
     hermitian_eigvals,
+    is_partial_isometry,
+    is_projection,
     null_space_rows,
     partial_inverse,
     phase_fixed_q,
@@ -719,3 +726,21 @@ class TestStacks:
             spectrum.power(-0.5)
         with pytest.raises(NoConvergence, match="at trial 1$"), np.errstate(invalid="ignore"):
             svd(np.stack([I2, NAN]))
+
+    def test_one_matrix_maps_act_per_matrix(self):
+        # T == n == 2: a transpose over the wrong axes would broadcast
+        # without an error and mix the matrices.
+        rng = _rng(42)
+        x = np.stack([_random_matrix(rng, 2) for _ in range(2)])
+        x = x - x.conj().mT
+        g = exp_antihermitian(x)
+        for k in range(2):
+            assert np.array_equal(g[k], exp_antihermitian(x[k]))
+            assert np.allclose(g[k], scipy.linalg.expm(x[k]), atol=1e-12)
+        p = np.stack([I2, E12, np.diag([1.0, 0.0]).astype(complex)])
+        assert is_projection(p).tolist() == [is_projection(m) for m in p] == [True, False, True]
+        with pytest.raises(NotPositive, match="at trial 1$"):
+            require_projection(p)
+        u = np.stack([E12, 2 * E12, I2])
+        assert (is_partial_isometry(u).tolist() == [is_partial_isometry(m) for m in u]
+                == [True, False, True])
