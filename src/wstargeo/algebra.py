@@ -31,19 +31,29 @@ cutoff, as for a matrix.  Membership in the block algebra is one pass over
 the realified entries.
 
 The frames of a projection (:class:`Frames`) are one block-structured
-isometry ``F`` with ``p = F F*``.  Those of a given projection
-(:func:`frames_of`), per block the eigenvectors of its eigenvalues above
-1/2, are read in one place: the Murray-von Neumann witness ``F_q F_p*``,
+isometry ``F`` with ``p = F F*``.  Those of a given projection, per block
+the eigenvectors of its eigenvalues above 1/2, are read in one place
+(:func:`_block_frames`): :func:`frames_of` places them in one matrix for
 the isometry-bundle tangents in :mod:`wstargeo.poisson` and the samplers
-that take a projection all use them.
+that take a projection, and the Murray-von Neumann witness ``F_q F_p*``
+multiplies them block by block.
+
+Like the :mod:`~wstargeo.linalg` kernels, the equivalences and their
+witnesses, the coadjoint action and the modular flow take a ``(T, dim,
+dim)`` stack of projections, partial isometries or densities (a functional
+of stacked densities): Murray-von Neumann, unitary and orbit equivalence
+answer per matrix, as a boolean array, and a domain check that fails names
+its first failing trial.  The one-matrix call is the stack's ``T = 1``
+case, with the same bits.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Hashable, Iterable, Sequence
+from functools import cached_property, reduce
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -139,15 +149,17 @@ class BlockAlgebra:
         return [x[..., s, s] for s in self.slices]
 
     def embed_blocks(self, mats: list[np.ndarray]) -> np.ndarray:
-        """Assemble an algebra element from per-block matrices."""
+        """Assemble an algebra element from per-block matrices; from per-block
+        stacks of equal length, one element per matrix of the stacks."""
         if len(mats) != len(self.blocks):
             raise ValueError("wrong number of blocks")
-        out = self.zero()
+        mats = [np.asarray(m, dtype=complex) for m in mats]
+        lead = mats[0].shape[:-2]
+        out = np.zeros(lead + (self.dim, self.dim), dtype=complex)
         for s, m in zip(self.slices, mats):
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (s.stop - s.start, s.stop - s.start):
+            if m.shape != lead + (s.stop - s.start,) * 2:
                 raise ValueError("block has the wrong shape")
-            out[s, s] = m
+            out[..., s, s] = m
         return out
 
     def contains(self, x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
@@ -347,8 +359,9 @@ def require_projection(
 
 def block_ranks(
     algebra: BlockAlgebra, p: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
-) -> tuple[int, ...]:
-    """Blockwise ranks of a projection (read off block traces)."""
+) -> tuple:
+    """Blockwise ranks of a projection (read off block traces); of a stack,
+    each block's ranks as an array over the stack."""
     require_projection(p, tol)
     return tuple(projection_rank(b) for b in algebra.block_views(p))
 
@@ -382,13 +395,21 @@ class Frames:
         return self.matrix @ self.matrix.conj().T
 
 
+def _block_frames(
+    algebra: BlockAlgebra, p: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per block of a projection ``p`` (of each matrix of a stack), the
+    block's frame: the eigenvectors of its Hermitian eigendecomposition,
+    descending, and the mask of those whose eigenvalue is above 1/2."""
+    for bp in algebra.block_views(p):
+        w, v = hermitian_eig(bp)
+        yield v, w > 0.5
+
+
 def frames_of(algebra: BlockAlgebra, p: np.ndarray) -> Frames:
     """Frames of a projection ``p``: per block, the eigenvectors of the
     eigenvalues above 1/2, placed in one zero matrix."""
-    cols = []
-    for bp in algebra.block_views(p):
-        w, v = hermitian_eig(bp)
-        cols.append(v[:, : int(np.count_nonzero(w > 0.5))])
+    cols = [v[:, : int(np.count_nonzero(kept))] for v, kept in _block_frames(algebra, p)]
     ranks = tuple(c.shape[1] for c in cols)
     matrix = np.zeros((algebra.dim, sum(ranks)), dtype=complex)
     for s, c, f in zip(algebra.slices, consecutive_slices(ranks), cols):
@@ -396,16 +417,25 @@ def frames_of(algebra: BlockAlgebra, p: np.ndarray) -> Frames:
     return Frames(algebra, matrix, ranks)
 
 
+def _spectra_agree(pairs: Iterable[tuple[np.ndarray, np.ndarray]]):
+    """Whether every pair of descending spectra agrees within
+    :data:`SPECTRAL_ATOL`; for spectra of stacks (one row per matrix), per
+    matrix, as an array.  A NaN never agrees."""
+    gaps = (np.max(np.abs(w1 - w2), axis=-1) for w1, w2 in pairs)
+    return reduce(operator.and_, (gap <= SPECTRAL_ATOL for gap in gaps))
+
+
 def mvn_equivalent(
     algebra: BlockAlgebra,
     p: np.ndarray,
     q: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> bool:
+):
     """Murray-von Neumann equivalence of projections: some partial isometry
     carries one onto the other, which in a block algebra means equal blockwise
-    ranks."""
-    return block_ranks(algebra, p, tol) == block_ranks(algebra, q, tol)
+    ranks.  On stacks, per pair, as an array."""
+    pairs = zip(block_ranks(algebra, p, tol), block_ranks(algebra, q, tol))
+    return reduce(operator.and_, (rp == rq for rp, rq in pairs))
 
 
 def mvn_witness(
@@ -414,11 +444,18 @@ def mvn_witness(
     q: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> np.ndarray:
-    """A partial isometry ``w`` with ``w* w = p`` and ``w w* = q``: ``F_q F_p*``,
-    one product of the frames of both projections."""
-    if not mvn_equivalent(algebra, p, q, tol):
-        raise InvalidArrow("projections are not equivalent, no witness exists")
-    return frames_of(algebra, q).matrix @ frames_of(algebra, p).matrix.conj().T
+    """A partial isometry ``w`` with ``w* w = p`` and ``w w* = q``: ``F_q F_p*``
+    from the frames of both projections (:func:`_block_frames`), block by
+    block.  On stacks, per pair: a block's eigenvectors with the columns past
+    its rank zeroed stand for its frame, so pairs of any ranks share one
+    product per block."""
+    refuse(InvalidArrow, np.logical_not(mvn_equivalent(algebra, p, q, tol)),
+           "projections are not equivalent, no witness exists")
+    # Equivalent blocks have equal ranks, so the mask of q's frame is p's.
+    frames = zip(_block_frames(algebra, p), _block_frames(algebra, q))
+    return algebra.embed_blocks(
+        [(vq * kept[..., None, :]) @ vp.conj().mT for (vp, _), (vq, kept) in frames]
+    )
 
 
 def unitary_equivalent(
@@ -426,17 +463,14 @@ def unitary_equivalent(
     p: np.ndarray,
     q: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> bool:
+):
     """Unitary equivalence of projections: equal blockwise spectra.  A
-    projection is positive, so its spectrum is its singular values."""
+    projection is positive, so its spectrum is its singular values.  On
+    stacks, per pair, as an array."""
     require_projection(p, tol)
     require_projection(q, tol)
-    for bp, bq in zip(algebra.block_views(p), algebra.block_views(q)):
-        wp = singular_values(bp)
-        wq = singular_values(bq)
-        if float(np.max(np.abs(wp - wq))) > SPECTRAL_ATOL:
-            return False
-    return True
+    views = zip(algebra.block_views(p), algebra.block_views(q))
+    return _spectra_agree((singular_values(bp), singular_values(bq)) for bp, bq in views)
 
 
 def orbit_invariant(
@@ -455,12 +489,12 @@ def orbit_equivalent(
     phi1: NormalFunctional,
     phi2: NormalFunctional,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> bool:
+):
     """Whether two positive functionals lie on the same unitary orbit: their
     block spectra in :func:`density_spectrum` agree within
-    :data:`SPECTRAL_ATOL`."""
+    :data:`SPECTRAL_ATOL`.  On stacks, per pair, as an array."""
     pairs = zip(density_spectrum(phi1, tol).blocks, density_spectrum(phi2, tol).blocks)
-    return all(float(np.max(np.abs(w1 - w2))) <= SPECTRAL_ATOL for (_, w1, _), (_, w2, _) in pairs)
+    return _spectra_agree((w1, w2) for (_, w1, _), (_, w2, _) in pairs)
 
 
 def unitary_witness(
@@ -469,11 +503,11 @@ def unitary_witness(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> np.ndarray:
     """A unitary ``v`` with ``v d1 v* = d2``, built blockwise from the kept
-    eigenbases (requires orbit equivalence)."""
-    if not orbit_equivalent(phi1, phi2, tol):
-        raise InvalidArrow("functionals lie on different unitary orbits")
+    eigenbases (requires orbit equivalence); on stacks, per pair."""
+    refuse(InvalidArrow, np.logical_not(orbit_equivalent(phi1, phi2, tol)),
+           "functionals lie on different unitary orbits")
     pairs = zip(density_spectrum(phi1, tol).blocks, density_spectrum(phi2, tol).blocks)
-    return phi1.algebra.embed_blocks([v2 @ v1.conj().T for (_, _, v1), (_, _, v2) in pairs])
+    return phi1.algebra.embed_blocks([v2 @ v1.conj().mT for (_, _, v1), (_, _, v2) in pairs])
 
 
 @dataclass(frozen=True, eq=False)
@@ -597,12 +631,13 @@ def modular_flow(
     """The modular flow of a faithful positive functional at time ``t``:
     ``x -> u x u*`` on algebra elements, with ``u = d^{it}`` read once from
     :func:`density_spectrum`.  Raises :class:`NotFaithful` for a density
-    that is not faithful."""
+    that is not faithful.  A functional of stacked densities gives the flow
+    of each, on one element or on a stack of as many."""
     spectrum = density_spectrum(phi, tol)
-    if sum(spectrum.ranks) != phi.algebra.dim:
-        raise NotFaithful("density is not faithful; modular flow undefined")
+    refuse(NotFaithful, sum(spectrum.ranks) != phi.algebra.dim,
+           "density is not faithful; modular flow undefined")
     u = spectrum.imaginary_power(t)
-    uh = u.conj().T
+    uh = u.conj().mT
 
     def flow(x: np.ndarray) -> np.ndarray:
         return u @ phi.algebra.require_member(x, tol) @ uh
@@ -614,9 +649,9 @@ def coadjoint_apply(
     u: np.ndarray, phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> NormalFunctional:
     """Coadjoint action ``rho -> u rho u*`` of a partial isometry whose source
-    projection is the support of ``rho``."""
+    projection is the support of ``rho``; on stacks, per pair."""
     p = functional_support(phi, tol)
     u = phi.algebra.require_member(u, tol)
-    if excess(u.conj().T @ u, p, tol, frobenius(p)):
-        raise InvalidArrow("source projection of u is not the support of rho")
-    return NormalFunctional(phi.algebra, u @ phi.density @ u.conj().T)
+    refuse(InvalidArrow, excess(u.conj().mT @ u, p, tol, frobenius(p)),
+           "source projection of u is not the support of rho")
+    return NormalFunctional(phi.algebra, u @ phi.density @ u.conj().mT)

@@ -29,7 +29,10 @@ that fails on a stack names its first failing trial.
 ``iso_Xi`` (to the predual groupoid), ``iso_Phi`` (to the standard form) and
 ``gauge_iso_Psi`` (from the pair structure on the isometry bundle) realize
 the structure-preserving identifications; ``intertwining_residual`` checks
-the functor laws of the first two, one pair of arrows at a time.
+the functor laws of the first two, and ``psi_intertwining_residual`` those
+of the third.  They too broadcast over the trial axis: on stacks of pairs
+they return one residual per pair, so the ``isomorphisms`` row checks all
+of its trials with one call each.
 """
 from __future__ import annotations
 
@@ -451,12 +454,14 @@ def intertwining_residual(
     """Worst deviation of ``functor`` (arrows of ``src`` to arrows of
     ``dst``, with ``on_objects`` on objects) from commuting with source,
     target, inverse, unit and product on a composable pair, and of
-    ``functor_inv`` from undoing it."""
+    ``functor_inv`` from undoing it; NaN if any deviation is NaN.  On a pair
+    of stacks, an array with the deviation of each pair, with the bits that
+    pair gives alone."""
     S, T = GROUPOIDS[src], GROUPOIDS[dst]
     a, b = pair
     fa = functor(a, tol)
     s_a = S.source(a, tol)
-    return _worst(
+    return np.max([
         T.object_distance(T.source(fa, tol), on_objects(s_a)),
         T.object_distance(T.target(fa, tol), on_objects(S.target(a, tol))),
         T.arrow_distance(T.inverse(fa, tol), functor(S.inverse(a, tol), tol)),
@@ -467,14 +472,15 @@ def intertwining_residual(
             T.compose(fa, functor(b, tol), tol), functor(S.compose(a, b, tol), tol)
         ),
         S.arrow_distance(functor_inv(fa, tol), a),
-    )
+    ], axis=0)
 
 
 def xi_intertwining_residual(
     pair: tuple[CoadjointArrow, CoadjointArrow], tol: ToleranceProfile = DEFAULT_TOL
 ) -> float:
     """Worst deviation of Xi from commuting with source, target, unit,
-    inverse, and the product, on a composable pair of coadjoint arrows."""
+    inverse, and the product, on a composable pair of coadjoint arrows (of
+    each pair of a stack)."""
     return intertwining_residual(
         "coadjoint", "predual", lambda a, tol: iso_Xi(a), iso_Xi_inv,
         lambda rho: rho, pair, tol,
@@ -488,7 +494,8 @@ def phi_intertwining_residual(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> float:
     """Worst deviation of Phi from commuting with source, target, unit,
-    inverse, and product on a composable pair of coadjoint arrows."""
+    inverse, and product on a composable pair of coadjoint arrows (of each
+    pair of a stack)."""
     return intertwining_residual(
         "coadjoint", "standard",
         lambda arrow, tol: iso_Phi(arrow.u, arrow.rho, tol),
@@ -504,14 +511,15 @@ def gauge_iso_Psi(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> CoadjointArrow:
     """Map a pair (u, v) of partial isometries with common source
-    support(rho0) to the coadjoint arrow (u v*, v rho0 v*)."""
+    support(rho0) to the coadjoint arrow (u v*, v rho0 v*); on stacks, per
+    triple."""
     p0 = functional_support(rho0, tol)
     for w, name in ((u, "u"), (v, "v")):
-        if excess(w.conj().T @ w, p0, tol, frobenius(p0)):
-            raise InvalidArrow(f"{name}* {name} is not the support of rho0")
+        refuse(InvalidArrow, excess(w.conj().mT @ w, p0, tol, frobenius(p0)),
+               f"{name}* {name} is not the support of rho0")
     return CoadjointArrow(
-        u @ v.conj().T,
-        NormalFunctional(rho0.algebra, v @ rho0.density @ v.conj().T),
+        u @ v.conj().mT,
+        NormalFunctional(rho0.algebra, v @ rho0.density @ v.conj().mT),
     )
 
 
@@ -523,14 +531,15 @@ def psi_intertwining_residual(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> float:
     """Worst deviation of Psi from commuting with the pair-groupoid structure
-    on a composable pair (u, v), (v, w)."""
+    on a composable pair (u, v), (v, w) (of each of a stack, as an array;
+    NaN if any deviation is NaN)."""
     A = gauge_iso_Psi(u, v, rho0, tol)
     B = gauge_iso_Psi(v, w, rho0, tol)
     rho_u = coadjoint_apply(u, rho0, tol)
-    return _worst(
+    return np.max([
         coadjoint_source(A).distance(coadjoint_apply(v, rho0, tol)),
         coadjoint_target(A).distance(rho_u),
         _dist_coadjoint(coadjoint_inverse(A), gauge_iso_Psi(v, u, rho0, tol)),
         _dist_coadjoint(coadjoint_compose(A, B, tol), gauge_iso_Psi(u, w, rho0, tol)),
         _dist_coadjoint(coadjoint_unit(rho_u, tol), gauge_iso_Psi(u, u, rho0, tol)),
-    )
+    ], axis=0)

@@ -585,9 +585,11 @@ def is_projection(p: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     return (excess(p, p.conj().mT, tol, scale) == 0.0) & (excess(p @ p, p, tol, scale) == 0.0)
 
 
-def projection_rank(p: np.ndarray) -> int:
-    """Rank of a projection, read off its trace."""
-    return int(round(float(np.trace(p).real)))
+def projection_rank(p: np.ndarray):
+    """Rank of a projection, read off its trace; of each matrix of a stack,
+    as an array."""
+    rank = np.rint(p.trace(axis1=-2, axis2=-1).real).astype(int)
+    return rank if rank.ndim else int(rank)
 
 
 def eigen_clusters(w: np.ndarray, rel_gap: float) -> list[list[int]]:

@@ -73,15 +73,17 @@ def conjugation_J(g: np.ndarray) -> np.ndarray:
 
 
 def expectation_E(algebra: BlockAlgebra, g: np.ndarray) -> NormalFunctional:
-    """Left expectation of the vector g: the functional with density g g*."""
+    """Left expectation of the vector g: the functional with density g g*;
+    of each vector of a stack."""
     g = np.asarray(g, dtype=complex)
-    return NormalFunctional(algebra, g @ g.conj().T)
+    return NormalFunctional(algebra, g @ g.conj().mT)
 
 
 def expectation_Eprime(algebra: BlockAlgebra, g: np.ndarray) -> NormalFunctional:
-    """Right expectation of the vector g: the functional with density g* g."""
+    """Right expectation of the vector g: the functional with density g* g;
+    of each vector of a stack."""
     g = np.asarray(g, dtype=complex)
-    return NormalFunctional(algebra, g.conj().T @ g)
+    return NormalFunctional(algebra, g.conj().mT @ g)
 
 
 def momentum_mu(g: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -156,12 +158,12 @@ def transport_witness(
 ) -> np.ndarray:
     """Partial isometry w with w g1 = g2 and w* w = mu(g1), when g2 lies on
     the left-translation orbit of g1 (same right expectation).  Raises
-    InvalidArrow otherwise."""
-    if excess(g1.conj().T @ g1, g2.conj().T @ g2, tol, frobenius(g1) ** 2):
-        raise InvalidArrow("g1 and g2 have different right expectations")
+    InvalidArrow otherwise.  On stacks, per pair."""
+    refuse(InvalidArrow, excess(g1.conj().mT @ g1, g2.conj().mT @ g2, tol, frobenius(g1) ** 2),
+           "g1 and g2 have different right expectations")
     w = g2 @ partial_inverse(g1, tol)
-    if excess(w @ g1, g2, tol, frobenius(g2)):
-        raise InvalidArrow("no partial isometry transports g1 to g2")
+    refuse(InvalidArrow, excess(w @ g1, g2, tol, frobenius(g2)),
+           "no partial isometry transports g1 to g2")
     return w
 
 

@@ -198,6 +198,20 @@ def _group_row(
 # ---------------------------------------------------------------------------
 
 
+def _stacked_trials(
+    ctx: RowCtx, draw: Callable[[RowCtx, np.random.Generator], list]
+) -> list:
+    """Each trial's ``draw`` in turn, from its own generator, stacked into
+    one tuple of stacks (:func:`~wstargeo.groupoids.stack_chains`): the data
+    of a row whose checks then run once, on all of its trials."""
+    return stack_chains(list(_trials(ctx, draw)))
+
+
+def _worst_of_stacks(residuals) -> float:
+    """The worst of per-trial residual arrays (NaN if any of them is NaN)."""
+    return _worst(0.0, *(r for rs in residuals for r in rs.tolist()))
+
+
 def _row_laws(tag: str) -> Callable[[RowCtx], float]:
     """Groupoid laws of the picture ``tag`` on one composable chain of three
     arrows per trial; for the standard form also the polar data of its
@@ -209,7 +223,7 @@ def _row_laws(tag: str) -> Callable[[RowCtx], float]:
 
     def row(ctx: RowCtx) -> float:
         prof = ctx.profile
-        chain = stack_chains(list(_trials(ctx, draw)))
+        chain = _stacked_trials(ctx, draw)
         residuals = list(chain_law_residuals(tag, chain, prof).values())
         if tag == "standard":
             # Polar data of an arrow gamma = u m: gamma = (u m u*) u relates
@@ -217,103 +231,139 @@ def _row_laws(tag: str) -> Callable[[RowCtx], float]:
             a = chain[0]
             u, h = polar_decompose(a, prof)
             residuals.append(frobenius(a - (u @ h @ u.conj().mT) @ u))
-        return _worst(0.0, *(r for rs in residuals for r in rs.tolist()))
+        return _worst_of_stacks(residuals)
 
     return row
 
 
-@_per_trial
-def _row_isomorphisms(ctx: RowCtx, rng):
-    """The three structure-preserving maps between the arrow pictures, on
-    composable random pairs."""
-    alg, prof = ctx.algebra, ctx.profile
-    a, b = composable_chain("coadjoint", alg, rng, 2)
-    yield xi_intertwining_residual((a, b), prof)
-    yield phi_intertwining_residual(alg, a, b, prof)
+# The three rows below draw each trial's data in turn (``_draw_*``), then run
+# their checks (``_check_*``) once, on the stack of all trials.  A check
+# takes the data of one trial or a stack of them, and gives each trial the
+# bits it gets alone.
 
+
+def _draw_isomorphisms(ctx: RowCtx, rng) -> list:
+    alg = ctx.algebra
+    a, b = composable_chain("coadjoint", alg, rng, 2)
     f0 = sampling.random_frames(alg, rng, allow_zero=False)
     rho0 = sampling.density_on(rng, f0)
     u, v, w = [
         sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
         for _ in range(3)
     ]
-    yield psi_intertwining_residual(u, v, w, rho0, prof)
+    # The direction consumes the generator by the length of the stabilizer
+    # basis of the base density, so the stabilizer is taken per trial.
+    stab = stabilizer_lie_algebra(rho0, ctx.profile)
+    x = sampling.stabilizer_direction(rng, stab.basis)
+    return [a, b, u, v, w, rho0, x]
+
+
+def _check_isomorphisms(ctx: RowCtx, a, b, u, v, w, rho0, x) -> dict:
+    alg, prof = ctx.algebra, ctx.profile
     # Gauge invariance: right translation by a stabilizer element of the
     # base density leaves the quotient map unchanged.
-    stab = stabilizer_lie_algebra(rho0, prof)
-    g = exp_antihermitian(sampling.stabilizer_direction(rng, stab.basis))
+    g = exp_antihermitian(x)
     arrow = gauge_iso_Psi(u, v, rho0, prof)
     arrow_g = gauge_iso_Psi(u @ g, v @ g, rho0, prof)
-    yield frobenius(arrow.u - arrow_g.u) + arrow.rho.distance(arrow_g.rho)
+    return {
+        "xi": xi_intertwining_residual((a, b), prof),
+        "phi": phi_intertwining_residual(alg, a, b, prof),
+        "psi": psi_intertwining_residual(u, v, w, rho0, prof),
+        "gauge": frobenius(arrow.u - arrow_g.u) + arrow.rho.distance(arrow_g.rho),
+    }
+
+
+def _row_isomorphisms(ctx: RowCtx) -> float:
+    """The three structure-preserving maps between the arrow pictures, on
+    composable random pairs."""
+    checks = _check_isomorphisms(ctx, *_stacked_trials(ctx, _draw_isomorphisms))
+    return _worst_of_stacks(checks.values())
+
+
+def _draw_equivalences(ctx: RowCtx, rng) -> list:
+    alg = ctx.algebra
+    pf = sampling.random_frames(alg, rng)
+    q = sampling.equivalent_frames(rng, pf).projection
+    x = sampling.random_element(alg, rng)
+    rho_f = sampling.random_frames(alg, rng, allow_zero=False)
+    rho = sampling.density_on(rng, rho_f)
+    u = sampling.isometry_between(rng, rho_f, sampling.equivalent_frames(rng, rho_f))
+    # Negative control: a rank change breaks equivalence.
+    ranks = list(pf.ranks)
+    ranks[0] = (ranks[0] + 1) % (alg.blocks[0] + 1)
+    p_bad = sampling.random_projection(alg, rng, ranks=tuple(ranks))
+    return [pf.projection, q, x, rho_f.projection, rho, u, p_bad]
+
+
+def _check_equivalences(ctx: RowCtx, p, q, x, rho_supp, rho, u, p_bad) -> dict:
+    """Whether each equivalence notion disagrees with what the data force:
+    true where a notion fails on equivalent data, or holds on a negative
+    control."""
+    alg, prof = ctx.algebra, ctx.profile
+    # The two supports of any functional are equivalent.
+    l_supp, r_supp = supports(x, prof)
+    # Pushing a positive functional along an arrow preserves its orbit
+    # invariants and maps supports to equivalent supports.
+    pushed = coadjoint_apply(u, rho, prof)
+    # Negative control: a spectral shift breaks orbit equivalence.
+    shifted = NormalFunctional(alg, rho.density + 0.25 * rho_supp)
+    must_hold = {
+        "mvn": mvn_equivalent(alg, p, q, prof),
+        "unitary": unitary_equivalent(alg, p, q, prof),
+        "supports": mvn_equivalent(alg, l_supp, r_supp, prof),
+        "orbit": orbit_equivalent(rho, pushed, prof),
+        "pushed-support": mvn_equivalent(alg, supports(pushed.density, prof)[0], rho_supp, prof),
+    }
+    must_fail = {
+        "mvn-rank-change": mvn_equivalent(alg, p, p_bad, prof),
+        "orbit-shift": orbit_equivalent(rho, shifted, prof),
+    }
+    return {**{k: np.logical_not(v) for k, v in must_hold.items()}, **must_fail}
 
 
 def _row_equivalence_agreement(ctx: RowCtx) -> float:
     """Count of disagreements between the equivalence notions (Murray-von
     Neumann, unitary orbit, support equivalence) on data where they must
     coincide, plus negative controls where they must not."""
-    return float(sum(_trials(ctx, _equivalence_disagreements)))
+    checks = _check_equivalences(ctx, *_stacked_trials(ctx, _draw_equivalences))
+    return float(sum(np.count_nonzero(d) for d in checks.values()))
 
 
-def _equivalence_disagreements(ctx: RowCtx, rng) -> int:
-    alg, prof = ctx.algebra, ctx.profile
+def _draw_witnesses(ctx: RowCtx, rng) -> list:
+    alg = ctx.algebra
     pf = sampling.random_frames(alg, rng)
-    p, q = pf.projection, sampling.equivalent_frames(rng, pf).projection
-    # The two supports of any functional are equivalent.
-    x = sampling.random_element(alg, rng)
-    l_supp, r_supp = supports(x, prof)
-    # Pushing a positive functional along an arrow preserves its orbit
-    # invariants and maps supports to equivalent supports.
-    rho_f = sampling.random_frames(alg, rng, allow_zero=False)
-    rho_supp = rho_f.projection
-    rho = sampling.density_on(rng, rho_f)
-    u = sampling.isometry_between(rng, rho_f, sampling.equivalent_frames(rng, rho_f))
-    pushed = coadjoint_apply(u, rho, prof)
-    # Negative controls: a rank change breaks equivalence, a spectral
-    # shift breaks orbit equivalence.
-    ranks = list(pf.ranks)
-    ranks[0] = (ranks[0] + 1) % (alg.blocks[0] + 1)
-    p_bad = sampling.random_projection(alg, rng, ranks=tuple(ranks))
-    shifted = NormalFunctional(alg, rho.density + 0.25 * rho_supp)
-    must_hold = (
-        mvn_equivalent(alg, p, q, prof),
-        unitary_equivalent(alg, p, q, prof),
-        mvn_equivalent(alg, l_supp, r_supp, prof),
-        orbit_equivalent(rho, pushed, prof),
-        mvn_equivalent(alg, supports(pushed.density, prof)[0], rho_supp, prof),
-    )
-    must_fail = (
-        mvn_equivalent(alg, p, p_bad, prof),
-        orbit_equivalent(rho, shifted, prof),
-    )
-    return must_hold.count(False) + must_fail.count(True)
-
-
-@_per_trial
-def _row_witnesses(ctx: RowCtx, rng):
-    """Constructive witnesses for the three equivalences actually implement
-    them."""
-    alg, prof = ctx.algebra, ctx.profile
-    pf = sampling.random_frames(alg, rng)
-    p, q = pf.projection, sampling.equivalent_frames(rng, pf).projection
-    w = mvn_witness(alg, p, q, prof)
-    yield frobenius(w.conj().T @ w - p)
-    yield frobenius(w @ w.conj().T - q)
-
+    q = sampling.equivalent_frames(rng, pf).projection
     phi1 = sampling.random_density(alg, rng)
     uu = sampling.random_unitary(alg, rng)
-    phi2 = NormalFunctional(alg, uu @ phi1.density @ uu.conj().T)
-    v = unitary_witness(phi1, phi2, prof)
-    yield frobenius(v @ v.conj().T - alg.identity())
-    yield frobenius(v @ phi1.density @ v.conj().T - phi2.density)
-
     qs = sampling.frame_chain(alg, rng, 2, allow_zero=False)
     h = sampling.positive_on(rng, qs[2])
     u1 = sampling.isometry_between(rng, qs[2], qs[1])
     w0 = sampling.isometry_between(rng, qs[1], qs[0])
+    return [pf.projection, q, phi1, uu, h, u1, w0]
+
+
+def _check_witnesses(ctx: RowCtx, p, q, phi1, uu, h, u1, w0) -> dict:
+    alg, prof = ctx.algebra, ctx.profile
+    w = mvn_witness(alg, p, q, prof)
+    phi2 = NormalFunctional(alg, uu @ phi1.density @ uu.conj().mT)
+    v = unitary_witness(phi1, phi2, prof)
     g1 = u1 @ h
     g2 = w0 @ g1
     wt = transport_witness(g1, g2, prof)
-    yield frobenius(wt @ g1 - g2)
+    return {
+        "mvn-source": frobenius(w.conj().mT @ w - p),
+        "mvn-target": frobenius(w @ w.conj().mT - q),
+        "unitary": frobenius(v @ v.conj().mT - alg.identity()),
+        "unitary-orbit": frobenius(v @ phi1.density @ v.conj().mT - phi2.density),
+        "transport": frobenius(wt @ g1 - g2),
+    }
+
+
+def _row_witnesses(ctx: RowCtx) -> float:
+    """Constructive witnesses for the three equivalences actually implement
+    them."""
+    checks = _check_witnesses(ctx, *_stacked_trials(ctx, _draw_witnesses))
+    return _worst_of_stacks(checks.values())
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,28 @@ class TestModularAutomorphism:
         with pytest.raises(AlgebraMismatch):
             flow(np.ones((5, 5), dtype=complex))
 
+    def test_stacked_densities_flow_per_matrix(self):
+        alg = BlockAlgebra((1, 2))
+        rng = _rng(10)
+        u = sampling.random_unitary(alg, rng)
+        densities = np.stack([
+            np.diag([0.2, 0.3, 0.5]),
+            u @ np.diag([0.5, 0.25, 0.25]) @ u.conj().T,
+            np.diag([0.1, 0.6, 0.3]),
+        ]).astype(complex)
+        phi = NormalFunctional(alg, densities)
+        x = sampling.random_element(alg, rng)
+        xs = np.stack([sampling.random_element(alg, rng) for _ in range(3)])
+        flow = modular_flow(phi, 0.7, DEFAULT_TOL)
+        one, each = flow(x), flow(xs)
+        for k, d in enumerate(densities):
+            alone = modular_flow(NormalFunctional(alg, d), 0.7, DEFAULT_TOL)
+            assert np.array_equal(one[k], alone(x))
+            assert np.array_equal(each[k], alone(xs[k]))
+        densities[1] = np.diag([0.0, 0.4, 0.6])
+        with pytest.raises(NotFaithful, match="at trial 1$"):
+            modular_flow(NormalFunctional(alg, densities), 0.7, DEFAULT_TOL)
+
     def test_invariance_and_composition(self):
         rng = _rng(9)
         for _ in range(50):

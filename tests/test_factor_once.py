@@ -102,22 +102,27 @@ class TestCounts:
         assert lapack_calls["gesdd"] <= 10
 
     def test_law_rows_factor_per_row_not_per_trial(self, lapack_calls):
-        # Each law row checks all its trials' chains with one call on their
-        # stack, so its factorizations do not grow with the trials.
-        rows = [
-            (subindex, fn)
-            for subindex, (name, _, fn) in enumerate(suites._suite("groupoid-axioms"))
-            if name in ("pi", "g", "predual", "coadjoint", "standard")
-        ]
-        assert len(rows) == 5
+        # Each groupoid-axioms row checks all its trials' data with one call
+        # on their stack, so its SVDs do not grow with the trials.  Nor do
+        # its Hermitian eigendecompositions, but for the isomorphisms row:
+        # its draw takes the stabilizer of each trial's base density.
+        rows = list(enumerate(suites._suite("groupoid-axioms")))
+        assert len(rows) == 8
         counts = []
         for trials in (10, 40):
-            lapack_calls.update(gesdd=0, heevd=0)
-            for subindex, fn in rows:
-                assert fn(suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL)) <= 1e-10
-            counts.append(dict(lapack_calls))
-        assert counts[0] == counts[1]
-        assert counts[0]["gesdd"] > 0 and counts[0]["heevd"] > 0
+            per_row = {}
+            for subindex, (name, tolerance, fn) in rows:
+                lapack_calls.update(gesdd=0, heevd=0)
+                assert fn(suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL)) <= tolerance
+                per_row[name] = dict(lapack_calls)
+            counts.append(per_row)
+        for _, (name, _, _) in rows:
+            small, large = counts[0][name], counts[1][name]
+            assert small["gesdd"] == large["gesdd"], name
+            if name != "isomorphisms":
+                assert small["heevd"] == large["heevd"], name
+        for kernel in ("gesdd", "heevd"):
+            assert sum(row[kernel] for row in counts[0].values()) > 0
 
     def test_psi_intertwining(self, lapack_calls):
         # 18 with one support of rho0 per gauge_iso_Psi and coadjoint_apply,

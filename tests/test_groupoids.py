@@ -36,8 +36,8 @@ from wstargeo.groupoids import (
     xi_intertwining_residual,
 )
 from wstargeo.linalg import DEFAULT_TOL, frobenius, polar_decompose, singular_values
-from wstargeo.standard import std_mul
-from wstargeo import sampling
+from wstargeo.standard import std_mul, transport_witness
+from wstargeo import algebra, sampling, suites
 
 M2 = BlockAlgebra((2,))
 M23 = BlockAlgebra((2, 3))
@@ -300,3 +300,72 @@ class TestStackedLaws:
             compose(left, right, DEFAULT_TOL)
         del pairs[7]
         compose(*stack_chains(pairs), DEFAULT_TOL)  # the others compose
+
+
+#: The ``groupoid-axioms`` rows that draw each trial in turn and check all
+#: trials with one call on their stack: each row's draw and check.
+STACKED_ROWS = {
+    "isomorphisms": (suites._draw_isomorphisms, suites._check_isomorphisms),
+    "equivalence-agreement": (suites._draw_equivalences, suites._check_equivalences),
+    "witnesses": (suites._draw_witnesses, suites._check_witnesses),
+}
+
+
+def _row_draws(row: str, algebra: BlockAlgebra, trials: int, seed: int) -> list:
+    draw, _ = STACKED_ROWS[row]
+    ctx = suites.RowCtx(algebra, trials, seed, 0, DEFAULT_TOL)
+    return [draw(ctx, sampling.rng_for(seed, k)) for k in range(trials)]
+
+
+class TestStackedRows:
+    """The isomorphisms, equivalence-agreement and witnesses rows check all
+    their trials' data with one call on the stack, and each trial's
+    residuals and answers are the bits it gets alone."""
+
+    @pytest.mark.parametrize("shape", ["2,3", "1,2,2", "4,4,4,4", "12"])
+    @pytest.mark.parametrize("row", sorted(STACKED_ROWS))
+    def test_trials_are_independent(self, row, shape):
+        alg = BlockAlgebra.from_string(shape)
+        _, check = STACKED_ROWS[row]
+        ctx = suites.RowCtx(alg, 12, 33, 0, DEFAULT_TOL)
+        draws = _row_draws(row, alg, 12, 33)
+        ranks = {_block_ranks(alg, _matrix(data[0])) for data in draws}
+        assert len(ranks) > 1
+        stacked = check(ctx, *stack_chains(draws))
+        for k, data in enumerate(draws):
+            alone = check(ctx, *stack_chains([data]))
+            unstacked = check(ctx, *data)
+            for name, values in stacked.items():
+                assert values.shape == (12,), name
+                assert values[k] == alone[name][0] == unstacked[name], (name, k)
+
+    @pytest.mark.parametrize("row, call, spoil, by", [
+        # u* u is not the support of rho0: 2 u is no partial isometry.
+        ("isomorphisms", lambda a, b, u, v, w, rho0, x: gauge_iso_Psi(u, v, rho0, DEFAULT_TOL),
+         2, lambda data: 2 * data[2]),
+        ("isomorphisms", lambda a, b, u, v, w, rho0, x: coadjoint_apply(u, rho0, DEFAULT_TOL),
+         2, lambda data: 2 * data[2]),
+        # g2 = 2 w0 g1 has another right expectation than g1.
+        ("witnesses", lambda p, q, phi1, uu, h, u1, w0: transport_witness(
+            u1 @ h, w0 @ u1 @ h, DEFAULT_TOL),
+         6, lambda data: 2 * data[6]),
+        # q replaced by the negative control, of other blockwise ranks.
+        ("equivalence-agreement", lambda p, q, x, rho_supp, rho, u, p_bad: algebra.mvn_witness(
+            rho.algebra, p, q, DEFAULT_TOL),
+         1, lambda data: data[6]),
+        # 2 uu scales phi2's spectrum off phi1's unitary orbit.
+        ("witnesses", lambda p, q, phi1, uu, h, u1, w0: algebra.unitary_witness(
+            phi1, NormalFunctional(phi1.algebra, uu @ phi1.density @ uu.conj().mT), DEFAULT_TOL),
+         3, lambda data: 2 * data[3]),
+    ], ids=["gauge_iso_Psi", "coadjoint_apply", "transport_witness", "mvn_witness",
+            "unitary_witness"])
+    def test_failing_trial_is_named(self, row, call, spoil, by):
+        draws = _row_draws(row, M23, 10, 34)
+        call(*draws[7])  # trial 7 alone is good
+        draws[7][spoil] = by(draws[7])
+        with pytest.raises(InvalidArrow):
+            call(*draws[7])
+        with pytest.raises(InvalidArrow, match="at trial 7$"):
+            call(*stack_chains(draws))
+        del draws[7]
+        call(*stack_chains(draws))  # the others pass

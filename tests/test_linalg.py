@@ -467,7 +467,7 @@ HERMITIAN_CHECK_SITES = {
 #: tangents.  Positivity and support are read from ``positive_spectrum``.
 HERMITIAN_EIG_SITES = {
     "algebra.density_spectrum",
-    "algebra.frames_of",
+    "algebra._block_frames",
     "poisson.ComposableFamily._spectra",
     "poisson._bundle_tangent_basis",
 }
@@ -744,3 +744,7 @@ class TestStacks:
         u = np.stack([E12, 2 * E12, I2])
         assert (is_partial_isometry(u).tolist() == [is_partial_isometry(m) for m in u]
                 == [True, False, True])
+        for expectation in (standard.expectation_E, standard.expectation_Eprime):
+            density = expectation(M2, x).density
+            for k in range(2):
+                assert np.array_equal(density[k], expectation(M2, x[k]).density)

@@ -164,8 +164,12 @@ class TestNonFiniteTrial:
         assert row.status == "FAIL"
 
     def test_nan_arrow_fails_isomorphisms(self, monkeypatch):
+        # The row composes every trial's arrows with one call on their
+        # stack: poison one trial's arrow in its result.
         def poison(arrow):
-            return dataclasses.replace(arrow, u=arrow.u * float("nan"))
+            u = arrow.u.copy()
+            u[3] = float("nan")
+            return dataclasses.replace(arrow, u=u)
 
         # The coadjoint row composes through the same name first; count its
         # calls so that the poisoned one is the isomorphisms row's third.
@@ -349,7 +353,7 @@ class TestPlantedFaults:
     def test_witness_in_the_wrong_direction(self, monkeypatch):
         def mvn_witness(alg, p, q, tol=DEFAULT_TOL):
             # F_p F_q* carries q onto p, not p onto q.
-            return algebra.frames_of(alg, p).matrix @ algebra.frames_of(alg, q).matrix.conj().T
+            return algebra.mvn_witness(alg, q, p, tol)
 
         monkeypatch.setattr(suites, "mvn_witness", mvn_witness)
         assert "groupoid-axioms/witnesses" in self._failed("groupoid-axioms", trials=5)
