@@ -16,6 +16,13 @@ unguarded rank, raising :class:`NotInDomain`, then the guard of the partial
 inverse), and the polar-corrected charts read the coordinate ``sigma - p``
 and the isometry ``u_p``, the polar part of ``sigma``, off that one ``sigma``.
 
+Every map acts per matrix of a ``(T, dim, dim)`` stack, and gives each matrix
+the bits it gets alone; one matrix is the unstacked case of the same code.  A
+domain check that fails on a stack (:func:`sigma_p`, :func:`transition_L`,
+:func:`theta_P0`) names the first failing matrix as its trial
+(:func:`~wstargeo.linalg.refuse`).  Only :func:`fd_surface_dGamma0` takes one
+matrix.
+
 The bundle of partial isometries with fixed source carries the canonical
 connection ``u -> u* du``; its curvature and the orbit one-form
 ``Gamma0(u)(du) = Re(i Tr(d u* du))`` with exterior derivative
@@ -36,11 +43,13 @@ from .linalg import (
     excess,
     exp_antihermitian,
     expect_real,
+    expect_real_array,
     frobenius,
     is_partial_isometry,
     partial_inverse,
     polar_decompose,
     projection_rank,
+    refuse,
     retained_rank,
     singular_values,
     supports,
@@ -55,7 +64,8 @@ def chart_domain_member(
     p: np.ndarray, q: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> bool:
     """True when q lies in the chart domain of p: the overlap p q has full
-    rank relative to both projections (rank(p q) = rank p = rank q)."""
+    rank relative to both projections (rank(p q) = rank p = rank q).  On
+    stacks, per pair, as a boolean array."""
     return _in_chart_domain(p, q, singular_values(p @ q), tol)
 
 
@@ -66,7 +76,7 @@ def _in_chart_domain(
     rank of p q read off its descending singular values ``s`` (unguarded)
     and the ranks of p and q off their traces."""
     rp = projection_rank(p)
-    return rp == projection_rank(q) and retained_rank(s, tol) == rp
+    return (rp == projection_rank(q)) & (retained_rank(s, tol) == rp)
 
 
 def sigma_p(
@@ -78,8 +88,8 @@ def sigma_p(
     One SVD of p q decides the domain (unguarded rank) and then, guarded
     like :func:`partial_inverse`, gives the inverse."""
     w, s, vh = svd(p @ q)
-    if not _in_chart_domain(p, q, s, tol):
-        raise NotInDomain("q is outside the chart domain of p")
+    refuse(NotInDomain, np.logical_not(_in_chart_domain(p, q, s, tol)),
+           "q is outside the chart domain of p")
     return _pinv_from_svd(w, s, vh, tol)
 
 
@@ -108,9 +118,9 @@ def transition_L(
     d = (1-p')(1-p).  Requires the charted projection to lie in both
     domains."""
     q = phi_p_inv(p, y, tol)
-    if not chart_domain_member(p_new, q, tol):
-        raise NotInOverlap("the charted projection is outside the chart of p_new")
-    n = p.shape[0]
+    refuse(NotInOverlap, np.logical_not(chart_domain_member(p_new, q, tol)),
+           "the charted projection is outside the chart of p_new")
+    n = p.shape[-1]
     one = np.eye(n, dtype=complex)
     a = p_new @ p
     b = (one - p_new) @ p
@@ -184,7 +194,7 @@ def chart_Theta(
     l, r = supports(x, tol)
     y_l, u_l = _chart_leg(p, l, tol)
     y_r, u_r = _chart_leg(p_tilde, r, tol)
-    return y_l, u_l.conj().T @ x @ u_r, y_r
+    return y_l, u_l.conj().mT @ x @ u_r, y_r
 
 
 def chart_Theta_inv(
@@ -197,14 +207,14 @@ def chart_Theta_inv(
     y_l, m, y_r = coords
     l = phi_p_inv(p, y_l, tol)
     r = phi_p_inv(p_tilde, y_r, tol)
-    return u_p(p, l, tol) @ m @ u_p(p_tilde, r, tol).conj().T
+    return u_p(p, l, tol) @ m @ u_p(p_tilde, r, tol).conj().mT
 
 
 def jay_corner(m: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Action of the involution x -> (partial inverse)* on the middle chart
     component: the chart legs are untouched and the middle maps to
     (partial inverse of m)*."""
-    return partial_inverse(m, tol).conj().T
+    return partial_inverse(m, tol).conj().mT
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +230,12 @@ def theta_P0(
     """Chart the bundle of partial isometries with source p0 near the fibre
     over p: u -> (phi_p(u u*), ((p u u* p)^+)^{1/2} u).  The second component
     is the fibre coordinate u_{p}(u u*)* u, a partial isometry from p0 to p."""
-    if not is_partial_isometry(u, tol):
-        raise InvalidArrow("u is not a partial isometry")
-    if excess(u.conj().T @ u, p0, tol, frobenius(p0)):
-        raise InvalidArrow("u* u is not the base projection")
-    y, w = _chart_leg(p, u @ u.conj().T, tol)
-    return y, w.conj().T @ u
+    refuse(InvalidArrow, np.logical_not(is_partial_isometry(u, tol)),
+           "u is not a partial isometry")
+    refuse(InvalidArrow, excess(u.conj().mT @ u, p0, tol, frobenius(p0)),
+           "u* u is not the base projection (gap {:.3e})")
+    y, w = _chart_leg(p, u @ u.conj().mT, tol)
+    return y, w.conj().mT @ u
 
 
 def theta_P0_inv(
@@ -247,13 +257,13 @@ def theta_P0_inv(
 
 def connection_alpha(u: np.ndarray, du: np.ndarray) -> np.ndarray:
     """Canonical connection form alpha_u(du) = u* du."""
-    return u.conj().T @ du
+    return u.conj().mT @ du
 
 
 def hv_split(u: np.ndarray, du: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a bundle tangent into horizontal (1 - u u*) du and vertical
     u u* du components."""
-    q = u @ u.conj().T
+    q = u @ u.conj().mT
     vertical = q @ du
     return du - vertical, vertical
 
@@ -263,9 +273,9 @@ def curvature_Omega(
 ) -> np.ndarray:
     """Curvature of the canonical connection:
     Omega_u(du1, du2) = (du1* (1 - u u*) du2 - du2* (1 - u u*) du1) / 2."""
-    n = u.shape[0]
-    comp = np.eye(n, dtype=complex) - u @ u.conj().T
-    return 0.5 * (du1.conj().T @ comp @ du2 - du2.conj().T @ comp @ du1)
+    n = u.shape[-1]
+    comp = np.eye(n, dtype=complex) - u @ u.conj().mT
+    return 0.5 * (du1.conj().mT @ comp @ du2 - du2.conj().mT @ comp @ du1)
 
 
 def Gamma0(
@@ -275,9 +285,9 @@ def Gamma0(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> float:
     """Orbit one-form Gamma0(u)(du) = Re(i Tr(d0 u* du)) for the base
-    density d0."""
-    value = 1j * np.trace(rho0.density @ u.conj().T @ du)
-    return float(value.real)
+    density d0; on stacks, per matrix, as an array."""
+    value = 1j * np.trace(rho0.density @ u.conj().mT @ du, axis1=-2, axis2=-1)
+    return value.real if value.ndim else float(value.real)
 
 
 def dGamma0(
@@ -292,10 +302,13 @@ def dGamma0(
 
     On a vertical pair du_j = u x_j this is -i Tr(d0 [x1, x2]); on a
     horizontal pair it is i Tr(d0 (h1* h2 - h2* h1)); the mixed terms vanish
-    because u* h = 0."""
+    because u* h = 0.  On stacks, per matrix, as an array."""
     d0 = rho0.density
-    value = 1j * np.trace(d0 @ (du1.conj().T @ du2 - du2.conj().T @ du1))
-    return expect_real(value, tol, "exterior derivative of the orbit one-form")
+    value = 1j * np.trace(d0 @ (du1.conj().mT @ du2 - du2.conj().mT @ du1), axis1=-2, axis2=-1)
+    what = "exterior derivative of the orbit one-form"
+    if value.ndim:
+        return expect_real_array(value, tol, what)
+    return expect_real(value, tol, what)
 
 
 def fd_surface_dGamma0(
@@ -316,10 +329,10 @@ def fd_surface_dGamma0(
     in ``step``.  ``a`` must be anti-Hermitian and ``b`` an anti-Hermitian
     corner element of the source projection."""
     p0 = functional_support(rho0, tol)
-    if excess(a, -a.conj().T, tol, frobenius(a)):
+    if excess(a, -a.conj().mT, tol, frobenius(a)):
         raise InvalidTangent("the left generator is not anti-Hermitian")
     scale = frobenius(b)
-    if excess(p0 @ b @ p0, b, tol, scale) or excess(b, -b.conj().T, tol, scale):
+    if excess(p0 @ b @ p0, b, tol, scale) or excess(b, -b.conj().mT, tol, scale):
         raise InvalidTangent(
             "the right generator is not an anti-Hermitian corner element"
         )

@@ -33,7 +33,9 @@ from wstargeo import (
     transition_L,
     u_p,
 )
+from wstargeo import suites
 from wstargeo.errors import NotPartiallyInvertible
+from wstargeo.groupoids import stack_chains
 from wstargeo.sampling import (
     corner_positive,
     equivalent_frames,
@@ -387,3 +389,116 @@ class TestOrbitOneForm:
                 rho0, E12, 1j * herm_a, 1j * np.diag([1.0, 0.0]).astype(complex),
                 1e-4, DEFAULT_TOL,
             )
+
+
+def _chart_draws(draw, algebra, trials: int, seed: int) -> list:
+    """A random charts row's draws of trials 0, ..., trials - 1."""
+    ctx = suites.RowCtx(algebra, trials, seed, 0, DEFAULT_TOL)
+    return [draw(ctx, rng_for(seed, k)) for k in range(trials)]
+
+
+TOL = DEFAULT_TOL
+
+#: Each chart map on the data of the charts row that draws its input: the
+#: row's draw, and the map called on one trial's data or on their stacks.
+STACKED_MAPS = {
+    "sigma_p": (suites._draw_round_trip, lambda p, q, *_: sigma_p(p, q, TOL)),
+    "phi_p": (suites._draw_round_trip, lambda p, q, *_: phi_p(p, q, TOL)),
+    "phi_p_inv": (suites._draw_round_trip, lambda p, q, *_: phi_p_inv(p, phi_p(p, q, TOL), TOL)),
+    "transition_L": (suites._draw_cocycle,
+                     lambda p, p1, p2, q: transition_L(p, p1, phi_p(p, q, TOL), TOL)),
+    "chart_G": (suites._draw_round_trip,
+                lambda p, q, p_, pt, wiso, h: chart_G(p_, pt, wiso @ h, TOL)),
+    "chart_G_inv": (suites._draw_round_trip, lambda p, q, p_, pt, wiso, h: chart_G_inv(
+        p_, pt, chart_G(p_, pt, wiso @ h, TOL), TOL)),
+    "chart_Theta": (suites._draw_round_trip,
+                    lambda p, q, p_, pt, wiso, h: chart_Theta(p_, pt, wiso @ h, TOL)),
+    "chart_Theta_inv": (suites._draw_round_trip, lambda p, q, p_, pt, wiso, h: chart_Theta_inv(
+        p_, pt, chart_Theta(p_, pt, wiso @ h, TOL), TOL)),
+    "jay_corner": (suites._draw_round_trip, lambda p, q, p_, pt, wiso, h: jay_corner(
+        chart_Theta(p_, pt, wiso @ h, TOL)[1], TOL)),
+    "theta_P0": (suites._draw_theta, lambda p0, q, p, u: theta_P0(p, u, p0, TOL)),
+    "theta_P0_inv": (suites._draw_theta, lambda p0, q, p, u: theta_P0_inv(
+        p, theta_P0(p, u, p0, TOL), p0, TOL)),
+    "hv_split": (suites._draw_connection, lambda rho0, u, du1, du2, x1: hv_split(u, du1)),
+    "connection_alpha": (suites._draw_connection,
+                         lambda rho0, u, du1, du2, x1: connection_alpha(u, du1)),
+    "curvature_Omega": (suites._draw_connection,
+                        lambda rho0, u, du1, du2, x1: curvature_Omega(u, du1, du2)),
+    "Gamma0": (suites._draw_connection,
+               lambda rho0, u, du1, du2, x1: Gamma0(rho0, u, du1, TOL)),
+    "dGamma0": (suites._draw_connection,
+                lambda rho0, u, du1, du2, x1: dGamma0(rho0, u, du1, du2, TOL)),
+}
+
+
+def _outputs(value) -> tuple:
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+class TestStackedCharts:
+    """Every chart map acts per matrix of a stack: on the stack of a row's
+    trials, each trial gets the bits it gets in a stack of one and alone."""
+
+    @pytest.mark.parametrize("shape", ["2,3", "1,2,2", "4,4,4,4", "12"])
+    @pytest.mark.parametrize("name", sorted(STACKED_MAPS))
+    def test_trials_are_independent(self, name, shape):
+        algebra = BlockAlgebra.from_string(shape)
+        draw, call = STACKED_MAPS[name]
+        draws = _chart_draws(draw, algebra, 12, 35)
+        ranks = {int(np.linalg.matrix_rank(data[1])) for data in draws}
+        assert len(ranks) > 1
+        stacked = _outputs(call(*stack_chains(draws)))
+        for k, data in enumerate(draws):
+            alone = _outputs(call(*stack_chains([data])))
+            unstacked = _outputs(call(*data))
+            assert len(stacked) == len(alone) == len(unstacked)
+            for s, a, u in zip(stacked, alone, unstacked):
+                assert s.shape[0] == 12 and a.shape[0] == 1
+                assert _bits(s[k]) == _bits(a[0]) == _bits(u), (name, k)
+
+    @pytest.mark.parametrize("draw, call, spoil, error", [
+        # q of rank 0 is outside the chart of p.
+        (suites._draw_round_trip, lambda p, q, *_: sigma_p(p, q, TOL),
+         lambda data: [data[0], 0 * data[1], *data[2:]], NotInDomain),
+        # The chart of p1 = 0 holds 0 alone, not the charted q.
+        (suites._draw_cocycle, lambda p, p1, p2, q: transition_L(p, p1, phi_p(p, q, TOL), TOL),
+         lambda data: [data[0], 0 * data[1], *data[2:]], NotInOverlap),
+        # 2 u is no partial isometry.
+        (suites._draw_theta, lambda p0, q, p, u: theta_P0(p, u, p0, TOL),
+         lambda data: [*data[:3], 2 * data[3]], InvalidArrow),
+    ], ids=["sigma_p", "transition_L", "theta_P0"])
+    def test_failing_trial_is_named(self, draw, call, spoil, error):
+        draws = _chart_draws(draw, M23, 10, 36)
+        call(*draws[7])  # trial 7 alone is good
+        draws[7] = spoil(draws[7])
+        with pytest.raises(error):
+            call(*draws[7])
+        with pytest.raises(error, match="at trial 7$"):
+            call(*stack_chains(draws))
+        del draws[7]
+        call(*stack_chains(draws))  # the others pass
+
+    def test_cocycle_row_names_a_trial_outside_the_overlap(self, monkeypatch):
+        # The row calls transition_L directly: a trial outside the overlap is
+        # refused as such, once, not redrawn with the same inputs until the
+        # retries run out.
+        draw = suites._draw_cocycle
+        trials = []
+
+        def spoiled(ctx, rng):
+            data = draw(ctx, rng)
+            trials.append(None)
+            if len(trials) == 8:  # trial 7
+                data[1] = 0 * data[1]
+            return data
+
+        monkeypatch.setattr(suites, "_draw_cocycle", spoiled)
+        ctx = suites.RowCtx(M23, 10, 1, 1, DEFAULT_TOL)
+        with pytest.raises(NotInOverlap, match="outside the chart of p_new at trial 7$"):
+            suites._row_charts_cocycle(ctx)
+        assert len(trials) == 10

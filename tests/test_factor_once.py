@@ -46,12 +46,14 @@ M23 = BlockAlgebra((2, 3))
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Counts of ``_gesdd`` and ``_heevd`` calls, keyed by kernel name."""
-    calls = {"gesdd": 0, "heevd": 0}
+    """Counts of ``_gesdd`` and ``_heevd`` calls, keyed by kernel name;
+    ``gesdd-vectors`` counts the ``_gesdd`` calls with singular vectors."""
+    calls = {"gesdd": 0, "gesdd-vectors": 0, "heevd": 0}
     real_gesdd, real_heevd = linalg._gesdd, linalg._heevd
 
     def gesdd(a, compute_uv):
         calls["gesdd"] += 1
+        calls["gesdd-vectors"] += bool(compute_uv)
         return real_gesdd(a, compute_uv)
 
     def heevd(h, compute_v):
@@ -123,6 +125,24 @@ class TestCounts:
                 assert small["heevd"] == large["heevd"], name
         for kernel in ("gesdd", "heevd"):
             assert sum(row[kernel] for row in counts[0].values()) > 0
+
+    @pytest.mark.parametrize("row, count", [("round-trip", 32), ("cocycle", 11), ("theta", 7)])
+    def test_chart_rows_factor_per_row_not_per_trial(self, lapack_calls, row, count):
+        # Each random charts row checks all its trials' data with one call
+        # per map on their stack, so its SVDs with vectors do not grow with
+        # the trials (320, 110 and 70 at 10 trials with one call per trial).
+        # The value-only SVDs do: each trial's draw tests its projections'
+        # chart domains, and redraws on a miss, trial by trial.
+        subindex, (_, tolerance, fn) = next(
+            (i, r) for i, r in enumerate(suites._suite("charts")) if r[0] == row
+        )
+        counts = []
+        for trials in (10, 40):
+            lapack_calls.update(gesdd=0, heevd=0, **{"gesdd-vectors": 0})
+            assert fn(suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL)) <= tolerance
+            counts.append(dict(lapack_calls))
+        assert counts[0]["gesdd-vectors"] == counts[1]["gesdd-vectors"] == count
+        assert counts[0]["gesdd"] < counts[1]["gesdd"]
 
     def test_psi_intertwining(self, lapack_calls):
         # 18 with one support of rho0 per gauge_iso_Psi and coadjoint_apply,

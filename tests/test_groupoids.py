@@ -317,6 +317,49 @@ def _row_draws(row: str, algebra: BlockAlgebra, trials: int, seed: int) -> list:
     return [draw(ctx, sampling.rng_for(seed, k)) for k in range(trials)]
 
 
+def _arrays(arrow) -> list:
+    """Every matrix an arrow of any picture holds."""
+    if isinstance(arrow, CoadjointArrow):
+        return [arrow.u, arrow.rho.density]
+    if isinstance(arrow, NormalFunctional):
+        return [arrow.density]
+    return [arrow]
+
+
+class TestStackChains:
+    """``stack_chains`` fills its stacks from an iterator, one chain at a
+    time, with the bytes ``numpy.stack`` gives."""
+
+    def test_iterator_gives_the_bytes_of_numpy_stack(self):
+        chains = [_row_draws(row, M23, 6, 37) for row in sorted(STACKED_ROWS)]
+        for draws in chains:
+            stacked = stack_chains(iter(draws), len(draws))
+            for i, arrow in enumerate(stacked):
+                assert type(arrow) is type(draws[0][i])
+                got = _arrays(arrow)
+                want = [np.stack(ms) for ms in zip(*(_arrays(d[i]) for d in draws))]
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert g.flags.c_contiguous and g.tobytes() == w.tobytes()
+
+    def test_dtypes_are_promoted_as_numpy_stack_promotes_them(self):
+        real, cplx = np.eye(2), 1j * np.eye(2)
+        got = stack_chains(iter([[real], [cplx], [real]]), 3)[0]
+        want = np.stack([real, cplx, real])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chains, count", [
+        ([[np.eye(2)], [np.eye(2)]], 3),  # too few
+        ([[np.eye(2)], [np.eye(2)]], 1),  # too many
+        ([[np.eye(2)], [np.eye(3)]], 2),  # shapes differ
+        ([[np.eye(2)], [np.eye(2), np.eye(2)]], 2),  # lengths differ
+        ([], 0),  # nothing to stack
+    ])
+    def test_refuses_what_numpy_stack_refuses(self, chains, count):
+        with pytest.raises(ValueError):
+            stack_chains(iter(chains), count)
+
+
 class TestStackedRows:
     """The isomorphisms, equivalence-agreement and witnesses rows check all
     their trials' data with one call on the stack, and each trial's
