@@ -277,8 +277,11 @@ class NormalFunctional:
             value = self._memo[key, tol] = compute()
             return value
 
-    def __call__(self, x: np.ndarray) -> complex:
-        return complex(np.trace(self.density @ x))
+    def __call__(self, x: np.ndarray):
+        """``Tr(d x)``: a ``complex`` for one density, an array with one
+        value per matrix for a stack."""
+        z = np.trace(self.density @ x, axis1=-2, axis2=-1)
+        return complex(z) if z.ndim == 0 else z
 
     def adjoint(self) -> "NormalFunctional":
         """The functional x -> conj(phi(x*)); its density is d*."""

@@ -155,9 +155,16 @@ def _worst(*values: float) -> float:
     return out
 
 
-def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(x* y), antilinear in the first slot."""
-    return complex(np.vdot(x, y))
+def hs_inner(x: np.ndarray, y: np.ndarray):
+    """Hilbert-Schmidt inner product Tr(x* y), antilinear in the first slot;
+    of each pair of matrices of two stacks, as an array.
+
+    Each matrix is flattened in row-major order and paired by
+    ``numpy.vecdot``, which gives the bits ``numpy.vdot`` gives one pair;
+    one pair gives a ``complex``."""
+    x, y = np.asarray(x), np.asarray(y)
+    z = np.vecdot(x.reshape(x.shape[:-2] + (-1,)), y.reshape(y.shape[:-2] + (-1,)))
+    return complex(z) if z.ndim == 0 else z
 
 
 def herm(x: np.ndarray) -> np.ndarray:

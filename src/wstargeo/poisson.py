@@ -15,7 +15,10 @@ rank-one reference instance (Fubini–Study geometry).
 Composable curve families through the standard groupoid provide the
 multiplicativity and exactness checks of the symplectic form: the form adds
 over the groupoid product, and the primitive ``Tr(g* dg)`` is compatible
-with multiplication up to the source-modulus term.
+with multiplication up to the source-modulus term.  A family holds one
+trial's data or a ``(T, dim, dim)`` stack of trials: :func:`draw_family_data`
+draws one trial, :func:`families_on` builds and validates the families of
+a trial or of a stack at once, and the residuals give one value per trial.
 """
 from __future__ import annotations
 
@@ -63,6 +66,7 @@ from .linalg import (
     is_partial_isometry,
     positive_spectrum,
     projection_rank,
+    refuse,
     singular_values,
 )
 # The symplectic form is looked up as ``standard.symplectic_omega`` at call
@@ -330,6 +334,11 @@ class ComposableFamily:
     -a2 and b2 commutes with supp(xi2), which keeps the pair composable for
     every t, not only to first order.
 
+    Every field may be one matrix or a ``(T, dim, dim)`` stack of them, one
+    family per trial.  The checks, curves and tangents then act trial by
+    trial, and family ``k`` of a stack gets the bits it gets alone; a
+    failing check names the first trial that fails it.
+
     Each generator is diagonalised once: ``x = v diag(lam) v*`` gives
     ``exp(t x) = v diag(e^{t lam}) v*``, with an anti-Hermitian ``a``
     written ``-i (i a)`` so that ``lam`` is imaginary.  Each curve point
@@ -355,20 +364,20 @@ class ComposableFamily:
             raise InvalidFamily(f"xi2: {exc}") from exc
         u1, u2, a1, a2, b2, h2 = self.u1, self.u2, self.a1, self.a2, self.b2, self.h2
         checks = {
-            "u1 is not a partial isometry": not is_partial_isometry(u1, tol),
-            "u2 is not a partial isometry": not is_partial_isometry(u2, tol),
-            "u1* u1 != u2 u2*": excess(u1.conj().T @ u1, u2 @ u2.conj().T, tol),
-            "u2* u2 != supp(xi2)": excess(u2.conj().T @ u2, q2, tol),
-            "a1 is not anti-Hermitian": excess(a1, -a1.conj().T, tol),
-            "a2 is not anti-Hermitian": excess(a2, -a2.conj().T, tol),
-            "b2 is not anti-Hermitian": excess(b2, -b2.conj().T, tol),
+            "u1 is not a partial isometry": np.logical_not(is_partial_isometry(u1, tol)),
+            "u2 is not a partial isometry": np.logical_not(is_partial_isometry(u2, tol)),
+            "u1* u1 != u2 u2*": excess(u1.conj().mT @ u1, u2 @ u2.conj().mT, tol),
+            "u2* u2 != supp(xi2)": excess(u2.conj().mT @ u2, q2, tol),
+            "a1 is not anti-Hermitian": excess(a1, -a1.conj().mT, tol),
+            "a2 is not anti-Hermitian": excess(a2, -a2.conj().mT, tol),
+            "b2 is not anti-Hermitian": excess(b2, -b2.conj().mT, tol),
             "b2 does not commute with supp(xi2)": excess(b2 @ q2, q2 @ b2, tol),
-            "h2 is not a Hermitian corner element": excess(h2, q2 @ h2 @ q2, tol)
-            or excess(h2, h2.conj().T, tol),
+            "h2 is not a Hermitian corner element": np.logical_or(
+                excess(h2, q2 @ h2 @ q2, tol), excess(h2, h2.conj().mT, tol)
+            ),
         }
         for message, failed in checks.items():
-            if failed:
-                raise InvalidFamily(message)
+            refuse(InvalidFamily, failed, message)
 
     @property
     def b1(self) -> np.ndarray:
@@ -391,7 +400,7 @@ class ComposableFamily:
     def _exp(self, name: str, t: float) -> np.ndarray:
         """exp(t x) for the generator called ``name``."""
         lam, v = self._spectra[name]
-        return (v * np.exp(t * lam)) @ v.conj().T
+        return (v * np.exp(t * lam)[..., None, :]) @ v.conj().mT
 
     @cached_property
     def _points(self) -> dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -431,7 +440,7 @@ class ComposableFamily:
 
     def gamma1_at(self, t: float) -> np.ndarray:
         u2t = self.u2_at(t)
-        return self.u1_at(t) @ (u2t @ self.xi2_at(t) @ u2t.conj().T)
+        return self.u1_at(t) @ (u2t @ self.xi2_at(t) @ u2t.conj().mT)
 
     def product_at(self, t: float) -> np.ndarray:
         return self.u1_at(t) @ self.u2_at(t) @ self.xi2_at(t)
@@ -451,11 +460,11 @@ class ComposableFamily:
         return self.du2() @ self.xi2 + self.u2 @ self.dxi2()
 
     def dgamma1(self) -> np.ndarray:
-        eta = self.u2 @ self.xi2 @ self.u2.conj().T
+        eta = self.u2 @ self.xi2 @ self.u2.conj().mT
         deta = (
-            self.du2() @ self.xi2 @ self.u2.conj().T
-            + self.u2 @ self.dxi2() @ self.u2.conj().T
-            + self.u2 @ self.xi2 @ self.du2().conj().T
+            self.du2() @ self.xi2 @ self.u2.conj().mT
+            + self.u2 @ self.dxi2() @ self.u2.conj().mT
+            + self.u2 @ self.xi2 @ self.du2().conj().mT
         )
         return self.du1() @ eta + self.u1 @ deta
 
@@ -480,65 +489,62 @@ def sample_family_base(
     return u1, u2, xi2
 
 
-def family_with_generators(
-    algebra: BlockAlgebra,
-    base: tuple[np.ndarray, np.ndarray, np.ndarray],
-    rng: np.random.Generator,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> ComposableFamily:
-    """Fresh unit-operator-norm generators on a fixed composable base."""
-    u1, u2, xi2 = base
+def draw_family_data(
+    algebra: BlockAlgebra, rng: np.random.Generator, directions: int = 1
+) -> list[np.ndarray]:
+    """The data of ``directions`` families on one composable base, as drawn:
+    the base ``(u1, u2, xi2)``, then each family's generators ``(a1, a2, b2,
+    h2)`` before :func:`families_on` scales them."""
+    base = sample_family_base(algebra, rng)
+    u2 = base[1]
     # supp(xi2) = u2* u2 on a valid base, as ComposableFamily checks.
-    q2 = u2.conj().T @ u2
-    a1 = sampling.unit_norm(sampling.random_antihermitian(algebra, rng))
-    a2 = sampling.unit_norm(sampling.random_antihermitian(algebra, rng))
-    b2 = sampling.unit_norm(sampling.corner_antihermitian(algebra, rng, q2))
-    h2 = sampling.unit_norm(sampling.corner_hermitian(algebra, rng, q2))
-    return ComposableFamily(
-        algebra=algebra, u1=u1, u2=u2, xi2=xi2, a1=a1, a2=a2, b2=b2, h2=h2, tol=tol
-    )
+    q2 = u2.conj().mT @ u2
+    generators = []
+    for _ in range(directions):
+        generators += [
+            sampling.random_antihermitian(algebra, rng),
+            sampling.random_antihermitian(algebra, rng),
+            sampling.corner_antihermitian(algebra, rng, q2),
+            sampling.corner_hermitian(algebra, rng, q2),
+        ]
+    return [*base, *generators]
 
 
-def sample_family(
+def families_on(
     algebra: BlockAlgebra,
-    rng: np.random.Generator,
+    data: Sequence[np.ndarray],
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> ComposableFamily:
-    """Random composable family with unit-operator-norm generators."""
-    base = sample_family_base(algebra, rng)
-    return family_with_generators(algebra, base, rng, tol)
-
-
-def sample_family_pair(
-    algebra: BlockAlgebra,
-    rng: np.random.Generator,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> tuple[ComposableFamily, ComposableFamily]:
-    """Two independent tangent directions on one shared composable base."""
-    base = sample_family_base(algebra, rng)
-    return (
-        family_with_generators(algebra, base, rng, tol),
-        family_with_generators(algebra, base, rng, tol),
-    )
+) -> list[ComposableFamily]:
+    """The families of :func:`draw_family_data`, or of a stack of such data
+    (one draw per trial): each generator scaled to unit operator norm, and
+    each family validated once."""
+    u1, u2, xi2, *generators = data
+    generators = [sampling.unit_norm(x) for x in generators]
+    return [
+        ComposableFamily(algebra, u1, u2, xi2, *generators[i:i + 4], tol=tol)
+        for i in range(0, len(generators), 4)
+    ]
 
 
 def multiplicativity_residual(
     fam: ComposableFamily,
     fam2: ComposableFamily,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
+):
     """Multiplicativity of the symplectic form over the groupoid product:
     for two tangent directions at the same composable pair,
 
         omega(d(g1 g2), d(g1 g2)') = omega(dg1, dg1') + omega(dg2, dg2').
 
-    Both families must share the base (u1, u2, xi2)."""
-    if (
-        excess(fam.u1, fam2.u1, tol)
-        or excess(fam.u2, fam2.u2, tol)
-        or excess(fam.xi2, fam2.xi2, tol)
-    ):
-        raise InvalidFamily("the two families have different base points")
+    Both families must share the base (u1, u2, xi2), trial by trial.  One
+    residual per trial of a stack."""
+    refuse(
+        InvalidFamily,
+        np.logical_or.reduce(
+            [excess(getattr(fam, x), getattr(fam2, x), tol) for x in ("u1", "u2", "xi2")]
+        ),
+        "the two families have different base points",
+    )
     omega = standard.symplectic_omega
     lhs = omega(fam.dproduct(), fam2.dproduct())
     rhs = omega(fam.dgamma1(), fam2.dgamma1()) + omega(fam.dgamma2(), fam2.dgamma2())
@@ -551,20 +557,29 @@ def vertical_form_residual(
     b: np.ndarray,
     b_prime: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
+):
     """Closed form of omega on vertical directions u b xi:
     omega(u b xi, u b' xi) = -2 Im Tr(xi^2 b b') for anti-Hermitian corner
-    generators b, b' at the support of xi."""
+    generators b, b' at the support of xi.  One residual per matrix of a
+    stack."""
     lhs = standard.symplectic_omega(u @ b @ xi, u @ b_prime @ xi)
-    rhs = -2.0 * float(np.trace(xi @ xi @ b @ b_prime).imag)
+    rhs = -2.0 * np.trace(xi @ xi @ b @ b_prime, axis1=-2, axis2=-1).imag
     return abs(lhs - rhs)
+
+
+def _product_difference(fam: ComposableFamily, h: float, tol: ToleranceProfile) -> np.ndarray:
+    """Central difference ``(P(h) - P(-h)) / 2h`` of the groupoid product
+    ``P(t) = gamma1(t) gamma2(t)`` along the family, through ``std_mul``."""
+    plus = std_mul(fam.gamma1_at(h), fam.gamma2_at(h), tol)
+    minus = std_mul(fam.gamma1_at(-h), fam.gamma2_at(-h), tol)
+    return (plus - minus) / (2.0 * h)
 
 
 def exactness_residual(
     fam: ComposableFamily,
     step: float | None = None,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
+):
     """Compatibility of the primitive Gamma(g)(dg) = Tr(g* dg) of the
     symplectic form with the groupoid product:
 
@@ -573,16 +588,18 @@ def exactness_residual(
 
     where the product derivative is taken by central differences of the
     groupoid multiplication itself, so the identity holds up to an O(step^2)
-    discretization error."""
+    discretization error.  One residual per trial of a stacked family."""
     h = tol.fd_step if step is None else step
-    plus = std_mul(fam.gamma1_at(h), fam.gamma2_at(h), tol)
-    minus = std_mul(fam.gamma1_at(-h), fam.gamma2_at(-h), tol)
-    dprod_fd = (plus - minus) / (2.0 * h)
     lhs = hs_inner(fam.gamma1_at(0.0), fam.dgamma1()) + hs_inner(
         fam.gamma2_at(0.0), fam.dgamma2()
     )
-    rhs = hs_inner(fam.product_at(0.0), dprod_fd) + np.trace(fam.xi2 @ fam.dxi2())
-    return abs(complex(lhs - rhs))
+    rhs = hs_inner(fam.product_at(0.0), _product_difference(fam, h, tol)) + np.trace(
+        fam.xi2 @ fam.dxi2(), axis1=-2, axis2=-1
+    )
+    defect = lhs - rhs
+    # The modulus as Python's abs takes it, through hypot; numpy.abs of a
+    # complex array can differ from it in the last bit.
+    return np.hypot(defect.real, defect.imag)
 
 
 # ---------------------------------------------------------------------------

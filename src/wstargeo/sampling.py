@@ -310,9 +310,10 @@ def corner_antihermitian(
 
 
 def unit_norm(x: np.ndarray) -> np.ndarray:
-    """Scale to unit operator norm (no-op on zero input)."""
-    s = float(singular_values(x)[0])
-    return x if s == 0.0 else x / s
+    """Scale to unit operator norm (zero input stays zero); each matrix of a
+    stack by its own norm.  It consumes no randomness."""
+    s = singular_values(x)[..., :1, None]
+    return x / np.where(s == 0.0, 1.0, s)
 
 
 def random_density(

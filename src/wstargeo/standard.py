@@ -61,10 +61,11 @@ from .linalg import (
 # Hilbert-space structure
 
 
-def symplectic_omega(x: np.ndarray, y: np.ndarray) -> float:
+def symplectic_omega(x: np.ndarray, y: np.ndarray):
     """Canonical symplectic form omega(x, y) = 2 Im <x|y> on the
-    Hilbert–Schmidt space."""
-    return 2.0 * float(hs_inner(x, y).imag)
+    Hilbert–Schmidt space; of each pair of matrices of two stacks, as an
+    array.  One pair gives a ``float``."""
+    return 2.0 * hs_inner(x, y).imag
 
 
 def conjugation_J(g: np.ndarray) -> np.ndarray:

@@ -80,7 +80,9 @@ from .poisson import (
     calibrate_kappa,
     commutant_bracket_check,
     degeneracy_kernel_check,
+    draw_family_data,
     exactness_residual,
+    families_on,
     field_duality_residual,
     field_morphism_residual,
     fubini_study_compare,
@@ -92,8 +94,6 @@ from .poisson import (
     orbit_form_invariance_residual,
     pair_groupoid_fs_residual,
     poisson_map_residual,
-    sample_family,
-    sample_family_pair,
     vertical_form_residual,
 )
 # Bound as a module global and looked up at each call, so it can be wrapped
@@ -583,43 +583,53 @@ def _row_charts_connection(ctx: RowCtx) -> float:
 # ---------------------------------------------------------------------------
 
 
-@_per_trial
-def _row_multiplicativity(ctx: RowCtx, rng):
-    fam, fam2 = sample_family_pair(ctx.algebra, rng, ctx.profile)
-    yield multiplicativity_residual(fam, fam2, ctx.profile)
+# These rows have the shape of the groupoid-axioms rows: each draws trial
+# ``k``'s data in turn, then builds and validates its families and runs its
+# check once, on the stack of all trials.
 
 
-@_per_trial
-def _row_vertical(ctx: RowCtx, rng):
-    alg, prof = ctx.algebra, ctx.profile
+def _stacked_families(ctx: RowCtx, directions: int) -> list:
+    """``directions`` families on one composable base per trial, as stacks
+    (:func:`~wstargeo.poisson.families_on`)."""
+    alg = ctx.algebra
+    data = _stacked_trials(ctx, lambda ctx, rng: draw_family_data(alg, rng, directions))
+    return families_on(alg, data, ctx.profile)
 
+
+def _row_multiplicativity(ctx: RowCtx) -> float:
+    fam, fam2 = _stacked_families(ctx, 2)
+    return _worst_of_stacks([multiplicativity_residual(fam, fam2, ctx.profile)])
+
+
+def _draw_vertical(ctx: RowCtx, rng) -> list:
+    alg = ctx.algebra
     qf = sampling.random_frames(alg, rng, allow_zero=False)
     q = qf.projection
     u = sampling.isometry_between(rng, qf, sampling.equivalent_frames(rng, qf))
     xi = sampling.positive_on(rng, qf)
     b = sampling.corner_antihermitian(alg, rng, q)
     b2 = sampling.corner_antihermitian(alg, rng, q)
-    yield vertical_form_residual(u, xi, b, b2, prof)
+    return [u, xi, b, b2]
 
 
-@_per_trial
-def _row_exactness(ctx: RowCtx, rng):
+def _row_vertical(ctx: RowCtx) -> float:
+    data = _stacked_trials(ctx, _draw_vertical)
+    return _worst_of_stacks([vertical_form_residual(*data, ctx.profile)])
+
+
+def _row_exactness(ctx: RowCtx) -> float:
     prof = ctx.profile
-    fam = sample_family(ctx.algebra, rng, prof)
-    yield exactness_residual(fam, prof.fd_step, prof)
-
-
-def _exactness_defects(ctx: RowCtx, rng) -> tuple[float, float]:
-    """Finite-difference defects of one family at steps 1e-3 and 5e-4."""
-    fam = sample_family(ctx.algebra, rng, ctx.profile)
-    return tuple(exactness_residual(fam, h, ctx.profile) for h in (1e-3, 5e-4))
+    [fam] = _stacked_families(ctx, 1)
+    return _worst_of_stacks([exactness_residual(fam, prof.fd_step, prof)])
 
 
 def _row_exactness_order(ctx: RowCtx) -> float:
     """Median convergence ratio of the finite-difference defect when the step
     halves; a second-order scheme gives 4."""
+    [fam] = _stacked_families(ctx, 1)
+    defects = (exactness_residual(fam, h, ctx.profile).tolist() for h in (1e-3, 5e-4))
     ratios = []
-    for r1, r2 in _trials(ctx, _exactness_defects):
+    for r1, r2 in zip(*defects):
         if not np.isfinite(r1 + r2):
             return float("nan")
         if r2 > 1e-13:

@@ -98,6 +98,19 @@ class TestBlockAlgebra:
         assert BlockAlgebra.from_string("2,3").blocks == (2, 3)
 
 
+class TestFunctionalEvaluation:
+    def test_stacked_densities_evaluate_per_matrix(self):
+        algebra = BlockAlgebra.from_string("1,2")
+        d = np.diag([0.2, 0.3, 0.5]).astype(complex)
+        phi = NormalFunctional(algebra, np.stack([d, d, d]))
+        x = np.stack([k * np.eye(3, dtype=complex) for k in (1, 2, 3)])
+        assert phi(x).shape == (3,)
+        for k in range(3):
+            assert phi(x)[k] == NormalFunctional(algebra, d)(x[k])
+        one = NormalFunctional(algebra, d)(np.eye(3))
+        assert type(one) is complex and one == 1.0
+
+
 class TestRequirePositive:
     def test_rejects_non_hermitian_member(self):
         d = M23.embed_blocks([np.eye(2) + E12, np.eye(3)])

@@ -144,6 +144,29 @@ class TestCounts:
         assert counts[0]["gesdd-vectors"] == counts[1]["gesdd-vectors"] == count
         assert counts[0]["gesdd"] < counts[1]["gesdd"]
 
+    @pytest.mark.parametrize("suite", ["multiplicativity", "exactness"])
+    def test_family_rows_factor_per_row_not_per_trial(self, lapack_calls, suite):
+        # Each multiplicativity and exactness row builds its families once,
+        # on the stack of all its trials, and checks them with one call, so
+        # none of its SVDs (the generators' norms, the polar factors of
+        # std_mul) or Hermitian eigendecompositions (the base's support,
+        # each generator's spectrum) grow with the trials: at 10 trials,
+        # one call per trial made 80 value-only SVDs and 20 eigendecompositions
+        # in multiplicativity/residual.
+        rows = list(enumerate(suites._suite(suite)))
+        counts = []
+        for trials in (10, 40):
+            per_row = {}
+            for subindex, (name, tolerance, fn) in rows:
+                lapack_calls.update(gesdd=0, heevd=0, **{"gesdd-vectors": 0})
+                assert fn(suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL)) <= tolerance
+                per_row[name] = dict(lapack_calls)
+            counts.append(per_row)
+        for _, (name, _, _) in rows:
+            small, large = counts[0][name], counts[1][name]
+            assert small == large, name
+        assert sum(row["heevd"] for row in counts[0].values()) > 0
+
     def test_psi_intertwining(self, lapack_calls):
         # 18 with one support of rho0 per gauge_iso_Psi and coadjoint_apply,
         # each decomposing both blocks; two functionals, one call per block

@@ -41,6 +41,7 @@ from wstargeo.linalg import (
     frobenius,
     hermitian_eig,
     hermitian_eigvals,
+    hs_inner,
     is_partial_isometry,
     is_projection,
     null_space_rows,
@@ -584,7 +585,7 @@ A2 = np.array([[1j, 1.0], [-1.0, 0.0]])
 
 
 def _family_pair():
-    return poisson.sample_family_pair(M2, sampling.rng_for(4, 1))
+    return poisson.families_on(M2, poisson.draw_family_data(M2, sampling.rng_for(4, 1), 2))
 
 
 def _nan_base_residual():
@@ -748,3 +749,25 @@ class TestStacks:
             density = expectation(M2, x).density
             for k in range(2):
                 assert np.array_equal(density[k], expectation(M2, x[k]).density)
+
+    def test_inner_products_per_matrix(self):
+        # Summed over a whole stack, hs_inner(x, i x) would be 42j and the
+        # symplectic form one float, 84.0.
+        x = np.stack([k * np.eye(3, dtype=complex) for k in (1, 2, 3)])
+        assert hs_inner(x, 1j * x).tolist() == [3j, 12j, 27j]
+        assert standard.symplectic_omega(x, 1j * x).tolist() == [6.0, 24.0, 54.0]
+        one = hs_inner(x[1], 1j * x[1])
+        assert type(one) is complex and one == 12j
+        omega = standard.symplectic_omega(x[1], 1j * x[1])
+        assert type(omega) is float and omega == 24.0
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_inner_products_are_the_bits_of_vdot(self, n):
+        rng = _rng(43)
+        x = np.stack([_random_matrix(rng, n) for _ in range(4)])
+        y = np.stack([_random_matrix(rng, n) for _ in range(4)]).mT  # not contiguous
+        inner, omega = hs_inner(x, y), standard.symplectic_omega(x, y)
+        for k in range(4):
+            vdot = np.vdot(x[k], y[k])
+            assert inner[k] == hs_inner(x[k], y[k]) == vdot
+            assert omega[k] == standard.symplectic_omega(x[k], y[k]) == 2.0 * vdot.imag

@@ -21,8 +21,10 @@ from wstargeo import (
     calibrate_kappa,
     commutant_bracket_check,
     degeneracy_kernel_check,
+    draw_family_data,
     exactness_residual,
     expectation_E,
+    families_on,
     feynman_amplitude,
     field_duality_residual,
     field_morphism_residual,
@@ -40,14 +42,14 @@ from wstargeo import (
     pair_groupoid_fs_residual,
     poisson_map_residual,
     positive_spectrum,
-    sample_family,
-    sample_family_pair,
     stabilizer_lie_algebra,
     std_mul,
     symplectic_omega,
     vertical_form_residual,
 )
+from wstargeo import suites
 from wstargeo.charts import dGamma0
+from wstargeo.groupoids import stack_chains
 from wstargeo.poisson import _bundle_tangent_basis
 from wstargeo.sampling import (
     corner_positive,
@@ -72,6 +74,11 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PHI10 = NormalFunctional(M2, np.diag([1.0, 0.0]).astype(complex))
+
+
+def _families(algebra, rng, directions=1):
+    """``directions`` composable families on one base, drawn from ``rng``."""
+    return families_on(algebra, draw_family_data(algebra, rng, directions), DEFAULT_TOL)
 
 
 class TestLiePoisson:
@@ -185,7 +192,7 @@ class TestCanonicalBracket:
 class TestComposableFamily:
     def test_generator_lock_and_gap(self):
         rng = rng_for(46)
-        fam = sample_family(M23, rng, DEFAULT_TOL)
+        fam = _families(M23, rng)[0]
         assert frobenius(fam.b1 + fam.a2) == 0.0
         for t in (0.0, 0.3, -0.7):
             product = std_mul(fam.gamma1_at(t), fam.gamma2_at(t), DEFAULT_TOL)
@@ -193,7 +200,7 @@ class TestComposableFamily:
 
     def test_tangents_match_finite_differences(self):
         rng = rng_for(47)
-        fam = sample_family(M2, rng, DEFAULT_TOL)
+        fam = _families(M2, rng)[0]
         h = 1e-5
         for curve, tangent in (
             (fam.gamma1_at, fam.dgamma1()),
@@ -231,13 +238,13 @@ class TestComposableFamily:
         for trial in range(60):
             rng = rng_for(48, trial)
             algebra = M2 if trial % 2 == 0 else M23
-            fam, fam2 = sample_family_pair(algebra, rng, DEFAULT_TOL)
+            fam, fam2 = _families(algebra, rng, 2)
             assert multiplicativity_residual(fam, fam2, DEFAULT_TOL) <= 1e-9
 
     def test_multiplicativity_needs_shared_base(self):
         rng = rng_for(49)
-        fam = sample_family(M2, rng, DEFAULT_TOL)
-        other = sample_family(M2, rng, DEFAULT_TOL)
+        fam = _families(M2, rng)[0]
+        other = _families(M2, rng)[0]
         with pytest.raises(InvalidFamily):
             multiplicativity_residual(fam, other, DEFAULT_TOL)
 
@@ -258,20 +265,100 @@ class TestComposableFamily:
     def test_exactness_residual_small_step(self):
         for trial in range(10):
             rng = rng_for(51, trial)
-            fam = sample_family(M2 if trial % 2 == 0 else M23, rng, DEFAULT_TOL)
+            fam = _families(M2 if trial % 2 == 0 else M23, rng)[0]
             assert exactness_residual(fam, 1e-5, DEFAULT_TOL) <= 1e-7
 
     def test_exactness_second_order(self):
         ratios = []
         for trial in range(9):
             rng = rng_for(52, trial)
-            fam = sample_family(M2, rng, DEFAULT_TOL)
+            fam = _families(M2, rng)[0]
             r1 = exactness_residual(fam, 1e-3, DEFAULT_TOL)
             r2 = exactness_residual(fam, 5e-4, DEFAULT_TOL)
             if r2 > 1e-13:
                 ratios.append(r1 / r2)
         assert ratios, "all residuals at machine precision"
         assert 3.0 <= float(np.median(ratios)) <= 5.0
+
+
+def _draw_families(directions):
+    return lambda ctx, rng: draw_family_data(ctx.algebra, rng, directions)
+
+
+def _exactness(steps):
+    def call(algebra, *data):
+        [fam] = families_on(algebra, data, DEFAULT_TOL)
+        return tuple(exactness_residual(fam, h, DEFAULT_TOL) for h in steps)
+
+    return call
+
+
+#: Each row of the multiplicativity and exactness suites: its draw of one
+#: trial's data, and its check on that data or on a stack of it.
+STACKED_FAMILY_ROWS = {
+    "multiplicativity/residual": (
+        _draw_families(2),
+        lambda algebra, *data: multiplicativity_residual(
+            *families_on(algebra, data, DEFAULT_TOL), DEFAULT_TOL
+        ),
+    ),
+    "multiplicativity/vertical": (
+        suites._draw_vertical,
+        lambda algebra, u, xi, b, b2: vertical_form_residual(u, xi, b, b2, DEFAULT_TOL),
+    ),
+    "exactness/residual": (_draw_families(1), _exactness([DEFAULT_TOL.fd_step])),
+    "exactness/order": (_draw_families(1), _exactness([1e-3, 5e-4])),
+}
+
+
+def _family_draws(draw, algebra, trials, seed):
+    ctx = suites.RowCtx(algebra, trials, seed, 0, DEFAULT_TOL)
+    return [draw(ctx, rng_for(seed, k)) for k in range(trials)]
+
+
+def _outputs(value) -> tuple:
+    return value if isinstance(value, tuple) else (value,)
+
+
+class TestStackedFamilies:
+    """The multiplicativity and exactness rows check all their trials'
+    families with one call on the stack, and each trial's residuals are the
+    bits it gets alone."""
+
+    @pytest.mark.parametrize("shape", ["2,3", "1,2,2", "4,4,4,4", "12"])
+    @pytest.mark.parametrize("row", sorted(STACKED_FAMILY_ROWS))
+    def test_trials_are_independent(self, row, shape):
+        algebra = BlockAlgebra.from_string(shape)
+        draw, call = STACKED_FAMILY_ROWS[row]
+        draws = _family_draws(draw, algebra, 12, 38)
+        # data[1] is the positive element of the base, of random rank.
+        assert len({int(np.linalg.matrix_rank(data[1])) for data in draws}) > 1
+        stacked = _outputs(call(algebra, *stack_chains(draws)))
+        for k, data in enumerate(draws):
+            alone = _outputs(call(algebra, *stack_chains([data])))
+            unstacked = _outputs(call(algebra, *data))
+            for s, a, u in zip(stacked, alone, unstacked, strict=True):
+                assert s.shape == (12,) and a.shape == (1,)
+                assert s[k].tobytes() == a[0].tobytes() == np.float64(u).tobytes(), (row, k)
+
+    def test_generators_scale_per_matrix(self):
+        draws = _family_draws(_draw_families(1), M23, 6, 40)
+        [fam] = families_on(M23, stack_chains(draws))
+        for k, data in enumerate(draws):
+            [alone] = families_on(M23, data)
+            for name in ("a1", "a2", "b2", "h2"):
+                assert np.array_equal(getattr(fam, name)[k], getattr(alone, name))
+
+    def test_failing_trial_is_named(self):
+        draws = _family_draws(_draw_families(1), M23, 10, 39)
+        families_on(M23, draws[7])  # trial 7 alone is good
+        draws[7][0] = 2 * draws[7][0]  # u1 doubled: no partial isometry
+        with pytest.raises(InvalidFamily):
+            families_on(M23, draws[7])
+        with pytest.raises(InvalidFamily, match="u1 is not a partial isometry at trial 7$"):
+            families_on(M23, stack_chains(draws))
+        del draws[7]
+        families_on(M23, stack_chains(draws))  # the others pass
 
 
 class TestMomentIdentity:

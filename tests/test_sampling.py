@@ -6,11 +6,14 @@ import pytest
 import scipy.linalg
 
 from wstargeo import BlockAlgebra, DEFAULT_TOL, frobenius, groupoids, linalg, poisson, sampling
-from wstargeo.poisson import sample_family
 
 M2 = BlockAlgebra((2,))
 M23 = BlockAlgebra((2, 3))
 ALGEBRAS = [M2, M23, BlockAlgebra((1, 2, 2)), BlockAlgebra((4,))]
+
+
+def _family(algebra, rng):
+    return poisson.families_on(algebra, poisson.draw_family_data(algebra, rng), DEFAULT_TOL)[0]
 
 
 def _blockwise_ranks(algebra, p):
@@ -233,7 +236,7 @@ class TestFamilyExponentials:
     def test_curves_match_expm(self, algebra):
         expm = scipy.linalg.expm
         for seed in range(4):
-            fam = sample_family(algebra, sampling.rng_for(60, seed), DEFAULT_TOL)
+            fam = _family(algebra, sampling.rng_for(60, seed))
             for t in (1e-3, -1e-3, 0.3, -0.3):
                 e_h2 = expm(t * fam.h2)
                 refs = (
@@ -245,7 +248,7 @@ class TestFamilyExponentials:
                     assert frobenius(got - ref) <= 1e-13
 
     def test_each_point_evaluated_once(self, monkeypatch):
-        fam = sample_family(M23, sampling.rng_for(61), DEFAULT_TOL)
+        fam = _family(M23, sampling.rng_for(61))
         times = []
         real = poisson.ComposableFamily._exp
         monkeypatch.setattr(
@@ -265,3 +268,10 @@ class TestFamilyExponentials:
         assert sorted(times) == sorted([1e-3] * 5 + [-1e-3] * 5)
         poisson.exactness_residual(fam, 1e-4, DEFAULT_TOL)
         assert len(times) == 20
+        # and per stack of trials, not per trial
+        data = groupoids.stack_chains(
+            [poisson.draw_family_data(M23, sampling.rng_for(61, k)) for k in range(6)]
+        )
+        [stacked] = poisson.families_on(M23, data, DEFAULT_TOL)
+        poisson.exactness_residual(stacked, 1e-4, DEFAULT_TOL)
+        assert len(times) == 30

@@ -209,14 +209,41 @@ class TestPlantedFaults:
         rows = {r.suite: r for r in run_suite(suite, M23, 10, 0)}
         return rows[f"{suite}/{row}"]
 
-    def test_standard_product_with_left_modulus(self, monkeypatch):
-        def std_mul(g1, g2, tol=DEFAULT_TOL):
-            u1, h1 = polar_decompose(g1, tol)
-            u2, _ = polar_decompose(g2, tol)
-            return u1 @ u2 @ h1
+    @staticmethod
+    def _std_mul_with_left_modulus(g1, g2, tol=DEFAULT_TOL):
+        u1, h1 = polar_decompose(g1, tol)
+        u2, _ = polar_decompose(g2, tol)
+        return u1 @ u2 @ h1
 
-        monkeypatch.setattr(groupoids, "std_mul", std_mul)
+    def test_standard_product_with_left_modulus(self, monkeypatch):
+        monkeypatch.setattr(groupoids, "std_mul", self._std_mul_with_left_modulus)
         assert self._row("groupoid-axioms", "standard").status == "FAIL"
+
+    def test_exactness_product_with_left_modulus(self, monkeypatch):
+        # The finite difference of the product is taken through ``std_mul``
+        # as ``poisson`` looks it up.
+        monkeypatch.setattr(poisson, "std_mul", self._std_mul_with_left_modulus)
+        assert self._row("exactness", "residual").status == "FAIL"
+        assert self._row("exactness", "order").status == "FAIL"
+
+    def test_dgamma1_without_its_last_term(self, monkeypatch):
+        def dgamma1(fam):
+            # d(u2 xi2 u2*) without the u2 xi2 du2* term
+            u2h = fam.u2.conj().mT
+            deta = fam.du2() @ fam.xi2 @ u2h + fam.u2 @ fam.dxi2() @ u2h
+            return fam.du1() @ (fam.u2 @ fam.xi2 @ u2h) + fam.u1 @ deta
+
+        monkeypatch.setattr(poisson.ComposableFamily, "dgamma1", dgamma1)
+        assert self._row("multiplicativity", "residual").status == "FAIL"
+
+    def test_one_sided_product_difference(self, monkeypatch):
+        # First order: the defect halves, not quarters, with the step.
+        def one_sided(fam, h, tol):
+            at = [poisson.std_mul(fam.gamma1_at(t), fam.gamma2_at(t), tol) for t in (h, 0.0)]
+            return (at[0] - at[1]) / h
+
+        monkeypatch.setattr(poisson, "_product_difference", one_sided)
+        assert self._row("exactness", "order").status == "FAIL"
 
     @pytest.mark.parametrize("tag", ["pi", "g", "predual", "coadjoint"])
     def test_product_in_the_wrong_order(self, monkeypatch, tag):
