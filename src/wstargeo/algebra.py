@@ -629,13 +629,14 @@ def conditional_expectation(
 
 
 def modular_flow(
-    phi: NormalFunctional, t: float, tol: ToleranceProfile = DEFAULT_TOL
+    phi: NormalFunctional, t, tol: ToleranceProfile = DEFAULT_TOL
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The modular flow of a faithful positive functional at time ``t``:
     ``x -> u x u*`` on algebra elements, with ``u = d^{it}`` read once from
     :func:`density_spectrum`.  Raises :class:`NotFaithful` for a density
     that is not faithful.  A functional of stacked densities gives the flow
-    of each, on one element or on a stack of as many."""
+    of each, on one element or on a stack of as many, at one time ``t`` or
+    at a ``(T,)`` array of times, one per density."""
     spectrum = density_spectrum(phi, tol)
     refuse(NotFaithful, sum(spectrum.ranks) != phi.algebra.dim,
            "density is not faithful; modular flow undefined")

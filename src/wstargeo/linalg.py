@@ -294,8 +294,9 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def hermitian_eigvals(h: np.ndarray) -> np.ndarray:
     """Eigenvalues, descending, of a Hermitian matrix read from its lower
-    triangle; real input uses the real driver.  No Hermitian check."""
-    return _heevd(_real_or_complex(h), 0)[0][::-1]
+    triangle, or of each matrix of a stack (one row per matrix); real input
+    uses the real driver.  No Hermitian check."""
+    return _heevd(_real_or_complex(h), 0)[0][..., ::-1]
 
 
 def exp_antihermitian(x: np.ndarray) -> np.ndarray:
@@ -528,13 +529,15 @@ class PositiveSpectrum:
         return out
 
     def _function(self, f: Callable, dtype) -> np.ndarray:
-        """``v diag(f(w)) v*`` per block, with the values past the rank zeroed."""
+        """``v diag(f(w, kept)) v*`` per block, with the values past the rank
+        zeroed: ``f`` maps the retained values ``w[kept]`` and reads the
+        mask ``kept`` (one row per matrix of a stack)."""
 
         def block(w, v, r):
             # Per matrix of a stack, its own first r values.
             kept = np.arange(w.shape[-1]) < np.asarray(r)[..., None]
             vals = np.zeros(w.shape, dtype=dtype)
-            vals[kept] = f(w[kept])
+            vals[kept] = f(w[kept], kept)
             return (v * vals[..., None, :]) @ v.conj().mT
 
         return self._blockwise(block)
@@ -551,12 +554,18 @@ class PositiveSpectrum:
         is guarded (:meth:`require_separated`) like the partial inverse."""
         if p < 0.0:
             self.require_separated()
-        return self._function(lambda w: w**p, float)
+        return self._function(lambda w, kept: w**p, float)
 
-    def imaginary_power(self, t: float) -> np.ndarray:
+    def imaginary_power(self, t) -> np.ndarray:
         """``h ** (i t)`` on the support, zero on the kernel: unitary on the
-        support, with the empty-support convention ``0 ** (i t) = 0``."""
-        return self._function(lambda w: np.exp(1j * t * np.log(w)), complex)
+        support, with the empty-support convention ``0 ** (i t) = 0``.  On a
+        stack ``t`` is one time for all matrices or a ``(T,)`` array, one
+        time per matrix."""
+        t = np.asarray(t, dtype=float)[..., None]
+        return self._function(
+            lambda w, kept: np.exp(1j * np.broadcast_to(t, kept.shape)[kept] * np.log(w)),
+            complex,
+        )
 
 
 def positive_spectrum(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> PositiveSpectrum:

@@ -18,8 +18,10 @@ read from the one eigendecomposition the functional keeps
 the closure ``S = J Delta^{1/2}`` acting as ``S(x d^{1/2}) = x* d^{1/2}``,
 and for faithful functionals the modular flow ``g -> d^{it} g d^{-it}``
 (:func:`~wstargeo.algebra.modular_flow`), which implements the modular
-automorphism group on vectors.  :func:`flow_residuals` checks the flow's
-invariances on one sample.
+automorphism group on vectors.  :func:`flow_sample` draws one sample of
+vectors and elements, and :func:`flow_residuals` checks the flow's
+invariances on it, or on a stack of samples, each with its own functional
+and flow time, at once.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ from .algebra import (
     block_ranks,
     density_spectrum,
     modular_flow,
-    orbit_invariant,
 )
 from .errors import (
     DegenerateBase,
@@ -43,8 +44,8 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    PositiveSpectrum,
     ToleranceProfile,
-    _worst,
     excess,
     frobenius,
     herm,
@@ -297,20 +298,11 @@ def tomita_S(
     return spectrum.power(-0.5) @ conjugation_J(g) @ spectrum.power(0.5)
 
 
-def flow_residuals(
-    phi: NormalFunctional,
-    t: float,
-    rng: np.random.Generator,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> dict[str, float]:
-    """Residuals of the modular-flow invariances of ``phi`` at time t on one
-    sample drawn from ``rng``: groupoid multiplicativity, symplectic
-    invariance, positive-cone preservation, J-covariance, orbit-invariant
-    preservation, and the one-parameter group law.  Raises
-    :class:`NotFaithful` unless the density is faithful."""
-    algebra = phi.algebra
-    s = 0.5 * t + 0.1
-    flow, flow_s, flow_st = (modular_flow(phi, time, tol) for time in (t, s, s + t))
+def flow_sample(algebra: BlockAlgebra, rng: np.random.Generator) -> list:
+    """One sample for :func:`flow_residuals`, drawn from ``rng``: the
+    isometries ``u1``, ``u2`` and the positive ``h2`` of a composable pair
+    of vector arrows, two elements ``x``, ``y`` and a positive element
+    ``pos``."""
     q1 = sampling.random_frames(algebra, rng)
     q0 = sampling.equivalent_frames(rng, q1)
     q2 = sampling.equivalent_frames(rng, q1)
@@ -320,35 +312,56 @@ def flow_residuals(
     x = sampling.random_element(algebra, rng)
     y = sampling.random_element(algebra, rng)
     pos = sampling.random_positive(algebra, rng)
+    return [u1, u2, h2, x, y, pos]
+
+
+def flow_residuals(
+    phi: NormalFunctional, t, u1, u2, h2, x, y, pos, tol: ToleranceProfile = DEFAULT_TOL
+) -> dict:
+    """Residuals of the modular-flow invariances of ``phi`` at time ``t`` on
+    one sample of :func:`flow_sample`: groupoid multiplicativity on the
+    composable pair ``g1 = u1 u2 h2 u2*``, ``g2 = u2 h2``, symplectic
+    invariance, positive-cone preservation, J-covariance, orbit-invariant
+    preservation, and the one-parameter group law.  Raises
+    :class:`NotFaithful` unless the density is faithful.
+
+    On stacks (a functional of stacked densities, ``t`` one time for all or
+    one per density, and stacked samples) one residual array per key, each
+    trial with the bits it gets alone, and a refused density named by its
+    trial; floats for one matrix."""
+    algebra = phi.algebra
+    s = 0.5 * t + 0.1
+    flow, flow_s, flow_st = (modular_flow(phi, time, tol) for time in (t, s, s + t))
     g2 = u2 @ h2
-    g1 = u1 @ (u2 @ h2 @ u2.conj().T)
-    fp = flow(pos)
-    wmin = float(hermitian_eigvals(herm(fp)).min())
+    g1 = u1 @ (u2 @ h2 @ u2.conj().mT)
+    fx, fg1, fp = flow(x), flow(g1), flow(pos)
+    wmin = hermitian_eigvals(herm(fp)).min(axis=-1)
     # A flow that is not multiplicative may leave the flowed pair
     # non-composable; its gap is then the residual.
-    flowed_product, gap = _std_product(flow(g1), flow(g2), tol)
-    return {
-        "multiplicativity": gap or frobenius(flow(std_mul(g1, g2, tol)) - flowed_product),
-        "symplectic": abs(symplectic_omega(flow(x), flow(y)) - symplectic_omega(x, y)),
-        "cone": _worst(0.0, -wmin) + frobenius(fp - fp.conj().T),
-        "conjugation": frobenius(flow(conjugation_J(x)) - conjugation_J(flow(x))),
-        "orbit_invariants": _invariant_distance(
-            orbit_invariant(expectation_E(algebra, g1), tol),
-            orbit_invariant(expectation_E(algebra, flow(g1)), tol),
+    flowed_product, gap = _std_product(fg1, flow(g2), tol)
+    residuals = {
+        "multiplicativity": np.where(
+            gap != 0, gap, frobenius(flow(std_mul(g1, g2, tol)) - flowed_product)
         ),
-        "group_law": frobenius(flow_s(flow(x)) - flow_st(x)),
+        "symplectic": np.abs(symplectic_omega(fx, flow(y)) - symplectic_omega(x, y)),
+        "cone": np.maximum(0.0, -wmin) + frobenius(fp - fp.conj().mT),
+        "conjugation": frobenius(flow(conjugation_J(x)) - conjugation_J(fx)),
+        "orbit_invariants": _spectrum_distance(
+            density_spectrum(expectation_E(algebra, g1), tol),
+            density_spectrum(expectation_E(algebra, fg1), tol),
+        ),
+        "group_law": frobenius(flow_s(fx) - flow_st(x)),
     }
+    return {key: r if np.ndim(r) else float(r) for key, r in residuals.items()}
 
 
-def _invariant_distance(
-    a: tuple[tuple[float, ...], ...], b: tuple[tuple[float, ...], ...]
-) -> float:
-    if len(a) != len(b):
-        return float("inf")
-    worst = 0.0
-    for xs, ys in zip(a, b):
-        if len(xs) != len(ys):
-            return float("inf")
-        for x, y in zip(xs, ys):
-            worst = _worst(worst, abs(x - y))
-    return worst
+def _spectrum_distance(a: PositiveSpectrum, b: PositiveSpectrum):
+    """Distance of two orbit invariants (:func:`~wstargeo.algebra.orbit_invariant`),
+    per matrix of a stack: ``inf`` where their blockwise ranks differ, else
+    the largest ``|w1 - w2|`` over the retained values (NaN if one is)."""
+    worst, same = 0.0, True
+    for (_, w1, _), (_, w2, _), r1, r2 in zip(a.blocks, b.blocks, a.ranks, b.ranks):
+        kept = np.arange(w1.shape[-1]) < np.asarray(r1)[..., None]
+        worst = np.maximum(worst, np.where(kept, np.abs(w1 - w2), 0.0).max(axis=-1))
+        same = same & (r1 == r2)
+    return np.where(same, worst, np.inf)

@@ -103,6 +103,7 @@ from .standard import (
     conjugation_J,
     dual_pair_orthogonality_check,
     flow_residuals,
+    flow_sample,
     modular_Delta,
     std_unit,
     tomita_S,
@@ -117,8 +118,8 @@ __all__ = [
 ]
 
 #: Flow times exercised by the modular-flow suite (includes the fixed point
-#: t = 0 and both signs at two scales): each flow report draws one, and the
-#: orbit-form row takes all of them.
+#: t = 0 and both signs at two scales): each trial of the flow report draws
+#: one, and the orbit-form row takes all of them.
 FLOW_TIMES = (0.0, 0.3, -0.3, 1.7, -1.7)
 
 
@@ -173,6 +174,22 @@ def _per_trial(
     @functools.wraps(trial)
     def fn(ctx: RowCtx) -> float:
         return _worst(0.0, *(r for rs in _trials(ctx, trial) for r in rs))
+
+    return fn
+
+
+def _stacked_group_row(
+    check: Callable[[RowCtx], dict], *keys: str
+) -> Callable[[RowCtx], float]:
+    """A row that returns the worst of the residual arrays ``keys`` of its
+    group's check, run once on the stack of all trials.  The group's first
+    row runs it (so with its own subindex) once per :func:`run_suite` call
+    and keeps its arrays in ``ctx.shared`` for the rows after it."""
+
+    def fn(ctx: RowCtx) -> float:
+        if check not in ctx.shared:
+            ctx.shared[check] = check(ctx)
+        return _worst_of_stacks(ctx.shared[check][key] for key in keys)
 
     return fn
 
@@ -827,60 +844,87 @@ def _row_fs_pair_groupoid(ctx: RowCtx, rng):
 # ---------------------------------------------------------------------------
 
 
-def _flow_report(ctx: RowCtx, rng) -> dict[str, float]:
-    """The modular-flow invariances of one faithful density and one sample,
-    at a flow time drawn from :data:`FLOW_TIMES`."""
+# The flow-report group, ``orbit-form``, ``tomita`` and ``group-law`` have
+# the shape of the groupoid-axioms rows: each draws trial ``k``'s data in
+# turn, then runs its checks once, on the stack of all trials.
+
+
+def _draw_flow(ctx: RowCtx, rng) -> list:
+    """A flow time from :data:`FLOW_TIMES`, a faithful density and one
+    sample of vectors and elements (:func:`~wstargeo.standard.flow_sample`)."""
     t = FLOW_TIMES[rng.integers(len(FLOW_TIMES))]
     phi = sampling.random_density(ctx.algebra, rng)
-    return flow_residuals(phi, t, rng, ctx.profile)
+    return [t, phi, *flow_sample(ctx.algebra, rng)]
 
 
-@_per_trial
-def _row_flow_orbit_form(ctx: RowCtx, rng):
-    """The orbit two-form is invariant under the flow of any faithful
-    extension of the base density (the flow restricts to the bundle)."""
-    alg, prof = ctx.algebra, ctx.profile
+def _flow_report(ctx: RowCtx) -> dict:
+    """The modular-flow invariances of each trial's density and sample, at
+    the trial's own flow time, checked once on the stack."""
+    t, phi, *sample = _stacked_trials(ctx, _draw_flow)
+    return flow_residuals(phi, t, *sample, ctx.profile)
+
+
+def _draw_orbit_form(ctx: RowCtx, rng) -> list:
+    alg = ctx.algebra
     f0, rho0, u, _ = _draw_bundle_point(alg, rng)
     p0 = f0.projection
     du1 = sampling.p0_tangent(alg, rng, u, p0)
     du2 = sampling.p0_tangent(alg, rng, u, p0)
     c = float(rng.uniform(0.5, 2.0))
-    extension = NormalFunctional(alg, rho0.density + c * (alg.identity() - p0))
+    return [rho0, p0, u, du1, du2, c]
+
+
+def _row_flow_orbit_form(ctx: RowCtx) -> float:
+    """The orbit two-form is invariant under the flow of any faithful
+    extension of the base density (the flow restricts to the bundle)."""
+    alg, prof = ctx.algebra, ctx.profile
+    rho0, p0, u, du1, du2, c = _stacked_trials(ctx, _draw_orbit_form)
+    extension = NormalFunctional(
+        alg, rho0.density + c[:, None, None] * (alg.identity() - p0)
+    )
     base = dGamma0(rho0, u, du1, du2, prof)
+    residuals = []
     for t in FLOW_TIMES:
         flow = modular_flow(extension, t, prof)
-        yield abs(dGamma0(rho0, flow(u), flow(du1), flow(du2), prof) - base)
+        residuals.append(np.abs(dGamma0(rho0, flow(u), flow(du1), flow(du2), prof) - base))
+    return _worst_of_stacks(residuals)
 
 
-@_per_trial
-def _row_flow_tomita(ctx: RowCtx, rng):
+def _draw_density_pair(ctx: RowCtx, rng) -> list:
+    """A faithful density and two elements."""
+    alg = ctx.algebra
+    phi = sampling.random_density(alg, rng)
+    return [phi, sampling.random_element(alg, rng), sampling.random_element(alg, rng)]
+
+
+def _row_flow_tomita(ctx: RowCtx) -> float:
     """S(x Omega) = x* Omega, S is an involution, and S factors as the
     conjugation after the square root of the modular operator."""
-    alg, prof = ctx.algebra, ctx.profile
-    phi = sampling.random_density(alg, rng)
-    x = sampling.random_element(alg, rng)
+    prof = ctx.profile
+    phi, x, g = _stacked_trials(ctx, _draw_density_pair)
     omega_vec = std_unit(phi, prof)
-    yield frobenius(tomita_S(phi, x @ omega_vec, prof) - x.conj().T @ omega_vec)
-    g = sampling.random_element(alg, rng)
-    yield frobenius(tomita_S(phi, tomita_S(phi, g, prof), prof) - g)
-    yield frobenius(
-        tomita_S(phi, g, prof) - conjugation_J(modular_Delta(phi, g, 0.5, prof))
-    )
+    s_g = tomita_S(phi, g, prof)
+    return _worst_of_stacks([
+        frobenius(tomita_S(phi, x @ omega_vec, prof) - x.conj().mT @ omega_vec),
+        frobenius(tomita_S(phi, s_g, prof) - g),
+        frobenius(s_g - conjugation_J(modular_Delta(phi, g, 0.5, prof))),
+    ])
 
 
-@_per_trial
-def _row_flow_group_law(ctx: RowCtx, rng):
-    alg, prof = ctx.algebra, ctx.profile
-    phi = sampling.random_density(alg, rng)
-    x = sampling.random_element(alg, rng)
-    y = sampling.random_element(alg, rng)
+def _row_flow_group_law(ctx: RowCtx) -> float:
+    prof = ctx.profile
+    phi, x, y = _stacked_trials(ctx, _draw_density_pair)
     s, t = 0.7, -1.3
     flow = modular_flow(phi, t, prof)
-    yield frobenius(modular_flow(phi, s, prof)(flow(x)) - modular_flow(phi, s + t, prof)(x))
     sx, sy = flow(x), flow(y)
-    yield frobenius(flow(x @ y) - sx @ sy)
-    yield frobenius(flow(x.conj().T) - sx.conj().T)
-    yield abs(phi(sx) - phi(x))
+    # The modulus as Python's abs takes it (see ``exactness_residual``).
+    value = phi(sx) - phi(x)
+    return _worst_of_stacks([
+        frobenius(modular_flow(phi, s, prof)(sx) - modular_flow(phi, s + t, prof)(x)),
+        frobenius(flow(x @ y) - sx @ sy),
+        frobenius(flow(x.conj().mT) - sx.conj().mT),
+        np.hypot(value.real, value.imag),
+    ])
 
 
 @_per_trial
@@ -1011,13 +1055,10 @@ _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
     ],
     "modular-flow": [
         ("automorphism", 1e-9,
-         _group_row(_flow_report, lambda r: _worst(
-             r["multiplicativity"], r["conjugation"], r["group_law"]
-         ))),
-        ("symplectic", 1e-9, _group_row(_flow_report, lambda r: r["symplectic"])),
-        ("cone", 1e-9, _group_row(_flow_report, lambda r: r["cone"])),
-        ("orbit-invariants", 1e-9,
-         _group_row(_flow_report, lambda r: r["orbit_invariants"])),
+         _stacked_group_row(_flow_report, "multiplicativity", "conjugation", "group_law")),
+        ("symplectic", 1e-9, _stacked_group_row(_flow_report, "symplectic")),
+        ("cone", 1e-9, _stacked_group_row(_flow_report, "cone")),
+        ("orbit-invariants", 1e-9, _stacked_group_row(_flow_report, "orbit_invariants")),
         ("orbit-form", 1e-9, _row_flow_orbit_form),
         ("tomita", 1e-10, _row_flow_tomita),
         ("group-law", 1e-10, _row_flow_group_law),

@@ -167,6 +167,34 @@ class TestCounts:
             assert small == large, name
         assert sum(row["heevd"] for row in counts[0].values()) > 0
 
+    def test_flow_rows_factor_per_row_not_per_trial(self, lapack_calls):
+        # The flow-report group (its first row checks for all four),
+        # orbit-form, tomita and group-law check all their trials' data with
+        # one call per map on their stack, so neither their SVDs (the polar
+        # factors of the flowed pair) nor their Hermitian eigendecompositions
+        # (each density's spectrum, the flowed cone element's values) grow
+        # with the trials: at 10 trials the flow report made 40 SVDs and 70
+        # eigendecompositions with one call per trial, and makes 4 and 7.
+        rows = list(enumerate(suites._suite("modular-flow")))[:7]
+        counts = []
+        for trials in (10, 40):
+            per_row, shared = {}, {}
+            for subindex, (name, tolerance, fn) in rows:
+                lapack_calls.update(gesdd=0, heevd=0, **{"gesdd-vectors": 0})
+                ctx = suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL, shared)
+                assert fn(ctx) <= tolerance
+                per_row[name] = dict(lapack_calls)
+            counts.append(per_row)
+        assert [name for _, (name, _, _) in rows] == [
+            "automorphism", "symplectic", "cone", "orbit-invariants",
+            "orbit-form", "tomita", "group-law",
+        ]
+        for _, (name, _, _) in rows:
+            small, large = counts[0][name], counts[1][name]
+            assert (small["gesdd"], small["heevd"]) == (large["gesdd"], large["heevd"]), name
+        assert counts[0]["automorphism"]["gesdd"] > 0
+        assert all(counts[0][name]["heevd"] > 0 for name in ("automorphism", "tomita"))
+
     def test_psi_intertwining(self, lapack_calls):
         # 18 with one support of rho0 per gauge_iso_Psi and coadjoint_apply,
         # each decomposing both blocks; two functionals, one call per block

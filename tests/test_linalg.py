@@ -652,6 +652,16 @@ class TestStacks:
             mats.append(10.0 ** (k % 4 * 3 - 6) * (left @ _random_matrix(rng, 5)[:r, :]))
         return np.stack(mats)
 
+    def test_eigenvalues_descend_per_matrix(self):
+        # The values of each matrix are reversed, not the order of the stack.
+        stack = np.stack([np.diag([1.0, 2.0, 3.0]), np.diag([10.0, 20.0, 30.0])])
+        np.testing.assert_array_equal(hermitian_eigvals(stack), [[3, 2, 1], [30, 20, 10]])
+        np.testing.assert_array_equal(hermitian_eigvals(stack[0]), [3, 2, 1])
+        h = polar_decompose(self._mixed_stack())[1]
+        values = hermitian_eigvals(h)
+        for k in range(len(h)):
+            assert values[k].tobytes() == hermitian_eigvals(h[k]).tobytes()
+
     def test_each_matrix_as_alone(self):
         stack = self._mixed_stack()
         assert len({int(r) for r in retained_rank(svd(stack)[1])}) == 6

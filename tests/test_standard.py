@@ -39,7 +39,7 @@ from wstargeo import linalg
 from wstargeo.algebra import matrix_units
 from wstargeo.errors import NotPartiallyInvertible
 from wstargeo.linalg import null_space_rows, restricted_power
-from wstargeo.standard import flow_residuals
+from wstargeo.standard import flow_residuals, flow_sample
 from wstargeo.sampling import (
     corner_positive,
     equivalent_frames,
@@ -520,7 +520,7 @@ class TestModularFlow:
         with pytest.raises(NotFaithful):
             modular_flow(phi, 0.3, DEFAULT_TOL)
         with pytest.raises(NotFaithful):
-            flow_residuals(phi, 0.3, rng_for(39), DEFAULT_TOL)
+            flow_residuals(phi, 0.3, *flow_sample(M2, rng_for(39)), DEFAULT_TOL)
 
     def test_fixes_canonical_vector(self):
         phi = random_density(M23, rng_for(37))
@@ -543,9 +543,78 @@ class TestModularFlow:
             phi = random_density(algebra, rng)
             for t in (0.0, 0.3, -1.7):
                 for k in range(10):
-                    residuals = flow_residuals(phi, t, rng_for(39, k), DEFAULT_TOL)
+                    sample = flow_sample(algebra, rng_for(39, k))
+                    residuals = flow_residuals(phi, t, *sample, DEFAULT_TOL)
                     assert set(residuals) == FLOW_RESIDUALS
                     assert max(residuals.values()) <= 1e-9, (t, k, residuals)
+
+
+STACK_SHAPES = [(2, 3), (1, 2, 2), (4, 4, 4, 4), (12,)]
+
+
+class TestStackedFlow:
+    """The modular flow and its invariance check act per matrix of a stack,
+    each with its own density and flow time, with the bits each matrix gets
+    alone."""
+
+    TIMES = (0.0, 0.3, -0.3, 1.7, -1.7, 0.5, -1.3, 2.2, 0.0, -0.7, 1.1, 0.9)
+
+    @staticmethod
+    def _stack(items):
+        return np.stack(list(items))
+
+    def _trials(self, algebra, count, seed):
+        """``count`` trials of a density, a flow time and a flow sample."""
+        rngs = [rng_for(seed, k) for k in range(count)]
+        phis = [random_density(algebra, rng) for rng in rngs]
+        samples = [flow_sample(algebra, rng) for rng in rngs]
+        return phis, self.TIMES[:count], samples
+
+    @pytest.mark.parametrize("blocks", STACK_SHAPES)
+    def test_flow_at_a_time_per_density(self, blocks):
+        algebra = BlockAlgebra(blocks)
+        phis, times, samples = self._trials(algebra, 12, 50)
+        stacked = NormalFunctional(algebra, self._stack(p.density for p in phis))
+        xs = self._stack(sample[3] for sample in samples)
+        flowed = modular_flow(stacked, np.array(times), DEFAULT_TOL)(xs)
+        for k, (phi, t) in enumerate(zip(phis, times)):
+            alone = modular_flow(phi, t, DEFAULT_TOL)(xs[k])
+            assert flowed[k].tobytes() == alone.tobytes(), k
+
+    @pytest.mark.parametrize("blocks", STACK_SHAPES)
+    def test_stacked_check_is_the_check_per_trial(self, blocks):
+        algebra = BlockAlgebra(blocks)
+        phis, times, samples = self._trials(algebra, 12, 51)
+        stacked = NormalFunctional(algebra, self._stack(p.density for p in phis))
+        parts = [self._stack(part) for part in zip(*samples)]
+        got = flow_residuals(stacked, np.array(times), *parts, DEFAULT_TOL)
+        assert set(got) == FLOW_RESIDUALS
+        for k, (phi, t, sample) in enumerate(zip(phis, times, samples)):
+            one = NormalFunctional(algebra, phi.density[None])
+            single = flow_residuals(one, np.array([t]), *(m[None] for m in sample), DEFAULT_TOL)
+            alone = flow_residuals(phi, t, *sample, DEFAULT_TOL)
+            for key, values in got.items():
+                assert values.shape == (12,)
+                assert values[k].tobytes() == single[key][0].tobytes(), (k, key)
+                assert isinstance(alone[key], float)
+                assert np.float64(alone[key]).tobytes() == values[k].tobytes(), (k, key)
+            assert max(alone.values()) <= 1e-9
+
+    @pytest.mark.parametrize("blocks", STACK_SHAPES)
+    def test_a_density_that_is_not_faithful_names_its_trial(self, blocks):
+        algebra = BlockAlgebra(blocks)
+        phis, times, samples = self._trials(algebra, 10, 52)
+        densities = self._stack(p.density for p in phis)
+        # Trial 7's density loses the smallest eigenvalue of its first
+        # block: still positive, no longer faithful.
+        s = algebra.slices[0]
+        w, v = np.linalg.eigh(densities[7, s, s])
+        w[0] = 0.0
+        densities[7, s, s] = (v * w) @ v.conj().T
+        stacked = NormalFunctional(algebra, densities)
+        parts = [self._stack(part) for part in zip(*samples)]
+        with pytest.raises(NotFaithful, match="at trial 7$"):
+            flow_residuals(stacked, np.array(times), *parts, DEFAULT_TOL)
 
 
 class TestOneSpectrum:
@@ -582,5 +651,5 @@ class TestOneSpectrum:
     def test_flow_residuals_decompose_the_density_once(self, monkeypatch):
         phi = random_density(M23, rng_for(41))
         calls = self._count_eig(monkeypatch, phi)
-        flow_residuals(phi, 0.3, rng_for(41, 1), DEFAULT_TOL)
+        flow_residuals(phi, 0.3, *flow_sample(M23, rng_for(41, 1)), DEFAULT_TOL)
         assert [c for c in calls if c is not None] == [0, 1]

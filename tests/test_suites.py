@@ -340,25 +340,36 @@ class TestPlantedFaults:
 
     def test_modular_flow_with_one_sign_flipped(self, monkeypatch):
         def modular_flow(phi, t, tol=DEFAULT_TOL):
-            # d^{it} x d^{it} instead of d^{it} x d^{-it}
+            # d^{it} x d^{it} instead of d^{it} x d^{-it}, at one time or at
+            # one time per density of a stack.
             u = algebra.density_spectrum(phi, tol).imaginary_power(t)
             return lambda x: u @ x @ u
 
         # In ``flow_residuals`` the flipped flow breaks composability: the
-        # row reports the gap rather than letting ``std_mul`` raise.
+        # row reports the gap rather than letting ``std_mul`` raise.  The
+        # flipped flow of a positive element is not Hermitian, so it leaves
+        # the cone.
         for module in (standard, suites):
             monkeypatch.setattr(module, "modular_flow", modular_flow)
         failed = self._failed("modular-flow", M2, 1)
         assert {
             "modular-flow/automorphism",
+            "modular-flow/cone",
             "modular-flow/group-law",
             "modular-flow/conditional-expectation",
         } <= failed
+
+    def test_conjugation_without_the_adjoint(self, monkeypatch):
+        # J(g) = g instead of g*: Tomita's S then maps x Omega to
+        # d^{-1/2} x Omega d^{1/2}, not to x* Omega.
+        monkeypatch.setattr(standard, "conjugation_J", lambda g: np.asarray(g, dtype=complex))
+        assert "modular-flow/tomita" in self._failed("modular-flow", M2, 1)
 
     def test_modular_flow_off_by_a_factor(self, monkeypatch):
         real = algebra.modular_flow
 
         def modular_flow(phi, t, tol=DEFAULT_TOL):
+            # At one time or at one time per density of a stack.
             flow = real(phi, t, tol)
             return lambda x: (1.0 + 1e-6) * flow(x)
 
@@ -436,10 +447,13 @@ class TestSharedReports:
         [
             ("degeneracy", "degeneracy_kernel_check", 4),
             ("dual-pair", "dual_pair_orthogonality_check", 4),
-            ("modular-flow", "flow_residuals", 4),
+            # One check of the whole group, on the stack of its trials.
+            ("modular-flow", "flow_residuals", 1),
         ],
     )
     def test_one_report_per_trial(self, monkeypatch, suite, check, calls):
+        # Each group computes its report once per run_suite call, not once
+        # per row that reads it.
         original = getattr(suites, check)
         seen = []
 
