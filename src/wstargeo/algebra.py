@@ -279,9 +279,8 @@ class NormalFunctional:
 
     def __call__(self, x: np.ndarray):
         """``Tr(d x)``: a ``complex`` for one density, an array with one
-        value per matrix for a stack."""
-        z = np.trace(self.density @ x, axis1=-2, axis2=-1)
-        return complex(z) if z.ndim == 0 else z
+        value per matrix for a stack (:func:`trace_pairing`)."""
+        return trace_pairing(self.density, x)
 
     def adjoint(self) -> "NormalFunctional":
         """The functional x -> conj(phi(x*)); its density is d*."""
@@ -289,6 +288,18 @@ class NormalFunctional:
 
     def distance(self, other: "NormalFunctional") -> float:
         return frobenius(self.density - other.density)
+
+
+def trace_pairing(a: np.ndarray, x: np.ndarray):
+    """``Tr(a x)``: a ``complex`` for two matrices, an array with one value
+    per matrix for stacks.  A stack of ``k T`` matrices meets one of ``T``
+    run by run, ``a[j]`` with ``x[j mod T]``, as the central differences of
+    an observable stack ``T`` densities once per side."""
+    x = np.asarray(x)
+    if a.ndim == x.ndim == 3 and len(a) != len(x):
+        return np.trace(a.reshape(-1, *x.shape) @ x, axis1=-2, axis2=-1).reshape(-1)
+    z = np.trace(a @ x, axis1=-2, axis2=-1)
+    return complex(z) if z.ndim == 0 else z
 
 
 def require_positive(

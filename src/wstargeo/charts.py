@@ -43,7 +43,6 @@ from .linalg import (
     excess,
     exp_antihermitian,
     expect_real,
-    expect_real_array,
     frobenius,
     is_partial_isometry,
     partial_inverse,
@@ -305,10 +304,7 @@ def dGamma0(
     because u* h = 0.  On stacks, per matrix, as an array."""
     d0 = rho0.density
     value = 1j * np.trace(d0 @ (du1.conj().mT @ du2 - du2.conj().mT @ du1), axis1=-2, axis2=-1)
-    what = "exterior derivative of the orbit one-form"
-    if value.ndim:
-        return expect_real_array(value, tol, what)
-    return expect_real(value, tol, what)
+    return expect_real(value, tol, "exterior derivative of the orbit one-form")
 
 
 def fd_surface_dGamma0(

@@ -65,6 +65,7 @@ from it; the same blockwise type holds a functional's density
 """
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -177,9 +178,12 @@ def antiherm(x: np.ndarray) -> np.ndarray:
     return (x - x.conj().mT) / 2.0
 
 
-def expect_real(z: complex, tol: ToleranceProfile = DEFAULT_TOL, what: str = "value") -> float:
+def expect_real(z, tol: ToleranceProfile = DEFAULT_TOL, what: str = "value"):
     """Assert that ``z`` is real up to residual tolerance and return its real
-    part.  A NaN part is never real."""
+    part: a ``float`` for one value, an array for an array of values
+    (:func:`expect_real_array`).  A NaN part is never real."""
+    if isinstance(z, np.ndarray) and z.ndim:
+        return expect_real_array(z, tol, what)
     if z != z or not abs(z.imag) <= tol.residual_tol * max(1.0, abs(z)):
         raise NotHermitian(f"{what} has a non-negligible imaginary part: {z!r}")
     return float(z.real)
@@ -188,12 +192,15 @@ def expect_real(z: complex, tol: ToleranceProfile = DEFAULT_TOL, what: str = "va
 def expect_real_array(
     z: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, what: str = "value"
 ) -> np.ndarray:
-    """:func:`expect_real` applied to every entry of an array."""
+    """:func:`expect_real` applied to every entry of an array.  On one value
+    per matrix of a stack, a refusal names the first failing matrix as its
+    trial (:func:`refuse`)."""
     bad = ~(np.abs(z.imag) <= tol.residual_tol * np.maximum(1.0, np.abs(z)))
-    if bad.any():
-        raise NotHermitian(
-            f"{what} has a non-negligible imaginary part: {z[bad].flat[0]!r}"
-        )
+    message = f"{what} has a non-negligible imaginary part: {{!r}}"
+    if z.ndim == 1:
+        refuse(NotHermitian, bad, message, z)
+    elif bad.any():
+        raise NotHermitian(message.format(z[bad].flat[0]))
     return z.real
 
 
@@ -214,18 +221,26 @@ def excess(a, b, tol: ToleranceProfile, scale=0.0):
     return 0.0 if gap <= bound else gap or bound
 
 
+#: How :func:`refuse` names the failing matrix ``k`` of a stack: trial
+#: ``k``, unless the caller that stacked the matrices set what its axis
+#: holds (as the central differences of an observable do).
+STACK_NAME: contextvars.ContextVar[Callable[[int], str]] = contextvars.ContextVar(
+    "STACK_NAME", default="trial {}".format
+)
+
+
 def refuse(error: type[Exception], failed, message: str, *values) -> None:
     """Raises ``error`` when ``failed`` is true or nonzero (NaN included): for
     one matrix, a scalar; for a stack, an array with one entry per matrix,
-    and the first failing one is named as trial ``k``.  The message is
-    ``message.format(*values)``, with ``values`` read at that trial; they
-    default to ``failed`` itself, a gap from :func:`excess`."""
+    and the first failing one is named as trial ``k`` (:data:`STACK_NAME`).
+    The message is ``message.format(*values)``, with ``values`` read at that
+    trial; they default to ``failed`` itself, a gap from :func:`excess`."""
     if isinstance(failed, np.ndarray) and failed.ndim:
         bad = np.flatnonzero(failed)
         if bad.size:
             k = int(bad[0])
             at = (np.asarray(v)[k] for v in values or (failed,))
-            raise error(message.format(*at) + f" at trial {k}")
+            raise error(message.format(*at) + f" at {STACK_NAME.get()(k)}")
     elif failed:
         raise error(message.format(*values or (failed,)))
 

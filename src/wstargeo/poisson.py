@@ -12,6 +12,13 @@ symplectic form ``omega = 2 Im <.|.>``; the expectation ``E`` (density
 restricts to the orbit two-form with a calibration constant fixed once by a
 rank-one reference instance (Fubini–Study geometry).
 
+Observables, brackets, fields, their residuals and the moment identity take
+one functional or a ``(T, dim, dim)`` stack of them, with elements of the
+same stack, and act per matrix: each trial gets the bits it gets alone, and
+a refusal names the first failing trial.  The central differences of an
+observable given by its values run once per Hermitian basis element ``e``,
+on one functional of the ``2T`` densities ``d + h e`` and ``d - h e``.
+
 Composable curve families through the standard groupoid provide the
 multiplicativity and exactness checks of the symplectic form: the form adds
 over the groupoid product, and the primitive ``Tr(g* dg)`` is compatible
@@ -38,6 +45,7 @@ from .algebra import (
     functional_support,
     matrix_units,
     stabilizer_lie_algebra,
+    trace_pairing,
 )
 from .charts import Gamma0, dGamma0
 from .errors import (
@@ -51,6 +59,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    STACK_NAME,
     ToleranceProfile,
     _worst,
     check_hermitian,
@@ -90,15 +99,24 @@ class Observable:
     when absent the differential is taken by central differences along an
     orthonormal Hermitian basis.
 
+    Both act per matrix of a stacked functional: ``value`` gives one value
+    per density, the differential one element per density.  The central
+    differences evaluate ``value`` once per basis element, at the ``2T``
+    densities ``d + h e`` and then ``d - h e`` of a ``T``-stack, so a value
+    that pairs the densities with ``T`` matrices of its own pairs them run
+    by run, as ``phi(x)`` does.
+
     An observable is a fixed function of the functional, so its differential
     at ``phi`` is kept on ``phi``, one per observable and profile
     (:meth:`differential_at`)."""
 
-    value: Callable[[NormalFunctional], float]
+    value: Callable[[NormalFunctional], float | np.ndarray]
     differential: Callable[[NormalFunctional, ToleranceProfile], np.ndarray] | None = None
 
-    def value_at(self, phi: NormalFunctional) -> float:
-        return float(self.value(phi))
+    def value_at(self, phi: NormalFunctional) -> float | np.ndarray:
+        """The value at ``phi``: a ``float``, or one per matrix of a stack."""
+        value = self.value(phi)
+        return float(value) if np.ndim(value) == 0 else value
 
     def differential_at(
         self, phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
@@ -119,31 +137,42 @@ class Observable:
         )
 
     def _central_differences(self, phi: NormalFunctional, tol: ToleranceProfile) -> np.ndarray:
+        """``sum_e (f(d + h e) - f(d - h e)) / 2h e`` over the Hermitian units
+        ``e``, in their order, for every density of ``phi`` at once: one
+        functional of the ``2T`` densities ``d + h e``, then ``d - h e``, per
+        unit.  A refusal there names the unit and the trial."""
         h = tol.fd_step
         algebra, d = phi.algebra, phi.density
-        grad = algebra.zero()
-        for e in algebra.hermitian_units():
-            step = h * e
-            plus = self.value_at(NormalFunctional(algebra, d + step))
-            minus = self.value_at(NormalFunctional(algebra, d - step))
-            grad += ((plus - minus) / (2 * h)) * e
+        grad = np.zeros(d.shape, dtype=complex)
+        trials = len(d) if d.ndim == 3 else 0
+
+        def where(k: int) -> str:
+            return f"basis element {i}" + (f" of trial {k % trials}" if trials else "")
+
+        token = STACK_NAME.set(where)
+        try:
+            for i, e in enumerate(algebra.hermitian_units()):
+                step = h * e
+                sides = np.stack([d + step, d - step]).reshape(-1, algebra.dim, algebra.dim)
+                values = self.value_at(NormalFunctional(algebra, sides))
+                plus, minus = np.reshape(values, (2,) + d.shape[:-2] + (1, 1))
+                grad += (plus - minus) / (2 * h) * e
+        finally:
+            STACK_NAME.reset(token)
         return grad
 
     @classmethod
     def linear(cls, x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> "Observable":
-        """The evaluation observable phi -> phi(x) for Hermitian x."""
+        """The evaluation observable phi -> Re phi(x) for Hermitian x."""
         x = check_hermitian(np.asarray(x, dtype=complex), tol)
-        return cls(
-            value=lambda phi: float(phi(x).real),
-            differential=lambda phi, tol: x,
-        )
+        return cls(value=lambda phi: phi(x).real, differential=lambda phi, tol: x)
 
     @classmethod
     def quadratic(cls, x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> "Observable":
         """phi -> Tr(d^2 x) for Hermitian x, with differential d x + x d."""
         x = check_hermitian(np.asarray(x, dtype=complex), tol)
         return cls(
-            value=lambda phi: float(np.trace(phi.density @ phi.density @ x).real),
+            value=lambda phi: trace_pairing(phi.density @ phi.density, x).real,
             differential=lambda phi, tol: herm(phi.density @ x + x @ phi.density),
         )
 
@@ -153,8 +182,9 @@ class Observable:
         the product's is."""
         return Observable(
             value=lambda phi: self.value_at(phi) * other.value_at(phi),
-            differential=lambda phi, tol: self.value_at(phi) * other.differential_at(phi, tol)
-            + other.value_at(phi) * self.differential_at(phi, tol),
+            differential=lambda phi, tol: np.asarray(self.value_at(phi))[..., None, None]
+            * other.differential_at(phi, tol)
+            + np.asarray(other.value_at(phi))[..., None, None] * self.differential_at(phi, tol),
         )
 
 
@@ -171,11 +201,11 @@ def lp_bracket(
     g: Observable,
     phi: NormalFunctional,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
+):
     """Lie–Poisson bracket {f, g}(phi) = -i Tr(d [df, dg])."""
     df = f.differential_at(phi, tol)
     dg = g.differential_at(phi, tol)
-    value = -1j * np.trace(phi.density @ (df @ dg - dg @ df))
+    value = -1j * np.trace(phi.density @ (df @ dg - dg @ df), axis1=-2, axis2=-1)
     return expect_real(value, tol, "Lie-Poisson bracket")
 
 
@@ -195,12 +225,12 @@ def field_duality_residual(
     g: Observable,
     phi: NormalFunctional,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
+):
     """|Tr(X_f dg) - {f, g}(phi)|: the Hamiltonian field reproduces the
     bracket through the dual pairing."""
     field = hamiltonian_field(f, phi, tol)
     dg = g.differential_at(phi, tol)
-    paired = expect_real(np.trace(field @ dg), tol, "field pairing")
+    paired = expect_real(np.trace(field @ dg, axis1=-2, axis2=-1), tol, "field pairing")
     return abs(paired - lp_bracket(f, g, phi, tol))
 
 
@@ -210,7 +240,7 @@ def jacobi_residual(
     z: np.ndarray,
     phi: NormalFunctional,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
+):
     """Jacobi identity on evaluation observables, using the closure
     {f_x, f_y} = f_{-i[x,y]} of the bracket on linear functions."""
 
@@ -230,7 +260,7 @@ def linear_closure_residual(
     y: np.ndarray,
     phi: NormalFunctional,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
+):
     """|{f_x, f_y}(phi) - phi(-i[x,y])|: the bracket of evaluations is the
     evaluation of -i[x, y]."""
     lhs = lp_bracket(Observable.linear(x, tol), Observable.linear(y, tol), phi, tol)
@@ -244,7 +274,7 @@ def leibniz_residual(
     h: Observable,
     phi: NormalFunctional,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
+):
     """|{f, g h} - {f, g} h - g {f, h}| at phi."""
     lhs = lp_bracket(f, g.times(h), phi, tol)
     rhs = lp_bracket(f, g, phi, tol) * h.value_at(phi) + g.value_at(phi) * lp_bracket(
@@ -258,7 +288,7 @@ def field_morphism_residual(
     y: np.ndarray,
     phi: NormalFunctional,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
+):
     """The Hamiltonian field of the bracket closure equals the commutator of
     the two fields (as linear maps on density directions, composed in the
     order field-of-y after field-of-x minus the reverse)."""
@@ -278,7 +308,7 @@ def poisson_map_residual(
     algebra: BlockAlgebra,
     gamma: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> list[float]:
+) -> list:
     """|{f o E, g o E}_canonical(gamma) - {f, g}_Lie-Poisson(E(gamma))| for
     each pair ``(f, g)``: the left expectation is a Poisson map.
 
@@ -301,7 +331,7 @@ def commutant_bracket_check(
     algebra: BlockAlgebra,
     gamma: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
+):
     """|{f o E, g o E'}(gamma)|: observables pulled back through the two
     expectations Poisson-commute.  The canonical bracket is omega of the
     pullback gradients df(E(gamma)) gamma and gamma dg(E'(gamma))."""
@@ -629,15 +659,16 @@ def calibrate_kappa() -> float:
 class KKSReport:
     """Symplectic form on orbit lifts against the calibrated moment pairing:
     omega(a1 g0, a2 g0) = kappa 2 Im Tr(g0 g0* a1 a2); ``pairing`` reports
-    the moment functional 2i E(g0) evaluated on [a1, a2]."""
+    the moment functional 2i E(g0) evaluated on [a1, a2].  Each field holds
+    one value, or one per trial of a stack."""
 
-    omega: float
-    moment: float
-    pairing: float
+    omega: float | np.ndarray
+    moment: float | np.ndarray
+    pairing: float | np.ndarray
     kappa: float
 
     @property
-    def residual(self) -> float:
+    def residual(self):
         return abs(self.omega - self.moment)
 
 
@@ -648,17 +679,17 @@ def kks_check(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> KKSReport:
     """Evaluate the orbit symplectic identity at the canonical vector of
-    rho0 with anti-Hermitian directions a1, a2."""
+    rho0 with anti-Hermitian directions a1, a2; per matrix of a stack."""
     for a, name in ((a1, "a1"), (a2, "a2")):
-        if excess(a, -a.conj().T, tol, frobenius(a)):
-            raise InvalidTangent(f"{name} is not anti-Hermitian")
+        refuse(InvalidTangent, excess(a, -a.conj().mT, tol, frobenius(a)),
+               f"{name} is not anti-Hermitian")
     gamma0 = std_unit(rho0, tol)
     kappa = calibrate_kappa()
     omega = standard.symplectic_omega(a1 @ gamma0, a2 @ gamma0)
-    d0 = gamma0 @ gamma0.conj().T
-    moment = kappa * 2.0 * float(np.trace(d0 @ a1 @ a2).imag)
+    d0 = gamma0 @ gamma0.conj().mT
+    moment = kappa * 2.0 * np.trace(d0 @ a1 @ a2, axis1=-2, axis2=-1).imag
     commutator = a1 @ a2 - a2 @ a1
-    pairing = float((2j * np.trace(d0 @ commutator)).real)
+    pairing = (2j * np.trace(d0 @ commutator, axis1=-2, axis2=-1)).real
     return KKSReport(omega=omega, moment=moment, pairing=pairing, kappa=kappa)
 
 

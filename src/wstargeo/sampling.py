@@ -321,19 +321,30 @@ def random_density(
     rng: np.random.Generator,
     repeat_chance: float = 0.0,
 ) -> NormalFunctional:
-    """Faithful state with eigenvalues well separated from the rank cutoff;
-    a state on a given support is :func:`density_on` its frames."""
-    return _functional(algebra, random_positive(algebra, rng, repeat_chance=repeat_chance))
+    """Faithful state with eigenvalues well separated from the rank cutoff,
+    the functional of :func:`random_density_matrix`; a state on a given
+    support is :func:`density_on` its frames."""
+    return NormalFunctional(algebra, random_density_matrix(algebra, rng, repeat_chance))
+
+
+def random_density_matrix(
+    algebra: BlockAlgebra,
+    rng: np.random.Generator,
+    repeat_chance: float = 0.0,
+) -> np.ndarray:
+    """The density of :func:`random_density`, drawn as it draws it, without
+    building its functional."""
+    return unit_trace(random_positive(algebra, rng, repeat_chance=repeat_chance))
 
 
 def density_on(rng: np.random.Generator, frames: Frames) -> NormalFunctional:
     """State supported exactly on the frames' projection."""
-    return _functional(frames.algebra, positive_on(rng, frames))
+    return NormalFunctional(frames.algebra, unit_trace(positive_on(rng, frames)))
 
 
-def _functional(algebra: BlockAlgebra, d: np.ndarray) -> NormalFunctional:
-    """The functional of the density ``d`` scaled to unit trace."""
-    return NormalFunctional(algebra, d / float(np.trace(d).real))
+def unit_trace(d: np.ndarray) -> np.ndarray:
+    """The density ``d`` scaled to unit trace."""
+    return d / float(np.trace(d).real)
 
 
 def p0_tangent(

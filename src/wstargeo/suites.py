@@ -679,61 +679,74 @@ def _dual_pair_report(ctx: RowCtx, rng):
 # ---------------------------------------------------------------------------
 
 
-def _observable_triple(alg, rng, prof):
-    x = sampling.unit_norm(sampling.random_hermitian(alg, rng))
-    y = sampling.unit_norm(sampling.random_hermitian(alg, rng))
-    z = sampling.unit_norm(sampling.random_hermitian(alg, rng))
+# These rows have the shape of the groupoid-axioms rows: each draws trial
+# ``k``'s data in turn, then runs its checks once, on the stack of all trials.
+
+
+def _poisson_data(ctx: RowCtx, point: Callable) -> tuple:
+    """Three Hermitian elements per trial, then ``point(algebra, rng)`` (a
+    vector of the standard form or a density), all stacked; the elements
+    scaled to unit operator norm, and the observables ``f = Re phi(x)``,
+    ``g_fd = Re phi(y)`` (by central differences) and ``h = Tr(d^2 z)``."""
+    alg, prof = ctx.algebra, ctx.profile
+
+    def draw(ctx: RowCtx, rng) -> list:
+        return [*(sampling.random_hermitian(alg, rng) for _ in range(3)), point(alg, rng)]
+
+    *xyz, at = _stacked_trials(ctx, draw)
+    x, y, z = (sampling.unit_norm(m) for m in xyz)
     f = Observable.linear(x, prof)
-    g_fd = Observable(value=lambda phi, y=y: expect_real(phi(y), prof))
+    g_fd = Observable(value=lambda phi: expect_real(phi(y), prof))
     h = Observable.quadratic(z, prof)
-    return (x, y, z), (f, g_fd, h)
+    return (x, y, z), (f, g_fd, h), at
 
 
-@_per_trial
-def _row_poisson_quadratic(ctx: RowCtx, rng):
+def _row_poisson_quadratic(ctx: RowCtx) -> float:
     alg, prof = ctx.algebra, ctx.profile
-    _, (f, g_fd, h) = _observable_triple(alg, rng, prof)
-    gamma = sampling.random_element(alg, rng)
-    yield from poisson_map_residual([(f, g_fd), (f, h), (g_fd, h)], alg, gamma, prof)
+    _, (f, g_fd, h), gamma = _poisson_data(ctx, sampling.random_element)
+    return _worst_of_stacks(poisson_map_residual([(f, g_fd), (f, h), (g_fd, h)], alg, gamma, prof))
 
 
-@_per_trial
-def _row_poisson_jacobi(ctx: RowCtx, rng):
+def _row_poisson_jacobi(ctx: RowCtx) -> float:
     alg, prof = ctx.algebra, ctx.profile
-    (x, y, z), _ = _observable_triple(alg, rng, prof)
-    phi = sampling.random_density(alg, rng)
-    yield jacobi_residual(x, y, z, phi, prof)
-    yield linear_closure_residual(x, y, phi, prof)
+    (x, y, z), _, d = _poisson_data(ctx, sampling.random_density_matrix)
+    phi = NormalFunctional(alg, d)
+    return _worst_of_stacks([
+        jacobi_residual(x, y, z, phi, prof),
+        linear_closure_residual(x, y, phi, prof),
+    ])
 
 
-@_per_trial
-def _row_poisson_leibniz(ctx: RowCtx, rng):
+def _row_poisson_leibniz(ctx: RowCtx) -> float:
     alg, prof = ctx.algebra, ctx.profile
-    (_, y, _), (f, g_fd, h) = _observable_triple(alg, rng, prof)
-    phi = sampling.random_density(alg, rng)
-    yield leibniz_residual(f, g_fd, h, phi, prof)
-    # g_fd = Re phi(y) has exact differential y: an oracle for the central
-    # differences, which the bracket identities above cannot see (both of
-    # their sides are linear in the one differential).
-    yield frobenius(g_fd.differential_at(phi, prof) - y)
+    (_, y, _), (f, g_fd, h), d = _poisson_data(ctx, sampling.random_density_matrix)
+    phi = NormalFunctional(alg, d)
+    return _worst_of_stacks([
+        leibniz_residual(f, g_fd, h, phi, prof),
+        # g_fd = Re phi(y) has exact differential y: an oracle for the
+        # central differences, which the bracket identities above cannot see
+        # (both of their sides are linear in the one differential).
+        frobenius(g_fd.differential_at(phi, prof) - y),
+    ])
 
 
-@_per_trial
-def _row_poisson_field_morphism(ctx: RowCtx, rng):
+def _row_poisson_field_morphism(ctx: RowCtx) -> float:
     alg, prof = ctx.algebra, ctx.profile
-    (x, y, z), (f, _, h) = _observable_triple(alg, rng, prof)
-    phi = sampling.random_density(alg, rng)
-    yield field_morphism_residual(x, y, phi, prof)
-    yield field_duality_residual(f, h, phi, prof)
+    (x, y, _), (f, _, h), d = _poisson_data(ctx, sampling.random_density_matrix)
+    phi = NormalFunctional(alg, d)
+    return _worst_of_stacks([
+        field_morphism_residual(x, y, phi, prof),
+        field_duality_residual(f, h, phi, prof),
+    ])
 
 
-@_per_trial
-def _row_poisson_commutant(ctx: RowCtx, rng):
+def _row_poisson_commutant(ctx: RowCtx) -> float:
     alg, prof = ctx.algebra, ctx.profile
-    _, (f, _, h) = _observable_triple(alg, rng, prof)
-    gamma = sampling.random_element(alg, rng)
-    yield commutant_bracket_check(f, h, alg, gamma, prof)
-    yield commutant_bracket_check(h, f, alg, gamma, prof)
+    _, (f, _, h), gamma = _poisson_data(ctx, sampling.random_element)
+    return _worst_of_stacks([
+        commutant_bracket_check(f, h, alg, gamma, prof),
+        commutant_bracket_check(h, f, alg, gamma, prof),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -742,29 +755,29 @@ def _row_poisson_commutant(ctx: RowCtx, rng):
 
 
 def _draw_bundle_point(alg, rng, repeat_chance: float = 0.0):
-    """Frames of a support p0, a density on it, an isometry from it and the
-    frames of that isometry's target."""
+    """Frames of a support p0, a unit-trace density on it, an isometry from
+    it and the frames of that isometry's target."""
     f0 = sampling.random_frames(alg, rng, allow_zero=False)
     d = sampling.positive_on(rng, f0)
     if repeat_chance > 0.0 and rng.uniform() < repeat_chance:
         # Collapse the corner spectrum to create a nontrivial stabilizer.
         d = sampling.positive_on(rng, f0, 1.0, 1.0)
-    rho0 = NormalFunctional(alg, d / float(np.trace(d).real))
     q = sampling.equivalent_frames(rng, f0)
-    return f0, rho0, sampling.isometry_between(rng, f0, q), q
+    return f0, sampling.unit_trace(d), sampling.isometry_between(rng, f0, q), q
 
 
 @_per_trial
 def _row_degeneracy_invariance(ctx: RowCtx, rng):
-    prof = ctx.profile
-    _, rho0, u, q = _draw_bundle_point(ctx.algebra, rng, repeat_chance=0.5)
-    yield orbit_form_invariance_residual(rho0, u, q, rng, prof)
+    alg, prof = ctx.algebra, ctx.profile
+    _, d0, u, q = _draw_bundle_point(alg, rng, repeat_chance=0.5)
+    yield orbit_form_invariance_residual(NormalFunctional(alg, d0), u, q, rng, prof)
 
 
 @_per_trial
 def _row_degeneracy_fd(ctx: RowCtx, rng):
     alg, prof = ctx.algebra, ctx.profile
-    f0, rho0, u, _ = _draw_bundle_point(alg, rng)
+    f0, d0, u, _ = _draw_bundle_point(alg, rng)
+    rho0 = NormalFunctional(alg, d0)
     a = sampling.unit_norm(sampling.random_antihermitian(alg, rng))
     b = sampling.unit_norm(sampling.corner_antihermitian(alg, rng, f0.projection))
     val_fd = fd_surface_dGamma0(rho0, u, a, b, 1e-4, prof)
@@ -773,9 +786,10 @@ def _row_degeneracy_fd(ctx: RowCtx, rng):
 
 
 def _degeneracy_report(ctx: RowCtx, rng):
-    f0, rho0, u, _ = _draw_bundle_point(ctx.algebra, rng, repeat_chance=0.5)
+    alg = ctx.algebra
+    f0, d0, u, _ = _draw_bundle_point(alg, rng, repeat_chance=0.5)
     v = sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
-    return degeneracy_kernel_check(rho0, u, v, ctx.profile)
+    return degeneracy_kernel_check(NormalFunctional(alg, d0), u, v, ctx.profile)
 
 
 def _inverse_gap(report) -> float:
@@ -788,13 +802,19 @@ def _inverse_gap(report) -> float:
 # ---------------------------------------------------------------------------
 
 
-@_per_trial
-def _row_kks_identity(ctx: RowCtx, rng):
-    alg, prof = ctx.algebra, ctx.profile
-    rho0 = sampling.density_on(rng, sampling.random_frames(alg, rng, allow_zero=False))
-    a1 = sampling.random_antihermitian(alg, rng)
-    a2 = sampling.random_antihermitian(alg, rng)
-    yield kks_check(rho0, a1, a2, prof).residual
+def _draw_kks(ctx: RowCtx, rng) -> list:
+    """A unit-trace density on a random support and two anti-Hermitian
+    directions."""
+    alg = ctx.algebra
+    frames = sampling.random_frames(alg, rng, allow_zero=False)
+    d0 = sampling.unit_trace(sampling.positive_on(rng, frames))
+    return [d0, sampling.random_antihermitian(alg, rng), sampling.random_antihermitian(alg, rng)]
+
+
+def _row_kks_identity(ctx: RowCtx) -> float:
+    d0, a1, a2 = _stacked_trials(ctx, _draw_kks)
+    rho0 = NormalFunctional(ctx.algebra, d0)
+    return _worst_of_stacks([kks_check(rho0, a1, a2, ctx.profile).residual])
 
 
 def _row_kks_calibration(ctx: RowCtx) -> float:
@@ -853,35 +873,34 @@ def _draw_flow(ctx: RowCtx, rng) -> list:
     """A flow time from :data:`FLOW_TIMES`, a faithful density and one
     sample of vectors and elements (:func:`~wstargeo.standard.flow_sample`)."""
     t = FLOW_TIMES[rng.integers(len(FLOW_TIMES))]
-    phi = sampling.random_density(ctx.algebra, rng)
-    return [t, phi, *flow_sample(ctx.algebra, rng)]
+    d = sampling.random_density_matrix(ctx.algebra, rng)
+    return [t, d, *flow_sample(ctx.algebra, rng)]
 
 
 def _flow_report(ctx: RowCtx) -> dict:
     """The modular-flow invariances of each trial's density and sample, at
     the trial's own flow time, checked once on the stack."""
-    t, phi, *sample = _stacked_trials(ctx, _draw_flow)
-    return flow_residuals(phi, t, *sample, ctx.profile)
+    t, d, *sample = _stacked_trials(ctx, _draw_flow)
+    return flow_residuals(NormalFunctional(ctx.algebra, d), t, *sample, ctx.profile)
 
 
 def _draw_orbit_form(ctx: RowCtx, rng) -> list:
     alg = ctx.algebra
-    f0, rho0, u, _ = _draw_bundle_point(alg, rng)
+    f0, d0, u, _ = _draw_bundle_point(alg, rng)
     p0 = f0.projection
     du1 = sampling.p0_tangent(alg, rng, u, p0)
     du2 = sampling.p0_tangent(alg, rng, u, p0)
     c = float(rng.uniform(0.5, 2.0))
-    return [rho0, p0, u, du1, du2, c]
+    return [d0, p0, u, du1, du2, c]
 
 
 def _row_flow_orbit_form(ctx: RowCtx) -> float:
     """The orbit two-form is invariant under the flow of any faithful
     extension of the base density (the flow restricts to the bundle)."""
     alg, prof = ctx.algebra, ctx.profile
-    rho0, p0, u, du1, du2, c = _stacked_trials(ctx, _draw_orbit_form)
-    extension = NormalFunctional(
-        alg, rho0.density + c[:, None, None] * (alg.identity() - p0)
-    )
+    d0, p0, u, du1, du2, c = _stacked_trials(ctx, _draw_orbit_form)
+    rho0 = NormalFunctional(alg, d0)
+    extension = NormalFunctional(alg, rho0.density + c[:, None, None] * (alg.identity() - p0))
     base = dGamma0(rho0, u, du1, du2, prof)
     residuals = []
     for t in FLOW_TIMES:
@@ -893,15 +912,16 @@ def _row_flow_orbit_form(ctx: RowCtx) -> float:
 def _draw_density_pair(ctx: RowCtx, rng) -> list:
     """A faithful density and two elements."""
     alg = ctx.algebra
-    phi = sampling.random_density(alg, rng)
-    return [phi, sampling.random_element(alg, rng), sampling.random_element(alg, rng)]
+    d = sampling.random_density_matrix(alg, rng)
+    return [d, sampling.random_element(alg, rng), sampling.random_element(alg, rng)]
 
 
 def _row_flow_tomita(ctx: RowCtx) -> float:
     """S(x Omega) = x* Omega, S is an involution, and S factors as the
     conjugation after the square root of the modular operator."""
     prof = ctx.profile
-    phi, x, g = _stacked_trials(ctx, _draw_density_pair)
+    d, x, g = _stacked_trials(ctx, _draw_density_pair)
+    phi = NormalFunctional(ctx.algebra, d)
     omega_vec = std_unit(phi, prof)
     s_g = tomita_S(phi, g, prof)
     return _worst_of_stacks([
@@ -913,7 +933,8 @@ def _row_flow_tomita(ctx: RowCtx) -> float:
 
 def _row_flow_group_law(ctx: RowCtx) -> float:
     prof = ctx.profile
-    phi, x, y = _stacked_trials(ctx, _draw_density_pair)
+    d, x, y = _stacked_trials(ctx, _draw_density_pair)
+    phi = NormalFunctional(ctx.algebra, d)
     s, t = 0.7, -1.3
     flow = modular_flow(phi, t, prof)
     sx, sy = flow(x), flow(y)

@@ -195,6 +195,43 @@ class TestCounts:
         assert counts[0]["automorphism"]["gesdd"] > 0
         assert all(counts[0][name]["heevd"] > 0 for name in ("automorphism", "tomita"))
 
+    def test_poisson_rows_factor_per_row_not_per_trial(self, lapack_calls, monkeypatch):
+        # The five poisson-map rows and kks/identity check all their trials'
+        # data with one call per check on their stack, so neither their SVDs
+        # (the unit-norm scaling of the observables' elements) nor their
+        # Hermitian eigendecompositions (the canonical vector of each
+        # density) grow with the trials, and neither do the functionals they
+        # build: one per stack, one per central-difference stencil of a
+        # basis element.  With one call per trial, the quadratic row built
+        # E(gamma) and 2 * 13 functionals for its stencils per trial.
+        built = []
+        post_init = NormalFunctional.__post_init__
+
+        def counted(phi):
+            built.append(None)
+            post_init(phi)
+
+        monkeypatch.setattr(NormalFunctional, "__post_init__", counted)
+        rows = [
+            (subindex, row)
+            for suite in ("poisson-map", "kks")
+            for subindex, row in enumerate(suites._suite(suite))
+            if row[0] != "calibration"
+        ]
+        assert len(rows) == 6
+        counts = []
+        for trials in (10, 40):
+            per_row = {}
+            for subindex, (name, tolerance, fn) in rows:
+                lapack_calls.update(gesdd=0, heevd=0)
+                built.clear()
+                assert fn(suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL)) <= tolerance
+                per_row[name] = (lapack_calls["gesdd"], lapack_calls["heevd"], len(built))
+            counts.append(per_row)
+        assert counts[0] == counts[1]
+        assert counts[0]["quadratic"][2] == 1 + 13
+        assert counts[0]["identity"][1] > 0
+
     def test_psi_intertwining(self, lapack_calls):
         # 18 with one support of rho0 per gauge_iso_Psi and coadjoint_apply,
         # each decomposing both blocks; two functionals, one call per block
@@ -472,17 +509,18 @@ def _fd_reference(obs: Observable, phi: NormalFunctional, tol) -> np.ndarray:
 
 class _Counted:
     """A value-only observable of ``phi -> Tr(d^3 x)`` that records the
-    functionals it is evaluated at."""
+    functionals it is evaluated at (a central-difference stencil is one
+    functional of two densities per Hermitian unit)."""
 
     def __init__(self, x: np.ndarray):
         self.at: list[NormalFunctional] = []
         self.x = x
         self.observable = Observable(value=self._value)
 
-    def _value(self, phi: NormalFunctional) -> float:
+    def _value(self, phi: NormalFunctional):
         self.at.append(phi)
         d = phi.density
-        return float(np.trace(d @ d @ d @ self.x).real)
+        return np.trace(d @ d @ d @ self.x, axis1=-2, axis2=-1).real
 
 
 def _hermitian(seed: int) -> np.ndarray:
@@ -494,16 +532,18 @@ COARSE = dataclasses.replace(DEFAULT_TOL, fd_step=1e-2)
 
 class TestDifferentialKept:
     def test_poisson_map_takes_each_gradient_once(self):
-        # 52 (two passes over the 13 Hermitian units) if the two pairs, or
-        # the canonical and Lie-Poisson sides, each take the gradient at
-        # their own E(gamma).
+        # One stencil (d + h e and d - h e as one functional) per Hermitian
+        # unit: 26 (two passes over the 13 units) if the two pairs, or the
+        # canonical and Lie-Poisson sides, each take the gradient at their
+        # own E(gamma).
         g = _Counted(_hermitian(0))
         f = Observable.linear(_hermitian(1), DEFAULT_TOL)
         h = Observable.quadratic(_hermitian(2), DEFAULT_TOL)
         gamma = sampling.random_element(M23, sampling.rng_for(2027, 2))
         pairs = [(f, g.observable), (g.observable, h)]
         assert max(poisson_map_residual(pairs, M23, gamma, DEFAULT_TOL)) <= 1e-6
-        assert len(g.at) == 2 * len(M23.hermitian_units()) == 26
+        assert len(g.at) == len(M23.hermitian_units()) == 13
+        assert all(at.density.shape == (2, M23.dim, M23.dim) for at in g.at)
 
     def test_leibniz_takes_one_central_difference_pass(self):
         g = _Counted(_hermitian(3))
@@ -511,8 +551,9 @@ class TestDifferentialKept:
         h = Observable.quadratic(_hermitian(5), DEFAULT_TOL)
         phi = _functional(8)
         assert leibniz_residual(f, g.observable, h, phi, DEFAULT_TOL) <= 1e-8
-        # the rest are the two values at phi itself
-        assert sum(at is not phi for at in g.at) == 26
+        # one stencil per Hermitian unit; the rest are the two values at phi
+        # itself
+        assert sum(at is not phi for at in g.at) == 13
         assert sum(at is phi for at in g.at) == 2
 
     def test_each_profile_keeps_its_own(self):
@@ -545,7 +586,7 @@ class TestDifferentialKept:
         def value(phi):
             if fail[0]:
                 raise RuntimeError("first evaluation fails")
-            return float(phi(M23.identity()).real)
+            return phi(M23.identity()).real
 
         obs = Observable(value=value)
         phi = _functional(11)
@@ -563,6 +604,6 @@ class TestDifferentialKept:
         x = sampling.random_hermitian(algebra, rng)
         phi = sampling.random_density(algebra, rng)
         obs = Observable(
-            value=lambda p: float(np.trace(p.density @ p.density @ p.density @ x).real)
+            value=lambda p: np.trace(p.density @ p.density @ p.density @ x, axis1=-2, axis2=-1).real
         )
         assert obs.differential_at(phi, tol).tobytes() == _fd_reference(obs, phi, tol).tobytes()

@@ -16,6 +16,7 @@ from wstargeo import (
     InvalidFamily,
     InvalidTangent,
     NormalFunctional,
+    NotHermitian,
     NotUnitVector,
     Observable,
     calibrate_kappa,
@@ -50,6 +51,7 @@ from wstargeo import (
 from wstargeo import suites
 from wstargeo.charts import dGamma0
 from wstargeo.groupoids import stack_chains
+from wstargeo.linalg import expect_real, refuse
 from wstargeo.poisson import _bundle_tangent_basis
 from wstargeo.sampling import (
     corner_positive,
@@ -58,6 +60,7 @@ from wstargeo.sampling import (
     partial_isometry_onto,
     random_antihermitian,
     random_density,
+    random_density_matrix,
     random_element,
     random_hermitian,
     random_projection,
@@ -99,7 +102,7 @@ class TestLiePoisson:
     def test_finite_difference_differential(self):
         # an observable given only by values recovers the analytic gradient
         f_analytic = Observable.linear(SX, DEFAULT_TOL)
-        f_fd = Observable(value=lambda phi: float(phi(SX).real))
+        f_fd = Observable(value=lambda phi: phi(SX).real)
         rng = rng_for(40)
         phi = random_density(M2, rng)
         d_an = f_analytic.differential_at(phi, DEFAULT_TOL)
@@ -110,7 +113,9 @@ class TestLiePoisson:
         rng = rng_for(41)
         x = random_hermitian(M2, rng)
         h_an = Observable.quadratic(x, DEFAULT_TOL)
-        h_fd = Observable(value=lambda phi: float(np.trace(phi.density @ phi.density @ x).real))
+        h_fd = Observable(
+            value=lambda phi: np.trace(phi.density @ phi.density @ x, axis1=-2, axis2=-1).real
+        )
         phi = random_density(M2, rng)
         assert abs(h_an.value_at(phi) - h_fd.value_at(phi)) <= 1e-12
         assert frobenius(
@@ -122,7 +127,9 @@ class TestLiePoisson:
         # for, not the default one.
         x = unit_norm(random_hermitian(M23, rng_for(46)))
         f = Observable(
-            value=lambda phi: float(np.trace(phi.density @ phi.density @ phi.density @ x).real)
+            value=lambda phi: np.trace(
+                phi.density @ phi.density @ phi.density @ x, axis1=-2, axis2=-1
+            ).real
         )
         one = Observable(value=lambda phi: 1.0, differential=lambda phi, tol: M23.zero())
         phi = random_density(M23, rng_for(47))
@@ -359,6 +366,105 @@ class TestStackedFamilies:
             families_on(M23, stack_chains(draws))
         del draws[7]
         families_on(M23, stack_chains(draws))  # the others pass
+
+
+def _draw_observable_data(ctx, rng) -> list:
+    """One trial's data for the poisson-map and kks checks: three Hermitian
+    elements, a vector, a faithful density and two anti-Hermitian
+    directions."""
+    alg = ctx.algebra
+    return [
+        *(random_hermitian(alg, rng) for _ in range(3)),
+        random_element(alg, rng),
+        random_density_matrix(alg, rng),
+        random_antihermitian(alg, rng),
+        random_antihermitian(alg, rng),
+    ]
+
+
+def _observable_checks(algebra, x, y, z, gamma, d, a1, a2) -> dict:
+    """The checks of each poisson-map row and of kks/identity, as the rows
+    make them, on one trial's data or on a stack of it."""
+    tol = DEFAULT_TOL
+    x, y, z = (unit_norm(m) for m in (x, y, z))
+    f = Observable.linear(x, tol)
+    g_fd = Observable(value=lambda phi: expect_real(phi(y), tol))
+    h = Observable.quadratic(z, tol)
+    phi = NormalFunctional(algebra, d)
+    return {
+        "quadratic": poisson_map_residual([(f, g_fd), (f, h), (g_fd, h)], algebra, gamma, tol),
+        "jacobi": [jacobi_residual(x, y, z, phi, tol), linear_closure_residual(x, y, phi, tol)],
+        "leibniz": [
+            leibniz_residual(f, g_fd, h, phi, tol),
+            g_fd.differential_at(phi, tol),
+        ],
+        "field-morphism": [
+            field_morphism_residual(x, y, phi, tol),
+            field_duality_residual(f, h, phi, tol),
+        ],
+        "commutant": [
+            commutant_bracket_check(f, h, algebra, gamma, tol),
+            commutant_bracket_check(h, f, algebra, gamma, tol),
+        ],
+        "kks": [kks_check(phi, a1, a2, tol).residual],
+    }
+
+
+class TestStackedObservables:
+    """The poisson-map and kks checks act per matrix of a stack: each
+    trial's residuals, and its central-difference gradient, are the bits it
+    gets alone, as a stack of one and as one matrix."""
+
+    @pytest.mark.parametrize("shape", ["2,3", "1,2,2", "4,4,4,4", "12"])
+    def test_trials_are_independent(self, shape):
+        algebra = BlockAlgebra.from_string(shape)
+        draws = _family_draws(_draw_observable_data, algebra, 12, 50)
+        stacked = _observable_checks(algebra, *stack_chains(draws))
+        for k, data in enumerate(draws):
+            alone = _observable_checks(algebra, *stack_chains([data]))
+            unstacked = _observable_checks(algebra, *data)
+            for row, checks in stacked.items():
+                for s, a, u in zip(checks, alone[row], unstacked[row], strict=True):
+                    assert len(s) == 12 and len(a) == 1
+                    assert s[k].tobytes() == a[0].tobytes() == np.asarray(u).tobytes(), (row, k)
+
+    def test_failing_trial_is_named(self):
+        x, y, _, _, d, a1, a2 = stack_chains(_family_draws(_draw_observable_data, M23, 10, 51))
+        phi = NormalFunctional(M23, d)
+        a1[7] = 1j * a1[7]
+        with pytest.raises(InvalidTangent, match="a1 is not anti-Hermitian at trial 7$"):
+            kks_check(phi, a1, a2, DEFAULT_TOL)
+        x[7] = 1j * x[7]
+        with pytest.raises(NotHermitian, match="at trial 7$"):
+            Observable.linear(x, DEFAULT_TOL)
+        y[7] = 1j * y[7]
+        g_fd = Observable(value=lambda phi: expect_real(phi(y), DEFAULT_TOL))
+        with pytest.raises(NotHermitian, match="imaginary part: .* at trial 7$"):
+            g_fd.value_at(phi)
+
+    def test_stencil_refusal_names_the_unit_and_the_trial(self):
+        # The stencil of unit e holds d + h e for the ten trials, then
+        # d - h e.  This value refuses the minus side of trial 7 at a
+        # diagonal unit, matrix 17 of the stencil of the first unit.
+        h = DEFAULT_TOL.fd_step
+        d = stack_chains(_family_draws(_draw_observable_data, M23, 10, 52))[4]
+
+        def value(phi):
+            traces = np.trace(phi.density, axis1=-2, axis2=-1).real
+            below = traces < 1.0 - h / 2
+            refuse(DomainError, below & (np.arange(len(traces)) % 10 == 7), "trace below one")
+            return traces
+
+        with pytest.raises(DomainError, match="trace below one at basis element 0 of trial 7$"):
+            Observable(value=value).differential_at(NormalFunctional(M23, d), DEFAULT_TOL)
+
+        def one(phi):
+            traces = np.trace(phi.density, axis1=-2, axis2=-1).real
+            refuse(DomainError, traces < 1.0 - h / 2, "trace below one")
+            return traces
+
+        with pytest.raises(DomainError, match="trace below one at basis element 0$"):
+            Observable(value=one).differential_at(NormalFunctional(M23, d[7]), DEFAULT_TOL)
 
 
 class TestMomentIdentity:

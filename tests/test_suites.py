@@ -10,7 +10,7 @@ import types
 import numpy as np
 import pytest
 
-from wstargeo import algebra, charts, groupoids, poisson, sampling, standard, suites
+from wstargeo import algebra, charts, groupoids, linalg, poisson, sampling, standard, suites
 from wstargeo import (
     DEFAULT_TOL,
     SUITE_NAMES,
@@ -135,10 +135,27 @@ def _poison_one_call(monkeypatch, module, name, poison, at=3):
 
 class TestNonFiniteTrial:
     def test_nan_trial_fails_row(self, monkeypatch):
-        nan_report = types.SimpleNamespace(residual=float("nan"))
-        _poison_one_call(monkeypatch, suites, "kks_check", lambda _: nan_report)
+        # One call checks every trial at once: poison one trial's residual.
+        def poison(report):
+            residual = report.residual.copy()
+            residual[3] = float("nan")
+            return types.SimpleNamespace(residual=residual)
+
+        _poison_one_call(monkeypatch, suites, "kks_check", poison, at=1)
         row = run_suite("kks", M2, 10, 0)[0]
         assert row.suite == "kks/identity"
+        assert math.isnan(row.max_residual)
+        assert row.status == "FAIL"
+
+    def test_nan_trial_fails_poisson_map(self, monkeypatch):
+        def poison(residuals):
+            first = residuals[0].copy()
+            first[3] = float("nan")
+            return [first, *residuals[1:]]
+
+        _poison_one_call(monkeypatch, suites, "poisson_map_residual", poison, at=1)
+        row = run_suite("poisson-map", M2, 10, 0)[0]
+        assert row.suite == "poisson-map/quadratic"
         assert math.isnan(row.max_residual)
         assert row.status == "FAIL"
 
@@ -330,6 +347,33 @@ class TestPlantedFaults:
             lambda self, phi, tol: 2.0 * real(self, phi, tol),
         )
         assert "poisson-map/leibniz" in self._failed("poisson-map")
+
+    def test_bracket_without_its_second_term(self, monkeypatch):
+        # -i Tr(d df dg) for -i Tr(d [df, dg]), per matrix of a stack: the
+        # real part, so that the rows fail rather than refuse.
+        def lp_bracket(f, g, phi, tol=DEFAULT_TOL):
+            df, dg = f.differential_at(phi, tol), g.differential_at(phi, tol)
+            return linalg.hs_inner(phi.density, df @ dg).imag
+
+        monkeypatch.setattr(poisson, "lp_bracket", lp_bracket)
+        failed = self._failed("poisson-map")
+        assert {"poisson-map/jacobi", "poisson-map/field-morphism"} <= failed
+
+    def test_hamiltonian_field_with_its_sign_flipped(self, monkeypatch):
+        def hamiltonian_field(f, phi, tol=DEFAULT_TOL):
+            df, d = f.differential_at(phi, tol), phi.density
+            return -1j * (df @ d - d @ df)
+
+        monkeypatch.setattr(poisson, "hamiltonian_field", hamiltonian_field)
+        assert "poisson-map/field-morphism" in self._failed("poisson-map")
+
+    def test_symplectic_form_from_the_real_part(self, monkeypatch):
+        # 2 Re <x|y> for 2 Im <x|y>: the pullbacks through E and E' then
+        # fail to commute.
+        monkeypatch.setattr(
+            standard, "symplectic_omega", lambda x, y: 2.0 * linalg.hs_inner(x, y).real
+        )
+        assert "poisson-map/commutant" in self._failed("poisson-map")
 
     def test_fibre_coordinate_off_by_a_small_phase(self, monkeypatch):
         # theta_P0 reads u_p off its own overlap inverse and theta_P0_inv
