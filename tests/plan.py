@@ -1,0 +1,98 @@
+"""The row × shape plan: every suite row on seven algebras, at seed 1.
+
+``python tests/plan.py --write`` runs the whole plan (43 rows on 7 shapes,
+301 results) and writes ``tests/golden/plan.json``: per shape and row the
+status and ``repr(max_residual)``, with the plan itself and the NumPy and
+BLAS build that produced it.  ``python tests/plan.py`` runs it again and
+prints every result that differs from the file.  ``tests/test_plan.py``
+compares the small shapes in the test run.
+
+A change that moves a residual rewrites the file in the same commit, so its
+diff lists every moved value.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import platform
+import sys
+
+import numpy as np
+
+from wstargeo import SUITE_NAMES, BlockAlgebra, run_suite
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "plan.json"
+SEED = 1
+#: Shape -> trials.  ``2,3`` at 100 trials is the benchmark's round; the
+#: larger shapes run 10 trials, the small ones 10 or 30.
+PLAN = {
+    "2,3": 100,
+    "12": 10,
+    "4,4,4,4": 10,
+    "1": 10,
+    "1,1,1": 10,
+    "1,2,2": 30,
+    "2": 30,
+}
+
+
+def build() -> dict:
+    """The NumPy version and the BLAS build, as ``numpy.show_config`` reports
+    it, and the machine: residuals are compared bit for bit only on the
+    build that recorded them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")},
+        "machine": platform.machine(),
+    }
+
+
+def run_shape(shape: str, trials: int) -> dict:
+    """``{suite/row: [status, repr(max_residual)]}`` for every row on one
+    shape."""
+    algebra = BlockAlgebra.from_string(shape)
+    return {
+        r.suite: [r.status, repr(r.max_residual)]
+        for name in SUITE_NAMES
+        for r in run_suite(name, algebra, trials, SEED)
+    }
+
+
+def run_plan(shapes=PLAN) -> dict:
+    return {shape: run_shape(shape, PLAN[shape]) for shape in shapes}
+
+
+def differences(recorded: dict, fresh: dict, bits: bool) -> list[str]:
+    """Each result of ``fresh`` whose status (and, with ``bits``, whose
+    residual) differs from ``recorded``."""
+    out = []
+    for shape, rows in fresh.items():
+        for row, (status, residual) in rows.items():
+            old = recorded["results"][shape].get(row)
+            if old is None or old[0] != status or (bits and old[1] != residual):
+                out.append(f"{shape} {row}: {old} -> {[status, residual]}")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--write", action="store_true", help="write the golden file")
+    args = parser.parse_args(argv)
+    fresh = run_plan()
+    if args.write:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        golden = {"seed": SEED, "plan": PLAN, "build": build(), "results": fresh}
+        GOLDEN.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {sum(map(len, fresh.values()))} results to {GOLDEN}")
+        return 0
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    bits = recorded["build"] == build()
+    diff = differences(recorded, fresh, bits)
+    print("\n".join(diff) or f"no differences ({'bits' if bits else 'status only'})")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

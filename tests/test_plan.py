@@ -1,0 +1,35 @@
+"""The small shapes of the row × shape plan reproduce the golden file.
+
+Status must always match.  Residuals must match bit for bit when this
+NumPy and BLAS build is the one that wrote the file; on another build only
+the status is compared.  ``python tests/plan.py`` checks the whole plan.
+"""
+import json
+import warnings
+
+import pytest
+
+import plan
+
+SMALL = ("1", "1,1,1", "2", "1,2,2")
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(plan.GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_the_file_holds_the_plan(recorded):
+    assert recorded["seed"] == plan.SEED
+    assert recorded["plan"] == plan.PLAN
+    assert sum(len(rows) for rows in recorded["results"].values()) == 301
+
+
+@pytest.mark.parametrize("shape", SMALL)
+def test_small_shape_matches_the_golden_file(recorded, shape):
+    bits = recorded["build"] == plan.build()
+    fresh = plan.run_plan([shape])
+    assert set(fresh[shape]) == set(recorded["results"][shape])
+    assert plan.differences(recorded, fresh, bits) == []
+    if not bits:
+        warnings.warn("another NumPy/BLAS build: status checked, residual bits not")
