@@ -48,7 +48,6 @@ case, with the same bits.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -200,19 +199,22 @@ class BlockAlgebra:
 
     def embed_stacks(self, parts: Iterable[tuple[slice, Sequence[np.ndarray]]]) -> np.ndarray:
         """Algebra elements from block matrices, in order, as one ``(k, dim,
-        dim)`` array: each ``(slice, matrices)`` part puts its matrices into
-        that block of zero elements.  Consecutive parts of one block are
-        placed together, with one assignment."""
-        blocks = [
-            (s, [m for _, mats in run for m in mats])
-            for s, run in itertools.groupby(parts, key=lambda part: part[0])
+        dim)`` array: each ``(slice, matrices)`` part puts its matrices (a
+        list of matrices, or a ``(k, n, n)`` array) into that block of zero
+        elements.  Matrices with a leading stack axis (a list of ``(T, n,
+        n)`` stacks, or a ``(T, k, n, n)`` array) give the elements of each
+        matrix of the stack, as one ``(T, k, dim, dim)`` array."""
+        placed = [
+            (s, mats if isinstance(mats, np.ndarray) else np.stack(mats, axis=-3))
+            for s, mats in parts
+            if len(mats)
         ]
-        out = np.zeros((sum(len(m) for _, m in blocks), self.dim, self.dim), dtype=complex)
+        lead = placed[0][1].shape[:-3] if placed else ()
+        out = np.zeros(lead + (sum(m.shape[-3] for _, m in placed), self.dim, self.dim), dtype=complex)
         k = 0
-        for s, mats in blocks:
-            if mats:
-                out[k : k + len(mats), s, s] = mats
-            k += len(mats)
+        for s, mats in placed:
+            out[..., k : k + mats.shape[-3], s, s] = mats
+            k += mats.shape[-3]
         return out
 
     def hermitian_units(self) -> np.ndarray:
@@ -383,7 +385,8 @@ def block_ranks(
 @dataclass(frozen=True, eq=False)
 class Frames:
     """Orthonormal frames of a projection as one block-structured ``dim x R``
-    isometry ``matrix``, ``R = sum(ranks)``: block ``b``'s ``n_b x r_b``
+    isometry ``matrix`` (or a stack of them, all of the same ranks),
+    ``R = sum(ranks)``: block ``b``'s ``n_b x r_b``
     frame ``F_b`` fills that block's rows and the columns ``sum_{c<b} r_c``
     to ``sum_{c<=b} r_c``, and every other entry is exactly zero.  The
     projection is ``F F*``, and an arrow between two projections of equal
@@ -401,12 +404,12 @@ class Frames:
     @cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
         """Each block's ``n_b x r_b`` frame, a view of ``matrix``."""
-        return tuple(self.matrix[s, c] for s, c in zip(self.algebra.slices, self.columns))
+        return tuple(self.matrix[..., s, c] for s, c in zip(self.algebra.slices, self.columns))
 
     @cached_property
     def projection(self) -> np.ndarray:
         """The projection ``F F*``."""
-        return self.matrix @ self.matrix.conj().T
+        return self.matrix @ self.matrix.conj().mT
 
 
 def _block_frames(
@@ -422,12 +425,18 @@ def _block_frames(
 
 def frames_of(algebra: BlockAlgebra, p: np.ndarray) -> Frames:
     """Frames of a projection ``p``: per block, the eigenvectors of the
-    eigenvalues above 1/2, placed in one zero matrix."""
-    cols = [v[:, : int(np.count_nonzero(kept))] for v, kept in _block_frames(algebra, p)]
-    ranks = tuple(c.shape[1] for c in cols)
-    matrix = np.zeros((algebra.dim, sum(ranks)), dtype=complex)
+    eigenvalues above 1/2, placed in one zero matrix; of a stack of
+    projections of the same blockwise ranks, one frame per matrix."""
+    cols = []
+    for v, kept in _block_frames(algebra, p):
+        ranks = np.unique(np.count_nonzero(kept, axis=-1))
+        if len(ranks) != 1:
+            raise ValueError("the projections of a stack have different blockwise ranks")
+        cols.append(v[..., : int(ranks[0])])
+    ranks = tuple(c.shape[-1] for c in cols)
+    matrix = np.zeros(p.shape[:-2] + (algebra.dim, sum(ranks)), dtype=complex)
     for s, c, f in zip(algebra.slices, consecutive_slices(ranks), cols):
-        matrix[s, c] = f
+        matrix[..., s, c] = f
     return Frames(algebra, matrix, ranks)
 
 
@@ -531,42 +540,73 @@ class StabilizerData:
     corner per strictly positive eigenvalue cluster.  ``corners`` holds each
     cluster's block slice and eigenvector columns, read off the kept block
     spectra; the dimension is the sum of the squared multiplicities, with no
-    basis built, and the real basis is built on its first read."""
+    basis built, and the real basis is built on its first read.  A stack of
+    functionals of one :func:`cluster_pattern` holds the stabilizer of
+    each."""
 
     algebra: BlockAlgebra
     corners: tuple[tuple[slice, np.ndarray], ...]
 
     @property
     def dimension(self) -> int:
-        return sum(cols.shape[1] ** 2 for _, cols in self.corners)
+        return sum(cols.shape[-1] ** 2 for _, cols in self.corners)
 
     @cached_property
-    def basis(self) -> tuple[np.ndarray, ...]:
+    def basis(self) -> np.ndarray:
+        """The real basis as a ``(k, dim, dim)`` array; of each functional of
+        a stack, a ``(T, k, dim, dim)`` array."""
         parts = ((s, antihermitian_units(cols)) for s, cols in self.corners)
-        return tuple(self.algebra.embed_stacks(parts))
+        return self.algebra.embed_stacks(parts)
 
 
 def matrix_units(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The rank-one matrices ``a b*`` for the columns ``a`` of ``left`` and
-    ``b`` of ``right``, ``a`` in the outer loop, as one stack."""
-    units = left.T[:, None, :, None] * right.conj().T[None, :, None, :]
-    return units.reshape(-1, len(left), len(right))
+    ``b`` of ``right``, ``a`` in the outer loop, as one stack; for stacks of
+    ``left`` and ``right``, one such stack per pair."""
+    units = left.mT[..., :, None, :, None] * right.conj().mT[..., None, :, None, :]
+    return units.reshape(*units.shape[:-4], -1, left.shape[-2], right.shape[-2])
 
 
 def antihermitian_units(cols: np.ndarray) -> list[np.ndarray]:
     """Orthonormal real basis (under ``Re Tr(x* y)``) of the anti-Hermitian
     matrices on the span of the orthonormal columns ``c_a`` of ``cols``:
     ``i c_a c_a*``, then ``(m - m*)/sqrt 2`` and ``i (m + m*)/sqrt 2`` for
-    ``m = c_a c_b*``, ``b > a``."""
+    ``m = c_a c_b*``, ``b > a``.  For a stack of ``cols``, each unit is a
+    stack too."""
     units = []
-    for a in range(cols.shape[1]):
-        ca = cols[:, a, None]
-        units.append(1j * (ca * ca.conj().T))
-        for b in range(a + 1, cols.shape[1]):
-            m = ca * cols[:, b].conj()
-            units.append((m - m.conj().T) / np.sqrt(2.0))
-            units.append(1j * (m + m.conj().T) / np.sqrt(2.0))
+    for a in range(cols.shape[-1]):
+        ca = cols[..., :, a, None]
+        units.append(1j * (ca * ca.conj().mT))
+        for b in range(a + 1, cols.shape[-1]):
+            m = ca * cols[..., None, :, b].conj()
+            units.append((m - m.conj().mT) / np.sqrt(2.0))
+            units.append(1j * (m + m.conj().mT) / np.sqrt(2.0))
     return units
+
+
+def cluster_pattern(phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL):
+    """The eigenvalue-cluster pattern of the density of a positive
+    functional, read off :func:`density_spectrum`: per block its rank, then
+    for each of its gaps whether a retained cluster splits there
+    (:func:`~wstargeo.linalg.eigen_clusters`, at that block's scale), as
+    one tuple of ints.  Of a stack of functionals, one row per functional,
+    as an array: the key by which a stack's functionals are grouped
+    (:func:`~wstargeo.linalg._truncated`), since the pattern fixes the
+    length of every basis below.  Kept on ``phi`` per profile.  Raises
+    ``NotPartiallyInvertible`` for a retained value near the cutoff (as a
+    negative power does) and ``AmbiguousCluster`` for a gap in the
+    clustering guard band."""
+
+    def compute():
+        spectrum = density_spectrum(phi, tol)
+        spectrum.require_separated()
+        parts = []
+        for (_, w, _), r in zip(spectrum.blocks, spectrum.ranks):
+            parts += [np.asarray(r)[..., None], eigen_clusters(w, r, tol.rank_rel_tol)]
+        return _readonly(np.concatenate(parts, axis=-1).astype(int))
+
+    pattern = phi._memoized("pattern", tol, compute)
+    return pattern if pattern.ndim == 2 else tuple(pattern.tolist())
 
 
 def _spectral_clusters(
@@ -577,24 +617,45 @@ def _spectral_clusters(
     cluster's eigenvectors as read-only columns, and whether its eigenvalue
     lies above the rank cutoff.  Each block's retained values are clustered
     at that block's scale; its kernel is one cluster, as the centralizer of
-    the density holds the whole kernel corner.  Kept on ``phi`` per profile.
-    Raises :class:`NotPositive` for a functional that is not positive,
-    ``NotPartiallyInvertible`` for a retained value near the cutoff (as a
-    negative power does) and ``AmbiguousCluster`` for a gap in the
-    clustering guard band."""
+    the density holds the whole kernel corner.  A stack of functionals of
+    one :func:`cluster_pattern` gives each cluster's columns as a stack; a
+    stack of several patterns raises ``ValueError``.  Kept on ``phi`` per
+    profile, with the refusals of :func:`cluster_pattern`."""
 
     def compute():
-        spectrum = density_spectrum(phi, tol)
-        spectrum.require_separated()
-        out = []
-        for (s, w, v), r in zip(spectrum.blocks, spectrum.ranks):
-            for cluster in eigen_clusters(w[:r], tol.rank_rel_tol):
-                out.append((s, v[:, cluster[0] : cluster[-1] + 1], True))
-            if r < len(w):
-                out.append((s, v[:, r:], False))
+        pattern = np.asarray(cluster_pattern(phi, tol)).reshape(-1, phi.algebra.dim)
+        if (pattern != pattern[0]).any():
+            raise ValueError("the functionals of a stack have different cluster patterns")
+        row, out = iter(pattern[0].tolist()), []
+        for s, w, v in density_spectrum(phi, tol).blocks:
+            r, splits = next(row), [next(row) for _ in range(w.shape[-1] - 1)]
+            starts = [0, *(i + 1 for i, split in enumerate(splits) if split), r] if r else []
+            for lo, hi in zip(starts, starts[1:]):
+                out.append((s, v[..., lo:hi], True))
+            if r < w.shape[-1]:
+                out.append((s, v[..., r:], False))
         return tuple(out)
 
     return phi._memoized("clusters", tol, compute)
+
+
+def stabilizer_dimension(phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL):
+    """Real dimension of the stabilizer Lie algebra of a positive functional,
+    which is the complex dimension of its centralizer: the sum of the
+    squared multiplicities of the positive eigenvalue clusters, read off
+    :func:`cluster_pattern` with no basis built.  Of a stack of functionals,
+    one per functional, as an array."""
+    pattern = np.asarray(cluster_pattern(phi, tol))
+    total, start = 0, 0
+    for n in phi.algebra.blocks:
+        r, splits = pattern[..., start], pattern[..., start + 1 : start + n]
+        start += n
+        # The cluster of each value, and which values are retained.
+        label = np.cumsum(np.concatenate([np.zeros_like(r)[..., None], splits], axis=-1), axis=-1)
+        kept = np.arange(n) < r[..., None]
+        same = (label[..., :, None] == label[..., None, :]) & kept[..., :, None] & kept[..., None, :]
+        total = total + np.count_nonzero(same, axis=(-2, -1))
+    return total
 
 
 def centralizer_basis(
@@ -605,7 +666,9 @@ def centralizer_basis(
 
     In each eigenvalue cluster of multiplicity m the commutant contributes a
     full m x m corner, so the complex dimension is the sum of the squared
-    multiplicities of the strictly positive clusters.
+    multiplicities of the strictly positive clusters.  A stack of
+    functionals of one :func:`cluster_pattern` gives a ``(T, k, dim, dim)``
+    basis, one per functional.
     """
     parts = ((s, matrix_units(c, c)) for s, c, positive in _spectral_clusters(phi, tol) if positive)
     return phi.algebra.embed_stacks(parts)
@@ -625,7 +688,7 @@ def pinching_projections(
 ) -> np.ndarray:
     """Spectral projections of the density, one per eigenvalue cluster per
     block (kernel clusters included); they sum to the identity."""
-    parts = ((s, [cols @ cols.conj().T]) for s, cols, _ in _spectral_clusters(phi, tol))
+    parts = ((s, [cols @ cols.conj().mT]) for s, cols, _ in _spectral_clusters(phi, tol))
     return phi.algebra.embed_stacks(parts)
 
 
@@ -633,10 +696,12 @@ def conditional_expectation(
     phi: NormalFunctional, x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> np.ndarray:
     """State-preserving conditional expectation onto the centralizer of the
-    density: the pinching sum q x q over its spectral projections."""
+    density: the pinching sum q x q over its spectral projections.  For a
+    stack of functionals of one :func:`cluster_pattern`, per pair with a
+    stack of elements."""
     x = phi.algebra.require_member(x, tol)
     q = pinching_projections(phi, tol)
-    return (q @ x @ q).sum(axis=0)
+    return (q @ x[..., None, :, :] @ q).sum(axis=-3)
 
 
 def modular_flow(

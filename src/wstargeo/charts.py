@@ -20,8 +20,7 @@ Every map acts per matrix of a ``(T, dim, dim)`` stack, and gives each matrix
 the bits it gets alone; one matrix is the unstacked case of the same code.  A
 domain check that fails on a stack (:func:`sigma_p`, :func:`transition_L`,
 :func:`theta_P0`) names the first failing matrix as its trial
-(:func:`~wstargeo.linalg.refuse`).  Only :func:`fd_surface_dGamma0` takes one
-matrix.
+(:func:`~wstargeo.linalg.refuse`).
 
 The bundle of partial isometries with fixed source carries the canonical
 connection ``u -> u* du``; its curvature and the orbit one-form
@@ -323,15 +322,14 @@ def fd_surface_dGamma0(
 
     evaluated at the origin; converges to dGamma0(a u, u b) at second order
     in ``step``.  ``a`` must be anti-Hermitian and ``b`` an anti-Hermitian
-    corner element of the source projection."""
+    corner element of the source projection.  On stacks, per matrix."""
     p0 = functional_support(rho0, tol)
-    if excess(a, -a.conj().mT, tol, frobenius(a)):
-        raise InvalidTangent("the left generator is not anti-Hermitian")
+    refuse(InvalidTangent, excess(a, -a.conj().mT, tol, frobenius(a)),
+           "the left generator is not anti-Hermitian")
     scale = frobenius(b)
-    if excess(p0 @ b @ p0, b, tol, scale) or excess(b, -b.conj().mT, tol, scale):
-        raise InvalidTangent(
-            "the right generator is not an anti-Hermitian corner element"
-        )
+    refuse(InvalidTangent,
+           np.logical_or(excess(p0 @ b @ p0, b, tol, scale), excess(b, -b.conj().mT, tol, scale)),
+           "the right generator is not an anti-Hermitian corner element")
 
     def g_t(s: float) -> float:
         us = exp_antihermitian(s * a) @ u

@@ -36,7 +36,7 @@ This is the only module that factorizes a matrix.  It calls the LAPACK
 drivers through the gufuncs that ``numpy.linalg`` itself dispatches to
 (``numpy.linalg._umath_linalg``), without NumPy's per-call wrapper:
 ``svd_f``/``svd`` (``?gesdd``) for singular values and vectors (:func:`svd`,
-:func:`singular_values`, :func:`null_space_rows`), ``eigh_lo``/
+:func:`singular_values`, :func:`right_singular`), ``eigh_lo``/
 ``eigvalsh_lo`` (``?heevd`` on the lower triangle) for Hermitian spectra
 (:func:`hermitian_eig`, :func:`hermitian_eigvals`, and the unitary
 :func:`exp_antihermitian` of an anti-Hermitian matrix), and ``qr_r_raw``
@@ -335,23 +335,23 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return _gesdd(_real_or_complex(a), 0)[1]
 
 
-def null_space_rows(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal rows ``r`` spanning the numerical kernel of ``a``, in the
-    sense ``a @ r.conj() = 0``; real input gives real rows.
-
-    Singular values at or below ``rank_rel_tol * max(sigma_max, 1)`` count as
-    zero (:func:`floored_rank`).
-    """
+def right_singular(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[np.ndarray, object]:
+    """The right singular vectors ``vh`` of a matrix of any shape, or of each
+    matrix of a stack, and its floored rank (:func:`floored_rank`): the
+    orthonormal rows ``vh[rank:]`` span the numerical kernel of ``a``, in the
+    sense ``a @ r.conj() = 0``.  Real input gives real rows."""
     _, s, vh = _gesdd(_real_or_complex(a), 1)
-    return vh[floored_rank(s, tol):]
+    return vh, floored_rank(s, tol)
 
 
-def floored_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> int:
+def floored_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
     """Number of the descending singular values ``s`` above ``rank_rel_tol *
     max(s[0], 1)``: the relative rank rule with an absolute floor for
-    matrices of small norm."""
-    scale = max(s[0], 1.0) if s.size else 1.0
-    return int(np.sum(s > tol.rank_rel_tol * scale))
+    matrices of small norm.  For a stack of them (one row per matrix), an
+    array with the number of each row."""
+    scale = np.max(s[..., :1], axis=-1, initial=1.0)
+    rank = np.count_nonzero(s > tol.rank_rel_tol * np.asarray(scale)[..., None], axis=-1)
+    return rank if rank.ndim else int(rank)
 
 
 def phase_fixed_q(g: np.ndarray) -> np.ndarray:
@@ -395,20 +395,25 @@ def retained_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: boo
     return rank
 
 
-def _truncated(rank, product: Callable, *factors: np.ndarray) -> np.ndarray:
-    """``product(*factors, r)``, a product of factors the caller truncates to
-    the rank ``r``: for one matrix at its rank; for a stack once per rank
-    that occurs, over the matrices of that rank, so each matrix gets the bits
-    it gets alone (BLAS does not promise those bits for a product padded
-    with zeros to full rank)."""
-    if not isinstance(rank, np.ndarray):
-        return product(*factors, rank)
+def _truncated(key, product: Callable, *factors: np.ndarray) -> np.ndarray:
+    """``product(*factors, k)``, a product whose shape the caller reads off
+    the key ``k`` (for instance factors truncated to the rank ``k``): for one
+    matrix at its key; for a stack once per key that occurs, over the
+    matrices of that key, so each matrix gets the bits it gets alone (BLAS
+    does not promise those bits for a product padded with zeros to full
+    rank).  The key of a stack has one entry per matrix, an int, or one row
+    of ints, passed to ``product`` as a tuple (such as a pattern of ranks
+    and eigenvalue clusters, which fixes the length of a basis)."""
+    if not isinstance(key, np.ndarray):
+        return product(*factors, key)
+    keys, index = np.unique(key, axis=0, return_inverse=True)
+    index = index.reshape(-1)
     out = None
-    for r in np.unique(rank):
-        take = rank == r
-        part = product(*(f[take] for f in factors), int(r))
+    for i, k in enumerate(keys):
+        take = index == i
+        part = product(*(f[take] for f in factors), int(k) if k.ndim == 0 else tuple(k.tolist()))
         if out is None:
-            out = np.empty(rank.shape + part.shape[1:], dtype=part.dtype)
+            out = np.empty((len(key),) + part.shape[1:], dtype=part.dtype)
         out[take] = part
     return out
 
@@ -623,32 +628,29 @@ def projection_rank(p: np.ndarray):
     return rank if rank.ndim else int(rank)
 
 
-def eigen_clusters(w: np.ndarray, rel_gap: float) -> list[list[int]]:
-    """Group indices of a descending eigenvalue sequence into clusters.
+def eigen_clusters(w: np.ndarray, rank, rel_gap: float) -> np.ndarray:
+    """Where the clusters of the first ``rank`` values of a descending
+    eigenvalue sequence split: a mask over its gaps, true at gap ``i``
+    (between values ``i`` and ``i + 1``) when the gap exceeds ``threshold =
+    rel_gap * w[0]``; for a stack of sequences (one row per matrix) with a
+    rank per row, one mask per row.  The first ``rank`` values are the
+    retained ones, positive, so ``w[0]`` is the largest in modulus.
 
-    A new cluster starts wherever the gap between consecutive eigenvalues
-    exceeds ``threshold = rel_gap * max(|w|)``.  A zero sequence forms one
-    cluster.  A gap within a factor ``GUARD_FACTOR`` of the threshold, on
-    either side, is refused (:class:`AmbiguousCluster`): whether it splits
-    a cluster would depend on noise.
+    A gap within a factor ``GUARD_FACTOR`` of the threshold, on either side,
+    is refused (:class:`AmbiguousCluster`): whether it splits a cluster
+    would depend on noise.  On a stack the refusal names the first matrix
+    with such a gap (:func:`refuse`).
     """
     w = np.asarray(w, dtype=float)
-    if w.size == 0:
-        return []
-    scale = float(np.max(np.abs(w)))
-    if scale == 0.0:
-        return [list(range(w.size))]
-    threshold = rel_gap * scale
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, w.size):
-        gap = w[i - 1] - w[i]
-        if threshold / GUARD_FACTOR <= gap <= GUARD_FACTOR * threshold:
-            raise AmbiguousCluster(
-                f"eigenvalue gap {gap:.3e} is within a factor {GUARD_FACTOR:g} "
-                f"of the clustering threshold {threshold:.3e}"
-            )
-        if gap > threshold:
-            clusters.append([i])
-        else:
-            clusters[-1].append(i)
-    return clusters
+    gap = w[..., :-1] - w[..., 1:]
+    threshold = rel_gap * w[..., :1]
+    inside = np.arange(1, w.shape[-1]) < np.asarray(rank)[..., None]
+    ambiguous = inside & (threshold / GUARD_FACTOR <= gap) & (gap <= GUARD_FACTOR * threshold)
+    refuse(
+        AmbiguousCluster, ambiguous.any(axis=-1),
+        f"eigenvalue gap {{:.3e}} is within a factor {GUARD_FACTOR:g} "
+        "of the clustering threshold {:.3e}",
+        np.max(np.where(ambiguous, gap, -np.inf), axis=-1, initial=-np.inf),
+        np.max(threshold, axis=-1, initial=0.0),
+    )
+    return inside & (gap > threshold)

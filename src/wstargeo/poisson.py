@@ -30,7 +30,7 @@ a trial or of a stack at once, and the residuals give one value per trial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ from .algebra import (
     Frames,
     NormalFunctional,
     antihermitian_units,
+    cluster_pattern,
     frames_of,
     functional_support,
     matrix_units,
@@ -61,7 +62,7 @@ from .linalg import (
     DEFAULT_TOL,
     STACK_NAME,
     ToleranceProfile,
-    _worst,
+    _truncated,
     check_hermitian,
     excess,
     exp_antihermitian,
@@ -696,27 +697,36 @@ def kks_check(
 @dataclass(frozen=True)
 class FubiniStudyReport:
     """Symplectic form on source-side lifts of projective tangents against
-    the Fubini–Study value kappa r 2 Im <X|Y> at radius r."""
+    the Fubini–Study value kappa r 2 Im <X|Y> at radius r; each field holds
+    one value, or one per row of a stack."""
 
-    omega: float
-    fs_value: float
-    radius: float
+    omega: float | np.ndarray
+    fs_value: float | np.ndarray
+    radius: float | np.ndarray
 
     @property
-    def residual(self) -> float:
+    def residual(self):
         return abs(self.omega - self.fs_value)
 
 
 def _unit_vector(v: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= tol.residual_tol * 10:  # also refuses NaN
-        raise NotUnitVector(f"vector norm {norm:.6f} differs from 1")
+    """``v`` as a complex vector, or each row of a ``(T, n)`` stack, refused
+    (:class:`NotUnitVector`) unless of unit norm (NaN included)."""
+    v = np.asarray(v, dtype=complex)
+    norm = np.linalg.norm(v, axis=-1)
+    refuse(NotUnitVector, ~(np.abs(norm - 1.0) <= tol.residual_tol * 10),
+           "vector norm {:.6f} differs from 1", norm)
     return v
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``|a><b|`` of two vectors, as ``np.outer(a, b.conj())`` forms it; of
+    each pair of rows of two ``(T, n)`` stacks."""
+    return a[..., :, None] * b.conj()[..., None, :]
+
+
 def fubini_study_compare(
-    r: float,
+    r,
     delta: np.ndarray,
     X: np.ndarray,
     Y: np.ndarray,
@@ -725,29 +735,30 @@ def fubini_study_compare(
     """Rank-one orbit through rho0 = r |delta><delta|: the symplectic form on
     the lifts gamma0 a_X, gamma0 a_Y (a_X = |X><delta| - |delta><X|, tangents
     X, Y orthogonal to delta) equals the scaled Fubini–Study form
-    kappa r 2 Im <X|Y>."""
-    if r <= 0:
-        raise DegenerateBase("the orbit radius must be positive")
+    kappa r 2 Im <X|Y>.  On ``(T, n)`` stacks of vectors with ``T`` radii,
+    per row."""
+    r = np.asarray(r, dtype=float)
+    refuse(DegenerateBase, r <= 0, "the orbit radius must be positive")
     delta = _unit_vector(delta, tol)
-    X = np.asarray(X, dtype=complex).reshape(-1)
-    Y = np.asarray(Y, dtype=complex).reshape(-1)
-    X = X - delta * np.vdot(delta, X)
-    Y = Y - delta * np.vdot(delta, Y)
-    gamma0 = np.sqrt(r) * np.outer(delta, delta.conj())
+    X = np.asarray(X, dtype=complex)
+    Y = np.asarray(Y, dtype=complex)
+    X = X - delta * np.vecdot(delta, X)[..., None]
+    Y = Y - delta * np.vecdot(delta, Y)[..., None]
+    gamma0 = np.sqrt(r)[..., None, None] * _outer(delta, delta)
 
     def generator(t: np.ndarray) -> np.ndarray:
-        return np.outer(t, delta.conj()) - np.outer(delta, t.conj())
+        return _outer(t, delta) - _outer(delta, t)
 
     lift_x = gamma0 @ generator(X)
     lift_y = gamma0 @ generator(Y)
     omega = standard.symplectic_omega(lift_x, lift_y)
     kappa = calibrate_kappa()
-    fs_value = kappa * float(r) * 2.0 * float(np.vdot(X, Y).imag)
-    return FubiniStudyReport(omega=omega, fs_value=fs_value, radius=float(r))
+    fs_value = kappa * r * 2.0 * np.vecdot(X, Y).imag
+    return FubiniStudyReport(omega=omega, fs_value=fs_value, radius=r)
 
 
 def pair_groupoid_fs_residual(
-    r: float,
+    r,
     delta: np.ndarray,
     psi: np.ndarray,
     phi_vec: np.ndarray,
@@ -756,7 +767,7 @@ def pair_groupoid_fs_residual(
     Y: np.ndarray,
     Y_prime: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
+):
     """Rank-one pair-groupoid identity: for arrows Lambda(u, v) = u gamma0 v*
     over the base |delta>, with leg tangents |X><delta| at u = |psi><delta|
     (X orthogonal to psi) and |Y><delta| at v = |phi><delta| (Y orthogonal to
@@ -764,30 +775,31 @@ def pair_groupoid_fs_residual(
     terms:
 
         omega(dLambda, dLambda') = 2 r Im <X|X'> - 2 r Im <Y|Y'>.
+
+    On ``(T, n)`` stacks of vectors with ``T`` radii, one residual per row.
     """
+    r = np.asarray(r, dtype=float)
     delta = _unit_vector(delta, tol)
     psi = _unit_vector(psi, tol)
     phi_vec = _unit_vector(phi_vec, tol)
-    gamma0 = np.sqrt(float(r)) * np.outer(delta, delta.conj())
+    gamma0 = np.sqrt(r)[..., None, None] * _outer(delta, delta)
 
     def orth(t: np.ndarray, against: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=complex).reshape(-1)
-        return t - against * np.vdot(against, t)
+        t = np.asarray(t, dtype=complex)
+        return t - against * np.vecdot(against, t)[..., None]
 
     X, X_prime = orth(X, psi), orth(X_prime, psi)
     Y, Y_prime = orth(Y, phi_vec), orth(Y_prime, phi_vec)
-    u = np.outer(psi, delta.conj())
-    v = np.outer(phi_vec, delta.conj())
-    du, du_p = np.outer(X, delta.conj()), np.outer(X_prime, delta.conj())
-    dv, dv_p = np.outer(Y, delta.conj()), np.outer(Y_prime, delta.conj())
+    u = _outer(psi, delta)
+    v = _outer(phi_vec, delta)
+    du, du_p = _outer(X, delta), _outer(X_prime, delta)
+    dv, dv_p = _outer(Y, delta), _outer(Y_prime, delta)
 
     def dLambda(duu: np.ndarray, dvv: np.ndarray) -> np.ndarray:
-        return duu @ gamma0 @ v.conj().T + u @ gamma0 @ dvv.conj().T
+        return duu @ gamma0 @ v.conj().mT + u @ gamma0 @ dvv.conj().mT
 
     lhs = standard.symplectic_omega(dLambda(du, dv), dLambda(du_p, dv_p))
-    rhs = 2.0 * float(r) * float(np.vdot(X, X_prime).imag) - 2.0 * float(r) * float(
-        np.vdot(Y, Y_prime).imag
-    )
+    rhs = 2.0 * r * np.vecdot(X, X_prime).imag - 2.0 * r * np.vecdot(Y, Y_prime).imag
     return abs(lhs - rhs)
 
 
@@ -813,7 +825,7 @@ def feynman_amplitude(
     the one-dimensional shadow of the groupoid product."""
     if len(vectors) < 2:
         raise DomainError("an amplitude needs a path of at least two vectors")
-    units = [_unit_vector(v, tol) for v in vectors]
+    units = [_unit_vector(np.ravel(v), tol) for v in vectors]
     amp = complex(1.0)
     for a, b in zip(units, units[1:]):
         amp *= complex(np.vdot(a, b))
@@ -829,16 +841,17 @@ class DegeneracyReport:
     """Kernel analysis of the arrow two-form dGamma0_u - dGamma0_v on a pair
     of isometry-bundle tangent spaces: the radical is spanned by the
     stabilizer directions of the base density on each leg, and the form is
-    uniformly nondegenerate transverse to it."""
+    uniformly nondegenerate transverse to it.  Of a stack of bases, each
+    field holds one value per base."""
 
-    radical_pairing: float
-    kernel_dimension: int
-    expected_kernel_dimension: int
-    complement_min_singular: float
-    tangent_dimension: int
+    radical_pairing: float | np.ndarray
+    kernel_dimension: int | np.ndarray
+    expected_kernel_dimension: int | np.ndarray
+    complement_min_singular: float | np.ndarray
+    tangent_dimension: int | np.ndarray
 
     @property
-    def dimension_residual(self) -> int:
+    def dimension_residual(self):
         return abs(self.kernel_dimension - self.expected_kernel_dimension)
 
 
@@ -850,22 +863,25 @@ def _bundle_tangent_basis(
     """Real basis of the tangent space at u to the isometries with source
     p0, block by block: vertical directions u x (x anti-Hermitian in the p0
     corner) and horizontal directions (1 - u u*) z p0 with z running through
-    a complex block basis, each complex unit followed by i times it."""
-    q = u @ u.conj().T
+    a complex block basis, each complex unit followed by i times it.  Of a
+    stack of isometries with sources of the same blockwise ranks, one basis
+    per isometry."""
+    q = u @ u.conj().mT
     parts, vertical = [], []
     for s, fp in zip(algebra.slices, frames_of(algebra, p0).blocks):
-        r = fp.shape[1]
+        r = fp.shape[-1]
         if r == 0:
             continue
-        _, vq = hermitian_eig(q[s, s])
+        _, vq = hermitian_eig(q[..., s, s])
         corner = antihermitian_units(fp)
         # (1 - q) . p0: the complement of the range of q times the range of p0
-        m = matrix_units(vq[:, r:], fp)
-        transverse = np.stack([m, 1j * m], axis=1).reshape(-1, *m.shape[1:])
+        m = matrix_units(vq[..., :, r:], fp)
+        transverse = np.stack([m, 1j * m], axis=-3).reshape(*m.shape[:-3], -1, *m.shape[-2:])
         parts += [(s, corner), (s, transverse)]
-        vertical += [True] * len(corner) + [False] * len(transverse)
+        vertical += [True] * len(corner) + [False] * transverse.shape[-3]
     basis = algebra.embed_stacks(parts)
-    basis[vertical] = u @ basis[vertical]
+    vertical = np.array(vertical)
+    basis[..., vertical, :, :] = u[..., None, :, :] @ basis[..., vertical, :, :]
     return basis
 
 
@@ -879,107 +895,133 @@ def degeneracy_kernel_check(
     bundle tangent spaces at u and v (both with source supp(rho0)): its
     radical consists of the stabilizer directions of rho0 pushed to each leg,
     so the kernel dimension is twice the stabilizer dimension, and away from
-    the radical the form has singular values bounded below."""
+    the radical the form has singular values bounded below.
+
+    On stacks (a functional of stacked densities and stacked legs) the
+    bases, the form and its singular values are taken once per
+    :func:`~wstargeo.algebra.cluster_pattern`, which fixes the lengths of
+    the bases."""
     algebra = rho0.algebra
     p0 = functional_support(rho0, tol)
-    if projection_rank(p0) == 0:
-        raise DegenerateBase("the base functional vanishes")
+    refuse(DegenerateBase, projection_rank(p0) == 0, "the base functional vanishes")
     for w, name in ((u, "u"), (v, "v")):
-        if excess(w.conj().T @ w, p0, tol, frobenius(p0)):
-            raise InvalidTangent(f"{name}* {name} is not the support of the base")
+        refuse(InvalidTangent, excess(w.conj().mT @ w, p0, tol, frobenius(p0)),
+               f"{name}* {name} is not the support of the base")
 
-    stab = stabilizer_lie_algebra(rho0, tol)
-    radical_dirs = np.reshape(stab.basis, (-1, algebra.dim, algebra.dim))
-    d0 = rho0.density
+    def analyse(d0, u, v, p0, pattern) -> np.ndarray:
+        stab = stabilizer_lie_algebra(NormalFunctional(algebra, d0), tol)
+        radical_dirs = stab.basis
 
-    def leg_pairings(w: np.ndarray) -> tuple[np.ndarray, float]:
-        """dGamma0 on all pairs of the leg's tangent basis, and the worst
-        pairing of a stabilizer direction w s against that basis."""
-        basis = _bundle_tangent_basis(algebra, w, p0)
-        m = len(basis)
-        stacked = np.concatenate([basis, w @ radical_dirs])
-        # T[i, j] = Tr(d0 e_i* e_j), so dGamma0(e_i, e_j) = i (T - T^T)[i, j].
-        flat = stacked.reshape(len(stacked), -1)
-        t = flat.conj() @ (stacked @ d0).reshape(len(stacked), -1).T
-        form = expect_real_array(
-            1j * (t - t.T), tol, "exterior derivative of the orbit one-form"
-        )
-        radical = float(np.max(np.abs(form[m:, :m]), initial=0.0))
-        return form[:m, :m], radical
+        def leg_pairings(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """dGamma0 on all pairs of the leg's tangent basis, and the worst
+            pairing of a stabilizer direction w s against that basis."""
+            basis = _bundle_tangent_basis(algebra, w, p0)
+            m = basis.shape[-3]
+            stacked = np.concatenate([basis, w[..., None, :, :] @ radical_dirs], axis=-3)
+            # T[i, j] = Tr(d0 e_i* e_j), so dGamma0(e_i, e_j) = i (T - T^T)[i, j].
+            flat = stacked.reshape(*stacked.shape[:-2], -1)
+            t = flat.conj() @ (stacked @ d0[..., None, :, :]).reshape(flat.shape).mT
+            form = expect_real_array(
+                1j * (t - t.mT), tol, "exterior derivative of the orbit one-form"
+            )
+            radical = np.max(np.abs(form[..., m:, :m]), axis=(-2, -1), initial=0.0)
+            return form[..., :m, :m], radical
 
-    form_u, radical_u = leg_pairings(u)
-    form_v, radical_v = leg_pairings(v)
-    m = len(form_u)
-    total = m + len(form_v)
-    pairing = np.zeros((total, total))
-    pairing[:m, :m] = form_u
-    pairing[m:, m:] = -form_v
-    radical_worst = _worst(radical_u, radical_v)
+        form_u, radical_u = leg_pairings(u)
+        form_v, radical_v = leg_pairings(v)
+        m = form_u.shape[-1]
+        total = m + form_v.shape[-1]
+        pairing = np.zeros(form_u.shape[:-2] + (total, total))
+        pairing[..., :m, :m] = form_u
+        pairing[..., m:, m:] = -form_v
 
-    sing = singular_values(pairing)
-    kernel_dim = total - floored_rank(sing, tol)
-    expected = 2 * stab.dimension
-    nonzero = sing[: total - expected] if expected <= total else sing[:0]
-    min_sing = float(nonzero[-1]) if nonzero.size else float("inf")
+        sing = singular_values(pairing)
+        expected = 2 * stab.dimension
+        # The smallest singular value off the radical.
+        min_sing = sing[..., total - expected - 1] if expected < total else np.inf
+        report = (np.maximum(radical_u, radical_v), total - floored_rank(sing, tol),
+                  expected, min_sing, total)
+        return np.stack(np.broadcast_arrays(*report), axis=-1).astype(float)
+
+    report = _truncated(cluster_pattern(rho0, tol), analyse, rho0.density, u, v, p0)
     return DegeneracyReport(
-        radical_pairing=radical_worst,
-        kernel_dimension=kernel_dim,
-        expected_kernel_dimension=expected,
-        complement_min_singular=min_sing,
-        tangent_dimension=total,
+        radical_pairing=report[..., 0],
+        kernel_dimension=report[..., 1].astype(int),
+        expected_kernel_dimension=report[..., 2].astype(int),
+        complement_min_singular=report[..., 3],
+        tangent_dimension=report[..., 4].astype(int),
     )
+
+
+def orbit_form_sample(
+    algebra: BlockAlgebra,
+    rng: np.random.Generator,
+    u: np.ndarray,
+    p0: np.ndarray,
+    q: Frames,
+) -> list:
+    """One sample for :func:`orbit_form_invariance_residual` at u, an
+    isometry with source p0 whose target ``u u*`` has the frames ``q``,
+    drawn from ``rng``: two bundle tangents, two anti-Hermitian corner
+    directions of p0, a unitary and an arrow out of ``q``.  The stabilizer
+    coefficients are drawn after it, as many as the stabilizer's dimension
+    (:func:`~wstargeo.algebra.stabilizer_dimension`)."""
+    du = sampling.p0_tangent(algebra, rng, u, p0)
+    du2 = sampling.p0_tangent(algebra, rng, u, p0)
+    x1 = sampling.corner_antihermitian(algebra, rng, p0)
+    x2 = sampling.corner_antihermitian(algebra, rng, p0)
+    w = sampling.random_unitary(algebra, rng)
+    wg = sampling.isometry_between(rng, q, sampling.equivalent_frames(rng, q))
+    return [du, du2, x1, x2, w, wg]
 
 
 def orbit_form_invariance_residual(
     rho0: NormalFunctional,
     u: np.ndarray,
-    q: Frames,
-    rng: np.random.Generator,
+    du: np.ndarray,
+    du2: np.ndarray,
+    x1: np.ndarray,
+    x2: np.ndarray,
+    w: np.ndarray,
+    wg: np.ndarray,
+    coeff: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> float:
+):
     """Worst residual of the structural invariances of the orbit one- and
-    two-forms at u, whose target projection ``u u*`` has the frames ``q``:
-    invariance of Gamma0 under global unitary left translation, invariance
-    of the two-form on vertical pairs under left translation by a groupoid
-    element (an arrow out of ``q``), invariance under right translation by
-    a stabilizer element of the base, and invariance under adding a radical
-    (stabilizer) direction to one argument."""
-    algebra = rho0.algebra
-    p0 = functional_support(rho0, tol)
-    du = sampling.p0_tangent(algebra, rng, u, p0)
-    du2 = sampling.p0_tangent(algebra, rng, u, p0)
-    x1 = sampling.corner_antihermitian(algebra, rng, p0)
-    x2 = sampling.corner_antihermitian(algebra, rng, p0)
+    two-forms at u, on one sample of :func:`orbit_form_sample`: invariance
+    of Gamma0 under the global unitary left translation ``w``, invariance
+    of the two-form on the vertical pair ``u x1``, ``u x2`` under left
+    translation by the groupoid element ``wg``, invariance under right
+    translation by the stabilizer element ``exp(s)`` of the base, and
+    invariance under adding the radical (stabilizer) direction ``s`` to one
+    argument, with ``s`` the combination of the stabilizer basis with
+    ``coeff`` (zero past the stabilizer's dimension).
 
-    res = []
-    # global unitary left translation of the one-form
-    w = sampling.random_unitary(algebra, rng)
-    res.append(abs(Gamma0(rho0, w @ u, w @ du, tol) - Gamma0(rho0, u, du, tol)))
-    # left translation by a groupoid arrow on a vertical pair
-    wg = sampling.isometry_between(rng, q, sampling.equivalent_frames(rng, q))
-    res.append(
-        abs(
-            dGamma0(rho0, wg @ u, wg @ u @ x1, wg @ u @ x2, tol)
-            - dGamma0(rho0, u, u @ x1, u @ x2, tol)
-        )
-    )
-    # right translation by a stabilizer element (its exponential is the
-    # identity off the support corner, so u g stays an isometry from p0)
-    stab = stabilizer_lie_algebra(rho0, tol)
-    if stab.basis:
-        s = sampling.stabilizer_direction(rng, list(stab.basis))
+    On stacks (a functional of stacked densities, and stacked samples) one
+    residual per trial; the stabilizer's basis is built once per
+    :func:`~wstargeo.algebra.cluster_pattern`."""
+    algebra = rho0.algebra
+
+    def stabilizer_residuals(d0, u, du, du2, coeff, pattern) -> np.ndarray:
+        rho = NormalFunctional(algebra, d0)
+        basis = stabilizer_lie_algebra(rho, tol).basis
+        s = np.zeros(d0.shape, dtype=complex)
+        for j in range(basis.shape[-3]):
+            s = s + coeff[..., j, None, None] * basis[..., j, :, :]
+        # Right translation by exp(s): the identity off the support corner,
+        # so u exp(s) stays an isometry from p0.
         g = exp_antihermitian(s)
-        res.append(
-            abs(
-                dGamma0(rho0, u @ g, du @ g, du2 @ g, tol)
-                - dGamma0(rho0, u, du, du2, tol)
-            )
-        )
-        # radical shift of one argument
-        res.append(
-            abs(
-                dGamma0(rho0, u, du + u @ s, du2, tol)
-                - dGamma0(rho0, u, du, du2, tol)
-            )
-        )
-    return _worst(*res)
+        base = dGamma0(rho, u, du, du2, tol)
+        return np.stack([
+            abs(dGamma0(rho, u @ g, du @ g, du2 @ g, tol) - base),
+            abs(dGamma0(rho, u, du + u @ s, du2, tol) - base),
+        ], axis=-1)
+
+    translated = abs(Gamma0(rho0, w @ u, w @ du, tol) - Gamma0(rho0, u, du, tol))
+    vertical = abs(
+        dGamma0(rho0, wg @ u, wg @ u @ x1, wg @ u @ x2, tol) - dGamma0(rho0, u, u @ x1, u @ x2, tol)
+    )
+    stabilizer = _truncated(
+        cluster_pattern(rho0, tol), stabilizer_residuals, rho0.density, u, du, du2, coeff
+    )
+    return reduce(np.maximum, [translated, vertical, stabilizer[..., 0], stabilizer[..., 1]])

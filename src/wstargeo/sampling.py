@@ -361,10 +361,10 @@ def p0_tangent(
 
 
 def stabilizer_direction(
-    rng: np.random.Generator, basis: tuple[np.ndarray, ...]
+    rng: np.random.Generator, basis: np.ndarray
 ) -> np.ndarray:
     """Random real combination of a stabilizer basis."""
-    if not basis:
+    if not len(basis):
         raise ValueError("stabilizer basis is empty")
     coeff = rng.standard_normal(len(basis))
     out = np.zeros_like(basis[0])

@@ -51,10 +51,11 @@ from .linalg import (
     herm,
     hermitian_eigvals,
     hs_inner,
-    null_space_rows,
     partial_inverse,
     polar_decompose,
+    _truncated,
     refuse,
+    right_singular,
     supports,
 )
 
@@ -180,29 +181,52 @@ def fiber_kernel_E(
     delta in the algebra with delta g* + g delta* = 0 and
     supp(g g*) delta = delta.  Raises DegenerateBase at g = 0."""
     g = np.asarray(g, dtype=complex)
-    return list(_fiber_kernel(algebra, g, momentum_mu(g, tol), tol))
+    vhs, nullity = _fiber_rows(algebra, g, momentum_mu(g, tol), tol)
+    return list(_fiber_kernel(algebra, vhs, nullity))
 
 
-def _fiber_kernel(
+def _fiber_units(n: int) -> np.ndarray:
+    """The ``2 n^2`` realified matrix units of one ``n x n`` block."""
+    units = np.eye(n * n).reshape(-1, n, n)
+    return np.concatenate([units, 1j * units])
+
+
+def _fiber_rows(
     algebra: BlockAlgebra, g: np.ndarray, mu: np.ndarray, tol: ToleranceProfile
-) -> np.ndarray:
-    """:func:`fiber_kernel_E` at g with its left momentum ``mu`` given.
+) -> tuple[list[np.ndarray], tuple]:
+    """The null spaces behind :func:`fiber_kernel_E` at g, with its left
+    momentum ``mu`` given, or at each vector of a stack: per block the right
+    singular vectors of the realified conditions on the block's units
+    (:func:`_fiber_units`), and the dimension of each block's null space
+    (an int per block, or an array with one row per vector of a stack).
 
     Both conditions act within each block, so each block's null space is
     taken over its 2 n^2 realified matrix units, all evaluated at once."""
-    if frobenius(g) <= 1e-12:
-        raise DegenerateBase("the expectation differential has no fibre at zero")
-    parts = []
+    refuse(DegenerateBase, frobenius(g) <= 1e-12,
+           "the expectation differential has no fibre at zero")
+    vhs, nullity = [], []
     for s in algebra.slices:
-        n, gb = s.stop - s.start, g[s, s]
-        units = np.eye(n * n).reshape(-1, n, n)
-        d = np.concatenate([units, 1j * units])
+        d = _fiber_units(s.stop - s.start)
+        gb = g[..., None, s, s]
         c = np.concatenate(
-            [d @ gb.conj().T + gb @ d.conj().transpose(0, 2, 1), mu[s, s] @ d - d],
-            axis=1,
+            [d @ gb.conj().mT + gb @ d.conj().transpose(0, 2, 1), mu[..., None, s, s] @ d - d],
+            axis=-2,
         )
-        mat = np.concatenate([c.real, c.imag], axis=1).reshape(len(d), -1).T
-        parts.append((s, np.tensordot(null_space_rows(mat, tol), d, axes=1)))
+        mat = np.concatenate([c.real, c.imag], axis=-2).reshape(*c.shape[:-3], len(d), -1).mT
+        vh, rank = right_singular(mat, tol)
+        vhs.append(vh)
+        nullity.append(len(d) - rank)
+    return vhs, (tuple(nullity) if g.ndim == 2 else np.stack(nullity, axis=-1))
+
+
+def _fiber_kernel(algebra: BlockAlgebra, vhs: list[np.ndarray], nullity) -> np.ndarray:
+    """The kernel basis from the rows of :func:`_fiber_rows`, for one vector
+    or a stack of vectors whose blocks have the null-space dimensions
+    ``nullity`` (one int per block)."""
+    parts = []
+    for s, vh, k in zip(algebra.slices, vhs, nullity):
+        d = _fiber_units(s.stop - s.start)
+        parts.append((s, np.tensordot(vh[..., len(d) - k :, :], d, axes=1)))
     return algebra.embed_stacks(parts)
 
 
@@ -229,17 +253,18 @@ def fiber_kernel_dimension(algebra: BlockAlgebra, rank_per_block: list[int]) -> 
 class DualPairReport:
     """Residuals of the dual-pair relations at one vector: the symplectic
     form vanishes between the two fibre kernels, and their dimensions match
-    the blockwise rank formula."""
+    the blockwise rank formula.  Of a stack of vectors, each field holds one
+    value per vector."""
 
-    orthogonality: float
-    dim_E: int
-    dim_Eprime: int
-    expected_dim_E: int
-    expected_dim_Eprime: int
+    orthogonality: float | np.ndarray
+    dim_E: int | np.ndarray
+    dim_Eprime: int | np.ndarray
+    expected_dim_E: int | np.ndarray
+    expected_dim_Eprime: int | np.ndarray
 
     @property
-    def dimension_residual(self) -> int:
-        return max(
+    def dimension_residual(self):
+        return np.maximum(
             abs(self.dim_E - self.expected_dim_E),
             abs(self.dim_Eprime - self.expected_dim_Eprime),
         )
@@ -252,21 +277,35 @@ def dual_pair_orthogonality_check(
     fiber_kernel_Eprime(g) and compare both kernel dimensions to the rank
     formula.  Each side's kernel and expected dimension read the same
     momentum projection, both from one SVD of g: the left support mu(g) for
-    E and the right support mu(J g) = mu'(g) for E'."""
+    E and the right support mu(J g) = mu'(g) for E'.
+
+    On a stack of vectors each block's null spaces are found with one SVD
+    for all vectors, and the kernels are built and paired once per pattern
+    of null-space dimensions (:func:`~wstargeo.linalg._truncated`)."""
     g = np.asarray(g, dtype=complex)
-    jg = conjugation_J(g)
     mu, mu_j = supports(g, tol)
-    ker_e = _fiber_kernel(algebra, g, mu, tol)
-    ker_ep = [conjugation_J(d) for d in _fiber_kernel(algebra, jg, mu_j, tol)]
-    # omega(x, y) = 2 Im <x|y> on all pairs at once.
-    left = ker_e.reshape(len(ker_e), -1)
-    right = np.array(ker_ep).reshape(len(ker_ep), -1)
-    omega = 2.0 * (left.conj() @ right.T).imag
-    worst = float(np.max(np.abs(omega), initial=0.0))
+    vhs_e, null_e = _fiber_rows(algebra, g, mu, tol)
+    vhs_ep, null_ep = _fiber_rows(algebra, conjugation_J(g), mu_j, tol)
+    blocks = len(vhs_e)
+
+    def orthogonality(*args):
+        *vhs, nullity = args
+        ker_e = _fiber_kernel(algebra, vhs[:blocks], nullity[:blocks])
+        ker_ep = conjugation_J(_fiber_kernel(algebra, vhs[blocks:], nullity[blocks:]))
+        # omega(x, y) = 2 Im <x|y> on all pairs at once.
+        left = ker_e.reshape(*ker_e.shape[:-2], -1)
+        right = ker_ep.reshape(*ker_ep.shape[:-2], -1)
+        omega = 2.0 * (left.conj() @ right.mT).imag
+        return np.max(np.abs(omega), axis=(-2, -1), initial=0.0)
+
+    if g.ndim == 2:
+        key = null_e + null_ep
+    else:
+        key = np.concatenate([null_e, null_ep], axis=-1)
     return DualPairReport(
-        orthogonality=worst,
-        dim_E=len(ker_e),
-        dim_Eprime=len(ker_ep),
+        orthogonality=_truncated(key, orthogonality, *vhs_e, *vhs_ep),
+        dim_E=np.sum(null_e, axis=-1),
+        dim_Eprime=np.sum(null_ep, axis=-1),
         expected_dim_E=fiber_kernel_dimension(algebra, block_ranks(algebra, mu, tol)),
         expected_dim_Eprime=fiber_kernel_dimension(algebra, block_ranks(algebra, mu_j, tol)),
     )

@@ -11,7 +11,6 @@ The registry is consumed by :func:`run_suite` and by the command line's
 """
 from __future__ import annotations
 
-import functools
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -24,12 +23,15 @@ from .algebra import (
     BlockAlgebra,
     NormalFunctional,
     centralizer_basis,
+    cluster_pattern,
     coadjoint_apply,
     conditional_expectation,
+    functional_support,
     modular_flow,
     mvn_equivalent,
     mvn_witness,
     orbit_equivalent,
+    stabilizer_dimension,
     stabilizer_lie_algebra,
     unitary_equivalent,
     unitary_witness,
@@ -67,6 +69,7 @@ from .groupoids import (
 from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
+    _truncated,
     _worst,
     exp_antihermitian,
     expect_real,
@@ -92,6 +95,7 @@ from .poisson import (
     linear_closure_residual,
     multiplicativity_residual,
     orbit_form_invariance_residual,
+    orbit_form_sample,
     pair_groupoid_fs_residual,
     poisson_map_residual,
     vertical_form_residual,
@@ -165,19 +169,6 @@ def _trials(
     return (trial(ctx, ctx.rng(k)) for k in range(ctx.trials))
 
 
-def _per_trial(
-    trial: Callable[[RowCtx, np.random.Generator], Iterator[float]],
-) -> Callable[[RowCtx], float]:
-    """A row that returns the worst residual yielded by any of its trials
-    (NaN if any of them is NaN)."""
-
-    @functools.wraps(trial)
-    def fn(ctx: RowCtx) -> float:
-        return _worst(0.0, *(r for rs in _trials(ctx, trial) for r in rs))
-
-    return fn
-
-
 def _stacked_group_row(
     check: Callable[[RowCtx], dict], *keys: str
 ) -> Callable[[RowCtx], float]:
@@ -190,23 +181,6 @@ def _stacked_group_row(
         if check not in ctx.shared:
             ctx.shared[check] = check(ctx)
         return _worst_of_stacks(ctx.shared[check][key] for key in keys)
-
-    return fn
-
-
-def _group_row(
-    report: Callable[[RowCtx, np.random.Generator], object],
-    read: Callable[..., float],
-) -> Callable[[RowCtx], float]:
-    """A row that reads one residual from each of its group's per-trial
-    reports and returns the worst.  The group's first row draws the reports
-    (so with its own subindex) once per :func:`run_suite` call and keeps them
-    in ``ctx.shared`` for the rows after it."""
-
-    def fn(ctx: RowCtx) -> float:
-        if report not in ctx.shared:
-            ctx.shared[report] = list(_trials(ctx, report))
-        return _worst(0.0, *(read(r) for r in ctx.shared[report]))
 
     return fn
 
@@ -661,17 +635,22 @@ def _row_exactness_order(ctx: RowCtx) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _dual_pair_report(ctx: RowCtx, rng):
-    """Fibre-kernel report at a generic element or, with even odds, at a
-    polar product ``u h``."""
+def _draw_dual_pair(ctx: RowCtx, rng) -> list:
+    """A generic element or, with even odds, a polar product ``u h``."""
     alg = ctx.algebra
     if rng.uniform() < 0.5:
-        g = sampling.random_element(alg, rng)
-    else:
-        qf = sampling.random_frames(alg, rng, allow_zero=False)
-        u = sampling.isometry_between(rng, qf, sampling.equivalent_frames(rng, qf))
-        g = u @ sampling.positive_on(rng, qf)
-    return dual_pair_orthogonality_check(alg, g, ctx.profile)
+        return [sampling.random_element(alg, rng)]
+    qf = sampling.random_frames(alg, rng, allow_zero=False)
+    u = sampling.isometry_between(rng, qf, sampling.equivalent_frames(rng, qf))
+    return [u @ sampling.positive_on(rng, qf)]
+
+
+def _dual_pair_report(ctx: RowCtx) -> dict:
+    """The fibre-kernel report of each trial's vector, checked once on the
+    stack."""
+    [g] = _stacked_trials(ctx, _draw_dual_pair)
+    report = dual_pair_orthogonality_check(ctx.algebra, g, ctx.profile)
+    return {"orthogonality": report.orthogonality, "dimension": report.dimension_residual}
 
 
 # ---------------------------------------------------------------------------
@@ -766,35 +745,67 @@ def _draw_bundle_point(alg, rng, repeat_chance: float = 0.0):
     return f0, sampling.unit_trace(d), sampling.isometry_between(rng, f0, q), q
 
 
-@_per_trial
-def _row_degeneracy_invariance(ctx: RowCtx, rng):
-    alg, prof = ctx.algebra, ctx.profile
-    _, d0, u, q = _draw_bundle_point(alg, rng, repeat_chance=0.5)
-    yield orbit_form_invariance_residual(NormalFunctional(alg, d0), u, q, rng, prof)
+def _coefficients(draws: list, counts: np.ndarray, draw: Callable) -> np.ndarray:
+    """``draw(rng, counts[k])`` from the generator of each trial ``k`` (the
+    first entry of ``draws[k]``), as one array padded with zeros: the
+    coefficients of a basis whose length each trial learns only from the
+    stacked spectrum, drawn after the rest of its data."""
+    rows = [draw(rng, int(count)) for (rng, *_), count in zip(draws, counts)]
+    out = np.zeros((len(rows), int(np.max(counts))), dtype=rows[0].dtype)
+    for row, coeff in zip(out, rows):
+        row[: len(coeff)] = coeff
+    return out
 
 
-@_per_trial
-def _row_degeneracy_fd(ctx: RowCtx, rng):
+def _row_degeneracy_invariance(ctx: RowCtx) -> float:
     alg, prof = ctx.algebra, ctx.profile
-    f0, d0, u, _ = _draw_bundle_point(alg, rng)
+    draws = list(_trials(ctx, lambda ctx, rng: (rng, *_draw_bundle_point(alg, rng, repeat_chance=0.5))))
+    d0, u = stack_chains([[d0, u] for _, _, d0, u, _ in draws], ctx.trials)
     rho0 = NormalFunctional(alg, d0)
-    a = sampling.unit_norm(sampling.random_antihermitian(alg, rng))
-    b = sampling.unit_norm(sampling.corner_antihermitian(alg, rng, f0.projection))
+    p0 = functional_support(rho0, prof)
+    # Each trial's generator goes on where its base point left it, now that
+    # the stacked spectrum gives its support and stabilizer.
+    sample = stack_chains(
+        [orbit_form_sample(alg, rng, u[k], p0[k], q) for k, (rng, *_, q) in enumerate(draws)],
+        ctx.trials,
+    )
+    coeff = _coefficients(draws, stabilizer_dimension(rho0, prof), lambda rng, k: rng.standard_normal(k))
+    return _worst_of_stacks([orbit_form_invariance_residual(rho0, u, *sample, coeff, prof)])
+
+
+def _draw_fd(ctx: RowCtx, rng) -> list:
+    alg = ctx.algebra
+    f0, d0, u, _ = _draw_bundle_point(alg, rng)
+    a = sampling.random_antihermitian(alg, rng)
+    return [d0, u, a, sampling.corner_antihermitian(alg, rng, f0.projection)]
+
+
+def _row_degeneracy_fd(ctx: RowCtx) -> float:
+    alg, prof = ctx.algebra, ctx.profile
+    d0, u, a, b = _stacked_trials(ctx, _draw_fd)
+    rho0 = NormalFunctional(alg, d0)
+    a, b = sampling.unit_norm(a), sampling.unit_norm(b)
     val_fd = fd_surface_dGamma0(rho0, u, a, b, 1e-4, prof)
-    val = dGamma0(rho0, u, a @ u, u @ b, prof)
-    yield abs(val_fd - val)
+    return _worst_of_stacks([np.abs(val_fd - dGamma0(rho0, u, a @ u, u @ b, prof))])
 
 
-def _degeneracy_report(ctx: RowCtx, rng):
+def _draw_degeneracy(ctx: RowCtx, rng) -> list:
     alg = ctx.algebra
     f0, d0, u, _ = _draw_bundle_point(alg, rng, repeat_chance=0.5)
-    v = sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
-    return degeneracy_kernel_check(NormalFunctional(alg, d0), u, v, ctx.profile)
+    return [d0, u, sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))]
 
 
-def _inverse_gap(report) -> float:
+def _degeneracy_report(ctx: RowCtx) -> dict:
+    """The degeneracy report of each trial's base point and two legs,
+    checked once on the stack."""
+    d0, u, v = _stacked_trials(ctx, _draw_degeneracy)
+    report = degeneracy_kernel_check(NormalFunctional(ctx.algebra, d0), u, v, ctx.profile)
     s = report.complement_min_singular
-    return float("inf") if s <= 0.0 else 1.0 / s
+    return {
+        "radical-pairing": report.radical_pairing,
+        "complement-inverse-gap": np.where(s <= 0.0, np.inf, 1.0 / np.where(s <= 0.0, 1.0, s)),
+        "dimensions": report.dimension_residual,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -825,38 +836,40 @@ def _fs_dimension(alg: BlockAlgebra) -> int:
     return max(2, max(alg.blocks))
 
 
-def _fs_point(ctx: RowCtx, rng):
+def _fs_point(ctx: RowCtx, rng) -> list:
     """Radius, base direction and two tangent vectors of a Fubini–Study
     trial."""
     n = _fs_dimension(ctx.algebra)
     delta = sampling.random_unit_vector(n, rng)
     x_t = sampling.complex_normal(rng, (n,))
     y_t = sampling.complex_normal(rng, (n,))
-    return float(rng.uniform(0.5, 2.0)), delta, x_t, y_t
+    return [float(rng.uniform(0.5, 2.0)), delta, x_t, y_t]
 
 
-@_per_trial
-def _row_fs_orbit(ctx: RowCtx, rng):
-    yield fubini_study_compare(*_fs_point(ctx, rng), ctx.profile).residual
+def _row_fs_orbit(ctx: RowCtx) -> float:
+    report = fubini_study_compare(*_stacked_trials(ctx, _fs_point), ctx.profile)
+    return _worst_of_stacks([report.residual])
 
 
-@_per_trial
-def _row_fs_scaling(ctx: RowCtx, rng):
-    r, delta, x_t, y_t = _fs_point(ctx, rng)
+def _row_fs_scaling(ctx: RowCtx) -> float:
+    r, delta, x_t, y_t = _stacked_trials(ctx, _fs_point)
     one = fubini_study_compare(r, delta, x_t, y_t, ctx.profile).omega
     two = fubini_study_compare(2.0 * r, delta, x_t, y_t, ctx.profile).omega
-    yield abs(two - 2.0 * one)
+    return _worst_of_stacks([np.abs(two - 2.0 * one)])
 
 
-@_per_trial
-def _row_fs_pair_groupoid(ctx: RowCtx, rng):
+def _draw_pair_groupoid(ctx: RowCtx, rng) -> list:
     n = _fs_dimension(ctx.algebra)
     psi = sampling.random_unit_vector(n, rng)
     phi_vec = sampling.random_unit_vector(n, rng)
     delta = sampling.random_unit_vector(n, rng)
     vecs = [sampling.complex_normal(rng, (n,)) for _ in range(4)]
-    r = float(rng.uniform(0.5, 2.0))
-    yield pair_groupoid_fs_residual(r, delta, psi, phi_vec, *vecs, ctx.profile)
+    return [float(rng.uniform(0.5, 2.0)), delta, psi, phi_vec, *vecs]
+
+
+def _row_fs_pair_groupoid(ctx: RowCtx) -> float:
+    args = _stacked_trials(ctx, _draw_pair_groupoid)
+    return _worst_of_stacks([pair_groupoid_fs_residual(*args, ctx.profile)])
 
 
 # ---------------------------------------------------------------------------
@@ -948,39 +961,62 @@ def _row_flow_group_law(ctx: RowCtx) -> float:
     ])
 
 
-@_per_trial
-def _row_flow_conditional_expectation(ctx: RowCtx, rng):
+def _row_flow_conditional_expectation(ctx: RowCtx) -> float:
     alg, prof = ctx.algebra, ctx.profile
-    phi = sampling.random_density(alg, rng, repeat_chance=0.5)
-    d = phi.density
-    x = sampling.random_element(alg, rng)
-    ex = conditional_expectation(phi, x, prof)
-    yield frobenius(conditional_expectation(phi, ex, prof) - ex)
-    yield abs(phi(ex) - phi(x))
-    yield frobenius(ex @ d - d @ ex)
-    yield frobenius(modular_flow(phi, 0.7, prof)(ex) - ex)
-    basis = centralizer_basis(phi, prof)
-    coeff = sampling.complex_normal(rng, (len(basis),))
-    a = sum(c * b for c, b in zip(coeff, basis))
-    yield frobenius(
-        conditional_expectation(phi, a @ x, prof)
-        - a @ conditional_expectation(phi, x, prof)
+    draws = list(_trials(ctx, lambda ctx, rng: (
+        rng,
+        sampling.random_density_matrix(alg, rng, repeat_chance=0.5),
+        sampling.random_element(alg, rng),
+    )))
+    d, x = stack_chains([[d, x] for _, d, x in draws], ctx.trials)
+    phi = NormalFunctional(alg, d)
+    # The centralizer's coefficients, one per basis element: its length is
+    # the stabilizer's dimension.
+    coeff = _coefficients(
+        draws, stabilizer_dimension(phi, prof), lambda rng, k: sampling.complex_normal(rng, (k,))
     )
 
+    def residuals(d, x, coeff, pattern) -> np.ndarray:
+        phi = NormalFunctional(alg, d)
+        ex = conditional_expectation(phi, x, prof)
+        basis = centralizer_basis(phi, prof)
+        a = 0
+        for j in range(basis.shape[-3]):
+            a = a + coeff[:, j, None, None] * basis[:, j]
+        moved = phi(ex) - phi(x)
+        return np.stack([
+            frobenius(conditional_expectation(phi, ex, prof) - ex),
+            np.hypot(moved.real, moved.imag),
+            frobenius(ex @ d - d @ ex),
+            frobenius(modular_flow(phi, 0.7, prof)(ex) - ex),
+            frobenius(
+                conditional_expectation(phi, a @ x, prof)
+                - a @ conditional_expectation(phi, x, prof)
+            ),
+        ], axis=-1)
 
-def _dimension_defects(phi: NormalFunctional, expected: int, prof) -> tuple:
-    """Centralizer and stabilizer dimensions of ``phi`` minus ``expected``,
-    each counted as the length of its basis."""
-    return (
-        float(abs(len(centralizer_basis(phi, prof)) - expected)),
-        float(abs(len(stabilizer_lie_algebra(phi, prof).basis) - expected)),
-    )
+    return _worst_of_stacks(_truncated(cluster_pattern(phi, prof), residuals, d, x, coeff).T)
 
 
-@_per_trial
-def _flow_planted_dimensions(ctx: RowCtx, rng):
-    """Random densities with a planted multiplicity pattern: the predicted
-    dimension is the sum of the squared multiplicities."""
+def _dimension_defects(algebra: BlockAlgebra, d: np.ndarray, expected, prof) -> np.ndarray:
+    """Centralizer and stabilizer dimensions of the functional of each
+    density of the stack ``d`` minus ``expected``, each counted as the
+    length of its basis, built once per cluster pattern."""
+
+    def defects(d, expected, pattern) -> np.ndarray:
+        phi = NormalFunctional(algebra, d)
+        return np.stack([
+            np.abs(centralizer_basis(phi, prof).shape[-3] - expected),
+            np.abs(stabilizer_lie_algebra(phi, prof).basis.shape[-3] - expected),
+        ], axis=-1).astype(float)
+
+    pattern = cluster_pattern(NormalFunctional(algebra, d), prof)
+    return _truncated(pattern, defects, d, np.asarray(expected)).ravel()
+
+
+def _draw_planted(ctx: RowCtx, rng) -> list:
+    """A density with a planted multiplicity pattern, and its predicted
+    dimension, the sum of the squared multiplicities."""
     grid = (0.5, 1.0, 1.5, 2.0)
     mats, predicted = [], 0
     for n in ctx.algebra.blocks:
@@ -990,8 +1026,7 @@ def _flow_planted_dimensions(ctx: RowCtx, rng):
             predicted += int(np.sum(labels == lab)) ** 2
         q = sampling.haar_unitary(rng, n)
         mats.append((q * vals) @ q.conj().T)
-    phi = NormalFunctional(ctx.algebra, ctx.algebra.embed_blocks(mats))
-    yield from _dimension_defects(phi, predicted, ctx.profile)
+    return [ctx.algebra.embed_blocks(mats), predicted]
 
 
 def _row_flow_dimensions(ctx: RowCtx) -> float:
@@ -1005,11 +1040,9 @@ def _row_flow_dimensions(ctx: RowCtx) -> float:
         (alg2, np.diag([1.0, 2.0]), 2),
         (alg2, 0.7 * np.eye(2), 4),
     ]
-    res = []
-    for alg_f, d, dim in fixed:
-        phi = NormalFunctional(alg_f, d.astype(complex))
-        res.extend(_dimension_defects(phi, dim, ctx.profile))
-    return _worst(*res, _flow_planted_dimensions(ctx))
+    res = [_dimension_defects(alg_f, d[None].astype(complex), [dim], ctx.profile) for alg_f, d, dim in fixed]
+    d, predicted = _stacked_trials(ctx, _draw_planted)
+    return _worst_of_stacks([*res, _dimension_defects(ctx.algebra, d, predicted, ctx.profile)])
 
 
 # ---------------------------------------------------------------------------
@@ -1043,10 +1076,8 @@ _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
         ("order", 0.5, _row_exactness_order),
     ],
     "dual-pair": [
-        ("orthogonality", 1e-10,
-         _group_row(_dual_pair_report, lambda r: r.orthogonality)),
-        ("dimension", 0.5,
-         _group_row(_dual_pair_report, lambda r: float(r.dimension_residual))),
+        ("orthogonality", 1e-10, _stacked_group_row(_dual_pair_report, "orthogonality")),
+        ("dimension", 0.5, _stacked_group_row(_dual_pair_report, "dimension")),
     ],
     "poisson-map": [
         ("quadratic", 1e-10, _row_poisson_quadratic),
@@ -1058,12 +1089,10 @@ _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
     "degeneracy": [
         ("orbit-form-invariance", 1e-10, _row_degeneracy_invariance),
         ("fd-exterior", 1e-6, _row_degeneracy_fd),
-        ("radical-pairing", 1e-10,
-         _group_row(_degeneracy_report, lambda r: r.radical_pairing)),
+        ("radical-pairing", 1e-10, _stacked_group_row(_degeneracy_report, "radical-pairing")),
         ("complement-inverse-gap", 1e7,
-         _group_row(_degeneracy_report, _inverse_gap)),
-        ("dimensions", 0.5,
-         _group_row(_degeneracy_report, lambda r: float(r.dimension_residual))),
+         _stacked_group_row(_degeneracy_report, "complement-inverse-gap")),
+        ("dimensions", 0.5, _stacked_group_row(_degeneracy_report, "dimensions")),
     ],
     "kks": [
         ("identity", 1e-10, _row_kks_identity),

@@ -14,16 +14,20 @@ from wstargeo.algebra import (
     BlockAlgebra,
     NormalFunctional,
     antihermitian_units,
+    _spectral_clusters,
     centralizer_basis,
+    cluster_pattern,
     density_spectrum,
     functional_support,
     matrix_units,
     pinching_projections,
+    stabilizer_dimension,
     stabilizer_lie_algebra,
 )
+from wstargeo.errors import AmbiguousCluster
 from wstargeo.linalg import (
     DEFAULT_TOL,
-    eigen_clusters,
+    GUARD_FACTOR,
     herm,
     hermitian_eig,
     projection_rank,
@@ -32,6 +36,25 @@ from wstargeo.poisson import _bundle_tangent_basis
 
 # ---------------------------------------------------------------------------
 # reference builders
+
+
+def _ref_eigen_clusters(w, rel_gap):
+    """Index lists of the clusters of a descending sequence of positive
+    values: a new cluster wherever a gap exceeds ``rel_gap * max |w|``, and
+    a gap within ``GUARD_FACTOR`` of that threshold refused."""
+    if w.size == 0:
+        return []
+    threshold = rel_gap * float(np.max(np.abs(w)))
+    clusters = [[0]]
+    for i in range(1, w.size):
+        gap = w[i - 1] - w[i]
+        if threshold / GUARD_FACTOR <= gap <= GUARD_FACTOR * threshold:
+            raise AmbiguousCluster("ambiguous gap")
+        if gap > threshold:
+            clusters.append([i])
+        else:
+            clusters[-1].append(i)
+    return clusters
 
 
 def _ref_clusters(phi, tol):
@@ -43,7 +66,7 @@ def _ref_clusters(phi, tol):
     for s, b in zip(algebra.slices, algebra.block_views(herm(phi.density))):
         w, v = hermitian_eig(b)
         r = int(np.count_nonzero(w > cutoff))
-        clusters = eigen_clusters(w[:r], tol.rank_rel_tol)
+        clusters = _ref_eigen_clusters(w[:r], tol.rank_rel_tol)
         if r < len(w):
             clusters.append(list(range(r, len(w))))
         out.append((s, w, v, clusters, cutoff))
@@ -228,6 +251,50 @@ def phi(request):
     return DENSITIES[request.param][0]()
 
 
+class TestStackedBases:
+    """A stack of functionals of one cluster pattern gives each functional
+    the bytes of its own bases; the pattern and the dimension are read per
+    functional of any stack."""
+
+    def test_one_pattern(self, phi):
+        u = sampling.random_unitary(phi.algebra, sampling.rng_for(77))
+        densities = [phi.density, u @ phi.density @ u.conj().T]
+        alone = [NormalFunctional(phi.algebra, d) for d in densities]
+        stack = NormalFunctional(phi.algebra, np.stack(densities))
+        assert stack.density.shape[0] == 2
+        np.testing.assert_array_equal(
+            cluster_pattern(stack, DEFAULT_TOL), [cluster_pattern(f, DEFAULT_TOL) for f in alone]
+        )
+        for k, f in enumerate(alone):
+            _same_bytes(
+                stabilizer_lie_algebra(stack, DEFAULT_TOL).basis[k],
+                stabilizer_lie_algebra(f, DEFAULT_TOL).basis,
+            )
+            _same_bytes(centralizer_basis(stack, DEFAULT_TOL)[k], centralizer_basis(f, DEFAULT_TOL))
+            _same_bytes(
+                pinching_projections(stack, DEFAULT_TOL)[k], pinching_projections(f, DEFAULT_TOL)
+            )
+
+    def test_several_patterns(self):
+        alone = [_generic_23(), _rank_deficient_23()]
+        stack = NormalFunctional(alone[0].algebra, np.stack([f.density for f in alone]))
+        patterns = cluster_pattern(stack, DEFAULT_TOL)
+        assert [tuple(row) for row in patterns.tolist()] == [
+            cluster_pattern(f, DEFAULT_TOL) for f in alone
+        ]
+        assert patterns[0].tolist() != patterns[1].tolist()
+        assert stabilizer_dimension(stack, DEFAULT_TOL).tolist() == [
+            stabilizer_lie_algebra(f, DEFAULT_TOL).dimension for f in alone
+        ]
+        with pytest.raises(ValueError):
+            _spectral_clusters(stack, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("name", sorted(DENSITIES))
+    def test_dimension(self, name):
+        make, dimension = DENSITIES[name]
+        assert stabilizer_dimension(make(), DEFAULT_TOL) == dimension
+
+
 class TestBasesMatchTheLoopBuilders:
     @pytest.mark.parametrize("name", sorted(DENSITIES))
     def test_densities_have_their_multiplicities(self, name):
@@ -293,13 +360,10 @@ class TestConstructors:
 # ---------------------------------------------------------------------------
 # rank-one products stay in the constructors
 
-#: The functions allowed to call ``np.outer``: the two basis constructors and
-#: the rank-one Fubini–Study instances, which build single vectors' products.
+#: The functions allowed to call ``np.outer``: the two basis constructors.
 OUTER_SITES = {
     "algebra.matrix_units",
     "algebra.antihermitian_units",
-    "poisson.fubini_study_compare",
-    "poisson.pair_groupoid_fs_residual",
 }
 
 
@@ -361,4 +425,3 @@ class TestRankOneProductsStayInTheConstructors:
             *(_outer_sites(p.read_text(encoding="utf-8"), p.stem) for p in modules)
         )
         assert found <= OUTER_SITES
-        assert {"poisson.fubini_study_compare", "poisson.pair_groupoid_fs_residual"} <= found

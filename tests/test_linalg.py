@@ -44,7 +44,7 @@ from wstargeo.linalg import (
     hs_inner,
     is_partial_isometry,
     is_projection,
-    null_space_rows,
+    right_singular,
     partial_inverse,
     phase_fixed_q,
     polar_decompose,
@@ -58,6 +58,13 @@ from wstargeo.linalg import (
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 E21 = E12.conj().T
+
+
+def null_space_rows(a, tol=DEFAULT_TOL):
+    """The rows ``vh[rank:]`` of :func:`right_singular`, which span the
+    numerical kernel of ``a``."""
+    vh, rank = right_singular(a, tol)
+    return vh[rank:]
 
 
 def _rng(k: int = 0) -> np.random.Generator:
@@ -292,6 +299,19 @@ class TestLapackKernels:
             assert rows.shape == (n - r, n)
             assert frobenius(a @ rows.T) <= 1e-12 * max(1.0, frobenius(a))
             np.testing.assert_array_equal(rows, np.linalg.svd(a)[2][r:])
+
+    def test_right_singular_of_a_stack(self):
+        # Each matrix of a stack gets its own rank and the bits it gets alone.
+        rng = _rng(12)
+        a = np.stack([
+            rng.standard_normal((8, r)) @ rng.standard_normal((r, 5)) for r in (3, 5, 0, 3)
+        ])
+        vh, rank = right_singular(a)
+        np.testing.assert_array_equal(rank, [3, 5, 0, 3])
+        for k, m in enumerate(a):
+            one, r = right_singular(m)
+            assert r == rank[k]
+            np.testing.assert_array_equal(vh[k], one)
 
     def test_real_input_stays_real(self):
         a = _random_matrix(_rng(13), 4).real

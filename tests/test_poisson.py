@@ -40,6 +40,7 @@ from wstargeo import (
     lp_bracket,
     multiplicativity_residual,
     orbit_form_invariance_residual,
+    orbit_form_sample,
     pair_groupoid_fs_residual,
     poisson_map_residual,
     positive_spectrum,
@@ -686,4 +687,6 @@ class TestDegeneracy:
             p0 = functional_support(rho0, DEFAULT_TOL)
             q = equivalent_frames(rng, frames_of(algebra, p0))
             u = partial_isometry_onto(algebra, rng, p0, q.projection)
-            assert orbit_form_invariance_residual(rho0, u, q, rng, DEFAULT_TOL) <= 1e-10
+            sample = orbit_form_sample(algebra, rng, u, p0, q)
+            coeff = rng.standard_normal(stabilizer_lie_algebra(rho0, DEFAULT_TOL).dimension)
+            assert orbit_form_invariance_residual(rho0, u, *sample, coeff, DEFAULT_TOL) <= 1e-10

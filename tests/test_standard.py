@@ -38,7 +38,7 @@ from wstargeo import (
 from wstargeo import linalg
 from wstargeo.algebra import matrix_units
 from wstargeo.errors import NotPartiallyInvertible
-from wstargeo.linalg import null_space_rows, restricted_power
+from wstargeo.linalg import restricted_power, right_singular
 from wstargeo.standard import flow_residuals, flow_sample
 from wstargeo.sampling import (
     corner_positive,
@@ -59,6 +59,14 @@ E21 = E12.conj().T
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
 G_CORNER = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
+
+
+def null_space_rows(a, tol=DEFAULT_TOL):
+    """The rows ``vh[rank:]`` of :func:`right_singular`, which span the
+    numerical kernel of ``a``."""
+    vh, rank = right_singular(a, tol)
+    return vh[rank:]
+
 
 
 def composable_coadjoint_pair(algebra, rng):

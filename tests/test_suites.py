@@ -207,14 +207,59 @@ class TestNonFiniteTrial:
         assert math.isnan(row.max_residual)
         assert row.status == "FAIL"
 
+    @staticmethod
+    def _nan_at_trial_3(values):
+        values = np.array(values, dtype=float)
+        values[3] = float("nan")
+        return values
+
     def test_nan_two_form_fails_orbit_form_invariance(self, monkeypatch):
-        _poison_one_call(
-            monkeypatch, poisson, "dGamma0", lambda _: float("nan"), at=2
-        )
+        # The second two-form of the row, on the stack of all trials.
+        _poison_one_call(monkeypatch, poisson, "dGamma0", self._nan_at_trial_3, at=2)
         row = run_suite("degeneracy", M2, 10, 0)[0]
         assert row.suite == "degeneracy/orbit-form-invariance"
         assert math.isnan(row.max_residual)
         assert row.status == "FAIL"
+
+    def test_nan_trial_fails_dual_pair(self, monkeypatch):
+        def poison(report):
+            return dataclasses.replace(report, orthogonality=self._nan_at_trial_3(report.orthogonality))
+
+        _poison_one_call(monkeypatch, suites, "dual_pair_orthogonality_check", poison, at=1)
+        row = run_suite("dual-pair", M23, 10, 0)[0]
+        assert row.suite == "dual-pair/orthogonality"
+        assert math.isnan(row.max_residual)
+        assert row.status == "FAIL"
+
+    def test_nan_trial_fails_fubini_study(self, monkeypatch):
+        def poison(report):
+            return dataclasses.replace(report, omega=self._nan_at_trial_3(report.omega))
+
+        _poison_one_call(monkeypatch, suites, "fubini_study_compare", poison, at=1)
+        row = run_suite("fubini-study", M23, 10, 0)[0]
+        assert row.suite == "fubini-study/orbit-vs-fs"
+        assert math.isnan(row.max_residual)
+        assert row.status == "FAIL"
+
+    def test_nan_trial_fails_conditional_expectation(self, monkeypatch):
+        # The row checks once per cluster pattern: poison the first trial of
+        # the first pattern's flowed expectation.
+        def poison(flow):
+            def flowed(x):
+                out = flow(x).copy()
+                out[0, 0, 0] = float("nan")
+                return out
+
+            return flowed
+
+        _poison_one_call(monkeypatch, suites, "modular_flow", poison, at=1)
+        subindex, (name, tolerance, fn) = next(
+            (i, r) for i, r in enumerate(suites._suite("modular-flow"))
+            if r[0] == "conditional-expectation"
+        )
+        residual = fn(suites.RowCtx(M23, 10, 0, subindex, DEFAULT_TOL))
+        assert math.isnan(residual)
+        assert not residual <= tolerance
 
 
 class TestPlantedFaults:
@@ -290,7 +335,8 @@ class TestPlantedFaults:
         real = standard.supports
 
         def supports(g, tol=DEFAULT_TOL):
-            return np.eye(len(g), dtype=complex), real(g, tol)[1]
+            # The identity in place of each vector's left support.
+            return np.broadcast_to(np.eye(g.shape[-1], dtype=complex), g.shape), real(g, tol)[1]
 
         monkeypatch.setattr(standard, "supports", supports)
         assert self._row("dual-pair", "dimension").status == "FAIL"
@@ -311,10 +357,15 @@ class TestPlantedFaults:
             p0 = algebra.functional_support(phi, tol)
             x = sampling.corner_antihermitian(phi.algebra, np.random.default_rng(0), p0)
             stab = real(phi, tol)
-            return types.SimpleNamespace(basis=stab.basis + (x,), dimension=stab.dimension + 1)
+            basis = np.concatenate([stab.basis, x[..., None, :, :]], axis=-3)
+            return types.SimpleNamespace(basis=basis, dimension=stab.dimension + 1)
 
+        real_dimension = algebra.stabilizer_dimension
         for module in (poisson, suites):
             monkeypatch.setattr(module, "stabilizer_lie_algebra", stabilizer_lie_algebra)
+        monkeypatch.setattr(
+            suites, "stabilizer_dimension", lambda phi, tol=DEFAULT_TOL: real_dimension(phi, tol) + 1
+        )
         failed = self._failed("degeneracy")
         assert {"degeneracy/radical-pairing", "degeneracy/dimensions"} <= failed
         assert "modular-flow/dimensions" in self._failed("modular-flow", M2, 1)
@@ -432,6 +483,49 @@ class TestPlantedFaults:
         failed = self._failed("groupoid-axioms", trials=5)
         assert "groupoid-axioms/equivalence-agreement" in failed
 
+    def test_fd_exterior_with_one_partial_pairing_flipped(self, monkeypatch):
+        # d/ds Gamma0(u(s,0))(u(s,0) b) + d/dt Gamma0(u(0,t))(a u(0,t)): the
+        # second partial pairing with its sign flipped.
+        def fd_surface_dGamma0(rho0, u, a, b, step=1e-4, tol=DEFAULT_TOL):
+            def g_t(s):
+                us = linalg.exp_antihermitian(s * a) @ u
+                return charts.Gamma0(rho0, us, us @ b, tol)
+
+            def g_s(t):
+                ut = u @ linalg.exp_antihermitian(t * b)
+                return charts.Gamma0(rho0, ut, a @ ut, tol)
+
+            return (g_t(step) - g_t(-step) + g_s(step) - g_s(-step)) / (2.0 * step)
+
+        monkeypatch.setattr(suites, "fd_surface_dGamma0", fd_surface_dGamma0)
+        assert "degeneracy/fd-exterior" in self._failed("degeneracy")
+
+    def test_tangent_basis_with_a_repeated_element(self, monkeypatch):
+        # A repeated direction is one more kernel direction off the radical:
+        # the form's smallest singular value off the radical is then zero.
+        real = poisson._bundle_tangent_basis
+
+        def bundle_tangent_basis(algebra, u, p0):
+            basis = real(algebra, u, p0)
+            return np.concatenate([basis, basis[..., :1, :, :]], axis=-3)
+
+        monkeypatch.setattr(poisson, "_bundle_tangent_basis", bundle_tangent_basis)
+        assert "degeneracy/complement-inverse-gap" in self._failed("degeneracy")
+
+    def test_fubini_study_without_its_radius(self, monkeypatch):
+        # The orbit through |delta><delta| in place of r |delta><delta|: the
+        # form still matches the Fubini–Study value at that orbit, so only
+        # the radius scaling sees the radius dropped.
+        real = poisson.fubini_study_compare
+
+        def fubini_study_compare(r, delta, x, y, tol=DEFAULT_TOL):
+            return real(np.ones_like(r), delta, x, y, tol)
+
+        monkeypatch.setattr(suites, "fubini_study_compare", fubini_study_compare)
+        failed = self._failed("fubini-study")
+        assert "fubini-study/r-scaling" in failed
+        assert "fubini-study/orbit-vs-fs" not in failed
+
     def test_witness_in_the_wrong_direction(self, monkeypatch):
         def mvn_witness(alg, p, q, tol=DEFAULT_TOL):
             # F_p F_q* carries q onto p, not p onto q.
@@ -489,9 +583,9 @@ class TestSharedReports:
     @pytest.mark.parametrize(
         "suite, check, calls",
         [
-            ("degeneracy", "degeneracy_kernel_check", 4),
-            ("dual-pair", "dual_pair_orthogonality_check", 4),
             # One check of the whole group, on the stack of its trials.
+            ("degeneracy", "degeneracy_kernel_check", 1),
+            ("dual-pair", "dual_pair_orthogonality_check", 1),
             ("modular-flow", "flow_residuals", 1),
         ],
     )
