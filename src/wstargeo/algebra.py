@@ -66,6 +66,7 @@ from .linalg import (
     DEFAULT_TOL,
     PositiveSpectrum,
     ToleranceProfile,
+    _truncated,
     as_square,
     eigen_clusters,
     excess,
@@ -175,17 +176,11 @@ class BlockAlgebra:
         x = np.asarray(x)
         if x.shape[-2:] != (self.dim, self.dim) or x.ndim > 3:
             return False
-        v = np.ascontiguousarray(x, dtype=complex).view(float)
-        if x.ndim == 3:
-            v = v.reshape(len(x), -1)
-            off = v[:, self._off_block_index]
-            bound = tol.residual_tol * (1.0 + np.sqrt(np.vecdot(v, v)))
-            return (np.sqrt(np.vecdot(off, off)) <= bound) & (bound < math.inf)
-        # One matrix: the rule above through ndarray.dot and math.sqrt.
-        v = v.ravel()
-        off = v[self._off_block_index]
-        bound = tol.residual_tol * (1.0 + math.sqrt(v.dot(v)))
-        return math.sqrt(off.dot(off)) <= bound < math.inf
+        v = np.ascontiguousarray(x, dtype=complex).view(float).reshape(*x.shape[:-2], -1)
+        off = v[..., self._off_block_index]
+        bound = tol.residual_tol * (1.0 + np.sqrt(np.vecdot(v, v)))
+        member = (np.sqrt(np.vecdot(off, off)) <= bound) & (bound < math.inf)
+        return member if member.ndim else bool(member)
 
     def require_member(
         self, x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, what: str = "matrix"
@@ -559,6 +554,16 @@ class StabilizerData:
         return self.algebra.embed_stacks(parts)
 
 
+def combination(coeff: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``sum_j coeff[j] basis[j]``, added in order from zero over the
+    ``(k, dim, dim)`` basis; for a ``(T, k, dim, dim)`` stack of bases, per
+    row of the ``(T, m)`` coefficients (``m >= k``, the rest unread)."""
+    out = np.zeros(basis.shape[:-3] + basis.shape[-2:], dtype=complex)
+    for j in range(basis.shape[-3]):
+        out = out + coeff[..., j, None, None] * basis[..., j, :, :]
+    return out
+
+
 def matrix_units(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The rank-one matrices ``a b*`` for the columns ``a`` of ``left`` and
     ``b`` of ``right``, ``a`` in the outer loop, as one stack; for stacks of
@@ -681,6 +686,20 @@ def stabilizer_lie_algebra(
     i-Hermitian combinations within each positive eigenvalue cluster."""
     corners = ((s, c) for s, c, positive in _spectral_clusters(phi, tol) if positive)
     return StabilizerData(phi.algebra, tuple(corners))
+
+
+def stabilizer_direction(
+    phi: NormalFunctional, coeff: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
+) -> np.ndarray:
+    """The real combination of the stabilizer basis of ``phi`` with the
+    coefficients ``coeff`` (:func:`combination`); of a stack of functionals,
+    each with its row of coefficients, the basis built once per
+    :func:`cluster_pattern`."""
+    return _truncated(
+        cluster_pattern(phi, tol),
+        lambda d, c, _: combination(c, stabilizer_lie_algebra(NormalFunctional(phi.algebra, d), tol).basis),
+        phi.density, coeff,
+    )
 
 
 def pinching_projections(

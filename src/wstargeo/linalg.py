@@ -15,17 +15,16 @@ is factored by one LAPACK call, and the rank decision (cutoff, guard band,
 positivity) is then made once per matrix of the stack, against that
 matrix's own largest value, so matrices of different ranks share one stack
 and each gets the bits it gets alone.  A 2-D input is the unstacked case of
-the same code, but for the rules on the hot path of every unstacked call:
-:func:`frobenius`, :func:`excess`, :func:`retained_rank`,
-:meth:`PositiveSpectrum.from_blocks` and block membership in
-:mod:`~wstargeo.algebra`.  Each keeps a form on Python scalars for one
-matrix beside its vectorized form for a stack, since the vectorized forms,
-run on one matrix at a time, made a ``verify all`` round on ``2,3`` about
-20% slower (2-4% per rule).  A product truncated to the rank is taken once
-per rank that occurs in the stack (:func:`_truncated`), since BLAS does not
-promise a product padded with zeros the bits of the truncated one.  A domain check that fails on a
-stack raises the error it raises for one matrix, naming the first failing
-matrix as its trial (:func:`refuse`).
+the same code, rules included: :func:`frobenius`, :func:`excess`,
+:func:`retained_rank`, :meth:`PositiveSpectrum.from_blocks` and block
+membership in :mod:`~wstargeo.algebra` have one vectorized form each, which
+gives one matrix NumPy scalars.  A product truncated to the rank is taken
+once per rank that occurs in the stack, and a basis whose length follows a
+matrix's ranks and eigenvalue clusters once per pattern of them
+(:func:`_truncated`), since BLAS does not promise a product padded with
+zeros the bits of the truncated one.  A domain check that fails on a stack
+raises the error it raises for one matrix, naming the first failing matrix
+as its trial (:func:`refuse`).
 
 Each kind of support has one reader: :func:`supports` gives both supports
 of a general matrix from one SVD, :func:`positive_spectrum` the support of
@@ -66,7 +65,6 @@ from it; the same blockwise type holds a functional's density
 from __future__ import annotations
 
 import contextvars
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -121,25 +119,18 @@ def frobenius(a: np.ndarray):
     """Frobenius norm, computed as ``numpy.linalg.norm(a)`` computes it: the
     dot products of the real and imaginary parts in memory order, as
     ``ravel(order="K")`` reads them.  A ``(T, n, n)`` stack gives the norm of
-    each matrix, as an array, with the bits each matrix gives alone."""
+    each matrix, as an array, with the bits each matrix gives alone; a
+    vector, the norm of its entries."""
     a = np.asarray(a)
-    if a.ndim == 3:
-        # Each matrix as one row in memory order.
-        if a.strides[-1] > a.strides[-2]:
-            a = a.swapaxes(-1, -2)
-        v = a.reshape(len(a), -1)
-        if v.dtype.kind == "c":
-            re, im = v.real, v.imag
-            return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
-        v = v.astype(float, copy=False)
-        return np.sqrt(np.vecdot(v, v))
-    # One matrix: the same sums through ndarray.dot and math.sqrt.
-    v = a.ravel(order="K")
+    # Each matrix as one row in memory order.
+    if a.ndim > 1 and a.strides[-1] > a.strides[-2]:
+        a = a.swapaxes(-1, -2)
+    v = a.reshape(*a.shape[:-2], -1)
     if v.dtype.kind == "c":
         re, im = v.real, v.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
+        return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
     v = v.astype(float, copy=False)
-    return math.sqrt(v.dot(v))
+    return np.sqrt(np.vecdot(v, v))
 
 
 def _worst(*values: float) -> float:
@@ -215,10 +206,7 @@ def excess(a, b, tol: ToleranceProfile, scale=0.0):
     gap."""
     gap = frobenius(a - b)
     bound = tol.residual_tol * (1.0 + scale)
-    if isinstance(gap, np.ndarray):
-        return np.where(gap <= bound, 0.0, np.where(gap == 0.0, bound, gap))
-    # One matrix: the rule above on Python floats.
-    return 0.0 if gap <= bound else gap or bound
+    return np.where(gap <= bound, 0.0, np.where(gap == 0.0, bound, gap))[()]
 
 
 #: How :func:`refuse` names the failing matrix ``k`` of a stack: trial
@@ -377,22 +365,13 @@ def retained_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: boo
     depend on noise.
     """
     s = np.asarray(s, dtype=float)
-    if s.ndim == 2:
-        # Row by row, each against its own largest value: a leading value at
-        # or below 0 retains nothing, as the sequence descends.
-        cutoff = tol.rank_rel_tol * s[:, 0]
-        kept = s > cutoff[:, None]
-        if guard:
-            _refuse_near_cutoff(np.where(kept, s, np.inf).min(axis=1), cutoff)
-        return np.count_nonzero(kept, axis=1)
-    # One sequence: the rule above on Python scalars.
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    cutoff = tol.rank_rel_tol * s[0]
-    rank = int(np.count_nonzero(s > cutoff))
-    if guard and rank > 0:
-        _refuse_near_cutoff(float(s[rank - 1]), cutoff)
-    return rank
+    # Row by row, each against its own largest value: a leading value at or
+    # below 0 retains nothing, as the sequence descends.
+    cutoff = tol.rank_rel_tol * s[..., 0]
+    kept = s > cutoff[..., None]
+    if guard:
+        _refuse_near_cutoff(np.where(kept, s, np.inf).min(axis=-1), cutoff)
+    return np.count_nonzero(kept, axis=-1)
 
 
 def _truncated(key, product: Callable, *factors: np.ndarray) -> np.ndarray:
@@ -517,16 +496,10 @@ class PositiveSpectrum:
         ``-residual_tol * max(1, w_max)``.  Eigenpairs of a stack (block
         values ``(T, n_b)``) give the spectrum of each matrix."""
         ws = [w for _, w, _ in blocks]
-        if ws[0].ndim == 2:  # a stack: the same rule, matrix by matrix
-            w_max = np.max([w[:, 0] for w in ws], axis=0)
-            w_min = np.min([w[:, -1] for w in ws], axis=0)
-            scale, cutoff = np.maximum(1.0, w_max), tol.rank_rel_tol * np.maximum(w_max, 0.0)
-            ranks = tuple(np.count_nonzero(w > cutoff[:, None], axis=1) for w in ws)
-        else:
-            w_max = max((float(w[0]) for w in ws if w.size), default=0.0)
-            w_min = min((float(w[-1]) for w in ws if w.size), default=0.0)
-            scale, cutoff = max(1.0, w_max), tol.rank_rel_tol * max(w_max, 0.0)
-            ranks = tuple(int(np.count_nonzero(w > cutoff)) for w in ws)
+        w_max = np.max([w[..., 0] for w in ws], axis=0)
+        w_min = np.min([w[..., -1] for w in ws], axis=0)
+        scale, cutoff = np.maximum(1.0, w_max), tol.rank_rel_tol * np.maximum(w_max, 0.0)
+        ranks = tuple(np.count_nonzero(w > cutoff[..., None], axis=-1) for w in ws)
         refuse(NotPositive, w_min < -tol.residual_tol * scale,
                "matrix has a negative eigenvalue ({:.3e})", w_min)
         return cls(tuple(blocks), cutoff, ranks)

@@ -29,7 +29,7 @@ a trial or of a stack at once, and the residuals give one value per trial.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Sequence
 
@@ -45,6 +45,7 @@ from .algebra import (
     frames_of,
     functional_support,
     matrix_units,
+    stabilizer_direction,
     stabilizer_lie_algebra,
     trace_pairing,
 )
@@ -386,19 +387,28 @@ class ComposableFamily:
     b2: np.ndarray
     h2: np.ndarray
     tol: ToleranceProfile = DEFAULT_TOL
+    #: ``supp(xi2)`` of a base already checked: :func:`families_on` hands
+    #: the first family's to the others on the same base, which then check
+    #: their generators only.
+    _support: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tol = self.tol
-        try:
-            q2 = positive_spectrum(self.xi2, tol).support
-        except (NotHermitian, NotPositive) as exc:
-            raise InvalidFamily(f"xi2: {exc}") from exc
         u1, u2, a1, a2, b2, h2 = self.u1, self.u2, self.a1, self.a2, self.b2, self.h2
-        checks = {
-            "u1 is not a partial isometry": np.logical_not(is_partial_isometry(u1, tol)),
-            "u2 is not a partial isometry": np.logical_not(is_partial_isometry(u2, tol)),
-            "u1* u1 != u2 u2*": excess(u1.conj().mT @ u1, u2 @ u2.conj().mT, tol),
-            "u2* u2 != supp(xi2)": excess(u2.conj().mT @ u2, q2, tol),
+        q2, checks = self._support, {}
+        if q2 is None:
+            try:
+                q2 = positive_spectrum(self.xi2, tol).support
+            except (NotHermitian, NotPositive) as exc:
+                raise InvalidFamily(f"xi2: {exc}") from exc
+            object.__setattr__(self, "_support", q2)
+            checks = {
+                "u1 is not a partial isometry": np.logical_not(is_partial_isometry(u1, tol)),
+                "u2 is not a partial isometry": np.logical_not(is_partial_isometry(u2, tol)),
+                "u1* u1 != u2 u2*": excess(u1.conj().mT @ u1, u2 @ u2.conj().mT, tol),
+                "u2* u2 != supp(xi2)": excess(u2.conj().mT @ u2, q2, tol),
+            }
+        checks |= {
             "a1 is not anti-Hermitian": excess(a1, -a1.conj().mT, tol),
             "a2 is not anti-Hermitian": excess(a2, -a2.conj().mT, tol),
             "b2 is not anti-Hermitian": excess(b2, -b2.conj().mT, tol),
@@ -548,13 +558,16 @@ def families_on(
 ) -> list[ComposableFamily]:
     """The families of :func:`draw_family_data`, or of a stack of such data
     (one draw per trial): each generator scaled to unit operator norm, and
-    each family validated once."""
+    each family validated once, the shared base with the first."""
     u1, u2, xi2, *generators = data
     generators = [sampling.unit_norm(x) for x in generators]
-    return [
-        ComposableFamily(algebra, u1, u2, xi2, *generators[i:i + 4], tol=tol)
-        for i in range(0, len(generators), 4)
-    ]
+    families, support = [], None
+    for i in range(0, len(generators), 4):
+        families.append(
+            ComposableFamily(algebra, u1, u2, xi2, *generators[i:i + 4], tol=tol, _support=support)
+        )
+        support = families[-1]._support
+    return families
 
 
 def multiplicativity_residual(
@@ -998,30 +1011,19 @@ def orbit_form_invariance_residual(
     ``coeff`` (zero past the stabilizer's dimension).
 
     On stacks (a functional of stacked densities, and stacked samples) one
-    residual per trial; the stabilizer's basis is built once per
-    :func:`~wstargeo.algebra.cluster_pattern`."""
-    algebra = rho0.algebra
-
-    def stabilizer_residuals(d0, u, du, du2, coeff, pattern) -> np.ndarray:
-        rho = NormalFunctional(algebra, d0)
-        basis = stabilizer_lie_algebra(rho, tol).basis
-        s = np.zeros(d0.shape, dtype=complex)
-        for j in range(basis.shape[-3]):
-            s = s + coeff[..., j, None, None] * basis[..., j, :, :]
-        # Right translation by exp(s): the identity off the support corner,
-        # so u exp(s) stays an isometry from p0.
-        g = exp_antihermitian(s)
-        base = dGamma0(rho, u, du, du2, tol)
-        return np.stack([
-            abs(dGamma0(rho, u @ g, du @ g, du2 @ g, tol) - base),
-            abs(dGamma0(rho, u, du + u @ s, du2, tol) - base),
-        ], axis=-1)
-
-    translated = abs(Gamma0(rho0, w @ u, w @ du, tol) - Gamma0(rho0, u, du, tol))
-    vertical = abs(
-        dGamma0(rho0, wg @ u, wg @ u @ x1, wg @ u @ x2, tol) - dGamma0(rho0, u, u @ x1, u @ x2, tol)
-    )
-    stabilizer = _truncated(
-        cluster_pattern(rho0, tol), stabilizer_residuals, rho0.density, u, du, du2, coeff
-    )
-    return reduce(np.maximum, [translated, vertical, stabilizer[..., 0], stabilizer[..., 1]])
+    residual per trial (:func:`~wstargeo.algebra.stabilizer_direction`)."""
+    s = stabilizer_direction(rho0, coeff, tol)
+    # Right translation by exp(s): the identity off the support corner, so
+    # u exp(s) stays an isometry from p0.
+    g = exp_antihermitian(s)
+    residuals = [
+        abs(Gamma0(rho0, w @ u, w @ du, tol) - Gamma0(rho0, u, du, tol)),
+        abs(dGamma0(rho0, wg @ u, wg @ u @ x1, wg @ u @ x2, tol)
+            - dGamma0(rho0, u, u @ x1, u @ x2, tol)),
+    ]
+    base = dGamma0(rho0, u, du, du2, tol)
+    residuals += [
+        abs(dGamma0(rho0, u @ g, du @ g, du2 @ g, tol) - base),
+        abs(dGamma0(rho0, u, du + u @ s, du2, tol) - base),
+    ]
+    return reduce(np.maximum, residuals)

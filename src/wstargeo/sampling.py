@@ -360,19 +360,6 @@ def p0_tangent(
     return z - u @ herm(u.conj().T @ z)
 
 
-def stabilizer_direction(
-    rng: np.random.Generator, basis: np.ndarray
-) -> np.ndarray:
-    """Random real combination of a stabilizer basis."""
-    if not len(basis):
-        raise ValueError("stabilizer basis is empty")
-    coeff = rng.standard_normal(len(basis))
-    out = np.zeros_like(basis[0])
-    for c, b in zip(coeff, basis):
-        out = out + c * b
-    return out
-
-
 def projection_chain(
     algebra: BlockAlgebra,
     rng: np.random.Generator,

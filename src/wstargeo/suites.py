@@ -25,6 +25,7 @@ from .algebra import (
     centralizer_basis,
     cluster_pattern,
     coadjoint_apply,
+    combination,
     conditional_expectation,
     functional_support,
     modular_flow,
@@ -32,6 +33,7 @@ from .algebra import (
     mvn_witness,
     orbit_equivalent,
     stabilizer_dimension,
+    stabilizer_direction,
     stabilizer_lie_algebra,
     unitary_equivalent,
     unitary_witness,
@@ -205,6 +207,18 @@ def _worst_of_stacks(residuals) -> float:
     return _worst(0.0, *(r for rs in residuals for r in rs.tolist()))
 
 
+def _coefficients(draws: list, counts: np.ndarray, draw: Callable) -> np.ndarray:
+    """``draw(rng, counts[k])`` from the generator of each trial ``k`` (the
+    first entry of ``draws[k]``), as one array padded with zeros: the
+    coefficients of a basis whose length each trial learns only from the
+    stacked spectrum, drawn after the rest of its data."""
+    rows = [draw(rng, int(count)) for (rng, *_), count in zip(draws, counts)]
+    out = np.zeros((len(rows), int(np.max(counts))), dtype=rows[0].dtype)
+    for row, coeff in zip(out, rows):
+        row[: len(coeff)] = coeff
+    return out
+
+
 def _row_laws(tag: str) -> Callable[[RowCtx], float]:
     """Groupoid laws of the picture ``tag`` on one composable chain of three
     arrows per trial; for the standard form also the polar data of its
@@ -236,7 +250,7 @@ def _row_laws(tag: str) -> Callable[[RowCtx], float]:
 
 
 def _draw_isomorphisms(ctx: RowCtx, rng) -> list:
-    alg = ctx.algebra
+    alg, prof = ctx.algebra, ctx.profile
     a, b = composable_chain("coadjoint", alg, rng, 2)
     f0 = sampling.random_frames(alg, rng, allow_zero=False)
     rho0 = sampling.density_on(rng, f0)
@@ -244,11 +258,10 @@ def _draw_isomorphisms(ctx: RowCtx, rng) -> list:
         sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
         for _ in range(3)
     ]
-    # The direction consumes the generator by the length of the stabilizer
-    # basis of the base density, so the stabilizer is taken per trial.
-    stab = stabilizer_lie_algebra(rho0, ctx.profile)
-    x = sampling.stabilizer_direction(rng, stab.basis)
-    return [a, b, u, v, w, rho0, x]
+    # The direction consumes the generator by the dimension of the
+    # stabilizer of the base density, so the stabilizer is taken per trial.
+    coeff = rng.standard_normal(stabilizer_dimension(rho0, prof))
+    return [a, b, u, v, w, rho0, stabilizer_direction(rho0, coeff, prof)]
 
 
 def _check_isomorphisms(ctx: RowCtx, a, b, u, v, w, rho0, x) -> dict:
@@ -745,18 +758,6 @@ def _draw_bundle_point(alg, rng, repeat_chance: float = 0.0):
     return f0, sampling.unit_trace(d), sampling.isometry_between(rng, f0, q), q
 
 
-def _coefficients(draws: list, counts: np.ndarray, draw: Callable) -> np.ndarray:
-    """``draw(rng, counts[k])`` from the generator of each trial ``k`` (the
-    first entry of ``draws[k]``), as one array padded with zeros: the
-    coefficients of a basis whose length each trial learns only from the
-    stacked spectrum, drawn after the rest of its data."""
-    rows = [draw(rng, int(count)) for (rng, *_), count in zip(draws, counts)]
-    out = np.zeros((len(rows), int(np.max(counts))), dtype=rows[0].dtype)
-    for row, coeff in zip(out, rows):
-        row[: len(coeff)] = coeff
-    return out
-
-
 def _row_degeneracy_invariance(ctx: RowCtx) -> float:
     alg, prof = ctx.algebra, ctx.profile
     draws = list(_trials(ctx, lambda ctx, rng: (rng, *_draw_bundle_point(alg, rng, repeat_chance=0.5))))
@@ -979,10 +980,7 @@ def _row_flow_conditional_expectation(ctx: RowCtx) -> float:
     def residuals(d, x, coeff, pattern) -> np.ndarray:
         phi = NormalFunctional(alg, d)
         ex = conditional_expectation(phi, x, prof)
-        basis = centralizer_basis(phi, prof)
-        a = 0
-        for j in range(basis.shape[-3]):
-            a = a + coeff[:, j, None, None] * basis[:, j]
+        a = combination(coeff, centralizer_basis(phi, prof))
         moved = phi(ex) - phi(x)
         return np.stack([
             frobenius(conditional_expectation(phi, ex, prof) - ex),

@@ -36,9 +36,15 @@ from wstargeo.groupoids import (
     composable_chain,
     psi_intertwining_residual,
 )
-from wstargeo.errors import NotFaithful, NotPositive
+from wstargeo.errors import InvalidFamily, NotFaithful, NotPositive
 from wstargeo.linalg import DEFAULT_TOL, frobenius, herm, polar_decompose, positive_spectrum
-from wstargeo.poisson import Observable, leibniz_residual, poisson_map_residual
+from wstargeo.poisson import (
+    Observable,
+    draw_family_data,
+    families_on,
+    leibniz_residual,
+    poisson_map_residual,
+)
 from wstargeo.standard import iso_Phi, modular_Delta, std_unit, tomita_S
 
 M23 = BlockAlgebra((2, 3))
@@ -232,6 +238,54 @@ class TestCounts:
         assert counts[0]["quadratic"][2] == 1 + 13
         assert counts[0]["identity"][1] > 0
 
+    def test_pattern_rows_factor_per_pattern_not_per_trial(self, lapack_calls, monkeypatch):
+        # Trial k draws from the generator of trial k mod 10, so 40 trials
+        # repeat the eigenvalue-cluster patterns and null-space dimensions
+        # of 10.  The rows below factor once per such pattern (fubini-study
+        # and fd-exterior once per row), so they make as many SVDs and
+        # Hermitian eigendecompositions at 40 trials as at 10; one check per
+        # trial made four times as many.
+        monkeypatch.setattr(
+            suites.RowCtx, "rng",
+            lambda self, k: sampling.rng_for(self.seed, self.subindex, k % 10),
+        )
+        rows = [
+            (suite, subindex, row)
+            for suite in ("degeneracy", "dual-pair", "fubini-study", "modular-flow")
+            for subindex, row in enumerate(suites._suite(suite))
+            if suite != "modular-flow" or row[0] in ("conditional-expectation", "dimensions")
+        ]
+        assert len(rows) == 12
+        counts = []
+        for trials in (10, 40):
+            per_row, shared = {}, {}
+            for suite, subindex, (name, tolerance, fn) in rows:
+                lapack_calls.update(gesdd=0, heevd=0)
+                ctx = suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL, shared.setdefault(suite, {}))
+                assert fn(ctx) <= tolerance, name
+                per_row[f"{suite}/{name}"] = (lapack_calls["gesdd"], lapack_calls["heevd"])
+            counts.append(per_row)
+        assert counts[0] == counts[1]
+        for row in ("degeneracy/orbit-form-invariance", "degeneracy/radical-pairing",
+                    "dual-pair/orthogonality", "modular-flow/conditional-expectation"):
+            assert sum(counts[0][row]) > 0, row
+
+    def test_families_on_one_base_take_its_support_once(self, lapack_calls):
+        # Each family of one base took the support of xi2: 2 decompositions
+        # for the two families of multiplicativity/residual.
+        for directions in (1, 2):
+            data = draw_family_data(M23, sampling.rng_for(2027, directions), directions)
+            lapack_calls.update(heevd=0)
+            families = families_on(M23, data, DEFAULT_TOL)
+            assert len(families) == directions
+            assert lapack_calls["heevd"] == 1
+
+    def test_families_after_the_first_check_their_generators(self):
+        data = draw_family_data(M23, sampling.rng_for(2027, 3), 2)
+        data[-4] = 1j * data[-4]  # the second family's a1, now Hermitian
+        with pytest.raises(InvalidFamily, match="a1 is not anti-Hermitian"):
+            families_on(M23, data, DEFAULT_TOL)
+
     def test_psi_intertwining(self, lapack_calls):
         # 18 with one support of rho0 per gauge_iso_Psi and coadjoint_apply,
         # each decomposing both blocks; two functionals, one call per block
@@ -360,7 +414,7 @@ def _reference_contains(algebra: BlockAlgebra, x, tol=DEFAULT_TOL) -> bool:
     for s in algebra.slices:
         off[s, s] = False
     bound = tol.residual_tol * (1.0 + frobenius(x))
-    return frobenius(x[off]) <= bound < math.inf
+    return bool(frobenius(x[off]) <= bound < math.inf)
 
 
 def _contains_cases() -> dict[str, tuple[np.ndarray, bool]]:

@@ -15,6 +15,7 @@ from wstargeo import charts, groupoids, poisson, sampling, standard
 from wstargeo.algebra import (
     BlockAlgebra,
     NormalFunctional,
+    combination,
     require_projection,
     stabilizer_lie_algebra,
 )
@@ -349,7 +350,7 @@ class TestLapackKernels:
         for x in (c, c.real, c.T, c[::2, 1:], c.real.T, (10 * c.real).astype(int),
                   np.zeros((0, 3)), np.arange(7), np.zeros((2, 2), dtype=complex)):
             got = frobenius(x)
-            assert type(got) is float
+            assert isinstance(got, float)
             assert got == float(np.linalg.norm(x))
 
 
@@ -366,7 +367,7 @@ class TestExpAntihermitian:
         stab = stabilizer_lie_algebra(rho0)
         return {
             "generic": sampling.random_antihermitian(m23, rng),
-            "zero-block": sampling.stabilizer_direction(rng, stab.basis),
+            "zero-block": combination(rng.standard_normal(len(stab.basis)), stab.basis),
             "zero": np.zeros((5, 5), dtype=complex),
         }
 
