@@ -608,7 +608,7 @@ def cluster_pattern(phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL):
         parts = []
         for (_, w, _), r in zip(spectrum.blocks, spectrum.ranks):
             parts += [np.asarray(r)[..., None], eigen_clusters(w, r, tol.rank_rel_tol)]
-        return _readonly(np.concatenate(parts, axis=-1).astype(int))
+        return _readonly(np.concatenate(parts, axis=-1))
 
     pattern = phi._memoized("pattern", tol, compute)
     return pattern if pattern.ndim == 2 else tuple(pattern.tolist())

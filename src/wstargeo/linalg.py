@@ -15,14 +15,17 @@ is factored by one LAPACK call, and the rank decision (cutoff, guard band,
 positivity) is then made once per matrix of the stack, against that
 matrix's own largest value, so matrices of different ranks share one stack
 and each gets the bits it gets alone.  A 2-D input is the unstacked case of
-the same code, rules included: :func:`frobenius`, :func:`excess`,
-:func:`retained_rank`, :meth:`PositiveSpectrum.from_blocks` and block
-membership in :mod:`~wstargeo.algebra` have one vectorized form each, which
-gives one matrix NumPy scalars.  A product truncated to the rank is taken
-once per rank that occurs in the stack, and a basis whose length follows a
-matrix's ranks and eigenvalue clusters once per pattern of them
-(:func:`_truncated`), since BLAS does not promise a product padded with
-zeros the bits of the truncated one.  A domain check that fails on a stack
+the same code, but for three rules that every one-matrix command runs:
+:func:`frobenius`, :func:`excess` and :meth:`PositiveSpectrum.from_blocks`
+keep a form on Python scalars for one matrix beside the vectorized form for
+a stack, since the vectorized forms made the command-line batch of the
+benchmark (``cli-files``) 2%, 1% and 5% slower.  The other rules, the rank
+rule of :func:`retained_rank` and block membership in
+:mod:`~wstargeo.algebra` among them, have one vectorized form.  A product
+truncated to the rank is taken once per rank that occurs in the stack, and
+a basis whose length follows a matrix's ranks and eigenvalue clusters once
+per pattern of them (:func:`_truncated`), since BLAS does not promise a
+product padded with zeros the bits of the truncated one.  A domain check that fails on a stack
 raises the error it raises for one matrix, naming the first failing matrix
 as its trial (:func:`refuse`).
 
@@ -65,6 +68,7 @@ from it; the same blockwise type holds a functional's density
 from __future__ import annotations
 
 import contextvars
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -119,18 +123,25 @@ def frobenius(a: np.ndarray):
     """Frobenius norm, computed as ``numpy.linalg.norm(a)`` computes it: the
     dot products of the real and imaginary parts in memory order, as
     ``ravel(order="K")`` reads them.  A ``(T, n, n)`` stack gives the norm of
-    each matrix, as an array, with the bits each matrix gives alone; a
-    vector, the norm of its entries."""
+    each matrix, as an array, with the bits each matrix gives alone."""
     a = np.asarray(a)
-    # Each matrix as one row in memory order.
-    if a.ndim > 1 and a.strides[-1] > a.strides[-2]:
-        a = a.swapaxes(-1, -2)
-    v = a.reshape(*a.shape[:-2], -1)
+    if a.ndim == 3:
+        # Each matrix as one row in memory order.
+        if a.strides[-1] > a.strides[-2]:
+            a = a.swapaxes(-1, -2)
+        v = a.reshape(len(a), -1)
+        if v.dtype.kind == "c":
+            re, im = v.real, v.imag
+            return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+        v = v.astype(float, copy=False)
+        return np.sqrt(np.vecdot(v, v))
+    # One matrix: the same sums through ndarray.dot and math.sqrt.
+    v = a.ravel(order="K")
     if v.dtype.kind == "c":
         re, im = v.real, v.imag
-        return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+        return math.sqrt(re.dot(re) + im.dot(im))
     v = v.astype(float, copy=False)
-    return np.sqrt(np.vecdot(v, v))
+    return math.sqrt(v.dot(v))
 
 
 def _worst(*values: float) -> float:
@@ -206,7 +217,10 @@ def excess(a, b, tol: ToleranceProfile, scale=0.0):
     gap."""
     gap = frobenius(a - b)
     bound = tol.residual_tol * (1.0 + scale)
-    return np.where(gap <= bound, 0.0, np.where(gap == 0.0, bound, gap))[()]
+    if isinstance(gap, np.ndarray):
+        return np.where(gap <= bound, 0.0, np.where(gap == 0.0, bound, gap))
+    # One matrix: the rule above on Python floats.
+    return 0.0 if gap <= bound else gap or bound
 
 
 #: How :func:`refuse` names the failing matrix ``k`` of a stack: trial
@@ -496,10 +510,16 @@ class PositiveSpectrum:
         ``-residual_tol * max(1, w_max)``.  Eigenpairs of a stack (block
         values ``(T, n_b)``) give the spectrum of each matrix."""
         ws = [w for _, w, _ in blocks]
-        w_max = np.max([w[..., 0] for w in ws], axis=0)
-        w_min = np.min([w[..., -1] for w in ws], axis=0)
-        scale, cutoff = np.maximum(1.0, w_max), tol.rank_rel_tol * np.maximum(w_max, 0.0)
-        ranks = tuple(np.count_nonzero(w > cutoff[..., None], axis=-1) for w in ws)
+        if ws[0].ndim == 2:  # a stack: the same rule, matrix by matrix
+            w_max = np.max([w[:, 0] for w in ws], axis=0)
+            w_min = np.min([w[:, -1] for w in ws], axis=0)
+            scale, cutoff = np.maximum(1.0, w_max), tol.rank_rel_tol * np.maximum(w_max, 0.0)
+            ranks = tuple(np.count_nonzero(w > cutoff[:, None], axis=1) for w in ws)
+        else:
+            w_max = max((float(w[0]) for w in ws if w.size), default=0.0)
+            w_min = min((float(w[-1]) for w in ws if w.size), default=0.0)
+            scale, cutoff = max(1.0, w_max), tol.rank_rel_tol * max(w_max, 0.0)
+            ranks = tuple(int(np.count_nonzero(w > cutoff)) for w in ws)
         refuse(NotPositive, w_min < -tol.residual_tol * scale,
                "matrix has a negative eigenvalue ({:.3e})", w_min)
         return cls(tuple(blocks), cutoff, ranks)
@@ -619,11 +639,11 @@ def eigen_clusters(w: np.ndarray, rank, rel_gap: float) -> np.ndarray:
     threshold = rel_gap * w[..., :1]
     inside = np.arange(1, w.shape[-1]) < np.asarray(rank)[..., None]
     ambiguous = inside & (threshold / GUARD_FACTOR <= gap) & (gap <= GUARD_FACTOR * threshold)
-    refuse(
-        AmbiguousCluster, ambiguous.any(axis=-1),
-        f"eigenvalue gap {{:.3e}} is within a factor {GUARD_FACTOR:g} "
-        "of the clustering threshold {:.3e}",
-        np.max(np.where(ambiguous, gap, -np.inf), axis=-1, initial=-np.inf),
-        np.max(threshold, axis=-1, initial=0.0),
-    )
+    if ambiguous.any():
+        refuse(
+            AmbiguousCluster, ambiguous.any(axis=-1),
+            f"eigenvalue gap {{:.3e}} is within a factor {GUARD_FACTOR:g} "
+            "of the clustering threshold {:.3e}",
+            np.max(np.where(ambiguous, gap, -np.inf), axis=-1), threshold[..., 0],
+        )
     return inside & (gap > threshold)

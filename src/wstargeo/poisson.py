@@ -726,7 +726,7 @@ def _unit_vector(v: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
     """``v`` as a complex vector, or each row of a ``(T, n)`` stack, refused
     (:class:`NotUnitVector`) unless of unit norm (NaN included)."""
     v = np.asarray(v, dtype=complex)
-    norm = np.linalg.norm(v, axis=-1)
+    norm = np.sqrt(np.vecdot(v, v).real)
     refuse(NotUnitVector, ~(np.abs(norm - 1.0) <= tol.residual_tol * 10),
            "vector norm {:.6f} differs from 1", norm)
     return v

@@ -414,7 +414,7 @@ def _reference_contains(algebra: BlockAlgebra, x, tol=DEFAULT_TOL) -> bool:
     for s in algebra.slices:
         off[s, s] = False
     bound = tol.residual_tol * (1.0 + frobenius(x))
-    return bool(frobenius(x[off]) <= bound < math.inf)
+    return frobenius(x[off]) <= bound < math.inf
 
 
 def _contains_cases() -> dict[str, tuple[np.ndarray, bool]]:

@@ -350,7 +350,7 @@ class TestLapackKernels:
         for x in (c, c.real, c.T, c[::2, 1:], c.real.T, (10 * c.real).astype(int),
                   np.zeros((0, 3)), np.arange(7), np.zeros((2, 2), dtype=complex)):
             got = frobenius(x)
-            assert isinstance(got, float)
+            assert type(got) is float
             assert got == float(np.linalg.norm(x))
 
 
