@@ -58,17 +58,18 @@ import numpy as np
 
 from .errors import (
     AlgebraMismatch,
+    AmbiguousCluster,
     InvalidArrow,
     NotFaithful,
     NotPositive,
 )
 from .linalg import (
     DEFAULT_TOL,
+    GUARD_FACTOR,
     PositiveSpectrum,
     ToleranceProfile,
     _truncated,
     as_square,
-    eigen_clusters,
     excess,
     frobenius,
     herm,
@@ -124,6 +125,23 @@ class BlockAlgebra:
     @cached_property
     def slices(self) -> tuple[slice, ...]:
         return consecutive_slices(self.blocks)
+
+    @cached_property
+    def _block_layout(self) -> tuple[np.ndarray, ...]:
+        """Read-only, per diagonal position: the first position of its block,
+        its offset in the block, the index of its block, and the position
+        before it (itself at 0)."""
+        start = np.repeat([s.start for s in self.slices], self.blocks)
+        position = np.arange(self.dim)
+        layout = (
+            start,
+            position - start,
+            np.repeat(np.arange(len(self.blocks)), self.blocks),
+            np.maximum(position - 1, 0),
+        )
+        for a in layout:
+            a.flags.writeable = False
+        return layout
 
     @cached_property
     def _off_block_index(self) -> np.ndarray:
@@ -205,7 +223,8 @@ class BlockAlgebra:
             if len(mats)
         ]
         lead = placed[0][1].shape[:-3] if placed else ()
-        out = np.zeros(lead + (sum(m.shape[-3] for _, m in placed), self.dim, self.dim), dtype=complex)
+        count = sum(m.shape[-3] for _, m in placed)
+        out = np.zeros(lead + (count, self.dim, self.dim), dtype=complex)
         k = 0
         for s, mats in placed:
             out[..., k : k + mats.shape[-3], s, s] = mats
@@ -592,23 +611,41 @@ def antihermitian_units(cols: np.ndarray) -> list[np.ndarray]:
 def cluster_pattern(phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL):
     """The eigenvalue-cluster pattern of the density of a positive
     functional, read off :func:`density_spectrum`: per block its rank, then
-    for each of its gaps whether a retained cluster splits there
-    (:func:`~wstargeo.linalg.eigen_clusters`, at that block's scale), as
-    one tuple of ints.  Of a stack of functionals, one row per functional,
-    as an array: the key by which a stack's functionals are grouped
-    (:func:`~wstargeo.linalg._truncated`), since the pattern fixes the
-    length of every basis below.  Kept on ``phi`` per profile.  Raises
-    ``NotPartiallyInvertible`` for a retained value near the cutoff (as a
-    negative power does) and ``AmbiguousCluster`` for a gap in the
-    clustering guard band."""
+    for each gap between consecutive values whether a retained cluster
+    splits there, as one tuple of ints.  The retained values of a block
+    split where a gap exceeds ``rank_rel_tol`` times the block's largest
+    value; its kernel is one cluster.  Of a stack of functionals, one row
+    per functional, as an array: the key by which a stack's functionals are
+    grouped (:func:`~wstargeo.linalg._truncated`), since the pattern fixes
+    the length of every basis below.  Kept on ``phi`` per profile.
+
+    Raises ``NotPartiallyInvertible`` for a retained value near the cutoff
+    (as a negative power does) and :class:`AmbiguousCluster` for a gap
+    within a factor ``GUARD_FACTOR`` of its threshold, on either side, since
+    whether it splits a cluster would depend on noise; on a stack, naming
+    the first failing functional as its trial."""
 
     def compute():
         spectrum = density_spectrum(phi, tol)
         spectrum.require_separated()
-        parts = []
-        for (_, w, _), r in zip(spectrum.blocks, spectrum.ranks):
-            parts += [np.asarray(r)[..., None], eigen_clusters(w, r, tol.rank_rel_tol)]
-        return _readonly(np.concatenate(parts, axis=-1))
+        start, offset, block, before = phi.algebra._block_layout
+        w = np.concatenate([w for _, w, _ in spectrum.blocks], axis=-1)
+        rank = np.asarray(spectrum.ranks).T[..., block]
+        # The gap before each value of a block, and whether both its values
+        # are retained.
+        gap = w[..., before] - w
+        threshold = tol.rank_rel_tol * w[..., start]
+        inside = (offset > 0) & (offset < rank)
+        ambiguous = inside & (threshold / GUARD_FACTOR <= gap) & (gap <= GUARD_FACTOR * threshold)
+        if ambiguous.any():
+            refuse(
+                AmbiguousCluster, ambiguous.any(axis=-1),
+                f"eigenvalue gap {{:.3e}} is within a factor {GUARD_FACTOR:g} "
+                "of the clustering threshold {:.3e}",
+                np.max(np.where(ambiguous, gap, -np.inf), axis=-1),
+                np.max(np.where(ambiguous, threshold, -np.inf), axis=-1),
+            )
+        return _readonly(np.where(offset == 0, rank, inside & (gap > threshold)))
 
     pattern = phi._memoized("pattern", tol, compute)
     return pattern if pattern.ndim == 2 else tuple(pattern.tolist())
@@ -658,7 +695,8 @@ def stabilizer_dimension(phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_
         # The cluster of each value, and which values are retained.
         label = np.cumsum(np.concatenate([np.zeros_like(r)[..., None], splits], axis=-1), axis=-1)
         kept = np.arange(n) < r[..., None]
-        same = (label[..., :, None] == label[..., None, :]) & kept[..., :, None] & kept[..., None, :]
+        same = label[..., :, None] == label[..., None, :]
+        same &= kept[..., :, None] & kept[..., None, :]
         total = total + np.count_nonzero(same, axis=(-2, -1))
     return total
 
@@ -695,11 +733,11 @@ def stabilizer_direction(
     coefficients ``coeff`` (:func:`combination`); of a stack of functionals,
     each with its row of coefficients, the basis built once per
     :func:`cluster_pattern`."""
-    return _truncated(
-        cluster_pattern(phi, tol),
-        lambda d, c, _: combination(c, stabilizer_lie_algebra(NormalFunctional(phi.algebra, d), tol).basis),
-        phi.density, coeff,
-    )
+
+    def direction(d, c, pattern):
+        return combination(c, stabilizer_lie_algebra(NormalFunctional(phi.algebra, d), tol).basis)
+
+    return _truncated(cluster_pattern(phi, tol), direction, phi.density, coeff)
 
 
 def pinching_projections(

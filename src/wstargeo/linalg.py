@@ -7,8 +7,9 @@ quantities.  Operations whose output is discontinuous across a rank change
 (the partial inverse and every negative power) refuse inputs whose
 smallest retained singular value sits within a factor ``GUARD_FACTOR`` of
 the cutoff, so downstream geometry never sees an ambiguous support.
-Eigenvalue clustering (:func:`eigen_clusters`) refuses a gap within the same
-factor of its threshold, so no stabilizer dimension depends on noise.
+Eigenvalue clustering (:func:`~wstargeo.algebra.cluster_pattern`) refuses a
+gap within the same factor of its threshold, so no stabilizer dimension
+depends on noise.
 
 The kernels take a leading trial axis: a ``(T, n, n)`` stack of matrices
 is factored by one LAPACK call, and the rank decision (cutoff, guard band,
@@ -76,7 +77,6 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import (
-    AmbiguousCluster,
     NoConvergence,
     NotHermitian,
     NotPartiallyInvertible,
@@ -619,31 +619,3 @@ def projection_rank(p: np.ndarray):
     as an array."""
     rank = np.rint(p.trace(axis1=-2, axis2=-1).real).astype(int)
     return rank if rank.ndim else int(rank)
-
-
-def eigen_clusters(w: np.ndarray, rank, rel_gap: float) -> np.ndarray:
-    """Where the clusters of the first ``rank`` values of a descending
-    eigenvalue sequence split: a mask over its gaps, true at gap ``i``
-    (between values ``i`` and ``i + 1``) when the gap exceeds ``threshold =
-    rel_gap * w[0]``; for a stack of sequences (one row per matrix) with a
-    rank per row, one mask per row.  The first ``rank`` values are the
-    retained ones, positive, so ``w[0]`` is the largest in modulus.
-
-    A gap within a factor ``GUARD_FACTOR`` of the threshold, on either side,
-    is refused (:class:`AmbiguousCluster`): whether it splits a cluster
-    would depend on noise.  On a stack the refusal names the first matrix
-    with such a gap (:func:`refuse`).
-    """
-    w = np.asarray(w, dtype=float)
-    gap = w[..., :-1] - w[..., 1:]
-    threshold = rel_gap * w[..., :1]
-    inside = np.arange(1, w.shape[-1]) < np.asarray(rank)[..., None]
-    ambiguous = inside & (threshold / GUARD_FACTOR <= gap) & (gap <= GUARD_FACTOR * threshold)
-    if ambiguous.any():
-        refuse(
-            AmbiguousCluster, ambiguous.any(axis=-1),
-            f"eigenvalue gap {{:.3e}} is within a factor {GUARD_FACTOR:g} "
-            "of the clustering threshold {:.3e}",
-            np.max(np.where(ambiguous, gap, -np.inf), axis=-1), threshold[..., 0],
-        )
-    return inside & (gap > threshold)

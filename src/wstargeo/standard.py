@@ -193,12 +193,12 @@ def _fiber_units(n: int) -> np.ndarray:
 
 def _fiber_rows(
     algebra: BlockAlgebra, g: np.ndarray, mu: np.ndarray, tol: ToleranceProfile
-) -> tuple[list[np.ndarray], tuple]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """The null spaces behind :func:`fiber_kernel_E` at g, with its left
     momentum ``mu`` given, or at each vector of a stack: per block the right
     singular vectors of the realified conditions on the block's units
     (:func:`_fiber_units`), and the dimension of each block's null space
-    (an int per block, or an array with one row per vector of a stack).
+    (one row per vector of a stack).
 
     Both conditions act within each block, so each block's null space is
     taken over its 2 n^2 realified matrix units, all evaluated at once."""
@@ -216,7 +216,7 @@ def _fiber_rows(
         vh, rank = right_singular(mat, tol)
         vhs.append(vh)
         nullity.append(len(d) - rank)
-    return vhs, (tuple(nullity) if g.ndim == 2 else np.stack(nullity, axis=-1))
+    return vhs, np.stack(nullity, axis=-1)
 
 
 def _fiber_kernel(algebra: BlockAlgebra, vhs: list[np.ndarray], nullity) -> np.ndarray:
@@ -298,10 +298,9 @@ def dual_pair_orthogonality_check(
         omega = 2.0 * (left.conj() @ right.mT).imag
         return np.max(np.abs(omega), axis=(-2, -1), initial=0.0)
 
+    key = np.concatenate([null_e, null_ep], axis=-1)
     if g.ndim == 2:
-        key = null_e + null_ep
-    else:
-        key = np.concatenate([null_e, null_ep], axis=-1)
+        key = tuple(key.tolist())
     return DualPairReport(
         orthogonality=_truncated(key, orthogonality, *vhs_e, *vhs_ep),
         dim_E=np.sum(null_e, axis=-1),

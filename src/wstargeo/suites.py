@@ -760,7 +760,7 @@ def _draw_bundle_point(alg, rng, repeat_chance: float = 0.0):
 
 def _row_degeneracy_invariance(ctx: RowCtx) -> float:
     alg, prof = ctx.algebra, ctx.profile
-    draws = list(_trials(ctx, lambda ctx, rng: (rng, *_draw_bundle_point(alg, rng, repeat_chance=0.5))))
+    draws = list(_trials(ctx, lambda ctx, rng: (rng, *_draw_bundle_point(alg, rng, 0.5))))
     d0, u = stack_chains([[d0, u] for _, _, d0, u, _ in draws], ctx.trials)
     rho0 = NormalFunctional(alg, d0)
     p0 = functional_support(rho0, prof)
@@ -770,7 +770,9 @@ def _row_degeneracy_invariance(ctx: RowCtx) -> float:
         [orbit_form_sample(alg, rng, u[k], p0[k], q) for k, (rng, *_, q) in enumerate(draws)],
         ctx.trials,
     )
-    coeff = _coefficients(draws, stabilizer_dimension(rho0, prof), lambda rng, k: rng.standard_normal(k))
+    coeff = _coefficients(
+        draws, stabilizer_dimension(rho0, prof), lambda rng, k: rng.standard_normal(k)
+    )
     return _worst_of_stacks([orbit_form_invariance_residual(rho0, u, *sample, coeff, prof)])
 
 
@@ -1038,7 +1040,10 @@ def _row_flow_dimensions(ctx: RowCtx) -> float:
         (alg2, np.diag([1.0, 2.0]), 2),
         (alg2, 0.7 * np.eye(2), 4),
     ]
-    res = [_dimension_defects(alg_f, d[None].astype(complex), [dim], ctx.profile) for alg_f, d, dim in fixed]
+    res = [
+        _dimension_defects(alg_f, d[None].astype(complex), [dim], ctx.profile)
+        for alg_f, d, dim in fixed
+    ]
     d, predicted = _stacked_trials(ctx, _draw_planted)
     return _worst_of_stacks([*res, _dimension_defects(ctx.algebra, d, predicted, ctx.profile)])
 
