@@ -44,6 +44,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    STACK_NAME,
     PositiveSpectrum,
     ToleranceProfile,
     excess,
@@ -249,6 +250,14 @@ def fiber_kernel_dimension(algebra: BlockAlgebra, rank_per_block: list[int]) -> 
     )
 
 
+#: The most float entries of realified fibre-kernel conditions (``4 n^2 x
+#: 2 n^2`` per block of each vector) that :func:`dual_pair_orthogonality_check`
+#: factors at once, so that its memory stays bounded: one part holds the
+#: 100 vectors of a default stack on ``2,3``, 64 on ``4,4,4,4`` and three
+#: on ``12`` (whose left singular factors alone take 2.7 MB a vector).
+FIBER_ENTRIES = 1 << 19
+
+
 @dataclass(frozen=True)
 class DualPairReport:
     """Residuals of the dual-pair relations at one vector: the symplectic
@@ -281,8 +290,22 @@ def dual_pair_orthogonality_check(
 
     On a stack of vectors each block's null spaces are found with one SVD
     for all vectors, and the kernels are built and paired once per pattern
-    of null-space dimensions (:func:`~wstargeo.linalg._truncated`)."""
+    of null-space dimensions (:func:`~wstargeo.linalg._truncated`).  A stack
+    whose realified conditions exceed :data:`FIBER_ENTRIES` is checked in
+    consecutive parts that do not, each naming a refused vector by its
+    place in the whole stack."""
     g = np.asarray(g, dtype=complex)
+    part = max(1, FIBER_ENTRIES // sum(8 * n**4 for n in algebra.blocks))
+    if g.ndim == 3 and len(g) > part:
+        name, reports = STACK_NAME.get(), []
+        for start in range(0, len(g), part):
+            token = STACK_NAME.set(lambda k, start=start: name(start + k))
+            try:
+                report = dual_pair_orthogonality_check(algebra, g[start : start + part], tol)
+            finally:
+                STACK_NAME.reset(token)
+            reports.append(vars(report).values())
+        return DualPairReport(*(np.concatenate(field) for field in zip(*reports)))
     mu, mu_j = supports(g, tol)
     vhs_e, null_e = _fiber_rows(algebra, g, mu, tol)
     vhs_ep, null_ep = _fiber_rows(algebra, conjugation_J(g), mu_j, tol)

@@ -760,7 +760,9 @@ def _draw_bundle_point(alg, rng, repeat_chance: float = 0.0):
 
 def _row_degeneracy_invariance(ctx: RowCtx) -> float:
     alg, prof = ctx.algebra, ctx.profile
-    draws = list(_trials(ctx, lambda ctx, rng: (rng, *_draw_bundle_point(alg, rng, 0.5))))
+    draws = list(_trials(
+        ctx, lambda ctx, rng: (rng, *_draw_bundle_point(alg, rng, repeat_chance=0.5))
+    ))
     d0, u = stack_chains([[d0, u] for _, _, d0, u, _ in draws], ctx.trials)
     rho0 = NormalFunctional(alg, d0)
     p0 = functional_support(rho0, prof)

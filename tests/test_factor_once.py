@@ -261,7 +261,8 @@ class TestCounts:
             per_row, shared = {}, {}
             for suite, subindex, (name, tolerance, fn) in rows:
                 lapack_calls.update(gesdd=0, heevd=0)
-                ctx = suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL, shared.setdefault(suite, {}))
+                shared_reports = shared.setdefault(suite, {})
+                ctx = suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL, shared_reports)
                 assert fn(ctx) <= tolerance, name
                 per_row[f"{suite}/{name}"] = (lapack_calls["gesdd"], lapack_calls["heevd"])
             counts.append(per_row)

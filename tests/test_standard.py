@@ -35,7 +35,7 @@ from wstargeo import (
     tomita_S,
     transport_witness,
 )
-from wstargeo import linalg
+from wstargeo import linalg, standard
 from wstargeo.algebra import matrix_units
 from wstargeo.errors import NotPartiallyInvertible
 from wstargeo.linalg import restricted_power, right_singular
@@ -333,6 +333,29 @@ class TestDualPair:
             pairwise = max(abs(symplectic_omega(x, y)) for x in ker_e for y in ker_ep)
             assert (report.dim_E, report.dim_Eprime) == (len(ker_e), len(ker_ep))
             assert abs(report.orthogonality - pairwise) <= 1e-14
+
+    @pytest.mark.parametrize("blocks", [(2, 3), (1, 2, 2)])
+    def test_a_stack_gives_each_vector_its_report(self, blocks, monkeypatch):
+        # Checked whole or in parts of three vectors, each vector of a stack
+        # of several null-space patterns gets the report it gets alone; a
+        # zero vector is refused by its place in the whole stack.
+        algebra = BlockAlgebra(blocks)
+        rng = rng_for(38, len(blocks))
+        g = np.stack([
+            random_element(algebra, rng) @ random_projection(algebra, rng, allow_zero=False)
+            for _ in range(10)
+        ])
+        alone = [vars(dual_pair_orthogonality_check(algebra, v, DEFAULT_TOL)) for v in g]
+        assert len({r["dim_E"] for r in alone}) > 1
+        for entries in (standard.FIBER_ENTRIES, 3 * sum(8 * n**4 for n in blocks)):
+            monkeypatch.setattr(standard, "FIBER_ENTRIES", entries)
+            report = vars(dual_pair_orthogonality_check(algebra, g, DEFAULT_TOL))
+            for field, values in report.items():
+                np.testing.assert_array_equal(values, [r[field] for r in alone])
+            bad = g.copy()
+            bad[7] = 0.0
+            with pytest.raises(DegenerateBase, match="at trial 7$"):
+                dual_pair_orthogonality_check(algebra, bad, DEFAULT_TOL)
 
     def test_degenerate_base(self):
         with pytest.raises(DegenerateBase):

@@ -223,7 +223,8 @@ class TestNonFiniteTrial:
 
     def test_nan_trial_fails_dual_pair(self, monkeypatch):
         def poison(report):
-            return dataclasses.replace(report, orthogonality=self._nan_at_trial_3(report.orthogonality))
+            poisoned = self._nan_at_trial_3(report.orthogonality)
+            return dataclasses.replace(report, orthogonality=poisoned)
 
         _poison_one_call(monkeypatch, suites, "dual_pair_orthogonality_check", poison, at=1)
         row = run_suite("dual-pair", M23, 10, 0)[0]
@@ -364,7 +365,8 @@ class TestPlantedFaults:
         for module in (poisson, suites):
             monkeypatch.setattr(module, "stabilizer_lie_algebra", stabilizer_lie_algebra)
         monkeypatch.setattr(
-            suites, "stabilizer_dimension", lambda phi, tol=DEFAULT_TOL: real_dimension(phi, tol) + 1
+            suites, "stabilizer_dimension",
+            lambda phi, tol=DEFAULT_TOL: real_dimension(phi, tol) + 1,
         )
         failed = self._failed("degeneracy")
         assert {"degeneracy/radical-pairing", "degeneracy/dimensions"} <= failed
