@@ -293,6 +293,27 @@ class NormalFunctional:
             value = self._memo[key, tol] = compute()
             return value
 
+    def __getitem__(self, index) -> "NormalFunctional":
+        """The functionals that ``index`` (a mask or indices over the stack)
+        selects from a stack, with their part of the blockwise spectrum and
+        the cluster pattern kept here: a check that groups the functionals
+        of a stack decomposes no density again."""
+        part = object.__new__(NormalFunctional)
+        object.__setattr__(part, "algebra", self.algebra)
+        object.__setattr__(part, "density", _readonly(self.density[index]))
+        memo = {}
+        for (key, tol), value in self._memo.items():
+            if key == "spectrum":
+                memo[key, tol] = PositiveSpectrum(
+                    tuple((s, _readonly(w[index]), _readonly(v[index])) for s, w, v in value.blocks),
+                    value.cutoff[index],
+                    tuple(r[index] for r in value.ranks),
+                )
+            elif key == "pattern":
+                memo[key, tol] = _readonly(value[index])
+        object.__setattr__(part, "_memo", memo)
+        return part
+
     def __call__(self, x: np.ndarray):
         """``Tr(d x)``: a ``complex`` for one density, an array with one
         value per matrix for a stack (:func:`trace_pairing`)."""
@@ -734,10 +755,10 @@ def stabilizer_direction(
     each with its row of coefficients, the basis built once per
     :func:`cluster_pattern`."""
 
-    def direction(d, c, pattern):
-        return combination(c, stabilizer_lie_algebra(NormalFunctional(phi.algebra, d), tol).basis)
+    def direction(part, c, pattern):
+        return combination(c, stabilizer_lie_algebra(part, tol).basis)
 
-    return _truncated(cluster_pattern(phi, tol), direction, phi.density, coeff)
+    return _truncated(cluster_pattern(phi, tol), direction, phi, coeff)
 
 
 def pinching_projections(

@@ -20,7 +20,7 @@ the same code, but for three rules that every one-matrix command runs:
 :func:`frobenius`, :func:`excess` and :meth:`PositiveSpectrum.from_blocks`
 keep a form on Python scalars for one matrix beside the vectorized form for
 a stack, since the vectorized forms made the command-line batch of the
-benchmark (``cli-files``) 2%, 1% and 5% slower.  The other rules, the rank
+benchmark (``cli-files``) 2-3% slower each.  The other rules, the rank
 rule of :func:`retained_rank` and block membership in
 :mod:`~wstargeo.algebra` among them, have one vectorized form.  A product
 truncated to the rank is taken once per rank that occurs in the stack, and

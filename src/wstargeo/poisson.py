@@ -921,9 +921,10 @@ def degeneracy_kernel_check(
         refuse(InvalidTangent, excess(w.conj().mT @ w, p0, tol, frobenius(p0)),
                f"{name}* {name} is not the support of the base")
 
-    def analyse(d0, u, v, p0, pattern) -> np.ndarray:
-        stab = stabilizer_lie_algebra(NormalFunctional(algebra, d0), tol)
+    def analyse(rho, u, v, p0, pattern) -> np.ndarray:
+        stab = stabilizer_lie_algebra(rho, tol)
         radical_dirs = stab.basis
+        d0 = rho.density
 
         def leg_pairings(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             """dGamma0 on all pairs of the leg's tangent basis, and the worst
@@ -956,7 +957,7 @@ def degeneracy_kernel_check(
                   expected, min_sing, total)
         return np.stack(np.broadcast_arrays(*report), axis=-1).astype(float)
 
-    report = _truncated(cluster_pattern(rho0, tol), analyse, rho0.density, u, v, p0)
+    report = _truncated(cluster_pattern(rho0, tol), analyse, rho0, u, v, p0)
     return DegeneracyReport(
         radical_pairing=report[..., 0],
         kernel_dimension=report[..., 1].astype(int),

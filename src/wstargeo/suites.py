@@ -981,8 +981,8 @@ def _row_flow_conditional_expectation(ctx: RowCtx) -> float:
         draws, stabilizer_dimension(phi, prof), lambda rng, k: sampling.complex_normal(rng, (k,))
     )
 
-    def residuals(d, x, coeff, pattern) -> np.ndarray:
-        phi = NormalFunctional(alg, d)
+    def residuals(phi, x, coeff, pattern) -> np.ndarray:
+        d = phi.density
         ex = conditional_expectation(phi, x, prof)
         a = combination(coeff, centralizer_basis(phi, prof))
         moved = phi(ex) - phi(x)
@@ -997,7 +997,7 @@ def _row_flow_conditional_expectation(ctx: RowCtx) -> float:
             ),
         ], axis=-1)
 
-    return _worst_of_stacks(_truncated(cluster_pattern(phi, prof), residuals, d, x, coeff).T)
+    return _worst_of_stacks(_truncated(cluster_pattern(phi, prof), residuals, phi, x, coeff).T)
 
 
 def _dimension_defects(algebra: BlockAlgebra, d: np.ndarray, expected, prof) -> np.ndarray:
@@ -1005,15 +1005,14 @@ def _dimension_defects(algebra: BlockAlgebra, d: np.ndarray, expected, prof) -> 
     density of the stack ``d`` minus ``expected``, each counted as the
     length of its basis, built once per cluster pattern."""
 
-    def defects(d, expected, pattern) -> np.ndarray:
-        phi = NormalFunctional(algebra, d)
+    def defects(phi, expected, pattern) -> np.ndarray:
         return np.stack([
             np.abs(centralizer_basis(phi, prof).shape[-3] - expected),
             np.abs(stabilizer_lie_algebra(phi, prof).basis.shape[-3] - expected),
         ], axis=-1).astype(float)
 
-    pattern = cluster_pattern(NormalFunctional(algebra, d), prof)
-    return _truncated(pattern, defects, d, np.asarray(expected)).ravel()
+    phi = NormalFunctional(algebra, d)
+    return _truncated(cluster_pattern(phi, prof), defects, phi, np.asarray(expected)).ravel()
 
 
 def _draw_planted(ctx: RowCtx, rng) -> list:

@@ -21,6 +21,7 @@ from wstargeo.algebra import (
     NormalFunctional,
     _spectral_clusters,
     centralizer_basis,
+    cluster_pattern,
     density_spectrum,
     functional_polar,
     functional_support,
@@ -391,6 +392,19 @@ class TestKeptValues:
         for _, cols, _ in _spectral_clusters(phi, DEFAULT_TOL):
             with pytest.raises(ValueError):
                 cols[0, 0] = 0.0
+
+    def test_a_part_of_a_stack_decomposes_nothing_again(self, lapack_calls):
+        phi = NormalFunctional(M23, np.stack([_functional(k).density for k in range(4)]))
+        cluster_pattern(phi, DEFAULT_TOL)
+        lapack_calls.update(heevd=0)
+        part = phi[np.array([False, True, False, True])]
+        spectrum = density_spectrum(part, DEFAULT_TOL)
+        assert cluster_pattern(part, DEFAULT_TOL).shape == (2, M23.dim)
+        assert lapack_calls["heevd"] == 0
+        alone = density_spectrum(NormalFunctional(M23, phi.density[3]), DEFAULT_TOL)
+        for (_, w, v), (_, w1, v1) in zip(spectrum.blocks, alone.blocks):
+            assert np.array_equal(w[1], w1) and np.array_equal(v[1], v1)
+        assert not part.density.flags.writeable
 
     def test_kept_polar_equals_a_fresh_one(self):
         phi = NormalFunctional(M23, _functional(4).density @ np.diag([1, 1j, 1, -1, 1j]))
