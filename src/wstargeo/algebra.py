@@ -646,6 +646,13 @@ def cluster_pattern(phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL):
     whether it splits a cluster would depend on noise; on a stack, naming
     the first failing functional as its trial."""
 
+    pattern = _pattern(phi, tol)
+    return pattern if pattern.ndim == 2 else tuple(pattern.tolist())
+
+
+def _pattern(phi: NormalFunctional, tol: ToleranceProfile) -> np.ndarray:
+    """:func:`cluster_pattern` as the read-only array kept on ``phi``."""
+
     def compute():
         spectrum = density_spectrum(phi, tol)
         spectrum.require_separated()
@@ -668,8 +675,7 @@ def cluster_pattern(phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL):
             )
         return _readonly(np.where(offset == 0, rank, inside & (gap > threshold)))
 
-    pattern = phi._memoized("pattern", tol, compute)
-    return pattern if pattern.ndim == 2 else tuple(pattern.tolist())
+    return phi._memoized("pattern", tol, compute)
 
 
 def _spectral_clusters(
@@ -686,16 +692,16 @@ def _spectral_clusters(
     profile, with the refusals of :func:`cluster_pattern`."""
 
     def compute():
-        pattern = np.asarray(cluster_pattern(phi, tol)).reshape(-1, phi.algebra.dim)
-        if (pattern != pattern[0]).any():
+        pattern = _pattern(phi, tol)
+        if pattern.ndim == 2 and (pattern != pattern[0]).any():
             raise ValueError("the functionals of a stack have different cluster patterns")
-        row, out = iter(pattern[0].tolist()), []
-        for s, w, v in density_spectrum(phi, tol).blocks:
-            r, splits = next(row), [next(row) for _ in range(w.shape[-1] - 1)]
-            starts = [0, *(i + 1 for i, split in enumerate(splits) if split), r] if r else []
-            for lo, hi in zip(starts, starts[1:]):
+        row, out = pattern.reshape(-1, phi.algebra.dim)[0].tolist(), []
+        for s, _, v in density_spectrum(phi, tol).blocks:
+            r, splits = row[s.start], row[s.start + 1 : s.stop]
+            starts = [0, *(i + 1 for i in range(r - 1) if splits[i])] if r else []
+            for lo, hi in zip(starts, starts[1:] + [r]):
                 out.append((s, v[..., lo:hi], True))
-            if r < w.shape[-1]:
+            if r < s.stop - s.start:
                 out.append((s, v[..., r:], False))
         return tuple(out)
 
@@ -708,7 +714,7 @@ def stabilizer_dimension(phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_
     squared multiplicities of the positive eigenvalue clusters, read off
     :func:`cluster_pattern` with no basis built.  Of a stack of functionals,
     one per functional, as an array."""
-    pattern = np.asarray(cluster_pattern(phi, tol))
+    pattern = _pattern(phi, tol)
     total, start = 0, 0
     for n in phi.algebra.blocks:
         r, splits = pattern[..., start], pattern[..., start + 1 : start + n]
