@@ -2,8 +2,9 @@
 
 ``python tests/plan.py --write`` runs the whole plan (43 rows on 7 shapes,
 301 results) and writes ``tests/golden/plan.json``: per shape and row the
-status and ``repr(max_residual)``, with the plan itself and the NumPy and
-BLAS build that produced it.  ``python tests/plan.py`` runs it again and
+status, ``repr(max_residual)`` and a digest of the states in which the row
+left its trials' generators, with the plan itself and the NumPy and BLAS
+build that produced it.  ``python tests/plan.py`` runs it again and
 prints every result that differs from the file.  ``tests/test_plan.py``
 compares the small shapes in the test run.
 
@@ -13,6 +14,7 @@ diff lists every moved value.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import pathlib
 import platform
@@ -20,7 +22,7 @@ import sys
 
 import numpy as np
 
-from wstargeo import SUITE_NAMES, BlockAlgebra, run_suite
+from wstargeo import SUITE_NAMES, BlockAlgebra, run_suite, sampling
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "plan.json"
 SEED = 1
@@ -49,14 +51,47 @@ def build() -> dict:
     }
 
 
+def state_digest(generators: list) -> str:
+    """SHA-256 of the ``(key, bit_generator.state)`` of each generator, in
+    the order they were made: a row that draws more, less or in another
+    order from any trial's generator changes it."""
+    text = json.dumps([[key, g.bit_generator.state] for key, g in generators], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_suite_recorded(name: str, algebra: BlockAlgebra, trials: int) -> dict:
+    """``{suite/row: [status, repr(max_residual), state digest]}`` for every
+    row of one suite.  Every trial generator comes from ``sampling.rng_for``
+    (``RowCtx.rng`` looks it up at each call), so a wrapper there sees them
+    all; each is filed under the row of its subindex, and digested after
+    the suite has run."""
+    made, original = [], sampling.rng_for
+
+    def recording(*key):
+        generator = original(*key)
+        made.append((list(key), generator))
+        return generator
+
+    sampling.rng_for = recording
+    try:
+        rows = run_suite(name, algebra, trials, SEED)
+    finally:
+        sampling.rng_for = original
+    return {
+        r.suite: [r.status, repr(r.max_residual),
+                  state_digest([(key, g) for key, g in made if key[1] == subindex])]
+        for subindex, r in enumerate(rows)
+    }
+
+
 def run_shape(shape: str, trials: int) -> dict:
-    """``{suite/row: [status, repr(max_residual)]}`` for every row on one
-    shape."""
+    """``{suite/row: [status, repr(max_residual), state digest]}`` for every
+    row on one shape."""
     algebra = BlockAlgebra.from_string(shape)
     return {
-        r.suite: [r.status, repr(r.max_residual)]
+        row: result
         for name in SUITE_NAMES
-        for r in run_suite(name, algebra, trials, SEED)
+        for row, result in run_suite_recorded(name, algebra, trials).items()
     }
 
 
@@ -66,13 +101,13 @@ def run_plan(shapes=PLAN) -> dict:
 
 def differences(recorded: dict, fresh: dict, bits: bool) -> list[str]:
     """Each result of ``fresh`` whose status (and, with ``bits``, whose
-    residual) differs from ``recorded``."""
+    residual or generator states) differs from ``recorded``."""
     out = []
     for shape, rows in fresh.items():
-        for row, (status, residual) in rows.items():
+        for row, result in rows.items():
             old = recorded["results"][shape].get(row)
-            if old is None or old[0] != status or (bits and old[1] != residual):
-                out.append(f"{shape} {row}: {old} -> {[status, residual]}")
+            if old is None or old[0] != result[0] or (bits and old != result):
+                out.append(f"{shape} {row}: {old} -> {result}")
     return out
 
 

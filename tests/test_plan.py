@@ -1,8 +1,9 @@
 """The small shapes of the row × shape plan reproduce the golden file.
 
-Status must always match.  Residuals must match bit for bit when this
-NumPy and BLAS build is the one that wrote the file; on another build only
-the status is compared.  ``python tests/plan.py`` checks the whole plan.
+Status must always match.  Residuals must match bit for bit, and each row
+must leave its trials' generators in the recorded states, when this NumPy
+and BLAS build is the one that wrote the file; on another build only the
+status is compared.  ``python tests/plan.py`` checks the whole plan.
 """
 import json
 import warnings
@@ -23,6 +24,11 @@ def test_the_file_holds_the_plan(recorded):
     assert recorded["seed"] == plan.SEED
     assert recorded["plan"] == plan.PLAN
     assert sum(len(rows) for rows in recorded["results"].values()) == 301
+    # status, repr(max_residual) and the SHA-256 of the generator states
+    assert all(
+        len(result) == 3 and len(result[2]) == 64
+        for rows in recorded["results"].values() for result in rows.values()
+    )
 
 
 @pytest.mark.parametrize("shape", SMALL)
