@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -417,24 +417,41 @@ def block_ranks(
     return tuple(projection_rank(b) for b in algebra.block_views(p))
 
 
+@lru_cache(maxsize=256)
+def frame_columns(algebra: BlockAlgebra, ranks: tuple[int, ...]) -> np.ndarray:
+    """The columns that hold frames of these blockwise ranks in a ``dim x
+    dim`` matrix (each block's first ``r_b``), read-only.  Raises
+    ``ValueError`` for ranks that do not fit the blocks."""
+    if len(ranks) != len(algebra.blocks) or any(
+        r < 0 or r > n for n, r in zip(algebra.blocks, ranks)
+    ):
+        raise ValueError("rank exceeds block size")
+    keep = np.concatenate([np.arange(s.start, s.start + r) for s, r in zip(algebra.slices, ranks)])
+    keep.flags.writeable = False
+    return keep
+
+
 @dataclass(frozen=True, eq=False)
 class Frames:
-    """Orthonormal frames of a projection as one block-structured ``dim x R``
-    isometry ``matrix`` (or a stack of them, all of the same ranks),
-    ``R = sum(ranks)``: block ``b``'s ``n_b x r_b``
-    frame ``F_b`` fills that block's rows and the columns ``sum_{c<b} r_c``
-    to ``sum_{c<=b} r_c``, and every other entry is exactly zero.  The
+    """Orthonormal frames of a projection in one ``dim x dim`` matrix, or a
+    stack of them: block ``b``'s ``n_b x r_b`` frame ``F_b`` fills that
+    block's rows and its first ``r_b`` columns (:func:`frame_columns`), and
+    every other entry is exactly zero.  ``ranks`` is the tuple of blockwise
+    ranks, shared by every matrix of a stack, or, for a stack whose matrices
+    have their own, one row per matrix as a ``(T, m)`` array.  The
     projection is ``F F*``, and an arrow between two projections of equal
-    ranks is one product ``F_q w F_p*`` with ``w`` block-diagonal."""
+    ranks is ``F_q w F_p*`` with ``w`` block-diagonal: each product is taken
+    over the frame columns alone, once per pattern of ranks
+    (:func:`~wstargeo.linalg._truncated`)."""
 
     algebra: BlockAlgebra
     matrix: np.ndarray
-    ranks: tuple[int, ...]
+    ranks: tuple[int, ...] | np.ndarray
 
     @cached_property
     def columns(self) -> tuple[slice, ...]:
-        """Each block's slice of the columns."""
-        return consecutive_slices(self.ranks)
+        """Each block's slice of the columns (for one tuple of ranks)."""
+        return tuple(slice(s.start, s.start + r) for s, r in zip(self.algebra.slices, self.ranks))
 
     @cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -444,7 +461,18 @@ class Frames:
     @cached_property
     def projection(self) -> np.ndarray:
         """The projection ``F F*``."""
-        return self.matrix @ self.matrix.conj().mT
+
+        def projection(f, ranks):
+            f = f[..., frame_columns(self.algebra, ranks)]
+            return f @ f.conj().mT
+
+        return _truncated(self.ranks, projection, self.matrix)
+
+    def __getitem__(self, index) -> "Frames":
+        """The frames of the matrices that ``index`` selects from a stack with
+        a row of ranks per matrix; an integer selects one matrix's frames."""
+        ranks = self.ranks[index]
+        return Frames(self.algebra, self.matrix[index], tuple(ranks.tolist()) if ranks.ndim == 1 else ranks)
 
 
 def _block_frames(
@@ -469,9 +497,9 @@ def frames_of(algebra: BlockAlgebra, p: np.ndarray) -> Frames:
             raise ValueError("the projections of a stack have different blockwise ranks")
         cols.append(v[..., : int(ranks[0])])
     ranks = tuple(c.shape[-1] for c in cols)
-    matrix = np.zeros(p.shape[:-2] + (algebra.dim, sum(ranks)), dtype=complex)
-    for s, c, f in zip(algebra.slices, consecutive_slices(ranks), cols):
-        matrix[..., s, c] = f
+    matrix = np.zeros(p.shape[:-2] + (algebra.dim, algebra.dim), dtype=complex)
+    for s, f in zip(algebra.slices, cols):
+        matrix[..., s, s.start : s.start + f.shape[-1]] = f
     return Frames(algebra, matrix, ranks)
 
 

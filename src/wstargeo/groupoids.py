@@ -20,9 +20,10 @@ Five structures share one interface:
 ``composable_chain``, or on all of a row's trials at once: every map above
 broadcasts over a leading trial axis (a ``(T, dim, dim)`` stack of matrices,
 a functional of stacked densities, a coadjoint arrow of both), and gives
-each trial the bits it gives alone.  Each trial draws its chain from its own
-generator; ``stack_chains`` stacks them, and one ``chain_law_residuals``
-call returns one residual per trial and law.  ``axiom_check`` and each law
+each trial the bits it gives alone.  ``composable_chain`` draws the chains
+of all trials at once, each from its own generator, as one chain of stacks,
+and one ``chain_law_residuals`` call returns one residual per trial and
+law.  ``axiom_check`` and each law
 row of the ``groupoid-axioms`` suite make that one call.  A domain check
 that fails on a stack names its first failing trial.
 
@@ -37,7 +38,7 @@ of its trials with one call each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -310,12 +311,13 @@ GROUPOIDS: dict[str, GroupoidOps] = {
 def composable_chain(
     tag: str,
     algebra: BlockAlgebra,
-    rng: np.random.Generator,
+    rng: sampling.Generators,
     length: int = 3,
 ) -> list:
     """Chain (a_1, ..., a_length) with s(a_i) = t(a_{i+1}), built backwards
     from mutually equivalent projections so every consecutive pair composes
-    exactly."""
+    exactly.  Given one generator per trial, one chain of stacks: each
+    arrow a stack, functional or coadjoint arrow of stacks, built once."""
     if tag not in GROUPOIDS:
         raise InvalidTrials(f"unknown groupoid tag {tag!r}")
     qs = sampling.frame_chain(algebra, rng, length, allow_zero=tag != "standard")
@@ -330,7 +332,7 @@ def composable_chain(
     # (i+1)'s target.
     mods = [sampling.positive_on(rng, qs[-1])]
     for u in reversed(isometries[1:]):
-        mods.insert(0, u @ mods[0] @ u.conj().T)
+        mods.insert(0, u @ mods[0] @ u.conj().mT)
     if tag == "predual":
         return [NormalFunctional(algebra, u @ m) for u, m in zip(isometries, mods)]
     if tag == "coadjoint":
@@ -341,62 +343,11 @@ def composable_chain(
     return [u @ m for u, m in zip(isometries, mods)]
 
 
-def stack_chains(chains: Iterable[list], count: int | None = None) -> list:
-    """The chains, of equal length, as one chain of stacks: arrow ``i`` of the
-    result holds arrow ``i`` of every chain, in order, as one matrix stack,
-    functional stack or coadjoint arrow of stacks.
-
-    ``chains`` may be an iterator of ``count`` chains (by default
-    ``len(chains)``).  Each chain's matrices are copied into stacks allocated
-    for all of them as the chain arrives, so a chain can be dropped before
-    the next one is drawn; each stacked functional is built once, at the
-    end.  The stacks hold the bytes ``numpy.stack`` gives."""
-    if count is None:
-        count = len(chains)
-    first, stacks, k = None, [], -1
-    for k, chain in enumerate(chains):
-        matrices = [np.asarray(m) for arrow in chain for m in _matrices(arrow)]
-        if first is None:
-            first = chain
-            stacks = [np.empty((count,) + m.shape, m.dtype) for m in matrices]
-        if k >= count or len(matrices) != len(stacks):
-            raise ValueError(f"expected {count} chains of one layout")
-        for i, m in enumerate(matrices):
-            if m.shape != stacks[i].shape[1:]:
-                raise ValueError("all chains must hold arrows of the same shapes")
-            dtype = np.result_type(stacks[i], m)
-            if dtype != stacks[i].dtype:
-                stacks[i] = stacks[i].astype(dtype)
-            stacks[i][k] = m
-    if k + 1 != count or first is None:
-        raise ValueError(f"expected {count} chains, got {k + 1}")
-    filled = iter(stacks)
-    return [_restacked(arrow, filled) for arrow in first]
-
-
-def _matrices(arrow) -> list:
-    """The matrices an arrow is stored by, in the order :func:`_restacked`
-    reads them back."""
-    if isinstance(arrow, NormalFunctional):
-        return [arrow.density]
-    if isinstance(arrow, CoadjointArrow):
-        return [arrow.u, arrow.rho.density]
-    return [arrow]
-
-
-def _restacked(arrow, stacks: Iterator[np.ndarray]):
-    """An arrow of ``arrow``'s kind, built from the next stacks."""
-    if isinstance(arrow, NormalFunctional):
-        return NormalFunctional(arrow.algebra, next(stacks))
-    if isinstance(arrow, CoadjointArrow):
-        return CoadjointArrow(next(stacks), _restacked(arrow.rho, stacks))
-    return next(stacks)
-
-
 def chain_law_residuals(tag: str, chain: list, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
     """Residuals of the groupoid laws on one composable chain of three arrows;
-    on a chain of stacks (:func:`stack_chains`), an array per law with one
-    residual per chain, each with the bits that chain gives alone."""
+    on a chain of stacks (:func:`composable_chain` given one generator per
+    trial), an array per law with one residual per chain, each with the bits
+    that chain gives alone."""
     ops = GROUPOIDS[tag]
     a, b, c = chain
     comp = lambda x, y: ops.compose(x, y, tol)  # noqa: E731
@@ -455,8 +406,8 @@ def axiom_check(
         raise InvalidTrials(f"unknown groupoid tag {tag!r}")
     if trials < 1:
         raise InvalidTrials("trials must be a positive integer")
-    chains = [composable_chain(tag, algebra, sampling.rng_for(seed, k), 3) for k in range(trials)]
-    laws = chain_law_residuals(tag, stack_chains(chains), tol)
+    chain = composable_chain(tag, algebra, [sampling.rng_for(seed, k) for k in range(trials)], 3)
+    laws = chain_law_residuals(tag, chain, tol)
     worst = {law: _worst(0.0, *values.tolist()) for law, values in laws.items()}
     return AxiomReport(tag=tag, trials=trials, seed=seed, law_residuals=worst)
 

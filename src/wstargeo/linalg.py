@@ -358,14 +358,15 @@ def floored_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
 
 def phase_fixed_q(g: np.ndarray) -> np.ndarray:
     """Thin QR factor ``q`` of a complex ``m x n`` matrix ``g = q r``
-    (``m >= n``) with the phases of ``r``'s diagonal moved into it; a complex
-    Gaussian ``g`` gives a Haar unitary (square) or a Haar isometry (thin).
-    ``zgeqrf`` overwrites a copy of ``g`` with ``r`` above ``q``'s
-    reflectors, and the phases are read off that packed factor."""
+    (``m >= n``) with the phases of ``r``'s diagonal moved into it, of each
+    matrix of a stack; a complex Gaussian ``g`` gives a Haar unitary
+    (square) or a Haar isometry (thin).  ``zgeqrf`` overwrites a copy of
+    ``g`` with ``r`` above ``q``'s reflectors, and the phases are read off
+    the diagonal of each packed factor."""
     packed = np.asarray(g).astype(complex)
     q = _umath_linalg.qr_reduced(packed, _umath_linalg.qr_r_raw(packed))
-    d = packed.diagonal()
-    return q * (d / np.abs(d))
+    d = np.diagonal(packed, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def retained_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: bool = False):

@@ -518,9 +518,10 @@ class ComposableFamily:
 
 
 def sample_family_base(
-    algebra: BlockAlgebra, rng: np.random.Generator
+    algebra: BlockAlgebra, rng: sampling.Generators
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Base data (u1, u2, xi2) of a composable pair."""
+    """Base data (u1, u2, xi2) of a composable pair; stacks of them, given
+    one generator per trial."""
     q2 = sampling.random_frames(algebra, rng)
     q1 = sampling.equivalent_frames(rng, q2)
     q0 = sampling.equivalent_frames(rng, q2)
@@ -531,11 +532,12 @@ def sample_family_base(
 
 
 def draw_family_data(
-    algebra: BlockAlgebra, rng: np.random.Generator, directions: int = 1
+    algebra: BlockAlgebra, rng: sampling.Generators, directions: int = 1
 ) -> list[np.ndarray]:
     """The data of ``directions`` families on one composable base, as drawn:
     the base ``(u1, u2, xi2)``, then each family's generators ``(a1, a2, b2,
-    h2)`` before :func:`families_on` scales them."""
+    h2)`` before :func:`families_on` scales them; stacks of them, given one
+    generator per trial."""
     base = sample_family_base(algebra, rng)
     u2 = base[1]
     # supp(xi2) = u2* u2 on a valid base, as ComposableFamily checks.
@@ -969,15 +971,16 @@ def degeneracy_kernel_check(
 
 def orbit_form_sample(
     algebra: BlockAlgebra,
-    rng: np.random.Generator,
+    rng: sampling.Generators,
     u: np.ndarray,
     p0: np.ndarray,
     q: Frames,
 ) -> list:
     """One sample for :func:`orbit_form_invariance_residual` at u, an
     isometry with source p0 whose target ``u u*`` has the frames ``q``,
-    drawn from ``rng``: two bundle tangents, two anti-Hermitian corner
-    directions of p0, a unitary and an arrow out of ``q``.  The stabilizer
+    drawn from ``rng`` (or a stack of them, at stacks of u, p0 and ``q``,
+    from one generator per trial): two bundle tangents, two anti-Hermitian
+    corner directions of p0, a unitary and an arrow out of ``q``.  The stabilizer
     coefficients are drawn after it, as many as the stabilizer's dimension
     (:func:`~wstargeo.algebra.stabilizer_dimension`)."""
     du = sampling.p0_tangent(algebra, rng, u, p0)

@@ -1,45 +1,74 @@
 """Deterministic samplers for structured random inputs.
 
-Every verification trial draws from a generator seeded by ``(seed, trial
-index, ...)``, so suites are reproducible and trial-parallelizable.  All
-samplers return elements of the given block algebra (block-diagonal ambient
-matrices); unitaries are Haar-distributed (:func:`haar_unitary`).
+Every verification trial draws from its own generator, seeded by ``(seed,
+subindex, trial)``, so suites are reproducible and each trial can be
+replayed alone.  All samplers return elements of the given block algebra
+(block-diagonal ambient matrices); unitaries are Haar-distributed.
 
-A drawn projection keeps its :class:`~wstargeo.algebra.Frames`: one
-block-structured ``dim x R`` isometry ``F`` with ``p = F F*``, holding a Haar
-isometry per block.  An arrow from ``p`` to ``q`` is ``F_q w F_p*`` with
-``w`` a block-diagonal Haar unitary of the corners, and a positive element
-supported on ``p`` is ``(F w) diag(vals) (F w)*``, so nothing recovers a
-frame or a rank from a projection it drew.  The functions that take a
-projection instead (:func:`partial_isometry_onto`,
-:func:`corner_positive`) read its frames with
-:func:`~wstargeo.algebra.frames_of`, one Hermitian eigendecomposition per
-block.
+A sampler takes one generator, or a sequence of them, one per trial of a
+row.  Given a sequence of ``T``, it returns ``(T, ...)`` stacks: matrix
+``k`` has the bits that a call with generator ``k`` alone returns, and each
+generator is left in the state that call leaves it in.  One generator is
+the stack of one, unstacked, through the same code.
 
-Each sampler makes one Haar QR, whatever the number of blocks: it lays the
-blocks' complex Gaussians out along the diagonal of one matrix and factors
-that.  The reflectors of a block-diagonal matrix act within its blocks, so
-the factor is exactly block-diagonal, each block the Haar sample of its own
-Gaussian.  The Gaussians are drawn block by block, in the order and amounts
-that one draw per block would take, so a key gives the same stream as one
-QR per block.
+A sampler loops over the generators only to draw each trial's raw
+randomness (ranks, Gaussians, uniform values), in the order and amounts
+that one draw per block would take, into a ``dim x dim`` layout per trial:
+each block's Gaussian on the diagonal, in that block's rows and first
+columns, and the identity on the rest of the diagonal.  It then factors
+the ``(T, dim, dim)`` stack of layouts by one Haar QR
+(:func:`~wstargeo.linalg.phase_fixed_q`), so a row makes one QR per
+sampler call, whatever its trials and blocks.  The reflectors of a
+block-diagonal matrix act within its blocks, so the factor is exactly
+block-diagonal, each block the Haar sample of its own Gaussian, and a
+block of identity stays the identity.
+
+A drawn projection keeps its :class:`~wstargeo.algebra.Frames`: the Q
+factor's frame columns, a Haar isometry per block.  An arrow from ``p`` to
+``q`` is ``F_q w F_p*`` with ``w`` a block-diagonal Haar unitary of the
+corners, and a positive element supported on ``p`` is ``(F w) diag(vals)
+(F w)*``.  These products are taken over the frame columns alone, once per
+pattern of blockwise ranks in the stack (:func:`~wstargeo.linalg._truncated`),
+since BLAS does not promise a product padded with zeros the bits of the
+truncated one.  Nothing recovers a frame or a rank from a projection it
+drew.  The functions that take a projection instead
+(:func:`partial_isometry_onto`, :func:`corner_positive`) read its frames
+with :func:`~wstargeo.algebra.frames_of`, one Hermitian eigendecomposition
+per block.
+
+A draw that must land in a domain is redrawn on the stack
+(:func:`redraw_failures`): the domain test runs once on the stack of the
+pending trials, the trials that pass keep their draw, and only the others
+draw again, each from its own generator.  A generator serves one trial
+alone, so each trial's stream is the one it has redrawn alone.
 """
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import BlockAlgebra, Frames, NormalFunctional, consecutive_slices, frames_of
+from .algebra import (
+    BlockAlgebra,
+    Frames,
+    NormalFunctional,
+    consecutive_slices,
+    frame_columns,
+    frames_of,
+)
 from .errors import AmbiguousCluster, NotInDomain, NotInOverlap, NotPartiallyInvertible
 from .linalg import (
+    _truncated,
     antiherm,
     herm,
     phase_fixed_q,
     singular_values,
 )
+
+#: One generator, or one per trial of a stack.
+Generators = np.random.Generator | Sequence[np.random.Generator]
 
 
 def rng_for(*key: int) -> np.random.Generator:
@@ -60,12 +89,31 @@ def rng_for(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def complex_normal(
-    rng: np.random.Generator, shape: tuple[int, ...], scale: float = 1.0
-) -> np.ndarray:
+def _generators(rng: Generators) -> tuple[list[np.random.Generator], bool]:
+    """The generators of a draw, one per trial, and whether the draw was
+    given one generator alone (it then returns its stack's one entry)."""
+    if isinstance(rng, np.random.Generator):
+        return [rng], True
+    return list(rng), False
+
+
+def _unstacked(x, one: bool):
+    """``x``, or its one entry when the draw was given one generator."""
+    return x[0] if one else x
+
+
+def _gaussians(rng: np.random.Generator, count: int, scale: float = 1.0) -> np.ndarray:
+    """``count`` complex Gaussians from one generator, as
+    :func:`complex_normal` draws them."""
+    return rng.normal(0.0, scale, (count, 2)).view(complex)[:, 0]
+
+
+def complex_normal(rng: Generators, shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
     """Complex Gaussian array whose real and imaginary parts are independent
-    ``N(0, scale^2)``, from one draw of interleaved parts."""
-    return rng.normal(0.0, scale, (*shape, 2)).view(complex)[..., 0]
+    ``N(0, scale^2)``, from one draw of interleaved parts per generator."""
+    rngs, one = _generators(rng)
+    count = int(np.prod(shape))
+    return _unstacked(np.stack([_gaussians(g, count, scale).reshape(shape) for g in rngs]), one)
 
 
 def _positions(shape: tuple[int, int], blocks: Iterable[tuple[slice, slice]]) -> np.ndarray:
@@ -86,51 +134,69 @@ def _diagonal_positions(sizes: tuple[int, ...]) -> np.ndarray:
     return _positions((n, n), [(s, s) for s in consecutive_slices(sizes)])
 
 
-def _block_gaussian(
-    rng: np.random.Generator, sizes: tuple[int, ...], scale: float = 1.0
-) -> np.ndarray:
-    """Block-diagonal matrix of complex Gaussian square blocks of these
-    sizes, drawn block by block in one draw."""
-    n = sum(sizes)
-    out = np.zeros((n, n), dtype=complex)
-    index = _diagonal_positions(sizes)
-    np.put(out, index, complex_normal(rng, index.shape, scale))
+@lru_cache(maxsize=256)
+def _corner_positions(algebra: BlockAlgebra, ranks: tuple[int, ...]) -> np.ndarray:
+    """:func:`_positions`, in a ``dim x dim`` matrix, of each block's ``r_b x
+    r_b`` corner on the frame columns (:func:`~wstargeo.algebra.frame_columns`)."""
+    corners = [(slice(s.start, s.start + r),) * 2 for s, r in zip(algebra.slices, ranks)]
+    return _positions((algebra.dim, algebra.dim), corners)
+
+
+@lru_cache(maxsize=256)
+def _thin_positions(algebra: BlockAlgebra, ranks: tuple[int, ...]) -> np.ndarray:
+    """:func:`_positions`, in a ``dim x dim`` matrix, of each thin block's
+    ``n_b x r_b`` Gaussian (that block's rows and its first ``r_b``
+    columns); validates the ranks (:func:`~wstargeo.algebra.frame_columns`)."""
+    frame_columns(algebra, ranks)
+    thin = [(s, slice(s.start, s.start + r)) for s, n, r in zip(algebra.slices, algebra.blocks, ranks)
+            if 0 < r < n]
+    return _positions((algebra.dim, algebra.dim), thin)
+
+
+def _filled(rngs: list, base: np.ndarray, positions: Iterable[np.ndarray], scale: float = 1.0) -> np.ndarray:
+    """A copy of the square ``base`` per generator, as one stack, with the
+    complex Gaussians of generator ``k`` at its flat positions
+    ``positions[k]``, in their order."""
+    out = np.repeat(base[None], len(rngs), axis=0)
+    flat = out.reshape(len(rngs), -1)
+    for row, g, index in zip(flat, rngs, positions):
+        if index.size:
+            row[index] = _gaussians(g, index.size, scale)
     return out
 
 
-def random_element(algebra: BlockAlgebra, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def _block_gaussian(rng: Generators, sizes: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
+    """Block-diagonal matrix of complex Gaussian square blocks of these
+    sizes, drawn block by block in one draw per generator."""
+    rngs, one = _generators(rng)
+    n = sum(sizes)
+    index = _diagonal_positions(sizes)
+    return _unstacked(_filled(rngs, np.zeros((n, n), dtype=complex), [index] * len(rngs), scale), one)
+
+
+def random_element(algebra: BlockAlgebra, rng: Generators, scale: float = 1.0) -> np.ndarray:
     """Complex Gaussian algebra element."""
     return _block_gaussian(rng, algebra.blocks, scale / np.sqrt(2.0))
 
 
-def random_hermitian(algebra: BlockAlgebra, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(algebra: BlockAlgebra, rng: Generators, scale: float = 1.0) -> np.ndarray:
     return herm(random_element(algebra, rng, scale))
 
 
-def random_antihermitian(algebra: BlockAlgebra, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_antihermitian(algebra: BlockAlgebra, rng: Generators, scale: float = 1.0) -> np.ndarray:
     return antiherm(random_element(algebra, rng, scale))
 
 
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed n-by-n unitary: QR of a complex Gaussian with the
-    phases of the triangular factor's diagonal moved into the unitary."""
-    return phase_fixed_q(complex_normal(rng, (n, n)))
-
-
-def _block_haar(rng: np.random.Generator, sizes: tuple[int, ...]) -> np.ndarray:
-    """Block-diagonal Haar unitary with square blocks of the given sizes:
-    one QR of the blocks' complex Gaussians."""
-    return phase_fixed_q(_block_gaussian(rng, sizes))
-
-
-def random_unitary(algebra: BlockAlgebra, rng: np.random.Generator) -> np.ndarray:
-    """Haar unitary of the algebra, blockwise."""
-    return _block_haar(rng, algebra.blocks)
+def random_unitary(algebra: BlockAlgebra, rng: Generators) -> np.ndarray:
+    """Haar unitary of the algebra, blockwise: the QR factor of the blocks'
+    complex Gaussians, with the phases of the triangular factor's diagonal
+    moved into it."""
+    return phase_fixed_q(_block_gaussian(rng, algebra.blocks))
 
 
 def random_positive(
     algebra: BlockAlgebra,
-    rng: np.random.Generator,
+    rng: Generators,
     repeat_chance: float = 0.0,
 ) -> np.ndarray:
     """Strictly positive element with eigenvalues drawn from ``[0.5, 2]``
@@ -139,48 +205,64 @@ def random_positive(
     With probability ``repeat_chance`` per block, a repeated eigenvalue is
     forced, to exercise degenerate spectra.
     """
-    v = random_unitary(algebra, rng)
-    vals = rng.uniform(0.5, 2.0, algebra.dim)
-    offset = 0
-    for b in algebra.blocks:
-        if b >= 2 and rng.uniform() < repeat_chance:
-            i, j = rng.choice(b, size=2, replace=False)
-            vals[offset + j] = vals[offset + i]
-        offset += b
-    return (v * vals) @ v.conj().T
+    rngs, one = _generators(rng)
+    v = random_unitary(algebra, rngs)
+    vals = np.empty((len(rngs), algebra.dim))
+    for row, g in zip(vals, rngs):
+        row[:] = g.uniform(0.5, 2.0, algebra.dim)
+        for s, b in zip(algebra.slices, algebra.blocks):
+            if b >= 2 and g.uniform() < repeat_chance:
+                i, j = g.choice(b, size=2, replace=False)
+                row[s.start + j] = row[s.start + i]
+    return _unstacked((v * vals[:, None, :]) @ v.conj().mT, one)
 
 
-@lru_cache(maxsize=256)
-def _frame_layout(algebra: BlockAlgebra, ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """For frames of these blockwise ranks, read-only: the flat positions,
-    in a ``dim x dim`` matrix, of each thin block's ``n_b x r_b`` Gaussian
-    (that block's rows and its first ``r_b`` columns), and the columns that
-    hold the frames (each block's first ``r_b``).  Raises ``ValueError``
-    for ranks that do not fit the blocks."""
-    if len(ranks) != len(algebra.blocks) or any(
-        r < 0 or r > n for n, r in zip(algebra.blocks, ranks)
-    ):
-        raise ValueError("rank exceeds block size")
-    thin, keep = [], []
-    for s, n, r in zip(algebra.slices, algebra.blocks, ranks):
-        if 0 < r < n:
-            thin.append((s, slice(s.start, s.start + r)))
-        keep.append(np.arange(s.start, s.start + r))
-    keep = np.concatenate(keep)
-    keep.flags.writeable = False
-    return _positions((algebra.dim, algebra.dim), thin), keep
+def planted_positive(
+    algebra: BlockAlgebra, rng: Generators, grid: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positive element ``v diag(grid[labels]) v*`` with a Haar unitary ``v``
+    per block and labels drawn uniformly from ``range(len(grid))``, and the
+    labels: each block draws its labels, then its Gaussian."""
+    rngs, one = _generators(rng)
+    gaussians = np.zeros((len(rngs), algebra.dim, algebra.dim), dtype=complex)
+    labels = np.empty((len(rngs), algebra.dim), dtype=int)
+    for k, g in enumerate(rngs):
+        for s, n in zip(algebra.slices, algebra.blocks):
+            labels[k, s] = g.integers(0, len(grid), size=n)
+            gaussians[k, s, s] = _gaussians(g, n * n).reshape(n, n)
+    v = phase_fixed_q(gaussians)
+    vals = np.asarray(grid, dtype=float)[labels]
+    # Each block's product on its own: the assembled one is zero-padded.
+    blocks = [(vb * vals[:, None, s]) @ vb.conj().mT for s, vb in zip(algebra.slices, algebra.block_views(v))]
+    return _unstacked(algebra.embed_blocks(blocks), one), _unstacked(labels, one)
+
+
+def _random_ranks(algebra: BlockAlgebra, rng: np.random.Generator, allow_zero: bool, allow_full: bool) -> list[int]:
+    ranks = [int(rng.integers(0 if allow_zero else 1, b + (1 if allow_full else 0))) for b in algebra.blocks]
+    if sum(ranks) == 0:
+        # keep at least one nonzero block so the projection is not trivial
+        ranks[int(rng.integers(0, len(algebra.blocks)))] = 1
+    return ranks
+
+
+def _frame_stack(frames: Frames, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The frames' matrices and ranks as ``(count, dim, dim)`` and ``(count,
+    m)`` arrays: one set of frames, or a stack of ``count``."""
+    dim, m = frames.algebra.dim, len(frames.algebra.blocks)
+    return (np.broadcast_to(frames.matrix, (count, dim, dim)),
+            np.broadcast_to(np.asarray(frames.ranks), (count, m)))
 
 
 def random_frames(
     algebra: BlockAlgebra,
-    rng: np.random.Generator,
-    ranks: tuple[int, ...] | None = None,
+    rng: Generators,
+    ranks=None,
     allow_zero: bool = True,
     allow_full: bool = True,
 ) -> Frames:
-    """Frames of a random projection with prescribed or random blockwise
-    ranks: a Haar isometry per block, empty at rank 0 and the identity at
-    full rank.
+    """Frames of a random projection with prescribed blockwise ranks (one
+    tuple for every trial, or a row per trial) or random ones: a Haar
+    isometry per block, empty at rank 0 and the identity at full rank.
 
     All blocks come from one QR of the ``dim x dim`` identity with each
     thin block's ``n_b x r_b`` complex Gaussian (drawn block by block) in
@@ -189,40 +271,47 @@ def random_frames(
     columns in a block are the Haar isometry of that block's Gaussian, and
     a block of identity columns stays the identity.  The frames are those
     columns."""
+    rngs, one = _generators(rng)
     if ranks is None:
-        ranks = tuple(
-            int(rng.integers(0 if allow_zero else 1, b + (1 if allow_full else 0)))
-            for b in algebra.blocks
-        )
-        if sum(ranks) == 0:
-            # keep at least one nonzero block so the projection is not trivial
-            ranks = list(ranks)
-            k = int(rng.integers(0, len(algebra.blocks)))
-            ranks[k] = 1
-    ranks = tuple(ranks)
-    thin, keep = _frame_layout(algebra, ranks)
-    f = algebra.identity()
-    if thin.size:
-        np.put(f, thin, complex_normal(rng, thin.shape))
-        f = phase_fixed_q(f)
-    return Frames(algebra, f[:, keep], ranks)
+        ranks = [_random_ranks(algebra, g, allow_zero, allow_full) for g in rngs]
+    ranks = np.array(np.broadcast_to(np.asarray(ranks, dtype=int), (len(rngs), len(algebra.blocks))))
+    q = phase_fixed_q(_filled(rngs, algebra.identity(), [_thin_positions(algebra, tuple(r)) for r in ranks.tolist()]))
+    _, offset, block, _ = algebra._block_layout
+    framed = offset < ranks[:, block]
+    return _unstacked(Frames(algebra, np.where(framed[:, None, :], q, 0.0), ranks), one)
 
 
-def equivalent_frames(rng: np.random.Generator, frames: Frames) -> Frames:
+def equivalent_frames(rng: Generators, frames: Frames) -> Frames:
     """Frames of a random projection with the same blockwise ranks."""
     return random_frames(frames.algebra, rng, ranks=frames.ranks)
 
 
-def isometry_between(rng: np.random.Generator, source: Frames, target: Frames) -> np.ndarray:
+def _corner_haar(rngs: list, algebra: BlockAlgebra, ranks: np.ndarray) -> np.ndarray:
+    """Per generator, a block-diagonal Haar unitary of the corners of these
+    ranks on the frame columns, as one QR of the stack."""
+    positions = [_corner_positions(algebra, tuple(r)) for r in ranks.tolist()]
+    return phase_fixed_q(_filled(rngs, algebra.identity(), positions))
+
+
+def isometry_between(rng: Generators, source: Frames, target: Frames) -> np.ndarray:
     """Partial isometry ``F_t w F_s*`` from the source projection onto the
     target one, with ``w`` a block-diagonal Haar unitary of the corners."""
-    if source.ranks != target.ranks:
+    if np.shape(source.ranks) != np.shape(target.ranks) or not np.array_equal(source.ranks, target.ranks):
         raise ValueError("source and target have different blockwise ranks")
-    return target.matrix @ _block_haar(rng, source.ranks) @ source.matrix.conj().T
+    rngs, one = _generators(rng)
+    fs, ranks = _frame_stack(source, len(rngs))
+    ft, _ = _frame_stack(target, len(rngs))
+    w = _corner_haar(rngs, source.algebra, ranks)
+
+    def arrow(ft, w, fs, r):
+        keep = frame_columns(source.algebra, r)
+        return ft[..., keep] @ w[..., keep[:, None], keep] @ fs[..., keep].conj().mT
+
+    return _unstacked(_truncated(ranks, arrow, ft, w, fs), one)
 
 
 def positive_on(
-    rng: np.random.Generator,
+    rng: Generators,
     frames: Frames,
     eig_low: float = 0.5,
     eig_high: float = 2.0,
@@ -231,21 +320,30 @@ def positive_on(
     eigenvalues in ``[eig_low, eig_high]`` on the support: ``(F w)
     diag(vals) (F w)*`` with ``w`` a block-diagonal Haar unitary of the
     corners.  Each block draws its corner Gaussian, then its values."""
-    size = sum(frames.ranks)
-    g = np.zeros((size, size), dtype=complex)
-    vals = np.empty(size)
-    for c in frames.columns:
-        r = c.stop - c.start
-        if r:
-            g[c, c] = complex_normal(rng, (r, r))
-            vals[c] = rng.uniform(eig_low, eig_high, r)
-    fw = frames.matrix @ phase_fixed_q(g)
-    return (fw * vals) @ fw.conj().T
+    rngs, one = _generators(rng)
+    algebra = frames.algebra
+    f, ranks = _frame_stack(frames, len(rngs))
+    g = np.repeat(algebra.identity()[None], len(rngs), axis=0)
+    vals = np.zeros((len(rngs), algebra.dim))
+    for k, (gen, r) in enumerate(zip(rngs, ranks.tolist())):
+        for s, rb in zip(algebra.slices, r):
+            if rb:
+                c = slice(s.start, s.start + rb)
+                g[k, c, c] = _gaussians(gen, rb * rb).reshape(rb, rb)
+                vals[k, c] = gen.uniform(eig_low, eig_high, rb)
+    w = phase_fixed_q(g)
+
+    def positive(f, w, vals, r):
+        keep = frame_columns(algebra, r)
+        fw = f[..., keep] @ w[..., keep[:, None], keep]
+        return (fw * vals[:, None, keep]) @ fw.conj().mT
+
+    return _unstacked(_truncated(ranks, positive, f, w, vals), one)
 
 
 def frame_chain(
     algebra: BlockAlgebra,
-    rng: np.random.Generator,
+    rng: Generators,
     length: int,
     allow_zero: bool = True,
 ) -> list[Frames]:
@@ -257,8 +355,8 @@ def frame_chain(
 
 def random_projection(
     algebra: BlockAlgebra,
-    rng: np.random.Generator,
-    ranks: tuple[int, ...] | None = None,
+    rng: Generators,
+    ranks=None,
     allow_zero: bool = True,
     allow_full: bool = True,
 ) -> np.ndarray:
@@ -268,7 +366,7 @@ def random_projection(
 
 def partial_isometry_onto(
     algebra: BlockAlgebra,
-    rng: np.random.Generator,
+    rng: Generators,
     source: np.ndarray,
     target: np.ndarray,
 ) -> np.ndarray:
@@ -279,7 +377,7 @@ def partial_isometry_onto(
 
 def corner_positive(
     algebra: BlockAlgebra,
-    rng: np.random.Generator,
+    rng: Generators,
     p: np.ndarray,
     eig_low: float = 0.5,
     eig_high: float = 2.0,
@@ -291,7 +389,7 @@ def corner_positive(
 
 def corner_hermitian(
     algebra: BlockAlgebra,
-    rng: np.random.Generator,
+    rng: Generators,
     p: np.ndarray,
     scale: float = 1.0,
 ) -> np.ndarray:
@@ -301,7 +399,7 @@ def corner_hermitian(
 
 def corner_antihermitian(
     algebra: BlockAlgebra,
-    rng: np.random.Generator,
+    rng: Generators,
     p: np.ndarray,
     scale: float = 1.0,
 ) -> np.ndarray:
@@ -318,7 +416,7 @@ def unit_norm(x: np.ndarray) -> np.ndarray:
 
 def random_density(
     algebra: BlockAlgebra,
-    rng: np.random.Generator,
+    rng: Generators,
     repeat_chance: float = 0.0,
 ) -> NormalFunctional:
     """Faithful state with eigenvalues well separated from the rank cutoff,
@@ -329,7 +427,7 @@ def random_density(
 
 def random_density_matrix(
     algebra: BlockAlgebra,
-    rng: np.random.Generator,
+    rng: Generators,
     repeat_chance: float = 0.0,
 ) -> np.ndarray:
     """The density of :func:`random_density`, drawn as it draws it, without
@@ -337,19 +435,20 @@ def random_density_matrix(
     return unit_trace(random_positive(algebra, rng, repeat_chance=repeat_chance))
 
 
-def density_on(rng: np.random.Generator, frames: Frames) -> NormalFunctional:
+def density_on(rng: Generators, frames: Frames) -> NormalFunctional:
     """State supported exactly on the frames' projection."""
     return NormalFunctional(frames.algebra, unit_trace(positive_on(rng, frames)))
 
 
 def unit_trace(d: np.ndarray) -> np.ndarray:
-    """The density ``d`` scaled to unit trace."""
-    return d / float(np.trace(d).real)
+    """The density ``d`` scaled to unit trace; each matrix of a stack by its
+    own trace."""
+    return d / np.trace(d, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def p0_tangent(
     algebra: BlockAlgebra,
-    rng: np.random.Generator,
+    rng: Generators,
     u: np.ndarray,
     p0: np.ndarray,
     scale: float = 1.0,
@@ -357,12 +456,12 @@ def p0_tangent(
     """Random tangent at a point ``u`` of the bundle of partial isometries
     with source ``p0``: right support preserved, ``u* du`` anti-Hermitian."""
     z = random_element(algebra, rng, scale) @ p0
-    return z - u @ herm(u.conj().T @ z)
+    return z - u @ herm(u.conj().mT @ z)
 
 
 def projection_chain(
     algebra: BlockAlgebra,
-    rng: np.random.Generator,
+    rng: Generators,
     length: int,
     allow_zero: bool = True,
 ) -> list[np.ndarray]:
@@ -390,6 +489,49 @@ def sample_with_retry(draw, max_tries: int = 64):
     )
 
 
-def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
+def redraw_failures(
+    rng: Generators,
+    draw: Callable[[list], tuple[list, np.ndarray]],
+    retry: Callable = sample_with_retry,
+) -> list:
+    """The stacks of each trial's first admissible draw.  ``draw(generators)``
+    draws the stacked data of those trials and tests it once on the stack,
+    returning ``(stacks, admissible)`` with one flag per trial; the stacks
+    are arrays or :class:`~wstargeo.algebra.Frames` with a row of ranks per
+    trial.  ``retry`` (:func:`sample_with_retry`) gets one closure for the
+    whole stack: each call draws the trials still pending, keeps those that
+    pass and refuses (:class:`NotInDomain`) while any remain, so a trial is
+    drawn at most as often as ``retry`` calls, always from its own
+    generator."""
+    rngs, one = _generators(rng)
+    pending, kept = np.arange(len(rngs)), []
+
+    def attempt() -> list:
+        nonlocal pending
+        stacks, admissible = draw([rngs[k] for k in pending])
+        admissible = np.asarray(admissible, dtype=bool)
+        kept.append((pending[admissible], [x[admissible] for x in stacks]))
+        pending = pending[~admissible]
+        if pending.size:
+            raise NotInDomain(f"redraw: {pending.size} trials outside the domain")
+        order = np.argsort(np.concatenate([trials for trials, _ in kept]))
+        return [_unstacked(_joined(parts, order), one) for parts in zip(*(x for _, x in kept))]
+
+    return retry(attempt)
+
+
+def _joined(parts: Sequence, order: np.ndarray):
+    """The stacks ``parts`` (arrays, or frames with a row of ranks per
+    matrix) as one, its matrices in the given order."""
+    if isinstance(parts[0], Frames):
+        matrix = _joined([f.matrix for f in parts], order)
+        return Frames(parts[0].algebra, matrix, _joined([f.ranks for f in parts], order))
+    return np.concatenate(parts)[order]
+
+
+def random_unit_vector(n: int, rng: Generators) -> np.ndarray:
+    """Complex Gaussian vector scaled to unit norm, computed as
+    ``numpy.linalg.norm`` computes it."""
     v = complex_normal(rng, (n,))
-    return v / np.linalg.norm(v)
+    re, im = v.real, v.imag
+    return v / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[..., None]

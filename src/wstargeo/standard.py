@@ -359,11 +359,11 @@ def tomita_S(
     return spectrum.power(-0.5) @ conjugation_J(g) @ spectrum.power(0.5)
 
 
-def flow_sample(algebra: BlockAlgebra, rng: np.random.Generator) -> list:
-    """One sample for :func:`flow_residuals`, drawn from ``rng``: the
-    isometries ``u1``, ``u2`` and the positive ``h2`` of a composable pair
-    of vector arrows, two elements ``x``, ``y`` and a positive element
-    ``pos``."""
+def flow_sample(algebra: BlockAlgebra, rng: sampling.Generators) -> list:
+    """One sample for :func:`flow_residuals`, drawn from ``rng`` (or a stack
+    of them, from one generator per trial): the isometries ``u1``, ``u2``
+    and the positive ``h2`` of a composable pair of vector arrows, two
+    elements ``x``, ``y`` and a positive element ``pos``."""
     q1 = sampling.random_frames(algebra, rng)
     q0 = sampling.equivalent_frames(rng, q1)
     q2 = sampling.equivalent_frames(rng, q1)

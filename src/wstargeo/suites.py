@@ -14,7 +14,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from .charts import (
     theta_P0_inv,
     transition_L,
 )
-from .errors import InvalidTrials, NotInDomain, UnknownSuite
+from .errors import InvalidTrials, UnknownSuite
 from .groupoids import (
     chain_law_residuals,
     composable_chain,
@@ -65,7 +65,6 @@ from .groupoids import (
     jay,
     phi_intertwining_residual,
     psi_intertwining_residual,
-    stack_chains,
     xi_intertwining_residual,
 )
 from .linalg import (
@@ -163,12 +162,11 @@ class SuiteResult:
         return "pass" if self.passed else "FAIL"
 
 
-def _trials(
-    ctx: RowCtx, trial: Callable[[RowCtx, np.random.Generator], object]
-) -> Iterator:
-    """``trial(ctx, ctx.rng(k))`` for each trial ``k`` in turn: every row
-    draws trial ``k`` from the generator keyed ``(seed, subindex, k)``."""
-    return (trial(ctx, ctx.rng(k)) for k in range(ctx.trials))
+def _generators(ctx: RowCtx) -> list[np.random.Generator]:
+    """The generator of each trial ``k``, keyed ``(seed, subindex, k)``: a
+    row draws all of its trials at once, each from its own generator
+    (:mod:`~wstargeo.sampling`)."""
+    return [ctx.rng(k) for k in range(ctx.trials)]
 
 
 def _stacked_group_row(
@@ -192,45 +190,33 @@ def _stacked_group_row(
 # ---------------------------------------------------------------------------
 
 
-def _stacked_trials(
-    ctx: RowCtx, draw: Callable[[RowCtx, np.random.Generator], list]
-) -> list:
-    """Each trial's ``draw`` in turn, from its own generator, stacked into
-    one tuple of stacks (:func:`~wstargeo.groupoids.stack_chains`) as it is
-    drawn: the data of a row whose checks then run once, on all of its
-    trials."""
-    return stack_chains(_trials(ctx, draw), ctx.trials)
-
-
 def _worst_of_stacks(residuals) -> float:
     """The worst of per-trial residual arrays (NaN if any of them is NaN)."""
     return _worst(0.0, *(r for rs in residuals for r in rs.tolist()))
 
 
-def _coefficients(draws: list, counts: np.ndarray, draw: Callable) -> np.ndarray:
-    """``draw(rng, counts[k])`` from the generator of each trial ``k`` (the
-    first entry of ``draws[k]``), as one array padded with zeros: the
-    coefficients of a basis whose length each trial learns only from the
-    stacked spectrum, drawn after the rest of its data."""
-    rows = [draw(rng, int(count)) for (rng, *_), count in zip(draws, counts)]
+def _coefficients(rngs, counts, draw: Callable) -> np.ndarray:
+    """``draw(rngs[k], counts[k])`` from the generator of each trial ``k``,
+    as one array padded with zeros: the coefficients of a basis whose length
+    each trial learns only from the stacked spectrum, drawn after the rest
+    of its data.  One generator and count give one row, unstacked."""
+    one = isinstance(rngs, np.random.Generator)
+    rows = [draw(rng, int(count)) for rng, count in zip([rngs] if one else rngs, np.atleast_1d(counts))]
     out = np.zeros((len(rows), int(np.max(counts))), dtype=rows[0].dtype)
     for row, coeff in zip(out, rows):
         row[: len(coeff)] = coeff
-    return out
+    return out[0] if one else out
 
 
 def _row_laws(tag: str) -> Callable[[RowCtx], float]:
     """Groupoid laws of the picture ``tag`` on one composable chain of three
     arrows per trial; for the standard form also the polar data of its
-    arrows.  Each trial draws its chain in turn, and the laws are checked
-    once, on the stack of all of them."""
-
-    def draw(ctx: RowCtx, rng):
-        return composable_chain(tag, ctx.algebra, rng, 3)
+    arrows.  The chains of all trials are drawn as one chain of stacks, and
+    the laws are checked once, on it."""
 
     def row(ctx: RowCtx) -> float:
         prof = ctx.profile
-        chain = _stacked_trials(ctx, draw)
+        chain = composable_chain(tag, ctx.algebra, _generators(ctx), 3)
         residuals = list(chain_law_residuals(tag, chain, prof).values())
         if tag == "standard":
             # Polar data of an arrow gamma = u m: gamma = (u m u*) u relates
@@ -243,24 +229,24 @@ def _row_laws(tag: str) -> Callable[[RowCtx], float]:
     return row
 
 
-# The three rows below draw each trial's data in turn (``_draw_*``), then run
-# their checks (``_check_*``) once, on the stack of all trials.  A check
-# takes the data of one trial or a stack of them, and gives each trial the
-# bits it gets alone.
+# The rows below draw the data of all their trials at once (``_draw_*``,
+# from the trials' generators, :func:`_generators`), then run their checks
+# (``_check_*``) once, on the stacks.  A check takes the data of one trial or
+# a stack of them, and gives each trial the bits it gets alone.
 
 
-def _draw_isomorphisms(ctx: RowCtx, rng) -> list:
+def _draw_isomorphisms(ctx: RowCtx, rngs) -> list:
     alg, prof = ctx.algebra, ctx.profile
-    a, b = composable_chain("coadjoint", alg, rng, 2)
-    f0 = sampling.random_frames(alg, rng, allow_zero=False)
-    rho0 = sampling.density_on(rng, f0)
+    a, b = composable_chain("coadjoint", alg, rngs, 2)
+    f0 = sampling.random_frames(alg, rngs, allow_zero=False)
+    rho0 = sampling.density_on(rngs, f0)
     u, v, w = [
-        sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
+        sampling.isometry_between(rngs, f0, sampling.equivalent_frames(rngs, f0))
         for _ in range(3)
     ]
-    # The direction consumes the generator by the dimension of the
-    # stabilizer of the base density, so the stabilizer is taken per trial.
-    coeff = rng.standard_normal(stabilizer_dimension(rho0, prof))
+    # The direction consumes each generator by the dimension of the
+    # stabilizer of its base density, known from the stacked spectrum.
+    coeff = _coefficients(rngs, stabilizer_dimension(rho0, prof), lambda rng, k: rng.standard_normal(k))
     return [a, b, u, v, w, rho0, stabilizer_direction(rho0, coeff, prof)]
 
 
@@ -282,22 +268,22 @@ def _check_isomorphisms(ctx: RowCtx, a, b, u, v, w, rho0, x) -> dict:
 def _row_isomorphisms(ctx: RowCtx) -> float:
     """The three structure-preserving maps between the arrow pictures, on
     composable random pairs."""
-    checks = _check_isomorphisms(ctx, *_stacked_trials(ctx, _draw_isomorphisms))
+    checks = _check_isomorphisms(ctx, *_draw_isomorphisms(ctx, _generators(ctx)))
     return _worst_of_stacks(checks.values())
 
 
-def _draw_equivalences(ctx: RowCtx, rng) -> list:
+def _draw_equivalences(ctx: RowCtx, rngs) -> list:
     alg = ctx.algebra
-    pf = sampling.random_frames(alg, rng)
-    q = sampling.equivalent_frames(rng, pf).projection
-    x = sampling.random_element(alg, rng)
-    rho_f = sampling.random_frames(alg, rng, allow_zero=False)
-    rho = sampling.density_on(rng, rho_f)
-    u = sampling.isometry_between(rng, rho_f, sampling.equivalent_frames(rng, rho_f))
+    pf = sampling.random_frames(alg, rngs)
+    q = sampling.equivalent_frames(rngs, pf).projection
+    x = sampling.random_element(alg, rngs)
+    rho_f = sampling.random_frames(alg, rngs, allow_zero=False)
+    rho = sampling.density_on(rngs, rho_f)
+    u = sampling.isometry_between(rngs, rho_f, sampling.equivalent_frames(rngs, rho_f))
     # Negative control: a rank change breaks equivalence.
-    ranks = list(pf.ranks)
-    ranks[0] = (ranks[0] + 1) % (alg.blocks[0] + 1)
-    p_bad = sampling.random_projection(alg, rng, ranks=tuple(ranks))
+    ranks = np.array(pf.ranks)
+    ranks[..., 0] = (ranks[..., 0] + 1) % (alg.blocks[0] + 1)
+    p_bad = sampling.random_projection(alg, rngs, ranks=ranks)
     return [pf.projection, q, x, rho_f.projection, rho, u, p_bad]
 
 
@@ -331,20 +317,20 @@ def _row_equivalence_agreement(ctx: RowCtx) -> float:
     """Count of disagreements between the equivalence notions (Murray-von
     Neumann, unitary orbit, support equivalence) on data where they must
     coincide, plus negative controls where they must not."""
-    checks = _check_equivalences(ctx, *_stacked_trials(ctx, _draw_equivalences))
+    checks = _check_equivalences(ctx, *_draw_equivalences(ctx, _generators(ctx)))
     return float(sum(np.count_nonzero(d) for d in checks.values()))
 
 
-def _draw_witnesses(ctx: RowCtx, rng) -> list:
+def _draw_witnesses(ctx: RowCtx, rngs) -> list:
     alg = ctx.algebra
-    pf = sampling.random_frames(alg, rng)
-    q = sampling.equivalent_frames(rng, pf).projection
-    phi1 = sampling.random_density(alg, rng)
-    uu = sampling.random_unitary(alg, rng)
-    qs = sampling.frame_chain(alg, rng, 2, allow_zero=False)
-    h = sampling.positive_on(rng, qs[2])
-    u1 = sampling.isometry_between(rng, qs[2], qs[1])
-    w0 = sampling.isometry_between(rng, qs[1], qs[0])
+    pf = sampling.random_frames(alg, rngs)
+    q = sampling.equivalent_frames(rngs, pf).projection
+    phi1 = sampling.random_density(alg, rngs)
+    uu = sampling.random_unitary(alg, rngs)
+    qs = sampling.frame_chain(alg, rngs, 2, allow_zero=False)
+    h = sampling.positive_on(rngs, qs[2])
+    u1 = sampling.isometry_between(rngs, qs[2], qs[1])
+    w0 = sampling.isometry_between(rngs, qs[1], qs[0])
     return [pf.projection, q, phi1, uu, h, u1, w0]
 
 
@@ -368,7 +354,7 @@ def _check_witnesses(ctx: RowCtx, p, q, phi1, uu, h, u1, w0) -> dict:
 def _row_witnesses(ctx: RowCtx) -> float:
     """Constructive witnesses for the three equivalences actually implement
     them."""
-    checks = _check_witnesses(ctx, *_stacked_trials(ctx, _draw_witnesses))
+    checks = _check_witnesses(ctx, *_draw_witnesses(ctx, _generators(ctx)))
     return _worst_of_stacks(checks.values())
 
 
@@ -377,44 +363,46 @@ def _row_witnesses(ctx: RowCtx) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _draw_equivalent_in_domain(alg, rng, prof, count: int):
-    """count projections, mutually equivalent, each pair in each other's
-    chart domain."""
+def _redrawn(rngs: list, draw: Callable[[list], tuple[list, np.ndarray]]) -> list:
+    """The stacks of each trial's first draw that passes its domain test
+    (:func:`~wstargeo.sampling.redraw_failures`): ``_retry`` gets one
+    closure for the row, and redraws only the failing trials."""
+    return sampling.redraw_failures(rngs, draw, _retry)
 
-    def draw():
-        ps = sampling.projection_chain(alg, rng, count - 1, allow_zero=False)
+
+def _draw_equivalent_in_domain(alg, rngs, prof, count: int):
+    """count projections per trial, mutually equivalent, each pair in each
+    other's chart domain."""
+
+    def draw(rngs):
+        ps = sampling.projection_chain(alg, rngs, count - 1, allow_zero=False)
         # Membership is symmetric (q p = (p q)* has the same singular
         # values) and holds on the diagonal, so one test per unordered pair.
-        for i, a in enumerate(ps):
-            for b in ps[i + 1:]:
-                if not chart_domain_member(a, b, prof):
-                    raise NotInDomain("redraw: pair outside chart domain")
-        return ps
+        inside = [chart_domain_member(a, b, prof) for i, a in enumerate(ps) for b in ps[i + 1:]]
+        return ps, np.logical_and.reduce(inside)
 
-    return _retry(draw)
+    return _redrawn(rngs, draw)
 
 
 # The four random charts rows below have the shape of the groupoid-axioms
-# rows: each draws trial ``k``'s data in turn (``_draw_*``), redraws and
-# their domain tests included, then runs its checks (``_check_*``) once, on
-# the stack of all trials.
+# rows: each draws its trials' data at once (``_draw_*``), redraws and their
+# domain tests included, then runs its checks (``_check_*``) once, on the
+# stacks.
 
 
-def _draw_round_trip(ctx: RowCtx, rng) -> list:
+def _draw_round_trip(ctx: RowCtx, rngs) -> list:
     alg, prof = ctx.algebra, ctx.profile
-    p, q = _draw_equivalent_in_domain(alg, rng, prof, 2)
+    p, q = _draw_equivalent_in_domain(alg, rngs, prof, 2)
 
-    def draw_g():
-        fs = sampling.frame_chain(alg, rng, 3, allow_zero=False)
+    def draw_g(rngs):
+        fs = sampling.frame_chain(alg, rngs, 3, allow_zero=False)
         p_, pt, l, r = (f.projection for f in fs)
-        if not (chart_domain_member(p_, l, prof)
-                and chart_domain_member(pt, r, prof)):
-            raise NotInDomain("redraw")
-        wiso = sampling.isometry_between(rng, fs[3], fs[2])
-        h = sampling.positive_on(rng, fs[3])
-        return p_, pt, wiso, h
+        inside = chart_domain_member(p_, l, prof) & chart_domain_member(pt, r, prof)
+        return [p_, pt, fs[2], fs[3]], inside
 
-    return [p, q, *_retry(draw_g)]
+    p_, pt, f2, f3 = _redrawn(rngs, draw_g)
+    wiso = sampling.isometry_between(rngs, f3, f2)
+    return [p, q, p_, pt, wiso, sampling.positive_on(rngs, f3)]
 
 
 def _check_round_trip(ctx: RowCtx, p, q, p_, pt, wiso, h) -> dict:
@@ -443,12 +431,12 @@ def _check_round_trip(ctx: RowCtx, p, q, p_, pt, wiso, h) -> dict:
 
 def _row_charts_round_trip(ctx: RowCtx) -> float:
     """Projection and groupoid charts composed with their inverses."""
-    checks = _check_round_trip(ctx, *_stacked_trials(ctx, _draw_round_trip))
+    checks = _check_round_trip(ctx, *_draw_round_trip(ctx, _generators(ctx)))
     return _worst_of_stacks(checks.values())
 
 
-def _draw_cocycle(ctx: RowCtx, rng) -> list:
-    return _draw_equivalent_in_domain(ctx.algebra, rng, ctx.profile, 4)
+def _draw_cocycle(ctx: RowCtx, rngs) -> list:
+    return _draw_equivalent_in_domain(ctx.algebra, rngs, ctx.profile, 4)
 
 
 def _check_cocycle(ctx: RowCtx, p, p1, p2, q) -> dict:
@@ -468,7 +456,7 @@ def _check_cocycle(ctx: RowCtx, p, p1, p2, q) -> dict:
 def _row_charts_cocycle(ctx: RowCtx) -> float:
     """Transition maps between three charts: the chart change and the
     cocycle identity."""
-    checks = _check_cocycle(ctx, *_stacked_trials(ctx, _draw_cocycle))
+    checks = _check_cocycle(ctx, *_draw_cocycle(ctx, _generators(ctx)))
     return _worst_of_stacks(checks.values())
 
 
@@ -492,18 +480,16 @@ def _row_charts_transition_oracle(ctx: RowCtx) -> float:
     return _worst(*res)
 
 
-def _draw_theta(ctx: RowCtx, rng) -> list:
+def _draw_theta(ctx: RowCtx, rngs) -> list:
     alg, prof = ctx.algebra, ctx.profile
 
-    def draw():
-        fs = sampling.frame_chain(alg, rng, 2, allow_zero=False)
+    def draw(rngs):
+        fs = sampling.frame_chain(alg, rngs, 2, allow_zero=False)
         p0, q, p = (f.projection for f in fs)
-        if not chart_domain_member(p, q, prof):
-            raise NotInDomain("redraw")
-        u = sampling.isometry_between(rng, fs[0], fs[1])
-        return [p0, q, p, u]
+        return [p0, q, p, fs[0], fs[1]], chart_domain_member(p, q, prof)
 
-    return _retry(draw)
+    p0, q, p, f0, f1 = _redrawn(rngs, draw)
+    return [p0, q, p, sampling.isometry_between(rngs, f0, f1)]
 
 
 def _check_theta(ctx: RowCtx, p0, q, p, u) -> dict:
@@ -525,23 +511,23 @@ def _check_theta(ctx: RowCtx, p0, q, p, u) -> dict:
 def _row_charts_theta(ctx: RowCtx) -> float:
     """The bundle chart over a base projection, its inverse and its closed
     form."""
-    checks = _check_theta(ctx, *_stacked_trials(ctx, _draw_theta))
+    checks = _check_theta(ctx, *_draw_theta(ctx, _generators(ctx)))
     return _worst_of_stacks(checks.values())
 
 
-def _draw_connection(ctx: RowCtx, rng) -> list:
+def _draw_connection(ctx: RowCtx, rngs) -> list:
     alg = ctx.algebra
-    f0 = sampling.random_frames(alg, rng, allow_zero=False)
+    f0 = sampling.random_frames(alg, rngs, allow_zero=False)
     p0 = f0.projection
-    rho0 = sampling.density_on(rng, f0)
-    u = sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
-    du1 = sampling.p0_tangent(alg, rng, u, p0)
-    du2 = sampling.p0_tangent(alg, rng, u, p0)
-    x1 = sampling.corner_antihermitian(alg, rng, p0)
+    rho0 = sampling.density_on(rngs, f0)
+    u = sampling.isometry_between(rngs, f0, sampling.equivalent_frames(rngs, f0))
+    du1 = sampling.p0_tangent(alg, rngs, u, p0)
+    du2 = sampling.p0_tangent(alg, rngs, u, p0)
+    x1 = sampling.corner_antihermitian(alg, rngs, p0)
     # A second corner direction x2, never read: it is drawn only to keep the
     # trial's stream as it has always been, so that a draw added after it
     # sees the generator state it would have seen before.
-    sampling.corner_antihermitian(alg, rng, p0)
+    sampling.corner_antihermitian(alg, rngs, p0)
     return [rho0, u, du1, du2, x1]
 
 
@@ -578,7 +564,7 @@ def _row_charts_connection(ctx: RowCtx) -> float:
     """The canonical connection: the horizontal/vertical split, the
     connection form, its curvature and the exterior derivative of the orbit
     one-form."""
-    checks = _check_connection(ctx, *_stacked_trials(ctx, _draw_connection))
+    checks = _check_connection(ctx, *_draw_connection(ctx, _generators(ctx)))
     return _worst_of_stacks(checks.values())
 
 
@@ -587,17 +573,16 @@ def _row_charts_connection(ctx: RowCtx) -> float:
 # ---------------------------------------------------------------------------
 
 
-# These rows have the shape of the groupoid-axioms rows: each draws trial
-# ``k``'s data in turn, then builds and validates its families and runs its
-# check once, on the stack of all trials.
+# These rows have the shape of the groupoid-axioms rows: each draws its
+# trials' data at once, then builds and validates its families and runs its
+# check once, on the stacks.
 
 
 def _stacked_families(ctx: RowCtx, directions: int) -> list:
     """``directions`` families on one composable base per trial, as stacks
     (:func:`~wstargeo.poisson.families_on`)."""
     alg = ctx.algebra
-    data = _stacked_trials(ctx, lambda ctx, rng: draw_family_data(alg, rng, directions))
-    return families_on(alg, data, ctx.profile)
+    return families_on(alg, draw_family_data(alg, _generators(ctx), directions), ctx.profile)
 
 
 def _row_multiplicativity(ctx: RowCtx) -> float:
@@ -605,19 +590,19 @@ def _row_multiplicativity(ctx: RowCtx) -> float:
     return _worst_of_stacks([multiplicativity_residual(fam, fam2, ctx.profile)])
 
 
-def _draw_vertical(ctx: RowCtx, rng) -> list:
+def _draw_vertical(ctx: RowCtx, rngs) -> list:
     alg = ctx.algebra
-    qf = sampling.random_frames(alg, rng, allow_zero=False)
+    qf = sampling.random_frames(alg, rngs, allow_zero=False)
     q = qf.projection
-    u = sampling.isometry_between(rng, qf, sampling.equivalent_frames(rng, qf))
-    xi = sampling.positive_on(rng, qf)
-    b = sampling.corner_antihermitian(alg, rng, q)
-    b2 = sampling.corner_antihermitian(alg, rng, q)
+    u = sampling.isometry_between(rngs, qf, sampling.equivalent_frames(rngs, qf))
+    xi = sampling.positive_on(rngs, qf)
+    b = sampling.corner_antihermitian(alg, rngs, q)
+    b2 = sampling.corner_antihermitian(alg, rngs, q)
     return [u, xi, b, b2]
 
 
 def _row_vertical(ctx: RowCtx) -> float:
-    data = _stacked_trials(ctx, _draw_vertical)
+    data = _draw_vertical(ctx, _generators(ctx))
     return _worst_of_stacks([vertical_form_residual(*data, ctx.profile)])
 
 
@@ -648,20 +633,26 @@ def _row_exactness_order(ctx: RowCtx) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _draw_dual_pair(ctx: RowCtx, rng) -> list:
-    """A generic element or, with even odds, a polar product ``u h``."""
+def _draw_dual_pair(ctx: RowCtx, rngs) -> np.ndarray:
+    """Per trial, a generic element or, with even odds, a polar product
+    ``u h``: each kind drawn once, from the generators of its trials."""
     alg = ctx.algebra
-    if rng.uniform() < 0.5:
-        return [sampling.random_element(alg, rng)]
-    qf = sampling.random_frames(alg, rng, allow_zero=False)
-    u = sampling.isometry_between(rng, qf, sampling.equivalent_frames(rng, qf))
-    return [u @ sampling.positive_on(rng, qf)]
+    generic = np.array([rng.uniform() < 0.5 for rng in rngs])
+    g = np.empty((len(rngs), alg.dim, alg.dim), dtype=complex)
+    if generic.any():
+        g[generic] = sampling.random_element(alg, [r for r, c in zip(rngs, generic) if c])
+    if not generic.all():
+        polar = [r for r, c in zip(rngs, generic) if not c]
+        qf = sampling.random_frames(alg, polar, allow_zero=False)
+        u = sampling.isometry_between(polar, qf, sampling.equivalent_frames(polar, qf))
+        g[~generic] = u @ sampling.positive_on(polar, qf)
+    return g
 
 
 def _dual_pair_report(ctx: RowCtx) -> dict:
     """The fibre-kernel report of each trial's vector, checked once on the
     stack."""
-    [g] = _stacked_trials(ctx, _draw_dual_pair)
+    g = _draw_dual_pair(ctx, _generators(ctx))
     report = dual_pair_orthogonality_check(ctx.algebra, g, ctx.profile)
     return {"orthogonality": report.orthogonality, "dimension": report.dimension_residual}
 
@@ -671,8 +662,8 @@ def _dual_pair_report(ctx: RowCtx) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# These rows have the shape of the groupoid-axioms rows: each draws trial
-# ``k``'s data in turn, then runs its checks once, on the stack of all trials.
+# These rows have the shape of the groupoid-axioms rows: each draws its
+# trials' data at once, then runs its checks once, on the stacks.
 
 
 def _poisson_data(ctx: RowCtx, point: Callable) -> tuple:
@@ -682,10 +673,9 @@ def _poisson_data(ctx: RowCtx, point: Callable) -> tuple:
     ``g_fd = Re phi(y)`` (by central differences) and ``h = Tr(d^2 z)``."""
     alg, prof = ctx.algebra, ctx.profile
 
-    def draw(ctx: RowCtx, rng) -> list:
-        return [*(sampling.random_hermitian(alg, rng) for _ in range(3)), point(alg, rng)]
-
-    *xyz, at = _stacked_trials(ctx, draw)
+    rngs = _generators(ctx)
+    xyz = [sampling.random_hermitian(alg, rngs) for _ in range(3)]
+    at = point(alg, rngs)
     x, y, z = (sampling.unit_norm(m) for m in xyz)
     f = Observable.linear(x, prof)
     g_fd = Observable(value=lambda phi: expect_real(phi(y), prof))
@@ -746,64 +736,62 @@ def _row_poisson_commutant(ctx: RowCtx) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _draw_bundle_point(alg, rng, repeat_chance: float = 0.0):
-    """Frames of a support p0, a unit-trace density on it, an isometry from
-    it and the frames of that isometry's target."""
-    f0 = sampling.random_frames(alg, rng, allow_zero=False)
-    d = sampling.positive_on(rng, f0)
-    if repeat_chance > 0.0 and rng.uniform() < repeat_chance:
-        # Collapse the corner spectrum to create a nontrivial stabilizer.
-        d = sampling.positive_on(rng, f0, 1.0, 1.0)
-    q = sampling.equivalent_frames(rng, f0)
-    return f0, sampling.unit_trace(d), sampling.isometry_between(rng, f0, q), q
+def _draw_bundle_point(alg, rngs, repeat_chance: float = 0.0):
+    """Per trial, frames of a support p0, a unit-trace density on it, an
+    isometry from it and the frames of that isometry's target, as stacks."""
+    f0 = sampling.random_frames(alg, rngs, allow_zero=False)
+    d = sampling.positive_on(rngs, f0)
+    if repeat_chance > 0.0:
+        # Collapse the corner spectrum of some trials to create a nontrivial
+        # stabilizer: only their generators draw the flat spectrum.
+        flat = np.array([rng.uniform() < repeat_chance for rng in rngs])
+        if flat.any():
+            d[flat] = sampling.positive_on([r for r, c in zip(rngs, flat) if c], f0[flat], 1.0, 1.0)
+    q = sampling.equivalent_frames(rngs, f0)
+    return f0, sampling.unit_trace(d), sampling.isometry_between(rngs, f0, q), q
 
 
 def _row_degeneracy_invariance(ctx: RowCtx) -> float:
     alg, prof = ctx.algebra, ctx.profile
-    draws = list(_trials(
-        ctx, lambda ctx, rng: (rng, *_draw_bundle_point(alg, rng, repeat_chance=0.5))
-    ))
-    d0, u = stack_chains([[d0, u] for _, _, d0, u, _ in draws], ctx.trials)
+    rngs = _generators(ctx)
+    _, d0, u, q = _draw_bundle_point(alg, rngs, repeat_chance=0.5)
     rho0 = NormalFunctional(alg, d0)
     p0 = functional_support(rho0, prof)
     # Each trial's generator goes on where its base point left it, now that
     # the stacked spectrum gives its support and stabilizer.
-    sample = stack_chains(
-        [orbit_form_sample(alg, rng, u[k], p0[k], q) for k, (rng, *_, q) in enumerate(draws)],
-        ctx.trials,
-    )
+    sample = orbit_form_sample(alg, rngs, u, p0, q)
     coeff = _coefficients(
-        draws, stabilizer_dimension(rho0, prof), lambda rng, k: rng.standard_normal(k)
+        rngs, stabilizer_dimension(rho0, prof), lambda rng, k: rng.standard_normal(k)
     )
     return _worst_of_stacks([orbit_form_invariance_residual(rho0, u, *sample, coeff, prof)])
 
 
-def _draw_fd(ctx: RowCtx, rng) -> list:
+def _draw_fd(ctx: RowCtx, rngs) -> list:
     alg = ctx.algebra
-    f0, d0, u, _ = _draw_bundle_point(alg, rng)
-    a = sampling.random_antihermitian(alg, rng)
-    return [d0, u, a, sampling.corner_antihermitian(alg, rng, f0.projection)]
+    f0, d0, u, _ = _draw_bundle_point(alg, rngs)
+    a = sampling.random_antihermitian(alg, rngs)
+    return [d0, u, a, sampling.corner_antihermitian(alg, rngs, f0.projection)]
 
 
 def _row_degeneracy_fd(ctx: RowCtx) -> float:
     alg, prof = ctx.algebra, ctx.profile
-    d0, u, a, b = _stacked_trials(ctx, _draw_fd)
+    d0, u, a, b = _draw_fd(ctx, _generators(ctx))
     rho0 = NormalFunctional(alg, d0)
     a, b = sampling.unit_norm(a), sampling.unit_norm(b)
     val_fd = fd_surface_dGamma0(rho0, u, a, b, 1e-4, prof)
     return _worst_of_stacks([np.abs(val_fd - dGamma0(rho0, u, a @ u, u @ b, prof))])
 
 
-def _draw_degeneracy(ctx: RowCtx, rng) -> list:
+def _draw_degeneracy(ctx: RowCtx, rngs) -> list:
     alg = ctx.algebra
-    f0, d0, u, _ = _draw_bundle_point(alg, rng, repeat_chance=0.5)
-    return [d0, u, sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))]
+    f0, d0, u, _ = _draw_bundle_point(alg, rngs, repeat_chance=0.5)
+    return [d0, u, sampling.isometry_between(rngs, f0, sampling.equivalent_frames(rngs, f0))]
 
 
 def _degeneracy_report(ctx: RowCtx) -> dict:
     """The degeneracy report of each trial's base point and two legs,
     checked once on the stack."""
-    d0, u, v = _stacked_trials(ctx, _draw_degeneracy)
+    d0, u, v = _draw_degeneracy(ctx, _generators(ctx))
     report = degeneracy_kernel_check(NormalFunctional(ctx.algebra, d0), u, v, ctx.profile)
     s = report.complement_min_singular
     return {
@@ -818,17 +806,17 @@ def _degeneracy_report(ctx: RowCtx) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _draw_kks(ctx: RowCtx, rng) -> list:
+def _draw_kks(ctx: RowCtx, rngs) -> list:
     """A unit-trace density on a random support and two anti-Hermitian
-    directions."""
+    directions per trial."""
     alg = ctx.algebra
-    frames = sampling.random_frames(alg, rng, allow_zero=False)
-    d0 = sampling.unit_trace(sampling.positive_on(rng, frames))
-    return [d0, sampling.random_antihermitian(alg, rng), sampling.random_antihermitian(alg, rng)]
+    frames = sampling.random_frames(alg, rngs, allow_zero=False)
+    d0 = sampling.unit_trace(sampling.positive_on(rngs, frames))
+    return [d0, sampling.random_antihermitian(alg, rngs), sampling.random_antihermitian(alg, rngs)]
 
 
 def _row_kks_identity(ctx: RowCtx) -> float:
-    d0, a1, a2 = _stacked_trials(ctx, _draw_kks)
+    d0, a1, a2 = _draw_kks(ctx, _generators(ctx))
     rho0 = NormalFunctional(ctx.algebra, d0)
     return _worst_of_stacks([kks_check(rho0, a1, a2, ctx.profile).residual])
 
@@ -841,39 +829,44 @@ def _fs_dimension(alg: BlockAlgebra) -> int:
     return max(2, max(alg.blocks))
 
 
-def _fs_point(ctx: RowCtx, rng) -> list:
-    """Radius, base direction and two tangent vectors of a Fubini–Study
+def _radii(rngs) -> np.ndarray:
+    """A radius in ``[0.5, 2]`` per trial."""
+    return np.array([rng.uniform(0.5, 2.0) for rng in rngs])
+
+
+def _fs_point(ctx: RowCtx, rngs) -> list:
+    """Radius, base direction and two tangent vectors of each Fubini–Study
     trial."""
     n = _fs_dimension(ctx.algebra)
-    delta = sampling.random_unit_vector(n, rng)
-    x_t = sampling.complex_normal(rng, (n,))
-    y_t = sampling.complex_normal(rng, (n,))
-    return [float(rng.uniform(0.5, 2.0)), delta, x_t, y_t]
+    delta = sampling.random_unit_vector(n, rngs)
+    x_t = sampling.complex_normal(rngs, (n,))
+    y_t = sampling.complex_normal(rngs, (n,))
+    return [_radii(rngs), delta, x_t, y_t]
 
 
 def _row_fs_orbit(ctx: RowCtx) -> float:
-    report = fubini_study_compare(*_stacked_trials(ctx, _fs_point), ctx.profile)
+    report = fubini_study_compare(*_fs_point(ctx, _generators(ctx)), ctx.profile)
     return _worst_of_stacks([report.residual])
 
 
 def _row_fs_scaling(ctx: RowCtx) -> float:
-    r, delta, x_t, y_t = _stacked_trials(ctx, _fs_point)
+    r, delta, x_t, y_t = _fs_point(ctx, _generators(ctx))
     one = fubini_study_compare(r, delta, x_t, y_t, ctx.profile).omega
     two = fubini_study_compare(2.0 * r, delta, x_t, y_t, ctx.profile).omega
     return _worst_of_stacks([np.abs(two - 2.0 * one)])
 
 
-def _draw_pair_groupoid(ctx: RowCtx, rng) -> list:
+def _draw_pair_groupoid(ctx: RowCtx, rngs) -> list:
     n = _fs_dimension(ctx.algebra)
-    psi = sampling.random_unit_vector(n, rng)
-    phi_vec = sampling.random_unit_vector(n, rng)
-    delta = sampling.random_unit_vector(n, rng)
-    vecs = [sampling.complex_normal(rng, (n,)) for _ in range(4)]
-    return [float(rng.uniform(0.5, 2.0)), delta, psi, phi_vec, *vecs]
+    psi = sampling.random_unit_vector(n, rngs)
+    phi_vec = sampling.random_unit_vector(n, rngs)
+    delta = sampling.random_unit_vector(n, rngs)
+    vecs = [sampling.complex_normal(rngs, (n,)) for _ in range(4)]
+    return [_radii(rngs), delta, psi, phi_vec, *vecs]
 
 
 def _row_fs_pair_groupoid(ctx: RowCtx) -> float:
-    args = _stacked_trials(ctx, _draw_pair_groupoid)
+    args = _draw_pair_groupoid(ctx, _generators(ctx))
     return _worst_of_stacks([pair_groupoid_fs_residual(*args, ctx.profile)])
 
 
@@ -883,40 +876,40 @@ def _row_fs_pair_groupoid(ctx: RowCtx) -> float:
 
 
 # The flow-report group, ``orbit-form``, ``tomita`` and ``group-law`` have
-# the shape of the groupoid-axioms rows: each draws trial ``k``'s data in
-# turn, then runs its checks once, on the stack of all trials.
+# the shape of the groupoid-axioms rows: each draws its trials' data at
+# once, then runs its checks once, on the stacks.
 
 
-def _draw_flow(ctx: RowCtx, rng) -> list:
-    """A flow time from :data:`FLOW_TIMES`, a faithful density and one
-    sample of vectors and elements (:func:`~wstargeo.standard.flow_sample`)."""
-    t = FLOW_TIMES[rng.integers(len(FLOW_TIMES))]
-    d = sampling.random_density_matrix(ctx.algebra, rng)
-    return [t, d, *flow_sample(ctx.algebra, rng)]
+def _draw_flow(ctx: RowCtx, rngs) -> list:
+    """Per trial, a flow time from :data:`FLOW_TIMES`, a faithful density
+    and one sample of vectors and elements
+    (:func:`~wstargeo.standard.flow_sample`)."""
+    t = np.array([FLOW_TIMES[rng.integers(len(FLOW_TIMES))] for rng in rngs])
+    d = sampling.random_density_matrix(ctx.algebra, rngs)
+    return [t, d, *flow_sample(ctx.algebra, rngs)]
 
 
 def _flow_report(ctx: RowCtx) -> dict:
     """The modular-flow invariances of each trial's density and sample, at
     the trial's own flow time, checked once on the stack."""
-    t, d, *sample = _stacked_trials(ctx, _draw_flow)
+    t, d, *sample = _draw_flow(ctx, _generators(ctx))
     return flow_residuals(NormalFunctional(ctx.algebra, d), t, *sample, ctx.profile)
 
 
-def _draw_orbit_form(ctx: RowCtx, rng) -> list:
+def _draw_orbit_form(ctx: RowCtx, rngs) -> list:
     alg = ctx.algebra
-    f0, d0, u, _ = _draw_bundle_point(alg, rng)
+    f0, d0, u, _ = _draw_bundle_point(alg, rngs)
     p0 = f0.projection
-    du1 = sampling.p0_tangent(alg, rng, u, p0)
-    du2 = sampling.p0_tangent(alg, rng, u, p0)
-    c = float(rng.uniform(0.5, 2.0))
-    return [d0, p0, u, du1, du2, c]
+    du1 = sampling.p0_tangent(alg, rngs, u, p0)
+    du2 = sampling.p0_tangent(alg, rngs, u, p0)
+    return [d0, p0, u, du1, du2, _radii(rngs)]
 
 
 def _row_flow_orbit_form(ctx: RowCtx) -> float:
     """The orbit two-form is invariant under the flow of any faithful
     extension of the base density (the flow restricts to the bundle)."""
     alg, prof = ctx.algebra, ctx.profile
-    d0, p0, u, du1, du2, c = _stacked_trials(ctx, _draw_orbit_form)
+    d0, p0, u, du1, du2, c = _draw_orbit_form(ctx, _generators(ctx))
     rho0 = NormalFunctional(alg, d0)
     extension = NormalFunctional(alg, rho0.density + c[:, None, None] * (alg.identity() - p0))
     base = dGamma0(rho0, u, du1, du2, prof)
@@ -927,18 +920,18 @@ def _row_flow_orbit_form(ctx: RowCtx) -> float:
     return _worst_of_stacks(residuals)
 
 
-def _draw_density_pair(ctx: RowCtx, rng) -> list:
-    """A faithful density and two elements."""
+def _draw_density_pair(ctx: RowCtx, rngs) -> list:
+    """A faithful density and two elements per trial."""
     alg = ctx.algebra
-    d = sampling.random_density_matrix(alg, rng)
-    return [d, sampling.random_element(alg, rng), sampling.random_element(alg, rng)]
+    d = sampling.random_density_matrix(alg, rngs)
+    return [d, sampling.random_element(alg, rngs), sampling.random_element(alg, rngs)]
 
 
 def _row_flow_tomita(ctx: RowCtx) -> float:
     """S(x Omega) = x* Omega, S is an involution, and S factors as the
     conjugation after the square root of the modular operator."""
     prof = ctx.profile
-    d, x, g = _stacked_trials(ctx, _draw_density_pair)
+    d, x, g = _draw_density_pair(ctx, _generators(ctx))
     phi = NormalFunctional(ctx.algebra, d)
     omega_vec = std_unit(phi, prof)
     s_g = tomita_S(phi, g, prof)
@@ -951,7 +944,7 @@ def _row_flow_tomita(ctx: RowCtx) -> float:
 
 def _row_flow_group_law(ctx: RowCtx) -> float:
     prof = ctx.profile
-    d, x, y = _stacked_trials(ctx, _draw_density_pair)
+    d, x, y = _draw_density_pair(ctx, _generators(ctx))
     phi = NormalFunctional(ctx.algebra, d)
     s, t = 0.7, -1.3
     flow = modular_flow(phi, t, prof)
@@ -968,17 +961,14 @@ def _row_flow_group_law(ctx: RowCtx) -> float:
 
 def _row_flow_conditional_expectation(ctx: RowCtx) -> float:
     alg, prof = ctx.algebra, ctx.profile
-    draws = list(_trials(ctx, lambda ctx, rng: (
-        rng,
-        sampling.random_density_matrix(alg, rng, repeat_chance=0.5),
-        sampling.random_element(alg, rng),
-    )))
-    d, x = stack_chains([[d, x] for _, d, x in draws], ctx.trials)
+    rngs = _generators(ctx)
+    d = sampling.random_density_matrix(alg, rngs, repeat_chance=0.5)
+    x = sampling.random_element(alg, rngs)
     phi = NormalFunctional(alg, d)
     # The centralizer's coefficients, one per basis element: its length is
     # the stabilizer's dimension.
     coeff = _coefficients(
-        draws, stabilizer_dimension(phi, prof), lambda rng, k: sampling.complex_normal(rng, (k,))
+        rngs, stabilizer_dimension(phi, prof), lambda rng, k: sampling.complex_normal(rng, (k,))
     )
 
     def residuals(phi, x, coeff, pattern) -> np.ndarray:
@@ -1015,19 +1005,16 @@ def _dimension_defects(algebra: BlockAlgebra, d: np.ndarray, expected, prof) -> 
     return _truncated(cluster_pattern(phi, prof), defects, phi, np.asarray(expected)).ravel()
 
 
-def _draw_planted(ctx: RowCtx, rng) -> list:
-    """A density with a planted multiplicity pattern, and its predicted
-    dimension, the sum of the squared multiplicities."""
-    grid = (0.5, 1.0, 1.5, 2.0)
-    mats, predicted = [], 0
-    for n in ctx.algebra.blocks:
-        labels = rng.integers(0, len(grid), size=n)
-        vals = np.array([grid[int(i)] for i in labels], dtype=float)
-        for lab in set(labels.tolist()):
-            predicted += int(np.sum(labels == lab)) ** 2
-        q = sampling.haar_unitary(rng, n)
-        mats.append((q * vals) @ q.conj().T)
-    return [ctx.algebra.embed_blocks(mats), predicted]
+def _draw_planted(ctx: RowCtx, rngs) -> list:
+    """Per trial, a density with a planted multiplicity pattern, and its
+    predicted dimension, the sum of the squared multiplicities: the number
+    of pairs of positions in one block with the same label."""
+    d, labels = sampling.planted_positive(ctx.algebra, rngs, (0.5, 1.0, 1.5, 2.0))
+    predicted = sum(
+        np.count_nonzero(lb[:, :, None] == lb[:, None, :], axis=(1, 2))
+        for lb in (labels[:, s] for s in ctx.algebra.slices)
+    )
+    return [d, predicted]
 
 
 def _row_flow_dimensions(ctx: RowCtx) -> float:
@@ -1045,7 +1032,7 @@ def _row_flow_dimensions(ctx: RowCtx) -> float:
         _dimension_defects(alg_f, d[None].astype(complex), [dim], ctx.profile)
         for alg_f, d, dim in fixed
     ]
-    d, predicted = _stacked_trials(ctx, _draw_planted)
+    d, predicted = _draw_planted(ctx, _generators(ctx))
     return _worst_of_stacks([*res, _dimension_defects(ctx.algebra, d, predicted, ctx.profile)])
 
 

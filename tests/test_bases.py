@@ -197,7 +197,7 @@ def _rotated(rng, spectra):
     """Block densities q diag(spectrum) q* with Haar q, one per block."""
     mats = []
     for spectrum in spectra:
-        q = sampling.haar_unitary(rng, len(spectrum))
+        q = sampling.random_unitary(BlockAlgebra((len(spectrum),)), rng)
         mats.append((q * np.asarray(spectrum, dtype=float)) @ q.conj().T)
     return mats
 
@@ -335,7 +335,7 @@ class TestBasesMatchTheLoopBuilders:
 
 class TestConstructors:
     def test_antihermitian_units_are_orthonormal_and_antihermitian(self):
-        cols = sampling.haar_unitary(np.random.default_rng(3), 4)[:, :3]
+        cols = sampling.random_unitary(BlockAlgebra((4,)), np.random.default_rng(3))[:, :3]
         units = np.array(antihermitian_units(cols))
         assert units.shape == (9, 4, 4)
         assert np.allclose(units, -units.conj().transpose(0, 2, 1))

@@ -35,7 +35,7 @@ from wstargeo import (
 )
 from wstargeo import suites
 from wstargeo.errors import NotPartiallyInvertible
-from wstargeo.groupoids import stack_chains
+from stacking import stack_chains
 from wstargeo.sampling import (
     corner_positive,
     equivalent_frames,
@@ -486,19 +486,18 @@ class TestStackedCharts:
     def test_cocycle_row_names_a_trial_outside_the_overlap(self, monkeypatch):
         # The row calls transition_L directly: a trial outside the overlap is
         # refused as such, once, not redrawn with the same inputs until the
-        # retries run out.
+        # retries run out.  The row draws all its trials at once.
         draw = suites._draw_cocycle
-        trials = []
+        draws = []
 
-        def spoiled(ctx, rng):
-            data = draw(ctx, rng)
-            trials.append(None)
-            if len(trials) == 8:  # trial 7
-                data[1] = 0 * data[1]
+        def spoiled(ctx, rngs):
+            data = draw(ctx, rngs)
+            draws.append(None)
+            data[1][7] = 0.0  # trial 7
             return data
 
         monkeypatch.setattr(suites, "_draw_cocycle", spoiled)
         ctx = suites.RowCtx(M23, 10, 1, 1, DEFAULT_TOL)
         with pytest.raises(NotInOverlap, match="outside the chart of p_new at trial 7$"):
             suites._row_charts_cocycle(ctx)
-        assert len(trials) == 10
+        assert len(draws) == 1

@@ -32,12 +32,12 @@ from wstargeo.groupoids import (
     predual_source,
     predual_target,
     psi_intertwining_residual,
-    stack_chains,
     xi_intertwining_residual,
 )
 from wstargeo.linalg import DEFAULT_TOL, frobenius, polar_decompose, singular_values
 from wstargeo.standard import std_mul, transport_witness
 from wstargeo import algebra, sampling, suites
+from stacking import stack_chains
 
 M2 = BlockAlgebra((2,))
 M23 = BlockAlgebra((2, 3))

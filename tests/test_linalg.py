@@ -281,7 +281,7 @@ class TestLapackKernels:
             q, r = np.linalg.qr(g)
             d = np.diagonal(r)
             np.testing.assert_array_equal(
-                sampling.haar_unitary(_rng(n), n), q * (d / np.abs(d))
+                sampling.random_unitary(BlockAlgebra((n,)), _rng(n)), q * (d / np.abs(d))
             )
             # Thin: a Haar isometry, with the caller's matrix left as it was.
             g = g[:, : (n + 1) // 2]

@@ -51,7 +51,7 @@ from wstargeo import (
 )
 from wstargeo import suites
 from wstargeo.charts import dGamma0
-from wstargeo.groupoids import stack_chains
+from stacking import stack_chains
 from wstargeo.linalg import expect_real, refuse
 from wstargeo.poisson import _bundle_tangent_basis
 from wstargeo.sampling import (

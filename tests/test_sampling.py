@@ -269,9 +269,7 @@ class TestFamilyExponentials:
         poisson.exactness_residual(fam, 1e-4, DEFAULT_TOL)
         assert len(times) == 20
         # and per stack of trials, not per trial
-        data = groupoids.stack_chains(
-            [poisson.draw_family_data(M23, sampling.rng_for(61, k)) for k in range(6)]
-        )
+        data = poisson.draw_family_data(M23, [sampling.rng_for(61, k) for k in range(6)])
         [stacked] = poisson.families_on(M23, data, DEFAULT_TOL)
         poisson.exactness_residual(stacked, 1e-4, DEFAULT_TOL)
         assert len(times) == 30

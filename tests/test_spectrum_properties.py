@@ -49,7 +49,7 @@ def _density(algebra, values, seed):
     rng = np.random.default_rng(seed)
     mats = []
     for n, w in zip(algebra.blocks, values):
-        v = sampling.haar_unitary(rng, n)
+        v = sampling.random_unitary(BlockAlgebra((n,)), rng)
         mats.append((v * w) @ v.conj().T)
     d = algebra.embed_blocks(mats)
     return (d + d.conj().T) / 2.0
