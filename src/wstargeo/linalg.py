@@ -247,6 +247,32 @@ def refuse(error: type[Exception], failed, message: str, *values) -> None:
         raise error(message.format(*values or (failed,)))
 
 
+#: The most float entries that a check whose intermediates grow with its
+#: stack holds at once (:func:`in_parts`): one part holds the 100 trials of a
+#: default stack on ``2,3``, and a few on ``12``.
+PART_ENTRIES = 1 << 19
+
+
+def in_parts(check: Callable, entries: int, *stacks):
+    """``check(*stacks)``, a dataclass of per-matrix arrays, with at most
+    ``PART_ENTRIES`` float entries at once: for stacks of more than
+    ``PART_ENTRIES // entries`` matrices (``entries`` per matrix), checked on
+    consecutive parts of that many, and each field joined.  A refusal names
+    its matrix by its place in the whole stack (:data:`STACK_NAME`).  One
+    matrix, or a stack that fits, is checked whole."""
+    part = max(1, PART_ENTRIES // entries)
+    if np.ndim(stacks[0]) < 3 or len(stacks[0]) <= part:
+        return check(*stacks)
+    name, reports = STACK_NAME.get(), []
+    for start in range(0, len(stacks[0]), part):
+        token = STACK_NAME.set(lambda k, start=start: name(start + k))
+        try:
+            reports.append(check(*(s[start : start + part] for s in stacks)))
+        finally:
+            STACK_NAME.reset(token)
+    return type(reports[0])(*(np.concatenate(f) for f in zip(*(vars(r).values() for r in reports))))
+
+
 def check_hermitian(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Validate Hermitianity of ``h``, or of each matrix of a stack, within
     residual tolerance."""

@@ -74,6 +74,7 @@ from .linalg import (
     herm,
     hermitian_eig,
     hs_inner,
+    in_parts,
     is_partial_isometry,
     positive_spectrum,
     projection_rank,
@@ -915,7 +916,18 @@ def degeneracy_kernel_check(
     On stacks (a functional of stacked densities and stacked legs) the
     bases, the form and its singular values are taken once per
     :func:`~wstargeo.algebra.cluster_pattern`, which fixes the lengths of
-    the bases."""
+    the bases, in parts of bounded size (:func:`~wstargeo.linalg.in_parts`:
+    each leg's basis and pairings, of up to ``2 sum n^2`` directions)."""
+    t, dim = 2 * sum(n * n for n in rho0.algebra.blocks), rho0.algebra.dim
+    return in_parts(
+        lambda u, v, rho0: _degeneracy_report(rho0, u, v, tol), 2 * t * max(t, dim * dim), u, v, rho0
+    )
+
+
+def _degeneracy_report(
+    rho0: NormalFunctional, u: np.ndarray, v: np.ndarray, tol: ToleranceProfile
+) -> DegeneracyReport:
+    """:func:`degeneracy_kernel_check` of one base or one stack."""
     algebra = rho0.algebra
     p0 = functional_support(rho0, tol)
     refuse(DegenerateBase, projection_rank(p0) == 0, "the base functional vanishes")

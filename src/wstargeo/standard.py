@@ -44,7 +44,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    STACK_NAME,
     PositiveSpectrum,
     ToleranceProfile,
     excess,
@@ -52,6 +51,7 @@ from .linalg import (
     herm,
     hermitian_eigvals,
     hs_inner,
+    in_parts,
     partial_inverse,
     polar_decompose,
     _truncated,
@@ -250,14 +250,6 @@ def fiber_kernel_dimension(algebra: BlockAlgebra, rank_per_block: list[int]) -> 
     )
 
 
-#: The most float entries of realified fibre-kernel conditions (``4 n^2 x
-#: 2 n^2`` per block of each vector) that :func:`dual_pair_orthogonality_check`
-#: factors at once, so that its memory stays bounded: one part holds the
-#: 100 vectors of a default stack on ``2,3``, 64 on ``4,4,4,4`` and three
-#: on ``12`` (whose left singular factors alone take 2.7 MB a vector).
-FIBER_ENTRIES = 1 << 19
-
-
 @dataclass(frozen=True)
 class DualPairReport:
     """Residuals of the dual-pair relations at one vector: the symplectic
@@ -290,22 +282,15 @@ def dual_pair_orthogonality_check(
 
     On a stack of vectors each block's null spaces are found with one SVD
     for all vectors, and the kernels are built and paired once per pattern
-    of null-space dimensions (:func:`~wstargeo.linalg._truncated`).  A stack
-    whose realified conditions exceed :data:`FIBER_ENTRIES` is checked in
-    consecutive parts that do not, each naming a refused vector by its
-    place in the whole stack."""
-    g = np.asarray(g, dtype=complex)
-    part = max(1, FIBER_ENTRIES // sum(8 * n**4 for n in algebra.blocks))
-    if g.ndim == 3 and len(g) > part:
-        name, reports = STACK_NAME.get(), []
-        for start in range(0, len(g), part):
-            token = STACK_NAME.set(lambda k, start=start: name(start + k))
-            try:
-                report = dual_pair_orthogonality_check(algebra, g[start : start + part], tol)
-            finally:
-                STACK_NAME.reset(token)
-            reports.append(vars(report).values())
-        return DualPairReport(*(np.concatenate(field) for field in zip(*reports)))
+    of null-space dimensions (:func:`~wstargeo.linalg._truncated`), in parts
+    of bounded size (:func:`~wstargeo.linalg.in_parts`, the realified
+    conditions being ``4 n^2 x 2 n^2`` per block of each vector)."""
+    entries = sum(8 * n**4 for n in algebra.blocks)
+    return in_parts(lambda g: _dual_pair_report(algebra, g, tol), entries, np.asarray(g, dtype=complex))
+
+
+def _dual_pair_report(algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfile) -> DualPairReport:
+    """:func:`dual_pair_orthogonality_check` of one vector or one stack."""
     mu, mu_j = supports(g, tol)
     vhs_e, null_e = _fiber_rows(algebra, g, mu, tol)
     vhs_ep, null_ep = _fiber_rows(algebra, conjugation_J(g), mu_j, tol)

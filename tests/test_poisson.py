@@ -49,7 +49,7 @@ from wstargeo import (
     symplectic_omega,
     vertical_form_residual,
 )
-from wstargeo import suites
+from wstargeo import linalg, poisson, suites
 from wstargeo.charts import dGamma0
 from stacking import stack_chains
 from wstargeo.linalg import expect_real, refuse
@@ -668,6 +668,31 @@ class TestDegeneracy:
         assert report.kernel_dimension == kernel_dim
         assert abs(report.radical_pairing - radical) <= 1e-14
         assert report.complement_min_singular == pytest.approx(min_sing, rel=1e-12)
+
+    @pytest.mark.parametrize("blocks", [(2, 3), (1, 2, 2)])
+    def test_a_stack_in_parts_gives_the_bits_of_the_whole(self, blocks, monkeypatch):
+        # Checked whole or in parts of three bases, each base of a stack of
+        # several cluster patterns gets the same report, bit for bit; a leg
+        # off the base's support is refused by its place in the whole stack.
+        algebra = BlockAlgebra(blocks)
+        ctx = suites.RowCtx(algebra, 10, 61, 0, DEFAULT_TOL)
+        d0, u, v = suites._draw_degeneracy(ctx, [rng_for(61, k) for k in range(10)])
+        whole = vars(degeneracy_kernel_check(NormalFunctional(algebra, d0), u, v, DEFAULT_TOL))
+        assert len(set(whole["tangent_dimension"].tolist())) > 1
+        t = 2 * sum(n * n for n in blocks)
+        monkeypatch.setattr(linalg, "PART_ENTRIES", 3 * 2 * t * max(t, algebra.dim**2))
+        real, parts = poisson._degeneracy_report, []
+        monkeypatch.setattr(
+            poisson, "_degeneracy_report", lambda *args: parts.append(None) or real(*args)
+        )
+        split = vars(degeneracy_kernel_check(NormalFunctional(algebra, d0), u, v, DEFAULT_TOL))
+        assert len(parts) == 4
+        for field, values in whole.items():
+            assert values.tobytes() == split[field].tobytes(), field
+        bad = u.copy()
+        bad[7] = 2.0 * bad[7]
+        with pytest.raises(InvalidTangent, match="at trial 7$"):
+            degeneracy_kernel_check(NormalFunctional(algebra, d0), bad, v, DEFAULT_TOL)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DegenerateBase):

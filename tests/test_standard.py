@@ -35,7 +35,7 @@ from wstargeo import (
     tomita_S,
     transport_witness,
 )
-from wstargeo import linalg, standard
+from wstargeo import linalg
 from wstargeo.algebra import matrix_units
 from wstargeo.errors import NotPartiallyInvertible
 from wstargeo.linalg import restricted_power, right_singular
@@ -347,8 +347,8 @@ class TestDualPair:
         ])
         alone = [vars(dual_pair_orthogonality_check(algebra, v, DEFAULT_TOL)) for v in g]
         assert len({r["dim_E"] for r in alone}) > 1
-        for entries in (standard.FIBER_ENTRIES, 3 * sum(8 * n**4 for n in blocks)):
-            monkeypatch.setattr(standard, "FIBER_ENTRIES", entries)
+        for entries in (linalg.PART_ENTRIES, 3 * sum(8 * n**4 for n in blocks)):
+            monkeypatch.setattr(linalg, "PART_ENTRIES", entries)
             report = vars(dual_pair_orthogonality_check(algebra, g, DEFAULT_TOL))
             for field, values in report.items():
                 np.testing.assert_array_equal(values, [r[field] for r in alone])
