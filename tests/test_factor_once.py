@@ -113,8 +113,9 @@ class TestCounts:
     def test_law_rows_factor_per_row_not_per_trial(self, lapack_calls):
         # Each groupoid-axioms row checks all its trials' data with one call
         # on their stack, so its SVDs do not grow with the trials.  Nor do
-        # its Hermitian eigendecompositions, but for the isomorphisms row:
-        # its draw takes the stabilizer of each trial's base density.
+        # its Hermitian eigendecompositions: the isomorphisms row, whose draw
+        # took the stabilizer of each trial's base density in turn, takes
+        # them on the stack, and draws their coefficients in a second pass.
         rows = list(enumerate(suites._suite("groupoid-axioms")))
         assert len(rows) == 8
         counts = []
@@ -127,9 +128,7 @@ class TestCounts:
             counts.append(per_row)
         for _, (name, _, _) in rows:
             small, large = counts[0][name], counts[1][name]
-            assert small["gesdd"] == large["gesdd"], name
-            if name != "isomorphisms":
-                assert small["heevd"] == large["heevd"], name
+            assert (small["gesdd"], small["heevd"]) == (large["gesdd"], large["heevd"]), name
         for kernel in ("gesdd", "heevd"):
             assert sum(row[kernel] for row in counts[0].values()) > 0
 
@@ -340,6 +339,25 @@ class TestCounts:
         require_positive(phi, DEFAULT_TOL)
         orbit_invariant(phi, DEFAULT_TOL)
         assert lapack_calls["heevd"] == len(M23.blocks)
+
+
+class TestDrawsFactorOncePerRow:
+    def test_a_round_makes_few_haar_qrs(self, monkeypatch):
+        # A verify-all round on 2,3 at 100 trials: each sampler call factors
+        # the layouts of all its trials with one Haar QR, so the QRs grow
+        # with the rows, not with the trials (13,966 with one QR per draw of
+        # each trial).  Every trial still draws from its own generator.
+        qrs, keys = [], []
+        real_qr, real_rng_for = sampling.phase_fixed_q, sampling.rng_for
+        monkeypatch.setattr(sampling, "phase_fixed_q", lambda g: qrs.append(g.shape) or real_qr(g))
+        monkeypatch.setattr(
+            sampling, "rng_for", lambda *key: keys.append(key) or real_rng_for(*key)
+        )
+        for name in suites.SUITE_NAMES:
+            assert all(r.passed for r in suites.run_suite(name, M23, 100, 1)), name
+        assert 0 < len(qrs) < 1000
+        assert all(shape[0] <= 100 for shape in qrs)
+        assert len(keys) == 3500
 
 
 class TestOrbitCommand:

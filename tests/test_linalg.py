@@ -291,6 +291,31 @@ class TestLapackKernels:
             np.testing.assert_array_equal(phase_fixed_q(g), q * (d / np.abs(d)))
             np.testing.assert_array_equal(g, kept)
 
+    @pytest.mark.parametrize("blocks", [(2, 3), (1, 2, 2), (12,), (4, 4, 4, 4)], ids=str)
+    def test_phase_fixed_q_per_matrix_of_a_stack(self, blocks):
+        # Each matrix of a stack gets the bits of its own call: the phases
+        # come from its own packed diagonal.  The stack holds the layouts of
+        # random_frames, among them ones that are the identity alone (every
+        # block at rank 0 or full), whose factor is the identity exactly.
+        algebra = BlockAlgebra(blocks)
+        rng = _rng(13)
+        layouts = []
+        for k in range(len(blocks) * 6):
+            ranks = [0 if k % 3 == 0 else n if k % 3 == 1 else int(rng.integers(0, n + 1))
+                     for n in blocks]
+            f = algebra.identity()
+            for s, n, r in zip(algebra.slices, blocks, ranks):
+                if 0 < r < n:
+                    f[s, s.start : s.start + r] = _random_matrix(rng, n)[:, :r]
+            layouts.append(f)
+        stack = np.stack(layouts)
+        q = phase_fixed_q(stack)
+        assert q.shape == stack.shape
+        for k, f in enumerate(layouts):
+            assert q[k].tobytes() == phase_fixed_q(f).tobytes(), k
+            if k % 3 != 2:
+                assert q[k].tobytes() == algebra.identity().tobytes(), k
+
     def test_null_space_rows(self):
         rng = _rng(12)
         for m, n, r in ((8, 5, 3), (20, 12, 12), (4, 9, 4), (6, 6, 0)):

@@ -1,11 +1,14 @@
 """Tests for the frame samplers: drawn projections keep their per-block
-frames, and arrows and corner positives are built from them."""
+frames, and arrows and corner positives are built from them.  Given one
+generator per trial, a sampler returns the stack of its one-generator calls,
+bit for bit, and a stacked redraw redraws only the failing trials."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from wstargeo import BlockAlgebra, DEFAULT_TOL, frobenius, groupoids, linalg, poisson, sampling
+from wstargeo import BlockAlgebra, DEFAULT_TOL, frobenius, groupoids, linalg, poisson, sampling, suites
+from wstargeo.errors import NotPartiallyInvertible
 
 M2 = BlockAlgebra((2,))
 M23 = BlockAlgebra((2, 3))
@@ -273,3 +276,121 @@ class TestFamilyExponentials:
         [stacked] = poisson.families_on(M23, data, DEFAULT_TOL)
         poisson.exactness_residual(stacked, 1e-4, DEFAULT_TOL)
         assert len(times) == 30
+
+
+def _frames(f) -> list:
+    return [f.matrix, np.asarray(f.ranks), f.projection]
+
+
+def _arrows(algebra, rng) -> list:
+    f = sampling.random_frames(algebra, rng)
+    u = sampling.isometry_between(rng, f, sampling.equivalent_frames(rng, f))
+    return [*_frames(f), u, sampling.positive_on(rng, f, 0.25, 3.0)]
+
+
+#: Each sampler, drawn from one generator or from one per trial.
+STACKED_SAMPLERS = {
+    "random_frames": lambda alg, rng: _frames(sampling.random_frames(alg, rng)),
+    "random_frames-no-zero": lambda alg, rng: _frames(
+        sampling.random_frames(alg, rng, allow_zero=False)
+    ),
+    "random_frames-inner": lambda alg, rng: _frames(
+        sampling.random_frames(alg, rng, allow_zero=False, allow_full=min(alg.blocks) < 2)
+    ),
+    "random_frames-prescribed": lambda alg, rng: _frames(
+        sampling.random_frames(alg, rng, ranks=tuple(n // 2 for n in alg.blocks))
+    ),
+    "isometry_between-positive_on": _arrows,
+    "random_positive": lambda alg, rng: [sampling.random_positive(alg, rng, repeat_chance=0.5)],
+    "random_element": lambda alg, rng: [sampling.random_element(alg, rng)],
+}
+
+STACK_ALGEBRAS = [BlockAlgebra(b) for b in [(2, 3), (1, 2, 2), (12,), (4, 4, 4, 4)]]
+
+
+def _generators(seed: int, count: int) -> list:
+    return [sampling.rng_for(seed, k) for k in range(count)]
+
+
+class TestStackedSamplers:
+    @pytest.mark.parametrize("algebra", STACK_ALGEBRAS, ids=lambda a: str(a.blocks))
+    @pytest.mark.parametrize("name", sorted(STACKED_SAMPLERS))
+    def test_a_stack_is_the_stack_of_one_generator_calls(self, name, algebra):
+        draw = STACKED_SAMPLERS[name]
+        rngs = _generators(71, 12)
+        stacked = draw(algebra, rngs)
+        for k, rng in enumerate(_generators(71, 12)):
+            alone = draw(algebra, rng)
+            for got, want in zip(stacked, alone, strict=True):
+                assert got.shape[0] == 12 and got[k].shape == np.shape(want)
+                assert got[k].tobytes() == np.asarray(want).tobytes(), (name, k)
+            # each generator left where its own call leaves it
+            assert rng.bit_generator.state == rngs[k].bit_generator.state, (name, k)
+        if name == "isometry_between-positive_on":
+            assert len({tuple(r) for r in stacked[1].tolist()}) > 1
+
+    @pytest.mark.parametrize("algebra", STACK_ALGEBRAS, ids=lambda a: str(a.blocks))
+    def test_a_row_of_ranks_per_trial(self, algebra):
+        ranks = sampling.random_frames(algebra, _generators(72, 12)).ranks
+        rngs = _generators(73, 12)
+        stacked = _frames(sampling.random_frames(algebra, rngs, ranks=ranks))
+        for k, rng in enumerate(_generators(73, 12)):
+            alone = _frames(sampling.random_frames(algebra, rng, ranks=tuple(ranks[k].tolist())))
+            for got, want in zip(stacked, alone, strict=True):
+                assert got[k].tobytes() == np.asarray(want).tobytes(), k
+            assert rng.bit_generator.state == rngs[k].bit_generator.state, k
+
+
+class TestStackedRedraws:
+    """A domain test runs once on the stack of the pending trials, and only
+    the trials that fail it draw again, each from its own generator."""
+
+    def _failing(self, monkeypatch, trial: int, times: int):
+        """Makes ``trial`` fail its chart-domain test ``times`` times, the
+        other trials passing theirs at the first attempt; returns the number
+        of trials tested at each test, and the counts of ``_retry`` calls and
+        of attempts."""
+        real, tested, counts = suites.chart_domain_member, [], {"calls": 0, "attempts": 0}
+
+        def member(p, q, tol):
+            inside = np.array(real(p, q, tol))
+            tested.append(len(inside))
+            if len(tested) <= times:
+                # the trial's place among the trials still pending
+                inside[trial if len(tested) == 1 else 0] = False
+            return inside
+
+        retry = suites._retry
+
+        def counted(draw, *args):
+            counts["calls"] += 1
+
+            def attempt():
+                counts["attempts"] += 1
+                return draw()
+
+            return retry(attempt, *args)
+
+        monkeypatch.setattr(suites, "chart_domain_member", member)
+        monkeypatch.setattr(suites, "_retry", counted)
+        return tested, counts
+
+    def test_only_the_failing_trial_redraws(self, monkeypatch):
+        tested, counts = self._failing(monkeypatch, trial=3, times=1)
+        rngs = _generators(74, 6)
+        p, q = suites._draw_equivalent_in_domain(M23, rngs, DEFAULT_TOL, 2)
+        # one closure for the row; the second attempt tests trial 3 alone
+        assert counts == {"calls": 1, "attempts": 2}
+        assert tested == [6, 1]
+        for k, rng in enumerate(_generators(74, 6)):
+            for _ in range(2 if k == 3 else 1):
+                want = sampling.projection_chain(M23, rng, 1, allow_zero=False)
+            assert p[k].tobytes() == want[0].tobytes() and q[k].tobytes() == want[1].tobytes()
+            assert rng.bit_generator.state == rngs[k].bit_generator.state, k
+
+    def test_a_trial_that_always_fails_is_refused(self, monkeypatch):
+        tested, counts = self._failing(monkeypatch, trial=3, times=10**6)
+        with pytest.raises(NotPartiallyInvertible):
+            suites._draw_equivalent_in_domain(M23, _generators(74, 6), DEFAULT_TOL, 2)
+        assert counts == {"calls": 1, "attempts": 64}
+        assert tested == [6] + [1] * 63
