@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -417,18 +417,12 @@ def block_ranks(
     return tuple(projection_rank(b) for b in algebra.block_views(p))
 
 
-@lru_cache(maxsize=256)
-def frame_columns(algebra: BlockAlgebra, ranks: tuple[int, ...]) -> np.ndarray:
-    """The columns that hold frames of these blockwise ranks in a ``dim x
-    dim`` matrix (each block's first ``r_b``), read-only.  Raises
-    ``ValueError`` for ranks that do not fit the blocks."""
-    if len(ranks) != len(algebra.blocks) or any(
-        r < 0 or r > n for n, r in zip(algebra.blocks, ranks)
-    ):
-        raise ValueError("rank exceeds block size")
-    keep = np.concatenate([np.arange(s.start, s.start + r) for s, r in zip(algebra.slices, ranks)])
-    keep.flags.writeable = False
-    return keep
+def frame_columns(algebra: BlockAlgebra, ranks) -> np.ndarray:
+    """Whether each column of a ``dim x dim`` matrix holds a frame of these
+    blockwise ranks (each block's first ``r_b``); per row of ``(T, m)``
+    ranks."""
+    _, offset, block, _ = algebra._block_layout
+    return offset < np.asarray(ranks)[..., block]
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,27 +430,20 @@ class Frames:
     """Orthonormal frames of a projection in one ``dim x dim`` matrix, or a
     stack of them: block ``b``'s ``n_b x r_b`` frame ``F_b`` fills that
     block's rows and its first ``r_b`` columns (:func:`frame_columns`), and
-    every other entry is exactly zero.  ``ranks`` is the tuple of blockwise
-    ranks, shared by every matrix of a stack, or, for a stack whose matrices
-    have their own, one row per matrix as a ``(T, m)`` array.  The
-    projection is ``F F*``, and an arrow between two projections of equal
-    ranks is ``F_q w F_p*`` with ``w`` block-diagonal: each product is taken
-    over the frame columns alone, once per pattern of ranks
-    (:func:`~wstargeo.linalg._truncated`)."""
+    every other entry is exactly zero.  ``ranks`` is one tuple of blockwise
+    ranks, or a ``(T, m)`` array with a row per matrix of a stack.  The
+    projection ``F F*`` is taken over the frame columns alone, once per
+    pattern of ranks (:func:`~wstargeo.linalg._truncated`)."""
 
     algebra: BlockAlgebra
     matrix: np.ndarray
     ranks: tuple[int, ...] | np.ndarray
 
     @cached_property
-    def columns(self) -> tuple[slice, ...]:
-        """Each block's slice of the columns (for one tuple of ranks)."""
-        return tuple(slice(s.start, s.start + r) for s, r in zip(self.algebra.slices, self.ranks))
-
-    @cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
         """Each block's ``n_b x r_b`` frame, a view of ``matrix``."""
-        return tuple(self.matrix[..., s, c] for s, c in zip(self.algebra.slices, self.columns))
+        slices = zip(self.algebra.slices, self.ranks)
+        return tuple(self.matrix[..., s, s.start : s.start + r] for s, r in slices)
 
     @cached_property
     def projection(self) -> np.ndarray:
@@ -469,10 +456,10 @@ class Frames:
         return _truncated(self.ranks, projection, self.matrix)
 
     def __getitem__(self, index) -> "Frames":
-        """The frames of the matrices that ``index`` selects from a stack with
-        a row of ranks per matrix; an integer selects one matrix's frames."""
+        """The frames of the matrices of a stack that ``index`` selects."""
         ranks = self.ranks[index]
-        return Frames(self.algebra, self.matrix[index], tuple(ranks.tolist()) if ranks.ndim == 1 else ranks)
+        ranks = tuple(ranks.tolist()) if ranks.ndim == 1 else ranks
+        return Frames(self.algebra, self.matrix[index], ranks)
 
 
 def _block_frames(

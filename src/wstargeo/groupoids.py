@@ -316,8 +316,7 @@ def composable_chain(
 ) -> list:
     """Chain (a_1, ..., a_length) with s(a_i) = t(a_{i+1}), built backwards
     from mutually equivalent projections so every consecutive pair composes
-    exactly.  Given one generator per trial, one chain of stacks: each
-    arrow a stack, functional or coadjoint arrow of stacks, built once."""
+    exactly; given one generator per trial, one chain of stacks."""
     if tag not in GROUPOIDS:
         raise InvalidTrials(f"unknown groupoid tag {tag!r}")
     qs = sampling.frame_chain(algebra, rng, length, allow_zero=tag != "standard")

@@ -247,19 +247,16 @@ def refuse(error: type[Exception], failed, message: str, *values) -> None:
         raise error(message.format(*values or (failed,)))
 
 
-#: The most float entries that a check whose intermediates grow with its
-#: stack holds at once (:func:`in_parts`): one part holds the 100 trials of a
-#: default stack on ``2,3``, and a few on ``12``.
+#: The most float entries that a check growing with its stack holds at once
+#: (:func:`in_parts`): 100 trials on ``2,3`` fit in one part, 3 on ``12``.
 PART_ENTRIES = 1 << 19
 
 
 def in_parts(check: Callable, entries: int, *stacks):
-    """``check(*stacks)``, a dataclass of per-matrix arrays, with at most
-    ``PART_ENTRIES`` float entries at once: for stacks of more than
-    ``PART_ENTRIES // entries`` matrices (``entries`` per matrix), checked on
-    consecutive parts of that many, and each field joined.  A refusal names
-    its matrix by its place in the whole stack (:data:`STACK_NAME`).  One
-    matrix, or a stack that fits, is checked whole."""
+    """``check(*stacks)``, a dataclass of per-matrix arrays, holding at most
+    ``PART_ENTRIES`` float entries (``entries`` per matrix): a larger stack is
+    checked in consecutive parts and each field joined, and a refusal names
+    its matrix by its place in the whole stack (:data:`STACK_NAME`)."""
     part = max(1, PART_ENTRIES // entries)
     if np.ndim(stacks[0]) < 3 or len(stacks[0]) <= part:
         return check(*stacks)

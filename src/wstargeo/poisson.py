@@ -24,8 +24,9 @@ multiplicativity and exactness checks of the symplectic form: the form adds
 over the groupoid product, and the primitive ``Tr(g* dg)`` is compatible
 with multiplication up to the source-modulus term.  A family holds one
 trial's data or a ``(T, dim, dim)`` stack of trials: :func:`draw_family_data`
-draws one trial, :func:`families_on` builds and validates the families of
-a trial or of a stack at once, and the residuals give one value per trial.
+draws one trial, or a stack from one generator per trial, :func:`families_on`
+builds and validates their families at once, and the residuals give one
+value per trial.
 """
 from __future__ import annotations
 
@@ -518,20 +519,6 @@ class ComposableFamily:
         )
 
 
-def sample_family_base(
-    algebra: BlockAlgebra, rng: sampling.Generators
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Base data (u1, u2, xi2) of a composable pair; stacks of them, given
-    one generator per trial."""
-    q2 = sampling.random_frames(algebra, rng)
-    q1 = sampling.equivalent_frames(rng, q2)
-    q0 = sampling.equivalent_frames(rng, q2)
-    u2 = sampling.isometry_between(rng, q2, q1)
-    u1 = sampling.isometry_between(rng, q1, q0)
-    xi2 = sampling.positive_on(rng, q2)
-    return u1, u2, xi2
-
-
 def draw_family_data(
     algebra: BlockAlgebra, rng: sampling.Generators, directions: int = 1
 ) -> list[np.ndarray]:
@@ -539,17 +526,21 @@ def draw_family_data(
     the base ``(u1, u2, xi2)``, then each family's generators ``(a1, a2, b2,
     h2)`` before :func:`families_on` scales them; stacks of them, given one
     generator per trial."""
-    base = sample_family_base(algebra, rng)
-    u2 = base[1]
+    q2 = sampling.random_frames(algebra, rng)
+    q1 = sampling.equivalent_frames(rng, q2)
+    q0 = sampling.equivalent_frames(rng, q2)
+    u2 = sampling.isometry_between(rng, q2, q1)
+    u1 = sampling.isometry_between(rng, q1, q0)
+    base = [u1, u2, sampling.positive_on(rng, q2)]
     # supp(xi2) = u2* u2 on a valid base, as ComposableFamily checks.
-    q2 = u2.conj().mT @ u2
+    p2 = u2.conj().mT @ u2
     generators = []
     for _ in range(directions):
         generators += [
             sampling.random_antihermitian(algebra, rng),
             sampling.random_antihermitian(algebra, rng),
-            sampling.corner_antihermitian(algebra, rng, q2),
-            sampling.corner_hermitian(algebra, rng, q2),
+            sampling.corner_antihermitian(algebra, rng, p2),
+            sampling.corner_hermitian(algebra, rng, p2),
         ]
     return [*base, *generators]
 
@@ -916,17 +907,14 @@ def degeneracy_kernel_check(
     On stacks (a functional of stacked densities and stacked legs) the
     bases, the form and its singular values are taken once per
     :func:`~wstargeo.algebra.cluster_pattern`, which fixes the lengths of
-    the bases, in parts of bounded size (:func:`~wstargeo.linalg.in_parts`:
-    each leg's basis and pairings, of up to ``2 sum n^2`` directions)."""
+    the bases, in parts of bounded size (:func:`~wstargeo.linalg.in_parts`;
+    a leg holds up to ``2 sum n^2`` directions)."""
     t, dim = 2 * sum(n * n for n in rho0.algebra.blocks), rho0.algebra.dim
-    return in_parts(
-        lambda u, v, rho0: _degeneracy_report(rho0, u, v, tol), 2 * t * max(t, dim * dim), u, v, rho0
-    )
+    check = lambda u, v, rho0: _degeneracy_report(rho0, u, v, tol)  # noqa: E731
+    return in_parts(check, 2 * t * max(t, dim * dim), u, v, rho0)
 
 
-def _degeneracy_report(
-    rho0: NormalFunctional, u: np.ndarray, v: np.ndarray, tol: ToleranceProfile
-) -> DegeneracyReport:
+def _degeneracy_report(rho0: NormalFunctional, u, v, tol: ToleranceProfile) -> DegeneracyReport:
     """:func:`degeneracy_kernel_check` of one base or one stack."""
     algebra = rho0.algebra
     p0 = functional_support(rho0, tol)
@@ -990,9 +978,9 @@ def orbit_form_sample(
 ) -> list:
     """One sample for :func:`orbit_form_invariance_residual` at u, an
     isometry with source p0 whose target ``u u*`` has the frames ``q``,
-    drawn from ``rng`` (or a stack of them, at stacks of u, p0 and ``q``,
-    from one generator per trial): two bundle tangents, two anti-Hermitian
-    corner directions of p0, a unitary and an arrow out of ``q``.  The stabilizer
+    drawn from ``rng`` (or one per trial, at stacks): two bundle tangents,
+    two anti-Hermitian corner directions of p0, a unitary and an arrow out
+    of ``q``.  The stabilizer
     coefficients are drawn after it, as many as the stabilizer's dimension
     (:func:`~wstargeo.algebra.stabilizer_dimension`)."""
     du = sampling.p0_tangent(algebra, rng, u, p0)

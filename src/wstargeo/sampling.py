@@ -1,46 +1,36 @@
 """Deterministic samplers for structured random inputs.
 
 Every verification trial draws from its own generator, seeded by ``(seed,
-subindex, trial)``, so suites are reproducible and each trial can be
-replayed alone.  All samplers return elements of the given block algebra
+subindex, trial)``, so suites are reproducible and each trial replays
+alone.  All samplers return elements of the given block algebra
 (block-diagonal ambient matrices); unitaries are Haar-distributed.
 
-A sampler takes one generator, or a sequence of them, one per trial of a
-row.  Given a sequence of ``T``, it returns ``(T, ...)`` stacks: matrix
-``k`` has the bits that a call with generator ``k`` alone returns, and each
-generator is left in the state that call leaves it in.  One generator is
-the stack of one, unstacked, through the same code.
+A sampler takes one generator, or one per trial of a row, and then returns
+``(T, ...)`` stacks: entry ``k`` has the bits that a call with generator
+``k`` alone returns, and each generator is left where that call leaves it.
+One generator runs the same code, as a stack of one.
 
-A sampler loops over the generators only to draw each trial's raw
-randomness (ranks, Gaussians, uniform values), in the order and amounts
-that one draw per block would take, into a ``dim x dim`` layout per trial:
-each block's Gaussian on the diagonal, in that block's rows and first
-columns, and the identity on the rest of the diagonal.  It then factors
-the ``(T, dim, dim)`` stack of layouts by one Haar QR
-(:func:`~wstargeo.linalg.phase_fixed_q`), so a row makes one QR per
-sampler call, whatever its trials and blocks.  The reflectors of a
-block-diagonal matrix act within its blocks, so the factor is exactly
-block-diagonal, each block the Haar sample of its own Gaussian, and a
-block of identity stays the identity.
+A sampler loops over the generators only to draw each trial's ranks,
+Gaussians and uniform values, in the order and amounts of one draw per
+block, into a ``dim x dim`` layout per trial: each block's Gaussian in its
+rows and first columns, the identity on the rest of the diagonal.  One Haar
+QR (:func:`~wstargeo.linalg.phase_fixed_q`) then factors the stack, so a row
+makes one QR per sampler call.  The reflectors of a block-diagonal matrix
+act within its blocks, so the factor is exactly block-diagonal, each block
+the Haar sample of its own Gaussian, and a block of identity stays the
+identity.
 
-A drawn projection keeps its :class:`~wstargeo.algebra.Frames`: the Q
-factor's frame columns, a Haar isometry per block.  An arrow from ``p`` to
-``q`` is ``F_q w F_p*`` with ``w`` a block-diagonal Haar unitary of the
-corners, and a positive element supported on ``p`` is ``(F w) diag(vals)
-(F w)*``.  These products are taken over the frame columns alone, once per
-pattern of blockwise ranks in the stack (:func:`~wstargeo.linalg._truncated`),
-since BLAS does not promise a product padded with zeros the bits of the
-truncated one.  Nothing recovers a frame or a rank from a projection it
-drew.  The functions that take a projection instead
-(:func:`partial_isometry_onto`, :func:`corner_positive`) read its frames
-with :func:`~wstargeo.algebra.frames_of`, one Hermitian eigendecomposition
-per block.
+A drawn projection keeps its :class:`~wstargeo.algebra.Frames`.  An arrow
+from ``p`` to ``q`` is ``F_q w F_p*`` with ``w`` a block-diagonal Haar
+unitary of the corners, and a positive element on ``p`` is ``(F w)
+diag(vals) (F w)*``, each product taken over the frame columns once per
+pattern of blockwise ranks (:func:`~wstargeo.linalg._truncated`): BLAS does
+not promise a product padded with zeros the bits of the truncated one.
 
 A draw that must land in a domain is redrawn on the stack
-(:func:`redraw_failures`): the domain test runs once on the stack of the
-pending trials, the trials that pass keep their draw, and only the others
-draw again, each from its own generator.  A generator serves one trial
-alone, so each trial's stream is the one it has redrawn alone.
+(:func:`redraw_failures`): only the trials that fail the domain test draw
+again, each from its own generator, so each trial's stream is the one it
+has redrawn alone.
 """
 from __future__ import annotations
 
@@ -50,14 +40,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import (
-    BlockAlgebra,
-    Frames,
-    NormalFunctional,
-    consecutive_slices,
-    frame_columns,
-    frames_of,
-)
+from .algebra import BlockAlgebra, Frames, NormalFunctional, frame_columns, frames_of
 from .errors import AmbiguousCluster, NotInDomain, NotInOverlap, NotPartiallyInvertible
 from .linalg import (
     _truncated,
@@ -116,67 +99,40 @@ def complex_normal(rng: Generators, shape: tuple[int, ...], scale: float = 1.0) 
     return _unstacked(np.stack([_gaussians(g, count, scale).reshape(shape) for g in rngs]), one)
 
 
-def _positions(shape: tuple[int, int], blocks: Iterable[tuple[slice, slice]]) -> np.ndarray:
-    """Read-only flat positions, in a matrix of the given shape, of the
-    entries of each ``(rows, columns)`` block, block by block and each row
-    by row: the order in which :func:`complex_normal` fills blocks drawn one
-    after the other."""
-    cells = np.arange(shape[0] * shape[1]).reshape(shape)
-    index = np.concatenate([np.zeros(0, dtype=cells.dtype)] + [cells[r, c].ravel() for r, c in blocks])
+@lru_cache(maxsize=256)
+def _positions(algebra: BlockAlgebra, ranks: tuple[int, ...], corners: bool) -> np.ndarray:
+    """Read-only flat positions, in a ``dim x dim`` matrix, of each block's
+    Gaussian on its frame columns (:func:`~wstargeo.algebra.frame_columns`):
+    its ``r_b x r_b`` corner, or else, in a thin block (``0 < r_b < n_b``),
+    its ``n_b x r_b`` rows.  Block by block and row by row: the order in
+    which one draw per block fills them."""
+    cells = np.arange(algebra.dim**2).reshape(algebra.dim, algebra.dim)
+    parts = [np.zeros(0, dtype=int)]
+    for s, n, r in zip(algebra.slices, algebra.blocks, ranks):
+        c = slice(s.start, s.start + r)
+        if corners or 0 < r < n:
+            parts.append(cells[c if corners else s, c].ravel())
+    index = np.concatenate(parts)
     index.flags.writeable = False
     return index
 
 
-@lru_cache(maxsize=256)
-def _diagonal_positions(sizes: tuple[int, ...]) -> np.ndarray:
-    """:func:`_positions` of the square diagonal blocks of these sizes."""
-    n = sum(sizes)
-    return _positions((n, n), [(s, s) for s in consecutive_slices(sizes)])
-
-
-@lru_cache(maxsize=256)
-def _corner_positions(algebra: BlockAlgebra, ranks: tuple[int, ...]) -> np.ndarray:
-    """:func:`_positions`, in a ``dim x dim`` matrix, of each block's ``r_b x
-    r_b`` corner on the frame columns (:func:`~wstargeo.algebra.frame_columns`)."""
-    corners = [(slice(s.start, s.start + r),) * 2 for s, r in zip(algebra.slices, ranks)]
-    return _positions((algebra.dim, algebra.dim), corners)
-
-
-@lru_cache(maxsize=256)
-def _thin_positions(algebra: BlockAlgebra, ranks: tuple[int, ...]) -> np.ndarray:
-    """:func:`_positions`, in a ``dim x dim`` matrix, of each thin block's
-    ``n_b x r_b`` Gaussian (that block's rows and its first ``r_b``
-    columns); validates the ranks (:func:`~wstargeo.algebra.frame_columns`)."""
-    frame_columns(algebra, ranks)
-    thin = [(s, slice(s.start, s.start + r)) for s, n, r in zip(algebra.slices, algebra.blocks, ranks)
-            if 0 < r < n]
-    return _positions((algebra.dim, algebra.dim), thin)
-
-
-def _filled(rngs: list, base: np.ndarray, positions: Iterable[np.ndarray], scale: float = 1.0) -> np.ndarray:
+def _filled(rngs: list, base: np.ndarray, positions: Iterable, scale: float = 1.0) -> np.ndarray:
     """A copy of the square ``base`` per generator, as one stack, with the
     complex Gaussians of generator ``k`` at its flat positions
     ``positions[k]``, in their order."""
     out = np.repeat(base[None], len(rngs), axis=0)
     flat = out.reshape(len(rngs), -1)
     for row, g, index in zip(flat, rngs, positions):
-        if index.size:
-            row[index] = _gaussians(g, index.size, scale)
+        row[index] = _gaussians(g, index.size, scale)
     return out
 
 
-def _block_gaussian(rng: Generators, sizes: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
-    """Block-diagonal matrix of complex Gaussian square blocks of these
-    sizes, drawn block by block in one draw per generator."""
-    rngs, one = _generators(rng)
-    n = sum(sizes)
-    index = _diagonal_positions(sizes)
-    return _unstacked(_filled(rngs, np.zeros((n, n), dtype=complex), [index] * len(rngs), scale), one)
-
-
 def random_element(algebra: BlockAlgebra, rng: Generators, scale: float = 1.0) -> np.ndarray:
-    """Complex Gaussian algebra element."""
-    return _block_gaussian(rng, algebra.blocks, scale / np.sqrt(2.0))
+    """Complex Gaussian algebra element, its parts ``N(0, scale^2 / 2)``."""
+    rngs, one = _generators(rng)
+    index = _positions(algebra, algebra.blocks, True)
+    return _unstacked(_filled(rngs, algebra.zero(), [index] * len(rngs), scale / np.sqrt(2.0)), one)
 
 
 def random_hermitian(algebra: BlockAlgebra, rng: Generators, scale: float = 1.0) -> np.ndarray:
@@ -189,9 +145,9 @@ def random_antihermitian(algebra: BlockAlgebra, rng: Generators, scale: float = 
 
 def random_unitary(algebra: BlockAlgebra, rng: Generators) -> np.ndarray:
     """Haar unitary of the algebra, blockwise: the QR factor of the blocks'
-    complex Gaussians, with the phases of the triangular factor's diagonal
-    moved into it."""
-    return phase_fixed_q(_block_gaussian(rng, algebra.blocks))
+    standard complex Gaussians (:func:`random_element` at scale ``sqrt 2``),
+    with the phases of the triangular factor's diagonal moved into it."""
+    return phase_fixed_q(random_element(algebra, rng, np.sqrt(2.0)))
 
 
 def random_positive(
@@ -220,9 +176,8 @@ def random_positive(
 def planted_positive(
     algebra: BlockAlgebra, rng: Generators, grid: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Positive element ``v diag(grid[labels]) v*`` with a Haar unitary ``v``
-    per block and labels drawn uniformly from ``range(len(grid))``, and the
-    labels: each block draws its labels, then its Gaussian."""
+    """Positive element ``v diag(grid[labels]) v*``, with ``v`` Haar and
+    uniform labels, and the labels: each block draws them, then ``v``."""
     rngs, one = _generators(rng)
     gaussians = np.zeros((len(rngs), algebra.dim, algebra.dim), dtype=complex)
     labels = np.empty((len(rngs), algebra.dim), dtype=int)
@@ -230,27 +185,20 @@ def planted_positive(
         for s, n in zip(algebra.slices, algebra.blocks):
             labels[k, s] = g.integers(0, len(grid), size=n)
             gaussians[k, s, s] = _gaussians(g, n * n).reshape(n, n)
-    v = phase_fixed_q(gaussians)
-    vals = np.asarray(grid, dtype=float)[labels]
+    v, vals = phase_fixed_q(gaussians), np.asarray(grid, dtype=float)[labels]
     # Each block's product on its own: the assembled one is zero-padded.
-    blocks = [(vb * vals[:, None, s]) @ vb.conj().mT for s, vb in zip(algebra.slices, algebra.block_views(v))]
+    blocks = [(vb * vals[:, None, s]) @ vb.conj().mT
+              for s, vb in zip(algebra.slices, algebra.block_views(v))]
     return _unstacked(algebra.embed_blocks(blocks), one), _unstacked(labels, one)
 
 
-def _random_ranks(algebra: BlockAlgebra, rng: np.random.Generator, allow_zero: bool, allow_full: bool) -> list[int]:
-    ranks = [int(rng.integers(0 if allow_zero else 1, b + (1 if allow_full else 0))) for b in algebra.blocks]
+def _random_ranks(algebra: BlockAlgebra, rng, allow_zero: bool, allow_full: bool) -> list[int]:
+    low, high = (0 if allow_zero else 1), (1 if allow_full else 0)
+    ranks = [int(rng.integers(low, b + high)) for b in algebra.blocks]
     if sum(ranks) == 0:
         # keep at least one nonzero block so the projection is not trivial
         ranks[int(rng.integers(0, len(algebra.blocks)))] = 1
     return ranks
-
-
-def _frame_stack(frames: Frames, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The frames' matrices and ranks as ``(count, dim, dim)`` and ``(count,
-    m)`` arrays: one set of frames, or a stack of ``count``."""
-    dim, m = frames.algebra.dim, len(frames.algebra.blocks)
-    return (np.broadcast_to(frames.matrix, (count, dim, dim)),
-            np.broadcast_to(np.asarray(frames.ranks), (count, m)))
 
 
 def random_frames(
@@ -262,23 +210,19 @@ def random_frames(
 ) -> Frames:
     """Frames of a random projection with prescribed blockwise ranks (one
     tuple for every trial, or a row per trial) or random ones: a Haar
-    isometry per block, empty at rank 0 and the identity at full rank.
-
-    All blocks come from one QR of the ``dim x dim`` identity with each
-    thin block's ``n_b x r_b`` complex Gaussian (drawn block by block) in
-    that block's rows and first ``r_b`` columns.  That matrix is
-    block-diagonal, so the Q factor is too, exactly: its first ``r_b``
-    columns in a block are the Haar isometry of that block's Gaussian, and
-    a block of identity columns stays the identity.  The frames are those
-    columns."""
+    isometry per block, empty at rank 0 and the identity at full rank, the
+    first ``r_b`` columns of the QR factor of the identity with each thin
+    block's ``n_b x r_b`` complex Gaussian in that block's rows."""
     rngs, one = _generators(rng)
     if ranks is None:
         ranks = [_random_ranks(algebra, g, allow_zero, allow_full) for g in rngs]
-    ranks = np.array(np.broadcast_to(np.asarray(ranks, dtype=int), (len(rngs), len(algebra.blocks))))
-    q = phase_fixed_q(_filled(rngs, algebra.identity(), [_thin_positions(algebra, tuple(r)) for r in ranks.tolist()]))
-    _, offset, block, _ = algebra._block_layout
-    framed = offset < ranks[:, block]
-    return _unstacked(Frames(algebra, np.where(framed[:, None, :], q, 0.0), ranks), one)
+    ranks = np.broadcast_to(np.asarray(ranks, dtype=int), (len(rngs), len(algebra.blocks))).copy()
+    if np.any(ranks < 0) or np.any(ranks > algebra.blocks):
+        raise ValueError("rank exceeds block size")
+    positions = [_positions(algebra, tuple(r), False) for r in ranks.tolist()]
+    q = phase_fixed_q(_filled(rngs, algebra.identity(), positions))
+    framed = frame_columns(algebra, ranks)[:, None, :]
+    return _unstacked(Frames(algebra, np.where(framed, q, 0.0), ranks), one)
 
 
 def equivalent_frames(rng: Generators, frames: Frames) -> Frames:
@@ -286,26 +230,21 @@ def equivalent_frames(rng: Generators, frames: Frames) -> Frames:
     return random_frames(frames.algebra, rng, ranks=frames.ranks)
 
 
-def _corner_haar(rngs: list, algebra: BlockAlgebra, ranks: np.ndarray) -> np.ndarray:
-    """Per generator, a block-diagonal Haar unitary of the corners of these
-    ranks on the frame columns, as one QR of the stack."""
-    positions = [_corner_positions(algebra, tuple(r)) for r in ranks.tolist()]
-    return phase_fixed_q(_filled(rngs, algebra.identity(), positions))
-
-
 def isometry_between(rng: Generators, source: Frames, target: Frames) -> np.ndarray:
     """Partial isometry ``F_t w F_s*`` from the source projection onto the
     target one, with ``w`` a block-diagonal Haar unitary of the corners."""
-    if np.shape(source.ranks) != np.shape(target.ranks) or not np.array_equal(source.ranks, target.ranks):
+    if not np.array_equal(source.ranks, target.ranks):
         raise ValueError("source and target have different blockwise ranks")
     rngs, one = _generators(rng)
-    fs, ranks = _frame_stack(source, len(rngs))
-    ft, _ = _frame_stack(target, len(rngs))
-    w = _corner_haar(rngs, source.algebra, ranks)
+    fs, ft = (np.broadcast_to(f.matrix, (len(rngs),) + f.matrix.shape[-2:])
+              for f in (source, target))
+    ranks = np.broadcast_to(source.ranks, (len(rngs), len(source.algebra.blocks)))
+    corners = [_positions(source.algebra, tuple(r), True) for r in ranks.tolist()]
+    w = phase_fixed_q(_filled(rngs, source.algebra.identity(), corners))
 
     def arrow(ft, w, fs, r):
         keep = frame_columns(source.algebra, r)
-        return ft[..., keep] @ w[..., keep[:, None], keep] @ fs[..., keep].conj().mT
+        return ft[..., keep] @ w[..., keep, :][..., keep] @ fs[..., keep].conj().mT
 
     return _unstacked(_truncated(ranks, arrow, ft, w, fs), one)
 
@@ -322,7 +261,8 @@ def positive_on(
     corners.  Each block draws its corner Gaussian, then its values."""
     rngs, one = _generators(rng)
     algebra = frames.algebra
-    f, ranks = _frame_stack(frames, len(rngs))
+    f = np.broadcast_to(frames.matrix, (len(rngs),) + frames.matrix.shape[-2:])
+    ranks = np.broadcast_to(frames.ranks, (len(rngs), len(algebra.blocks)))
     g = np.repeat(algebra.identity()[None], len(rngs), axis=0)
     vals = np.zeros((len(rngs), algebra.dim))
     for k, (gen, r) in enumerate(zip(rngs, ranks.tolist())):
@@ -335,7 +275,7 @@ def positive_on(
 
     def positive(f, w, vals, r):
         keep = frame_columns(algebra, r)
-        fw = f[..., keep] @ w[..., keep[:, None], keep]
+        fw = f[..., keep] @ w[..., keep, :][..., keep]
         return (fw * vals[:, None, keep]) @ fw.conj().mT
 
     return _unstacked(_truncated(ranks, positive, f, w, vals), one)
@@ -459,17 +399,6 @@ def p0_tangent(
     return z - u @ herm(u.conj().mT @ z)
 
 
-def projection_chain(
-    algebra: BlockAlgebra,
-    rng: Generators,
-    length: int,
-    allow_zero: bool = True,
-) -> list[np.ndarray]:
-    """Mutually equivalent projections q_0, ..., q_length (equal blockwise
-    ranks), for building composable chains."""
-    return [f.projection for f in frame_chain(algebra, rng, length, allow_zero)]
-
-
 #: Refusals that mean "this random draw hit a measure-zero degenerate
 #: configuration; redraw" rather than "the identity failed".
 _REDRAW = (NotPartiallyInvertible, AmbiguousCluster, NotInDomain, NotInOverlap)
@@ -495,21 +424,16 @@ def redraw_failures(
     retry: Callable = sample_with_retry,
 ) -> list:
     """The stacks of each trial's first admissible draw.  ``draw(generators)``
-    draws the stacked data of those trials and tests it once on the stack,
-    returning ``(stacks, admissible)`` with one flag per trial; the stacks
-    are arrays or :class:`~wstargeo.algebra.Frames` with a row of ranks per
-    trial.  ``retry`` (:func:`sample_with_retry`) gets one closure for the
-    whole stack: each call draws the trials still pending, keeps those that
-    pass and refuses (:class:`NotInDomain`) while any remain, so a trial is
-    drawn at most as often as ``retry`` calls, always from its own
-    generator."""
+    draws those trials' stacks (arrays or frames) and returns them with a
+    flag per trial from one domain test.  ``retry`` gets one closure, which
+    draws the pending trials, keeps those that pass and refuses while any
+    remain, so a trial draws at most as often as ``retry`` calls it."""
     rngs, one = _generators(rng)
     pending, kept = np.arange(len(rngs)), []
 
     def attempt() -> list:
         nonlocal pending
         stacks, admissible = draw([rngs[k] for k in pending])
-        admissible = np.asarray(admissible, dtype=bool)
         kept.append((pending[admissible], [x[admissible] for x in stacks]))
         pending = pending[~admissible]
         if pending.size:
@@ -521,8 +445,7 @@ def redraw_failures(
 
 
 def _joined(parts: Sequence, order: np.ndarray):
-    """The stacks ``parts`` (arrays, or frames with a row of ranks per
-    matrix) as one, its matrices in the given order."""
+    """The stacks ``parts`` (arrays or frames) as one, in the given order."""
     if isinstance(parts[0], Frames):
         matrix = _joined([f.matrix for f in parts], order)
         return Frames(parts[0].algebra, matrix, _joined([f.ranks for f in parts], order))

@@ -286,10 +286,11 @@ def dual_pair_orthogonality_check(
     of bounded size (:func:`~wstargeo.linalg.in_parts`, the realified
     conditions being ``4 n^2 x 2 n^2`` per block of each vector)."""
     entries = sum(8 * n**4 for n in algebra.blocks)
-    return in_parts(lambda g: _dual_pair_report(algebra, g, tol), entries, np.asarray(g, dtype=complex))
+    check = lambda g: _dual_pair_report(algebra, g, tol)  # noqa: E731
+    return in_parts(check, entries, np.asarray(g, dtype=complex))
 
 
-def _dual_pair_report(algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfile) -> DualPairReport:
+def _dual_pair_report(algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfile):
     """:func:`dual_pair_orthogonality_check` of one vector or one stack."""
     mu, mu_j = supports(g, tol)
     vhs_e, null_e = _fiber_rows(algebra, g, mu, tol)

@@ -6,6 +6,11 @@ row-specific tolerance.  Rows are deterministic functions of
 ``(algebra, trials, seed)``, so two runs with the same arguments produce the
 same residuals.
 
+Every row draws the data of all its trials at once (``_draw_*``), trial
+``k`` from the generator keyed ``(seed, subindex, k)``, then runs its checks
+(``_check_*``) once, on the stacks; a check gives each trial the bits it
+gets alone.
+
 The registry is consumed by :func:`run_suite` and by the command line's
 ``verify`` subcommand; suite and row names are stable identifiers.
 """
@@ -102,7 +107,8 @@ from .poisson import (
     vertical_form_residual,
 )
 # Bound as a module global and looked up at each call, so it can be wrapped
-# (for instance to count draws) by rebinding ``suites._retry``.
+# (for instance to count draws) by rebinding ``suites._retry``.  A stacked
+# redraw passes it one closure per row (``sampling.redraw_failures``).
 from .sampling import sample_with_retry as _retry
 from .standard import (
     conjugation_J,
@@ -163,9 +169,7 @@ class SuiteResult:
 
 
 def _generators(ctx: RowCtx) -> list[np.random.Generator]:
-    """The generator of each trial ``k``, keyed ``(seed, subindex, k)``: a
-    row draws all of its trials at once, each from its own generator
-    (:mod:`~wstargeo.sampling`)."""
+    """The generator of each trial ``k``, keyed ``(seed, subindex, k)``."""
     return [ctx.rng(k) for k in range(ctx.trials)]
 
 
@@ -201,7 +205,7 @@ def _coefficients(rngs, counts, draw: Callable) -> np.ndarray:
     each trial learns only from the stacked spectrum, drawn after the rest
     of its data.  One generator and count give one row, unstacked."""
     one = isinstance(rngs, np.random.Generator)
-    rows = [draw(rng, int(count)) for rng, count in zip([rngs] if one else rngs, np.atleast_1d(counts))]
+    rows = [draw(rng, int(c)) for rng, c in zip([rngs] if one else rngs, np.atleast_1d(counts))]
     out = np.zeros((len(rows), int(np.max(counts))), dtype=rows[0].dtype)
     for row, coeff in zip(out, rows):
         row[: len(coeff)] = coeff
@@ -229,12 +233,6 @@ def _row_laws(tag: str) -> Callable[[RowCtx], float]:
     return row
 
 
-# The rows below draw the data of all their trials at once (``_draw_*``,
-# from the trials' generators, :func:`_generators`), then run their checks
-# (``_check_*``) once, on the stacks.  A check takes the data of one trial or
-# a stack of them, and gives each trial the bits it gets alone.
-
-
 def _draw_isomorphisms(ctx: RowCtx, rngs) -> list:
     alg, prof = ctx.algebra, ctx.profile
     a, b = composable_chain("coadjoint", alg, rngs, 2)
@@ -246,7 +244,8 @@ def _draw_isomorphisms(ctx: RowCtx, rngs) -> list:
     ]
     # The direction consumes each generator by the dimension of the
     # stabilizer of its base density, known from the stacked spectrum.
-    coeff = _coefficients(rngs, stabilizer_dimension(rho0, prof), lambda rng, k: rng.standard_normal(k))
+    counts = stabilizer_dimension(rho0, prof)
+    coeff = _coefficients(rngs, counts, lambda rng, k: rng.standard_normal(k))
     return [a, b, u, v, w, rho0, stabilizer_direction(rho0, coeff, prof)]
 
 
@@ -363,31 +362,18 @@ def _row_witnesses(ctx: RowCtx) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _redrawn(rngs: list, draw: Callable[[list], tuple[list, np.ndarray]]) -> list:
-    """The stacks of each trial's first draw that passes its domain test
-    (:func:`~wstargeo.sampling.redraw_failures`): ``_retry`` gets one
-    closure for the row, and redraws only the failing trials."""
-    return sampling.redraw_failures(rngs, draw, _retry)
-
-
 def _draw_equivalent_in_domain(alg, rngs, prof, count: int):
     """count projections per trial, mutually equivalent, each pair in each
     other's chart domain."""
 
     def draw(rngs):
-        ps = sampling.projection_chain(alg, rngs, count - 1, allow_zero=False)
+        ps = [f.projection for f in sampling.frame_chain(alg, rngs, count - 1, allow_zero=False)]
         # Membership is symmetric (q p = (p q)* has the same singular
         # values) and holds on the diagonal, so one test per unordered pair.
         inside = [chart_domain_member(a, b, prof) for i, a in enumerate(ps) for b in ps[i + 1:]]
         return ps, np.logical_and.reduce(inside)
 
-    return _redrawn(rngs, draw)
-
-
-# The four random charts rows below have the shape of the groupoid-axioms
-# rows: each draws its trials' data at once (``_draw_*``), redraws and their
-# domain tests included, then runs its checks (``_check_*``) once, on the
-# stacks.
+    return sampling.redraw_failures(rngs, draw, _retry)
 
 
 def _draw_round_trip(ctx: RowCtx, rngs) -> list:
@@ -400,9 +386,8 @@ def _draw_round_trip(ctx: RowCtx, rngs) -> list:
         inside = chart_domain_member(p_, l, prof) & chart_domain_member(pt, r, prof)
         return [p_, pt, fs[2], fs[3]], inside
 
-    p_, pt, f2, f3 = _redrawn(rngs, draw_g)
-    wiso = sampling.isometry_between(rngs, f3, f2)
-    return [p, q, p_, pt, wiso, sampling.positive_on(rngs, f3)]
+    p_, pt, f2, f3 = sampling.redraw_failures(rngs, draw_g, _retry)
+    return [p, q, p_, pt, sampling.isometry_between(rngs, f3, f2), sampling.positive_on(rngs, f3)]
 
 
 def _check_round_trip(ctx: RowCtx, p, q, p_, pt, wiso, h) -> dict:
@@ -488,7 +473,7 @@ def _draw_theta(ctx: RowCtx, rngs) -> list:
         p0, q, p = (f.projection for f in fs)
         return [p0, q, p, fs[0], fs[1]], chart_domain_member(p, q, prof)
 
-    p0, q, p, f0, f1 = _redrawn(rngs, draw)
+    p0, q, p, f0, f1 = sampling.redraw_failures(rngs, draw, _retry)
     return [p0, q, p, sampling.isometry_between(rngs, f0, f1)]
 
 
@@ -573,11 +558,6 @@ def _row_charts_connection(ctx: RowCtx) -> float:
 # ---------------------------------------------------------------------------
 
 
-# These rows have the shape of the groupoid-axioms rows: each draws its
-# trials' data at once, then builds and validates its families and runs its
-# check once, on the stacks.
-
-
 def _stacked_families(ctx: RowCtx, directions: int) -> list:
     """``directions`` families on one composable base per trial, as stacks
     (:func:`~wstargeo.poisson.families_on`)."""
@@ -660,10 +640,6 @@ def _dual_pair_report(ctx: RowCtx) -> dict:
 # ---------------------------------------------------------------------------
 # poisson-map
 # ---------------------------------------------------------------------------
-
-
-# These rows have the shape of the groupoid-axioms rows: each draws its
-# trials' data at once, then runs its checks once, on the stacks.
 
 
 def _poisson_data(ctx: RowCtx, point: Callable) -> tuple:
@@ -875,11 +851,6 @@ def _row_fs_pair_groupoid(ctx: RowCtx) -> float:
 # ---------------------------------------------------------------------------
 
 
-# The flow-report group, ``orbit-form``, ``tomita`` and ``group-law`` have
-# the shape of the groupoid-axioms rows: each draws its trials' data at
-# once, then runs its checks once, on the stacks.
-
-
 def _draw_flow(ctx: RowCtx, rngs) -> list:
     """Per trial, a flow time from :data:`FLOW_TIMES`, a faithful density
     and one sample of vectors and elements
@@ -962,9 +933,8 @@ def _row_flow_group_law(ctx: RowCtx) -> float:
 def _row_flow_conditional_expectation(ctx: RowCtx) -> float:
     alg, prof = ctx.algebra, ctx.profile
     rngs = _generators(ctx)
-    d = sampling.random_density_matrix(alg, rngs, repeat_chance=0.5)
+    phi = NormalFunctional(alg, sampling.random_density_matrix(alg, rngs, repeat_chance=0.5))
     x = sampling.random_element(alg, rngs)
-    phi = NormalFunctional(alg, d)
     # The centralizer's coefficients, one per basis element: its length is
     # the stabilizer's dimension.
     coeff = _coefficients(

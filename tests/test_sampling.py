@@ -110,7 +110,7 @@ class TestFrameSamplers:
         rng = sampling.rng_for(3)
         for tag in groupoids.GROUPOIDS:
             groupoids.composable_chain(tag, M23, rng, 3)
-        poisson.sample_family_base(M23, rng)
+        poisson.draw_family_data(M23, rng)
         sampling.density_on(rng, sampling.random_frames(M23, rng))
 
     def test_complex_normal_is_one_interleaved_draw(self):
@@ -208,8 +208,8 @@ class TestOneQRPerDraw:
 
             def check_frames(f, blocks):
                 off = f.matrix.copy()
-                for s, c in zip(algebra.slices, f.columns):
-                    off[s, c] = 0.0
+                for s, r in zip(algebra.slices, f.ranks):
+                    off[s, s.start : s.start + r] = 0.0
                 assert not off.any()
                 assert f.ranks == tuple(b.shape[1] for b in blocks)
                 for got, want in zip(f.blocks, blocks):
@@ -384,7 +384,7 @@ class TestStackedRedraws:
         assert tested == [6, 1]
         for k, rng in enumerate(_generators(74, 6)):
             for _ in range(2 if k == 3 else 1):
-                want = sampling.projection_chain(M23, rng, 1, allow_zero=False)
+                want = [f.projection for f in sampling.frame_chain(M23, rng, 1, allow_zero=False)]
             assert p[k].tobytes() == want[0].tobytes() and q[k].tobytes() == want[1].tobytes()
             assert rng.bit_generator.state == rngs[k].bit_generator.state, k
 
