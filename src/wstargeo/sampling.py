@@ -421,13 +421,14 @@ def sample_with_retry(draw, max_tries: int = 64):
 def redraw_failures(
     rng: Generators,
     draw: Callable[[list], tuple[list, np.ndarray]],
-    retry: Callable = sample_with_retry,
+    retry: Callable,
 ) -> list:
     """The stacks of each trial's first admissible draw.  ``draw(generators)``
     draws those trials' stacks (arrays or frames) and returns them with a
-    flag per trial from one domain test.  ``retry`` gets one closure, which
-    draws the pending trials, keeps those that pass and refuses while any
-    remain, so a trial draws at most as often as ``retry`` calls it."""
+    flag per trial from one domain test.  ``retry`` (:func:`sample_with_retry`)
+    gets one closure, which draws the pending trials, keeps those that pass
+    and refuses while any remain: a trial draws at most as often as
+    ``retry`` calls it."""
     rngs, one = _generators(rng)
     pending, kept = np.arange(len(rngs)), []
 
