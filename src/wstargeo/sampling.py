@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeAlias
 
 import numpy as np
 
@@ -50,8 +50,8 @@ from .linalg import (
     singular_values,
 )
 
-#: One generator, or one per trial of a stack.
-Generators = np.random.Generator | Sequence[np.random.Generator]
+#: One generator, or one per trial (a string: importing skips ``numpy.random``).
+Generators: TypeAlias = "np.random.Generator | Sequence[np.random.Generator]"
 
 
 def rng_for(*key: int) -> np.random.Generator:
