@@ -133,7 +133,8 @@ class TestCounts:
             assert sum(row[kernel] for row in counts[0].values()) > 0
 
     @pytest.mark.parametrize(
-        "row, vectors, values", [("round-trip", 32, 3), ("cocycle", 11, 10), ("theta", 7, 1)]
+        "row, vectors, values", [("round-trip", 32, 3), ("cocycle", 11, 10), ("theta", 7, 1)],
+        ids=["round-trip-32", "cocycle-11", "theta-7"],
     )
     def test_chart_rows_factor_per_row_not_per_trial(self, lapack_calls, monkeypatch, row, vectors, values):
         # Each random charts row checks all its trials' data with one call
