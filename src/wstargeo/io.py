@@ -17,6 +17,7 @@ top-level ``"vectors"`` list of ``{"re": [...], "im": [...]}`` entries.
 from __future__ import annotations
 
 import json
+import math
 from typing import TextIO
 
 import numpy as np
@@ -49,6 +50,33 @@ def _load_json(path: str) -> dict:
         ) from exc
 
 
+def _entries(where: str, entry: dict, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """The complex array ``re + i im`` of a file entry, of ``shape`` (by
+    default as long as ``re``), read from the lists ``re`` and ``im`` in flat
+    row-major order; ``im`` may be omitted for a real entry."""
+    re_part = entry.get("re")
+    if not isinstance(re_part, list):
+        raise ParseError(f"{where} needs a list 're'")
+    shape = shape or (len(re_part),)
+    count = math.prod(shape)
+    im_part = entry.get("im", [0.0] * count)
+    if not isinstance(im_part, list):
+        raise ParseError(f"{where} needs a list 'im'")
+    if len(re_part) != count or len(im_part) != count:
+        raise ParseError(
+            f"{where} needs {count} entries in 're' and 'im' (row-major), "
+            f"got {len(re_part)} and {len(im_part)}"
+        )
+    try:
+        re_arr = np.array(re_part, dtype=float).reshape(shape)
+        im_arr = np.array(im_part, dtype=float).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where} has non-numeric entries") from exc
+    if not (np.isfinite(re_arr).all() and np.isfinite(im_arr).all()):
+        raise ParseError(f"{where} has non-finite entries")
+    return re_arr + 1j * im_arr
+
+
 def _as_matrix(path: str, name: str, entry) -> np.ndarray:
     if not isinstance(entry, dict):
         raise ParseError(f"{path}: matrix {name!r} must be an object")
@@ -58,23 +86,7 @@ def _as_matrix(path: str, name: str, entry) -> np.ndarray:
         raise ParseError(
             f"{path}: matrix {name!r} needs integer 'rows' and 'cols'"
         ) from exc
-    re_part = entry.get("re")
-    if re_part is None:
-        raise ParseError(f"{path}: matrix {name!r} is missing 're'")
-    im_part = entry.get("im", [0.0] * (rows * cols))
-    if len(re_part) != rows * cols or len(im_part) != rows * cols:
-        raise ParseError(
-            f"{path}: matrix {name!r} needs {rows * cols} entries in 're' "
-            f"and 'im' (row-major), got {len(re_part)} and {len(im_part)}"
-        )
-    try:
-        re_arr = np.array(re_part, dtype=float).reshape(rows, cols)
-        im_arr = np.array(im_part, dtype=float).reshape(rows, cols)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: matrix {name!r} has non-numeric entries") from exc
-    if not (np.isfinite(re_arr).all() and np.isfinite(im_arr).all()):
-        raise ParseError(f"{path}: matrix {name!r} has non-finite entries")
-    return re_arr + 1j * im_arr
+    return _entries(f"{path}: matrix {name!r}", entry, (rows, cols))
 
 
 def load_algebra_spec(path: str) -> tuple[BlockAlgebra, dict[str, np.ndarray]]:
@@ -112,22 +124,9 @@ def load_vectors(path: str) -> list[np.ndarray]:
         raise ParseError(f"{path}: top level must be an object with a 'vectors' list")
     out = []
     for i, entry in enumerate(data["vectors"]):
-        if not isinstance(entry, dict) or "re" not in entry:
+        if not isinstance(entry, dict):
             raise ParseError(f"{path}: vector {i} must be an object with 're'")
-        re_part = entry["re"]
-        im_part = entry.get("im", [0.0] * len(re_part))
-        if len(im_part) != len(re_part):
-            raise ParseError(
-                f"{path}: vector {i} has {len(re_part)} real and "
-                f"{len(im_part)} imaginary entries"
-            )
-        try:
-            vec = np.array(re_part, dtype=float) + 1j * np.array(im_part, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: vector {i} has non-numeric entries") from exc
-        if not np.isfinite(vec).all():
-            raise ParseError(f"{path}: vector {i} has non-finite entries")
-        out.append(vec)
+        out.append(_entries(f"{path}: vector {i}", entry))
     return out
 
 

@@ -31,7 +31,7 @@ value per trial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -644,7 +644,6 @@ def exactness_residual(
 # orbit two-form, calibration, Fubini–Study geometry
 
 
-@lru_cache(maxsize=1)
 def calibrate_kappa() -> float:
     """Normalization constant relating the symplectic form on orbit lifts to
     the moment pairing, fixed on a rank-one reference instance in two

@@ -6,10 +6,15 @@ row-specific tolerance.  Rows are deterministic functions of
 ``(algebra, trials, seed)``, so two runs with the same arguments produce the
 same residuals.
 
-Every row draws the data of all its trials at once (``_draw_*``), trial
-``k`` from the generator keyed ``(seed, subindex, k)``, then runs its checks
-(``_check_*``) once, on the stacks; a check gives each trial the bits it
-gets alone.
+A random row is a draw and a check (:func:`_row`).  The draw (``_draw_*``)
+gives the data of all its trials at once, trial ``k`` from the generator
+keyed ``(seed, subindex, k)``; the check (``_check_*``) runs once, on the
+stacks, and returns residual arrays by name, one entry per trial, each with
+the bits the trial gets alone.  Rows that name the same draw and check form
+a group and read different arrays of one run.  Four rows are plain
+functions: two fixed cases (``charts/transition-oracle``,
+``kks/calibration``) and two that aggregate across trials
+(``groupoid-axioms/equivalence-agreement``, ``exactness/order``).
 
 The registry is consumed by :func:`run_suite` and by the command line's
 ``verify`` subcommand; suite and row names are stable identifiers.
@@ -143,8 +148,8 @@ class RowCtx:
     seed: int
     subindex: int
     profile: ToleranceProfile
-    #: Reports shared by a group of rows, keyed by the function that draws
-    #: them; one dict per :func:`run_suite` call.
+    #: The checks of each row, keyed by its draw and check, so that a group
+    #: of rows runs them once; one dict per :func:`run_suite` call.
     shared: dict = field(default_factory=dict, compare=False, repr=False)
 
     def rng(self, trial: int) -> np.random.Generator:
@@ -173,20 +178,44 @@ def _generators(ctx: RowCtx) -> list[np.random.Generator]:
     return [ctx.rng(k) for k in range(ctx.trials)]
 
 
-def _stacked_group_row(
-    check: Callable[[RowCtx], dict], *keys: str
-) -> Callable[[RowCtx], float]:
-    """A row that returns the worst of the residual arrays ``keys`` of its
-    group's check, run once on the stack of all trials.  The group's first
-    row runs it (so with its own subindex) once per :func:`run_suite` call
-    and keeps its arrays in ``ctx.shared`` for the rows after it."""
+@dataclass(frozen=True)
+class _Row:
+    """A random row: ``draw(ctx, rngs)`` gives the data of the trials whose
+    generators are ``rngs``, as stacks, and ``check(ctx, *data)`` their
+    residual arrays by name.  The row reports the worst entry of the arrays
+    ``keys`` (of all of them if ``keys`` is empty; NaN if any entry is).
+    The first row of a group runs its draw and check, with its own subindex,
+    and keeps the arrays in ``ctx.shared`` for the rows after it.  Trial
+    ``k`` alone is ``check(ctx, *draw(ctx, [ctx.rng(k)]))``."""
 
-    def fn(ctx: RowCtx) -> float:
-        if check not in ctx.shared:
-            ctx.shared[check] = check(ctx)
-        return _worst_of_stacks(ctx.shared[check][key] for key in keys)
+    draw: Callable
+    check: Callable
+    keys: tuple[str, ...]
 
-    return fn
+    def __call__(self, ctx: RowCtx) -> float:
+        group = (self.draw, self.check)
+        if group not in ctx.shared:
+            ctx.shared[group] = self.check(ctx, *self.draw(ctx, _generators(ctx)))
+        checks = ctx.shared[group]
+        residuals = [r for key in self.keys or checks for r in np.ravel(checks[key]).tolist()]
+        return _worst(0.0, *residuals)
+
+
+def _row(draw: Callable, check: Callable, *keys: str) -> _Row:
+    return _Row(draw, check, keys)
+
+
+def _coefficients(rngs, counts, draw: Callable) -> np.ndarray:
+    """``draw(rngs[k], counts[k])`` from the generator of each trial ``k``,
+    as one array padded with zeros: the coefficients of a basis whose length
+    each trial learns only from the stacked spectrum, drawn after the rest
+    of its data.  One generator gives one row, unstacked."""
+    rngs, one = sampling._generators(rngs)
+    rows = [draw(rng, int(c)) for rng, c in zip(rngs, np.atleast_1d(counts))]
+    out = np.zeros((len(rows), int(np.max(counts))), dtype=rows[0].dtype)
+    for row, coeff in zip(out, rows):
+        row[: len(coeff)] = coeff
+    return sampling._unstacked(out, one)
 
 
 # ---------------------------------------------------------------------------
@@ -194,43 +223,28 @@ def _stacked_group_row(
 # ---------------------------------------------------------------------------
 
 
-def _worst_of_stacks(residuals) -> float:
-    """The worst of per-trial residual arrays (NaN if any of them is NaN)."""
-    return _worst(0.0, *(r for rs in residuals for r in rs.tolist()))
+def _draw_chain(tag: str) -> Callable:
+    """The draw of the picture ``tag``'s law row: the tag, then one
+    composable chain of three arrows per trial, as one chain of stacks."""
+
+    def draw(ctx: RowCtx, rngs) -> list:
+        return [tag, *composable_chain(tag, ctx.algebra, rngs, 3)]
+
+    return draw
 
 
-def _coefficients(rngs, counts, draw: Callable) -> np.ndarray:
-    """``draw(rngs[k], counts[k])`` from the generator of each trial ``k``,
-    as one array padded with zeros: the coefficients of a basis whose length
-    each trial learns only from the stacked spectrum, drawn after the rest
-    of its data.  One generator and count give one row, unstacked."""
-    one = isinstance(rngs, np.random.Generator)
-    rows = [draw(rng, int(c)) for rng, c in zip([rngs] if one else rngs, np.atleast_1d(counts))]
-    out = np.zeros((len(rows), int(np.max(counts))), dtype=rows[0].dtype)
-    for row, coeff in zip(out, rows):
-        row[: len(coeff)] = coeff
-    return out[0] if one else out
-
-
-def _row_laws(tag: str) -> Callable[[RowCtx], float]:
-    """Groupoid laws of the picture ``tag`` on one composable chain of three
-    arrows per trial; for the standard form also the polar data of its
-    arrows.  The chains of all trials are drawn as one chain of stacks, and
-    the laws are checked once, on it."""
-
-    def row(ctx: RowCtx) -> float:
-        prof = ctx.profile
-        chain = composable_chain(tag, ctx.algebra, _generators(ctx), 3)
-        residuals = list(chain_law_residuals(tag, chain, prof).values())
-        if tag == "standard":
-            # Polar data of an arrow gamma = u m: gamma = (u m u*) u relates
-            # the left and right moduli through the isometry leg.
-            a = chain[0]
-            u, h = polar_decompose(a, prof)
-            residuals.append(frobenius(a - (u @ h @ u.conj().mT) @ u))
-        return _worst_of_stacks(residuals)
-
-    return row
+def _check_laws(ctx: RowCtx, tag: str, *chain) -> dict:
+    """The groupoid laws of the picture ``tag`` on the chain; for the
+    standard form also the polar data of its arrows."""
+    prof = ctx.profile
+    checks = chain_law_residuals(tag, chain, prof)
+    if tag == "standard":
+        # Polar data of an arrow gamma = u m: gamma = (u m u*) u relates
+        # the left and right moduli through the isometry leg.
+        a = chain[0]
+        u, h = polar_decompose(a, prof)
+        checks["polar"] = frobenius(a - (u @ h @ u.conj().mT) @ u)
+    return checks
 
 
 def _draw_isomorphisms(ctx: RowCtx, rngs) -> list:
@@ -250,6 +264,8 @@ def _draw_isomorphisms(ctx: RowCtx, rngs) -> list:
 
 
 def _check_isomorphisms(ctx: RowCtx, a, b, u, v, w, rho0, x) -> dict:
+    """The three structure-preserving maps between the arrow pictures, on
+    composable random pairs."""
     alg, prof = ctx.algebra, ctx.profile
     # Gauge invariance: right translation by a stabilizer element of the
     # base density leaves the quotient map unchanged.
@@ -262,13 +278,6 @@ def _check_isomorphisms(ctx: RowCtx, a, b, u, v, w, rho0, x) -> dict:
         "psi": psi_intertwining_residual(u, v, w, rho0, prof),
         "gauge": frobenius(arrow.u - arrow_g.u) + arrow.rho.distance(arrow_g.rho),
     }
-
-
-def _row_isomorphisms(ctx: RowCtx) -> float:
-    """The three structure-preserving maps between the arrow pictures, on
-    composable random pairs."""
-    checks = _check_isomorphisms(ctx, *_draw_isomorphisms(ctx, _generators(ctx)))
-    return _worst_of_stacks(checks.values())
 
 
 def _draw_equivalences(ctx: RowCtx, rngs) -> list:
@@ -334,6 +343,8 @@ def _draw_witnesses(ctx: RowCtx, rngs) -> list:
 
 
 def _check_witnesses(ctx: RowCtx, p, q, phi1, uu, h, u1, w0) -> dict:
+    """Constructive witnesses for the three equivalences actually implement
+    them."""
     alg, prof = ctx.algebra, ctx.profile
     w = mvn_witness(alg, p, q, prof)
     phi2 = NormalFunctional(alg, uu @ phi1.density @ uu.conj().mT)
@@ -348,13 +359,6 @@ def _check_witnesses(ctx: RowCtx, p, q, phi1, uu, h, u1, w0) -> dict:
         "unitary-orbit": frobenius(v @ phi1.density @ v.conj().mT - phi2.density),
         "transport": frobenius(wt @ g1 - g2),
     }
-
-
-def _row_witnesses(ctx: RowCtx) -> float:
-    """Constructive witnesses for the three equivalences actually implement
-    them."""
-    checks = _check_witnesses(ctx, *_draw_witnesses(ctx, _generators(ctx)))
-    return _worst_of_stacks(checks.values())
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +395,7 @@ def _draw_round_trip(ctx: RowCtx, rngs) -> list:
 
 
 def _check_round_trip(ctx: RowCtx, p, q, p_, pt, wiso, h) -> dict:
+    """Projection and groupoid charts composed with their inverses."""
     prof = ctx.profile
     sigma = sigma_p(p, q, prof)
     x = wiso @ h
@@ -414,17 +419,13 @@ def _check_round_trip(ctx: RowCtx, p, q, p_, pt, wiso, h) -> dict:
     }
 
 
-def _row_charts_round_trip(ctx: RowCtx) -> float:
-    """Projection and groupoid charts composed with their inverses."""
-    checks = _check_round_trip(ctx, *_draw_round_trip(ctx, _generators(ctx)))
-    return _worst_of_stacks(checks.values())
-
-
 def _draw_cocycle(ctx: RowCtx, rngs) -> list:
     return _draw_equivalent_in_domain(ctx.algebra, rngs, ctx.profile, 4)
 
 
 def _check_cocycle(ctx: RowCtx, p, p1, p2, q) -> dict:
+    """Transition maps between three charts: the chart change and the
+    cocycle identity."""
     prof = ctx.profile
     y = phi_p(p, q, prof)
     y1 = transition_L(p, p1, y, prof)
@@ -438,13 +439,6 @@ def _check_cocycle(ctx: RowCtx, p, p1, p2, q) -> dict:
     }
 
 
-def _row_charts_cocycle(ctx: RowCtx) -> float:
-    """Transition maps between three charts: the chart change and the
-    cocycle identity."""
-    checks = _check_cocycle(ctx, *_draw_cocycle(ctx, _generators(ctx)))
-    return _worst_of_stacks(checks.values())
-
-
 def _row_charts_transition_oracle(ctx: RowCtx) -> float:
     """Hand-computed two-by-two chart example."""
     prof = ctx.profile
@@ -452,7 +446,7 @@ def _row_charts_transition_oracle(ctx: RowCtx) -> float:
     q = 0.5 * np.ones((2, 2), dtype=complex)
     x = sigma_p(p, q, prof)
     y = phi_p(p, q, prof)
-    res = [
+    return _worst(
         frobenius(x - np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)),
         frobenius(y - np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)),
         frobenius(phi_p_inv(p, y, prof) - q),
@@ -461,8 +455,7 @@ def _row_charts_transition_oracle(ctx: RowCtx) -> float:
             transition_L(p, q, np.zeros((2, 2), dtype=complex), prof)
             - np.array([[0.5, 0.5], [-0.5, -0.5]], dtype=complex)
         ),
-    ]
-    return _worst(*res)
+    )
 
 
 def _draw_theta(ctx: RowCtx, rngs) -> list:
@@ -478,6 +471,8 @@ def _draw_theta(ctx: RowCtx, rngs) -> list:
 
 
 def _check_theta(ctx: RowCtx, p0, q, p, u) -> dict:
+    """The bundle chart over a base projection, its inverse and its closed
+    form."""
     prof = ctx.profile
     y, w = theta_P0(p, u, p0, prof)
     # The closed form ((p u u* p)^+)^{1/2} u is the polar isometry of p u,
@@ -491,13 +486,6 @@ def _check_theta(ctx: RowCtx, p0, q, p, u) -> dict:
         "closed-form": frobenius(w - closed),
         "base": frobenius(y - phi_p(p, q, prof)),
     }
-
-
-def _row_charts_theta(ctx: RowCtx) -> float:
-    """The bundle chart over a base projection, its inverse and its closed
-    form."""
-    checks = _check_theta(ctx, *_draw_theta(ctx, _generators(ctx)))
-    return _worst_of_stacks(checks.values())
 
 
 def _draw_connection(ctx: RowCtx, rngs) -> list:
@@ -517,6 +505,9 @@ def _draw_connection(ctx: RowCtx, rngs) -> list:
 
 
 def _check_connection(ctx: RowCtx, rho0, u, du1, du2, x1) -> dict:
+    """The canonical connection: the horizontal/vertical split, the
+    connection form, its curvature and the exterior derivative of the orbit
+    one-form."""
     prof = ctx.profile
     h1, v1 = hv_split(u, du1)
     h2, _ = hv_split(u, du2)
@@ -545,29 +536,24 @@ def _real_trace(a, prof: ToleranceProfile):
     return expect_real_array(1j * np.trace(a, axis1=-2, axis2=-1), prof)
 
 
-def _row_charts_connection(ctx: RowCtx) -> float:
-    """The canonical connection: the horizontal/vertical split, the
-    connection form, its curvature and the exterior derivative of the orbit
-    one-form."""
-    checks = _check_connection(ctx, *_draw_connection(ctx, _generators(ctx)))
-    return _worst_of_stacks(checks.values())
-
-
 # ---------------------------------------------------------------------------
 # multiplicativity / exactness
 # ---------------------------------------------------------------------------
 
 
-def _stacked_families(ctx: RowCtx, directions: int) -> list:
-    """``directions`` families on one composable base per trial, as stacks
-    (:func:`~wstargeo.poisson.families_on`)."""
-    alg = ctx.algebra
-    return families_on(alg, draw_family_data(alg, _generators(ctx), directions), ctx.profile)
+def _draw_family_pair(ctx: RowCtx, rngs) -> list:
+    """Two families on one composable base per trial
+    (:func:`~wstargeo.poisson.draw_family_data`)."""
+    return draw_family_data(ctx.algebra, rngs, 2)
 
 
-def _row_multiplicativity(ctx: RowCtx) -> float:
-    fam, fam2 = _stacked_families(ctx, 2)
-    return _worst_of_stacks([multiplicativity_residual(fam, fam2, ctx.profile)])
+def _draw_family(ctx: RowCtx, rngs) -> list:
+    return draw_family_data(ctx.algebra, rngs, 1)
+
+
+def _check_multiplicativity(ctx: RowCtx, *data) -> dict:
+    fam, fam2 = families_on(ctx.algebra, data, ctx.profile)
+    return {"multiplicativity": multiplicativity_residual(fam, fam2, ctx.profile)}
 
 
 def _draw_vertical(ctx: RowCtx, rngs) -> list:
@@ -581,24 +567,28 @@ def _draw_vertical(ctx: RowCtx, rngs) -> list:
     return [u, xi, b, b2]
 
 
-def _row_vertical(ctx: RowCtx) -> float:
-    data = _draw_vertical(ctx, _generators(ctx))
-    return _worst_of_stacks([vertical_form_residual(*data, ctx.profile)])
+def _check_vertical(ctx: RowCtx, u, xi, b, b2) -> dict:
+    return {"vertical": vertical_form_residual(u, xi, b, b2, ctx.profile)}
 
 
-def _row_exactness(ctx: RowCtx) -> float:
+def _check_exactness(ctx: RowCtx, *data, steps: tuple = ()) -> dict:
+    """The finite-difference defect of each trial's family at each of
+    ``steps``, by default the profile's."""
     prof = ctx.profile
-    [fam] = _stacked_families(ctx, 1)
-    return _worst_of_stacks([exactness_residual(fam, prof.fd_step, prof)])
+    [fam] = families_on(ctx.algebra, data, prof)
+    return {f"h={h:g}": exactness_residual(fam, h, prof) for h in steps or (prof.fd_step,)}
+
+
+def _check_order(ctx: RowCtx, *data) -> dict:
+    return _check_exactness(ctx, *data, steps=(1e-3, 5e-4))
 
 
 def _row_exactness_order(ctx: RowCtx) -> float:
     """Median convergence ratio of the finite-difference defect when the step
     halves; a second-order scheme gives 4."""
-    [fam] = _stacked_families(ctx, 1)
-    defects = (exactness_residual(fam, h, ctx.profile).tolist() for h in (1e-3, 5e-4))
+    defects = _check_order(ctx, *_draw_family(ctx, _generators(ctx)))
     ratios = []
-    for r1, r2 in zip(*defects):
+    for r1, r2 in zip(*(d.tolist() for d in defects.values())):
         if not np.isfinite(r1 + r2):
             return float("nan")
         if r2 > 1e-13:
@@ -613,7 +603,7 @@ def _row_exactness_order(ctx: RowCtx) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _draw_dual_pair(ctx: RowCtx, rngs) -> np.ndarray:
+def _draw_dual_pair(ctx: RowCtx, rngs) -> list:
     """Per trial, a generic element or, with even odds, a polar product
     ``u h``: each kind drawn once, from the generators of its trials."""
     alg = ctx.algebra
@@ -626,13 +616,11 @@ def _draw_dual_pair(ctx: RowCtx, rngs) -> np.ndarray:
         qf = sampling.random_frames(alg, polar, allow_zero=False)
         u = sampling.isometry_between(polar, qf, sampling.equivalent_frames(polar, qf))
         g[~generic] = u @ sampling.positive_on(polar, qf)
-    return g
+    return [g]
 
 
-def _dual_pair_report(ctx: RowCtx) -> dict:
-    """The fibre-kernel report of each trial's vector, checked once on the
-    stack."""
-    g = _draw_dual_pair(ctx, _generators(ctx))
+def _check_dual_pair(ctx: RowCtx, g) -> dict:
+    """The fibre-kernel report of each trial's vector."""
     report = dual_pair_orthogonality_check(ctx.algebra, g, ctx.profile)
     return {"orthogonality": report.orthogonality, "dimension": report.dimension_residual}
 
@@ -642,69 +630,77 @@ def _dual_pair_report(ctx: RowCtx) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _poisson_data(ctx: RowCtx, point: Callable) -> tuple:
-    """Three Hermitian elements per trial, then ``point(algebra, rng)`` (a
-    vector of the standard form or a density), all stacked; the elements
-    scaled to unit operator norm, and the observables ``f = Re phi(x)``,
-    ``g_fd = Re phi(y)`` (by central differences) and ``h = Tr(d^2 z)``."""
-    alg, prof = ctx.algebra, ctx.profile
+def _draw_observables(point: Callable) -> Callable:
+    """The draw of a poisson-map row: three Hermitian elements per trial,
+    then ``point(algebra, rngs)`` (a vector of the standard form or a
+    density), all stacked, the elements scaled to unit operator norm."""
 
-    rngs = _generators(ctx)
-    xyz = [sampling.random_hermitian(alg, rngs) for _ in range(3)]
-    at = point(alg, rngs)
-    x, y, z = (sampling.unit_norm(m) for m in xyz)
-    f = Observable.linear(x, prof)
+    def draw(ctx: RowCtx, rngs) -> list:
+        xyz = [sampling.random_hermitian(ctx.algebra, rngs) for _ in range(3)]
+        at = point(ctx.algebra, rngs)
+        return [*(sampling.unit_norm(m) for m in xyz), at]
+
+    return draw
+
+
+_draw_poisson_vector = _draw_observables(sampling.random_element)
+_draw_poisson_density = _draw_observables(sampling.random_density_matrix)
+
+
+def _observables(ctx: RowCtx, x, y, z) -> tuple:
+    """The observables ``f = Re phi(x)``, ``g_fd = Re phi(y)`` (by central
+    differences) and ``h = Tr(d^2 z)``."""
+    prof = ctx.profile
     g_fd = Observable(value=lambda phi: expect_real(phi(y), prof))
-    h = Observable.quadratic(z, prof)
-    return (x, y, z), (f, g_fd, h), at
+    return Observable.linear(x, prof), g_fd, Observable.quadratic(z, prof)
 
 
-def _row_poisson_quadratic(ctx: RowCtx) -> float:
-    alg, prof = ctx.algebra, ctx.profile
-    _, (f, g_fd, h), gamma = _poisson_data(ctx, sampling.random_element)
-    return _worst_of_stacks(poisson_map_residual([(f, g_fd), (f, h), (g_fd, h)], alg, gamma, prof))
+def _check_quadratic(ctx: RowCtx, x, y, z, gamma) -> dict:
+    f, g_fd, h = _observables(ctx, x, y, z)
+    pairs = [(f, g_fd), (f, h), (g_fd, h)]
+    residuals = poisson_map_residual(pairs, ctx.algebra, gamma, ctx.profile)
+    return dict(zip(("f-g", "f-h", "g-h"), residuals))
 
 
-def _row_poisson_jacobi(ctx: RowCtx) -> float:
-    alg, prof = ctx.algebra, ctx.profile
-    (x, y, z), _, d = _poisson_data(ctx, sampling.random_density_matrix)
-    phi = NormalFunctional(alg, d)
-    return _worst_of_stacks([
-        jacobi_residual(x, y, z, phi, prof),
-        linear_closure_residual(x, y, phi, prof),
-    ])
+def _check_jacobi(ctx: RowCtx, x, y, z, d) -> dict:
+    prof = ctx.profile
+    phi = NormalFunctional(ctx.algebra, d)
+    return {
+        "jacobi": jacobi_residual(x, y, z, phi, prof),
+        "linear-closure": linear_closure_residual(x, y, phi, prof),
+    }
 
 
-def _row_poisson_leibniz(ctx: RowCtx) -> float:
-    alg, prof = ctx.algebra, ctx.profile
-    (_, y, _), (f, g_fd, h), d = _poisson_data(ctx, sampling.random_density_matrix)
-    phi = NormalFunctional(alg, d)
-    return _worst_of_stacks([
-        leibniz_residual(f, g_fd, h, phi, prof),
+def _check_leibniz(ctx: RowCtx, x, y, z, d) -> dict:
+    prof = ctx.profile
+    f, g_fd, h = _observables(ctx, x, y, z)
+    phi = NormalFunctional(ctx.algebra, d)
+    return {
+        "leibniz": leibniz_residual(f, g_fd, h, phi, prof),
         # g_fd = Re phi(y) has exact differential y: an oracle for the
         # central differences, which the bracket identities above cannot see
         # (both of their sides are linear in the one differential).
-        frobenius(g_fd.differential_at(phi, prof) - y),
-    ])
+        "differential": frobenius(g_fd.differential_at(phi, prof) - y),
+    }
 
 
-def _row_poisson_field_morphism(ctx: RowCtx) -> float:
+def _check_field_morphism(ctx: RowCtx, x, y, z, d) -> dict:
+    prof = ctx.profile
+    f, _, h = _observables(ctx, x, y, z)
+    phi = NormalFunctional(ctx.algebra, d)
+    return {
+        "morphism": field_morphism_residual(x, y, phi, prof),
+        "duality": field_duality_residual(f, h, phi, prof),
+    }
+
+
+def _check_commutant(ctx: RowCtx, x, y, z, gamma) -> dict:
     alg, prof = ctx.algebra, ctx.profile
-    (x, y, _), (f, _, h), d = _poisson_data(ctx, sampling.random_density_matrix)
-    phi = NormalFunctional(alg, d)
-    return _worst_of_stacks([
-        field_morphism_residual(x, y, phi, prof),
-        field_duality_residual(f, h, phi, prof),
-    ])
-
-
-def _row_poisson_commutant(ctx: RowCtx) -> float:
-    alg, prof = ctx.algebra, ctx.profile
-    _, (f, _, h), gamma = _poisson_data(ctx, sampling.random_element)
-    return _worst_of_stacks([
-        commutant_bracket_check(f, h, alg, gamma, prof),
-        commutant_bracket_check(h, f, alg, gamma, prof),
-    ])
+    f, _, h = _observables(ctx, x, y, z)
+    return {
+        "f-h": commutant_bracket_check(f, h, alg, gamma, prof),
+        "h-f": commutant_bracket_check(h, f, alg, gamma, prof),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +723,8 @@ def _draw_bundle_point(alg, rngs, repeat_chance: float = 0.0):
     return f0, sampling.unit_trace(d), sampling.isometry_between(rngs, f0, q), q
 
 
-def _row_degeneracy_invariance(ctx: RowCtx) -> float:
+def _draw_invariance(ctx: RowCtx, rngs) -> list:
     alg, prof = ctx.algebra, ctx.profile
-    rngs = _generators(ctx)
     _, d0, u, q = _draw_bundle_point(alg, rngs, repeat_chance=0.5)
     rho0 = NormalFunctional(alg, d0)
     p0 = functional_support(rho0, prof)
@@ -739,7 +734,11 @@ def _row_degeneracy_invariance(ctx: RowCtx) -> float:
     coeff = _coefficients(
         rngs, stabilizer_dimension(rho0, prof), lambda rng, k: rng.standard_normal(k)
     )
-    return _worst_of_stacks([orbit_form_invariance_residual(rho0, u, *sample, coeff, prof)])
+    return [rho0, u, *sample, coeff]
+
+
+def _check_invariance(ctx: RowCtx, rho0, u, *sample) -> dict:
+    return {"invariance": orbit_form_invariance_residual(rho0, u, *sample, ctx.profile)}
 
 
 def _draw_fd(ctx: RowCtx, rngs) -> list:
@@ -749,13 +748,12 @@ def _draw_fd(ctx: RowCtx, rngs) -> list:
     return [d0, u, a, sampling.corner_antihermitian(alg, rngs, f0.projection)]
 
 
-def _row_degeneracy_fd(ctx: RowCtx) -> float:
+def _check_fd(ctx: RowCtx, d0, u, a, b) -> dict:
     alg, prof = ctx.algebra, ctx.profile
-    d0, u, a, b = _draw_fd(ctx, _generators(ctx))
     rho0 = NormalFunctional(alg, d0)
     a, b = sampling.unit_norm(a), sampling.unit_norm(b)
     val_fd = fd_surface_dGamma0(rho0, u, a, b, 1e-4, prof)
-    return _worst_of_stacks([np.abs(val_fd - dGamma0(rho0, u, a @ u, u @ b, prof))])
+    return {"fd-exterior": np.abs(val_fd - dGamma0(rho0, u, a @ u, u @ b, prof))}
 
 
 def _draw_degeneracy(ctx: RowCtx, rngs) -> list:
@@ -764,10 +762,8 @@ def _draw_degeneracy(ctx: RowCtx, rngs) -> list:
     return [d0, u, sampling.isometry_between(rngs, f0, sampling.equivalent_frames(rngs, f0))]
 
 
-def _degeneracy_report(ctx: RowCtx) -> dict:
-    """The degeneracy report of each trial's base point and two legs,
-    checked once on the stack."""
-    d0, u, v = _draw_degeneracy(ctx, _generators(ctx))
+def _check_degeneracy(ctx: RowCtx, d0, u, v) -> dict:
+    """The degeneracy report of each trial's base point and two legs."""
     report = degeneracy_kernel_check(NormalFunctional(ctx.algebra, d0), u, v, ctx.profile)
     s = report.complement_min_singular
     return {
@@ -791,10 +787,9 @@ def _draw_kks(ctx: RowCtx, rngs) -> list:
     return [d0, sampling.random_antihermitian(alg, rngs), sampling.random_antihermitian(alg, rngs)]
 
 
-def _row_kks_identity(ctx: RowCtx) -> float:
-    d0, a1, a2 = _draw_kks(ctx, _generators(ctx))
+def _check_kks(ctx: RowCtx, d0, a1, a2) -> dict:
     rho0 = NormalFunctional(ctx.algebra, d0)
-    return _worst_of_stacks([kks_check(rho0, a1, a2, ctx.profile).residual])
+    return {"kks": kks_check(rho0, a1, a2, ctx.profile).residual}
 
 
 def _row_kks_calibration(ctx: RowCtx) -> float:
@@ -810,7 +805,7 @@ def _radii(rngs) -> np.ndarray:
     return np.array([rng.uniform(0.5, 2.0) for rng in rngs])
 
 
-def _fs_point(ctx: RowCtx, rngs) -> list:
+def _draw_fs(ctx: RowCtx, rngs) -> list:
     """Radius, base direction and two tangent vectors of each Fubini–Study
     trial."""
     n = _fs_dimension(ctx.algebra)
@@ -820,16 +815,14 @@ def _fs_point(ctx: RowCtx, rngs) -> list:
     return [_radii(rngs), delta, x_t, y_t]
 
 
-def _row_fs_orbit(ctx: RowCtx) -> float:
-    report = fubini_study_compare(*_fs_point(ctx, _generators(ctx)), ctx.profile)
-    return _worst_of_stacks([report.residual])
+def _check_fs_orbit(ctx: RowCtx, r, delta, x_t, y_t) -> dict:
+    return {"orbit-vs-fs": fubini_study_compare(r, delta, x_t, y_t, ctx.profile).residual}
 
 
-def _row_fs_scaling(ctx: RowCtx) -> float:
-    r, delta, x_t, y_t = _fs_point(ctx, _generators(ctx))
+def _check_fs_scaling(ctx: RowCtx, r, delta, x_t, y_t) -> dict:
     one = fubini_study_compare(r, delta, x_t, y_t, ctx.profile).omega
     two = fubini_study_compare(2.0 * r, delta, x_t, y_t, ctx.profile).omega
-    return _worst_of_stacks([np.abs(two - 2.0 * one)])
+    return {"r-scaling": np.abs(two - 2.0 * one)}
 
 
 def _draw_pair_groupoid(ctx: RowCtx, rngs) -> list:
@@ -841,9 +834,8 @@ def _draw_pair_groupoid(ctx: RowCtx, rngs) -> list:
     return [_radii(rngs), delta, psi, phi_vec, *vecs]
 
 
-def _row_fs_pair_groupoid(ctx: RowCtx) -> float:
-    args = _draw_pair_groupoid(ctx, _generators(ctx))
-    return _worst_of_stacks([pair_groupoid_fs_residual(*args, ctx.profile)])
+def _check_pair_groupoid(ctx: RowCtx, *data) -> dict:
+    return {"pair-groupoid": pair_groupoid_fs_residual(*data, ctx.profile)}
 
 
 # ---------------------------------------------------------------------------
@@ -860,10 +852,9 @@ def _draw_flow(ctx: RowCtx, rngs) -> list:
     return [t, d, *flow_sample(ctx.algebra, rngs)]
 
 
-def _flow_report(ctx: RowCtx) -> dict:
+def _check_flow(ctx: RowCtx, t, d, *sample) -> dict:
     """The modular-flow invariances of each trial's density and sample, at
-    the trial's own flow time, checked once on the stack."""
-    t, d, *sample = _draw_flow(ctx, _generators(ctx))
+    the trial's own flow time."""
     return flow_residuals(NormalFunctional(ctx.algebra, d), t, *sample, ctx.profile)
 
 
@@ -876,19 +867,19 @@ def _draw_orbit_form(ctx: RowCtx, rngs) -> list:
     return [d0, p0, u, du1, du2, _radii(rngs)]
 
 
-def _row_flow_orbit_form(ctx: RowCtx) -> float:
+def _check_orbit_form(ctx: RowCtx, d0, p0, u, du1, du2, c) -> dict:
     """The orbit two-form is invariant under the flow of any faithful
-    extension of the base density (the flow restricts to the bundle)."""
+    extension of the base density (the flow restricts to the bundle), at
+    each of :data:`FLOW_TIMES`."""
     alg, prof = ctx.algebra, ctx.profile
-    d0, p0, u, du1, du2, c = _draw_orbit_form(ctx, _generators(ctx))
     rho0 = NormalFunctional(alg, d0)
     extension = NormalFunctional(alg, rho0.density + c[:, None, None] * (alg.identity() - p0))
     base = dGamma0(rho0, u, du1, du2, prof)
-    residuals = []
+    checks = {}
     for t in FLOW_TIMES:
         flow = modular_flow(extension, t, prof)
-        residuals.append(np.abs(dGamma0(rho0, flow(u), flow(du1), flow(du2), prof) - base))
-    return _worst_of_stacks(residuals)
+        checks[f"t={t}"] = np.abs(dGamma0(rho0, flow(u), flow(du1), flow(du2), prof) - base)
+    return checks
 
 
 def _draw_density_pair(ctx: RowCtx, rngs) -> list:
@@ -898,41 +889,38 @@ def _draw_density_pair(ctx: RowCtx, rngs) -> list:
     return [d, sampling.random_element(alg, rngs), sampling.random_element(alg, rngs)]
 
 
-def _row_flow_tomita(ctx: RowCtx) -> float:
+def _check_tomita(ctx: RowCtx, d, x, g) -> dict:
     """S(x Omega) = x* Omega, S is an involution, and S factors as the
     conjugation after the square root of the modular operator."""
     prof = ctx.profile
-    d, x, g = _draw_density_pair(ctx, _generators(ctx))
     phi = NormalFunctional(ctx.algebra, d)
     omega_vec = std_unit(phi, prof)
     s_g = tomita_S(phi, g, prof)
-    return _worst_of_stacks([
-        frobenius(tomita_S(phi, x @ omega_vec, prof) - x.conj().mT @ omega_vec),
-        frobenius(tomita_S(phi, s_g, prof) - g),
-        frobenius(s_g - conjugation_J(modular_Delta(phi, g, 0.5, prof))),
-    ])
+    return {
+        "S": frobenius(tomita_S(phi, x @ omega_vec, prof) - x.conj().mT @ omega_vec),
+        "involution": frobenius(tomita_S(phi, s_g, prof) - g),
+        "polar": frobenius(s_g - conjugation_J(modular_Delta(phi, g, 0.5, prof))),
+    }
 
 
-def _row_flow_group_law(ctx: RowCtx) -> float:
+def _check_group_law(ctx: RowCtx, d, x, y) -> dict:
     prof = ctx.profile
-    d, x, y = _draw_density_pair(ctx, _generators(ctx))
     phi = NormalFunctional(ctx.algebra, d)
     s, t = 0.7, -1.3
     flow = modular_flow(phi, t, prof)
     sx, sy = flow(x), flow(y)
     # The modulus as Python's abs takes it (see ``exactness_residual``).
     value = phi(sx) - phi(x)
-    return _worst_of_stacks([
-        frobenius(modular_flow(phi, s, prof)(sx) - modular_flow(phi, s + t, prof)(x)),
-        frobenius(flow(x @ y) - sx @ sy),
-        frobenius(flow(x.conj().mT) - sx.conj().mT),
-        np.hypot(value.real, value.imag),
-    ])
+    return {
+        "group": frobenius(modular_flow(phi, s, prof)(sx) - modular_flow(phi, s + t, prof)(x)),
+        "multiplicative": frobenius(flow(x @ y) - sx @ sy),
+        "adjoint": frobenius(flow(x.conj().mT) - sx.conj().mT),
+        "state": np.hypot(value.real, value.imag),
+    }
 
 
-def _row_flow_conditional_expectation(ctx: RowCtx) -> float:
+def _draw_conditional_expectation(ctx: RowCtx, rngs) -> list:
     alg, prof = ctx.algebra, ctx.profile
-    rngs = _generators(ctx)
     phi = NormalFunctional(alg, sampling.random_density_matrix(alg, rngs, repeat_chance=0.5))
     x = sampling.random_element(alg, rngs)
     # The centralizer's coefficients, one per basis element: its length is
@@ -940,6 +928,11 @@ def _row_flow_conditional_expectation(ctx: RowCtx) -> float:
     coeff = _coefficients(
         rngs, stabilizer_dimension(phi, prof), lambda rng, k: sampling.complex_normal(rng, (k,))
     )
+    return [phi, x, coeff]
+
+
+def _check_conditional_expectation(ctx: RowCtx, phi, x, coeff) -> dict:
+    prof = ctx.profile
 
     def residuals(phi, x, coeff, pattern) -> np.ndarray:
         d = phi.density
@@ -957,13 +950,15 @@ def _row_flow_conditional_expectation(ctx: RowCtx) -> float:
             ),
         ], axis=-1)
 
-    return _worst_of_stacks(_truncated(cluster_pattern(phi, prof), residuals, phi, x, coeff).T)
+    checks = _truncated(cluster_pattern(phi, prof), residuals, phi, x, coeff).T
+    return dict(zip(("idempotent", "state", "centralizer", "flow", "bimodule"), checks))
 
 
 def _dimension_defects(algebra: BlockAlgebra, d: np.ndarray, expected, prof) -> np.ndarray:
     """Centralizer and stabilizer dimensions of the functional of each
     density of the stack ``d`` minus ``expected``, each counted as the
-    length of its basis, built once per cluster pattern."""
+    length of its basis, built once per cluster pattern: one row of two
+    per density."""
 
     def defects(phi, expected, pattern) -> np.ndarray:
         return np.stack([
@@ -972,7 +967,7 @@ def _dimension_defects(algebra: BlockAlgebra, d: np.ndarray, expected, prof) -> 
         ], axis=-1).astype(float)
 
     phi = NormalFunctional(algebra, d)
-    return _truncated(cluster_pattern(phi, prof), defects, phi, np.asarray(expected)).ravel()
+    return _truncated(cluster_pattern(phi, prof), defects, phi, np.asarray(expected))
 
 
 def _draw_planted(ctx: RowCtx, rngs) -> list:
@@ -987,9 +982,10 @@ def _draw_planted(ctx: RowCtx, rngs) -> list:
     return [d, predicted]
 
 
-def _row_flow_dimensions(ctx: RowCtx) -> float:
-    """Centralizer and stabilizer dimensions: fixed hand-counted instances
-    plus random densities with a planted multiplicity pattern."""
+def _check_dimensions(ctx: RowCtx, d, predicted) -> dict:
+    """Centralizer and stabilizer dimensions: fixed hand-counted instances,
+    one row each, plus the random densities with a planted multiplicity
+    pattern."""
     alg2 = BlockAlgebra((2,))
     alg3 = BlockAlgebra((3,))
     fixed = [
@@ -998,12 +994,13 @@ def _row_flow_dimensions(ctx: RowCtx) -> float:
         (alg2, np.diag([1.0, 2.0]), 2),
         (alg2, 0.7 * np.eye(2), 4),
     ]
-    res = [
-        _dimension_defects(alg_f, d[None].astype(complex), [dim], ctx.profile)
-        for alg_f, d, dim in fixed
-    ]
-    d, predicted = _draw_planted(ctx, _generators(ctx))
-    return _worst_of_stacks([*res, _dimension_defects(ctx.algebra, d, predicted, ctx.profile)])
+    return {
+        "fixed": np.concatenate([
+            _dimension_defects(alg_f, d_f[None].astype(complex), [dim], ctx.profile)
+            for alg_f, d_f, dim in fixed
+        ]),
+        "planted": _dimension_defects(ctx.algebra, d, predicted, ctx.profile),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1012,69 +1009,67 @@ def _row_flow_dimensions(ctx: RowCtx) -> float:
 
 _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
     "groupoid-axioms": [
-        ("pi", 1e-10, _row_laws("pi")),
-        ("g", 1e-10, _row_laws("g")),
-        ("predual", 1e-10, _row_laws("predual")),
-        ("coadjoint", 1e-10, _row_laws("coadjoint")),
-        ("standard", 1e-10, _row_laws("standard")),
-        ("isomorphisms", 1e-10, _row_isomorphisms),
+        *((tag, 1e-10, _row(_draw_chain(tag), _check_laws))
+          for tag in ("pi", "g", "predual", "coadjoint", "standard")),
+        ("isomorphisms", 1e-10, _row(_draw_isomorphisms, _check_isomorphisms)),
         ("equivalence-agreement", 0.5, _row_equivalence_agreement),
-        ("witnesses", 1e-10, _row_witnesses),
+        ("witnesses", 1e-10, _row(_draw_witnesses, _check_witnesses)),
     ],
     "charts": [
-        ("round-trip", 1e-9, _row_charts_round_trip),
-        ("cocycle", 1e-9, _row_charts_cocycle),
+        ("round-trip", 1e-9, _row(_draw_round_trip, _check_round_trip)),
+        ("cocycle", 1e-9, _row(_draw_cocycle, _check_cocycle)),
         ("transition-oracle", 1e-10, _row_charts_transition_oracle),
-        ("theta", 1e-9, _row_charts_theta),
-        ("connection", 1e-10, _row_charts_connection),
+        ("theta", 1e-9, _row(_draw_theta, _check_theta)),
+        ("connection", 1e-10, _row(_draw_connection, _check_connection)),
     ],
     "multiplicativity": [
-        ("residual", 1e-9, _row_multiplicativity),
-        ("vertical", 1e-10, _row_vertical),
+        ("residual", 1e-9, _row(_draw_family_pair, _check_multiplicativity)),
+        ("vertical", 1e-10, _row(_draw_vertical, _check_vertical)),
     ],
     "exactness": [
-        ("residual", 1e-7, _row_exactness),
+        ("residual", 1e-7, _row(_draw_family, _check_exactness)),
         ("order", 0.5, _row_exactness_order),
     ],
     "dual-pair": [
-        ("orthogonality", 1e-10, _stacked_group_row(_dual_pair_report, "orthogonality")),
-        ("dimension", 0.5, _stacked_group_row(_dual_pair_report, "dimension")),
+        ("orthogonality", 1e-10, _row(_draw_dual_pair, _check_dual_pair, "orthogonality")),
+        ("dimension", 0.5, _row(_draw_dual_pair, _check_dual_pair, "dimension")),
     ],
     "poisson-map": [
-        ("quadratic", 1e-10, _row_poisson_quadratic),
-        ("jacobi", 1e-8, _row_poisson_jacobi),
-        ("leibniz", 1e-8, _row_poisson_leibniz),
-        ("field-morphism", 1e-10, _row_poisson_field_morphism),
-        ("commutant", 1e-10, _row_poisson_commutant),
+        ("quadratic", 1e-10, _row(_draw_poisson_vector, _check_quadratic)),
+        ("jacobi", 1e-8, _row(_draw_poisson_density, _check_jacobi)),
+        ("leibniz", 1e-8, _row(_draw_poisson_density, _check_leibniz)),
+        ("field-morphism", 1e-10, _row(_draw_poisson_density, _check_field_morphism)),
+        ("commutant", 1e-10, _row(_draw_poisson_vector, _check_commutant)),
     ],
     "degeneracy": [
-        ("orbit-form-invariance", 1e-10, _row_degeneracy_invariance),
-        ("fd-exterior", 1e-6, _row_degeneracy_fd),
-        ("radical-pairing", 1e-10, _stacked_group_row(_degeneracy_report, "radical-pairing")),
+        ("orbit-form-invariance", 1e-10, _row(_draw_invariance, _check_invariance)),
+        ("fd-exterior", 1e-6, _row(_draw_fd, _check_fd)),
+        ("radical-pairing", 1e-10, _row(_draw_degeneracy, _check_degeneracy, "radical-pairing")),
         ("complement-inverse-gap", 1e7,
-         _stacked_group_row(_degeneracy_report, "complement-inverse-gap")),
-        ("dimensions", 0.5, _stacked_group_row(_degeneracy_report, "dimensions")),
+         _row(_draw_degeneracy, _check_degeneracy, "complement-inverse-gap")),
+        ("dimensions", 0.5, _row(_draw_degeneracy, _check_degeneracy, "dimensions")),
     ],
     "kks": [
-        ("identity", 1e-10, _row_kks_identity),
+        ("identity", 1e-10, _row(_draw_kks, _check_kks)),
         ("calibration", 1e-10, _row_kks_calibration),
     ],
     "fubini-study": [
-        ("orbit-vs-fs", 1e-10, _row_fs_orbit),
-        ("r-scaling", 1e-10, _row_fs_scaling),
-        ("pair-groupoid", 1e-10, _row_fs_pair_groupoid),
+        ("orbit-vs-fs", 1e-10, _row(_draw_fs, _check_fs_orbit)),
+        ("r-scaling", 1e-10, _row(_draw_fs, _check_fs_scaling)),
+        ("pair-groupoid", 1e-10, _row(_draw_pair_groupoid, _check_pair_groupoid)),
     ],
     "modular-flow": [
         ("automorphism", 1e-9,
-         _stacked_group_row(_flow_report, "multiplicativity", "conjugation", "group_law")),
-        ("symplectic", 1e-9, _stacked_group_row(_flow_report, "symplectic")),
-        ("cone", 1e-9, _stacked_group_row(_flow_report, "cone")),
-        ("orbit-invariants", 1e-9, _stacked_group_row(_flow_report, "orbit_invariants")),
-        ("orbit-form", 1e-9, _row_flow_orbit_form),
-        ("tomita", 1e-10, _row_flow_tomita),
-        ("group-law", 1e-10, _row_flow_group_law),
-        ("conditional-expectation", 1e-10, _row_flow_conditional_expectation),
-        ("dimensions", 0.5, _row_flow_dimensions),
+         _row(_draw_flow, _check_flow, "multiplicativity", "conjugation", "group_law")),
+        ("symplectic", 1e-9, _row(_draw_flow, _check_flow, "symplectic")),
+        ("cone", 1e-9, _row(_draw_flow, _check_flow, "cone")),
+        ("orbit-invariants", 1e-9, _row(_draw_flow, _check_flow, "orbit_invariants")),
+        ("orbit-form", 1e-9, _row(_draw_orbit_form, _check_orbit_form)),
+        ("tomita", 1e-10, _row(_draw_density_pair, _check_tomita)),
+        ("group-law", 1e-10, _row(_draw_density_pair, _check_group_law)),
+        ("conditional-expectation", 1e-10,
+         _row(_draw_conditional_expectation, _check_conditional_expectation)),
+        ("dimensions", 0.5, _row(_draw_planted, _check_dimensions)),
     ],
 }
 

@@ -483,21 +483,19 @@ class TestStackedCharts:
         del draws[7]
         call(*stack_chains(draws))  # the others pass
 
-    def test_cocycle_row_names_a_trial_outside_the_overlap(self, monkeypatch):
+    def test_cocycle_row_names_a_trial_outside_the_overlap(self):
         # The row calls transition_L directly: a trial outside the overlap is
         # refused as such, once, not redrawn with the same inputs until the
         # retries run out.  The row draws all its trials at once.
-        draw = suites._draw_cocycle
         draws = []
 
         def spoiled(ctx, rngs):
-            data = draw(ctx, rngs)
+            data = suites._draw_cocycle(ctx, rngs)
             draws.append(None)
             data[1][7] = 0.0  # trial 7
             return data
 
-        monkeypatch.setattr(suites, "_draw_cocycle", spoiled)
         ctx = suites.RowCtx(M23, 10, 1, 1, DEFAULT_TOL)
         with pytest.raises(NotInOverlap, match="outside the chart of p_new at trial 7$"):
-            suites._row_charts_cocycle(ctx)
+            suites._row(spoiled, suites._check_cocycle)(ctx)
         assert len(draws) == 1

@@ -131,6 +131,20 @@ class TestPolar:
         assert main(["polar", f]) == 1
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields, part", [
+        ({"re": 5}, "re"),
+        ({"re": [0.0] * 4, "im": None}, "im"),
+    ], ids=["scalar-re", "null-im"])
+    def test_non_list_parts(self, tmp_path, capsys, fields, part):
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps(
+            {"blocks": [2], "matrices": {"a": {"rows": 2, "cols": 2, **fields}}}
+        ))
+        assert main(["polar", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"matrix 'a' needs a list '{part}'" in err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["polar", str(tmp_path / "nope.json")]) == 1
         assert "file not found" in capsys.readouterr().err
@@ -249,6 +263,20 @@ class TestAmplitude:
         )
         assert main(["amplitude", f]) == 1
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields, part", [
+        ({"re": 5}, "re"),
+        ({"re": None}, "re"),
+        ({"re": [1.0, 0.0], "im": None}, "im"),
+        ({"re": [1.0, 0.0], "im": 0.0}, "im"),
+    ], ids=["scalar-re", "null-re", "null-im", "scalar-im"])
+    def test_non_list_parts(self, tmp_path, capsys, fields, part):
+        p = tmp_path / "v.json"
+        p.write_text(json.dumps({"vectors": [{"re": [1.0, 0.0]}, fields]}))
+        assert main(["amplitude", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"vector 1 needs a list '{part}'" in err
 
     def test_malformed_vectors(self, tmp_path, capsys):
         p = tmp_path / "v.json"

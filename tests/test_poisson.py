@@ -61,7 +61,6 @@ from wstargeo.sampling import (
     partial_isometry_onto,
     random_antihermitian,
     random_density,
-    random_density_matrix,
     random_element,
     random_hermitian,
     random_projection,
@@ -289,43 +288,25 @@ class TestComposableFamily:
         assert 3.0 <= float(np.median(ratios)) <= 5.0
 
 
-def _draw_families(directions):
-    return lambda ctx, rng: draw_family_data(ctx.algebra, rng, directions)
+def _registry_row(name):
+    """The draw and check of the suite row ``suite/row``."""
+    suite, row = name.split("/")
+    fn = next(fn for r, _, fn in suites._suite(suite) if r == row)
+    return fn.draw, fn.check
 
 
-def _exactness(steps):
-    def call(algebra, *data):
-        [fam] = families_on(algebra, data, DEFAULT_TOL)
-        return tuple(exactness_residual(fam, h, DEFAULT_TOL) for h in steps)
-
-    return call
-
-
-#: Each row of the multiplicativity and exactness suites: its draw of one
-#: trial's data, and its check on that data or on a stack of it.
+#: Each row of the multiplicativity and exactness suites: its draw and its
+#: check, which run on one trial's data or on a stack of it.  The order row
+#: aggregates across trials; its check gives the defects it compares.
 STACKED_FAMILY_ROWS = {
-    "multiplicativity/residual": (
-        _draw_families(2),
-        lambda algebra, *data: multiplicativity_residual(
-            *families_on(algebra, data, DEFAULT_TOL), DEFAULT_TOL
-        ),
-    ),
-    "multiplicativity/vertical": (
-        suites._draw_vertical,
-        lambda algebra, u, xi, b, b2: vertical_form_residual(u, xi, b, b2, DEFAULT_TOL),
-    ),
-    "exactness/residual": (_draw_families(1), _exactness([DEFAULT_TOL.fd_step])),
-    "exactness/order": (_draw_families(1), _exactness([1e-3, 5e-4])),
-}
+    name: _registry_row(name)
+    for name in ("multiplicativity/residual", "multiplicativity/vertical", "exactness/residual")
+} | {"exactness/order": (suites._draw_family, suites._check_order)}
 
 
 def _family_draws(draw, algebra, trials, seed):
     ctx = suites.RowCtx(algebra, trials, seed, 0, DEFAULT_TOL)
     return [draw(ctx, rng_for(seed, k)) for k in range(trials)]
-
-
-def _outputs(value) -> tuple:
-    return value if isinstance(value, tuple) else (value,)
 
 
 class TestStackedFamilies:
@@ -337,20 +318,23 @@ class TestStackedFamilies:
     @pytest.mark.parametrize("row", sorted(STACKED_FAMILY_ROWS))
     def test_trials_are_independent(self, row, shape):
         algebra = BlockAlgebra.from_string(shape)
-        draw, call = STACKED_FAMILY_ROWS[row]
+        draw, check = STACKED_FAMILY_ROWS[row]
+        ctx = suites.RowCtx(algebra, 12, 38, 0, DEFAULT_TOL)
         draws = _family_draws(draw, algebra, 12, 38)
         # data[1] is the positive element of the base, of random rank.
         assert len({int(np.linalg.matrix_rank(data[1])) for data in draws}) > 1
-        stacked = _outputs(call(algebra, *stack_chains(draws)))
+        stacked = check(ctx, *stack_chains(draws))
         for k, data in enumerate(draws):
-            alone = _outputs(call(algebra, *stack_chains([data])))
-            unstacked = _outputs(call(algebra, *data))
-            for s, a, u in zip(stacked, alone, unstacked, strict=True):
+            alone = check(ctx, *stack_chains([data]))
+            unstacked = check(ctx, *data)
+            assert stacked.keys() == alone.keys() == unstacked.keys()
+            for name, s in stacked.items():
+                a, u = alone[name], unstacked[name]
                 assert s.shape == (12,) and a.shape == (1,)
                 assert s[k].tobytes() == a[0].tobytes() == np.float64(u).tobytes(), (row, k)
 
     def test_generators_scale_per_matrix(self):
-        draws = _family_draws(_draw_families(1), M23, 6, 40)
+        draws = _family_draws(suites._draw_family, M23, 6, 40)
         [fam] = families_on(M23, stack_chains(draws))
         for k, data in enumerate(draws):
             [alone] = families_on(M23, data)
@@ -358,7 +342,7 @@ class TestStackedFamilies:
                 assert np.array_equal(getattr(fam, name)[k], getattr(alone, name))
 
     def test_failing_trial_is_named(self):
-        draws = _family_draws(_draw_families(1), M23, 10, 39)
+        draws = _family_draws(suites._draw_family, M23, 10, 39)
         families_on(M23, draws[7])  # trial 7 alone is good
         draws[7][0] = 2 * draws[7][0]  # u1 doubled: no partial isometry
         with pytest.raises(InvalidFamily):
@@ -369,68 +353,40 @@ class TestStackedFamilies:
         families_on(M23, stack_chains(draws))  # the others pass
 
 
-def _draw_observable_data(ctx, rng) -> list:
-    """One trial's data for the poisson-map and kks checks: three Hermitian
-    elements, a vector, a faithful density and two anti-Hermitian
-    directions."""
-    alg = ctx.algebra
-    return [
-        *(random_hermitian(alg, rng) for _ in range(3)),
-        random_element(alg, rng),
-        random_density_matrix(alg, rng),
-        random_antihermitian(alg, rng),
-        random_antihermitian(alg, rng),
-    ]
-
-
-def _observable_checks(algebra, x, y, z, gamma, d, a1, a2) -> dict:
-    """The checks of each poisson-map row and of kks/identity, as the rows
-    make them, on one trial's data or on a stack of it."""
-    tol = DEFAULT_TOL
-    x, y, z = (unit_norm(m) for m in (x, y, z))
-    f = Observable.linear(x, tol)
-    g_fd = Observable(value=lambda phi: expect_real(phi(y), tol))
-    h = Observable.quadratic(z, tol)
-    phi = NormalFunctional(algebra, d)
-    return {
-        "quadratic": poisson_map_residual([(f, g_fd), (f, h), (g_fd, h)], algebra, gamma, tol),
-        "jacobi": [jacobi_residual(x, y, z, phi, tol), linear_closure_residual(x, y, phi, tol)],
-        "leibniz": [
-            leibniz_residual(f, g_fd, h, phi, tol),
-            g_fd.differential_at(phi, tol),
-        ],
-        "field-morphism": [
-            field_morphism_residual(x, y, phi, tol),
-            field_duality_residual(f, h, phi, tol),
-        ],
-        "commutant": [
-            commutant_bracket_check(f, h, algebra, gamma, tol),
-            commutant_bracket_check(h, f, algebra, gamma, tol),
-        ],
-        "kks": [kks_check(phi, a1, a2, tol).residual],
-    }
+#: The poisson-map rows and kks/identity, whose draws and checks run on one
+#: trial's data or on a stack of it.
+OBSERVABLE_ROWS = [
+    f"{suite}/{row}" for suite in ("poisson-map", "kks") for row in suites.suite_rows(suite)
+    if row != "calibration"
+]
 
 
 class TestStackedObservables:
     """The poisson-map and kks checks act per matrix of a stack: each
-    trial's residuals, and its central-difference gradient, are the bits it
-    gets alone, as a stack of one and as one matrix."""
+    trial's residuals, among them the leibniz row's oracle for its
+    central-difference gradient, are the bits it gets alone, as a stack of
+    one and as one matrix."""
 
     @pytest.mark.parametrize("shape", ["2,3", "1,2,2", "4,4,4,4", "12"])
     def test_trials_are_independent(self, shape):
         algebra = BlockAlgebra.from_string(shape)
-        draws = _family_draws(_draw_observable_data, algebra, 12, 50)
-        stacked = _observable_checks(algebra, *stack_chains(draws))
-        for k, data in enumerate(draws):
-            alone = _observable_checks(algebra, *stack_chains([data]))
-            unstacked = _observable_checks(algebra, *data)
-            for row, checks in stacked.items():
-                for s, a, u in zip(checks, alone[row], unstacked[row], strict=True):
+        ctx = suites.RowCtx(algebra, 12, 50, 0, DEFAULT_TOL)
+        for row in OBSERVABLE_ROWS:
+            draw, check = _registry_row(row)
+            draws = _family_draws(draw, algebra, 12, 50)
+            stacked = check(ctx, *stack_chains(draws))
+            for k, data in enumerate(draws):
+                alone = check(ctx, *stack_chains([data]))
+                unstacked = check(ctx, *data)
+                assert stacked.keys() == alone.keys() == unstacked.keys()
+                for name, s in stacked.items():
+                    a, u = alone[name], unstacked[name]
                     assert len(s) == 12 and len(a) == 1
                     assert s[k].tobytes() == a[0].tobytes() == np.asarray(u).tobytes(), (row, k)
 
     def test_failing_trial_is_named(self):
-        x, y, _, _, d, a1, a2 = stack_chains(_family_draws(_draw_observable_data, M23, 10, 51))
+        x, y, _, d = stack_chains(_family_draws(suites._draw_poisson_density, M23, 10, 51))
+        _, a1, a2 = stack_chains(_family_draws(suites._draw_kks, M23, 10, 51))
         phi = NormalFunctional(M23, d)
         a1[7] = 1j * a1[7]
         with pytest.raises(InvalidTangent, match="a1 is not anti-Hermitian at trial 7$"):
@@ -448,7 +404,7 @@ class TestStackedObservables:
         # d - h e.  This value refuses the minus side of trial 7 at a
         # diagonal unit, matrix 17 of the stencil of the first unit.
         h = DEFAULT_TOL.fd_step
-        d = stack_chains(_family_draws(_draw_observable_data, M23, 10, 52))[4]
+        d = stack_chains(_family_draws(suites._draw_poisson_density, M23, 10, 52))[3]
 
         def value(phi):
             traces = np.trace(phi.density, axis1=-2, axis2=-1).real

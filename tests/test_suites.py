@@ -326,6 +326,30 @@ class TestPlantedFaults:
         monkeypatch.setattr(groupoids, "iso_Phi", iso_Phi)
         assert self._row("groupoid-axioms", "isomorphisms").status == "FAIL"
 
+    def test_chart_inverse_off_by_a_phase(self, monkeypatch):
+        real = suites.chart_G_inv
+        monkeypatch.setattr(
+            suites, "chart_G_inv", lambda *args: np.exp(1e-8j) * real(*args)
+        )
+        assert self._row("charts", "round-trip").status == "FAIL"
+
+    def test_transition_with_its_numerator_sign_flipped(self, monkeypatch):
+        # (b - d y)(a + c y)^+ for (b + d y)(a + c y)^+.
+        def transition_L(p, p_new, y, tol=DEFAULT_TOL):
+            one = np.eye(p.shape[-1], dtype=complex)
+            a, b = p_new @ p, (one - p_new) @ p
+            c, d = p_new @ (one - p), (one - p_new) @ (one - p)
+            return (b - d @ y) @ linalg.partial_inverse(a + c @ y, tol)
+
+        monkeypatch.setattr(suites, "transition_L", transition_L)
+        assert self._row("charts", "cocycle").status == "FAIL"
+        assert self._row("charts", "transition-oracle").status == "FAIL"
+
+    def test_connection_form_doubled(self, monkeypatch):
+        real = suites.connection_alpha
+        monkeypatch.setattr(suites, "connection_alpha", lambda u, du: 2.0 * real(u, du))
+        assert self._row("charts", "connection").status == "FAIL"
+
     def test_eprime_kernel_replaced_by_e_kernel(self, monkeypatch):
         # The check builds the E' kernel as J (kernel of E at J g); with J the
         # identity that is the kernel of E at g.
@@ -388,6 +412,9 @@ class TestPlantedFaults:
         # The canonical side of the Poisson-map check is omega of the
         # pullback gradients.
         assert "poisson-map/quadratic" in self._failed("poisson-map")
+        # kappa is calibrated afresh from the planted form, so it takes up
+        # the scale: kks/identity passes, and only the calibration fails.
+        assert self._failed("kks") == {"kks/calibration"}
 
     def test_central_differences_at_twice_their_value(self, monkeypatch):
         # Both sides of each bracket identity are linear in the one kept
@@ -645,3 +672,53 @@ class TestTrialKeys:
         )
         rng = next(n for n in row_ctx.body if getattr(n, "name", None) == "rng")
         assert len(keyed) == 1 and keyed[0] in list(ast.walk(rng))
+
+
+class TestRowReplay:
+    """Every random row is a draw and a check: trial ``k`` of the stacked
+    run has the bits of the row's check run on the row's draw over
+    ``[ctx.rng(k)]`` alone, so one trial can be replayed by itself."""
+
+    #: The rows that are plain functions: two fixed cases and two that
+    #: aggregate across trials.
+    PLAIN = {
+        "groupoid-axioms/equivalence-agreement", "charts/transition-oracle",
+        "exactness/order", "kks/calibration",
+    }
+
+    @staticmethod
+    def _rows():
+        return [
+            (f"{suite}/{name}", subindex, fn)
+            for suite in SUITE_NAMES
+            for subindex, (name, _, fn) in enumerate(suites._suite(suite))
+        ]
+
+    def test_every_random_row_is_a_draw_and_a_check(self):
+        rows = self._rows()
+        assert {name for name, _, fn in rows if not isinstance(fn, suites._Row)} == self.PLAIN
+        assert len(rows) - len(self.PLAIN) == 39
+
+    @pytest.mark.parametrize("shape", ["2,3", "1,2,2"])
+    def test_each_trial_alone(self, shape):
+        alg, trials = BlockAlgebra.from_string(shape), 8
+        groups = {}
+        for name, subindex, fn in self._rows():
+            # A group runs its draw and check once, with its first row's
+            # subindex.
+            if isinstance(fn, suites._Row):
+                groups.setdefault((fn.draw, fn.check), (name, subindex, fn))
+        for name, subindex, fn in groups.values():
+            ctx = suites.RowCtx(alg, trials, 1, subindex, DEFAULT_TOL)
+            stacked = fn.check(ctx, *fn.draw(ctx, suites._generators(ctx)))
+            # Fixed instances, such as those of modular-flow/dimensions, are
+            # not trials.
+            per_trial = {key: v for key, v in stacked.items() if np.shape(v)[:1] == (trials,)}
+            assert per_trial, name
+            for k in range(trials):
+                alone = fn.check(ctx, *fn.draw(ctx, [ctx.rng(k)]))
+                assert alone.keys() == stacked.keys(), name
+                for key, values in per_trial.items():
+                    assert np.shape(alone[key])[:1] == (1,), (name, key)
+                    got, want = np.asarray(alone[key][0]), np.asarray(values[k])
+                    assert got.tobytes() == want.tobytes(), (name, key, k)
