@@ -68,13 +68,12 @@ def _entries(where: str, entry: dict, shape: tuple[int, ...] | None = None) -> n
             f"got {len(re_part)} and {len(im_part)}"
         )
     try:
-        re_arr = np.array(re_part, dtype=float).reshape(shape)
-        im_arr = np.array(im_part, dtype=float).reshape(shape)
+        out = (np.array(re_part, dtype=float) + 1j * np.array(im_part, dtype=float)).reshape(shape)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where} has non-numeric entries") from exc
-    if not (np.isfinite(re_arr).all() and np.isfinite(im_arr).all()):
+    if not np.isfinite(out).all():
         raise ParseError(f"{where} has non-finite entries")
-    return re_arr + 1j * im_arr
+    return out
 
 
 def _as_matrix(path: str, name: str, entry) -> np.ndarray:
