@@ -194,7 +194,7 @@ class BlockAlgebra:
         x = np.asarray(x)
         if x.shape[-2:] != (self.dim, self.dim) or x.ndim > 3:
             return False
-        v = np.ascontiguousarray(x, dtype=complex).view(float).reshape(*x.shape[:-2], -1)
+        v = np.ascontiguousarray(x, dtype=complex).view(float).reshape(*x.shape[:-2], 2 * self.dim**2)
         off = v[..., self._off_block_index]
         bound = tol.residual_tol * (1.0 + np.sqrt(np.vecdot(v, v)))
         member = (np.sqrt(np.vecdot(off, off)) <= bound) & (bound < math.inf)
@@ -432,8 +432,8 @@ class Frames:
     block's rows and its first ``r_b`` columns (:func:`frame_columns`), and
     every other entry is exactly zero.  ``ranks`` is one tuple of blockwise
     ranks, or a ``(T, m)`` array with a row per matrix of a stack.  The
-    projection ``F F*`` is taken over the frame columns alone, once per
-    pattern of ranks (:func:`~wstargeo.linalg._truncated`)."""
+    projection ``F F*`` is one product over all columns: those outside the
+    frames add exact zeros."""
 
     algebra: BlockAlgebra
     matrix: np.ndarray
@@ -448,12 +448,7 @@ class Frames:
     @cached_property
     def projection(self) -> np.ndarray:
         """The projection ``F F*``."""
-
-        def projection(f, ranks):
-            f = f[..., frame_columns(self.algebra, ranks)]
-            return f @ f.conj().mT
-
-        return _truncated(self.ranks, projection, self.matrix)
+        return self.matrix @ self.matrix.conj().mT
 
     def __getitem__(self, index) -> "Frames":
         """The frames of the matrices of a stack that ``index`` selects."""
@@ -476,13 +471,14 @@ def _block_frames(
 def frames_of(algebra: BlockAlgebra, p: np.ndarray) -> Frames:
     """Frames of a projection ``p``: per block, the eigenvectors of the
     eigenvalues above 1/2, placed in one zero matrix; of a stack of
-    projections of the same blockwise ranks, one frame per matrix."""
+    projections of the same blockwise ranks, one frame per matrix (an empty
+    stack has ranks 0)."""
     cols = []
     for v, kept in _block_frames(algebra, p):
         ranks = np.unique(np.count_nonzero(kept, axis=-1))
-        if len(ranks) != 1:
+        if len(ranks) > 1:
             raise ValueError("the projections of a stack have different blockwise ranks")
-        cols.append(v[..., : int(ranks[0])])
+        cols.append(v[..., : int(ranks.max(initial=0))])
     ranks = tuple(c.shape[-1] for c in cols)
     matrix = np.zeros(p.shape[:-2] + (algebra.dim, algebra.dim), dtype=complex)
     for s, f in zip(algebra.slices, cols):

@@ -23,12 +23,14 @@ a stack, since the vectorized forms made the command-line batch of the
 benchmark (``cli-files``) 2-3% slower each.  The other rules, the rank
 rule of :func:`retained_rank` and block membership in
 :mod:`~wstargeo.algebra` among them, have one vectorized form.  A product
-truncated to the rank is taken once per rank that occurs in the stack, and
-a basis whose length follows a matrix's ranks and eigenvalue clusters once
-per pattern of them (:func:`_truncated`), since BLAS does not promise a
-product padded with zeros the bits of the truncated one.  A domain check that fails on a stack
-raises the error it raises for one matrix, naming the first failing matrix
-as its trial (:func:`refuse`).
+truncated to the rank (a polar factor, a support, a partial inverse) is one
+product over the whole stack, with the columns past each matrix's rank
+zeroed by the mask of the rank rule itself (:func:`_retained`), so matrices
+of all ranks share one product.  Only a result whose shape follows a key
+per matrix, such as a basis whose length follows its ranks and eigenvalue
+clusters, is built once per key that fixes that shape (:func:`_truncated`).
+A domain check that fails on a stack raises the error it raises for one
+matrix, naming the first failing matrix as its trial (:func:`refuse`).
 
 Each kind of support has one reader: :func:`supports` gives both supports
 of a general matrix from one SVD, :func:`positive_spectrum` the support of
@@ -402,6 +404,13 @@ def retained_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: boo
     cutoff, because the result of a rank-discontinuous operation would then
     depend on noise.
     """
+    return np.count_nonzero(_retained(s, tol, guard), axis=-1)
+
+
+def _retained(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: bool = False) -> np.ndarray:
+    """The mask of the values that :func:`retained_rank` counts, one row per
+    matrix of a stack: its first ``rank`` entries, as the values descend.
+    The rank-truncated products multiply by it."""
     s = np.asarray(s, dtype=float)
     # Row by row, each against its own largest value: a leading value at or
     # below 0 retains nothing, as the sequence descends.
@@ -409,18 +418,17 @@ def retained_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: boo
     kept = s > cutoff[..., None]
     if guard:
         _refuse_near_cutoff(np.where(kept, s, np.inf).min(axis=-1), cutoff)
-    return np.count_nonzero(kept, axis=-1)
+    return kept
 
 
 def _truncated(key, product: Callable, *factors: np.ndarray) -> np.ndarray:
-    """``product(*factors, k)``, a product whose shape the caller reads off
-    the key ``k`` (for instance factors truncated to the rank ``k``): for one
-    matrix at its key; for a stack once per key that occurs, over the
-    matrices of that key, so each matrix gets the bits it gets alone (BLAS
-    does not promise those bits for a product padded with zeros to full
-    rank).  The key of a stack has one entry per matrix, an int, or one row
-    of ints, passed to ``product`` as a tuple (such as a pattern of ranks
-    and eigenvalue clusters, which fixes the length of a basis)."""
+    """``product(*factors, k)``, a result whose shape the caller reads off
+    the key ``k`` (such as a pattern of ranks and eigenvalue clusters, which
+    fixes the length of a basis): for one matrix at its key; for a stack
+    once per key that fixes the output's shape, over the matrices of that
+    key.  The key of a stack has one entry per matrix, an int, or one row of
+    ints, passed to ``product`` as a tuple.  A product whose shape does not
+    follow the rank is one masked product instead (:func:`_retained`)."""
     if not isinstance(key, np.ndarray):
         return product(*factors, key)
     keys, index = np.unique(key, axis=0, return_inverse=True)
@@ -446,8 +454,7 @@ def polar_decompose(
     directions below the rank cutoff are annihilated by ``u``.
     """
     w, s, vh = svd(a)
-    rank = retained_rank(s, tol)
-    u = _truncated(rank, lambda w, vh, r: w[..., :r] @ vh[..., :r, :], w, vh)
+    u = (w * _retained(s, tol)[..., None, :]) @ vh
     v = vh.conj().mT
     h = (v * s[..., None, :]) @ v.conj().mT
     return u, h
@@ -461,10 +468,9 @@ def supports(
     vh`` and rank ``r``, left ``w_r w_r*`` and right ``vh_r* vh_r``.  On a
     stack, per matrix."""
     w, s, vh = svd(a)
-    rank = retained_rank(s, tol)
-    left = _truncated(rank, lambda w, r: w[..., :r] @ w[..., :r].conj().mT, w)
-    right = _truncated(rank, lambda vh, r: vh[..., :r, :].conj().mT @ vh[..., :r, :], vh)
-    return left, right
+    kept = _retained(s, tol)
+    w, vh = w * kept[..., None, :], vh * kept[..., :, None]
+    return w @ w.conj().mT, vh.conj().mT @ vh
 
 
 def partial_inverse(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -486,12 +492,9 @@ def _pinv_from_svd(
     """:func:`partial_inverse` of the matrix ``w @ diag(s) @ vh``, read off
     that full SVD, guard included: a caller that has decided a rank from the
     same SVD inverts without a second one."""
-    rank = retained_rank(s, tol, guard=True)
-    return _truncated(
-        rank,
-        lambda w, s, vh, r: (vh[..., :r, :].conj().mT / s[..., None, :r]) @ w[..., :r].conj().mT,
-        w, s, vh,
-    )
+    kept = _retained(s, tol, guard=True)[..., None, :]
+    v = vh.conj().mT
+    return np.divide(v, s[..., None, :], out=np.zeros_like(v), where=kept) @ w.conj().mT
 
 
 _NEAR_CUTOFF = (
@@ -557,12 +560,13 @@ class PositiveSpectrum:
             _refuse_near_cutoff(retained.min(axis=-1), self.cutoff)
 
     def _blockwise(self, block: Callable) -> np.ndarray:
-        """The matrix (or stack) with ``block(w, v, rank)`` in each diagonal
-        block."""
+        """The matrix (or stack) with ``block(w, v, kept)`` in each diagonal
+        block, ``kept`` the mask of the block's retained values (per matrix
+        of a stack, its own first ``rank``)."""
         _, w, _ = self.blocks[0]
         out = np.zeros(w.shape[:-1] + (self.blocks[-1][0].stop,) * 2, dtype=complex)
         for (s, w, v), r in zip(self.blocks, self.ranks):
-            out[..., s, s] = block(w, v, r)
+            out[..., s, s] = block(w, v, np.arange(w.shape[-1]) < np.asarray(r)[..., None])
         return out
 
     def _function(self, f: Callable, dtype) -> np.ndarray:
@@ -570,9 +574,7 @@ class PositiveSpectrum:
         zeroed: ``f`` maps the retained values ``w[kept]`` and reads the
         mask ``kept`` (one row per matrix of a stack)."""
 
-        def block(w, v, r):
-            # Per matrix of a stack, its own first r values.
-            kept = np.arange(w.shape[-1]) < np.asarray(r)[..., None]
+        def block(w, v, kept):
             vals = np.zeros(w.shape, dtype=dtype)
             vals[kept] = f(w[kept], kept)
             return (v * vals[..., None, :]) @ v.conj().mT
@@ -581,10 +583,14 @@ class PositiveSpectrum:
 
     @property
     def support(self) -> np.ndarray:
-        """Projection onto the eigenvectors above the rank cutoff."""
-        return self._blockwise(
-            lambda w, v, r: _truncated(r, lambda v, r: v[..., :r] @ v[..., :r].conj().mT, v)
-        )
+        """Projection onto the eigenvectors above the rank cutoff: ``vk vk*``
+        per block, with ``vk`` the eigenvectors past the rank zeroed."""
+
+        def block(w, v, kept):
+            v = v * kept[..., None, :]
+            return v @ v.conj().mT
+
+        return self._blockwise(block)
 
     def power(self, p: float) -> np.ndarray:
         """``h ** p`` on the support, zero on the kernel; a negative power

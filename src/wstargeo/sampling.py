@@ -8,7 +8,8 @@ alone.  All samplers return elements of the given block algebra
 A sampler takes one generator, or one per trial of a row, and then returns
 ``(T, ...)`` stacks: entry ``k`` has the bits that a call with generator
 ``k`` alone returns, and each generator is left where that call leaves it.
-One generator runs the same code, as a stack of one.
+One generator runs the same code, as a stack of one; an empty list gives
+``(0, ...)`` stacks.
 
 A sampler loops over the generators only to draw each trial's ranks,
 Gaussians and uniform values, in the order and amounts of one draw per
@@ -23,9 +24,10 @@ identity.
 A drawn projection keeps its :class:`~wstargeo.algebra.Frames`.  An arrow
 from ``p`` to ``q`` is ``F_q w F_p*`` with ``w`` a block-diagonal Haar
 unitary of the corners, and a positive element on ``p`` is ``(F w)
-diag(vals) (F w)*``, each product taken over the frame columns once per
-pattern of blockwise ranks (:func:`~wstargeo.linalg._truncated`): BLAS does
-not promise a product padded with zeros the bits of the truncated one.
+diag(vals) (F w)*``, each one product over the whole stack with no mask: a
+frames matrix is exactly zero outside its frame columns, and ``w`` exactly
+zero between frame and other columns (the identity on the others), so the
+columns past the ranks add exact zeros.
 
 A draw that must land in a domain is redrawn on the stack
 (:func:`redraw_failures`): only the trials that fail the domain test draw
@@ -42,13 +44,7 @@ import numpy as np
 
 from .algebra import BlockAlgebra, Frames, NormalFunctional, frame_columns, frames_of
 from .errors import AmbiguousCluster, NotInDomain, NotInOverlap, NotPartiallyInvertible
-from .linalg import (
-    _truncated,
-    antiherm,
-    herm,
-    phase_fixed_q,
-    singular_values,
-)
+from .linalg import antiherm, herm, phase_fixed_q, singular_values
 
 #: One generator, or one per trial (a string: importing skips ``numpy.random``).
 Generators: TypeAlias = "np.random.Generator | Sequence[np.random.Generator]"
@@ -95,8 +91,10 @@ def complex_normal(rng: Generators, shape: tuple[int, ...], scale: float = 1.0) 
     """Complex Gaussian array whose real and imaginary parts are independent
     ``N(0, scale^2)``, from one draw of interleaved parts per generator."""
     rngs, one = _generators(rng)
-    count = int(np.prod(shape))
-    return _unstacked(np.stack([_gaussians(g, count, scale).reshape(shape) for g in rngs]), one)
+    out = np.empty((len(rngs),) + tuple(shape), dtype=complex)
+    for row, g in zip(out, rngs):
+        row[...] = _gaussians(g, row.size, scale).reshape(shape)
+    return _unstacked(out, one)
 
 
 @lru_cache(maxsize=256)
@@ -122,7 +120,7 @@ def _filled(rngs: list, base: np.ndarray, positions: Iterable, scale: float = 1.
     complex Gaussians of generator ``k`` at its flat positions
     ``positions[k]``, in their order."""
     out = np.repeat(base[None], len(rngs), axis=0)
-    flat = out.reshape(len(rngs), -1)
+    flat = out.reshape(len(rngs), base.size)
     for row, g, index in zip(flat, rngs, positions):
         row[index] = _gaussians(g, index.size, scale)
     return out
@@ -214,9 +212,10 @@ def random_frames(
     first ``r_b`` columns of the QR factor of the identity with each thin
     block's ``n_b x r_b`` complex Gaussian in that block's rows."""
     rngs, one = _generators(rng)
+    shape = (len(rngs), len(algebra.blocks))
     if ranks is None:
-        ranks = [_random_ranks(algebra, g, allow_zero, allow_full) for g in rngs]
-    ranks = np.broadcast_to(np.asarray(ranks, dtype=int), (len(rngs), len(algebra.blocks))).copy()
+        ranks = np.reshape([_random_ranks(algebra, g, allow_zero, allow_full) for g in rngs], shape)
+    ranks = np.broadcast_to(np.asarray(ranks, dtype=int), shape).copy()
     if np.any(ranks < 0) or np.any(ranks > algebra.blocks):
         raise ValueError("rank exceeds block size")
     positions = [_positions(algebra, tuple(r), False) for r in ranks.tolist()]
@@ -236,17 +235,10 @@ def isometry_between(rng: Generators, source: Frames, target: Frames) -> np.ndar
     if not np.array_equal(source.ranks, target.ranks):
         raise ValueError("source and target have different blockwise ranks")
     rngs, one = _generators(rng)
-    fs, ft = (np.broadcast_to(f.matrix, (len(rngs),) + f.matrix.shape[-2:])
-              for f in (source, target))
     ranks = np.broadcast_to(source.ranks, (len(rngs), len(source.algebra.blocks)))
     corners = [_positions(source.algebra, tuple(r), True) for r in ranks.tolist()]
     w = phase_fixed_q(_filled(rngs, source.algebra.identity(), corners))
-
-    def arrow(ft, w, fs, r):
-        keep = frame_columns(source.algebra, r)
-        return ft[..., keep] @ w[..., keep, :][..., keep] @ fs[..., keep].conj().mT
-
-    return _unstacked(_truncated(ranks, arrow, ft, w, fs), one)
+    return _unstacked(target.matrix @ w @ source.matrix.conj().mT, one)
 
 
 def positive_on(
@@ -261,7 +253,6 @@ def positive_on(
     corners.  Each block draws its corner Gaussian, then its values."""
     rngs, one = _generators(rng)
     algebra = frames.algebra
-    f = np.broadcast_to(frames.matrix, (len(rngs),) + frames.matrix.shape[-2:])
     ranks = np.broadcast_to(frames.ranks, (len(rngs), len(algebra.blocks)))
     g = np.repeat(algebra.identity()[None], len(rngs), axis=0)
     vals = np.zeros((len(rngs), algebra.dim))
@@ -271,14 +262,8 @@ def positive_on(
                 c = slice(s.start, s.start + rb)
                 g[k, c, c] = _gaussians(gen, rb * rb).reshape(rb, rb)
                 vals[k, c] = gen.uniform(eig_low, eig_high, rb)
-    w = phase_fixed_q(g)
-
-    def positive(f, w, vals, r):
-        keep = frame_columns(algebra, r)
-        fw = f[..., keep] @ w[..., keep, :][..., keep]
-        return (fw * vals[:, None, keep]) @ fw.conj().mT
-
-    return _unstacked(_truncated(ranks, positive, f, w, vals), one)
+    fw = frames.matrix @ phase_fixed_q(g)
+    return _unstacked((fw * vals[:, None, :]) @ fw.conj().mT, one)
 
 
 def frame_chain(

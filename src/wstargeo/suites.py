@@ -209,13 +209,12 @@ def _coefficients(rngs, counts, draw: Callable) -> np.ndarray:
     """``draw(rngs[k], counts[k])`` from the generator of each trial ``k``,
     as one array padded with zeros: the coefficients of a basis whose length
     each trial learns only from the stacked spectrum, drawn after the rest
-    of its data.  One generator gives one row, unstacked."""
-    rngs, one = sampling._generators(rngs)
-    rows = [draw(rng, int(c)) for rng, c in zip(rngs, np.atleast_1d(counts))]
+    of its data."""
+    rows = [draw(rng, int(c)) for rng, c in zip(rngs, counts)]
     out = np.zeros((len(rows), int(np.max(counts))), dtype=rows[0].dtype)
     for row, coeff in zip(out, rows):
         row[: len(coeff)] = coeff
-    return sampling._unstacked(out, one)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -607,15 +606,13 @@ def _draw_dual_pair(ctx: RowCtx, rngs) -> list:
     """Per trial, a generic element or, with even odds, a polar product
     ``u h``: each kind drawn once, from the generators of its trials."""
     alg = ctx.algebra
-    generic = np.array([rng.uniform() < 0.5 for rng in rngs])
+    generic = np.array([rng.uniform() < 0.5 for rng in rngs], dtype=bool)
     g = np.empty((len(rngs), alg.dim, alg.dim), dtype=complex)
-    if generic.any():
-        g[generic] = sampling.random_element(alg, [r for r, c in zip(rngs, generic) if c])
-    if not generic.all():
-        polar = [r for r, c in zip(rngs, generic) if not c]
-        qf = sampling.random_frames(alg, polar, allow_zero=False)
-        u = sampling.isometry_between(polar, qf, sampling.equivalent_frames(polar, qf))
-        g[~generic] = u @ sampling.positive_on(polar, qf)
+    g[generic] = sampling.random_element(alg, [r for r, c in zip(rngs, generic) if c])
+    polar = [r for r, c in zip(rngs, generic) if not c]
+    qf = sampling.random_frames(alg, polar, allow_zero=False)
+    u = sampling.isometry_between(polar, qf, sampling.equivalent_frames(polar, qf))
+    g[~generic] = u @ sampling.positive_on(polar, qf)
     return [g]
 
 
@@ -716,9 +713,8 @@ def _draw_bundle_point(alg, rngs, repeat_chance: float = 0.0):
     if repeat_chance > 0.0:
         # Collapse the corner spectrum of some trials to create a nontrivial
         # stabilizer: only their generators draw the flat spectrum.
-        flat = np.array([rng.uniform() < repeat_chance for rng in rngs])
-        if flat.any():
-            d[flat] = sampling.positive_on([r for r, c in zip(rngs, flat) if c], f0[flat], 1.0, 1.0)
+        flat = np.array([rng.uniform() < repeat_chance for rng in rngs], dtype=bool)
+        d[flat] = sampling.positive_on([r for r, c in zip(rngs, flat) if c], f0[flat], 1.0, 1.0)
     q = sampling.equivalent_frames(rngs, f0)
     return f0, sampling.unit_trace(d), sampling.isometry_between(rngs, f0, q), q
 

@@ -5,8 +5,9 @@
 status, ``repr(max_residual)`` and a digest of the states in which the row
 left its trials' generators, with the plan itself and the NumPy and BLAS
 build that produced it.  ``python tests/plan.py`` runs it again and
-prints every result that differs from the file.  ``tests/test_plan.py``
-compares the small shapes in the test run.
+prints every result that differs from the file, then one line with how
+many differ in status, in generator digest and in residual alone.
+``tests/test_plan.py`` compares the small shapes in the test run.
 
 A change that moves a residual rewrites the file in the same commit, so its
 diff lists every moved value.
@@ -111,6 +112,19 @@ def differences(recorded: dict, fresh: dict, bits: bool) -> list[str]:
     return out
 
 
+def summary(recorded: dict, fresh: dict) -> str:
+    """One line: how many results of ``fresh`` differ from ``recorded`` in
+    status, in generator digest, and in residual alone."""
+    status = digest = residual = 0
+    for shape, rows in fresh.items():
+        for row, result in rows.items():
+            old = recorded["results"][shape].get(row) or [None] * 3
+            status += old[0] != result[0]
+            digest += old[2] != result[2]
+            residual += old[0] == result[0] and old[2] == result[2] and old[1] != result[1]
+    return f"differ: {status} in status, {digest} in generator digest, {residual} in residual only"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true", help="write the golden file")
@@ -125,8 +139,11 @@ def main(argv=None) -> int:
     recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
     bits = recorded["build"] == build()
     diff = differences(recorded, fresh, bits)
-    print("\n".join(diff) or f"no differences ({'bits' if bits else 'status only'})")
-    return 1 if diff else 0
+    if not diff:
+        print(f"no differences ({'bits' if bits else 'status only'})")
+        return 0
+    print("\n".join(diff + [summary(recorded, fresh)]))
+    return 1
 
 
 if __name__ == "__main__":

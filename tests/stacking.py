@@ -3,7 +3,8 @@ the same check on each trial alone.
 
 ``stack_chains`` turns chains drawn one trial at a time (arrays,
 functionals, coadjoint arrows) into one chain of stacks with the bytes
-``numpy.stack`` gives.
+``numpy.stack`` gives; ``entry`` takes one trial's arrow out of a stacked
+one.
 """
 from typing import Iterable, Iterator
 
@@ -44,6 +45,11 @@ def stack_chains(chains: Iterable[list], count: int | None = None) -> list:
         raise ValueError(f"expected {count} chains, got {k + 1}")
     filled = iter(stacks)
     return [_restacked(arrow, filled) for arrow in first]
+
+
+def entry(arrow, k: int):
+    """Matrix ``k`` of a stacked arrow, as an arrow of the same kind."""
+    return _restacked(arrow, iter(m[k] for m in _matrices(arrow)))
 
 
 def _matrices(arrow) -> list:

@@ -37,7 +37,7 @@ from wstargeo.groupoids import (
 from wstargeo.linalg import DEFAULT_TOL, frobenius, polar_decompose, singular_values
 from wstargeo.standard import std_mul, transport_witness
 from wstargeo import algebra, sampling, suites
-from stacking import stack_chains
+from stacking import entry, stack_chains
 
 M2 = BlockAlgebra((2,))
 M23 = BlockAlgebra((2, 3))
@@ -314,7 +314,7 @@ STACKED_ROWS = {
 def _row_draws(row: str, algebra: BlockAlgebra, trials: int, seed: int) -> list:
     draw, _ = STACKED_ROWS[row]
     ctx = suites.RowCtx(algebra, trials, seed, 0, DEFAULT_TOL)
-    return [draw(ctx, sampling.rng_for(seed, k)) for k in range(trials)]
+    return [[entry(x, 0) for x in draw(ctx, [sampling.rng_for(seed, k)])] for k in range(trials)]
 
 
 def _arrays(arrow) -> list:

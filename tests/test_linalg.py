@@ -732,6 +732,19 @@ class TestStacks:
             alone = positive_spectrum(h[k])
             assert spectrum.cutoff[k] == alone.cutoff
             assert spectrum.ranks[0][k] == alone.ranks[0]
+            # Each masked product against the product of the rank's slices.
+            w, s, vh = svd(a)
+            r = retained_rank(s)
+            _, v = hermitian_eig(h[k])
+            q = alone.ranks[0]
+            for got, want in [
+                (u[k], w[:, :r] @ vh[:r]),
+                (left[k], w[:, :r] @ w[:, :r].conj().T),
+                (right[k], vh[:r].conj().T @ vh[:r]),
+                (inv[k], (vh[:r].conj().T / s[:r]) @ w[:, :r].conj().T),
+                (support[k], v[:, :q] @ v[:, :q].conj().T),
+            ]:
+                assert frobenius(got - want) <= 1e-13 * max(1.0, frobenius(want))
 
     def test_membership_per_matrix(self):
         algebra = BlockAlgebra((2, 3))

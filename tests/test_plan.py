@@ -39,3 +39,16 @@ def test_small_shape_matches_the_golden_file(recorded, shape):
     assert plan.differences(recorded, fresh, bits) == []
     if not bits:
         warnings.warn("another NumPy/BLAS build: status checked, residual bits not")
+
+
+def test_summary_counts_each_kind_of_difference(recorded):
+    shape = recorded["results"]["1"]
+    rows = sorted(shape)
+    fresh = {"1": {row: list(result) for row, result in shape.items()}}
+    fresh["1"][rows[0]][0] = "FAIL"
+    fresh["1"][rows[1]][2] = "0" * 64
+    fresh["1"][rows[2]][1] = "1.0"
+    fresh["1"][rows[3]][1:] = ["1.0", "0" * 64]
+    assert plan.summary(recorded, fresh) == (
+        "differ: 1 in status, 2 in generator digest, 1 in residual only"
+    )

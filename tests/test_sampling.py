@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from wstargeo import BlockAlgebra, DEFAULT_TOL, frobenius, groupoids, linalg, poisson, sampling, suites
+from wstargeo.algebra import frame_columns
 from wstargeo.errors import NotPartiallyInvertible
 
 M2 = BlockAlgebra((2,))
@@ -394,3 +395,122 @@ class TestStackedRedraws:
             suites._draw_equivalent_in_domain(M23, _generators(74, 6), DEFAULT_TOL, 2)
         assert counts == {"calls": 1, "attempts": 64}
         assert tested == [6] + [1] * 63
+
+
+def _zero_off_frame_columns(f) -> bool:
+    """Whether the frames' matrix is exactly zero outside its frame columns."""
+    framed = frame_columns(f.algebra, f.ranks)[..., None, :]
+    return not np.where(framed, 0.0, f.matrix).any()
+
+
+class TestFrameColumns:
+    """The unmasked frame products rest on two exact zeros: every frames
+    matrix vanishes outside its frame columns, and a corner unitary between
+    frame and non-frame columns."""
+
+    @pytest.mark.parametrize("algebra", STACK_ALGEBRAS, ids=lambda a: str(a.blocks))
+    def test_every_frames_is_zero_off_its_columns(self, algebra):
+        rngs = _generators(75, 12)
+        f = sampling.random_frames(algebra, rngs)
+        prescribed = sampling.random_frames(algebra, rngs, ranks=tuple(n // 2 for n in algebra.blocks))
+        attempts = []
+
+        def draw(gens):
+            # every other trial fails its first attempt
+            frames, admissible = sampling.random_frames(algebra, gens), np.ones(len(gens), dtype=bool)
+            if not attempts:
+                admissible[::2] = False
+            attempts.append(len(gens))
+            return [frames], admissible
+
+        (joined,) = sampling.redraw_failures(rngs, draw, sampling.sample_with_retry)
+        assert attempts == [12, 6]
+        for frames in [
+            f,
+            sampling.random_frames(algebra, sampling.rng_for(75)),
+            sampling.equivalent_frames(rngs, f),
+            sampling.frames_of(algebra, prescribed.projection),
+            sampling.frames_of(algebra, prescribed.projection[0]),
+            f[np.arange(12) % 3 == 0],
+            joined,
+        ]:
+            assert _zero_off_frame_columns(frames)
+
+    @pytest.mark.parametrize("algebra", STACK_ALGEBRAS, ids=lambda a: str(a.blocks))
+    def test_corner_unitaries_keep_frame_and_other_columns_apart(self, monkeypatch, algebra):
+        rngs = _generators(76, 12)
+        f = sampling.random_frames(algebra, rngs)
+        g = sampling.equivalent_frames(rngs, f)
+        made, real = [], sampling.phase_fixed_q
+
+        def spy(g):
+            made.append(real(g))
+            return made[-1]
+
+        monkeypatch.setattr(sampling, "phase_fixed_q", spy)
+        sampling.isometry_between(rngs, f, g)
+        sampling.positive_on(rngs, f)
+        framed = frame_columns(algebra, f.ranks)
+        across = framed[:, :, None] != framed[:, None, :]
+        assert len(made) == 2
+        for w in made:
+            assert not np.where(across, w, 0.0).any()
+
+
+def _empty_frames(algebra):
+    return sampling.random_frames(algebra, [])
+
+
+#: Each sampler on an empty list of generators, and the shape it returns.
+EMPTY_DRAWS = {
+    "complex_normal": (lambda alg: sampling.complex_normal([], (3, 2)), (0, 3, 2)),
+    "random_element": (lambda alg: sampling.random_element(alg, []), (0, 5, 5)),
+    "random_hermitian": (lambda alg: sampling.random_hermitian(alg, []), (0, 5, 5)),
+    "random_antihermitian": (lambda alg: sampling.random_antihermitian(alg, []), (0, 5, 5)),
+    "random_unitary": (lambda alg: sampling.random_unitary(alg, []), (0, 5, 5)),
+    "random_positive": (lambda alg: sampling.random_positive(alg, [], 0.5), (0, 5, 5)),
+    "planted_positive": (lambda alg: sampling.planted_positive(alg, [], (1.0, 2.0))[0], (0, 5, 5)),
+    "planted_positive-labels": (lambda alg: sampling.planted_positive(alg, [], (1.0, 2.0))[1], (0, 5)),
+    "random_frames": (lambda alg: _empty_frames(alg).matrix, (0, 5, 5)),
+    "random_frames-ranks": (lambda alg: _empty_frames(alg).ranks, (0, 2)),
+    "random_frames-prescribed": (lambda alg: sampling.random_frames(alg, [], ranks=(1, 2)).ranks, (0, 2)),
+    "equivalent_frames": (lambda alg: sampling.equivalent_frames([], _empty_frames(alg)).matrix, (0, 5, 5)),
+    "isometry_between": (
+        lambda alg: sampling.isometry_between([], _empty_frames(alg), _empty_frames(alg)), (0, 5, 5)
+    ),
+    "positive_on": (lambda alg: sampling.positive_on([], _empty_frames(alg)), (0, 5, 5)),
+    "frame_chain": (lambda alg: sampling.frame_chain(alg, [], 2)[-1].matrix, (0, 5, 5)),
+    "random_projection": (lambda alg: sampling.random_projection(alg, []), (0, 5, 5)),
+    "partial_isometry_onto": (
+        lambda alg: sampling.partial_isometry_onto(alg, [], *[_empty_frames(alg).projection] * 2),
+        (0, 5, 5),
+    ),
+    "corner_positive": (
+        lambda alg: sampling.corner_positive(alg, [], _empty_frames(alg).projection), (0, 5, 5)
+    ),
+    "corner_hermitian": (lambda alg: sampling.corner_hermitian(alg, [], np.zeros((0, 5, 5))), (0, 5, 5)),
+    "corner_antihermitian": (
+        lambda alg: sampling.corner_antihermitian(alg, [], np.zeros((0, 5, 5))), (0, 5, 5)
+    ),
+    "random_density": (lambda alg: sampling.random_density(alg, []).density, (0, 5, 5)),
+    "random_density_matrix": (lambda alg: sampling.random_density_matrix(alg, []), (0, 5, 5)),
+    "density_on": (lambda alg: sampling.density_on([], _empty_frames(alg)).density, (0, 5, 5)),
+    "p0_tangent": (
+        lambda alg: sampling.p0_tangent(alg, [], np.zeros((0, 5, 5)), np.zeros((0, 5, 5))), (0, 5, 5)
+    ),
+    "random_unit_vector": (lambda alg: sampling.random_unit_vector(4, []), (0, 4)),
+    "redraw_failures": (
+        lambda alg: sampling.redraw_failures(
+            [], lambda gens: ([sampling.random_element(alg, gens)], np.ones(len(gens), dtype=bool)),
+            sampling.sample_with_retry,
+        )[0],
+        (0, 5, 5),
+    ),
+}
+
+
+class TestEmptyStacks:
+    @pytest.mark.parametrize("name", sorted(EMPTY_DRAWS))
+    def test_no_generators_give_an_empty_stack(self, name):
+        draw, shape = EMPTY_DRAWS[name]
+        assert np.shape(draw(M23)) == shape
