@@ -608,8 +608,10 @@ class StabilizerData:
 def combination(coeff: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """``sum_j coeff[j] basis[j]``, added in order from zero over the
     ``(k, dim, dim)`` basis; for a ``(T, k, dim, dim)`` stack of bases, per
-    row of the ``(T, m)`` coefficients (``m >= k``, the rest unread)."""
-    out = np.zeros(basis.shape[:-3] + basis.shape[-2:], dtype=complex)
+    row of the ``(T, m)`` coefficients (``m >= k``, the rest unread), also
+    when the basis is empty."""
+    lead = np.broadcast_shapes(coeff.shape[:-1], basis.shape[:-3])
+    out = np.zeros(lead + basis.shape[-2:], dtype=complex)
     for j in range(basis.shape[-3]):
         out = out + coeff[..., j, None, None] * basis[..., j, :, :]
     return out
@@ -717,26 +719,6 @@ def _spectral_clusters(
         return tuple(out)
 
     return phi._memoized("clusters", tol, compute)
-
-
-def stabilizer_dimension(phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL):
-    """Real dimension of the stabilizer Lie algebra of a positive functional,
-    which is the complex dimension of its centralizer: the sum of the
-    squared multiplicities of the positive eigenvalue clusters, read off
-    :func:`cluster_pattern` with no basis built.  Of a stack of functionals,
-    one per functional, as an array."""
-    pattern = _pattern(phi, tol)
-    total, start = 0, 0
-    for n in phi.algebra.blocks:
-        r, splits = pattern[..., start], pattern[..., start + 1 : start + n]
-        start += n
-        # The cluster of each value, and which values are retained.
-        label = np.cumsum(np.concatenate([np.zeros_like(r)[..., None], splits], axis=-1), axis=-1)
-        kept = np.arange(n) < r[..., None]
-        same = label[..., :, None] == label[..., None, :]
-        same &= kept[..., :, None] & kept[..., None, :]
-        total = total + np.count_nonzero(same, axis=(-2, -1))
-    return total
 
 
 def centralizer_basis(

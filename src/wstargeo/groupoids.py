@@ -311,12 +311,12 @@ GROUPOIDS: dict[str, GroupoidOps] = {
 def composable_chain(
     tag: str,
     algebra: BlockAlgebra,
-    rng: sampling.Generators,
+    rng: sampling.Source,
     length: int = 3,
 ) -> list:
     """Chain (a_1, ..., a_length) with s(a_i) = t(a_{i+1}), built backwards
     from mutually equivalent projections so every consecutive pair composes
-    exactly; given one generator per trial, one chain of stacks."""
+    exactly; given a stream of trials, one chain of stacks."""
     if tag not in GROUPOIDS:
         raise InvalidTrials(f"unknown groupoid tag {tag!r}")
     qs = sampling.frame_chain(algebra, rng, length, allow_zero=tag != "standard")
@@ -344,8 +344,8 @@ def composable_chain(
 
 def chain_law_residuals(tag: str, chain: list, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
     """Residuals of the groupoid laws on one composable chain of three arrows;
-    on a chain of stacks (:func:`composable_chain` given one generator per
-    trial), an array per law with one residual per chain, each with the bits
+    on a chain of stacks (:func:`composable_chain` given a stream of
+    trials), an array per law with one residual per chain, each with the bits
     that chain gives alone."""
     ops = GROUPOIDS[tag]
     a, b, c = chain
@@ -399,13 +399,13 @@ def axiom_check(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> AxiomReport:
     """The worst residual of every groupoid law over ``trials`` composable
-    chains, chain ``k`` drawn from the generator keyed ``(seed, k)``, all
+    chains, chain ``k`` row ``k`` of the stream keyed ``(seed,)``, all
     checked by one call on their stack."""
     if tag not in GROUPOIDS:
         raise InvalidTrials(f"unknown groupoid tag {tag!r}")
     if trials < 1:
         raise InvalidTrials("trials must be a positive integer")
-    chain = composable_chain(tag, algebra, [sampling.rng_for(seed, k) for k in range(trials)], 3)
+    chain = composable_chain(tag, algebra, sampling.Stream((seed,), range(trials)), 3)
     laws = chain_law_residuals(tag, chain, tol)
     worst = {law: _worst(0.0, *values.tolist()) for law, values in laws.items()}
     return AxiomReport(tag=tag, trials=trials, seed=seed, law_residuals=worst)

@@ -520,12 +520,12 @@ class ComposableFamily:
 
 
 def draw_family_data(
-    algebra: BlockAlgebra, rng: sampling.Generators, directions: int = 1
+    algebra: BlockAlgebra, rng: sampling.Source, directions: int = 1
 ) -> list[np.ndarray]:
     """The data of ``directions`` families on one composable base, as drawn:
     the base ``(u1, u2, xi2)``, then each family's generators ``(a1, a2, b2,
-    h2)`` before :func:`families_on` scales them; stacks of them, given one
-    generator per trial."""
+    h2)`` before :func:`families_on` scales them; stacks of them, given a
+    stream of trials."""
     q2 = sampling.random_frames(algebra, rng)
     q1 = sampling.equivalent_frames(rng, q2)
     q0 = sampling.equivalent_frames(rng, q2)
@@ -970,18 +970,17 @@ def _degeneracy_report(rho0: NormalFunctional, u, v, tol: ToleranceProfile) -> D
 
 def orbit_form_sample(
     algebra: BlockAlgebra,
-    rng: sampling.Generators,
+    rng: sampling.Source,
     u: np.ndarray,
     p0: np.ndarray,
     q: Frames,
 ) -> list:
     """One sample for :func:`orbit_form_invariance_residual` at u, an
     isometry with source p0 whose target ``u u*`` has the frames ``q``,
-    drawn from ``rng`` (or one per trial, at stacks): two bundle tangents,
-    two anti-Hermitian corner directions of p0, a unitary and an arrow out
-    of ``q``.  The stabilizer
-    coefficients are drawn after it, as many as the stabilizer's dimension
-    (:func:`~wstargeo.algebra.stabilizer_dimension`)."""
+    drawn from ``rng`` (stacks, from a stream of trials): two bundle
+    tangents, two anti-Hermitian corner directions of p0, a unitary and an
+    arrow out of ``q``.  The stabilizer coefficients are drawn after it; the
+    residual reads as many as the stabilizer's dimension."""
     du = sampling.p0_tangent(algebra, rng, u, p0)
     du2 = sampling.p0_tangent(algebra, rng, u, p0)
     x1 = sampling.corner_antihermitian(algebra, rng, p0)
@@ -1011,7 +1010,7 @@ def orbit_form_invariance_residual(
     translation by the stabilizer element ``exp(s)`` of the base, and
     invariance under adding the radical (stabilizer) direction ``s`` to one
     argument, with ``s`` the combination of the stabilizer basis with
-    ``coeff`` (zero past the stabilizer's dimension).
+    ``coeff`` (unread past the stabilizer's dimension).
 
     On stacks (a functional of stacked densities, and stacked samples) one
     residual per trial (:func:`~wstargeo.algebra.stabilizer_direction`)."""

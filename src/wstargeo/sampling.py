@@ -1,25 +1,29 @@
 """Deterministic samplers for structured random inputs.
 
-Every verification trial draws from its own generator, seeded by ``(seed,
-subindex, trial)``, so suites are reproducible and each trial replays
-alone.  All samplers return elements of the given block algebra
-(block-diagonal ambient matrices); unitaries are Haar-distributed.
+The trials of a row draw from one :class:`Stream`, keyed ``(seed,
+subindex)``.  Each draw of a sampler takes the stream's next *slot*: the
+slot's own generator (:func:`rng_for`, keyed ``(seed, subindex, *path)``)
+makes one bulk draw of ``(n, ...)`` values, and trial ``k`` reads row ``k``.
+Row ``k`` of a NumPy draw does not depend on how many rows follow it, and a
+slot's width per trial follows the algebra alone, so trial ``k``'s data are
+a pure function of its key: the stream of trial ``k`` alone draws each
+slot's rows up to ``k`` and keeps row ``k``, the bits it has in the stack.
+A draw for some trials only (:meth:`Stream.part`) and each attempt of a
+redraw (:func:`redraw_failures`) draw below a slot of their own, so what
+the other trials draw does not depend on which trials took part, or on how
+often they redrew.  All samplers return elements of the given block algebra
+(block-diagonal ambient matrices) as ``(T, ...)`` stacks; unitaries are
+Haar-distributed.  A sampler given a bare generator draws every slot's
+``(1, ...)`` values from it in turn and returns its stack's one entry.
 
-A sampler takes one generator, or one per trial of a row, and then returns
-``(T, ...)`` stacks: entry ``k`` has the bits that a call with generator
-``k`` alone returns, and each generator is left where that call leaves it.
-One generator runs the same code, as a stack of one; an empty list gives
-``(0, ...)`` stacks.
-
-A sampler loops over the generators only to draw each trial's ranks,
-Gaussians and uniform values, in the order and amounts of one draw per
-block, into a ``dim x dim`` layout per trial: each block's Gaussian in its
-rows and first columns, the identity on the rest of the diagonal.  One Haar
-QR (:func:`~wstargeo.linalg.phase_fixed_q`) then factors the stack, so a row
-makes one QR per sampler call.  The reflectors of a block-diagonal matrix
-act within its blocks, so the factor is exactly block-diagonal, each block
-the Haar sample of its own Gaussian, and a block of identity stays the
-identity.
+A Gaussian slot fills the blocks of a ``dim x dim`` matrix per trial; a
+sampler keeps the entries its trial's ranks use (each thin block's rows and
+frame columns, or each block's frame corner) and puts the identity on the
+rest of the diagonal.  One Haar QR (:func:`~wstargeo.linalg.phase_fixed_q`)
+then factors the stack, so a row makes one QR per sampler call.  The
+reflectors of a block-diagonal matrix act within its blocks, so the factor
+is exactly block-diagonal, each block the Haar sample of its own Gaussian,
+and a block of identity stays the identity.
 
 A drawn projection keeps its :class:`~wstargeo.algebra.Frames`.  An arrow
 from ``p`` to ``q`` is ``F_q w F_p*`` with ``w`` a block-diagonal Haar
@@ -28,17 +32,15 @@ diag(vals) (F w)*``, each one product over the whole stack with no mask: a
 frames matrix is exactly zero outside its frame columns, and ``w`` exactly
 zero between frame and other columns (the identity on the others), so the
 columns past the ranks add exact zeros.
-
-A draw that must land in a domain is redrawn on the stack
-(:func:`redraw_failures`): only the trials that fail the domain test draw
-again, each from its own generator, so each trial's stream is the one it
-has redrawn alone.
 """
 from __future__ import annotations
 
+import functools
+import inspect
+import itertools
 import operator
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence, TypeAlias
+from typing import Callable, Sequence, TypeAlias
 
 import numpy as np
 
@@ -46,12 +48,12 @@ from .algebra import BlockAlgebra, Frames, NormalFunctional, frame_columns, fram
 from .errors import AmbiguousCluster, NotInDomain, NotInOverlap, NotPartiallyInvertible
 from .linalg import antiherm, herm, phase_fixed_q, singular_values
 
-#: One generator, or one per trial (a string: importing skips ``numpy.random``).
-Generators: TypeAlias = "np.random.Generator | Sequence[np.random.Generator]"
+#: A stream of trials, or one generator (a string: importing skips ``numpy.random``).
+Source: TypeAlias = "Stream | np.random.Generator"
 
 
 def rng_for(*key: int) -> np.random.Generator:
-    """Generator for a (seed, trial, ...) key of non-negative integers.
+    """Generator for a (seed, subindex, ...) key of non-negative integers.
 
     Its ``SeedSequence`` is built from the key's 32-bit little-endian words,
     as NumPy splits an integer list (``0`` is the one word ``0``), so the
@@ -68,209 +70,227 @@ def rng_for(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _generators(rng: Generators) -> tuple[list[np.random.Generator], bool]:
-    """The generators of a draw, one per trial, and whether the draw was
-    given one generator alone (it then returns its stack's one entry)."""
-    if isinstance(rng, np.random.Generator):
-        return [rng], True
-    return list(rng), False
+class Stream:
+    """The draws of a stack of trials, one slot at a time: slot ``j`` has the
+    generator keyed ``(*key, *path, j)``, and ``trials`` holds the index of
+    each trial of the stack, whose row of every slot it reads.  Given a
+    ``generator``, every slot draws from it instead (the one-trial
+    adapter)."""
+
+    def __init__(self, key: Sequence[int], trials, path: tuple = (), generator=None):
+        self.key, self.path, self.generator = tuple(key), tuple(path), generator
+        self.trials = np.asarray(trials, dtype=int)
+        self._rows = int(self.trials.max(initial=-1)) + 1
+        self._whole = np.array_equal(self.trials, np.arange(self._rows))
+        self._slots = 0
+
+    def __len__(self) -> int:
+        return len(self.trials)
+
+    def slot(self) -> tuple:
+        """The path of the next slot, which this call takes."""
+        self._slots += 1
+        return (*self.path, self._slots - 1)
+
+    def take(self, method: str, *args, shape: tuple = ()) -> np.ndarray:
+        """One slot: ``Generator.<method>(*args)`` of the slot's generator
+        for ``(n, *shape)`` values, ``n`` one past the largest trial index,
+        and each trial's row of them."""
+        path = self.slot()
+        generator = rng_for(*self.key, *path) if self.generator is None else self.generator
+        rows = getattr(generator, method)(*args, size=(self._rows, *shape))
+        return rows if self._whole else rows[self.trials]
+
+    def below(self, path: tuple, select=slice(None)) -> Stream:
+        """The stream of the trials that ``select`` picks, drawing below
+        ``path``."""
+        return Stream(self.key, self.trials[select], path, self.generator)
+
+    def part(self, select) -> Stream:
+        """The trials that ``select`` picks, drawing below the next slot."""
+        return self.below(self.slot(), select)
 
 
-def _unstacked(x, one: bool):
-    """``x``, or its one entry when the draw was given one generator."""
-    return x[0] if one else x
+def _first(x):
+    """The one entry of a stack, or of each stack of a tuple or list."""
+    return type(x)(map(_first, x)) if isinstance(x, (tuple, list)) else x[0]
 
 
-def _gaussians(rng: np.random.Generator, count: int, scale: float = 1.0) -> np.ndarray:
-    """``count`` complex Gaussians from one generator, as
-    :func:`complex_normal` draws them."""
-    return rng.normal(0.0, scale, (count, 2)).view(complex)[:, 0]
+def _stacked(sampler: Callable) -> Callable:
+    """``sampler``, which draws from a :class:`Stream`, also given a bare
+    generator as its ``rng``: it then draws from a stream of one trial that
+    takes every slot from that generator, and returns its one entry."""
+    place = list(inspect.signature(sampler).parameters).index("rng")
+
+    @functools.wraps(sampler)
+    def draw(*args, **kwargs):
+        if isinstance(args[place], Stream):
+            return sampler(*args, **kwargs)
+        args = list(args)
+        args[place] = Stream((), [0], generator=args[place])
+        return _first(sampler(*args, **kwargs))
+
+    return draw
 
 
-def complex_normal(rng: Generators, shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
+@_stacked
+def complex_normal(rng: Source, shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
     """Complex Gaussian array whose real and imaginary parts are independent
-    ``N(0, scale^2)``, from one draw of interleaved parts per generator."""
-    rngs, one = _generators(rng)
-    out = np.empty((len(rngs),) + tuple(shape), dtype=complex)
-    for row, g in zip(out, rngs):
-        row[...] = _gaussians(g, row.size, scale).reshape(shape)
-    return _unstacked(out, one)
+    ``N(0, scale^2)``: one slot of interleaved parts."""
+    return rng.take("normal", 0.0, scale, shape=(*shape, 2)).view(complex)[..., 0]
 
 
-@lru_cache(maxsize=256)
-def _positions(algebra: BlockAlgebra, ranks: tuple[int, ...], corners: bool) -> np.ndarray:
-    """Read-only flat positions, in a ``dim x dim`` matrix, of each block's
-    Gaussian on its frame columns (:func:`~wstargeo.algebra.frame_columns`):
-    its ``r_b x r_b`` corner, or else, in a thin block (``0 < r_b < n_b``),
-    its ``n_b x r_b`` rows.  Block by block and row by row: the order in
-    which one draw per block fills them."""
+@lru_cache(maxsize=64)
+def _block_cells(algebra: BlockAlgebra) -> np.ndarray:
+    """Read-only flat positions of the blocks' entries in a ``dim x dim``
+    matrix, block by block and row by row."""
     cells = np.arange(algebra.dim**2).reshape(algebra.dim, algebra.dim)
-    parts = [np.zeros(0, dtype=int)]
-    for s, n, r in zip(algebra.slices, algebra.blocks, ranks):
-        c = slice(s.start, s.start + r)
-        if corners or 0 < r < n:
-            parts.append(cells[c if corners else s, c].ravel())
-    index = np.concatenate(parts)
+    index = np.concatenate([cells[s, s].ravel() for s in algebra.slices])
     index.flags.writeable = False
     return index
 
 
-def _filled(rngs: list, base: np.ndarray, positions: Iterable, scale: float = 1.0) -> np.ndarray:
-    """A copy of the square ``base`` per generator, as one stack, with the
-    complex Gaussians of generator ``k`` at its flat positions
-    ``positions[k]``, in their order."""
-    out = np.repeat(base[None], len(rngs), axis=0)
-    flat = out.reshape(len(rngs), base.size)
-    for row, g, index in zip(flat, rngs, positions):
-        row[index] = _gaussians(g, index.size, scale)
-    return out
+@_stacked
+def random_element(algebra: BlockAlgebra, rng: Source, scale: float = 1.0) -> np.ndarray:
+    """Complex Gaussian algebra element, its parts ``N(0, scale^2 / 2)``:
+    one slot of ``sum n_b^2`` entries per trial."""
+    index = _block_cells(algebra)
+    out = np.zeros((len(rng), algebra.dim**2), dtype=complex)
+    out[:, index] = complex_normal(rng, (index.size,), scale / np.sqrt(2.0))
+    return out.reshape(-1, algebra.dim, algebra.dim)
 
 
-def random_element(algebra: BlockAlgebra, rng: Generators, scale: float = 1.0) -> np.ndarray:
-    """Complex Gaussian algebra element, its parts ``N(0, scale^2 / 2)``."""
-    rngs, one = _generators(rng)
-    index = _positions(algebra, algebra.blocks, True)
-    return _unstacked(_filled(rngs, algebra.zero(), [index] * len(rngs), scale / np.sqrt(2.0)), one)
-
-
-def random_hermitian(algebra: BlockAlgebra, rng: Generators, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(algebra: BlockAlgebra, rng: Source, scale: float = 1.0) -> np.ndarray:
     return herm(random_element(algebra, rng, scale))
 
 
-def random_antihermitian(algebra: BlockAlgebra, rng: Generators, scale: float = 1.0) -> np.ndarray:
+def random_antihermitian(algebra: BlockAlgebra, rng: Source, scale: float = 1.0) -> np.ndarray:
     return antiherm(random_element(algebra, rng, scale))
 
 
-def random_unitary(algebra: BlockAlgebra, rng: Generators) -> np.ndarray:
+def random_unitary(algebra: BlockAlgebra, rng: Source) -> np.ndarray:
     """Haar unitary of the algebra, blockwise: the QR factor of the blocks'
     standard complex Gaussians (:func:`random_element` at scale ``sqrt 2``),
     with the phases of the triangular factor's diagonal moved into it."""
     return phase_fixed_q(random_element(algebra, rng, np.sqrt(2.0)))
 
 
-def random_positive(
-    algebra: BlockAlgebra,
-    rng: Generators,
-    repeat_chance: float = 0.0,
-) -> np.ndarray:
-    """Strictly positive element with eigenvalues drawn from ``[0.5, 2]``
-    (well separated from any rank cutoff).
+@_stacked
+def random_positive(algebra: BlockAlgebra, rng: Source, repeat_chance: float = 0.0) -> np.ndarray:
+    """Strictly positive element ``v diag(vals) v*``, ``v`` Haar, with
+    eigenvalues drawn from ``[0.5, 2]`` (well separated from any rank
+    cutoff).
 
-    With probability ``repeat_chance`` per block, a repeated eigenvalue is
-    forced, to exercise degenerate spectra.
+    With probability ``repeat_chance`` per block of size at least 2, a
+    repeated eigenvalue is forced, to exercise degenerate spectra: the value
+    at a uniform position ``j`` of the block takes that at another uniform
+    position ``i``.
     """
-    rngs, one = _generators(rng)
-    v = random_unitary(algebra, rngs)
-    vals = np.empty((len(rngs), algebra.dim))
-    for row, g in zip(vals, rngs):
-        row[:] = g.uniform(0.5, 2.0, algebra.dim)
-        for s, b in zip(algebra.slices, algebra.blocks):
-            if b >= 2 and g.uniform() < repeat_chance:
-                i, j = g.choice(b, size=2, replace=False)
-                row[s.start + j] = row[s.start + i]
-    return _unstacked((v * vals[:, None, :]) @ v.conj().mT, one)
+    v = random_unitary(algebra, rng)
+    vals = rng.take("uniform", 0.5, 2.0, shape=(algebra.dim,))
+    if repeat_chance > 0.0:
+        n = np.array(algebra.blocks)
+        coin = rng.take("uniform", shape=(len(n),)) < repeat_chance
+        # i uniform in the block, j uniform among the other positions
+        pick = rng.take("integers", 0, np.stack([n, np.maximum(n - 1, 1)], -1), shape=(len(n), 2))
+        trial, b = np.nonzero(coin & (n >= 2))
+        start = np.array([s.start for s in algebra.slices])[b]
+        i, j = pick[trial, b, 0], pick[trial, b, 1]
+        vals[trial, start + j + (j >= i)] = vals[trial, start + i]
+    return (v * vals[:, None, :]) @ v.conj().mT
 
 
+@_stacked
 def planted_positive(
-    algebra: BlockAlgebra, rng: Generators, grid: Sequence[float]
+    algebra: BlockAlgebra, rng: Source, grid: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positive element ``v diag(grid[labels]) v*``, with ``v`` Haar and
-    uniform labels, and the labels: each block draws them, then ``v``."""
-    rngs, one = _generators(rng)
-    gaussians = np.zeros((len(rngs), algebra.dim, algebra.dim), dtype=complex)
-    labels = np.empty((len(rngs), algebra.dim), dtype=int)
-    for k, g in enumerate(rngs):
-        for s, n in zip(algebra.slices, algebra.blocks):
-            labels[k, s] = g.integers(0, len(grid), size=n)
-            gaussians[k, s, s] = _gaussians(g, n * n).reshape(n, n)
-    v, vals = phase_fixed_q(gaussians), np.asarray(grid, dtype=float)[labels]
+    uniform labels, and the labels: a slot of labels, then ``v``."""
+    labels = rng.take("integers", 0, len(grid), shape=(algebra.dim,))
+    v, vals = random_unitary(algebra, rng), np.asarray(grid, dtype=float)[labels]
     # Each block's product on its own: the assembled one is zero-padded.
     blocks = [(vb * vals[:, None, s]) @ vb.conj().mT
               for s, vb in zip(algebra.slices, algebra.block_views(v))]
-    return _unstacked(algebra.embed_blocks(blocks), one), _unstacked(labels, one)
+    return algebra.embed_blocks(blocks), labels
 
 
-def _random_ranks(algebra: BlockAlgebra, rng, allow_zero: bool, allow_full: bool) -> list[int]:
-    low, high = (0 if allow_zero else 1), (1 if allow_full else 0)
-    ranks = [int(rng.integers(low, b + high)) for b in algebra.blocks]
-    if sum(ranks) == 0:
-        # keep at least one nonzero block so the projection is not trivial
-        ranks[int(rng.integers(0, len(algebra.blocks)))] = 1
+def _random_ranks(algebra: BlockAlgebra, rng: Stream, allow_zero: bool, allow_full: bool):
+    """One slot: each trial's blockwise ranks, uniform from ``0`` (``1``
+    without ``allow_zero``) to ``n_b`` (``n_b - 1`` without ``allow_full``),
+    and a block, uniform, that takes rank 1 when every rank is 0."""
+    m = len(algebra.blocks)
+    low = [int(not allow_zero)] * m + [0]
+    high = [n + int(allow_full) for n in algebra.blocks] + [m]
+    ranks, spare = np.split(rng.take("integers", low, high, shape=(m + 1,)), [m], axis=1)
+    # keep at least one nonzero block so the projection is not trivial
+    empty = ~ranks.any(axis=1)
+    ranks[empty, spare[empty, 0]] = 1
     return ranks
 
 
+@_stacked
 def random_frames(
-    algebra: BlockAlgebra,
-    rng: Generators,
-    ranks=None,
-    allow_zero: bool = True,
-    allow_full: bool = True,
+    algebra: BlockAlgebra, rng: Source, ranks=None, allow_zero: bool = True, allow_full: bool = True
 ) -> Frames:
     """Frames of a random projection with prescribed blockwise ranks (one
     tuple for every trial, or a row per trial) or random ones: a Haar
     isometry per block, empty at rank 0 and the identity at full rank, the
     first ``r_b`` columns of the QR factor of the identity with each thin
-    block's ``n_b x r_b`` complex Gaussian in that block's rows."""
-    rngs, one = _generators(rng)
-    shape = (len(rngs), len(algebra.blocks))
+    block's Gaussian in that block's rows and first ``r_b`` columns."""
+    shape = (len(rng), len(algebra.blocks))
     if ranks is None:
-        ranks = np.reshape([_random_ranks(algebra, g, allow_zero, allow_full) for g in rngs], shape)
+        ranks = _random_ranks(algebra, rng, allow_zero, allow_full)
     ranks = np.broadcast_to(np.asarray(ranks, dtype=int), shape).copy()
     if np.any(ranks < 0) or np.any(ranks > algebra.blocks):
         raise ValueError("rank exceeds block size")
-    positions = [_positions(algebra, tuple(r), False) for r in ranks.tolist()]
-    q = phase_fixed_q(_filled(rngs, algebra.identity(), positions))
-    framed = frame_columns(algebra, ranks)[:, None, :]
-    return _unstacked(Frames(algebra, np.where(framed, q, 0.0), ranks), one)
+    thin = frame_columns(algebra, np.where(ranks < algebra.blocks, ranks, 0))[:, None, :]
+    gaussians = random_element(algebra, rng, np.sqrt(2.0))
+    q = phase_fixed_q(np.where(thin, gaussians, algebra.identity()))
+    return Frames(algebra, np.where(frame_columns(algebra, ranks)[:, None, :], q, 0.0), ranks)
 
 
-def equivalent_frames(rng: Generators, frames: Frames) -> Frames:
+def equivalent_frames(rng: Source, frames: Frames) -> Frames:
     """Frames of a random projection with the same blockwise ranks."""
     return random_frames(frames.algebra, rng, ranks=frames.ranks)
 
 
-def isometry_between(rng: Generators, source: Frames, target: Frames) -> np.ndarray:
+def _corner_unitaries(rng: Stream, frames: Frames) -> tuple[np.ndarray, np.ndarray]:
+    """One slot: per trial, a block-diagonal Haar unitary of the frames'
+    corners, the identity on the other columns; and the frame columns."""
+    algebra = frames.algebra
+    framed = frame_columns(algebra, np.broadcast_to(frames.ranks, (len(rng), len(algebra.blocks))))
+    corners = framed[:, :, None] & framed[:, None, :]
+    gaussians = random_element(algebra, rng, np.sqrt(2.0))
+    w = phase_fixed_q(np.where(corners, gaussians, algebra.identity()))
+    return w, framed
+
+
+@_stacked
+def isometry_between(rng: Source, source: Frames, target: Frames) -> np.ndarray:
     """Partial isometry ``F_t w F_s*`` from the source projection onto the
     target one, with ``w`` a block-diagonal Haar unitary of the corners."""
     if not np.array_equal(source.ranks, target.ranks):
         raise ValueError("source and target have different blockwise ranks")
-    rngs, one = _generators(rng)
-    ranks = np.broadcast_to(source.ranks, (len(rngs), len(source.algebra.blocks)))
-    corners = [_positions(source.algebra, tuple(r), True) for r in ranks.tolist()]
-    w = phase_fixed_q(_filled(rngs, source.algebra.identity(), corners))
-    return _unstacked(target.matrix @ w @ source.matrix.conj().mT, one)
+    w, _ = _corner_unitaries(rng, source)
+    return target.matrix @ w @ source.matrix.conj().mT
 
 
+@_stacked
 def positive_on(
-    rng: Generators,
-    frames: Frames,
-    eig_low: float = 0.5,
-    eig_high: float = 2.0,
+    rng: Source, frames: Frames, eig_low: float = 0.5, eig_high: float = 2.0
 ) -> np.ndarray:
     """Positive element supported exactly on the frames' projection, with
     eigenvalues in ``[eig_low, eig_high]`` on the support: ``(F w)
     diag(vals) (F w)*`` with ``w`` a block-diagonal Haar unitary of the
-    corners.  Each block draws its corner Gaussian, then its values."""
-    rngs, one = _generators(rng)
-    algebra = frames.algebra
-    ranks = np.broadcast_to(frames.ranks, (len(rngs), len(algebra.blocks)))
-    g = np.repeat(algebra.identity()[None], len(rngs), axis=0)
-    vals = np.zeros((len(rngs), algebra.dim))
-    for k, (gen, r) in enumerate(zip(rngs, ranks.tolist())):
-        for s, rb in zip(algebra.slices, r):
-            if rb:
-                c = slice(s.start, s.start + rb)
-                g[k, c, c] = _gaussians(gen, rb * rb).reshape(rb, rb)
-                vals[k, c] = gen.uniform(eig_low, eig_high, rb)
-    fw = frames.matrix @ phase_fixed_q(g)
-    return _unstacked((fw * vals[:, None, :]) @ fw.conj().mT, one)
+    corners.  A slot of corner Gaussians, then one of values."""
+    w, framed = _corner_unitaries(rng, frames)
+    vals = rng.take("uniform", eig_low, eig_high, shape=(frames.algebra.dim,))
+    fw = frames.matrix @ w
+    return (fw * np.where(framed, vals, 0.0)[:, None, :]) @ fw.conj().mT
 
 
 def frame_chain(
-    algebra: BlockAlgebra,
-    rng: Generators,
-    length: int,
-    allow_zero: bool = True,
+    algebra: BlockAlgebra, rng: Source, length: int, allow_zero: bool = True
 ) -> list[Frames]:
     """Frames of mutually equivalent projections q_0, ..., q_length (equal
     blockwise ranks), for building composable chains."""
@@ -279,21 +299,14 @@ def frame_chain(
 
 
 def random_projection(
-    algebra: BlockAlgebra,
-    rng: Generators,
-    ranks=None,
-    allow_zero: bool = True,
-    allow_full: bool = True,
+    algebra: BlockAlgebra, rng: Source, ranks=None, allow_zero: bool = True, allow_full: bool = True
 ) -> np.ndarray:
     """Random orthogonal projection with prescribed or random blockwise ranks."""
     return random_frames(algebra, rng, ranks, allow_zero, allow_full).projection
 
 
 def partial_isometry_onto(
-    algebra: BlockAlgebra,
-    rng: Generators,
-    source: np.ndarray,
-    target: np.ndarray,
+    algebra: BlockAlgebra, rng: Source, source: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
     """Partial isometry ``u`` with ``u* u = source`` and ``u u* = target``
     (blockwise equal ranks), randomized by a corner unitary."""
@@ -301,11 +314,7 @@ def partial_isometry_onto(
 
 
 def corner_positive(
-    algebra: BlockAlgebra,
-    rng: Generators,
-    p: np.ndarray,
-    eig_low: float = 0.5,
-    eig_high: float = 2.0,
+    algebra: BlockAlgebra, rng: Source, p: np.ndarray, eig_low: float = 0.5, eig_high: float = 2.0
 ) -> np.ndarray:
     """Positive element supported exactly on the projection ``p``, with
     eigenvalues in ``[eig_low, eig_high]`` on the support."""
@@ -313,20 +322,14 @@ def corner_positive(
 
 
 def corner_hermitian(
-    algebra: BlockAlgebra,
-    rng: Generators,
-    p: np.ndarray,
-    scale: float = 1.0,
+    algebra: BlockAlgebra, rng: Source, p: np.ndarray, scale: float = 1.0
 ) -> np.ndarray:
     """Hermitian element compressed to the corner p M p."""
     return p @ random_hermitian(algebra, rng, scale) @ p
 
 
 def corner_antihermitian(
-    algebra: BlockAlgebra,
-    rng: Generators,
-    p: np.ndarray,
-    scale: float = 1.0,
+    algebra: BlockAlgebra, rng: Source, p: np.ndarray, scale: float = 1.0
 ) -> np.ndarray:
     """Anti-Hermitian element compressed to the corner p M p."""
     return p @ random_antihermitian(algebra, rng, scale) @ p
@@ -340,9 +343,7 @@ def unit_norm(x: np.ndarray) -> np.ndarray:
 
 
 def random_density(
-    algebra: BlockAlgebra,
-    rng: Generators,
-    repeat_chance: float = 0.0,
+    algebra: BlockAlgebra, rng: Source, repeat_chance: float = 0.0
 ) -> NormalFunctional:
     """Faithful state with eigenvalues well separated from the rank cutoff,
     the functional of :func:`random_density_matrix`; a state on a given
@@ -351,16 +352,14 @@ def random_density(
 
 
 def random_density_matrix(
-    algebra: BlockAlgebra,
-    rng: Generators,
-    repeat_chance: float = 0.0,
+    algebra: BlockAlgebra, rng: Source, repeat_chance: float = 0.0
 ) -> np.ndarray:
     """The density of :func:`random_density`, drawn as it draws it, without
     building its functional."""
     return unit_trace(random_positive(algebra, rng, repeat_chance=repeat_chance))
 
 
-def density_on(rng: Generators, frames: Frames) -> NormalFunctional:
+def density_on(rng: Source, frames: Frames) -> NormalFunctional:
     """State supported exactly on the frames' projection."""
     return NormalFunctional(frames.algebra, unit_trace(positive_on(rng, frames)))
 
@@ -372,11 +371,7 @@ def unit_trace(d: np.ndarray) -> np.ndarray:
 
 
 def p0_tangent(
-    algebra: BlockAlgebra,
-    rng: Generators,
-    u: np.ndarray,
-    p0: np.ndarray,
-    scale: float = 1.0,
+    algebra: BlockAlgebra, rng: Source, u: np.ndarray, p0: np.ndarray, scale: float = 1.0
 ) -> np.ndarray:
     """Random tangent at a point ``u`` of the bundle of partial isometries
     with source ``p0``: right support preserved, ``u* du`` anti-Hermitian."""
@@ -404,28 +399,27 @@ def sample_with_retry(draw, max_tries: int = 64):
 
 
 def redraw_failures(
-    rng: Generators,
-    draw: Callable[[list], tuple[list, np.ndarray]],
-    retry: Callable,
+    rng: Stream, draw: Callable[[Stream], tuple[list, np.ndarray]], retry: Callable
 ) -> list:
-    """The stacks of each trial's first admissible draw.  ``draw(generators)``
-    draws those trials' stacks (arrays or frames) and returns them with a
-    flag per trial from one domain test.  ``retry`` (:func:`sample_with_retry`)
-    gets one closure, which draws the pending trials, keeps those that pass
-    and refuses while any remain: a trial draws at most as often as
-    ``retry`` calls it."""
-    rngs, one = _generators(rng)
-    pending, kept = np.arange(len(rngs)), []
+    """The stacks of each trial's first admissible draw.  ``draw(stream)``
+    draws the stream's trials' stacks (arrays or frames) and returns them
+    with a flag per trial from one domain test.  Attempt ``a`` draws the
+    pending trials below ``(slot, a)`` of the next slot of ``rng``.
+    ``retry`` (:func:`sample_with_retry`) gets one closure, which draws the
+    pending trials, keeps those that pass and refuses while any remain: a
+    trial draws at most as often as ``retry`` calls it."""
+    slot, attempts = rng.slot(), itertools.count()
+    pending, kept = np.arange(len(rng)), []
 
     def attempt() -> list:
         nonlocal pending
-        stacks, admissible = draw([rngs[k] for k in pending])
+        stacks, admissible = draw(rng.below((*slot, next(attempts)), pending))
         kept.append((pending[admissible], [x[admissible] for x in stacks]))
         pending = pending[~admissible]
         if pending.size:
             raise NotInDomain(f"redraw: {pending.size} trials outside the domain")
         order = np.argsort(np.concatenate([trials for trials, _ in kept]))
-        return [_unstacked(_joined(parts, order), one) for parts in zip(*(x for _, x in kept))]
+        return [_joined(parts, order) for parts in zip(*(x for _, x in kept))]
 
     return retry(attempt)
 
@@ -438,7 +432,7 @@ def _joined(parts: Sequence, order: np.ndarray):
     return np.concatenate(parts)[order]
 
 
-def random_unit_vector(n: int, rng: Generators) -> np.ndarray:
+def random_unit_vector(n: int, rng: Source) -> np.ndarray:
     """Complex Gaussian vector scaled to unit norm, computed as
     ``numpy.linalg.norm`` computes it."""
     v = complex_normal(rng, (n,))

@@ -42,7 +42,6 @@ from .algebra import (
     mvn_equivalent,
     mvn_witness,
     orbit_equivalent,
-    stabilizer_dimension,
     stabilizer_direction,
     stabilizer_lie_algebra,
     unitary_equivalent,
@@ -152,8 +151,11 @@ class RowCtx:
     #: of rows runs them once; one dict per :func:`run_suite` call.
     shared: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def rng(self, trial: int) -> np.random.Generator:
-        return sampling.rng_for(self.seed, self.subindex, trial)
+    def stream(self, trials=None) -> sampling.Stream:
+        """The stream keyed ``(seed, subindex)`` of the given trial indices,
+        by default all of them: trial ``k`` reads row ``k`` of every slot."""
+        trials = range(self.trials) if trials is None else trials
+        return sampling.Stream((self.seed, self.subindex), trials)
 
 
 @dataclass(frozen=True)
@@ -173,20 +175,16 @@ class SuiteResult:
         return "pass" if self.passed else "FAIL"
 
 
-def _generators(ctx: RowCtx) -> list[np.random.Generator]:
-    """The generator of each trial ``k``, keyed ``(seed, subindex, k)``."""
-    return [ctx.rng(k) for k in range(ctx.trials)]
-
-
 @dataclass(frozen=True)
 class _Row:
-    """A random row: ``draw(ctx, rngs)`` gives the data of the trials whose
-    generators are ``rngs``, as stacks, and ``check(ctx, *data)`` their
-    residual arrays by name.  The row reports the worst entry of the arrays
-    ``keys`` (of all of them if ``keys`` is empty; NaN if any entry is).
-    The first row of a group runs its draw and check, with its own subindex,
-    and keeps the arrays in ``ctx.shared`` for the rows after it.  Trial
-    ``k`` alone is ``check(ctx, *draw(ctx, [ctx.rng(k)]))``."""
+    """A random row: ``draw(ctx, rng)`` gives the data of the trials of the
+    stream ``rng``, as stacks, and ``check(ctx, *data)`` their residual
+    arrays by name.  The row reports the worst entry of the arrays ``keys``
+    (of all of them if ``keys`` is empty; NaN if any entry is).  The first
+    row of a group runs its draw and check, with its own subindex, and keeps
+    the arrays in ``ctx.shared`` for the rows after it.  Trial ``k`` alone
+    is ``check(ctx, *draw(ctx, ctx.stream([k])))``, with the bits it has in
+    the stack."""
 
     draw: Callable
     check: Callable
@@ -195,7 +193,7 @@ class _Row:
     def __call__(self, ctx: RowCtx) -> float:
         group = (self.draw, self.check)
         if group not in ctx.shared:
-            ctx.shared[group] = self.check(ctx, *self.draw(ctx, _generators(ctx)))
+            ctx.shared[group] = self.check(ctx, *self.draw(ctx, ctx.stream()))
         checks = ctx.shared[group]
         residuals = [r for key in self.keys or checks for r in np.ravel(checks[key]).tolist()]
         return _worst(0.0, *residuals)
@@ -205,16 +203,11 @@ def _row(draw: Callable, check: Callable, *keys: str) -> _Row:
     return _Row(draw, check, keys)
 
 
-def _coefficients(rngs, counts, draw: Callable) -> np.ndarray:
-    """``draw(rngs[k], counts[k])`` from the generator of each trial ``k``,
-    as one array padded with zeros: the coefficients of a basis whose length
-    each trial learns only from the stacked spectrum, drawn after the rest
-    of its data."""
-    rows = [draw(rng, int(c)) for rng, c in zip(rngs, counts)]
-    out = np.zeros((len(rows), int(np.max(counts))), dtype=rows[0].dtype)
-    for row, coeff in zip(out, rows):
-        row[: len(coeff)] = coeff
-    return out
+def _coefficient_width(algebra: BlockAlgebra) -> int:
+    """The width of a slot of coefficients of a stabilizer or centralizer
+    basis, ``sum n_b^2``, at least any basis's length: each trial reads the
+    first as many as its basis has."""
+    return sum(n * n for n in algebra.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +219,8 @@ def _draw_chain(tag: str) -> Callable:
     """The draw of the picture ``tag``'s law row: the tag, then one
     composable chain of three arrows per trial, as one chain of stacks."""
 
-    def draw(ctx: RowCtx, rngs) -> list:
-        return [tag, *composable_chain(tag, ctx.algebra, rngs, 3)]
+    def draw(ctx: RowCtx, rng) -> list:
+        return [tag, *composable_chain(tag, ctx.algebra, rng, 3)]
 
     return draw
 
@@ -246,19 +239,18 @@ def _check_laws(ctx: RowCtx, tag: str, *chain) -> dict:
     return checks
 
 
-def _draw_isomorphisms(ctx: RowCtx, rngs) -> list:
+def _draw_isomorphisms(ctx: RowCtx, rng) -> list:
     alg, prof = ctx.algebra, ctx.profile
-    a, b = composable_chain("coadjoint", alg, rngs, 2)
-    f0 = sampling.random_frames(alg, rngs, allow_zero=False)
-    rho0 = sampling.density_on(rngs, f0)
+    a, b = composable_chain("coadjoint", alg, rng, 2)
+    f0 = sampling.random_frames(alg, rng, allow_zero=False)
+    rho0 = sampling.density_on(rng, f0)
     u, v, w = [
-        sampling.isometry_between(rngs, f0, sampling.equivalent_frames(rngs, f0))
+        sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
         for _ in range(3)
     ]
-    # The direction consumes each generator by the dimension of the
-    # stabilizer of its base density, known from the stacked spectrum.
-    counts = stabilizer_dimension(rho0, prof)
-    coeff = _coefficients(rngs, counts, lambda rng, k: rng.standard_normal(k))
+    # The direction reads as many coefficients as the stabilizer of its
+    # base density has dimensions.
+    coeff = rng.take("standard_normal", shape=(_coefficient_width(alg),))
     return [a, b, u, v, w, rho0, stabilizer_direction(rho0, coeff, prof)]
 
 
@@ -279,18 +271,18 @@ def _check_isomorphisms(ctx: RowCtx, a, b, u, v, w, rho0, x) -> dict:
     }
 
 
-def _draw_equivalences(ctx: RowCtx, rngs) -> list:
+def _draw_equivalences(ctx: RowCtx, rng) -> list:
     alg = ctx.algebra
-    pf = sampling.random_frames(alg, rngs)
-    q = sampling.equivalent_frames(rngs, pf).projection
-    x = sampling.random_element(alg, rngs)
-    rho_f = sampling.random_frames(alg, rngs, allow_zero=False)
-    rho = sampling.density_on(rngs, rho_f)
-    u = sampling.isometry_between(rngs, rho_f, sampling.equivalent_frames(rngs, rho_f))
+    pf = sampling.random_frames(alg, rng)
+    q = sampling.equivalent_frames(rng, pf).projection
+    x = sampling.random_element(alg, rng)
+    rho_f = sampling.random_frames(alg, rng, allow_zero=False)
+    rho = sampling.density_on(rng, rho_f)
+    u = sampling.isometry_between(rng, rho_f, sampling.equivalent_frames(rng, rho_f))
     # Negative control: a rank change breaks equivalence.
     ranks = np.array(pf.ranks)
     ranks[..., 0] = (ranks[..., 0] + 1) % (alg.blocks[0] + 1)
-    p_bad = sampling.random_projection(alg, rngs, ranks=ranks)
+    p_bad = sampling.random_projection(alg, rng, ranks=ranks)
     return [pf.projection, q, x, rho_f.projection, rho, u, p_bad]
 
 
@@ -324,20 +316,20 @@ def _row_equivalence_agreement(ctx: RowCtx) -> float:
     """Count of disagreements between the equivalence notions (Murray-von
     Neumann, unitary orbit, support equivalence) on data where they must
     coincide, plus negative controls where they must not."""
-    checks = _check_equivalences(ctx, *_draw_equivalences(ctx, _generators(ctx)))
+    checks = _check_equivalences(ctx, *_draw_equivalences(ctx, ctx.stream()))
     return float(sum(np.count_nonzero(d) for d in checks.values()))
 
 
-def _draw_witnesses(ctx: RowCtx, rngs) -> list:
+def _draw_witnesses(ctx: RowCtx, rng) -> list:
     alg = ctx.algebra
-    pf = sampling.random_frames(alg, rngs)
-    q = sampling.equivalent_frames(rngs, pf).projection
-    phi1 = sampling.random_density(alg, rngs)
-    uu = sampling.random_unitary(alg, rngs)
-    qs = sampling.frame_chain(alg, rngs, 2, allow_zero=False)
-    h = sampling.positive_on(rngs, qs[2])
-    u1 = sampling.isometry_between(rngs, qs[2], qs[1])
-    w0 = sampling.isometry_between(rngs, qs[1], qs[0])
+    pf = sampling.random_frames(alg, rng)
+    q = sampling.equivalent_frames(rng, pf).projection
+    phi1 = sampling.random_density(alg, rng)
+    uu = sampling.random_unitary(alg, rng)
+    qs = sampling.frame_chain(alg, rng, 2, allow_zero=False)
+    h = sampling.positive_on(rng, qs[2])
+    u1 = sampling.isometry_between(rng, qs[2], qs[1])
+    w0 = sampling.isometry_between(rng, qs[1], qs[0])
     return [pf.projection, q, phi1, uu, h, u1, w0]
 
 
@@ -365,32 +357,32 @@ def _check_witnesses(ctx: RowCtx, p, q, phi1, uu, h, u1, w0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _draw_equivalent_in_domain(alg, rngs, prof, count: int):
+def _draw_equivalent_in_domain(alg, rng, prof, count: int):
     """count projections per trial, mutually equivalent, each pair in each
     other's chart domain."""
 
-    def draw(rngs):
-        ps = [f.projection for f in sampling.frame_chain(alg, rngs, count - 1, allow_zero=False)]
+    def draw(rng):
+        ps = [f.projection for f in sampling.frame_chain(alg, rng, count - 1, allow_zero=False)]
         # Membership is symmetric (q p = (p q)* has the same singular
         # values) and holds on the diagonal, so one test per unordered pair.
         inside = [chart_domain_member(a, b, prof) for i, a in enumerate(ps) for b in ps[i + 1:]]
         return ps, np.logical_and.reduce(inside)
 
-    return sampling.redraw_failures(rngs, draw, _retry)
+    return sampling.redraw_failures(rng, draw, _retry)
 
 
-def _draw_round_trip(ctx: RowCtx, rngs) -> list:
+def _draw_round_trip(ctx: RowCtx, rng) -> list:
     alg, prof = ctx.algebra, ctx.profile
-    p, q = _draw_equivalent_in_domain(alg, rngs, prof, 2)
+    p, q = _draw_equivalent_in_domain(alg, rng, prof, 2)
 
-    def draw_g(rngs):
-        fs = sampling.frame_chain(alg, rngs, 3, allow_zero=False)
+    def draw_g(rng):
+        fs = sampling.frame_chain(alg, rng, 3, allow_zero=False)
         p_, pt, l, r = (f.projection for f in fs)
         inside = chart_domain_member(p_, l, prof) & chart_domain_member(pt, r, prof)
         return [p_, pt, fs[2], fs[3]], inside
 
-    p_, pt, f2, f3 = sampling.redraw_failures(rngs, draw_g, _retry)
-    return [p, q, p_, pt, sampling.isometry_between(rngs, f3, f2), sampling.positive_on(rngs, f3)]
+    p_, pt, f2, f3 = sampling.redraw_failures(rng, draw_g, _retry)
+    return [p, q, p_, pt, sampling.isometry_between(rng, f3, f2), sampling.positive_on(rng, f3)]
 
 
 def _check_round_trip(ctx: RowCtx, p, q, p_, pt, wiso, h) -> dict:
@@ -418,8 +410,8 @@ def _check_round_trip(ctx: RowCtx, p, q, p_, pt, wiso, h) -> dict:
     }
 
 
-def _draw_cocycle(ctx: RowCtx, rngs) -> list:
-    return _draw_equivalent_in_domain(ctx.algebra, rngs, ctx.profile, 4)
+def _draw_cocycle(ctx: RowCtx, rng) -> list:
+    return _draw_equivalent_in_domain(ctx.algebra, rng, ctx.profile, 4)
 
 
 def _check_cocycle(ctx: RowCtx, p, p1, p2, q) -> dict:
@@ -457,16 +449,16 @@ def _row_charts_transition_oracle(ctx: RowCtx) -> float:
     )
 
 
-def _draw_theta(ctx: RowCtx, rngs) -> list:
+def _draw_theta(ctx: RowCtx, rng) -> list:
     alg, prof = ctx.algebra, ctx.profile
 
-    def draw(rngs):
-        fs = sampling.frame_chain(alg, rngs, 2, allow_zero=False)
+    def draw(rng):
+        fs = sampling.frame_chain(alg, rng, 2, allow_zero=False)
         p0, q, p = (f.projection for f in fs)
         return [p0, q, p, fs[0], fs[1]], chart_domain_member(p, q, prof)
 
-    p0, q, p, f0, f1 = sampling.redraw_failures(rngs, draw, _retry)
-    return [p0, q, p, sampling.isometry_between(rngs, f0, f1)]
+    p0, q, p, f0, f1 = sampling.redraw_failures(rng, draw, _retry)
+    return [p0, q, p, sampling.isometry_between(rng, f0, f1)]
 
 
 def _check_theta(ctx: RowCtx, p0, q, p, u) -> dict:
@@ -487,19 +479,19 @@ def _check_theta(ctx: RowCtx, p0, q, p, u) -> dict:
     }
 
 
-def _draw_connection(ctx: RowCtx, rngs) -> list:
+def _draw_connection(ctx: RowCtx, rng) -> list:
     alg = ctx.algebra
-    f0 = sampling.random_frames(alg, rngs, allow_zero=False)
+    f0 = sampling.random_frames(alg, rng, allow_zero=False)
     p0 = f0.projection
-    rho0 = sampling.density_on(rngs, f0)
-    u = sampling.isometry_between(rngs, f0, sampling.equivalent_frames(rngs, f0))
-    du1 = sampling.p0_tangent(alg, rngs, u, p0)
-    du2 = sampling.p0_tangent(alg, rngs, u, p0)
-    x1 = sampling.corner_antihermitian(alg, rngs, p0)
+    rho0 = sampling.density_on(rng, f0)
+    u = sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
+    du1 = sampling.p0_tangent(alg, rng, u, p0)
+    du2 = sampling.p0_tangent(alg, rng, u, p0)
+    x1 = sampling.corner_antihermitian(alg, rng, p0)
     # A second corner direction x2, never read: it is drawn only to keep the
     # trial's stream as it has always been, so that a draw added after it
     # sees the generator state it would have seen before.
-    sampling.corner_antihermitian(alg, rngs, p0)
+    sampling.corner_antihermitian(alg, rng, p0)
     return [rho0, u, du1, du2, x1]
 
 
@@ -540,14 +532,14 @@ def _real_trace(a, prof: ToleranceProfile):
 # ---------------------------------------------------------------------------
 
 
-def _draw_family_pair(ctx: RowCtx, rngs) -> list:
+def _draw_family_pair(ctx: RowCtx, rng) -> list:
     """Two families on one composable base per trial
     (:func:`~wstargeo.poisson.draw_family_data`)."""
-    return draw_family_data(ctx.algebra, rngs, 2)
+    return draw_family_data(ctx.algebra, rng, 2)
 
 
-def _draw_family(ctx: RowCtx, rngs) -> list:
-    return draw_family_data(ctx.algebra, rngs, 1)
+def _draw_family(ctx: RowCtx, rng) -> list:
+    return draw_family_data(ctx.algebra, rng, 1)
 
 
 def _check_multiplicativity(ctx: RowCtx, *data) -> dict:
@@ -555,14 +547,14 @@ def _check_multiplicativity(ctx: RowCtx, *data) -> dict:
     return {"multiplicativity": multiplicativity_residual(fam, fam2, ctx.profile)}
 
 
-def _draw_vertical(ctx: RowCtx, rngs) -> list:
+def _draw_vertical(ctx: RowCtx, rng) -> list:
     alg = ctx.algebra
-    qf = sampling.random_frames(alg, rngs, allow_zero=False)
+    qf = sampling.random_frames(alg, rng, allow_zero=False)
     q = qf.projection
-    u = sampling.isometry_between(rngs, qf, sampling.equivalent_frames(rngs, qf))
-    xi = sampling.positive_on(rngs, qf)
-    b = sampling.corner_antihermitian(alg, rngs, q)
-    b2 = sampling.corner_antihermitian(alg, rngs, q)
+    u = sampling.isometry_between(rng, qf, sampling.equivalent_frames(rng, qf))
+    xi = sampling.positive_on(rng, qf)
+    b = sampling.corner_antihermitian(alg, rng, q)
+    b2 = sampling.corner_antihermitian(alg, rng, q)
     return [u, xi, b, b2]
 
 
@@ -585,7 +577,7 @@ def _check_order(ctx: RowCtx, *data) -> dict:
 def _row_exactness_order(ctx: RowCtx) -> float:
     """Median convergence ratio of the finite-difference defect when the step
     halves; a second-order scheme gives 4."""
-    defects = _check_order(ctx, *_draw_family(ctx, _generators(ctx)))
+    defects = _check_order(ctx, *_draw_family(ctx, ctx.stream()))
     ratios = []
     for r1, r2 in zip(*(d.tolist() for d in defects.values())):
         if not np.isfinite(r1 + r2):
@@ -602,14 +594,14 @@ def _row_exactness_order(ctx: RowCtx) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _draw_dual_pair(ctx: RowCtx, rngs) -> list:
+def _draw_dual_pair(ctx: RowCtx, rng) -> list:
     """Per trial, a generic element or, with even odds, a polar product
-    ``u h``: each kind drawn once, from the generators of its trials."""
+    ``u h``: each kind drawn once, for its trials only."""
     alg = ctx.algebra
-    generic = np.array([rng.uniform() < 0.5 for rng in rngs], dtype=bool)
-    g = np.empty((len(rngs), alg.dim, alg.dim), dtype=complex)
-    g[generic] = sampling.random_element(alg, [r for r, c in zip(rngs, generic) if c])
-    polar = [r for r, c in zip(rngs, generic) if not c]
+    generic = rng.take("uniform") < 0.5
+    g = np.empty((len(rng), alg.dim, alg.dim), dtype=complex)
+    g[generic] = sampling.random_element(alg, rng.part(generic))
+    polar = rng.part(~generic)
     qf = sampling.random_frames(alg, polar, allow_zero=False)
     u = sampling.isometry_between(polar, qf, sampling.equivalent_frames(polar, qf))
     g[~generic] = u @ sampling.positive_on(polar, qf)
@@ -629,12 +621,12 @@ def _check_dual_pair(ctx: RowCtx, g) -> dict:
 
 def _draw_observables(point: Callable) -> Callable:
     """The draw of a poisson-map row: three Hermitian elements per trial,
-    then ``point(algebra, rngs)`` (a vector of the standard form or a
+    then ``point(algebra, rng)`` (a vector of the standard form or a
     density), all stacked, the elements scaled to unit operator norm."""
 
-    def draw(ctx: RowCtx, rngs) -> list:
-        xyz = [sampling.random_hermitian(ctx.algebra, rngs) for _ in range(3)]
-        at = point(ctx.algebra, rngs)
+    def draw(ctx: RowCtx, rng) -> list:
+        xyz = [sampling.random_hermitian(ctx.algebra, rng) for _ in range(3)]
+        at = point(ctx.algebra, rng)
         return [*(sampling.unit_norm(m) for m in xyz), at]
 
     return draw
@@ -705,31 +697,27 @@ def _check_commutant(ctx: RowCtx, x, y, z, gamma) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _draw_bundle_point(alg, rngs, repeat_chance: float = 0.0):
+def _draw_bundle_point(alg, rng, repeat_chance: float = 0.0):
     """Per trial, frames of a support p0, a unit-trace density on it, an
     isometry from it and the frames of that isometry's target, as stacks."""
-    f0 = sampling.random_frames(alg, rngs, allow_zero=False)
-    d = sampling.positive_on(rngs, f0)
+    f0 = sampling.random_frames(alg, rng, allow_zero=False)
+    d = sampling.positive_on(rng, f0)
     if repeat_chance > 0.0:
         # Collapse the corner spectrum of some trials to create a nontrivial
-        # stabilizer: only their generators draw the flat spectrum.
-        flat = np.array([rng.uniform() < repeat_chance for rng in rngs], dtype=bool)
-        d[flat] = sampling.positive_on([r for r, c in zip(rngs, flat) if c], f0[flat], 1.0, 1.0)
-    q = sampling.equivalent_frames(rngs, f0)
-    return f0, sampling.unit_trace(d), sampling.isometry_between(rngs, f0, q), q
+        # stabilizer: only they draw the flat spectrum.
+        flat = rng.take("uniform") < repeat_chance
+        d[flat] = sampling.positive_on(rng.part(flat), f0[flat], 1.0, 1.0)
+    q = sampling.equivalent_frames(rng, f0)
+    return f0, sampling.unit_trace(d), sampling.isometry_between(rng, f0, q), q
 
 
-def _draw_invariance(ctx: RowCtx, rngs) -> list:
+def _draw_invariance(ctx: RowCtx, rng) -> list:
     alg, prof = ctx.algebra, ctx.profile
-    _, d0, u, q = _draw_bundle_point(alg, rngs, repeat_chance=0.5)
+    _, d0, u, q = _draw_bundle_point(alg, rng, repeat_chance=0.5)
     rho0 = NormalFunctional(alg, d0)
     p0 = functional_support(rho0, prof)
-    # Each trial's generator goes on where its base point left it, now that
-    # the stacked spectrum gives its support and stabilizer.
-    sample = orbit_form_sample(alg, rngs, u, p0, q)
-    coeff = _coefficients(
-        rngs, stabilizer_dimension(rho0, prof), lambda rng, k: rng.standard_normal(k)
-    )
+    sample = orbit_form_sample(alg, rng, u, p0, q)
+    coeff = rng.take("standard_normal", shape=(_coefficient_width(alg),))
     return [rho0, u, *sample, coeff]
 
 
@@ -737,11 +725,11 @@ def _check_invariance(ctx: RowCtx, rho0, u, *sample) -> dict:
     return {"invariance": orbit_form_invariance_residual(rho0, u, *sample, ctx.profile)}
 
 
-def _draw_fd(ctx: RowCtx, rngs) -> list:
+def _draw_fd(ctx: RowCtx, rng) -> list:
     alg = ctx.algebra
-    f0, d0, u, _ = _draw_bundle_point(alg, rngs)
-    a = sampling.random_antihermitian(alg, rngs)
-    return [d0, u, a, sampling.corner_antihermitian(alg, rngs, f0.projection)]
+    f0, d0, u, _ = _draw_bundle_point(alg, rng)
+    a = sampling.random_antihermitian(alg, rng)
+    return [d0, u, a, sampling.corner_antihermitian(alg, rng, f0.projection)]
 
 
 def _check_fd(ctx: RowCtx, d0, u, a, b) -> dict:
@@ -752,10 +740,10 @@ def _check_fd(ctx: RowCtx, d0, u, a, b) -> dict:
     return {"fd-exterior": np.abs(val_fd - dGamma0(rho0, u, a @ u, u @ b, prof))}
 
 
-def _draw_degeneracy(ctx: RowCtx, rngs) -> list:
+def _draw_degeneracy(ctx: RowCtx, rng) -> list:
     alg = ctx.algebra
-    f0, d0, u, _ = _draw_bundle_point(alg, rngs, repeat_chance=0.5)
-    return [d0, u, sampling.isometry_between(rngs, f0, sampling.equivalent_frames(rngs, f0))]
+    f0, d0, u, _ = _draw_bundle_point(alg, rng, repeat_chance=0.5)
+    return [d0, u, sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))]
 
 
 def _check_degeneracy(ctx: RowCtx, d0, u, v) -> dict:
@@ -774,13 +762,13 @@ def _check_degeneracy(ctx: RowCtx, d0, u, v) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _draw_kks(ctx: RowCtx, rngs) -> list:
+def _draw_kks(ctx: RowCtx, rng) -> list:
     """A unit-trace density on a random support and two anti-Hermitian
     directions per trial."""
     alg = ctx.algebra
-    frames = sampling.random_frames(alg, rngs, allow_zero=False)
-    d0 = sampling.unit_trace(sampling.positive_on(rngs, frames))
-    return [d0, sampling.random_antihermitian(alg, rngs), sampling.random_antihermitian(alg, rngs)]
+    frames = sampling.random_frames(alg, rng, allow_zero=False)
+    d0 = sampling.unit_trace(sampling.positive_on(rng, frames))
+    return [d0, sampling.random_antihermitian(alg, rng), sampling.random_antihermitian(alg, rng)]
 
 
 def _check_kks(ctx: RowCtx, d0, a1, a2) -> dict:
@@ -796,19 +784,19 @@ def _fs_dimension(alg: BlockAlgebra) -> int:
     return max(2, max(alg.blocks))
 
 
-def _radii(rngs) -> np.ndarray:
+def _radii(rng) -> np.ndarray:
     """A radius in ``[0.5, 2]`` per trial."""
-    return np.array([rng.uniform(0.5, 2.0) for rng in rngs])
+    return rng.take("uniform", 0.5, 2.0)
 
 
-def _draw_fs(ctx: RowCtx, rngs) -> list:
+def _draw_fs(ctx: RowCtx, rng) -> list:
     """Radius, base direction and two tangent vectors of each Fubini–Study
     trial."""
     n = _fs_dimension(ctx.algebra)
-    delta = sampling.random_unit_vector(n, rngs)
-    x_t = sampling.complex_normal(rngs, (n,))
-    y_t = sampling.complex_normal(rngs, (n,))
-    return [_radii(rngs), delta, x_t, y_t]
+    delta = sampling.random_unit_vector(n, rng)
+    x_t = sampling.complex_normal(rng, (n,))
+    y_t = sampling.complex_normal(rng, (n,))
+    return [_radii(rng), delta, x_t, y_t]
 
 
 def _check_fs_orbit(ctx: RowCtx, r, delta, x_t, y_t) -> dict:
@@ -821,13 +809,13 @@ def _check_fs_scaling(ctx: RowCtx, r, delta, x_t, y_t) -> dict:
     return {"r-scaling": np.abs(two - 2.0 * one)}
 
 
-def _draw_pair_groupoid(ctx: RowCtx, rngs) -> list:
+def _draw_pair_groupoid(ctx: RowCtx, rng) -> list:
     n = _fs_dimension(ctx.algebra)
-    psi = sampling.random_unit_vector(n, rngs)
-    phi_vec = sampling.random_unit_vector(n, rngs)
-    delta = sampling.random_unit_vector(n, rngs)
-    vecs = [sampling.complex_normal(rngs, (n,)) for _ in range(4)]
-    return [_radii(rngs), delta, psi, phi_vec, *vecs]
+    psi = sampling.random_unit_vector(n, rng)
+    phi_vec = sampling.random_unit_vector(n, rng)
+    delta = sampling.random_unit_vector(n, rng)
+    vecs = [sampling.complex_normal(rng, (n,)) for _ in range(4)]
+    return [_radii(rng), delta, psi, phi_vec, *vecs]
 
 
 def _check_pair_groupoid(ctx: RowCtx, *data) -> dict:
@@ -839,13 +827,13 @@ def _check_pair_groupoid(ctx: RowCtx, *data) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _draw_flow(ctx: RowCtx, rngs) -> list:
+def _draw_flow(ctx: RowCtx, rng) -> list:
     """Per trial, a flow time from :data:`FLOW_TIMES`, a faithful density
     and one sample of vectors and elements
     (:func:`~wstargeo.standard.flow_sample`)."""
-    t = np.array([FLOW_TIMES[rng.integers(len(FLOW_TIMES))] for rng in rngs])
-    d = sampling.random_density_matrix(ctx.algebra, rngs)
-    return [t, d, *flow_sample(ctx.algebra, rngs)]
+    t = np.array(FLOW_TIMES)[rng.take("integers", len(FLOW_TIMES))]
+    d = sampling.random_density_matrix(ctx.algebra, rng)
+    return [t, d, *flow_sample(ctx.algebra, rng)]
 
 
 def _check_flow(ctx: RowCtx, t, d, *sample) -> dict:
@@ -854,13 +842,13 @@ def _check_flow(ctx: RowCtx, t, d, *sample) -> dict:
     return flow_residuals(NormalFunctional(ctx.algebra, d), t, *sample, ctx.profile)
 
 
-def _draw_orbit_form(ctx: RowCtx, rngs) -> list:
+def _draw_orbit_form(ctx: RowCtx, rng) -> list:
     alg = ctx.algebra
-    f0, d0, u, _ = _draw_bundle_point(alg, rngs)
+    f0, d0, u, _ = _draw_bundle_point(alg, rng)
     p0 = f0.projection
-    du1 = sampling.p0_tangent(alg, rngs, u, p0)
-    du2 = sampling.p0_tangent(alg, rngs, u, p0)
-    return [d0, p0, u, du1, du2, _radii(rngs)]
+    du1 = sampling.p0_tangent(alg, rng, u, p0)
+    du2 = sampling.p0_tangent(alg, rng, u, p0)
+    return [d0, p0, u, du1, du2, _radii(rng)]
 
 
 def _check_orbit_form(ctx: RowCtx, d0, p0, u, du1, du2, c) -> dict:
@@ -878,11 +866,11 @@ def _check_orbit_form(ctx: RowCtx, d0, p0, u, du1, du2, c) -> dict:
     return checks
 
 
-def _draw_density_pair(ctx: RowCtx, rngs) -> list:
+def _draw_density_pair(ctx: RowCtx, rng) -> list:
     """A faithful density and two elements per trial."""
     alg = ctx.algebra
-    d = sampling.random_density_matrix(alg, rngs)
-    return [d, sampling.random_element(alg, rngs), sampling.random_element(alg, rngs)]
+    d = sampling.random_density_matrix(alg, rng)
+    return [d, sampling.random_element(alg, rng), sampling.random_element(alg, rng)]
 
 
 def _check_tomita(ctx: RowCtx, d, x, g) -> dict:
@@ -915,15 +903,13 @@ def _check_group_law(ctx: RowCtx, d, x, y) -> dict:
     }
 
 
-def _draw_conditional_expectation(ctx: RowCtx, rngs) -> list:
-    alg, prof = ctx.algebra, ctx.profile
-    phi = NormalFunctional(alg, sampling.random_density_matrix(alg, rngs, repeat_chance=0.5))
-    x = sampling.random_element(alg, rngs)
-    # The centralizer's coefficients, one per basis element: its length is
-    # the stabilizer's dimension.
-    coeff = _coefficients(
-        rngs, stabilizer_dimension(phi, prof), lambda rng, k: sampling.complex_normal(rng, (k,))
-    )
+def _draw_conditional_expectation(ctx: RowCtx, rng) -> list:
+    alg = ctx.algebra
+    phi = NormalFunctional(alg, sampling.random_density_matrix(alg, rng, repeat_chance=0.5))
+    x = sampling.random_element(alg, rng)
+    # The centralizer's coefficients, one per basis element: each trial
+    # reads as many as its stabilizer has dimensions.
+    coeff = sampling.complex_normal(rng, (_coefficient_width(alg),))
     return [phi, x, coeff]
 
 
@@ -966,11 +952,11 @@ def _dimension_defects(algebra: BlockAlgebra, d: np.ndarray, expected, prof) -> 
     return _truncated(cluster_pattern(phi, prof), defects, phi, np.asarray(expected))
 
 
-def _draw_planted(ctx: RowCtx, rngs) -> list:
+def _draw_planted(ctx: RowCtx, rng) -> list:
     """Per trial, a density with a planted multiplicity pattern, and its
     predicted dimension, the sum of the squared multiplicities: the number
     of pairs of positions in one block with the same label."""
-    d, labels = sampling.planted_positive(ctx.algebra, rngs, (0.5, 1.0, 1.5, 2.0))
+    d, labels = sampling.planted_positive(ctx.algebra, rng, (0.5, 1.0, 1.5, 2.0))
     predicted = sum(
         np.count_nonzero(lb[:, :, None] == lb[:, None, :], axis=(1, 2))
         for lb in (labels[:, s] for s in ctx.algebra.slices)

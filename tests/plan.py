@@ -3,8 +3,9 @@
 ``python tests/plan.py --write`` runs the whole plan (43 rows on 7 shapes,
 301 results) and writes ``tests/golden/plan.json``: per shape and row the
 status, ``repr(max_residual)`` and a digest of the states in which the row
-left its trials' generators, with the plan itself and the NumPy and BLAS
-build that produced it.  ``python tests/plan.py`` runs it again and
+left its slot generators (one per draw of the row's stream, for all its
+trials), with the plan itself and the NumPy and BLAS build that produced
+it.  ``python tests/plan.py`` runs it again and
 prints every result that differs from the file, then one line with how
 many differ in status, in generator digest and in residual alone.
 ``tests/test_plan.py`` compares the small shapes in the test run.
@@ -54,18 +55,18 @@ def build() -> dict:
 
 def state_digest(generators: list) -> str:
     """SHA-256 of the ``(key, bit_generator.state)`` of each generator, in
-    the order they were made: a row that draws more, less or in another
-    order from any trial's generator changes it."""
+    the order they were made: a row that takes other slots, or draws more,
+    less or in another order from any slot's generator, changes it."""
     text = json.dumps([[key, g.bit_generator.state] for key, g in generators], sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_suite_recorded(name: str, algebra: BlockAlgebra, trials: int) -> dict:
     """``{suite/row: [status, repr(max_residual), state digest]}`` for every
-    row of one suite.  Every trial generator comes from ``sampling.rng_for``
-    (``RowCtx.rng`` looks it up at each call), so a wrapper there sees them
-    all; each is filed under the row of its subindex, and digested after
-    the suite has run."""
+    row of one suite.  Every slot generator comes from ``sampling.rng_for``,
+    keyed ``(seed, subindex, *path)`` (a ``sampling.Stream`` looks it up at
+    each slot), so a wrapper there sees them all; each is filed under the
+    row of its subindex, and digested after the suite has run."""
     made, original = [], sampling.rng_for
 
     def recording(*key):

@@ -392,9 +392,10 @@ class TestOrbitOneForm:
 
 
 def _chart_draws(draw, algebra, trials: int, seed: int) -> list:
-    """A random charts row's draws of trials 0, ..., trials - 1."""
+    """A random charts row's draws of trials 0, ..., trials - 1, each drawn
+    alone."""
     ctx = suites.RowCtx(algebra, trials, seed, 0, DEFAULT_TOL)
-    return [draw(ctx, rng_for(seed, k)) for k in range(trials)]
+    return [[x[0] for x in draw(ctx, ctx.stream([k]))] for k in range(trials)]
 
 
 TOL = DEFAULT_TOL

@@ -97,6 +97,11 @@ def _theta_input(rng):
     return p, pt, x
 
 
+def _ten_trials_repeated(ctx: suites.RowCtx) -> sampling.Stream:
+    """The row's stream, trial ``k`` reading the rows of trial ``k mod 10``."""
+    return sampling.Stream((ctx.seed, ctx.subindex), np.arange(ctx.trials) % 10)
+
+
 def _functional(seed: int = 0) -> NormalFunctional:
     rng = sampling.rng_for(2025, seed)
     return sampling.density_on(rng, sampling.random_frames(M23, rng, allow_zero=False))
@@ -143,13 +148,9 @@ class TestCounts:
         # Nor do its value-only SVDs: the draws test their chart domains once
         # per pair on the stack of the pending trials, and redraw only the
         # trials that miss (30, 64 and 10 at 10 trials, and 120, 244 and 40
-        # at 40, when each trial tested its own draw).  Trial k draws from
-        # the generator of trial k mod 10, so 40 trials make the redraws of
-        # 10.
-        monkeypatch.setattr(
-            suites.RowCtx, "rng",
-            lambda self, k: sampling.rng_for(self.seed, self.subindex, k % 10),
-        )
+        # at 40, when each trial tested its own draw).  Trial k reads the
+        # rows of trial k mod 10, so 40 trials make the redraws of 10.
+        monkeypatch.setattr(suites.RowCtx, "stream", _ten_trials_repeated)
         subindex, (_, tolerance, fn) = next(
             (i, r) for i, r in enumerate(suites._suite("charts")) if r[0] == row
         )
@@ -248,16 +249,13 @@ class TestCounts:
         assert counts[0]["identity"][1] > 0
 
     def test_pattern_rows_factor_per_pattern_not_per_trial(self, lapack_calls, monkeypatch):
-        # Trial k draws from the generator of trial k mod 10, so 40 trials
+        # Trial k reads the rows of trial k mod 10, so 40 trials
         # repeat the eigenvalue-cluster patterns and null-space dimensions
         # of 10.  The rows below factor once per such pattern (fubini-study
         # and fd-exterior once per row), so they make as many SVDs and
         # Hermitian eigendecompositions at 40 trials as at 10; one check per
         # trial made four times as many.
-        monkeypatch.setattr(
-            suites.RowCtx, "rng",
-            lambda self, k: sampling.rng_for(self.seed, self.subindex, k % 10),
-        )
+        monkeypatch.setattr(suites.RowCtx, "stream", _ten_trials_repeated)
         rows = [
             (suite, subindex, row)
             for suite in ("degeneracy", "dual-pair", "fubini-study", "modular-flow")
@@ -343,11 +341,12 @@ class TestCounts:
 
 
 class TestDrawsFactorOncePerRow:
-    def test_a_round_makes_few_haar_qrs(self, monkeypatch):
+    def test_a_round_makes_few_haar_qrs_and_generators(self, monkeypatch):
         # A verify-all round on 2,3 at 100 trials: each sampler call factors
         # the layouts of all its trials with one Haar QR, so the QRs grow
         # with the rows, not with the trials (13,966 with one QR per draw of
-        # each trial).  Every trial still draws from its own generator.
+        # each trial).  Each draw of a row takes one generator for all its
+        # trials (3,500 generators a round with one per trial).
         qrs, keys = [], []
         real_qr, real_rng_for = sampling.phase_fixed_q, sampling.rng_for
         monkeypatch.setattr(sampling, "phase_fixed_q", lambda g: qrs.append(g.shape) or real_qr(g))
@@ -358,7 +357,27 @@ class TestDrawsFactorOncePerRow:
             assert all(r.passed for r in suites.run_suite(name, M23, 100, 1)), name
         assert 0 < len(qrs) < 1000
         assert all(shape[0] <= 100 for shape in qrs)
-        assert len(keys) == 3500
+        assert 0 < len(keys) < 1000
+
+    def test_each_row_makes_its_generators_whatever_its_trials(self, monkeypatch):
+        # A row takes a generator per draw, not per trial, so it makes as
+        # many at 40 trials as at 10.  Trial k reads the rows of trial
+        # k mod 10, so 40 trials make the redraws of 10.
+        made, real_rng_for = [], sampling.rng_for
+        monkeypatch.setattr(sampling, "rng_for", lambda *key: made.append(key) or real_rng_for(*key))
+        monkeypatch.setattr(suites.RowCtx, "stream", _ten_trials_repeated)
+        counts = []
+        for trials in (10, 40):
+            per_row = {}
+            for name in suites.SUITE_NAMES:
+                shared = {}
+                for subindex, (row, tolerance, fn) in enumerate(suites._suite(name)):
+                    made.clear()
+                    assert fn(suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL, shared)) <= tolerance
+                    per_row[f"{name}/{row}"] = len(made)
+            counts.append(per_row)
+        assert counts[0] == counts[1]
+        assert sum(counts[0].values()) > 0
 
 
 class TestOrbitCommand:

@@ -314,7 +314,7 @@ STACKED_ROWS = {
 def _row_draws(row: str, algebra: BlockAlgebra, trials: int, seed: int) -> list:
     draw, _ = STACKED_ROWS[row]
     ctx = suites.RowCtx(algebra, trials, seed, 0, DEFAULT_TOL)
-    return [[entry(x, 0) for x in draw(ctx, [sampling.rng_for(seed, k)])] for k in range(trials)]
+    return [[entry(x, 0) for x in draw(ctx, ctx.stream([k]))] for k in range(trials)]
 
 
 def _arrays(arrow) -> list:

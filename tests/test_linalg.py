@@ -404,15 +404,28 @@ class TestExpAntihermitian:
         assert frobenius(g - scipy.linalg.expm(x)) <= 1e-13
 
 
-def test_import_leaves_scipy_out():
-    """The package and its command line import without SciPy."""
+def _imported_by_the_package(module: str) -> bool:
+    """Whether ``import wstargeo, wstargeo.cli`` imports ``module``, in a
+    fresh interpreter."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, wstargeo, wstargeo.cli; print('scipy' in sys.modules)"
+    code = f"import sys, wstargeo, wstargeo.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_out():
+    """The package and its command line import without SciPy."""
+    assert not _imported_by_the_package("scipy")
+
+
+def test_import_leaves_numpy_random_out():
+    """The package and its command line import without ``numpy.random``: a
+    sampler's stream makes its generators when it draws, and nothing typed
+    or built at import reaches ``numpy.random``."""
+    assert not _imported_by_the_package("numpy.random")
 
 
 #: ``numpy.linalg``/``scipy.linalg`` factorizations that only ``linalg.py`` calls.

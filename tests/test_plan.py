@@ -1,7 +1,7 @@
 """The small shapes of the row × shape plan reproduce the golden file.
 
 Status must always match.  Residuals must match bit for bit, and each row
-must leave its trials' generators in the recorded states, when this NumPy
+must leave its slot generators in the recorded states, when this NumPy
 and BLAS build is the one that wrote the file; on another build only the
 status is compared.  ``python tests/plan.py`` checks the whole plan.
 """

@@ -306,7 +306,7 @@ STACKED_FAMILY_ROWS = {
 
 def _family_draws(draw, algebra, trials, seed):
     ctx = suites.RowCtx(algebra, trials, seed, 0, DEFAULT_TOL)
-    return [draw(ctx, rng_for(seed, k)) for k in range(trials)]
+    return [[x[0] for x in draw(ctx, ctx.stream([k]))] for k in range(trials)]
 
 
 class TestStackedFamilies:
@@ -632,7 +632,7 @@ class TestDegeneracy:
         # off the base's support is refused by its place in the whole stack.
         algebra = BlockAlgebra(blocks)
         ctx = suites.RowCtx(algebra, 10, 61, 0, DEFAULT_TOL)
-        d0, u, v = suites._draw_degeneracy(ctx, [rng_for(61, k) for k in range(10)])
+        d0, u, v = suites._draw_degeneracy(ctx, ctx.stream())
         whole = vars(degeneracy_kernel_check(NormalFunctional(algebra, d0), u, v, DEFAULT_TOL))
         assert len(set(whole["tangent_dimension"].tolist())) > 1
         t = 2 * sum(n * n for n in blocks)

@@ -1,7 +1,9 @@
 """Tests for the frame samplers: drawn projections keep their per-block
-frames, and arrows and corner positives are built from them.  Given one
-generator per trial, a sampler returns the stack of its one-generator calls,
-bit for bit, and a stacked redraw redraws only the failing trials."""
+frames, and arrows and corner positives are built from them.  Given a
+stream of trials, a sampler draws trial ``k``'s values from row ``k`` of
+each slot, so a trial has the same bits in any stack, alone, beside any
+other trials and however often the others redraw; a stacked redraw redraws
+only the failing trials."""
 
 import numpy as np
 import pytest
@@ -136,32 +138,47 @@ class TestRngFor:
 
 
 # The per-block samplers, as the reference for the stream and the values:
-# one Haar QR per block, drawn block by block.
 
 
-def _haar(rng, n):
-    return linalg.phase_fixed_q(sampling.complex_normal(rng, (n, n)))
+# The per-block samplers, as the reference for the values: each reads the
+# slots of one generator as the one-trial adapter draws them, block by
+# block.
 
 
-def _per_block_frames(algebra, rng, ranks=None):
+def _block_gaussians(algebra, ref, scale=1.0) -> list:
+    """Each block's complex Gaussian, from one slot of ``ref``."""
+    sizes = [n * n for n in algebra.blocks]
+    z = ref.normal(0.0, scale, (1, sum(sizes), 2)).view(complex)[0, :, 0]
+    parts = np.split(z, np.cumsum(sizes)[:-1])
+    return [part.reshape(n, n) for part, n in zip(parts, algebra.blocks)]
+
+
+def _per_block_frames(algebra, ref, ranks=None):
     if ranks is None:
-        ranks = [int(rng.integers(0, b + 1)) for b in algebra.blocks]
+        m = len(algebra.blocks)
+        draw = ref.integers([0] * (m + 1), [n + 1 for n in algebra.blocks] + [m], size=(1, m + 1))[0]
+        ranks = draw[:m].tolist()
         if sum(ranks) == 0:
-            ranks[int(rng.integers(0, len(algebra.blocks)))] = 1
+            ranks[int(draw[m])] = 1
     return [
         np.zeros((n, 0)) if r == 0
         else np.eye(n) if r == n
-        else linalg.phase_fixed_q(sampling.complex_normal(rng, (n, r)))
-        for n, r in zip(algebra.blocks, ranks)
+        else linalg.phase_fixed_q(g[:, :r])
+        for n, r, g in zip(algebra.blocks, ranks, _block_gaussians(algebra, ref))
     ]
 
 
-def _per_block_positive(rng, frames):
+def _corner_haar(algebra, ref, ranks) -> list:
+    return [linalg.phase_fixed_q(g[:r, :r]) for g, r in zip(_block_gaussians(algebra, ref), ranks)]
+
+
+def _per_block_positive(algebra, ref, frames):
+    ws = _corner_haar(algebra, ref, [f.shape[1] for f in frames])
+    vals = ref.uniform(0.5, 2.0, (1, algebra.dim))[0]
     mats = []
-    for f in frames:
-        fw = f @ _haar(rng, f.shape[1])
-        vals = rng.uniform(0.5, 2.0, f.shape[1])
-        mats.append((fw * vals) @ fw.conj().T)
+    for s, f, w in zip(algebra.slices, frames, ws):
+        fw = f @ w
+        mats.append((fw * vals[s.start : s.start + f.shape[1]]) @ fw.conj().T)
     return mats
 
 
@@ -174,7 +191,7 @@ def _assembled(algebra, mats):
 
 class TestOneQRPerDraw:
     """Each sampler makes at most one Haar QR and assembles no blocks, and
-    draws what the per-block samplers drew, in the same order, to the same
+    draws what the per-block samplers draw from the same slots, to the same
     values up to rounding."""
 
     @pytest.fixture
@@ -201,7 +218,7 @@ class TestOneQRPerDraw:
             rng, ref = sampling.rng_for(70, key), sampling.rng_for(70, key)
 
             def drawn(value, want):
-                # at most one QR, the replayed stream, the per-block values
+                # at most one QR, the same slots, the per-block values
                 assert len(qr_calls) <= 1
                 qr_calls.clear()
                 assert rng.bit_generator.state == ref.bit_generator.state
@@ -223,17 +240,17 @@ class TestOneQRPerDraw:
             gb = _per_block_frames(algebra, ref, f.ranks)
             check_frames(g, gb)
             u = sampling.isometry_between(rng, f, g)
-            drawn(u, _assembled(algebra, [t @ _haar(ref, s.shape[1]) @ s.conj().T for s, t in zip(fb, gb)]))
+            ws = _corner_haar(algebra, ref, f.ranks)
+            drawn(u, _assembled(algebra, [t @ w @ s.conj().T for s, t, w in zip(fb, gb, ws)]))
             h = sampling.positive_on(rng, f)
-            drawn(h, _assembled(algebra, _per_block_positive(ref, fb)))
+            drawn(h, _assembled(algebra, _per_block_positive(algebra, ref, fb)))
             w = sampling.random_unitary(algebra, rng)
-            drawn(w, _assembled(algebra, [_haar(ref, n) for n in algebra.blocks]))
+            drawn(w, _assembled(algebra, [linalg.phase_fixed_q(b) for b in _block_gaussians(algebra, ref)]))
             x = sampling.random_element(algebra, rng)
-            drawn(x, _assembled(algebra, [sampling.complex_normal(ref, (n, n), 0.5**0.5) for n in algebra.blocks]))
+            drawn(x, _assembled(algebra, _block_gaussians(algebra, ref, 0.5**0.5)))
             for y in (u, h, w, x):
                 # exactly zero off the blocks
                 assert np.array_equal(y, _assembled(algebra, algebra.block_views(y)))
-
 
 class TestFamilyExponentials:
     @pytest.mark.parametrize("algebra", [M2, M23], ids=lambda a: str(a.blocks))
@@ -273,10 +290,12 @@ class TestFamilyExponentials:
         poisson.exactness_residual(fam, 1e-4, DEFAULT_TOL)
         assert len(times) == 20
         # and per stack of trials, not per trial
-        data = poisson.draw_family_data(M23, [sampling.rng_for(61, k) for k in range(6)])
+        data = poisson.draw_family_data(M23, sampling.Stream((61,), range(6)))
         [stacked] = poisson.families_on(M23, data, DEFAULT_TOL)
         poisson.exactness_residual(stacked, 1e-4, DEFAULT_TOL)
         assert len(times) == 30
+
+
 
 
 def _frames(f) -> list:
@@ -285,12 +304,40 @@ def _frames(f) -> list:
 
 def _arrows(algebra, rng) -> list:
     f = sampling.random_frames(algebra, rng)
-    u = sampling.isometry_between(rng, f, sampling.equivalent_frames(rng, f))
-    return [*_frames(f), u, sampling.positive_on(rng, f, 0.25, 3.0)]
+    g = sampling.equivalent_frames(rng, f)
+    return [
+        *_frames(f), *_frames(g),
+        sampling.isometry_between(rng, f, g),
+        sampling.positive_on(rng, f, 0.25, 3.0),
+        sampling.density_on(rng, f).density,
+    ]
 
 
-#: Each sampler, drawn from one generator or from one per trial.
-STACKED_SAMPLERS = {
+def _corners(algebra, rng) -> list:
+    ranks = tuple((n + 1) // 2 for n in algebra.blocks)
+    p = sampling.random_projection(algebra, rng, ranks=ranks)
+    q = sampling.random_projection(algebra, rng, ranks=ranks)
+    u = sampling.partial_isometry_onto(algebra, rng, p, q)
+    return [
+        p, q, u,
+        sampling.corner_positive(algebra, rng, p),
+        sampling.corner_hermitian(algebra, rng, p),
+        sampling.corner_antihermitian(algebra, rng, p),
+        sampling.p0_tangent(algebra, rng, u, p),
+    ]
+
+
+#: Each sampler, drawn from a stream: the arrays it returns.
+SAMPLERS = {
+    "complex_normal": lambda alg, rng: [sampling.complex_normal(rng, (3, 2), 0.5)],
+    "random_unit_vector": lambda alg, rng: [sampling.random_unit_vector(4, rng)],
+    "random_element": lambda alg, rng: [sampling.random_element(alg, rng)],
+    "random_hermitian": lambda alg, rng: [sampling.random_hermitian(alg, rng)],
+    "random_antihermitian": lambda alg, rng: [sampling.random_antihermitian(alg, rng)],
+    "random_unitary": lambda alg, rng: [sampling.random_unitary(alg, rng)],
+    "random_positive": lambda alg, rng: [sampling.random_positive(alg, rng)],
+    "random_density-repeated": lambda alg, rng: [sampling.random_density(alg, rng, 0.5).density],
+    "planted_positive": lambda alg, rng: list(sampling.planted_positive(alg, rng, (0.5, 1.0, 2.0))),
     "random_frames": lambda alg, rng: _frames(sampling.random_frames(alg, rng)),
     "random_frames-no-zero": lambda alg, rng: _frames(
         sampling.random_frames(alg, rng, allow_zero=False)
@@ -301,50 +348,116 @@ STACKED_SAMPLERS = {
     "random_frames-prescribed": lambda alg, rng: _frames(
         sampling.random_frames(alg, rng, ranks=tuple(n // 2 for n in alg.blocks))
     ),
-    "isometry_between-positive_on": _arrows,
-    "random_positive": lambda alg, rng: [sampling.random_positive(alg, rng, repeat_chance=0.5)],
-    "random_element": lambda alg, rng: [sampling.random_element(alg, rng)],
+    "frame_chain": lambda alg, rng: [f.matrix for f in sampling.frame_chain(alg, rng, 2)],
+    "arrows": _arrows,
+    "corners": _corners,
 }
 
-STACK_ALGEBRAS = [BlockAlgebra(b) for b in [(2, 3), (1, 2, 2), (12,), (4, 4, 4, 4)]]
+CONTRACT_ALGEBRAS = [BlockAlgebra(b) for b in [(2, 3), (1, 2, 2), (4, 4, 4, 4)]]
+STACK_ALGEBRAS = CONTRACT_ALGEBRAS + [BlockAlgebra((12,))]
+KEY = (77, 3)
 
 
-def _generators(seed: int, count: int) -> list:
-    return [sampling.rng_for(seed, k) for k in range(count)]
+def _stream(trials, path=()) -> sampling.Stream:
+    return sampling.Stream(KEY, trials, path)
 
 
-class TestStackedSamplers:
-    @pytest.mark.parametrize("algebra", STACK_ALGEBRAS, ids=lambda a: str(a.blocks))
-    @pytest.mark.parametrize("name", sorted(STACKED_SAMPLERS))
-    def test_a_stack_is_the_stack_of_one_generator_calls(self, name, algebra):
-        draw = STACKED_SAMPLERS[name]
-        rngs = _generators(71, 12)
-        stacked = draw(algebra, rngs)
-        for k, rng in enumerate(_generators(71, 12)):
-            alone = draw(algebra, rng)
-            for got, want in zip(stacked, alone, strict=True):
-                assert got.shape[0] == 12 and got[k].shape == np.shape(want)
-                assert got[k].tobytes() == np.asarray(want).tobytes(), (name, k)
-            # each generator left where its own call leaves it
-            assert rng.bit_generator.state == rngs[k].bit_generator.state, (name, k)
-        if name == "isometry_between-positive_on":
-            assert len({tuple(r) for r in stacked[1].tolist()}) > 1
+def _entries(arrays, k: int) -> list[bytes]:
+    """Entry ``k`` of each array, as bytes."""
+    return [np.asarray(a)[k].tobytes() for a in arrays]
 
-    @pytest.mark.parametrize("algebra", STACK_ALGEBRAS, ids=lambda a: str(a.blocks))
-    def test_a_row_of_ranks_per_trial(self, algebra):
-        ranks = sampling.random_frames(algebra, _generators(72, 12)).ranks
-        rngs = _generators(73, 12)
-        stacked = _frames(sampling.random_frames(algebra, rngs, ranks=ranks))
-        for k, rng in enumerate(_generators(73, 12)):
-            alone = _frames(sampling.random_frames(algebra, rng, ranks=tuple(ranks[k].tolist())))
-            for got, want in zip(stacked, alone, strict=True):
-                assert got[k].tobytes() == np.asarray(want).tobytes(), k
-            assert rng.bit_generator.state == rngs[k].bit_generator.state, k
+
+@pytest.mark.parametrize("algebra", CONTRACT_ALGEBRAS, ids=lambda a: str(a.blocks))
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+class TestStreamContract:
+    """Trial ``k``'s draw is a function of its key alone: of the stream's
+    key, the path of each slot and ``k``."""
+
+    def test_width_independence(self, name, algebra):
+        # The same in stacks of 1, 8 and 100 trials.
+        draw = SAMPLERS[name]
+        eight, hundred = draw(algebra, _stream(range(8))), draw(algebra, _stream(range(100)))
+        assert all(np.shape(a)[0] == 100 for a in hundred)
+        for k in (0, 3, 7):
+            alone = draw(algebra, _stream([k]))
+            assert _entries(eight, k) == _entries(hundred, k) == _entries(alone, 0), k
+
+    def test_subset_independence(self, name, algebra):
+        # The same when other trials are left out, or split off into a part
+        # of the stream; the part draws below a slot of the parent, so what
+        # the parent draws next does not depend on who took part.
+        draw = SAMPLERS[name]
+        whole, some = draw(algebra, _stream(range(8))), draw(algebra, _stream([1, 4, 6]))
+        for i, k in enumerate([1, 4, 6]):
+            assert _entries(some, i) == _entries(whole, k), k
+        parts, after = [], []
+        for members in ([0, 4, 5], [4, 7]):
+            rng = _stream(range(8))
+            parts.append(draw(algebra, rng.part(np.isin(np.arange(8), members))))
+            after.append(draw(algebra, rng))
+        alone = draw(algebra, _stream([4], (0,)))
+        assert _entries(parts[0], 1) == _entries(parts[1], 0) == _entries(alone, 0)
+        for k in range(8):
+            assert _entries(after[0], k) == _entries(after[1], k), k
+
+    def test_redraw_independence(self, name, algebra):
+        # A trial admissible at attempt 0 keeps its bits while trial 5
+        # redraws 3 times, and so does what the stream draws next; the
+        # redrawn trial has the bits of its attempt 3 drawn alone.
+        draw = SAMPLERS[name]
+
+        def run(redraws: int):
+            rng, attempts = _stream(range(8)), []
+
+            def attempt(stream):
+                attempts.append(stream.trials.tolist())
+                admissible = (stream.trials != 5) | (len(attempts) > redraws)
+                return draw(algebra, stream), admissible
+
+            data = sampling.redraw_failures(rng, attempt, sampling.sample_with_retry)
+            return data, draw(algebra, rng), attempts
+
+        plain, plain_after, once = run(0)
+        redrawn, redrawn_after, attempts = run(3)
+        assert once == [list(range(8))]
+        assert attempts == [list(range(8)), [5], [5], [5]]
+        for k in range(8):
+            assert _entries(redrawn_after, k) == _entries(plain_after, k), k
+            if k != 5:
+                assert _entries(redrawn, k) == _entries(plain, k), k
+        assert _entries(redrawn, 5) == _entries(draw(algebra, _stream([5], (0, 3))), 0)
+
+
+@pytest.mark.parametrize("algebra", CONTRACT_ALGEBRAS, ids=lambda a: str(a.blocks))
+@pytest.mark.parametrize("draw", [
+    suites._draw_isomorphisms, suites._draw_invariance, suites._draw_conditional_expectation,
+], ids=lambda d: d.__name__)
+def test_coefficient_width(monkeypatch, draw, algebra):
+    # The rows that combine a stabilizer or centralizer basis draw its
+    # coefficients at the width sum n_b^2 whatever the stack, and each trial
+    # reads the first as many as its basis has: the same slots, of the same
+    # widths, for a stack of 1, 8 or 100 trials.
+    takes, real = [], sampling.Stream.take
+
+    def take(self, method, *args, shape=()):
+        takes.append((self.path, self._slots, method, shape))
+        return real(self, method, *args, shape=shape)
+
+    monkeypatch.setattr(sampling.Stream, "take", take)
+    width = sum(n * n for n in algebra.blocks)
+    slots = []
+    for trials in ([5], range(8), range(100)):
+        takes.clear()
+        draw(suites.RowCtx(algebra, len(trials), 1, 0, DEFAULT_TOL), _stream(trials))
+        slots.append(list(takes))
+    assert slots[0] == slots[1] == slots[2]
+    assert [s for s in slots[0] if s[3][:1] == (width,)]
 
 
 class TestStackedRedraws:
     """A domain test runs once on the stack of the pending trials, and only
-    the trials that fail it draw again, each from its own generator."""
+    the trials that fail it draw again: attempt ``a`` below the slot the
+    redraw takes."""
 
     def _failing(self, monkeypatch, trial: int, times: int):
         """Makes ``trial`` fail its chart-domain test ``times`` times, the
@@ -378,21 +491,20 @@ class TestStackedRedraws:
 
     def test_only_the_failing_trial_redraws(self, monkeypatch):
         tested, counts = self._failing(monkeypatch, trial=3, times=1)
-        rngs = _generators(74, 6)
-        p, q = suites._draw_equivalent_in_domain(M23, rngs, DEFAULT_TOL, 2)
+        p, q = suites._draw_equivalent_in_domain(M23, _stream(range(6)), DEFAULT_TOL, 2)
         # one closure for the row; the second attempt tests trial 3 alone
         assert counts == {"calls": 1, "attempts": 2}
         assert tested == [6, 1]
-        for k, rng in enumerate(_generators(74, 6)):
-            for _ in range(2 if k == 3 else 1):
-                want = [f.projection for f in sampling.frame_chain(M23, rng, 1, allow_zero=False)]
+        for k in range(6):
+            # trial k alone, at its attempt below the stream's first slot
+            alone = _stream([k], (0, 1 if k == 3 else 0))
+            want = [f.projection[0] for f in sampling.frame_chain(M23, alone, 1, allow_zero=False)]
             assert p[k].tobytes() == want[0].tobytes() and q[k].tobytes() == want[1].tobytes()
-            assert rng.bit_generator.state == rngs[k].bit_generator.state, k
 
     def test_a_trial_that_always_fails_is_refused(self, monkeypatch):
         tested, counts = self._failing(monkeypatch, trial=3, times=10**6)
         with pytest.raises(NotPartiallyInvertible):
-            suites._draw_equivalent_in_domain(M23, _generators(74, 6), DEFAULT_TOL, 2)
+            suites._draw_equivalent_in_domain(M23, _stream(range(6)), DEFAULT_TOL, 2)
         assert counts == {"calls": 1, "attempts": 64}
         assert tested == [6] + [1] * 63
 
@@ -410,25 +522,25 @@ class TestFrameColumns:
 
     @pytest.mark.parametrize("algebra", STACK_ALGEBRAS, ids=lambda a: str(a.blocks))
     def test_every_frames_is_zero_off_its_columns(self, algebra):
-        rngs = _generators(75, 12)
-        f = sampling.random_frames(algebra, rngs)
-        prescribed = sampling.random_frames(algebra, rngs, ranks=tuple(n // 2 for n in algebra.blocks))
+        rng = _stream(range(12))
+        f = sampling.random_frames(algebra, rng)
+        prescribed = sampling.random_frames(algebra, rng, ranks=tuple(n // 2 for n in algebra.blocks))
         attempts = []
 
-        def draw(gens):
+        def draw(stream):
             # every other trial fails its first attempt
-            frames, admissible = sampling.random_frames(algebra, gens), np.ones(len(gens), dtype=bool)
+            frames, admissible = sampling.random_frames(algebra, stream), np.ones(len(stream), dtype=bool)
             if not attempts:
                 admissible[::2] = False
-            attempts.append(len(gens))
+            attempts.append(len(stream))
             return [frames], admissible
 
-        (joined,) = sampling.redraw_failures(rngs, draw, sampling.sample_with_retry)
+        (joined,) = sampling.redraw_failures(rng, draw, sampling.sample_with_retry)
         assert attempts == [12, 6]
         for frames in [
             f,
             sampling.random_frames(algebra, sampling.rng_for(75)),
-            sampling.equivalent_frames(rngs, f),
+            sampling.equivalent_frames(rng, f),
             sampling.frames_of(algebra, prescribed.projection),
             sampling.frames_of(algebra, prescribed.projection[0]),
             f[np.arange(12) % 3 == 0],
@@ -438,9 +550,9 @@ class TestFrameColumns:
 
     @pytest.mark.parametrize("algebra", STACK_ALGEBRAS, ids=lambda a: str(a.blocks))
     def test_corner_unitaries_keep_frame_and_other_columns_apart(self, monkeypatch, algebra):
-        rngs = _generators(76, 12)
-        f = sampling.random_frames(algebra, rngs)
-        g = sampling.equivalent_frames(rngs, f)
+        rng = _stream(range(12))
+        f = sampling.random_frames(algebra, rng)
+        g = sampling.equivalent_frames(rng, f)
         made, real = [], sampling.phase_fixed_q
 
         def spy(g):
@@ -448,8 +560,8 @@ class TestFrameColumns:
             return made[-1]
 
         monkeypatch.setattr(sampling, "phase_fixed_q", spy)
-        sampling.isometry_between(rngs, f, g)
-        sampling.positive_on(rngs, f)
+        sampling.isometry_between(rng, f, g)
+        sampling.positive_on(rng, f)
         framed = frame_columns(algebra, f.ranks)
         across = framed[:, :, None] != framed[:, None, :]
         assert len(made) == 2
@@ -457,51 +569,66 @@ class TestFrameColumns:
             assert not np.where(across, w, 0.0).any()
 
 
+def _empty() -> sampling.Stream:
+    return sampling.Stream(KEY, [])
+
+
 def _empty_frames(algebra):
-    return sampling.random_frames(algebra, [])
+    return sampling.random_frames(algebra, _empty())
 
 
-#: Each sampler on an empty list of generators, and the shape it returns.
+#: Each sampler on an empty stream, and the shape it returns.
 EMPTY_DRAWS = {
-    "complex_normal": (lambda alg: sampling.complex_normal([], (3, 2)), (0, 3, 2)),
-    "random_element": (lambda alg: sampling.random_element(alg, []), (0, 5, 5)),
-    "random_hermitian": (lambda alg: sampling.random_hermitian(alg, []), (0, 5, 5)),
-    "random_antihermitian": (lambda alg: sampling.random_antihermitian(alg, []), (0, 5, 5)),
-    "random_unitary": (lambda alg: sampling.random_unitary(alg, []), (0, 5, 5)),
-    "random_positive": (lambda alg: sampling.random_positive(alg, [], 0.5), (0, 5, 5)),
-    "planted_positive": (lambda alg: sampling.planted_positive(alg, [], (1.0, 2.0))[0], (0, 5, 5)),
-    "planted_positive-labels": (lambda alg: sampling.planted_positive(alg, [], (1.0, 2.0))[1], (0, 5)),
+    "complex_normal": (lambda alg: sampling.complex_normal(_empty(), (3, 2)), (0, 3, 2)),
+    "random_element": (lambda alg: sampling.random_element(alg, _empty()), (0, 5, 5)),
+    "random_hermitian": (lambda alg: sampling.random_hermitian(alg, _empty()), (0, 5, 5)),
+    "random_antihermitian": (lambda alg: sampling.random_antihermitian(alg, _empty()), (0, 5, 5)),
+    "random_unitary": (lambda alg: sampling.random_unitary(alg, _empty()), (0, 5, 5)),
+    "random_positive": (lambda alg: sampling.random_positive(alg, _empty(), 0.5), (0, 5, 5)),
+    "planted_positive": (lambda alg: sampling.planted_positive(alg, _empty(), (1.0, 2.0))[0], (0, 5, 5)),
+    "planted_positive-labels": (
+        lambda alg: sampling.planted_positive(alg, _empty(), (1.0, 2.0))[1], (0, 5)
+    ),
     "random_frames": (lambda alg: _empty_frames(alg).matrix, (0, 5, 5)),
     "random_frames-ranks": (lambda alg: _empty_frames(alg).ranks, (0, 2)),
-    "random_frames-prescribed": (lambda alg: sampling.random_frames(alg, [], ranks=(1, 2)).ranks, (0, 2)),
-    "equivalent_frames": (lambda alg: sampling.equivalent_frames([], _empty_frames(alg)).matrix, (0, 5, 5)),
-    "isometry_between": (
-        lambda alg: sampling.isometry_between([], _empty_frames(alg), _empty_frames(alg)), (0, 5, 5)
+    "random_frames-prescribed": (
+        lambda alg: sampling.random_frames(alg, _empty(), ranks=(1, 2)).ranks, (0, 2)
     ),
-    "positive_on": (lambda alg: sampling.positive_on([], _empty_frames(alg)), (0, 5, 5)),
-    "frame_chain": (lambda alg: sampling.frame_chain(alg, [], 2)[-1].matrix, (0, 5, 5)),
-    "random_projection": (lambda alg: sampling.random_projection(alg, []), (0, 5, 5)),
+    "equivalent_frames": (
+        lambda alg: sampling.equivalent_frames(_empty(), _empty_frames(alg)).matrix, (0, 5, 5)
+    ),
+    "isometry_between": (
+        lambda alg: sampling.isometry_between(_empty(), _empty_frames(alg), _empty_frames(alg)),
+        (0, 5, 5),
+    ),
+    "positive_on": (lambda alg: sampling.positive_on(_empty(), _empty_frames(alg)), (0, 5, 5)),
+    "frame_chain": (lambda alg: sampling.frame_chain(alg, _empty(), 2)[-1].matrix, (0, 5, 5)),
+    "random_projection": (lambda alg: sampling.random_projection(alg, _empty()), (0, 5, 5)),
     "partial_isometry_onto": (
-        lambda alg: sampling.partial_isometry_onto(alg, [], *[_empty_frames(alg).projection] * 2),
+        lambda alg: sampling.partial_isometry_onto(alg, _empty(), *[_empty_frames(alg).projection] * 2),
         (0, 5, 5),
     ),
     "corner_positive": (
-        lambda alg: sampling.corner_positive(alg, [], _empty_frames(alg).projection), (0, 5, 5)
+        lambda alg: sampling.corner_positive(alg, _empty(), _empty_frames(alg).projection), (0, 5, 5)
     ),
-    "corner_hermitian": (lambda alg: sampling.corner_hermitian(alg, [], np.zeros((0, 5, 5))), (0, 5, 5)),
+    "corner_hermitian": (
+        lambda alg: sampling.corner_hermitian(alg, _empty(), np.zeros((0, 5, 5))), (0, 5, 5)
+    ),
     "corner_antihermitian": (
-        lambda alg: sampling.corner_antihermitian(alg, [], np.zeros((0, 5, 5))), (0, 5, 5)
+        lambda alg: sampling.corner_antihermitian(alg, _empty(), np.zeros((0, 5, 5))), (0, 5, 5)
     ),
-    "random_density": (lambda alg: sampling.random_density(alg, []).density, (0, 5, 5)),
-    "random_density_matrix": (lambda alg: sampling.random_density_matrix(alg, []), (0, 5, 5)),
-    "density_on": (lambda alg: sampling.density_on([], _empty_frames(alg)).density, (0, 5, 5)),
+    "random_density": (lambda alg: sampling.random_density(alg, _empty()).density, (0, 5, 5)),
+    "random_density_matrix": (lambda alg: sampling.random_density_matrix(alg, _empty()), (0, 5, 5)),
+    "density_on": (lambda alg: sampling.density_on(_empty(), _empty_frames(alg)).density, (0, 5, 5)),
     "p0_tangent": (
-        lambda alg: sampling.p0_tangent(alg, [], np.zeros((0, 5, 5)), np.zeros((0, 5, 5))), (0, 5, 5)
+        lambda alg: sampling.p0_tangent(alg, _empty(), np.zeros((0, 5, 5)), np.zeros((0, 5, 5))),
+        (0, 5, 5),
     ),
-    "random_unit_vector": (lambda alg: sampling.random_unit_vector(4, []), (0, 4)),
+    "random_unit_vector": (lambda alg: sampling.random_unit_vector(4, _empty()), (0, 4)),
     "redraw_failures": (
         lambda alg: sampling.redraw_failures(
-            [], lambda gens: ([sampling.random_element(alg, gens)], np.ones(len(gens), dtype=bool)),
+            _empty(),
+            lambda stream: ([sampling.random_element(alg, stream)], np.ones(len(stream), dtype=bool)),
             sampling.sample_with_retry,
         )[0],
         (0, 5, 5),
@@ -511,6 +638,6 @@ EMPTY_DRAWS = {
 
 class TestEmptyStacks:
     @pytest.mark.parametrize("name", sorted(EMPTY_DRAWS))
-    def test_no_generators_give_an_empty_stack(self, name):
+    def test_an_empty_stream_gives_an_empty_stack(self, name):
         draw, shape = EMPTY_DRAWS[name]
         assert np.shape(draw(M23)) == shape

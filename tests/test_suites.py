@@ -385,13 +385,12 @@ class TestPlantedFaults:
             basis = np.concatenate([stab.basis, x[..., None, :, :]], axis=-3)
             return types.SimpleNamespace(basis=basis, dimension=stab.dimension + 1)
 
-        real_dimension = algebra.stabilizer_dimension
+        # The planted basis is one longer than any real one, so the rows
+        # draw one more coefficient per trial.
+        real_width = suites._coefficient_width
         for module in (poisson, suites):
             monkeypatch.setattr(module, "stabilizer_lie_algebra", stabilizer_lie_algebra)
-        monkeypatch.setattr(
-            suites, "stabilizer_dimension",
-            lambda phi, tol=DEFAULT_TOL: real_dimension(phi, tol) + 1,
-        )
+        monkeypatch.setattr(suites, "_coefficient_width", lambda alg: real_width(alg) + 1)
         failed = self._failed("degeneracy")
         assert {"degeneracy/radical-pairing", "degeneracy/dimensions"} <= failed
         assert "modular-flow/dimensions" in self._failed("modular-flow", M2, 1)
@@ -637,10 +636,11 @@ class TestSharedReports:
 
 
 class TestTrialKeys:
-    """Every row draws trial ``k`` from the generator keyed
-    ``(seed, subindex, k)``, through one trial loop."""
+    """Every row draws from the stream keyed ``(seed, subindex)``: each slot
+    from the generator keyed ``(seed, subindex, *path)``, made by the stream
+    alone."""
 
-    def test_every_key_is_seed_subindex_trial(self, monkeypatch):
+    def test_every_key_is_seed_subindex_path(self, monkeypatch):
         original, keys = sampling.rng_for, []
 
         def recording(*key):
@@ -654,30 +654,34 @@ class TestTrialKeys:
             rows = len(suite_rows(name))
             bad = [
                 key for key in keys
-                if len(key) != 3 or key[0] != 5
-                or not 0 <= key[1] < rows or not 0 <= key[2] < 3
+                if len(key) < 3 or key[0] != 5 or not 0 <= key[1] < rows
             ]
             assert keys and not bad, (name, bad)
 
-    def test_one_trial_loop(self):
+    def test_one_stream_per_row_and_no_trial_loop(self):
         tree = ast.parse(pathlib.Path(suites.__file__).read_text(encoding="utf-8"))
         calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
-        text = [ast.unparse(n) for n in calls]
-        assert text.count("range(ctx.trials)") == 1
-        assert sum(t.startswith("ctx.rng(") for t in text) == 1
-        # The generators come from ``rng_for`` in ``RowCtx.rng`` alone.
-        keyed = [n for n in calls if ast.unparse(n.func).endswith("rng_for")]
+        text = [ast.unparse(n.func) for n in calls]
+        assert not any(t.endswith("rng_for") for t in text)
+        # The streams come from ``RowCtx.stream`` alone.
+        made = [n for n in calls if ast.unparse(n.func) == "sampling.Stream"]
         row_ctx = next(
             n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RowCtx"
         )
-        rng = next(n for n in row_ctx.body if getattr(n, "name", None) == "rng")
-        assert len(keyed) == 1 and keyed[0] in list(ast.walk(rng))
+        stream = next(n for n in row_ctx.body if getattr(n, "name", None) == "stream")
+        assert len(made) == 1 and made[0] in list(ast.walk(stream))
+        # No loop or comprehension runs over a stream or its trials.
+        loops = {
+            ast.unparse(n.iter) for n in ast.walk(tree) if isinstance(n, (ast.For, ast.comprehension))
+        }
+        assert not loops & {"rng", "rng.trials", "range(len(rng))", "range(ctx.trials)"}
 
 
 class TestRowReplay:
     """Every random row is a draw and a check: trial ``k`` of the stacked
-    run has the bits of the row's check run on the row's draw over
-    ``[ctx.rng(k)]`` alone, so one trial can be replayed by itself."""
+    run has the bits of the row's check run on the row's draw over the
+    stream of trial ``k`` alone, ``ctx.stream([k])``, so one trial can be
+    replayed by itself."""
 
     #: The rows that are plain functions: two fixed cases and two that
     #: aggregate across trials.
@@ -710,13 +714,13 @@ class TestRowReplay:
                 groups.setdefault((fn.draw, fn.check), (name, subindex, fn))
         for name, subindex, fn in groups.values():
             ctx = suites.RowCtx(alg, trials, 1, subindex, DEFAULT_TOL)
-            stacked = fn.check(ctx, *fn.draw(ctx, suites._generators(ctx)))
+            stacked = fn.check(ctx, *fn.draw(ctx, ctx.stream()))
             # Fixed instances, such as those of modular-flow/dimensions, are
             # not trials.
             per_trial = {key: v for key, v in stacked.items() if np.shape(v)[:1] == (trials,)}
             assert per_trial, name
             for k in range(trials):
-                alone = fn.check(ctx, *fn.draw(ctx, [ctx.rng(k)]))
+                alone = fn.check(ctx, *fn.draw(ctx, ctx.stream([k])))
                 assert alone.keys() == stacked.keys(), name
                 for key, values in per_trial.items():
                     assert np.shape(alone[key])[:1] == (1,), (name, key)
