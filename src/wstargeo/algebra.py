@@ -210,19 +210,23 @@ class BlockAlgebra:
                f"{what} is not an element of the block algebra")
         return x
 
-    def embed_stacks(self, parts: Iterable[tuple[slice, Sequence[np.ndarray]]]) -> np.ndarray:
+    def embed_stacks(
+        self, parts: Iterable[tuple[slice, Sequence[np.ndarray]]], lead: tuple = ()
+    ) -> np.ndarray:
         """Algebra elements from block matrices, in order, as one ``(k, dim,
         dim)`` array: each ``(slice, matrices)`` part puts its matrices (a
         list of matrices, or a ``(k, n, n)`` array) into that block of zero
         elements.  Matrices with a leading stack axis (a list of ``(T, n,
         n)`` stacks, or a ``(T, k, n, n)`` array) give the elements of each
-        matrix of the stack, as one ``(T, k, dim, dim)`` array."""
+        matrix of the stack, as one ``(T, k, dim, dim)`` array.  An empty
+        list has no shape: when no part is an array or a non-empty list,
+        the stack axes are ``lead``."""
         placed = [
             (s, mats if isinstance(mats, np.ndarray) else np.stack(mats, axis=-3))
             for s, mats in parts
-            if len(mats)
+            if isinstance(mats, np.ndarray) or len(mats)
         ]
-        lead = placed[0][1].shape[:-3] if placed else ()
+        lead = placed[0][1].shape[:-3] if placed else lead
         count = sum(m.shape[-3] for _, m in placed)
         out = np.zeros(lead + (count, self.dim, self.dim), dtype=complex)
         k = 0
@@ -602,7 +606,8 @@ class StabilizerData:
         """The real basis as a ``(k, dim, dim)`` array; of each functional of
         a stack, a ``(T, k, dim, dim)`` array."""
         parts = ((s, antihermitian_units(cols)) for s, cols in self.corners)
-        return self.algebra.embed_stacks(parts)
+        lead = self.corners[0][1].shape[:-2] if self.corners else ()
+        return self.algebra.embed_stacks(parts, lead)
 
 
 def combination(coeff: np.ndarray, basis: np.ndarray) -> np.ndarray:

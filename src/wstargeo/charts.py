@@ -15,6 +15,9 @@ from the singular values of the SVD of ``p q`` that it then inverts (first the
 unguarded rank, raising :class:`NotInDomain`, then the guard of the partial
 inverse), and the polar-corrected charts read the coordinate ``sigma - p``
 and the isometry ``u_p``, the polar part of ``sigma``, off that one ``sigma``.
+In one check (:func:`~wstargeo.linalg.factor_once`) ``sigma_p``, ``phi_p`` and
+``phi_p_inv`` are kept per argument object, so the charts of one element and
+their inverses share its legs.
 
 Every map acts per matrix of a ``(T, dim, dim)`` stack, and gives each matrix
 the bits it gets alone; one matrix is the unstacked case of the same code.  A
@@ -38,12 +41,13 @@ from .errors import InvalidArrow, InvalidTangent, NotInDomain, NotInOverlap
 from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
-    _pinv_from_svd,
     excess,
     exp_antihermitian,
     expect_real,
+    factor_once,
     frobenius,
     is_partial_isometry,
+    kept_per_check,
     partial_inverse,
     polar_decompose,
     projection_rank,
@@ -77,6 +81,8 @@ def _in_chart_domain(
     return (rp == projection_rank(q)) & (retained_rank(s, tol) == rp)
 
 
+@kept_per_check
+@factor_once()
 def sigma_p(
     p: np.ndarray, q: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> np.ndarray:
@@ -85,12 +91,13 @@ def sigma_p(
 
     One SVD of p q decides the domain (unguarded rank) and then, guarded
     like :func:`partial_inverse`, gives the inverse."""
-    w, s, vh = svd(p @ q)
-    refuse(NotInDomain, np.logical_not(_in_chart_domain(p, q, s, tol)),
+    pq = p @ q
+    refuse(NotInDomain, np.logical_not(_in_chart_domain(p, q, svd(pq)[1], tol)),
            "q is outside the chart domain of p")
-    return _pinv_from_svd(w, s, vh, tol)
+    return partial_inverse(pq, tol)
 
 
+@kept_per_check
 def phi_p(
     p: np.ndarray, q: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> np.ndarray:
@@ -98,6 +105,7 @@ def phi_p(
     return sigma_p(p, q, tol) - p
 
 
+@kept_per_check
 def phi_p_inv(
     p: np.ndarray, y: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> np.ndarray:
@@ -131,6 +139,7 @@ def transition_L(
 # groupoid charts
 
 
+@factor_once()
 def chart_G(
     p: np.ndarray,
     p_tilde: np.ndarray,
@@ -142,10 +151,8 @@ def chart_G(
     l, r are the left and right supports of x.  The middle component
     (p l) x sigma_{p_tilde}(r) lands in the p . p_tilde corner."""
     l, r = supports(x, tol)
-    y_l = phi_p(p, l, tol)
-    sigma_r = sigma_p(p_tilde, r, tol)
-    middle = (p @ l) @ x @ sigma_r
-    return y_l, middle, sigma_r - p_tilde
+    middle = (p @ l) @ x @ sigma_p(p_tilde, r, tol)
+    return phi_p(p, l, tol), middle, phi_p(p_tilde, r, tol)
 
 
 def chart_G_inv(
@@ -171,13 +178,13 @@ def u_p(
     return u
 
 
+@factor_once()
 def _chart_leg(
     p: np.ndarray, q: np.ndarray, tol: ToleranceProfile
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(phi_p(q), u_p(q))`` read off one overlap inverse sigma_p(q)."""
-    sigma = sigma_p(p, q, tol)
-    u, _ = polar_decompose(sigma, tol)
-    return sigma - p, u
+    u, _ = polar_decompose(sigma_p(p, q, tol), tol)
+    return phi_p(p, q, tol), u
 
 
 def chart_Theta(

@@ -5,7 +5,7 @@ Five structures share one interface:
 * ``pi``        — partial isometries over projections: compose ``u v`` when
                   ``u* u = v v*``, inverse ``u*``;
 * ``g``         — partially invertible elements over projections: supports
-                  from the polar decomposition, inverse the partial inverse;
+                  and the partial inverse as the inverse, from one SVD;
 * ``predual``   — normal functionals over positive functionals: the polar
                   decomposition of densities drives source, target, product,
                   and the adjoint inverse;
@@ -23,9 +23,11 @@ a functional of stacked densities, a coadjoint arrow of both), and gives
 each trial the bits it gives alone.  ``composable_chain`` draws the chains
 of all trials at once, each from its own generator, as one chain of stacks,
 and one ``chain_law_residuals`` call returns one residual per trial and
-law.  ``axiom_check`` and each law
-row of the ``groupoid-axioms`` suite make that one call.  A domain check
-that fails on a stack names its first failing trial.
+law.  ``axiom_check`` and each law row of the ``groupoid-axioms`` suite
+make that one call, in which each arrow is factored once
+(:func:`~wstargeo.linalg.factor_once`): every ``g`` map that reads an arrow
+reads its one SVD, and ``std_mul`` its one polar decomposition.  A domain
+check that fails on a stack names its first failing trial.
 
 ``iso_Xi`` (to the predual groupoid), ``iso_Phi`` (to the standard form) and
 ``gauge_iso_Psi`` (from the pair structure on the isometry bundle) realize
@@ -57,6 +59,7 @@ from .linalg import (
     ToleranceProfile,
     _worst,
     excess,
+    factor_once,
     frobenius,
     partial_inverse,
     refuse,
@@ -342,6 +345,7 @@ def composable_chain(
     return [u @ m for u, m in zip(isometries, mods)]
 
 
+@factor_once()
 def chain_law_residuals(tag: str, chain: list, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
     """Residuals of the groupoid laws on one composable chain of three arrows;
     on a chain of stacks (:func:`composable_chain` given a stream of
@@ -372,7 +376,7 @@ def chain_law_residuals(tag: str, chain: list, tol: ToleranceProfile = DEFAULT_T
     res["inverse_left"] = ops.arrow_distance(comp(inv, a), unit_s)
     res["double_inverse"] = ops.arrow_distance(ops.inverse(inv, tol), a)
     res["antihomomorphism"] = ops.arrow_distance(
-        ops.inverse(ab, tol), comp(ops.inverse(b, tol), ops.inverse(a, tol))
+        ops.inverse(ab, tol), comp(ops.inverse(b, tol), inv)
     )
     return res
 

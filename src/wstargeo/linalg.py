@@ -32,6 +32,10 @@ clusters, is built once per key that fixes that shape (:func:`_truncated`).
 A domain check that fails on a stack raises the error it raises for one
 matrix, naming the first failing matrix as its trial (:func:`refuse`).
 
+In one check (:func:`factor_once`), :func:`svd`, :func:`supports`,
+:func:`polar_decompose` and :func:`partial_inverse` compute once per matrix
+object (:func:`kept_per_check`): the maps that read one arrow share its SVD.
+
 Each kind of support has one reader: :func:`supports` gives both supports
 of a general matrix from one SVD, :func:`positive_spectrum` the support of
 a positive matrix, and :func:`~wstargeo.algebra.frames_of` the blockwise
@@ -70,7 +74,9 @@ from it; the same blockwise type holds a functional's density
 """
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -350,6 +356,42 @@ def exp_antihermitian(x: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)[..., None, :]) @ v.conj().mT
 
 
+#: The results of the :func:`kept_per_check` functions in the open
+#: :func:`factor_once` scope, by the identity of their arguments.
+_KEPT: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_KEPT", default=None)
+
+
+@contextlib.contextmanager
+def factor_once():
+    """The scope of one check: each :func:`kept_per_check` function computes
+    in it once per tuple of argument objects.  An inner scope is the outer."""
+    token = _KEPT.set({}) if _KEPT.get() is None else None
+    try:
+        yield
+    finally:
+        if token is not None:
+            _KEPT.reset(token)
+
+
+def kept_per_check(fn: Callable) -> Callable:
+    """``fn``, kept in :func:`factor_once` per tuple of positional arguments
+    by their identity, not their bytes.  The scope holds the arguments and
+    hands every caller the same result: neither may change in place in it."""
+
+    @functools.wraps(fn)
+    def kept(*args, **kwargs):
+        memo = _KEPT.get()
+        if memo is None or kwargs:
+            return fn(*args, **kwargs)
+        key = (fn, *map(id, args))
+        if key not in memo:
+            memo[key] = (args, fn(*args))
+        return memo[key][1]
+
+    return kept
+
+
+@kept_per_check
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD ``a = u @ diag(s) @ vh`` with singular values descending, of
     a matrix or of each matrix of a stack."""
@@ -428,9 +470,12 @@ def _truncated(key, product: Callable, *factors: np.ndarray) -> np.ndarray:
     once per key that fixes the output's shape, over the matrices of that
     key.  The key of a stack has one entry per matrix, an int, or one row of
     ints, passed to ``product`` as a tuple.  A product whose shape does not
-    follow the rank is one masked product instead (:func:`_retained`)."""
+    follow the rank is one masked product instead (:func:`_retained`).  An
+    empty stack has no key to build at: a ``ValueError``."""
     if not isinstance(key, np.ndarray):
         return product(*factors, key)
+    if not len(key):
+        raise ValueError("_truncated needs at least one matrix, got an empty key")
     keys, index = np.unique(key, axis=0, return_inverse=True)
     index = index.reshape(-1)
     out = None
@@ -443,6 +488,7 @@ def _truncated(key, product: Callable, *factors: np.ndarray) -> np.ndarray:
     return out
 
 
+@kept_per_check
 def polar_decompose(
     a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -460,6 +506,7 @@ def polar_decompose(
     return u, h
 
 
+@kept_per_check
 def supports(
     a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -473,6 +520,7 @@ def supports(
     return w @ w.conj().mT, vh.conj().mT @ vh
 
 
+@kept_per_check
 def partial_inverse(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse under the rank cutoff, of a matrix or of
     each matrix of a stack.
@@ -483,15 +531,7 @@ def partial_inverse(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.nd
     ill-separated from the cutoff (guard band), because the inverse is
     discontinuous across a rank change.
     """
-    return _pinv_from_svd(*svd(a), tol)
-
-
-def _pinv_from_svd(
-    w: np.ndarray, s: np.ndarray, vh: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
-) -> np.ndarray:
-    """:func:`partial_inverse` of the matrix ``w @ diag(s) @ vh``, read off
-    that full SVD, guard included: a caller that has decided a rank from the
-    same SVD inverts without a second one."""
+    w, s, vh = svd(a)
     kept = _retained(s, tol, guard=True)[..., None, :]
     v = vh.conj().mT
     return np.divide(v, s[..., None, :], out=np.zeros_like(v), where=kept) @ w.conj().mT

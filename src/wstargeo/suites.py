@@ -65,6 +65,7 @@ from .charts import (
     theta_P0,
     theta_P0_inv,
     transition_L,
+    u_p,
 )
 from .errors import InvalidTrials, UnknownSuite
 from .groupoids import (
@@ -84,6 +85,7 @@ from .linalg import (
     exp_antihermitian,
     expect_real,
     expect_real_array,
+    factor_once,
     frobenius,
     polar_decompose,
     supports,
@@ -225,9 +227,11 @@ def _draw_chain(tag: str) -> Callable:
     return draw
 
 
+@factor_once()
 def _check_laws(ctx: RowCtx, tag: str, *chain) -> dict:
     """The groupoid laws of the picture ``tag`` on the chain; for the
-    standard form also the polar data of its arrows."""
+    standard form also the polar data of its arrows, read off the polar
+    decomposition that the laws took of the first arrow."""
     prof = ctx.profile
     checks = chain_law_residuals(tag, chain, prof)
     if tag == "standard":
@@ -385,18 +389,23 @@ def _draw_round_trip(ctx: RowCtx, rng) -> list:
     return [p, q, p_, pt, sampling.isometry_between(rng, f3, f2), sampling.positive_on(rng, f3)]
 
 
+@factor_once()
 def _check_round_trip(ctx: RowCtx, p, q, p_, pt, wiso, h) -> dict:
-    """Projection and groupoid charts composed with their inverses."""
+    """Projection and groupoid charts composed with their inverses.  ``wiso``
+    and ``jay(x)`` have the supports ``l, r`` of ``x = wiso h`` (``h`` is
+    positive on ``r``), so their Theta middles read the chart legs of ``x``."""
     prof = ctx.profile
     sigma = sigma_p(p, q, prof)
     x = wiso @ h
     coords = chart_G(p_, pt, x, prof)
     z = coords[1]
     coords_t = chart_Theta(p_, pt, x, prof)
+    l, r = supports(x, prof)
+    left, right = u_p(p_, l, prof).conj().mT, u_p(pt, r, prof)
     # On a partial isometry the polar chart's middle is a partial
     # isometry between the legs, and the node reflection acts cornerwise.
-    m = chart_Theta(p_, pt, wiso, prof)[1]
-    coords_j = chart_Theta(p_, pt, jay(x, prof), prof)
+    m = left @ wiso @ right
+    m_jay = left @ jay(x, prof) @ right
     return {
         "sigma-left": frobenius((p @ q) @ sigma - p),
         "sigma-right": frobenius(sigma @ (p @ q) - q),
@@ -406,7 +415,7 @@ def _check_round_trip(ctx: RowCtx, p, q, p_, pt, wiso, h) -> dict:
         "chart-G-corner": frobenius(p_ @ z - z) + frobenius(z @ pt - z),
         "chart-Theta": frobenius(chart_Theta_inv(p_, pt, coords_t, prof) - x),
         "Theta-middle": frobenius(m.conj().mT @ m - pt),
-        "jay": frobenius(coords_j[1] - jay_corner(coords_t[1], prof)),
+        "jay": frobenius(m_jay - jay_corner(coords_t[1], prof)),
     }
 
 

@@ -3,6 +3,8 @@ centralizers, conditional expectations, and modular automorphisms."""
 import numpy as np
 import pytest
 
+import wstargeo.algebra
+
 from wstargeo.algebra import (
     BlockAlgebra,
     NormalFunctional,
@@ -64,6 +66,25 @@ class TestBlockAlgebra:
             assert frobenius(got - want) <= 1e-14
         # Off-block entries are zero by construction.
         assert abs(x[0, 3]) == 0.0
+
+    def test_embed_stacks_keeps_the_stack_axis_of_empty_parts(self):
+        # Arrays of no matrices keep their stack axis, at any stack length.
+        for t in (0, 3):
+            parts = [(s, np.zeros((t, 0, n, n))) for s, n in zip(M23.slices, M23.blocks)]
+            assert M23.embed_stacks(parts).shape == (t, 0, 5, 5)
+        # Empty lists have no shape: the caller names the stack axes.
+        parts = [(s, []) for s in M23.slices]
+        assert M23.embed_stacks(parts).shape == (0, 5, 5)
+        assert M23.embed_stacks(parts, (3,)).shape == (3, 0, 5, 5)
+        assert M23.embed_stacks([], (3,)).shape == (3, 0, 5, 5)
+
+    def test_a_stabilizer_of_no_units_keeps_its_stack_axis(self, monkeypatch):
+        # Every cluster of multiplicity 1 and each corner one unit short:
+        # every part of the basis is an empty list.
+        real = wstargeo.algebra.antihermitian_units
+        monkeypatch.setattr(wstargeo.algebra, "antihermitian_units", lambda cols: real(cols)[:-1])
+        d = np.stack([np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) * k for k in (1, 2)]).astype(complex)
+        assert stabilizer_lie_algebra(NormalFunctional(M23, d)).basis.shape == (2, 0, 5, 5)
 
     def test_membership_validation(self):
         x = np.zeros((5, 5), dtype=complex)

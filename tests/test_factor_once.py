@@ -115,6 +115,17 @@ class TestCounts:
         chain_law_residuals("predual", chain, DEFAULT_TOL)
         assert lapack_calls["gesdd"] <= 10
 
+    @pytest.mark.parametrize("tag, before", [("g", 29), ("standard", 18)])
+    def test_g_and_standard_chain_laws(self, lapack_calls, tag, before):
+        # ``before`` if each structure map factors the arrows it reads
+        # afresh: g_source and g_target take the supports of an arrow, and
+        # std_mul the polar decompositions of both factors, on every read.
+        # Within one call each distinct arrow is factored once.
+        chain = composable_chain(tag, M23, sampling.rng_for(2026, 0), 3)
+        lapack_calls.update(gesdd=0, heevd=0)
+        chain_law_residuals(tag, chain, DEFAULT_TOL)
+        assert 0 < lapack_calls["gesdd"] <= 10 < before
+
     def test_law_rows_factor_per_row_not_per_trial(self, lapack_calls):
         # Each groupoid-axioms row checks all its trials' data with one call
         # on their stack, so its SVDs do not grow with the trials.  Nor do
@@ -138,13 +149,17 @@ class TestCounts:
             assert sum(row[kernel] for row in counts[0].values()) > 0
 
     @pytest.mark.parametrize(
-        "row, vectors, values", [("round-trip", 32, 3), ("cocycle", 11, 10), ("theta", 7, 1)],
-        ids=["round-trip-32", "cocycle-11", "theta-7"],
+        "row, vectors, values", [("round-trip", 14, 3), ("cocycle", 11, 10), ("theta", 7, 1)],
+        ids=["round-trip-14", "cocycle-11", "theta-7"],
     )
     def test_chart_rows_factor_per_row_not_per_trial(self, lapack_calls, monkeypatch, row, vectors, values):
         # Each random charts row checks all its trials' data with one call
         # per map on their stack, so its SVDs with vectors do not grow with
         # the trials (320, 110 and 70 at 10 trials with one call per trial).
+        # The round trip factors each chart leg of x once, the Theta middles
+        # of its partial isometry and of jay(x) read those legs, and the two
+        # inverse charts recover the legs from the same coordinates once (32
+        # when each chart factored its own legs).
         # Nor do its value-only SVDs: the draws test their chart domains once
         # per pair on the stack of the pending trials, and redraw only the
         # trials that miss (30, 64 and 10 at 10 trials, and 120, 244 and 40
@@ -358,6 +373,14 @@ class TestDrawsFactorOncePerRow:
         assert 0 < len(qrs) < 1000
         assert all(shape[0] <= 100 for shape in qrs)
         assert 0 < len(keys) < 1000
+
+    def test_a_round_makes_few_svds_with_vectors(self, lapack_calls):
+        # A verify-all round on 2,3: each row factors its stacks, so the
+        # count does not grow with the trials.  144 when the law rows and
+        # the round trip factored an arrow or a chart leg on every read.
+        for name in suites.SUITE_NAMES:
+            assert all(r.passed for r in suites.run_suite(name, M23, 10, 1)), name
+        assert lapack_calls["gesdd-vectors"] <= 95
 
     def test_each_row_makes_its_generators_whatever_its_trials(self, monkeypatch):
         # A row takes a generator per draw, not per trial, so it makes as

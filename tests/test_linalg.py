@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wstargeo import charts, groupoids, poisson, sampling, standard
+from wstargeo import charts, groupoids, linalg, poisson, sampling, standard
 from wstargeo.algebra import (
     BlockAlgebra,
     NormalFunctional,
@@ -853,3 +853,68 @@ class TestStacks:
             vdot = np.vdot(x[k], y[k])
             assert inner[k] == hs_inner(x[k], y[k]) == vdot
             assert omega[k] == standard.symplectic_omega(x[k], y[k]) == 2.0 * vdot.imag
+
+
+class TestFactorOnce:
+    """Within one ``factor_once`` scope a matrix object is factored once,
+    whichever kernel reads it; outside a scope nothing is kept."""
+
+    @pytest.fixture
+    def svds(self, monkeypatch):
+        calls = []
+        real = linalg._gesdd
+        monkeypatch.setattr(linalg, "_gesdd", lambda a, uv: calls.append(uv) or real(a, uv))
+        return calls
+
+    def test_one_svd_per_object_in_a_scope(self, svds):
+        a = _random_matrix(_rng(50), 4)
+        fresh = (supports(a, DEFAULT_TOL), polar_decompose(a, DEFAULT_TOL),
+                 partial_inverse(a, DEFAULT_TOL))
+        assert len(svds) == 3
+        svds.clear()
+        with linalg.factor_once():
+            kept = (supports(a, DEFAULT_TOL), polar_decompose(a, DEFAULT_TOL),
+                    partial_inverse(a, DEFAULT_TOL))
+            assert polar_decompose(a, DEFAULT_TOL) is kept[1]
+            # Equal bytes in another object are another input.
+            supports(a.copy(), DEFAULT_TOL)
+        assert len(svds) == 2
+        # The kept results are the bits of fresh ones.
+        flat = lambda r: [r] if isinstance(r, np.ndarray) else list(r)  # noqa: E731
+        for got, want in zip(kept, fresh):
+            assert all(np.array_equal(g, w) for g, w in zip(flat(got), flat(want)))
+
+    def test_scopes_nest_and_end(self, svds):
+        a = _random_matrix(_rng(51), 3)
+        with linalg.factor_once():
+            supports(a, DEFAULT_TOL)
+            with linalg.factor_once():
+                partial_inverse(a, DEFAULT_TOL)
+            polar_decompose(a, DEFAULT_TOL)
+        assert len(svds) == 1
+        supports(a, DEFAULT_TOL)
+        assert len(svds) == 2
+
+    def test_a_keyword_call_computes_afresh_from_the_kept_svd(self, svds):
+        a = _random_matrix(_rng(52), 3)
+        with linalg.factor_once():
+            first = polar_decompose(a, tol=DEFAULT_TOL)
+            assert polar_decompose(a, tol=DEFAULT_TOL) is not first
+        assert len(svds) == 1
+
+    def test_a_refusal_keeps_nothing(self, svds):
+        # A retained value in the guard band: the partial inverse refuses on
+        # every call, and the one SVD is kept.
+        a = np.diag([1.0, 5e-9, 0.0]).astype(complex)
+        with linalg.factor_once():
+            for _ in range(2):
+                with pytest.raises(NotPartiallyInvertible):
+                    partial_inverse(a, DEFAULT_TOL)
+        assert len(svds) == 1
+
+
+def test_truncated_refuses_an_empty_key():
+    # An empty stack has no key: no product is built, and no None returned.
+    with pytest.raises(ValueError, match="empty key"):
+        linalg._truncated(np.zeros(0, dtype=int), lambda x, k: x, np.zeros((0, 2, 2)))
+    assert linalg._truncated(np.array([1, 1]), lambda x, k: x * k, np.ones((2, 2, 2))).shape == (2, 2, 2)

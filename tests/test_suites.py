@@ -16,6 +16,7 @@ from wstargeo import (
     SUITE_NAMES,
     BlockAlgebra,
     InvalidTrials,
+    NotComposable,
     NotInDomain,
     NotInOverlap,
     NotPartiallyInvertible,
@@ -318,6 +319,38 @@ class TestPlantedFaults:
 
         monkeypatch.setattr(groupoids, f"{tag}_compose", swapped)
         assert self._row("groupoid-axioms", tag).status == "FAIL"
+
+    def test_g_inverse_as_the_adjoint(self, monkeypatch):
+        # x* inverts only the partial isometries; a g arrow carries a
+        # positive modulus.  The law row reads g_inverse as groupoids looks
+        # it up, beside the supports it takes of each arrow once.
+        monkeypatch.setattr(groupoids, "g_inverse", lambda x, tol=DEFAULT_TOL: x.conj().mT)
+        assert self._row("groupoid-axioms", "g").status == "FAIL"
+
+    def test_g_source_as_the_left_support(self, monkeypatch):
+        # The source read by the laws and by g_compose's gate: the gate may
+        # refuse the chain before a law fails.
+        reads = []
+
+        def g_source(x, tol=DEFAULT_TOL):
+            reads.append(x)
+            return linalg.supports(x, tol)[0]
+
+        monkeypatch.setattr(groupoids, "g_source", g_source)
+        try:
+            assert self._row("groupoid-axioms", "g").status == "FAIL"
+        except NotComposable:
+            pass
+        assert reads
+
+    def test_overlap_inverse_as_the_adjoint(self, monkeypatch):
+        # (p q)* for (p q)^+: the chart legs read sigma_p as charts looks it
+        # up, whether or not a leg was factored before in the check.
+        monkeypatch.setattr(charts, "sigma_p", lambda p, q, tol=DEFAULT_TOL: (p @ q).conj().mT)
+        subindex, (_, tolerance, fn) = next(
+            (i, r) for i, r in enumerate(suites._suite("charts")) if r[0] == "round-trip"
+        )
+        assert not fn(suites.RowCtx(M23, 10, 0, subindex, DEFAULT_TOL)) <= tolerance
 
     def test_phi_without_square_root(self, monkeypatch):
         def iso_Phi(u, rho, tol=DEFAULT_TOL):
