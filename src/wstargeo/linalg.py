@@ -449,14 +449,15 @@ def retained_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: boo
     return np.count_nonzero(_retained(s, tol, guard), axis=-1)
 
 
-def _retained(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: bool = False) -> np.ndarray:
+def _retained(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: bool = False, top=None):
     """The mask of the values that :func:`retained_rank` counts, one row per
     matrix of a stack: its first ``rank`` entries, as the values descend.
-    The rank-truncated products multiply by it."""
+    The rank-truncated products multiply by it.  A block's values are cut
+    against ``top``, the largest value of all blocks (one per matrix)."""
     s = np.asarray(s, dtype=float)
     # Row by row, each against its own largest value: a leading value at or
     # below 0 retains nothing, as the sequence descends.
-    cutoff = tol.rank_rel_tol * s[..., 0]
+    cutoff = tol.rank_rel_tol * (s[..., 0] if top is None else np.asarray(top))
     kept = s > cutoff[..., None]
     if guard:
         _refuse_near_cutoff(np.where(kept, s, np.inf).min(axis=-1), cutoff)

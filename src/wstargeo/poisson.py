@@ -43,7 +43,7 @@ from .algebra import (
     NormalFunctional,
     antihermitian_units,
     cluster_pattern,
-    frames_of,
+    density_spectrum,
     functional_support,
     matrix_units,
     stabilizer_direction,
@@ -862,19 +862,17 @@ class DegeneracyReport:
 
 
 def _bundle_tangent_basis(
-    algebra: BlockAlgebra,
-    u: np.ndarray,
-    p0: np.ndarray,
+    algebra: BlockAlgebra, u: np.ndarray, frames: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Real basis of the tangent space at u to the isometries with source
-    p0, block by block: vertical directions u x (x anti-Hermitian in the p0
-    corner) and horizontal directions (1 - u u*) z p0 with z running through
-    a complex block basis, each complex unit followed by i times it.  Of a
-    stack of isometries with sources of the same blockwise ranks, one basis
-    per isometry."""
+    p0, from the ``n_b x r_b`` frames of p0: vertical directions u x (x
+    anti-Hermitian in the p0 corner) and horizontal directions (1 - u u*) z
+    p0 with z running through a complex block basis, each complex unit
+    followed by i times it.  Of a stack of isometries with sources of the
+    same blockwise ranks, one basis per isometry."""
     q = u @ u.conj().mT
     parts, vertical = [], []
-    for s, fp in zip(algebra.slices, frames_of(algebra, p0).blocks):
+    for s, fp in zip(algebra.slices, frames):
         r = fp.shape[-1]
         if r == 0:
             continue
@@ -922,15 +920,18 @@ def _degeneracy_report(rho0: NormalFunctional, u, v, tol: ToleranceProfile) -> D
         refuse(InvalidTangent, excess(w.conj().mT @ w, p0, tol, frobenius(p0)),
                f"{name}* {name} is not the support of the base")
 
-    def analyse(rho, u, v, p0, pattern) -> np.ndarray:
+    def analyse(rho, u, v, pattern) -> np.ndarray:
         stab = stabilizer_lie_algebra(rho, tol)
         radical_dirs = stab.basis
         d0 = rho.density
+        # The frames of p0: each block's eigenvectors of retained values.
+        sp = density_spectrum(rho, tol)
+        frames = [x[..., : np.max(r, initial=0)] for (_, _, x), r in zip(sp.blocks, sp.ranks)]
 
         def leg_pairings(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             """dGamma0 on all pairs of the leg's tangent basis, and the worst
             pairing of a stabilizer direction w s against that basis."""
-            basis = _bundle_tangent_basis(algebra, w, p0)
+            basis = _bundle_tangent_basis(algebra, w, frames)
             m = basis.shape[-3]
             stacked = np.concatenate([basis, w[..., None, :, :] @ radical_dirs], axis=-3)
             # T[i, j] = Tr(d0 e_i* e_j), so dGamma0(e_i, e_j) = i (T - T^T)[i, j].
@@ -958,7 +959,7 @@ def _degeneracy_report(rho0: NormalFunctional, u, v, tol: ToleranceProfile) -> D
                   expected, min_sing, total)
         return np.stack(np.broadcast_arrays(*report), axis=-1).astype(float)
 
-    report = _truncated(cluster_pattern(rho0, tol), analyse, rho0, u, v, p0)
+    report = _truncated(cluster_pattern(rho0, tol), analyse, rho0, u, v)
     return DegeneracyReport(
         radical_pairing=report[..., 0],
         kernel_dimension=report[..., 1].astype(int),

@@ -46,7 +46,7 @@ import numpy as np
 
 from .algebra import BlockAlgebra, Frames, NormalFunctional, frame_columns, frames_of
 from .errors import AmbiguousCluster, NotInDomain, NotInOverlap, NotPartiallyInvertible
-from .linalg import antiherm, herm, phase_fixed_q, singular_values
+from .linalg import antiherm, herm, hermitian_eigvals, phase_fixed_q
 
 #: A stream of trials, or one generator (a string: importing skips ``numpy.random``).
 Source: TypeAlias = "Stream | np.random.Generator"
@@ -337,8 +337,9 @@ def corner_antihermitian(
 
 def unit_norm(x: np.ndarray) -> np.ndarray:
     """Scale to unit operator norm (zero input stays zero); each matrix of a
-    stack by its own norm.  It consumes no randomness."""
-    s = singular_values(x)[..., :1, None]
+    stack by its own norm, the root of the largest eigenvalue of ``x* x``.
+    It consumes no randomness."""
+    s = np.sqrt(hermitian_eigvals(x.conj().mT @ x)[..., :1, None])
     return x / np.where(s == 0.0, 1.0, s)
 
 

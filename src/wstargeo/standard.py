@@ -35,6 +35,7 @@ from .algebra import (
     NormalFunctional,
     block_ranks,
     density_spectrum,
+    matrix_units,
     modular_flow,
 )
 from .errors import (
@@ -47,6 +48,7 @@ from .linalg import (
     PositiveSpectrum,
     ToleranceProfile,
     excess,
+    floored_rank,
     frobenius,
     herm,
     hermitian_eigvals,
@@ -54,10 +56,12 @@ from .linalg import (
     in_parts,
     partial_inverse,
     polar_decompose,
-    _truncated,
+    _retained,
     refuse,
     right_singular,
+    singular_values,
     supports,
+    svd,
 )
 
 # ---------------------------------------------------------------------------
@@ -88,11 +92,6 @@ def expectation_Eprime(algebra: BlockAlgebra, g: np.ndarray) -> NormalFunctional
     of each vector of a stack."""
     g = np.asarray(g, dtype=complex)
     return NormalFunctional(algebra, g.conj().mT @ g)
-
-
-def momentum_mu(g: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Left momentum projection: the support of g g*."""
-    return supports(g, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -180,55 +179,9 @@ def fiber_kernel_E(
 ) -> list[np.ndarray]:
     """Real basis of the kernel of the differential of E at g: directions
     delta in the algebra with delta g* + g delta* = 0 and
-    supp(g g*) delta = delta.  Raises DegenerateBase at g = 0."""
-    g = np.asarray(g, dtype=complex)
-    vhs, nullity = _fiber_rows(algebra, g, momentum_mu(g, tol), tol)
-    return list(_fiber_kernel(algebra, vhs, nullity))
-
-
-def _fiber_units(n: int) -> np.ndarray:
-    """The ``2 n^2`` realified matrix units of one ``n x n`` block."""
-    units = np.eye(n * n).reshape(-1, n, n)
-    return np.concatenate([units, 1j * units])
-
-
-def _fiber_rows(
-    algebra: BlockAlgebra, g: np.ndarray, mu: np.ndarray, tol: ToleranceProfile
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """The null spaces behind :func:`fiber_kernel_E` at g, with its left
-    momentum ``mu`` given, or at each vector of a stack: per block the right
-    singular vectors of the realified conditions on the block's units
-    (:func:`_fiber_units`), and the dimension of each block's null space
-    (one row per vector of a stack).
-
-    Both conditions act within each block, so each block's null space is
-    taken over its 2 n^2 realified matrix units, all evaluated at once."""
-    refuse(DegenerateBase, frobenius(g) <= 1e-12,
-           "the expectation differential has no fibre at zero")
-    vhs, nullity = [], []
-    for s in algebra.slices:
-        d = _fiber_units(s.stop - s.start)
-        gb = g[..., None, s, s]
-        c = np.concatenate(
-            [d @ gb.conj().mT + gb @ d.conj().transpose(0, 2, 1), mu[..., None, s, s] @ d - d],
-            axis=-2,
-        )
-        mat = np.concatenate([c.real, c.imag], axis=-2).reshape(*c.shape[:-3], len(d), -1).mT
-        vh, rank = right_singular(mat, tol)
-        vhs.append(vh)
-        nullity.append(len(d) - rank)
-    return vhs, np.stack(nullity, axis=-1)
-
-
-def _fiber_kernel(algebra: BlockAlgebra, vhs: list[np.ndarray], nullity) -> np.ndarray:
-    """The kernel basis from the rows of :func:`_fiber_rows`, for one vector
-    or a stack of vectors whose blocks have the null-space dimensions
-    ``nullity`` (one int per block)."""
-    parts = []
-    for s, vh, k in zip(algebra.slices, vhs, nullity):
-        d = _fiber_units(s.stop - s.start)
-        parts.append((s, np.tensordot(vh[..., len(d) - k :, :], d, axes=1)))
-    return algebra.embed_stacks(parts)
+    supp(g g*) delta = delta (:func:`_pair_kernels`).  Raises DegenerateBase
+    at g = 0."""
+    return list(_within_rank(algebra, _pair_kernels(algebra, np.asarray(g, dtype=complex), tol))[0])
 
 
 def fiber_kernel_Eprime(
@@ -237,35 +190,112 @@ def fiber_kernel_Eprime(
     """Real basis of the kernel of the differential of E' at g: directions
     delta with g* delta + delta* g = 0 and delta supp(g* g) = delta.
 
-    E' = E o J, so this is J applied to the kernel of E at J g."""
-    return [conjugation_J(d) for d in fiber_kernel_E(algebra, conjugation_J(g), tol)]
+    E' = E o J, so this is J applied to the kernel of E at J g, read from
+    the same SVDs as :func:`fiber_kernel_E`."""
+    return list(_within_rank(algebra, _pair_kernels(algebra, np.asarray(g, dtype=complex), tol))[1])
+
+
+def _coordinate_kernel(sigma: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The solutions of ``X S + S X* = 0``, ``S = diag(sigma)``, whose rows
+    past the rank vanish (``kept`` masks the retained values).  It couples
+    only ``x_ij`` and ``x_ji``: ``x_ii`` is imaginary, ``x_ji = -(sigma_j /
+    sigma_i) conj(x_ij)`` for ``i < j <= r``, ``x_ij`` is free for ``i <= r
+    < j``.  Per slot, the ``i``, ``j``, ``x_ij`` and ``x_ji`` of a unit
+    direction ``x_ii = i``, or ``x_ij = 1`` or ``i`` for ``i < j``; 0 past r."""
+    n = sigma.shape[-1]
+    d, (i, j) = np.arange(n), np.triu_indices(n, 1)
+    c = np.repeat([1j, 1.0, 1j], [n, len(i), len(i)])
+    i, j = np.concatenate([d, i, i]), np.concatenate([d, j, j])
+    ratio = np.divide(sigma[..., j], sigma[..., i], out=np.zeros(kept.shape[:-1] + i.shape),
+                      where=kept[..., j] & (i != j))
+    scale = kept[..., i] / np.sqrt(1.0 + ratio**2)
+    return i, j, c * scale, -c.conj() * ratio * scale
+
+
+def _pair_kernels(algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfile) -> list:
+    """Both fibre kernels at g, or at each vector of a stack, from one SVD
+    ``g_b = V S W*`` per block (that of all of g may mix blocks across equal
+    singular values): ``V X W*`` with X from :func:`_coordinate_kernel`, the
+    rank cut as :func:`~wstargeo.linalg.supports` cuts it, and for E' = E o J
+    the same at ``J g_b = W S V*``, so ``J (W X V*)``.  Per block ``(slice,
+    ker_E, ker_E', within)``: ``(..., n_b^2, n_b, n_b)`` stacks of unit
+    directions, and the mask of those within the rank (the others are 0)."""
+    refuse(DegenerateBase, frobenius(g) <= 1e-12,
+           "the expectation differential has no fibre at zero")
+    factors = [svd(b) for b in algebra.block_views(g)]
+    top = np.max([s[..., 0] for _, s, _ in factors], axis=0)
+    blocks = []
+    for sl, (v, s, wh) in zip(algebra.slices, factors):
+        n, w, kept = s.shape[-1], wh.conj().mT, _retained(s, tol, top=top)
+        i, j, x_ij, x_ji = _coordinate_kernel(s, kept)
+        # left X right* from the units a b* of the columns a and b of both.
+        e, e_j = (x_ij[..., None, None] * u[..., i * n + j, :, :]
+                  + x_ji[..., None, None] * u[..., j * n + i, :, :]
+                  for u in (matrix_units(v, w), matrix_units(w, v)))
+        blocks.append((sl, e, conjugation_J(e_j), kept[..., i]))
+    return blocks
+
+
+def _within_rank(algebra: BlockAlgebra, blocks: list) -> list[np.ndarray]:
+    """The kernels of E and E' at one vector from its blocks of
+    :func:`_pair_kernels`: the directions within the rank, in the algebra."""
+    return [algebra.embed_stacks((b[0], b[k][b[3]]) for b in blocks) for k in (1, 2)]
+
+
+def _ambient_kernels(g: np.ndarray, mu: np.ndarray, mu_j: np.ndarray, tol: ToleranceProfile):
+    """The kernels of E and E' at one block ``g`` with left and right
+    momenta ``mu`` and ``mu_j``: the null spaces of the conditions realified
+    on the block's ``2 n^2`` real matrix units, E' as J of E at ``g*``, from
+    one stacked SVD."""
+    n = g.shape[-1]
+    d = np.concatenate([np.eye(n * n), 1j * np.eye(n * n)]).reshape(-1, n, n)
+    h, m = np.stack([g, g.conj().T])[:, None], np.stack([mu, mu_j])[:, None]
+    c = np.concatenate([d @ h.conj().mT + h @ d.conj().mT, m @ d - d], axis=-2)
+    vh, rank = right_singular(np.concatenate([c.real, c.imag], -2).reshape(2, len(d), -1).mT, tol)
+    e, e_j = (np.tensordot(v[r:], d, axes=1) for v, r in zip(vh, rank))
+    return e, conjugation_J(e_j)
+
+
+def _kernel_oracle(algebra: BlockAlgebra, g, mu, mu_j, blocks, tol: ToleranceProfile) -> int:
+    """How far the kernels of one vector's ``blocks`` of
+    :func:`_pair_kernels` are from those of :func:`_ambient_kernels`, which
+    share no factorization with them: per side, the ambient dimension
+    against the kernel's length, its rank, and the rank of both together."""
+    ambient = [_ambient_kernels(g[s, s], mu[s, s], mu_j[s, s], tol) for s in algebra.slices]
+    realified = lambda k: np.stack([k.real, k.imag], axis=1).reshape(len(k), -1)  # noqa: E731
+    defect = 0
+    for side, ours in enumerate(_within_rank(algebra, blocks)):
+        ref = algebra.embed_stacks(zip(algebra.slices, (a[side] for a in ambient)))
+        ranks = [floored_rank(singular_values(realified(k)), tol)
+                 for k in (ours, np.concatenate([ours, ref]))]
+        defect += sum(abs(m - len(ref)) for m in (len(ours), *ranks))
+    return defect
 
 
 def fiber_kernel_dimension(algebra: BlockAlgebra, rank_per_block: list[int]) -> int:
     """Real dimension of either expectation's fibre kernel at a vector whose
     blockwise momentum ranks are ``rank_per_block``: per block
     r^2 + 2 r (n - r)."""
-    return sum(
-        r * r + 2 * r * (n - r) for r, n in zip(rank_per_block, algebra.blocks)
-    )
+    return sum(r * r + 2 * r * (n - r) for r, n in zip(rank_per_block, algebra.blocks))
 
 
 @dataclass(frozen=True)
 class DualPairReport:
     """Residuals of the dual-pair relations at one vector: the symplectic
-    form vanishes between the two fibre kernels, and their dimensions match
-    the blockwise rank formula.  Of a stack of vectors, each field holds one
-    value per vector."""
+    form vanishes between the two fibre kernels, which solve their equations
+    and match the rank formula and, at a first vector, the ambient kernels
+    (``oracle``).  Of a stack of vectors, each field holds one per vector."""
 
     orthogonality: float | np.ndarray
     dim_E: int | np.ndarray
     dim_Eprime: int | np.ndarray
     expected_dim_E: int | np.ndarray
     expected_dim_Eprime: int | np.ndarray
+    oracle: int | np.ndarray
 
     @property
     def dimension_residual(self):
-        return np.maximum(
+        return self.oracle + np.maximum(
             abs(self.dim_E - self.expected_dim_E),
             abs(self.dim_Eprime - self.expected_dim_Eprime),
         )
@@ -275,47 +305,54 @@ def dual_pair_orthogonality_check(
     algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> DualPairReport:
     """Evaluate omega on all pairs from fibre_kernel_E(g) x
-    fiber_kernel_Eprime(g) and compare both kernel dimensions to the rank
-    formula.  Each side's kernel and expected dimension read the same
-    momentum projection, both from one SVD of g: the left support mu(g) for
-    E and the right support mu(J g) = mu'(g) for E'.
-
-    On a stack of vectors each block's null spaces are found with one SVD
-    for all vectors, and the kernels are built and paired once per pattern
-    of null-space dimensions (:func:`~wstargeo.linalg._truncated`), in parts
-    of bounded size (:func:`~wstargeo.linalg.in_parts`, the realified
-    conditions being ``4 n^2 x 2 n^2`` per block of each vector)."""
-    entries = sum(8 * n**4 for n in algebra.blocks)
-    check = lambda g: _dual_pair_report(algebra, g, tol)  # noqa: E731
-    return in_parts(check, entries, np.asarray(g, dtype=complex))
+    fiber_kernel_Eprime(g), add each direction's defect in its kernel's
+    equations, and compare both kernel dimensions to the rank formula, read
+    off the supports mu(g) for E and mu(J g) = mu'(g) for E' (one SVD of g).
+    A stack of vectors is checked at once, in parts of bounded size
+    (:func:`~wstargeo.linalg.in_parts`), and the kernels of its first vector
+    against the ambient kernels (:func:`_kernel_oracle`)."""
+    first_part = iter([True])  # the oracle reads the first part only
+    check = lambda g: _dual_pair_report(algebra, g, tol, next(first_part, False))  # noqa: E731
+    return in_parts(check, 16 * sum(n**4 for n in algebra.blocks), np.asarray(g, dtype=complex))
 
 
-def _dual_pair_report(algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfile):
-    """:func:`dual_pair_orthogonality_check` of one vector or one stack."""
+def _dual_pair_report(algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfile, oracle: bool):
+    """:func:`dual_pair_orthogonality_check` of one vector or stack, with the
+    oracle at its first vector if ``oracle``; each block is checked alone."""
     mu, mu_j = supports(g, tol)
-    vhs_e, null_e = _fiber_rows(algebra, g, mu, tol)
-    vhs_ep, null_ep = _fiber_rows(algebra, conjugation_J(g), mu_j, tol)
-    blocks = len(vhs_e)
+    scale, orthogonality, dims = frobenius(g), 0.0, 0
+    blocks = _pair_kernels(algebra, g, tol)
+    for s, ker_e, ker_ep, within in blocks:
+        n, gb = s.stop - s.start, g[..., s, s]
 
-    def orthogonality(*args):
-        *vhs, nullity = args
-        ker_e = _fiber_kernel(algebra, vhs[:blocks], nullity[:blocks])
-        ker_ep = conjugation_J(_fiber_kernel(algebra, vhs[blocks:], nullity[blocks:]))
+        def defect(ker, m, symmetric: bool):
+            # The largest norm of ker m + (ker m)* or ker m - ker per vector.
+            x = (ker.reshape(*ker.shape[:-3], -1, n) @ m).reshape(ker.shape)
+            x = x + x.conj().mT if symmetric else x - ker
+            return np.max(frobenius(x.reshape(-1, n, n)).reshape(x.shape[:-2]), -1, initial=0.0)
+
+        # delta g* + g delta* = 0 = mu delta - delta for E, g* delta + delta* g
+        # = 0 = delta mu' - delta for E' (a left product through its adjoint).
+        ker_eh, ker_eph = ker_e.conj().mT, ker_ep.conj().mT
+        members = (defect(ker_e, gb.conj().mT, True) + defect(ker_eph, gb, True)) / scale
+        members += defect(ker_eh, mu[..., s, s], False) + defect(ker_ep, mu_j[..., s, s], False)
         # omega(x, y) = 2 Im <x|y> on all pairs at once.
-        left = ker_e.reshape(*ker_e.shape[:-2], -1)
-        right = ker_ep.reshape(*ker_ep.shape[:-2], -1)
-        omega = 2.0 * (left.conj() @ right.mT).imag
-        return np.max(np.abs(omega), axis=(-2, -1), initial=0.0)
-
-    key = np.concatenate([null_e, null_ep], axis=-1)
-    if g.ndim == 2:
-        key = tuple(key.tolist())
+        left, right = (k.reshape(*k.shape[:-2], -1) for k in (ker_e, ker_ep))
+        omega = np.max(np.abs(2.0 * (left.conj() @ right.mT).imag), axis=(-2, -1), initial=0.0)
+        orthogonality = np.maximum(orthogonality, omega + members)
+        dims = dims + np.sum(within, axis=-1)
+    defects = np.zeros_like(dims)
+    if oracle:
+        first = (0,) * (g.ndim - 2)
+        at = [(b[0], *(x[first] for x in b[1:])) for b in blocks]
+        defects[first] = _kernel_oracle(algebra, g[first], mu[first], mu_j[first], at, tol)
     return DualPairReport(
-        orthogonality=_truncated(key, orthogonality, *vhs_e, *vhs_ep),
-        dim_E=np.sum(null_e, axis=-1),
-        dim_Eprime=np.sum(null_ep, axis=-1),
+        orthogonality=orthogonality,
+        dim_E=dims,
+        dim_Eprime=dims,
         expected_dim_E=fiber_kernel_dimension(algebra, block_ranks(algebra, mu, tol)),
         expected_dim_Eprime=fiber_kernel_dimension(algebra, block_ranks(algebra, mu_j, tol)),
+        oracle=defects[()],
     )
 
 

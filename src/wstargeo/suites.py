@@ -258,9 +258,10 @@ def _draw_isomorphisms(ctx: RowCtx, rng) -> list:
     return [a, b, u, v, w, rho0, stabilizer_direction(rho0, coeff, prof)]
 
 
+@factor_once()
 def _check_isomorphisms(ctx: RowCtx, a, b, u, v, w, rho0, x) -> dict:
     """The three structure-preserving maps between the arrow pictures, on
-    composable random pairs."""
+    composable random pairs; each arrow of Phi's image factored once."""
     alg, prof = ctx.algebra, ctx.profile
     # Gauge invariance: right translation by a stabilizer element of the
     # base density leaves the quotient map unchanged.

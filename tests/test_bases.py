@@ -18,6 +18,7 @@ from wstargeo.algebra import (
     centralizer_basis,
     cluster_pattern,
     density_spectrum,
+    frames_of,
     functional_support,
     matrix_units,
     pinching_projections,
@@ -325,7 +326,8 @@ class TestBasesMatchTheLoopBuilders:
         p0 = functional_support(phi, DEFAULT_TOL)
         u = sampling.random_unitary(algebra, np.random.default_rng(5)) @ p0
         _same_bytes(
-            _bundle_tangent_basis(algebra, u, p0), _ref_bundle_tangent_basis(algebra, u, p0)
+            _bundle_tangent_basis(algebra, u, frames_of(algebra, p0).blocks),
+            _ref_bundle_tangent_basis(algebra, u, p0),
         )
 
 

@@ -148,6 +148,18 @@ class TestCounts:
         for kernel in ("gesdd", "heevd"):
             assert sum(row[kernel] for row in counts[0].values()) > 0
 
+    def test_isomorphisms_check_factors_each_arrow_once(self, lapack_calls):
+        # 5 when phi_intertwining_residual factored the one fa = iso_Phi(a)
+        # twice: std_mul and iso_Phi_inv each took its polar decomposition.
+        subindex, (_, _, row) = next(
+            (i, r) for i, r in enumerate(suites._suite("groupoid-axioms")) if r[0] == "isomorphisms"
+        )
+        ctx = suites.RowCtx(M23, 10, 1, subindex, DEFAULT_TOL)
+        data = row.draw(ctx, ctx.stream())
+        lapack_calls.update(gesdd=0, heevd=0, **{"gesdd-vectors": 0})
+        row.check(ctx, *data)
+        assert lapack_calls["gesdd"] == lapack_calls["gesdd-vectors"] == 4
+
     @pytest.mark.parametrize(
         "row, vectors, values", [("round-trip", 14, 3), ("cocycle", 11, 10), ("theta", 7, 1)],
         ids=["round-trip-14", "cocycle-11", "theta-7"],
@@ -295,13 +307,15 @@ class TestCounts:
 
     def test_families_on_one_base_take_its_support_once(self, lapack_calls):
         # Each family of one base took the support of xi2: 2 decompositions
-        # for the two families of multiplicativity/residual.
+        # for the two families of multiplicativity/residual.  Besides it,
+        # the unit-norm scaling of each family's four generators takes one
+        # value-only decomposition of x* x each.
         for directions in (1, 2):
             data = draw_family_data(M23, sampling.rng_for(2027, directions), directions)
-            lapack_calls.update(heevd=0)
+            lapack_calls.update(heevd=0, gesdd=0)
             families = families_on(M23, data, DEFAULT_TOL)
             assert len(families) == directions
-            assert lapack_calls["heevd"] == 1
+            assert (lapack_calls["heevd"], lapack_calls["gesdd"]) == (1 + 4 * directions, 0)
 
     def test_families_after_the_first_check_their_generators(self):
         data = draw_family_data(M23, sampling.rng_for(2027, 3), 2)

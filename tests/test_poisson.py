@@ -544,9 +544,9 @@ class TestAmplitude:
 def _pairwise_degeneracy(rho0, u, v):
     """Kernel dimension, radical pairing and smallest complement singular
     value of the arrow two-form, filled in one dGamma0 call per basis pair."""
-    p0 = functional_support(rho0, DEFAULT_TOL)
-    basis_u = _bundle_tangent_basis(rho0.algebra, u, p0)
-    basis_v = _bundle_tangent_basis(rho0.algebra, v, p0)
+    frames = frames_of(rho0.algebra, functional_support(rho0, DEFAULT_TOL)).blocks
+    basis_u = _bundle_tangent_basis(rho0.algebra, u, frames)
+    basis_v = _bundle_tangent_basis(rho0.algebra, v, frames)
     m, k = len(basis_u), len(basis_v)
     pairing = np.zeros((m + k, m + k))
     for i in range(m):

@@ -26,7 +26,6 @@ from wstargeo import (
     iso_Phi_inv,
     modular_Delta,
     modular_flow,
-    momentum_mu,
     phi_intertwining_residual,
     std_inverse,
     std_mul,
@@ -38,7 +37,7 @@ from wstargeo import (
 from wstargeo import linalg
 from wstargeo.algebra import matrix_units
 from wstargeo.errors import NotPartiallyInvertible
-from wstargeo.linalg import restricted_power, right_singular
+from wstargeo.linalg import restricted_power, right_singular, supports
 from wstargeo.standard import flow_residuals, flow_sample
 from wstargeo.sampling import (
     corner_positive,
@@ -107,9 +106,9 @@ class TestVectorStructure:
         ep = expectation_Eprime(M2, G_CORNER)
         assert frobenius(e.density - np.diag([4.0, 0.0])) <= 1e-12
         assert frobenius(ep.density - np.diag([0.0, 4.0])) <= 1e-12
-        assert frobenius(momentum_mu(G_CORNER, DEFAULT_TOL) - np.diag([1.0, 0.0])) <= 1e-12
+        assert frobenius(supports(G_CORNER, DEFAULT_TOL)[0] - np.diag([1.0, 0.0])) <= 1e-12
         # the right momentum is the left momentum of J g
-        right = momentum_mu(conjugation_J(G_CORNER), DEFAULT_TOL)
+        right = supports(conjugation_J(G_CORNER), DEFAULT_TOL)[0]
         assert frobenius(right - np.diag([0.0, 1.0])) <= 1e-12
 
 
@@ -200,7 +199,7 @@ class TestActions:
             g2 = v @ g1
             w = transport_witness(g1, g2, DEFAULT_TOL)
             assert frobenius(w @ g1 - g2) <= 1e-9
-            mu = momentum_mu(g1, DEFAULT_TOL)
+            mu = supports(g1, DEFAULT_TOL)[0]
             assert frobenius(w.conj().T @ w - mu) <= 1e-9
 
 
@@ -234,11 +233,11 @@ class TestDualPair:
         g = partial_isometry_onto(
             M23, rng, q, equivalent_frames(rng, frames_of(M23, q)).projection
         ) @ corner_positive(M23, rng, q)
-        mu = momentum_mu(g, DEFAULT_TOL)
+        mu = supports(g, DEFAULT_TOL)[0]
         for delta in fiber_kernel_E(M23, g, DEFAULT_TOL):
             assert frobenius(delta @ g.conj().T + g @ delta.conj().T) <= 1e-9
             assert frobenius(mu @ delta - delta) <= 1e-9
-        mu_p = momentum_mu(conjugation_J(g), DEFAULT_TOL)
+        mu_p = supports(conjugation_J(g), DEFAULT_TOL)[0]
         for delta in fiber_kernel_Eprime(M23, g, DEFAULT_TOL):
             assert frobenius(g.conj().T @ delta + delta.conj().T @ g) <= 1e-9
             assert frobenius(delta @ mu_p - delta) <= 1e-9
@@ -286,8 +285,8 @@ class TestDualPair:
     def test_blockwise_kernels_match_ambient_reference(self, blocks):
         algebra = BlockAlgebra(blocks)
         for g in self._dual_pair_points(algebra, rng_for(39, len(blocks))):
-            mu = momentum_mu(g, DEFAULT_TOL)
-            mu_p = momentum_mu(conjugation_J(g), DEFAULT_TOL)
+            mu = supports(g, DEFAULT_TOL)[0]
+            mu_p = supports(conjugation_J(g), DEFAULT_TOL)[0]
             pairs = [
                 (
                     fiber_kernel_E(algebra, g, DEFAULT_TOL),
@@ -347,7 +346,7 @@ class TestDualPair:
         ])
         alone = [vars(dual_pair_orthogonality_check(algebra, v, DEFAULT_TOL)) for v in g]
         assert len({r["dim_E"] for r in alone}) > 1
-        for entries in (linalg.PART_ENTRIES, 3 * sum(8 * n**4 for n in blocks)):
+        for entries in (linalg.PART_ENTRIES, 3 * sum(16 * n**4 for n in blocks)):
             monkeypatch.setattr(linalg, "PART_ENTRIES", entries)
             report = vars(dual_pair_orthogonality_check(algebra, g, DEFAULT_TOL))
             for field, values in report.items():

@@ -399,6 +399,30 @@ class TestPlantedFaults:
         monkeypatch.setattr(standard, "supports", supports)
         assert self._row("dual-pair", "dimension").status == "FAIL"
 
+    def test_pair_kernel_with_a_wrong_ratio(self, monkeypatch):
+        # x_ji = -(sigma_j / sigma_i)^2 conj(x_ij): the directions of the
+        # coupled entries leave the kernel, and their defect in
+        # delta g* + g delta* = 0 fails the row.
+        real = standard._coordinate_kernel
+        monkeypatch.setattr(standard, "_coordinate_kernel", lambda s, kept: real(s**2, kept))
+        assert self._row("dual-pair", "orthogonality").status == "FAIL"
+
+    def test_pair_kernel_without_a_free_entry(self, monkeypatch):
+        # x_{0, n-1} dropped where the last column is past the rank: the
+        # direction is zero, so it solves the equations and pairs to 0, and
+        # the mask still counts it.  Only the ambient kernels see the rank
+        # fall short, on trial 0 (ranks 1 and 2 in this draw).
+        real = standard._coordinate_kernel
+
+        def coordinate_kernel(s, kept):
+            i, j, x_ij, x_ji = real(s, kept)
+            drop = (i == 0) & (j == s.shape[-1] - 1) & ~kept[..., -1:]
+            return i, j, np.where(drop, 0.0, x_ij), x_ji
+
+        monkeypatch.setattr(standard, "_coordinate_kernel", coordinate_kernel)
+        rows = {r.suite: r.status for r in run_suite("dual-pair", M23, 10, 0)}
+        assert rows == {"dual-pair/orthogonality": "pass", "dual-pair/dimension": "FAIL"}
+
     # The basis faults run at three trials: each fails its rows on every
     # trial, so a few suffice.
 
