@@ -68,7 +68,6 @@ from .linalg import (
     GUARD_FACTOR,
     PositiveSpectrum,
     ToleranceProfile,
-    _truncated,
     as_square,
     excess,
     frobenius,
@@ -142,6 +141,14 @@ class BlockAlgebra:
         for a in layout:
             a.flags.writeable = False
         return layout
+
+    @cached_property
+    def slot_slices(self) -> tuple[slice, ...]:
+        """Each block's run of ``n_b^2`` slots in a slot grid: slot ``(a, c)``
+        of block ``b``, ``a`` outer, pairs the block's ``a``-th and ``c``-th
+        basis vectors, as :func:`matrix_units` orders them."""
+        return consecutive_slices(n * n for n in self.blocks)
+
 
     @cached_property
     def _off_block_index(self) -> np.ndarray:
@@ -298,10 +305,10 @@ class NormalFunctional:
             return value
 
     def __getitem__(self, index) -> "NormalFunctional":
-        """The functionals that ``index`` (a mask or indices over the stack)
-        selects from a stack, with their part of the blockwise spectrum and
-        the cluster pattern kept here: a check that groups the functionals
-        of a stack decomposes no density again."""
+        """The functionals that ``index`` (a mask, indices or a slice over the
+        stack) selects from a stack, with their part of the blockwise
+        spectrum kept here: a check of a stack in parts decomposes no
+        density again."""
         part = object.__new__(NormalFunctional)
         object.__setattr__(part, "algebra", self.algebra)
         object.__setattr__(part, "density", _readonly(self.density[index]))
@@ -313,8 +320,6 @@ class NormalFunctional:
                     value.cutoff[index],
                     tuple(r[index] for r in value.ranks),
                 )
-            elif key == "pattern":
-                memo[key, tol] = _readonly(value[index])
         object.__setattr__(part, "_memo", memo)
         return part
 
@@ -585,91 +590,104 @@ def unitary_witness(
 
 @dataclass(frozen=True, eq=False)
 class StabilizerData:
-    """The stabilizer Lie algebra of a positive functional: the anti-Hermitian
-    corner elements commuting with its density, one full anti-Hermitian
-    corner per strictly positive eigenvalue cluster.  ``corners`` holds each
-    cluster's block slice and eigenvector columns, read off the kept block
-    spectra; the dimension is the sum of the squared multiplicities, with no
-    basis built, and the real basis is built on its first read.  A stack of
-    functionals of one :func:`cluster_pattern` holds the stabilizer of
-    each."""
+    """The stabilizer Lie algebra of a positive functional, the anti-Hermitian
+    corner elements commuting with its density, on the slot grid of the
+    density's eigenbasis (:attr:`BlockAlgebra.slot_slices`): slot ``(a, c)``
+    of block ``b`` holds the unit of that block's eigenvectors ``a`` and
+    ``c`` (``vectors``), and ``mask`` marks the slots whose ``a`` and ``c``
+    lie in one strictly positive eigenvalue cluster.  The dimension is the
+    mask's count and no basis is built until read, zero off the mask.  A
+    stack of functionals has a ``(T, sum n_b^2)`` mask and stacked bases."""
 
     algebra: BlockAlgebra
-    corners: tuple[tuple[slice, np.ndarray], ...]
+    vectors: tuple[np.ndarray, ...]
+    mask: np.ndarray
 
     @property
-    def dimension(self) -> int:
-        return sum(cols.shape[-1] ** 2 for _, cols in self.corners)
+    def dimension(self):
+        if self.mask.ndim == 1:
+            return np.count_nonzero(self.mask)
+        return np.count_nonzero(self.mask, axis=-1)
 
     @cached_property
     def basis(self) -> np.ndarray:
-        """The real basis as a ``(k, dim, dim)`` array; of each functional of
-        a stack, a ``(T, k, dim, dim)`` array."""
-        parts = ((s, antihermitian_units(cols)) for s, cols in self.corners)
-        lead = self.corners[0][1].shape[:-2] if self.corners else ()
-        return self.algebra.embed_stacks(parts, lead)
+        """The real basis (:func:`antihermitian_units`) as a ``(sum n_b^2,
+        dim, dim)`` array; of a stack of functionals, ``(T, sum n_b^2, dim,
+        dim)``."""
+        return self.algebra.embed_stacks(zip(self.algebra.slices, self.units()))
+
+    @cached_property
+    def centralizer(self) -> np.ndarray:
+        """The complex basis of the centralizer of the density in its support
+        corner, the matrix units ``v_a v_c*`` on the same slots (its complex
+        dimension is the stabilizer's real one)."""
+        return self.algebra.embed_stacks(zip(self.algebra.slices, self.units(True)))
+
+    def units(self, centralizer: bool = False) -> list[np.ndarray]:
+        """Each block's part of the real basis (of the centralizer's), its
+        units on its ``n_b^2`` slots, zero off the mask."""
+        units = matrix_units if centralizer else antihermitian_units
+        masks = (self.mask[..., k, None, None] for k in self.algebra.slot_slices)
+        return [units(v) * m for v, m in zip(self.vectors, masks)]
 
 
-def combination(coeff: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """``sum_j coeff[j] basis[j]``, added in order from zero over the
-    ``(k, dim, dim)`` basis; for a ``(T, k, dim, dim)`` stack of bases, per
-    row of the ``(T, m)`` coefficients (``m >= k``, the rest unread), also
-    when the basis is empty."""
-    lead = np.broadcast_shapes(coeff.shape[:-1], basis.shape[:-3])
-    out = np.zeros(lead + basis.shape[-2:], dtype=complex)
-    for j in range(basis.shape[-3]):
-        out = out + coeff[..., j, None, None] * basis[..., j, :, :]
-    return out
+def combination(coeff: np.ndarray, stab: StabilizerData, centralizer: bool = False) -> np.ndarray:
+    """``sum_k coeff[k] B[k]`` over the slots of the real basis ``B`` of
+    ``stab`` (of its centralizer's with ``centralizer``), the coefficients
+    off the mask times zero, without building ``B``: per block ``V X V*``,
+    with ``X`` the same sum over the units of the identity's columns.  For
+    a stack, per row of the ``(T, sum n_b^2)`` coefficients."""
+    units = matrix_units if centralizer else antihermitian_units
+    masked = coeff * stab.mask
+    blocks = []
+    for v, k in zip(stab.vectors, stab.algebra.slot_slices):
+        n = v.shape[-1]
+        x = masked[..., None, k] @ units(np.eye(n)).reshape(n * n, n * n)
+        x = x.reshape(*x.shape[:-2], n, n)
+        blocks.append(v @ x @ v.conj().mT)
+    return stab.algebra.embed_blocks(blocks)
 
 
-def matrix_units(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def matrix_units(left: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
     """The rank-one matrices ``a b*`` for the columns ``a`` of ``left`` and
-    ``b`` of ``right``, ``a`` in the outer loop, as one stack; for stacks of
-    ``left`` and ``right``, one such stack per pair."""
+    ``b`` of ``right`` (by default ``left``), ``a`` in the outer loop, as one
+    stack; for stacks of ``left`` and ``right``, one such stack per pair."""
+    right = left if right is None else right
     units = left.mT[..., :, None, :, None] * right.conj().mT[..., None, :, None, :]
     return units.reshape(*units.shape[:-4], -1, left.shape[-2], right.shape[-2])
 
 
-def antihermitian_units(cols: np.ndarray) -> list[np.ndarray]:
+def antihermitian_units(cols: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal real basis (under ``Re Tr(x* y)``) of the anti-Hermitian
-    matrices on the span of the orthonormal columns ``c_a`` of ``cols``:
-    ``i c_a c_a*``, then ``(m - m*)/sqrt 2`` and ``i (m + m*)/sqrt 2`` for
-    ``m = c_a c_b*``, ``b > a``.  For a stack of ``cols``, each unit is a
-    stack too."""
-    units = []
-    for a in range(cols.shape[-1]):
-        ca = cols[..., :, a, None]
-        units.append(1j * (ca * ca.conj().mT))
-        for b in range(a + 1, cols.shape[-1]):
-            m = ca * cols[..., None, :, b].conj()
-            units.append((m - m.conj().mT) / np.sqrt(2.0))
-            units.append(1j * (m + m.conj().mT) / np.sqrt(2.0))
-    return units
+    matrices on the span of the ``k`` orthonormal columns ``c_a`` of
+    ``cols``, on the ``k^2`` slots of :func:`matrix_units`: slot ``(a, c)``
+    holds ``i m`` for ``a = c``, ``(m - m*)/sqrt 2`` for ``a < c`` and ``i
+    (m + m*)/sqrt 2`` for ``a > c``, with ``m = c_a c_c*``.  For a stack of
+    ``cols``, one such stack per matrix.  With ``right = w* cols``, each
+    unit times ``w``: the units of ``c_a c_c* w = c_a r_c*``."""
+    k = cols.shape[-1]
+    a, c = np.divmod(np.arange(k * k), k)
+    alpha = np.where(a < c, 1.0, 1j) / np.where(a == c, 2.0, np.sqrt(2.0))
+    beta, m = np.where(a < c, -alpha, alpha), matrix_units(cols, right)
+    return alpha[:, None, None] * m + beta[:, None, None] * m[..., c * k + a, :, :]
 
 
-def cluster_pattern(phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL):
+def cluster_pattern(phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """The eigenvalue-cluster pattern of the density of a positive
     functional, read off :func:`density_spectrum`: per block its rank, then
     for each gap between consecutive values whether a retained cluster
-    splits there, as one tuple of ints.  The retained values of a block
-    split where a gap exceeds ``rank_rel_tol`` times the block's largest
-    value; its kernel is one cluster.  Of a stack of functionals, one row
-    per functional, as an array: the key by which a stack's functionals are
-    grouped (:func:`~wstargeo.linalg._truncated`), since the pattern fixes
-    the length of every basis below.  Kept on ``phi`` per profile.
+    splits there, as one read-only row of ints; of a stack of functionals,
+    one row per functional.  The retained values of a block split where a
+    gap exceeds ``rank_rel_tol`` times the block's largest value; its
+    kernel is one cluster.  The slot masks of the stabilizer and of the
+    pinching are read off it (:func:`_slot_masks`).  Kept on ``phi`` per
+    profile.
 
     Raises ``NotPartiallyInvertible`` for a retained value near the cutoff
     (as a negative power does) and :class:`AmbiguousCluster` for a gap
     within a factor ``GUARD_FACTOR`` of its threshold, on either side, since
     whether it splits a cluster would depend on noise; on a stack, naming
     the first failing functional as its trial."""
-
-    pattern = _pattern(phi, tol)
-    return pattern if pattern.ndim == 2 else tuple(pattern.tolist())
-
-
-def _pattern(phi: NormalFunctional, tol: ToleranceProfile) -> np.ndarray:
-    """:func:`cluster_pattern` as the read-only array kept on ``phi``."""
 
     def compute():
         spectrum = density_spectrum(phi, tol)
@@ -696,50 +714,40 @@ def _pattern(phi: NormalFunctional, tol: ToleranceProfile) -> np.ndarray:
     return phi._memoized("pattern", tol, compute)
 
 
-def _spectral_clusters(
-    phi: NormalFunctional, tol: ToleranceProfile
-) -> tuple[tuple[slice, np.ndarray, bool], ...]:
-    """Per eigenvalue cluster of the density of a positive functional, block
-    by block, read off :func:`density_spectrum`: the block's slice, the
-    cluster's eigenvectors as read-only columns, and whether its eigenvalue
-    lies above the rank cutoff.  Each block's retained values are clustered
-    at that block's scale; its kernel is one cluster, as the centralizer of
-    the density holds the whole kernel corner.  A stack of functionals of
-    one :func:`cluster_pattern` gives each cluster's columns as a stack; a
-    stack of several patterns raises ``ValueError``.  Kept on ``phi`` per
-    profile, with the refusals of :func:`cluster_pattern`."""
+def _slot_masks(phi: NormalFunctional, tol: ToleranceProfile, kernel: bool) -> np.ndarray:
+    """Per slot ``(a, c)`` of the slot grid of the density's eigenbasis,
+    whether the block's eigenvalues ``a`` and ``c`` lie in one cluster of
+    :func:`cluster_pattern`: in one strictly positive cluster, the
+    stabilizer's mask; with ``kernel``, the kernel being one cluster too,
+    the pinching's.  A read-only ``(..., sum n_b^2)`` array, kept on
+    ``phi`` per profile, with the refusals of :func:`cluster_pattern`."""
 
     def compute():
-        pattern = _pattern(phi, tol)
-        if pattern.ndim == 2 and (pattern != pattern[0]).any():
-            raise ValueError("the functionals of a stack have different cluster patterns")
-        row, out = pattern.reshape(-1, phi.algebra.dim)[0].tolist(), []
-        for s, _, v in density_spectrum(phi, tol).blocks:
-            r, splits = row[s.start], row[s.start + 1 : s.stop]
-            starts = [0, *(i + 1 for i in range(r - 1) if splits[i])] if r else []
-            for lo, hi in zip(starts, starts[1:] + [r]):
-                out.append((s, v[..., lo:hi], True))
-            if r < s.stop - s.start:
-                out.append((s, v[..., r:], False))
-        return tuple(out)
+        pattern = cluster_pattern(phi, tol)
+        start, offset, block, _ = phi.algebra._block_layout
+        rank = pattern[..., start]
+        # A cluster starts at a split, at the kernel and at a block's first
+        # value (its rank); numbering the starts labels each value's cluster.
+        label = np.cumsum((pattern != 0) | (offset == rank), axis=-1)
+        if not kernel:
+            label = np.where(offset < rank, label, np.nan)  # NaN matches nothing
+        # The pairs within a block, in row-major order, are the slot grid.
+        return _readonly((label[..., :, None] == label[..., None, :])[..., block[:, None] == block])
 
-    return phi._memoized("clusters", tol, compute)
+    return phi._memoized(("slots", kernel), tol, compute)
 
 
 def centralizer_basis(
     phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
 ) -> np.ndarray:
     """Complex basis of {x in p0 M p0 : x d = d x} for a positive functional
-    with density ``d`` and support ``p0``.
-
-    In each eigenvalue cluster of multiplicity m the commutant contributes a
-    full m x m corner, so the complex dimension is the sum of the squared
-    multiplicities of the strictly positive clusters.  A stack of
-    functionals of one :func:`cluster_pattern` gives a ``(T, k, dim, dim)``
-    basis, one per functional.
-    """
-    parts = ((s, matrix_units(c, c)) for s, c, positive in _spectral_clusters(phi, tol) if positive)
-    return phi.algebra.embed_stacks(parts)
+    with density ``d`` and support ``p0``, on the slot grid of
+    :class:`StabilizerData`: in each strictly positive eigenvalue cluster of
+    multiplicity m the commutant holds a full m x m corner of matrix units,
+    so the complex dimension is the sum of the squared multiplicities.  A
+    ``(sum n_b^2, dim, dim)`` array, zero off the mask; of a stack of
+    functionals, one per functional."""
+    return stabilizer_lie_algebra(phi, tol).centralizer
 
 
 def stabilizer_lie_algebra(
@@ -747,43 +755,34 @@ def stabilizer_lie_algebra(
 ) -> StabilizerData:
     """The anti-Hermitian corner elements commuting with the density:
     i-Hermitian combinations within each positive eigenvalue cluster."""
-    corners = ((s, c) for s, c, positive in _spectral_clusters(phi, tol) if positive)
-    return StabilizerData(phi.algebra, tuple(corners))
+    vectors = tuple(v for _, _, v in density_spectrum(phi, tol).blocks)
+    return StabilizerData(phi.algebra, vectors, _slot_masks(phi, tol, False))
 
 
 def stabilizer_direction(
     phi: NormalFunctional, coeff: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> np.ndarray:
     """The real combination of the stabilizer basis of ``phi`` with the
-    coefficients ``coeff`` (:func:`combination`); of a stack of functionals,
-    each with its row of coefficients, the basis built once per
-    :func:`cluster_pattern`."""
-
-    def direction(part, c, pattern):
-        return combination(c, stabilizer_lie_algebra(part, tol).basis)
-
-    return _truncated(cluster_pattern(phi, tol), direction, phi, coeff)
-
-
-def pinching_projections(
-    phi: NormalFunctional, tol: ToleranceProfile = DEFAULT_TOL
-) -> np.ndarray:
-    """Spectral projections of the density, one per eigenvalue cluster per
-    block (kernel clusters included); they sum to the identity."""
-    parts = ((s, [cols @ cols.conj().mT]) for s, cols, _ in _spectral_clusters(phi, tol))
-    return phi.algebra.embed_stacks(parts)
+    coefficients ``coeff``, slot by slot (:func:`combination`); of a stack
+    of functionals, each with its row of coefficients."""
+    return combination(coeff, stabilizer_lie_algebra(phi, tol))
 
 
 def conditional_expectation(
     phi: NormalFunctional, x: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> np.ndarray:
     """State-preserving conditional expectation onto the centralizer of the
-    density: the pinching sum q x q over its spectral projections.  For a
-    stack of functionals of one :func:`cluster_pattern`, per pair with a
-    stack of elements."""
+    density, the pinching: per block ``V (K o V* x V) V*``, with ``V`` the
+    block's eigenvectors and ``K`` the mask of the pairs of its eigenvalues
+    in one cluster, the kernel one cluster (:func:`_slot_masks`).  For a
+    stack of functionals, per pair with a stack of elements."""
     x = phi.algebra.require_member(x, tol)
-    q = pinching_projections(phi, tol)
-    return (q @ x[..., None, :, :] @ q).sum(axis=-3)
+    same = _slot_masks(phi, tol, True)
+    blocks = []
+    for (s, _, v), k in zip(density_spectrum(phi, tol).blocks, phi.algebra.slot_slices):
+        vh = v.conj().mT
+        blocks.append(v @ ((vh @ x[..., s, s] @ v) * same[..., k].reshape(v.shape)) @ vh)
+    return phi.algebra.embed_blocks(blocks)
 
 
 def modular_flow(

@@ -26,11 +26,12 @@ rule of :func:`retained_rank` and block membership in
 truncated to the rank (a polar factor, a support, a partial inverse) is one
 product over the whole stack, with the columns past each matrix's rank
 zeroed by the mask of the rank rule itself (:func:`_retained`), so matrices
-of all ranks share one product.  Only a result whose shape follows a key
-per matrix, such as a basis whose length follows its ranks and eigenvalue
-clusters, is built once per key that fixes that shape (:func:`_truncated`).
-A domain check that fails on a stack raises the error it raises for one
-matrix, naming the first failing matrix as its trial (:func:`refuse`).
+of all ranks share one product.  So does a basis whose length follows the
+ranks and eigenvalue clusters of each matrix: it fills a fixed grid of
+slots, with a mask of the slots it holds (:func:`gram_defect` checks it
+against its mask).  A domain check that fails on a stack raises the error
+it raises for one matrix, naming the first failing matrix as its trial
+(:func:`refuse`).
 
 In one check (:func:`factor_once`), :func:`svd`, :func:`supports`,
 :func:`polar_decompose` and :func:`partial_inverse` compute once per matrix
@@ -256,15 +257,18 @@ def refuse(error: type[Exception], failed, message: str, *values) -> None:
 
 
 #: The most float entries that a check growing with its stack holds at once
-#: (:func:`in_parts`): 100 trials on ``2,3`` fit in one part, 3 on ``12``.
+#: (:func:`in_parts`).  The dual-pair check budgets ``16 sum n_b^4`` a
+#: trial and the degeneracy check ``20 sum n_b^4``, about its peak on one
+#: trial of ``12``: 100 trials on ``2,3`` fit in one part, 32 or 25 on
+#: ``4,4,4,4`` and 1 on ``12``.
 PART_ENTRIES = 1 << 19
 
 
 def in_parts(check: Callable, entries: int, *stacks):
-    """``check(*stacks)``, a dataclass of per-matrix arrays, holding at most
-    ``PART_ENTRIES`` float entries (``entries`` per matrix): a larger stack is
-    checked in consecutive parts and each field joined, and a refusal names
-    its matrix by its place in the whole stack (:data:`STACK_NAME`)."""
+    """``check(*stacks)``, an array or a dataclass of per-matrix arrays, at
+    most ``PART_ENTRIES`` float entries (``entries`` per matrix): a larger
+    stack is checked in parts, each array or field joined, and a refusal
+    names its matrix by its place in the whole stack (:data:`STACK_NAME`)."""
     part = max(1, PART_ENTRIES // entries)
     if np.ndim(stacks[0]) < 3 or len(stacks[0]) <= part:
         return check(*stacks)
@@ -275,6 +279,8 @@ def in_parts(check: Callable, entries: int, *stacks):
             reports.append(check(*(s[start : start + part] for s in stacks)))
         finally:
             STACK_NAME.reset(token)
+    if isinstance(reports[0], np.ndarray):
+        return np.concatenate(reports)
     return type(reports[0])(*(np.concatenate(f) for f in zip(*(vars(r).values() for r in reports))))
 
 
@@ -413,6 +419,31 @@ def right_singular(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[
     return vh, floored_rank(s, tol)
 
 
+def realified(units: np.ndarray) -> np.ndarray:
+    """A stack of complex matrices as the rows of one real matrix, each entry
+    as its real and imaginary parts side by side, so that ``Re Tr(x* y)``
+    is the dot product of two rows; of a stack of stacks, one per stack."""
+    flat = np.ascontiguousarray(units, dtype=complex)
+    return flat.reshape(*units.shape[:-3], units.shape[-3], -1).view(float)
+
+
+def gram_defect(units: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """How far a stack of directions with a mask of the slots it fills is
+    from orthonormal on the mask and zero off it, under ``Re Tr(x* y)``:
+    the largest entry of ``|G - diag(mask)|`` for its Gram matrix ``G``; of
+    a stack of stacks, per stack."""
+    rows = realified(units)
+    gram = rows @ rows.mT
+    return np.max(np.abs(gram - np.eye(mask.shape[-1]) * mask[..., None, :]), axis=(-2, -1), initial=0.0)
+
+
+def realified_rank(units: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
+    """The dimension of the real span of a stack of complex matrices (of each
+    of a stack of stacks): the floored rank (:func:`floored_rank`) of
+    :func:`realified`."""
+    return floored_rank(singular_values(realified(units)), tol)
+
+
 def floored_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
     """Number of the descending singular values ``s`` above ``rank_rel_tol *
     max(s[0], 1)``: the relative rank rule with an absolute floor for
@@ -462,31 +493,6 @@ def _retained(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: bool = 
     if guard:
         _refuse_near_cutoff(np.where(kept, s, np.inf).min(axis=-1), cutoff)
     return kept
-
-
-def _truncated(key, product: Callable, *factors: np.ndarray) -> np.ndarray:
-    """``product(*factors, k)``, a result whose shape the caller reads off
-    the key ``k`` (such as a pattern of ranks and eigenvalue clusters, which
-    fixes the length of a basis): for one matrix at its key; for a stack
-    once per key that fixes the output's shape, over the matrices of that
-    key.  The key of a stack has one entry per matrix, an int, or one row of
-    ints, passed to ``product`` as a tuple.  A product whose shape does not
-    follow the rank is one masked product instead (:func:`_retained`).  An
-    empty stack has no key to build at: a ``ValueError``."""
-    if not isinstance(key, np.ndarray):
-        return product(*factors, key)
-    if not len(key):
-        raise ValueError("_truncated needs at least one matrix, got an empty key")
-    keys, index = np.unique(key, axis=0, return_inverse=True)
-    index = index.reshape(-1)
-    out = None
-    for i, k in enumerate(keys):
-        take = index == i
-        part = product(*(f[take] for f in factors), int(k) if k.ndim == 0 else tuple(k.tolist()))
-        if out is None:
-            out = np.empty((len(key),) + part.shape[1:], dtype=part.dtype)
-        out[take] = part
-    return out
 
 
 @kept_per_check
@@ -595,10 +601,10 @@ class PositiveSpectrum:
     def require_separated(self) -> None:
         """Refuses (:class:`NotPartiallyInvertible`) a retained value within
         ``GUARD_FACTOR`` times the cutoff, as :func:`retained_rank` does; on
-        a stack, per matrix."""
-        for _, w, _ in self.blocks:
-            retained = np.where(w > np.asarray(self.cutoff)[..., None], w, np.inf)
-            _refuse_near_cutoff(retained.min(axis=-1), self.cutoff)
+        a stack, per matrix, its smallest over all blocks."""
+        w = np.concatenate([w for _, w, _ in self.blocks], axis=-1)
+        retained = np.where(w > np.asarray(self.cutoff)[..., None], w, np.inf)
+        _refuse_near_cutoff(retained.min(axis=-1), self.cutoff)
 
     def _blockwise(self, block: Callable) -> np.ndarray:
         """The matrix (or stack) with ``block(w, v, kept)`` in each diagonal

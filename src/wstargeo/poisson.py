@@ -42,10 +42,8 @@ from .algebra import (
     Frames,
     NormalFunctional,
     antihermitian_units,
-    cluster_pattern,
     density_spectrum,
     functional_support,
-    matrix_units,
     stabilizer_direction,
     stabilizer_lie_algebra,
     trace_pairing,
@@ -64,7 +62,6 @@ from .linalg import (
     DEFAULT_TOL,
     STACK_NAME,
     ToleranceProfile,
-    _truncated,
     check_hermitian,
     excess,
     exp_antihermitian,
@@ -72,6 +69,7 @@ from .linalg import (
     expect_real_array,
     floored_rank,
     frobenius,
+    gram_defect,
     herm,
     hermitian_eig,
     hs_inner,
@@ -79,6 +77,7 @@ from .linalg import (
     is_partial_isometry,
     positive_spectrum,
     projection_rank,
+    realified_rank,
     refuse,
     singular_values,
 )
@@ -847,46 +846,52 @@ class DegeneracyReport:
     """Kernel analysis of the arrow two-form dGamma0_u - dGamma0_v on a pair
     of isometry-bundle tangent spaces: the radical is spanned by the
     stabilizer directions of the base density on each leg, and the form is
-    uniformly nondegenerate transverse to it.  Of a stack of bases, each
-    field holds one value per base."""
+    uniformly nondegenerate transverse to it.  ``radical_pairing`` adds the
+    tangent directions' defect from orthonormal, and ``oracle`` their and
+    the radical's realified rank gaps at a first base.  Of a stack of bases,
+    each field holds one value per base."""
 
     radical_pairing: float | np.ndarray
     kernel_dimension: int | np.ndarray
     expected_kernel_dimension: int | np.ndarray
     complement_min_singular: float | np.ndarray
     tangent_dimension: int | np.ndarray
+    oracle: int | np.ndarray
 
     @property
     def dimension_residual(self):
-        return abs(self.kernel_dimension - self.expected_kernel_dimension)
+        return abs(self.kernel_dimension - self.expected_kernel_dimension) + self.oracle
 
 
-def _bundle_tangent_basis(
-    algebra: BlockAlgebra, u: np.ndarray, frames: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Real basis of the tangent space at u to the isometries with source
-    p0, from the ``n_b x r_b`` frames of p0: vertical directions u x (x
-    anti-Hermitian in the p0 corner) and horizontal directions (1 - u u*) z
-    p0 with z running through a complex block basis, each complex unit
-    followed by i times it.  Of a stack of isometries with sources of the
-    same blockwise ranks, one basis per isometry."""
-    q = u @ u.conj().mT
-    parts, vertical = [], []
-    for s, fp in zip(algebra.slices, frames):
-        r = fp.shape[-1]
-        if r == 0:
-            continue
-        _, vq = hermitian_eig(q[..., s, s])
-        corner = antihermitian_units(fp)
-        # (1 - q) . p0: the complement of the range of q times the range of p0
-        m = matrix_units(vq[..., :, r:], fp)
-        transverse = np.stack([m, 1j * m], axis=-3).reshape(*m.shape[:-3], -1, *m.shape[-2:])
-        parts += [(s, corner), (s, transverse)]
-        vertical += [True] * len(corner) + [False] * transverse.shape[-3]
-    basis = algebra.embed_stacks(parts)
-    vertical = np.array(vertical)
-    basis[..., vertical, :, :] = u[..., None, :, :] @ basis[..., vertical, :, :]
-    return basis
+def _leg_directions(w: np.ndarray, v: np.ndarray, rank) -> tuple[np.ndarray, np.ndarray]:
+    """The tangent directions at an isometry ``w`` of one block (of each of
+    a stack, or of a stack of legs) with source spanned by the first
+    ``rank`` columns of ``v``, on the block's slot grid, zero off their
+    mask, and the mask: slot ``(a, c)`` holds ``X w`` for the anti-Hermitian
+    unit ``X`` of the leg frame whose column ``a`` is ``w v_a`` below the
+    rank and the kernel of ``w w*`` past it.  That is ``w`` times a unit of
+    the source corner (vertical) for ``a, c`` below the rank, ``(1 - w w*)
+    z p0`` (horizontal, scaled to unit norm) for one of them past it, and
+    masked for neither."""
+    n = v.shape[-1]
+    a, c = np.divmod(np.arange(n * n), n)
+    r = np.asarray(rank)[..., None]
+    q = w @ w.conj().mT
+    kernel = hermitian_eig(q.reshape(-1, n, n))[1].reshape(q.shape)
+    frame = np.where((np.arange(n) < r)[..., None, :], w @ v, kernel)
+    kept = (a < r) | (c < r)
+    weight = np.where((a < r) & (c < r), 1.0, np.sqrt(2.0)) * kept
+    return antihermitian_units(frame, w.conj().mT @ frame) * weight[..., None, None], kept
+
+
+def _orbit_form(directions: np.ndarray, d0: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
+    """dGamma0 at base density ``d0`` on all pairs of a stack of directions:
+    with ``T[i, j] = Tr(d0 e_i* e_j)``, ``i (T - T^T)``."""
+    n = directions.shape[-1]
+    flat = directions.reshape(*directions.shape[:-2], -1)
+    # e_j d0 for all j at once: the rows of all directions times d0.
+    t = flat.conj() @ (directions.reshape(*flat.shape[:-2], -1, n) @ d0).reshape(flat.shape).mT
+    return expect_real_array(1j * (t - t.mT), tol, "exterior derivative of the orbit one-form")
 
 
 def degeneracy_kernel_check(
@@ -901,71 +906,61 @@ def degeneracy_kernel_check(
     so the kernel dimension is twice the stabilizer dimension, and away from
     the radical the form has singular values bounded below.
 
-    On stacks (a functional of stacked densities and stacked legs) the
-    bases, the form and its singular values are taken once per
-    :func:`~wstargeo.algebra.cluster_pattern`, which fixes the lengths of
-    the bases, in parts of bounded size (:func:`~wstargeo.linalg.in_parts`;
-    a leg holds up to ``2 sum n^2`` directions)."""
-    t, dim = 2 * sum(n * n for n in rho0.algebra.blocks), rho0.algebra.dim
-    check = lambda u, v, rho0: _degeneracy_report(rho0, u, v, tol)  # noqa: E731
-    return in_parts(check, 2 * t * max(t, dim * dim), u, v, rho0)
+    The form splits by leg and by block: one form per block and leg on the
+    block's slot grid (:func:`_leg_directions`), whose stabilizer slots are
+    the radical, and one SVD per block of both legs' forms, cut against the
+    largest value of all, the masked slots' zeros left out of the kernel.
+    A stack of bases is checked at once, in parts of bounded size
+    (:func:`~wstargeo.linalg.in_parts`), with the realified ranks of its
+    first base's directions."""
+    first_part = iter([True])  # the ranks are read on the first part only
+    check = lambda u, v, rho0: _degeneracy_report(rho0, u, v, tol, next(first_part, False))  # noqa: E731
+    return in_parts(check, 20 * sum(n**4 for n in rho0.algebra.blocks), u, v, rho0)
 
 
-def _degeneracy_report(rho0: NormalFunctional, u, v, tol: ToleranceProfile) -> DegeneracyReport:
-    """:func:`degeneracy_kernel_check` of one base or one stack."""
+def _degeneracy_report(rho0: NormalFunctional, u, v, tol: ToleranceProfile, oracle: bool):
+    """:func:`degeneracy_kernel_check` of one base or one stack, with the
+    realified ranks at its first base if ``oracle``."""
     algebra = rho0.algebra
     p0 = functional_support(rho0, tol)
     refuse(DegenerateBase, projection_rank(p0) == 0, "the base functional vanishes")
     for w, name in ((u, "u"), (v, "v")):
         refuse(InvalidTangent, excess(w.conj().mT @ w, p0, tol, frobenius(p0)),
                f"{name}* {name} is not the support of the base")
-
-    def analyse(rho, u, v, pattern) -> np.ndarray:
-        stab = stabilizer_lie_algebra(rho, tol)
-        radical_dirs = stab.basis
-        d0 = rho.density
-        # The frames of p0: each block's eigenvectors of retained values.
-        sp = density_spectrum(rho, tol)
-        frames = [x[..., : np.max(r, initial=0)] for (_, _, x), r in zip(sp.blocks, sp.ranks)]
-
-        def leg_pairings(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """dGamma0 on all pairs of the leg's tangent basis, and the worst
-            pairing of a stabilizer direction w s against that basis."""
-            basis = _bundle_tangent_basis(algebra, w, frames)
-            m = basis.shape[-3]
-            stacked = np.concatenate([basis, w[..., None, :, :] @ radical_dirs], axis=-3)
-            # T[i, j] = Tr(d0 e_i* e_j), so dGamma0(e_i, e_j) = i (T - T^T)[i, j].
-            flat = stacked.reshape(*stacked.shape[:-2], -1)
-            t = flat.conj() @ (stacked @ d0[..., None, :, :]).reshape(flat.shape).mT
-            form = expect_real_array(
-                1j * (t - t.mT), tol, "exterior derivative of the orbit one-form"
-            )
-            radical = np.max(np.abs(form[..., m:, :m]), axis=(-2, -1), initial=0.0)
-            return form[..., :m, :m], radical
-
-        form_u, radical_u = leg_pairings(u)
-        form_v, radical_v = leg_pairings(v)
-        m = form_u.shape[-1]
-        total = m + form_v.shape[-1]
-        pairing = np.zeros(form_u.shape[:-2] + (total, total))
-        pairing[..., :m, :m] = form_u
-        pairing[..., m:, m:] = -form_v
-
-        sing = singular_values(pairing)
-        expected = 2 * stab.dimension
-        # The smallest singular value off the radical.
-        min_sing = sing[..., total - expected - 1] if expected < total else np.inf
-        report = (np.maximum(radical_u, radical_v), total - floored_rank(sing, tol),
-                  expected, min_sing, total)
-        return np.stack(np.broadcast_arrays(*report), axis=-1).astype(float)
-
-    report = _truncated(cluster_pattern(rho0, tol), analyse, rho0, u, v)
+    spectrum = density_spectrum(rho0, tol)
+    stab = stabilizer_lie_algebra(rho0, tol)
+    first = (0,) * (rho0.density.ndim - 2)
+    values, radical, tangent, ranks = [], 0.0, 0, 0
+    for (s, _, vectors), r, k in zip(spectrum.blocks, spectrum.ranks, algebra.slot_slices):
+        directions, kept = _leg_directions(np.stack([u[..., s, s], v[..., s, s]]), vectors, r)
+        stab_slots = stab.mask[..., k]
+        forms = _orbit_form(directions, rho0.density[..., s, s], tol)
+        values += list(singular_values(forms))
+        pairs = stab_slots[..., :, None] & kept[..., None, :]
+        radical = np.maximum(radical, np.max(np.abs(forms) * pairs, axis=(0, -2, -1))
+                             + np.max(gram_defect(directions, kept), axis=0))
+        tangent = tangent + 2 * np.count_nonzero(kept, axis=-1)
+        if oracle:
+            # Both legs' directions, then their stabilizer slots alone.
+            at = directions[(slice(None), *first)]
+            at = np.concatenate([at, at * stab_slots[first][:, None, None]])
+            ranks = ranks + realified_rank(at, tol)
+    values = np.sort(np.concatenate(values, axis=-1), axis=-1)[..., ::-1]
+    expected = 2 * np.asarray(stab.dimension)
+    # The smallest singular value off the radical; the masked slots' zeros
+    # come after it.
+    index = tangent - expected - 1
+    least = np.take_along_axis(values, np.maximum(index, 0)[..., None], axis=-1)[..., 0]
+    defect = np.zeros_like(tangent)
+    if oracle:
+        defect[first] = abs(ranks[:2].sum() - tangent[first]) + abs(ranks[2:].sum() - expected[first])
     return DegeneracyReport(
-        radical_pairing=report[..., 0],
-        kernel_dimension=report[..., 1].astype(int),
-        expected_kernel_dimension=report[..., 2].astype(int),
-        complement_min_singular=report[..., 3],
-        tangent_dimension=report[..., 4].astype(int),
+        radical_pairing=radical,
+        kernel_dimension=tangent - floored_rank(values, tol),
+        expected_kernel_dimension=expected,
+        complement_min_singular=np.where(index >= 0, least, np.inf),
+        tangent_dimension=tangent,
+        oracle=defect[()],
     )
 
 
@@ -981,7 +976,7 @@ def orbit_form_sample(
     drawn from ``rng`` (stacks, from a stream of trials): two bundle
     tangents, two anti-Hermitian corner directions of p0, a unitary and an
     arrow out of ``q``.  The stabilizer coefficients are drawn after it; the
-    residual reads as many as the stabilizer's dimension."""
+    residual reads those of the stabilizer's slots."""
     du = sampling.p0_tangent(algebra, rng, u, p0)
     du2 = sampling.p0_tangent(algebra, rng, u, p0)
     x1 = sampling.corner_antihermitian(algebra, rng, p0)
@@ -1011,7 +1006,7 @@ def orbit_form_invariance_residual(
     translation by the stabilizer element ``exp(s)`` of the base, and
     invariance under adding the radical (stabilizer) direction ``s`` to one
     argument, with ``s`` the combination of the stabilizer basis with
-    ``coeff`` (unread past the stabilizer's dimension).
+    ``coeff`` (unread off the stabilizer's slots).
 
     On stacks (a functional of stacked densities, and stacked samples) one
     residual per trial (:func:`~wstargeo.algebra.stabilizer_direction`)."""

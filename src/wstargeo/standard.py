@@ -48,8 +48,8 @@ from .linalg import (
     PositiveSpectrum,
     ToleranceProfile,
     excess,
-    floored_rank,
     frobenius,
+    gram_defect,
     herm,
     hermitian_eigvals,
     hs_inner,
@@ -57,9 +57,9 @@ from .linalg import (
     partial_inverse,
     polar_decompose,
     _retained,
+    realified_rank,
     refuse,
     right_singular,
-    singular_values,
     supports,
     svd,
 )
@@ -262,12 +262,10 @@ def _kernel_oracle(algebra: BlockAlgebra, g, mu, mu_j, blocks, tol: TolerancePro
     share no factorization with them: per side, the ambient dimension
     against the kernel's length, its rank, and the rank of both together."""
     ambient = [_ambient_kernels(g[s, s], mu[s, s], mu_j[s, s], tol) for s in algebra.slices]
-    realified = lambda k: np.stack([k.real, k.imag], axis=1).reshape(len(k), -1)  # noqa: E731
     defect = 0
     for side, ours in enumerate(_within_rank(algebra, blocks)):
         ref = algebra.embed_stacks(zip(algebra.slices, (a[side] for a in ambient)))
-        ranks = [floored_rank(singular_values(realified(k)), tol)
-                 for k in (ours, np.concatenate([ours, ref]))]
+        ranks = [realified_rank(k, tol) for k in (ours, np.concatenate([ours, ref]))]
         defect += sum(abs(m - len(ref)) for m in (len(ours), *ranks))
     return defect
 
@@ -339,6 +337,8 @@ def _dual_pair_report(algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfil
         # omega(x, y) = 2 Im <x|y> on all pairs at once.
         left, right = (k.reshape(*k.shape[:-2], -1) for k in (ker_e, ker_ep))
         omega = np.max(np.abs(2.0 * (left.conj() @ right.mT).imag), axis=(-2, -1), initial=0.0)
+        # Each kernel is orthonormal on its mask and zero off it.
+        members += gram_defect(ker_e, within) + gram_defect(ker_ep, within)
         orthogonality = np.maximum(orthogonality, omega + members)
         dims = dims + np.sum(within, axis=-1)
     defects = np.zeros_like(dims)

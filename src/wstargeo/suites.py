@@ -33,7 +33,6 @@ from .algebra import (
     BlockAlgebra,
     NormalFunctional,
     centralizer_basis,
-    cluster_pattern,
     coadjoint_apply,
     combination,
     conditional_expectation,
@@ -80,14 +79,16 @@ from .groupoids import (
 from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
-    _truncated,
     _worst,
     exp_antihermitian,
     expect_real,
     expect_real_array,
     factor_once,
     frobenius,
+    gram_defect,
+    in_parts,
     polar_decompose,
+    realified_rank,
     supports,
 )
 from .poisson import (
@@ -207,8 +208,8 @@ def _row(draw: Callable, check: Callable, *keys: str) -> _Row:
 
 def _coefficient_width(algebra: BlockAlgebra) -> int:
     """The width of a slot of coefficients of a stabilizer or centralizer
-    basis, ``sum n_b^2``, at least any basis's length: each trial reads the
-    first as many as its basis has."""
+    basis, ``sum n_b^2``, its grid of slots: each trial reads those of the
+    slots its basis holds."""
     return sum(n * n for n in algebra.blocks)
 
 
@@ -252,8 +253,8 @@ def _draw_isomorphisms(ctx: RowCtx, rng) -> list:
         sampling.isometry_between(rng, f0, sampling.equivalent_frames(rng, f0))
         for _ in range(3)
     ]
-    # The direction reads as many coefficients as the stabilizer of its
-    # base density has dimensions.
+    # The direction reads the coefficients of the stabilizer slots of its
+    # base density.
     coeff = rng.take("standard_normal", shape=(_coefficient_width(alg),))
     return [a, b, u, v, w, rho0, stabilizer_direction(rho0, coeff, prof)]
 
@@ -917,49 +918,48 @@ def _draw_conditional_expectation(ctx: RowCtx, rng) -> list:
     alg = ctx.algebra
     phi = NormalFunctional(alg, sampling.random_density_matrix(alg, rng, repeat_chance=0.5))
     x = sampling.random_element(alg, rng)
-    # The centralizer's coefficients, one per basis element: each trial
-    # reads as many as its stabilizer has dimensions.
+    # The centralizer's coefficients, one per slot: each trial reads those
+    # of the slots its centralizer holds.
     coeff = sampling.complex_normal(rng, (_coefficient_width(alg),))
     return [phi, x, coeff]
 
 
 def _check_conditional_expectation(ctx: RowCtx, phi, x, coeff) -> dict:
-    prof = ctx.profile
-
-    def residuals(phi, x, coeff, pattern) -> np.ndarray:
-        d = phi.density
-        ex = conditional_expectation(phi, x, prof)
-        a = combination(coeff, centralizer_basis(phi, prof))
-        moved = phi(ex) - phi(x)
-        return np.stack([
-            frobenius(conditional_expectation(phi, ex, prof) - ex),
-            np.hypot(moved.real, moved.imag),
-            frobenius(ex @ d - d @ ex),
-            frobenius(modular_flow(phi, 0.7, prof)(ex) - ex),
-            frobenius(
-                conditional_expectation(phi, a @ x, prof)
-                - a @ conditional_expectation(phi, x, prof)
-            ),
-        ], axis=-1)
-
-    checks = _truncated(cluster_pattern(phi, prof), residuals, phi, x, coeff).T
-    return dict(zip(("idempotent", "state", "centralizer", "flow", "bimodule"), checks))
+    prof, d = ctx.profile, phi.density
+    ex = conditional_expectation(phi, x, prof)
+    a = combination(coeff, stabilizer_lie_algebra(phi, prof), centralizer=True)
+    moved = phi(ex) - phi(x)
+    return {
+        "idempotent": frobenius(conditional_expectation(phi, ex, prof) - ex),
+        "state": np.hypot(moved.real, moved.imag),
+        "centralizer": frobenius(ex @ d - d @ ex),
+        "flow": frobenius(modular_flow(phi, 0.7, prof)(ex) - ex),
+        "bimodule": frobenius(conditional_expectation(phi, a @ x, prof) - a @ ex),
+    }
 
 
 def _dimension_defects(algebra: BlockAlgebra, d: np.ndarray, expected, prof) -> np.ndarray:
     """Centralizer and stabilizer dimensions of the functional of each
-    density of the stack ``d`` minus ``expected``, each counted as the
-    length of its basis, built once per cluster pattern: one row of two
-    per density."""
+    density of the stack ``d`` minus ``expected``, each the count of the
+    slot mask, the stabilizer's plus the largest defect of a block of its
+    basis from orthonormal on the mask (:func:`~wstargeo.linalg.gram_defect`,
+    in parts of bounded size); at the first density also each basis's gap
+    from the floored rank of the realified basis, which reads the basis,
+    not the mask.  One row of two per density."""
 
-    def defects(phi, expected, pattern) -> np.ndarray:
-        return np.stack([
-            np.abs(centralizer_basis(phi, prof).shape[-3] - expected),
-            np.abs(stabilizer_lie_algebra(phi, prof).basis.shape[-3] - expected),
-        ], axis=-1).astype(float)
+    def gram(_, phi) -> np.ndarray:
+        stab = stabilizer_lie_algebra(phi, prof)
+        masks = (stab.mask[..., k] for k in algebra.slot_slices)
+        return np.max([gram_defect(u, m) for u, m in zip(stab.units(), masks)], axis=0)
 
     phi = NormalFunctional(algebra, d)
-    return _truncated(cluster_pattern(phi, prof), defects, phi, np.asarray(expected))
+    stab = stabilizer_lie_algebra(phi, prof)
+    gap = np.abs(stab.dimension - expected)
+    rows = np.stack([gap, gap + in_parts(gram, 16 * sum(n**4 for n in algebra.blocks), d, phi)], -1)
+    first = phi[:1]
+    bases = np.stack([centralizer_basis(first, prof)[0], stabilizer_lie_algebra(first, prof).basis[0]])
+    rows[0] += abs(realified_rank(bases, prof) - stab.dimension[0])
+    return rows
 
 
 def _draw_planted(ctx: RowCtx, rng) -> list:
@@ -976,20 +976,16 @@ def _draw_planted(ctx: RowCtx, rng) -> list:
 
 def _check_dimensions(ctx: RowCtx, d, predicted) -> dict:
     """Centralizer and stabilizer dimensions: fixed hand-counted instances,
-    one row each, plus the random densities with a planted multiplicity
-    pattern."""
-    alg2 = BlockAlgebra((2,))
-    alg3 = BlockAlgebra((3,))
+    one row each, stacked per algebra, plus the random densities with a
+    planted multiplicity pattern."""
     fixed = [
-        (alg3, np.diag([1.0, 1.0, 2.0]) / 4.0, 5),
-        (alg3, np.diag([1.0, 2.0, 3.0]), 3),
-        (alg2, np.diag([1.0, 2.0]), 2),
-        (alg2, 0.7 * np.eye(2), 4),
+        ((3,), [np.diag([1.0, 1.0, 2.0]) / 4.0, np.diag([1.0, 2.0, 3.0])], [5, 3]),
+        ((2,), [np.diag([1.0, 2.0]), 0.7 * np.eye(2)], [2, 4]),
     ]
     return {
         "fixed": np.concatenate([
-            _dimension_defects(alg_f, d_f[None].astype(complex), [dim], ctx.profile)
-            for alg_f, d_f, dim in fixed
+            _dimension_defects(BlockAlgebra(b), np.array(ds, dtype=complex), dims, ctx.profile)
+            for b, ds, dims in fixed
         ]),
         "planted": _dimension_defects(ctx.algebra, d, predicted, ctx.profile),
     }

@@ -30,7 +30,7 @@ from wstargeo import (
 )
 from wstargeo import sampling
 from wstargeo.algebra import matrix_units
-from wstargeo.linalg import _worst
+from wstargeo.linalg import _worst, realified_rank
 
 M2 = BlockAlgebra((2,))
 M3 = BlockAlgebra((3,))
@@ -330,7 +330,7 @@ def test_criterion_12_conditional_expectation():
             rank = int(np.linalg.matrix_rank(mat, tol=0.5))
             corank = int(np.linalg.matrix_rank(np.eye(total) - mat, tol=0.5))
             dims_exact = dims_exact and rank + corank == total
-            dims_exact = dims_exact and rank == len(
+            dims_exact = dims_exact and rank == realified_rank(
                 centralizer_basis(phi, DEFAULT_TOL)
             )
             x = sampling.random_element(algebra, rng)

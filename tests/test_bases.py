@@ -1,38 +1,44 @@
-"""The corner bases built on ``antihermitian_units`` and ``matrix_units`` are
-byte-identical, element for element and in the same order, to the loop
-builders they replaced.  Those builders are kept here as references: each
-places every element into its own zero matrix of the ambient dimension.  An
-``ast`` scan keeps rank-one products out of the rest of the package."""
+"""The bases built on ``antihermitian_units`` and ``matrix_units`` against the
+loop builders they replaced.  Those builders are kept here as references:
+each places every element into its own zero matrix of the ambient
+dimension, one per-cluster loop at a time.  The masked slot grids hold what
+the builders build: the centralizer byte for byte and in the same order,
+the stabilizer and the bundle tangents as the same real span, the pinching
+as the same map, and the degeneracy form's per-block singular values as
+those of the ambient pairing.  An ``ast`` scan keeps rank-one products out
+of the rest of the package."""
 import ast
 import pathlib
 
 import numpy as np
 import pytest
 
-from wstargeo import sampling
+from wstargeo import sampling, suites
 from wstargeo.algebra import (
     BlockAlgebra,
     NormalFunctional,
     antihermitian_units,
-    _spectral_clusters,
     centralizer_basis,
     cluster_pattern,
+    combination,
+    conditional_expectation,
     density_spectrum,
-    frames_of,
     functional_support,
     matrix_units,
-    pinching_projections,
     stabilizer_lie_algebra,
 )
 from wstargeo.errors import AmbiguousCluster
 from wstargeo.linalg import (
     DEFAULT_TOL,
     GUARD_FACTOR,
+    frobenius,
     herm,
     hermitian_eig,
     projection_rank,
+    realified_rank,
+    singular_values,
 )
-from wstargeo.poisson import _bundle_tangent_basis
+from wstargeo.poisson import _leg_directions, _orbit_form
 
 # ---------------------------------------------------------------------------
 # reference builders
@@ -238,6 +244,24 @@ DENSITIES = {
 }
 
 
+def _same_span(got, want):
+    """Both stacks span the same real subspace, of dimension ``len(want)``."""
+    want = np.asarray(want).reshape(-1, *np.shape(got)[-2:])
+    ranks = [realified_rank(m) for m in (got, want, np.concatenate([got, want]))]
+    assert ranks == [len(want)] * 3
+
+
+def _leg_tangents(rho0, w):
+    """The tangent directions at the leg ``w`` of one base, in the algebra:
+    each block's kept slots of :func:`_leg_directions`."""
+    spectrum = density_spectrum(rho0, DEFAULT_TOL)
+    parts = []
+    for (s, _, v), r in zip(spectrum.blocks, spectrum.ranks):
+        directions, kept = _leg_directions(w[s, s], v, r)
+        parts.append((s, directions[kept]))
+    return rho0.algebra.embed_stacks(parts)
+
+
 def _same_bytes(got, want):
     got, want = list(got), list(want)
     assert len(got) == len(want)
@@ -252,19 +276,14 @@ def phi(request):
 
 
 class TestStackedBases:
-    """A stack of functionals of one cluster pattern gives each functional
-    the bytes of its own bases; the pattern and the dimension are read per
-    functional of any stack."""
+    """A stack of functionals of any cluster patterns gives each functional
+    the bytes of its own bases and pinching; the pattern and the dimension
+    are read per functional of any stack."""
 
-    def test_one_pattern(self, phi):
-        u = sampling.random_unitary(phi.algebra, sampling.rng_for(77))
-        densities = [phi.density, u @ phi.density @ u.conj().T]
-        alone = [NormalFunctional(phi.algebra, d) for d in densities]
-        stack = NormalFunctional(phi.algebra, np.stack(densities))
-        assert stack.density.shape[0] == 2
-        np.testing.assert_array_equal(
-            cluster_pattern(stack, DEFAULT_TOL), [cluster_pattern(f, DEFAULT_TOL) for f in alone]
-        )
+    @staticmethod
+    def _each_alone(alone):
+        stack = NormalFunctional(alone[0].algebra, np.stack([f.density for f in alone]))
+        x = sampling.random_element(stack.algebra, sampling.rng_for(78))
         for k, f in enumerate(alone):
             _same_bytes(
                 stabilizer_lie_algebra(stack, DEFAULT_TOL).basis[k],
@@ -272,19 +291,31 @@ class TestStackedBases:
             )
             _same_bytes(centralizer_basis(stack, DEFAULT_TOL)[k], centralizer_basis(f, DEFAULT_TOL))
             _same_bytes(
-                pinching_projections(stack, DEFAULT_TOL)[k], pinching_projections(f, DEFAULT_TOL)
+                [conditional_expectation(stack, x, DEFAULT_TOL)[k]],
+                [conditional_expectation(f, x, DEFAULT_TOL)],
             )
+        return stack
+
+    def test_one_pattern(self, phi):
+        u = sampling.random_unitary(phi.algebra, sampling.rng_for(77))
+        densities = [phi.density, u @ phi.density @ u.conj().T]
+        alone = [NormalFunctional(phi.algebra, d) for d in densities]
+        stack = self._each_alone(alone)
+        assert stack.density.shape[0] == 2
+        np.testing.assert_array_equal(
+            cluster_pattern(stack, DEFAULT_TOL), [cluster_pattern(f, DEFAULT_TOL) for f in alone]
+        )
 
     def test_several_patterns(self):
         alone = [_generic_23(), _rank_deficient_23()]
-        stack = NormalFunctional(alone[0].algebra, np.stack([f.density for f in alone]))
+        stack = self._each_alone(alone)
         patterns = cluster_pattern(stack, DEFAULT_TOL)
-        assert [tuple(row) for row in patterns.tolist()] == [
-            cluster_pattern(f, DEFAULT_TOL) for f in alone
-        ]
+        np.testing.assert_array_equal(patterns, [cluster_pattern(f, DEFAULT_TOL) for f in alone])
         assert patterns[0].tolist() != patterns[1].tolist()
-        with pytest.raises(ValueError):
-            _spectral_clusters(stack, DEFAULT_TOL)
+        stab = stabilizer_lie_algebra(stack, DEFAULT_TOL)
+        assert stab.basis.shape == (2, 13, 5, 5)
+        assert stab.dimension.tolist() == [5, 5]
+        assert stab.mask[0].tolist() != stab.mask[1].tolist()
 
     @pytest.mark.parametrize("name", sorted(DENSITIES))
     def test_dimension(self, name):
@@ -299,18 +330,22 @@ class TestBasesMatchTheLoopBuilders:
         assert len(_ref_stabilizer_basis(make(), DEFAULT_TOL)) == dimension
 
     def test_stabilizer(self, phi):
-        _same_bytes(
-            stabilizer_lie_algebra(phi, DEFAULT_TOL).basis,
-            _ref_stabilizer_basis(phi, DEFAULT_TOL),
-        )
+        stab = stabilizer_lie_algebra(phi, DEFAULT_TOL)
+        _same_span(stab.basis, _ref_stabilizer_basis(phi, DEFAULT_TOL))
+        assert not stab.basis[~stab.mask].any()
 
     def test_centralizer(self, phi):
-        _same_bytes(centralizer_basis(phi, DEFAULT_TOL), _ref_centralizer_basis(phi, DEFAULT_TOL))
+        # The mask keeps the units cluster by cluster, as the loop adds them.
+        mask = stabilizer_lie_algebra(phi, DEFAULT_TOL).mask
+        _same_bytes(centralizer_basis(phi, DEFAULT_TOL)[mask], _ref_centralizer_basis(phi, DEFAULT_TOL))
 
     def test_pinching(self, phi):
-        _same_bytes(
-            pinching_projections(phi, DEFAULT_TOL), _ref_pinching_projections(phi, DEFAULT_TOL)
-        )
+        q = np.array(_ref_pinching_projections(phi, DEFAULT_TOL))
+        assert np.allclose(q.sum(axis=0), np.eye(phi.algebra.dim), atol=1e-14)
+        for k in range(3):
+            x = sampling.random_element(phi.algebra, sampling.rng_for(79, k))
+            want = (q @ x @ q).sum(axis=0)
+            assert frobenius(conditional_expectation(phi, x, DEFAULT_TOL) - want) <= 1e-14
 
     def test_coordinate_and_hermitian_units(self, phi):
         # The complex matrix units, as the tests that need them build them.
@@ -325,10 +360,78 @@ class TestBasesMatchTheLoopBuilders:
         algebra = phi.algebra
         p0 = functional_support(phi, DEFAULT_TOL)
         u = sampling.random_unitary(algebra, np.random.default_rng(5)) @ p0
-        _same_bytes(
-            _bundle_tangent_basis(algebra, u, frames_of(algebra, p0).blocks),
-            _ref_bundle_tangent_basis(algebra, u, p0),
-        )
+        _same_span(_leg_tangents(phi, u), _ref_bundle_tangent_basis(algebra, u, p0))
+
+
+#: The shapes on which the masked grids of random draws are checked against
+#: the loop builders, trial by trial.
+SHAPES = ("1", "2,3", "1,2,2", "4,4,4,4")
+
+
+def _degeneracy_draw(shape, trials=8):
+    """The degeneracy row's draw: per trial a density on a support (half of
+    them with a flat spectrum there) and two legs from it."""
+    algebra = BlockAlgebra.from_string(shape)
+    ctx = suites.RowCtx(algebra, trials, 41, 0, DEFAULT_TOL)
+    d0, u, v = suites._draw_degeneracy(ctx, ctx.stream())
+    return algebra, d0, u, v
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+class TestMaskedGridsPerTrial:
+    def test_stabilizer_and_centralizer(self, shape):
+        algebra, d0, _, _ = _degeneracy_draw(shape)
+        stack = NormalFunctional(algebra, d0)
+        stab = stabilizer_lie_algebra(stack, DEFAULT_TOL)
+        assert algebra.dim == 1 or len(set(stab.dimension.tolist())) > 1
+        for k, d in enumerate(d0):
+            phi = NormalFunctional(algebra, d)
+            _same_span(stab.basis[k], _ref_stabilizer_basis(phi, DEFAULT_TOL))
+            _same_span(stab.centralizer[k], _ref_centralizer_basis(phi, DEFAULT_TOL))
+            assert stab.dimension[k] == len(_ref_stabilizer_basis(phi, DEFAULT_TOL))
+
+    def test_combination(self, shape):
+        # A combination read off the eigenvectors is the sum over the built
+        # basis, slot by slot; the coefficients off the mask add nothing.
+        algebra, d0, _, _ = _degeneracy_draw(shape)
+        stab = stabilizer_lie_algebra(NormalFunctional(algebra, d0), DEFAULT_TOL)
+        rng = sampling.rng_for(80)
+        for centralizer, basis in ((False, stab.basis), (True, stab.centralizer)):
+            coeff = rng.standard_normal(stab.mask.shape) + centralizer * 1j * rng.standard_normal(stab.mask.shape)
+            want = np.einsum("tk,tkij->tij", coeff, basis)
+            got = combination(coeff, stab, centralizer)
+            assert np.max(frobenius(got - want)) <= 1e-13
+            np.testing.assert_array_equal(got, combination(np.where(stab.mask, coeff, 7.0), stab, centralizer))
+
+    def test_degeneracy_singular_values(self, shape):
+        # Per trial, both legs' per-block forms on their slot grids have the
+        # singular values of the ambient pairing on the loop-built tangent
+        # bases, with one zero more per masked slot.
+        algebra, d0, u, v = _degeneracy_draw(shape)
+        for k, d in enumerate(d0):
+            rho0 = NormalFunctional(algebra, d)
+            p0 = functional_support(rho0, DEFAULT_TOL)
+            spectrum = density_spectrum(rho0, DEFAULT_TOL)
+            ours, masked = [], 0
+            for w in (u[k], v[k]):
+                for (s, _, vectors), r in zip(spectrum.blocks, spectrum.ranks):
+                    directions, kept = _leg_directions(w[s, s], vectors, r)
+                    ours.append(singular_values(_orbit_form(directions, d[s, s], DEFAULT_TOL)))
+                    masked += np.count_nonzero(~kept)
+            ours = np.sort(np.concatenate(ours))[::-1]
+            ambient = []
+            for w, sign in ((u[k], 1.0), (v[k], -1.0)):
+                basis = np.array(_ref_bundle_tangent_basis(algebra, w, p0))
+                flat = basis.reshape(len(basis), -1)
+                t = flat.conj() @ (basis @ d).reshape(flat.shape).T
+                ambient.append(sign * (1j * (t - t.T)).real)
+            m = len(ambient[0])
+            pairing = np.zeros((m + len(ambient[1]),) * 2)
+            pairing[:m, :m], pairing[m:, m:] = ambient
+            want = np.linalg.svd(pairing, compute_uv=False)
+            assert len(ours) == len(want) + masked
+            assert np.max(np.abs(ours[: len(want)] - want), initial=0.0) <= 1e-12
+            assert np.max(ours[len(want):], initial=0.0) <= 1e-12
 
 
 class TestConstructors:
@@ -351,7 +454,7 @@ class TestConstructors:
             assert np.array_equal(units[k], want)
 
     def test_empty_column_sets(self):
-        assert antihermitian_units(np.zeros((3, 0))) == []
+        assert antihermitian_units(np.zeros((3, 0))).shape == (0, 3, 3)
         assert matrix_units(np.zeros((3, 0)), np.eye(3)).shape == (0, 3, 3)
 
 

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import wstargeo
+from wstargeo import algebra
+from wstargeo.algebra import BlockAlgebra
 from wstargeo.cli import main
 from wstargeo.io import REPORT_HEADER
 from wstargeo.linalg import polar_decompose
@@ -304,6 +306,21 @@ class TestOrbit:
         out = capsys.readouterr().out
         assert "block 0 (2x2)" in out and "block 1 (3x3)" in out
         assert "stabilizer dimension: 13" in out  # 2^2 + 3^2
+
+    def test_dimension_builds_no_basis(self, tmp_path, capsys, monkeypatch):
+        # The dimension is the count of the stabilizer's slot mask: neither
+        # unit constructor runs, for the command or for one matrix.
+        def refused(*args):
+            raise AssertionError("a basis was built")
+
+        for name in ("antihermitian_units", "matrix_units"):
+            monkeypatch.setattr(algebra, name, refused)
+        d = np.diag([1.0, 1.0, 2.0, 2.0, 0.0]).astype(complex)
+        f = write_algebra(tmp_path / "d.json", [2, 3], {"d": d})
+        assert main(["orbit", f]) == 0
+        assert "stabilizer dimension: 8" in capsys.readouterr().out  # 2^2 + 2^2
+        phi = algebra.NormalFunctional(BlockAlgebra((2, 3)), d)
+        assert algebra.stabilizer_lie_algebra(phi).dimension == 8
 
     def test_algebra_mismatch(self, tmp_path, capsys):
         f = write_algebra(tmp_path / "d.json", [2], {"d": np.eye(2, dtype=complex)})

@@ -19,15 +19,15 @@ from wstargeo import cli, linalg, sampling, suites
 from wstargeo.algebra import (
     BlockAlgebra,
     NormalFunctional,
-    _spectral_clusters,
+    _slot_masks,
     centralizer_basis,
     cluster_pattern,
+    conditional_expectation,
     density_spectrum,
     functional_polar,
     functional_support,
     modular_flow,
     orbit_invariant,
-    pinching_projections,
     require_positive,
     stabilizer_lie_algebra,
 )
@@ -278,10 +278,10 @@ class TestCounts:
     def test_pattern_rows_factor_per_pattern_not_per_trial(self, lapack_calls, monkeypatch):
         # Trial k reads the rows of trial k mod 10, so 40 trials
         # repeat the eigenvalue-cluster patterns and null-space dimensions
-        # of 10.  The rows below factor once per such pattern (fubini-study
-        # and fd-exterior once per row), so they make as many SVDs and
-        # Hermitian eigendecompositions at 40 trials as at 10; one check per
-        # trial made four times as many.
+        # of 10.  The rows below factor once per stack, whatever its
+        # patterns (their first-trial oracles once per row), so they make as
+        # many SVDs and Hermitian eigendecompositions at 40 trials as at 10;
+        # one check per trial made four times as many.
         monkeypatch.setattr(suites.RowCtx, "stream", _ten_trials_repeated)
         rows = [
             (suite, subindex, row)
@@ -472,9 +472,9 @@ class TestKeptValues:
         for a in kept:
             with pytest.raises(ValueError):
                 a[0] = 0.0
-        for _, cols, _ in _spectral_clusters(phi, DEFAULT_TOL):
+        for mask in (cluster_pattern(phi, DEFAULT_TOL), *(_slot_masks(phi, DEFAULT_TOL, k) for k in (0, 1))):
             with pytest.raises(ValueError):
-                cols[0, 0] = 0.0
+                mask[0] = 0
 
     def test_a_part_of_a_stack_decomposes_nothing_again(self, lapack_calls):
         phi = NormalFunctional(M23, np.stack([_functional(k).density for k in range(4)]))
@@ -572,7 +572,7 @@ POSITIVITY_ENTRY_POINTS = {
     "density_spectrum": density_spectrum,
     "functional_support": functional_support,
     "orbit_invariant": orbit_invariant,
-    "pinching_projections": pinching_projections,
+    "conditional_expectation": lambda phi, tol: conditional_expectation(phi, M23.identity(), tol),
     "std_unit": std_unit,
     "iso_Phi": lambda phi, tol: iso_Phi(M23.identity(), phi, tol),
     "tomita_S": lambda phi, tol: tomita_S(phi, M23.identity(), tol),

@@ -392,7 +392,7 @@ class TestExpAntihermitian:
         stab = stabilizer_lie_algebra(rho0)
         return {
             "generic": sampling.random_antihermitian(m23, rng),
-            "zero-block": combination(rng.standard_normal(len(stab.basis)), stab.basis),
+            "zero-block": combination(rng.standard_normal(len(stab.basis)), stab),
             "zero": np.zeros((5, 5), dtype=complex),
         }
 
@@ -529,7 +529,7 @@ HERMITIAN_EIG_SITES = {
     "algebra.density_spectrum",
     "algebra._block_frames",
     "poisson.ComposableFamily._spectra",
-    "poisson._bundle_tangent_basis",
+    "poisson._leg_directions",
 }
 
 #: The functions outside ``linalg`` that call ``retained_rank``: only the
@@ -913,8 +913,16 @@ class TestFactorOnce:
         assert len(svds) == 1
 
 
-def test_truncated_refuses_an_empty_key():
-    # An empty stack has no key: no product is built, and no None returned.
-    with pytest.raises(ValueError, match="empty key"):
-        linalg._truncated(np.zeros(0, dtype=int), lambda x, k: x, np.zeros((0, 2, 2)))
-    assert linalg._truncated(np.array([1, 1]), lambda x, k: x * k, np.ones((2, 2, 2))).shape == (2, 2, 2)
+def test_gram_defect_reads_the_mask():
+    # Orthonormal directions on the mask and zero off it have no defect; a
+    # direction the mask counts but that is missing, or scaled, has.
+    units = np.zeros((3, 2, 2), dtype=complex)
+    units[0, 0, 0], units[2, 0, 1] = 1j, (1.0 + 1j) / np.sqrt(2.0)
+    mask = np.array([True, False, True])
+    assert linalg.gram_defect(units, mask) <= 1e-15
+    assert linalg.gram_defect(units, np.ones(3, dtype=bool)) == 1.0
+    assert linalg.gram_defect(2.0 * units, mask) == pytest.approx(3.0)
+    stacked = linalg.gram_defect(np.stack([units, units]), np.stack([mask, ~mask]))
+    assert stacked[0] <= 1e-15 and stacked[1] == 1.0
+    assert linalg.realified_rank(units) == 2
+    assert linalg.realified_rank(np.stack([units, 1j * units])).tolist() == [2, 2]

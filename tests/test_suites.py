@@ -410,8 +410,9 @@ class TestPlantedFaults:
     def test_pair_kernel_without_a_free_entry(self, monkeypatch):
         # x_{0, n-1} dropped where the last column is past the rank: the
         # direction is zero, so it solves the equations and pairs to 0, and
-        # the mask still counts it.  Only the ambient kernels see the rank
-        # fall short, on trial 0 (ranks 1 and 2 in this draw).
+        # the mask still counts it.  The ambient kernels see the rank fall
+        # short on trial 0 (ranks 1 and 2 in this draw), and each trial's
+        # Gram matrix the unit it is missing.
         real = standard._coordinate_kernel
 
         def coordinate_kernel(s, kept):
@@ -421,7 +422,7 @@ class TestPlantedFaults:
 
         monkeypatch.setattr(standard, "_coordinate_kernel", coordinate_kernel)
         rows = {r.suite: r.status for r in run_suite("dual-pair", M23, 10, 0)}
-        assert rows == {"dual-pair/orthogonality": "pass", "dual-pair/dimension": "FAIL"}
+        assert rows == {"dual-pair/orthogonality": "FAIL", "dual-pair/dimension": "FAIL"}
 
     # The basis faults run at three trials: each fails its rows on every
     # trial, so a few suffice.
@@ -434,28 +435,48 @@ class TestPlantedFaults:
         real = algebra.stabilizer_lie_algebra
 
         def stabilizer_lie_algebra(phi, tol=DEFAULT_TOL):
-            # An anti-Hermitian support-corner direction that does not
-            # commute with the density, counted in the dimension too.
-            p0 = algebra.functional_support(phi, tol)
-            x = sampling.corner_antihermitian(phi.algebra, np.random.default_rng(0), p0)
+            # Slot (0, 1) of the first block marked as a stabilizer slot: an
+            # anti-Hermitian direction that does not commute with a density
+            # whose first two eigenvalues differ, counted in the dimension
+            # too.
             stab = real(phi, tol)
-            basis = np.concatenate([stab.basis, x[..., None, :, :]], axis=-3)
-            return types.SimpleNamespace(basis=basis, dimension=stab.dimension + 1)
+            mask = stab.mask.copy()
+            mask[..., 1] = True
+            return dataclasses.replace(stab, mask=mask)
 
-        # The planted basis is one longer than any real one, so the rows
-        # draw one more coefficient per trial.
-        real_width = suites._coefficient_width
         for module in (poisson, suites):
             monkeypatch.setattr(module, "stabilizer_lie_algebra", stabilizer_lie_algebra)
-        monkeypatch.setattr(suites, "_coefficient_width", lambda alg: real_width(alg) + 1)
         failed = self._failed("degeneracy")
         assert {"degeneracy/radical-pairing", "degeneracy/dimensions"} <= failed
         assert "modular-flow/dimensions" in self._failed("modular-flow", M2, 1)
 
+    def test_two_clusters_merged_in_the_mask(self, monkeypatch):
+        # The split after each block's first value cleared: its first two
+        # clusters merge in the slot masks, which then count units that do
+        # not commute with the density.
+        real = algebra.cluster_pattern
+
+        def cluster_pattern(phi, tol=DEFAULT_TOL):
+            _, offset, _, _ = phi.algebra._block_layout
+            return np.where(offset == 1, 0, real(phi, tol))
+
+        monkeypatch.setattr(algebra, "cluster_pattern", cluster_pattern)
+        assert "modular-flow/dimensions" in self._failed("modular-flow", M2, 1)
+        assert "degeneracy/dimensions" in self._failed("degeneracy")
+
     def test_antihermitian_units_missing_the_last(self, monkeypatch):
+        # The units of a grid fill fixed slots: a missing unit leaves its
+        # slot zero.  The last (i c c* of the last column) is a stabilizer
+        # and tangent slot of every block of full rank.
         real = algebra.antihermitian_units
+
+        def antihermitian_units(*args):
+            units = real(*args)
+            units[..., -1, :, :] = 0.0
+            return units
+
         for module in (algebra, poisson):
-            monkeypatch.setattr(module, "antihermitian_units", lambda cols: real(cols)[:-1])
+            monkeypatch.setattr(module, "antihermitian_units", antihermitian_units)
         assert "degeneracy/dimensions" in self._failed("degeneracy")
         assert "modular-flow/dimensions" in self._failed("modular-flow", M2, 1)
 
@@ -588,13 +609,15 @@ class TestPlantedFaults:
     def test_tangent_basis_with_a_repeated_element(self, monkeypatch):
         # A repeated direction is one more kernel direction off the radical:
         # the form's smallest singular value off the radical is then zero.
-        real = poisson._bundle_tangent_basis
+        # Slot (0, 1) holds the direction of slot (0, 0) again.
+        real = poisson._leg_directions
 
-        def bundle_tangent_basis(algebra, u, p0):
-            basis = real(algebra, u, p0)
-            return np.concatenate([basis, basis[..., :1, :, :]], axis=-3)
+        def leg_directions(w, v, rank):
+            directions, kept = real(w, v, rank)
+            directions[..., 1, :, :] = directions[..., 0, :, :]
+            return directions, kept
 
-        monkeypatch.setattr(poisson, "_bundle_tangent_basis", bundle_tangent_basis)
+        monkeypatch.setattr(poisson, "_leg_directions", leg_directions)
         assert "degeneracy/complement-inverse-gap" in self._failed("degeneracy")
 
     def test_fubini_study_without_its_radius(self, monkeypatch):
