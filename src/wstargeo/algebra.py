@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -125,7 +125,10 @@ class BlockAlgebra:
     def slices(self) -> tuple[slice, ...]:
         return consecutive_slices(self.blocks)
 
-    @cached_property
+    # The two layouts are kept per block tuple, not per instance: each command
+    # of the command line builds its own algebra.
+    @property
+    @lru_cache(maxsize=64)
     def _block_layout(self) -> tuple[np.ndarray, ...]:
         """Read-only, per diagonal position: the first position of its block,
         its offset in the block, the index of its block, and the position
@@ -149,8 +152,8 @@ class BlockAlgebra:
         basis vectors, as :func:`matrix_units` orders them."""
         return consecutive_slices(n * n for n in self.blocks)
 
-
-    @cached_property
+    @property
+    @lru_cache(maxsize=64)
     def _off_block_index(self) -> np.ndarray:
         """Read-only positions, in a realified ``(dim, dim)`` complex matrix
         (real and imaginary parts interleaved), of the parts of the entries

@@ -34,8 +34,6 @@ from .linalg import (
     polar_decompose,
     positive_spectrum,
 )
-from .poisson import feynman_amplitude
-from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["main", "console_entry", "build_parser"]
 
@@ -91,10 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "suite",
-        help=f"suite name ('all' or one of: {', '.join(SUITE_NAMES)})",
-    )
+    p_verify.add_argument("suite", help="suite name, or 'all'")
     p_verify.add_argument(
         "--algebra",
         default="2,3",
@@ -195,6 +190,8 @@ def cmd_polar(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .suites import SUITE_NAMES, run_suite
+
     algebra = _algebra_option(args.algebra)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     rows = []
@@ -221,6 +218,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_amplitude(args: argparse.Namespace) -> int:
+    from .poisson import feynman_amplitude
+
     vectors = load_vectors(args.file)
     report = feynman_amplitude(vectors)
     amp = report.amplitude

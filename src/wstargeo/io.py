@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
 from .algebra import BlockAlgebra
 from .errors import ParseError
-from .suites import SuiteResult
+
+if TYPE_CHECKING:
+    from .suites import SuiteResult
 
 __all__ = [
     "load_algebra_spec",

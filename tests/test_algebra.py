@@ -115,6 +115,15 @@ class TestBlockAlgebra:
         with pytest.raises(ValueError):
             units()[0, 0, 0] = 1.0
 
+    def test_layouts_are_kept_per_block_tuple(self):
+        """Two algebras of one block tuple, as two commands build, share
+        their layouts."""
+        other = BlockAlgebra.from_string("2,3")
+        assert other is not M23
+        assert other._block_layout is M23._block_layout
+        assert other._off_block_index is M23._off_block_index
+        assert not other._off_block_index.flags.writeable
+
     def test_from_string(self):
         assert BlockAlgebra.from_string("2,3").blocks == (2, 3)
 

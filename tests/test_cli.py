@@ -16,6 +16,7 @@ from wstargeo.algebra import BlockAlgebra
 from wstargeo.cli import main
 from wstargeo.io import REPORT_HEADER
 from wstargeo.linalg import polar_decompose
+from wstargeo.suites import SUITE_NAMES
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -190,7 +191,9 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "no-such-suite", "--trials", "2"]) == 3
-        assert "usage error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert all(name in err for name in SUITE_NAMES)
 
     def test_invalid_trials(self, capsys):
         assert main(["verify", "kks", "--trials", "0"]) == 2

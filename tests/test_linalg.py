@@ -405,10 +405,15 @@ class TestExpAntihermitian:
 
 
 def _imported_by_the_package(module: str) -> bool:
-    """Whether ``import wstargeo, wstargeo.cli`` imports ``module``, in a
-    fresh interpreter."""
+    """Whether importing every submodule of ``wstargeo`` (``__main__``, which
+    runs the command line, aside) imports ``module``, in a fresh interpreter.
+    ``import wstargeo`` loads its submodules lazily, so each is named here."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    code = f"import sys, wstargeo, wstargeo.cli; print({module!r} in sys.modules)"
+    submodules = sorted(
+        f"wstargeo.{p.stem}" for p in (src / "wstargeo").glob("*.py") if not p.stem.startswith("__")
+    )
+    assert {"wstargeo.suites", "wstargeo.sampling", "wstargeo.poisson"} <= set(submodules)
+    code = f"import sys; import {', '.join(submodules)}; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True

@@ -7,7 +7,9 @@ benchmark's tracer wraps and the ``wstargeo`` names the benchmark's files use
 (its workloads and correctness checks).  A reached body reaches each name, and each ``module.attribute``, that
 resolves through its module's imports to a top-level definition; a class is
 reached as a whole.  An import reaches nothing by itself, so neither do
-``__init__``'s re-exports.  The sources are read with ``ast`` and the tracer
+``__init__``'s exports: its ``_EXPORTS`` table binds each name to its
+submodule's definition, and its PEP 562 hooks ``__getattr__`` and ``__dir__``
+are roots.  The sources are read with ``ast`` and the tracer
 with ``runpy``, as ``test_tracer_targets.py`` does; nothing under
 ``perfbench/`` is imported or written.
 """
@@ -19,6 +21,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "wstargeo"
 PERFBENCH = ROOT / "perfbench"
 PACKAGE = "wstargeo"
+#: The package's table of public names by defining submodule.
+EXPORTS = "_EXPORTS"
+#: Module-level functions that Python itself calls (PEP 562).
+MODULE_HOOKS = ("__getattr__", "__dir__")
 
 
 class _Module:
@@ -42,6 +48,10 @@ class _Module:
                         self.modules[local] = alias.name
                     else:
                         self.imported[local] = (node.module, alias.name)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets) == EXPORTS:
+                for module, names in ast.literal_eval(node.value).items():
+                    self.imported.update((name, (module, name)) for name in names)
 
 
 def _load(directory: pathlib.Path) -> dict[str, _Module]:
@@ -134,6 +144,7 @@ def unreached(mods: dict[str, _Module]) -> list[str]:
             ):
                 frontier |= _references(mods, module, stmt)
     roots = {("cli", "main")} | _tracer_roots() | _perfbench_roots(mods)
+    roots |= {(module, hook) for module in mods for hook in MODULE_HOOKS}
     frontier |= {hit for hit in (_resolve(mods, m, a) for m, a in roots) if hit}
     reached = set()
     while frontier:
@@ -156,6 +167,8 @@ def test_roots_resolve():
     assert [r for r in tracer if _resolve(mods, *r) is None] == []
     assert {("linalg", "polar_decompose"), ("suites", "suite_rows"), ("suites", "_retry")} <= used
     assert _resolve(mods, "__init__", "BlockAlgebra") == ("algebra", "BlockAlgebra")
+    assert _resolve(mods, "__init__", "run_suite") == ("suites", "run_suite")
+    assert set(MODULE_HOOKS) <= set(mods["__init__"].defs)
 
 
 def test_every_definition_is_reached():
@@ -177,12 +190,8 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    # ``__init__`` imports only to re-export.
     files = [
-        p
-        for directory in (SRC, ROOT / "tests", ROOT / "demos")
-        for p in sorted(directory.glob("*.py"))
-        if p.name != "__init__.py"
+        p for directory in (SRC, ROOT / "tests", ROOT / "demos") for p in sorted(directory.glob("*.py"))
     ]
     found = {str(p.relative_to(ROOT)): names for p in files if (names := unused_imports(p))}
     assert found == {}
