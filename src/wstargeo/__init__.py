@@ -47,15 +47,16 @@ _EXPORTS = {
         "psi_intertwining_residual", "xi_intertwining_residual",
     ),
     "linalg": (
-        "DEFAULT_TOL", "GUARD_FACTOR", "PositiveSpectrum", "ToleranceProfile",
-        "frobenius", "hermitian_eig", "hs_inner", "partial_inverse", "polar_decompose",
-        "positive_spectrum", "restricted_power", "supports",
+        "DEFAULT_TOL", "GUARD_FACTOR", "AmplitudeReport", "PositiveSpectrum",
+        "ToleranceProfile", "feynman_amplitude", "frobenius", "hermitian_eig", "hs_inner",
+        "partial_inverse", "polar_decompose", "positive_spectrum", "restricted_power",
+        "supports",
     ),
     "poisson": (
-        "AmplitudeReport", "ComposableFamily", "DegeneracyReport", "FubiniStudyReport",
-        "KKSReport", "Observable", "calibrate_kappa", "commutant_bracket_check",
+        "ComposableFamily", "DegeneracyReport", "FubiniStudyReport", "KKSReport",
+        "Observable", "calibrate_kappa", "commutant_bracket_check",
         "degeneracy_kernel_check", "draw_family_data", "exactness_residual",
-        "families_on", "feynman_amplitude", "field_duality_residual",
+        "families_on", "field_duality_residual",
         "field_morphism_residual", "fubini_study_compare", "hamiltonian_field",
         "jacobi_residual", "kks_check", "leibniz_residual", "linear_closure_residual",
         "lp_bracket", "multiplicativity_residual", "orbit_form_invariance_residual",

@@ -310,8 +310,9 @@ class NormalFunctional:
     def __getitem__(self, index) -> "NormalFunctional":
         """The functionals that ``index`` (a mask, indices or a slice over the
         stack) selects from a stack, with their part of the blockwise
-        spectrum kept here: a check of a stack in parts decomposes no
-        density again."""
+        spectrum kept here: neither a part of the degeneracy check
+        (:func:`~wstargeo.linalg.in_parts`) nor a first-trial oracle
+        (``phi[:1]``) decomposes a density again."""
         part = object.__new__(NormalFunctional)
         object.__setattr__(part, "algebra", self.algebra)
         object.__setattr__(part, "density", _readonly(self.density[index]))
@@ -617,21 +618,20 @@ class StabilizerData:
         """The real basis (:func:`antihermitian_units`) as a ``(sum n_b^2,
         dim, dim)`` array; of a stack of functionals, ``(T, sum n_b^2, dim,
         dim)``."""
-        return self.algebra.embed_stacks(zip(self.algebra.slices, self.units()))
+        return self._embedded(antihermitian_units)
 
     @cached_property
     def centralizer(self) -> np.ndarray:
         """The complex basis of the centralizer of the density in its support
         corner, the matrix units ``v_a v_c*`` on the same slots (its complex
         dimension is the stabilizer's real one)."""
-        return self.algebra.embed_stacks(zip(self.algebra.slices, self.units(True)))
+        return self._embedded(matrix_units)
 
-    def units(self, centralizer: bool = False) -> list[np.ndarray]:
-        """Each block's part of the real basis (of the centralizer's), its
-        units on its ``n_b^2`` slots, zero off the mask."""
-        units = matrix_units if centralizer else antihermitian_units
-        masks = (self.mask[..., k, None, None] for k in self.algebra.slot_slices)
-        return [units(v) * m for v, m in zip(self.vectors, masks)]
+    def _embedded(self, units: Callable) -> np.ndarray:
+        """Each block's ``units`` of its vectors on its ``n_b^2`` slots, zero
+        off the mask, in the algebra."""
+        alg, masks = self.algebra, (self.mask[..., k, None, None] for k in self.algebra.slot_slices)
+        return alg.embed_stacks((s, units(v) * m) for s, v, m in zip(alg.slices, self.vectors, masks))
 
 
 def combination(coeff: np.ndarray, stab: StabilizerData, centralizer: bool = False) -> np.ndarray:

@@ -30,6 +30,7 @@ from .io import load_algebra_spec, load_vectors, write_report_csv
 from .linalg import (
     DEFAULT_TOL,
     ToleranceProfile,
+    feynman_amplitude,
     frobenius,
     polar_decompose,
     positive_spectrum,
@@ -218,8 +219,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_amplitude(args: argparse.Namespace) -> int:
-    from .poisson import feynman_amplitude
-
     vectors = load_vectors(args.file)
     report = feynman_amplitude(vectors)
     amp = report.amplitude

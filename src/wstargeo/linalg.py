@@ -80,16 +80,18 @@ import contextvars
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import (
+    DomainError,
     NoConvergence,
     NotHermitian,
     NotPartiallyInvertible,
     NotPositive,
+    NotUnitVector,
 )
 
 GUARD_FACTOR = 10.0
@@ -257,18 +259,20 @@ def refuse(error: type[Exception], failed, message: str, *values) -> None:
 
 
 #: The most float entries that a check growing with its stack holds at once
-#: (:func:`in_parts`).  The dual-pair check budgets ``16 sum n_b^4`` a
-#: trial and the degeneracy check ``20 sum n_b^4``, about its peak on one
-#: trial of ``12``: 100 trials on ``2,3`` fit in one part, 32 or 25 on
-#: ``4,4,4,4`` and 1 on ``12``.
+#: (:func:`in_parts`).  Its one user, the degeneracy check, budgets ``20
+#: sum n_b^4`` a trial for the per-block two-forms of both legs and their
+#: SVDs, about its peak on one trial of ``12``: 100 trials on ``2,3`` fit
+#: in one part, 25 on ``4,4,4,4`` and 1 on ``12``.
 PART_ENTRIES = 1 << 19
 
 
 def in_parts(check: Callable, entries: int, *stacks):
-    """``check(*stacks)``, an array or a dataclass of per-matrix arrays, at
-    most ``PART_ENTRIES`` float entries (``entries`` per matrix): a larger
-    stack is checked in parts, each array or field joined, and a refusal
-    names its matrix by its place in the whole stack (:data:`STACK_NAME`)."""
+    """``check(*stacks)``, a dataclass of per-matrix arrays, at most
+    ``PART_ENTRIES`` float entries (``entries`` per matrix): a larger stack
+    is checked in parts, each field joined, and a refusal names its matrix
+    by its place in the whole stack (:data:`STACK_NAME`).  For a check that
+    takes an ``n_b^2 x n_b^2`` product on every trial; one that grades a
+    basis through its frame needs no parts."""
     part = max(1, PART_ENTRIES // entries)
     if np.ndim(stacks[0]) < 3 or len(stacks[0]) <= part:
         return check(*stacks)
@@ -279,8 +283,6 @@ def in_parts(check: Callable, entries: int, *stacks):
             reports.append(check(*(s[start : start + part] for s in stacks)))
         finally:
             STACK_NAME.reset(token)
-    if isinstance(reports[0], np.ndarray):
-        return np.concatenate(reports)
     return type(reports[0])(*(np.concatenate(f) for f in zip(*(vars(r).values() for r in reports))))
 
 
@@ -435,6 +437,13 @@ def gram_defect(units: np.ndarray, mask: np.ndarray) -> np.ndarray:
     rows = realified(units)
     gram = rows @ rows.mT
     return np.max(np.abs(gram - np.eye(mask.shape[-1]) * mask[..., None, :]), axis=(-2, -1), initial=0.0)
+
+
+def unitarity_defect(frame: np.ndarray):
+    """How far the columns of ``frame`` are from orthonormal: the largest
+    entry of ``|F* F - 1|``; of a stack of frames, per frame."""
+    gram = frame.conj().mT @ frame
+    return np.max(np.abs(gram - np.eye(frame.shape[-1])), axis=(-2, -1))
 
 
 def realified_rank(units: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
@@ -696,3 +705,41 @@ def projection_rank(p: np.ndarray):
     as an array."""
     rank = np.rint(p.trace(axis1=-2, axis2=-1).real).astype(int)
     return rank if rank.ndim else int(rank)
+
+
+def _unit_vector(v: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
+    """``v`` as a complex vector, or each row of a ``(T, n)`` stack, refused
+    (:class:`NotUnitVector`) unless of unit norm (NaN included): the input
+    check of :func:`feynman_amplitude` and of the Fubini-Study checks in
+    :mod:`~wstargeo.poisson`."""
+    v = np.asarray(v, dtype=complex)
+    norm = np.sqrt(np.vecdot(v, v).real)
+    refuse(NotUnitVector, ~(np.abs(norm - 1.0) <= tol.residual_tol * 10),
+           "vector norm {:.6f} differs from 1", norm)
+    return v
+
+
+@dataclass(frozen=True)
+class AmplitudeReport:
+    """Composite transition amplitude of a path of unit vectors and its
+    probability."""
+
+    amplitude: complex
+    probability: float
+    steps: int
+
+
+def feynman_amplitude(
+    vectors: Sequence[np.ndarray], tol: ToleranceProfile = DEFAULT_TOL
+) -> AmplitudeReport:
+    """Product of successive overlaps <v_k | v_{k+1}> along a path of unit
+    vectors; the probability is the squared modulus.  Composing amplitudes is
+    the one-dimensional shadow of the groupoid product.  It sits with the
+    kernels so that ``wstargeo amplitude`` loads no checker module."""
+    if len(vectors) < 2:
+        raise DomainError("an amplitude needs a path of at least two vectors")
+    units = [_unit_vector(np.ravel(v), tol) for v in vectors]
+    amp = complex(1.0)
+    for a, b in zip(units, units[1:]):
+        amp *= complex(np.vdot(a, b))
+    return AmplitudeReport(amplitude=amp, probability=float(abs(amp) ** 2), steps=len(units) - 1)

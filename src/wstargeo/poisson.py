@@ -51,17 +51,16 @@ from .algebra import (
 from .charts import Gamma0, dGamma0
 from .errors import (
     DegenerateBase,
-    DomainError,
     InvalidFamily,
     InvalidTangent,
     NotHermitian,
     NotPositive,
-    NotUnitVector,
 )
 from .linalg import (
     DEFAULT_TOL,
     STACK_NAME,
     ToleranceProfile,
+    _unit_vector,
     check_hermitian,
     excess,
     exp_antihermitian,
@@ -714,16 +713,6 @@ class FubiniStudyReport:
         return abs(self.omega - self.fs_value)
 
 
-def _unit_vector(v: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
-    """``v`` as a complex vector, or each row of a ``(T, n)`` stack, refused
-    (:class:`NotUnitVector`) unless of unit norm (NaN included)."""
-    v = np.asarray(v, dtype=complex)
-    norm = np.sqrt(np.vecdot(v, v).real)
-    refuse(NotUnitVector, ~(np.abs(norm - 1.0) <= tol.residual_tol * 10),
-           "vector norm {:.6f} differs from 1", norm)
-    return v
-
-
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``|a><b|`` of two vectors, as ``np.outer(a, b.conj())`` forms it; of
     each pair of rows of two ``(T, n)`` stacks."""
@@ -806,35 +795,6 @@ def pair_groupoid_fs_residual(
     lhs = standard.symplectic_omega(dLambda(du, dv), dLambda(du_p, dv_p))
     rhs = 2.0 * r * np.vecdot(X, X_prime).imag - 2.0 * r * np.vecdot(Y, Y_prime).imag
     return abs(lhs - rhs)
-
-
-# ---------------------------------------------------------------------------
-# transition amplitudes along a path of unit vectors
-
-
-@dataclass(frozen=True)
-class AmplitudeReport:
-    """Composite transition amplitude of a path of unit vectors and its
-    probability."""
-
-    amplitude: complex
-    probability: float
-    steps: int
-
-
-def feynman_amplitude(
-    vectors: Sequence[np.ndarray], tol: ToleranceProfile = DEFAULT_TOL
-) -> AmplitudeReport:
-    """Product of successive overlaps <v_k | v_{k+1}> along a path of unit
-    vectors; the probability is the squared modulus.  Composing amplitudes is
-    the one-dimensional shadow of the groupoid product."""
-    if len(vectors) < 2:
-        raise DomainError("an amplitude needs a path of at least two vectors")
-    units = [_unit_vector(np.ravel(v), tol) for v in vectors]
-    amp = complex(1.0)
-    for a, b in zip(units, units[1:]):
-        amp *= complex(np.vdot(a, b))
-    return AmplitudeReport(amplitude=amp, probability=float(abs(amp) ** 2), steps=len(units) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ from .linalg import (
     herm,
     hermitian_eigvals,
     hs_inner,
-    in_parts,
     partial_inverse,
     polar_decompose,
     _retained,
@@ -62,6 +61,7 @@ from .linalg import (
     right_singular,
     supports,
     svd,
+    unitarity_defect,
 )
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ def fiber_kernel_E(
     delta in the algebra with delta g* + g delta* = 0 and
     supp(g g*) delta = delta (:func:`_pair_kernels`).  Raises DegenerateBase
     at g = 0."""
-    return list(_within_rank(algebra, _pair_kernels(algebra, np.asarray(g, dtype=complex), tol))[0])
+    return list(_pair_kernels(algebra, _pair_factors(algebra, np.asarray(g, dtype=complex), tol))[0])
 
 
 def fiber_kernel_Eprime(
@@ -192,7 +192,7 @@ def fiber_kernel_Eprime(
 
     E' = E o J, so this is J applied to the kernel of E at J g, read from
     the same SVDs as :func:`fiber_kernel_E`."""
-    return list(_within_rank(algebra, _pair_kernels(algebra, np.asarray(g, dtype=complex), tol))[1])
+    return list(_pair_kernels(algebra, _pair_factors(algebra, np.asarray(g, dtype=complex), tol))[1])
 
 
 def _coordinate_kernel(sigma: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -201,7 +201,8 @@ def _coordinate_kernel(sigma: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray,
     only ``x_ij`` and ``x_ji``: ``x_ii`` is imaginary, ``x_ji = -(sigma_j /
     sigma_i) conj(x_ij)`` for ``i < j <= r``, ``x_ij`` is free for ``i <= r
     < j``.  Per slot, the ``i``, ``j``, ``x_ij`` and ``x_ji`` of a unit
-    direction ``x_ii = i``, or ``x_ij = 1`` or ``i`` for ``i < j``; 0 past r."""
+    direction ``x_ii = i``, or ``x_ij = 1`` or ``i`` for ``i < j``; 0 past r:
+    the diagonal slots, then the real and the imaginary ones of the pairs."""
     n = sigma.shape[-1]
     d, (i, j) = np.arange(n), np.triu_indices(n, 1)
     c = np.repeat([1j, 1.0, 1j], [n, len(i), len(i)])
@@ -212,34 +213,59 @@ def _coordinate_kernel(sigma: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray,
     return i, j, c * scale, -c.conj() * ratio * scale
 
 
-def _pair_kernels(algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfile) -> list:
-    """Both fibre kernels at g, or at each vector of a stack, from one SVD
-    ``g_b = V S W*`` per block (that of all of g may mix blocks across equal
-    singular values): ``V X W*`` with X from :func:`_coordinate_kernel`, the
-    rank cut as :func:`~wstargeo.linalg.supports` cuts it, and for E' = E o J
-    the same at ``J g_b = W S V*``, so ``J (W X V*)``.  Per block ``(slice,
-    ker_E, ker_E', within)``: ``(..., n_b^2, n_b, n_b)`` stacks of unit
-    directions, and the mask of those within the rank (the others are 0)."""
+def _pair_factors(algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfile) -> list:
+    """Per block of g, or of each vector of a stack, ``(slice, V, S, W,
+    kept)``: one SVD ``g_b = V S W*`` per block (that of all of g may mix
+    blocks across equal singular values), and the mask of the values that
+    the rank cut of :func:`~wstargeo.linalg.supports` keeps."""
     refuse(DegenerateBase, frobenius(g) <= 1e-12,
            "the expectation differential has no fibre at zero")
     factors = [svd(b) for b in algebra.block_views(g)]
     top = np.max([s[..., 0] for _, s, _ in factors], axis=0)
+    return [(sl, v, s, wh.conj().mT, _retained(s, tol, top=top))
+            for sl, (v, s, wh) in zip(algebra.slices, factors)]
+
+
+def _pair_kernels(algebra: BlockAlgebra, factors: list) -> list:
+    """Both fibre kernels at one vector, in the algebra, from its blocks of
+    :func:`_pair_factors`: ``V X W*`` for the X of :func:`_coordinate_kernel`
+    within the rank, and for E' = E o J the same at ``J g_b = W S V*``, so
+    ``J (W X V*) = V X* W*``."""
     blocks = []
-    for sl, (v, s, wh) in zip(algebra.slices, factors):
-        n, w, kept = s.shape[-1], wh.conj().mT, _retained(s, tol, top=top)
+    for sl, v, s, w, kept in factors:
+        n = s.shape[-1]
         i, j, x_ij, x_ji = _coordinate_kernel(s, kept)
         # left X right* from the units a b* of the columns a and b of both.
-        e, e_j = (x_ij[..., None, None] * u[..., i * n + j, :, :]
-                  + x_ji[..., None, None] * u[..., j * n + i, :, :]
+        e, e_j = (x_ij[:, None, None] * u[i * n + j] + x_ji[:, None, None] * u[j * n + i]
                   for u in (matrix_units(v, w), matrix_units(w, v)))
-        blocks.append((sl, e, conjugation_J(e_j), kept[..., i]))
-    return blocks
+        blocks.append((sl, e[kept[i]], conjugation_J(e_j[kept[i]])))
+    return [algebra.embed_stacks((b[0], b[k]) for b in blocks) for k in (1, 2)]
 
 
-def _within_rank(algebra: BlockAlgebra, blocks: list) -> list[np.ndarray]:
-    """The kernels of E and E' at one vector from its blocks of
-    :func:`_pair_kernels`: the directions within the rank, in the algebra."""
-    return [algebra.embed_stacks((b[0], b[k][b[3]]) for b in blocks) for k in (1, 2)]
+def _coordinate_defect(sigma: np.ndarray, kept: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
+    """The largest defect of the X of :func:`_coordinate_kernel` at one
+    block's values ``sigma``, and the mask of the slots within the rank; per
+    vector of a stack.  Slot ``k`` holds ``a = X_k[i, j]`` and ``b = X_k[j,
+    i]``: its defect in ``X S + S X* = 0`` (relative to the norm ``scale``)
+    and in the rows past the rank, and, for unitary V and W, in the Gram
+    ``Re Tr(X_k* X_l)`` of both kernels against the mask and in omega ``2 Im
+    Tr(X_k* X_l*)``, which vanish unless ``l`` is ``k`` or its partner."""
+    n = sigma.shape[-1]
+    i, j, x_ij, x_ji = _coordinate_kernel(sigma, kept)
+    within, diagonal = kept[..., i], i == j
+    a = np.where(diagonal, x_ij + x_ji, x_ij)
+    b = np.where(diagonal, a, x_ji)
+    defect = (np.abs(a * sigma[..., j] + sigma[..., i] * b.conj()) / np.asarray(scale)[..., None]
+              + np.abs(a * ~kept[..., i]) + np.abs(b * ~kept[..., j]))
+    # The partner of a real pair slot is its imaginary one, and back; a
+    # diagonal entry is counted once.
+    q = np.concatenate([np.arange(n), np.roll(np.arange(n, len(i)), (len(i) - n) // 2)])
+    half, a_q, b_q = np.where(diagonal, 0.5, 1.0), a[..., q], b[..., q]
+    defect += np.abs(half * (a.conj() * a + b.conj() * b).real - within)
+    defect += np.abs(np.where(diagonal, 0.0, (a.conj() * a_q + b.conj() * b_q).real))
+    for x, y in ((a, b), (a_q, b_q)):
+        defect += np.abs(2.0 * half * (a * y + b * x).imag)
+    return np.max(defect, axis=-1, initial=0.0), within
 
 
 def _ambient_kernels(g: np.ndarray, mu: np.ndarray, mu_j: np.ndarray, tol: ToleranceProfile):
@@ -256,18 +282,25 @@ def _ambient_kernels(g: np.ndarray, mu: np.ndarray, mu_j: np.ndarray, tol: Toler
     return e, conjugation_J(e_j)
 
 
-def _kernel_oracle(algebra: BlockAlgebra, g, mu, mu_j, blocks, tol: ToleranceProfile) -> int:
-    """How far the kernels of one vector's ``blocks`` of
-    :func:`_pair_kernels` are from those of :func:`_ambient_kernels`, which
-    share no factorization with them: per side, the ambient dimension
-    against the kernel's length, its rank, and the rank of both together."""
+def _kernel_oracle(algebra: BlockAlgebra, g, mu, mu_j, kernels, tol: ToleranceProfile):
+    """How far the ``kernels`` of one vector (:func:`_pair_kernels`) are from
+    those of :func:`_ambient_kernels`, which share no factorization with
+    them: per side, the ambient dimension against the kernel's length, its
+    rank, and the rank of both together.  And the largest defect of their
+    directions in their equations (relative to the norm of ``g``) and from
+    orthonormal, plus omega between the two kernels."""
     ambient = [_ambient_kernels(g[s, s], mu[s, s], mu_j[s, s], tol) for s in algebra.slices]
     defect = 0
-    for side, ours in enumerate(_within_rank(algebra, blocks)):
+    for side, ours in enumerate(kernels):
         ref = algebra.embed_stacks(zip(algebra.slices, (a[side] for a in ambient)))
         ranks = [realified_rank(k, tol) for k in (ours, np.concatenate([ours, ref]))]
         defect += sum(abs(m - len(ref)) for m in (len(ours), *ranks))
-    return defect
+    # delta g* + g delta* = 0 for E and g* delta + delta* g = 0 for E'.
+    halves = [kernels[0] @ g.conj().T, g.conj().T @ kernels[1]]
+    members = sum(np.max(frobenius(h + h.conj().mT), initial=0.0) for h in halves) / frobenius(g)
+    members += sum(gram_defect(k, np.ones(len(k), dtype=bool)) for k in kernels)
+    left, right = (k.reshape(len(k), -1) for k in kernels)
+    return defect, members + np.max(np.abs(2.0 * (left.conj() @ right.T).imag), initial=0.0)
 
 
 def fiber_kernel_dimension(algebra: BlockAlgebra, rank_per_block: list[int]) -> int:
@@ -302,52 +335,35 @@ class DualPairReport:
 def dual_pair_orthogonality_check(
     algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
 ) -> DualPairReport:
-    """Evaluate omega on all pairs from fibre_kernel_E(g) x
-    fiber_kernel_Eprime(g), add each direction's defect in its kernel's
-    equations, and compare both kernel dimensions to the rank formula, read
-    off the supports mu(g) for E and mu(J g) = mu'(g) for E' (one SVD of g).
-    A stack of vectors is checked at once, in parts of bounded size
-    (:func:`~wstargeo.linalg.in_parts`), and the kernels of its first vector
-    against the ambient kernels (:func:`_kernel_oracle`)."""
-    first_part = iter([True])  # the oracle reads the first part only
-    check = lambda g: _dual_pair_report(algebra, g, tol, next(first_part, False))  # noqa: E731
-    return in_parts(check, 16 * sum(n**4 for n in algebra.blocks), np.asarray(g, dtype=complex))
-
-
-def _dual_pair_report(algebra: BlockAlgebra, g: np.ndarray, tol: ToleranceProfile, oracle: bool):
-    """:func:`dual_pair_orthogonality_check` of one vector or stack, with the
-    oracle at its first vector if ``oracle``; each block is checked alone."""
+    """Check the fibre kernels of E and E' at g, or at each vector of a
+    stack, through the SVD ``g_b = V S W*`` of each block, in which they are
+    ``V X W*`` and ``V X* W*``: per vector, ``|V S W* - g_b| / |g|``, ``|V*
+    V - 1|``, ``|W* W - 1|``, the kept columns of V and W within mu(g) and
+    mu'(g), and the coordinates X (:func:`_coordinate_defect`).  Both kernel
+    dimensions are compared to the rank formula, read off mu(g) and mu(J g)
+    = mu'(g).  At the first vector the kernels are checked in the algebra,
+    as a gap beyond the residual tolerance (:func:`~wstargeo.linalg.excess`),
+    and against the ambient kernels (:func:`_kernel_oracle`)."""
+    g = np.asarray(g, dtype=complex)
     mu, mu_j = supports(g, tol)
     scale, orthogonality, dims = frobenius(g), 0.0, 0
-    blocks = _pair_kernels(algebra, g, tol)
-    for s, ker_e, ker_ep, within in blocks:
-        n, gb = s.stop - s.start, g[..., s, s]
-
-        def defect(ker, m, symmetric: bool):
-            # The largest norm of ker m + (ker m)* or ker m - ker per vector.
-            x = (ker.reshape(*ker.shape[:-3], -1, n) @ m).reshape(ker.shape)
-            x = x + x.conj().mT if symmetric else x - ker
-            return np.max(frobenius(x.reshape(-1, n, n)).reshape(x.shape[:-2]), -1, initial=0.0)
-
-        # delta g* + g delta* = 0 = mu delta - delta for E, g* delta + delta* g
-        # = 0 = delta mu' - delta for E' (a left product through its adjoint).
-        ker_eh, ker_eph = ker_e.conj().mT, ker_ep.conj().mT
-        members = (defect(ker_e, gb.conj().mT, True) + defect(ker_eph, gb, True)) / scale
-        members += defect(ker_eh, mu[..., s, s], False) + defect(ker_ep, mu_j[..., s, s], False)
-        # omega(x, y) = 2 Im <x|y> on all pairs at once.
-        left, right = (k.reshape(*k.shape[:-2], -1) for k in (ker_e, ker_ep))
-        omega = np.max(np.abs(2.0 * (left.conj() @ right.mT).imag), axis=(-2, -1), initial=0.0)
-        # Each kernel is orthonormal on its mask and zero off it.
-        members += gram_defect(ker_e, within) + gram_defect(ker_ep, within)
-        orthogonality = np.maximum(orthogonality, omega + members)
+    factors = _pair_factors(algebra, g, tol)
+    for s, v, sigma, w, kept in factors:
+        frames = frobenius((v * sigma[..., None, :]) @ w.conj().mT - g[..., s, s]) / scale
+        for f, m in [(v, mu[..., s, s]), (w, mu_j[..., s, s])]:
+            held = f * kept[..., None, :]
+            frames = frames + unitarity_defect(f) + frobenius(m @ held - held)
+        coordinates, within = _coordinate_defect(sigma, kept, scale)
+        orthogonality = np.maximum(orthogonality, frames + coordinates)
         dims = dims + np.sum(within, axis=-1)
-    defects = np.zeros_like(dims)
-    if oracle:
-        first = (0,) * (g.ndim - 2)
-        at = [(b[0], *(x[first] for x in b[1:])) for b in blocks]
-        defects[first] = _kernel_oracle(algebra, g[first], mu[first], mu_j[first], at, tol)
+    first = (0,) * (g.ndim - 2)
+    kernels = _pair_kernels(algebra, [(s, *(x[first] for x in f)) for s, *f in factors])
+    oracle, residual = _kernel_oracle(algebra, g[first], mu[first], mu_j[first], kernels, tol)
+    orthogonality, defects = np.array(orthogonality), np.zeros_like(dims)
+    orthogonality[first] += excess(residual, 0.0, tol)
+    defects[first] = oracle
     return DualPairReport(
-        orthogonality=orthogonality,
+        orthogonality=orthogonality[()],
         dim_E=dims,
         dim_Eprime=dims,
         expected_dim_E=fiber_kernel_dimension(algebra, block_ranks(algebra, mu, tol)),

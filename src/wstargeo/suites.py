@@ -81,15 +81,16 @@ from .linalg import (
     ToleranceProfile,
     _worst,
     exp_antihermitian,
+    excess,
     expect_real,
     expect_real_array,
     factor_once,
     frobenius,
     gram_defect,
-    in_parts,
     polar_decompose,
     realified_rank,
     supports,
+    unitarity_defect,
 )
 from .poisson import (
     Observable,
@@ -941,24 +942,21 @@ def _check_conditional_expectation(ctx: RowCtx, phi, x, coeff) -> dict:
 def _dimension_defects(algebra: BlockAlgebra, d: np.ndarray, expected, prof) -> np.ndarray:
     """Centralizer and stabilizer dimensions of the functional of each
     density of the stack ``d`` minus ``expected``, each the count of the
-    slot mask, the stabilizer's plus the largest defect of a block of its
-    basis from orthonormal on the mask (:func:`~wstargeo.linalg.gram_defect`,
-    in parts of bounded size); at the first density also each basis's gap
-    from the floored rank of the realified basis, which reads the basis,
-    not the mask.  One row of two per density."""
-
-    def gram(_, phi) -> np.ndarray:
-        stab = stabilizer_lie_algebra(phi, prof)
-        masks = (stab.mask[..., k] for k in algebra.slot_slices)
-        return np.max([gram_defect(u, m) for u, m in zip(stab.units(), masks)], axis=0)
-
+    slot mask, the stabilizer's plus the largest defect from unitary of a
+    block's eigenvectors (:func:`~wstargeo.linalg.unitarity_defect`), whose
+    units are its basis.  At the first density also each basis's gap from
+    the floored rank of the realified basis, which reads the basis, not the
+    mask, and the stabilizer basis's defect from orthonormal on the mask
+    (:func:`~wstargeo.linalg.gram_defect`) where it exceeds the residual
+    tolerance.  One row of two per density."""
     phi = NormalFunctional(algebra, d)
     stab = stabilizer_lie_algebra(phi, prof)
     gap = np.abs(stab.dimension - expected)
-    rows = np.stack([gap, gap + in_parts(gram, 16 * sum(n**4 for n in algebra.blocks), d, phi)], -1)
-    first = phi[:1]
-    bases = np.stack([centralizer_basis(first, prof)[0], stabilizer_lie_algebra(first, prof).basis[0]])
+    rows = np.stack([gap, gap + np.max([unitarity_defect(v) for v in stab.vectors], axis=0)], -1)
+    first = stabilizer_lie_algebra(phi[:1], prof)
+    bases = np.stack([centralizer_basis(phi[:1], prof)[0], first.basis[0]])
     rows[0] += abs(realified_rank(bases, prof) - stab.dimension[0])
+    rows[0, 1] += excess(gram_defect(first.basis[0], first.mask[0]), 0.0, prof)
     return rows
 
 

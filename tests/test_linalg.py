@@ -632,12 +632,11 @@ class TestHermitianCheckedOnce:
 
 
 #: The functions outside ``linalg`` that read ``residual_tol`` themselves:
-#: block membership (a hot path that refuses NaN and inf on its own), the
-#: unit-norm test of a Fubini-Study vector, and the command line's copy of
-#: the profile.  Every other domain check decides through ``excess``.
+#: block membership (a hot path that refuses NaN and inf on its own) and the
+#: command line's copy of the profile.  Every other domain check decides
+#: through ``excess``.
 RESIDUAL_TOL_SITES = {
     "algebra.BlockAlgebra.contains",
-    "poisson._unit_vector",
     "cli.cmd_polar",
 }
 

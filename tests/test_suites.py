@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import math
 import pathlib
+import tracemalloc
 import types
 
 import numpy as np
@@ -22,6 +23,7 @@ from wstargeo import (
     NotPartiallyInvertible,
     SuiteResult,
     UnknownSuite,
+    dual_pair_orthogonality_check,
     polar_decompose,
     run_suite,
     suite_rows,
@@ -424,6 +426,56 @@ class TestPlantedFaults:
         rows = {r.suite: r.status for r in run_suite("dual-pair", M23, 10, 0)}
         assert rows == {"dual-pair/orthogonality": "FAIL", "dual-pair/dimension": "FAIL"}
 
+    # The later-trial faults leave trial 0 alone, so the oracles that run
+    # on the first trial of a stack see nothing: only the per-trial checks
+    # of the frames and coordinates can fail them.
+
+    @staticmethod
+    def _later(stack: np.ndarray, ndim: int) -> np.ndarray:
+        """The trials past the first of a stack of ``ndim``-dimensional
+        arrays, or none of one array."""
+        return np.arange(len(stack)) >= 1 if stack.ndim > ndim else np.False_
+
+    def test_free_entry_dropped_on_later_trials(self, monkeypatch):
+        real = standard._coordinate_kernel
+
+        def coordinate_kernel(s, kept):
+            i, j, x_ij, x_ji = real(s, kept)
+            drop = (i == 0) & (j == s.shape[-1] - 1) & ~kept[..., -1:]
+            drop &= self._later(s, 1)[..., None]
+            return i, j, np.where(drop, 0.0, x_ij), x_ji
+
+        monkeypatch.setattr(standard, "_coordinate_kernel", coordinate_kernel)
+        assert "dual-pair/orthogonality" in self._failed("dual-pair", trials=10)
+
+    def test_left_frame_off_unitary_on_later_trials(self, monkeypatch):
+        # The M_3 block's left singular vectors scaled by 1 + 1e-6.
+        real = standard.svd
+
+        def svd(a):
+            v, s, wh = real(a)
+            if a.shape[-1] == 3:
+                v = v * np.where(self._later(a, 2), 1.0 + 1e-6, 1.0)[..., None, None]
+            return v, s, wh
+
+        monkeypatch.setattr(standard, "svd", svd)
+        assert "dual-pair/orthogonality" in self._failed("dual-pair")
+
+    def test_eigenvector_frame_not_unitary_on_later_trials(self, monkeypatch):
+        # The first block's second eigenvector replaced by its first: the
+        # units of the frame are no longer orthonormal, though the mask and
+        # so the dimensions stay right.
+        real = algebra.stabilizer_lie_algebra
+
+        def stabilizer_lie_algebra(phi, tol=DEFAULT_TOL):
+            stab = real(phi, tol)
+            v = stab.vectors[0].copy()
+            v[..., 1] = np.where(self._later(v, 2)[..., None], v[..., 0], v[..., 1])
+            return dataclasses.replace(stab, vectors=(v, *stab.vectors[1:]))
+
+        monkeypatch.setattr(suites, "stabilizer_lie_algebra", stabilizer_lie_algebra)
+        assert "modular-flow/dimensions" in self._failed("modular-flow")
+
     # The basis faults run at three trials: each fails its rows on every
     # trial, so a few suffice.
 
@@ -755,6 +807,38 @@ class TestTrialKeys:
             ast.unparse(n.iter) for n in ast.walk(tree) if isinstance(n, (ast.For, ast.comprehension))
         }
         assert not loops & {"rng", "rng.trials", "range(len(rng))", "range(ctx.trials)"}
+
+
+class TestFootprint:
+    """A stack of 100 trials on ``12`` is checked in one call, and its
+    per-trial part holds only the frames and the slot coordinates of each
+    trial: ``O(n_b^2)`` entries, not the ``n_b^2 x n_b^2`` Gram and omega
+    products of ``(n_b^2, n_b, n_b)`` stacks of units, which only the
+    first trial's oracles take.  ``tracemalloc`` sees NumPy's buffers.
+    Measured peaks (NumPy 2, x86-64): 14.5 MB for the dual-pair check, most
+    of it the first vector's ambient kernels, and 2.3 MB for the dimension
+    defects.  With the units and their products built on every trial, the
+    same stacks checked whole peaked at 249 MB and 133 MB."""
+
+    @staticmethod
+    def _peak(fn, *args) -> float:
+        """The peak of traced memory while ``fn(*args)`` runs, in MB."""
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("draw, check, bound", [
+        (suites._draw_dual_pair, lambda ctx, g: dual_pair_orthogonality_check(ctx.algebra, g), 20.0),
+        (suites._draw_planted,
+         lambda ctx, d, dims: suites._dimension_defects(ctx.algebra, d, dims, ctx.profile), 4.0),
+    ], ids=["dual-pair", "dimensions"])
+    def test_a_stack_of_12_in_one_call(self, draw, check, bound):
+        ctx = suites.RowCtx(BlockAlgebra((12,)), 100, 1, 0, DEFAULT_TOL)
+        drawn = draw(ctx, ctx.stream())
+        assert self._peak(check, ctx, *drawn) < bound
 
 
 class TestRowReplay:
