@@ -310,9 +310,8 @@ class NormalFunctional:
     def __getitem__(self, index) -> "NormalFunctional":
         """The functionals that ``index`` (a mask, indices or a slice over the
         stack) selects from a stack, with their part of the blockwise
-        spectrum kept here: neither a part of the degeneracy check
-        (:func:`~wstargeo.linalg.in_parts`) nor a first-trial oracle
-        (``phi[:1]``) decomposes a density again."""
+        spectrum kept here: a first-trial oracle (``phi[:1]``) decomposes no
+        density again."""
         part = object.__new__(NormalFunctional)
         object.__setattr__(part, "algebra", self.algebra)
         object.__setattr__(part, "density", _readonly(self.density[index]))

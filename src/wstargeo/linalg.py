@@ -45,8 +45,9 @@ frames of a projection.
 This is the only module that factorizes a matrix.  It calls the LAPACK
 drivers through the gufuncs that ``numpy.linalg`` itself dispatches to
 (``numpy.linalg._umath_linalg``), without NumPy's per-call wrapper:
-``svd_f``/``svd`` (``?gesdd``) for singular values and vectors (:func:`svd`,
-:func:`singular_values`, :func:`right_singular`), ``eigh_lo``/
+``svd_f``/``svd_s``/``svd`` (``?gesdd``, full, thin and values only) for
+singular values and vectors (:func:`svd`, :func:`singular_values`,
+:func:`right_singular`), ``eigh_lo``/
 ``eigvalsh_lo`` (``?heevd`` on the lower triangle) for Hermitian spectra
 (:func:`hermitian_eig`, :func:`hermitian_eigvals`, and the unitary
 :func:`exp_antihermitian` of an anti-Hermitian matrix), and ``qr_r_raw``
@@ -258,34 +259,6 @@ def refuse(error: type[Exception], failed, message: str, *values) -> None:
         raise error(message.format(*values or (failed,)))
 
 
-#: The most float entries that a check growing with its stack holds at once
-#: (:func:`in_parts`).  Its one user, the degeneracy check, budgets ``20
-#: sum n_b^4`` a trial for the per-block two-forms of both legs and their
-#: SVDs, about its peak on one trial of ``12``: 100 trials on ``2,3`` fit
-#: in one part, 25 on ``4,4,4,4`` and 1 on ``12``.
-PART_ENTRIES = 1 << 19
-
-
-def in_parts(check: Callable, entries: int, *stacks):
-    """``check(*stacks)``, a dataclass of per-matrix arrays, at most
-    ``PART_ENTRIES`` float entries (``entries`` per matrix): a larger stack
-    is checked in parts, each field joined, and a refusal names its matrix
-    by its place in the whole stack (:data:`STACK_NAME`).  For a check that
-    takes an ``n_b^2 x n_b^2`` product on every trial; one that grades a
-    basis through its frame needs no parts."""
-    part = max(1, PART_ENTRIES // entries)
-    if np.ndim(stacks[0]) < 3 or len(stacks[0]) <= part:
-        return check(*stacks)
-    name, reports = STACK_NAME.get(), []
-    for start in range(0, len(stacks[0]), part):
-        token = STACK_NAME.set(lambda k, start=start: name(start + k))
-        try:
-            reports.append(check(*(s[start : start + part] for s in stacks)))
-        finally:
-            STACK_NAME.reset(token)
-    return type(reports[0])(*(np.concatenate(f) for f in zip(*(vars(r).values() for r in reports))))
-
-
 def check_hermitian(h: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Validate Hermitianity of ``h``, or of each matrix of a stack, within
     residual tolerance."""
@@ -317,9 +290,12 @@ def _real_or_complex(a: np.ndarray) -> np.ndarray:
 
 def _gesdd(a: np.ndarray, compute_uv: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD (or, with ``compute_uv=0``, singular values only, ``u`` and
-    ``vh`` ``None``) of a float64 or complex128 matrix through ``?gesdd``."""
+    ``vh`` ``None``) of a float64 or complex128 matrix through ``?gesdd``.
+    A tall matrix gets the thin SVD, ``u`` with one column per singular
+    value: its ``s`` and ``vh`` are the full SVD's, bit for bit."""
     if compute_uv:
-        u, s, vh = _umath_linalg.svd_f(a)
+        thin = a.shape[-2] > a.shape[-1]
+        u, s, vh = (_umath_linalg.svd_s if thin else _umath_linalg.svd_f)(a)
     else:
         u, s, vh = None, _umath_linalg.svd(a), None
     return u, _checked(s, "gesdd"), vh
@@ -454,11 +430,11 @@ def realified_rank(units: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
 
 
 def floored_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
-    """Number of the descending singular values ``s`` above ``rank_rel_tol *
-    max(s[0], 1)``: the relative rank rule with an absolute floor for
-    matrices of small norm.  For a stack of them (one row per matrix), an
-    array with the number of each row."""
-    scale = np.max(s[..., :1], axis=-1, initial=1.0)
+    """Number of the singular values ``s``, in any order, above
+    ``rank_rel_tol * max(max s, 1)``: the relative rank rule with an
+    absolute floor for matrices of small norm.  For a stack of them (one
+    row per matrix), an array with the number of each row."""
+    scale = np.max(s, axis=-1, initial=1.0)
     rank = np.count_nonzero(s > tol.rank_rel_tol * np.asarray(scale)[..., None], axis=-1)
     return rank if rank.ndim else int(rank)
 

@@ -72,13 +72,13 @@ from .linalg import (
     herm,
     hermitian_eig,
     hs_inner,
-    in_parts,
     is_partial_isometry,
     positive_spectrum,
     projection_rank,
     realified_rank,
     refuse,
     singular_values,
+    unitarity_defect,
 )
 # The symplectic form is looked up as ``standard.symplectic_omega`` at call
 # time, so a rebound one (a tracer span, a planted fault) reaches every check
@@ -807,9 +807,10 @@ class DegeneracyReport:
     of isometry-bundle tangent spaces: the radical is spanned by the
     stabilizer directions of the base density on each leg, and the form is
     uniformly nondegenerate transverse to it.  ``radical_pairing`` adds the
-    tangent directions' defect from orthonormal, and ``oracle`` their and
-    the radical's realified rank gaps at a first base.  Of a stack of bases,
-    each field holds one value per base."""
+    defects of the frames the closed form reads, and at a first base the
+    gaps of the ambient form from it; ``oracle`` adds the realified rank
+    gaps of the tangent directions and of the radical there.  Of a stack of
+    bases, each field holds one value per base."""
 
     radical_pairing: float | np.ndarray
     kernel_dimension: int | np.ndarray
@@ -823,25 +824,46 @@ class DegeneracyReport:
         return abs(self.kernel_dimension - self.expected_kernel_dimension) + self.oracle
 
 
+def _leg_frame(w: np.ndarray, v: np.ndarray, rank) -> np.ndarray:
+    """The frame of an isometry ``w`` of one block (of each of a stack, or of
+    a stack of legs) with source spanned by the first ``rank`` columns of
+    ``v``: column ``a`` is ``w v_a`` below the rank and the kernel of ``w
+    w*`` past it."""
+    n = v.shape[-1]
+    q = w @ w.conj().mT
+    kernel = hermitian_eig(q.reshape(-1, n, n))[1].reshape(q.shape)
+    return np.where((np.arange(n) < np.asarray(rank)[..., None])[..., None, :], w @ v, kernel)
+
+
 def _leg_directions(w: np.ndarray, v: np.ndarray, rank) -> tuple[np.ndarray, np.ndarray]:
-    """The tangent directions at an isometry ``w`` of one block (of each of
-    a stack, or of a stack of legs) with source spanned by the first
-    ``rank`` columns of ``v``, on the block's slot grid, zero off their
-    mask, and the mask: slot ``(a, c)`` holds ``X w`` for the anti-Hermitian
-    unit ``X`` of the leg frame whose column ``a`` is ``w v_a`` below the
-    rank and the kernel of ``w w*`` past it.  That is ``w`` times a unit of
-    the source corner (vertical) for ``a, c`` below the rank, ``(1 - w w*)
-    z p0`` (horizontal, scaled to unit norm) for one of them past it, and
-    masked for neither."""
+    """The tangent directions at a leg ``w`` (as :func:`_leg_frame`) on the
+    block's slot grid, zero off their mask, and the mask: slot ``(a, c)``
+    holds ``X w`` for the anti-Hermitian unit ``X`` of the leg frame.  That
+    is ``w`` times a unit of the source corner (vertical) for ``a, c`` below
+    the rank, ``(1 - w w*) z p0`` (horizontal, scaled to unit norm) for one
+    of them past it, and masked for neither."""
     n = v.shape[-1]
     a, c = np.divmod(np.arange(n * n), n)
     r = np.asarray(rank)[..., None]
-    q = w @ w.conj().mT
-    kernel = hermitian_eig(q.reshape(-1, n, n))[1].reshape(q.shape)
-    frame = np.where((np.arange(n) < r)[..., None, :], w @ v, kernel)
+    frame = _leg_frame(w, v, rank)
     kept = (a < r) | (c < r)
     weight = np.where((a < r) & (c < r), 1.0, np.sqrt(2.0)) * kept
     return antihermitian_units(frame, w.conj().mT @ frame) * weight[..., None, None], kept
+
+
+def _form_spectrum(w: np.ndarray, rank) -> tuple[np.ndarray, np.ndarray]:
+    """The singular values of one leg's form on a block's slot grid
+    (:func:`_leg_directions`) in closed form, one per slot, and the mask of
+    the slots: with the block's eigenvalues ``w`` (descending; per row of a
+    stack), ``|w_a - w_c|`` for ``a, c`` below the rank, ``2 w_a`` for
+    ``a`` below it and ``c`` past it (and back), and zero on the masked
+    slots.  The diagonal and the pairs within a cluster are the radical."""
+    n = w.shape[-1]
+    a, c = np.divmod(np.arange(n * n), n)
+    r = np.asarray(rank)[..., None]
+    kept, vertical = (a < r) | (c < r), (a < r) & (c < r)
+    values = np.where(vertical, np.abs(w[..., a] - w[..., c]), 2.0 * w[..., np.minimum(a, c)])
+    return values * kept, kept
 
 
 def _orbit_form(directions: np.ndarray, d0: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
@@ -866,22 +888,17 @@ def degeneracy_kernel_check(
     so the kernel dimension is twice the stabilizer dimension, and away from
     the radical the form has singular values bounded below.
 
-    The form splits by leg and by block: one form per block and leg on the
-    block's slot grid (:func:`_leg_directions`), whose stabilizer slots are
-    the radical, and one SVD per block of both legs' forms, cut against the
-    largest value of all, the masked slots' zeros left out of the kernel.
-    A stack of bases is checked at once, in parts of bounded size
-    (:func:`~wstargeo.linalg.in_parts`), with the realified ranks of its
-    first base's directions."""
-    first_part = iter([True])  # the ranks are read on the first part only
-    check = lambda u, v, rho0: _degeneracy_report(rho0, u, v, tol, next(first_part, False))  # noqa: E731
-    return in_parts(check, 20 * sum(n**4 for n in rho0.algebra.blocks), u, v, rho0)
-
-
-def _degeneracy_report(rho0: NormalFunctional, u, v, tol: ToleranceProfile, oracle: bool):
-    """:func:`degeneracy_kernel_check` of one base or one stack, with the
-    realified ranks at its first base if ``oracle``."""
-    algebra = rho0.algebra
+    The form splits by leg and by block, with the same singular values on
+    both legs, in closed form (:func:`_form_spectrum`): the kernel is
+    counted from them against the largest of all blocks.  Each base grades
+    the frames they are read in: the block eigenvectors (unitary, and
+    rebuilding the density) and both legs' frames (:func:`_leg_frame`).  At
+    the first base of a stack the ambient form (:func:`_orbit_form` on
+    :func:`_leg_directions`) is compared with the closed form: its singular
+    values, its entries on the radical and its directions' Gram defect, each
+    as a gap beyond the residual tolerance (:func:`~wstargeo.linalg.excess`),
+    and the realified ranks of the directions and of the radical."""
+    algebra, d0 = rho0.algebra, rho0.density
     p0 = functional_support(rho0, tol)
     refuse(DegenerateBase, projection_rank(p0) == 0, "the base functional vanishes")
     for w, name in ((u, "u"), (v, "v")):
@@ -889,38 +906,41 @@ def _degeneracy_report(rho0: NormalFunctional, u, v, tol: ToleranceProfile, orac
                f"{name}* {name} is not the support of the base")
     spectrum = density_spectrum(rho0, tol)
     stab = stabilizer_lie_algebra(rho0, tol)
-    first = (0,) * (rho0.density.ndim - 2)
-    values, radical, tangent, ranks = [], 0.0, 0, 0
-    for (s, _, vectors), r, k in zip(spectrum.blocks, spectrum.ranks, algebra.slot_slices):
-        directions, kept = _leg_directions(np.stack([u[..., s, s], v[..., s, s]]), vectors, r)
-        stab_slots = stab.mask[..., k]
-        forms = _orbit_form(directions, rho0.density[..., s, s], tol)
-        values += list(singular_values(forms))
-        pairs = stab_slots[..., :, None] & kept[..., None, :]
-        radical = np.maximum(radical, np.max(np.abs(forms) * pairs, axis=(0, -2, -1))
-                             + np.max(gram_defect(directions, kept), axis=0))
-        tangent = tangent + 2 * np.count_nonzero(kept, axis=-1)
-        if oracle:
-            # Both legs' directions, then their stabilizer slots alone.
-            at = directions[(slice(None), *first)]
-            at = np.concatenate([at, at * stab_slots[first][:, None, None]])
-            ranks = ranks + realified_rank(at, tol)
-    values = np.sort(np.concatenate(values, axis=-1), axis=-1)[..., ::-1]
-    expected = 2 * np.asarray(stab.dimension)
-    # The smallest singular value off the radical; the masked slots' zeros
-    # come after it.
-    index = tangent - expected - 1
-    least = np.take_along_axis(values, np.maximum(index, 0)[..., None], axis=-1)[..., 0]
-    defect = np.zeros_like(tangent)
-    if oracle:
-        defect[first] = abs(ranks[:2].sum() - tangent[first]) + abs(ranks[2:].sum() - expected[first])
+    first = (0,) * (d0.ndim - 2)
+    frames, slots, ambient, closed, defect, ranks = 0.0, [], [], [], 0.0, 0
+    for (s, w, vectors), r, k in zip(spectrum.blocks, spectrum.ranks, algebra.slot_slices):
+        legs = np.stack([u[..., s, s], v[..., s, s]])
+        rebuilt = frobenius((vectors * w[..., None, :]) @ vectors.conj().mT - d0[..., s, s])
+        frames = frames + unitarity_defect(vectors) + rebuilt / frobenius(d0)
+        frames = frames + np.max(unitarity_defect(_leg_frame(legs, vectors, r)), axis=0)
+        values, kept = _form_spectrum(w, r)
+        slots.append((values, kept))
+        # Both legs' ambient forms at the first base.
+        kept, radical = kept[first], stab.mask[first][k]
+        both = legs[(slice(None), *first)]
+        directions, _ = _leg_directions(both, vectors[first], np.asarray(r)[first])
+        forms = _orbit_form(directions, d0[first][s, s], tol)
+        ambient.append(singular_values(forms))
+        closed.append(np.sort(values[first])[::-1])
+        defect += np.max(np.abs(forms) * (radical[:, None] & kept))
+        defect += np.max(gram_defect(directions, kept))
+        # Both legs' directions, then their radical slots alone.
+        spans = np.concatenate([directions, directions * radical[:, None, None]])
+        ranks = ranks + realified_rank(spans, tol)
+    values, kept = (np.concatenate(x, axis=-1) for x in zip(*slots))
+    tangent, expected = 2 * np.count_nonzero(kept, axis=-1), 2 * stab.dimension
+    kernel, closed = tangent - 2 * floored_rank(values, tol), np.concatenate(closed)
+    radical_pairing, oracle = np.array(frames), np.zeros_like(tangent)
+    radical_pairing[first] += (excess(np.concatenate(ambient, axis=-1), closed, tol, np.max(closed))
+                               + excess(defect, 0.0, tol))
+    oracle[first] = abs(ranks[:2].sum() - tangent[first]) + abs(ranks[2:].sum() - expected[first])
     return DegeneracyReport(
-        radical_pairing=radical,
-        kernel_dimension=tangent - floored_rank(values, tol),
+        radical_pairing=radical_pairing[()],
+        kernel_dimension=kernel if kernel.ndim else int(kernel),
         expected_kernel_dimension=expected,
-        complement_min_singular=np.where(index >= 0, least, np.inf),
+        complement_min_singular=np.min(values, axis=-1, initial=np.inf, where=kept & ~stab.mask),
         tangent_dimension=tangent,
-        oracle=defect[()],
+        oracle=oracle[()],
     )
 
 

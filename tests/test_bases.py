@@ -38,7 +38,7 @@ from wstargeo.linalg import (
     realified_rank,
     singular_values,
 )
-from wstargeo.poisson import _leg_directions, _orbit_form
+from wstargeo.poisson import _form_spectrum, _leg_directions, _orbit_form
 
 # ---------------------------------------------------------------------------
 # reference builders
@@ -406,19 +406,22 @@ class TestMaskedGridsPerTrial:
     def test_degeneracy_singular_values(self, shape):
         # Per trial, both legs' per-block forms on their slot grids have the
         # singular values of the ambient pairing on the loop-built tangent
-        # bases, with one zero more per masked slot.
+        # bases, with one zero more per masked slot, and so does the closed
+        # form read off the density's eigenvalues.
         algebra, d0, u, v = _degeneracy_draw(shape)
         for k, d in enumerate(d0):
             rho0 = NormalFunctional(algebra, d)
             p0 = functional_support(rho0, DEFAULT_TOL)
             spectrum = density_spectrum(rho0, DEFAULT_TOL)
-            ours, masked = [], 0
+            ours, closed, masked = [], [], 0
             for w in (u[k], v[k]):
-                for (s, _, vectors), r in zip(spectrum.blocks, spectrum.ranks):
+                for (s, values, vectors), r in zip(spectrum.blocks, spectrum.ranks):
                     directions, kept = _leg_directions(w[s, s], vectors, r)
                     ours.append(singular_values(_orbit_form(directions, d[s, s], DEFAULT_TOL)))
+                    closed.append(_form_spectrum(values, r)[0])
                     masked += np.count_nonzero(~kept)
             ours = np.sort(np.concatenate(ours))[::-1]
+            assert np.max(np.abs(np.sort(np.concatenate(closed))[::-1] - ours)) <= 1e-12
             ambient = []
             for w, sign in ((u[k], 1.0), (v[k], -1.0)):
                 basis = np.array(_ref_bundle_tangent_basis(algebra, w, p0))

@@ -259,6 +259,19 @@ class TestLapackKernels:
                 want = np.linalg.svd(x, compute_uv=False)
                 np.testing.assert_array_equal(singular_values(x), want)
 
+    @pytest.mark.parametrize("shape", [(2, 36, 18), (2, 100, 50), (3, 7, 7), (2, 18, 36), (5, 8)],
+                             ids=str)
+    def test_right_singular_thin_or_full(self, shape):
+        # A tall matrix takes the thin SVD, whose rows and singular values
+        # are the full one's; a square or wide one the full SVD.
+        rng = _rng(14)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for x in (a, a.real):
+            _, s, vh = np.linalg.svd(x)
+            got, rank = right_singular(x)
+            np.testing.assert_array_equal(got, vh)
+            np.testing.assert_array_equal(rank, linalg.floored_rank(s))
+
     def test_hermitian_spectra(self):
         rng = _rng(11)
         for n in self.SIZES:
@@ -534,7 +547,7 @@ HERMITIAN_EIG_SITES = {
     "algebra.density_spectrum",
     "algebra._block_frames",
     "poisson.ComposableFamily._spectra",
-    "poisson._leg_directions",
+    "poisson._leg_frame",
 }
 
 #: The functions outside ``linalg`` that call ``retained_rank``: only the

@@ -49,7 +49,7 @@ from wstargeo import (
     symplectic_omega,
     vertical_form_residual,
 )
-from wstargeo import linalg, poisson, suites
+from wstargeo import suites
 from wstargeo.charts import dGamma0
 from stacking import stack_chains
 from wstargeo.linalg import expect_real, refuse
@@ -65,6 +65,7 @@ from wstargeo.sampling import (
     random_hermitian,
     random_projection,
     random_unit_vector,
+    random_unitary,
     rng_for,
     unit_norm,
 )
@@ -627,28 +628,49 @@ class TestDegeneracy:
         assert report.complement_min_singular == pytest.approx(min_sing, rel=1e-12)
 
     @pytest.mark.parametrize("blocks", [(2, 3), (1, 2, 2)])
-    def test_a_stack_in_parts_gives_the_bits_of_the_whole(self, blocks, monkeypatch):
-        # Checked whole or in parts of three bases, each base of a stack of
-        # several cluster patterns gets the same report, bit for bit; a leg
-        # off the base's support is refused by its place in the whole stack.
+    def test_each_base_of_a_stack_gets_its_own_report(self, blocks):
+        # Each base of a stack of several cluster patterns gets the report
+        # of its one-base stack, bit for bit, though only the first base of
+        # a call takes the ambient form; a leg off the base's support is
+        # refused by its place in the stack.
         algebra = BlockAlgebra(blocks)
         ctx = suites.RowCtx(algebra, 10, 61, 0, DEFAULT_TOL)
         d0, u, v = suites._draw_degeneracy(ctx, ctx.stream())
         whole = vars(degeneracy_kernel_check(NormalFunctional(algebra, d0), u, v, DEFAULT_TOL))
         assert len(set(whole["tangent_dimension"].tolist())) > 1
-        monkeypatch.setattr(linalg, "PART_ENTRIES", 3 * 20 * sum(n**4 for n in blocks))
-        real, parts = poisson._degeneracy_report, []
-        monkeypatch.setattr(
-            poisson, "_degeneracy_report", lambda *args: parts.append(None) or real(*args)
-        )
-        split = vars(degeneracy_kernel_check(NormalFunctional(algebra, d0), u, v, DEFAULT_TOL))
-        assert len(parts) == 4
-        for field, values in whole.items():
-            assert values.tobytes() == split[field].tobytes(), field
+        for k in range(len(d0)):
+            one = slice(k, k + 1)
+            alone = degeneracy_kernel_check(NormalFunctional(algebra, d0[one]), u[one], v[one])
+            for field, values in whole.items():
+                assert vars(alone)[field].tobytes() == values[one].tobytes(), (field, k)
         bad = u.copy()
         bad[7] = 2.0 * bad[7]
         with pytest.raises(InvalidTangent, match="at trial 7$"):
             degeneracy_kernel_check(NormalFunctional(algebra, d0), bad, v, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("blocks, spectra, stabilizer", [
+        ((2, 3), [[0.5, 0.5], [1.25, 0.0, 1.25]], 8),
+        ((12,), [[1.0, 0.0, 0.75, 1.0, 2.0, 0.0, 1.0, 0.75, 1.5, 1.0, 0.0, 0.5]], 4**2 + 2**2 + 3),
+        ((4, 4, 4, 4), [[2.0, 2.0, 2.0, 2.0], [0.0, 1.5, 0.0, 1.5], [0.75, 1.0, 0.0, 1.25],
+                        [0.5, 0.5, 0.5, 0.0]], 16 + 4 + 3 + 9),
+    ], ids=["2,3", "12", "4,4,4,4"])
+    def test_one_base_with_repeated_and_zero_eigenvalues(self, blocks, spectra, stabilizer):
+        # One unstacked base, as a command checks it: exactly repeated
+        # eigenvalues and zeros from a grid of well-separated values, in
+        # Haar eigenbases, with legs from the base's support.  The kernel is
+        # twice the sum of the squared multiplicities of the positive values.
+        algebra = BlockAlgebra(blocks)
+        rng = rng_for(62, len(blocks))
+        q = random_unitary(algebra, rng)
+        d = q @ np.diag(np.concatenate(spectra)).astype(complex) @ q.conj().T
+        rho0 = NormalFunctional(algebra, d)
+        p0 = functional_support(rho0, DEFAULT_TOL)
+        u, v = (random_unitary(algebra, rng) @ p0 for _ in range(2))
+        report = degeneracy_kernel_check(rho0, u, v)
+        assert type(report.kernel_dimension) is int
+        assert report.kernel_dimension == 2 * stabilizer
+        assert report.dimension_residual == 0
+        assert report.radical_pairing <= 1e-10
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DegenerateBase):

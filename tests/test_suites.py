@@ -480,8 +480,8 @@ class TestPlantedFaults:
     # trial, so a few suffice.
 
     @staticmethod
-    def _failed(suite, algebra=M23, trials=3):
-        return {r.suite for r in run_suite(suite, algebra, trials, 0) if not r.passed}
+    def _failed(suite, algebra=M23, trials=3, seed=0):
+        return {r.suite for r in run_suite(suite, algebra, trials, seed) if not r.passed}
 
     def test_non_stabilizer_direction_in_the_radical(self, monkeypatch):
         real = algebra.stabilizer_lie_algebra
@@ -659,9 +659,11 @@ class TestPlantedFaults:
         assert "degeneracy/fd-exterior" in self._failed("degeneracy")
 
     def test_tangent_basis_with_a_repeated_element(self, monkeypatch):
-        # A repeated direction is one more kernel direction off the radical:
-        # the form's smallest singular value off the radical is then zero.
-        # Slot (0, 1) holds the direction of slot (0, 0) again.
+        # A repeated direction is one more kernel direction off the radical.
+        # The directions are built at the first base only, beside the
+        # closed form: the ambient form's singular values no longer match
+        # it, the directions are not orthonormal and their realified rank
+        # falls short.  Slot (0, 1) holds the direction of slot (0, 0) again.
         real = poisson._leg_directions
 
         def leg_directions(w, v, rank):
@@ -670,7 +672,56 @@ class TestPlantedFaults:
             return directions, kept
 
         monkeypatch.setattr(poisson, "_leg_directions", leg_directions)
-        assert "degeneracy/complement-inverse-gap" in self._failed("degeneracy")
+        failed = self._failed("degeneracy")
+        assert {"degeneracy/radical-pairing", "degeneracy/dimensions"} <= failed
+
+    # The closed-form faults leave every frame right, so the per-trial
+    # frame checks cannot see them; the ambient form at the first base,
+    # which shares no closed form with them, can.  Trial 0 of these runs
+    # (seed 1) has a repeated eigenvalue.
+
+    def test_closed_form_with_a_cluster_pair_off_the_radical(self, monkeypatch):
+        # The first pair of slots within one cluster of a block given the
+        # block's largest eigenvalue: two zeros fewer in each leg's
+        # multiset.  The kernel count against the stabilizer mask sees it
+        # too, on every base with a repeated eigenvalue.
+        real = poisson._form_spectrum
+
+        def form_spectrum(w, rank):
+            values, kept = real(w, rank)
+            n = w.shape[-1]
+            a, c = np.divmod(np.arange(n * n), n)
+            inside = (a < c) & kept & (values <= 1e-9 * w[..., :1])
+            first = inside & (np.cumsum(inside, axis=-1) == 1)
+            pair = first | first[..., c * n + a]
+            return np.where(pair, w[..., :1], values), kept
+
+        monkeypatch.setattr(poisson, "_form_spectrum", form_spectrum)
+        failed = self._failed("degeneracy", trials=4, seed=1)
+        assert {"degeneracy/radical-pairing", "degeneracy/dimensions"} <= failed
+
+    def test_closed_form_of_a_perturbed_spectrum(self, monkeypatch):
+        # The eigenvalues times 1 + 1e-6: the kernel and the complement
+        # barely move, so the ambient form alone sees it.
+        real = poisson._form_spectrum
+        monkeypatch.setattr(poisson, "_form_spectrum", lambda w, rank: real(w * (1.0 + 1e-6), rank))
+        assert self._failed("degeneracy", trials=4, seed=1) == {"degeneracy/radical-pairing"}
+
+    def test_density_frame_not_unitary_on_later_trials(self, monkeypatch):
+        # The first block's second eigenvector replaced by its first past
+        # trial 0: the closed form reads a frame that is not unitary and
+        # does not rebuild the density.
+        real = poisson.density_spectrum
+
+        def density_spectrum(phi, tol=DEFAULT_TOL):
+            spectrum = real(phi, tol)
+            (s, w, v), *rest = spectrum.blocks
+            v = v.copy()
+            v[..., 1] = np.where(self._later(v, 2)[..., None], v[..., 0], v[..., 1])
+            return dataclasses.replace(spectrum, blocks=((s, w, v), *rest))
+
+        monkeypatch.setattr(poisson, "density_spectrum", density_spectrum)
+        assert "degeneracy/radical-pairing" in self._failed("degeneracy")
 
     def test_fubini_study_without_its_radius(self, monkeypatch):
         # The orbit through |delta><delta| in place of r |delta><delta|: the
