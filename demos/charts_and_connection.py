@@ -33,7 +33,6 @@ from wstargeo import (
     transition_L,
 )
 from wstargeo import sampling
-from wstargeo.algebra import NormalFunctional
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -68,11 +67,14 @@ print("sigma slice at p of q =")
 print(sigma_p(p, q, DEFAULT_TOL))
 
 # --- the frame bundle over the orbit -------------------------------------------
-rng = sampling.rng_for(2026, 3)
+# One trial drawn from a stream: each sampler returns a stack of one.  The
+# arrow u is built from the frames of its source p0 and its target, as drawn.
+rng = sampling.Stream((2026, 3), [0])
 algebra5 = BlockAlgebra((2, 3))
-p0 = sampling.random_projection(algebra5, rng, allow_zero=False)
-target = sampling.equivalent_frames(rng, sampling.frames_of(algebra5, p0)).projection
-u = sampling.partial_isometry_onto(algebra5, rng, p0, target)
+f0 = sampling.random_frames(algebra5, rng, allow_zero=False)
+ft = sampling.equivalent_frames(rng, f0)
+p0, target = f0.projection[0], ft.projection[0]
+u = sampling.isometry_between(rng, f0, ft)[0]
 
 # Bundle chart around the fibre over the target: u is encoded by the base
 # coordinate of its target together with a fibre isometry; the round trip
@@ -83,7 +85,7 @@ print("\nbundle chart round trip:", frobenius(u_back - u))
 
 # Tangent directions split into a horizontal part killed by the connection
 # and a vertical part it reproduces.
-du = sampling.p0_tangent(algebra5, rng, u, p0, scale=1.0)
+du = sampling.p0_tangent(algebra5, rng, u, p0, scale=1.0)[0]
 h, v = hv_split(u, du)
 alpha_h = connection_alpha(u, h)
 alpha_v = connection_alpha(u, v)
@@ -93,7 +95,7 @@ print("connection reproduces the vertical part:",
 print("split reassembles the tangent:", frobenius(h + v - du))
 
 # Curvature pairs two tangents into an anti-Hermitian corner element.
-du2 = sampling.p0_tangent(algebra5, rng, u, p0, scale=1.0)
+du2 = sampling.p0_tangent(algebra5, rng, u, p0, scale=1.0)[0]
 omega = curvature_Omega(u, du, du2)
 print("curvature is anti-Hermitian:", frobenius(omega + omega.conj().T))
 print("curvature is antisymmetric:",
@@ -103,10 +105,9 @@ print("curvature is antisymmetric:",
 # Gamma0 pairs a fibre density with the connection; its exterior derivative
 # has a closed form, and a centered finite difference of Gamma0 over a
 # two-parameter surface reproduces it to second order.
-d0 = sampling.corner_positive(algebra5, rng, p0)
-rho0 = NormalFunctional(algebra5, d0 / float(np.trace(d0).real))
-a = sampling.unit_norm(sampling.random_antihermitian(algebra5, rng))
-b = sampling.unit_norm(sampling.corner_antihermitian(algebra5, rng, p0))
+rho0 = sampling.density_on(rng, f0)[0]
+a = sampling.unit_norm(sampling.random_antihermitian(algebra5, rng))[0]
+b = sampling.unit_norm(sampling.corner_antihermitian(algebra5, rng, p0))[0]
 exact = dGamma0(rho0, u, a @ u, u @ b, DEFAULT_TOL)
 approx = fd_surface_dGamma0(rho0, u, a, b, 1e-4, DEFAULT_TOL)
 print("\nGamma0 at (rho0, u):", Gamma0(rho0, u, a @ u, DEFAULT_TOL))

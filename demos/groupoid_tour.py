@@ -39,11 +39,13 @@ from wstargeo import sampling
 np.set_printoptions(precision=4, suppress=True)
 
 algebra = BlockAlgebra((2, 3))
-rng = sampling.rng_for(2026, 1)
+# The chains are drawn from a stream of one trial: each arrow is a stack of
+# one, and [a[0] for a in ...] takes its one arrow.
+rng = sampling.Stream((2026, 1), [0])
 
 # --- the isometry picture ---------------------------------------------------
 # Draw a composable chain u1, u2, u3 with source(u_i) = target(u_{i+1}).
-u1, u2, u3 = composable_chain("pi", algebra, rng, 3)
+u1, u2, u3 = [a[0] for a in composable_chain("pi", algebra, rng, 3)]
 print("source of u1 = target of u2 residual:",
       frobenius(pi_source(u1) - pi_target(u2)))
 prod = pi_compose(u1, u2, DEFAULT_TOL)
@@ -59,7 +61,7 @@ except NotComposable as exc:
 # --- the partially invertible picture ----------------------------------------
 # An arrow is now x = u h with h positive on the source; jay inverts the
 # isometry part while keeping the modulus on the new source.
-x1, x2, x3 = composable_chain("g", algebra, rng, 3)
+x1, x2, x3 = [a[0] for a in composable_chain("g", algebra, rng, 3)]
 y = g_compose(x1, x2, DEFAULT_TOL)
 print("\nsource of product = source of second:",
       frobenius(g_source(y, DEFAULT_TOL) - g_source(x2, DEFAULT_TOL)))
@@ -72,7 +74,7 @@ print("jay is an involution:", frobenius(jay(jay(x1)) - x1))
 # chain_law_residuals evaluates associativity, units, inverses, and the
 # antihomomorphism property on a single composable chain of three arrows.
 for tag in GROUPOIDS:
-    chain = composable_chain(tag, algebra, rng, 3)
+    chain = [a[0] for a in composable_chain(tag, algebra, rng, 3)]
     worst = max(chain_law_residuals(tag, chain, DEFAULT_TOL).values())
     print(f"worst law residual on one {tag!r} chain: {worst:.3e}")
 
@@ -85,7 +87,7 @@ for law, value in sorted(report.law_residuals.items()):
 # --- crossing between pictures ------------------------------------------------
 # Xi forgets the isometry of a coadjoint arrow into a functional with polar
 # angle; pushing the source along the arrow gives the target.
-arrow = composable_chain("coadjoint", algebra, rng, 3)[0]
+arrow = composable_chain("coadjoint", algebra, rng, 3)[0][0]
 phi = iso_Xi(arrow)
 pushed = coadjoint_apply(arrow.u, arrow.rho, DEFAULT_TOL)
 print("\ncoadjoint target = source pushed along the arrow:",

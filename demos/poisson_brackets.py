@@ -55,8 +55,8 @@ print("Hamiltonian field of f_x =")
 print(field)
 
 # Jacobi and Leibniz hold at machine precision for smooth observables.
-rng = sampling.rng_for(2026, 8)
-psi = sampling.random_density(algebra, rng)
+rng = sampling.Stream((2026, 8), [0])  # one trial: each draw is a stack of one
+psi = sampling.random_density(algebra, rng)[0]
 print("Jacobi residual: ", jacobi_residual(sx, sy, sz, psi, DEFAULT_TOL))
 print("Leibniz residual:", leibniz_residual(fx, fy, fz, psi, DEFAULT_TOL))
 
@@ -66,7 +66,7 @@ print("Leibniz residual:", leibniz_residual(fx, fy, fz, psi, DEFAULT_TOL))
 # of two pullbacks is omega of their gradients, and it descends to the
 # Lie-Poisson bracket: E is a Poisson map.  Observables pulled back along E
 # and along the right expectation E'(g) = g* g Poisson-commute.
-g = sampling.random_element(algebra, rng)
+g = sampling.random_element(algebra, rng)[0]
 print("\ncanonical bracket {F_x, F_y}(g):", symplectic_omega(sx @ g, sy @ g))
 print("Lie-Poisson bracket after E:    ",
       lp_bracket(fx, fy, expectation_E(algebra, g), DEFAULT_TOL))

@@ -81,7 +81,7 @@ state = NormalFunctional(algebra, np.diag([1.0, 4.0]).astype(complex))
 omega = std_unit(state, DEFAULT_TOL)
 
 # S is the closure of x d^{1/2} -> x* d^{1/2}; it factors as J Delta^{1/2}.
-x = sampling.random_element(algebra, sampling.rng_for(2026, 5))
+x = sampling.random_element(algebra, sampling.Stream((2026, 5), [0]))[0]
 vec = x @ omega
 print("\nS(x Omega) = x* Omega residual:",
       frobenius(tomita_S(state, vec, DEFAULT_TOL) - x.conj().T @ omega))
@@ -94,17 +94,17 @@ print("S = J Delta^{1/2} residual:",
 t = 0.7
 flow = modular_flow(state, t, DEFAULT_TOL)
 print("flow fixes the canonical vector:", frobenius(flow(omega) - omega))
-h = sampling.random_element(algebra, sampling.rng_for(2026, 6))
+h = sampling.random_element(algebra, sampling.Stream((2026, 6), [0]))[0]
 print("flow preserves the symplectic form:",
       abs(symplectic_omega(flow(x), flow(h)) - symplectic_omega(x, h)))
 
 # One call checks every invariance on a stack of 25 sampled configurations,
-# each drawn from its own generator, and gives one residual per sample; keep
-# the worst of each.  The cone residual is how far a flowed positive element
+# drawn at once from a stream of 25 trials, and gives one residual per
+# sample; keep the worst of each.  The cone residual is how far a flowed positive element
 # is from positive and Hermitian.
 t, samples = 1.7, 25
-draws = [flow_sample(algebra, sampling.rng_for(11, k)) for k in range(samples)]
-residuals = flow_residuals(state, t, *(np.stack(parts) for parts in zip(*draws)))
+draws = flow_sample(algebra, sampling.Stream((11,), range(samples)))
+residuals = flow_residuals(state, t, *draws)
 print(f"\nflow invariances at t = {t} over {samples} samples:")
 for name, values in sorted(residuals.items()):
     print(f"  {name:<18} {values.max():.3e}")

@@ -68,6 +68,7 @@ from .linalg import (
     GUARD_FACTOR,
     PositiveSpectrum,
     ToleranceProfile,
+    as_count,
     as_square,
     excess,
     frobenius,
@@ -608,9 +609,7 @@ class StabilizerData:
 
     @property
     def dimension(self):
-        if self.mask.ndim == 1:
-            return np.count_nonzero(self.mask)
-        return np.count_nonzero(self.mask, axis=-1)
+        return as_count(np.count_nonzero(self.mask, axis=-1))
 
     @cached_property
     def basis(self) -> np.ndarray:

@@ -21,9 +21,9 @@ Five structures share one interface:
 broadcasts over a leading trial axis (a ``(T, dim, dim)`` stack of matrices,
 a functional of stacked densities, a coadjoint arrow of both), and gives
 each trial the bits it gives alone.  ``composable_chain`` draws the chains
-of all trials at once, each from its own generator, as one chain of stacks,
-and one ``chain_law_residuals`` call returns one residual per trial and
-law.  ``axiom_check`` and each law row of the ``groupoid-axioms`` suite
+of all trials of a :class:`~wstargeo.sampling.Stream` as one chain of
+stacks, and one ``chain_law_residuals`` call returns one residual per trial
+and law.  ``axiom_check`` and each law row of the ``groupoid-axioms`` suite
 make that one call, in which each arrow is factored once
 (:func:`~wstargeo.linalg.factor_once`): every ``g`` map that reads an arrow
 reads its one SVD, and ``std_mul`` its one polar decomposition.  A domain
@@ -194,6 +194,10 @@ class CoadjointArrow:
     u: np.ndarray
     rho: NormalFunctional
 
+    def __getitem__(self, index) -> "CoadjointArrow":
+        """The arrows of a stack that ``index`` selects."""
+        return CoadjointArrow(self.u[index], self.rho[index])
+
 
 def coadjoint_source(arrow: CoadjointArrow) -> NormalFunctional:
     return arrow.rho
@@ -314,12 +318,12 @@ GROUPOIDS: dict[str, GroupoidOps] = {
 def composable_chain(
     tag: str,
     algebra: BlockAlgebra,
-    rng: sampling.Source,
+    rng: sampling.Stream,
     length: int = 3,
 ) -> list:
     """Chain (a_1, ..., a_length) with s(a_i) = t(a_{i+1}), built backwards
     from mutually equivalent projections so every consecutive pair composes
-    exactly; given a stream of trials, one chain of stacks."""
+    exactly: one chain of stacks, an entry per trial of the stream."""
     if tag not in GROUPOIDS:
         raise InvalidTrials(f"unknown groupoid tag {tag!r}")
     qs = sampling.frame_chain(algebra, rng, length, allow_zero=tag != "standard")

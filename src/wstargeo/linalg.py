@@ -435,8 +435,12 @@ def floored_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
     absolute floor for matrices of small norm.  For a stack of them (one
     row per matrix), an array with the number of each row."""
     scale = np.max(s, axis=-1, initial=1.0)
-    rank = np.count_nonzero(s > tol.rank_rel_tol * np.asarray(scale)[..., None], axis=-1)
-    return rank if rank.ndim else int(rank)
+    return as_count(np.count_nonzero(s > tol.rank_rel_tol * np.asarray(scale)[..., None], axis=-1))
+
+
+def as_count(n):
+    """A count as a Python ``int``, or the counts of a stack as an array."""
+    return n if np.ndim(n) else int(n)
 
 
 def phase_fixed_q(g: np.ndarray) -> np.ndarray:
@@ -679,8 +683,7 @@ def is_projection(p: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
 def projection_rank(p: np.ndarray):
     """Rank of a projection, read off its trace; of each matrix of a stack,
     as an array."""
-    rank = np.rint(p.trace(axis1=-2, axis2=-1).real).astype(int)
-    return rank if rank.ndim else int(rank)
+    return as_count(np.rint(p.trace(axis1=-2, axis2=-1).real).astype(int))
 
 
 def _unit_vector(v: np.ndarray, tol: ToleranceProfile) -> np.ndarray:

@@ -24,9 +24,9 @@ multiplicativity and exactness checks of the symplectic form: the form adds
 over the groupoid product, and the primitive ``Tr(g* dg)`` is compatible
 with multiplication up to the source-modulus term.  A family holds one
 trial's data or a ``(T, dim, dim)`` stack of trials: :func:`draw_family_data`
-draws one trial, or a stack from one generator per trial, :func:`families_on`
-builds and validates their families at once, and the residuals give one
-value per trial.
+draws the stacks of a stream's trials, :func:`families_on` builds and
+validates their families at once, and the residuals give one value per
+trial.
 """
 from __future__ import annotations
 
@@ -61,6 +61,7 @@ from .linalg import (
     STACK_NAME,
     ToleranceProfile,
     _unit_vector,
+    as_count,
     check_hermitian,
     excess,
     exp_antihermitian,
@@ -518,12 +519,12 @@ class ComposableFamily:
 
 
 def draw_family_data(
-    algebra: BlockAlgebra, rng: sampling.Source, directions: int = 1
+    algebra: BlockAlgebra, rng: sampling.Stream, directions: int = 1
 ) -> list[np.ndarray]:
     """The data of ``directions`` families on one composable base, as drawn:
     the base ``(u1, u2, xi2)``, then each family's generators ``(a1, a2, b2,
-    h2)`` before :func:`families_on` scales them; stacks of them, given a
-    stream of trials."""
+    h2)`` before :func:`families_on` scales them, as stacks over the
+    stream's trials."""
     q2 = sampling.random_frames(algebra, rng)
     q1 = sampling.equivalent_frames(rng, q2)
     q0 = sampling.equivalent_frames(rng, q2)
@@ -928,7 +929,7 @@ def degeneracy_kernel_check(
         spans = np.concatenate([directions, directions * radical[:, None, None]])
         ranks = ranks + realified_rank(spans, tol)
     values, kept = (np.concatenate(x, axis=-1) for x in zip(*slots))
-    tangent, expected = 2 * np.count_nonzero(kept, axis=-1), 2 * stab.dimension
+    tangent, expected = 2 * np.count_nonzero(kept, axis=-1), 2 * np.asarray(stab.dimension)
     kernel, closed = tangent - 2 * floored_rank(values, tol), np.concatenate(closed)
     radical_pairing, oracle = np.array(frames), np.zeros_like(tangent)
     radical_pairing[first] += (excess(np.concatenate(ambient, axis=-1), closed, tol, np.max(closed))
@@ -936,24 +937,24 @@ def degeneracy_kernel_check(
     oracle[first] = abs(ranks[:2].sum() - tangent[first]) + abs(ranks[2:].sum() - expected[first])
     return DegeneracyReport(
         radical_pairing=radical_pairing[()],
-        kernel_dimension=kernel if kernel.ndim else int(kernel),
-        expected_kernel_dimension=expected,
+        kernel_dimension=as_count(kernel),
+        expected_kernel_dimension=as_count(expected),
         complement_min_singular=np.min(values, axis=-1, initial=np.inf, where=kept & ~stab.mask),
-        tangent_dimension=tangent,
-        oracle=oracle[()],
+        tangent_dimension=as_count(tangent),
+        oracle=as_count(oracle),
     )
 
 
 def orbit_form_sample(
     algebra: BlockAlgebra,
-    rng: sampling.Source,
+    rng: sampling.Stream,
     u: np.ndarray,
     p0: np.ndarray,
     q: Frames,
 ) -> list:
     """One sample for :func:`orbit_form_invariance_residual` at u, an
     isometry with source p0 whose target ``u u*`` has the frames ``q``,
-    drawn from ``rng`` (stacks, from a stream of trials): two bundle
+    drawn from ``rng`` (stacks over the stream's trials): two bundle
     tangents, two anti-Hermitian corner directions of p0, a unitary and an
     arrow out of ``q``.  The stabilizer coefficients are drawn after it; the
     residual reads those of the stabilizer's slots."""

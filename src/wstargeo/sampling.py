@@ -13,8 +13,7 @@ redraw (:func:`redraw_failures`) draw below a slot of their own, so what
 the other trials draw does not depend on which trials took part, or on how
 often they redrew.  All samplers return elements of the given block algebra
 (block-diagonal ambient matrices) as ``(T, ...)`` stacks; unitaries are
-Haar-distributed.  A sampler given a bare generator draws every slot's
-``(1, ...)`` values from it in turn and returns its stack's one entry.
+Haar-distributed.
 
 A Gaussian slot fills the blocks of a ``dim x dim`` matrix per trial; a
 sampler keeps the entries its trial's ranks use (each thin block's rows and
@@ -35,21 +34,16 @@ columns past the ranks add exact zeros.
 """
 from __future__ import annotations
 
-import functools
-import inspect
 import itertools
 import operator
 from functools import lru_cache
-from typing import Callable, Sequence, TypeAlias
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebra import BlockAlgebra, Frames, NormalFunctional, frame_columns, frames_of
 from .errors import AmbiguousCluster, NotInDomain, NotInOverlap, NotPartiallyInvertible
 from .linalg import antiherm, herm, hermitian_eigvals, phase_fixed_q
-
-#: A stream of trials, or one generator (a string: importing skips ``numpy.random``).
-Source: TypeAlias = "Stream | np.random.Generator"
 
 
 def rng_for(*key: int) -> np.random.Generator:
@@ -73,12 +67,10 @@ def rng_for(*key: int) -> np.random.Generator:
 class Stream:
     """The draws of a stack of trials, one slot at a time: slot ``j`` has the
     generator keyed ``(*key, *path, j)``, and ``trials`` holds the index of
-    each trial of the stack, whose row of every slot it reads.  Given a
-    ``generator``, every slot draws from it instead (the one-trial
-    adapter)."""
+    each trial of the stack, whose row of every slot it reads."""
 
-    def __init__(self, key: Sequence[int], trials, path: tuple = (), generator=None):
-        self.key, self.path, self.generator = tuple(key), tuple(path), generator
+    def __init__(self, key: Sequence[int], trials, path: tuple = ()):
+        self.key, self.path = tuple(key), tuple(path)
         self.trials = np.asarray(trials, dtype=int)
         self._rows = int(self.trials.max(initial=-1)) + 1
         self._whole = np.array_equal(self.trials, np.arange(self._rows))
@@ -96,45 +88,21 @@ class Stream:
         """One slot: ``Generator.<method>(*args)`` of the slot's generator
         for ``(n, *shape)`` values, ``n`` one past the largest trial index,
         and each trial's row of them."""
-        path = self.slot()
-        generator = rng_for(*self.key, *path) if self.generator is None else self.generator
+        generator = rng_for(*self.key, *self.slot())
         rows = getattr(generator, method)(*args, size=(self._rows, *shape))
         return rows if self._whole else rows[self.trials]
 
     def below(self, path: tuple, select=slice(None)) -> Stream:
         """The stream of the trials that ``select`` picks, drawing below
         ``path``."""
-        return Stream(self.key, self.trials[select], path, self.generator)
+        return Stream(self.key, self.trials[select], path)
 
     def part(self, select) -> Stream:
         """The trials that ``select`` picks, drawing below the next slot."""
         return self.below(self.slot(), select)
 
 
-def _first(x):
-    """The one entry of a stack, or of each stack of a tuple or list."""
-    return type(x)(map(_first, x)) if isinstance(x, (tuple, list)) else x[0]
-
-
-def _stacked(sampler: Callable) -> Callable:
-    """``sampler``, which draws from a :class:`Stream`, also given a bare
-    generator as its ``rng``: it then draws from a stream of one trial that
-    takes every slot from that generator, and returns its one entry."""
-    place = list(inspect.signature(sampler).parameters).index("rng")
-
-    @functools.wraps(sampler)
-    def draw(*args, **kwargs):
-        if isinstance(args[place], Stream):
-            return sampler(*args, **kwargs)
-        args = list(args)
-        args[place] = Stream((), [0], generator=args[place])
-        return _first(sampler(*args, **kwargs))
-
-    return draw
-
-
-@_stacked
-def complex_normal(rng: Source, shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
+def complex_normal(rng: Stream, shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
     """Complex Gaussian array whose real and imaginary parts are independent
     ``N(0, scale^2)``: one slot of interleaved parts."""
     return rng.take("normal", 0.0, scale, shape=(*shape, 2)).view(complex)[..., 0]
@@ -150,8 +118,7 @@ def _block_cells(algebra: BlockAlgebra) -> np.ndarray:
     return index
 
 
-@_stacked
-def random_element(algebra: BlockAlgebra, rng: Source, scale: float = 1.0) -> np.ndarray:
+def random_element(algebra: BlockAlgebra, rng: Stream, scale: float = 1.0) -> np.ndarray:
     """Complex Gaussian algebra element, its parts ``N(0, scale^2 / 2)``:
     one slot of ``sum n_b^2`` entries per trial."""
     index = _block_cells(algebra)
@@ -160,23 +127,22 @@ def random_element(algebra: BlockAlgebra, rng: Source, scale: float = 1.0) -> np
     return out.reshape(-1, algebra.dim, algebra.dim)
 
 
-def random_hermitian(algebra: BlockAlgebra, rng: Source, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(algebra: BlockAlgebra, rng: Stream, scale: float = 1.0) -> np.ndarray:
     return herm(random_element(algebra, rng, scale))
 
 
-def random_antihermitian(algebra: BlockAlgebra, rng: Source, scale: float = 1.0) -> np.ndarray:
+def random_antihermitian(algebra: BlockAlgebra, rng: Stream, scale: float = 1.0) -> np.ndarray:
     return antiherm(random_element(algebra, rng, scale))
 
 
-def random_unitary(algebra: BlockAlgebra, rng: Source) -> np.ndarray:
+def random_unitary(algebra: BlockAlgebra, rng: Stream) -> np.ndarray:
     """Haar unitary of the algebra, blockwise: the QR factor of the blocks'
     standard complex Gaussians (:func:`random_element` at scale ``sqrt 2``),
     with the phases of the triangular factor's diagonal moved into it."""
     return phase_fixed_q(random_element(algebra, rng, np.sqrt(2.0)))
 
 
-@_stacked
-def random_positive(algebra: BlockAlgebra, rng: Source, repeat_chance: float = 0.0) -> np.ndarray:
+def random_positive(algebra: BlockAlgebra, rng: Stream, repeat_chance: float = 0.0) -> np.ndarray:
     """Strictly positive element ``v diag(vals) v*``, ``v`` Haar, with
     eigenvalues drawn from ``[0.5, 2]`` (well separated from any rank
     cutoff).
@@ -200,9 +166,8 @@ def random_positive(algebra: BlockAlgebra, rng: Source, repeat_chance: float = 0
     return (v * vals[:, None, :]) @ v.conj().mT
 
 
-@_stacked
 def planted_positive(
-    algebra: BlockAlgebra, rng: Source, grid: Sequence[float]
+    algebra: BlockAlgebra, rng: Stream, grid: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positive element ``v diag(grid[labels]) v*``, with ``v`` Haar and
     uniform labels, and the labels: a slot of labels, then ``v``."""
@@ -228,9 +193,8 @@ def _random_ranks(algebra: BlockAlgebra, rng: Stream, allow_zero: bool, allow_fu
     return ranks
 
 
-@_stacked
 def random_frames(
-    algebra: BlockAlgebra, rng: Source, ranks=None, allow_zero: bool = True, allow_full: bool = True
+    algebra: BlockAlgebra, rng: Stream, ranks=None, allow_zero: bool = True, allow_full: bool = True
 ) -> Frames:
     """Frames of a random projection with prescribed blockwise ranks (one
     tuple for every trial, or a row per trial) or random ones: a Haar
@@ -249,7 +213,7 @@ def random_frames(
     return Frames(algebra, np.where(frame_columns(algebra, ranks)[:, None, :], q, 0.0), ranks)
 
 
-def equivalent_frames(rng: Source, frames: Frames) -> Frames:
+def equivalent_frames(rng: Stream, frames: Frames) -> Frames:
     """Frames of a random projection with the same blockwise ranks."""
     return random_frames(frames.algebra, rng, ranks=frames.ranks)
 
@@ -265,8 +229,7 @@ def _corner_unitaries(rng: Stream, frames: Frames) -> tuple[np.ndarray, np.ndarr
     return w, framed
 
 
-@_stacked
-def isometry_between(rng: Source, source: Frames, target: Frames) -> np.ndarray:
+def isometry_between(rng: Stream, source: Frames, target: Frames) -> np.ndarray:
     """Partial isometry ``F_t w F_s*`` from the source projection onto the
     target one, with ``w`` a block-diagonal Haar unitary of the corners."""
     if not np.array_equal(source.ranks, target.ranks):
@@ -275,9 +238,8 @@ def isometry_between(rng: Source, source: Frames, target: Frames) -> np.ndarray:
     return target.matrix @ w @ source.matrix.conj().mT
 
 
-@_stacked
 def positive_on(
-    rng: Source, frames: Frames, eig_low: float = 0.5, eig_high: float = 2.0
+    rng: Stream, frames: Frames, eig_low: float = 0.5, eig_high: float = 2.0
 ) -> np.ndarray:
     """Positive element supported exactly on the frames' projection, with
     eigenvalues in ``[eig_low, eig_high]`` on the support: ``(F w)
@@ -290,7 +252,7 @@ def positive_on(
 
 
 def frame_chain(
-    algebra: BlockAlgebra, rng: Source, length: int, allow_zero: bool = True
+    algebra: BlockAlgebra, rng: Stream, length: int, allow_zero: bool = True
 ) -> list[Frames]:
     """Frames of mutually equivalent projections q_0, ..., q_length (equal
     blockwise ranks), for building composable chains."""
@@ -299,14 +261,14 @@ def frame_chain(
 
 
 def random_projection(
-    algebra: BlockAlgebra, rng: Source, ranks=None, allow_zero: bool = True, allow_full: bool = True
+    algebra: BlockAlgebra, rng: Stream, ranks=None, allow_zero: bool = True, allow_full: bool = True
 ) -> np.ndarray:
     """Random orthogonal projection with prescribed or random blockwise ranks."""
     return random_frames(algebra, rng, ranks, allow_zero, allow_full).projection
 
 
 def partial_isometry_onto(
-    algebra: BlockAlgebra, rng: Source, source: np.ndarray, target: np.ndarray
+    algebra: BlockAlgebra, rng: Stream, source: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
     """Partial isometry ``u`` with ``u* u = source`` and ``u u* = target``
     (blockwise equal ranks), randomized by a corner unitary."""
@@ -314,7 +276,7 @@ def partial_isometry_onto(
 
 
 def corner_positive(
-    algebra: BlockAlgebra, rng: Source, p: np.ndarray, eig_low: float = 0.5, eig_high: float = 2.0
+    algebra: BlockAlgebra, rng: Stream, p: np.ndarray, eig_low: float = 0.5, eig_high: float = 2.0
 ) -> np.ndarray:
     """Positive element supported exactly on the projection ``p``, with
     eigenvalues in ``[eig_low, eig_high]`` on the support."""
@@ -322,14 +284,14 @@ def corner_positive(
 
 
 def corner_hermitian(
-    algebra: BlockAlgebra, rng: Source, p: np.ndarray, scale: float = 1.0
+    algebra: BlockAlgebra, rng: Stream, p: np.ndarray, scale: float = 1.0
 ) -> np.ndarray:
     """Hermitian element compressed to the corner p M p."""
     return p @ random_hermitian(algebra, rng, scale) @ p
 
 
 def corner_antihermitian(
-    algebra: BlockAlgebra, rng: Source, p: np.ndarray, scale: float = 1.0
+    algebra: BlockAlgebra, rng: Stream, p: np.ndarray, scale: float = 1.0
 ) -> np.ndarray:
     """Anti-Hermitian element compressed to the corner p M p."""
     return p @ random_antihermitian(algebra, rng, scale) @ p
@@ -344,7 +306,7 @@ def unit_norm(x: np.ndarray) -> np.ndarray:
 
 
 def random_density(
-    algebra: BlockAlgebra, rng: Source, repeat_chance: float = 0.0
+    algebra: BlockAlgebra, rng: Stream, repeat_chance: float = 0.0
 ) -> NormalFunctional:
     """Faithful state with eigenvalues well separated from the rank cutoff,
     the functional of :func:`random_density_matrix`; a state on a given
@@ -353,14 +315,14 @@ def random_density(
 
 
 def random_density_matrix(
-    algebra: BlockAlgebra, rng: Source, repeat_chance: float = 0.0
+    algebra: BlockAlgebra, rng: Stream, repeat_chance: float = 0.0
 ) -> np.ndarray:
     """The density of :func:`random_density`, drawn as it draws it, without
     building its functional."""
     return unit_trace(random_positive(algebra, rng, repeat_chance=repeat_chance))
 
 
-def density_on(rng: Source, frames: Frames) -> NormalFunctional:
+def density_on(rng: Stream, frames: Frames) -> NormalFunctional:
     """State supported exactly on the frames' projection."""
     return NormalFunctional(frames.algebra, unit_trace(positive_on(rng, frames)))
 
@@ -372,7 +334,7 @@ def unit_trace(d: np.ndarray) -> np.ndarray:
 
 
 def p0_tangent(
-    algebra: BlockAlgebra, rng: Source, u: np.ndarray, p0: np.ndarray, scale: float = 1.0
+    algebra: BlockAlgebra, rng: Stream, u: np.ndarray, p0: np.ndarray, scale: float = 1.0
 ) -> np.ndarray:
     """Random tangent at a point ``u`` of the bundle of partial isometries
     with source ``p0``: right support preserved, ``u* du`` anti-Hermitian."""
@@ -433,7 +395,7 @@ def _joined(parts: Sequence, order: np.ndarray):
     return np.concatenate(parts)[order]
 
 
-def random_unit_vector(n: int, rng: Source) -> np.ndarray:
+def random_unit_vector(n: int, rng: Stream) -> np.ndarray:
     """Complex Gaussian vector scaled to unit norm, computed as
     ``numpy.linalg.norm`` computes it."""
     v = complex_normal(rng, (n,))

@@ -47,6 +47,7 @@ from .linalg import (
     DEFAULT_TOL,
     PositiveSpectrum,
     ToleranceProfile,
+    as_count,
     excess,
     frobenius,
     gram_defect,
@@ -364,11 +365,11 @@ def dual_pair_orthogonality_check(
     defects[first] = oracle
     return DualPairReport(
         orthogonality=orthogonality[()],
-        dim_E=dims,
-        dim_Eprime=dims,
+        dim_E=as_count(dims),
+        dim_Eprime=as_count(dims),
         expected_dim_E=fiber_kernel_dimension(algebra, block_ranks(algebra, mu, tol)),
         expected_dim_Eprime=fiber_kernel_dimension(algebra, block_ranks(algebra, mu_j, tol)),
-        oracle=defects[()],
+        oracle=as_count(defects),
     )
 
 
@@ -398,9 +399,9 @@ def tomita_S(
     return spectrum.power(-0.5) @ conjugation_J(g) @ spectrum.power(0.5)
 
 
-def flow_sample(algebra: BlockAlgebra, rng: sampling.Source) -> list:
-    """One sample for :func:`flow_residuals`, drawn from ``rng`` (a stack of
-    them, from a stream of trials): the isometries ``u1``, ``u2``
+def flow_sample(algebra: BlockAlgebra, rng: sampling.Stream) -> list:
+    """The samples for :func:`flow_residuals` of the stream's trials, as
+    stacks: the isometries ``u1``, ``u2``
     and the positive ``h2`` of a composable pair of vector arrows, two
     elements ``x``, ``y`` and a positive element ``pos``."""
     q1 = sampling.random_frames(algebra, rng)

@@ -7,8 +7,8 @@ row-specific tolerance.  Rows are deterministic functions of
 same residuals.
 
 A random row is a draw and a check (:func:`_row`).  The draw (``_draw_*``)
-gives the data of all its trials at once, trial ``k`` from the generator
-keyed ``(seed, subindex, k)``; the check (``_check_*``) runs once, on the
+gives the data of all its trials at once, trial ``k`` from row ``k`` of
+each slot of :meth:`RowCtx.stream`; the check (``_check_*``) runs once, on the
 stacks, and returns residual arrays by name, one entry per trial, each with
 the bits the trial gets alone.  Rows that name the same draw and check form
 a group and read different arrays of one run.  Four rows are plain
@@ -502,7 +502,7 @@ def _draw_connection(ctx: RowCtx, rng) -> list:
     x1 = sampling.corner_antihermitian(alg, rng, p0)
     # A second corner direction x2, never read: it is drawn only to keep the
     # trial's stream as it has always been, so that a draw added after it
-    # sees the generator state it would have seen before.
+    # takes the slot it would have taken before.
     sampling.corner_antihermitian(alg, rng, p0)
     return [rho0, u, du1, du2, x1]
 

@@ -180,12 +180,11 @@ def test_criterion_08_kks_and_fubini_study():
     worst = _worst(_worst_rows(kks, tuple(kks)), _worst_rows(fs, tuple(fs)))
     ok = _all_pass(kks, tuple(kks)) and _all_pass(fs, tuple(fs))
     # Rank-one orbit form scales linearly in the radius.
-    rng = sampling.rng_for(8, 0)
+    rng = sampling.Stream((8, 0), range(100))
     scaling = 0.0
-    for _ in range(100):
-        delta = sampling.random_unit_vector(5, rng)
-        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    deltas = sampling.random_unit_vector(5, rng)
+    xs, ys = (sampling.complex_normal(rng, (5,)) for _ in range(2))
+    for delta, x, y in zip(deltas, xs, ys):
         base = fubini_study_compare(1.0, delta, x, y, DEFAULT_TOL).omega
         for r in (0.5, 1.0, 2.0):
             got = fubini_study_compare(r, delta, x, y, DEFAULT_TOL).omega
@@ -241,16 +240,16 @@ def test_criterion_10_charts():
 
 
 def test_criterion_11_orbit_structure():
-    rng = sampling.rng_for(11, 0)
+    rng = sampling.Stream((11, 0), [0])
     agreement = True
     witness_worst = 0.0
     for k in range(1000):
         algebra = ALGEBRAS[k % len(ALGEBRAS)]
-        p = sampling.random_projection(algebra, rng)
+        p = sampling.random_projection(algebra, rng)[0]
         if k % 2 == 0:
-            q = sampling.equivalent_frames(rng, sampling.frames_of(algebra, p)).projection
+            q = sampling.equivalent_frames(rng, sampling.frames_of(algebra, p)).projection[0]
         else:
-            q = sampling.random_projection(algebra, rng)
+            q = sampling.random_projection(algebra, rng)[0]
         mvn = mvn_equivalent(algebra, p, q, DEFAULT_TOL)
         uni = unitary_equivalent(algebra, p, q, DEFAULT_TOL)
         agreement = agreement and (mvn == uni)
@@ -280,18 +279,18 @@ def test_criterion_11_orbit_structure():
     for k in range(300):
         algebra = ALGEBRAS[k % len(ALGEBRAS)]
         frames = sampling.random_frames(algebra, rng, allow_zero=False)
-        support = frames.projection
-        phi1 = sampling.density_on(rng, frames)
+        support = frames.projection[0]
+        phi1 = sampling.density_on(rng, frames)[0]
         if k % 2 == 0:
-            target = sampling.equivalent_frames(rng, frames).projection
+            target = sampling.equivalent_frames(rng, frames).projection[0]
             u = sampling.sample_with_retry(
                 lambda: sampling.partial_isometry_onto(
                     algebra, rng, support, target
-                )
+                )[0]
             )
             phi2 = coadjoint_apply(u, phi1, DEFAULT_TOL)
         else:
-            phi2 = sampling.random_density(algebra, rng)
+            phi2 = sampling.random_density(algebra, rng)[0]
         orbit_agreement = orbit_agreement and (
             orbit_equivalent(phi1, phi2, DEFAULT_TOL) == spectra_match(phi1, phi2)
         )
@@ -317,9 +316,9 @@ def test_criterion_12_conditional_expectation():
             (s, matrix_units(np.eye(n), np.eye(n))) for s, n in zip(algebra.slices, algebra.blocks)
         )
         total = len(units)
-        rng = sampling.rng_for(12, *algebra.blocks)
+        rng = sampling.Stream((12, *algebra.blocks), [0])
         for _ in range(25):
-            phi = sampling.random_density(algebra, rng, repeat_chance=0.5)
+            phi = sampling.random_density(algebra, rng, repeat_chance=0.5)[0]
             # The pinching map as a complex-linear operator in the matrix-unit
             # basis, which is orthonormal for the trace pairing.
             mat = np.empty((total, total), dtype=complex)
@@ -333,7 +332,7 @@ def test_criterion_12_conditional_expectation():
             dims_exact = dims_exact and rank == realified_rank(
                 centralizer_basis(phi, DEFAULT_TOL)
             )
-            x = sampling.random_element(algebra, rng)
+            x = sampling.random_element(algebra, rng)[0]
             worst = _worst(
                 worst, abs(phi(conditional_expectation(phi, x, DEFAULT_TOL)) - phi(x))
             )

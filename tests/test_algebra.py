@@ -41,8 +41,8 @@ E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 E21 = E12.conj().T
 
 
-def _rng(k: int = 0) -> np.random.Generator:
-    return np.random.default_rng(77_000 + k)
+def _rng(k: int = 0) -> sampling.Stream:
+    return sampling.Stream((77_000 + k,), [0])
 
 
 class TestBlockAlgebra:
@@ -53,10 +53,7 @@ class TestBlockAlgebra:
 
     def test_embed_and_views_round_trip(self):
         rng = _rng()
-        mats = [
-            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
-            rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
-        ]
+        mats = [sampling.complex_normal(rng, (n, n))[0] for n in M23.blocks]
         x = M23.embed_blocks(mats)
         views = M23.block_views(x)
         for got, want in zip(views, mats):
@@ -164,7 +161,7 @@ class TestFunctionalPolar:
     def test_polar_consistency_random(self):
         rng = _rng(1)
         for _ in range(200):
-            x = sampling.random_element(M23, rng)
+            x = sampling.random_element(M23, rng)[0]
             phi = NormalFunctional(M23, x)
             u, mod = functional_polar(phi, DEFAULT_TOL)
             assert frobenius(u @ mod.density - x) <= 1e-9 * max(1.0, frobenius(x))
@@ -175,7 +172,7 @@ class TestFunctionalPolar:
     def test_hermitian_support_commutes(self):
         rng = _rng(2)
         for _ in range(100):
-            h = sampling.random_hermitian(M23, rng)
+            h = sampling.random_hermitian(M23, rng)[0]
             phi = NormalFunctional(M23, h)
             l_supp, r_supp = supports(phi.density, DEFAULT_TOL)
             assert frobenius(l_supp - r_supp) <= 1e-10
@@ -186,8 +183,8 @@ class TestFunctionalPolar:
         # The positivity check and the support read the same block spectra:
         # one decomposition with vectors per block, none of the whole density.
         rng = _rng(3)
-        frames = sampling.random_frames(M23, rng, allow_zero=False)
-        phi = sampling.density_on(rng, frames)
+        frames = sampling.random_frames(M23, rng, allow_zero=False)[0]
+        phi = sampling.density_on(rng, frames)[0]
         calls = []
         real = linalg._heevd
 
@@ -277,8 +274,8 @@ class TestEquivalence:
     def test_mvn_vs_unitary_on_random_pairs(self):
         rng = _rng(3)
         for _ in range(300):
-            p = sampling.random_projection(M23, rng)
-            q = sampling.random_projection(M23, rng)
+            p = sampling.random_projection(M23, rng)[0]
+            q = sampling.random_projection(M23, rng)[0]
             assert mvn_equivalent(M23, p, q, DEFAULT_TOL) == unitary_equivalent(
                 M23, p, q, DEFAULT_TOL
             )
@@ -286,8 +283,8 @@ class TestEquivalence:
     def test_witness(self):
         rng = _rng(4)
         for _ in range(100):
-            p = sampling.random_projection(M23, rng)
-            q = sampling.equivalent_frames(rng, sampling.frames_of(M23, p)).projection
+            p = sampling.random_projection(M23, rng)[0]
+            q = sampling.equivalent_frames(rng, sampling.frames_of(M23, p)).projection[0]
             w = mvn_witness(M23, p, q, DEFAULT_TOL)
             assert frobenius(w.conj().T @ w - p) <= 1e-10
             assert frobenius(w @ w.conj().T - q) <= 1e-10
@@ -305,8 +302,8 @@ class TestEquivalence:
     def test_orbit_equivalence_and_witness(self):
         rng = _rng(5)
         for _ in range(100):
-            phi = sampling.random_density(M23, rng)
-            u = sampling.random_unitary(M23, rng)
+            phi = sampling.random_density(M23, rng)[0]
+            u = sampling.random_unitary(M23, rng)[0]
             psi = NormalFunctional(M23, u @ phi.density @ u.conj().T)
             assert orbit_equivalent(phi, psi, DEFAULT_TOL)
             v = unitary_witness(phi, psi, DEFAULT_TOL)
@@ -339,11 +336,11 @@ class TestCoadjoint:
     def test_preserves_orbit(self):
         rng = _rng(6)
         for _ in range(50):
-            f = sampling.random_frames(M23, rng, allow_zero=False)
+            f = sampling.random_frames(M23, rng, allow_zero=False)[0]
             p = f.projection
-            phi = sampling.density_on(rng, f)
-            q = sampling.equivalent_frames(rng, f).projection
-            u = sampling.partial_isometry_onto(M23, rng, p, q)
+            phi = sampling.density_on(rng, f)[0]
+            q = sampling.equivalent_frames(rng, f).projection[0]
+            u = sampling.partial_isometry_onto(M23, rng, p, q)[0]
             pushed = coadjoint_apply(u, phi, DEFAULT_TOL)
             assert orbit_equivalent(phi, pushed, DEFAULT_TOL)
 
@@ -361,8 +358,8 @@ class TestConditionalExpectation:
     def test_projection_properties(self):
         rng = _rng(7)
         for _ in range(100):
-            phi = sampling.random_density(M23, rng, repeat_chance=0.5)
-            x = sampling.random_element(M23, rng)
+            phi = sampling.random_density(M23, rng, repeat_chance=0.5)[0]
+            x = sampling.random_element(M23, rng)[0]
             ex = conditional_expectation(phi, x, DEFAULT_TOL)
             assert frobenius(conditional_expectation(phi, ex, DEFAULT_TOL) - ex) <= 1e-10
             assert abs(phi(ex) - phi(x)) <= 1e-10 * max(1.0, abs(phi(x)))
@@ -371,8 +368,8 @@ class TestConditionalExpectation:
     def test_positivity(self):
         rng = _rng(8)
         for _ in range(100):
-            phi = sampling.random_density(M23, rng, repeat_chance=0.5)
-            x = sampling.random_element(M23, rng)
+            phi = sampling.random_density(M23, rng, repeat_chance=0.5)[0]
+            x = sampling.random_element(M23, rng)[0]
             pos = x.conj().T @ x
             ex = conditional_expectation(phi, pos, DEFAULT_TOL)
             assert np.linalg.eigvalsh(ex).min() >= -1e-10
@@ -401,15 +398,15 @@ class TestModularAutomorphism:
     def test_stacked_densities_flow_per_matrix(self):
         alg = BlockAlgebra((1, 2))
         rng = _rng(10)
-        u = sampling.random_unitary(alg, rng)
+        u = sampling.random_unitary(alg, rng)[0]
         densities = np.stack([
             np.diag([0.2, 0.3, 0.5]),
             u @ np.diag([0.5, 0.25, 0.25]) @ u.conj().T,
             np.diag([0.1, 0.6, 0.3]),
         ]).astype(complex)
         phi = NormalFunctional(alg, densities)
-        x = sampling.random_element(alg, rng)
-        xs = np.stack([sampling.random_element(alg, rng) for _ in range(3)])
+        x = sampling.random_element(alg, rng)[0]
+        xs = np.stack([sampling.random_element(alg, rng)[0] for _ in range(3)])
         flow = modular_flow(phi, 0.7, DEFAULT_TOL)
         one, each = flow(x), flow(xs)
         for k, d in enumerate(densities):
@@ -423,8 +420,8 @@ class TestModularAutomorphism:
     def test_invariance_and_composition(self):
         rng = _rng(9)
         for _ in range(50):
-            phi = sampling.random_density(M23, rng)
-            x = sampling.random_element(M23, rng)
+            phi = sampling.random_density(M23, rng)[0]
+            x = sampling.random_element(M23, rng)[0]
             s, t = 0.4, -1.1
             flow_t = modular_flow(phi, t, DEFAULT_TOL)
             one = modular_flow(phi, s, DEFAULT_TOL)(flow_t(x))

@@ -203,32 +203,32 @@ def _rotated(rng, spectra):
     """Block densities q diag(spectrum) q* with Haar q, one per block."""
     mats = []
     for spectrum in spectra:
-        q = sampling.random_unitary(BlockAlgebra((len(spectrum),)), rng)
+        q = sampling.random_unitary(BlockAlgebra((len(spectrum),)), rng)[0]
         mats.append((q * np.asarray(spectrum, dtype=float)) @ q.conj().T)
     return mats
 
 
 def _generic_23():
-    rng = np.random.default_rng(2301)
+    rng = sampling.Stream((2301,), [0])
     algebra = BlockAlgebra((2, 3))
     return NormalFunctional(algebra, algebra.embed_blocks(_rotated(rng, [[0.9, 0.4], [1.7, 1.1, 0.6]])))
 
 
 def _repeated_4():
-    rng = np.random.default_rng(401)
+    rng = sampling.Stream((401,), [0])
     algebra = BlockAlgebra((4,))
     return NormalFunctional(algebra, algebra.embed_blocks(_rotated(rng, [[1.5, 1.5, 1.5, 0.5]])))
 
 
 def _zero_block_221():
-    rng = np.random.default_rng(2211)
+    rng = sampling.Stream((2211,), [0])
     algebra = BlockAlgebra((2, 2, 1))
     mats = _rotated(rng, [[0.8, 0.8], [0.0, 0.0], [0.3]])
     return NormalFunctional(algebra, algebra.embed_blocks(mats))
 
 
 def _rank_deficient_23():
-    rng = np.random.default_rng(2302)
+    rng = sampling.Stream((2302,), [0])
     algebra = BlockAlgebra((2, 3))
     mats = _rotated(rng, [[1.2, 0.0], [0.7, 0.7, 0.0]])
     return NormalFunctional(algebra, algebra.embed_blocks(mats))
@@ -283,7 +283,7 @@ class TestStackedBases:
     @staticmethod
     def _each_alone(alone):
         stack = NormalFunctional(alone[0].algebra, np.stack([f.density for f in alone]))
-        x = sampling.random_element(stack.algebra, sampling.rng_for(78))
+        x = sampling.random_element(stack.algebra, sampling.Stream((78,), [0]))[0]
         for k, f in enumerate(alone):
             _same_bytes(
                 stabilizer_lie_algebra(stack, DEFAULT_TOL).basis[k],
@@ -297,7 +297,7 @@ class TestStackedBases:
         return stack
 
     def test_one_pattern(self, phi):
-        u = sampling.random_unitary(phi.algebra, sampling.rng_for(77))
+        u = sampling.random_unitary(phi.algebra, sampling.Stream((77,), [0]))[0]
         densities = [phi.density, u @ phi.density @ u.conj().T]
         alone = [NormalFunctional(phi.algebra, d) for d in densities]
         stack = self._each_alone(alone)
@@ -343,7 +343,7 @@ class TestBasesMatchTheLoopBuilders:
         q = np.array(_ref_pinching_projections(phi, DEFAULT_TOL))
         assert np.allclose(q.sum(axis=0), np.eye(phi.algebra.dim), atol=1e-14)
         for k in range(3):
-            x = sampling.random_element(phi.algebra, sampling.rng_for(79, k))
+            x = sampling.random_element(phi.algebra, sampling.Stream((79, k), [0]))[0]
             want = (q @ x @ q).sum(axis=0)
             assert frobenius(conditional_expectation(phi, x, DEFAULT_TOL) - want) <= 1e-14
 
@@ -359,7 +359,7 @@ class TestBasesMatchTheLoopBuilders:
     def test_bundle_tangent_basis(self, phi):
         algebra = phi.algebra
         p0 = functional_support(phi, DEFAULT_TOL)
-        u = sampling.random_unitary(algebra, np.random.default_rng(5)) @ p0
+        u = sampling.random_unitary(algebra, sampling.Stream((5,), [0]))[0] @ p0
         _same_span(_leg_tangents(phi, u), _ref_bundle_tangent_basis(algebra, u, p0))
 
 
@@ -395,9 +395,10 @@ class TestMaskedGridsPerTrial:
         # basis, slot by slot; the coefficients off the mask add nothing.
         algebra, d0, _, _ = _degeneracy_draw(shape)
         stab = stabilizer_lie_algebra(NormalFunctional(algebra, d0), DEFAULT_TOL)
-        rng = sampling.rng_for(80)
+        rng = sampling.Stream((80,), [0])
         for centralizer, basis in ((False, stab.basis), (True, stab.centralizer)):
-            coeff = rng.standard_normal(stab.mask.shape) + centralizer * 1j * rng.standard_normal(stab.mask.shape)
+            z = sampling.complex_normal(rng, stab.mask.shape)[0]
+            coeff = z.real + centralizer * 1j * z.imag
             want = np.einsum("tk,tkij->tij", coeff, basis)
             got = combination(coeff, stab, centralizer)
             assert np.max(frobenius(got - want)) <= 1e-13
@@ -439,7 +440,7 @@ class TestMaskedGridsPerTrial:
 
 class TestConstructors:
     def test_antihermitian_units_are_orthonormal_and_antihermitian(self):
-        cols = sampling.random_unitary(BlockAlgebra((4,)), np.random.default_rng(3))[:, :3]
+        cols = sampling.random_unitary(BlockAlgebra((4,)), sampling.Stream((3,), [0]))[0, :, :3]
         units = np.array(antihermitian_units(cols))
         assert units.shape == (9, 4, 4)
         assert np.allclose(units, -units.conj().transpose(0, 2, 1))

@@ -35,7 +35,6 @@ from wstargeo import (
 )
 from wstargeo import suites
 from wstargeo.errors import NotPartiallyInvertible
-from stacking import stack_chains
 from wstargeo.sampling import (
     corner_positive,
     equivalent_frames,
@@ -44,7 +43,7 @@ from wstargeo.sampling import (
     partial_isometry_onto,
     random_antihermitian,
     random_projection,
-    rng_for,
+    Stream,
 )
 
 M2 = BlockAlgebra((2,))
@@ -59,7 +58,7 @@ E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 def draw_in_chart(algebra, rng, p, max_tries=64):
     """Equivalent projection lying in the chart domain of p."""
     for _ in range(max_tries):
-        q = equivalent_frames(rng, frames_of(algebra, p)).projection
+        q = equivalent_frames(rng, frames_of(algebra, p)).projection[0]
         if chart_domain_member(p, q, DEFAULT_TOL):
             return q
     raise AssertionError("no in-chart projection found")
@@ -94,9 +93,9 @@ class TestProjectionChart:
 
     def test_round_trip_random(self):
         for trial in range(200):
-            rng = rng_for(11, trial)
+            rng = Stream((11, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            p = random_projection(algebra, rng, allow_zero=False)
+            p = random_projection(algebra, rng, allow_zero=False)[0]
             q = draw_in_chart(algebra, rng, p)
             try:
                 y = phi_p(p, q, DEFAULT_TOL)
@@ -122,9 +121,9 @@ class TestTransition:
 
     def test_matches_direct_chart(self):
         for trial in range(100):
-            rng = rng_for(12, trial)
+            rng = Stream((12, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            p1 = random_projection(algebra, rng, allow_zero=False)
+            p1 = random_projection(algebra, rng, allow_zero=False)[0]
             p2 = draw_in_chart(algebra, rng, p1)
             q = draw_in_chart(algebra, rng, p1)
             if not chart_domain_member(p2, q, DEFAULT_TOL):
@@ -140,8 +139,8 @@ class TestTransition:
     def test_cocycle(self):
         hits = 0
         for trial in range(200):
-            rng = rng_for(13, trial)
-            p1 = random_projection(M2, rng, ranks=(1,))
+            rng = Stream((13, trial), [0])
+            p1 = random_projection(M2, rng, ranks=(1,))[0]
             p2 = draw_in_chart(M2, rng, p1)
             p3 = draw_in_chart(M2, rng, p1)
             q = draw_in_chart(M2, rng, p1)
@@ -169,28 +168,28 @@ class TestTransition:
 
 class TestGroupoidCharts:
     def draw_element(self, algebra, rng):
-        p = random_projection(algebra, rng, allow_zero=False, allow_full=False)
+        p = random_projection(algebra, rng, allow_zero=False, allow_full=False)[0]
         pt = draw_in_chart(algebra, rng, p)
         l = draw_in_chart(algebra, rng, p)
         r = draw_in_chart(algebra, rng, pt)
         # ranks of l and r must agree blockwise for a partial isometry l <- r
-        w = partial_isometry_onto(algebra, rng, r, l)
-        x = w @ corner_positive(algebra, rng, r)
+        w = partial_isometry_onto(algebra, rng, r, l)[0]
+        x = w @ corner_positive(algebra, rng, r)[0]
         return p, pt, x
 
     def test_round_trips(self):
         count = 0
         for trial in range(150):
-            rng = rng_for(14, trial)
+            rng = Stream((14, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            p = random_projection(algebra, rng, allow_zero=False, allow_full=False)
+            p = random_projection(algebra, rng, allow_zero=False, allow_full=False)[0]
             pt = draw_in_chart(algebra, rng, p)
             l = draw_in_chart(algebra, rng, p)
             if not chart_domain_member(pt, l, DEFAULT_TOL):
                 continue
             r = draw_in_chart(algebra, rng, pt)
-            w = partial_isometry_onto(algebra, rng, r, l)
-            x = w @ corner_positive(algebra, rng, r)
+            w = partial_isometry_onto(algebra, rng, r, l)[0]
+            x = w @ corner_positive(algebra, rng, r)[0]
             try:
                 coords = chart_G(p, pt, x, DEFAULT_TOL)
                 back = chart_G_inv(p, pt, coords, DEFAULT_TOL)
@@ -208,12 +207,12 @@ class TestGroupoidCharts:
 
     def test_theta_middle_is_partial_isometry(self):
         for trial in range(60):
-            rng = rng_for(15, trial)
-            p = random_projection(M2, rng, ranks=(1,))
+            rng = Stream((15, trial), [0])
+            p = random_projection(M2, rng, ranks=(1,))[0]
             pt = draw_in_chart(M2, rng, p)
             l = draw_in_chart(M2, rng, p)
             r = draw_in_chart(M2, rng, pt)
-            w = partial_isometry_onto(M2, rng, r, l)
+            w = partial_isometry_onto(M2, rng, r, l)[0]
             try:
                 _, m, _ = chart_Theta(p, pt, w, DEFAULT_TOL)
             except NotPartiallyInvertible:
@@ -231,8 +230,8 @@ class TestGroupoidCharts:
 
     def test_chart_isometry_legs(self):
         for trial in range(60):
-            rng = rng_for(16, trial)
-            p = random_projection(M23, rng, allow_zero=False)
+            rng = Stream((16, trial), [0])
+            p = random_projection(M23, rng, allow_zero=False)[0]
             q = draw_in_chart(M23, rng, p)
             try:
                 u = u_p(p, q, DEFAULT_TOL)
@@ -254,11 +253,11 @@ class TestBundleChart:
 
     def test_round_trip_random(self):
         for trial in range(120):
-            rng = rng_for(17, trial)
+            rng = Stream((17, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            p0 = random_projection(algebra, rng, allow_zero=False)
+            p0 = random_projection(algebra, rng, allow_zero=False)[0]
             q = draw_in_chart(algebra, rng, p0)
-            u = partial_isometry_onto(algebra, rng, p0, q)
+            u = partial_isometry_onto(algebra, rng, p0, q)[0]
             p = draw_in_chart(algebra, rng, q)
             if not chart_domain_member(p, q, DEFAULT_TOL):
                 continue
@@ -292,13 +291,13 @@ class TestConnection:
 
     def test_split_and_tangent_guard(self):
         for trial in range(60):
-            rng = rng_for(18, trial)
+            rng = Stream((18, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            p0 = random_projection(algebra, rng, allow_zero=False)
+            p0 = random_projection(algebra, rng, allow_zero=False)[0]
             u = partial_isometry_onto(
-                algebra, rng, p0, equivalent_frames(rng, frames_of(algebra, p0)).projection
-            )
-            du = p0_tangent(algebra, rng, u, p0)
+                algebra, rng, p0, equivalent_frames(rng, frames_of(algebra, p0)).projection[0]
+            )[0]
+            du = p0_tangent(algebra, rng, u, p0)[0]
             # a bundle tangent: du = du p0 and u* du anti-Hermitian
             bound = DEFAULT_TOL.residual_tol * (1.0 + frobenius(du))
             assert frobenius(du @ p0 - du) <= bound
@@ -317,13 +316,13 @@ class TestConnection:
 
     def test_curvature_antisymmetric_antihermitian(self):
         for trial in range(40):
-            rng = rng_for(19, trial)
-            p0 = random_projection(M23, rng, allow_zero=False)
+            rng = Stream((19, trial), [0])
+            p0 = random_projection(M23, rng, allow_zero=False)[0]
             u = partial_isometry_onto(
-                M23, rng, p0, equivalent_frames(rng, frames_of(M23, p0)).projection
-            )
-            du1 = p0_tangent(M23, rng, u, p0)
-            du2 = p0_tangent(M23, rng, u, p0)
+                M23, rng, p0, equivalent_frames(rng, frames_of(M23, p0)).projection[0]
+            )[0]
+            du1 = p0_tangent(M23, rng, u, p0)[0]
+            du2 = p0_tangent(M23, rng, u, p0)[0]
             om = curvature_Omega(u, du1, du2)
             assert frobenius(om + curvature_Omega(u, du2, du1)) <= 1e-12
             assert frobenius(om + om.conj().T) <= 1e-12
@@ -346,16 +345,16 @@ class TestOrbitOneForm:
 
     def test_finite_difference_matches(self):
         for trial in range(25):
-            rng = rng_for(20, trial)
+            rng = Stream((20, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            p0 = random_projection(algebra, rng, allow_zero=False)
-            d0 = corner_positive(algebra, rng, p0)
+            p0 = random_projection(algebra, rng, allow_zero=False)[0]
+            d0 = corner_positive(algebra, rng, p0)[0]
             rho0 = NormalFunctional(algebra, d0)
             u = partial_isometry_onto(
-                algebra, rng, p0, equivalent_frames(rng, frames_of(algebra, p0)).projection
-            )
-            a = random_antihermitian(algebra, rng)
-            b_raw = random_antihermitian(algebra, rng)
+                algebra, rng, p0, equivalent_frames(rng, frames_of(algebra, p0)).projection[0]
+            )[0]
+            a = random_antihermitian(algebra, rng)[0]
+            b_raw = random_antihermitian(algebra, rng)[0]
             b = p0 @ b_raw @ p0
             exact = dGamma0(rho0, u, a @ u, u @ b, DEFAULT_TOL)
             approx = fd_surface_dGamma0(rho0, u, a, b, 1e-4, DEFAULT_TOL)
@@ -364,12 +363,13 @@ class TestOrbitOneForm:
     def test_finite_difference_second_order(self):
         # A rank-2 corner: on a rank-1 corner exp(t b) commutes with the
         # density, the O(h^2) term vanishes and the errors are roundoff.
-        rng = rng_for(21)
-        p0 = random_projection(M3, rng, ranks=(2,))
-        rho0 = NormalFunctional(M3, corner_positive(M3, rng, p0))
-        u = partial_isometry_onto(M3, rng, p0, equivalent_frames(rng, frames_of(M3, p0)).projection)
-        a = random_antihermitian(M3, rng)
-        b = p0 @ random_antihermitian(M3, rng) @ p0
+        rng = Stream((21,), [0])
+        p0 = random_projection(M3, rng, ranks=(2,))[0]
+        rho0 = NormalFunctional(M3, corner_positive(M3, rng, p0)[0])
+        target = equivalent_frames(rng, frames_of(M3, p0)).projection[0]
+        u = partial_isometry_onto(M3, rng, p0, target)[0]
+        a = random_antihermitian(M3, rng)[0]
+        b = p0 @ random_antihermitian(M3, rng)[0] @ p0
         exact = dGamma0(rho0, u, a @ u, u @ b, DEFAULT_TOL)
         err = [
             abs(fd_surface_dGamma0(rho0, u, a, b, h, DEFAULT_TOL) - exact)
@@ -391,11 +391,11 @@ class TestOrbitOneForm:
             )
 
 
-def _chart_draws(draw, algebra, trials: int, seed: int) -> list:
-    """A random charts row's draws of trials 0, ..., trials - 1, each drawn
-    alone."""
+def _chart_draw(draw, algebra, trials: int, seed: int, select=None) -> list:
+    """A random charts row's draw, keyed ``(seed, 0)``, of all ``trials``
+    trials or of the trials ``select`` names."""
     ctx = suites.RowCtx(algebra, trials, seed, 0, DEFAULT_TOL)
-    return [[x[0] for x in draw(ctx, ctx.stream([k]))] for k in range(trials)]
+    return draw(ctx, ctx.stream(select))
 
 
 TOL = DEFAULT_TOL
@@ -450,39 +450,37 @@ class TestStackedCharts:
     def test_trials_are_independent(self, name, shape):
         algebra = BlockAlgebra.from_string(shape)
         draw, call = STACKED_MAPS[name]
-        draws = _chart_draws(draw, algebra, 12, 35)
-        ranks = {int(np.linalg.matrix_rank(data[1])) for data in draws}
-        assert len(ranks) > 1
-        stacked = _outputs(call(*stack_chains(draws)))
-        for k, data in enumerate(draws):
-            alone = _outputs(call(*stack_chains([data])))
-            unstacked = _outputs(call(*data))
+        drawn = _chart_draw(draw, algebra, 12, 35)
+        assert len(set(np.linalg.matrix_rank(drawn[1]).tolist())) > 1
+        stacked = _outputs(call(*drawn))
+        for k in range(12):
+            data = _chart_draw(draw, algebra, 12, 35, [k])
+            alone = _outputs(call(*data))
+            unstacked = _outputs(call(*(x[0] for x in data)))
             assert len(stacked) == len(alone) == len(unstacked)
             for s, a, u in zip(stacked, alone, unstacked):
                 assert s.shape[0] == 12 and a.shape[0] == 1
                 assert _bits(s[k]) == _bits(a[0]) == _bits(u), (name, k)
 
-    @pytest.mark.parametrize("draw, call, spoil, error", [
+    @pytest.mark.parametrize("draw, call, spoil, scale, error", [
         # q of rank 0 is outside the chart of p.
-        (suites._draw_round_trip, lambda p, q, *_: sigma_p(p, q, TOL),
-         lambda data: [data[0], 0 * data[1], *data[2:]], NotInDomain),
+        (suites._draw_round_trip, lambda p, q, *_: sigma_p(p, q, TOL), 1, 0.0, NotInDomain),
         # The chart of p1 = 0 holds 0 alone, not the charted q.
         (suites._draw_cocycle, lambda p, p1, p2, q: transition_L(p, p1, phi_p(p, q, TOL), TOL),
-         lambda data: [data[0], 0 * data[1], *data[2:]], NotInOverlap),
+         1, 0.0, NotInOverlap),
         # 2 u is no partial isometry.
-        (suites._draw_theta, lambda p0, q, p, u: theta_P0(p, u, p0, TOL),
-         lambda data: [*data[:3], 2 * data[3]], InvalidArrow),
+        (suites._draw_theta, lambda p0, q, p, u: theta_P0(p, u, p0, TOL), 3, 2.0, InvalidArrow),
     ], ids=["sigma_p", "transition_L", "theta_P0"])
-    def test_failing_trial_is_named(self, draw, call, spoil, error):
-        draws = _chart_draws(draw, M23, 10, 36)
-        call(*draws[7])  # trial 7 alone is good
-        draws[7] = spoil(draws[7])
+    def test_failing_trial_is_named(self, draw, call, spoil, scale, error):
+        drawn = _chart_draw(draw, M23, 10, 36)
+        call(*(x[7] for x in drawn))  # trial 7 alone is good
+        drawn[spoil][7] *= scale
         with pytest.raises(error):
-            call(*draws[7])
+            call(*(x[7] for x in drawn))
         with pytest.raises(error, match="at trial 7$"):
-            call(*stack_chains(draws))
-        del draws[7]
-        call(*stack_chains(draws))  # the others pass
+            call(*drawn)
+        others = np.arange(10) != 7
+        call(*(x[others] for x in drawn))  # the others pass
 
     def test_cocycle_row_names_a_trial_outside_the_overlap(self):
         # The row calls transition_L directly: a trial outside the overlap is

@@ -19,6 +19,7 @@ from wstargeo import cli, linalg, sampling, suites
 from wstargeo.algebra import (
     BlockAlgebra,
     NormalFunctional,
+    StabilizerData,
     _slot_masks,
     centralizer_basis,
     cluster_pattern,
@@ -73,10 +74,10 @@ def lapack_calls(monkeypatch):
 
 
 def _draw(make, tries: int = 64):
-    """``make(rng)`` for the first of a fixed sequence of generators whose
-    draw it accepts (returns not ``None``)."""
+    """``make(rng)`` for the first of a fixed sequence of one-trial streams
+    whose draw it accepts (returns not ``None``)."""
     for k in range(tries):
-        out = make(sampling.rng_for(2024, k))
+        out = make(sampling.Stream((2024, k), [0]))
         if out is not None:
             return out
     raise AssertionError("no accepted draw")
@@ -84,17 +85,17 @@ def _draw(make, tries: int = 64):
 
 def _chart_pair(rng):
     fs = sampling.frame_chain(M23, rng, 1, allow_zero=False)
-    p, q = (f.projection for f in fs)
+    p, q = (f.projection[0] for f in fs)
     return (p, q) if chart_domain_member(p, q, DEFAULT_TOL) else None
 
 
 def _theta_input(rng):
     fs = sampling.frame_chain(M23, rng, 3, allow_zero=False)
-    p, pt, l, r = (f.projection for f in fs)
+    p, pt, l, r = (f.projection[0] for f in fs)
     if not (chart_domain_member(p, l, DEFAULT_TOL) and chart_domain_member(pt, r, DEFAULT_TOL)):
         return None
     x = sampling.isometry_between(rng, fs[3], fs[2]) @ sampling.positive_on(rng, fs[3])
-    return p, pt, x
+    return p, pt, x[0]
 
 
 def _ten_trials_repeated(ctx: suites.RowCtx) -> sampling.Stream:
@@ -103,14 +104,14 @@ def _ten_trials_repeated(ctx: suites.RowCtx) -> sampling.Stream:
 
 
 def _functional(seed: int = 0) -> NormalFunctional:
-    rng = sampling.rng_for(2025, seed)
-    return sampling.density_on(rng, sampling.random_frames(M23, rng, allow_zero=False))
+    rng = sampling.Stream((2025, seed), [0])
+    return sampling.density_on(rng, sampling.random_frames(M23, rng, allow_zero=False))[0]
 
 
 class TestCounts:
     def test_predual_chain_laws(self, lapack_calls):
         # 24 if every structure map takes its own polar decomposition.
-        chain = composable_chain("predual", M23, sampling.rng_for(2026, 0), 3)
+        chain = composable_chain("predual", M23, sampling.Stream((2026, 0), [0]), 3)
         lapack_calls.update(gesdd=0, heevd=0)
         chain_law_residuals("predual", chain, DEFAULT_TOL)
         assert lapack_calls["gesdd"] <= 10
@@ -121,7 +122,7 @@ class TestCounts:
         # afresh: g_source and g_target take the supports of an arrow, and
         # std_mul the polar decompositions of both factors, on every read.
         # Within one call each distinct arrow is factored once.
-        chain = composable_chain(tag, M23, sampling.rng_for(2026, 0), 3)
+        chain = composable_chain(tag, M23, sampling.Stream((2026, 0), [0]), 3)
         lapack_calls.update(gesdd=0, heevd=0)
         chain_law_residuals(tag, chain, DEFAULT_TOL)
         assert 0 < lapack_calls["gesdd"] <= 10 < before
@@ -311,14 +312,14 @@ class TestCounts:
         # the unit-norm scaling of each family's four generators takes one
         # value-only decomposition of x* x each.
         for directions in (1, 2):
-            data = draw_family_data(M23, sampling.rng_for(2027, directions), directions)
+            data = draw_family_data(M23, sampling.Stream((2027, directions), [0]), directions)
             lapack_calls.update(heevd=0, gesdd=0)
             families = families_on(M23, data, DEFAULT_TOL)
             assert len(families) == directions
             assert (lapack_calls["heevd"], lapack_calls["gesdd"]) == (1 + 4 * directions, 0)
 
     def test_families_after_the_first_check_their_generators(self):
-        data = draw_family_data(M23, sampling.rng_for(2027, 3), 2)
+        data = draw_family_data(M23, sampling.Stream((2027, 3), [0]), 2)
         data[-4] = 1j * data[-4]  # the second family's a1, now Hermitian
         with pytest.raises(InvalidFamily, match="a1 is not anti-Hermitian"):
             families_on(M23, data, DEFAULT_TOL)
@@ -327,10 +328,10 @@ class TestCounts:
         # 18 with one support of rho0 per gauge_iso_Psi and coadjoint_apply,
         # each decomposing both blocks; two functionals, one call per block
         # each.
-        rng = sampling.rng_for(2026, 1)
+        rng = sampling.Stream((2026, 1), [0])
         fs = sampling.frame_chain(M23, rng, 3, allow_zero=False)
-        rho0 = sampling.density_on(rng, fs[0])
-        u, v, w = (sampling.isometry_between(rng, fs[0], f) for f in fs[1:])
+        rho0 = sampling.density_on(rng, fs[0])[0]
+        u, v, w = (sampling.isometry_between(rng, fs[0], f)[0] for f in fs[1:])
         lapack_calls.update(gesdd=0, heevd=0)
         assert psi_intertwining_residual(u, v, w, rho0, DEFAULT_TOL) <= 1e-10
         assert lapack_calls["heevd"] <= 2 * len(M23.blocks)
@@ -370,6 +371,31 @@ class TestCounts:
 
 
 class TestDrawsFactorOncePerRow:
+    @pytest.mark.parametrize("tag", ["predual", "coadjoint"])
+    def test_a_chain_builds_one_functional_per_arrow(self, monkeypatch, tag):
+        # One stacked functional per arrow of a 100-trial chain: 3, not 3
+        # per trial and then 3 more for the stacks (each a membership check).
+        built = []
+        post_init = NormalFunctional.__post_init__
+        monkeypatch.setattr(
+            NormalFunctional, "__post_init__",
+            lambda phi: built.append(phi.density.shape) or post_init(phi),
+        )
+        composable_chain(tag, M23, sampling.Stream((2030,), range(100)), 3)
+        assert built == [(100, M23.dim, M23.dim)] * 3
+
+    def test_the_isomorphisms_draw_builds_no_stabilizer_basis(self, monkeypatch):
+        # The stabilizer direction is a combination read off the base
+        # density's eigenvectors; the basis it combines is never built.
+        def refuse(stab):
+            raise AssertionError("the isomorphisms draw built a stabilizer basis")
+
+        monkeypatch.setattr(StabilizerData, "basis", property(refuse))
+        subindex = suites.suite_rows("groupoid-axioms").index("isomorphisms")
+        ctx = suites.RowCtx(M23, 100, 1, subindex, DEFAULT_TOL)
+        data = suites._draw_isomorphisms(ctx, ctx.stream())
+        assert data[-1].shape == (100, M23.dim, M23.dim)
+
     def test_a_round_makes_few_haar_qrs_and_generators(self, monkeypatch):
         # A verify-all round on 2,3 at 100 trials: each sampler call factors
         # the layouts of all its trials with one Haar QR, so the QRs grow
@@ -424,7 +450,7 @@ class TestOrbitCommand:
         # value-only pass per block for the invariant and one more pass per
         # block for the stabilizer's clusters.
         algebra = BlockAlgebra(blocks)
-        d = sampling.random_density(algebra, sampling.rng_for(2029, len(blocks))).density
+        d = sampling.random_density(algebra, sampling.Stream((2029, len(blocks)), [0])).density[0]
         entry = {"rows": algebra.dim, "cols": algebra.dim,
                  "re": d.real.ravel().tolist(), "im": d.imag.ravel().tolist()}
         path = tmp_path / "d.json"
@@ -517,8 +543,8 @@ def _reference_contains(algebra: BlockAlgebra, x, tol=DEFAULT_TOL) -> bool:
 
 def _contains_cases() -> dict[str, tuple[np.ndarray, bool]]:
     """``name -> (x, whether x is a member of 2,3)``."""
-    rng = np.random.default_rng(31)
-    member = M23.embed_blocks([sampling.complex_normal(rng, (n, n)) for n in M23.blocks])
+    rng = sampling.Stream((31,), [0])
+    member = M23.embed_blocks([sampling.complex_normal(rng, (n, n))[0] for n in M23.blocks])
     cases = {
         "member": (member, True),
         "identity": (M23.identity(), True),
@@ -590,7 +616,7 @@ class TestModularDataFromFunctional:
         # the whole density: no value-only spectrum for the positivity
         # checks, and no second decomposition for d^{1/2}, S, Delta, the
         # flow or the orbit invariant.
-        phi = sampling.random_density(M23, sampling.rng_for(2028))
+        phi = sampling.random_density(M23, sampling.Stream((2028,), [0]))[0]
         blocks = M23.block_views(herm(phi.density))
         calls, real = [], linalg._heevd
 
@@ -599,7 +625,7 @@ class TestModularDataFromFunctional:
             return real(h, compute_v)
 
         monkeypatch.setattr(linalg, "_heevd", heevd)
-        g = sampling.random_element(M23, sampling.rng_for(2028, 1))
+        g = sampling.random_element(M23, sampling.Stream((2028, 1), [0]))[0]
         require_positive(phi, DEFAULT_TOL)
         functional_support(phi, DEFAULT_TOL)
         std_unit(phi, DEFAULT_TOL)
@@ -676,7 +702,7 @@ class _Counted:
 
 
 def _hermitian(seed: int) -> np.ndarray:
-    return sampling.unit_norm(sampling.random_hermitian(M23, sampling.rng_for(2027, seed)))
+    return sampling.unit_norm(sampling.random_hermitian(M23, sampling.Stream((2027, seed), [0]))[0])
 
 
 COARSE = dataclasses.replace(DEFAULT_TOL, fd_step=1e-2)
@@ -691,7 +717,7 @@ class TestDifferentialKept:
         g = _Counted(_hermitian(0))
         f = Observable.linear(_hermitian(1), DEFAULT_TOL)
         h = Observable.quadratic(_hermitian(2), DEFAULT_TOL)
-        gamma = sampling.random_element(M23, sampling.rng_for(2027, 2))
+        gamma = sampling.random_element(M23, sampling.Stream((2027, 2), [0]))[0]
         pairs = [(f, g.observable), (g.observable, h)]
         assert max(poisson_map_residual(pairs, M23, gamma, DEFAULT_TOL)) <= 1e-6
         assert len(g.at) == len(M23.hermitian_units()) == 13
@@ -752,9 +778,9 @@ class TestDifferentialKept:
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, COARSE], ids=["default", "coarse"])
     def test_central_differences_match_the_unit_loop(self, blocks, tol):
         algebra = BlockAlgebra(blocks)
-        rng = sampling.rng_for(2028, len(blocks))
-        x = sampling.random_hermitian(algebra, rng)
-        phi = sampling.random_density(algebra, rng)
+        rng = sampling.Stream((2028, len(blocks)), [0])
+        x = sampling.random_hermitian(algebra, rng)[0]
+        phi = sampling.random_density(algebra, rng)[0]
         obs = Observable(
             value=lambda p: np.trace(p.density @ p.density @ p.density @ x, axis1=-2, axis2=-1).real
         )

@@ -37,7 +37,6 @@ from wstargeo.groupoids import (
 from wstargeo.linalg import DEFAULT_TOL, frobenius, polar_decompose, singular_values
 from wstargeo.standard import std_mul, transport_witness
 from wstargeo import algebra, sampling, suites
-from stacking import entry, stack_chains
 
 M2 = BlockAlgebra((2,))
 M23 = BlockAlgebra((2, 3))
@@ -47,8 +46,8 @@ E21 = E12.conj().T
 E22 = np.diag([0.0, 1.0]).astype(complex)
 
 
-def _rng(k: int = 0) -> np.random.Generator:
-    return np.random.default_rng(88_000 + k)
+def _rng(k: int = 0) -> sampling.Stream:
+    return sampling.Stream((88_000 + k,), [0])
 
 
 class TestPartialIsometryGroupoid:
@@ -74,10 +73,10 @@ class TestPartiallyInvertibleGroupoid:
     def test_inverse_is_polar_formula(self):
         rng = _rng(1)
         for _ in range(100):
-            q = sampling.random_projection(M23, rng, allow_zero=False)
-            t = sampling.equivalent_frames(rng, sampling.frames_of(M23, q)).projection
-            u = sampling.partial_isometry_onto(M23, rng, q, t)
-            h = sampling.corner_positive(M23, rng, q)
+            q = sampling.random_projection(M23, rng, allow_zero=False)[0]
+            t = sampling.equivalent_frames(rng, sampling.frames_of(M23, q)).projection[0]
+            u = sampling.partial_isometry_onto(M23, rng, q, t)[0]
+            h = sampling.corner_positive(M23, rng, q)[0]
             x = u @ h
             inv = g_inverse(x, DEFAULT_TOL)
             # iota(x) = h^{-1} u* for x = u h.
@@ -89,10 +88,10 @@ class TestPartiallyInvertibleGroupoid:
     def test_jay_is_inverse_star(self):
         rng = _rng(2)
         for _ in range(50):
-            q = sampling.random_projection(M23, rng, allow_zero=False)
-            t = sampling.equivalent_frames(rng, sampling.frames_of(M23, q)).projection
-            u = sampling.partial_isometry_onto(M23, rng, q, t)
-            x = u @ sampling.corner_positive(M23, rng, q)
+            q = sampling.random_projection(M23, rng, allow_zero=False)[0]
+            t = sampling.equivalent_frames(rng, sampling.frames_of(M23, q)).projection[0]
+            u = sampling.partial_isometry_onto(M23, rng, q, t)[0]
+            x = u @ sampling.corner_positive(M23, rng, q)[0]
             assert frobenius(jay(x, DEFAULT_TOL)
                              - g_inverse(x, DEFAULT_TOL).conj().T) <= 1e-9
 
@@ -201,10 +200,8 @@ class TestXi:
         assert back.rho.distance(rho) <= 1e-12
 
     def test_intertwining_random(self):
-        rng = _rng(4)
-        for _ in range(50):
-            pair = composable_chain("coadjoint", M23, rng, 2)
-            assert xi_intertwining_residual(tuple(pair), DEFAULT_TOL) <= 1e-10
+        pair = composable_chain("coadjoint", M23, sampling.Stream((88_004,), range(50)), 2)
+        assert np.max(xi_intertwining_residual(tuple(pair), DEFAULT_TOL)) <= 1e-10
 
 
 class TestPsi:
@@ -224,12 +221,12 @@ class TestPsi:
         rng = _rng(5)
         for _ in range(50):
             f0 = sampling.random_frames(M23, rng, allow_zero=False)
-            p0 = f0.projection
-            rho0 = sampling.density_on(rng, f0)
+            p0 = f0.projection[0]
+            rho0 = sampling.density_on(rng, f0)[0]
             u, v, w = (
                 sampling.partial_isometry_onto(
-                    M23, rng, p0, sampling.equivalent_frames(rng, f0).projection
-                )
+                    M23, rng, p0, sampling.equivalent_frames(rng, f0).projection[0]
+                )[0]
                 for _ in range(3)
             )
             assert psi_intertwining_residual(u, v, w, rho0, DEFAULT_TOL) <= 1e-10
@@ -239,10 +236,10 @@ class TestPolarComponentsRelation:
     def test_second_polar(self):
         rng = _rng(6)
         for _ in range(100):
-            q = sampling.random_projection(M23, rng, allow_zero=False)
-            t = sampling.equivalent_frames(rng, sampling.frames_of(M23, q)).projection
-            u = sampling.partial_isometry_onto(M23, rng, q, t)
-            h = sampling.corner_positive(M23, rng, q)
+            q = sampling.random_projection(M23, rng, allow_zero=False)[0]
+            t = sampling.equivalent_frames(rng, sampling.frames_of(M23, q)).projection[0]
+            u = sampling.partial_isometry_onto(M23, rng, q, t)[0]
+            h = sampling.corner_positive(M23, rng, q)[0]
             gamma = u @ h
             uu, hh = polar_decompose(gamma, DEFAULT_TOL)
             assert frobenius(gamma - (uu @ hh @ uu.conj().T) @ uu) <= 1e-10
@@ -269,13 +266,14 @@ class TestStackedLaws:
     @pytest.mark.parametrize("tag", sorted(GROUPOIDS))
     def test_trials_are_independent(self, tag, shape):
         algebra = BlockAlgebra.from_string(shape)
-        chains = [composable_chain(tag, algebra, sampling.rng_for(31, k), 3) for k in range(12)]
-        ranks = {_block_ranks(algebra, _matrix(chain[0])) for chain in chains}
+        chain = composable_chain(tag, algebra, sampling.Stream((31,), range(12)), 3)
+        ranks = {_block_ranks(algebra, a) for a in _matrix(chain[0])}
         assert len(ranks) > 1
-        stacked = chain_law_residuals(tag, stack_chains(chains), DEFAULT_TOL)
-        for k, chain in enumerate(chains):
-            alone = chain_law_residuals(tag, stack_chains([chain]), DEFAULT_TOL)
-            unstacked = chain_law_residuals(tag, chain, DEFAULT_TOL)
+        stacked = chain_law_residuals(tag, chain, DEFAULT_TOL)
+        for k in range(12):
+            one = composable_chain(tag, algebra, sampling.Stream((31,), [k]), 3)
+            alone = chain_law_residuals(tag, one, DEFAULT_TOL)
+            unstacked = chain_law_residuals(tag, [a[0] for a in one], DEFAULT_TOL)
             for law, values in stacked.items():
                 assert values[k] == alone[law][0] == unstacked[law], (law, k)
 
@@ -290,16 +288,15 @@ class TestStackedLaws:
         ],
     )
     def test_failing_trial_is_named(self, tag, compose):
-        pairs = [composable_chain(tag, M23, sampling.rng_for(32, k), 2) for k in range(10)]
-        a = pairs[7][0]
+        left, right = composable_chain(tag, M23, sampling.Stream((32,), range(10)), 2)
+        # Trial 7's left arrow meets trial 6's right one.
+        spoiled = np.where(np.arange(10) == 7, 6, np.arange(10))
         with pytest.raises(NotComposable):
-            compose(a, a, DEFAULT_TOL)
-        pairs[7] = [a, a]
-        left, right = stack_chains(pairs)
+            compose(left[7], right[6], DEFAULT_TOL)
         with pytest.raises(NotComposable, match="at trial 7$"):
-            compose(left, right, DEFAULT_TOL)
-        del pairs[7]
-        compose(*stack_chains(pairs), DEFAULT_TOL)  # the others compose
+            compose(left, right[spoiled], DEFAULT_TOL)
+        others = np.arange(10) != 7
+        compose(left[others], right[others], DEFAULT_TOL)  # the others compose
 
 
 #: The ``groupoid-axioms`` rows that draw each trial in turn and check all
@@ -311,53 +308,12 @@ STACKED_ROWS = {
 }
 
 
-def _row_draws(row: str, algebra: BlockAlgebra, trials: int, seed: int) -> list:
+def _row_draw(row: str, algebra: BlockAlgebra, trials: int, seed: int, select=None) -> list:
+    """The row's draw, keyed ``(seed, 0)``, of all ``trials`` trials or of the
+    trials ``select`` names."""
     draw, _ = STACKED_ROWS[row]
     ctx = suites.RowCtx(algebra, trials, seed, 0, DEFAULT_TOL)
-    return [[entry(x, 0) for x in draw(ctx, ctx.stream([k]))] for k in range(trials)]
-
-
-def _arrays(arrow) -> list:
-    """Every matrix an arrow of any picture holds."""
-    if isinstance(arrow, CoadjointArrow):
-        return [arrow.u, arrow.rho.density]
-    if isinstance(arrow, NormalFunctional):
-        return [arrow.density]
-    return [arrow]
-
-
-class TestStackChains:
-    """``stack_chains`` fills its stacks from an iterator, one chain at a
-    time, with the bytes ``numpy.stack`` gives."""
-
-    def test_iterator_gives_the_bytes_of_numpy_stack(self):
-        chains = [_row_draws(row, M23, 6, 37) for row in sorted(STACKED_ROWS)]
-        for draws in chains:
-            stacked = stack_chains(iter(draws), len(draws))
-            for i, arrow in enumerate(stacked):
-                assert type(arrow) is type(draws[0][i])
-                got = _arrays(arrow)
-                want = [np.stack(ms) for ms in zip(*(_arrays(d[i]) for d in draws))]
-                for g, w in zip(got, want):
-                    assert g.dtype == w.dtype and g.shape == w.shape
-                    assert g.flags.c_contiguous and g.tobytes() == w.tobytes()
-
-    def test_dtypes_are_promoted_as_numpy_stack_promotes_them(self):
-        real, cplx = np.eye(2), 1j * np.eye(2)
-        got = stack_chains(iter([[real], [cplx], [real]]), 3)[0]
-        want = np.stack([real, cplx, real])
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("chains, count", [
-        ([[np.eye(2)], [np.eye(2)]], 3),  # too few
-        ([[np.eye(2)], [np.eye(2)]], 1),  # too many
-        ([[np.eye(2)], [np.eye(3)]], 2),  # shapes differ
-        ([[np.eye(2)], [np.eye(2), np.eye(2)]], 2),  # lengths differ
-        ([], 0),  # nothing to stack
-    ])
-    def test_refuses_what_numpy_stack_refuses(self, chains, count):
-        with pytest.raises(ValueError):
-            stack_chains(iter(chains), count)
+    return draw(ctx, ctx.stream(select))
 
 
 class TestStackedRows:
@@ -371,13 +327,14 @@ class TestStackedRows:
         alg = BlockAlgebra.from_string(shape)
         _, check = STACKED_ROWS[row]
         ctx = suites.RowCtx(alg, 12, 33, 0, DEFAULT_TOL)
-        draws = _row_draws(row, alg, 12, 33)
-        ranks = {_block_ranks(alg, _matrix(data[0])) for data in draws}
+        drawn = _row_draw(row, alg, 12, 33)
+        ranks = {_block_ranks(alg, a) for a in _matrix(drawn[0])}
         assert len(ranks) > 1
-        stacked = check(ctx, *stack_chains(draws))
-        for k, data in enumerate(draws):
-            alone = check(ctx, *stack_chains([data]))
-            unstacked = check(ctx, *data)
+        stacked = check(ctx, *drawn)
+        for k in range(12):
+            data = _row_draw(row, alg, 12, 33, [k])
+            alone = check(ctx, *data)
+            unstacked = check(ctx, *(x[0] for x in data))
             for name, values in stacked.items():
                 assert values.shape == (12,), name
                 assert values[k] == alone[name][0] == unstacked[name], (name, k)
@@ -403,12 +360,12 @@ class TestStackedRows:
     ], ids=["gauge_iso_Psi", "coadjoint_apply", "transport_witness", "mvn_witness",
             "unitary_witness"])
     def test_failing_trial_is_named(self, row, call, spoil, by):
-        draws = _row_draws(row, M23, 10, 34)
-        call(*draws[7])  # trial 7 alone is good
-        draws[7][spoil] = by(draws[7])
+        drawn = _row_draw(row, M23, 10, 34)
+        call(*(x[7] for x in drawn))  # trial 7 alone is good
+        drawn[spoil][7] = by([x[7] for x in drawn])
         with pytest.raises(InvalidArrow):
-            call(*draws[7])
+            call(*(x[7] for x in drawn))
         with pytest.raises(InvalidArrow, match="at trial 7$"):
-            call(*stack_chains(draws))
-        del draws[7]
-        call(*stack_chains(draws))  # the others pass
+            call(*drawn)
+        others = np.arange(10) != 7
+        call(*(x[others] for x in drawn))  # the others pass

@@ -72,6 +72,11 @@ def _rng(k: int = 0) -> np.random.Generator:
     return np.random.default_rng(20_260_819 + k)
 
 
+def _stream(k: int = 0) -> sampling.Stream:
+    """The one-trial stream keyed as ``_rng(k)``, for the samplers."""
+    return sampling.Stream((20_260_819 + k,), [0])
+
+
 def _random_matrix(rng, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
@@ -126,13 +131,13 @@ class TestSupports:
         left, right = supports(E12)
         assert frobenius(left - np.diag([1.0, 0.0])) <= 1e-12
         assert frobenius(right - np.diag([0.0, 1.0])) <= 1e-12
-        rng = _rng(7)
+        rng = _stream(7)
         for algebra in (BlockAlgebra((2, 3)), BlockAlgebra((4,))):
             for _ in range(50):
-                p = sampling.random_frames(algebra, rng).projection
-                a = sampling.random_element(algebra, rng) @ p @ sampling.random_element(
+                p = sampling.random_frames(algebra, rng).projection[0]
+                a = sampling.random_element(algebra, rng)[0] @ p @ sampling.random_element(
                     algebra, rng
-                )
+                )[0]
                 left, right = supports(a)
                 assert frobenius(left - _one_sided_support(a)) <= 1e-12
                 assert frobenius(right - _one_sided_support(a.conj().T)) <= 1e-12
@@ -289,12 +294,12 @@ class TestLapackKernels:
 
     def test_haar_unitary(self):
         for n in self.SIZES:
-            rng = _rng(n)
-            g = rng.normal(0.0, 1.0, (n, n, 2)).view(complex)[..., 0]
+            # The stream's slot 0, as the sampler reads it.
+            g = sampling.rng_for(20_260_819 + n, 0).normal(0.0, 1.0, (n, n, 2)).view(complex)[..., 0]
             q, r = np.linalg.qr(g)
             d = np.diagonal(r)
             np.testing.assert_array_equal(
-                sampling.random_unitary(BlockAlgebra((n,)), _rng(n)), q * (d / np.abs(d))
+                sampling.random_unitary(BlockAlgebra((n,)), _stream(n))[0], q * (d / np.abs(d))
             )
             # Thin: a Haar isometry, with the caller's matrix left as it was.
             g = g[:, : (n + 1) // 2]
@@ -399,13 +404,13 @@ class TestExpAntihermitian:
     @staticmethod
     def _generators():
         m23 = BlockAlgebra((2, 3))
-        rng = _rng(15)
+        rng = _stream(15)
         # A stabilizer direction of a density that vanishes on the 3-block.
         rho0 = NormalFunctional(m23, np.diag([0.5, 0.5, 0.0, 0.0, 0.0]))
         stab = stabilizer_lie_algebra(rho0)
         return {
-            "generic": sampling.random_antihermitian(m23, rng),
-            "zero-block": combination(rng.standard_normal(len(stab.basis)), stab),
+            "generic": sampling.random_antihermitian(m23, rng)[0],
+            "zero-block": combination(rng.take("standard_normal", shape=(len(stab.basis),))[0], stab),
             "zero": np.zeros((5, 5), dtype=complex),
         }
 
@@ -661,7 +666,8 @@ A2 = np.array([[1j, 1.0], [-1.0, 0.0]])
 
 
 def _family_pair():
-    return poisson.families_on(M2, poisson.draw_family_data(M2, sampling.rng_for(4, 1), 2))
+    data = poisson.draw_family_data(M2, sampling.Stream((4, 1), [0]), 2)
+    return poisson.families_on(M2, [x[0] for x in data])
 
 
 def _nan_base_residual():

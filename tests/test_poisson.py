@@ -51,10 +51,11 @@ from wstargeo import (
 )
 from wstargeo import suites
 from wstargeo.charts import dGamma0
-from stacking import stack_chains
+from wstargeo.standard import dual_pair_orthogonality_check
 from wstargeo.linalg import expect_real, refuse
 from test_bases import _ref_bundle_tangent_basis
 from wstargeo.sampling import (
+    complex_normal,
     corner_positive,
     equivalent_frames,
     frames_of,
@@ -66,7 +67,7 @@ from wstargeo.sampling import (
     random_projection,
     random_unit_vector,
     random_unitary,
-    rng_for,
+    Stream,
     unit_norm,
 )
 
@@ -81,8 +82,10 @@ PHI10 = NormalFunctional(M2, np.diag([1.0, 0.0]).astype(complex))
 
 
 def _families(algebra, rng, directions=1):
-    """``directions`` composable families on one base, drawn from ``rng``."""
-    return families_on(algebra, draw_family_data(algebra, rng, directions), DEFAULT_TOL)
+    """``directions`` composable families on one base, drawn from the
+    one-trial stream ``rng``."""
+    data = draw_family_data(algebra, rng, directions)
+    return families_on(algebra, [x[0] for x in data], DEFAULT_TOL)
 
 
 class TestLiePoisson:
@@ -104,20 +107,20 @@ class TestLiePoisson:
         # an observable given only by values recovers the analytic gradient
         f_analytic = Observable.linear(SX, DEFAULT_TOL)
         f_fd = Observable(value=lambda phi: phi(SX).real)
-        rng = rng_for(40)
-        phi = random_density(M2, rng)
+        rng = Stream((40,), [0])
+        phi = random_density(M2, rng)[0]
         d_an = f_analytic.differential_at(phi, DEFAULT_TOL)
         d_fd = f_fd.differential_at(phi, DEFAULT_TOL)
         assert frobenius(d_an - d_fd) <= 1e-8
 
     def test_quadratic_differential(self):
-        rng = rng_for(41)
-        x = random_hermitian(M2, rng)
+        rng = Stream((41,), [0])
+        x = random_hermitian(M2, rng)[0]
         h_an = Observable.quadratic(x, DEFAULT_TOL)
         h_fd = Observable(
             value=lambda phi: np.trace(phi.density @ phi.density @ x, axis1=-2, axis2=-1).real
         )
-        phi = random_density(M2, rng)
+        phi = random_density(M2, rng)[0]
         assert abs(h_an.value_at(phi) - h_fd.value_at(phi)) <= 1e-12
         assert frobenius(
             h_an.differential_at(phi, DEFAULT_TOL) - h_fd.differential_at(phi, DEFAULT_TOL)
@@ -126,14 +129,14 @@ class TestLiePoisson:
     def test_product_differential_keeps_the_profile(self):
         # f times the constant 1 has differential df under the profile asked
         # for, not the default one.
-        x = unit_norm(random_hermitian(M23, rng_for(46)))
+        x = unit_norm(random_hermitian(M23, Stream((46,), [0]))[0])
         f = Observable(
             value=lambda phi: np.trace(
                 phi.density @ phi.density @ phi.density @ x, axis1=-2, axis2=-1
             ).real
         )
         one = Observable(value=lambda phi: 1.0, differential=lambda phi, tol: M23.zero())
-        phi = random_density(M23, rng_for(47))
+        phi = random_density(M23, Stream((47,), [0]))[0]
         coarse = dataclasses.replace(DEFAULT_TOL, fd_step=1e-2)
         product = f.times(one).differential_at(phi, coarse)
         assert np.array_equal(product, f.differential_at(phi, coarse))
@@ -144,12 +147,10 @@ class TestLiePoisson:
 
     def test_structure_identities_random(self):
         for trial in range(60):
-            rng = rng_for(42, trial)
+            rng = Stream((42, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            phi = random_density(algebra, rng)
-            x = random_hermitian(algebra, rng)
-            y = random_hermitian(algebra, rng)
-            z = random_hermitian(algebra, rng)
+            phi = random_density(algebra, rng)[0]
+            x, y, z = (random_hermitian(algebra, rng)[0] for _ in range(3))
             f = Observable.linear(x, DEFAULT_TOL)
             g = Observable.linear(y, DEFAULT_TOL)
             h = Observable.quadratic(z, DEFAULT_TOL)
@@ -162,8 +163,7 @@ class TestLiePoisson:
     def test_orbit_drift_second_order(self):
         # The field is tangent to the unitary orbit, so one Euler step of
         # size eps moves the spectrum of the density by O(eps^2) only.
-        rng = rng_for(43)
-        phi = random_density(M2, rng)
+        phi = random_density(M2, Stream((43,), [0]))[0]
         field = hamiltonian_field(Observable.linear(SX, DEFAULT_TOL), phi, DEFAULT_TOL)
         w0 = np.linalg.eigvalsh(phi.density)
 
@@ -188,18 +188,18 @@ class TestCanonicalBracket:
 
     def test_pullback_is_poisson_map(self):
         for trial in range(40):
-            rng = rng_for(44, trial)
+            rng = Stream((44, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            gamma = random_element(algebra, rng)
-            f = Observable.linear(random_hermitian(algebra, rng), DEFAULT_TOL)
-            g = Observable.linear(random_hermitian(algebra, rng), DEFAULT_TOL)
+            gamma = random_element(algebra, rng)[0]
+            f = Observable.linear(random_hermitian(algebra, rng)[0], DEFAULT_TOL)
+            g = Observable.linear(random_hermitian(algebra, rng)[0], DEFAULT_TOL)
             assert max(poisson_map_residual([(f, g)], algebra, gamma, DEFAULT_TOL)) <= 1e-10
             assert commutant_bracket_check(f, g, algebra, gamma, DEFAULT_TOL) <= 1e-10
 
 
 class TestComposableFamily:
     def test_generator_lock_and_gap(self):
-        rng = rng_for(46)
+        rng = Stream((46,), [0])
         fam = _families(M23, rng)[0]
         assert frobenius(fam.b1 + fam.a2) == 0.0
         for t in (0.0, 0.3, -0.7):
@@ -207,7 +207,7 @@ class TestComposableFamily:
             assert frobenius(product - fam.product_at(t)) <= 1e-10
 
     def test_tangents_match_finite_differences(self):
-        rng = rng_for(47)
+        rng = Stream((47,), [0])
         fam = _families(M2, rng)[0]
         h = 1e-5
         for curve, tangent in (
@@ -244,13 +244,13 @@ class TestComposableFamily:
 
     def test_multiplicativity(self):
         for trial in range(60):
-            rng = rng_for(48, trial)
+            rng = Stream((48, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
             fam, fam2 = _families(algebra, rng, 2)
             assert multiplicativity_residual(fam, fam2, DEFAULT_TOL) <= 1e-9
 
     def test_multiplicativity_needs_shared_base(self):
-        rng = rng_for(49)
+        rng = Stream((49,), [0])
         fam = _families(M2, rng)[0]
         other = _families(M2, rng)[0]
         with pytest.raises(InvalidFamily):
@@ -258,28 +258,28 @@ class TestComposableFamily:
 
     def test_vertical_form(self):
         for trial in range(40):
-            rng = rng_for(50, trial)
-            q = random_projection(M23, rng, allow_zero=False)
+            rng = Stream((50, trial), [0])
+            q = random_projection(M23, rng, allow_zero=False)[0]
             u = partial_isometry_onto(
-                M23, rng, q, equivalent_frames(rng, frames_of(M23, q)).projection
-            )
-            xi = corner_positive(M23, rng, q)
+                M23, rng, q, equivalent_frames(rng, frames_of(M23, q)).projection[0]
+            )[0]
+            xi = corner_positive(M23, rng, q)[0]
             from wstargeo.sampling import corner_antihermitian
 
-            b = corner_antihermitian(M23, rng, q)
-            b_prime = corner_antihermitian(M23, rng, q)
+            b = corner_antihermitian(M23, rng, q)[0]
+            b_prime = corner_antihermitian(M23, rng, q)[0]
             assert vertical_form_residual(u, xi, b, b_prime, DEFAULT_TOL) <= 1e-10
 
     def test_exactness_residual_small_step(self):
         for trial in range(10):
-            rng = rng_for(51, trial)
+            rng = Stream((51, trial), [0])
             fam = _families(M2 if trial % 2 == 0 else M23, rng)[0]
             assert exactness_residual(fam, 1e-5, DEFAULT_TOL) <= 1e-7
 
     def test_exactness_second_order(self):
         ratios = []
         for trial in range(9):
-            rng = rng_for(52, trial)
+            rng = Stream((52, trial), [0])
             fam = _families(M2, rng)[0]
             r1 = exactness_residual(fam, 1e-3, DEFAULT_TOL)
             r2 = exactness_residual(fam, 5e-4, DEFAULT_TOL)
@@ -305,9 +305,11 @@ STACKED_FAMILY_ROWS = {
 } | {"exactness/order": (suites._draw_family, suites._check_order)}
 
 
-def _family_draws(draw, algebra, trials, seed):
+def _drawn(draw, algebra, trials, seed, select=None):
+    """A row's draw, keyed ``(seed, 0)``, of all ``trials`` trials or of the
+    trials ``select`` names."""
     ctx = suites.RowCtx(algebra, trials, seed, 0, DEFAULT_TOL)
-    return [[x[0] for x in draw(ctx, ctx.stream([k]))] for k in range(trials)]
+    return draw(ctx, ctx.stream(select))
 
 
 class TestStackedFamilies:
@@ -321,13 +323,14 @@ class TestStackedFamilies:
         algebra = BlockAlgebra.from_string(shape)
         draw, check = STACKED_FAMILY_ROWS[row]
         ctx = suites.RowCtx(algebra, 12, 38, 0, DEFAULT_TOL)
-        draws = _family_draws(draw, algebra, 12, 38)
-        # data[1] is the positive element of the base, of random rank.
-        assert len({int(np.linalg.matrix_rank(data[1])) for data in draws}) > 1
-        stacked = check(ctx, *stack_chains(draws))
-        for k, data in enumerate(draws):
-            alone = check(ctx, *stack_chains([data]))
-            unstacked = check(ctx, *data)
+        drawn = _drawn(draw, algebra, 12, 38)
+        # drawn[1] is the positive element of the base, of random rank.
+        assert len(set(np.linalg.matrix_rank(drawn[1]).tolist())) > 1
+        stacked = check(ctx, *drawn)
+        for k in range(12):
+            data = _drawn(draw, algebra, 12, 38, [k])
+            alone = check(ctx, *data)
+            unstacked = check(ctx, *(x[0] for x in data))
             assert stacked.keys() == alone.keys() == unstacked.keys()
             for name, s in stacked.items():
                 a, u = alone[name], unstacked[name]
@@ -335,23 +338,22 @@ class TestStackedFamilies:
                 assert s[k].tobytes() == a[0].tobytes() == np.float64(u).tobytes(), (row, k)
 
     def test_generators_scale_per_matrix(self):
-        draws = _family_draws(suites._draw_family, M23, 6, 40)
-        [fam] = families_on(M23, stack_chains(draws))
-        for k, data in enumerate(draws):
-            [alone] = families_on(M23, data)
+        [fam] = families_on(M23, _drawn(suites._draw_family, M23, 6, 40))
+        for k in range(6):
+            [alone] = families_on(M23, [x[0] for x in _drawn(suites._draw_family, M23, 6, 40, [k])])
             for name in ("a1", "a2", "b2", "h2"):
                 assert np.array_equal(getattr(fam, name)[k], getattr(alone, name))
 
     def test_failing_trial_is_named(self):
-        draws = _family_draws(suites._draw_family, M23, 10, 39)
-        families_on(M23, draws[7])  # trial 7 alone is good
-        draws[7][0] = 2 * draws[7][0]  # u1 doubled: no partial isometry
+        drawn = _drawn(suites._draw_family, M23, 10, 39)
+        families_on(M23, [x[7] for x in drawn])  # trial 7 alone is good
+        drawn[0][7] *= 2  # u1 doubled: no partial isometry
         with pytest.raises(InvalidFamily):
-            families_on(M23, draws[7])
+            families_on(M23, [x[7] for x in drawn])
         with pytest.raises(InvalidFamily, match="u1 is not a partial isometry at trial 7$"):
-            families_on(M23, stack_chains(draws))
-        del draws[7]
-        families_on(M23, stack_chains(draws))  # the others pass
+            families_on(M23, drawn)
+        others = np.arange(10) != 7
+        families_on(M23, [x[others] for x in drawn])  # the others pass
 
 
 #: The poisson-map rows and kks/identity, whose draws and checks run on one
@@ -374,11 +376,11 @@ class TestStackedObservables:
         ctx = suites.RowCtx(algebra, 12, 50, 0, DEFAULT_TOL)
         for row in OBSERVABLE_ROWS:
             draw, check = _registry_row(row)
-            draws = _family_draws(draw, algebra, 12, 50)
-            stacked = check(ctx, *stack_chains(draws))
-            for k, data in enumerate(draws):
-                alone = check(ctx, *stack_chains([data]))
-                unstacked = check(ctx, *data)
+            stacked = check(ctx, *_drawn(draw, algebra, 12, 50))
+            for k in range(12):
+                data = _drawn(draw, algebra, 12, 50, [k])
+                alone = check(ctx, *data)
+                unstacked = check(ctx, *(x[0] for x in data))
                 assert stacked.keys() == alone.keys() == unstacked.keys()
                 for name, s in stacked.items():
                     a, u = alone[name], unstacked[name]
@@ -386,8 +388,8 @@ class TestStackedObservables:
                     assert s[k].tobytes() == a[0].tobytes() == np.asarray(u).tobytes(), (row, k)
 
     def test_failing_trial_is_named(self):
-        x, y, _, d = stack_chains(_family_draws(suites._draw_poisson_density, M23, 10, 51))
-        _, a1, a2 = stack_chains(_family_draws(suites._draw_kks, M23, 10, 51))
+        x, y, _, d = _drawn(suites._draw_poisson_density, M23, 10, 51)
+        _, a1, a2 = _drawn(suites._draw_kks, M23, 10, 51)
         phi = NormalFunctional(M23, d)
         a1[7] = 1j * a1[7]
         with pytest.raises(InvalidTangent, match="a1 is not anti-Hermitian at trial 7$"):
@@ -405,7 +407,7 @@ class TestStackedObservables:
         # d - h e.  This value refuses the minus side of trial 7 at a
         # diagonal unit, matrix 17 of the stencil of the first unit.
         h = DEFAULT_TOL.fd_step
-        d = stack_chains(_family_draws(suites._draw_poisson_density, M23, 10, 52))[3]
+        d = _drawn(suites._draw_poisson_density, M23, 10, 52)[3]
 
         def value(phi):
             traces = np.trace(phi.density, axis1=-2, axis2=-1).real
@@ -438,11 +440,11 @@ class TestMomentIdentity:
 
     def test_random(self):
         for trial in range(60):
-            rng = rng_for(53, trial)
+            rng = Stream((53, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            rho0 = random_density(algebra, rng)
-            a1 = random_antihermitian(algebra, rng)
-            a2 = random_antihermitian(algebra, rng)
+            rho0 = random_density(algebra, rng)[0]
+            a1 = random_antihermitian(algebra, rng)[0]
+            a2 = random_antihermitian(algebra, rng)[0]
             assert kks_check(rho0, a1, a2, DEFAULT_TOL).residual <= 1e-10
 
     def test_rejects_hermitian_direction(self):
@@ -469,11 +471,10 @@ class TestFubiniStudy:
         assert abs(report.omega + 4.0) <= 1e-14
 
     def test_radius_scaling(self):
-        rng = rng_for(54)
+        rng = Stream((54,), [0])
         n = 3
-        delta = random_unit_vector(n, rng)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        delta = random_unit_vector(n, rng)[0]
+        x, y = (complex_normal(rng, (n,))[0] for _ in range(2))
         base = fubini_study_compare(1.0, delta, x, y, DEFAULT_TOL)
         for r in (0.5, 2.0):
             scaled = fubini_study_compare(r, delta, x, y, DEFAULT_TOL)
@@ -482,13 +483,13 @@ class TestFubiniStudy:
 
     def test_pair_groupoid(self):
         for trial in range(40):
-            rng = rng_for(55, trial)
+            rng = Stream((55, trial), [0])
             n = 3
-            delta = random_unit_vector(n, rng)
-            psi = random_unit_vector(n, rng)
-            phiv = random_unit_vector(n, rng)
-            draws = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(4)]
-            r = float(rng.uniform(0.3, 2.5))
+            delta = random_unit_vector(n, rng)[0]
+            psi = random_unit_vector(n, rng)[0]
+            phiv = random_unit_vector(n, rng)[0]
+            draws = [complex_normal(rng, (n,))[0] for _ in range(4)]
+            r = float(rng.take("uniform", 0.3, 2.5)[0])
             assert (
                 pair_groupoid_fs_residual(
                     r, delta, psi, phiv, draws[0], draws[1], draws[2], draws[3], DEFAULT_TOL
@@ -520,8 +521,7 @@ class TestAmplitude:
         assert report.steps == 2
 
     def test_composition(self):
-        rng = rng_for(56)
-        path = [random_unit_vector(4, rng) for _ in range(5)]
+        path = list(random_unit_vector(4, Stream((56,), range(5))))
         full = feynman_amplitude(path, DEFAULT_TOL)
         first = feynman_amplitude(path[:3], DEFAULT_TOL)
         second = feynman_amplitude(path[2:], DEFAULT_TOL)
@@ -570,11 +570,15 @@ def _pairwise_degeneracy(rho0, u, v):
 
 class TestDegeneracy:
     def test_rank_one_base(self):
-        rng = rng_for(57)
+        rng = Stream((57,), [0])
         rho0 = PHI10
         p0 = np.diag([1.0, 0.0]).astype(complex)
-        u = partial_isometry_onto(M2, rng, p0, equivalent_frames(rng, frames_of(M2, p0)).projection)
-        v = partial_isometry_onto(M2, rng, p0, equivalent_frames(rng, frames_of(M2, p0)).projection)
+        u, v = (
+            partial_isometry_onto(
+                M2, rng, p0, equivalent_frames(rng, frames_of(M2, p0)).projection[0]
+            )[0]
+            for _ in range(2)
+        )
         report = degeneracy_kernel_check(rho0, u, v, DEFAULT_TOL)
         # stabilizer of a rank-one corner is one-dimensional; two legs
         assert report.expected_kernel_dimension == 2
@@ -584,7 +588,6 @@ class TestDegeneracy:
         assert report.tangent_dimension == 6
 
     def test_repeated_spectrum_base(self):
-        rng = rng_for(58)
         d = np.diag([0.25, 0.25, 0.5]).astype(complex)
         rho0 = NormalFunctional(M3, d)
         one = np.eye(3, dtype=complex)
@@ -608,17 +611,17 @@ class TestDegeneracy:
     )
     def test_contraction_matches_pairwise_loop(self, blocks, ranks, repeated):
         algebra = BlockAlgebra(blocks)
-        rng = rng_for(60, *ranks, int(repeated))
-        p0 = random_projection(algebra, rng, ranks=ranks)
+        rng = Stream((60, *ranks, int(repeated)), [0])
+        p0 = random_projection(algebra, rng, ranks=ranks)[0]
         if repeated:
-            d = corner_positive(algebra, rng, p0, 1.0, 1.0)
+            d = corner_positive(algebra, rng, p0, 1.0, 1.0)[0]
         else:
-            d = corner_positive(algebra, rng, p0)
+            d = corner_positive(algebra, rng, p0)[0]
         rho0 = NormalFunctional(algebra, d / np.trace(d).real)
         u, v = (
             partial_isometry_onto(
-                algebra, rng, p0, equivalent_frames(rng, frames_of(algebra, p0)).projection
-            )
+                algebra, rng, p0, equivalent_frames(rng, frames_of(algebra, p0)).projection[0]
+            )[0]
             for _ in range(2)
         )
         report = degeneracy_kernel_check(rho0, u, v, DEFAULT_TOL)
@@ -660,17 +663,40 @@ class TestDegeneracy:
         # Haar eigenbases, with legs from the base's support.  The kernel is
         # twice the sum of the squared multiplicities of the positive values.
         algebra = BlockAlgebra(blocks)
-        rng = rng_for(62, len(blocks))
-        q = random_unitary(algebra, rng)
+        rng = Stream((62, len(blocks)), [0])
+        q = random_unitary(algebra, rng)[0]
         d = q @ np.diag(np.concatenate(spectra)).astype(complex) @ q.conj().T
         rho0 = NormalFunctional(algebra, d)
         p0 = functional_support(rho0, DEFAULT_TOL)
-        u, v = (random_unitary(algebra, rng) @ p0 for _ in range(2))
+        u, v = (random_unitary(algebra, rng)[0] @ p0 for _ in range(2))
         report = degeneracy_kernel_check(rho0, u, v)
         assert type(report.kernel_dimension) is int
         assert report.kernel_dimension == 2 * stabilizer
         assert report.dimension_residual == 0
         assert report.radical_pairing <= 1e-10
+
+    @pytest.mark.parametrize("shape", ["2,3", "12", "4,4,4,4"])
+    def test_counts_of_one_base_and_one_vector_are_ints(self, shape):
+        # Counts of one unstacked input are Python ints, as the types say,
+        # not NumPy integers; a stack keeps its arrays.
+        algebra = BlockAlgebra.from_string(shape)
+        ctx = suites.RowCtx(algebra, 1, 63, 0, DEFAULT_TOL)
+        d0, u, v = (x[0] for x in suites._draw_degeneracy(ctx, ctx.stream()))
+        rho0 = NormalFunctional(algebra, d0)
+        report = degeneracy_kernel_check(rho0, u, v)
+        [g] = suites._draw_dual_pair(ctx, ctx.stream())
+        pair = dual_pair_orthogonality_check(algebra, g[0])
+        counts = {
+            "stabilizer": stabilizer_lie_algebra(rho0, DEFAULT_TOL).dimension,
+            **{f: getattr(report, f) for f in (
+                "kernel_dimension", "expected_kernel_dimension", "tangent_dimension", "oracle")},
+            **{f"pair {f}": getattr(pair, f) for f in (
+                "dim_E", "dim_Eprime", "expected_dim_E", "expected_dim_Eprime", "oracle")},
+        }
+        assert {name: type(n) for name, n in counts.items()} == dict.fromkeys(counts, int)
+        stacked = degeneracy_kernel_check(NormalFunctional(algebra, d0[None]), u[None], v[None])
+        assert stacked.oracle.shape == stacked.expected_kernel_dimension.shape == (1,)
+        assert dual_pair_orthogonality_check(algebra, g).dim_E.shape == (1,)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DegenerateBase):
@@ -682,14 +708,15 @@ class TestDegeneracy:
 
     def test_orbit_form_invariance(self):
         for trial in range(30):
-            rng = rng_for(59, trial)
+            rng = Stream((59, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            rho0 = random_density(algebra, rng)
+            rho0 = random_density(algebra, rng)[0]
             from wstargeo import functional_support
 
             p0 = functional_support(rho0, DEFAULT_TOL)
             q = equivalent_frames(rng, frames_of(algebra, p0))
-            u = partial_isometry_onto(algebra, rng, p0, q.projection)
-            sample = orbit_form_sample(algebra, rng, u, p0, q)
-            coeff = rng.standard_normal(stabilizer_lie_algebra(rho0, DEFAULT_TOL).mask.shape[-1])
+            u = partial_isometry_onto(algebra, rng, p0, q.projection[0])[0]
+            sample = [x[0] for x in orbit_form_sample(algebra, rng, u, p0, q)]
+            width = stabilizer_lie_algebra(rho0, DEFAULT_TOL).mask.shape[-1]
+            coeff = rng.take("standard_normal", shape=(width,))[0]
             assert orbit_form_invariance_residual(rho0, u, *sample, coeff, DEFAULT_TOL) <= 1e-10

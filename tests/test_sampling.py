@@ -12,6 +12,7 @@ import scipy.linalg
 from wstargeo import BlockAlgebra, DEFAULT_TOL, frobenius, groupoids, linalg, poisson, sampling, suites
 from wstargeo.algebra import frame_columns
 from wstargeo.errors import NotPartiallyInvertible
+from wstargeo.sampling import rng_for
 
 M2 = BlockAlgebra((2,))
 M23 = BlockAlgebra((2, 3))
@@ -19,7 +20,9 @@ ALGEBRAS = [M2, M23, BlockAlgebra((1, 2, 2)), BlockAlgebra((4,))]
 
 
 def _family(algebra, rng):
-    return poisson.families_on(algebra, poisson.draw_family_data(algebra, rng), DEFAULT_TOL)[0]
+    """The family of a one-trial stream, unstacked."""
+    data = [x[0] for x in poisson.draw_family_data(algebra, rng)]
+    return poisson.families_on(algebra, data, DEFAULT_TOL)[0]
 
 
 def _blockwise_ranks(algebra, p):
@@ -29,22 +32,22 @@ def _blockwise_ranks(algebra, p):
 def _draws(algebra, seed):
     """(source, target, arrow, corner positive) from both entry points, on
     random ranks including empty and full blocks."""
-    rng = sampling.rng_for(seed)
+    rng = sampling.Stream((seed,), [0])
     f = sampling.random_frames(algebra, rng)
     g = sampling.equivalent_frames(rng, f)
     yield (
-        f.projection,
-        g.projection,
-        sampling.isometry_between(rng, f, g),
-        sampling.positive_on(rng, f, 0.25, 3.0),
+        f.projection[0],
+        g.projection[0],
+        sampling.isometry_between(rng, f, g)[0],
+        sampling.positive_on(rng, f, 0.25, 3.0)[0],
     )
-    p = sampling.random_projection(algebra, rng)
-    q = sampling.equivalent_frames(rng, sampling.frames_of(algebra, p)).projection
+    p = sampling.random_projection(algebra, rng)[0]
+    q = sampling.equivalent_frames(rng, sampling.frames_of(algebra, p)).projection[0]
     yield (
         p,
         q,
-        sampling.partial_isometry_onto(algebra, rng, p, q),
-        sampling.corner_positive(algebra, rng, p, 0.25, 3.0),
+        sampling.partial_isometry_onto(algebra, rng, p, q)[0],
+        sampling.corner_positive(algebra, rng, p, 0.25, 3.0)[0],
     )
 
 
@@ -67,25 +70,25 @@ class TestFrameSamplers:
     @pytest.mark.parametrize("algebra", ALGEBRAS, ids=lambda a: str(a.blocks))
     def test_blockwise_ranks(self, algebra):
         for seed in range(12):
-            rng = sampling.rng_for(seed)
-            f = sampling.random_frames(algebra, rng)
+            rng = sampling.Stream((seed,), [0])
+            f = sampling.random_frames(algebra, rng)[0]
             assert sum(f.ranks) > 0
             assert _blockwise_ranks(algebra, f.projection) == f.ranks
             for frame, n, r in zip(f.blocks, algebra.blocks, f.ranks):
                 assert frame.shape == (n, r)
                 assert frobenius(frame.conj().T @ frame - np.eye(r)) <= 1e-12
-            assert sampling.equivalent_frames(rng, f).ranks == f.ranks
+            assert sampling.equivalent_frames(rng, f)[0].ranks == f.ranks
             assert sampling.frames_of(algebra, f.projection).ranks == f.ranks
             if min(algebra.blocks) >= 2:
-                inner = sampling.random_frames(algebra, rng, allow_zero=False, allow_full=False)
+                inner = sampling.random_frames(algebra, rng, allow_zero=False, allow_full=False)[0]
                 assert all(0 < r < n for r, n in zip(inner.ranks, algebra.blocks))
-            p = sampling.random_projection(algebra, rng, ranks=f.ranks)
+            p = sampling.random_projection(algebra, rng, ranks=f.ranks)[0]
             assert _blockwise_ranks(algebra, p) == f.ranks
-            q = sampling.equivalent_frames(rng, sampling.frames_of(algebra, p)).projection
+            q = sampling.equivalent_frames(rng, sampling.frames_of(algebra, p)).projection[0]
             assert _blockwise_ranks(algebra, q) == f.ranks
 
     def test_rank_checks(self):
-        rng = sampling.rng_for(1)
+        rng = sampling.Stream((1,), [0])
         with pytest.raises(ValueError):
             sampling.random_frames(M23, rng, ranks=(3, 1))
         f = sampling.random_frames(M23, rng, ranks=(1, 1))
@@ -96,12 +99,12 @@ class TestFrameSamplers:
     def test_full_rank_arrows_are_random(self):
         # A full block has the identity frame; the corner unitary must still
         # randomize the arrow there.
-        full = sampling.random_frames(M2, sampling.rng_for(0), ranks=(2,))
-        arrows = [sampling.isometry_between(sampling.rng_for(s), full, full) for s in (1, 2)]
+        full = sampling.random_frames(M2, sampling.Stream((0,), [0]), ranks=(2,))
+        arrows = [sampling.isometry_between(sampling.Stream((s,), [0]), full, full)[0] for s in (1, 2)]
         assert frobenius(arrows[0] - arrows[1]) > 0.1
         one = M2.identity()
         arrows = [
-            sampling.partial_isometry_onto(M2, sampling.rng_for(s), one, one) for s in (1, 2)
+            sampling.partial_isometry_onto(M2, sampling.Stream((s,), [0]), one, one)[0] for s in (1, 2)
         ]
         assert frobenius(arrows[0] - arrows[1]) > 0.1
 
@@ -110,15 +113,15 @@ class TestFrameSamplers:
             raise AssertionError("a sampler diagonalised a projection")
 
         monkeypatch.setattr(sampling, "frames_of", refuse)
-        rng = sampling.rng_for(3)
+        rng = sampling.Stream((3,), [0])
         for tag in groupoids.GROUPOIDS:
             groupoids.composable_chain(tag, M23, rng, 3)
         poisson.draw_family_data(M23, rng)
         sampling.density_on(rng, sampling.random_frames(M23, rng))
 
     def test_complex_normal_is_one_interleaved_draw(self):
-        z = sampling.complex_normal(sampling.rng_for(4), (3, 2), 0.5)
-        parts = np.random.default_rng([4]).normal(0.0, 0.5, (3, 2, 2))
+        z = sampling.complex_normal(sampling.Stream((4,), [0]), (3, 2), 0.5)[0]
+        parts = np.random.default_rng([4, 0]).normal(0.0, 0.5, (1, 3, 2, 2))[0]
         assert z.shape == (3, 2)
         assert np.array_equal(z.real, parts[..., 0])
         assert np.array_equal(z.imag, parts[..., 1])
@@ -137,18 +140,26 @@ class TestRngFor:
             sampling.rng_for(1, -1)
 
 
-# The per-block samplers, as the reference for the stream and the values:
+# The per-block samplers, as the reference for the slots and the values:
+# each reads the slots of a one-trial stream in turn, block by block.
 
 
-# The per-block samplers, as the reference for the values: each reads the
-# slots of one generator as the one-trial adapter draws them, block by
-# block.
+class _Slots:
+    """The slots of the one-trial stream keyed ``key``: slot ``j`` is read
+    from ``rng_for(*key, j)``, and ``read`` keeps the keys read."""
+
+    def __init__(self, key: tuple):
+        self.key, self.read = key, []
+
+    def __call__(self) -> np.random.Generator:
+        self.read.append((*self.key, len(self.read)))
+        return rng_for(*self.read[-1])
 
 
 def _block_gaussians(algebra, ref, scale=1.0) -> list:
     """Each block's complex Gaussian, from one slot of ``ref``."""
     sizes = [n * n for n in algebra.blocks]
-    z = ref.normal(0.0, scale, (1, sum(sizes), 2)).view(complex)[0, :, 0]
+    z = ref().normal(0.0, scale, (1, sum(sizes), 2)).view(complex)[0, :, 0]
     parts = np.split(z, np.cumsum(sizes)[:-1])
     return [part.reshape(n, n) for part, n in zip(parts, algebra.blocks)]
 
@@ -156,7 +167,7 @@ def _block_gaussians(algebra, ref, scale=1.0) -> list:
 def _per_block_frames(algebra, ref, ranks=None):
     if ranks is None:
         m = len(algebra.blocks)
-        draw = ref.integers([0] * (m + 1), [n + 1 for n in algebra.blocks] + [m], size=(1, m + 1))[0]
+        draw = ref().integers([0] * (m + 1), [n + 1 for n in algebra.blocks] + [m], size=(1, m + 1))[0]
         ranks = draw[:m].tolist()
         if sum(ranks) == 0:
             ranks[int(draw[m])] = 1
@@ -174,7 +185,7 @@ def _corner_haar(algebra, ref, ranks) -> list:
 
 def _per_block_positive(algebra, ref, frames):
     ws = _corner_haar(algebra, ref, [f.shape[1] for f in frames])
-    vals = ref.uniform(0.5, 2.0, (1, algebra.dim))[0]
+    vals = ref().uniform(0.5, 2.0, (1, algebra.dim))[0]
     mats = []
     for s, f, w in zip(algebra.slices, frames, ws):
         fw = f @ w
@@ -195,6 +206,13 @@ class TestOneQRPerDraw:
     values up to rounding."""
 
     @pytest.fixture
+    def taken(self, monkeypatch):
+        """The keys of the slot generators the stream makes."""
+        keys = []
+        monkeypatch.setattr(sampling, "rng_for", lambda *key: keys.append(key) or rng_for(*key))
+        return keys
+
+    @pytest.fixture
     def qr_calls(self, monkeypatch):
         calls = []
         real = sampling.phase_fixed_q
@@ -213,18 +231,20 @@ class TestOneQRPerDraw:
     @pytest.mark.parametrize(
         "algebra", [M23, BlockAlgebra((1, 2, 2)), BlockAlgebra((4, 4, 4, 4))], ids=lambda a: str(a.blocks)
     )
-    def test_against_per_block_draws(self, qr_calls, algebra):
+    def test_against_per_block_draws(self, qr_calls, taken, algebra):
         for key in range(12):
-            rng, ref = sampling.rng_for(70, key), sampling.rng_for(70, key)
+            rng, ref = sampling.Stream((70, key), [0]), _Slots((70, key))
+            taken.clear()
 
             def drawn(value, want):
                 # at most one QR, the same slots, the per-block values
                 assert len(qr_calls) <= 1
                 qr_calls.clear()
-                assert rng.bit_generator.state == ref.bit_generator.state
+                assert taken == ref.read
                 assert frobenius(value - want) <= 1e-13
 
             def check_frames(f, blocks):
+                f = f[0]
                 off = f.matrix.copy()
                 for s, r in zip(algebra.slices, f.ranks):
                     off[s, s.start : s.start + r] = 0.0
@@ -237,18 +257,18 @@ class TestOneQRPerDraw:
             fb = _per_block_frames(algebra, ref)
             check_frames(f, fb)
             g = sampling.equivalent_frames(rng, f)
-            gb = _per_block_frames(algebra, ref, f.ranks)
+            gb = _per_block_frames(algebra, ref, f[0].ranks)
             check_frames(g, gb)
             u = sampling.isometry_between(rng, f, g)
-            ws = _corner_haar(algebra, ref, f.ranks)
-            drawn(u, _assembled(algebra, [t @ w @ s.conj().T for s, t, w in zip(fb, gb, ws)]))
+            ws = _corner_haar(algebra, ref, f[0].ranks)
+            drawn(u[0], _assembled(algebra, [t @ w @ s.conj().T for s, t, w in zip(fb, gb, ws)]))
             h = sampling.positive_on(rng, f)
-            drawn(h, _assembled(algebra, _per_block_positive(algebra, ref, fb)))
+            drawn(h[0], _assembled(algebra, _per_block_positive(algebra, ref, fb)))
             w = sampling.random_unitary(algebra, rng)
-            drawn(w, _assembled(algebra, [linalg.phase_fixed_q(b) for b in _block_gaussians(algebra, ref)]))
+            drawn(w[0], _assembled(algebra, [linalg.phase_fixed_q(b) for b in _block_gaussians(algebra, ref)]))
             x = sampling.random_element(algebra, rng)
-            drawn(x, _assembled(algebra, _block_gaussians(algebra, ref, 0.5**0.5)))
-            for y in (u, h, w, x):
+            drawn(x[0], _assembled(algebra, _block_gaussians(algebra, ref, 0.5**0.5)))
+            for y in (u[0], h[0], w[0], x[0]):
                 # exactly zero off the blocks
                 assert np.array_equal(y, _assembled(algebra, algebra.block_views(y)))
 
@@ -257,7 +277,7 @@ class TestFamilyExponentials:
     def test_curves_match_expm(self, algebra):
         expm = scipy.linalg.expm
         for seed in range(4):
-            fam = _family(algebra, sampling.rng_for(60, seed))
+            fam = _family(algebra, sampling.Stream((60, seed), [0]))
             for t in (1e-3, -1e-3, 0.3, -0.3):
                 e_h2 = expm(t * fam.h2)
                 refs = (
@@ -269,7 +289,7 @@ class TestFamilyExponentials:
                     assert frobenius(got - ref) <= 1e-13
 
     def test_each_point_evaluated_once(self, monkeypatch):
-        fam = _family(M23, sampling.rng_for(61))
+        fam = _family(M23, sampling.Stream((61,), [0]))
         times = []
         real = poisson.ComposableFamily._exp
         monkeypatch.setattr(
@@ -539,7 +559,7 @@ class TestFrameColumns:
         assert attempts == [12, 6]
         for frames in [
             f,
-            sampling.random_frames(algebra, sampling.rng_for(75)),
+            sampling.random_frames(algebra, sampling.Stream((75,), [0]))[0],
             sampling.equivalent_frames(rng, f),
             sampling.frames_of(algebra, prescribed.projection),
             sampling.frames_of(algebra, prescribed.projection[0]),

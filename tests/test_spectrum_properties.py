@@ -46,10 +46,10 @@ def planted(draw):
 
 
 def _density(algebra, values, seed):
-    rng = np.random.default_rng(seed)
+    rng = sampling.Stream((seed,), [0])
     mats = []
     for n, w in zip(algebra.blocks, values):
-        v = sampling.random_unitary(BlockAlgebra((n,)), rng)
+        v = sampling.random_unitary(BlockAlgebra((n,)), rng)[0]
         mats.append((v * w) @ v.conj().T)
     d = algebra.embed_blocks(mats)
     return (d + d.conj().T) / 2.0

@@ -47,7 +47,7 @@ from wstargeo.sampling import (
     random_density,
     random_element,
     random_projection,
-    rng_for,
+    Stream,
 )
 
 M2 = BlockAlgebra((2,))
@@ -70,14 +70,14 @@ def null_space_rows(a, tol=DEFAULT_TOL):
 
 def composable_coadjoint_pair(algebra, rng):
     """Two coadjoint arrows with source(first) = target(second)."""
-    q2 = random_projection(algebra, rng, allow_zero=False)
-    d2 = corner_positive(algebra, rng, q2)
-    q1 = equivalent_frames(rng, frames_of(algebra, q2)).projection
-    u2 = partial_isometry_onto(algebra, rng, q2, q1)
+    q2 = random_projection(algebra, rng, allow_zero=False)[0]
+    d2 = corner_positive(algebra, rng, q2)[0]
+    q1 = equivalent_frames(rng, frames_of(algebra, q2)).projection[0]
+    u2 = partial_isometry_onto(algebra, rng, q2, q1)[0]
     rho2 = NormalFunctional(algebra, d2)
     rho1 = NormalFunctional(algebra, u2 @ d2 @ u2.conj().T)
-    q0 = equivalent_frames(rng, frames_of(algebra, q1)).projection
-    u1 = partial_isometry_onto(algebra, rng, q1, q0)
+    q0 = equivalent_frames(rng, frames_of(algebra, q1)).projection[0]
+    u1 = partial_isometry_onto(algebra, rng, q1, q0)[0]
     return CoadjointArrow(u1, rho1), CoadjointArrow(u2, rho2)
 
 
@@ -85,14 +85,14 @@ class TestVectorStructure:
     def test_symplectic_form_oracle(self):
         assert abs(symplectic_omega(np.array([[1.0]]), np.array([[1.0j]])) - 2.0) <= 1e-12
         # antisymmetry and reality on random pairs
-        rng = rng_for(30)
-        x = random_element(M23, rng)
-        y = random_element(M23, rng)
+        rng = Stream((30,), [0])
+        x = random_element(M23, rng)[0]
+        y = random_element(M23, rng)[0]
         assert abs(symplectic_omega(x, y) + symplectic_omega(y, x)) <= 1e-12
 
     def test_conjugation_and_split(self):
-        rng = rng_for(31)
-        g = random_element(M2, rng)
+        rng = Stream((31,), [0])
+        g = random_element(M2, rng)[0]
         assert frobenius(conjugation_J(g) - g.conj().T) == 0.0
         # J-fixed and J-anti-fixed parts
         plus = 0.5 * (g + conjugation_J(g))
@@ -140,11 +140,11 @@ class TestStandardGroupoid:
 
     def test_unit_absorbs(self):
         for trial in range(50):
-            rng = rng_for(32, trial)
-            q1 = random_projection(M23, rng, allow_zero=False)
-            q0 = equivalent_frames(rng, frames_of(M23, q1)).projection
-            u = partial_isometry_onto(M23, rng, q1, q0)
-            h = corner_positive(M23, rng, q1)
+            rng = Stream((32, trial), [0])
+            q1 = random_projection(M23, rng, allow_zero=False)[0]
+            q0 = equivalent_frames(rng, frames_of(M23, q1)).projection[0]
+            u = partial_isometry_onto(M23, rng, q1, q0)[0]
+            h = corner_positive(M23, rng, q1)[0]
             g = u @ h
             left_unit = std_unit(expectation_E(M23, g), DEFAULT_TOL)
             right_unit = std_unit(expectation_Eprime(M23, g), DEFAULT_TOL)
@@ -171,7 +171,7 @@ class TestCoadjointIsomorphism:
 
     def test_intertwining_random(self):
         for trial in range(100):
-            rng = rng_for(33, trial)
+            rng = Stream((33, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
             a, b = composable_coadjoint_pair(algebra, rng)
             assert phi_intertwining_residual(algebra, a, b, DEFAULT_TOL) <= 1e-10
@@ -188,14 +188,14 @@ class TestActions:
 
     def test_transport_witness_random(self):
         for trial in range(50):
-            rng = rng_for(34, trial)
-            q1 = random_projection(M23, rng, allow_zero=False)
-            q0 = equivalent_frames(rng, frames_of(M23, q1)).projection
-            u = partial_isometry_onto(M23, rng, q1, q0)
-            g1 = u @ corner_positive(M23, rng, q1)
+            rng = Stream((34, trial), [0])
+            q1 = random_projection(M23, rng, allow_zero=False)[0]
+            q0 = equivalent_frames(rng, frames_of(M23, q1)).projection[0]
+            u = partial_isometry_onto(M23, rng, q1, q0)[0]
+            g1 = u @ corner_positive(M23, rng, q1)[0]
             v = partial_isometry_onto(
-                M23, rng, q0, equivalent_frames(rng, frames_of(M23, q0)).projection
-            )
+                M23, rng, q0, equivalent_frames(rng, frames_of(M23, q0)).projection[0]
+            )[0]
             g2 = v @ g1
             w = transport_witness(g1, g2, DEFAULT_TOL)
             assert frobenius(w @ g1 - g2) <= 1e-9
@@ -228,11 +228,11 @@ class TestDualPair:
         assert report.dimension_residual == 0
 
     def test_kernel_members_satisfy_constraints(self):
-        rng = rng_for(35)
-        q = random_projection(M23, rng, allow_zero=False)
+        rng = Stream((35,), [0])
+        q = random_projection(M23, rng, allow_zero=False)[0]
         g = partial_isometry_onto(
-            M23, rng, q, equivalent_frames(rng, frames_of(M23, q)).projection
-        ) @ corner_positive(M23, rng, q)
+            M23, rng, q, equivalent_frames(rng, frames_of(M23, q)).projection[0]
+        )[0] @ corner_positive(M23, rng, q)[0]
         mu = supports(g, DEFAULT_TOL)[0]
         for delta in fiber_kernel_E(M23, g, DEFAULT_TOL):
             assert frobenius(delta @ g.conj().T + g @ delta.conj().T) <= 1e-9
@@ -265,18 +265,18 @@ class TestDualPair:
     def _dual_pair_points(algebra, rng):
         """A Gaussian point, a rank-deficient point and, with more than one
         block, a Gaussian point with its first block set to zero."""
-        points = [random_element(algebra, rng)]
+        points = [random_element(algebra, rng)[0]]
         q = random_projection(
             algebra, rng, ranks=tuple(n - 1 for n in algebra.blocks[:-1]) + (1,)
-        )
+        )[0]
         points.append(
             partial_isometry_onto(
-                algebra, rng, q, equivalent_frames(rng, frames_of(algebra, q)).projection
-            )
-            @ corner_positive(algebra, rng, q)
+                algebra, rng, q, equivalent_frames(rng, frames_of(algebra, q)).projection[0]
+            )[0]
+            @ corner_positive(algebra, rng, q)[0]
         )
         if len(algebra.blocks) > 1:
-            g = random_element(algebra, rng)
+            g = random_element(algebra, rng)[0]
             g[algebra.slices[0], algebra.slices[0]] = 0.0
             points.append(g)
         return points
@@ -284,7 +284,7 @@ class TestDualPair:
     @pytest.mark.parametrize("blocks", [(2, 3), (4,), (2, 2, 1)])
     def test_blockwise_kernels_match_ambient_reference(self, blocks):
         algebra = BlockAlgebra(blocks)
-        for g in self._dual_pair_points(algebra, rng_for(39, len(blocks))):
+        for g in self._dual_pair_points(algebra, Stream((39, len(blocks)), [0])):
             mu = supports(g, DEFAULT_TOL)[0]
             mu_p = supports(conjugation_J(g), DEFAULT_TOL)[0]
             pairs = [
@@ -318,14 +318,14 @@ class TestDualPair:
     def test_orthogonality_matches_pairwise_loop(self, blocks):
         algebra = BlockAlgebra(blocks)
         for trial in range(3):
-            rng = rng_for(37, sum(blocks), trial)
+            rng = Stream((37, sum(blocks), trial), [0])
             if trial == 0:
-                g = random_element(algebra, rng)
+                g = random_element(algebra, rng)[0]
             else:
-                q = random_projection(algebra, rng, allow_zero=False)
+                q = random_projection(algebra, rng, allow_zero=False)[0]
                 g = partial_isometry_onto(
-                    algebra, rng, q, equivalent_frames(rng, frames_of(algebra, q)).projection
-                ) @ corner_positive(algebra, rng, q)
+                    algebra, rng, q, equivalent_frames(rng, frames_of(algebra, q)).projection[0]
+                )[0] @ corner_positive(algebra, rng, q)[0]
             report = dual_pair_orthogonality_check(algebra, g, DEFAULT_TOL)
             ker_e = fiber_kernel_E(algebra, g, DEFAULT_TOL)
             ker_ep = fiber_kernel_Eprime(algebra, g, DEFAULT_TOL)
@@ -339,11 +339,8 @@ class TestDualPair:
         # report it gets alone: the first vector's oracles add exactly 0
         # where they pass.  A zero vector is refused by its place.
         algebra = BlockAlgebra(blocks)
-        rng = rng_for(38, len(blocks))
-        g = np.stack([
-            random_element(algebra, rng) @ random_projection(algebra, rng, allow_zero=False)
-            for _ in range(10)
-        ])
+        rng = Stream((38, len(blocks)), range(10))
+        g = random_element(algebra, rng) @ random_projection(algebra, rng, allow_zero=False)
         alone = [vars(dual_pair_orthogonality_check(algebra, v, DEFAULT_TOL)) for v in g]
         assert len({r["dim_E"] for r in alone}) > 1
         report = vars(dual_pair_orthogonality_check(algebra, g, DEFAULT_TOL))
@@ -372,16 +369,16 @@ class TestTomita:
     def test_closure_relation(self):
         # S(x Omega) = x* Omega for the canonical vector Omega = d^{1/2}
         for trial in range(50):
-            rng = rng_for(36, trial)
+            rng = Stream((36, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            phi = random_density(algebra, rng)
+            phi = random_density(algebra, rng)[0]
             omega = std_unit(phi, DEFAULT_TOL)
-            x = random_element(algebra, rng)
+            x = random_element(algebra, rng)[0]
             lhs = tomita_S(phi, x @ omega, DEFAULT_TOL)
             rhs = x.conj().T @ omega
             assert frobenius(lhs - rhs) <= 1e-9 * (1.0 + frobenius(rhs))
             # S is an involution and factors as J Delta^{1/2}
-            g = random_element(algebra, rng)
+            g = random_element(algebra, rng)[0]
             s = tomita_S(phi, g, DEFAULT_TOL)
             assert frobenius(tomita_S(phi, s, DEFAULT_TOL) - g) <= 1e-8 * (1.0 + frobenius(g))
             assert frobenius(
@@ -548,30 +545,30 @@ class TestModularFlow:
         with pytest.raises(NotFaithful):
             modular_flow(phi, 0.3, DEFAULT_TOL)
         with pytest.raises(NotFaithful):
-            flow_residuals(phi, 0.3, *flow_sample(M2, rng_for(39)), DEFAULT_TOL)
+            flow_residuals(phi, 0.3, *(x[0] for x in flow_sample(M2, Stream((39,), [0]))), DEFAULT_TOL)
 
     def test_fixes_canonical_vector(self):
-        phi = random_density(M23, rng_for(37))
+        phi = random_density(M23, Stream((37,), [0]))[0]
         omega = std_unit(phi, DEFAULT_TOL)
         for t in (0.3, -1.7):
             assert frobenius(modular_flow(phi, t, DEFAULT_TOL)(omega) - omega) <= 1e-9
 
     def test_group_law_and_zero_time(self):
-        rng = rng_for(38)
-        phi = random_density(M2, rng)
-        g = random_element(M2, rng)
+        rng = Stream((38,), [0])
+        phi = random_density(M2, rng)[0]
+        g = random_element(M2, rng)[0]
         assert frobenius(modular_flow(phi, 0.0, DEFAULT_TOL)(g) - g) <= 1e-12
         one_step = modular_flow(phi, 0.7, DEFAULT_TOL)(modular_flow(phi, 0.5, DEFAULT_TOL)(g))
         direct = modular_flow(phi, 1.2, DEFAULT_TOL)(g)
         assert frobenius(one_step - direct) <= 1e-9
 
     def test_automorphism_report(self):
-        rng = rng_for(39)
+        rng = Stream((39,), [0])
         for algebra in (M2, M23):
-            phi = random_density(algebra, rng)
+            phi = random_density(algebra, rng)[0]
             for t in (0.0, 0.3, -1.7):
                 for k in range(10):
-                    sample = flow_sample(algebra, rng_for(39, k))
+                    sample = [x[0] for x in flow_sample(algebra, Stream((39, k), [0]))]
                     residuals = flow_residuals(phi, t, *sample, DEFAULT_TOL)
                     assert set(residuals) == FLOW_RESIDUALS
                     assert max(residuals.values()) <= 1e-9, (t, k, residuals)
@@ -587,40 +584,32 @@ class TestStackedFlow:
 
     TIMES = (0.0, 0.3, -0.3, 1.7, -1.7, 0.5, -1.3, 2.2, 0.0, -0.7, 1.1, 0.9)
 
-    @staticmethod
-    def _stack(items):
-        return np.stack(list(items))
-
     def _trials(self, algebra, count, seed):
-        """``count`` trials of a density, a flow time and a flow sample."""
-        rngs = [rng_for(seed, k) for k in range(count)]
-        phis = [random_density(algebra, rng) for rng in rngs]
-        samples = [flow_sample(algebra, rng) for rng in rngs]
-        return phis, self.TIMES[:count], samples
+        """``count`` trials of a density, a flow time and a flow sample: the
+        stacked functional, the times and the sample's stacks."""
+        rng = Stream((seed,), range(count))
+        return random_density(algebra, rng), self.TIMES[:count], flow_sample(algebra, rng)
 
     @pytest.mark.parametrize("blocks", STACK_SHAPES)
     def test_flow_at_a_time_per_density(self, blocks):
         algebra = BlockAlgebra(blocks)
         phis, times, samples = self._trials(algebra, 12, 50)
-        stacked = NormalFunctional(algebra, self._stack(p.density for p in phis))
-        xs = self._stack(sample[3] for sample in samples)
-        flowed = modular_flow(stacked, np.array(times), DEFAULT_TOL)(xs)
-        for k, (phi, t) in enumerate(zip(phis, times)):
-            alone = modular_flow(phi, t, DEFAULT_TOL)(xs[k])
+        xs = samples[3]
+        flowed = modular_flow(phis, np.array(times), DEFAULT_TOL)(xs)
+        for k, t in enumerate(times):
+            alone = modular_flow(phis[k], t, DEFAULT_TOL)(xs[k])
             assert flowed[k].tobytes() == alone.tobytes(), k
 
     @pytest.mark.parametrize("blocks", STACK_SHAPES)
     def test_stacked_check_is_the_check_per_trial(self, blocks):
         algebra = BlockAlgebra(blocks)
         phis, times, samples = self._trials(algebra, 12, 51)
-        stacked = NormalFunctional(algebra, self._stack(p.density for p in phis))
-        parts = [self._stack(part) for part in zip(*samples)]
-        got = flow_residuals(stacked, np.array(times), *parts, DEFAULT_TOL)
+        got = flow_residuals(phis, np.array(times), *samples, DEFAULT_TOL)
         assert set(got) == FLOW_RESIDUALS
-        for k, (phi, t, sample) in enumerate(zip(phis, times, samples)):
-            one = NormalFunctional(algebra, phi.density[None])
-            single = flow_residuals(one, np.array([t]), *(m[None] for m in sample), DEFAULT_TOL)
-            alone = flow_residuals(phi, t, *sample, DEFAULT_TOL)
+        for k, t in enumerate(times):
+            one = NormalFunctional(algebra, phis.density[k, None])
+            single = flow_residuals(one, np.array([t]), *(m[k, None] for m in samples), DEFAULT_TOL)
+            alone = flow_residuals(phis[k], t, *(m[k] for m in samples), DEFAULT_TOL)
             for key, values in got.items():
                 assert values.shape == (12,)
                 assert values[k].tobytes() == single[key][0].tobytes(), (k, key)
@@ -632,7 +621,7 @@ class TestStackedFlow:
     def test_a_density_that_is_not_faithful_names_its_trial(self, blocks):
         algebra = BlockAlgebra(blocks)
         phis, times, samples = self._trials(algebra, 10, 52)
-        densities = self._stack(p.density for p in phis)
+        densities = phis.density.copy()
         # Trial 7's density loses the smallest eigenvalue of its first
         # block: still positive, no longer faithful.
         s = algebra.slices[0]
@@ -640,9 +629,8 @@ class TestStackedFlow:
         w[0] = 0.0
         densities[7, s, s] = (v * w) @ v.conj().T
         stacked = NormalFunctional(algebra, densities)
-        parts = [self._stack(part) for part in zip(*samples)]
         with pytest.raises(NotFaithful, match="at trial 7$"):
-            flow_residuals(stacked, np.array(times), *parts, DEFAULT_TOL)
+            flow_residuals(stacked, np.array(times), *samples, DEFAULT_TOL)
 
 
 class TestOneSpectrum:
@@ -667,8 +655,8 @@ class TestOneSpectrum:
         return calls
 
     def test_modular_operations_share_one_decomposition(self, monkeypatch):
-        phi = random_density(M23, rng_for(40))
-        g = random_element(M23, rng_for(40, 1))
+        phi = random_density(M23, Stream((40,), [0]))[0]
+        g = random_element(M23, Stream((40, 1), [0]))[0]
         calls = self._count_eig(monkeypatch, phi)
         tomita_S(phi, g, DEFAULT_TOL)
         modular_Delta(phi, g, 0.5, DEFAULT_TOL)
@@ -677,7 +665,7 @@ class TestOneSpectrum:
         assert calls == [0, 1]
 
     def test_flow_residuals_decompose_the_density_once(self, monkeypatch):
-        phi = random_density(M23, rng_for(41))
+        phi = random_density(M23, Stream((41,), [0]))[0]
         calls = self._count_eig(monkeypatch, phi)
-        flow_residuals(phi, 0.3, *flow_sample(M23, rng_for(41, 1)), DEFAULT_TOL)
+        flow_residuals(phi, 0.3, *(x[0] for x in flow_sample(M23, Stream((41, 1), [0]))), DEFAULT_TOL)
         assert [c for c in calls if c is not None] == [0, 1]

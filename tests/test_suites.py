@@ -783,10 +783,12 @@ class TestSampleWithRetry:
 
 class TestHaarUnitary:
     def test_unitary_and_blockwise(self):
-        u = sampling.random_unitary(M23, sampling.rng_for(5))
+        # Each block is the Haar factor of its own block of the one Gaussian
+        # that the stream's slot 0 holds.
+        u = sampling.random_unitary(M23, sampling.Stream((5,), [0]))[0]
         assert np.allclose(u @ u.conj().T, np.eye(M23.dim), atol=1e-12)
-        rng = sampling.rng_for(5)
-        blocks = [sampling.random_unitary(BlockAlgebra((n,)), rng) for n in M23.blocks]
+        g = sampling.random_element(M23, sampling.Stream((5,), [0]), np.sqrt(2.0))[0]
+        blocks = [linalg.phase_fixed_q(b) for b in M23.block_views(g)]
         assert np.array_equal(u, M23.embed_blocks(blocks))
 
 
