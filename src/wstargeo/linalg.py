@@ -45,9 +45,8 @@ frames of a projection.
 This is the only module that factorizes a matrix.  It calls the LAPACK
 drivers through the gufuncs that ``numpy.linalg`` itself dispatches to
 (``numpy.linalg._umath_linalg``), without NumPy's per-call wrapper:
-``svd_f``/``svd_s``/``svd`` (``?gesdd``, full, thin and values only) for
-singular values and vectors (:func:`svd`, :func:`singular_values`,
-:func:`right_singular`), ``eigh_lo``/
+``svd_f``/``svd`` (``?gesdd``, full and values only) for singular values
+and vectors (:func:`svd`, :func:`singular_values`), ``eigh_lo``/
 ``eigvalsh_lo`` (``?heevd`` on the lower triangle) for Hermitian spectra
 (:func:`hermitian_eig`, :func:`hermitian_eigvals`, and the unitary
 :func:`exp_antihermitian` of an anti-Hermitian matrix), and ``qr_r_raw``
@@ -290,12 +289,9 @@ def _real_or_complex(a: np.ndarray) -> np.ndarray:
 
 def _gesdd(a: np.ndarray, compute_uv: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD (or, with ``compute_uv=0``, singular values only, ``u`` and
-    ``vh`` ``None``) of a float64 or complex128 matrix through ``?gesdd``.
-    A tall matrix gets the thin SVD, ``u`` with one column per singular
-    value: its ``s`` and ``vh`` are the full SVD's, bit for bit."""
+    ``vh`` ``None``) of a float64 or complex128 matrix through ``?gesdd``."""
     if compute_uv:
-        thin = a.shape[-2] > a.shape[-1]
-        u, s, vh = (_umath_linalg.svd_s if thin else _umath_linalg.svd_f)(a)
+        u, s, vh = _umath_linalg.svd_f(a)
     else:
         u, s, vh = None, _umath_linalg.svd(a), None
     return u, _checked(s, "gesdd"), vh
@@ -386,15 +382,6 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     """Singular values, descending, of a matrix of any shape; real input
     uses the real driver.  ``singular_values(a)[0]`` is the operator norm."""
     return _gesdd(_real_or_complex(a), 0)[1]
-
-
-def right_singular(a: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> tuple[np.ndarray, object]:
-    """The right singular vectors ``vh`` of a matrix of any shape, or of each
-    matrix of a stack, and its floored rank (:func:`floored_rank`): the
-    orthonormal rows ``vh[rank:]`` span the numerical kernel of ``a``, in the
-    sense ``a @ r.conj() = 0``.  Real input gives real rows."""
-    _, s, vh = _gesdd(_real_or_complex(a), 1)
-    return vh, floored_rank(s, tol)
 
 
 def realified(units: np.ndarray) -> np.ndarray:

@@ -49,6 +49,7 @@ from .linalg import (
     ToleranceProfile,
     as_count,
     excess,
+    floored_rank,
     frobenius,
     gram_defect,
     herm,
@@ -59,7 +60,7 @@ from .linalg import (
     _retained,
     realified_rank,
     refuse,
-    right_singular,
+    singular_values,
     supports,
     svd,
     unitarity_defect,
@@ -269,37 +270,36 @@ def _coordinate_defect(sigma: np.ndarray, kept: np.ndarray, scale) -> tuple[np.n
     return np.max(defect, axis=-1, initial=0.0), within
 
 
-def _ambient_kernels(g: np.ndarray, mu: np.ndarray, mu_j: np.ndarray, tol: ToleranceProfile):
-    """The kernels of E and E' at one block ``g`` with left and right
-    momenta ``mu`` and ``mu_j``: the null spaces of the conditions realified
-    on the block's ``2 n^2`` real matrix units, E' as J of E at ``g*``, from
-    one stacked SVD."""
+def _ambient_nullity(g: np.ndarray, mu: np.ndarray, mu_j: np.ndarray, tol: ToleranceProfile):
+    """The dimensions of the kernels of E and E' at one block ``g`` with left
+    and right momenta ``mu`` and ``mu_j``: the nullities of the conditions
+    realified on the block's ``2 n^2`` real matrix units, E' as E at ``g*``,
+    from the singular values of one stack."""
     n = g.shape[-1]
     d = np.concatenate([np.eye(n * n), 1j * np.eye(n * n)]).reshape(-1, n, n)
     h, m = np.stack([g, g.conj().T])[:, None], np.stack([mu, mu_j])[:, None]
     c = np.concatenate([d @ h.conj().mT + h @ d.conj().mT, m @ d - d], axis=-2)
-    vh, rank = right_singular(np.concatenate([c.real, c.imag], -2).reshape(2, len(d), -1).mT, tol)
-    e, e_j = (np.tensordot(v[r:], d, axes=1) for v, r in zip(vh, rank))
-    return e, conjugation_J(e_j)
+    s = singular_values(np.concatenate([c.real, c.imag], -2).reshape(2, len(d), -1))
+    return len(d) - floored_rank(s, tol)
 
 
 def _kernel_oracle(algebra: BlockAlgebra, g, mu, mu_j, kernels, tol: ToleranceProfile):
     """How far the ``kernels`` of one vector (:func:`_pair_kernels`) are from
-    those of :func:`_ambient_kernels`, which share no factorization with
-    them: per side, the ambient dimension against the kernel's length, its
-    rank, and the rank of both together.  And the largest defect of their
-    directions in their equations (relative to the norm of ``g``) and from
-    orthonormal, plus omega between the two kernels."""
-    ambient = [_ambient_kernels(g[s, s], mu[s, s], mu_j[s, s], tol) for s in algebra.slices]
-    defect = 0
-    for side, ours in enumerate(kernels):
-        ref = algebra.embed_stacks(zip(algebra.slices, (a[side] for a in ambient)))
-        ranks = [realified_rank(k, tol) for k in (ours, np.concatenate([ours, ref]))]
-        defect += sum(abs(m - len(ref)) for m in (len(ours), *ranks))
-    # delta g* + g delta* = 0 for E and g* delta + delta* g = 0 for E'.
+    the ambient kernels, through the nullity of their conditions
+    (:func:`_ambient_nullity`), which shares no factorization with them: per
+    side, the nullity against the kernel's length and its realified rank.
+    And the largest defect of their directions in their equations (relative
+    to the norm of ``g``), in their supports and from orthonormal, plus
+    omega between the two kernels.  Orthonormal members of a kernel as many
+    as its nullity span it, so no second basis is built."""
+    nullity = sum(_ambient_nullity(g[s, s], mu[s, s], mu_j[s, s], tol) for s in algebra.slices)
+    defect = sum(abs(len(k) - m) + abs(realified_rank(k, tol) - m) for k, m in zip(kernels, nullity))
+    # delta g* + g delta* = 0 and mu delta = delta for E, g* delta + delta*
+    # g = 0 and delta mu_j = delta for E'.
     halves = [kernels[0] @ g.conj().T, g.conj().T @ kernels[1]]
     members = sum(np.max(frobenius(h + h.conj().mT), initial=0.0) for h in halves) / frobenius(g)
-    members += sum(gram_defect(k, np.ones(len(k), dtype=bool)) for k in kernels)
+    for k, held in zip(kernels, (mu @ kernels[0], kernels[1] @ mu_j)):
+        members += np.max(frobenius(held - k), initial=0.0) + gram_defect(k, np.ones(len(k), dtype=bool))
     left, right = (k.reshape(len(k), -1) for k in kernels)
     return defect, members + np.max(np.abs(2.0 * (left.conj() @ right.T).imag), initial=0.0)
 
@@ -315,8 +315,9 @@ def fiber_kernel_dimension(algebra: BlockAlgebra, rank_per_block: list[int]) -> 
 class DualPairReport:
     """Residuals of the dual-pair relations at one vector: the symplectic
     form vanishes between the two fibre kernels, which solve their equations
-    and match the rank formula and, at a first vector, the ambient kernels
-    (``oracle``).  Of a stack of vectors, each field holds one per vector."""
+    and match the rank formula and, at a first vector, the nullity of the
+    ambient conditions (``oracle``).  Of a stack of vectors, each field holds
+    one per vector."""
 
     orthogonality: float | np.ndarray
     dim_E: int | np.ndarray
@@ -344,7 +345,8 @@ def dual_pair_orthogonality_check(
     dimensions are compared to the rank formula, read off mu(g) and mu(J g)
     = mu'(g).  At the first vector the kernels are checked in the algebra,
     as a gap beyond the residual tolerance (:func:`~wstargeo.linalg.excess`),
-    and against the ambient kernels (:func:`_kernel_oracle`)."""
+    and their lengths and ranks against the nullity of the ambient
+    conditions (:func:`_kernel_oracle`)."""
     g = np.asarray(g, dtype=complex)
     mu, mu_j = supports(g, tol)
     scale, orthogonality, dims = frobenius(g), 0.0, 0

@@ -45,7 +45,6 @@ from wstargeo.linalg import (
     hs_inner,
     is_partial_isometry,
     is_projection,
-    right_singular,
     partial_inverse,
     phase_fixed_q,
     polar_decompose,
@@ -59,13 +58,6 @@ from wstargeo.linalg import (
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 E21 = E12.conj().T
-
-
-def null_space_rows(a, tol=DEFAULT_TOL):
-    """The rows ``vh[rank:]`` of :func:`right_singular`, which span the
-    numerical kernel of ``a``."""
-    vh, rank = right_singular(a, tol)
-    return vh[rank:]
 
 
 def _rng(k: int = 0) -> np.random.Generator:
@@ -264,19 +256,6 @@ class TestLapackKernels:
                 want = np.linalg.svd(x, compute_uv=False)
                 np.testing.assert_array_equal(singular_values(x), want)
 
-    @pytest.mark.parametrize("shape", [(2, 36, 18), (2, 100, 50), (3, 7, 7), (2, 18, 36), (5, 8)],
-                             ids=str)
-    def test_right_singular_thin_or_full(self, shape):
-        # A tall matrix takes the thin SVD, whose rows and singular values
-        # are the full one's; a square or wide one the full SVD.
-        rng = _rng(14)
-        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for x in (a, a.real):
-            _, s, vh = np.linalg.svd(x)
-            got, rank = right_singular(x)
-            np.testing.assert_array_equal(got, vh)
-            np.testing.assert_array_equal(rank, linalg.floored_rank(s))
-
     def test_hermitian_spectra(self):
         rng = _rng(11)
         for n in self.SIZES:
@@ -334,37 +313,13 @@ class TestLapackKernels:
             if k % 3 != 2:
                 assert q[k].tobytes() == algebra.identity().tobytes(), k
 
-    def test_null_space_rows(self):
-        rng = _rng(12)
-        for m, n, r in ((8, 5, 3), (20, 12, 12), (4, 9, 4), (6, 6, 0)):
-            a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
-            rows = null_space_rows(a)
-            assert rows.dtype == np.float64
-            assert rows.shape == (n - r, n)
-            assert frobenius(a @ rows.T) <= 1e-12 * max(1.0, frobenius(a))
-            np.testing.assert_array_equal(rows, np.linalg.svd(a)[2][r:])
-
-    def test_right_singular_of_a_stack(self):
-        # Each matrix of a stack gets its own rank and the bits it gets alone.
-        rng = _rng(12)
-        a = np.stack([
-            rng.standard_normal((8, r)) @ rng.standard_normal((r, 5)) for r in (3, 5, 0, 3)
-        ])
-        vh, rank = right_singular(a)
-        np.testing.assert_array_equal(rank, [3, 5, 0, 3])
-        for k, m in enumerate(a):
-            one, r = right_singular(m)
-            assert r == rank[k]
-            np.testing.assert_array_equal(vh[k], one)
-
     def test_real_input_stays_real(self):
         a = _random_matrix(_rng(13), 4).real
         assert singular_values(a).dtype == np.float64
         assert hermitian_eigvals(a + a.T).dtype == np.float64
-        assert null_space_rows(a).dtype == np.float64
 
     def test_nan_input_raises(self):
-        kernels = (svd, singular_values, hermitian_eig, hermitian_eigvals, null_space_rows)
+        kernels = (svd, singular_values, hermitian_eig, hermitian_eigvals)
         for dtype in (complex, float):
             a = np.ones((3, 3), dtype=dtype)
             a[2, 0] = np.nan

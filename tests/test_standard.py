@@ -34,10 +34,10 @@ from wstargeo import (
     tomita_S,
     transport_witness,
 )
-from wstargeo import linalg
-from wstargeo.algebra import matrix_units
+from wstargeo import linalg, standard
+from wstargeo.algebra import block_ranks, matrix_units
 from wstargeo.errors import NotPartiallyInvertible
-from wstargeo.linalg import restricted_power, right_singular, supports
+from wstargeo.linalg import restricted_power, supports
 from wstargeo.standard import flow_residuals, flow_sample
 from wstargeo.sampling import (
     corner_positive,
@@ -61,10 +61,10 @@ G_CORNER = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
 
 
 def null_space_rows(a, tol=DEFAULT_TOL):
-    """The rows ``vh[rank:]`` of :func:`right_singular`, which span the
-    numerical kernel of ``a``."""
-    vh, rank = right_singular(a, tol)
-    return vh[rank:]
+    """The rows ``vh[rank:]`` of NumPy's SVD of ``a``, past its floored rank,
+    which span the numerical kernel of ``a``."""
+    _, s, vh = np.linalg.svd(a)
+    return vh[linalg.floored_rank(s, tol):]
 
 
 
@@ -305,8 +305,14 @@ class TestDualPair:
                     ),
                 ),
             ]
-            for blockwise, reference in pairs:
-                assert len(blockwise) == len(reference)
+            # The oracle's nullities of both sides, against the rank formula.
+            nullity = sum(
+                standard._ambient_nullity(g[s, s], mu[s, s], mu_p[s, s], DEFAULT_TOL)
+                for s in algebra.slices
+            )
+            for (blockwise, reference), m, q in zip(pairs, nullity, (mu, mu_p)):
+                assert m == fiber_kernel_dimension(algebra, block_ranks(algebra, q, DEFAULT_TOL))
+                assert len(blockwise) == len(reference) == m
                 # Equal spans: the stacked realified bases keep the rank.
                 stacked = np.array(
                     [np.concatenate([d.real.ravel(), d.imag.ravel()])
