@@ -85,7 +85,7 @@ print("\nbundle chart round trip:", frobenius(u_back - u))
 
 # Tangent directions split into a horizontal part killed by the connection
 # and a vertical part it reproduces.
-du = sampling.p0_tangent(algebra5, rng, u, p0, scale=1.0)[0]
+du = sampling.p0_tangent(algebra5, rng, u, p0)[0]
 h, v = hv_split(u, du)
 alpha_h = connection_alpha(u, h)
 alpha_v = connection_alpha(u, v)
@@ -95,7 +95,7 @@ print("connection reproduces the vertical part:",
 print("split reassembles the tangent:", frobenius(h + v - du))
 
 # Curvature pairs two tangents into an anti-Hermitian corner element.
-du2 = sampling.p0_tangent(algebra5, rng, u, p0, scale=1.0)[0]
+du2 = sampling.p0_tangent(algebra5, rng, u, p0)[0]
 omega = curvature_Omega(u, du, du2)
 print("curvature is anti-Hermitian:", frobenius(omega + omega.conj().T))
 print("curvature is antisymmetric:",

@@ -443,17 +443,15 @@ def phase_fixed_q(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def retained_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: bool = False):
+def retained_rank(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
     """Numerical rank of a descending singular-value sequence; for a stack of
     them (one row per matrix), an array with the rank of each row.
 
-    Values at or below ``rank_rel_tol * s[0]`` are treated as zero.  With
-    ``guard=True`` the decision is refused (:class:`NotPartiallyInvertible`)
-    when the smallest retained value lies within ``GUARD_FACTOR`` times the
-    cutoff, because the result of a rank-discontinuous operation would then
-    depend on noise.
+    Values at or below ``rank_rel_tol * s[0]`` are treated as zero.  The
+    decision is not guarded: :func:`partial_inverse`, whose result depends
+    on it discontinuously, refuses a retained value near the cutoff itself.
     """
-    return np.count_nonzero(_retained(s, tol, guard), axis=-1)
+    return np.count_nonzero(_retained(s, tol), axis=-1)
 
 
 def _retained(s: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, guard: bool = False, top=None):

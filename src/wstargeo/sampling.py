@@ -127,12 +127,12 @@ def random_element(algebra: BlockAlgebra, rng: Stream, scale: float = 1.0) -> np
     return out.reshape(-1, algebra.dim, algebra.dim)
 
 
-def random_hermitian(algebra: BlockAlgebra, rng: Stream, scale: float = 1.0) -> np.ndarray:
-    return herm(random_element(algebra, rng, scale))
+def random_hermitian(algebra: BlockAlgebra, rng: Stream) -> np.ndarray:
+    return herm(random_element(algebra, rng))
 
 
-def random_antihermitian(algebra: BlockAlgebra, rng: Stream, scale: float = 1.0) -> np.ndarray:
-    return antiherm(random_element(algebra, rng, scale))
+def random_antihermitian(algebra: BlockAlgebra, rng: Stream) -> np.ndarray:
+    return antiherm(random_element(algebra, rng))
 
 
 def random_unitary(algebra: BlockAlgebra, rng: Stream) -> np.ndarray:
@@ -283,18 +283,14 @@ def corner_positive(
     return positive_on(rng, frames_of(algebra, p), eig_low, eig_high)
 
 
-def corner_hermitian(
-    algebra: BlockAlgebra, rng: Stream, p: np.ndarray, scale: float = 1.0
-) -> np.ndarray:
+def corner_hermitian(algebra: BlockAlgebra, rng: Stream, p: np.ndarray) -> np.ndarray:
     """Hermitian element compressed to the corner p M p."""
-    return p @ random_hermitian(algebra, rng, scale) @ p
+    return p @ random_hermitian(algebra, rng) @ p
 
 
-def corner_antihermitian(
-    algebra: BlockAlgebra, rng: Stream, p: np.ndarray, scale: float = 1.0
-) -> np.ndarray:
+def corner_antihermitian(algebra: BlockAlgebra, rng: Stream, p: np.ndarray) -> np.ndarray:
     """Anti-Hermitian element compressed to the corner p M p."""
-    return p @ random_antihermitian(algebra, rng, scale) @ p
+    return p @ random_antihermitian(algebra, rng) @ p
 
 
 def unit_norm(x: np.ndarray) -> np.ndarray:
@@ -333,12 +329,10 @@ def unit_trace(d: np.ndarray) -> np.ndarray:
     return d / np.trace(d, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def p0_tangent(
-    algebra: BlockAlgebra, rng: Stream, u: np.ndarray, p0: np.ndarray, scale: float = 1.0
-) -> np.ndarray:
+def p0_tangent(algebra: BlockAlgebra, rng: Stream, u: np.ndarray, p0: np.ndarray) -> np.ndarray:
     """Random tangent at a point ``u`` of the bundle of partial isometries
     with source ``p0``: right support preserved, ``u* du`` anti-Hermitian."""
-    z = random_element(algebra, rng, scale) @ p0
+    z = random_element(algebra, rng) @ p0
     return z - u @ herm(u.conj().mT @ z)
 
 

@@ -3,6 +3,7 @@ error handling, tolerance override, and a full small-trial smoke pass."""
 
 import ast
 import dataclasses
+import functools
 import math
 import pathlib
 import tracemalloc
@@ -16,8 +17,8 @@ from wstargeo import (
     DEFAULT_TOL,
     SUITE_NAMES,
     BlockAlgebra,
+    DomainError,
     InvalidTrials,
-    NotComposable,
     NotInDomain,
     NotInOverlap,
     NotPartiallyInvertible,
@@ -266,507 +267,490 @@ class TestNonFiniteTrial:
         assert not residual <= tolerance
 
 
+@dataclasses.dataclass
+class Fault:
+    """A wrong structure map planted where the suites look it up.  Each patch
+    ``(owner, name, wrong)`` binds ``owner.name`` to ``wrong`` with the
+    binding it replaces, ``real``, as its first argument; each run
+    ``(suite, algebra, trials, seed)`` runs every row of one suite.  No row
+    of ``fails`` may pass a run of its suite, and each row of ``passes``
+    must pass every one."""
+
+    name: str
+    runs: list
+    fails: set
+    patches: list
+    passes: set = dataclasses.field(default_factory=set)
+
+
+def _std_mul_with_left_modulus(_real, g1, g2, tol=DEFAULT_TOL):
+    u1, h1 = polar_decompose(g1, tol)
+    u2, _ = polar_decompose(g2, tol)
+    return u1 @ u2 @ h1
+
+
+def _dgamma1_without_its_last_term(_real, fam):
+    # d(u2 xi2 u2*) without the u2 xi2 du2* term
+    u2h = fam.u2.conj().mT
+    deta = fam.du2() @ fam.xi2 @ u2h + fam.u2 @ fam.dxi2() @ u2h
+    return fam.du1() @ (fam.u2 @ fam.xi2 @ u2h) + fam.u1 @ deta
+
+
+def _one_sided_product_difference(_real, fam, h, tol):
+    # First order: the defect halves, not quarters, with the step.
+    at = [poisson.std_mul(fam.gamma1_at(t), fam.gamma2_at(t), tol) for t in (h, 0.0)]
+    return (at[0] - at[1]) / h
+
+
+def _transition_with_its_numerator_sign_flipped(_real, p, p_new, y, tol=DEFAULT_TOL):
+    # (b - d y)(a + c y)^+ for (b + d y)(a + c y)^+.
+    one = np.eye(p.shape[-1], dtype=complex)
+    a, b = p_new @ p, (one - p_new) @ p
+    c, d = p_new @ (one - p), (one - p_new) @ (one - p)
+    return (b - d @ y) @ linalg.partial_inverse(a + c @ y, tol)
+
+
+def _later(stack: np.ndarray, ndim: int) -> np.ndarray:
+    """The trials past the first of a stack of ``ndim``-dimensional arrays,
+    or none of one array."""
+    return np.arange(len(stack)) >= 1 if stack.ndim > ndim else np.False_
+
+
+def _free_entry_dropped(later: bool, real, s, kept):
+    # x_{0, n-1} dropped where the last column is past the rank (past trial
+    # 0 if ``later``): the direction is zero, so it solves the equations
+    # and pairs to 0, and the mask still counts it.
+    i, j, x_ij, x_ji = real(s, kept)
+    drop = (i == 0) & (j == s.shape[-1] - 1) & ~kept[..., -1:]
+    if later:
+        drop &= _later(s, 1)[..., None]
+    return i, j, np.where(drop, 0.0, x_ij), x_ji
+
+
+def _kernel_leaving_its_support(side: int, real, alg, factors):
+    # The last direction of the first vector's kernel of E (of E') swapped
+    # for the unit v_2 w_2* of the M_3 block, past its rank 2 in this draw:
+    # delta g* = g* delta = 0, and the unit is orthonormal to the rest and
+    # pairs to 0 with the other kernel, so the count and the rank still
+    # equal the nullity.  Only mu delta = delta (delta mu' = delta) sees it,
+    # in the members of trial 0, the one trial whose kernels are built in
+    # the algebra.
+    kernels = real(alg, factors)
+    s, v, _, w, kept = factors[-1]
+    assert not kept[-1]
+    kernels[side][-1] = 0.0
+    kernels[side][-1, s, s] = np.outer(v[:, -1], w[:, -1].conj())
+    return kernels
+
+
+def _left_frame_off_unitary(real, a):
+    # The M_3 block's left singular vectors scaled by 1 + 1e-6.
+    v, s, wh = real(a)
+    if a.shape[-1] == 3:
+        v = v * np.where(_later(a, 2), 1.0 + 1e-6, 1.0)[..., None, None]
+    return v, s, wh
+
+
+def _second_eigenvector_as_the_first(v):
+    """The first block's second eigenvector replaced by its first past trial
+    0: the units of the frame are no longer orthonormal."""
+    v = v.copy()
+    v[..., 1] = np.where(_later(v, 2)[..., None], v[..., 0], v[..., 1])
+    return v
+
+
+def _eigenvector_frame_not_unitary(real, phi, tol=DEFAULT_TOL):
+    # The mask and so the dimensions stay right.
+    stab = real(phi, tol)
+    v = _second_eigenvector_as_the_first(stab.vectors[0])
+    return dataclasses.replace(stab, vectors=(v, *stab.vectors[1:]))
+
+
+def _non_stabilizer_direction(real, phi, tol=DEFAULT_TOL):
+    # Slot (0, 1) of the first block marked as a stabilizer slot: an
+    # anti-Hermitian direction that does not commute with a density whose
+    # first two eigenvalues differ, counted in the dimension too.
+    stab = real(phi, tol)
+    mask = stab.mask.copy()
+    mask[..., 1] = True
+    return dataclasses.replace(stab, mask=mask)
+
+
+def _two_clusters_merged(real, phi, tol=DEFAULT_TOL):
+    # The split after each block's first value cleared: its first two
+    # clusters merge in the slot masks, which then count units that do not
+    # commute with the density.  A stabilizer direction read off those
+    # slots leaves the orbit form variant.
+    _, offset, _, _ = phi.algebra._block_layout
+    return np.where(offset == 1, 0, real(phi, tol))
+
+
+def _every_retained_cluster_split(real, phi, tol=DEFAULT_TOL):
+    # A split after every retained value: each eigenvalue its own cluster.
+    # The slots that join the copies of a repeated eigenvalue leave the
+    # stabilizer mask for the complement, where the form vanishes on them:
+    # the complement's inverse gap is infinite.
+    pattern = real(phi, tol)
+    start, offset, _, _ = phi.algebra._block_layout
+    return np.where(offset == 0, pattern, offset < pattern[..., start])
+
+
+def _antihermitian_units_missing_the_last(real, *args):
+    # The units of a grid fill fixed slots: a missing unit leaves its slot
+    # zero.  The last (i c c* of the last column) is a stabilizer and
+    # tangent slot of every block of full rank.
+    units = real(*args)
+    units[..., -1, :, :] = 0.0
+    return units
+
+
+def _bracket_without_its_second_term(_real, f, g, phi, tol=DEFAULT_TOL):
+    # -i Tr(d df dg) for -i Tr(d [df, dg]), per matrix of a stack: the real
+    # part, so that the rows fail rather than refuse.
+    df, dg = f.differential_at(phi, tol), g.differential_at(phi, tol)
+    return linalg.hs_inner(phi.density, df @ dg).imag
+
+
+def _hamiltonian_field_with_its_sign_flipped(_real, f, phi, tol=DEFAULT_TOL):
+    df, d = f.differential_at(phi, tol), phi.density
+    return -1j * (df @ d - d @ df)
+
+
+def _modular_flow_with_one_sign_flipped(_real, phi, t, tol=DEFAULT_TOL):
+    # d^{it} x d^{it} instead of d^{it} x d^{-it}, at one time or at one
+    # time per density of a stack.
+    u = algebra.density_spectrum(phi, tol).imaginary_power(t)
+    return lambda x: u @ x @ u
+
+
+def _modular_flow_off_by_a_factor(real, phi, t, tol=DEFAULT_TOL):
+    # At one time or at one time per density of a stack.
+    flow = real(phi, t, tol)
+    return lambda x: (1.0 + 1e-6) * flow(x)
+
+
+def _fd_exterior_with_one_partial_pairing_flipped(_real, rho0, u, a, b, step=1e-4, tol=DEFAULT_TOL):
+    # d/ds Gamma0(u(s,0))(u(s,0) b) + d/dt Gamma0(u(0,t))(a u(0,t)): the
+    # second partial pairing with its sign flipped.
+    def g_t(s):
+        us = linalg.exp_antihermitian(s * a) @ u
+        return charts.Gamma0(rho0, us, us @ b, tol)
+
+    def g_s(t):
+        ut = u @ linalg.exp_antihermitian(t * b)
+        return charts.Gamma0(rho0, ut, a @ ut, tol)
+
+    return (g_t(step) - g_t(-step) + g_s(step) - g_s(-step)) / (2.0 * step)
+
+
+def _tangent_basis_with_a_repeated_element(real, w, v, rank):
+    # A repeated direction is one more kernel direction off the radical.
+    # The directions are built at the first base only, beside the closed
+    # form: the ambient form's singular values no longer match it, the
+    # directions are not orthonormal and their realified rank falls short.
+    # Slot (0, 1) holds the direction of slot (0, 0) again.
+    directions, kept = real(w, v, rank)
+    directions[..., 1, :, :] = directions[..., 0, :, :]
+    return directions, kept
+
+
+def _cluster_pair_off_the_radical(real, w, rank):
+    # The first pair of slots within one cluster of a block given the
+    # block's largest eigenvalue: two zeros fewer in each leg's multiset.
+    # The kernel count against the stabilizer mask sees it too, on every
+    # base with a repeated eigenvalue.
+    values, kept = real(w, rank)
+    n = w.shape[-1]
+    a, c = np.divmod(np.arange(n * n), n)
+    inside = (a < c) & kept & (values <= 1e-9 * w[..., :1])
+    first = inside & (np.cumsum(inside, axis=-1) == 1)
+    pair = first | first[..., c * n + a]
+    return np.where(pair, w[..., :1], values), kept
+
+
+def _density_frame_not_unitary(real, phi, tol=DEFAULT_TOL):
+    # The closed form reads a frame that is not unitary and does not rebuild
+    # the density.
+    spectrum = real(phi, tol)
+    (s, w, v), *rest = spectrum.blocks
+    v = _second_eigenvector_as_the_first(v)
+    return dataclasses.replace(spectrum, blocks=((s, w, v), *rest))
+
+
+def _runs(algebra, trials, seed, *suites_):
+    return [(suite, algebra, trials, seed) for suite in suites_]
+
+
+def _rows(suite, *rows):
+    return {f"{suite}/{row}" for row in rows}
+
+
+#: Every planted fault, named after its test.  The basis faults run at
+#: three trials: each fails its rows on every trial, so a few suffice.
+FAULTS = [
+    Fault("test_standard_product_with_left_modulus", _runs(M23, 10, 0, "groupoid-axioms"),
+          {"groupoid-axioms/standard"}, [(groupoids, "std_mul", _std_mul_with_left_modulus)]),
+    # The finite difference of the product is taken through ``std_mul`` as
+    # ``poisson`` looks it up.
+    Fault("test_exactness_product_with_left_modulus", _runs(M23, 10, 0, "exactness"),
+          _rows("exactness", "residual", "order"),
+          [(poisson, "std_mul", _std_mul_with_left_modulus)]),
+    Fault("test_dgamma1_without_its_last_term", _runs(M23, 10, 0, "multiplicativity"),
+          {"multiplicativity/residual"},
+          [(poisson.ComposableFamily, "dgamma1", _dgamma1_without_its_last_term)]),
+    Fault("test_one_sided_product_difference", _runs(M23, 10, 0, "exactness"),
+          {"exactness/order"}, [(poisson, "_product_difference", _one_sided_product_difference)]),
+    # An infinite residual tolerance skips the composability gap check.
+    *(Fault(f"test_product_in_the_wrong_order[{tag}]", _runs(M23, 10, 0, "groupoid-axioms"),
+            {f"groupoid-axioms/{tag}"},
+            [(groupoids, f"{tag}_compose", lambda real, a, b, tol=DEFAULT_TOL:
+              real(b, a, dataclasses.replace(tol, residual_tol=math.inf)))])
+      for tag in ("pi", "g", "predual", "coadjoint")),
+    # x* inverts only the partial isometries; a g arrow carries a positive
+    # modulus.  The law row reads g_inverse as groupoids looks it up, beside
+    # the supports it takes of each arrow once.
+    Fault("test_g_inverse_as_the_adjoint", _runs(M23, 10, 0, "groupoid-axioms"),
+          {"groupoid-axioms/g"}, [(groupoids, "g_inverse", lambda _, x, tol=DEFAULT_TOL: x.conj().mT)]),
+    # The source read by the laws and by g_compose's gate: the gate may
+    # refuse the chain before a law fails.
+    Fault("test_g_source_as_the_left_support", _runs(M23, 10, 0, "groupoid-axioms"),
+          {"groupoid-axioms/g"},
+          [(groupoids, "g_source", lambda _, x, tol=DEFAULT_TOL: linalg.supports(x, tol)[0])]),
+    # (p q)* for (p q)^+: the chart legs read sigma_p as charts looks it up,
+    # whether or not a leg was factored before in the check.
+    Fault("test_overlap_inverse_as_the_adjoint", _runs(M23, 10, 0, "charts"), {"charts/round-trip"},
+          [(charts, "sigma_p", lambda _, p, q, tol=DEFAULT_TOL: (p @ q).conj().mT)]),
+    Fault("test_phi_without_square_root", _runs(M23, 10, 0, "groupoid-axioms"),
+          {"groupoid-axioms/isomorphisms"},
+          [(groupoids, "iso_Phi",
+            lambda _, u, rho, tol=DEFAULT_TOL: np.asarray(u, dtype=complex) @ rho.density)]),
+    Fault("test_chart_inverse_off_by_a_phase", _runs(M23, 10, 0, "charts"), {"charts/round-trip"},
+          [(suites, "chart_G_inv", lambda real, *args: np.exp(1e-8j) * real(*args))]),
+    Fault("test_transition_with_its_numerator_sign_flipped", _runs(M23, 10, 0, "charts"),
+          _rows("charts", "cocycle", "transition-oracle"),
+          [(suites, "transition_L", _transition_with_its_numerator_sign_flipped)]),
+    Fault("test_connection_form_doubled", _runs(M23, 10, 0, "charts"), {"charts/connection"},
+          [(suites, "connection_alpha", lambda real, u, du: 2.0 * real(u, du))]),
+    # The check builds the E' kernel as J (kernel of E at J g); with J the
+    # identity that is the kernel of E at g.
+    Fault("test_eprime_kernel_replaced_by_e_kernel", _runs(M23, 10, 0, "dual-pair"),
+          {"dual-pair/orthogonality"},
+          [(standard, "conjugation_J", lambda _, g: np.asarray(g, dtype=complex))]),
+    # The identity in place of each vector's left support.
+    Fault("test_left_momentum_replaced_by_identity", _runs(M23, 10, 0, "dual-pair"),
+          {"dual-pair/dimension"},
+          [(standard, "supports", lambda real, g, tol=DEFAULT_TOL: (
+              np.broadcast_to(np.eye(g.shape[-1], dtype=complex), g.shape), real(g, tol)[1]))]),
+    # x_ji = -(sigma_j / sigma_i)^2 conj(x_ij): the directions of the
+    # coupled entries leave the kernel, and their defect in
+    # delta g* + g delta* = 0 fails the row.
+    Fault("test_pair_kernel_with_a_wrong_ratio", _runs(M23, 10, 0, "dual-pair"),
+          {"dual-pair/orthogonality"},
+          [(standard, "_coordinate_kernel", lambda real, s, kept: real(s**2, kept))]),
+    # On trial 0 (ranks 1 and 2 in this draw) the kernel's realified rank
+    # falls short of the ambient nullity, and each trial's Gram matrix sees
+    # the unit it is missing.
+    Fault("test_pair_kernel_without_a_free_entry", _runs(M23, 10, 0, "dual-pair"),
+          _rows("dual-pair", "orthogonality", "dimension"),
+          [(standard, "_coordinate_kernel", functools.partial(_free_entry_dropped, False))]),
+    *(Fault(f"test_pair_kernel_leaving_its_support[{case}]", _runs(M23, 10, 0, "dual-pair"),
+            {"dual-pair/orthogonality"},
+            [(standard, "_pair_kernels", functools.partial(_kernel_leaving_its_support, side))],
+            passes={"dual-pair/dimension"})
+      for side, case in enumerate(("E", "Eprime"))),
+    # The later-trial faults leave trial 0 alone, so the oracles that run on
+    # the first trial of a stack see nothing: only the per-trial checks of
+    # the frames and coordinates can fail them.
+    Fault("test_free_entry_dropped_on_later_trials", _runs(M23, 10, 0, "dual-pair"),
+          {"dual-pair/orthogonality"},
+          [(standard, "_coordinate_kernel", functools.partial(_free_entry_dropped, True))]),
+    Fault("test_left_frame_off_unitary_on_later_trials", _runs(M23, 3, 0, "dual-pair"),
+          {"dual-pair/orthogonality"}, [(standard, "svd", _left_frame_off_unitary)]),
+    Fault("test_eigenvector_frame_not_unitary_on_later_trials", _runs(M23, 3, 0, "modular-flow"),
+          {"modular-flow/dimensions"},
+          [(suites, "stabilizer_lie_algebra", _eigenvector_frame_not_unitary)]),
+    Fault("test_non_stabilizer_direction_in_the_radical",
+          _runs(M23, 3, 0, "degeneracy") + _runs(M2, 1, 0, "modular-flow"),
+          {"degeneracy/radical-pairing", "degeneracy/dimensions", "modular-flow/dimensions"},
+          [(module, "stabilizer_lie_algebra", _non_stabilizer_direction)
+           for module in (poisson, suites)]),
+    Fault("test_two_clusters_merged_in_the_mask",
+          _runs(M23, 3, 0, "degeneracy") + _runs(M2, 1, 0, "modular-flow"),
+          _rows("degeneracy", "orbit-form-invariance", "dimensions") | {"modular-flow/dimensions"},
+          [(algebra, "cluster_pattern", _two_clusters_merged)]),
+    Fault("test_every_retained_cluster_split_in_the_mask",
+          _runs(M23, 3, 0, "degeneracy") + _runs(M23, 10, 1, "degeneracy")
+          + _runs(M2, 1, 0, "modular-flow"),
+          _rows("degeneracy", "complement-inverse-gap", "dimensions") | {"modular-flow/dimensions"},
+          [(algebra, "cluster_pattern", _every_retained_cluster_split)]),
+    Fault("test_antihermitian_units_missing_the_last",
+          _runs(M23, 3, 0, "degeneracy") + _runs(M2, 1, 0, "modular-flow"),
+          {"degeneracy/dimensions", "modular-flow/dimensions"},
+          [(module, "antihermitian_units", _antihermitian_units_missing_the_last)
+           for module in (algebra, poisson)]),
+    # Planted in ``standard`` alone: ``poisson`` looks the form up there.
+    # The canonical side of the Poisson-map check is omega of the pullback
+    # gradients.  kappa is calibrated afresh from the planted form, so it
+    # takes up the scale: kks/identity passes, and only the calibration
+    # fails.
+    Fault("test_symplectic_form_at_half_scale",
+          _runs(M23, 3, 0, "multiplicativity", "fubini-study", "poisson-map", "kks"),
+          {"multiplicativity/vertical", "fubini-study/pair-groupoid", "poisson-map/quadratic",
+           "kks/calibration"},
+          [(standard, "symplectic_omega", lambda real, x, y: 0.5 * real(x, y))],
+          passes={"kks/identity"}),
+    # Both sides of each bracket identity are linear in the one kept
+    # differential, so only the leibniz row's exact-differential oracle sees
+    # the error.
+    Fault("test_central_differences_at_twice_their_value", _runs(M23, 3, 0, "poisson-map"),
+          {"poisson-map/leibniz"},
+          [(poisson.Observable, "_central_differences",
+            lambda real, self, phi, tol: 2.0 * real(self, phi, tol))]),
+    Fault("test_bracket_without_its_second_term", _runs(M23, 3, 0, "poisson-map"),
+          _rows("poisson-map", "jacobi", "field-morphism"),
+          [(poisson, "lp_bracket", _bracket_without_its_second_term)]),
+    Fault("test_hamiltonian_field_with_its_sign_flipped", _runs(M23, 3, 0, "poisson-map"),
+          {"poisson-map/field-morphism"},
+          [(poisson, "hamiltonian_field", _hamiltonian_field_with_its_sign_flipped)]),
+    # 2 Re <x|y> for 2 Im <x|y>, a symmetric form: the pullbacks through E
+    # and E' then fail to commute, and each row that compares omega with an
+    # orbit form sees the difference.
+    Fault("test_symplectic_form_from_the_real_part",
+          _runs(M23, 3, 0, "poisson-map", "kks", "fubini-study", "multiplicativity"),
+          _rows("poisson-map", "commutant", "quadratic") | _rows("kks", "identity", "calibration")
+          | _rows("fubini-study", "orbit-vs-fs", "pair-groupoid")
+          | _rows("multiplicativity", "residual", "vertical"),
+          [(standard, "symplectic_omega", lambda _, x, y: 2.0 * linalg.hs_inner(x, y).real)]),
+    # theta_P0 reads u_p off its own overlap inverse and theta_P0_inv calls
+    # u_p, so the phase opens the round trip.
+    Fault("test_fibre_coordinate_off_by_a_small_phase", _runs(M23, 3, 0, "charts"), {"charts/theta"},
+          [(charts, "u_p", lambda real, p, q, tol: real(p, q, tol) * np.exp(1e-8j))]),
+    # In ``flow_residuals`` the flipped flow breaks composability: the row
+    # reports the gap rather than letting ``std_mul`` raise.  The flipped
+    # flow of a positive element is not Hermitian, so it leaves the cone.
+    Fault("test_modular_flow_with_one_sign_flipped", _runs(M2, 1, 0, "modular-flow"),
+          _rows("modular-flow", "automorphism", "cone", "group-law", "conditional-expectation"),
+          [(module, "modular_flow", _modular_flow_with_one_sign_flipped)
+           for module in (standard, suites)]),
+    # J(g) = g instead of g*: Tomita's S then maps x Omega to
+    # d^{-1/2} x Omega d^{1/2}, not to x* Omega.
+    Fault("test_conjugation_without_the_adjoint", _runs(M2, 1, 0, "modular-flow"),
+          {"modular-flow/tomita"},
+          [(standard, "conjugation_J", lambda _, g: np.asarray(g, dtype=complex))]),
+    Fault("test_modular_flow_off_by_a_factor", _runs(M2, 1, 0, "modular-flow"),
+          _rows("modular-flow", "automorphism", "symplectic", "orbit-invariants", "orbit-form",
+                "group-law", "conditional-expectation"),
+          [(module, "modular_flow", _modular_flow_off_by_a_factor) for module in (standard, suites)]),
+    # The negative control, a rank change, then counts as equivalent.
+    Fault("test_every_pair_of_projections_equivalent", _runs(M23, 5, 0, "groupoid-axioms"),
+          {"groupoid-axioms/equivalence-agreement"},
+          [(suites, "mvn_equivalent", lambda *args, **kwargs: True)]),
+    Fault("test_fd_exterior_with_one_partial_pairing_flipped", _runs(M23, 3, 0, "degeneracy"),
+          {"degeneracy/fd-exterior"},
+          [(suites, "fd_surface_dGamma0", _fd_exterior_with_one_partial_pairing_flipped)]),
+    Fault("test_tangent_basis_with_a_repeated_element", _runs(M23, 3, 0, "degeneracy"),
+          _rows("degeneracy", "radical-pairing", "dimensions"),
+          [(poisson, "_leg_directions", _tangent_basis_with_a_repeated_element)]),
+    # The closed-form faults leave every frame right, so the per-trial frame
+    # checks cannot see them; the ambient form at the first base, which
+    # shares no closed form with them, can.  Trial 0 of these runs (seed 1)
+    # has a repeated eigenvalue.
+    Fault("test_closed_form_with_a_cluster_pair_off_the_radical", _runs(M23, 4, 1, "degeneracy"),
+          _rows("degeneracy", "radical-pairing", "dimensions"),
+          [(poisson, "_form_spectrum", _cluster_pair_off_the_radical)]),
+    # The eigenvalues times 1 + 1e-6: the kernel and the complement barely
+    # move, so the ambient form alone sees it.
+    Fault("test_closed_form_of_a_perturbed_spectrum", _runs(M23, 4, 1, "degeneracy"),
+          {"degeneracy/radical-pairing"},
+          [(poisson, "_form_spectrum", lambda real, w, rank: real(w * (1.0 + 1e-6), rank))],
+          passes=_rows("degeneracy", "orbit-form-invariance", "fd-exterior",
+                       "complement-inverse-gap", "dimensions")),
+    Fault("test_density_frame_not_unitary_on_later_trials", _runs(M23, 3, 0, "degeneracy"),
+          {"degeneracy/radical-pairing"},
+          [(poisson, "density_spectrum", _density_frame_not_unitary)]),
+    # The orbit through |delta><delta| in place of r |delta><delta|: the form
+    # still matches the Fubini–Study value at that orbit, so only the radius
+    # scaling sees the radius dropped.
+    Fault("test_fubini_study_without_its_radius", _runs(M23, 3, 0, "fubini-study"),
+          {"fubini-study/r-scaling"},
+          [(suites, "fubini_study_compare", lambda real, r, delta, x, y, tol=DEFAULT_TOL:
+            real(np.ones_like(r), delta, x, y, tol))],
+          passes={"fubini-study/orbit-vs-fs"}),
+    # F_p F_q* carries q onto p, not p onto q.
+    Fault("test_witness_in_the_wrong_direction", _runs(M23, 5, 0, "groupoid-axioms"),
+          {"groupoid-axioms/witnesses"},
+          [(suites, "mvn_witness", lambda real, alg, p, q, tol=DEFAULT_TOL: real(alg, q, p, tol))]),
+]
+
+
+def _outcomes(suite, alg, trials, seed) -> dict:
+    """Each row of one suite run as :func:`run_suite` runs it: ``pass``,
+    ``FAIL``, or the name of the :class:`DomainError` the row raised, which
+    detects the fault as a failure does."""
+    shared, out = {}, {}
+    for subindex, (row, tolerance, fn) in enumerate(suites._suite(suite)):
+        ctx = suites.RowCtx(alg, trials, seed, subindex, DEFAULT_TOL, shared)
+        try:
+            out[f"{suite}/{row}"] = "pass" if float(fn(ctx)) <= tolerance else "FAIL"
+        except DomainError as error:
+            out[f"{suite}/{row}"] = type(error).__name__
+    return out
+
+
+def _planted(wrong, real, calls: list, site: int):
+    """``wrong`` given the binding it replaces, counting its calls."""
+
+    def planted(*args, **kwargs):
+        calls[site] += 1
+        return wrong(real, *args, **kwargs)
+
+    return planted
+
+
+def _check_fault(monkeypatch, fault: Fault) -> None:
+    calls = [0] * len(fault.patches)
+    for site, (owner, name, wrong) in enumerate(fault.patches):
+        monkeypatch.setattr(owner, name, _planted(wrong, getattr(owner, name), calls, site))
+    seen = {}
+    for run in fault.runs:
+        for row, outcome in _outcomes(*run).items():
+            seen.setdefault(row, []).append(outcome)
+    # A replacement no row calls is planted where no row looks it up.
+    stale = [name for (_, name, _), n in zip(fault.patches, calls) if n == 0]
+    missed = {row for row in fault.fails if "pass" in seen.get(row, ["pass"])}
+    broken = {row for row in fault.passes if set(seen.get(row, ["unrun"])) != {"pass"}}
+    assert not (stale or missed or broken), (stale, missed, broken, seen)
+
+
+def _fault_test(entries: list):
+    """The test of the entries of one name: one case per entry, by the name's
+    bracketed suffix, if it has several."""
+    if len(entries) == 1:
+        def test(self, monkeypatch):
+            _check_fault(monkeypatch, entries[0])
+
+        return test
+
+    @pytest.mark.parametrize("fault", entries, ids=[f.name.partition("[")[2][:-1] for f in entries])
+    def test_cases(self, monkeypatch, fault):
+        _check_fault(monkeypatch, fault)
+
+    return test_cases
+
+
 class TestPlantedFaults:
     """A wrong structure map, planted where the suites look it up, fails
-    the row that checks it."""
+    the rows that check it: one test per entry of :data:`FAULTS`, named as
+    the entry is."""
 
-    @staticmethod
-    def _row(suite, row):
-        rows = {r.suite: r for r in run_suite(suite, M23, 10, 0)}
-        return rows[f"{suite}/{row}"]
+    def test_every_row_is_failed_by_some_fault(self):
+        rows = {f"{suite}/{row}" for suite in SUITE_NAMES for row in suite_rows(suite)}
+        assert set().union(*(fault.fails for fault in FAULTS)) == rows
 
-    @staticmethod
-    def _std_mul_with_left_modulus(g1, g2, tol=DEFAULT_TOL):
-        u1, h1 = polar_decompose(g1, tol)
-        u2, _ = polar_decompose(g2, tol)
-        return u1 @ u2 @ h1
 
-    def test_standard_product_with_left_modulus(self, monkeypatch):
-        monkeypatch.setattr(groupoids, "std_mul", self._std_mul_with_left_modulus)
-        assert self._row("groupoid-axioms", "standard").status == "FAIL"
-
-    def test_exactness_product_with_left_modulus(self, monkeypatch):
-        # The finite difference of the product is taken through ``std_mul``
-        # as ``poisson`` looks it up.
-        monkeypatch.setattr(poisson, "std_mul", self._std_mul_with_left_modulus)
-        assert self._row("exactness", "residual").status == "FAIL"
-        assert self._row("exactness", "order").status == "FAIL"
-
-    def test_dgamma1_without_its_last_term(self, monkeypatch):
-        def dgamma1(fam):
-            # d(u2 xi2 u2*) without the u2 xi2 du2* term
-            u2h = fam.u2.conj().mT
-            deta = fam.du2() @ fam.xi2 @ u2h + fam.u2 @ fam.dxi2() @ u2h
-            return fam.du1() @ (fam.u2 @ fam.xi2 @ u2h) + fam.u1 @ deta
-
-        monkeypatch.setattr(poisson.ComposableFamily, "dgamma1", dgamma1)
-        assert self._row("multiplicativity", "residual").status == "FAIL"
-
-    def test_one_sided_product_difference(self, monkeypatch):
-        # First order: the defect halves, not quarters, with the step.
-        def one_sided(fam, h, tol):
-            at = [poisson.std_mul(fam.gamma1_at(t), fam.gamma2_at(t), tol) for t in (h, 0.0)]
-            return (at[0] - at[1]) / h
-
-        monkeypatch.setattr(poisson, "_product_difference", one_sided)
-        assert self._row("exactness", "order").status == "FAIL"
-
-    @pytest.mark.parametrize("tag", ["pi", "g", "predual", "coadjoint"])
-    def test_product_in_the_wrong_order(self, monkeypatch, tag):
-        compose = getattr(groupoids, f"{tag}_compose")
-
-        def swapped(a, b, tol=DEFAULT_TOL):
-            # An infinite residual tolerance skips the composability gap check.
-            return compose(b, a, dataclasses.replace(tol, residual_tol=math.inf))
-
-        monkeypatch.setattr(groupoids, f"{tag}_compose", swapped)
-        assert self._row("groupoid-axioms", tag).status == "FAIL"
-
-    def test_g_inverse_as_the_adjoint(self, monkeypatch):
-        # x* inverts only the partial isometries; a g arrow carries a
-        # positive modulus.  The law row reads g_inverse as groupoids looks
-        # it up, beside the supports it takes of each arrow once.
-        monkeypatch.setattr(groupoids, "g_inverse", lambda x, tol=DEFAULT_TOL: x.conj().mT)
-        assert self._row("groupoid-axioms", "g").status == "FAIL"
-
-    def test_g_source_as_the_left_support(self, monkeypatch):
-        # The source read by the laws and by g_compose's gate: the gate may
-        # refuse the chain before a law fails.
-        reads = []
-
-        def g_source(x, tol=DEFAULT_TOL):
-            reads.append(x)
-            return linalg.supports(x, tol)[0]
-
-        monkeypatch.setattr(groupoids, "g_source", g_source)
-        try:
-            assert self._row("groupoid-axioms", "g").status == "FAIL"
-        except NotComposable:
-            pass
-        assert reads
-
-    def test_overlap_inverse_as_the_adjoint(self, monkeypatch):
-        # (p q)* for (p q)^+: the chart legs read sigma_p as charts looks it
-        # up, whether or not a leg was factored before in the check.
-        monkeypatch.setattr(charts, "sigma_p", lambda p, q, tol=DEFAULT_TOL: (p @ q).conj().mT)
-        subindex, (_, tolerance, fn) = next(
-            (i, r) for i, r in enumerate(suites._suite("charts")) if r[0] == "round-trip"
-        )
-        assert not fn(suites.RowCtx(M23, 10, 0, subindex, DEFAULT_TOL)) <= tolerance
-
-    def test_phi_without_square_root(self, monkeypatch):
-        def iso_Phi(u, rho, tol=DEFAULT_TOL):
-            return np.asarray(u, dtype=complex) @ rho.density
-
-        monkeypatch.setattr(groupoids, "iso_Phi", iso_Phi)
-        assert self._row("groupoid-axioms", "isomorphisms").status == "FAIL"
-
-    def test_chart_inverse_off_by_a_phase(self, monkeypatch):
-        real = suites.chart_G_inv
-        monkeypatch.setattr(
-            suites, "chart_G_inv", lambda *args: np.exp(1e-8j) * real(*args)
-        )
-        assert self._row("charts", "round-trip").status == "FAIL"
-
-    def test_transition_with_its_numerator_sign_flipped(self, monkeypatch):
-        # (b - d y)(a + c y)^+ for (b + d y)(a + c y)^+.
-        def transition_L(p, p_new, y, tol=DEFAULT_TOL):
-            one = np.eye(p.shape[-1], dtype=complex)
-            a, b = p_new @ p, (one - p_new) @ p
-            c, d = p_new @ (one - p), (one - p_new) @ (one - p)
-            return (b - d @ y) @ linalg.partial_inverse(a + c @ y, tol)
-
-        monkeypatch.setattr(suites, "transition_L", transition_L)
-        assert self._row("charts", "cocycle").status == "FAIL"
-        assert self._row("charts", "transition-oracle").status == "FAIL"
-
-    def test_connection_form_doubled(self, monkeypatch):
-        real = suites.connection_alpha
-        monkeypatch.setattr(suites, "connection_alpha", lambda u, du: 2.0 * real(u, du))
-        assert self._row("charts", "connection").status == "FAIL"
-
-    def test_eprime_kernel_replaced_by_e_kernel(self, monkeypatch):
-        # The check builds the E' kernel as J (kernel of E at J g); with J the
-        # identity that is the kernel of E at g.
-        monkeypatch.setattr(standard, "conjugation_J", lambda g: np.asarray(g, dtype=complex))
-        assert self._row("dual-pair", "orthogonality").status == "FAIL"
-
-    def test_left_momentum_replaced_by_identity(self, monkeypatch):
-        real = standard.supports
-
-        def supports(g, tol=DEFAULT_TOL):
-            # The identity in place of each vector's left support.
-            return np.broadcast_to(np.eye(g.shape[-1], dtype=complex), g.shape), real(g, tol)[1]
-
-        monkeypatch.setattr(standard, "supports", supports)
-        assert self._row("dual-pair", "dimension").status == "FAIL"
-
-    def test_pair_kernel_with_a_wrong_ratio(self, monkeypatch):
-        # x_ji = -(sigma_j / sigma_i)^2 conj(x_ij): the directions of the
-        # coupled entries leave the kernel, and their defect in
-        # delta g* + g delta* = 0 fails the row.
-        real = standard._coordinate_kernel
-        monkeypatch.setattr(standard, "_coordinate_kernel", lambda s, kept: real(s**2, kept))
-        assert self._row("dual-pair", "orthogonality").status == "FAIL"
-
-    def test_pair_kernel_without_a_free_entry(self, monkeypatch):
-        # x_{0, n-1} dropped where the last column is past the rank: the
-        # direction is zero, so it solves the equations and pairs to 0, and
-        # the mask still counts it.  On trial 0 (ranks 1 and 2 in this draw)
-        # the kernel's realified rank falls short of the ambient nullity,
-        # and each trial's Gram matrix sees the unit it is missing.
-        real = standard._coordinate_kernel
-
-        def coordinate_kernel(s, kept):
-            i, j, x_ij, x_ji = real(s, kept)
-            drop = (i == 0) & (j == s.shape[-1] - 1) & ~kept[..., -1:]
-            return i, j, np.where(drop, 0.0, x_ij), x_ji
-
-        monkeypatch.setattr(standard, "_coordinate_kernel", coordinate_kernel)
-        rows = {r.suite: r.status for r in run_suite("dual-pair", M23, 10, 0)}
-        assert rows == {"dual-pair/orthogonality": "FAIL", "dual-pair/dimension": "FAIL"}
-
-    @pytest.mark.parametrize("side", [0, 1], ids=["E", "Eprime"])
-    def test_pair_kernel_leaving_its_support(self, monkeypatch, side):
-        # The last direction of the first vector's kernel of E (of E')
-        # swapped for the unit v_2 w_2* of the M_3 block, past its rank 2 in
-        # this draw: delta g* = g* delta = 0, and the unit is orthonormal to
-        # the rest and pairs to 0 with the other kernel, so the count and the
-        # rank still equal the nullity.  Only mu delta = delta (delta mu' =
-        # delta) sees it, in the members of trial 0, the one trial whose
-        # kernels are built in the algebra.
-        real = standard._pair_kernels
-
-        def pair_kernels(alg, factors):
-            kernels = real(alg, factors)
-            s, v, _, w, kept = factors[-1]
-            assert not kept[-1]
-            kernels[side][-1] = 0.0
-            kernels[side][-1, s, s] = np.outer(v[:, -1], w[:, -1].conj())
-            return kernels
-
-        monkeypatch.setattr(standard, "_pair_kernels", pair_kernels)
-        rows = {r.suite: r.status for r in run_suite("dual-pair", M23, 10, 0)}
-        assert rows == {"dual-pair/orthogonality": "FAIL", "dual-pair/dimension": "pass"}
-
-    # The later-trial faults leave trial 0 alone, so the oracles that run
-    # on the first trial of a stack see nothing: only the per-trial checks
-    # of the frames and coordinates can fail them.
-
-    @staticmethod
-    def _later(stack: np.ndarray, ndim: int) -> np.ndarray:
-        """The trials past the first of a stack of ``ndim``-dimensional
-        arrays, or none of one array."""
-        return np.arange(len(stack)) >= 1 if stack.ndim > ndim else np.False_
-
-    def test_free_entry_dropped_on_later_trials(self, monkeypatch):
-        real = standard._coordinate_kernel
-
-        def coordinate_kernel(s, kept):
-            i, j, x_ij, x_ji = real(s, kept)
-            drop = (i == 0) & (j == s.shape[-1] - 1) & ~kept[..., -1:]
-            drop &= self._later(s, 1)[..., None]
-            return i, j, np.where(drop, 0.0, x_ij), x_ji
-
-        monkeypatch.setattr(standard, "_coordinate_kernel", coordinate_kernel)
-        assert "dual-pair/orthogonality" in self._failed("dual-pair", trials=10)
-
-    def test_left_frame_off_unitary_on_later_trials(self, monkeypatch):
-        # The M_3 block's left singular vectors scaled by 1 + 1e-6.
-        real = standard.svd
-
-        def svd(a):
-            v, s, wh = real(a)
-            if a.shape[-1] == 3:
-                v = v * np.where(self._later(a, 2), 1.0 + 1e-6, 1.0)[..., None, None]
-            return v, s, wh
-
-        monkeypatch.setattr(standard, "svd", svd)
-        assert "dual-pair/orthogonality" in self._failed("dual-pair")
-
-    def test_eigenvector_frame_not_unitary_on_later_trials(self, monkeypatch):
-        # The first block's second eigenvector replaced by its first: the
-        # units of the frame are no longer orthonormal, though the mask and
-        # so the dimensions stay right.
-        real = algebra.stabilizer_lie_algebra
-
-        def stabilizer_lie_algebra(phi, tol=DEFAULT_TOL):
-            stab = real(phi, tol)
-            v = stab.vectors[0].copy()
-            v[..., 1] = np.where(self._later(v, 2)[..., None], v[..., 0], v[..., 1])
-            return dataclasses.replace(stab, vectors=(v, *stab.vectors[1:]))
-
-        monkeypatch.setattr(suites, "stabilizer_lie_algebra", stabilizer_lie_algebra)
-        assert "modular-flow/dimensions" in self._failed("modular-flow")
-
-    # The basis faults run at three trials: each fails its rows on every
-    # trial, so a few suffice.
-
-    @staticmethod
-    def _failed(suite, algebra=M23, trials=3, seed=0):
-        return {r.suite for r in run_suite(suite, algebra, trials, seed) if not r.passed}
-
-    def test_non_stabilizer_direction_in_the_radical(self, monkeypatch):
-        real = algebra.stabilizer_lie_algebra
-
-        def stabilizer_lie_algebra(phi, tol=DEFAULT_TOL):
-            # Slot (0, 1) of the first block marked as a stabilizer slot: an
-            # anti-Hermitian direction that does not commute with a density
-            # whose first two eigenvalues differ, counted in the dimension
-            # too.
-            stab = real(phi, tol)
-            mask = stab.mask.copy()
-            mask[..., 1] = True
-            return dataclasses.replace(stab, mask=mask)
-
-        for module in (poisson, suites):
-            monkeypatch.setattr(module, "stabilizer_lie_algebra", stabilizer_lie_algebra)
-        failed = self._failed("degeneracy")
-        assert {"degeneracy/radical-pairing", "degeneracy/dimensions"} <= failed
-        assert "modular-flow/dimensions" in self._failed("modular-flow", M2, 1)
-
-    def test_two_clusters_merged_in_the_mask(self, monkeypatch):
-        # The split after each block's first value cleared: its first two
-        # clusters merge in the slot masks, which then count units that do
-        # not commute with the density.
-        real = algebra.cluster_pattern
-
-        def cluster_pattern(phi, tol=DEFAULT_TOL):
-            _, offset, _, _ = phi.algebra._block_layout
-            return np.where(offset == 1, 0, real(phi, tol))
-
-        monkeypatch.setattr(algebra, "cluster_pattern", cluster_pattern)
-        assert "modular-flow/dimensions" in self._failed("modular-flow", M2, 1)
-        assert "degeneracy/dimensions" in self._failed("degeneracy")
-
-    def test_antihermitian_units_missing_the_last(self, monkeypatch):
-        # The units of a grid fill fixed slots: a missing unit leaves its
-        # slot zero.  The last (i c c* of the last column) is a stabilizer
-        # and tangent slot of every block of full rank.
-        real = algebra.antihermitian_units
-
-        def antihermitian_units(*args):
-            units = real(*args)
-            units[..., -1, :, :] = 0.0
-            return units
-
-        for module in (algebra, poisson):
-            monkeypatch.setattr(module, "antihermitian_units", antihermitian_units)
-        assert "degeneracy/dimensions" in self._failed("degeneracy")
-        assert "modular-flow/dimensions" in self._failed("modular-flow", M2, 1)
-
-    def test_symplectic_form_at_half_scale(self, monkeypatch):
-        # Planted in ``standard`` alone: ``poisson`` looks the form up there.
-        real = standard.symplectic_omega
-        monkeypatch.setattr(standard, "symplectic_omega", lambda x, y: 0.5 * real(x, y))
-        assert "multiplicativity/vertical" in self._failed("multiplicativity")
-        assert "fubini-study/pair-groupoid" in self._failed("fubini-study")
-        # The canonical side of the Poisson-map check is omega of the
-        # pullback gradients.
-        assert "poisson-map/quadratic" in self._failed("poisson-map")
-        # kappa is calibrated afresh from the planted form, so it takes up
-        # the scale: kks/identity passes, and only the calibration fails.
-        assert self._failed("kks") == {"kks/calibration"}
-
-    def test_central_differences_at_twice_their_value(self, monkeypatch):
-        # Both sides of each bracket identity are linear in the one kept
-        # differential, so only the leibniz row's exact-differential oracle
-        # sees the error.
-        real = poisson.Observable._central_differences
-        monkeypatch.setattr(
-            poisson.Observable,
-            "_central_differences",
-            lambda self, phi, tol: 2.0 * real(self, phi, tol),
-        )
-        assert "poisson-map/leibniz" in self._failed("poisson-map")
-
-    def test_bracket_without_its_second_term(self, monkeypatch):
-        # -i Tr(d df dg) for -i Tr(d [df, dg]), per matrix of a stack: the
-        # real part, so that the rows fail rather than refuse.
-        def lp_bracket(f, g, phi, tol=DEFAULT_TOL):
-            df, dg = f.differential_at(phi, tol), g.differential_at(phi, tol)
-            return linalg.hs_inner(phi.density, df @ dg).imag
-
-        monkeypatch.setattr(poisson, "lp_bracket", lp_bracket)
-        failed = self._failed("poisson-map")
-        assert {"poisson-map/jacobi", "poisson-map/field-morphism"} <= failed
-
-    def test_hamiltonian_field_with_its_sign_flipped(self, monkeypatch):
-        def hamiltonian_field(f, phi, tol=DEFAULT_TOL):
-            df, d = f.differential_at(phi, tol), phi.density
-            return -1j * (df @ d - d @ df)
-
-        monkeypatch.setattr(poisson, "hamiltonian_field", hamiltonian_field)
-        assert "poisson-map/field-morphism" in self._failed("poisson-map")
-
-    def test_symplectic_form_from_the_real_part(self, monkeypatch):
-        # 2 Re <x|y> for 2 Im <x|y>: the pullbacks through E and E' then
-        # fail to commute.
-        monkeypatch.setattr(
-            standard, "symplectic_omega", lambda x, y: 2.0 * linalg.hs_inner(x, y).real
-        )
-        assert "poisson-map/commutant" in self._failed("poisson-map")
-
-    def test_fibre_coordinate_off_by_a_small_phase(self, monkeypatch):
-        # theta_P0 reads u_p off its own overlap inverse and theta_P0_inv
-        # calls u_p, so the phase opens the round trip.
-        real = charts.u_p
-        monkeypatch.setattr(charts, "u_p", lambda p, q, tol: real(p, q, tol) * np.exp(1e-8j))
-        assert "charts/theta" in self._failed("charts")
-
-    def test_modular_flow_with_one_sign_flipped(self, monkeypatch):
-        def modular_flow(phi, t, tol=DEFAULT_TOL):
-            # d^{it} x d^{it} instead of d^{it} x d^{-it}, at one time or at
-            # one time per density of a stack.
-            u = algebra.density_spectrum(phi, tol).imaginary_power(t)
-            return lambda x: u @ x @ u
-
-        # In ``flow_residuals`` the flipped flow breaks composability: the
-        # row reports the gap rather than letting ``std_mul`` raise.  The
-        # flipped flow of a positive element is not Hermitian, so it leaves
-        # the cone.
-        for module in (standard, suites):
-            monkeypatch.setattr(module, "modular_flow", modular_flow)
-        failed = self._failed("modular-flow", M2, 1)
-        assert {
-            "modular-flow/automorphism",
-            "modular-flow/cone",
-            "modular-flow/group-law",
-            "modular-flow/conditional-expectation",
-        } <= failed
-
-    def test_conjugation_without_the_adjoint(self, monkeypatch):
-        # J(g) = g instead of g*: Tomita's S then maps x Omega to
-        # d^{-1/2} x Omega d^{1/2}, not to x* Omega.
-        monkeypatch.setattr(standard, "conjugation_J", lambda g: np.asarray(g, dtype=complex))
-        assert "modular-flow/tomita" in self._failed("modular-flow", M2, 1)
-
-    def test_modular_flow_off_by_a_factor(self, monkeypatch):
-        real = algebra.modular_flow
-
-        def modular_flow(phi, t, tol=DEFAULT_TOL):
-            # At one time or at one time per density of a stack.
-            flow = real(phi, t, tol)
-            return lambda x: (1.0 + 1e-6) * flow(x)
-
-        for module in (standard, suites):
-            monkeypatch.setattr(module, "modular_flow", modular_flow)
-        failed = self._failed("modular-flow", M2, 1)
-        assert {
-            f"modular-flow/{row}"
-            for row in ("automorphism", "symplectic", "orbit-invariants", "orbit-form",
-                        "group-law", "conditional-expectation")
-        } <= failed
-
-    def test_every_pair_of_projections_equivalent(self, monkeypatch):
-        # The negative control, a rank change, then counts as equivalent.
-        monkeypatch.setattr(suites, "mvn_equivalent", lambda *args, **kwargs: True)
-        failed = self._failed("groupoid-axioms", trials=5)
-        assert "groupoid-axioms/equivalence-agreement" in failed
-
-    def test_fd_exterior_with_one_partial_pairing_flipped(self, monkeypatch):
-        # d/ds Gamma0(u(s,0))(u(s,0) b) + d/dt Gamma0(u(0,t))(a u(0,t)): the
-        # second partial pairing with its sign flipped.
-        def fd_surface_dGamma0(rho0, u, a, b, step=1e-4, tol=DEFAULT_TOL):
-            def g_t(s):
-                us = linalg.exp_antihermitian(s * a) @ u
-                return charts.Gamma0(rho0, us, us @ b, tol)
-
-            def g_s(t):
-                ut = u @ linalg.exp_antihermitian(t * b)
-                return charts.Gamma0(rho0, ut, a @ ut, tol)
-
-            return (g_t(step) - g_t(-step) + g_s(step) - g_s(-step)) / (2.0 * step)
-
-        monkeypatch.setattr(suites, "fd_surface_dGamma0", fd_surface_dGamma0)
-        assert "degeneracy/fd-exterior" in self._failed("degeneracy")
-
-    def test_tangent_basis_with_a_repeated_element(self, monkeypatch):
-        # A repeated direction is one more kernel direction off the radical.
-        # The directions are built at the first base only, beside the
-        # closed form: the ambient form's singular values no longer match
-        # it, the directions are not orthonormal and their realified rank
-        # falls short.  Slot (0, 1) holds the direction of slot (0, 0) again.
-        real = poisson._leg_directions
-
-        def leg_directions(w, v, rank):
-            directions, kept = real(w, v, rank)
-            directions[..., 1, :, :] = directions[..., 0, :, :]
-            return directions, kept
-
-        monkeypatch.setattr(poisson, "_leg_directions", leg_directions)
-        failed = self._failed("degeneracy")
-        assert {"degeneracy/radical-pairing", "degeneracy/dimensions"} <= failed
-
-    # The closed-form faults leave every frame right, so the per-trial
-    # frame checks cannot see them; the ambient form at the first base,
-    # which shares no closed form with them, can.  Trial 0 of these runs
-    # (seed 1) has a repeated eigenvalue.
-
-    def test_closed_form_with_a_cluster_pair_off_the_radical(self, monkeypatch):
-        # The first pair of slots within one cluster of a block given the
-        # block's largest eigenvalue: two zeros fewer in each leg's
-        # multiset.  The kernel count against the stabilizer mask sees it
-        # too, on every base with a repeated eigenvalue.
-        real = poisson._form_spectrum
-
-        def form_spectrum(w, rank):
-            values, kept = real(w, rank)
-            n = w.shape[-1]
-            a, c = np.divmod(np.arange(n * n), n)
-            inside = (a < c) & kept & (values <= 1e-9 * w[..., :1])
-            first = inside & (np.cumsum(inside, axis=-1) == 1)
-            pair = first | first[..., c * n + a]
-            return np.where(pair, w[..., :1], values), kept
-
-        monkeypatch.setattr(poisson, "_form_spectrum", form_spectrum)
-        failed = self._failed("degeneracy", trials=4, seed=1)
-        assert {"degeneracy/radical-pairing", "degeneracy/dimensions"} <= failed
-
-    def test_closed_form_of_a_perturbed_spectrum(self, monkeypatch):
-        # The eigenvalues times 1 + 1e-6: the kernel and the complement
-        # barely move, so the ambient form alone sees it.
-        real = poisson._form_spectrum
-        monkeypatch.setattr(poisson, "_form_spectrum", lambda w, rank: real(w * (1.0 + 1e-6), rank))
-        assert self._failed("degeneracy", trials=4, seed=1) == {"degeneracy/radical-pairing"}
-
-    def test_density_frame_not_unitary_on_later_trials(self, monkeypatch):
-        # The first block's second eigenvector replaced by its first past
-        # trial 0: the closed form reads a frame that is not unitary and
-        # does not rebuild the density.
-        real = poisson.density_spectrum
-
-        def density_spectrum(phi, tol=DEFAULT_TOL):
-            spectrum = real(phi, tol)
-            (s, w, v), *rest = spectrum.blocks
-            v = v.copy()
-            v[..., 1] = np.where(self._later(v, 2)[..., None], v[..., 0], v[..., 1])
-            return dataclasses.replace(spectrum, blocks=((s, w, v), *rest))
-
-        monkeypatch.setattr(poisson, "density_spectrum", density_spectrum)
-        assert "degeneracy/radical-pairing" in self._failed("degeneracy")
-
-    def test_fubini_study_without_its_radius(self, monkeypatch):
-        # The orbit through |delta><delta| in place of r |delta><delta|: the
-        # form still matches the Fubini–Study value at that orbit, so only
-        # the radius scaling sees the radius dropped.
-        real = poisson.fubini_study_compare
-
-        def fubini_study_compare(r, delta, x, y, tol=DEFAULT_TOL):
-            return real(np.ones_like(r), delta, x, y, tol)
-
-        monkeypatch.setattr(suites, "fubini_study_compare", fubini_study_compare)
-        failed = self._failed("fubini-study")
-        assert "fubini-study/r-scaling" in failed
-        assert "fubini-study/orbit-vs-fs" not in failed
-
-    def test_witness_in_the_wrong_direction(self, monkeypatch):
-        def mvn_witness(alg, p, q, tol=DEFAULT_TOL):
-            # F_p F_q* carries q onto p, not p onto q.
-            return algebra.mvn_witness(alg, q, p, tol)
-
-        monkeypatch.setattr(suites, "mvn_witness", mvn_witness)
-        assert "groupoid-axioms/witnesses" in self._failed("groupoid-axioms", trials=5)
+for _name in dict.fromkeys(fault.name.partition("[")[0] for fault in FAULTS):
+    setattr(TestPlantedFaults, _name,
+            _fault_test([fault for fault in FAULTS if fault.name.partition("[")[0] == _name]))
 
 
 class TestSampleWithRetry:
@@ -925,12 +909,9 @@ class TestRowReplay:
     stream of trial ``k`` alone, ``ctx.stream([k])``, so one trial can be
     replayed by itself."""
 
-    #: The rows that are plain functions: two fixed cases and two that
-    #: aggregate across trials.
-    PLAIN = {
-        "groupoid-axioms/equivalence-agreement", "charts/transition-oracle",
-        "exactness/order", "kks/calibration",
-    }
+    #: The rows that are plain functions: two fixed cases and one that
+    #: aggregates across trials.
+    PLAIN = {"charts/transition-oracle", "exactness/order", "kks/calibration"}
 
     @staticmethod
     def _rows():
@@ -943,7 +924,7 @@ class TestRowReplay:
     def test_every_random_row_is_a_draw_and_a_check(self):
         rows = self._rows()
         assert {name for name, _, fn in rows if not isinstance(fn, suites._Row)} == self.PLAIN
-        assert len(rows) - len(self.PLAIN) == 39
+        assert len(rows) - len(self.PLAIN) == 40
 
     @pytest.mark.parametrize("shape", ["2,3", "1,2,2"])
     def test_each_trial_alone(self, shape):
