@@ -33,10 +33,10 @@ the realified entries.
 The frames of a projection (:class:`Frames`) are one block-structured
 isometry ``F`` with ``p = F F*``.  Those of a given projection, per block
 the eigenvectors of its eigenvalues above 1/2, are read in one place
-(:func:`_block_frames`): :func:`frames_of` places them in one matrix for
-the isometry-bundle tangents in :mod:`wstargeo.poisson` and the samplers
-that take a projection, and the Murray-von Neumann witness ``F_q F_p*``
-multiplies them block by block.
+(:func:`_block_frames`): the Murray-von Neumann witness ``F_q F_p*``
+multiplies them block by block, and :func:`frames_of` places them in one
+matrix only for the two samplers that take a projection, which only the
+benchmark still calls.
 
 Like the :mod:`~wstargeo.linalg` kernels, the equivalences and their
 witnesses, the coadjoint action and the modular flow take a ``(T, dim,
@@ -168,9 +168,6 @@ class BlockAlgebra:
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
-
-    def zero(self) -> np.ndarray:
-        return np.zeros((self.dim, self.dim), dtype=complex)
 
     def block_views(self, x: np.ndarray) -> list[np.ndarray]:
         """Diagonal block of ``x`` (of each matrix of a stack) for each
@@ -451,12 +448,6 @@ class Frames:
     algebra: BlockAlgebra
     matrix: np.ndarray
     ranks: tuple[int, ...] | np.ndarray
-
-    @cached_property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """Each block's ``n_b x r_b`` frame, a view of ``matrix``."""
-        slices = zip(self.algebra.slices, self.ranks)
-        return tuple(self.matrix[..., s, s.start : s.start + r] for s, r in slices)
 
     @cached_property
     def projection(self) -> np.ndarray:

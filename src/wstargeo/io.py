@@ -78,15 +78,18 @@ def _entries(where: str, entry: dict, shape: tuple[int, ...] | None = None) -> n
     return out
 
 
+def _is_size(value) -> bool:
+    """Whether a JSON value is an integer of at least 1: not a float, a
+    string or a boolean (a ``bool`` is an ``int``)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _as_matrix(path: str, name: str, entry) -> np.ndarray:
     if not isinstance(entry, dict):
         raise ParseError(f"{path}: matrix {name!r} must be an object")
-    try:
-        rows, cols = int(entry["rows"]), int(entry["cols"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(
-            f"{path}: matrix {name!r} needs integer 'rows' and 'cols'"
-        ) from exc
+    rows, cols = entry.get("rows"), entry.get("cols")
+    if not (_is_size(rows) and _is_size(cols)):
+        raise ParseError(f"{path}: matrix {name!r} needs integer 'rows' and 'cols'")
     return _entries(f"{path}: matrix {name!r}", entry, (rows, cols))
 
 
@@ -96,11 +99,7 @@ def load_algebra_spec(path: str) -> tuple[BlockAlgebra, dict[str, np.ndarray]]:
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     blocks = data.get("blocks")
-    if (
-        not isinstance(blocks, list)
-        or not blocks
-        or not all(isinstance(b, int) and b >= 1 for b in blocks)
-    ):
+    if not isinstance(blocks, list) or not blocks or not all(map(_is_size, blocks)):
         raise ParseError(f"{path}: 'blocks' must be a non-empty list of positive integers")
     algebra = BlockAlgebra(tuple(blocks))
     matrices: dict[str, np.ndarray] = {}

@@ -39,8 +39,8 @@ object (:func:`kept_per_check`): the maps that read one arrow share its SVD.
 
 Each kind of support has one reader: :func:`supports` gives both supports
 of a general matrix from one SVD, :func:`positive_spectrum` the support of
-a positive matrix, and :func:`~wstargeo.algebra.frames_of` the blockwise
-frames of a projection.
+a positive matrix, and :func:`~wstargeo.algebra._block_frames` the
+blockwise frames of a projection.
 
 This is the only module that factorizes a matrix.  It calls the LAPACK
 drivers through the gufuncs that ``numpy.linalg`` itself dispatches to

@@ -245,9 +245,10 @@ def test_criterion_11_orbit_structure():
     witness_worst = 0.0
     for k in range(1000):
         algebra = ALGEBRAS[k % len(ALGEBRAS)]
-        p = sampling.random_projection(algebra, rng)[0]
+        f = sampling.random_frames(algebra, rng)
+        p = f.projection[0]
         if k % 2 == 0:
-            q = sampling.equivalent_frames(rng, sampling.frames_of(algebra, p)).projection[0]
+            q = sampling.equivalent_frames(rng, f).projection[0]
         else:
             q = sampling.random_projection(algebra, rng)[0]
         mvn = mvn_equivalent(algebra, p, q, DEFAULT_TOL)
@@ -279,15 +280,9 @@ def test_criterion_11_orbit_structure():
     for k in range(300):
         algebra = ALGEBRAS[k % len(ALGEBRAS)]
         frames = sampling.random_frames(algebra, rng, allow_zero=False)
-        support = frames.projection[0]
         phi1 = sampling.density_on(rng, frames)[0]
         if k % 2 == 0:
-            target = sampling.equivalent_frames(rng, frames).projection[0]
-            u = sampling.sample_with_retry(
-                lambda: sampling.partial_isometry_onto(
-                    algebra, rng, support, target
-                )[0]
-            )
+            u = sampling.isometry_between(rng, frames, sampling.equivalent_frames(rng, frames))[0]
             phi2 = coadjoint_apply(u, phi1, DEFAULT_TOL)
         else:
             phi2 = sampling.random_density(algebra, rng)[0]

@@ -245,7 +245,7 @@ class TestDimensionOracles:
         # The whole kernel corner commutes with d, so the expectation fixes it,
         # as it fixes the 1x1 block.
         for i, j in [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)]:
-            e = alg.zero()
+            e = np.zeros((alg.dim, alg.dim), complex)
             e[i, j] = 1.0
             assert frobenius(conditional_expectation(phi, e, DEFAULT_TOL) - e) <= 1e-15
 
@@ -283,8 +283,9 @@ class TestEquivalence:
     def test_witness(self):
         rng = _rng(4)
         for _ in range(100):
-            p = sampling.random_projection(M23, rng)[0]
-            q = sampling.equivalent_frames(rng, sampling.frames_of(M23, p)).projection[0]
+            f = sampling.random_frames(M23, rng)
+            p = f.projection[0]
+            q = sampling.equivalent_frames(rng, f).projection[0]
             w = mvn_witness(M23, p, q, DEFAULT_TOL)
             assert frobenius(w.conj().T @ w - p) <= 1e-10
             assert frobenius(w @ w.conj().T - q) <= 1e-10
@@ -336,11 +337,9 @@ class TestCoadjoint:
     def test_preserves_orbit(self):
         rng = _rng(6)
         for _ in range(50):
-            f = sampling.random_frames(M23, rng, allow_zero=False)[0]
-            p = f.projection
+            f = sampling.random_frames(M23, rng, allow_zero=False)
             phi = sampling.density_on(rng, f)[0]
-            q = sampling.equivalent_frames(rng, f).projection[0]
-            u = sampling.partial_isometry_onto(M23, rng, p, q)[0]
+            u = sampling.isometry_between(rng, f, sampling.equivalent_frames(rng, f))[0]
             pushed = coadjoint_apply(u, phi, DEFAULT_TOL)
             assert orbit_equivalent(phi, pushed, DEFAULT_TOL)
 

@@ -84,7 +84,7 @@ def _ref_coordinate_units(algebra):
     for s in algebra.slices:
         for i in range(s.start, s.stop):
             for j in range(s.start, s.stop):
-                e = algebra.zero()
+                e = np.zeros((algebra.dim, algebra.dim), complex)
                 e[i, j] = 1.0
                 units.append(e)
     return units
@@ -94,14 +94,14 @@ def _ref_hermitian_units(algebra):
     out = []
     for s in algebra.slices:
         for i in range(s.start, s.stop):
-            e = algebra.zero()
+            e = np.zeros((algebra.dim, algebra.dim), complex)
             e[i, i] = 1.0
             out.append(e)
             for j in range(i + 1, s.stop):
-                e = algebra.zero()
+                e = np.zeros((algebra.dim, algebra.dim), complex)
                 e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
                 out.append(e)
-                e = algebra.zero()
+                e = np.zeros((algebra.dim, algebra.dim), complex)
                 e[i, j] = -1j / np.sqrt(2.0)
                 e[j, i] = 1j / np.sqrt(2.0)
                 out.append(e)
@@ -117,7 +117,7 @@ def _ref_centralizer_basis(phi, tol):
                 continue
             for i in cluster:
                 for j in cluster:
-                    e = algebra.zero()
+                    e = np.zeros((algebra.dim, algebra.dim), complex)
                     e[s, s] = np.outer(v[:, i], v[:, j].conj())
                     basis.append(e)
     return basis
@@ -131,15 +131,15 @@ def _ref_stabilizer_basis(phi, tol):
             if w[cluster[0]] <= cutoff:
                 continue
             for a_pos, i in enumerate(cluster):
-                e = algebra.zero()
+                e = np.zeros((algebra.dim, algebra.dim), complex)
                 e[s, s] = 1j * np.outer(v[:, i], v[:, i].conj())
                 basis.append(e)
                 for j in cluster[a_pos + 1 :]:
                     m = np.outer(v[:, i], v[:, j].conj())
-                    e = algebra.zero()
+                    e = np.zeros((algebra.dim, algebra.dim), complex)
                     e[s, s] = (m - m.conj().T) / np.sqrt(2.0)
                     basis.append(e)
-                    e = algebra.zero()
+                    e = np.zeros((algebra.dim, algebra.dim), complex)
                     e[s, s] = 1j * (m + m.conj().T) / np.sqrt(2.0)
                     basis.append(e)
     return basis
@@ -151,7 +151,7 @@ def _ref_pinching_projections(phi, tol):
     for s, _, v, clusters, _ in _ref_clusters(phi, tol):
         for cluster in clusters:
             cols = v[:, cluster]
-            e = algebra.zero()
+            e = np.zeros((algebra.dim, algebra.dim), complex)
             e[s, s] = cols @ cols.conj().T
             projections.append(e)
     return projections

@@ -36,13 +36,12 @@ from wstargeo import (
 from wstargeo import suites
 from wstargeo.errors import NotPartiallyInvertible
 from wstargeo.sampling import (
-    corner_positive,
     equivalent_frames,
-    frames_of,
+    isometry_between,
     p0_tangent,
-    partial_isometry_onto,
+    positive_on,
     random_antihermitian,
-    random_projection,
+    random_frames,
     Stream,
 )
 
@@ -55,11 +54,12 @@ Q_HALF = 0.5 * np.ones((2, 2), dtype=complex)
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
-def draw_in_chart(algebra, rng, p, max_tries=64):
-    """Equivalent projection lying in the chart domain of p."""
+def draw_in_chart(rng, f, max_tries=64):
+    """Frames of an equivalent projection lying in the chart domain of the
+    projection of ``f``."""
     for _ in range(max_tries):
-        q = equivalent_frames(rng, frames_of(algebra, p)).projection[0]
-        if chart_domain_member(p, q, DEFAULT_TOL):
+        q = equivalent_frames(rng, f)
+        if chart_domain_member(f.projection[0], q.projection[0], DEFAULT_TOL):
             return q
     raise AssertionError("no in-chart projection found")
 
@@ -95,8 +95,9 @@ class TestProjectionChart:
         for trial in range(200):
             rng = Stream((11, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            p = random_projection(algebra, rng, allow_zero=False)[0]
-            q = draw_in_chart(algebra, rng, p)
+            f = random_frames(algebra, rng, allow_zero=False)
+            p = f.projection[0]
+            q = draw_in_chart(rng, f).projection[0]
             try:
                 y = phi_p(p, q, DEFAULT_TOL)
             except NotPartiallyInvertible:
@@ -123,9 +124,10 @@ class TestTransition:
         for trial in range(100):
             rng = Stream((12, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            p1 = random_projection(algebra, rng, allow_zero=False)[0]
-            p2 = draw_in_chart(algebra, rng, p1)
-            q = draw_in_chart(algebra, rng, p1)
+            f1 = random_frames(algebra, rng, allow_zero=False)
+            p1 = f1.projection[0]
+            p2 = draw_in_chart(rng, f1).projection[0]
+            q = draw_in_chart(rng, f1).projection[0]
             if not chart_domain_member(p2, q, DEFAULT_TOL):
                 continue
             try:
@@ -140,10 +142,11 @@ class TestTransition:
         hits = 0
         for trial in range(200):
             rng = Stream((13, trial), [0])
-            p1 = random_projection(M2, rng, ranks=(1,))[0]
-            p2 = draw_in_chart(M2, rng, p1)
-            p3 = draw_in_chart(M2, rng, p1)
-            q = draw_in_chart(M2, rng, p1)
+            f1 = random_frames(M2, rng, ranks=(1,))
+            p1 = f1.projection[0]
+            p2 = draw_in_chart(rng, f1).projection[0]
+            p3 = draw_in_chart(rng, f1).projection[0]
+            q = draw_in_chart(rng, f1).projection[0]
             if not (
                 chart_domain_member(p2, q, DEFAULT_TOL)
                 and chart_domain_member(p3, q, DEFAULT_TOL)
@@ -167,29 +170,20 @@ class TestTransition:
 
 
 class TestGroupoidCharts:
-    def draw_element(self, algebra, rng):
-        p = random_projection(algebra, rng, allow_zero=False, allow_full=False)[0]
-        pt = draw_in_chart(algebra, rng, p)
-        l = draw_in_chart(algebra, rng, p)
-        r = draw_in_chart(algebra, rng, pt)
-        # ranks of l and r must agree blockwise for a partial isometry l <- r
-        w = partial_isometry_onto(algebra, rng, r, l)[0]
-        x = w @ corner_positive(algebra, rng, r)[0]
-        return p, pt, x
-
     def test_round_trips(self):
         count = 0
         for trial in range(150):
             rng = Stream((14, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            p = random_projection(algebra, rng, allow_zero=False, allow_full=False)[0]
-            pt = draw_in_chart(algebra, rng, p)
-            l = draw_in_chart(algebra, rng, p)
-            if not chart_domain_member(pt, l, DEFAULT_TOL):
+            fp = random_frames(algebra, rng, allow_zero=False, allow_full=False)
+            fpt = draw_in_chart(rng, fp)
+            fl = draw_in_chart(rng, fp)
+            p, pt = fp.projection[0], fpt.projection[0]
+            if not chart_domain_member(pt, fl.projection[0], DEFAULT_TOL):
                 continue
-            r = draw_in_chart(algebra, rng, pt)
-            w = partial_isometry_onto(algebra, rng, r, l)[0]
-            x = w @ corner_positive(algebra, rng, r)[0]
+            fr = draw_in_chart(rng, fpt)
+            w = isometry_between(rng, fr, fl)[0]
+            x = w @ positive_on(rng, fr)[0]
             try:
                 coords = chart_G(p, pt, x, DEFAULT_TOL)
                 back = chart_G_inv(p, pt, coords, DEFAULT_TOL)
@@ -208,11 +202,12 @@ class TestGroupoidCharts:
     def test_theta_middle_is_partial_isometry(self):
         for trial in range(60):
             rng = Stream((15, trial), [0])
-            p = random_projection(M2, rng, ranks=(1,))[0]
-            pt = draw_in_chart(M2, rng, p)
-            l = draw_in_chart(M2, rng, p)
-            r = draw_in_chart(M2, rng, pt)
-            w = partial_isometry_onto(M2, rng, r, l)[0]
+            fp = random_frames(M2, rng, ranks=(1,))
+            fpt = draw_in_chart(rng, fp)
+            fl = draw_in_chart(rng, fp)
+            fr = draw_in_chart(rng, fpt)
+            p, pt = fp.projection[0], fpt.projection[0]
+            w = isometry_between(rng, fr, fl)[0]
             try:
                 _, m, _ = chart_Theta(p, pt, w, DEFAULT_TOL)
             except NotPartiallyInvertible:
@@ -231,8 +226,9 @@ class TestGroupoidCharts:
     def test_chart_isometry_legs(self):
         for trial in range(60):
             rng = Stream((16, trial), [0])
-            p = random_projection(M23, rng, allow_zero=False)[0]
-            q = draw_in_chart(M23, rng, p)
+            f = random_frames(M23, rng, allow_zero=False)
+            p = f.projection[0]
+            q = draw_in_chart(rng, f).projection[0]
             try:
                 u = u_p(p, q, DEFAULT_TOL)
             except NotPartiallyInvertible:
@@ -255,10 +251,11 @@ class TestBundleChart:
         for trial in range(120):
             rng = Stream((17, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            p0 = random_projection(algebra, rng, allow_zero=False)[0]
-            q = draw_in_chart(algebra, rng, p0)
-            u = partial_isometry_onto(algebra, rng, p0, q)[0]
-            p = draw_in_chart(algebra, rng, q)
+            f0 = random_frames(algebra, rng, allow_zero=False)
+            fq = draw_in_chart(rng, f0)
+            p0, q = f0.projection[0], fq.projection[0]
+            u = isometry_between(rng, f0, fq)[0]
+            p = draw_in_chart(rng, fq).projection[0]
             if not chart_domain_member(p, q, DEFAULT_TOL):
                 continue
             try:
@@ -293,10 +290,9 @@ class TestConnection:
         for trial in range(60):
             rng = Stream((18, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            p0 = random_projection(algebra, rng, allow_zero=False)[0]
-            u = partial_isometry_onto(
-                algebra, rng, p0, equivalent_frames(rng, frames_of(algebra, p0)).projection[0]
-            )[0]
+            f0 = random_frames(algebra, rng, allow_zero=False)
+            p0 = f0.projection[0]
+            u = isometry_between(rng, f0, equivalent_frames(rng, f0))[0]
             du = p0_tangent(algebra, rng, u, p0)[0]
             # a bundle tangent: du = du p0 and u* du anti-Hermitian
             bound = DEFAULT_TOL.residual_tol * (1.0 + frobenius(du))
@@ -317,10 +313,9 @@ class TestConnection:
     def test_curvature_antisymmetric_antihermitian(self):
         for trial in range(40):
             rng = Stream((19, trial), [0])
-            p0 = random_projection(M23, rng, allow_zero=False)[0]
-            u = partial_isometry_onto(
-                M23, rng, p0, equivalent_frames(rng, frames_of(M23, p0)).projection[0]
-            )[0]
+            f0 = random_frames(M23, rng, allow_zero=False)
+            p0 = f0.projection[0]
+            u = isometry_between(rng, f0, equivalent_frames(rng, f0))[0]
             du1 = p0_tangent(M23, rng, u, p0)[0]
             du2 = p0_tangent(M23, rng, u, p0)[0]
             om = curvature_Omega(u, du1, du2)
@@ -347,12 +342,11 @@ class TestOrbitOneForm:
         for trial in range(25):
             rng = Stream((20, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            p0 = random_projection(algebra, rng, allow_zero=False)[0]
-            d0 = corner_positive(algebra, rng, p0)[0]
+            f0 = random_frames(algebra, rng, allow_zero=False)
+            p0 = f0.projection[0]
+            d0 = positive_on(rng, f0)[0]
             rho0 = NormalFunctional(algebra, d0)
-            u = partial_isometry_onto(
-                algebra, rng, p0, equivalent_frames(rng, frames_of(algebra, p0)).projection[0]
-            )[0]
+            u = isometry_between(rng, f0, equivalent_frames(rng, f0))[0]
             a = random_antihermitian(algebra, rng)[0]
             b_raw = random_antihermitian(algebra, rng)[0]
             b = p0 @ b_raw @ p0
@@ -364,10 +358,10 @@ class TestOrbitOneForm:
         # A rank-2 corner: on a rank-1 corner exp(t b) commutes with the
         # density, the O(h^2) term vanishes and the errors are roundoff.
         rng = Stream((21,), [0])
-        p0 = random_projection(M3, rng, ranks=(2,))[0]
-        rho0 = NormalFunctional(M3, corner_positive(M3, rng, p0)[0])
-        target = equivalent_frames(rng, frames_of(M3, p0)).projection[0]
-        u = partial_isometry_onto(M3, rng, p0, target)[0]
+        f0 = random_frames(M3, rng, ranks=(2,))
+        p0 = f0.projection[0]
+        rho0 = NormalFunctional(M3, positive_on(rng, f0)[0])
+        u = isometry_between(rng, f0, equivalent_frames(rng, f0))[0]
         a = random_antihermitian(M3, rng)[0]
         b = p0 @ random_antihermitian(M3, rng)[0] @ p0
         exact = dGamma0(rho0, u, a @ u, u @ b, DEFAULT_TOL)

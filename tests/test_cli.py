@@ -134,19 +134,37 @@ class TestPolar:
         assert main(["polar", f]) == 1
         assert "non-finite" in capsys.readouterr().err
 
+    @staticmethod
+    def refused(tmp_path, capsys, data, message, command="polar"):
+        """``command`` on a file of ``data`` exits 1 with one error line."""
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps(data))
+        assert main([command, str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
     @pytest.mark.parametrize("fields, part", [
         ({"re": 5}, "re"),
         ({"re": [0.0] * 4, "im": None}, "im"),
     ], ids=["scalar-re", "null-im"])
     def test_non_list_parts(self, tmp_path, capsys, fields, part):
-        p = tmp_path / "a.json"
-        p.write_text(json.dumps(
-            {"blocks": [2], "matrices": {"a": {"rows": 2, "cols": 2, **fields}}}
-        ))
-        assert main(["polar", str(p)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert f"matrix 'a' needs a list '{part}'" in err
+        data = {"blocks": [2], "matrices": {"a": {"rows": 2, "cols": 2, **fields}}}
+        self.refused(tmp_path, capsys, data, f"matrix 'a' needs a list '{part}'")
+
+    @pytest.mark.parametrize("rows, cols", [
+        (2.7, 2), ("2", 2), (2, 2.0), (-2, -2), (0, 4), (True, 4),
+    ], ids=["float", "string", "integral-float", "negative", "zero", "bool"])
+    def test_malformed_sizes(self, tmp_path, capsys, rows, cols):
+        # int() would take 2.7, "2", 2.0 and True as sizes, and refuse -2 x -2
+        # for its entries.
+        data = {"blocks": [2], "matrices": {"a": {"rows": rows, "cols": cols, "re": [1.0, 0.0, 0.0, 1.0]}}}
+        self.refused(tmp_path, capsys, data, "matrix 'a' needs integer 'rows' and 'cols'")
+
+    @pytest.mark.parametrize("command", ["polar", "orbit"])
+    @pytest.mark.parametrize("blocks", [[True, 2], [2.0]], ids=["bool", "float"])
+    def test_malformed_blocks(self, tmp_path, capsys, command, blocks):
+        data = {"blocks": blocks, "matrices": {}}
+        self.refused(tmp_path, capsys, data, "'blocks' must be a non-empty list of positive integers", command)
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["polar", str(tmp_path / "nope.json")]) == 1

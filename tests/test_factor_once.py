@@ -548,7 +548,7 @@ def _contains_cases() -> dict[str, tuple[np.ndarray, bool]]:
     cases = {
         "member": (member, True),
         "identity": (M23.identity(), True),
-        "zero": (M23.zero(), True),
+        "zero": (np.zeros((M23.dim, M23.dim), complex), True),
         "real member": (member.real.copy(), True),
         "int member": (np.eye(5, dtype=int), True),
         "transposed member": (member.T, True),
@@ -677,7 +677,7 @@ def _fd_reference(obs: Observable, phi: NormalFunctional, tol) -> np.ndarray:
     """The central-difference differential as one loop over the Hermitian
     units, a fresh sum per unit."""
     h = tol.fd_step
-    grad = phi.algebra.zero()
+    grad = np.zeros((phi.algebra.dim, phi.algebra.dim), complex)
     for e in phi.algebra.hermitian_units():
         plus = NormalFunctional(phi.algebra, phi.density + h * e)
         minus = NormalFunctional(phi.algebra, phi.density - h * e)

@@ -50,21 +50,22 @@ from wstargeo import (
     vertical_form_residual,
 )
 from wstargeo import suites
+from wstargeo.algebra import Frames
 from wstargeo.charts import dGamma0
 from wstargeo.standard import dual_pair_orthogonality_check
 from wstargeo.linalg import expect_real, refuse
 from test_bases import _ref_bundle_tangent_basis
 from wstargeo.sampling import (
     complex_normal,
-    corner_positive,
+    corner_antihermitian,
     equivalent_frames,
-    frames_of,
-    partial_isometry_onto,
+    isometry_between,
+    positive_on,
     random_antihermitian,
     random_density,
     random_element,
     random_hermitian,
-    random_projection,
+    random_frames,
     random_unit_vector,
     random_unitary,
     Stream,
@@ -135,7 +136,7 @@ class TestLiePoisson:
                 phi.density @ phi.density @ phi.density @ x, axis1=-2, axis2=-1
             ).real
         )
-        one = Observable(value=lambda phi: 1.0, differential=lambda phi, tol: M23.zero())
+        one = Observable(value=lambda phi: 1.0, differential=lambda phi, tol: np.zeros((5, 5), complex))
         phi = random_density(M23, Stream((47,), [0]))[0]
         coarse = dataclasses.replace(DEFAULT_TOL, fd_step=1e-2)
         product = f.times(one).differential_at(phi, coarse)
@@ -259,13 +260,10 @@ class TestComposableFamily:
     def test_vertical_form(self):
         for trial in range(40):
             rng = Stream((50, trial), [0])
-            q = random_projection(M23, rng, allow_zero=False)[0]
-            u = partial_isometry_onto(
-                M23, rng, q, equivalent_frames(rng, frames_of(M23, q)).projection[0]
-            )[0]
-            xi = corner_positive(M23, rng, q)[0]
-            from wstargeo.sampling import corner_antihermitian
-
+            f = random_frames(M23, rng, allow_zero=False)
+            q = f.projection[0]
+            u = isometry_between(rng, f, equivalent_frames(rng, f))[0]
+            xi = positive_on(rng, f)[0]
             b = corner_antihermitian(M23, rng, q)[0]
             b_prime = corner_antihermitian(M23, rng, q)[0]
             assert vertical_form_residual(u, xi, b, b_prime, DEFAULT_TOL) <= 1e-10
@@ -572,13 +570,8 @@ class TestDegeneracy:
     def test_rank_one_base(self):
         rng = Stream((57,), [0])
         rho0 = PHI10
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        u, v = (
-            partial_isometry_onto(
-                M2, rng, p0, equivalent_frames(rng, frames_of(M2, p0)).projection[0]
-            )[0]
-            for _ in range(2)
-        )
+        f0 = Frames(M2, np.diag([1.0, 0.0 + 0j])[None], np.array([[1]]))
+        u, v = (isometry_between(rng, f0, equivalent_frames(rng, f0))[0] for _ in range(2))
         report = degeneracy_kernel_check(rho0, u, v, DEFAULT_TOL)
         # stabilizer of a rank-one corner is one-dimensional; two legs
         assert report.expected_kernel_dimension == 2
@@ -612,18 +605,13 @@ class TestDegeneracy:
     def test_contraction_matches_pairwise_loop(self, blocks, ranks, repeated):
         algebra = BlockAlgebra(blocks)
         rng = Stream((60, *ranks, int(repeated)), [0])
-        p0 = random_projection(algebra, rng, ranks=ranks)[0]
+        f0 = random_frames(algebra, rng, ranks=ranks)
         if repeated:
-            d = corner_positive(algebra, rng, p0, 1.0, 1.0)[0]
+            d = positive_on(rng, f0, 1.0, 1.0)[0]
         else:
-            d = corner_positive(algebra, rng, p0)[0]
+            d = positive_on(rng, f0)[0]
         rho0 = NormalFunctional(algebra, d / np.trace(d).real)
-        u, v = (
-            partial_isometry_onto(
-                algebra, rng, p0, equivalent_frames(rng, frames_of(algebra, p0)).projection[0]
-            )[0]
-            for _ in range(2)
-        )
+        u, v = (isometry_between(rng, f0, equivalent_frames(rng, f0))[0] for _ in range(2))
         report = degeneracy_kernel_check(rho0, u, v, DEFAULT_TOL)
         kernel_dim, radical, min_sing = _pairwise_degeneracy(rho0, u, v)
         assert report.kernel_dimension == kernel_dim
@@ -711,11 +699,11 @@ class TestDegeneracy:
             rng = Stream((59, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
             rho0 = random_density(algebra, rng)[0]
-            from wstargeo import functional_support
-
-            p0 = functional_support(rho0, DEFAULT_TOL)
-            q = equivalent_frames(rng, frames_of(algebra, p0))
-            u = partial_isometry_onto(algebra, rng, p0, q.projection[0])[0]
+            # rho0 is faithful: its support is the identity
+            f0 = Frames(algebra, algebra.identity()[None], np.array([algebra.blocks]))
+            p0 = f0.projection[0]
+            q = equivalent_frames(rng, f0)
+            u = isometry_between(rng, f0, q)[0]
             sample = [x[0] for x in orbit_form_sample(algebra, rng, u, p0, q)]
             width = stabilizer_lie_algebra(rho0, DEFAULT_TOL).mask.shape[-1]
             coeff = rng.take("standard_normal", shape=(width,))[0]

@@ -11,7 +11,8 @@ reached as a whole.  An import reaches nothing by itself, so neither do
 submodule's definition, and its PEP 562 hooks ``__getattr__`` and ``__dir__``
 are roots.  The sources are read with ``ast`` and the tracer
 with ``runpy``, as ``test_tracer_targets.py`` does; nothing under
-``perfbench/`` is imported or written.
+``perfbench/`` is imported or written.  Without the benchmark's roots,
+exactly :data:`BENCHMARK_ONLY` is left unreached.
 """
 import ast
 import pathlib
@@ -25,6 +26,20 @@ PACKAGE = "wstargeo"
 EXPORTS = "_EXPORTS"
 #: Module-level functions that Python itself calls (PEP 562).
 MODULE_HOOKS = ("__getattr__", "__dir__")
+#: The definitions that only the benchmark's tracer and files reach: the
+#: wrappers it still calls, which no test or demo but :data:`WRAPPER_TESTS`
+#: may name, and ``suite_rows``, public API its workloads read to name rows.
+BENCHMARK_ONLY = {
+    "algebra.frames_of",
+    "groupoids.AxiomReport",
+    "groupoids.axiom_check",
+    "sampling.corner_positive",
+    "sampling.partial_isometry_onto",
+    "standard.fiber_kernel_E",
+    "standard.fiber_kernel_Eprime",
+    "suites.suite_rows",
+}
+WRAPPER_TESTS = ("test_benchmark_api.py", "test_reach.py")
 
 
 class _Module:
@@ -133,8 +148,9 @@ def _perfbench_roots(mods: dict[str, _Module]) -> set[tuple[str, str]]:
     return roots
 
 
-def unreached(mods: dict[str, _Module]) -> list[str]:
-    """Names ``module.definition`` that no root reaches."""
+def unreached(mods: dict[str, _Module], benchmark: bool = True) -> list[str]:
+    """Names ``module.definition`` that no root reaches (without the
+    benchmark's, the program's own roots)."""
     frontier = set()
     for module, mod in mods.items():
         for stmt in mod.tree.body:
@@ -143,8 +159,9 @@ def unreached(mods: dict[str, _Module]) -> list[str]:
                 (ast.Import, ast.ImportFrom, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
             ):
                 frontier |= _references(mods, module, stmt)
-    roots = {("cli", "main")} | _tracer_roots() | _perfbench_roots(mods)
-    roots |= {(module, hook) for module in mods for hook in MODULE_HOOKS}
+    roots = {("cli", "main")} | {(module, hook) for module in mods for hook in MODULE_HOOKS}
+    if benchmark:
+        roots |= _tracer_roots() | _perfbench_roots(mods)
     frontier |= {hit for hit in (_resolve(mods, m, a) for m, a in roots) if hit}
     reached = set()
     while frontier:
@@ -173,6 +190,26 @@ def test_roots_resolve():
 
 def test_every_definition_is_reached():
     assert unreached(_load(SRC)) == []
+
+
+def test_only_the_benchmark_reaches_its_api():
+    assert set(unreached(_load(SRC), benchmark=False)) == BENCHMARK_ONLY
+
+
+def test_no_test_or_demo_calls_the_benchmark_api():
+    wrappers = {name.split(".")[1] for name in BENCHMARK_ONLY - {"suites.suite_rows"}}
+    found = {}
+    for path in [*sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))]:
+        # each name read, imported or spelled as a (dotted) string
+        names = {
+            getattr(node, field).rsplit(".", 1)[-1]
+            for node in ast.walk(ast.parse(path.read_text()))
+            for field in ("id", "attr", "name", "value")
+            if isinstance(getattr(node, field, None), str)
+        }
+        if path.name not in WRAPPER_TESTS and names & wrappers:
+            found[path.name] = sorted(names & wrappers)
+    assert found == {}
 
 
 def unused_imports(path: pathlib.Path) -> list[str]:

@@ -29,43 +29,32 @@ def _blockwise_ranks(algebra, p):
     return tuple(int(round(np.trace(b).real)) for b in algebra.block_views(p))
 
 
-def _draws(algebra, seed):
-    """(source, target, arrow, corner positive) from both entry points, on
-    random ranks including empty and full blocks."""
-    rng = sampling.Stream((seed,), [0])
-    f = sampling.random_frames(algebra, rng)
-    g = sampling.equivalent_frames(rng, f)
-    yield (
-        f.projection[0],
-        g.projection[0],
-        sampling.isometry_between(rng, f, g)[0],
-        sampling.positive_on(rng, f, 0.25, 3.0)[0],
-    )
-    p = sampling.random_projection(algebra, rng)[0]
-    q = sampling.equivalent_frames(rng, sampling.frames_of(algebra, p)).projection[0]
-    yield (
-        p,
-        q,
-        sampling.partial_isometry_onto(algebra, rng, p, q)[0],
-        sampling.corner_positive(algebra, rng, p, 0.25, 3.0)[0],
-    )
+def check_arrow_and_positive(algebra, p, q, u, h):
+    """``u`` is a partial isometry from ``p`` onto ``q``, and ``h`` a positive
+    element of the ``(0.25, 3.0)`` draws."""
+    assert frobenius(u.conj().T @ u - p) <= 1e-12
+    assert frobenius(u @ u.conj().T - q) <= 1e-12
+    assert algebra.contains(u) and algebra.contains(h)
+    # supported exactly on p, with its spectrum there in [lo, hi]
+    assert frobenius(h - p @ h @ p) <= 1e-12
+    assert frobenius(h - h.conj().T) <= 1e-12
+    w = np.linalg.eigvalsh(h)[::-1]
+    r = int(round(np.trace(p).real))
+    assert np.all(w[:r] >= 0.25 - 1e-12) and np.all(w[:r] <= 3.0 + 1e-12)
+    assert np.all(np.abs(w[r:]) <= 1e-12)
 
 
 class TestFrameSamplers:
     @pytest.mark.parametrize("algebra", ALGEBRAS, ids=lambda a: str(a.blocks))
     def test_arrows_and_corner_positives(self, algebra):
+        # on random ranks including empty and full blocks
         for seed in range(12):
-            for p, q, u, h in _draws(algebra, seed):
-                assert frobenius(u.conj().T @ u - p) <= 1e-12
-                assert frobenius(u @ u.conj().T - q) <= 1e-12
-                assert algebra.contains(u) and algebra.contains(h)
-                # supported exactly on p, with its spectrum there in [lo, hi]
-                assert frobenius(h - p @ h @ p) <= 1e-12
-                assert frobenius(h - h.conj().T) <= 1e-12
-                w = np.linalg.eigvalsh(h)[::-1]
-                r = int(round(np.trace(p).real))
-                assert np.all(w[:r] >= 0.25 - 1e-12) and np.all(w[:r] <= 3.0 + 1e-12)
-                assert np.all(np.abs(w[r:]) <= 1e-12)
+            rng = sampling.Stream((seed,), [0])
+            f = sampling.random_frames(algebra, rng)
+            g = sampling.equivalent_frames(rng, f)
+            u = sampling.isometry_between(rng, f, g)[0]
+            h = sampling.positive_on(rng, f, 0.25, 3.0)[0]
+            check_arrow_and_positive(algebra, f.projection[0], g.projection[0], u, h)
 
     @pytest.mark.parametrize("algebra", ALGEBRAS, ids=lambda a: str(a.blocks))
     def test_blockwise_ranks(self, algebra):
@@ -74,18 +63,14 @@ class TestFrameSamplers:
             f = sampling.random_frames(algebra, rng)[0]
             assert sum(f.ranks) > 0
             assert _blockwise_ranks(algebra, f.projection) == f.ranks
-            for frame, n, r in zip(f.blocks, algebra.blocks, f.ranks):
-                assert frame.shape == (n, r)
-                assert frobenius(frame.conj().T @ frame - np.eye(r)) <= 1e-12
+            gram = f.matrix.conj().T @ f.matrix  # orthonormal frame columns
+            assert frobenius(gram - np.diag(frame_columns(algebra, f.ranks))) <= 1e-12
             assert sampling.equivalent_frames(rng, f)[0].ranks == f.ranks
-            assert sampling.frames_of(algebra, f.projection).ranks == f.ranks
             if min(algebra.blocks) >= 2:
                 inner = sampling.random_frames(algebra, rng, allow_zero=False, allow_full=False)[0]
                 assert all(0 < r < n for r, n in zip(inner.ranks, algebra.blocks))
             p = sampling.random_projection(algebra, rng, ranks=f.ranks)[0]
             assert _blockwise_ranks(algebra, p) == f.ranks
-            q = sampling.equivalent_frames(rng, sampling.frames_of(algebra, p)).projection[0]
-            assert _blockwise_ranks(algebra, q) == f.ranks
 
     def test_rank_checks(self):
         rng = sampling.Stream((1,), [0])
@@ -102,17 +87,12 @@ class TestFrameSamplers:
         full = sampling.random_frames(M2, sampling.Stream((0,), [0]), ranks=(2,))
         arrows = [sampling.isometry_between(sampling.Stream((s,), [0]), full, full)[0] for s in (1, 2)]
         assert frobenius(arrows[0] - arrows[1]) > 0.1
-        one = M2.identity()
-        arrows = [
-            sampling.partial_isometry_onto(M2, sampling.Stream((s,), [0]), one, one)[0] for s in (1, 2)
-        ]
-        assert frobenius(arrows[0] - arrows[1]) > 0.1
 
     def test_samplers_read_no_projection_they_drew(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a sampler diagonalised a projection")
 
-        monkeypatch.setattr(sampling, "frames_of", refuse)
+        monkeypatch.setattr("wstargeo.algebra._block_frames", refuse)
         rng = sampling.Stream((3,), [0])
         for tag in groupoids.GROUPOIDS:
             groupoids.composable_chain(tag, M23, rng, 3)
@@ -194,7 +174,7 @@ def _per_block_positive(algebra, ref, frames):
 
 
 def _assembled(algebra, mats):
-    out = algebra.zero()
+    out = np.zeros((algebra.dim, algebra.dim), complex)
     for s, m in zip(algebra.slices, mats):
         out[s, s] = m
     return out
@@ -250,8 +230,8 @@ class TestOneQRPerDraw:
                     off[s, s.start : s.start + r] = 0.0
                 assert not off.any()
                 assert f.ranks == tuple(b.shape[1] for b in blocks)
-                for got, want in zip(f.blocks, blocks):
-                    drawn(got, want)
+                for s, r, want in zip(algebra.slices, f.ranks, blocks):
+                    drawn(f.matrix[s, s.start : s.start + r], want)
 
             f = sampling.random_frames(algebra, rng)
             fb = _per_block_frames(algebra, ref)
@@ -335,12 +315,11 @@ def _arrows(algebra, rng) -> list:
 
 def _corners(algebra, rng) -> list:
     ranks = tuple((n + 1) // 2 for n in algebra.blocks)
-    p = sampling.random_projection(algebra, rng, ranks=ranks)
-    q = sampling.random_projection(algebra, rng, ranks=ranks)
-    u = sampling.partial_isometry_onto(algebra, rng, p, q)
+    f, g = (sampling.random_frames(algebra, rng, ranks=ranks) for _ in range(2))
+    p, u = f.projection, sampling.isometry_between(rng, f, g)
     return [
-        p, q, u,
-        sampling.corner_positive(algebra, rng, p),
+        p, g.projection, u,
+        sampling.positive_on(rng, f),
         sampling.corner_hermitian(algebra, rng, p),
         sampling.corner_antihermitian(algebra, rng, p),
         sampling.p0_tangent(algebra, rng, u, p),
@@ -561,8 +540,7 @@ class TestFrameColumns:
             f,
             sampling.random_frames(algebra, sampling.Stream((75,), [0]))[0],
             sampling.equivalent_frames(rng, f),
-            sampling.frames_of(algebra, prescribed.projection),
-            sampling.frames_of(algebra, prescribed.projection[0]),
+            prescribed,
             f[np.arange(12) % 3 == 0],
             joined,
         ]:
@@ -624,13 +602,6 @@ EMPTY_DRAWS = {
     "positive_on": (lambda alg: sampling.positive_on(_empty(), _empty_frames(alg)), (0, 5, 5)),
     "frame_chain": (lambda alg: sampling.frame_chain(alg, _empty(), 2)[-1].matrix, (0, 5, 5)),
     "random_projection": (lambda alg: sampling.random_projection(alg, _empty()), (0, 5, 5)),
-    "partial_isometry_onto": (
-        lambda alg: sampling.partial_isometry_onto(alg, _empty(), *[_empty_frames(alg).projection] * 2),
-        (0, 5, 5),
-    ),
-    "corner_positive": (
-        lambda alg: sampling.corner_positive(alg, _empty(), _empty_frames(alg).projection), (0, 5, 5)
-    ),
     "corner_hermitian": (
         lambda alg: sampling.corner_hermitian(alg, _empty(), np.zeros((0, 5, 5))), (0, 5, 5)
     ),

@@ -8,18 +8,16 @@ import pytest
 from wstargeo import (
     DEFAULT_TOL,
     BlockAlgebra,
-    CoadjointArrow,
     DegenerateBase,
     InvalidArrow,
     NormalFunctional,
     NotComposable,
     NotFaithful,
+    composable_chain,
     conjugation_J,
     dual_pair_orthogonality_check,
     expectation_E,
     expectation_Eprime,
-    fiber_kernel_E,
-    fiber_kernel_Eprime,
     fiber_kernel_dimension,
     frobenius,
     iso_Phi,
@@ -40,12 +38,12 @@ from wstargeo.errors import NotPartiallyInvertible
 from wstargeo.linalg import restricted_power, supports
 from wstargeo.standard import flow_residuals, flow_sample
 from wstargeo.sampling import (
-    corner_positive,
     equivalent_frames,
-    frames_of,
-    partial_isometry_onto,
+    isometry_between,
+    positive_on,
     random_density,
     random_element,
+    random_frames,
     random_projection,
     Stream,
 )
@@ -67,18 +65,10 @@ def null_space_rows(a, tol=DEFAULT_TOL):
     return vh[linalg.floored_rank(s, tol):]
 
 
-
-def composable_coadjoint_pair(algebra, rng):
-    """Two coadjoint arrows with source(first) = target(second)."""
-    q2 = random_projection(algebra, rng, allow_zero=False)[0]
-    d2 = corner_positive(algebra, rng, q2)[0]
-    q1 = equivalent_frames(rng, frames_of(algebra, q2)).projection[0]
-    u2 = partial_isometry_onto(algebra, rng, q2, q1)[0]
-    rho2 = NormalFunctional(algebra, d2)
-    rho1 = NormalFunctional(algebra, u2 @ d2 @ u2.conj().T)
-    q0 = equivalent_frames(rng, frames_of(algebra, q1)).projection[0]
-    u1 = partial_isometry_onto(algebra, rng, q1, q0)[0]
-    return CoadjointArrow(u1, rho1), CoadjointArrow(u2, rho2)
+def fibre_kernels(algebra, g) -> list:
+    """The fibre kernels of E and E' at g, as the dual-pair check reads
+    them: one stack of directions each."""
+    return standard._pair_kernels(algebra, standard._pair_factors(algebra, g, DEFAULT_TOL))
 
 
 class TestVectorStructure:
@@ -141,11 +131,7 @@ class TestStandardGroupoid:
     def test_unit_absorbs(self):
         for trial in range(50):
             rng = Stream((32, trial), [0])
-            q1 = random_projection(M23, rng, allow_zero=False)[0]
-            q0 = equivalent_frames(rng, frames_of(M23, q1)).projection[0]
-            u = partial_isometry_onto(M23, rng, q1, q0)[0]
-            h = corner_positive(M23, rng, q1)[0]
-            g = u @ h
+            g = composable_chain("standard", M23, rng, 1)[0][0]
             left_unit = std_unit(expectation_E(M23, g), DEFAULT_TOL)
             right_unit = std_unit(expectation_Eprime(M23, g), DEFAULT_TOL)
             assert frobenius(std_mul(left_unit, g, DEFAULT_TOL) - g) <= 1e-9
@@ -173,7 +159,7 @@ class TestCoadjointIsomorphism:
         for trial in range(100):
             rng = Stream((33, trial), [0])
             algebra = M2 if trial % 2 == 0 else M23
-            a, b = composable_coadjoint_pair(algebra, rng)
+            a, b = (x[0] for x in composable_chain("coadjoint", algebra, rng, 2))
             assert phi_intertwining_residual(algebra, a, b, DEFAULT_TOL) <= 1e-10
 
 
@@ -189,13 +175,10 @@ class TestActions:
     def test_transport_witness_random(self):
         for trial in range(50):
             rng = Stream((34, trial), [0])
-            q1 = random_projection(M23, rng, allow_zero=False)[0]
-            q0 = equivalent_frames(rng, frames_of(M23, q1)).projection[0]
-            u = partial_isometry_onto(M23, rng, q1, q0)[0]
-            g1 = u @ corner_positive(M23, rng, q1)[0]
-            v = partial_isometry_onto(
-                M23, rng, q0, equivalent_frames(rng, frames_of(M23, q0)).projection[0]
-            )[0]
+            f1 = random_frames(M23, rng, allow_zero=False)
+            f0 = equivalent_frames(rng, f1)
+            g1 = isometry_between(rng, f1, f0)[0] @ positive_on(rng, f1)[0]
+            v = isometry_between(rng, f0, equivalent_frames(rng, f0))[0]
             g2 = v @ g1
             w = transport_witness(g1, g2, DEFAULT_TOL)
             assert frobenius(w @ g1 - g2) <= 1e-9
@@ -212,8 +195,7 @@ class TestDualPair:
 
     def test_full_support_vector(self):
         g = np.eye(2, dtype=complex)
-        ker_e = fiber_kernel_E(M2, g, DEFAULT_TOL)
-        ker_ep = fiber_kernel_Eprime(M2, g, DEFAULT_TOL)
+        ker_e, ker_ep = fibre_kernels(M2, g)
         assert len(ker_e) == 4
         assert len(ker_ep) == 4
         report = dual_pair_orthogonality_check(M2, g, DEFAULT_TOL)
@@ -229,16 +211,14 @@ class TestDualPair:
 
     def test_kernel_members_satisfy_constraints(self):
         rng = Stream((35,), [0])
-        q = random_projection(M23, rng, allow_zero=False)[0]
-        g = partial_isometry_onto(
-            M23, rng, q, equivalent_frames(rng, frames_of(M23, q)).projection[0]
-        )[0] @ corner_positive(M23, rng, q)[0]
+        g = composable_chain("standard", M23, rng, 1)[0][0]
         mu = supports(g, DEFAULT_TOL)[0]
-        for delta in fiber_kernel_E(M23, g, DEFAULT_TOL):
+        ker_e, ker_ep = fibre_kernels(M23, g)
+        for delta in ker_e:
             assert frobenius(delta @ g.conj().T + g @ delta.conj().T) <= 1e-9
             assert frobenius(mu @ delta - delta) <= 1e-9
         mu_p = supports(conjugation_J(g), DEFAULT_TOL)[0]
-        for delta in fiber_kernel_Eprime(M23, g, DEFAULT_TOL):
+        for delta in ker_ep:
             assert frobenius(g.conj().T @ delta + delta.conj().T @ g) <= 1e-9
             assert frobenius(delta @ mu_p - delta) <= 1e-9
 
@@ -266,14 +246,11 @@ class TestDualPair:
         """A Gaussian point, a rank-deficient point and, with more than one
         block, a Gaussian point with its first block set to zero."""
         points = [random_element(algebra, rng)[0]]
-        q = random_projection(
+        f = random_frames(
             algebra, rng, ranks=tuple(n - 1 for n in algebra.blocks[:-1]) + (1,)
-        )[0]
+        )
         points.append(
-            partial_isometry_onto(
-                algebra, rng, q, equivalent_frames(rng, frames_of(algebra, q)).projection[0]
-            )[0]
-            @ corner_positive(algebra, rng, q)[0]
+            isometry_between(rng, f, equivalent_frames(rng, f))[0] @ positive_on(rng, f)[0]
         )
         if len(algebra.blocks) > 1:
             g = random_element(algebra, rng)[0]
@@ -287,9 +264,10 @@ class TestDualPair:
         for g in self._dual_pair_points(algebra, Stream((39, len(blocks)), [0])):
             mu = supports(g, DEFAULT_TOL)[0]
             mu_p = supports(conjugation_J(g), DEFAULT_TOL)[0]
+            ker_e, ker_ep = fibre_kernels(algebra, g)
             pairs = [
                 (
-                    fiber_kernel_E(algebra, g, DEFAULT_TOL),
+                    ker_e,
                     self._ambient_kernel(
                         algebra,
                         lambda d: d @ g.conj().T + g @ d.conj().T,
@@ -297,7 +275,7 @@ class TestDualPair:
                     ),
                 ),
                 (
-                    fiber_kernel_Eprime(algebra, g, DEFAULT_TOL),
+                    ker_ep,
                     self._ambient_kernel(
                         algebra,
                         lambda d: g.conj().T @ d + d.conj().T @ g,
@@ -316,7 +294,7 @@ class TestDualPair:
                 # Equal spans: the stacked realified bases keep the rank.
                 stacked = np.array(
                     [np.concatenate([d.real.ravel(), d.imag.ravel()])
-                     for d in blockwise + reference]
+                     for d in [*blockwise, *reference]]
                 )
                 assert np.linalg.matrix_rank(stacked, tol=1e-8) == len(reference)
 
@@ -328,13 +306,9 @@ class TestDualPair:
             if trial == 0:
                 g = random_element(algebra, rng)[0]
             else:
-                q = random_projection(algebra, rng, allow_zero=False)[0]
-                g = partial_isometry_onto(
-                    algebra, rng, q, equivalent_frames(rng, frames_of(algebra, q)).projection[0]
-                )[0] @ corner_positive(algebra, rng, q)[0]
+                g = composable_chain("standard", algebra, rng, 1)[0][0]
             report = dual_pair_orthogonality_check(algebra, g, DEFAULT_TOL)
-            ker_e = fiber_kernel_E(algebra, g, DEFAULT_TOL)
-            ker_ep = fiber_kernel_Eprime(algebra, g, DEFAULT_TOL)
+            ker_e, ker_ep = fibre_kernels(algebra, g)
             pairwise = max(abs(symplectic_omega(x, y)) for x in ker_e for y in ker_ep)
             assert (report.dim_E, report.dim_Eprime) == (len(ker_e), len(ker_ep))
             assert abs(report.orthogonality - pairwise) <= 1e-14
@@ -359,9 +333,7 @@ class TestDualPair:
 
     def test_degenerate_base(self):
         with pytest.raises(DegenerateBase):
-            fiber_kernel_E(M2, np.zeros((2, 2)), DEFAULT_TOL)
-        with pytest.raises(DegenerateBase):
-            fiber_kernel_Eprime(M2, np.zeros((2, 2)), DEFAULT_TOL)
+            fibre_kernels(M2, np.zeros((2, 2), complex))
 
 
 class TestTomita:
@@ -471,15 +443,12 @@ class TestClosedFormM2:
     # dimension 2.
 
     @pytest.mark.parametrize(
-        "kernel, want",
-        [
-            (fiber_kernel_E, [E11, 1j * E11, 1j * E12]),
-            (fiber_kernel_Eprime, [1j * E12, E22, 1j * E22]),
-        ],
+        "side, want",
+        [(0, [E11, 1j * E11, 1j * E12]), (1, [1j * E12, E22, 1j * E22])],
         ids=["E", "Eprime"],
     )
-    def test_fiber_kernel(self, kernel, want):
-        got = kernel(M2, E12, DEFAULT_TOL)
+    def test_fiber_kernel(self, side, want):
+        got = fibre_kernels(M2, E12)[side]
         assert len(got) == 3
         assert (
             frobenius(_span_projection(got) - _span_projection(want)) <= 1e-14
@@ -511,12 +480,10 @@ class TestClosedFormFibreKernels:
         u2 = [1j * e[0, 0], 1j * e[1, 1], e[0, 1] - e[1, 0], 1j * (e[0, 1] + e[1, 0])]
         return [x @ sigma_inv for x in u2] + [e[0, 2], 1j * e[0, 2], e[1, 2], 1j * e[1, 2]]
 
-    @pytest.mark.parametrize(
-        "kernel, adjoint", [(fiber_kernel_E, False), (fiber_kernel_Eprime, True)], ids=["E", "Eprime"]
-    )
-    def test_fiber_kernel(self, kernel, adjoint):
-        want = [d.conj().T if adjoint else d for d in self._kernel_E()]
-        got = kernel(self.M3, self.G, DEFAULT_TOL)
+    @pytest.mark.parametrize("side", [0, 1], ids=["E", "Eprime"])
+    def test_fiber_kernel(self, side):
+        want = [d.conj().T if side else d for d in self._kernel_E()]
+        got = fibre_kernels(self.M3, self.G)[side]
         assert len(got) == 8
         assert frobenius(_span_projection(got) - _span_projection(want)) <= 1e-14
 
