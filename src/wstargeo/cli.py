@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .linalg import (
     positive_spectrum,
 )
 
-__all__ = ["main", "console_entry", "build_parser"]
+__all__ = ["main", "console_entry", "build_parsers"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,7 +64,13 @@ def _number(kind, accept, requirement: str):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: By command name, the parser that ``add_subparsers`` built for the
+#: command and its handler, which takes the parsed arguments to the exit code.
+Commands = dict[str, tuple[argparse.ArgumentParser, Callable[[argparse.Namespace], int]]]
+
+
+def build_parsers() -> tuple[argparse.ArgumentParser, Commands]:
+    """The top-level parser and the table of its commands."""
     parser = _Parser(
         prog="wstargeo",
         description="Groupoid, Poisson, and modular-flow verification "
@@ -131,7 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="expected block sizes; must match the file when given",
     )
-    return parser
+    return parser, {
+        "polar": (p_polar, cmd_polar),
+        "verify": (p_verify, cmd_verify),
+        "amplitude": (p_amp, cmd_amplitude),
+        "orbit": (p_orbit, cmd_orbit),
+    }
 
 
 def _algebra_option(text: str) -> BlockAlgebra:
@@ -251,26 +263,28 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The parser of :func:`main`, built on its first call.  Parsing leaves it
-#: unchanged, so the calls of one process share it.
-_PARSER: argparse.ArgumentParser | None = None
+#: :func:`build_parsers` for :func:`main`, built on its first call.
+#: Parsing leaves the parsers unchanged, so the calls of one process share
+#: them.
+_PARSERS: tuple[argparse.ArgumentParser, Commands] | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
+    global _PARSERS
+    if _PARSERS is None:
+        _PARSERS = build_parsers()
+    parser, commands = _PARSERS
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _PARSER.parse_args(argv)
-        if args.command is None:
-            raise UsageError("a subcommand is required (polar, verify, amplitude, orbit)")
-        handler = {
-            "polar": cmd_polar,
-            "verify": cmd_verify,
-            "amplitude": cmd_amplitude,
-            "orbit": cmd_orbit,
-        }[args.command]
-        return handler(args)
+        # A command's own parser reads its arguments: the same prog, help
+        # and errors as the top-level parser, at half the cost.  Anything
+        # else (-h, an unknown name) goes to the top level, which returns
+        # only on no arguments at all.
+        if argv and argv[0] in commands:
+            sub, handler = commands[argv[0]]
+            return handler(sub.parse_args(argv[1:]))
+        parser.parse_args(argv)
+        raise UsageError("a subcommand is required (polar, verify, amplitude, orbit)")
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -694,16 +694,24 @@ class AmplitudeReport:
 
 
 def feynman_amplitude(
-    vectors: Sequence[np.ndarray], tol: ToleranceProfile = DEFAULT_TOL
+    vectors: np.ndarray | Sequence[np.ndarray], tol: ToleranceProfile = DEFAULT_TOL
 ) -> AmplitudeReport:
     """Product of successive overlaps <v_k | v_{k+1}> along a path of unit
-    vectors; the probability is the squared modulus.  Composing amplitudes is
-    the one-dimensional shadow of the groupoid product.  It sits with the
-    kernels so that ``wstargeo amplitude`` loads no checker module."""
+    vectors, a ``(k, n)`` stack or a list of ``k`` vectors of length ``n``,
+    each read flat; the probability is the squared modulus.  A vector not of
+    unit norm is refused as vector ``k``.  The overlaps are taken in one call and
+    multiplied in order as Python complexes, bit for bit the product of
+    ``np.vdot`` of each pair.  Composing amplitudes is the one-dimensional
+    shadow of the groupoid product.  It sits with the kernels so that
+    ``wstargeo amplitude`` loads no checker module."""
     if len(vectors) < 2:
         raise DomainError("an amplitude needs a path of at least two vectors")
-    units = [_unit_vector(np.ravel(v), tol) for v in vectors]
+    token = STACK_NAME.set("vector {}".format)
+    try:
+        units = _unit_vector(np.reshape(vectors, (len(vectors), -1)), tol)
+    finally:
+        STACK_NAME.reset(token)
     amp = complex(1.0)
-    for a, b in zip(units, units[1:]):
-        amp *= complex(np.vdot(a, b))
+    for overlap in np.vecdot(units[:-1], units[1:]).tolist():
+        amp *= overlap
     return AmplitudeReport(amplitude=amp, probability=float(abs(amp) ** 2), steps=len(units) - 1)

@@ -419,9 +419,11 @@ def _draw_cocycle(ctx: RowCtx, rng) -> list:
     return _draw_equivalent_in_domain(ctx.algebra, rng, ctx.profile, 4)
 
 
+@factor_once()
 def _check_cocycle(ctx: RowCtx, p, p1, p2, q) -> dict:
     """Transition maps between three charts: the chart change and the
-    cocycle identity."""
+    cocycle identity; the chart-change and the cocycle share the overlaps
+    ``phi_p_inv(p, y)`` and ``phi_p_inv(p1, y1)``, factored once."""
     prof = ctx.profile
     y = phi_p(p, q, prof)
     y1 = transition_L(p, p1, y, prof)

@@ -14,7 +14,7 @@ import wstargeo
 from wstargeo import algebra
 from wstargeo.algebra import BlockAlgebra
 from wstargeo.cli import main
-from wstargeo.io import REPORT_HEADER
+from wstargeo.io import REPORT_HEADER, load_vectors
 from wstargeo.linalg import polar_decompose
 from wstargeo.suites import SUITE_NAMES
 
@@ -170,6 +170,25 @@ class TestPolar:
         assert main(["polar", str(tmp_path / "nope.json")]) == 1
         assert "file not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["polar", "amplitude"])
+    @pytest.mark.parametrize("raw, message", [
+        (b'{"blocks": [2\xff]}', "not UTF-8 text: byte 0xff at offset 13"),
+        ('{"blocks": [2]}'.encode("utf-8-sig"), "Unexpected UTF-8 BOM"),
+    ], ids=["0xff", "bom"])
+    def test_not_utf8(self, tmp_path, capsys, command, raw, message):
+        # Files are strict UTF-8: a byte that decodes to nothing, or a
+        # byte-order mark, is one error line, not a traceback.
+        p = tmp_path / "a.json"
+        p.write_bytes(raw)
+        assert main([command, str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and err.count("\n") == 1 and message in err
+
+    def test_directory(self, tmp_path, capsys):
+        assert main(["polar", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path}: cannot read") and err.count("\n") == 1
+
     def test_bad_json(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"blocks": [2,\n  "matrices": }')
@@ -307,6 +326,31 @@ class TestAmplitude:
         assert main(["amplitude", str(p)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("second, message", [
+        ('{"re": [0, 1, 0]}', "vector 1 has 3 entries, but vector 0 has 2"),
+        ('{"re": [0, "x"]}', "vector 1 has non-numeric entries"),
+        ('{"re": [0, [1]]}', "vector 1 has non-numeric entries"),
+        ('{"re": [[0], [1]], "im": [[0], [0]]}', "vector 1 has non-numeric entries"),
+        ('{"re": [0, 1%s]}' % ("0" * 400), "vector 1 has non-numeric entries"),
+    ], ids=["unequal-length", "string", "nested", "nested-alike", "beyond-float"])
+    def test_refused_second_vector(self, tmp_path, capsys, second, message):
+        # The file is converted in one call, and a refusal names the vector.
+        # Unequal lengths and an integer beyond the float range ended in
+        # tracebacks when each vector was converted alone, and one-entry
+        # lists nested alike in 're' and 'im' were read as numbers.
+        p = tmp_path / "v.json"
+        p.write_text('{"vectors": [{"re": [1, 0]}, %s, {"re": [0, 1]}]}' % second)
+        assert main(["amplitude", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: {message}") and err.count("\n") == 1
+
+    def test_loads_one_stack(self, tmp_path):
+        rng = np.random.default_rng(8)
+        path = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        stack = load_vectors(write_vectors(tmp_path / "v.json", path))
+        assert stack.shape == (4, 5) and stack.dtype == complex
+        assert stack.tobytes() == path.tobytes()
+
 
 class TestOrbit:
     def test_oracle(self, tmp_path, capsys):
@@ -418,6 +462,37 @@ class TestTopLevel:
     def test_no_subcommand(self, capsys):
         assert main([]) == 3
         assert "subcommand" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, err", [
+        (["bogus"], "argument COMMAND: invalid choice: 'bogus' "
+                    "(choose from 'polar', 'verify', 'amplitude', 'orbit')"),
+        (["polar"], "the following arguments are required: file"),
+        (["amplitude", "a", "b"], "unrecognized arguments: b"),
+    ], ids=["unknown-command", "missing-file", "extra-argument"])
+    def test_usage_errors(self, capsys, argv, err):
+        # A command's arguments are parsed by its own parser, with the text
+        # the top-level parser gave.
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"usage error: {err}\n"
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["--help"], "usage: wstargeo [-h] COMMAND ..."),
+        (["-h"], "usage: wstargeo [-h] COMMAND ..."),
+        (["polar", "--help"], "usage: wstargeo polar [-h] [--name NAME] [--tol TOL] file"),
+    ])
+    def test_help(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.splitlines()[0] == usage
+
+    def test_reads_sys_argv(self, tmp_path, capsys, monkeypatch):
+        f = write_algebra(tmp_path / "a.json", [2], {"a": E12})
+        assert main(["polar", f]) == 0
+        out = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["wstargeo", "polar", f])
+        assert main(None) == 0
+        assert capsys.readouterr().out == out
 
     def test_unknown_flag(self, capsys):
         assert main(["polar", "x.json", "--bogus"]) == 3

@@ -9,6 +9,7 @@ import pytest
 
 from wstargeo import (
     DEFAULT_TOL,
+    AmplitudeReport,
     BlockAlgebra,
     ComposableFamily,
     DegenerateBase,
@@ -525,18 +526,33 @@ class TestAmplitude:
         second = feynman_amplitude(path[2:], DEFAULT_TOL)
         assert abs(full.amplitude - first.amplitude * second.amplitude) <= 1e-12
 
+    def test_stack_is_the_product_of_vdot_overlaps(self):
+        # 20 paths of every length 2-11 in every dimension 1-19: the stack
+        # and the list of its rows give the in-order product of np.vdot
+        # overlaps, bit for bit.
+        for n in range(1, 20):
+            for length in range(2, 12):
+                draws = random_unit_vector(n, Stream((57, n, length), range(20 * length)))
+                for path in draws.reshape(20, length, n):
+                    amp = complex(1.0)
+                    for a, b in zip(path, path[1:]):
+                        amp *= complex(np.vdot(a, b))
+                    report = feynman_amplitude(path, DEFAULT_TOL)
+                    assert report == AmplitudeReport(amp, float(abs(amp) ** 2), length - 1)
+                    assert feynman_amplitude(list(path), DEFAULT_TOL) == report
+
     def test_short_path(self):
         with pytest.raises(DomainError):
             feynman_amplitude([np.array([1.0, 0.0])], DEFAULT_TOL)
 
     def test_non_unit_vector(self):
-        with pytest.raises(NotUnitVector):
+        with pytest.raises(NotUnitVector, match="at vector 1$"):
             feynman_amplitude(
                 [np.array([1.0, 0.0]), np.array([0.0, 2.0])], DEFAULT_TOL
             )
-        with pytest.raises(NotUnitVector):
+        with pytest.raises(NotUnitVector, match="at vector 2$"):
             feynman_amplitude(
-                [np.array([1.0, 0.0]), np.array([np.nan, 0.0])], DEFAULT_TOL
+                np.array([[1.0, 0.0], [0.0, 1.0], [np.nan, 0.0]]), DEFAULT_TOL
             )
 
 
