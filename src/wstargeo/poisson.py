@@ -237,6 +237,11 @@ def field_duality_residual(
     return abs(paired - lp_bracket(f, g, phi, tol))
 
 
+def _closure(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``-i [x, y]``: the bracket {f_x, f_y} of evaluations is f of it."""
+    return herm(-1j * (x @ y - y @ x))
+
+
 def jacobi_residual(
     x: np.ndarray,
     y: np.ndarray,
@@ -246,14 +251,10 @@ def jacobi_residual(
 ):
     """Jacobi identity on evaluation observables, using the closure
     {f_x, f_y} = f_{-i[x,y]} of the bracket on linear functions."""
-
-    def closure(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return herm(-1j * (a @ b - b @ a))
-
     total = (
-        lp_bracket(Observable.linear(x, tol), Observable.linear(closure(y, z), tol), phi, tol)
-        + lp_bracket(Observable.linear(y, tol), Observable.linear(closure(z, x), tol), phi, tol)
-        + lp_bracket(Observable.linear(z, tol), Observable.linear(closure(x, y), tol), phi, tol)
+        lp_bracket(Observable.linear(x, tol), Observable.linear(_closure(y, z), tol), phi, tol)
+        + lp_bracket(Observable.linear(y, tol), Observable.linear(_closure(z, x), tol), phi, tol)
+        + lp_bracket(Observable.linear(z, tol), Observable.linear(_closure(x, y), tol), phi, tol)
     )
     return abs(total)
 
@@ -267,7 +268,7 @@ def linear_closure_residual(
     """|{f_x, f_y}(phi) - phi(-i[x,y])|: the bracket of evaluations is the
     evaluation of -i[x, y]."""
     lhs = lp_bracket(Observable.linear(x, tol), Observable.linear(y, tol), phi, tol)
-    rhs = expect_real(phi(herm(-1j * (x @ y - y @ x))), tol, "closure evaluation")
+    rhs = expect_real(phi(_closure(x, y)), tol, "closure evaluation")
     return abs(lhs - rhs)
 
 
@@ -296,8 +297,7 @@ def field_morphism_residual(
     the two fields (as linear maps on density directions, composed in the
     order field-of-y after field-of-x minus the reverse)."""
     d = phi.density
-    z = herm(-1j * (x @ y - y @ x))
-    lhs = hamiltonian_field(Observable.linear(z, tol), phi, tol)
+    lhs = hamiltonian_field(Observable.linear(_closure(x, y), tol), phi, tol)
 
     def field_of(a: np.ndarray, at: np.ndarray) -> np.ndarray:
         return 1j * (a @ at - at @ a)

@@ -11,10 +11,11 @@ gives the data of all its trials at once, trial ``k`` from row ``k`` of
 each slot of :meth:`RowCtx.stream`; the check (``_check_*``) runs once, on the
 stacks, and returns residual arrays by name, one entry per trial, each with
 the bits the trial gets alone.  Rows that name the same draw and check form
-a group and read different arrays of one run.  Three rows are plain
-functions: two fixed cases (``charts/transition-oracle``,
-``kks/calibration``) and one that aggregates across trials
-(``exactness/order``).
+a group and read different arrays of one run; the rows of a suite that
+share a draw form one group.  Three rows are plain functions: two fixed
+cases (``charts/transition-oracle``, ``kks/calibration``) and one that
+aggregates across trials (``exactness/order``, on the families of
+``exactness/residual``'s run).
 
 The registry is consumed by :func:`run_suite` and by the command line's
 ``verify`` subcommand; suite and row names are stable identifiers.
@@ -152,7 +153,8 @@ class RowCtx:
     subindex: int
     profile: ToleranceProfile
     #: The checks of each row, keyed by its draw and check, so that a group
-    #: of rows runs them once; one dict per :func:`run_suite` call.
+    #: of rows, and ``exactness/order`` after ``exactness/residual``, runs
+    #: them once; one dict per :func:`run_suite` call.
     shared: dict = field(default_factory=dict, compare=False, repr=False)
 
     def stream(self, trials=None) -> sampling.Stream:
@@ -195,16 +197,22 @@ class _Row:
     keys: tuple[str, ...]
 
     def __call__(self, ctx: RowCtx) -> float:
-        group = (self.draw, self.check)
-        if group not in ctx.shared:
-            ctx.shared[group] = self.check(ctx, *self.draw(ctx, ctx.stream()))
-        checks = ctx.shared[group]
+        checks = _group_checks(ctx, self.draw, self.check)
         residuals = [r for key in self.keys or checks for r in np.ravel(checks[key]).tolist()]
         return _worst(0.0, *residuals)
 
 
 def _row(draw: Callable, check: Callable, *keys: str) -> _Row:
     return _Row(draw, check, keys)
+
+
+def _group_checks(ctx: RowCtx, draw: Callable, check: Callable) -> dict:
+    """The arrays of ``check`` on ``draw`` of all trials, run by the first
+    row of the group to ask, with its subindex, and kept in ``ctx.shared``."""
+    group = (draw, check)
+    if group not in ctx.shared:
+        ctx.shared[group] = check(ctx, *draw(ctx, ctx.stream()))
+    return ctx.shared[group]
 
 
 def _coefficient_width(algebra: BlockAlgebra) -> int:
@@ -565,24 +573,28 @@ def _check_vertical(ctx: RowCtx, u, xi, b, b2) -> dict:
     return {"vertical": vertical_form_residual(u, xi, b, b2, ctx.profile)}
 
 
-def _check_exactness(ctx: RowCtx, *data, steps: tuple = ()) -> dict:
-    """The finite-difference defect of each trial's family at each of
-    ``steps``, by default the profile's."""
+#: The two steps of ``exactness/order``, the second half the first.
+ORDER_STEPS = (1e-3, 5e-4)
+
+
+def _check_exactness(ctx: RowCtx, *data) -> dict:
+    """The finite-difference defect of each trial's family at the profile's
+    step and at each of :data:`ORDER_STEPS`."""
     prof = ctx.profile
     [fam] = families_on(ctx.algebra, data, prof)
-    return {f"h={h:g}": exactness_residual(fam, h, prof) for h in steps or (prof.fd_step,)}
-
-
-def _check_order(ctx: RowCtx, *data) -> dict:
-    return _check_exactness(ctx, *data, steps=(1e-3, 5e-4))
+    return {
+        "defect": exactness_residual(fam, prof.fd_step, prof),
+        **{f"h={h:g}": exactness_residual(fam, h, prof) for h in ORDER_STEPS},
+    }
 
 
 def _row_exactness_order(ctx: RowCtx) -> float:
     """Median convergence ratio of the finite-difference defect when the step
-    halves; a second-order scheme gives 4."""
-    defects = _check_order(ctx, *_draw_family(ctx, ctx.stream()))
+    halves, on the families of ``exactness/residual``; a second-order scheme
+    gives 4."""
+    checks = _group_checks(ctx, _draw_family, _check_exactness)
     ratios = []
-    for r1, r2 in zip(*(d.tolist() for d in defects.values())):
+    for r1, r2 in zip(*(checks[f"h={h:g}"].tolist() for h in ORDER_STEPS)):
         if not np.isfinite(r1 + r2):
             return float("nan")
         if r2 > 1e-13:
@@ -647,51 +659,35 @@ def _observables(ctx: RowCtx, x, y, z) -> tuple:
     return Observable.linear(x, prof), g_fd, Observable.quadratic(z, prof)
 
 
-def _check_quadratic(ctx: RowCtx, x, y, z, gamma) -> dict:
+def _check_poisson_vector(ctx: RowCtx, x, y, z, gamma) -> dict:
+    """The quadratic-map residual of three pairs of observables and their
+    brackets with the commutant, at each trial's vector."""
+    alg, prof = ctx.algebra, ctx.profile
     f, g_fd, h = _observables(ctx, x, y, z)
-    pairs = [(f, g_fd), (f, h), (g_fd, h)]
-    residuals = poisson_map_residual(pairs, ctx.algebra, gamma, ctx.profile)
-    return dict(zip(("f-g", "f-h", "g-h"), residuals))
+    residuals = poisson_map_residual([(f, g_fd), (f, h), (g_fd, h)], alg, gamma, prof)
+    return {
+        **dict(zip(("f-g", "f-h", "g-h"), residuals)),
+        "commutant-f-h": commutant_bracket_check(f, h, alg, gamma, prof),
+        "commutant-h-f": commutant_bracket_check(h, f, alg, gamma, prof),
+    }
 
 
-def _check_jacobi(ctx: RowCtx, x, y, z, d) -> dict:
+def _check_poisson_density(ctx: RowCtx, x, y, z, d) -> dict:
+    """The Jacobi, closure, Leibniz and Hamiltonian-field identities at each
+    trial's density, on one functional of the stack."""
     prof = ctx.profile
+    f, g_fd, h = _observables(ctx, x, y, z)
     phi = NormalFunctional(ctx.algebra, d)
     return {
         "jacobi": jacobi_residual(x, y, z, phi, prof),
         "linear-closure": linear_closure_residual(x, y, phi, prof),
-    }
-
-
-def _check_leibniz(ctx: RowCtx, x, y, z, d) -> dict:
-    prof = ctx.profile
-    f, g_fd, h = _observables(ctx, x, y, z)
-    phi = NormalFunctional(ctx.algebra, d)
-    return {
         "leibniz": leibniz_residual(f, g_fd, h, phi, prof),
         # g_fd = Re phi(y) has exact differential y: an oracle for the
-        # central differences, which the bracket identities above cannot see
+        # central differences, which the bracket identities cannot see
         # (both of their sides are linear in the one differential).
         "differential": frobenius(g_fd.differential_at(phi, prof) - y),
-    }
-
-
-def _check_field_morphism(ctx: RowCtx, x, y, z, d) -> dict:
-    prof = ctx.profile
-    f, _, h = _observables(ctx, x, y, z)
-    phi = NormalFunctional(ctx.algebra, d)
-    return {
         "morphism": field_morphism_residual(x, y, phi, prof),
         "duality": field_duality_residual(f, h, phi, prof),
-    }
-
-
-def _check_commutant(ctx: RowCtx, x, y, z, gamma) -> dict:
-    alg, prof = ctx.algebra, ctx.profile
-    f, _, h = _observables(ctx, x, y, z)
-    return {
-        "f-h": commutant_bracket_check(f, h, alg, gamma, prof),
-        "h-f": commutant_bracket_check(h, f, alg, gamma, prof),
     }
 
 
@@ -802,14 +798,12 @@ def _draw_fs(ctx: RowCtx, rng) -> list:
     return [_radii(rng), delta, x_t, y_t]
 
 
-def _check_fs_orbit(ctx: RowCtx, r, delta, x_t, y_t) -> dict:
-    return {"orbit-vs-fs": fubini_study_compare(r, delta, x_t, y_t, ctx.profile).residual}
-
-
-def _check_fs_scaling(ctx: RowCtx, r, delta, x_t, y_t) -> dict:
-    one = fubini_study_compare(r, delta, x_t, y_t, ctx.profile).omega
+def _check_fs(ctx: RowCtx, r, delta, x_t, y_t) -> dict:
+    """The orbit form against the Fubini–Study form at radius ``r``, and
+    the orbit form's scaling when the radius doubles."""
+    at_r = fubini_study_compare(r, delta, x_t, y_t, ctx.profile)
     two = fubini_study_compare(2.0 * r, delta, x_t, y_t, ctx.profile).omega
-    return {"r-scaling": np.abs(two - 2.0 * one)}
+    return {"orbit-vs-fs": at_r.residual, "r-scaling": np.abs(two - 2.0 * at_r.omega)}
 
 
 def _draw_pair_groupoid(ctx: RowCtx, rng) -> list:
@@ -876,31 +870,25 @@ def _draw_density_pair(ctx: RowCtx, rng) -> list:
     return [d, sampling.random_element(alg, rng), sampling.random_element(alg, rng)]
 
 
-def _check_tomita(ctx: RowCtx, d, x, g) -> dict:
+def _check_density_pair(ctx: RowCtx, d, x, g) -> dict:
     """S(x Omega) = x* Omega, S is an involution, and S factors as the
-    conjugation after the square root of the modular operator."""
+    conjugation after the square root of the modular operator; the modular
+    flow's group law, multiplicativity, adjoint and invariant state."""
     prof = ctx.profile
     phi = NormalFunctional(ctx.algebra, d)
     omega_vec = std_unit(phi, prof)
     s_g = tomita_S(phi, g, prof)
+    s, t = 0.7, -1.3
+    flow = modular_flow(phi, t, prof)
+    sx, sg = flow(x), flow(g)
+    # The modulus as Python's abs takes it (see ``exactness_residual``).
+    value = phi(sx) - phi(x)
     return {
         "S": frobenius(tomita_S(phi, x @ omega_vec, prof) - x.conj().mT @ omega_vec),
         "involution": frobenius(tomita_S(phi, s_g, prof) - g),
         "polar": frobenius(s_g - conjugation_J(modular_Delta(phi, g, 0.5, prof))),
-    }
-
-
-def _check_group_law(ctx: RowCtx, d, x, y) -> dict:
-    prof = ctx.profile
-    phi = NormalFunctional(ctx.algebra, d)
-    s, t = 0.7, -1.3
-    flow = modular_flow(phi, t, prof)
-    sx, sy = flow(x), flow(y)
-    # The modulus as Python's abs takes it (see ``exactness_residual``).
-    value = phi(sx) - phi(x)
-    return {
         "group": frobenius(modular_flow(phi, s, prof)(sx) - modular_flow(phi, s + t, prof)(x)),
-        "multiplicative": frobenius(flow(x @ y) - sx @ sy),
+        "multiplicative": frobenius(flow(x @ g) - sx @ sg),
         "adjoint": frobenius(flow(x.conj().mT) - sx.conj().mT),
         "state": np.hypot(value.real, value.imag),
     }
@@ -1004,7 +992,7 @@ _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
         ("vertical", 1e-10, _row(_draw_vertical, _check_vertical)),
     ],
     "exactness": [
-        ("residual", 1e-7, _row(_draw_family, _check_exactness)),
+        ("residual", 1e-7, _row(_draw_family, _check_exactness, "defect")),
         ("order", 0.5, _row_exactness_order),
     ],
     "dual-pair": [
@@ -1012,11 +1000,16 @@ _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
         ("dimension", 0.5, _row(_draw_dual_pair, _check_dual_pair, "dimension")),
     ],
     "poisson-map": [
-        ("quadratic", 1e-10, _row(_draw_poisson_vector, _check_quadratic)),
-        ("jacobi", 1e-8, _row(_draw_poisson_density, _check_jacobi)),
-        ("leibniz", 1e-8, _row(_draw_poisson_density, _check_leibniz)),
-        ("field-morphism", 1e-10, _row(_draw_poisson_density, _check_field_morphism)),
-        ("commutant", 1e-10, _row(_draw_poisson_vector, _check_commutant)),
+        ("quadratic", 1e-10,
+         _row(_draw_poisson_vector, _check_poisson_vector, "f-g", "f-h", "g-h")),
+        ("jacobi", 1e-8,
+         _row(_draw_poisson_density, _check_poisson_density, "jacobi", "linear-closure")),
+        ("leibniz", 1e-8,
+         _row(_draw_poisson_density, _check_poisson_density, "leibniz", "differential")),
+        ("field-morphism", 1e-10,
+         _row(_draw_poisson_density, _check_poisson_density, "morphism", "duality")),
+        ("commutant", 1e-10,
+         _row(_draw_poisson_vector, _check_poisson_vector, "commutant-f-h", "commutant-h-f")),
     ],
     "degeneracy": [
         ("orbit-form-invariance", 1e-10, _row(_draw_invariance, _check_invariance)),
@@ -1031,8 +1024,8 @@ _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
         ("calibration", 1e-10, _row_kks_calibration),
     ],
     "fubini-study": [
-        ("orbit-vs-fs", 1e-10, _row(_draw_fs, _check_fs_orbit)),
-        ("r-scaling", 1e-10, _row(_draw_fs, _check_fs_scaling)),
+        ("orbit-vs-fs", 1e-10, _row(_draw_fs, _check_fs, "orbit-vs-fs")),
+        ("r-scaling", 1e-10, _row(_draw_fs, _check_fs, "r-scaling")),
         ("pair-groupoid", 1e-10, _row(_draw_pair_groupoid, _check_pair_groupoid)),
     ],
     "modular-flow": [
@@ -1042,8 +1035,10 @@ _SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
         ("cone", 1e-9, _row(_draw_flow, _check_flow, "cone")),
         ("orbit-invariants", 1e-9, _row(_draw_flow, _check_flow, "orbit_invariants")),
         ("orbit-form", 1e-9, _row(_draw_orbit_form, _check_orbit_form)),
-        ("tomita", 1e-10, _row(_draw_density_pair, _check_tomita)),
-        ("group-law", 1e-10, _row(_draw_density_pair, _check_group_law)),
+        ("tomita", 1e-10,
+         _row(_draw_density_pair, _check_density_pair, "S", "involution", "polar")),
+        ("group-law", 1e-10, _row(_draw_density_pair, _check_density_pair,
+                                  "group", "multiplicative", "adjoint", "state")),
         ("conditional-expectation", 1e-10,
          _row(_draw_conditional_expectation, _check_conditional_expectation)),
         ("dimensions", 0.5, _row(_draw_planted, _check_dimensions)),

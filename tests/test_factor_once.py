@@ -242,14 +242,16 @@ class TestCounts:
         assert all(counts[0][name]["heevd"] > 0 for name in ("automorphism", "tomita"))
 
     def test_poisson_rows_factor_per_row_not_per_trial(self, lapack_calls, monkeypatch):
-        # The five poisson-map rows and kks/identity check all their trials'
-        # data with one call per check on their stack, so neither their SVDs
-        # (the unit-norm scaling of the observables' elements) nor their
-        # Hermitian eigendecompositions (the canonical vector of each
+        # The two poisson-map groups and kks/identity check all their
+        # trials' data with one call per check on their stack, so neither
+        # their SVDs (the unit-norm scaling of the observables' elements) nor
+        # their Hermitian eigendecompositions (the canonical vector of each
         # density) grow with the trials, and neither do the functionals they
         # build: one per stack, one per central-difference stencil of a
         # basis element.  With one call per trial, the quadratic row built
-        # E(gamma) and 2 * 13 functionals for its stencils per trial.
+        # E(gamma) and 2 * 13 functionals for its stencils per trial.  The
+        # first row of a group builds them for the group (the vector group's
+        # also the 4 of the commutant brackets), the rows after it none.
         built = []
         post_init = NormalFunctional.__post_init__
 
@@ -259,7 +261,7 @@ class TestCounts:
 
         monkeypatch.setattr(NormalFunctional, "__post_init__", counted)
         rows = [
-            (subindex, row)
+            (suite, subindex, row)
             for suite in ("poisson-map", "kks")
             for subindex, row in enumerate(suites._suite(suite))
             if row[0] != "calibration"
@@ -267,15 +269,17 @@ class TestCounts:
         assert len(rows) == 6
         counts = []
         for trials in (10, 40):
-            per_row = {}
-            for subindex, (name, tolerance, fn) in rows:
+            per_row, shared = {}, {}
+            for suite, subindex, (name, tolerance, fn) in rows:
                 lapack_calls.update(gesdd=0, heevd=0)
                 built.clear()
-                assert fn(suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL)) <= tolerance
+                ctx = suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL, shared.setdefault(suite, {}))
+                assert fn(ctx) <= tolerance
                 per_row[name] = (lapack_calls["gesdd"], lapack_calls["heevd"], len(built))
             counts.append(per_row)
         assert counts[0] == counts[1]
-        assert counts[0]["quadratic"][2] == 1 + 13
+        assert counts[0]["quadratic"][2] == 1 + 13 + 4
+        assert [counts[0][name][2] for name in ("leibniz", "field-morphism", "commutant")] == [0] * 3
         assert counts[0]["identity"][1] > 0
 
     def test_pattern_rows_factor_per_pattern_not_per_trial(self, lapack_calls, monkeypatch):

@@ -295,13 +295,13 @@ def _registry_row(name):
     return fn.draw, fn.check
 
 
-#: Each row of the multiplicativity and exactness suites: its draw and its
-#: check, which run on one trial's data or on a stack of it.  The order row
-#: aggregates across trials; its check gives the defects it compares.
+#: Each random row of the multiplicativity and exactness suites: its draw
+#: and its check, which run on one trial's data or on a stack of it.  The
+#: order row aggregates the defects of the residual row's check.
 STACKED_FAMILY_ROWS = {
     name: _registry_row(name)
     for name in ("multiplicativity/residual", "multiplicativity/vertical", "exactness/residual")
-} | {"exactness/order": (suites._draw_family, suites._check_order)}
+}
 
 
 def _drawn(draw, algebra, trials, seed, select=None):
@@ -355,12 +355,12 @@ class TestStackedFamilies:
         families_on(M23, [x[others] for x in drawn])  # the others pass
 
 
-#: The poisson-map rows and kks/identity, whose draws and checks run on one
-#: trial's data or on a stack of it.
-OBSERVABLE_ROWS = [
-    f"{suite}/{row}" for suite in ("poisson-map", "kks") for row in suites.suite_rows(suite)
-    if row != "calibration"
-]
+#: The draw and check of each poisson-map group and of kks/identity, which
+#: run on one trial's data or on a stack of it.
+OBSERVABLE_CHECKS = dict.fromkeys(
+    _registry_row(f"{suite}/{row}") for suite in ("poisson-map", "kks")
+    for row in suites.suite_rows(suite) if row != "calibration"
+)
 
 
 class TestStackedObservables:
@@ -373,8 +373,7 @@ class TestStackedObservables:
     def test_trials_are_independent(self, shape):
         algebra = BlockAlgebra.from_string(shape)
         ctx = suites.RowCtx(algebra, 12, 50, 0, DEFAULT_TOL)
-        for row in OBSERVABLE_ROWS:
-            draw, check = _registry_row(row)
+        for draw, check in OBSERVABLE_CHECKS:
             stacked = check(ctx, *_drawn(draw, algebra, 12, 50))
             for k in range(12):
                 data = _drawn(draw, algebra, 12, 50, [k])
@@ -384,7 +383,7 @@ class TestStackedObservables:
                 for name, s in stacked.items():
                     a, u = alone[name], unstacked[name]
                     assert len(s) == 12 and len(a) == 1
-                    assert s[k].tobytes() == a[0].tobytes() == np.asarray(u).tobytes(), (row, k)
+                    assert s[k].tobytes() == a[0].tobytes() == np.asarray(u).tobytes(), (check, k)
 
     def test_failing_trial_is_named(self):
         x, y, _, d = _drawn(suites._draw_poisson_density, M23, 10, 51)

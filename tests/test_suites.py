@@ -921,6 +921,15 @@ class TestRowReplay:
         assert {name for name, _, fn in rows if not isinstance(fn, suites._Row)} == self.PLAIN
         assert len(rows) - len(self.PLAIN) == 40
 
+    def test_rows_of_one_draw_form_one_group(self):
+        # Within a suite, rows that read one draw read one run of it: no
+        # two groups (draw, check) share a draw.
+        for suite in SUITE_NAMES:
+            groups = {(fn.draw, fn.check) for _, _, fn in suites._suite(suite)
+                      if isinstance(fn, suites._Row)}
+            draws = [draw for draw, _ in groups]
+            assert len(draws) == len(set(draws)), suite
+
     @pytest.mark.parametrize("shape", ["2,3", "1,2,2"])
     def test_each_trial_alone(self, shape):
         alg, trials = BlockAlgebra.from_string(shape), 8
