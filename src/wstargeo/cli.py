@@ -7,13 +7,14 @@ Subcommands::
     wstargeo amplitude FILE                      transition amplitude of a chain
     wstargeo orbit FILE [--name N] [--algebra B] orbit invariants of a density
 
-Exit codes: 0 success / all rows pass, 1 parse error, 2 domain error (including
+Exit codes: 0 success / all rows pass, 1 file error, 2 domain error (including
 a failing suite row), 3 usage error (unknown flags or flag values out of
 range, unknown suite).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from typing import Callable
@@ -27,10 +28,9 @@ from .algebra import (
     stabilizer_lie_algebra,
 )
 from .errors import DomainError, ParseError, UsageError
-from .io import load_algebra_spec, load_vectors, write_report_csv
+from .io import load_algebra_spec, load_vectors, open_report, write_report_csv
 from .linalg import (
     DEFAULT_TOL,
-    ToleranceProfile,
     feynman_amplitude,
     frobenius,
     polar_decompose,
@@ -182,13 +182,7 @@ def _print_matrix(label: str, a: np.ndarray) -> None:
 def cmd_polar(args: argparse.Namespace) -> int:
     _, matrices = load_algebra_spec(args.file)
     a = _pick_matrix(matrices, args.name, args.file)
-    prof = DEFAULT_TOL
-    if args.tol is not None:
-        prof = ToleranceProfile(
-            rank_rel_tol=args.tol,
-            residual_tol=prof.residual_tol,
-            fd_step=prof.fd_step,
-        )
+    prof = DEFAULT_TOL if args.tol is None else dataclasses.replace(DEFAULT_TOL, rank_rel_tol=args.tol)
     u, h = polar_decompose(a, prof)
     _print_matrix("u", u)
     _print_matrix("h", h)
@@ -203,10 +197,15 @@ def cmd_polar(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .suites import SUITE_NAMES, run_suite
+    from .suites import SUITE_NAMES, run_suite, suite_rows
 
     algebra = _algebra_option(args.algebra)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
+    # An unknown suite, then a report path that cannot be written, fails
+    # before any suite runs.
+    if args.suite != "all":
+        suite_rows(args.suite)
+    report = None if args.report is None else open_report(args.report)
     rows = []
     for name in names:
         rows.extend(
@@ -224,9 +223,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"verify: {len(rows)} rows, {len(rows) - len(failed)} passed, "
         f"{len(failed)} failed"
     )
-    if args.report is not None:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            write_report_csv(rows, fh)
+    if report is not None:
+        with report:
+            write_report_csv(rows, report)
     return 2 if failed else 0
 
 

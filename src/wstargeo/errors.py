@@ -2,7 +2,7 @@
 
 Three families, matching the command-line exit-code contract:
 
-* :class:`ParseError` — malformed input files (exit code 1),
+* :class:`ParseError` — files that cannot be read, parsed or written (exit 1),
 * :class:`DomainError` and subclasses — inputs outside an operation's
   mathematical domain (exit code 2),
 * :class:`UsageError` and subclasses — bad invocations (exit code 3).
@@ -92,7 +92,7 @@ class NoConvergence(DomainError):
 
 
 class ParseError(ValueError):
-    """Input file is malformed (bad JSON, missing fields, or wrong lengths)."""
+    """A file cannot be read, parsed or written (bad JSON, missing fields, wrong lengths)."""
 
 
 class UsageError(ValueError):

@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 __all__ = [
     "load_algebra_spec",
     "load_vectors",
-    "format_report_rows",
+    "open_report",
     "write_report_csv",
     "REPORT_HEADER",
 ]
@@ -180,18 +180,18 @@ def load_vectors(path: str) -> np.ndarray:
     return _complex(parts, where)
 
 
-def _format_row(row: SuiteResult) -> str:
-    return (
-        f"{row.suite},{row.trials},{row.seed},{row.max_residual:.6e},"
-        f"{row.tolerance:.6e},{row.status},{row.wall_time:.3g}"
-    )
-
-
-def format_report_rows(rows: list[SuiteResult]) -> list[str]:
-    """CSV lines (header included) for a list of suite results."""
-    return [REPORT_HEADER] + [_format_row(r) for r in rows]
+def open_report(path: str) -> TextIO:
+    """The file at ``path``, opened for a report before anything runs: a path
+    that cannot be written is a :class:`~wstargeo.errors.ParseError`."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot write: {exc.strerror}") from exc
 
 
 def write_report_csv(rows: list[SuiteResult], fh: TextIO) -> None:
-    for line in format_report_rows(rows):
-        fh.write(line + "\n")
+    """The header and one CSV line per suite result."""
+    fh.write(REPORT_HEADER + "\n")
+    for r in rows:
+        fh.write(f"{r.suite},{r.trials},{r.seed},{r.max_residual:.6e},"
+                 f"{r.tolerance:.6e},{r.status},{r.wall_time:.3g}\n")

@@ -1,8 +1,8 @@
 """Deterministic samplers for structured random inputs.
 
-The trials of a row draw from one :class:`Stream`, keyed ``(seed,
-subindex)``.  Each draw of a sampler takes the stream's next *slot*: the
-slot's own generator (:func:`rng_for`, keyed ``(seed, subindex, *path)``)
+The trials of a suite's row group draw from one :class:`Stream`, keyed
+``(seed, group key)``.  Each draw of a sampler takes the stream's next *slot*:
+the slot's generator (:func:`rng_for`, keyed ``(seed, group key, *path)``)
 makes one bulk draw of ``(n, ...)`` values, and trial ``k`` reads row ``k``.
 Row ``k`` of a NumPy draw does not depend on how many rows follow it, and a
 slot's width per trial follows the algebra alone, so trial ``k``'s data are
@@ -47,7 +47,7 @@ from .linalg import antiherm, herm, hermitian_eigvals, phase_fixed_q
 
 
 def rng_for(*key: int) -> np.random.Generator:
-    """Generator for a (seed, subindex, ...) key of non-negative integers.
+    """Generator for a (seed, group key, ...) key of non-negative integers.
 
     Its ``SeedSequence`` is built from the key's 32-bit little-endian words,
     as NumPy splits an integer list (``0`` is the one word ``0``), so the

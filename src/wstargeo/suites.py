@@ -1,30 +1,28 @@
 """Named verification suites.
 
-Each suite is a list of rows; a row draws deterministic pseudo-random data,
-evaluates one family of identities, and reports its worst residual against a
-row-specific tolerance.  Rows are deterministic functions of
-``(algebra, trials, seed)``, so two runs with the same arguments produce the
-same residuals.
+Each suite is a list of row groups.  A group (:class:`_Group`) draws
+deterministic pseudo-random data once, from the stream
+:meth:`RowCtx.stream` keyed ``(seed, group key)``, and checks one family of
+identities on it; each of its rows reports the worst of some of the
+residuals against a row-specific tolerance.  Rows are deterministic
+functions of ``(algebra, trials, seed)``.
 
-A random row is a draw and a check (:func:`_row`).  The draw (``_draw_*``)
-gives the data of all its trials at once, trial ``k`` from row ``k`` of
-each slot of :meth:`RowCtx.stream`; the check (``_check_*``) runs once, on the
-stacks, and returns residual arrays by name, one entry per trial, each with
-the bits the trial gets alone.  Rows that name the same draw and check form
-a group and read different arrays of one run; the rows of a suite that
-share a draw form one group.  Three rows are plain functions: two fixed
-cases (``charts/transition-oracle``, ``kks/calibration``) and one that
-aggregates across trials (``exactness/order``, on the families of
-``exactness/residual``'s run).
+The draw (``_draw_*``) gives the data of all the trials at once, trial ``k``
+from row ``k`` of each slot; the check (``_check_*``) runs once, on the
+stacks, and returns residual arrays by name, one entry per trial with the
+bits the trial gets alone, besides values of no one trial: fixed cases
+(``charts/transition-oracle`` and ``kks/calibration``, whose draws take no
+slot) and aggregates across trials (``exactness/order``).  Group keys are
+literals, no two alike in all the suites, so adding or reordering a row or
+a group moves no other group's stream.
 
 The registry is consumed by :func:`run_suite` and by the command line's
 ``verify`` subcommand; suite and row names are stable identifiers.
 """
 from __future__ import annotations
 
-import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -145,23 +143,19 @@ FLOW_TIMES = (0.0, 0.3, -0.3, 1.7, -1.7)
 
 @dataclass(frozen=True)
 class RowCtx:
-    """Everything a suite row needs to run deterministically."""
+    """Everything a group's draw and check need to run deterministically."""
 
     algebra: BlockAlgebra
     trials: int
     seed: int
-    subindex: int
+    key: int
     profile: ToleranceProfile
-    #: The checks of each row, keyed by its draw and check, so that a group
-    #: of rows, and ``exactness/order`` after ``exactness/residual``, runs
-    #: them once; one dict per :func:`run_suite` call.
-    shared: dict = field(default_factory=dict, compare=False, repr=False)
 
     def stream(self, trials=None) -> sampling.Stream:
-        """The stream keyed ``(seed, subindex)`` of the given trial indices,
-        by default all of them: trial ``k`` reads row ``k`` of every slot."""
+        """The stream keyed ``(seed, key)`` of the given trial indices, by
+        default all of them: trial ``k`` reads row ``k`` of every slot."""
         trials = range(self.trials) if trials is None else trials
-        return sampling.Stream((self.seed, self.subindex), trials)
+        return sampling.Stream((self.seed, self.key), trials)
 
 
 @dataclass(frozen=True)
@@ -182,37 +176,31 @@ class SuiteResult:
 
 
 @dataclass(frozen=True)
-class _Row:
-    """A random row: ``draw(ctx, rng)`` gives the data of the trials of the
-    stream ``rng``, as stacks, and ``check(ctx, *data)`` their residual
-    arrays by name.  The row reports the worst entry of the arrays ``keys``
-    (of all of them if ``keys`` is empty; NaN if any entry is).  The first
-    row of a group runs its draw and check, with its own subindex, and keeps
-    the arrays in ``ctx.shared`` for the rows after it.  Trial ``k`` alone
-    is ``check(ctx, *draw(ctx, ctx.stream([k])))``, with the bits it has in
-    the stack."""
+class _Group:
+    """Rows that read one run of a draw and a check: ``draw(ctx, rng)`` gives
+    the data of the trials of the stream ``rng``, as stacks, and
+    ``check(ctx, *data)`` their residual arrays by name.  Each row ``(name,
+    tolerance, keys)`` reports :func:`_residual` of the arrays ``keys``.
+    Trial ``k`` alone is ``check(ctx, *draw(ctx, ctx.stream([k])))``, with
+    the bits it has in the stack."""
 
+    key: int
     draw: Callable
     check: Callable
-    keys: tuple[str, ...]
+    rows: list[tuple[str, float, tuple[str, ...]]]
 
-    def __call__(self, ctx: RowCtx) -> float:
-        checks = _group_checks(ctx, self.draw, self.check)
-        residuals = [r for key in self.keys or checks for r in np.ravel(checks[key]).tolist()]
-        return _worst(0.0, *residuals)
-
-
-def _row(draw: Callable, check: Callable, *keys: str) -> _Row:
-    return _Row(draw, check, keys)
+    def run(self, algebra: BlockAlgebra, trials: int, seed: int,
+            profile: ToleranceProfile = DEFAULT_TOL) -> dict:
+        """The arrays of the check on the draw of ``trials`` trials from the
+        stream keyed ``(seed, key)``."""
+        ctx = RowCtx(algebra, trials, seed, self.key, profile)
+        return self.check(ctx, *self.draw(ctx, ctx.stream()))
 
 
-def _group_checks(ctx: RowCtx, draw: Callable, check: Callable) -> dict:
-    """The arrays of ``check`` on ``draw`` of all trials, run by the first
-    row of the group to ask, with its subindex, and kept in ``ctx.shared``."""
-    group = (draw, check)
-    if group not in ctx.shared:
-        ctx.shared[group] = check(ctx, *draw(ctx, ctx.stream()))
-    return ctx.shared[group]
+def _residual(checks: dict, keys: tuple[str, ...]) -> float:
+    """The worst entry of the arrays ``keys`` of ``checks`` (of all of them
+    if ``keys`` is empty), NaN if any entry is."""
+    return _worst(0.0, *(r for key in keys or checks for r in np.ravel(checks[key]).tolist()))
 
 
 def _coefficient_width(algebra: BlockAlgebra) -> int:
@@ -445,23 +433,27 @@ def _check_cocycle(ctx: RowCtx, p, p1, p2, q) -> dict:
     }
 
 
-def _row_charts_transition_oracle(ctx: RowCtx) -> float:
-    """Hand-computed two-by-two chart example."""
+def _draw_transition_case(ctx: RowCtx, rng) -> list:
+    """The hand-computed two-by-two chart example, ``p = diag(1, 0)`` and
+    ``q`` the projection onto ``(1, 1) / sqrt 2``: a fixed case that takes
+    no slot."""
+    return [np.diag([1.0, 0.0]).astype(complex), 0.5 * np.ones((2, 2), dtype=complex)]
+
+
+def _check_transition_case(ctx: RowCtx, p, q) -> dict:
+    """The chart maps of the example against their values by hand."""
     prof = ctx.profile
-    p = np.diag([1.0, 0.0]).astype(complex)
-    q = 0.5 * np.ones((2, 2), dtype=complex)
-    x = sigma_p(p, q, prof)
     y = phi_p(p, q, prof)
-    return _worst(
-        frobenius(x - np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)),
-        frobenius(y - np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)),
-        frobenius(phi_p_inv(p, y, prof) - q),
-        frobenius(transition_L(p, q, y, prof)),
-        frobenius(
+    return {
+        "sigma": frobenius(sigma_p(p, q, prof) - np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)),
+        "phi": frobenius(y - np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)),
+        "phi-inverse": frobenius(phi_p_inv(p, y, prof) - q),
+        "transition": frobenius(transition_L(p, q, y, prof)),
+        "base-point": frobenius(
             transition_L(p, q, np.zeros((2, 2), dtype=complex), prof)
             - np.array([[0.5, 0.5], [-0.5, -0.5]], dtype=complex)
         ),
-    )
+    }
 
 
 def _draw_theta(ctx: RowCtx, rng) -> list:
@@ -579,29 +571,20 @@ ORDER_STEPS = (1e-3, 5e-4)
 
 def _check_exactness(ctx: RowCtx, *data) -> dict:
     """The finite-difference defect of each trial's family at the profile's
-    step and at each of :data:`ORDER_STEPS`."""
+    step and at each of :data:`ORDER_STEPS`, and how far the median ratio of
+    the two across the trials is from 4, the ratio of a second-order scheme:
+    NaN if a defect is not finite, 0 if no defect at the second step exceeds
+    ``1e-13``."""
     prof = ctx.profile
     [fam] = families_on(ctx.algebra, data, prof)
-    return {
-        "defect": exactness_residual(fam, prof.fd_step, prof),
-        **{f"h={h:g}": exactness_residual(fam, h, prof) for h in ORDER_STEPS},
-    }
-
-
-def _row_exactness_order(ctx: RowCtx) -> float:
-    """Median convergence ratio of the finite-difference defect when the step
-    halves, on the families of ``exactness/residual``; a second-order scheme
-    gives 4."""
-    checks = _group_checks(ctx, _draw_family, _check_exactness)
-    ratios = []
-    for r1, r2 in zip(*(checks[f"h={h:g}"].tolist() for h in ORDER_STEPS)):
-        if not np.isfinite(r1 + r2):
-            return float("nan")
-        if r2 > 1e-13:
-            ratios.append(r1 / r2)
-    if not ratios:
-        return 0.0
-    return abs(statistics.median(ratios) - 4.0)
+    steps = {f"h={h:g}": exactness_residual(fam, h, prof) for h in ORDER_STEPS}
+    r1, r2 = steps.values()
+    kept = r2 > 1e-13
+    if not np.isfinite(r1 + r2).all():
+        order = float("nan")
+    else:
+        order = abs(float(np.median(r1[kept] / r2[kept])) - 4.0) if kept.any() else 0.0
+    return {"defect": exactness_residual(fam, prof.fd_step, prof), **steps, "order": order}
 
 
 # ---------------------------------------------------------------------------
@@ -634,21 +617,22 @@ def _check_dual_pair(ctx: RowCtx, g) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _draw_observables(point: Callable) -> Callable:
-    """The draw of a poisson-map row: three Hermitian elements per trial,
-    then ``point(algebra, rng)`` (a vector of the standard form or a
+def _draw_observables(point: Callable, count: int = 3) -> Callable:
+    """The draw of a poisson-map group: ``count`` Hermitian elements per
+    trial, then ``point(algebra, rng)`` (a vector of the standard form or a
     density), all stacked, the elements scaled to unit operator norm."""
 
     def draw(ctx: RowCtx, rng) -> list:
-        xyz = [sampling.random_hermitian(ctx.algebra, rng) for _ in range(3)]
+        elements = [sampling.random_hermitian(ctx.algebra, rng) for _ in range(count)]
         at = point(ctx.algebra, rng)
-        return [*(sampling.unit_norm(m) for m in xyz), at]
+        return [*(sampling.unit_norm(m) for m in elements), at]
 
     return draw
 
 
 _draw_poisson_vector = _draw_observables(sampling.random_element)
 _draw_poisson_density = _draw_observables(sampling.random_density_matrix)
+_draw_commutant = _draw_observables(sampling.random_element, 2)
 
 
 def _observables(ctx: RowCtx, x, y, z) -> tuple:
@@ -660,16 +644,20 @@ def _observables(ctx: RowCtx, x, y, z) -> tuple:
 
 
 def _check_poisson_vector(ctx: RowCtx, x, y, z, gamma) -> dict:
-    """The quadratic-map residual of three pairs of observables and their
-    brackets with the commutant, at each trial's vector."""
-    alg, prof = ctx.algebra, ctx.profile
+    """The quadratic-map residual of three pairs of observables at each
+    trial's vector."""
     f, g_fd, h = _observables(ctx, x, y, z)
-    residuals = poisson_map_residual([(f, g_fd), (f, h), (g_fd, h)], alg, gamma, prof)
-    return {
-        **dict(zip(("f-g", "f-h", "g-h"), residuals)),
-        "commutant-f-h": commutant_bracket_check(f, h, alg, gamma, prof),
-        "commutant-h-f": commutant_bracket_check(h, f, alg, gamma, prof),
-    }
+    residuals = poisson_map_residual([(f, g_fd), (f, h), (g_fd, h)], ctx.algebra, gamma, ctx.profile)
+    return dict(zip(("f-g", "f-h", "g-h"), residuals))
+
+
+def _check_commutant(ctx: RowCtx, x, z, gamma) -> dict:
+    """The brackets of ``f = Re phi(x)`` and ``h = Tr(d^2 z)`` with the
+    commutant, both ways, at each trial's vector."""
+    alg, prof = ctx.algebra, ctx.profile
+    f, h = Observable.linear(x, prof), Observable.quadratic(z, prof)
+    return {"f-h": commutant_bracket_check(f, h, alg, gamma, prof),
+            "h-f": commutant_bracket_check(h, f, alg, gamma, prof)}
 
 
 def _check_poisson_density(ctx: RowCtx, x, y, z, d) -> dict:
@@ -775,8 +763,14 @@ def _check_kks(ctx: RowCtx, d0, a1, a2) -> dict:
     return {"kks": kks_check(rho0, a1, a2, ctx.profile).residual}
 
 
-def _row_kks_calibration(ctx: RowCtx) -> float:
-    return abs(calibrate_kappa() + 1.0)
+def _draw_calibration(ctx: RowCtx, rng) -> list:
+    """The calibration's reference instance is fixed in
+    :func:`~wstargeo.poisson.calibrate_kappa`: a case that takes no slot."""
+    return []
+
+
+def _check_calibration(ctx: RowCtx) -> dict:
+    return {"calibration": abs(calibrate_kappa() + 1.0)}
 
 
 def _fs_dimension(alg: BlockAlgebra) -> int:
@@ -972,83 +966,87 @@ def _check_dimensions(ctx: RowCtx, d, predicted) -> dict:
 # registry
 # ---------------------------------------------------------------------------
 
-_SUITES: dict[str, list[tuple[str, float, Callable[[RowCtx], float]]]] = {
+#: Each suite's groups.  A group's key is its stream's, a literal that no
+#: other group of any suite has: a new group takes a new one.
+_SUITES: dict[str, list[_Group]] = {
     "groupoid-axioms": [
-        *((tag, 1e-10, _row(_draw_chain(tag), _check_laws))
-          for tag in ("pi", "g", "predual", "coadjoint", "standard")),
-        ("isomorphisms", 1e-10, _row(_draw_isomorphisms, _check_isomorphisms)),
-        ("equivalence-agreement", 0.5, _row(_draw_equivalences, _check_equivalences)),
-        ("witnesses", 1e-10, _row(_draw_witnesses, _check_witnesses)),
+        _Group(0, _draw_chain("pi"), _check_laws, [("pi", 1e-10, ())]),
+        _Group(1, _draw_chain("g"), _check_laws, [("g", 1e-10, ())]),
+        _Group(2, _draw_chain("predual"), _check_laws, [("predual", 1e-10, ())]),
+        _Group(3, _draw_chain("coadjoint"), _check_laws, [("coadjoint", 1e-10, ())]),
+        _Group(4, _draw_chain("standard"), _check_laws, [("standard", 1e-10, ())]),
+        _Group(5, _draw_isomorphisms, _check_isomorphisms, [("isomorphisms", 1e-10, ())]),
+        _Group(6, _draw_equivalences, _check_equivalences, [("equivalence-agreement", 0.5, ())]),
+        _Group(7, _draw_witnesses, _check_witnesses, [("witnesses", 1e-10, ())]),
     ],
     "charts": [
-        ("round-trip", 1e-9, _row(_draw_round_trip, _check_round_trip)),
-        ("cocycle", 1e-9, _row(_draw_cocycle, _check_cocycle)),
-        ("transition-oracle", 1e-10, _row_charts_transition_oracle),
-        ("theta", 1e-9, _row(_draw_theta, _check_theta)),
-        ("connection", 1e-10, _row(_draw_connection, _check_connection)),
+        _Group(8, _draw_round_trip, _check_round_trip, [("round-trip", 1e-9, ())]),
+        _Group(9, _draw_cocycle, _check_cocycle, [("cocycle", 1e-9, ())]),
+        _Group(10, _draw_transition_case, _check_transition_case,
+               [("transition-oracle", 1e-10, ())]),
+        _Group(11, _draw_theta, _check_theta, [("theta", 1e-9, ())]),
+        _Group(12, _draw_connection, _check_connection, [("connection", 1e-10, ())]),
     ],
     "multiplicativity": [
-        ("residual", 1e-9, _row(_draw_family_pair, _check_multiplicativity)),
-        ("vertical", 1e-10, _row(_draw_vertical, _check_vertical)),
+        _Group(13, _draw_family_pair, _check_multiplicativity, [("residual", 1e-9, ())]),
+        _Group(14, _draw_vertical, _check_vertical, [("vertical", 1e-10, ())]),
     ],
     "exactness": [
-        ("residual", 1e-7, _row(_draw_family, _check_exactness, "defect")),
-        ("order", 0.5, _row_exactness_order),
+        _Group(15, _draw_family, _check_exactness, [
+            ("residual", 1e-7, ("defect",)),
+            ("order", 0.5, ("order",))]),
     ],
     "dual-pair": [
-        ("orthogonality", 1e-10, _row(_draw_dual_pair, _check_dual_pair, "orthogonality")),
-        ("dimension", 0.5, _row(_draw_dual_pair, _check_dual_pair, "dimension")),
+        _Group(16, _draw_dual_pair, _check_dual_pair, [
+            ("orthogonality", 1e-10, ("orthogonality",)),
+            ("dimension", 0.5, ("dimension",))]),
     ],
     "poisson-map": [
-        ("quadratic", 1e-10,
-         _row(_draw_poisson_vector, _check_poisson_vector, "f-g", "f-h", "g-h")),
-        ("jacobi", 1e-8,
-         _row(_draw_poisson_density, _check_poisson_density, "jacobi", "linear-closure")),
-        ("leibniz", 1e-8,
-         _row(_draw_poisson_density, _check_poisson_density, "leibniz", "differential")),
-        ("field-morphism", 1e-10,
-         _row(_draw_poisson_density, _check_poisson_density, "morphism", "duality")),
-        ("commutant", 1e-10,
-         _row(_draw_poisson_vector, _check_poisson_vector, "commutant-f-h", "commutant-h-f")),
+        _Group(17, _draw_poisson_vector, _check_poisson_vector, [("quadratic", 1e-10, ())]),
+        _Group(18, _draw_poisson_density, _check_poisson_density, [
+            ("jacobi", 1e-8, ("jacobi", "linear-closure")),
+            ("leibniz", 1e-8, ("leibniz", "differential")),
+            ("field-morphism", 1e-10, ("morphism", "duality"))]),
+        _Group(19, _draw_commutant, _check_commutant, [("commutant", 1e-10, ())]),
     ],
     "degeneracy": [
-        ("orbit-form-invariance", 1e-10, _row(_draw_invariance, _check_invariance)),
-        ("fd-exterior", 1e-6, _row(_draw_fd, _check_fd)),
-        ("radical-pairing", 1e-10, _row(_draw_degeneracy, _check_degeneracy, "radical-pairing")),
-        ("complement-inverse-gap", 1e7,
-         _row(_draw_degeneracy, _check_degeneracy, "complement-inverse-gap")),
-        ("dimensions", 0.5, _row(_draw_degeneracy, _check_degeneracy, "dimensions")),
+        _Group(20, _draw_invariance, _check_invariance, [("orbit-form-invariance", 1e-10, ())]),
+        _Group(21, _draw_fd, _check_fd, [("fd-exterior", 1e-6, ())]),
+        _Group(22, _draw_degeneracy, _check_degeneracy, [
+            ("radical-pairing", 1e-10, ("radical-pairing",)),
+            ("complement-inverse-gap", 1e7, ("complement-inverse-gap",)),
+            ("dimensions", 0.5, ("dimensions",))]),
     ],
     "kks": [
-        ("identity", 1e-10, _row(_draw_kks, _check_kks)),
-        ("calibration", 1e-10, _row_kks_calibration),
+        _Group(23, _draw_kks, _check_kks, [("identity", 1e-10, ())]),
+        _Group(24, _draw_calibration, _check_calibration, [("calibration", 1e-10, ())]),
     ],
     "fubini-study": [
-        ("orbit-vs-fs", 1e-10, _row(_draw_fs, _check_fs, "orbit-vs-fs")),
-        ("r-scaling", 1e-10, _row(_draw_fs, _check_fs, "r-scaling")),
-        ("pair-groupoid", 1e-10, _row(_draw_pair_groupoid, _check_pair_groupoid)),
+        _Group(25, _draw_fs, _check_fs, [
+            ("orbit-vs-fs", 1e-10, ("orbit-vs-fs",)),
+            ("r-scaling", 1e-10, ("r-scaling",))]),
+        _Group(26, _draw_pair_groupoid, _check_pair_groupoid, [("pair-groupoid", 1e-10, ())]),
     ],
     "modular-flow": [
-        ("automorphism", 1e-9,
-         _row(_draw_flow, _check_flow, "multiplicativity", "conjugation", "group_law")),
-        ("symplectic", 1e-9, _row(_draw_flow, _check_flow, "symplectic")),
-        ("cone", 1e-9, _row(_draw_flow, _check_flow, "cone")),
-        ("orbit-invariants", 1e-9, _row(_draw_flow, _check_flow, "orbit_invariants")),
-        ("orbit-form", 1e-9, _row(_draw_orbit_form, _check_orbit_form)),
-        ("tomita", 1e-10,
-         _row(_draw_density_pair, _check_density_pair, "S", "involution", "polar")),
-        ("group-law", 1e-10, _row(_draw_density_pair, _check_density_pair,
-                                  "group", "multiplicative", "adjoint", "state")),
-        ("conditional-expectation", 1e-10,
-         _row(_draw_conditional_expectation, _check_conditional_expectation)),
-        ("dimensions", 0.5, _row(_draw_planted, _check_dimensions)),
+        _Group(27, _draw_flow, _check_flow, [
+            ("automorphism", 1e-9, ("multiplicativity", "conjugation", "group_law")),
+            ("symplectic", 1e-9, ("symplectic",)),
+            ("cone", 1e-9, ("cone",)),
+            ("orbit-invariants", 1e-9, ("orbit_invariants",))]),
+        _Group(28, _draw_orbit_form, _check_orbit_form, [("orbit-form", 1e-9, ())]),
+        _Group(29, _draw_density_pair, _check_density_pair, [
+            ("tomita", 1e-10, ("S", "involution", "polar")),
+            ("group-law", 1e-10, ("group", "multiplicative", "adjoint", "state"))]),
+        _Group(30, _draw_conditional_expectation, _check_conditional_expectation,
+               [("conditional-expectation", 1e-10, ())]),
+        _Group(31, _draw_planted, _check_dimensions, [("dimensions", 0.5, ())]),
     ],
 }
 
 SUITE_NAMES: tuple[str, ...] = tuple(_SUITES)
 
 
-def _suite(name: str) -> list[tuple[str, float, Callable[[RowCtx], float]]]:
+def _suite(name: str) -> list[_Group]:
     if name not in _SUITES:
         raise UnknownSuite(
             f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}"
@@ -1058,7 +1056,7 @@ def _suite(name: str) -> list[tuple[str, float, Callable[[RowCtx], float]]]:
 
 def suite_rows(name: str) -> tuple[str, ...]:
     """Row names of one suite (raises :class:`UnknownSuite`)."""
-    return tuple(row for row, _, _ in _suite(name))
+    return tuple(row for group in _suite(name) for row, _, _ in group.rows)
 
 
 def run_suite(
@@ -1069,31 +1067,33 @@ def run_suite(
     tol: float | None = None,
     profile: ToleranceProfile = DEFAULT_TOL,
 ) -> list[SuiteResult]:
-    """Run every row of the named suite and return its report rows.
+    """Run every group of the named suite once and return its report rows.
 
     ``tol`` overrides every row's tolerance uniformly; ``profile`` carries the
-    numerical rank/residual policy used inside the computations.
+    numerical rank/residual policy used inside the computations.  A group's
+    draw and check are charged to the ``wall_time`` of its first row.
     """
-    rows = _suite(name)
+    groups = _suite(name)
     if trials < 1:
         raise InvalidTrials(f"trials must be positive, got {trials}")
     results = []
-    shared: dict = {}
-    for subindex, (row, row_tol, fn) in enumerate(rows):
-        ctx = RowCtx(algebra, trials, seed, subindex, profile, shared)
+    for group in groups:
         start = time.perf_counter()
-        residual = float(fn(ctx))
-        wall = time.perf_counter() - start
-        tolerance = float(tol) if tol is not None else row_tol
-        results.append(
-            SuiteResult(
-                suite=f"{name}/{row}",
-                trials=trials,
-                seed=seed,
-                max_residual=residual,
-                tolerance=tolerance,
-                passed=bool(residual <= tolerance),
-                wall_time=wall,
+        checks = group.run(algebra, trials, seed, profile)
+        for row, row_tol, keys in group.rows:
+            residual = _residual(checks, keys)
+            tolerance = float(tol) if tol is not None else row_tol
+            end = time.perf_counter()
+            results.append(
+                SuiteResult(
+                    suite=f"{name}/{row}",
+                    trials=trials,
+                    seed=seed,
+                    max_residual=residual,
+                    tolerance=tolerance,
+                    passed=bool(residual <= tolerance),
+                    wall_time=end - start,
+                )
             )
-        )
+            start = end
     return results

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from wstargeo import SUITE_NAMES, BlockAlgebra, run_suite, sampling
+from wstargeo import SUITE_NAMES, BlockAlgebra, run_suite, sampling, suites
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "plan.json"
 SEED = 1
@@ -64,9 +64,10 @@ def state_digest(generators: list) -> str:
 def run_suite_recorded(name: str, algebra: BlockAlgebra, trials: int) -> dict:
     """``{suite/row: [status, repr(max_residual), state digest]}`` for every
     row of one suite.  Every slot generator comes from ``sampling.rng_for``,
-    keyed ``(seed, subindex, *path)`` (a ``sampling.Stream`` looks it up at
+    keyed ``(seed, group key, *path)`` (a ``sampling.Stream`` looks it up at
     each slot), so a wrapper there sees them all; each is filed under the
-    row of its subindex, and digested after the suite has run."""
+    rows of the group whose key it carries, and digested after the suite has
+    run."""
     made, original = [], sampling.rng_for
 
     def recording(*key):
@@ -79,10 +80,12 @@ def run_suite_recorded(name: str, algebra: BlockAlgebra, trials: int) -> dict:
         rows = run_suite(name, algebra, trials, SEED)
     finally:
         sampling.rng_for = original
+    group_key = {f"{name}/{row}": group.key
+                 for group in suites._suite(name) for row, _, _ in group.rows}
     return {
         r.suite: [r.status, repr(r.max_residual),
-                  state_digest([(key, g) for key, g in made if key[1] == subindex])]
-        for subindex, r in enumerate(rows)
+                  state_digest([(key, g) for key, g in made if key[1] == group_key[r.suite]])]
+        for r in rows
     }
 
 

@@ -490,5 +490,5 @@ class TestStackedCharts:
 
         ctx = suites.RowCtx(M23, 10, 1, 1, DEFAULT_TOL)
         with pytest.raises(NotInOverlap, match="outside the chart of p_new at trial 7$"):
-            suites._row(spoiled, suites._check_cocycle)(ctx)
+            suites._check_cocycle(ctx, *spoiled(ctx, ctx.stream()))
         assert len(draws) == 1

@@ -261,6 +261,14 @@ class TestVerify:
         assert last.startswith("verify: ")
         assert "0 failed" in last
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_report_fails_before_any_suite(self, tmp_path, capsys, monkeypatch, where):
+        path = tmp_path / "missing" / "r.csv" if where == "missing-directory" else tmp_path
+        monkeypatch.setattr(wstargeo.suites, "run_suite", lambda *a, **k: pytest.fail("a suite ran"))
+        assert main(["verify", "kks", "--trials", "1", "--report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot write: ") and err.count("\n") == 1
+
     def test_report_deterministic_modulo_wall_time(self, tmp_path, capsys):
         r1, r2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         assert main(["verify", "charts", "--algebra", "2", "--trials", "8",

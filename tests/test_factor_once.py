@@ -99,8 +99,42 @@ def _theta_input(rng):
 
 
 def _ten_trials_repeated(ctx: suites.RowCtx) -> sampling.Stream:
-    """The row's stream, trial ``k`` reading the rows of trial ``k mod 10``."""
-    return sampling.Stream((ctx.seed, ctx.subindex), np.arange(ctx.trials) % 10)
+    """The group's stream, trial ``k`` reading the rows of trial ``k mod 10``."""
+    return sampling.Stream((ctx.seed, ctx.key), np.arange(ctx.trials) % 10)
+
+
+def _group(suite: str, row: str) -> suites._Group:
+    """The group of ``suite`` that holds ``row``."""
+    return next(g for g in suites._suite(suite) if row in [r for r, _, _ in g.rows])
+
+
+def _run_passing(group: suites._Group, trials: int) -> None:
+    """Run ``group`` on ``2,3`` at seed 1, as ``run_suite`` does, and check
+    that each of its rows passes."""
+    checks = group.run(M23, trials, 1)
+    for name, tolerance, keys in group.rows:
+        assert suites._residual(checks, keys) <= tolerance, name
+
+
+def _per_group(groups, reset, count) -> list:
+    """``count()`` after each group's passing run, ``reset()`` before it, at
+    10 and at 40 trials: one list of counts per trial count."""
+    counts = []
+    for trials in (10, 40):
+        counts.append([])
+        for group in groups:
+            reset()
+            _run_passing(group, trials)
+            counts[-1].append(count())
+    return counts
+
+
+def _lapack_per_group(lapack_calls, groups, kernels=("gesdd", "heevd")) -> list:
+    """:func:`_per_group` of the LAPACK calls ``kernels``."""
+    return _per_group(
+        groups, lambda: lapack_calls.update(gesdd=0, heevd=0, **{"gesdd-vectors": 0}),
+        lambda: tuple(lapack_calls[k] for k in kernels),
+    )
 
 
 def _functional(seed: int = 0) -> NormalFunctional:
@@ -133,32 +167,20 @@ class TestCounts:
         # its Hermitian eigendecompositions: the isomorphisms row, whose draw
         # took the stabilizer of each trial's base density in turn, takes
         # them on the stack, and draws their coefficients in a second pass.
-        rows = list(enumerate(suites._suite("groupoid-axioms")))
-        assert len(rows) == 8
-        counts = []
-        for trials in (10, 40):
-            per_row = {}
-            for subindex, (name, tolerance, fn) in rows:
-                lapack_calls.update(gesdd=0, heevd=0)
-                assert fn(suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL)) <= tolerance
-                per_row[name] = dict(lapack_calls)
-            counts.append(per_row)
-        for _, (name, _, _) in rows:
-            small, large = counts[0][name], counts[1][name]
-            assert (small["gesdd"], small["heevd"]) == (large["gesdd"], large["heevd"]), name
-        for kernel in ("gesdd", "heevd"):
-            assert sum(row[kernel] for row in counts[0].values()) > 0
+        groups = suites._suite("groupoid-axioms")
+        assert len(groups) == 8
+        small, large = _lapack_per_group(lapack_calls, groups)
+        assert small == large
+        assert all(sum(kernel) > 0 for kernel in zip(*small))
 
     def test_isomorphisms_check_factors_each_arrow_once(self, lapack_calls):
         # 5 when phi_intertwining_residual factored the one fa = iso_Phi(a)
         # twice: std_mul and iso_Phi_inv each took its polar decomposition.
-        subindex, (_, _, row) = next(
-            (i, r) for i, r in enumerate(suites._suite("groupoid-axioms")) if r[0] == "isomorphisms"
-        )
-        ctx = suites.RowCtx(M23, 10, 1, subindex, DEFAULT_TOL)
-        data = row.draw(ctx, ctx.stream())
+        group = _group("groupoid-axioms", "isomorphisms")
+        ctx = suites.RowCtx(M23, 10, 1, group.key, DEFAULT_TOL)
+        data = group.draw(ctx, ctx.stream())
         lapack_calls.update(gesdd=0, heevd=0, **{"gesdd-vectors": 0})
-        row.check(ctx, *data)
+        group.check(ctx, *data)
         assert lapack_calls["gesdd"] == lapack_calls["gesdd-vectors"] == 4
 
     @pytest.mark.parametrize(
@@ -181,68 +203,44 @@ class TestCounts:
         # at 40, when each trial tested its own draw).  Trial k reads the
         # rows of trial k mod 10, so 40 trials make the redraws of 10.
         monkeypatch.setattr(suites.RowCtx, "stream", _ten_trials_repeated)
-        subindex, (_, tolerance, fn) = next(
-            (i, r) for i, r in enumerate(suites._suite("charts")) if r[0] == row
-        )
-        for trials in (10, 40):
-            lapack_calls.update(gesdd=0, heevd=0, **{"gesdd-vectors": 0})
-            assert fn(suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL)) <= tolerance
-            assert lapack_calls["gesdd-vectors"] == vectors
-            assert lapack_calls["gesdd"] - lapack_calls["gesdd-vectors"] == values
+        counts = _lapack_per_group(lapack_calls, [_group("charts", row)], ("gesdd", "gesdd-vectors"))
+        assert counts == [[(vectors + values, vectors)]] * 2
 
     @pytest.mark.parametrize("suite", ["multiplicativity", "exactness"])
     def test_family_rows_factor_per_row_not_per_trial(self, lapack_calls, suite):
-        # Each multiplicativity and exactness row builds its families once,
-        # on the stack of all its trials, and checks them with one call, so
-        # none of its SVDs (the generators' norms, the polar factors of
-        # std_mul) or Hermitian eigendecompositions (the base's support,
+        # Each multiplicativity and exactness group builds its families
+        # once, on the stack of all its trials, and checks them with one
+        # call, so none of its SVDs (the generators' norms, the polar factors
+        # of std_mul) or Hermitian eigendecompositions (the base's support,
         # each generator's spectrum) grow with the trials: at 10 trials,
         # one call per trial made 80 value-only SVDs and 20 eigendecompositions
         # in multiplicativity/residual.
-        rows = list(enumerate(suites._suite(suite)))
-        counts = []
-        for trials in (10, 40):
-            per_row = {}
-            for subindex, (name, tolerance, fn) in rows:
-                lapack_calls.update(gesdd=0, heevd=0, **{"gesdd-vectors": 0})
-                assert fn(suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL)) <= tolerance
-                per_row[name] = dict(lapack_calls)
-            counts.append(per_row)
-        for _, (name, _, _) in rows:
-            small, large = counts[0][name], counts[1][name]
-            assert small == large, name
-        assert sum(row["heevd"] for row in counts[0].values()) > 0
+        kernels = ("gesdd", "gesdd-vectors", "heevd")
+        small, large = _lapack_per_group(lapack_calls, suites._suite(suite), kernels)
+        assert small == large
+        assert sum(heevd for _, _, heevd in small) > 0
 
     def test_flow_rows_factor_per_row_not_per_trial(self, lapack_calls):
-        # The flow-report group (its first row checks for all four),
-        # orbit-form, tomita and group-law check all their trials' data with
-        # one call per map on their stack, so neither their SVDs (the polar
-        # factors of the flowed pair) nor their Hermitian eigendecompositions
-        # (each density's spectrum, the flowed cone element's values) grow
-        # with the trials: at 10 trials the flow report made 40 SVDs and 70
-        # eigendecompositions with one call per trial, and makes 4 and 7.
-        rows = list(enumerate(suites._suite("modular-flow")))[:7]
-        counts = []
-        for trials in (10, 40):
-            per_row, shared = {}, {}
-            for subindex, (name, tolerance, fn) in rows:
-                lapack_calls.update(gesdd=0, heevd=0, **{"gesdd-vectors": 0})
-                ctx = suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL, shared)
-                assert fn(ctx) <= tolerance
-                per_row[name] = dict(lapack_calls)
-            counts.append(per_row)
-        assert [name for _, (name, _, _) in rows] == [
-            "automorphism", "symplectic", "cone", "orbit-invariants",
-            "orbit-form", "tomita", "group-law",
+        # The flow-report group (automorphism, symplectic, cone and
+        # orbit-invariants), orbit-form, and the tomita and group-law group
+        # check all their trials' data with one call per map on their stack,
+        # so neither their SVDs (the polar factors of the flowed pair) nor
+        # their Hermitian eigendecompositions (each density's spectrum, the
+        # flowed cone element's values) grow with the trials: at 10 trials
+        # the flow report made 40 SVDs and 70 eigendecompositions with one
+        # call per trial, and makes 4 and 7.
+        groups = suites._suite("modular-flow")[:3]
+        assert [[row for row, _, _ in g.rows] for g in groups] == [
+            ["automorphism", "symplectic", "cone", "orbit-invariants"],
+            ["orbit-form"], ["tomita", "group-law"],
         ]
-        for _, (name, _, _) in rows:
-            small, large = counts[0][name], counts[1][name]
-            assert (small["gesdd"], small["heevd"]) == (large["gesdd"], large["heevd"]), name
-        assert counts[0]["automorphism"]["gesdd"] > 0
-        assert all(counts[0][name]["heevd"] > 0 for name in ("automorphism", "tomita"))
+        small, large = _lapack_per_group(lapack_calls, groups)
+        assert small == large
+        flow, _, density_pair = small
+        assert flow[0] > 0 and flow[1] > 0 and density_pair[1] > 0
 
     def test_poisson_rows_factor_per_row_not_per_trial(self, lapack_calls, monkeypatch):
-        # The two poisson-map groups and kks/identity check all their
+        # The three poisson-map groups and kks/identity check all their
         # trials' data with one call per check on their stack, so neither
         # their SVDs (the unit-norm scaling of the observables' elements) nor
         # their Hermitian eigendecompositions (the canonical vector of each
@@ -250,8 +248,7 @@ class TestCounts:
         # build: one per stack, one per central-difference stencil of a
         # basis element.  With one call per trial, the quadratic row built
         # E(gamma) and 2 * 13 functionals for its stencils per trial.  The
-        # first row of a group builds them for the group (the vector group's
-        # also the 4 of the commutant brackets), the rows after it none.
+        # commutant group builds the 4 of its brackets.
         built = []
         post_init = NormalFunctional.__post_init__
 
@@ -260,57 +257,37 @@ class TestCounts:
             post_init(phi)
 
         monkeypatch.setattr(NormalFunctional, "__post_init__", counted)
-        rows = [
-            (suite, subindex, row)
-            for suite in ("poisson-map", "kks")
-            for subindex, row in enumerate(suites._suite(suite))
-            if row[0] != "calibration"
-        ]
-        assert len(rows) == 6
-        counts = []
-        for trials in (10, 40):
-            per_row, shared = {}, {}
-            for suite, subindex, (name, tolerance, fn) in rows:
-                lapack_calls.update(gesdd=0, heevd=0)
-                built.clear()
-                ctx = suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL, shared.setdefault(suite, {}))
-                assert fn(ctx) <= tolerance
-                per_row[name] = (lapack_calls["gesdd"], lapack_calls["heevd"], len(built))
-            counts.append(per_row)
-        assert counts[0] == counts[1]
-        assert counts[0]["quadratic"][2] == 1 + 13 + 4
-        assert [counts[0][name][2] for name in ("leibniz", "field-morphism", "commutant")] == [0] * 3
-        assert counts[0]["identity"][1] > 0
+        groups = [*suites._suite("poisson-map"), _group("kks", "identity")]
+        small, large = _per_group(
+            groups, lambda: (lapack_calls.update(gesdd=0, heevd=0), built.clear()),
+            lambda: (lapack_calls["gesdd"], lapack_calls["heevd"], len(built)),
+        )
+        assert small == large
+        vector, density, commutant, kks = small
+        assert (vector[2], density[2], commutant[2]) == (1 + 13, 1 + 13, 4)
+        assert kks[1] > 0
 
     def test_pattern_rows_factor_per_pattern_not_per_trial(self, lapack_calls, monkeypatch):
         # Trial k reads the rows of trial k mod 10, so 40 trials
         # repeat the eigenvalue-cluster patterns and null-space dimensions
-        # of 10.  The rows below factor once per stack, whatever its
-        # patterns (their first-trial oracles once per row), so they make as
-        # many SVDs and Hermitian eigendecompositions at 40 trials as at 10;
-        # one check per trial made four times as many.
+        # of 10.  The groups below factor once per stack, whatever its
+        # patterns (their first-trial oracles once per group), so they make
+        # as many SVDs and Hermitian eigendecompositions at 40 trials as at
+        # 10; one check per trial made four times as many.
         monkeypatch.setattr(suites.RowCtx, "stream", _ten_trials_repeated)
-        rows = [
-            (suite, subindex, row)
+        groups = {
+            f"{suite}/{g.rows[0][0]}": g
             for suite in ("degeneracy", "dual-pair", "fubini-study", "modular-flow")
-            for subindex, row in enumerate(suites._suite(suite))
-            if suite != "modular-flow" or row[0] in ("conditional-expectation", "dimensions")
-        ]
-        assert len(rows) == 12
-        counts = []
-        for trials in (10, 40):
-            per_row, shared = {}, {}
-            for suite, subindex, (name, tolerance, fn) in rows:
-                lapack_calls.update(gesdd=0, heevd=0)
-                shared_reports = shared.setdefault(suite, {})
-                ctx = suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL, shared_reports)
-                assert fn(ctx) <= tolerance, name
-                per_row[f"{suite}/{name}"] = (lapack_calls["gesdd"], lapack_calls["heevd"])
-            counts.append(per_row)
-        assert counts[0] == counts[1]
+            for g in suites._suite(suite)
+            if suite != "modular-flow" or g.rows[0][0] in ("conditional-expectation", "dimensions")
+        }
+        assert sum(len(g.rows) for g in groups.values()) == 12
+        small, large = _lapack_per_group(lapack_calls, groups.values())
+        assert small == large
+        counts = dict(zip(groups, small))
         for row in ("degeneracy/orbit-form-invariance", "degeneracy/radical-pairing",
                     "dual-pair/orthogonality", "modular-flow/conditional-expectation"):
-            assert sum(counts[0][row]) > 0, row
+            assert sum(counts[row]) > 0, row
 
     def test_families_on_one_base_take_its_support_once(self, lapack_calls):
         # Each family of one base took the support of xi2: 2 decompositions
@@ -397,8 +374,7 @@ class TestDrawsFactorOncePerRow:
             raise AssertionError("the isomorphisms draw built a stabilizer basis")
 
         monkeypatch.setattr(StabilizerData, "basis", property(refuse))
-        subindex = suites.suite_rows("groupoid-axioms").index("isomorphisms")
-        ctx = suites.RowCtx(M23, 100, 1, subindex, DEFAULT_TOL)
+        ctx = suites.RowCtx(M23, 100, 1, _group("groupoid-axioms", "isomorphisms").key, DEFAULT_TOL)
         data = suites._draw_isomorphisms(ctx, ctx.stream())
         assert data[-1].shape == (100, M23.dim, M23.dim)
 
@@ -429,24 +405,16 @@ class TestDrawsFactorOncePerRow:
         assert lapack_calls["gesdd-vectors"] <= 95
 
     def test_each_row_makes_its_generators_whatever_its_trials(self, monkeypatch):
-        # A row takes a generator per draw, not per trial, so it makes as
+        # A group takes a generator per draw, not per trial, so it makes as
         # many at 40 trials as at 10.  Trial k reads the rows of trial
         # k mod 10, so 40 trials make the redraws of 10.
         made, real_rng_for = [], sampling.rng_for
         monkeypatch.setattr(sampling, "rng_for", lambda *key: made.append(key) or real_rng_for(*key))
         monkeypatch.setattr(suites.RowCtx, "stream", _ten_trials_repeated)
-        counts = []
-        for trials in (10, 40):
-            per_row = {}
-            for name in suites.SUITE_NAMES:
-                shared = {}
-                for subindex, (row, tolerance, fn) in enumerate(suites._suite(name)):
-                    made.clear()
-                    assert fn(suites.RowCtx(M23, trials, 1, subindex, DEFAULT_TOL, shared)) <= tolerance
-                    per_row[f"{name}/{row}"] = len(made)
-            counts.append(per_row)
-        assert counts[0] == counts[1]
-        assert sum(counts[0].values()) > 0
+        groups = [g for name in suites.SUITE_NAMES for g in suites._suite(name)]
+        small, large = _per_group(groups, made.clear, lambda: len(made))
+        assert small == large
+        assert sum(small) > 0
 
 
 class TestOrbitCommand:

@@ -605,13 +605,9 @@ class TestHermitianCheckedOnce:
 
 
 #: The functions outside ``linalg`` that read ``residual_tol`` themselves:
-#: block membership (a hot path that refuses NaN and inf on its own) and the
-#: command line's copy of the profile.  Every other domain check decides
-#: through ``excess``.
-RESIDUAL_TOL_SITES = {
-    "algebra.BlockAlgebra.contains",
-    "cli.cmd_polar",
-}
+#: block membership, a hot path that refuses NaN and inf on its own.  Every
+#: other domain check decides through ``excess``.
+RESIDUAL_TOL_SITES = {"algebra.BlockAlgebra.contains"}
 
 M2 = BlockAlgebra((2,))
 NAN = np.full((2, 2), np.nan, dtype=complex)

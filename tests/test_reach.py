@@ -28,7 +28,7 @@ EXPORTS = "_EXPORTS"
 MODULE_HOOKS = ("__getattr__", "__dir__")
 #: The definitions that only the benchmark's tracer and files reach: the
 #: wrappers it still calls, which no test or demo but :data:`WRAPPER_TESTS`
-#: may name, and ``suite_rows``, public API its workloads read to name rows.
+#: may name.
 BENCHMARK_ONLY = {
     "algebra.frames_of",
     "groupoids.AxiomReport",
@@ -37,7 +37,6 @@ BENCHMARK_ONLY = {
     "sampling.partial_isometry_onto",
     "standard.fiber_kernel_E",
     "standard.fiber_kernel_Eprime",
-    "suites.suite_rows",
 }
 WRAPPER_TESTS = ("test_benchmark_api.py", "test_reach.py")
 
@@ -197,7 +196,7 @@ def test_only_the_benchmark_reaches_its_api():
 
 
 def test_no_test_or_demo_calls_the_benchmark_api():
-    wrappers = {name.split(".")[1] for name in BENCHMARK_ONLY - {"suites.suite_rows"}}
+    wrappers = {name.split(".")[1] for name in BENCHMARK_ONLY}
     found = {}
     for path in [*sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))]:
         # each name read, imported or spelled as a (dotted) string

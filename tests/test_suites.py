@@ -84,14 +84,14 @@ class TestDeterminism:
         assert [strip(r) for r in a] == [strip(r) for r in b]
 
     def test_different_seed_different_stream(self):
-        a = run_suite("kks", M2, 25, 0)
-        b = run_suite("kks", M2, 25, 1)
-        # residuals are tiny either way but must come from distinct draws
-        assert any(
-            x.max_residual != y.max_residual
-            for x, y in zip(a, b)
-            if x.max_residual > 0 or y.max_residual > 0
-        ) or all(r.max_residual == 0.0 for r in a + b)
+        # The worst residuals are a few units of rounding either way, and may
+        # coincide (2.2e-16 at seeds 0 and 1); the draws and each trial's
+        # residuals may not.
+        [group] = [g for g in suites._suite("kks") if g.rows[0][0] == "identity"]
+        ctxs = [suites.RowCtx(M2, 25, seed, group.key, DEFAULT_TOL) for seed in (0, 1)]
+        a, b = (group.draw(ctx, ctx.stream()) for ctx in ctxs)
+        assert not any(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(group.run(M2, 25, 0)["kks"], group.run(M2, 25, 1)["kks"])
 
 
 class TestResults:
@@ -253,11 +253,10 @@ class TestNonFiniteTrial:
             return flowed
 
         _poison_one_call(monkeypatch, suites, "modular_flow", poison, at=1)
-        subindex, (name, tolerance, fn) = next(
-            (i, r) for i, r in enumerate(suites._suite("modular-flow"))
-            if r[0] == "conditional-expectation"
-        )
-        residual = fn(suites.RowCtx(M23, 10, 0, subindex, DEFAULT_TOL))
+        [group] = [g for g in suites._suite("modular-flow")
+                   if g.rows[0][0] == "conditional-expectation"]
+        [(_, tolerance, keys)] = group.rows
+        residual = suites._residual(group.run(M23, 10, 0), keys)
         assert math.isnan(residual)
         assert not residual <= tolerance
 
@@ -564,8 +563,10 @@ FAULTS = [
     Fault("test_eigenvector_frame_not_unitary_on_later_trials", _runs(M23, 3, 0, "modular-flow"),
           {"modular-flow/dimensions"},
           [(suites, "stabilizer_lie_algebra", _eigenvector_frame_not_unitary)]),
+    # Trial 0 of the degeneracy run (seed 1) has two distinct eigenvalues in
+    # its first block; seed 0's are equal, and radical-pairing passes there.
     Fault("test_non_stabilizer_direction_in_the_radical",
-          _runs(M23, 3, 0, "degeneracy") + _runs(M2, 1, 0, "modular-flow"),
+          _runs(M23, 3, 1, "degeneracy") + _runs(M2, 1, 0, "modular-flow"),
           {"degeneracy/radical-pairing", "degeneracy/dimensions", "modular-flow/dimensions"},
           [(module, "stabilizer_lie_algebra", _non_stabilizer_direction)
            for module in (poisson, suites)]),
@@ -648,9 +649,10 @@ FAULTS = [
           [(poisson, "_leg_directions", _tangent_basis_with_a_repeated_element)]),
     # The closed-form faults leave every frame right, so the per-trial frame
     # checks cannot see them; the ambient form at the first base, which
-    # shares no closed form with them, can.  Trial 0 of these runs (seed 1)
-    # has a repeated eigenvalue.
-    Fault("test_closed_form_with_a_cluster_pair_off_the_radical", _runs(M23, 4, 1, "degeneracy"),
+    # shares no closed form with them, can.  Trial 0 of the first run (seed
+    # 0) has a repeated eigenvalue; seed 1's has none, and radical-pairing
+    # passes the cluster fault there.
+    Fault("test_closed_form_with_a_cluster_pair_off_the_radical", _runs(M23, 4, 0, "degeneracy"),
           _rows("degeneracy", "radical-pairing", "dimensions"),
           [(poisson, "_form_spectrum", _cluster_pair_off_the_radical)]),
     # The eigenvalues times 1 + 1e-6: the kernel and the complement barely
@@ -680,15 +682,17 @@ FAULTS = [
 
 def _outcomes(suite, alg, trials, seed) -> dict:
     """Each row of one suite run as :func:`run_suite` runs it: ``pass``,
-    ``FAIL``, or the name of the :class:`DomainError` the row raised, which
+    ``FAIL``, or the name of the :class:`DomainError` its group raised, which
     detects the fault as a failure does."""
-    shared, out = {}, {}
-    for subindex, (row, tolerance, fn) in enumerate(suites._suite(suite)):
-        ctx = suites.RowCtx(alg, trials, seed, subindex, DEFAULT_TOL, shared)
+    out = {}
+    for group in suites._suite(suite):
         try:
-            out[f"{suite}/{row}"] = "pass" if float(fn(ctx)) <= tolerance else "FAIL"
+            checks = group.run(alg, trials, seed)
         except DomainError as error:
-            out[f"{suite}/{row}"] = type(error).__name__
+            out.update((f"{suite}/{row}", type(error).__name__) for row, _, _ in group.rows)
+            continue
+        for row, tolerance, keys in group.rows:
+            out[f"{suite}/{row}"] = "pass" if suites._residual(checks, keys) <= tolerance else "FAIL"
     return out
 
 
@@ -823,11 +827,14 @@ class TestSharedReports:
 
 
 class TestTrialKeys:
-    """Every row draws from the stream keyed ``(seed, subindex)``: each slot
-    from the generator keyed ``(seed, subindex, *path)``, made by the stream
-    alone."""
+    """Every group draws from the stream keyed ``(seed, group key)``: each
+    slot from the generator keyed ``(seed, group key, *path)``, made by the
+    stream alone.  The keys are literals of the registry, no two alike, so a
+    group's stream does not depend on where it stands."""
 
-    def test_every_key_is_seed_subindex_path(self, monkeypatch):
+    GROUPS = [group for suite in SUITE_NAMES for group in suites._suite(suite)]
+
+    def test_every_generator_carries_its_groups_key(self, monkeypatch):
         original, keys = sampling.rng_for, []
 
         def recording(*key):
@@ -835,15 +842,26 @@ class TestTrialKeys:
             return original(*key)
 
         monkeypatch.setattr(sampling, "rng_for", recording)
-        for name in SUITE_NAMES:
+        for group in self.GROUPS:
             keys.clear()
-            run_suite(name, M23, 3, 5)
-            rows = len(suite_rows(name))
-            bad = [
-                key for key in keys
-                if len(key) < 3 or key[0] != 5 or not 0 <= key[1] < rows
-            ]
-            assert keys and not bad, (name, bad)
+            group.run(M23, 3, 5)
+            bad = [key for key in keys if len(key) < 3 or key[:2] != (5, group.key)]
+            assert not bad, (group.rows, bad)
+            # Only the two fixed cases take no slot.
+            assert keys or group.rows[0][0] in ("transition-oracle", "calibration"), group.rows
+
+    def test_no_two_groups_share_a_key_or_a_draw(self):
+        assert all(type(group.key) is int and group.key >= 0 for group in self.GROUPS)
+        assert len({group.key for group in self.GROUPS}) == len(self.GROUPS)
+        # Rows that read one draw read one run of it.
+        assert len({group.draw for group in self.GROUPS}) == len(self.GROUPS)
+
+    @pytest.mark.parametrize("suite", [s for s in SUITE_NAMES if len(suites._suite(s)) > 1])
+    def test_reordered_groups_keep_their_residuals(self, monkeypatch, suite):
+        bits = lambda rows: {r.suite: repr(r.max_residual) for r in rows}  # noqa: E731
+        before = bits(run_suite(suite, M23, 6, 2))
+        monkeypatch.setitem(suites._SUITES, suite, suites._suite(suite)[::-1])
+        assert bits(run_suite(suite, M23, 6, 2)) == before
 
     def test_one_stream_per_row_and_no_trial_loop(self):
         tree = ast.parse(pathlib.Path(suites.__file__).read_text(encoding="utf-8"))
@@ -899,57 +917,34 @@ class TestFootprint:
 
 
 class TestRowReplay:
-    """Every random row is a draw and a check: trial ``k`` of the stacked
-    run has the bits of the row's check run on the row's draw over the
-    stream of trial ``k`` alone, ``ctx.stream([k])``, so one trial can be
-    replayed by itself."""
+    """Every group is a draw and a check: trial ``k`` of the stacked run has
+    the bits of the group's check run on its draw over the stream of trial
+    ``k`` alone, ``ctx.stream([k])``, so one trial can be replayed by
+    itself."""
 
-    #: The rows that are plain functions: two fixed cases and one that
-    #: aggregates across trials.
-    PLAIN = {"charts/transition-oracle", "exactness/order", "kks/calibration"}
-
-    @staticmethod
-    def _rows():
-        return [
-            (f"{suite}/{name}", subindex, fn)
-            for suite in SUITE_NAMES
-            for subindex, (name, _, fn) in enumerate(suites._suite(suite))
-        ]
-
-    def test_every_random_row_is_a_draw_and_a_check(self):
-        rows = self._rows()
-        assert {name for name, _, fn in rows if not isinstance(fn, suites._Row)} == self.PLAIN
-        assert len(rows) - len(self.PLAIN) == 40
-
-    def test_rows_of_one_draw_form_one_group(self):
-        # Within a suite, rows that read one draw read one run of it: no
-        # two groups (draw, check) share a draw.
-        for suite in SUITE_NAMES:
-            groups = {(fn.draw, fn.check) for _, _, fn in suites._suite(suite)
-                      if isinstance(fn, suites._Row)}
-            draws = [draw for draw, _ in groups]
-            assert len(draws) == len(set(draws)), suite
+    def test_every_row_is_in_one_group(self):
+        rows = [row for suite in SUITE_NAMES for group in suites._suite(suite)
+                for row, _, _ in group.rows]
+        assert len(rows) == 43
+        assert rows == [row for suite in SUITE_NAMES for row in suite_rows(suite)]
 
     @pytest.mark.parametrize("shape", ["2,3", "1,2,2"])
     def test_each_trial_alone(self, shape):
         alg, trials = BlockAlgebra.from_string(shape), 8
-        groups = {}
-        for name, subindex, fn in self._rows():
-            # A group runs its draw and check once, with its first row's
-            # subindex.
-            if isinstance(fn, suites._Row):
-                groups.setdefault((fn.draw, fn.check), (name, subindex, fn))
-        for name, subindex, fn in groups.values():
-            ctx = suites.RowCtx(alg, trials, 1, subindex, DEFAULT_TOL)
-            stacked = fn.check(ctx, *fn.draw(ctx, ctx.stream()))
-            # Fixed instances, such as those of modular-flow/dimensions, are
-            # not trials.
-            per_trial = {key: v for key, v in stacked.items() if np.shape(v)[:1] == (trials,)}
-            assert per_trial, name
-            for k in range(trials):
-                alone = fn.check(ctx, *fn.draw(ctx, ctx.stream([k])))
-                assert alone.keys() == stacked.keys(), name
-                for key, values in per_trial.items():
-                    assert np.shape(alone[key])[:1] == (1,), (name, key)
-                    got, want = np.asarray(alone[key][0]), np.asarray(values[k])
-                    assert got.tobytes() == want.tobytes(), (name, key, k)
+        for suite in SUITE_NAMES:
+            for group in suites._suite(suite):
+                ctx = suites.RowCtx(alg, trials, 1, group.key, DEFAULT_TOL)
+                stacked = group.check(ctx, *group.draw(ctx, ctx.stream()))
+                # Fixed cases, such as those of modular-flow/dimensions, and
+                # aggregates across trials, such as exactness/order, are not
+                # trials; a group without trials is a fixed case of scalars.
+                per_trial = {key: v for key, v in stacked.items()
+                             if np.shape(v)[:1] == (trials,)}
+                assert per_trial or not any(map(np.shape, stacked.values())), group.rows
+                for k in range(trials):
+                    alone = group.check(ctx, *group.draw(ctx, ctx.stream([k])))
+                    assert alone.keys() == stacked.keys(), group.rows
+                    for key, values in per_trial.items():
+                        assert np.shape(alone[key])[:1] == (1,), (group.rows, key)
+                        got, want = np.asarray(alone[key][0]), np.asarray(values[k])
+                        assert got.tobytes() == want.tobytes(), (group.rows, key, k)
