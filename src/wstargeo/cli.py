@@ -27,7 +27,7 @@ from .algebra import (
     orbit_invariant,
     stabilizer_lie_algebra,
 )
-from .errors import DomainError, ParseError, UsageError
+from .errors import DomainError, InvalidTrials, ParseError, UsageError
 from .io import load_algebra_spec, load_vectors, open_report, write_report_csv
 from .linalg import (
     DEFAULT_TOL,
@@ -201,10 +201,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     algebra = _algebra_option(args.algebra)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    # An unknown suite, then a report path that cannot be written, fails
-    # before any suite runs.
+    # An unknown suite, then a count of trials below 1, then a report path
+    # that cannot be written, fails before any suite runs.
     if args.suite != "all":
         suite_rows(args.suite)
+    if args.trials < 1:
+        raise InvalidTrials(f"trials must be positive, got {args.trials}")
     report = None if args.report is None else open_report(args.report)
     rows = []
     for name in names:

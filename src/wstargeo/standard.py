@@ -49,7 +49,6 @@ from .linalg import (
     ToleranceProfile,
     as_count,
     excess,
-    floored_rank,
     frobenius,
     gram_defect,
     herm,
@@ -60,7 +59,6 @@ from .linalg import (
     _retained,
     realified_rank,
     refuse,
-    singular_values,
     supports,
     svd,
     unitarity_defect,
@@ -274,13 +272,12 @@ def _ambient_nullity(g: np.ndarray, mu: np.ndarray, mu_j: np.ndarray, tol: Toler
     """The dimensions of the kernels of E and E' at one block ``g`` with left
     and right momenta ``mu`` and ``mu_j``: the nullities of the conditions
     realified on the block's ``2 n^2`` real matrix units, E' as E at ``g*``,
-    from the singular values of one stack."""
+    from the realified rank of one stack."""
     n = g.shape[-1]
     d = np.concatenate([np.eye(n * n), 1j * np.eye(n * n)]).reshape(-1, n, n)
     h, m = np.stack([g, g.conj().T])[:, None], np.stack([mu, mu_j])[:, None]
     c = np.concatenate([d @ h.conj().mT + h @ d.conj().mT, m @ d - d], axis=-2)
-    s = singular_values(np.concatenate([c.real, c.imag], -2).reshape(2, len(d), -1))
-    return len(d) - floored_rank(s, tol)
+    return len(d) - realified_rank(c, tol)
 
 
 def _kernel_oracle(algebra: BlockAlgebra, g, mu, mu_j, kernels, tol: ToleranceProfile):

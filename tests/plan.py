@@ -2,16 +2,17 @@
 
 ``python tests/plan.py --write`` runs the whole plan (43 rows on 7 shapes,
 301 results) and writes ``tests/golden/plan.json``: per shape and row the
-status, ``repr(max_residual)`` and a digest of the states in which the row
+status, ``repr(max_residual)``, a digest of the states in which the row
 left its slot generators (one per draw of the row's stream, for all its
-trials), with the plan itself and the NumPy and BLAS build that produced
-it.  ``python tests/plan.py`` runs it again and
-prints every result that differs from the file, then one line with how
-many differ in status, in generator digest and in residual alone.
-``tests/test_plan.py`` compares the small shapes in the test run.
+trials) and the calls its group made by kind (:data:`KINDS`), with the
+plan itself and the NumPy and BLAS build that produced it.  ``python
+tests/plan.py`` runs it again and prints every result that differs from
+the file, then one line with how many differ in status, in generator
+digest, in calls and in residual alone.  ``tests/test_plan.py`` compares
+the small shapes and the benchmark's in the test run.
 
-A change that moves a residual rewrites the file in the same commit, so its
-diff lists every moved value.
+A change that moves a residual or a count rewrites the file in the same
+commit, so its diff lists every moved value.
 """
 from __future__ import annotations
 
@@ -21,10 +22,11 @@ import json
 import pathlib
 import platform
 import sys
+from unittest import mock
 
 import numpy as np
 
-from wstargeo import SUITE_NAMES, BlockAlgebra, run_suite, sampling, suites
+from wstargeo import SUITE_NAMES, BlockAlgebra, NormalFunctional, linalg, run_suite, sampling, suites
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "plan.json"
 SEED = 1
@@ -39,6 +41,11 @@ PLAN = {
     "1,2,2": 30,
     "2": 30,
 }
+#: The calls of a group that the plan counts: ``linalg._gesdd`` without
+#: and with singular vectors, ``linalg._heevd`` without and with
+#: eigenvectors, the samplers' Haar QRs, the slot generators and the
+#: functionals built.
+KINDS = ("gesdd", "gesdd-vectors", "heevd", "heevd-vectors", "qr", "slots", "functionals")
 
 
 def build() -> dict:
@@ -62,36 +69,61 @@ def state_digest(generators: list) -> str:
 
 
 def run_suite_recorded(name: str, algebra: BlockAlgebra, trials: int) -> dict:
-    """``{suite/row: [status, repr(max_residual), state digest]}`` for every
-    row of one suite.  Every slot generator comes from ``sampling.rng_for``,
-    keyed ``(seed, group key, *path)`` (a ``sampling.Stream`` looks it up at
-    each slot), so a wrapper there sees them all; each is filed under the
-    rows of the group whose key it carries, and digested after the suite has
-    run."""
-    made, original = [], sampling.rng_for
+    """``{suite/row: [status, repr(max_residual), state digest, calls]}`` for
+    every row of one suite.  Every slot generator comes from
+    ``sampling.rng_for`` (a ``sampling.Stream`` looks it up at each slot),
+    every LAPACK factorization from ``linalg._gesdd`` or ``linalg._heevd``,
+    every Haar QR of a sampler from ``sampling.phase_fixed_q`` and every
+    functional passes ``NormalFunctional.__post_init__``, so wrappers there
+    see them all.  Each is filed under the rows of the group whose ``run``
+    made it; the generators are digested after the suite has run, and
+    ``calls`` holds the number of each kind of :data:`KINDS` that the group
+    made at least once."""
+    made, calls, running = [], [], [None]
+
+    def counted(owner, attr: str, kind):
+        real = getattr(owner, attr)
+
+        def count(*args):
+            calls.append((running[0], kind(*args)))
+            return real(*args)
+
+        return mock.patch.object(owner, attr, count)
 
     def recording(*key):
-        generator = original(*key)
-        made.append((list(key), generator))
+        generator = rng_for(*key)
+        made.append((running[0], list(key), generator))
+        calls.append((running[0], "slots"))
         return generator
 
-    sampling.rng_for = recording
-    try:
+    def run(group, *args):
+        running[0] = group.key
+        return group_run(group, *args)
+
+    rng_for, group_run = sampling.rng_for, suites._Group.run
+    with (
+        counted(linalg, "_gesdd", lambda a, uv: "gesdd-vectors" if uv else "gesdd"),
+        counted(linalg, "_heevd", lambda h, v: "heevd-vectors" if v else "heevd"),
+        counted(sampling, "phase_fixed_q", lambda g: "qr"),
+        counted(NormalFunctional, "__post_init__", lambda phi: "functionals"),
+        mock.patch.object(sampling, "rng_for", recording),
+        mock.patch.object(suites._Group, "run", run),
+    ):
         rows = run_suite(name, algebra, trials, SEED)
-    finally:
-        sampling.rng_for = original
     group_key = {f"{name}/{row}": group.key
                  for group in suites._suite(name) for row, _, _ in group.rows}
-    return {
-        r.suite: [r.status, repr(r.max_residual),
-                  state_digest([(key, g) for key, g in made if key[1] == group_key[r.suite]])]
-        for r in rows
-    }
+
+    def filed(key: int) -> list:
+        kinds = [kind for group, kind in calls if group == key]
+        digest = state_digest([(k, g) for group, k, g in made if group == key])
+        return [digest, {kind: kinds.count(kind) for kind in KINDS if kind in kinds}]
+
+    return {r.suite: [r.status, repr(r.max_residual), *filed(group_key[r.suite])] for r in rows}
 
 
 def run_shape(shape: str, trials: int) -> dict:
-    """``{suite/row: [status, repr(max_residual), state digest]}`` for every
-    row on one shape."""
+    """``{suite/row: [status, repr(max_residual), state digest, calls]}``
+    for every row on one shape."""
     algebra = BlockAlgebra.from_string(shape)
     return {
         row: result
@@ -106,7 +138,7 @@ def run_plan(shapes=PLAN) -> dict:
 
 def differences(recorded: dict, fresh: dict, bits: bool) -> list[str]:
     """Each result of ``fresh`` whose status (and, with ``bits``, whose
-    residual or generator states) differs from ``recorded``."""
+    residual, generator states or calls) differs from ``recorded``."""
     out = []
     for shape, rows in fresh.items():
         for row, result in rows.items():
@@ -118,15 +150,17 @@ def differences(recorded: dict, fresh: dict, bits: bool) -> list[str]:
 
 def summary(recorded: dict, fresh: dict) -> str:
     """One line: how many results of ``fresh`` differ from ``recorded`` in
-    status, in generator digest, and in residual alone."""
-    status = digest = residual = 0
+    status, in generator digest, in calls, and in residual alone."""
+    status = digest = calls = residual = 0
     for shape, rows in fresh.items():
         for row, result in rows.items():
-            old = recorded["results"][shape].get(row) or [None] * 3
+            old = recorded["results"][shape].get(row) or [None] * 4
             status += old[0] != result[0]
             digest += old[2] != result[2]
-            residual += old[0] == result[0] and old[2] == result[2] and old[1] != result[1]
-    return f"differ: {status} in status, {digest} in generator digest, {residual} in residual only"
+            calls += old[3] != result[3]
+            residual += old[1] != result[1] and [old[0], *old[2:]] == [result[0], *result[2:]]
+    return (f"differ: {status} in status, {digest} in generator digest, {calls} in calls, "
+            f"{residual} in residual only")
 
 
 def main(argv=None) -> int:

@@ -236,6 +236,13 @@ class TestVerify:
         assert main(["verify", "kks", "--trials", "0"]) == 2
         assert "domain error" in capsys.readouterr().err
 
+    def test_invalid_trials_keep_an_existing_report(self, tmp_path, capsys):
+        report = tmp_path / "keep.csv"
+        report.write_bytes(b"kept\n")
+        assert main(["verify", "kks", "--trials", "0", "--report", str(report)]) == 2
+        assert capsys.readouterr().err == "domain error: trials must be positive, got 0\n"
+        assert report.read_bytes() == b"kept\n"
+
     @pytest.mark.parametrize(
         "flags",
         [["--seed", "-1"], ["--seed", "1.5"], ["--tol", "-1"], ["--tol", "0"],

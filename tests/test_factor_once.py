@@ -2,11 +2,14 @@
 
 A ``NormalFunctional`` keeps its polar decomposition, its spectra, its
 eigenvalue clusters and each observable's differential, and ``sigma_p``
-decides the chart domain from the SVD it inverts.  The count tests spy on
-the two LAPACK entry points of ``linalg`` on ``2,3``; each bound sits well
-below the count of code that decomposes again on every read (noted in each
-test).  ``BlockAlgebra.contains`` is checked against the rule of two
-Frobenius norms.
+decides the chart domain from the SVD it inverts.  The count tests here are
+function-level: they spy on the two LAPACK entry points of ``linalg`` (or
+count the functionals built) around one structure map, chart, family,
+stabilizer or draw on ``2,3``, and each bound sits well below the count of
+code that decomposes again on every read (noted in each test).  What every
+suite row's group calls, by kind, is pinned exactly per shape by the row ×
+shape plan (``tests/plan.py``).  ``BlockAlgebra.contains`` is checked
+against the rule of two Frobenius norms.
 """
 import dataclasses
 import json
@@ -54,14 +57,12 @@ M23 = BlockAlgebra((2, 3))
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Counts of ``_gesdd`` and ``_heevd`` calls, keyed by kernel name;
-    ``gesdd-vectors`` counts the ``_gesdd`` calls with singular vectors."""
-    calls = {"gesdd": 0, "gesdd-vectors": 0, "heevd": 0}
+    """Counts of ``_gesdd`` and ``_heevd`` calls, keyed by kernel name."""
+    calls = {"gesdd": 0, "heevd": 0}
     real_gesdd, real_heevd = linalg._gesdd, linalg._heevd
 
     def gesdd(a, compute_uv):
         calls["gesdd"] += 1
-        calls["gesdd-vectors"] += bool(compute_uv)
         return real_gesdd(a, compute_uv)
 
     def heevd(h, compute_v):
@@ -98,45 +99,6 @@ def _theta_input(rng):
     return p, pt, x[0]
 
 
-def _ten_trials_repeated(ctx: suites.RowCtx) -> sampling.Stream:
-    """The group's stream, trial ``k`` reading the rows of trial ``k mod 10``."""
-    return sampling.Stream((ctx.seed, ctx.key), np.arange(ctx.trials) % 10)
-
-
-def _group(suite: str, row: str) -> suites._Group:
-    """The group of ``suite`` that holds ``row``."""
-    return next(g for g in suites._suite(suite) if row in [r for r, _, _ in g.rows])
-
-
-def _run_passing(group: suites._Group, trials: int) -> None:
-    """Run ``group`` on ``2,3`` at seed 1, as ``run_suite`` does, and check
-    that each of its rows passes."""
-    checks = group.run(M23, trials, 1)
-    for name, tolerance, keys in group.rows:
-        assert suites._residual(checks, keys) <= tolerance, name
-
-
-def _per_group(groups, reset, count) -> list:
-    """``count()`` after each group's passing run, ``reset()`` before it, at
-    10 and at 40 trials: one list of counts per trial count."""
-    counts = []
-    for trials in (10, 40):
-        counts.append([])
-        for group in groups:
-            reset()
-            _run_passing(group, trials)
-            counts[-1].append(count())
-    return counts
-
-
-def _lapack_per_group(lapack_calls, groups, kernels=("gesdd", "heevd")) -> list:
-    """:func:`_per_group` of the LAPACK calls ``kernels``."""
-    return _per_group(
-        groups, lambda: lapack_calls.update(gesdd=0, heevd=0, **{"gesdd-vectors": 0}),
-        lambda: tuple(lapack_calls[k] for k in kernels),
-    )
-
-
 def _functional(seed: int = 0) -> NormalFunctional:
     rng = sampling.Stream((2025, seed), [0])
     return sampling.density_on(rng, sampling.random_frames(M23, rng, allow_zero=False))[0]
@@ -160,134 +122,6 @@ class TestCounts:
         lapack_calls.update(gesdd=0, heevd=0)
         chain_law_residuals(tag, chain, DEFAULT_TOL)
         assert 0 < lapack_calls["gesdd"] <= 10 < before
-
-    def test_law_rows_factor_per_row_not_per_trial(self, lapack_calls):
-        # Each groupoid-axioms row checks all its trials' data with one call
-        # on their stack, so its SVDs do not grow with the trials.  Nor do
-        # its Hermitian eigendecompositions: the isomorphisms row, whose draw
-        # took the stabilizer of each trial's base density in turn, takes
-        # them on the stack, and draws their coefficients in a second pass.
-        groups = suites._suite("groupoid-axioms")
-        assert len(groups) == 8
-        small, large = _lapack_per_group(lapack_calls, groups)
-        assert small == large
-        assert all(sum(kernel) > 0 for kernel in zip(*small))
-
-    def test_isomorphisms_check_factors_each_arrow_once(self, lapack_calls):
-        # 5 when phi_intertwining_residual factored the one fa = iso_Phi(a)
-        # twice: std_mul and iso_Phi_inv each took its polar decomposition.
-        group = _group("groupoid-axioms", "isomorphisms")
-        ctx = suites.RowCtx(M23, 10, 1, group.key, DEFAULT_TOL)
-        data = group.draw(ctx, ctx.stream())
-        lapack_calls.update(gesdd=0, heevd=0, **{"gesdd-vectors": 0})
-        group.check(ctx, *data)
-        assert lapack_calls["gesdd"] == lapack_calls["gesdd-vectors"] == 4
-
-    @pytest.mark.parametrize(
-        "row, vectors, values", [("round-trip", 14, 3), ("cocycle", 9, 10), ("theta", 7, 1)],
-        ids=["round-trip-14", "cocycle-9", "theta-7"],
-    )
-    def test_chart_rows_factor_per_row_not_per_trial(self, lapack_calls, monkeypatch, row, vectors, values):
-        # Each random charts row checks all its trials' data with one call
-        # per map on their stack, so its SVDs with vectors do not grow with
-        # the trials (320, 110 and 70 at 10 trials with one call per trial).
-        # The round trip factors each chart leg of x once, the Theta middles
-        # of its partial isometry and of jay(x) read those legs, and the two
-        # inverse charts recover the legs from the same coordinates once (32
-        # when each chart factored its own legs).  The cocycle takes the
-        # overlaps phi_p_inv(p, y) and phi_p_inv(p1, y1), each read by two of
-        # its maps, once (11 when each map factored its own).
-        # Nor do its value-only SVDs: the draws test their chart domains once
-        # per pair on the stack of the pending trials, and redraw only the
-        # trials that miss (30, 64 and 10 at 10 trials, and 120, 244 and 40
-        # at 40, when each trial tested its own draw).  Trial k reads the
-        # rows of trial k mod 10, so 40 trials make the redraws of 10.
-        monkeypatch.setattr(suites.RowCtx, "stream", _ten_trials_repeated)
-        counts = _lapack_per_group(lapack_calls, [_group("charts", row)], ("gesdd", "gesdd-vectors"))
-        assert counts == [[(vectors + values, vectors)]] * 2
-
-    @pytest.mark.parametrize("suite", ["multiplicativity", "exactness"])
-    def test_family_rows_factor_per_row_not_per_trial(self, lapack_calls, suite):
-        # Each multiplicativity and exactness group builds its families
-        # once, on the stack of all its trials, and checks them with one
-        # call, so none of its SVDs (the generators' norms, the polar factors
-        # of std_mul) or Hermitian eigendecompositions (the base's support,
-        # each generator's spectrum) grow with the trials: at 10 trials,
-        # one call per trial made 80 value-only SVDs and 20 eigendecompositions
-        # in multiplicativity/residual.
-        kernels = ("gesdd", "gesdd-vectors", "heevd")
-        small, large = _lapack_per_group(lapack_calls, suites._suite(suite), kernels)
-        assert small == large
-        assert sum(heevd for _, _, heevd in small) > 0
-
-    def test_flow_rows_factor_per_row_not_per_trial(self, lapack_calls):
-        # The flow-report group (automorphism, symplectic, cone and
-        # orbit-invariants), orbit-form, and the tomita and group-law group
-        # check all their trials' data with one call per map on their stack,
-        # so neither their SVDs (the polar factors of the flowed pair) nor
-        # their Hermitian eigendecompositions (each density's spectrum, the
-        # flowed cone element's values) grow with the trials: at 10 trials
-        # the flow report made 40 SVDs and 70 eigendecompositions with one
-        # call per trial, and makes 4 and 7.
-        groups = suites._suite("modular-flow")[:3]
-        assert [[row for row, _, _ in g.rows] for g in groups] == [
-            ["automorphism", "symplectic", "cone", "orbit-invariants"],
-            ["orbit-form"], ["tomita", "group-law"],
-        ]
-        small, large = _lapack_per_group(lapack_calls, groups)
-        assert small == large
-        flow, _, density_pair = small
-        assert flow[0] > 0 and flow[1] > 0 and density_pair[1] > 0
-
-    def test_poisson_rows_factor_per_row_not_per_trial(self, lapack_calls, monkeypatch):
-        # The three poisson-map groups and kks/identity check all their
-        # trials' data with one call per check on their stack, so neither
-        # their SVDs (the unit-norm scaling of the observables' elements) nor
-        # their Hermitian eigendecompositions (the canonical vector of each
-        # density) grow with the trials, and neither do the functionals they
-        # build: one per stack, one per central-difference stencil of a
-        # basis element.  With one call per trial, the quadratic row built
-        # E(gamma) and 2 * 13 functionals for its stencils per trial.  The
-        # commutant group builds the 4 of its brackets.
-        built = []
-        post_init = NormalFunctional.__post_init__
-
-        def counted(phi):
-            built.append(None)
-            post_init(phi)
-
-        monkeypatch.setattr(NormalFunctional, "__post_init__", counted)
-        groups = [*suites._suite("poisson-map"), _group("kks", "identity")]
-        small, large = _per_group(
-            groups, lambda: (lapack_calls.update(gesdd=0, heevd=0), built.clear()),
-            lambda: (lapack_calls["gesdd"], lapack_calls["heevd"], len(built)),
-        )
-        assert small == large
-        vector, density, commutant, kks = small
-        assert (vector[2], density[2], commutant[2]) == (1 + 13, 1 + 13, 4)
-        assert kks[1] > 0
-
-    def test_pattern_rows_factor_per_pattern_not_per_trial(self, lapack_calls, monkeypatch):
-        # Trial k reads the rows of trial k mod 10, so 40 trials
-        # repeat the eigenvalue-cluster patterns and null-space dimensions
-        # of 10.  The groups below factor once per stack, whatever its
-        # patterns (their first-trial oracles once per group), so they make
-        # as many SVDs and Hermitian eigendecompositions at 40 trials as at
-        # 10; one check per trial made four times as many.
-        monkeypatch.setattr(suites.RowCtx, "stream", _ten_trials_repeated)
-        groups = {
-            f"{suite}/{g.rows[0][0]}": g
-            for suite in ("degeneracy", "dual-pair", "fubini-study", "modular-flow")
-            for g in suites._suite(suite)
-            if suite != "modular-flow" or g.rows[0][0] in ("conditional-expectation", "dimensions")
-        }
-        assert sum(len(g.rows) for g in groups.values()) == 12
-        small, large = _lapack_per_group(lapack_calls, groups.values())
-        assert small == large
-        counts = dict(zip(groups, small))
-        for row in ("degeneracy/orbit-form-invariance", "degeneracy/radical-pairing",
-                    "dual-pair/orthogonality", "modular-flow/conditional-expectation"):
-            assert sum(counts[row]) > 0, row
 
     def test_families_on_one_base_take_its_support_once(self, lapack_calls):
         # Each family of one base took the support of xi2: 2 decompositions
@@ -374,47 +208,10 @@ class TestDrawsFactorOncePerRow:
             raise AssertionError("the isomorphisms draw built a stabilizer basis")
 
         monkeypatch.setattr(StabilizerData, "basis", property(refuse))
-        ctx = suites.RowCtx(M23, 100, 1, _group("groupoid-axioms", "isomorphisms").key, DEFAULT_TOL)
-        data = suites._draw_isomorphisms(ctx, ctx.stream())
+        (group,) = (g for g in suites._suite("groupoid-axioms") if g.draw is suites._draw_isomorphisms)
+        ctx = suites.RowCtx(M23, 100, 1, group.key, DEFAULT_TOL)
+        data = group.draw(ctx, ctx.stream())
         assert data[-1].shape == (100, M23.dim, M23.dim)
-
-    def test_a_round_makes_few_haar_qrs_and_generators(self, monkeypatch):
-        # A verify-all round on 2,3 at 100 trials: each sampler call factors
-        # the layouts of all its trials with one Haar QR, so the QRs grow
-        # with the rows, not with the trials (13,966 with one QR per draw of
-        # each trial).  Each draw of a row takes one generator for all its
-        # trials (3,500 generators a round with one per trial).
-        qrs, keys = [], []
-        real_qr, real_rng_for = sampling.phase_fixed_q, sampling.rng_for
-        monkeypatch.setattr(sampling, "phase_fixed_q", lambda g: qrs.append(g.shape) or real_qr(g))
-        monkeypatch.setattr(
-            sampling, "rng_for", lambda *key: keys.append(key) or real_rng_for(*key)
-        )
-        for name in suites.SUITE_NAMES:
-            assert all(r.passed for r in suites.run_suite(name, M23, 100, 1)), name
-        assert 0 < len(qrs) < 1000
-        assert all(shape[0] <= 100 for shape in qrs)
-        assert 0 < len(keys) < 1000
-
-    def test_a_round_makes_few_svds_with_vectors(self, lapack_calls):
-        # A verify-all round on 2,3: each row factors its stacks, so the
-        # count does not grow with the trials.  144 when the law rows and
-        # the round trip factored an arrow or a chart leg on every read.
-        for name in suites.SUITE_NAMES:
-            assert all(r.passed for r in suites.run_suite(name, M23, 10, 1)), name
-        assert lapack_calls["gesdd-vectors"] <= 95
-
-    def test_each_row_makes_its_generators_whatever_its_trials(self, monkeypatch):
-        # A group takes a generator per draw, not per trial, so it makes as
-        # many at 40 trials as at 10.  Trial k reads the rows of trial
-        # k mod 10, so 40 trials make the redraws of 10.
-        made, real_rng_for = [], sampling.rng_for
-        monkeypatch.setattr(sampling, "rng_for", lambda *key: made.append(key) or real_rng_for(*key))
-        monkeypatch.setattr(suites.RowCtx, "stream", _ten_trials_repeated)
-        groups = [g for name in suites.SUITE_NAMES for g in suites._suite(name)]
-        small, large = _per_group(groups, made.clear, lambda: len(made))
-        assert small == large
-        assert sum(small) > 0
 
 
 class TestOrbitCommand:

@@ -1,9 +1,11 @@
-"""The small shapes of the row × shape plan reproduce the golden file.
+"""The small shapes of the row × shape plan, and the benchmark's ``2,3``,
+reproduce the golden file.
 
-Status must always match.  Residuals must match bit for bit, and each row
-must leave its slot generators in the recorded states, when this NumPy
-and BLAS build is the one that wrote the file; on another build only the
-status is compared.  ``python tests/plan.py`` checks the whole plan.
+Status must always match.  Residuals must match bit for bit, each row must
+leave its slot generators in the recorded states, and its group must make
+the recorded calls of each kind, when this NumPy and BLAS build is the one
+that wrote the file; on another build only the status is compared.
+``python tests/plan.py`` checks the whole plan.
 """
 import json
 import warnings
@@ -12,7 +14,7 @@ import pytest
 
 import plan
 
-SMALL = ("1", "1,1,1", "2", "1,2,2")
+SHAPES = ("1", "1,1,1", "2", "1,2,2", "2,3")
 
 
 @pytest.fixture(scope="module")
@@ -24,14 +26,16 @@ def test_the_file_holds_the_plan(recorded):
     assert recorded["seed"] == plan.SEED
     assert recorded["plan"] == plan.PLAN
     assert sum(len(rows) for rows in recorded["results"].values()) == 301
-    # status, repr(max_residual) and the SHA-256 of the generator states
-    assert all(
-        len(result) == 3 and len(result[2]) == 64
-        for rows in recorded["results"].values() for result in rows.values()
-    )
+    # status, repr(max_residual), the SHA-256 of the generator states and
+    # the group's calls by kind, each kind made at least once
+    for rows in recorded["results"].values():
+        for status, residual, digest, calls in rows.values():
+            assert len(digest) == 64
+            assert list(calls) == [kind for kind in plan.KINDS if kind in calls]
+            assert all(isinstance(n, int) and n > 0 for n in calls.values())
 
 
-@pytest.mark.parametrize("shape", SMALL)
+@pytest.mark.parametrize("shape", SHAPES)
 def test_small_shape_matches_the_golden_file(recorded, shape):
     bits = recorded["build"] == plan.build()
     fresh = plan.run_plan([shape])
@@ -48,7 +52,9 @@ def test_summary_counts_each_kind_of_difference(recorded):
     fresh["1"][rows[0]][0] = "FAIL"
     fresh["1"][rows[1]][2] = "0" * 64
     fresh["1"][rows[2]][1] = "1.0"
-    fresh["1"][rows[3]][1:] = ["1.0", "0" * 64]
+    fresh["1"][rows[3]][1:3] = ["1.0", "0" * 64]
+    moved = fresh["1"][rows[4]][3] = dict(shape[rows[4]][3])
+    moved["slots"] = moved.get("slots", 0) + 1
     assert plan.summary(recorded, fresh) == (
-        "differ: 1 in status, 2 in generator digest, 1 in residual only"
+        "differ: 1 in status, 2 in generator digest, 1 in calls, 1 in residual only"
     )
