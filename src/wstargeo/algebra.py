@@ -218,9 +218,7 @@ class BlockAlgebra:
                f"{what} is not an element of the block algebra")
         return x
 
-    def embed_stacks(
-        self, parts: Iterable[tuple[slice, Sequence[np.ndarray]]], lead: tuple = ()
-    ) -> np.ndarray:
+    def embed_stacks(self, parts: Iterable[tuple[slice, Sequence[np.ndarray]]]) -> np.ndarray:
         """Algebra elements from block matrices, in order, as one ``(k, dim,
         dim)`` array: each ``(slice, matrices)`` part puts its matrices (a
         list of matrices, or a ``(k, n, n)`` array) into that block of zero
@@ -228,13 +226,13 @@ class BlockAlgebra:
         n)`` stacks, or a ``(T, k, n, n)`` array) give the elements of each
         matrix of the stack, as one ``(T, k, dim, dim)`` array.  An empty
         list has no shape: when no part is an array or a non-empty list,
-        the stack axes are ``lead``."""
+        there is no stack axis."""
         placed = [
             (s, mats if isinstance(mats, np.ndarray) else np.stack(mats, axis=-3))
             for s, mats in parts
             if isinstance(mats, np.ndarray) or len(mats)
         ]
-        lead = placed[0][1].shape[:-3] if placed else lead
+        lead = placed[0][1].shape[:-3] if placed else ()
         count = sum(m.shape[-3] for _, m in placed)
         out = np.zeros(lead + (count, self.dim, self.dim), dtype=complex)
         k = 0
@@ -409,12 +407,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def require_projection(
-    p: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL, what: str = "matrix"
-) -> np.ndarray:
+def require_projection(p: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     p = as_square(p)
     refuse(NotPositive, np.logical_not(is_projection(p, tol)),
-           f"{what} is not an orthogonal projection")
+           "matrix is not an orthogonal projection")
     return p
 
 

@@ -341,17 +341,21 @@ def p0_tangent(algebra: BlockAlgebra, rng: Stream, u: np.ndarray, p0: np.ndarray
 _REDRAW = (NotPartiallyInvertible, AmbiguousCluster, NotInDomain, NotInOverlap)
 
 
-def sample_with_retry(draw, max_tries: int = 64):
+#: How many draws :func:`sample_with_retry` makes before it gives up.
+MAX_TRIES = 64
+
+
+def sample_with_retry(draw):
     """Call ``draw`` until it returns, redrawing on degenerate-configuration
     refusals (rank and cluster guard bands, chart-domain misses); the draw
     closure consumes fresh randomness each attempt."""
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         try:
             return draw()
         except _REDRAW:
             continue
     raise NotPartiallyInvertible(
-        f"sampler failed to produce an admissible configuration in {max_tries} draws"
+        f"sampler failed to produce an admissible configuration in {MAX_TRIES} draws"
     )
 
 

@@ -26,7 +26,9 @@ from unittest import mock
 
 import numpy as np
 
-from wstargeo import SUITE_NAMES, BlockAlgebra, NormalFunctional, linalg, run_suite, sampling, suites
+# The checkout's package, installed or not, as the demos run it.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+from wstargeo import SUITE_NAMES, BlockAlgebra, NormalFunctional, linalg, run_suite, sampling, suites  # noqa: E402
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "plan.json"
 SEED = 1

@@ -372,8 +372,7 @@ def _degeneracy_draw(shape, trials=8):
     """The degeneracy row's draw: per trial a density on a support (half of
     them with a flat spectrum there) and two legs from it."""
     algebra = BlockAlgebra.from_string(shape)
-    ctx = suites.RowCtx(algebra, trials, 41, 0, DEFAULT_TOL)
-    d0, u, v = suites._draw_degeneracy(ctx, ctx.stream())
+    d0, u, v = suites._draw_degeneracy(algebra, sampling.Stream((41, 0), range(trials)))
     return algebra, d0, u, v
 
 

@@ -41,8 +41,9 @@ def test_axiom_check_is_the_worst_of_the_chain_laws(tag):
     laws = groupoids.chain_law_residuals(tag, chain)
     assert (report.tag, report.trials, report.seed) == (tag, 20, 5)
     assert report.law_residuals == {law: float(np.max(values)) for law, values in laws.items()}
-    for bad in [(tag, M23, 0, 1), ("nonsense", M23, 10, 1)]:
-        with pytest.raises(InvalidTrials):
+    for bad, message in [((tag, M23, 0, 1), "trials must be positive, got 0"),
+                         (("nonsense", M23, 10, 1), "unknown groupoid tag 'nonsense'")]:
+        with pytest.raises(InvalidTrials, match=f"^{message}$"):
             axiom_check(*bad)
 
 

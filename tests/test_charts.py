@@ -388,8 +388,7 @@ class TestOrbitOneForm:
 def _chart_draw(draw, algebra, trials: int, seed: int, select=None) -> list:
     """A random charts row's draw, keyed ``(seed, 0)``, of all ``trials``
     trials or of the trials ``select`` names."""
-    ctx = suites.RowCtx(algebra, trials, seed, 0, DEFAULT_TOL)
-    return draw(ctx, ctx.stream(select))
+    return draw(algebra, Stream((seed, 0), range(trials) if select is None else select))
 
 
 TOL = DEFAULT_TOL
@@ -482,13 +481,12 @@ class TestStackedCharts:
         # retries run out.  The row draws all its trials at once.
         draws = []
 
-        def spoiled(ctx, rngs):
-            data = suites._draw_cocycle(ctx, rngs)
+        def spoiled(alg, rngs):
+            data = suites._draw_cocycle(alg, rngs)
             draws.append(None)
             data[1][7] = 0.0  # trial 7
             return data
 
-        ctx = suites.RowCtx(M23, 10, 1, 1, DEFAULT_TOL)
         with pytest.raises(NotInOverlap, match="outside the chart of p_new at trial 7$"):
-            suites._check_cocycle(ctx, *spoiled(ctx, ctx.stream()))
+            suites._check_cocycle(M23, *spoiled(M23, Stream((1, 1), range(10))))
         assert len(draws) == 1

@@ -209,8 +209,7 @@ class TestDrawsFactorOncePerRow:
 
         monkeypatch.setattr(StabilizerData, "basis", property(refuse))
         (group,) = (g for g in suites._suite("groupoid-axioms") if g.draw is suites._draw_isomorphisms)
-        ctx = suites.RowCtx(M23, 100, 1, group.key, DEFAULT_TOL)
-        data = group.draw(ctx, ctx.stream())
+        data = group.draw(M23, sampling.Stream((1, group.key), range(100)))
         assert data[-1].shape == (100, M23.dim, M23.dim)
 
 

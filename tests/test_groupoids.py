@@ -310,8 +310,7 @@ def _row_draw(row: str, algebra: BlockAlgebra, trials: int, seed: int, select=No
     """The row's draw, keyed ``(seed, 0)``, of all ``trials`` trials or of the
     trials ``select`` names."""
     draw, _ = STACKED_ROWS[row]
-    ctx = suites.RowCtx(algebra, trials, seed, 0, DEFAULT_TOL)
-    return draw(ctx, ctx.stream(select))
+    return draw(algebra, sampling.Stream((seed, 0), range(trials) if select is None else select))
 
 
 class TestStackedRows:
@@ -324,15 +323,14 @@ class TestStackedRows:
     def test_trials_are_independent(self, row, shape):
         alg = BlockAlgebra.from_string(shape)
         _, check = STACKED_ROWS[row]
-        ctx = suites.RowCtx(alg, 12, 33, 0, DEFAULT_TOL)
         drawn = _row_draw(row, alg, 12, 33)
         ranks = {_block_ranks(alg, a) for a in _matrix(drawn[0])}
         assert len(ranks) > 1
-        stacked = check(ctx, *drawn)
+        stacked = check(alg, *drawn)
         for k in range(12):
             data = _row_draw(row, alg, 12, 33, [k])
-            alone = check(ctx, *data)
-            unstacked = check(ctx, *(x[0] for x in data))
+            alone = check(alg, *data)
+            unstacked = check(alg, *(x[0] for x in data))
             for name, values in stacked.items():
                 assert values.shape == (12,), name
                 assert values[k] == alone[name][0] == unstacked[name], (name, k)

@@ -307,8 +307,7 @@ STACKED_FAMILY_ROWS = {
 def _drawn(draw, algebra, trials, seed, select=None):
     """A row's draw, keyed ``(seed, 0)``, of all ``trials`` trials or of the
     trials ``select`` names."""
-    ctx = suites.RowCtx(algebra, trials, seed, 0, DEFAULT_TOL)
-    return draw(ctx, ctx.stream(select))
+    return draw(algebra, Stream((seed, 0), range(trials) if select is None else select))
 
 
 class TestStackedFamilies:
@@ -321,15 +320,14 @@ class TestStackedFamilies:
     def test_trials_are_independent(self, row, shape):
         algebra = BlockAlgebra.from_string(shape)
         draw, check = STACKED_FAMILY_ROWS[row]
-        ctx = suites.RowCtx(algebra, 12, 38, 0, DEFAULT_TOL)
         drawn = _drawn(draw, algebra, 12, 38)
         # drawn[1] is the positive element of the base, of random rank.
         assert len(set(np.linalg.matrix_rank(drawn[1]).tolist())) > 1
-        stacked = check(ctx, *drawn)
+        stacked = check(algebra, *drawn)
         for k in range(12):
             data = _drawn(draw, algebra, 12, 38, [k])
-            alone = check(ctx, *data)
-            unstacked = check(ctx, *(x[0] for x in data))
+            alone = check(algebra, *data)
+            unstacked = check(algebra, *(x[0] for x in data))
             assert stacked.keys() == alone.keys() == unstacked.keys()
             # exactness/order's median ratio is of all the trials, not of one.
             for name in stacked.keys() - {"order"}:
@@ -373,13 +371,12 @@ class TestStackedObservables:
     @pytest.mark.parametrize("shape", ["2,3", "1,2,2", "4,4,4,4", "12"])
     def test_trials_are_independent(self, shape):
         algebra = BlockAlgebra.from_string(shape)
-        ctx = suites.RowCtx(algebra, 12, 50, 0, DEFAULT_TOL)
         for draw, check in OBSERVABLE_CHECKS:
-            stacked = check(ctx, *_drawn(draw, algebra, 12, 50))
+            stacked = check(algebra, *_drawn(draw, algebra, 12, 50))
             for k in range(12):
                 data = _drawn(draw, algebra, 12, 50, [k])
-                alone = check(ctx, *data)
-                unstacked = check(ctx, *(x[0] for x in data))
+                alone = check(algebra, *data)
+                unstacked = check(algebra, *(x[0] for x in data))
                 assert stacked.keys() == alone.keys() == unstacked.keys()
                 for name, s in stacked.items():
                     a, u = alone[name], unstacked[name]
@@ -641,8 +638,7 @@ class TestDegeneracy:
         # a call takes the ambient form; a leg off the base's support is
         # refused by its place in the stack.
         algebra = BlockAlgebra(blocks)
-        ctx = suites.RowCtx(algebra, 10, 61, 0, DEFAULT_TOL)
-        d0, u, v = suites._draw_degeneracy(ctx, ctx.stream())
+        d0, u, v = _drawn(suites._draw_degeneracy, algebra, 10, 61)
         whole = vars(degeneracy_kernel_check(NormalFunctional(algebra, d0), u, v, DEFAULT_TOL))
         assert len(set(whole["tangent_dimension"].tolist())) > 1
         for k in range(len(d0)):
@@ -684,11 +680,10 @@ class TestDegeneracy:
         # Counts of one unstacked input are Python ints, as the types say,
         # not NumPy integers; a stack keeps its arrays.
         algebra = BlockAlgebra.from_string(shape)
-        ctx = suites.RowCtx(algebra, 1, 63, 0, DEFAULT_TOL)
-        d0, u, v = (x[0] for x in suites._draw_degeneracy(ctx, ctx.stream()))
+        d0, u, v = (x[0] for x in _drawn(suites._draw_degeneracy, algebra, 1, 63))
         rho0 = NormalFunctional(algebra, d0)
         report = degeneracy_kernel_check(rho0, u, v)
-        [g] = suites._draw_dual_pair(ctx, ctx.stream())
+        [g] = _drawn(suites._draw_dual_pair, algebra, 1, 63)
         pair = dual_pair_orthogonality_check(algebra, g[0])
         counts = {
             "stabilizer": stabilizer_lie_algebra(rho0, DEFAULT_TOL).dimension,

@@ -447,7 +447,7 @@ def test_coefficient_width(monkeypatch, draw, algebra):
     slots = []
     for trials in ([5], range(8), range(100)):
         takes.clear()
-        draw(suites.RowCtx(algebra, len(trials), 1, 0, DEFAULT_TOL), _stream(trials))
+        draw(algebra, _stream(trials))
         slots.append(list(takes))
     assert slots[0] == slots[1] == slots[2]
     assert [s for s in slots[0] if s[3][:1] == (width,)]
@@ -490,7 +490,7 @@ class TestStackedRedraws:
 
     def test_only_the_failing_trial_redraws(self, monkeypatch):
         tested, counts = self._failing(monkeypatch, trial=3, times=1)
-        p, q = suites._draw_equivalent_in_domain(M23, _stream(range(6)), DEFAULT_TOL, 2)
+        p, q = suites._draw_equivalent_in_domain(M23, _stream(range(6)), 2)
         # one closure for the row; the second attempt tests trial 3 alone
         assert counts == {"calls": 1, "attempts": 2}
         assert tested == [6, 1]
@@ -503,7 +503,7 @@ class TestStackedRedraws:
     def test_a_trial_that_always_fails_is_refused(self, monkeypatch):
         tested, counts = self._failing(monkeypatch, trial=3, times=10**6)
         with pytest.raises(NotPartiallyInvertible):
-            suites._draw_equivalent_in_domain(M23, _stream(range(6)), DEFAULT_TOL, 2)
+            suites._draw_equivalent_in_domain(M23, _stream(range(6)), 2)
         assert counts == {"calls": 1, "attempts": 64}
         assert tested == [6] + [1] * 63
 

@@ -70,9 +70,9 @@ class TestRegistry:
             suite_rows("no-such-suite")
 
     def test_invalid_trials(self):
-        with pytest.raises(InvalidTrials):
+        with pytest.raises(InvalidTrials, match="^trials must be positive, got 0$"):
             run_suite("kks", M2, 0, 0)
-        with pytest.raises(InvalidTrials):
+        with pytest.raises(InvalidTrials, match="^trials must be positive, got -3$"):
             run_suite("kks", M2, -3, 0)
 
 
@@ -88,8 +88,7 @@ class TestDeterminism:
         # coincide (2.2e-16 at seeds 0 and 1); the draws and each trial's
         # residuals may not.
         [group] = [g for g in suites._suite("kks") if g.rows[0][0] == "identity"]
-        ctxs = [suites.RowCtx(M2, 25, seed, group.key, DEFAULT_TOL) for seed in (0, 1)]
-        a, b = (group.draw(ctx, ctx.stream()) for ctx in ctxs)
+        a, b = (group.draw(M2, sampling.Stream((seed, group.key), range(25))) for seed in (0, 1))
         assert not any(np.array_equal(x, y) for x, y in zip(a, b))
         assert not np.array_equal(group.run(M2, 25, 0)["kks"], group.run(M2, 25, 1)["kks"])
 
@@ -746,6 +745,23 @@ class TestPlantedFaults:
         rows = {f"{suite}/{row}" for suite in SUITE_NAMES for row in suite_rows(suite)}
         assert set().union(*(fault.fails for fault in FAULTS)) == rows
 
+    @pytest.mark.parametrize("fault, seed, trials, spectrum", [
+        ("test_closed_form_with_a_cluster_pair_off_the_radical", 0, 4, [0.25, 0.25]),
+        ("test_non_stabilizer_direction_in_the_radical", 1, 3, [0.0, 0.5]),
+    ], ids=["repeated", "distinct"])
+    def test_the_degeneracy_run_draws_the_spectrum_its_fault_needs(self, fault, seed, trials,
+                                                                  spectrum):
+        # degeneracy/radical-pairing takes its ambient form at trial 0 alone,
+        # so these faults show only on a first block with a repeated positive
+        # eigenvalue, or with two distinct ones.  A stream that moves the
+        # spectrum fails here rather than as a missed fault.
+        [entry] = [f for f in FAULTS if f.name == fault]
+        assert ("degeneracy", M23, trials, seed) in entry.runs
+        [group] = [g for g in suites._suite("degeneracy") if g.draw is suites._draw_degeneracy]
+        d0 = group.draw(M23, sampling.Stream((seed, group.key), range(trials)))[0]
+        first = np.linalg.eigvalsh(M23.block_views(d0[0])[0])
+        assert np.allclose(first, spectrum, rtol=0.0, atol=1e-12), first
+
 
 for _name in dict.fromkeys(fault.name.partition("[")[0] for fault in FAULTS):
     setattr(TestPlantedFaults, _name,
@@ -772,9 +788,9 @@ class TestSampleWithRetry:
             tries.append(None)
             raise NotInOverlap("outside the overlap")
 
-        with pytest.raises(NotPartiallyInvertible):
-            sampling.sample_with_retry(draw, max_tries=5)
-        assert len(tries) == 5
+        with pytest.raises(NotPartiallyInvertible, match="in 64 draws$"):
+            sampling.sample_with_retry(draw)
+        assert len(tries) == sampling.MAX_TRIES == 64
 
     def test_other_errors_propagate(self):
         def draw():
@@ -868,18 +884,18 @@ class TestTrialKeys:
         calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
         text = [ast.unparse(n.func) for n in calls]
         assert not any(t.endswith("rng_for") for t in text)
-        # The streams come from ``RowCtx.stream`` alone.
+        # The streams come from ``_Group.run`` alone.
         made = [n for n in calls if ast.unparse(n.func) == "sampling.Stream"]
-        row_ctx = next(
-            n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RowCtx"
+        group = next(
+            n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Group"
         )
-        stream = next(n for n in row_ctx.body if getattr(n, "name", None) == "stream")
-        assert len(made) == 1 and made[0] in list(ast.walk(stream))
+        run = next(n for n in group.body if getattr(n, "name", None) == "run")
+        assert len(made) == 1 and made[0] in list(ast.walk(run))
         # No loop or comprehension runs over a stream or its trials.
         loops = {
             ast.unparse(n.iter) for n in ast.walk(tree) if isinstance(n, (ast.For, ast.comprehension))
         }
-        assert not loops & {"rng", "rng.trials", "range(len(rng))", "range(ctx.trials)"}
+        assert not loops & {"rng", "rng.trials", "range(len(rng))", "range(trials)"}
 
 
 class TestFootprint:
@@ -906,21 +922,20 @@ class TestFootprint:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("draw, check, bound", [
-        (suites._draw_dual_pair, lambda ctx, g: dual_pair_orthogonality_check(ctx.algebra, g), 10.0),
-        (suites._draw_planted,
-         lambda ctx, d, dims: suites._dimension_defects(ctx.algebra, d, dims, ctx.profile), 4.0),
+        (suites._draw_dual_pair, dual_pair_orthogonality_check, 10.0),
+        (suites._draw_planted, suites._dimension_defects, 4.0),
     ], ids=["dual-pair", "dimensions"])
     def test_a_stack_of_12_in_one_call(self, draw, check, bound):
-        ctx = suites.RowCtx(BlockAlgebra((12,)), 100, 1, 0, DEFAULT_TOL)
-        drawn = draw(ctx, ctx.stream())
-        assert self._peak(check, ctx, *drawn) < bound
+        alg = BlockAlgebra((12,))
+        drawn = draw(alg, sampling.Stream((1, 0), range(100)))
+        assert self._peak(check, alg, *drawn) < bound
 
 
 class TestRowReplay:
     """Every group is a draw and a check: trial ``k`` of the stacked run has
     the bits of the group's check run on its draw over the stream of trial
-    ``k`` alone, ``ctx.stream([k])``, so one trial can be replayed by
-    itself."""
+    ``k`` alone, ``Stream((seed, key), [k])``, so one trial can be replayed
+    by itself."""
 
     def test_every_row_is_in_one_group(self):
         rows = [row for suite in SUITE_NAMES for group in suites._suite(suite)
@@ -933,8 +948,7 @@ class TestRowReplay:
         alg, trials = BlockAlgebra.from_string(shape), 8
         for suite in SUITE_NAMES:
             for group in suites._suite(suite):
-                ctx = suites.RowCtx(alg, trials, 1, group.key, DEFAULT_TOL)
-                stacked = group.check(ctx, *group.draw(ctx, ctx.stream()))
+                stacked = group.run(alg, trials, 1)
                 # Fixed cases, such as those of modular-flow/dimensions, and
                 # aggregates across trials, such as exactness/order, are not
                 # trials; a group without trials is a fixed case of scalars.
@@ -942,7 +956,7 @@ class TestRowReplay:
                              if np.shape(v)[:1] == (trials,)}
                 assert per_trial or not any(map(np.shape, stacked.values())), group.rows
                 for k in range(trials):
-                    alone = group.check(ctx, *group.draw(ctx, ctx.stream([k])))
+                    alone = group.check(alg, *group.draw(alg, sampling.Stream((1, group.key), [k])))
                     assert alone.keys() == stacked.keys(), group.rows
                     for key, values in per_trial.items():
                         assert np.shape(alone[key])[:1] == (1,), (group.rows, key)
